@@ -80,33 +80,9 @@ impl Coupling {
     /// Derive coupling facts by running `ldft-lint`'s lock-graph and
     /// call-graph passes over the workspace rooted at `root`.
     pub fn from_workspace(root: &Path) -> std::io::Result<Coupling> {
-        let files = ldft_lint::workspace_files(root)?;
-        let mut analyses = Vec::with_capacity(files.len());
-        for path in &files {
-            let source = std::fs::read_to_string(path)?;
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let crate_dir = ldft_lint::crate_dir_of(&rel);
-            analyses.push(ldft_lint::analysis::FileAnalysis::new(
-                &rel,
-                crate_dir.as_deref(),
-                &source,
-            ));
-        }
+        let analyses = ldft_lint::analyze_workspace(root)?;
         let lock = ldft_lint::lockgraph::check(&analyses);
-        let mut idls = Vec::new();
-        for path in ldft_lint::idl_files(root)? {
-            let source = std::fs::read_to_string(&path)?;
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            idls.push(ldft_lint::idlparse::parse(&rel, &source));
-        }
+        let idls = ldft_lint::contracts(root)?;
         let graph = ldft_lint::callgraph::build(&analyses, &idls);
         let mut call_pairs = BTreeSet::new();
         for e in &graph.edges {

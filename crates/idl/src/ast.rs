@@ -1,6 +1,46 @@
 //! Abstract syntax tree for the IDL subset.
 
-/// A parsed IDL specification (one file).
+use std::fmt;
+
+/// Where a declaration starts: the index of its source within the
+/// compilation unit (see [`crate::parse_unit`]) and the 1-based line and
+/// column of its first token. Positions are not part of AST identity —
+/// every `Pos` compares equal — so `parse(pretty(ast)) == ast` holds.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Pos {
+    /// Index of the source within the compilation unit.
+    pub file: u32,
+    /// Line (1-based).
+    pub line: u32,
+    /// Column (1-based).
+    pub col: u32,
+}
+
+impl PartialEq for Pos {
+    fn eq(&self, _: &Pos) -> bool {
+        true
+    }
+}
+
+/// A parse or check error: what went wrong, and at which declaration or
+/// token. Displays as `line:col: msg`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct IdlError {
+    /// What went wrong.
+    pub msg: String,
+    /// Where.
+    pub pos: Pos,
+}
+
+impl fmt::Display for IdlError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}: {}", self.pos.line, self.pos.col, self.msg)
+    }
+}
+
+impl std::error::Error for IdlError {}
+
+/// A parsed IDL specification (one compilation unit).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Spec {
     /// Top-level definitions.
@@ -22,6 +62,8 @@ pub enum Def {
     Typedef(Typedef),
     /// `exception E { ... };`
     Exception(ExceptionDef),
+    /// `native N;`
+    Native(Native),
 }
 
 /// A named scope of definitions.
@@ -36,6 +78,8 @@ pub struct Module {
 /// An interface declaration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Interface {
+    /// Where the declaration starts.
+    pub pos: Pos,
     /// Interface name.
     pub name: String,
     /// Single inheritance base, as a (possibly scoped) name.
@@ -49,6 +93,8 @@ pub struct Interface {
 /// An operation declaration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Operation {
+    /// Where the declaration starts.
+    pub pos: Pos,
     /// Operation name.
     pub name: String,
     /// Whether declared `oneway` (no reply; must return void, have no
@@ -87,6 +133,8 @@ pub enum Direction {
 /// An `attribute` declaration (maps to `_get_x` / `_set_x` operations).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Attribute {
+    /// Where the declaration starts.
+    pub pos: Pos,
     /// Whether `readonly` (no setter).
     pub readonly: bool,
     /// Attribute name.
@@ -98,6 +146,8 @@ pub struct Attribute {
 /// A struct declaration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StructDef {
+    /// Where the declaration starts.
+    pub pos: Pos,
     /// Struct name.
     pub name: String,
     /// Members in declaration order.
@@ -107,6 +157,8 @@ pub struct StructDef {
 /// An enum declaration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EnumDef {
+    /// Where the declaration starts.
+    pub pos: Pos,
     /// Enum name.
     pub name: String,
     /// Enumerator names; discriminants are indices.
@@ -116,6 +168,8 @@ pub struct EnumDef {
 /// A typedef.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Typedef {
+    /// Where the declaration starts.
+    pub pos: Pos,
     /// New name.
     pub name: String,
     /// Aliased type.
@@ -125,10 +179,21 @@ pub struct Typedef {
 /// An exception declaration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExceptionDef {
+    /// Where the declaration starts.
+    pub pos: Pos,
     /// Exception name.
     pub name: String,
     /// Members in declaration order.
     pub members: Vec<(String, Type)>,
+}
+
+/// A `native` declaration: an opaque type the Rust side defines.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Native {
+    /// Where the declaration starts.
+    pub pos: Pos,
+    /// Type name.
+    pub name: String,
 }
 
 /// An IDL type.
@@ -158,6 +223,10 @@ pub enum Type {
     Double,
     /// `string`
     String,
+    /// `any`
+    Any,
+    /// `Object` (an object reference)
+    Object,
     /// `sequence<T>`
     Sequence(Box<Type>),
     /// A (possibly scoped, `A::B`) reference to a named type.
@@ -181,8 +250,37 @@ impl Type {
             Type::Float => "f32".into(),
             Type::Double => "f64".into(),
             Type::String => "String".into(),
+            Type::Any => "::cdr::Any".into(),
+            Type::Object => "::orb::Ior".into(),
             Type::Sequence(t) => format!("Vec<{}>", t.rust()),
             Type::Named(n) => n.clone(),
         }
     }
+}
+
+/// The operations of an interface as they appear on the wire: declared
+/// ops plus the `_get_`/`_set_` operations its attributes imply (each at
+/// its attribute's position).
+pub fn wire_ops(ops: &[Operation], attrs: &[Attribute]) -> Vec<Operation> {
+    let mut all = ops.to_vec();
+    for a in attrs {
+        let op = |prefix: &str, ret: Type, params: Vec<Param>| Operation {
+            pos: a.pos,
+            name: format!("{prefix}{}", a.name),
+            oneway: false,
+            ret,
+            params,
+            raises: vec![],
+        };
+        all.push(op("_get_", a.ty.clone(), vec![]));
+        if !a.readonly {
+            let value = Param {
+                dir: Direction::In,
+                name: "value".into(),
+                ty: a.ty.clone(),
+            };
+            all.push(op("_set_", Type::Void, vec![value]));
+        }
+    }
+    all
 }

@@ -2,7 +2,6 @@
 //! producing the flattened [`Model`] the code generator consumes.
 
 use std::collections::HashMap;
-use std::fmt;
 
 use crate::ast::*;
 
@@ -19,25 +18,18 @@ pub enum SymbolKind {
     Exception,
     /// An interface.
     Interface,
+    /// A `native` (opaque) type.
+    Native,
 }
 
-/// A semantic error.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CheckError {
-    /// Description of the problem.
-    pub msg: String,
-}
+/// A semantic error, at the declaration it was found in.
+pub type CheckError = IdlError;
 
-impl fmt::Display for CheckError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.msg)
-    }
-}
-
-impl std::error::Error for CheckError {}
-
-fn err<T>(msg: impl Into<String>) -> Result<T, CheckError> {
-    Err(CheckError { msg: msg.into() })
+/// Return a [`CheckError`] at `$pos` with a `format!`-style message.
+macro_rules! bail {
+    ($pos:expr, $($fmt:tt)*) => {
+        return Err(CheckError { pos: $pos, msg: format!($($fmt)*) })
+    };
 }
 
 /// A checked item with its enclosing module scope (absolute path of module
@@ -87,6 +79,13 @@ pub enum Item {
         /// Flattened attributes: inherited first, own last.
         all_attrs: Vec<Attribute>,
     },
+    /// A `native` type: opaque here, defined by the Rust side.
+    Native {
+        /// Enclosing module path.
+        scope: Vec<String>,
+        /// The declaration.
+        def: Native,
+    },
 }
 
 impl Item {
@@ -97,7 +96,8 @@ impl Item {
             | Item::Enum { scope, .. }
             | Item::Typedef { scope, .. }
             | Item::Exception { scope, .. }
-            | Item::Interface { scope, .. } => scope,
+            | Item::Interface { scope, .. }
+            | Item::Native { scope, .. } => scope,
         }
     }
 
@@ -109,6 +109,7 @@ impl Item {
             Item::Typedef { def, .. } => &def.name,
             Item::Exception { def, .. } => &def.name,
             Item::Interface { def, .. } => &def.name,
+            Item::Native { def, .. } => &def.name,
         }
     }
 }
@@ -157,22 +158,23 @@ fn collect(
     symbols: &mut HashMap<String, SymbolKind>,
 ) -> Result<(), CheckError> {
     for def in defs {
-        let (name, kind) = match def {
+        let (name, pos, kind) = match def {
             Def::Module(m) => {
                 scope.push(m.name.clone());
                 collect(&m.defs, scope, symbols)?;
                 scope.pop();
                 continue;
             }
-            Def::Interface(i) => (&i.name, SymbolKind::Interface),
-            Def::Struct(s) => (&s.name, SymbolKind::Struct),
-            Def::Enum(e) => (&e.name, SymbolKind::Enum),
-            Def::Typedef(t) => (&t.name, SymbolKind::Typedef),
-            Def::Exception(e) => (&e.name, SymbolKind::Exception),
+            Def::Interface(i) => (&i.name, i.pos, SymbolKind::Interface),
+            Def::Struct(s) => (&s.name, s.pos, SymbolKind::Struct),
+            Def::Enum(e) => (&e.name, e.pos, SymbolKind::Enum),
+            Def::Typedef(t) => (&t.name, t.pos, SymbolKind::Typedef),
+            Def::Exception(e) => (&e.name, e.pos, SymbolKind::Exception),
+            Def::Native(n) => (&n.name, n.pos, SymbolKind::Native),
         };
         let abs = abs_name(scope, name);
         if symbols.insert(abs.clone(), kind).is_some() {
-            return err(format!("duplicate definition of `{abs}`"));
+            bail!(pos, "duplicate definition of `{abs}`");
         }
     }
     Ok(())
@@ -206,26 +208,28 @@ fn resolve_type(
     ty: &Type,
     scope: &[String],
     symbols: &HashMap<String, SymbolKind>,
+    pos: Pos,
     what: &str,
 ) -> Result<Type, CheckError> {
     Ok(match ty {
         Type::Sequence(inner) => {
-            Type::Sequence(Box::new(resolve_type(inner, scope, symbols, what)?))
+            Type::Sequence(Box::new(resolve_type(inner, scope, symbols, pos, what)?))
         }
         Type::Named(n) => {
             let Some((abs, kind)) = lookup(symbols, scope, n) else {
-                return err(format!("unknown type `{n}` in {what}"));
+                bail!(pos, "unknown type `{n}` in {what}");
             };
             match kind {
                 SymbolKind::Interface => {
-                    return err(format!(
+                    bail!(
+                        pos,
                         "interface `{n}` used as a data type in {what}; \
-                         object-reference parameters are not supported — pass a \
-                         stringified IOR (`string`) instead"
-                    ))
+                             typed object references are not supported — \
+                             declare the parameter as `Object`"
+                    )
                 }
                 SymbolKind::Exception => {
-                    return err(format!("exception `{n}` used as a data type in {what}"))
+                    bail!(pos, "exception `{n}` used as a data type in {what}")
                 }
                 _ => Type::Named(abs),
             }
@@ -256,14 +260,16 @@ fn resolve(
                 let mut seen = std::collections::HashSet::new();
                 for (mname, mty) in &s.members {
                     if !seen.insert(mname.clone()) {
-                        return err(format!("duplicate member `{mname}` in struct `{}`", s.name));
+                        bail!(s.pos, "duplicate member `{mname}` in struct `{}`", s.name);
                     }
                     let what = format!("struct `{}`", s.name);
-                    members.push((mname.clone(), resolve_type(mty, scope, symbols, &what)?));
+                    let ty = resolve_type(mty, scope, symbols, s.pos, &what)?;
+                    members.push((mname.clone(), ty));
                 }
                 model.items.push(Item::Struct {
                     scope: scope.clone(),
                     def: StructDef {
+                        pos: s.pos,
                         name: s.name.clone(),
                         members,
                     },
@@ -273,11 +279,11 @@ fn resolve(
                 let mut seen = std::collections::HashSet::new();
                 for m in &e.members {
                     if !seen.insert(m.clone()) {
-                        return err(format!("duplicate enumerator `{m}` in enum `{}`", e.name));
+                        bail!(e.pos, "duplicate enumerator `{m}` in enum `{}`", e.name);
                     }
                 }
                 if e.members.is_empty() {
-                    return err(format!("enum `{}` has no enumerators", e.name));
+                    bail!(e.pos, "enum `{}` has no enumerators", e.name);
                 }
                 model.items.push(Item::Enum {
                     scope: scope.clone(),
@@ -286,10 +292,11 @@ fn resolve(
             }
             Def::Typedef(t) => {
                 let what = format!("typedef `{}`", t.name);
-                let ty = resolve_type(&t.ty, scope, symbols, &what)?;
+                let ty = resolve_type(&t.ty, scope, symbols, t.pos, &what)?;
                 model.items.push(Item::Typedef {
                     scope: scope.clone(),
                     def: Typedef {
+                        pos: t.pos,
                         name: t.name.clone(),
                         ty,
                     },
@@ -299,12 +306,14 @@ fn resolve(
                 let mut members = Vec::new();
                 for (mname, mty) in &e.members {
                     let what = format!("exception `{}`", e.name);
-                    members.push((mname.clone(), resolve_type(mty, scope, symbols, &what)?));
+                    let ty = resolve_type(mty, scope, symbols, e.pos, &what)?;
+                    members.push((mname.clone(), ty));
                 }
                 model.items.push(Item::Exception {
                     scope: scope.clone(),
                     repo_id: repo_id(scope, &e.name),
                     def: ExceptionDef {
+                        pos: e.pos,
                         name: e.name.clone(),
                         members,
                     },
@@ -317,11 +326,12 @@ fn resolve(
                     None => (Vec::new(), Vec::new()),
                     Some(base_abs) => {
                         let Some((ops, attrs, _)) = iface_ops.get(base_abs) else {
-                            return err(format!(
+                            bail!(
+                                i.pos,
                                 "interface `{}` inherits `{base_abs}`, which is not \
-                                 defined before it",
+                                     defined before it",
                                 i.name
-                            ));
+                            );
                         };
                         (ops.clone(), attrs.clone())
                     }
@@ -329,10 +339,12 @@ fn resolve(
                 // Overriding is not allowed in IDL.
                 for op in &resolved.ops {
                     if all_ops.iter().any(|o| o.name == op.name) {
-                        return err(format!(
+                        bail!(
+                            op.pos,
                             "interface `{}` redefines inherited operation `{}`",
-                            i.name, op.name
-                        ));
+                            i.name,
+                            op.name
+                        );
                     }
                 }
                 all_ops.extend(resolved.ops.iter().cloned());
@@ -350,6 +362,10 @@ fn resolve(
                     all_attrs,
                 });
             }
+            Def::Native(n) => model.items.push(Item::Native {
+                scope: scope.clone(),
+                def: n.clone(),
+            }),
         }
     }
     Ok(())
@@ -364,13 +380,14 @@ fn check_interface(
         None => None,
         Some(b) => {
             let Some((abs, kind)) = lookup(symbols, scope, b) else {
-                return err(format!("interface `{}`: unknown base `{b}`", i.name));
+                bail!(i.pos, "interface `{}`: unknown base `{b}`", i.name);
             };
             if kind != SymbolKind::Interface {
-                return err(format!(
+                bail!(
+                    i.pos,
                     "interface `{}`: base `{b}` is not an interface",
                     i.name
-                ));
+                );
             }
             Some(abs)
         }
@@ -379,56 +396,56 @@ fn check_interface(
     let mut ops = Vec::new();
     for op in &i.ops {
         if !names.insert(op.name.clone()) {
-            return err(format!(
+            bail!(
+                op.pos,
                 "interface `{}`: duplicate operation `{}`",
-                i.name, op.name
-            ));
+                i.name,
+                op.name
+            );
         }
         let what = format!("operation `{}::{}`", i.name, op.name);
         let ret = match &op.ret {
             Type::Void => Type::Void,
-            t => resolve_type(t, scope, symbols, &what)?,
+            t => resolve_type(t, scope, symbols, op.pos, &what)?,
         };
         let mut params = Vec::new();
         let mut pnames = std::collections::HashSet::new();
         for p in &op.params {
             if !pnames.insert(p.name.clone()) {
-                return err(format!("{what}: duplicate parameter `{}`", p.name));
+                bail!(op.pos, "{what}: duplicate parameter `{}`", p.name);
             }
             params.push(Param {
                 dir: p.dir,
                 name: p.name.clone(),
-                ty: resolve_type(&p.ty, scope, symbols, &what)?,
+                ty: resolve_type(&p.ty, scope, symbols, op.pos, &what)?,
             });
         }
         if op.oneway {
             if op.ret != Type::Void {
-                return err(format!("{what}: oneway operations must return void"));
+                bail!(op.pos, "{what}: oneway operations must return void");
             }
             if params.iter().any(|p| p.dir != Direction::In) {
-                return err(format!(
+                bail!(
+                    op.pos,
                     "{what}: oneway operations may only have `in` parameters"
-                ));
+                );
             }
             if !op.raises.is_empty() {
-                return err(format!(
-                    "{what}: oneway operations may not raise exceptions"
-                ));
+                bail!(op.pos, "{what}: oneway operations may not raise exceptions");
             }
         }
         let mut raises = Vec::new();
         for r in &op.raises {
             let Some((abs, kind)) = lookup(symbols, scope, r) else {
-                return err(format!("{what}: unknown exception `{r}` in raises clause"));
+                bail!(op.pos, "{what}: unknown exception `{r}` in raises clause");
             };
             if kind != SymbolKind::Exception {
-                return err(format!(
-                    "{what}: `{r}` in raises clause is not an exception"
-                ));
+                bail!(op.pos, "{what}: `{r}` in raises clause is not an exception");
             }
             raises.push(abs);
         }
         ops.push(Operation {
+            pos: op.pos,
             name: op.name.clone(),
             oneway: op.oneway,
             ret,
@@ -439,19 +456,23 @@ fn check_interface(
     let mut attrs = Vec::new();
     for a in &i.attrs {
         if !names.insert(a.name.clone()) {
-            return err(format!(
+            bail!(
+                a.pos,
                 "interface `{}`: attribute `{}` clashes with an operation",
-                i.name, a.name
-            ));
+                i.name,
+                a.name
+            );
         }
         let what = format!("attribute `{}::{}`", i.name, a.name);
         attrs.push(Attribute {
+            pos: a.pos,
             readonly: a.readonly,
             name: a.name.clone(),
-            ty: resolve_type(&a.ty, scope, symbols, &what)?,
+            ty: resolve_type(&a.ty, scope, symbols, a.pos, &what)?,
         });
     }
     Ok(Interface {
+        pos: i.pos,
         name: i.name.clone(),
         base,
         ops,
@@ -527,9 +548,38 @@ mod tests {
     }
 
     #[test]
+    fn errors_carry_the_declaration_position() {
+        let e = check_src("interface I {\n  void ok();\n  void f(in Missing m);\n};").unwrap_err();
+        let want = "3:3: unknown type `Missing` in operation `I::f`";
+        assert_eq!(e.to_string(), want);
+    }
+
+    #[test]
+    fn any_object_and_native_across_a_unit() {
+        let unit = |srcs: [&str; 2]| check(&crate::parser::parse_unit(srcs).unwrap());
+        let m = unit([
+            "module A { native Body; struct S { Body b; any v; }; };",
+            "module B { interface I { Object f(in A::S s); }; };",
+        ])
+        .unwrap();
+        let (Item::Struct { def: s, .. }, Item::Interface { def: i, .. }) =
+            (&m.items[1], &m.items[2])
+        else {
+            panic!()
+        };
+        assert_eq!(s.members[0].1, Type::Named("A::Body".into()));
+        assert_eq!(s.members[1].1.rust(), "::cdr::Any");
+        assert_eq!(i.ops[0].ret.rust(), "::orb::Ior");
+        assert_eq!(i.pos.file, 1);
+        // A dangling cross-file name is reported in the file that uses it.
+        let e = unit(["struct S { double x; };", "typedef T U;"]).unwrap_err();
+        assert_eq!(e.pos.file, 1);
+    }
+
+    #[test]
     fn interface_as_data_type_rejected() {
         let e = check_src("interface I {}; struct S { I ref; };").unwrap_err();
-        assert!(e.msg.contains("object-reference"), "{e}");
+        assert!(e.msg.contains("declare the parameter as `Object`"), "{e}");
     }
 
     #[test]
@@ -569,6 +619,7 @@ mod tests {
         // The parser requires one enumerator, so build via AST directly.
         let spec = Spec {
             defs: vec![Def::Enum(EnumDef {
+                pos: Pos::default(),
                 name: "E".into(),
                 members: vec![],
             })],

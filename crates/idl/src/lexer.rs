@@ -2,15 +2,15 @@
 
 use std::fmt;
 
-/// A token with its source position (1-based line/column).
+use crate::ast::{IdlError, Pos};
+
+/// A token with its source position.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Token {
     /// What the token is.
     pub kind: TokKind,
-    /// Line (1-based).
-    pub line: u32,
-    /// Column (1-based).
-    pub col: u32,
+    /// Where the token starts.
+    pub pos: Pos,
 }
 
 /// Token kinds.
@@ -67,32 +67,19 @@ impl fmt::Display for TokKind {
     }
 }
 
-/// A lexical error.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LexError {
-    /// Offending character.
-    pub ch: char,
-    /// Line (1-based).
-    pub line: u32,
-    /// Column (1-based).
-    pub col: u32,
+fn bad_char(ch: char, pos: Pos) -> IdlError {
+    let msg = format!("unexpected character {ch:?}");
+    IdlError { msg, pos }
 }
-
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unexpected character {:?} at {}:{}",
-            self.ch, self.line, self.col
-        )
-    }
-}
-
-impl std::error::Error for LexError {}
 
 /// Tokenize IDL source. Handles `//` line comments, `/* */` block comments,
 /// and `#pragma`/preprocessor lines (skipped to end of line).
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(src: &str) -> Result<Vec<Token>, IdlError> {
+    lex_file(src, 0)
+}
+
+/// [`lex`] for source number `file` of a compilation unit.
+pub(crate) fn lex_file(src: &str, file: u32) -> Result<Vec<Token>, IdlError> {
     let mut out = Vec::new();
     let mut chars = src.chars().peekable();
     let mut line = 1u32;
@@ -112,12 +99,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     }
 
     loop {
-        let (tline, tcol) = (line, col);
+        let tpos = Pos { file, line, col };
         let Some(&c) = chars.peek() else {
             out.push(Token {
                 kind: TokKind::Eof,
-                line,
-                col,
+                pos: tpos,
             });
             return Ok(out);
         };
@@ -150,7 +136,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                         let mut prev = '\0';
                         loop {
                             let Some(c2) = bump!() else {
-                                return Err(LexError { ch: '*', line, col });
+                                return Err(bad_char('*', Pos { file, line, col }));
                             };
                             if prev == '*' && c2 == '/' {
                                 break;
@@ -158,13 +144,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                             prev = c2;
                         }
                     }
-                    _ => {
-                        return Err(LexError {
-                            ch: '/',
-                            line: tline,
-                            col: tcol,
-                        })
-                    }
+                    _ => return Err(bad_char('/', tpos)),
                 }
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
@@ -179,8 +159,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 }
                 out.push(Token {
                     kind: TokKind::Ident(s),
-                    line: tline,
-                    col: tcol,
+                    pos: tpos,
                 });
             }
             c if c.is_ascii_digit() => {
@@ -195,8 +174,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 }
                 out.push(Token {
                     kind: TokKind::Int(n),
-                    line: tline,
-                    col: tcol,
+                    pos: tpos,
                 });
             }
             _ => {
@@ -219,19 +197,9 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                             TokKind::Colon
                         }
                     }
-                    other => {
-                        return Err(LexError {
-                            ch: other,
-                            line: tline,
-                            col: tcol,
-                        })
-                    }
+                    other => return Err(bad_char(other, tpos)),
                 };
-                out.push(Token {
-                    kind,
-                    line: tline,
-                    col: tcol,
-                });
+                out.push(Token { kind, pos: tpos });
             }
         }
     }
@@ -319,15 +287,14 @@ mod tests {
     #[test]
     fn positions_tracked() {
         let toks = lex("a\n  b").unwrap();
-        assert_eq!((toks[0].line, toks[0].col), (1, 1));
-        assert_eq!((toks[1].line, toks[1].col), (2, 3));
+        assert_eq!((toks[0].pos.line, toks[0].pos.col), (1, 1));
+        assert_eq!((toks[1].pos.line, toks[1].pos.col), (2, 3));
     }
 
     #[test]
     fn bad_char_reported() {
         let err = lex("a @ b").unwrap_err();
-        assert_eq!(err.ch, '@');
-        assert_eq!((err.line, err.col), (1, 3));
+        assert_eq!(err.to_string(), "1:3: unexpected character '@'");
     }
 
     #[test]

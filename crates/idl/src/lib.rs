@@ -14,7 +14,9 @@
 //!
 //! Supported IDL: modules, interfaces with single inheritance, operations
 //! (in/out/inout, `oneway`, `raises`), attributes, structs, enums,
-//! typedefs, sequences, exceptions, and the primitive types.
+//! typedefs, sequences, exceptions, the primitive types, `any`, `Object`
+//! references, and `native` (Rust-defined) types. Several files form one
+//! compilation unit through [`parse_unit`].
 //!
 //! ```
 //! let src = "module M { interface Hello { string greet(in string who); }; };";
@@ -33,8 +35,8 @@ mod pretty;
 
 pub use check::{check, repo_id, CheckError, Item, Model, SymbolKind};
 pub use codegen::{generate, GenOptions};
-pub use lexer::{lex, LexError, TokKind, Token};
-pub use parser::{parse, ParseError};
+pub use lexer::{lex, TokKind, Token};
+pub use parser::{parse, parse_unit, ParseError};
 pub use pretty::pretty;
 
 /// Compile IDL source to Rust source in one step.

@@ -1,44 +1,28 @@
 //! Recursive-descent parser for the IDL subset.
 
-use std::fmt;
-
 use crate::ast::*;
-use crate::lexer::{lex, LexError, TokKind, Token};
+use crate::lexer::{lex_file, TokKind, Token};
 
-/// A parse error with source position.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParseError {
-    /// What went wrong.
-    pub msg: String,
-    /// Line (1-based); 0 for lexical errors without a token.
-    pub line: u32,
-    /// Column (1-based).
-    pub col: u32,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: {}", self.line, self.col, self.msg)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            msg: e.to_string(),
-            line: e.line,
-            col: e.col,
-        }
-    }
-}
+/// A parse (or lexical) error, at the offending token.
+pub type ParseError = IdlError;
 
 /// Parse an IDL source file.
 pub fn parse(src: &str) -> Result<Spec, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    p.spec()
+    parse_unit([src])
+}
+
+/// Parse several sources as one compilation unit: their definitions are
+/// concatenated in the order given (so a later source may name an earlier
+/// one's types, and modules may be reopened), and every [`Pos::file`]
+/// indexes `sources`.
+pub fn parse_unit<'a>(sources: impl IntoIterator<Item = &'a str>) -> Result<Spec, ParseError> {
+    let mut defs = Vec::new();
+    for (file, src) in sources.into_iter().enumerate() {
+        let tokens = lex_file(src, file as u32)?;
+        let mut p = Parser { tokens, pos: 0 };
+        defs.append(&mut p.spec()?.defs);
+    }
+    Ok(Spec { defs })
 }
 
 struct Parser {
@@ -60,11 +44,9 @@ impl Parser {
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
-        let t = self.peek();
         Err(ParseError {
             msg: msg.into(),
-            line: t.line,
-            col: t.col,
+            pos: self.peek().pos,
         })
     }
 
@@ -118,6 +100,7 @@ impl Parser {
     }
 
     fn def(&mut self) -> Result<Def, ParseError> {
+        let pos = self.peek().pos;
         if self.keyword("module") {
             let name = self.ident()?;
             self.expect(&TokKind::LBrace)?;
@@ -129,14 +112,14 @@ impl Parser {
             self.expect(&TokKind::Semi)?;
             Ok(Def::Module(Module { name, defs }))
         } else if self.keyword("interface") {
-            self.interface().map(Def::Interface)
+            self.interface(pos).map(Def::Interface)
         } else if self.keyword("struct") {
             let name = self.ident()?;
             self.expect(&TokKind::LBrace)?;
             let members = self.members()?;
             self.expect(&TokKind::RBrace)?;
             self.expect(&TokKind::Semi)?;
-            Ok(Def::Struct(StructDef { name, members }))
+            Ok(Def::Struct(StructDef { pos, name, members }))
         } else if self.keyword("enum") {
             let name = self.ident()?;
             self.expect(&TokKind::LBrace)?;
@@ -147,19 +130,23 @@ impl Parser {
             }
             self.expect(&TokKind::RBrace)?;
             self.expect(&TokKind::Semi)?;
-            Ok(Def::Enum(EnumDef { name, members }))
+            Ok(Def::Enum(EnumDef { pos, name, members }))
         } else if self.keyword("typedef") {
             let ty = self.ty()?;
             let name = self.ident()?;
             self.expect(&TokKind::Semi)?;
-            Ok(Def::Typedef(Typedef { name, ty }))
+            Ok(Def::Typedef(Typedef { pos, name, ty }))
         } else if self.keyword("exception") {
             let name = self.ident()?;
             self.expect(&TokKind::LBrace)?;
             let members = self.members()?;
             self.expect(&TokKind::RBrace)?;
             self.expect(&TokKind::Semi)?;
-            Ok(Def::Exception(ExceptionDef { name, members }))
+            Ok(Def::Exception(ExceptionDef { pos, name, members }))
+        } else if self.keyword("native") {
+            let name = self.ident()?;
+            self.expect(&TokKind::Semi)?;
+            Ok(Def::Native(Native { pos, name }))
         } else {
             self.err(format!("expected a definition, found {}", self.peek().kind))
         }
@@ -177,7 +164,7 @@ impl Parser {
         Ok(members)
     }
 
-    fn interface(&mut self) -> Result<Interface, ParseError> {
+    fn interface(&mut self, pos: Pos) -> Result<Interface, ParseError> {
         let name = self.ident()?;
         let base = if self.peek().kind == TokKind::Colon {
             self.bump();
@@ -189,6 +176,7 @@ impl Parser {
         let mut ops = Vec::new();
         let mut attrs = Vec::new();
         while self.peek().kind != TokKind::RBrace {
+            let pos = self.peek().pos;
             if self.keyword("readonly") {
                 if !self.keyword("attribute") {
                     return self.err("expected `attribute` after `readonly`");
@@ -197,6 +185,7 @@ impl Parser {
                 let name = self.ident()?;
                 self.expect(&TokKind::Semi)?;
                 attrs.push(Attribute {
+                    pos,
                     readonly: true,
                     name,
                     ty,
@@ -206,6 +195,7 @@ impl Parser {
                 let name = self.ident()?;
                 self.expect(&TokKind::Semi)?;
                 attrs.push(Attribute {
+                    pos,
                     readonly: false,
                     name,
                     ty,
@@ -217,6 +207,7 @@ impl Parser {
         self.expect(&TokKind::RBrace)?;
         self.expect(&TokKind::Semi)?;
         Ok(Interface {
+            pos,
             name,
             base,
             ops,
@@ -225,6 +216,7 @@ impl Parser {
     }
 
     fn operation(&mut self) -> Result<Operation, ParseError> {
+        let pos = self.peek().pos;
         let oneway = self.keyword("oneway");
         let ret = self.ty_or_void()?;
         let name = self.ident()?;
@@ -256,6 +248,7 @@ impl Parser {
         }
         self.expect(&TokKind::Semi)?;
         Ok(Operation {
+            pos,
             name,
             oneway,
             ret,
@@ -300,6 +293,10 @@ impl Parser {
             Ok(Type::Double)
         } else if self.keyword("string") {
             Ok(Type::String)
+        } else if self.keyword("any") {
+            Ok(Type::Any)
+        } else if self.keyword("Object") {
+            Ok(Type::Object)
         } else if self.keyword("long") {
             if self.keyword("long") {
                 Ok(Type::LongLong)
@@ -424,7 +421,7 @@ mod tests {
     #[test]
     fn errors_carry_position() {
         let err = parse("interface {").unwrap_err();
-        assert_eq!(err.line, 1);
+        assert_eq!((err.pos.line, err.pos.col), (1, 11));
         assert!(err.msg.contains("identifier"), "{err}");
     }
 

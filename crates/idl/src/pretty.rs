@@ -60,6 +60,10 @@ fn emit_def(out: &mut String, def: &Def, level: usize) {
             indent(out, level);
             let _ = writeln!(out, "}};");
         }
+        Def::Native(n) => {
+            indent(out, level);
+            let _ = writeln!(out, "native {};", n.name);
+        }
         Def::Interface(i) => {
             indent(out, level);
             match &i.base {
@@ -121,6 +125,8 @@ fn ty(t: &Type) -> String {
         Type::Float => "float".into(),
         Type::Double => "double".into(),
         Type::String => "string".into(),
+        Type::Any => "any".into(),
+        Type::Object => "Object".into(),
         Type::Sequence(inner) => format!("sequence<{}>", ty(inner)),
         Type::Named(n) => n.clone(),
     }

@@ -4,6 +4,13 @@
 use idlc::ast::*;
 use proptest::prelude::*;
 
+/// Generated ASTs have no source; positions compare equal anyway.
+const P: Pos = Pos {
+    file: 0,
+    line: 0,
+    col: 0,
+};
+
 fn ident() -> impl Strategy<Value = String> {
     // Avoid IDL keywords by prefixing.
     "[a-z][a-z0-9_]{0,8}".prop_map(|s| format!("id_{s}"))
@@ -22,6 +29,8 @@ fn leaf_type() -> impl Strategy<Value = Type> {
         Just(Type::Float),
         Just(Type::Double),
         Just(Type::String),
+        Just(Type::Any),
+        Just(Type::Object),
     ]
 }
 
@@ -64,6 +73,7 @@ fn operation() -> impl Strategy<Value = Operation> {
                 p.name = format!("{}_{i}", p.name);
             }
             Operation {
+                pos: P,
                 name,
                 oneway,
                 ret,
@@ -84,6 +94,7 @@ fn interface() -> impl Strategy<Value = Interface> {
                 op.name = format!("{}_{i}", op.name);
             }
             Interface {
+                pos: P,
                 name,
                 base: None,
                 ops,
@@ -91,6 +102,7 @@ fn interface() -> impl Strategy<Value = Interface> {
                     .into_iter()
                     .enumerate()
                     .map(|(i, (readonly, name, ty))| Attribute {
+                        pos: P,
                         readonly,
                         name: format!("{name}_{i}"),
                         ty,
@@ -113,7 +125,11 @@ fn def() -> impl Strategy<Value = Def> {
                     .enumerate()
                     .map(|(i, (n, t))| (format!("{n}_{i}"), t))
                     .collect();
-                Def::Struct(StructDef { name, members })
+                Def::Struct(StructDef {
+                    pos: P,
+                    name,
+                    members,
+                })
             }),
         (ident(), proptest::collection::vec(ident(), 1..5)).prop_map(|(name, members)| {
             let members = members
@@ -121,9 +137,14 @@ fn def() -> impl Strategy<Value = Def> {
                 .enumerate()
                 .map(|(i, m)| format!("{m}_{i}"))
                 .collect();
-            Def::Enum(EnumDef { name, members })
+            Def::Enum(EnumDef {
+                pos: P,
+                name,
+                members,
+            })
         }),
-        (ident(), data_type()).prop_map(|(name, ty)| Def::Typedef(Typedef { name, ty })),
+        (ident(), data_type()).prop_map(|(name, ty)| Def::Typedef(Typedef { pos: P, name, ty })),
+        ident().prop_map(|name| Def::Native(Native { pos: P, name })),
         (
             ident(),
             proptest::collection::vec((ident(), data_type()), 0..3)
@@ -134,7 +155,11 @@ fn def() -> impl Strategy<Value = Def> {
                     .enumerate()
                     .map(|(i, (n, t))| (format!("{n}_{i}"), t))
                     .collect();
-                Def::Exception(ExceptionDef { name, members })
+                Def::Exception(ExceptionDef {
+                    pos: P,
+                    name,
+                    members,
+                })
             }),
     ]
 }
@@ -150,6 +175,7 @@ fn spec() -> impl Strategy<Value = Spec> {
                 Def::Enum(x) => x.name = format!("{}_{i}", x.name),
                 Def::Typedef(x) => x.name = format!("{}_{i}", x.name),
                 Def::Exception(x) => x.name = format!("{}_{i}", x.name),
+                Def::Native(x) => x.name = format!("{}_{i}", x.name),
                 Def::Module(_) => unreachable!("not generated"),
             }
         }

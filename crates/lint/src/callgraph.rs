@@ -29,7 +29,7 @@
 
 use crate::analysis::FileAnalysis;
 use crate::ast::TokKind;
-use crate::idlparse::IdlFile;
+use crate::contracts::Contracts;
 use crate::rules::SIM_CRATES;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -416,7 +416,7 @@ fn ty_tail(raw: &str) -> String {
 }
 
 /// Build the graph over the analyzed workspace.
-pub fn build(files: &[FileAnalysis], idls: &[IdlFile]) -> CallGraph {
+pub fn build(files: &[FileAnalysis], idls: &Contracts) -> CallGraph {
     let mut g = CallGraph::default();
 
     // --- Nodes -------------------------------------------------------------
@@ -525,10 +525,7 @@ pub fn build(files: &[FileAnalysis], idls: &[IdlFile]) -> CallGraph {
     }
     // IDL op names, and per-op dispatch skeleton nodes: a `dispatch` fn in
     // an `impl Servant` whose body evidences the op (literal or op const).
-    let idl_ops: BTreeSet<&str> = idls
-        .iter()
-        .flat_map(|i| i.all_ops().map(|(_, op)| op.name.as_str()))
-        .collect();
+    let idl_ops: BTreeSet<&str> = idls.ops().map(|op| op.name.as_str()).collect();
     let mut dispatchers: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (i, n) in g.nodes.iter().enumerate() {
         if n.name != "dispatch" || n.trait_name.as_deref() != Some("Servant") {
@@ -873,7 +870,7 @@ mod tests {
                 FileAnalysis::new(path, dir.as_deref(), src)
             })
             .collect();
-        build(&files, &[])
+        build(&files, &Default::default())
     }
 
     #[test]

@@ -672,7 +672,7 @@ mod tests {
                 FileAnalysis::new(path, dir.as_deref(), src)
             })
             .collect();
-        let g = callgraph::build(&files, &[]);
+        let g = callgraph::build(&files, &Default::default());
         check(&files, &g)
     }
 

@@ -26,14 +26,15 @@
 pub mod analysis;
 pub mod ast;
 pub mod callgraph;
+pub mod contracts;
 pub mod failpath;
-pub mod idlparse;
 pub mod lexer;
 pub mod lockgraph;
 pub mod rules;
 pub mod wire;
 
 use analysis::FileAnalysis;
+pub use contracts::{contracts, Contracts};
 use rules::{check_file_raw, finalize, Finding, Severity, WorkspaceIndex};
 use std::path::{Path, PathBuf};
 
@@ -151,59 +152,51 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// The workspace `idl/*.idl` contract files, sorted.
-pub fn idl_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let dir = root.join("idl");
-    let mut out = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(&dir) {
-        for e in entries.flatten() {
-            let path = e.path();
-            if path.extension().and_then(|x| x.to_str()) == Some("idl") {
-                out.push(path);
-            }
-        }
+/// `path` as diagnostics label it: relative to `root`, `/`-separated.
+fn rel_label(root: &Path, path: &Path) -> String {
+    let rel = path.strip_prefix(root).unwrap_or(path);
+    rel.to_string_lossy().replace('\\', "/")
+}
+
+/// Parse every workspace `.rs` file under `root` (see
+/// [`workspace_files`]), labelled by workspace-relative path.
+pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<FileAnalysis>> {
+    let mut analyses = Vec::new();
+    for path in workspace_files(root)? {
+        let source = std::fs::read_to_string(&path)?;
+        let rel = rel_label(root, &path);
+        analyses.push(FileAnalysis::new(
+            &rel,
+            crate_dir_of(&rel).as_deref(),
+            &source,
+        ));
     }
-    out.sort();
-    Ok(out)
+    Ok(analyses)
 }
 
 /// Run the analyzer over the whole workspace rooted at `root`.
 ///
-/// Three stages: the first parses every `.rs` and `.idl` file and builds
-/// the [`WorkspaceIndex`] (P2's one-hop call graph over the orb stub API),
+/// Three stages: the first parses every `.rs` file, compiles the `.idl`
+/// contracts (see [`contracts`]) and builds the [`WorkspaceIndex`] (P2's
+/// one-hop call graph over the orb stub API),
 /// the second evaluates the per-file rules plus the cross-file wire
 /// (W1–W4) and lock-graph (L1–L3) passes, and the third routes every
 /// finding back to its file so allow directives apply uniformly.
 pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
-    let files = workspace_files(root)?;
-    let mut analyses = Vec::with_capacity(files.len());
+    let analyses = analyze_workspace(root)?;
     let mut index = WorkspaceIndex::stub_only();
-    for path in &files {
-        let source = std::fs::read_to_string(path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let crate_dir = crate_dir_of(&rel);
-        let fa = FileAnalysis::new(&rel, crate_dir.as_deref(), &source);
-        index.absorb(&fa);
-        analyses.push(fa);
+    for fa in &analyses {
+        index.absorb(fa);
     }
-    // IDL contracts: parsed for the wire pass, plus a pseudo-analysis per
-    // file so `// ldft-lint: allow(...)` directives work in .idl comments.
-    let mut idls = Vec::new();
-    let mut idl_analyses = Vec::new();
-    for path in idl_files(root)? {
-        let source = std::fs::read_to_string(&path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        idls.push(idlparse::parse(&rel, &source));
-        idl_analyses.push(FileAnalysis::new(&rel, None, &source));
-    }
+    // IDL contracts: compiled by idlc for the wire pass, plus a
+    // pseudo-analysis per file so `// ldft-lint: allow(...)` directives
+    // work in .idl comments.
+    let idls = contracts(root)?;
+    let idl_analyses: Vec<FileAnalysis> = idls
+        .sources
+        .iter()
+        .map(|(rel, source)| FileAnalysis::new(rel, None, source))
+        .collect();
 
     let mut report = Report {
         findings: Vec::new(),
@@ -234,9 +227,10 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     report.graph_edges = graph.edges.len();
     report.remote_sites = graph.remote_sites.len();
     report.graph = graph;
-    for f in wire_report
-        .findings
+    for f in idls
+        .rejection
         .into_iter()
+        .chain(wire_report.findings)
         .chain(lock_report.findings)
         .chain(fail_findings)
     {

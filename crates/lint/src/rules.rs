@@ -81,8 +81,8 @@ pub const SIM_CRATES: &[&str] = &[
 
 /// All rule IDs, in report order.
 pub const RULE_IDS: &[&str] = &[
-    "D1", "D2", "D3", "D4", "P1", "P2", "P3", "W1", "W2", "W3", "W4", "L1", "L2", "L3", "E1", "E2",
-    "F1", "F2", "F3", "F4",
+    "D1", "D2", "D3", "D4", "P1", "P2", "P3", "W0", "W1", "W2", "W3", "W4", "L1", "L2", "L3", "E1",
+    "E2", "F1", "F2", "F3", "F4",
 ];
 
 /// Human-readable one-liner per rule, for `--list-rules`.
@@ -95,6 +95,7 @@ pub fn rule_summary(id: &str) -> &'static str {
         "P1" => "panicking call in library code (unwrap/expect/panic!/unreachable!/todo!)",
         "P2" => "discarded remote-invocation result (let _ = ...invoke-like(...))",
         "P3" => "FT proxy method invokes without checkpoint-after-success",
+        "W0" => "idl/*.idl contract unit rejected by idlc (parse or check error)",
         "W1" => "IDL operation with no client-side call site (stub drift)",
         "W2" => "IDL operation without a skeleton dispatch arm, or a dispatch arm for an op absent from the IDL",
         "W3" => "CDR request tuple disagrees with the IDL in-parameter list (server types / client arity)",

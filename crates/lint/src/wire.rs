@@ -8,6 +8,7 @@
 //!
 //! | ID | invariant |
 //! |----|-----------|
+//! | W0 | the `idl/*.idl` unit parses and checks under `idlc` (reported by [`crate::contracts`]) |
 //! | W1 | every IDL operation has a client-side call site (stub evidence: the wire name as a string literal or an op-const reference outside dispatch patterns) |
 //! | W2 | every IDL operation has a skeleton dispatch arm; no dispatch arm handles an op absent from the IDL |
 //! | W3 | the CDR unmarshal tuple in the dispatch arm and the client-side `&(...)` request tuple match the IDL `in`-parameter list (types server-side, arity client-side) |
@@ -19,7 +20,7 @@
 
 use crate::analysis::FileAnalysis;
 use crate::ast::{split_commas, FileAst, TokKind};
-use crate::idlparse::IdlFile;
+use crate::contracts::Contracts;
 use crate::rules::{Finding, Severity};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,7 +49,7 @@ fn is_all_caps(s: &str) -> bool {
         && s.chars().any(|c| c.is_ascii_uppercase())
 }
 
-fn err(rule: &'static str, file: &str, line: usize, message: String) -> Finding {
+pub(crate) fn err(rule: &'static str, file: &str, line: usize, message: String) -> Finding {
     Finding {
         rule,
         severity: Severity::Error,
@@ -64,7 +65,8 @@ fn err(rule: &'static str, file: &str, line: usize, message: String) -> Finding 
 /// spelling: drop whitespace, references, path prefixes, and resolve
 /// single-field tuple-struct newtypes (`Epoch` → `u64`).
 fn canon_type(raw: &str, newtypes: &BTreeMap<String, String>) -> String {
-    // Tokenize into idents and punct, dropping `&`, `mut`, and `ident::`.
+    // Tokenize into idents and punct, dropping `&`, `mut`, `ident::` and a
+    // leading `::`.
     let mut out = String::new();
     let chars: Vec<char> = raw.chars().collect();
     let mut i = 0usize;
@@ -89,7 +91,7 @@ fn canon_type(raw: &str, newtypes: &BTreeMap<String, String>) -> String {
             words.push(word);
             out.push('\u{1}'); // placeholder marking a word slot
         } else {
-            if !c.is_whitespace() && c != '&' && c != '\'' {
+            if !c.is_whitespace() && !matches!(c, '&' | '\'' | ':') {
                 out.push(c);
             }
             i += 1;
@@ -311,7 +313,7 @@ fn client_tuple_arity(ast: &FileAst, call: &crate::ast::Call) -> Option<usize> {
 }
 
 /// Workspace-wide W1–W3 plus per-file W4.
-pub fn check(files: &[FileAnalysis], idls: &[IdlFile]) -> WireReport {
+pub fn check(files: &[FileAnalysis], idls: &Contracts) -> WireReport {
     let mut report = WireReport::default();
 
     // --- Workspace tables -------------------------------------------------
@@ -333,12 +335,10 @@ pub fn check(files: &[FileAnalysis], idls: &[IdlFile]) -> WireReport {
         }
     }
     // IDL typedefs that name Rust-side types also act as aliases.
-    for idl in idls {
-        for (alias, target) in &idl.typedefs {
-            newtypes
-                .entry(alias.clone())
-                .or_insert_with(|| target.clone());
-        }
+    for (alias, target) in &idls.typedefs {
+        newtypes
+            .entry(alias.clone())
+            .or_insert_with(|| canon_type(target, &BTreeMap::new()));
     }
 
     // --- W1 evidence: op wire names referenced outside dispatch patterns --
@@ -388,95 +388,89 @@ pub fn check(files: &[FileAnalysis], idls: &[IdlFile]) -> WireReport {
             surface_ast.push(&fa.ast);
         }
     }
-    let all_idl_ops: BTreeSet<&str> = idls
-        .iter()
-        .flat_map(|f| f.all_ops().map(|(_, o)| o.name.as_str()))
-        .collect();
+    let all_idl_ops: BTreeSet<&str> = idls.ops().map(|o| o.name.as_str()).collect();
 
     // --- Per-interface W1/W2/W3 -------------------------------------------
     let mut best_surfaces: BTreeSet<usize> = BTreeSet::new();
-    for idl in idls {
-        for iface in &idl.interfaces {
-            let op_names: BTreeSet<&str> = iface.ops.iter().map(|o| o.name.as_str()).collect();
-            // Best dispatch surface: maximum op overlap.
-            let best = surfaces
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let overlap = s
-                        .ops
-                        .keys()
-                        .filter(|k| op_names.contains(k.as_str()))
-                        .count();
-                    (overlap, i)
-                })
-                .filter(|(overlap, _)| *overlap > 0)
-                .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-            let Some((_, si)) = best else {
+    for iface in &idls.interfaces {
+        let op_names: BTreeSet<&str> = iface.ops.iter().map(|o| o.name.as_str()).collect();
+        // Best dispatch surface: maximum op overlap.
+        let best = surfaces
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let overlap = s
+                    .ops
+                    .keys()
+                    .filter(|k| op_names.contains(k.as_str()))
+                    .count();
+                (overlap, i)
+            })
+            .filter(|(overlap, _)| *overlap > 0)
+            .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        let Some((_, si)) = best else {
+            report.findings.push(err(
+                "W2",
+                &iface.file,
+                iface.line,
+                format!(
+                    "interface `{}` has no skeleton: no `impl Servant` dispatch arm handles any of its {} operation(s)",
+                    iface.name,
+                    iface.ops.len()
+                ),
+            ));
+            report.ops_checked += iface.ops.len();
+            continue;
+        };
+        best_surfaces.insert(si);
+        let surface = &surfaces[si];
+        let ast = surface_ast[si];
+        for op in &iface.ops {
+            report.ops_checked += 1;
+            // W1: client stub evidence.
+            if !evidenced.contains(&op.name) {
                 report.findings.push(err(
-                    "W2",
-                    &idl.path,
-                    iface.line,
+                    "W1",
+                    &iface.file,
+                    op.line,
                     format!(
-                        "interface `{}` has no skeleton: no `impl Servant` dispatch arm handles any of its {} operation(s)",
-                        iface.name,
-                        iface.ops.len()
+                        "operation `{}::{}` ({}) has no client-side call site: the wire name never appears outside dispatch patterns",
+                        iface.name, op.name, iface.file
                     ),
                 ));
-                report.ops_checked += iface.ops.len();
+            }
+            // W2: dispatch arm present.
+            let Some(&(_, arm_body)) = surface.ops.get(&op.name) else {
+                report.findings.push(err(
+                    "W2",
+                    &iface.file,
+                    op.line,
+                    format!(
+                        "operation `{}::{}` has no dispatch arm in skeleton `{}` ({})",
+                        iface.name, op.name, surface.type_name, surface.file
+                    ),
+                ));
                 continue;
             };
-            best_surfaces.insert(si);
-            let surface = &surfaces[si];
-            let ast = surface_ast[si];
-            for op in &iface.ops {
-                report.ops_checked += 1;
-                // W1: client stub evidence.
-                if !evidenced.contains(&op.name) {
-                    report.findings.push(err(
-                        "W1",
-                        &idl.path,
-                        op.line,
-                        format!(
-                            "operation `{}::{}` ({}) has no client-side call site: the wire name never appears outside dispatch patterns",
-                            iface.name, op.name, idl.path
-                        ),
-                    ));
-                }
-                // W2: dispatch arm present.
-                let Some(&(_, arm_body)) = surface.ops.get(&op.name) else {
-                    report.findings.push(err(
-                        "W2",
-                        &idl.path,
-                        op.line,
-                        format!(
-                            "operation `{}::{}` has no dispatch arm in skeleton `{}` ({})",
-                            iface.name, op.name, surface.type_name, surface.file
-                        ),
-                    ));
-                    continue;
-                };
-                // W3 (server): decode tuple must match the IDL in-params.
-                if !op.ins.is_empty() {
-                    if let Some((types, line)) = decode_types(ast, arm_body) {
-                        let got: Vec<String> =
-                            types.iter().map(|t| canon_type(t, &newtypes)).collect();
-                        let want: Vec<String> =
-                            op.ins.iter().map(|t| canon_type(t, &newtypes)).collect();
-                        if got != want {
-                            report.findings.push(err(
-                                "W3",
-                                &surface.file,
-                                line,
-                                format!(
-                                    "dispatch arm for `{}::{}` unmarshals ({}) but the IDL in-params are ({})",
-                                    iface.name,
-                                    op.name,
-                                    got.join(", "),
-                                    want.join(", ")
-                                ),
-                            ));
-                        }
+            // W3 (server): decode tuple must match the IDL in-params.
+            if !op.ins.is_empty() {
+                if let Some((types, line)) = decode_types(ast, arm_body) {
+                    let got: Vec<String> = types.iter().map(|t| canon_type(t, &newtypes)).collect();
+                    let want: Vec<String> =
+                        op.ins.iter().map(|t| canon_type(t, &newtypes)).collect();
+                    if got != want {
+                        report.findings.push(err(
+                            "W3",
+                            &surface.file,
+                            line,
+                            format!(
+                                "dispatch arm for `{}::{}` unmarshals ({}) but the IDL in-params are ({})",
+                                iface.name,
+                                op.name,
+                                got.join(", "),
+                                want.join(", ")
+                            ),
+                        ));
                     }
                 }
             }
@@ -506,10 +500,8 @@ pub fn check(files: &[FileAnalysis], idls: &[IdlFile]) -> WireReport {
     // --- W3 (client): request-tuple arity at call sites --------------------
     // IDL op name → in-param count (only unambiguous names).
     let mut in_counts: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
-    for idl in idls {
-        for (_, op) in idl.all_ops() {
-            in_counts.entry(&op.name).or_default().insert(op.ins.len());
-        }
+    for op in idls.ops() {
+        in_counts.entry(&op.name).or_default().insert(op.ins.len());
     }
     for fa in files {
         let ast = &fa.ast;
@@ -843,6 +835,7 @@ mod tests {
         let mut nt = BTreeMap::new();
         nt.insert("Epoch".to_string(), "u64".to_string());
         assert_eq!(canon_type("&cdr::Any", &nt), "Any");
+        assert_eq!(canon_type("Vec<::cdr::Any>", &nt), "Vec<Any>");
         assert_eq!(canon_type("Vec < monitor::Event >", &nt), "Vec<Event>");
         assert_eq!(canon_type("Epoch", &nt), "u64");
         assert_eq!(canon_type("& mut Vec<u8>", &nt), "Vec<u8>");

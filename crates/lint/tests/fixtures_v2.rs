@@ -9,7 +9,7 @@
 
 use ldft_lint::analysis::FileAnalysis;
 use ldft_lint::rules::{Severity, WorkspaceIndex};
-use ldft_lint::{analyze_source, crate_dir_of, idlparse, wire};
+use ldft_lint::{analyze_source, crate_dir_of, wire, Contracts};
 
 macro_rules! fixture {
     ($name:literal) => {
@@ -28,7 +28,8 @@ fn errors(label: &str, krate: &str, src: &str) -> Vec<(&'static str, usize)> {
 }
 
 /// Run the wire pass over fixture `(path, source)` pairs plus IDL
-/// contracts; returns sorted `(rule, file, line)` hits and the op count.
+/// contracts (compiled as one unit); returns sorted `(rule, file, line)`
+/// hits, `W0` rejections included, and the op count.
 fn wire_errors(
     sources: &[(&str, &str)],
     idls: &[(&str, &str)],
@@ -37,11 +38,16 @@ fn wire_errors(
         .iter()
         .map(|(p, s)| FileAnalysis::new(p, crate_dir_of(p).as_deref(), s))
         .collect();
-    let idls: Vec<idlparse::IdlFile> = idls.iter().map(|(p, s)| idlparse::parse(p, s)).collect();
+    let idls = Contracts::from_sources(
+        idls.iter()
+            .map(|(p, s)| (p.to_string(), s.to_string()))
+            .collect(),
+    );
     let report = wire::check(&files, &idls);
-    let mut out: Vec<(&'static str, String, usize)> = report
-        .findings
+    let mut out: Vec<(&'static str, String, usize)> = idls
+        .rejection
         .iter()
+        .chain(&report.findings)
         .map(|f| (f.rule, f.file.clone(), f.line))
         .collect();
     out.sort();
@@ -192,6 +198,26 @@ fn w2_interface_without_any_skeleton() {
     );
     assert_eq!(ops, 5, "phantom's op still counts as checked");
     assert_eq!(hits, vec![("W2", "idl/phantom.idl".to_string(), 2)]);
+}
+
+#[test]
+fn w0_contract_idlc_rejects() {
+    // The second file of the unit names a type nothing declares: exactly
+    // one error, at the operation using it, and no op is cross-checked
+    // against a contract the compiler refused.
+    let (hits, ops) = wire_errors(
+        &[],
+        &[
+            ("idl/wire.idl", fixture!("wire.idl")),
+            ("idl/undeclared.idl", fixture!("undeclared.idl")),
+        ],
+    );
+    assert_eq!(hits, vec![("W0", "idl/undeclared.idl".to_string(), 5)]);
+    assert_eq!(ops, 0);
+    // A syntax error is reported the same way, never skipped over.
+    let broken = [("idl/broken.idl", "module M {\n  interface {\n};\n")];
+    let (hits, _) = wire_errors(&[], &broken);
+    assert_eq!(hits, vec![("W0", "idl/broken.idl".to_string(), 2)]);
 }
 
 // ---------------------------------------------------------------------

@@ -24,7 +24,7 @@ fn fail_hits(sources: &[(&str, &str)]) -> Vec<(&'static str, usize)> {
         .iter()
         .map(|(p, s)| FileAnalysis::new(p, crate_dir_of(p).as_deref(), s))
         .collect();
-    let graph = callgraph::build(&files, &[]);
+    let graph = callgraph::build(&files, &Default::default());
     failpath::check(&files, &graph)
         .iter()
         .map(|f| (f.rule, f.line))

@@ -4,7 +4,7 @@
 //! cross-checked by the wire pass, and the lock graph saw the workspace's
 //! `simnet::Shared` use sites.
 
-use ldft_lint::{idl_files, idlparse, run_workspace};
+use ldft_lint::{contracts, run_workspace};
 use std::path::Path;
 
 fn workspace_root() -> &'static Path {
@@ -37,20 +37,12 @@ fn workspace_is_finding_free() {
 #[test]
 fn wire_pass_covers_every_idl_operation() {
     let report = run_workspace(workspace_root()).expect("lint the workspace");
-    // Independent count: parse the contracts directly and sum their ops
+    // Independent count: compile the contracts directly and sum their ops
     // (attributes expand to `_get_`/`_set_` pseudo-ops on both sides).
-    let independent: usize = idl_files(workspace_root())
-        .expect("list idl/")
-        .iter()
-        .map(|p| {
-            let src = std::fs::read_to_string(p).expect("read idl");
-            idlparse::parse(&p.to_string_lossy(), &src)
-                .interfaces
-                .iter()
-                .map(|i| i.ops.len())
-                .sum::<usize>()
-        })
-        .sum();
+    let independent = contracts(workspace_root())
+        .expect("read idl/")
+        .ops()
+        .count();
     assert_eq!(
         report.wire_ops, independent,
         "wire pass skipped operations the contracts declare"
@@ -72,7 +64,7 @@ fn call_graph_covers_the_workspace() {
     // functions or call sites are genuinely added or removed.
     assert_eq!(
         (g.nodes.len(), g.edges.len(), g.remote_sites.len()),
-        (1128, 3717, 147),
+        (1281, 4177, 152),
         "call-graph inventory changed — confirm the F pass still sees every site:\n{:?}",
         g.crate_counts()
     );

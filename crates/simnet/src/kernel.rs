@@ -247,9 +247,10 @@ pub struct Kernel {
 /// A tracing callback: `(virtual time, line)`.
 pub type Tracer = Box<dyn FnMut(SimTime, &str)>;
 
-/// A structured process/host lifecycle event, the machine-readable twin of
-/// the textual [`Tracer`] lines. Fired at the same five points: spawn,
-/// kill, exit, host crash, host restart.
+/// A structured process/host lifecycle or fault event. Each is emitted
+/// once: the event hook receives the value, and the textual [`Tracer`]
+/// receives its `Display` rendering (`spawn p0 name on h0`, `kill p0`,
+/// `crash h1`, `partition h0-h1 cut`, ...).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum KernelEvent {
     /// A process was spawned (its start event is scheduled).
@@ -310,6 +311,31 @@ pub enum KernelEvent {
     /// A host's wall clock was skewed by this many nanoseconds (zero
     /// restores an honest clock).
     ClockSkewSet(HostId, i64),
+}
+
+impl std::fmt::Display for KernelEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            KernelEvent::ProcSpawn { pid, name, host } => write!(f, "spawn {pid} {name} on {host}"),
+            KernelEvent::ProcKill { pid, .. } => write!(f, "kill {pid}"),
+            KernelEvent::ProcExit { pid, .. } => write!(f, "exit {pid}"),
+            KernelEvent::HostCrash(h) => write!(f, "crash {h}"),
+            KernelEvent::HostRestart(h) => write!(f, "restart {h}"),
+            KernelEvent::PartitionStart { a, b, oneway }
+            | KernelEvent::PartitionHeal { a, b, oneway } => {
+                let cut = matches!(self, KernelEvent::PartitionStart { .. });
+                let state = if cut { "cut" } else { "healed" };
+                match (a.as_slice(), b.as_slice(), oneway) {
+                    ([a], [b], true) => write!(f, "oneway-drop {a}->{b} {state}"),
+                    ([a], [b], false) => write!(f, "partition {a}-{b} {state}"),
+                    _ => write!(f, "partition-group {a:?} {state}"),
+                }
+            }
+            KernelEvent::LinkDegraded(a, b) => write!(f, "link {a}-{b} degraded"),
+            KernelEvent::LinkRestored(a, b) => write!(f, "link {a}-{b} restored"),
+            KernelEvent::ClockSkewSet(h, skew_ns) => write!(f, "clock-skew {h} {skew_ns}ns"),
+        }
+    }
 }
 
 /// A structured event callback: `(virtual time, event)`.
@@ -557,8 +583,6 @@ impl Kernel {
             pending: None,
         });
         self.stats.spawned += 1;
-        let pname = self.procs[pid.0 as usize].name.clone();
-        self.trace(&format!("spawn {pid} {pname} on {host}"));
         self.emit_proc(pid, |pid, name, host| KernelEvent::ProcSpawn {
             pid,
             name,
@@ -573,14 +597,15 @@ impl Kernel {
         self.push_event(at.max(self.now), EventKind::Fault(fault));
     }
 
-    /// Install a tracing callback invoked with `(time, line)` for notable
-    /// kernel events. Intended for debugging.
+    /// Install a tracing callback invoked with `(time, line)`, where `line`
+    /// is the `Display` rendering of each [`KernelEvent`]. Intended for
+    /// debugging.
     pub fn set_tracer(&mut self, f: impl FnMut(SimTime, &str) + 'static) {
         self.tracer = Some(Box::new(f));
     }
 
     /// Install a structured event callback invoked with `(time, event)` at
-    /// the same lifecycle points the textual tracer covers. At most one
+    /// every lifecycle and fault point. At most one
     /// hook is installed; a second call replaces the first.
     pub fn set_event_hook(&mut self, f: impl FnMut(SimTime, &KernelEvent) + 'static) {
         self.event_hook = Some(Box::new(f));
@@ -954,20 +979,19 @@ impl Kernel {
         }
     }
 
-    fn trace(&mut self, line: &str) {
-        if let Some(t) = self.tracer.as_mut() {
-            t(self.now, line);
-        }
-    }
-
+    /// The single emission point: the tracer gets the event's text, the
+    /// event hook the event itself.
     fn emit(&mut self, ev: KernelEvent) {
+        if let Some(t) = self.tracer.as_mut() {
+            t(self.now, &ev.to_string());
+        }
         if let Some(h) = self.event_hook.as_mut() {
             h(self.now, &ev);
         }
     }
 
     fn emit_proc(&mut self, pid: Pid, make: fn(Pid, String, HostId) -> KernelEvent) {
-        if self.event_hook.is_some() {
+        if self.event_hook.is_some() || self.tracer.is_some() {
             let p = &self.procs[pid.0 as usize];
             let (name, host) = (p.name.clone(), p.host);
             self.emit(make(pid, name, host));
@@ -1186,7 +1210,6 @@ impl Kernel {
                 if let Some(hs) = self.hosts.get_mut(h.0 as usize) {
                     hs.up = true;
                 }
-                self.trace(&format!("restart {h}"));
                 self.emit(KernelEvent::HostRestart(h));
             }
             Fault::Partition(a, b, blocked) => {
@@ -1195,10 +1218,6 @@ impl Kernel {
                 } else {
                     self.partitions.remove(&pair(a, b));
                 }
-                self.trace(&format!(
-                    "partition {a}-{b} {}",
-                    if blocked { "cut" } else { "healed" }
-                ));
                 self.emit_partition(vec![a], vec![b], false, blocked);
             }
             Fault::PartitionGroup { side, blocked } => {
@@ -1216,10 +1235,6 @@ impl Kernel {
                         }
                     }
                 }
-                self.trace(&format!(
-                    "partition-group {side:?} {}",
-                    if blocked { "cut" } else { "healed" }
-                ));
                 self.emit_partition(side, other, false, blocked);
             }
             Fault::DropOneWay { from, to, blocked } => {
@@ -1228,10 +1243,6 @@ impl Kernel {
                 } else {
                     self.oneway_blocks.remove(&(from, to));
                 }
-                self.trace(&format!(
-                    "oneway-drop {from}->{to} {}",
-                    if blocked { "cut" } else { "healed" }
-                ));
                 self.emit_partition(vec![from], vec![to], true, blocked);
             }
             Fault::DegradeLink {
@@ -1242,14 +1253,10 @@ impl Kernel {
             } => {
                 if extra_latency == SimDuration::ZERO && drop_milli == 0 {
                     self.degraded.remove(&pair(a, b));
-                    self.trace(&format!("link {a}-{b} restored"));
                     self.emit(KernelEvent::LinkRestored(a, b));
                 } else {
                     self.degraded
                         .insert(pair(a, b), (extra_latency, drop_milli.min(1000)));
-                    self.trace(&format!(
-                        "link {a}-{b} degraded +{extra_latency:?} drop {drop_milli}/1000"
-                    ));
                     self.emit(KernelEvent::LinkDegraded(a, b));
                 }
             }
@@ -1257,7 +1264,6 @@ impl Kernel {
                 if let Some(hs) = self.hosts.get_mut(h.0 as usize) {
                     hs.clock_skew_ns = skew_ns;
                 }
-                self.trace(&format!("clock-skew {h} {skew_ns}ns"));
                 self.emit(KernelEvent::ClockSkewSet(h, skew_ns));
             }
             Fault::SetLinkLatency(a, b, lat) => match lat {
@@ -1338,7 +1344,6 @@ impl Kernel {
             }
         }
         self.stats.killed += 1;
-        self.trace(&format!("kill {pid}"));
         self.emit_proc(pid, |pid, name, host| KernelEvent::ProcKill {
             pid,
             name,
@@ -1366,7 +1371,6 @@ impl Kernel {
         for pid in victims {
             self.do_kill(pid);
         }
-        self.trace(&format!("crash {h}"));
         self.emit(KernelEvent::HostCrash(h));
     }
 
@@ -1630,7 +1634,6 @@ impl Kernel {
         if self.hosts[host.0 as usize].remove_job(now, pid).is_some() {
             self.reschedule_cpu(host);
         }
-        self.trace(&format!("exit {pid}"));
         self.emit_proc(pid, |pid, name, host| KernelEvent::ProcExit {
             pid,
             name,

@@ -694,6 +694,52 @@ fn tracer_observes_kills() {
 }
 
 #[test]
+fn tracer_lines_are_the_events_rendered() {
+    // One emission feeds both sinks: every tracer line is the `Display`
+    // of the structured event delivered at the same instant.
+    let mut sim = Kernel::with_seed(1);
+    let h = sim.add_hosts(3);
+    let (lines, events) = (cell::<Vec<String>>(), cell::<Vec<String>>());
+    let (l, e) = (lines.clone(), events.clone());
+    sim.set_tracer(move |t, line| l.lock().push(format!("{t}: {line}")));
+    sim.set_event_hook(move |t, ev| e.lock().push(format!("{t}: {ev}")));
+    sim.spawn(h[1], "victim", |ctx| {
+        let _ = ctx.spin_forever();
+    });
+    sim.spawn(h[0], "brief", |_| {});
+    let group = Fault::PartitionGroup {
+        side: vec![h[0]],
+        blocked: true,
+    };
+    let faults = [
+        Fault::Partition(h[0], h[1], true),
+        group,
+        Fault::SetClockSkew(h[2], -5),
+        Fault::CrashHost(h[1]),
+        Fault::RestartHost(h[1]),
+    ];
+    for (i, fault) in faults.into_iter().enumerate() {
+        sim.schedule_fault(SimTime::ZERO + secs(1.0 + i as f64), fault);
+    }
+    sim.run_until_idle();
+    let log = lines.lock().clone();
+    assert_eq!(log, *events.lock());
+    let text: Vec<&str> = log.iter().map(|l| l.split_once(": ").unwrap().1).collect();
+    let want = [
+        "spawn p0 victim on h1",
+        "spawn p1 brief on h0",
+        "exit p1",
+        "partition h0-h1 cut",
+        "partition-group [h0] cut",
+        "clock-skew h2 -5ns",
+        "kill p0",
+        "crash h1",
+        "restart h1",
+    ];
+    assert_eq!(text, want);
+}
+
+#[test]
 fn self_kill_terminates_the_process() {
     let mut sim = Kernel::with_seed(1);
     let a = sim.add_host(HostConfig::new("a"));
