@@ -35,6 +35,28 @@ fn bench_codec(c: &mut Criterion) {
     }
     g.finish();
 
+    // What the repo benchmark's `rpc_bulk` marshals four times per round
+    // trip — one 8192-double sequence — and the same 64 KiB as octets.
+    let mut g = c.benchmark_group("cdr_bulk");
+    g.throughput(Throughput::Bytes(65_536));
+    let doubles: Vec<f64> = (0..8192).map(|i| f64::from(i) * 0.5).collect();
+    let bytes = cdr::to_bytes(&doubles);
+    g.bench_function("encode_8192_doubles", |b| {
+        b.iter(|| cdr::to_bytes(black_box(&doubles)))
+    });
+    g.bench_function("decode_8192_doubles", |b| {
+        b.iter(|| cdr::from_bytes::<Vec<f64>>(black_box(&bytes)).unwrap())
+    });
+    let octets = vec![0xA5u8; 65_536];
+    let bytes = cdr::to_bytes(&octets);
+    g.bench_function("encode_64KiB_octets", |b| {
+        b.iter(|| cdr::to_bytes(black_box(&octets)))
+    });
+    g.bench_function("decode_64KiB_octets", |b| {
+        b.iter(|| cdr::from_bytes::<Vec<u8>>(black_box(&bytes)).unwrap())
+    });
+    g.finish();
+
     let mut g = c.benchmark_group("cdr_any");
     let any = cdr::Any::double_seq(&vec![1.0; 64]);
     let bytes = cdr::to_bytes(&any);

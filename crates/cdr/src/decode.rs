@@ -13,17 +13,18 @@ pub struct CdrDecoder<'a> {
 }
 
 macro_rules! read_prim {
-    ($name:ident, $ty:ty, $n:expr) => {
+    ($($name:ident: $ty:ty),+ $(,)?) => {$(
         /// Read a primitive with its natural CDR alignment.
         pub fn $name(&mut self) -> CdrResult<$ty> {
-            self.align($n)?;
-            let bytes: [u8; $n] = self.take($n)?.try_into().expect("sized take");
+            const W: usize = std::mem::size_of::<$ty>();
+            self.align(W)?;
+            let bytes: [u8; W] = self.take(W)?.try_into().expect("sized take");
             Ok(match self.order {
                 ByteOrder::Big => <$ty>::from_be_bytes(bytes),
                 ByteOrder::Little => <$ty>::from_le_bytes(bytes),
             })
         }
-    };
+    )+};
 }
 
 impl<'a> CdrDecoder<'a> {
@@ -62,18 +63,7 @@ impl<'a> CdrDecoder<'a> {
 
     fn align(&mut self, n: usize) -> CdrResult<()> {
         debug_assert!(n.is_power_of_two());
-        let rem = self.pos % n;
-        if rem != 0 {
-            let pad = n - rem;
-            if self.remaining() < pad {
-                return Err(CdrError::UnexpectedEof {
-                    needed: pad,
-                    remaining: self.remaining(),
-                });
-            }
-            self.pos += pad;
-        }
-        Ok(())
+        self.take((n - self.pos % n) % n).map(|_| ())
     }
 
     fn take(&mut self, n: usize) -> CdrResult<&'a [u8]> {
@@ -88,16 +78,6 @@ impl<'a> CdrDecoder<'a> {
         Ok(s)
     }
 
-    /// Read a single octet.
-    pub fn read_u8(&mut self) -> CdrResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a signed octet.
-    pub fn read_i8(&mut self) -> CdrResult<i8> {
-        Ok(self.take(1)?[0] as i8)
-    }
-
     /// Read a boolean octet, rejecting anything but 0 or 1.
     pub fn read_bool(&mut self) -> CdrResult<bool> {
         match self.read_u8()? {
@@ -107,21 +87,35 @@ impl<'a> CdrDecoder<'a> {
         }
     }
 
-    read_prim!(read_u16, u16, 2);
-    read_prim!(read_i16, i16, 2);
-    read_prim!(read_u32, u32, 4);
-    read_prim!(read_i32, i32, 4);
-    read_prim!(read_u64, u64, 8);
-    read_prim!(read_i64, i64, 8);
-
-    /// Read an IEEE-754 single float.
-    pub fn read_f32(&mut self) -> CdrResult<f32> {
-        Ok(f32::from_bits(self.read_u32()?))
+    read_prim! {
+        read_u8: u8, read_i8: i8, read_u16: u16, read_i16: i16, read_u32: u32, read_i32: i32,
+        read_u64: u64, read_i64: i64, read_f32: f32, read_f64: f64,
     }
 
-    /// Read an IEEE-754 double float.
-    pub fn read_f64(&mut self) -> CdrResult<f64> {
-        Ok(f64::from_bits(self.read_u64()?))
+    /// Read `n` back-to-back `W`-byte primitives, the body of a sequence or
+    /// array: align once, bounds-check once (a count the stream cannot hold
+    /// is `LengthOverrun`, before anything is allocated), convert in one
+    /// pass through the type's `from_be_bytes` / `from_le_bytes`.
+    pub(crate) fn read_prims<T, const W: usize>(
+        &mut self,
+        n: usize,
+        be: impl Fn([u8; W]) -> T,
+        le: impl Fn([u8; W]) -> T,
+    ) -> CdrResult<Vec<T>> {
+        if n == 0 {
+            // No element, so no alignment padding either.
+            return Ok(Vec::new());
+        }
+        self.align(W)?;
+        let len = n
+            .checked_mul(W)
+            .filter(|&len| len <= self.remaining())
+            .ok_or(CdrError::LengthOverrun(n as u64))?;
+        let (chunks, _) = self.take(len)?.as_chunks::<W>();
+        Ok(match self.order {
+            ByteOrder::Big => chunks.iter().map(|&c| be(c)).collect(),
+            ByteOrder::Little => chunks.iter().map(|&c| le(c)).collect(),
+        })
     }
 
     /// Read a CDR string (length includes the NUL terminator).

@@ -23,17 +23,17 @@ pub struct CdrEncoder {
 }
 
 macro_rules! write_prim {
-    ($name:ident, $ty:ty, $align:expr) => {
+    ($($name:ident: $ty:ty),+ $(,)?) => {$(
         /// Write a primitive with its natural CDR alignment.
         pub fn $name(&mut self, v: $ty) {
-            self.align($align);
+            self.align(std::mem::size_of::<$ty>());
             let bytes = match self.order {
                 ByteOrder::Big => v.to_be_bytes(),
                 ByteOrder::Little => v.to_le_bytes(),
             };
             self.buf.extend_from_slice(&bytes);
         }
-    };
+    )+};
 }
 
 impl CdrEncoder {
@@ -70,6 +70,12 @@ impl CdrEncoder {
         self.buf
     }
 
+    /// Make room for `additional` more bytes, for a caller that knows the
+    /// size of what it is about to write.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Borrow the bytes written so far.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
@@ -79,20 +85,8 @@ impl CdrEncoder {
     /// relative to the start of the stream.
     pub fn align(&mut self, n: usize) {
         debug_assert!(n.is_power_of_two());
-        let rem = self.buf.len() % n;
-        if rem != 0 {
-            self.buf.resize(self.buf.len() + (n - rem), 0);
-        }
-    }
-
-    /// Write a single octet (no alignment).
-    pub fn write_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Write a signed octet.
-    pub fn write_i8(&mut self, v: i8) {
-        self.buf.push(v as u8);
+        let pad = (n - self.buf.len() % n) % n;
+        self.buf.resize(self.buf.len() + pad, 0);
     }
 
     /// Write a boolean as an octet (1 = true, 0 = false).
@@ -100,51 +94,54 @@ impl CdrEncoder {
         self.buf.push(v as u8);
     }
 
-    write_prim!(write_u16, u16, 2);
-    write_prim!(write_i16, i16, 2);
-    write_prim!(write_u32, u32, 4);
-    write_prim!(write_i32, i32, 4);
-    write_prim!(write_u64, u64, 8);
-    write_prim!(write_i64, i64, 8);
-
-    /// Write an IEEE-754 single float (4-byte aligned).
-    pub fn write_f32(&mut self, v: f32) {
-        self.align(4);
-        let bytes = match self.order {
-            ByteOrder::Big => v.to_be_bytes(),
-            ByteOrder::Little => v.to_le_bytes(),
-        };
-        self.buf.extend_from_slice(&bytes);
+    write_prim! {
+        write_u8: u8, write_i8: i8, write_u16: u16, write_i16: i16, write_u32: u32, write_i32: i32,
+        write_u64: u64, write_i64: i64, write_f32: f32, write_f64: f64,
     }
 
-    /// Write an IEEE-754 double float (8-byte aligned).
-    pub fn write_f64(&mut self, v: f64) {
-        self.align(8);
-        let bytes = match self.order {
-            ByteOrder::Big => v.to_be_bytes(),
-            ByteOrder::Little => v.to_le_bytes(),
-        };
-        self.buf.extend_from_slice(&bytes);
+    /// Write `items` back to back as `W`-byte primitives, the body of a
+    /// sequence or array: align once, reserve once, convert in one pass
+    /// through the type's `to_be_bytes` / `to_le_bytes`. The bytes are
+    /// those of writing the items one by one.
+    pub(crate) fn write_prims<T: Copy, const W: usize>(
+        &mut self,
+        items: &[T],
+        be: impl Fn(T) -> [u8; W],
+        le: impl Fn(T) -> [u8; W],
+    ) {
+        if items.is_empty() {
+            // No element, so no alignment padding either.
+            return;
+        }
+        self.align(W);
+        self.buf.reserve(items.len() * W);
+        match self.order {
+            ByteOrder::Big => self.buf.extend(items.iter().flat_map(|&v| be(v))),
+            ByteOrder::Little => self.buf.extend(items.iter().flat_map(|&v| le(v))),
+        }
+    }
+
+    /// Write a sequence length prefix. Every counted thing (sequence,
+    /// string, octet sequence) goes through here.
+    ///
+    /// # Panics
+    /// If `n` does not fit CDR's 32-bit count.
+    pub fn write_len(&mut self, n: usize) {
+        self.write_u32(u32::try_from(n).expect("sequence too long for CDR"));
     }
 
     /// Write a CDR string: u32 length *including* the NUL terminator,
     /// the UTF-8 bytes, then the NUL.
     pub fn write_string(&mut self, s: &str) {
-        self.write_u32(s.len() as u32 + 1);
+        self.write_len(s.len() + 1);
         self.buf.extend_from_slice(s.as_bytes());
         self.buf.push(0);
     }
 
     /// Write an octet sequence: u32 count then raw bytes.
     pub fn write_bytes(&mut self, b: &[u8]) {
-        self.write_u32(b.len() as u32);
+        self.write_len(b.len());
         self.buf.extend_from_slice(b);
-    }
-
-    /// Write a sequence length prefix (for non-octet element types the
-    /// caller then writes each element).
-    pub fn write_len(&mut self, n: usize) {
-        self.write_u32(u32::try_from(n).expect("sequence too long for CDR"));
     }
 
     /// Append pre-encoded bytes verbatim (no length prefix, no alignment).

@@ -4,18 +4,41 @@
 
 use crate::decode::CdrDecoder;
 use crate::encode::CdrEncoder;
-use crate::error::CdrResult;
+use crate::error::{CdrError, CdrResult};
 
 /// Types that can be marshalled into a CDR stream.
 pub trait CdrWrite {
     /// Append this value to the encoder.
     fn write(&self, enc: &mut CdrEncoder);
+
+    /// Append `items` back to back: the body of a sequence or array, after
+    /// any length prefix. Fixed-width primitives override the element-by-
+    /// element default with one pass over the slice; the bytes must match.
+    fn write_slice(items: &[Self], enc: &mut CdrEncoder)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.write(enc);
+        }
+    }
 }
 
 /// Types that can be unmarshalled from a CDR stream.
 pub trait CdrRead: Sized {
     /// Read one value from the decoder.
     fn read(dec: &mut CdrDecoder<'_>) -> CdrResult<Self>;
+
+    /// Read `n` values back to back, the inverse of
+    /// [`CdrWrite::write_slice`]. `n` comes off the wire: allocate for no
+    /// more of it than the stream has been seen to hold.
+    fn read_vec(dec: &mut CdrDecoder<'_>, n: usize) -> CdrResult<Vec<Self>> {
+        let mut v = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            v.push(Self::read(dec)?);
+        }
+        Ok(v)
+    }
 }
 
 /// Encode a single value as a standalone big-endian CDR stream.
@@ -35,31 +58,46 @@ pub fn from_bytes<T: CdrRead>(bytes: &[u8]) -> CdrResult<T> {
 }
 
 macro_rules! prim_impl {
-    ($ty:ty, $w:ident, $r:ident) => {
+    ($($ty:ty: $w:ident $r:ident),+ $(,)?) => {$(
         impl CdrWrite for $ty {
             fn write(&self, enc: &mut CdrEncoder) {
                 enc.$w(*self);
+            }
+            fn write_slice(items: &[Self], enc: &mut CdrEncoder) {
+                enc.write_prims(items, <$ty>::to_be_bytes, <$ty>::to_le_bytes);
             }
         }
         impl CdrRead for $ty {
             fn read(dec: &mut CdrDecoder<'_>) -> CdrResult<Self> {
                 dec.$r()
             }
+            fn read_vec(dec: &mut CdrDecoder<'_>, n: usize) -> CdrResult<Vec<Self>> {
+                dec.read_prims(n, <$ty>::from_be_bytes, <$ty>::from_le_bytes)
+            }
         }
-    };
+    )+};
 }
 
-prim_impl!(u8, write_u8, read_u8);
-prim_impl!(i8, write_i8, read_i8);
-prim_impl!(u16, write_u16, read_u16);
-prim_impl!(i16, write_i16, read_i16);
-prim_impl!(u32, write_u32, read_u32);
-prim_impl!(i32, write_i32, read_i32);
-prim_impl!(u64, write_u64, read_u64);
-prim_impl!(i64, write_i64, read_i64);
-prim_impl!(f32, write_f32, read_f32);
-prim_impl!(f64, write_f64, read_f64);
-prim_impl!(bool, write_bool, read_bool);
+prim_impl! {
+    u8: write_u8 read_u8, i8: write_i8 read_i8,
+    u16: write_u16 read_u16, i16: write_i16 read_i16,
+    u32: write_u32 read_u32, i32: write_i32 read_i32,
+    u64: write_u64 read_u64, i64: write_i64 read_i64,
+    f32: write_f32 read_f32, f64: write_f64 read_f64,
+}
+
+// `bool` keeps the per-element hooks: every octet must be checked.
+impl CdrWrite for bool {
+    fn write(&self, enc: &mut CdrEncoder) {
+        enc.write_bool(*self);
+    }
+}
+
+impl CdrRead for bool {
+    fn read(dec: &mut CdrDecoder<'_>) -> CdrResult<Self> {
+        dec.read_bool()
+    }
+}
 
 impl CdrWrite for String {
     fn write(&self, enc: &mut CdrEncoder) {
@@ -82,20 +120,14 @@ impl CdrRead for String {
 impl<T: CdrWrite> CdrWrite for Vec<T> {
     fn write(&self, enc: &mut CdrEncoder) {
         enc.write_len(self.len());
-        for item in self {
-            item.write(enc);
-        }
+        T::write_slice(self, enc);
     }
 }
 
 impl<T: CdrRead> CdrRead for Vec<T> {
     fn read(dec: &mut CdrDecoder<'_>) -> CdrResult<Self> {
         let n = dec.read_len(1)?;
-        let mut v = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            v.push(T::read(dec)?);
-        }
-        Ok(v)
+        T::read_vec(dec, n)
     }
 }
 
@@ -153,19 +185,16 @@ tuple_impl!(A: 0, B: 1, C: 2, D: 3);
 
 impl<T: CdrWrite, const N: usize> CdrWrite for [T; N] {
     fn write(&self, enc: &mut CdrEncoder) {
-        for item in self {
-            item.write(enc);
-        }
+        T::write_slice(self, enc);
     }
 }
 
-impl<T: CdrRead + Default + Copy, const N: usize> CdrRead for [T; N] {
+impl<T: CdrRead, const N: usize> CdrRead for [T; N] {
     fn read(dec: &mut CdrDecoder<'_>) -> CdrResult<Self> {
-        let mut out = [T::default(); N];
-        for slot in &mut out {
-            *slot = T::read(dec)?;
-        }
-        Ok(out)
+        // `Err` only if a `read_vec` override breaks its contract on `n`.
+        T::read_vec(dec, N)?
+            .try_into()
+            .map_err(|v: Vec<T>| CdrError::LengthOverrun(v.len() as u64))
     }
 }
 
@@ -247,7 +276,6 @@ macro_rules! cdr_enum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::CdrError;
 
     cdr_struct!(Point { x: f64, y: f64 });
     cdr_struct!(Nested {

@@ -1,7 +1,12 @@
 //! Property-based tests: every encodable value round-trips, alignment is
-//! invariant under prefixing, and decoders never panic on arbitrary bytes.
+//! invariant under prefixing, decoders never panic on arbitrary bytes, and
+//! the one-pass path for primitive sequences writes and reads exactly what
+//! the element-by-element path does.
 
-use cdr::{from_bytes, to_bytes, Any, CdrDecoder, CdrEncoder, TypeCode, Value};
+use cdr::{
+    from_bytes, to_bytes, Any, ByteOrder, CdrDecoder, CdrEncoder, CdrError, CdrRead, CdrWrite,
+    TypeCode, Value,
+};
 use proptest::prelude::*;
 
 cdr::cdr_struct!(Sample {
@@ -129,4 +134,140 @@ proptest! {
         let back: String = from_bytes(&bytes).unwrap();
         prop_assert_eq!(s, back);
     }
+}
+
+/// A fixed-width primitive whose sequences take the one-pass path.
+trait Prim: CdrWrite + CdrRead + Copy {
+    /// The value's bits: float comparison would call NaN unequal to itself
+    /// and `-0.0` equal to `0.0`.
+    fn bits(self) -> Vec<u8>;
+}
+
+/// `items` after `prefix` octets, as a sequence and (its first five) as an
+/// array, written through `Vec`/array `write` or — the reference — one
+/// element at a time, which is what both did before the slice hooks.
+fn encode<T: Prim>(items: &[T], order: ByteOrder, prefix: usize, reference: bool) -> Vec<u8> {
+    let mut enc = CdrEncoder::new(order);
+    for _ in 0..prefix {
+        enc.write_u8(0xEE);
+    }
+    let head = items.first_chunk::<5>();
+    if reference {
+        enc.write_len(items.len());
+        for item in items.iter().chain(head.into_iter().flatten()) {
+            item.write(&mut enc);
+        }
+    } else {
+        items.to_vec().write(&mut enc);
+        if let Some(head) = head {
+            head.write(&mut enc);
+        }
+    }
+    enc.into_bytes()
+}
+
+/// Both byte orders × every misalignment × {empty, `items`}: same bytes as
+/// the reference, and they decode to the same bits.
+fn bulk_matches_elementwise<T: Prim>(items: &[T]) {
+    let bits = |v: &[T]| v.iter().map(|x| x.bits()).collect::<Vec<_>>();
+    for order in [ByteOrder::Big, ByteOrder::Little] {
+        for prefix in 0..8 {
+            for items in [&items[..0], items] {
+                let bytes = encode(items, order, prefix, false);
+                assert_eq!(bytes, encode(items, order, prefix, true));
+                let mut dec = CdrDecoder::new(&bytes, order);
+                for _ in 0..prefix {
+                    dec.read_u8().unwrap();
+                }
+                assert_eq!(bits(&Vec::<T>::read(&mut dec).unwrap()), bits(items));
+                if let Some(head) = items.first_chunk::<5>() {
+                    assert_eq!(bits(&<[T; 5]>::read(&mut dec).unwrap()), bits(head));
+                }
+                dec.finish().unwrap();
+            }
+        }
+    }
+}
+
+/// Cut anywhere, or claiming more elements than the stream holds, a
+/// primitive sequence fails to decode — it does not panic.
+fn damaged_input_is_an_error<T: Prim>(items: &[T]) {
+    let bytes = to_bytes(&items.to_vec());
+    for cut in 0..bytes.len() {
+        assert!(matches!(
+            from_bytes::<Vec<T>>(&bytes[..cut]),
+            Err(CdrError::UnexpectedEof { .. } | CdrError::LengthOverrun(_))
+        ));
+    }
+    for claimed in [items.len() as u32 + 1, bytes.len() as u32, u32::MAX] {
+        let mut long = bytes.clone();
+        long[..4].copy_from_slice(&claimed.to_be_bytes());
+        assert_eq!(
+            from_bytes::<Vec<T>>(&long).err(),
+            Some(CdrError::LengthOverrun(u64::from(claimed)))
+        );
+    }
+}
+
+macro_rules! prim_sequences {
+    ($($name:ident: $ty:ty = $strategy:expr;)+) => {
+        $(impl Prim for $ty {
+            fn bits(self) -> Vec<u8> {
+                self.to_ne_bytes().to_vec()
+            }
+        })+
+        proptest! {$(
+            #[test]
+            fn $name(items in proptest::collection::vec($strategy, 0..=300)) {
+                bulk_matches_elementwise(&items);
+                damaged_input_is_an_error(&items);
+            }
+        )+}
+    };
+}
+
+prim_sequences! {
+    u8_sequences: u8 = any::<u8>();
+    i8_sequences: i8 = any::<i8>();
+    u16_sequences: u16 = any::<u16>();
+    i16_sequences: i16 = any::<i16>();
+    u32_sequences: u32 = any::<u32>();
+    i32_sequences: i32 = any::<i32>();
+    u64_sequences: u64 = any::<u64>();
+    i64_sequences: i64 = any::<i64>();
+    // Floats from raw bits: NaN payloads (quiet and signalling) and -0.0
+    // must cross unchanged.
+    f32_sequences: f32 = prop_oneof![
+        Just(-0.0f32),
+        Just(f32::from_bits(0x7fc0_beef)),
+        Just(f32::from_bits(0xff80_0001)),
+        any::<u32>().prop_map(f32::from_bits),
+    ];
+    f64_sequences: f64 = prop_oneof![
+        Just(-0.0f64),
+        Just(f64::from_bits(0x7ff8_0000_dead_beef)),
+        Just(f64::from_bits(0xfff0_0000_0000_0001)),
+        any::<u64>().prop_map(f64::from_bits),
+    ];
+}
+
+#[test]
+fn bool_sequences_still_check_every_octet() {
+    let ok = [0, 0, 0, 3, 1, 0, 1];
+    assert_eq!(from_bytes::<Vec<bool>>(&ok), Ok(vec![true, false, true]));
+    let bad = [0, 0, 0, 3, 1, 2, 0];
+    assert_eq!(from_bytes::<Vec<bool>>(&bad), Err(CdrError::InvalidBool(2)));
+}
+
+#[test]
+fn a_count_the_stream_holds_in_octets_but_not_in_elements_is_refused() {
+    // sequence<double> claiming 16 elements over 16 bytes of data: the
+    // count passes an octet-granular guard (16 <= 20 remaining), the
+    // element-granular one refuses it before anything is allocated.
+    let mut bytes = vec![0, 0, 0, 16, 0, 0, 0, 0];
+    bytes.extend_from_slice(&[0xAB; 16]);
+    assert_eq!(
+        from_bytes::<Vec<f64>>(&bytes),
+        Err(CdrError::LengthOverrun(16))
+    );
 }

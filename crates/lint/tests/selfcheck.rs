@@ -64,7 +64,7 @@ fn call_graph_covers_the_workspace() {
     // functions or call sites are genuinely added or removed.
     assert_eq!(
         (g.nodes.len(), g.edges.len(), g.remote_sites.len()),
-        (1281, 4177, 152),
+        (1289, 4232, 152),
         "call-graph inventory changed — confirm the F pass still sees every site:\n{:?}",
         g.crate_counts()
     );

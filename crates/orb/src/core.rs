@@ -398,7 +398,7 @@ impl Orb {
         timeout: Option<SimDuration>,
     ) -> SimResult<Result<Vec<u8>, Exception>> {
         let start = ctx.now();
-        let out = self.invoke_forwarding(ctx, ior, operation, body, timeout)?;
+        let out = self.invoke_forwarding(ctx, ior, operation, &body, timeout)?;
         if let Some(o) = &self.obs {
             o.observe("orb.invoke_ns", ctx.now().since(start).as_nanos());
         }
@@ -410,12 +410,14 @@ impl Orb {
         ctx: &mut Ctx,
         ior: &Ior,
         operation: &str,
-        body: Vec<u8>,
+        body: &[u8],
         timeout: Option<SimDuration>,
     ) -> SimResult<Result<Vec<u8>, Exception>> {
         let mut target = ior.clone();
         for _ in 0..=self.cfg.forward_limit {
-            match self.invoke_once(ctx, &target, operation, body.clone(), timeout)? {
+            let req_id =
+                self.send_request_with_timeout(ctx, &target, operation, body, true, timeout)?;
+            match self.await_reply(ctx, req_id)? {
                 Outcome::Done(r) => return Ok(r),
                 Outcome::Forward(next) => target = next,
             }
@@ -425,19 +427,6 @@ impl Orb {
         ))))
     }
 
-    fn invoke_once(
-        &mut self,
-        ctx: &mut Ctx,
-        target: &Ior,
-        operation: &str,
-        body: Vec<u8>,
-        timeout: Option<SimDuration>,
-    ) -> SimResult<Outcome> {
-        let req_id = self.send_request_with_timeout(ctx, target, operation, body, true, timeout)?;
-        let outcome = self.await_reply(ctx, req_id)?;
-        Ok(outcome)
-    }
-
     /// Send a request frame; registers it in `pending` when a response is
     /// expected. Returns the request id.
     pub(crate) fn send_request(
@@ -445,7 +434,7 @@ impl Orb {
         ctx: &mut Ctx,
         target: &Ior,
         operation: &str,
-        body: Vec<u8>,
+        body: &[u8],
         response_expected: bool,
     ) -> SimResult<u64> {
         self.send_request_with_timeout(ctx, target, operation, body, response_expected, None)
@@ -456,7 +445,7 @@ impl Orb {
         ctx: &mut Ctx,
         target: &Ior,
         operation: &str,
-        body: Vec<u8>,
+        body: &[u8],
         response_expected: bool,
         timeout: Option<SimDuration>,
     ) -> SimResult<u64> {
@@ -471,15 +460,14 @@ impl Orb {
         for i in &mut self.interceptors {
             i.client_send(operation, target, &mut service_contexts);
         }
-        let frame = Message::Request {
-            request_id: req_id,
+        let frame = Message::encode_request(
+            req_id,
             response_expected,
-            object_key: target.key,
-            operation: operation.to_string(),
+            target.key,
+            operation,
             body,
-            service_contexts,
-        }
-        .encode();
+            &service_contexts,
+        );
         ctx.compute(self.cfg.cost.step(frame.len()))?;
         if response_expected {
             self.stats.requests_sent += 1;
@@ -631,7 +619,7 @@ impl Orb {
         operation: &str,
         body: Vec<u8>,
     ) -> SimResult<()> {
-        self.send_request(ctx, ior, operation, body, false)?;
+        self.send_request(ctx, ior, operation, &body, false)?;
         Ok(())
     }
 

@@ -94,7 +94,7 @@ impl DiiRequest {
     /// Fire the request without waiting (CORBA `send_deferred`).
     pub fn send_deferred(&mut self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<()> {
         assert_eq!(self.state, State::Building, "request already sent");
-        let body = self.args.as_bytes().to_vec();
+        let body = self.args.as_bytes();
         let req_id = orb.send_request(ctx, &self.target, &self.operation, body, true)?;
         self.state = State::Sent {
             req_id,
@@ -186,7 +186,7 @@ impl DiiRequest {
             return Ok(());
         }
         self.target = new_target;
-        let body = self.args.as_bytes().to_vec();
+        let body = self.args.as_bytes();
         let req_id = orb.send_request(ctx, &self.target, &self.operation, body, true)?;
         self.state = State::Sent {
             req_id,

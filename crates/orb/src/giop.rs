@@ -153,18 +153,57 @@ impl From<cdr::CdrError> for FrameError {
     }
 }
 
+/// A frame encoder holding the GIOP header, with room for `payload` bytes
+/// of variable-length fields on top of the fixed ones: a frame sized up
+/// front is written once and never moved, which is what a 64 KiB body pays
+/// for otherwise.
+fn frame_encoder(msg_type: u8, payload: usize) -> CdrEncoder {
+    // Header, fixed fields, counts and padding of the largest message (a
+    // request: 51 bytes). A low guess costs one reallocation, no more.
+    const FIXED: usize = 64;
+    let mut enc = CdrEncoder::big_endian();
+    enc.reserve(FIXED + payload);
+    enc.write_raw(&MAGIC);
+    enc.write_u8(VERSION.0);
+    enc.write_u8(VERSION.1);
+    // Flags octet: bit 0 = byte order (0 = big endian).
+    enc.write_u8(0);
+    enc.write_u8(msg_type);
+    enc
+}
+
 impl Message {
+    /// Encode a `Request` frame from borrowed parts: the bytes
+    /// [`Message::encode`] yields for the same fields, without moving the
+    /// body into a `Message` first. The client path sends through this, so
+    /// a body is copied once — into the frame — however often it is sent.
+    pub fn encode_request(
+        request_id: u64,
+        response_expected: bool,
+        object_key: ObjectKey,
+        operation: &str,
+        body: &[u8],
+        service_contexts: &[ServiceContext],
+    ) -> Vec<u8> {
+        // A context adds its id, count and padding to its data.
+        let contexts: usize = service_contexts.iter().map(|sc| 12 + sc.data.len()).sum();
+        let mut enc = frame_encoder(MSG_REQUEST, operation.len() + body.len() + contexts);
+        enc.write_u64(request_id);
+        enc.write_bool(response_expected);
+        object_key.write(&mut enc);
+        enc.write_string(operation);
+        enc.write_bytes(body);
+        enc.write_len(service_contexts.len());
+        for sc in service_contexts {
+            enc.write_u32(sc.id);
+            enc.write_bytes(&sc.data);
+        }
+        enc.into_bytes()
+    }
+
     /// Encode this message as a wire frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = CdrEncoder::big_endian();
-        for b in MAGIC {
-            enc.write_u8(b);
-        }
-        enc.write_u8(VERSION.0);
-        enc.write_u8(VERSION.1);
-        // Flags octet: bit 0 = byte order (0 = big endian).
-        enc.write_u8(0);
-        match self {
+        let enc = match self {
             Message::Request {
                 request_id,
                 response_expected,
@@ -173,20 +212,21 @@ impl Message {
                 body,
                 service_contexts,
             } => {
-                enc.write_u8(MSG_REQUEST);
-                enc.write_u64(*request_id);
-                enc.write_bool(*response_expected);
-                object_key.write(&mut enc);
-                enc.write_string(operation);
-                enc.write_bytes(body);
-                enc.write_u32(service_contexts.len() as u32);
-                for sc in service_contexts {
-                    enc.write_u32(sc.id);
-                    enc.write_bytes(&sc.data);
-                }
+                return Message::encode_request(
+                    *request_id,
+                    *response_expected,
+                    *object_key,
+                    operation,
+                    body,
+                    service_contexts,
+                );
             }
             Message::Reply { request_id, status } => {
-                enc.write_u8(MSG_REPLY);
+                let result_len = match status {
+                    ReplyBody::NoException(body) => body.len(),
+                    _ => 0,
+                };
+                let mut enc = frame_encoder(MSG_REPLY, result_len);
                 enc.write_u64(*request_id);
                 match status {
                     ReplyBody::NoException(body) => {
@@ -206,28 +246,30 @@ impl Message {
                         ior.write(&mut enc);
                     }
                 }
+                enc
             }
             Message::CancelRequest { request_id } => {
-                enc.write_u8(MSG_CANCEL);
+                let mut enc = frame_encoder(MSG_CANCEL, 0);
                 enc.write_u64(*request_id);
+                enc
             }
             Message::LocateRequest {
                 request_id,
                 object_key,
             } => {
-                enc.write_u8(MSG_LOCATE_REQUEST);
+                let mut enc = frame_encoder(MSG_LOCATE_REQUEST, 0);
                 enc.write_u64(*request_id);
                 object_key.write(&mut enc);
+                enc
             }
             Message::LocateReply { request_id, found } => {
-                enc.write_u8(MSG_LOCATE_REPLY);
+                let mut enc = frame_encoder(MSG_LOCATE_REPLY, 0);
                 enc.write_u64(*request_id);
                 enc.write_bool(*found);
+                enc
             }
-            Message::CloseConnection => {
-                enc.write_u8(MSG_CLOSE);
-            }
-        }
+            Message::CloseConnection => frame_encoder(MSG_CLOSE, 0),
+        };
         enc.into_bytes()
     }
 

@@ -68,11 +68,22 @@ fn spawn_calc(sim: &mut Kernel, host: HostId, ior_out: Cell<Option<String>>) {
 }
 
 fn spawn_calc_cfg(sim: &mut Kernel, host: HostId, ior_out: Cell<Option<String>>, cfg: OrbConfig) {
+    spawn_servant(sim, host, ior_out, cfg, Calc);
+}
+
+/// Spawn a server of `servant` under the calculator's type id.
+fn spawn_servant(
+    sim: &mut Kernel,
+    host: HostId,
+    ior_out: Cell<Option<String>>,
+    cfg: OrbConfig,
+    servant: impl Servant + Send + 'static,
+) {
     sim.spawn(host, "calc-server", move |ctx| {
         let mut orb = Orb::new(ctx, cfg);
         orb.listen(ctx).unwrap();
         let poa = Poa::new();
-        let key = poa.activate(CALC_TYPE, Rc::new(RefCell::new(Calc)));
+        let key = poa.activate(CALC_TYPE, Rc::new(RefCell::new(servant)));
         *ior_out.lock().unwrap() = Some(orb.ior(CALC_TYPE, key).stringify());
         let _ = orb.serve_forever(ctx, &poa);
     });
@@ -366,8 +377,35 @@ fn ping_reports_liveness() {
 fn location_forward_is_followed() {
     let mut sim = Kernel::with_seed(1);
     let hs = sim.add_hosts(3);
+
+    /// The real location: a calculator that keeps every body it is handed.
+    struct RecordingCalc {
+        bodies: Cell<Vec<Vec<u8>>>,
+    }
+    impl Servant for RecordingCalc {
+        fn dispatch(
+            &mut self,
+            call: &mut CallCtx<'_>,
+            op: &str,
+            args: &[u8],
+        ) -> Result<Vec<u8>, Exception> {
+            self.bodies.lock().unwrap().push(args.to_vec());
+            Calc.dispatch(call, op, args)
+        }
+    }
+
     let real_ior = cell();
-    spawn_calc(&mut sim, hs[2], real_ior.clone());
+    let received = cell::<Vec<Vec<u8>>>();
+    let real = RecordingCalc {
+        bodies: received.clone(),
+    };
+    spawn_servant(
+        &mut sim,
+        hs[2],
+        real_ior.clone(),
+        OrbConfig::default(),
+        real,
+    );
 
     /// A forwarding agent: every operation forwards to the real location.
     struct Forwarder {
@@ -412,6 +450,8 @@ fn location_forward_is_followed() {
     });
     sim.run_until_exit(client);
     assert_eq!(*out.lock().unwrap(), Some(8.0));
+    // The re-sent request carried the caller's body, whole and once.
+    assert_eq!(*received.lock().unwrap(), vec![cdr::to_bytes(&(4.0, 4.0))]);
 }
 
 #[test]
@@ -622,20 +662,24 @@ fn forward_loops_are_bounded() {
 
     struct SelfForwarder {
         me: Rc<RefCell<Option<Ior>>>,
+        bodies: Cell<Vec<Vec<u8>>>,
     }
     impl Servant for SelfForwarder {
         fn dispatch(
             &mut self,
             _call: &mut CallCtx<'_>,
             _op: &str,
-            _args: &[u8],
+            args: &[u8],
         ) -> Result<Vec<u8>, Exception> {
+            self.bodies.lock().unwrap().push(args.to_vec());
             Err(forward_to(self.me.borrow().as_ref().expect("set at boot")))
         }
     }
 
     let ior = cell::<Option<String>>();
     let i = ior.clone();
+    let received = cell::<Vec<Vec<u8>>>();
+    let bodies = received.clone();
     sim.spawn(hs[1], "loop-forwarder", move |ctx| {
         let mut orb = Orb::init(ctx);
         orb.listen(ctx).unwrap();
@@ -643,7 +687,10 @@ fn forward_loops_are_bounded() {
         let me: Rc<RefCell<Option<Ior>>> = Rc::new(RefCell::new(None));
         let key = poa.activate(
             CALC_TYPE,
-            Rc::new(RefCell::new(SelfForwarder { me: me.clone() })),
+            Rc::new(RefCell::new(SelfForwarder {
+                me: me.clone(),
+                bodies,
+            })),
         );
         let self_ior = orb.ior(CALC_TYPE, key);
         *me.borrow_mut() = Some(self_ior.clone());
@@ -667,6 +714,13 @@ fn forward_loops_are_bounded() {
     let got = out.lock().unwrap().clone().unwrap();
     assert!(got.contains("Transient"), "{got}");
     assert!(got.contains("forward"), "{got}");
+    // The first attempt and each of the `forward_limit` re-sends carried
+    // the caller's body.
+    let attempts = OrbConfig::default().forward_limit as usize + 1;
+    assert_eq!(
+        *received.lock().unwrap(),
+        vec![cdr::to_bytes(&(1.0, 1.0)); attempts]
+    );
 }
 
 #[test]
