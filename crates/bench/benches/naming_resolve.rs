@@ -145,7 +145,7 @@ fn trader_selections(rounds: u32) -> u32 {
     let client = sim.spawn(hosts[1], "client", move |ctx| {
         ctx.sleep(SimDuration::from_secs(3)).unwrap();
         let mut orb = Orb::init(ctx);
-        let trader = cosnaming::TraderClient::new(orb::ObjectRef::new(
+        let trader = cosnaming::LookupStub::new(orb::ObjectRef::new(
             Ior::destringify(&trader_ior.lock().unwrap().clone().unwrap()).unwrap(),
         ));
         for (i, &h) in hosts[1..].iter().enumerate() {

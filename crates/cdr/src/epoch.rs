@@ -7,9 +7,9 @@
 //! comparison without a diagnostic; the `ldft-lint` rule E2 now requires
 //! every epoch-named parameter, field, and return to use this newtype.
 //!
-//! On the wire an `Epoch` is exactly an `unsigned long long` (see
-//! `typedef unsigned long long Epoch` in `idl/ft.idl`), so adopting the
-//! newtype changes no encoded byte.
+//! On the wire an `Epoch` is exactly an `unsigned long long` (`idl/ft.idl`
+//! declares it `native Epoch` and the generated `FT::Checkpoint` holds
+//! this type), so adopting the newtype changes no encoded byte.
 
 use std::fmt;
 

@@ -384,7 +384,9 @@ fn serve_monitor_channel(
     let poa = orb::Poa::new();
     let key = poa.activate(
         monitor::EVENT_CHANNEL_TYPE,
-        std::rc::Rc::new(std::cell::RefCell::new(monitor::EventChannel::new(state))),
+        std::rc::Rc::new(std::cell::RefCell::new(monitor::EventChannelSkeleton(
+            monitor::EventChannel::new(state),
+        ))),
     );
     let ior = orb.ior(monitor::EVENT_CHANNEL_TYPE, key);
     cell.put(ior.stringify());
@@ -409,7 +411,9 @@ fn serve_registered(ctx: &mut Ctx, service: CheckpointService, sink: Obs) -> sim
     let poa = orb::Poa::new();
     let key = poa.activate(
         ftproxy::CHECKPOINT_SERVICE_TYPE,
-        std::rc::Rc::new(std::cell::RefCell::new(service)),
+        std::rc::Rc::new(std::cell::RefCell::new(ftproxy::CheckpointServiceSkeleton(
+            service,
+        ))),
     );
     let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
     let ns = cosnaming::NamingClient::root(naming_host);

@@ -120,7 +120,9 @@ fn serve_ckpt(ctx: &mut Ctx, naming_host: HostId) -> SimResult<()> {
     let poa = orb::Poa::new();
     let key = poa.activate(
         CHECKPOINT_SERVICE_TYPE,
-        Rc::new(RefCell::new(CheckpointService::in_memory())),
+        Rc::new(RefCell::new(ftproxy::CheckpointServiceSkeleton(
+            CheckpointService::in_memory(),
+        ))),
     );
     let ior = orb.ior(CHECKPOINT_SERVICE_TYPE, key);
     let ns = NamingClient::root(naming_host);

@@ -100,7 +100,9 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
             let poa = orb::Poa::new();
             let key = poa.activate(
                 EVENT_CHANNEL_TYPE,
-                Rc::new(RefCell::new(EventChannel::new(state))),
+                Rc::new(RefCell::new(monitor::EventChannelSkeleton(
+                    EventChannel::new(state),
+                ))),
             );
             cell.put(orb.ior(EVENT_CHANNEL_TYPE, key).stringify());
             let _ = orb.serve_forever(ctx, &poa);

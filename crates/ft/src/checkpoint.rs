@@ -10,21 +10,9 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 
-use cdr::{cdr_struct, Any, Epoch};
+use cdr::Any;
 
-cdr_struct!(
-    /// One stored checkpoint of a service object's state.
-    Checkpoint {
-        /// Logical identity of the service (stable across restarts).
-        object_id: String,
-        /// Monotone version: a recovery restores the highest epoch.
-        epoch: Epoch,
-        /// Opaque CDR-encoded service state.
-        state: Vec<u8>,
-        /// Virtual time (ns) at which the checkpoint was taken.
-        stamp_ns: u64,
-    }
-);
+pub use crate::protocol::Checkpoint;
 
 /// Storage backend for the checkpoint service.
 pub trait Backend {
@@ -305,6 +293,7 @@ impl Backend for DiskBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdr::Epoch;
 
     fn ckpt(id: &str, epoch: u64) -> Checkpoint {
         Checkpoint {

@@ -11,14 +11,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cosnaming::{Name, NamingClient};
-use orb::{
-    forward_to, reply, CallCtx, Exception, Ior, ObjectKey, ObjectRef, Orb, Poa, Servant,
-    SystemException,
-};
+use orb::{forward_to, CallCtx, Exception, Ior, ObjectKey, ObjectRef, Orb, Poa, Servant};
 use simnet::{Ctx, HostId, SimResult};
 
+use crate::protocol::FT::{self, ServiceFactorySkeleton, ServiceFactoryStub};
+
 /// Repository id of the factory interface.
-pub const FACTORY_TYPE: &str = "IDL:FT/ServiceFactory:1.0";
+pub const FACTORY_TYPE: &str = ServiceFactoryStub::REPO_ID;
 
 /// The group name all factories register under (resolved load-balanced).
 pub fn factory_group() -> Name {
@@ -29,17 +28,6 @@ pub fn factory_group() -> Name {
 /// wanted).
 pub fn factory_name(host: HostId) -> Name {
     Name::simple(format!("Factory-h{}", host.0))
-}
-
-/// Operation names.
-pub mod ops {
-    /// `boolean create(in string service_type, out Object obj)`.
-    pub const CREATE: &str = "create";
-    /// `boolean retire_forward(in unsigned long long key, in Object new_location)`
-    /// — replace a local object with a forwarding agent (migration).
-    pub const RETIRE_FORWARD: &str = "retire_forward";
-    /// `unsigned long instances()` — number of live instances created here.
-    pub const INSTANCES: &str = "instances";
 }
 
 /// Builds servants by service-type string. Returns the servant and its
@@ -79,60 +67,64 @@ impl Servant for ForwardingAgent {
     }
 }
 
-impl Servant for ServiceFactory {
-    fn dispatch(
+impl FT::ServiceFactory for ServiceFactory {
+    fn create(
         &mut self,
         call: &mut CallCtx<'_>,
-        op: &str,
-        args: &[u8],
-    ) -> Result<Vec<u8>, Exception> {
-        match op {
-            ops::CREATE => {
-                let (service_type,): (String,) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                match (self.make)(call, &service_type) {
-                    Some((servant, type_id)) => {
-                        self.created += 1;
-                        let key = call.poa.activate(type_id.clone(), servant);
-                        let ior = call.orb.ior(type_id, key);
-                        reply(&(true, ior))
-                    }
-                    None => reply(&(
-                        false,
-                        Ior::new("", simnet::HostId(0), simnet::Port(0), ObjectKey(0)),
-                    )),
-                }
+        service_type: String,
+    ) -> Result<(bool, Ior), Exception> {
+        Ok(match (self.make)(call, &service_type) {
+            Some((servant, type_id)) => {
+                self.created += 1;
+                let key = call.poa.activate(type_id.clone(), servant);
+                (true, call.orb.ior(type_id, key))
             }
-            ops::RETIRE_FORWARD => {
-                let (key, new_location): (u64, Ior) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let ok = call.poa.replace(
-                    ObjectKey(key),
-                    new_location.type_id.clone(),
-                    Rc::new(RefCell::new(ForwardingAgent { to: new_location })),
-                );
-                reply(&ok)
-            }
-            ops::INSTANCES => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                reply(&(self.created as u32))
-            }
-            other => Err(SystemException::bad_operation(other).into()),
-        }
+            None => (
+                false,
+                Ior::new("", simnet::HostId(0), simnet::Port(0), ObjectKey(0)),
+            ),
+        })
+    }
+
+    fn retire_forward(
+        &mut self,
+        call: &mut CallCtx<'_>,
+        key: u64,
+        new_location: Ior,
+    ) -> Result<bool, Exception> {
+        Ok(call.poa.replace(
+            ObjectKey(key),
+            new_location.type_id.clone(),
+            Rc::new(RefCell::new(ForwardingAgent { to: new_location })),
+        ))
+    }
+
+    fn instances(&mut self, _call: &mut CallCtx<'_>) -> Result<u32, Exception> {
+        Ok(self.created as u32)
     }
 }
 
-/// Typed client for a service factory.
+/// Client for a service factory: the generated [`ServiceFactoryStub`]
+/// (`instances` through `Deref`) with `create` answering an `Option` and
+/// `retire_forward` taking an [`ObjectKey`].
 #[derive(Clone, Debug)]
 pub struct FactoryClient {
-    /// The factory reference.
-    pub obj: ObjectRef,
+    stub: ServiceFactoryStub,
+}
+
+impl std::ops::Deref for FactoryClient {
+    type Target = ServiceFactoryStub;
+    fn deref(&self) -> &ServiceFactoryStub {
+        &self.stub
+    }
 }
 
 impl FactoryClient {
     /// Wrap a reference.
     pub fn new(obj: ObjectRef) -> Self {
-        FactoryClient { obj }
+        FactoryClient {
+            stub: ServiceFactoryStub::new(obj),
+        }
     }
 
     /// Create a new instance of `service_type` on the factory's host.
@@ -142,9 +134,7 @@ impl FactoryClient {
         ctx: &mut Ctx,
         service_type: &str,
     ) -> SimResult<Result<Option<Ior>, Exception>> {
-        let r: Result<(bool, Ior), Exception> =
-            self.obj
-                .call(orb, ctx, ops::CREATE, &(service_type.to_string(),))?;
+        let r = self.stub.create(orb, ctx, service_type)?;
         Ok(r.map(|(ok, ior)| ok.then_some(ior)))
     }
 
@@ -156,13 +146,7 @@ impl FactoryClient {
         key: ObjectKey,
         new_location: &Ior,
     ) -> SimResult<Result<bool, Exception>> {
-        self.obj
-            .call(orb, ctx, ops::RETIRE_FORWARD, &(key.0, new_location))
-    }
-
-    /// Number of instances created by this factory.
-    pub fn instances(&self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<Result<u32, Exception>> {
-        self.obj.call(orb, ctx, ops::INSTANCES, &())
+        self.stub.retire_forward(orb, ctx, &key.0, new_location)
     }
 }
 
@@ -186,7 +170,9 @@ pub fn run_factory_obs(
     }
     orb.listen(ctx)?;
     let poa = Poa::new();
-    let servant = Rc::new(RefCell::new(ServiceFactory::new(make)));
+    let servant = Rc::new(RefCell::new(ServiceFactorySkeleton(ServiceFactory::new(
+        make,
+    ))));
     let key = poa.activate(FACTORY_TYPE, servant);
     let ior = orb.ior(FACTORY_TYPE, key);
 

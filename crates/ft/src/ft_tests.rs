@@ -112,7 +112,9 @@ fn spawn_ckpt_obs(sim: &mut Kernel, host: HostId, obs: Option<obs::Obs>) {
         let poa = orb::Poa::new();
         let key = poa.activate(
             crate::service::CHECKPOINT_SERVICE_TYPE,
-            Rc::new(RefCell::new(CheckpointService::in_memory())),
+            Rc::new(RefCell::new(crate::CheckpointServiceSkeleton(
+                CheckpointService::in_memory(),
+            ))),
         );
         let ior = orb.ior(crate::service::CHECKPOINT_SERVICE_TYPE, key);
         let ns = NamingClient::root(host);
@@ -814,7 +816,7 @@ fn disk_backed_checkpoint_service_works_in_sim() {
         );
         let key = poa.activate(
             crate::service::CHECKPOINT_SERVICE_TYPE,
-            Rc::new(RefCell::new(svc)),
+            Rc::new(RefCell::new(crate::CheckpointServiceSkeleton(svc))),
         );
         let ior = orb.ior(crate::service::CHECKPOINT_SERVICE_TYPE, key);
         let ns = NamingClient::root(h0);

@@ -25,6 +25,7 @@ pub mod checkpoint;
 pub mod detector;
 pub mod factory;
 pub mod migration;
+pub mod protocol;
 pub mod proxy;
 pub mod request_proxy;
 pub mod service;
@@ -37,6 +38,10 @@ pub use factory::{
 };
 pub use migration::{
     migrate_member, run_migration_manager, MemberMove, MigrationConfig, MigrationStats,
+};
+pub use protocol::FT::{
+    self, CheckpointServiceSkeleton, CheckpointServiceStub, ServiceFactorySkeleton,
+    ServiceFactoryStub,
 };
 pub use proxy::{CheckpointMode, FtProxy, FtProxyConfig, FtProxyStats, ProxyEnv};
 pub use request_proxy::FtRequest;

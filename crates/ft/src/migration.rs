@@ -141,9 +141,8 @@ pub fn migrate_member(
     // 5. Leave a forwarder at the old location so outstanding references
     //    keep working (via the old host's factory, which owns the POA).
     if let Ok(old_factory) = ns.resolve(orb, ctx, &factory_name(member.host))? {
-        if let Err(_unforwarded) =
-            FactoryClient::new(old_factory).retire_forward(orb, ctx, member.key, &new_ior)?
-        {
+        let old_factory = FactoryClient::new(old_factory);
+        if let Err(_unforwarded) = old_factory.retire_forward(orb, ctx, member.key, &new_ior)? {
             // Best-effort: without the forwarder, holders of the old IOR
             // get COMM_FAILURE and re-resolve through the naming service.
         }

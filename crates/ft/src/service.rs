@@ -1,34 +1,17 @@
 //! The checkpoint service servant and its typed client.
 
 use cdr::Any;
-use orb::{reply, CallCtx, Exception, Ior, ObjectRef, Orb, Servant, SystemException};
+use orb::{CallCtx, Exception, Ior, ObjectRef, Orb, SystemException};
 use simnet::{Ctx, SimDuration, SimResult};
 
 use crate::checkpoint::{Backend, Checkpoint, MemBackend};
+use crate::protocol::FT::{self, CheckpointServiceSkeleton, CheckpointServiceStub};
 
 /// Repository id of the checkpoint service.
-pub const CHECKPOINT_SERVICE_TYPE: &str = "IDL:FT/CheckpointService:1.0";
+pub const CHECKPOINT_SERVICE_TYPE: &str = CheckpointServiceStub::REPO_ID;
 
 /// The well-known name the checkpoint service is registered under.
 pub const CHECKPOINT_SERVICE_NAME: &str = "CheckpointService";
-
-/// Operation names.
-pub mod ops {
-    /// `void store(in Checkpoint c)`.
-    pub const STORE: &str = "store";
-    /// `boolean retrieve(in string id, out Checkpoint c)`.
-    pub const RETRIEVE: &str = "retrieve";
-    /// `boolean delete(in string id)`.
-    pub const DELETE: &str = "delete";
-    /// `StringSeq list()`.
-    pub const LIST: &str = "list";
-    /// `void store_value(in string id, in string key, in any value)`.
-    pub const STORE_VALUE: &str = "store_value";
-    /// `boolean retrieve_value(in string id, in string key, out any value)`.
-    pub const RETRIEVE_VALUE: &str = "retrieve_value";
-    /// `unsigned long value_count(in string id)`.
-    pub const VALUE_COUNT: &str = "value_count";
-}
 
 /// Cost model of the store: the paper's implementation was "rather
 /// inefficient" and "not optimized for speed in any way"; these knobs
@@ -90,89 +73,97 @@ fn io_err(e: std::io::Error) -> Exception {
     ))
 }
 
-impl Servant for CheckpointService {
-    fn dispatch(
-        &mut self,
-        call: &mut CallCtx<'_>,
-        op: &str,
-        args: &[u8],
-    ) -> Result<Vec<u8>, Exception> {
-        match op {
-            ops::STORE => {
-                let (ckpt,): (Checkpoint,) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let work =
-                    self.costs.bulk_fixed + self.costs.bulk_per_byte * ckpt.state.len() as f64;
-                call.ctx
-                    .compute(work)
-                    .map_err(|_| SystemException::comm_failure("killed"))?;
-                self.stores += 1;
-                self.backend.store(ckpt).map_err(io_err)?;
-                reply(&())
-            }
-            ops::RETRIEVE => {
-                let (id,): (String,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let got = self.backend.retrieve(&id).map_err(io_err)?;
-                let work = self.costs.bulk_fixed
-                    + self.costs.bulk_per_byte * got.as_ref().map_or(0, |c| c.state.len()) as f64;
-                call.ctx
-                    .compute(work)
-                    .map_err(|_| SystemException::comm_failure("killed"))?;
-                match got {
-                    Some(c) => reply(&(true, c)),
-                    None => reply(&(
-                        false,
-                        Checkpoint {
-                            object_id: id,
-                            epoch: cdr::Epoch::ZERO,
-                            state: Vec::new(),
-                            stamp_ns: 0,
-                        },
-                    )),
-                }
-            }
-            ops::DELETE => {
-                let (id,): (String,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let deleted = self.backend.delete(&id).map_err(io_err)?;
-                reply(&deleted)
-            }
-            ops::LIST => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                let ids = self.backend.list().map_err(io_err)?;
-                reply(&ids)
-            }
-            ops::STORE_VALUE => {
-                let (id, key, value): (String, String, Any) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                call.ctx
-                    .compute(self.costs.value_fixed)
-                    .map_err(|_| SystemException::comm_failure("killed"))?;
-                self.value_stores += 1;
-                self.backend.store_value(&id, &key, value).map_err(io_err)?;
-                reply(&())
-            }
-            ops::RETRIEVE_VALUE => {
-                let (id, key): (String, String) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                call.ctx
-                    .compute(self.costs.value_fixed)
-                    .map_err(|_| SystemException::comm_failure("killed"))?;
-                match self.backend.retrieve_value(&id, &key).map_err(io_err)? {
-                    Some(v) => reply(&(true, v)),
-                    None => reply(&(false, Any::boolean(false))),
-                }
-            }
-            ops::VALUE_COUNT => {
-                let (id,): (String,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let n = self.backend.value_count(&id).map_err(io_err)?;
-                reply(&n)
-            }
-            other => Err(SystemException::bad_operation(other).into()),
-        }
+fn killed() -> Exception {
+    SystemException::comm_failure("killed").into()
+}
+
+/// What `retrieve` answers beside `false` when nothing is stored under
+/// `object_id`.
+pub fn no_checkpoint(object_id: String) -> Checkpoint {
+    Checkpoint {
+        object_id,
+        epoch: cdr::Epoch::ZERO,
+        state: Vec::new(),
+        stamp_ns: 0,
     }
 }
 
-/// Typed client for the checkpoint service.
+impl FT::CheckpointService for CheckpointService {
+    fn store(&mut self, call: &mut CallCtx<'_>, c: Checkpoint) -> Result<(), Exception> {
+        let work = self.costs.bulk_fixed + self.costs.bulk_per_byte * c.state.len() as f64;
+        call.ctx.compute(work).map_err(|_| killed())?;
+        self.stores += 1;
+        self.backend.store(c).map_err(io_err)
+    }
+
+    fn retrieve(
+        &mut self,
+        call: &mut CallCtx<'_>,
+        object_id: String,
+    ) -> Result<(bool, Checkpoint), Exception> {
+        let got = self.backend.retrieve(&object_id).map_err(io_err)?;
+        let work = self.costs.bulk_fixed
+            + self.costs.bulk_per_byte * got.as_ref().map_or(0, |c| c.state.len()) as f64;
+        call.ctx.compute(work).map_err(|_| killed())?;
+        Ok(match got {
+            Some(c) => (true, c),
+            None => (false, no_checkpoint(object_id)),
+        })
+    }
+
+    fn delete(&mut self, _call: &mut CallCtx<'_>, object_id: String) -> Result<bool, Exception> {
+        self.backend.delete(&object_id).map_err(io_err)
+    }
+
+    fn list(&mut self, _call: &mut CallCtx<'_>) -> Result<Vec<String>, Exception> {
+        self.backend.list().map_err(io_err)
+    }
+
+    fn store_value(
+        &mut self,
+        call: &mut CallCtx<'_>,
+        object_id: String,
+        key: String,
+        value: Any,
+    ) -> Result<(), Exception> {
+        call.ctx
+            .compute(self.costs.value_fixed)
+            .map_err(|_| killed())?;
+        self.value_stores += 1;
+        self.backend
+            .store_value(&object_id, &key, value)
+            .map_err(io_err)
+    }
+
+    fn retrieve_value(
+        &mut self,
+        call: &mut CallCtx<'_>,
+        object_id: String,
+        key: String,
+    ) -> Result<(bool, Any), Exception> {
+        call.ctx
+            .compute(self.costs.value_fixed)
+            .map_err(|_| killed())?;
+        let got = self.backend.retrieve_value(&object_id, &key);
+        Ok(match got.map_err(io_err)? {
+            Some(v) => (true, v),
+            None => (false, Any::boolean(false)),
+        })
+    }
+
+    fn value_count(
+        &mut self,
+        _call: &mut CallCtx<'_>,
+        object_id: String,
+    ) -> Result<u32, Exception> {
+        self.backend.value_count(&object_id).map_err(io_err)
+    }
+}
+
+/// Client for the checkpoint service: the generated
+/// [`CheckpointServiceStub`] (`store`, `delete`, `list`, `store_value`,
+/// `value_count` through `Deref`) with the two `(found, value)` replies
+/// folded into `Option`s.
 ///
 /// Store operations carry their own reply deadline (`with_deadline`),
 /// distinct from the proxy's call timeout: a slow store
@@ -180,41 +171,42 @@ impl Servant for CheckpointService {
 /// on the store's own latency envelope.
 #[derive(Clone, Debug)]
 pub struct CheckpointClient {
-    /// The service reference.
-    pub obj: ObjectRef,
-    /// Per-operation reply deadline; `None` uses the ORB-wide timeout.
-    pub deadline: Option<SimDuration>,
+    stub: CheckpointServiceStub,
+}
+
+impl std::ops::Deref for CheckpointClient {
+    type Target = CheckpointServiceStub;
+    fn deref(&self) -> &CheckpointServiceStub {
+        &self.stub
+    }
 }
 
 impl CheckpointClient {
     /// Wrap a reference.
     pub fn new(obj: ObjectRef) -> Self {
         CheckpointClient {
-            obj,
-            deadline: None,
+            stub: CheckpointServiceStub::new(obj),
         }
     }
 
     /// Wrap an IOR.
     pub fn from_ior(ior: Ior) -> Self {
-        CheckpointClient::new(ObjectRef::new(ior))
+        CheckpointClient {
+            stub: CheckpointServiceStub::from_ior(ior),
+        }
     }
 
     /// Set a per-operation reply deadline for all store calls.
-    pub fn with_deadline(mut self, deadline: Option<SimDuration>) -> Self {
-        self.deadline = deadline;
-        self
+    pub fn with_deadline(self, deadline: Option<SimDuration>) -> Self {
+        CheckpointClient {
+            stub: self.stub.with_deadline(deadline),
+        }
     }
 
-    /// Store a bulk checkpoint.
-    pub fn store(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        ckpt: &Checkpoint,
-    ) -> SimResult<Result<(), Exception>> {
-        self.obj
-            .call_with_timeout(orb, ctx, ops::STORE, &(ckpt,), self.deadline)
+    /// Point this client at another replica of the store, keeping the
+    /// deadline.
+    pub fn retarget(&mut self, obj: ObjectRef) {
+        self.stub.obj = obj;
     }
 
     /// Retrieve a bulk checkpoint.
@@ -224,49 +216,8 @@ impl CheckpointClient {
         ctx: &mut Ctx,
         id: &str,
     ) -> SimResult<Result<Option<Checkpoint>, Exception>> {
-        let r: Result<(bool, Checkpoint), Exception> = self.obj.call_with_timeout(
-            orb,
-            ctx,
-            ops::RETRIEVE,
-            &(id.to_string(),),
-            self.deadline,
-        )?;
+        let r = self.stub.retrieve(orb, ctx, id)?;
         Ok(r.map(|(found, c)| found.then_some(c)))
-    }
-
-    /// Delete everything stored for an object.
-    pub fn delete(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        id: &str,
-    ) -> SimResult<Result<bool, Exception>> {
-        self.obj
-            .call_with_timeout(orb, ctx, ops::DELETE, &(id.to_string(),), self.deadline)
-    }
-
-    /// List object ids with a bulk checkpoint.
-    pub fn list(&self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<Result<Vec<String>, Exception>> {
-        self.obj
-            .call_with_timeout(orb, ctx, ops::LIST, &(), self.deadline)
-    }
-
-    /// Store one named value (the paper's proof-of-concept path).
-    pub fn store_value(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        id: &str,
-        key: &str,
-        value: &Any,
-    ) -> SimResult<Result<(), Exception>> {
-        self.obj.call_with_timeout(
-            orb,
-            ctx,
-            ops::STORE_VALUE,
-            &(id.to_string(), key.to_string(), value),
-            self.deadline,
-        )
     }
 
     /// Retrieve one named value.
@@ -277,30 +228,8 @@ impl CheckpointClient {
         id: &str,
         key: &str,
     ) -> SimResult<Result<Option<Any>, Exception>> {
-        let r: Result<(bool, Any), Exception> = self.obj.call_with_timeout(
-            orb,
-            ctx,
-            ops::RETRIEVE_VALUE,
-            &(id.to_string(), key.to_string()),
-            self.deadline,
-        )?;
+        let r = self.stub.retrieve_value(orb, ctx, id, key)?;
         Ok(r.map(|(found, v)| found.then_some(v)))
-    }
-
-    /// Number of values stored for an object.
-    pub fn value_count(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        id: &str,
-    ) -> SimResult<Result<u32, Exception>> {
-        self.obj.call_with_timeout(
-            orb,
-            ctx,
-            ops::VALUE_COUNT,
-            &(id.to_string(),),
-            self.deadline,
-        )
     }
 }
 
@@ -313,10 +242,8 @@ pub fn run_checkpoint_service(
     let mut orb = Orb::init(ctx);
     orb.listen(ctx)?;
     let poa = orb::Poa::new();
-    let key = poa.activate(
-        CHECKPOINT_SERVICE_TYPE,
-        std::rc::Rc::new(std::cell::RefCell::new(service)),
-    );
+    let servant = std::rc::Rc::new(std::cell::RefCell::new(CheckpointServiceSkeleton(service)));
+    let key = poa.activate(CHECKPOINT_SERVICE_TYPE, servant);
     publish(orb.ior(CHECKPOINT_SERVICE_TYPE, key));
     orb.serve_forever(ctx, &poa)
 }

@@ -1,14 +1,24 @@
-//! `idlc` command-line interface: compile an IDL file to Rust source.
+//! `idlc` command-line interface: compile IDL files to Rust source.
 //!
-//! Usage: `idlc INPUT.idl [-o OUTPUT.rs] [--no-ft-proxies]`
+//! Usage: `idlc [IMPORT.idl... --] INPUT.idl... [-o OUTPUT.rs] [--no-ft-proxies]`
+//!
+//! All files named form one compilation unit, in the order given. Rust is
+//! emitted for the INPUTs; an IMPORT only supplies the declarations the
+//! inputs name (`idlc idl/ft.idl -- idl/store.idl` compiles `Store`,
+//! which uses `FT::Checkpoint`, without emitting `FT` a second time).
 
 use std::io::Write;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: idlc [IMPORT.idl... --] INPUT.idl... [-o OUTPUT.rs] [--no-ft-proxies]";
+
 fn main() -> ExitCode {
-    let mut input: Option<String> = None;
+    // `(path, source)`; the files before the `--`, if one was given, are
+    // imports.
+    let mut files: Vec<(String, String)> = Vec::new();
+    let mut separator: Option<usize> = None;
     let mut output: Option<String> = None;
-    let mut opts = idlc::GenOptions::default();
+    let mut ft_proxies = true;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -19,34 +29,41 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--no-ft-proxies" => opts.ft_proxies = false,
+            "--no-ft-proxies" => ft_proxies = false,
             "-h" | "--help" => {
-                println!("usage: idlc INPUT.idl [-o OUTPUT.rs] [--no-ft-proxies]");
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            other if input.is_none() => input = Some(other.to_string()),
-            other => {
+            "--" if separator.is_none() => separator = Some(files.len()),
+            "--" => {
+                eprintln!("idlc: more than one `--`");
+                return ExitCode::from(2);
+            }
+            other if other.starts_with('-') => {
                 eprintln!("idlc: unexpected argument {other:?}");
                 return ExitCode::from(2);
             }
+            other => files.push((other.to_string(), String::new())),
         }
     }
-    let Some(input) = input else {
-        eprintln!("usage: idlc INPUT.idl [-o OUTPUT.rs] [--no-ft-proxies]");
+    let imports = separator.unwrap_or(0);
+    if files.len() == imports {
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
-    };
-    let src = match std::fs::read_to_string(&input) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("idlc: cannot read {input}: {e}");
-            return ExitCode::FAILURE;
+    }
+    for (path, source) in &mut files {
+        match std::fs::read_to_string(&path) {
+            Ok(s) => *source = s,
+            Err(e) => {
+                eprintln!("idlc: cannot read {path}: {e}");
+                return ExitCode::FAILURE;
+            }
         }
-    };
-    opts.source_name = input.clone();
-    let rust = match idlc::compile(&src, &opts) {
+    }
+    let rust = match idlc::compile_files(&files, imports, ft_proxies) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("idlc: {input}: {e}");
+            eprintln!("idlc: {}: {e}", files[e.pos.file as usize].0);
             return ExitCode::FAILURE;
         }
     };

@@ -112,6 +112,19 @@ impl Item {
             Item::Native { def, .. } => &def.name,
         }
     }
+
+    /// Where the declaration starts; `pos().file` says which source of the
+    /// compilation unit declared it.
+    pub fn pos(&self) -> Pos {
+        match self {
+            Item::Struct { def, .. } => def.pos,
+            Item::Enum { def, .. } => def.pos,
+            Item::Typedef { def, .. } => def.pos,
+            Item::Exception { def, .. } => def.pos,
+            Item::Interface { def, .. } => def.pos,
+            Item::Native { def, .. } => def.pos,
+        }
+    }
 }
 
 /// The checked model: all items with resolved names, in declaration order.

@@ -16,7 +16,9 @@
 //! (in/out/inout, `oneway`, `raises`), attributes, structs, enums,
 //! typedefs, sequences, exceptions, the primitive types, `any`, `Object`
 //! references, and `native` (Rust-defined) types. Several files form one
-//! compilation unit through [`parse_unit`].
+//! compilation unit through [`parse_unit`]; [`generate_from`] then emits
+//! the declarations of some of them, which is how each crate of this
+//! workspace compiles the contract it owns against the ones it names.
 //!
 //! ```
 //! let src = "module M { interface Hello { string greet(in string who); }; };";
@@ -34,7 +36,7 @@ mod parser;
 mod pretty;
 
 pub use check::{check, repo_id, CheckError, Item, Model, SymbolKind};
-pub use codegen::{generate, GenOptions};
+pub use codegen::{generate, generate_from, GenOptions};
 pub use lexer::{lex, TokKind, Token};
 pub use parser::{parse, parse_unit, ParseError};
 pub use pretty::pretty;
@@ -44,4 +46,30 @@ pub fn compile(src: &str, opts: &GenOptions) -> Result<String, String> {
     let spec = parse(src).map_err(|e| e.to_string())?;
     let model = check(&spec).map_err(|e| e.to_string())?;
     Ok(generate(&model, opts))
+}
+
+/// Compile `(path, source)` files as one compilation unit, in the order
+/// given, and generate Rust for all but the first `imports` of them; the
+/// header comment names them all. What the `idlc` command line does. An
+/// error's [`ast::Pos::file`] indexes `files`.
+pub fn compile_files(
+    files: &[(String, String)],
+    imports: usize,
+    ft_proxies: bool,
+) -> Result<String, ParseError> {
+    let spec = parse_unit(files.iter().map(|(_, src)| src.as_str()))?;
+    let model = check(&spec)?;
+    let paths = |files: &[(String, String)]| -> String {
+        let paths: Vec<&str> = files.iter().map(|(path, _)| path.as_str()).collect();
+        paths.join(" ")
+    };
+    let mut source_name = paths(&files[imports..]);
+    if imports > 0 {
+        source_name += &format!(" (imports {})", paths(&files[..imports]));
+    }
+    let opts = GenOptions {
+        ft_proxies,
+        source_name,
+    };
+    Ok(generate_from(&model, imports as u32, &opts))
 }

@@ -11,9 +11,43 @@ const P: Pos = Pos {
     col: 0,
 };
 
+/// Rust keywords that are ordinary identifiers to IDL; the generator has
+/// to escape them (`r#type`, `self_`).
+const RUST_KEYWORDS: &[&str] = &[
+    "as", "async", "await", "box", "break", "continue", "crate", "dyn", "else", "fn", "for", "if",
+    "impl", "let", "loop", "match", "mod", "move", "mut", "pub", "ref", "return", "self", "Self",
+    "static", "super", "trait", "type", "unsafe", "use", "where", "while", "yield",
+];
+
 fn ident() -> impl Strategy<Value = String> {
-    // Avoid IDL keywords by prefixing.
-    "[a-z][a-z0-9_]{0,8}".prop_map(|s| format!("id_{s}"))
+    (
+        "[a-z][a-z0-9_]{0,8}",
+        any::<proptest::sample::Index>(),
+        0..5u8,
+    )
+        .prop_map(|(s, kw, pick)| {
+            if pick == 0 {
+                RUST_KEYWORDS[kw.index(RUST_KEYWORDS.len())].to_string()
+            } else {
+                // Avoid IDL keywords by prefixing.
+                format!("id_{s}")
+            }
+        })
+}
+
+/// `names` made unique by suffixing repeats, so a first occurrence keeps
+/// its spelling (a keyword stays a keyword).
+fn unique(names: impl IntoIterator<Item = String>) -> Vec<String> {
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    for (i, n) in names.into_iter().enumerate() {
+        out.push(if seen.insert(n.clone()) {
+            n
+        } else {
+            format!("{n}_{i}")
+        });
+    }
+    out
 }
 
 fn leaf_type() -> impl Strategy<Value = Type> {
@@ -69,8 +103,9 @@ fn operation() -> impl Strategy<Value = Operation> {
                 }
             }
             // Parameter names must be unique.
-            for (i, p) in params.iter_mut().enumerate() {
-                p.name = format!("{}_{i}", p.name);
+            let names = unique(params.iter().map(|p| p.name.clone()));
+            for (p, name) in params.iter_mut().zip(names) {
+                p.name = name;
             }
             Operation {
                 pos: P,
@@ -90,8 +125,15 @@ fn interface() -> impl Strategy<Value = Interface> {
         proptest::collection::vec((any::<bool>(), ident(), data_type()), 0..3),
     )
         .prop_map(|(name, mut ops, attrs)| {
-            for (i, op) in ops.iter_mut().enumerate() {
-                op.name = format!("{}_{i}", op.name);
+            // Operations and attributes share one namespace.
+            let mut names = unique(
+                ops.iter()
+                    .map(|op| op.name.clone())
+                    .chain(attrs.iter().map(|(_, name, _)| name.clone())),
+            )
+            .into_iter();
+            for op in &mut ops {
+                op.name = names.next().expect("one name per op");
             }
             Interface {
                 pos: P,
@@ -100,11 +142,11 @@ fn interface() -> impl Strategy<Value = Interface> {
                 ops,
                 attrs: attrs
                     .into_iter()
-                    .enumerate()
-                    .map(|(i, (readonly, name, ty))| Attribute {
+                    .zip(names)
+                    .map(|((readonly, _, ty), name)| Attribute {
                         pos: P,
                         readonly,
-                        name: format!("{name}_{i}"),
+                        name,
                         ty,
                     })
                     .collect(),
@@ -120,11 +162,8 @@ fn def() -> impl Strategy<Value = Def> {
             proptest::collection::vec((ident(), data_type()), 0..4)
         )
             .prop_map(|(name, members)| {
-                let members = members
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (n, t))| (format!("{n}_{i}"), t))
-                    .collect();
+                let (names, types): (Vec<_>, Vec<_>) = members.into_iter().unzip();
+                let members = unique(names).into_iter().zip(types).collect();
                 Def::Struct(StructDef {
                     pos: P,
                     name,
@@ -132,11 +171,7 @@ fn def() -> impl Strategy<Value = Def> {
                 })
             }),
         (ident(), proptest::collection::vec(ident(), 1..5)).prop_map(|(name, members)| {
-            let members = members
-                .into_iter()
-                .enumerate()
-                .map(|(i, m)| format!("{m}_{i}"))
-                .collect();
+            let members = unique(members);
             Def::Enum(EnumDef {
                 pos: P,
                 name,
@@ -150,11 +185,8 @@ fn def() -> impl Strategy<Value = Def> {
             proptest::collection::vec((ident(), data_type()), 0..3)
         )
             .prop_map(|(name, members)| {
-                let members = members
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (n, t))| (format!("{n}_{i}"), t))
-                    .collect();
+                let (names, types): (Vec<_>, Vec<_>) = members.into_iter().unzip();
+                let members = unique(names).into_iter().zip(types).collect();
                 Def::Exception(ExceptionDef {
                     pos: P,
                     name,
@@ -168,14 +200,24 @@ fn spec() -> impl Strategy<Value = Spec> {
     proptest::collection::vec(def(), 0..5).prop_map(|mut defs| {
         // Top-level names must be unique for the checker, and unique names
         // also make equality unambiguous for the parser round-trip.
-        for (i, d) in defs.iter_mut().enumerate() {
+        let name_of = |d: &mut Def| match d {
+            Def::Interface(x) => std::mem::take(&mut x.name),
+            Def::Struct(x) => std::mem::take(&mut x.name),
+            Def::Enum(x) => std::mem::take(&mut x.name),
+            Def::Typedef(x) => std::mem::take(&mut x.name),
+            Def::Exception(x) => std::mem::take(&mut x.name),
+            Def::Native(x) => std::mem::take(&mut x.name),
+            Def::Module(_) => unreachable!("not generated"),
+        };
+        let names = unique(defs.iter_mut().map(name_of).collect::<Vec<_>>());
+        for (d, name) in defs.iter_mut().zip(names) {
             match d {
-                Def::Interface(x) => x.name = format!("{}_{i}", x.name),
-                Def::Struct(x) => x.name = format!("{}_{i}", x.name),
-                Def::Enum(x) => x.name = format!("{}_{i}", x.name),
-                Def::Typedef(x) => x.name = format!("{}_{i}", x.name),
-                Def::Exception(x) => x.name = format!("{}_{i}", x.name),
-                Def::Native(x) => x.name = format!("{}_{i}", x.name),
+                Def::Interface(x) => x.name = name,
+                Def::Struct(x) => x.name = name,
+                Def::Enum(x) => x.name = name,
+                Def::Typedef(x) => x.name = name,
+                Def::Exception(x) => x.name = name,
+                Def::Native(x) => x.name = name,
                 Def::Module(_) => unreachable!("not generated"),
             }
         }
@@ -203,6 +245,22 @@ proptest! {
         if let Ok(model) = idlc::check(&idlc::parse(&printed).unwrap()) {
             let code = idlc::generate(&model, &idlc::GenOptions::default());
             prop_assert!(code.contains("Generated by idlc"));
+            // No IDL identifier reaches a Rust binding position as a bare
+            // keyword: method, member/parameter, enumerator, item.
+            for kw in RUST_KEYWORDS {
+                for bare in [
+                    format!("fn {kw}("),
+                    format!(" {kw}: "),
+                    format!("({kw}: "),
+                    format!(" {kw} = "),
+                    format!("pub type {kw} "),
+                    format!("pub trait {kw} "),
+                    format!("] {kw} {{"),
+                    format!("pub use super::{kw};"),
+                ] {
+                    prop_assert!(!code.contains(&bare), "bare `{}` in:\n{}", bare, code);
+                }
+            }
         }
     }
 }

@@ -9,13 +9,18 @@
 //!    type is locally recoverable: a fn parameter `recv: T`, a
 //!    `let recv = T::...` / `let recv: T = ...` binding, or — for
 //!    `self.field.m(...)` — the owner struct's field type (struct shapes
-//!    are indexed workspace-wide).
+//!    are indexed workspace-wide). A type without the method passes the
+//!    call to its `Deref` target (the typed clients are façades that
+//!    deref to their `idlc`-generated stub).
 //! 3. Calls into the orb stub API ([`REMOTE_API`]) bind to the orb
 //!    crate's implementations and are recorded as **remote invocation
 //!    sites**; when the operation name is evidenced in the argument list
-//!    (string literal or ALL-CAPS op const), the site additionally gets a
-//!    *dispatch edge* to every `Servant::dispatch` skeleton that handles
-//!    that IDL operation — the IDL op table links client to server.
+//!    (string literal or ALL-CAPS op const) — as it is in every generated
+//!    stub method — the site additionally gets a *dispatch edge* to every
+//!    `Servant::dispatch` skeleton that handles that IDL operation, and
+//!    a generated `<I>Skeleton::dispatch` hands `self.0.m(...)` on to the
+//!    impls of interface `I` (or one it inherits): the IDL op table
+//!    links client to server.
 //! 4. A method implemented only by impls of one trait fans out to every
 //!    impl (trait-virtual dispatch, e.g. `servant.dispatch(...)`).
 //! 5. A workspace-unique free-fn/method name resolves globally.
@@ -61,7 +66,9 @@ const OP_CARRYING: &[&str] = &[
 ];
 
 /// Method names too generic to resolve by name: std-library vocabulary
-/// that would alias unrelated functions across the workspace.
+/// that would alias unrelated functions across the workspace. A call
+/// whose receiver type is recovered still resolves (`channel.push(..)` on
+/// an `EventChannelStub` is the IDL operation, not `Vec::push`).
 const RESOLVE_STOPLIST: &[&str] = &[
     "new",
     "default",
@@ -523,6 +530,37 @@ pub fn build(files: &[FileAnalysis], idls: &Contracts) -> CallGraph {
             }
         }
     }
+    // `impl Deref for X { type Target = Y; }`: X → Y.
+    let mut deref: BTreeMap<&str, String> = BTreeMap::new();
+    for fa in files {
+        for im in &fa.ast.impls {
+            if im.trait_name.as_deref() != Some("Deref") {
+                continue;
+            }
+            let body = &fa.ast.toks[im.body.open..im.body.close];
+            if let Some(at) = body
+                .windows(2)
+                .position(|w| w[0].is("type") && w[1].is("Target"))
+            {
+                let ty = body[at + 3..].iter().take_while(|t| !t.is(";"));
+                let ty: Vec<_> = ty.cloned().collect();
+                deref.insert(&im.type_name, ty_tail(&crate::ast::join_tokens(&ty)));
+            }
+        }
+    }
+    // Interface name → itself plus the interfaces it inherits: the traits
+    // whose impls a generated `<I>Skeleton` dispatches to.
+    let mut lineage: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for item in &idls.model.items {
+        if let idlc::Item::Interface { def, .. } = item {
+            let mut line = vec![def.name.as_str()];
+            if let Some(base) = &def.base {
+                let base = base.rsplit("::").next().unwrap_or(base);
+                line.extend(lineage.get(base).into_iter().flatten());
+            }
+            lineage.insert(&def.name, line);
+        }
+    }
     // IDL op names, and per-op dispatch skeleton nodes: a `dispatch` fn in
     // an `impl Servant` whose body evidences the op (literal or op const).
     let idl_ops: BTreeSet<&str> = idls.ops().map(|op| op.name.as_str()).collect();
@@ -570,9 +608,9 @@ pub fn build(files: &[FileAnalysis], idls: &Contracts) -> CallGraph {
             {
                 continue;
             }
-            if RESOLVE_STOPLIST.contains(&c.method.as_str()) {
-                continue;
-            }
+            // Generic vocabulary resolves through a recovered receiver
+            // type only, never by name.
+            let generic = RESOLVE_STOPLIST.contains(&c.method.as_str());
             // `ctx.*` is the simnet syscall layer below the graph — never
             // resolve it (a `ctx.call` is a channel send, not a stub call).
             if c.recv_tail.as_deref() == Some("ctx") {
@@ -584,6 +622,9 @@ pub fn build(files: &[FileAnalysis], idls: &Contracts) -> CallGraph {
             let mut kind = EdgeKind::Method;
             let mut targets: Vec<usize> = Vec::new();
             if !c.is_method {
+                if generic {
+                    continue;
+                }
                 if let Some(v) = by_krate_name.get(&(n.krate.as_str(), c.method.as_str())) {
                     targets = v.clone();
                     kind = EdgeKind::Static;
@@ -605,7 +646,7 @@ pub fn build(files: &[FileAnalysis], idls: &Contracts) -> CallGraph {
                         kind = EdgeKind::Static;
                     }
                 }
-                if targets.is_empty() {
+                if targets.is_empty() && !generic {
                     if let Some(v) = by_krate_name.get(&(n.krate.as_str(), c.method.as_str())) {
                         targets = v.clone();
                         kind = EdgeKind::Static;
@@ -615,10 +656,38 @@ pub fn build(files: &[FileAnalysis], idls: &Contracts) -> CallGraph {
                 // Receiver-typed resolution; a recovered type is trusted
                 // (no name-based fallback past it, except the stub API).
                 let ty = recv_type(fa, &n, c, &fields, &ret_types);
-                if let Some(ty) = &ty {
-                    if let Some(v) = by_owner.get(&(ty.as_str(), c.method.as_str())) {
+                let mut owner = ty.as_deref();
+                while let Some(o) = owner {
+                    if let Some(v) = by_owner.get(&(o, c.method.as_str())) {
                         targets = v.clone();
+                        break;
                     }
+                    owner = deref.get(o).map(String::as_str);
+                }
+                // A generated skeleton handing the decoded request to
+                // the servant: `self.0.m(...)` in `<I>Skeleton::dispatch`
+                // reaches every impl of `I`'s (or an inherited) trait.
+                let toks = &ast.toks;
+                if ty.is_none()
+                    && n.name == "dispatch"
+                    && n.trait_name.as_deref() == Some("Servant")
+                    && c.name_tok >= 4
+                    && toks[c.name_tok - 2].text == "0"
+                    && toks[c.name_tok - 4].is("self")
+                {
+                    let iface = n.owner.strip_suffix("Skeleton").unwrap_or("");
+                    let traits = lineage.get(iface).map(Vec::as_slice).unwrap_or(&[]);
+                    targets = by_name
+                        .get(c.method.as_str())
+                        .into_iter()
+                        .flatten()
+                        .copied()
+                        .filter(|&t| {
+                            let of = g.nodes[t].trait_name.as_deref();
+                            of.is_some_and(|of| traits.contains(&of))
+                        })
+                        .collect();
+                    kind = EdgeKind::Dispatch;
                 }
                 // Stub API: the orb crate implements these.
                 if targets.is_empty() && is_remote {
@@ -634,7 +703,7 @@ pub fn build(files: &[FileAnalysis], idls: &Contracts) -> CallGraph {
                     .as_deref()
                     .map(|t| known_types.contains(t))
                     .unwrap_or(false);
-                if targets.is_empty() && !ty_is_final {
+                if targets.is_empty() && !ty_is_final && !generic {
                     if let Some(v) = by_name.get(c.method.as_str()) {
                         let traits: BTreeSet<&str> = v
                             .iter()

@@ -3,13 +3,12 @@
 //! `idlc` is the workspace's only IDL front end. The contracts are parsed
 //! and checked as **one compilation unit** in sorted path order (so
 //! `idl/store.idl` can name `FT::Checkpoint` from `idl/ft.idl`), and the
-//! wire (W1–W4) and call-graph passes consume the small table built here
-//! from the checked [`idlc::Model`]. A unit `idlc` rejects yields one
-//! error finding (`W0`) at the offending `file:line` and an empty table.
+//! call-graph pass consumes the small op table built here from the
+//! checked [`idlc::Model`]. A unit `idlc` rejects yields one error
+//! finding (`W0`) at the offending `file:line` and an empty table.
 
 use crate::rules::Finding;
-use idlc::ast::{wire_ops, Direction, Operation};
-use std::collections::BTreeMap;
+use idlc::ast::{wire_ops, Operation};
 use std::path::Path;
 
 /// One operation as it appears on the wire.
@@ -17,9 +16,6 @@ use std::path::Path;
 pub struct IdlOp {
     /// Wire name (`add`, `_get_op_count`, ...).
     pub name: String,
-    /// `idlc`'s Rust spellings of the `in`/`inout` parameter types, in IDL
-    /// order (`f64`, `Vec<Optim::DoubleSeq>`, `::cdr::Any`, ...).
-    pub ins: Vec<String>,
     /// 1-indexed line of the declaration in its IDL file.
     pub line: usize,
 }
@@ -31,9 +27,8 @@ pub struct IdlInterface {
     pub file: String,
     /// Interface name (`Calculator`).
     pub name: String,
-    /// 1-indexed declaration line.
-    pub line: usize,
-    /// Own operations in declaration order.
+    /// Own operations in declaration order (inherited ones belong to
+    /// the base interface's entry).
     pub ops: Vec<IdlOp>,
 }
 
@@ -46,8 +41,6 @@ pub struct Contracts {
     pub model: idlc::Model,
     /// All interfaces, in unit order.
     pub interfaces: Vec<IdlInterface>,
-    /// `typedef` table: alias (unscoped) → `idlc`'s Rust spelling.
-    pub typedefs: BTreeMap<String, String>,
     /// The rejection, if `idlc` refused the unit, as a `W0` finding.
     pub rejection: Option<Finding>,
 }
@@ -68,33 +61,20 @@ impl Contracts {
             }
         }
         for item in &c.model.items {
-            match item {
-                idlc::Item::Typedef { def, .. } => {
-                    let alias = c.typedefs.entry(def.name.clone());
-                    alias.or_insert_with(|| def.ty.rust());
-                }
-                idlc::Item::Interface { def, .. } => {
-                    let op = |op: &Operation| {
-                        let ins = op.params.iter().filter(|p| p.dir != Direction::Out);
-                        IdlOp {
-                            name: op.name.clone(),
-                            ins: ins.map(|p| p.ty.rust()).collect(),
-                            line: op.pos.line as usize,
-                        }
-                    };
-                    let mut ops: Vec<IdlOp> =
-                        wire_ops(&def.ops, &def.attrs).iter().map(op).collect();
-                    // `wire_ops` lists attribute ops last; restore
-                    // declaration order.
-                    ops.sort_by_key(|op| op.line);
-                    c.interfaces.push(IdlInterface {
-                        file: file(def.pos.file),
-                        name: def.name.clone(),
-                        line: def.pos.line as usize,
-                        ops,
-                    });
-                }
-                _ => {}
+            if let idlc::Item::Interface { def, .. } = item {
+                let op = |op: &Operation| IdlOp {
+                    name: op.name.clone(),
+                    line: op.pos.line as usize,
+                };
+                let mut ops: Vec<IdlOp> = wire_ops(&def.ops, &def.attrs).iter().map(op).collect();
+                // `wire_ops` lists attribute ops last; restore
+                // declaration order.
+                ops.sort_by_key(|op| op.line);
+                c.interfaces.push(IdlInterface {
+                    file: file(def.pos.file),
+                    name: def.name.clone(),
+                    ops,
+                });
             }
         }
         c.sources = sources;

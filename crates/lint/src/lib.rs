@@ -45,7 +45,8 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of files parsed.
     pub files: usize,
-    /// IDL operations cross-checked against stub/skeleton/CDR (wire pass).
+    /// Operations the compiled `idl/*.idl` unit declares (0 when `idlc`
+    /// rejected it — rule W0).
     pub wire_ops: usize,
     /// `simnet::Shared` acquisition sites covered by the lock graph.
     pub lock_sites: usize,
@@ -104,8 +105,8 @@ pub fn crate_dir_of(rel_path: &str) -> Option<String> {
 
 /// Analyze a single in-memory source (fixture tests and `--crate-name`
 /// runs). `crate_dir` drives rule scoping. Runs the per-file rules plus a
-/// single-file lock-graph pass; the wire pass needs the whole workspace
-/// and only runs under [`run_workspace`].
+/// single-file lock-graph pass; the contracts (W0) and the per-file W4
+/// pass only run under [`run_workspace`].
 pub fn analyze_source(
     path_label: &str,
     crate_dir: Option<&str>,
@@ -179,18 +180,19 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<FileAnalysis>> {
 /// Three stages: the first parses every `.rs` file, compiles the `.idl`
 /// contracts (see [`contracts`]) and builds the [`WorkspaceIndex`] (P2's
 /// one-hop call graph over the orb stub API),
-/// the second evaluates the per-file rules plus the cross-file wire
-/// (W1–W4) and lock-graph (L1–L3) passes, and the third routes every
-/// finding back to its file so allow directives apply uniformly.
+/// the second evaluates the per-file rules plus W4 and the cross-file
+/// lock-graph (L1–L3) and failure-path (F1–F4) passes, and the third
+/// routes every finding back to its file so allow directives apply
+/// uniformly.
 pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     let analyses = analyze_workspace(root)?;
     let mut index = WorkspaceIndex::stub_only();
     for fa in &analyses {
         index.absorb(fa);
     }
-    // IDL contracts: compiled by idlc for the wire pass, plus a
-    // pseudo-analysis per file so `// ldft-lint: allow(...)` directives
-    // work in .idl comments.
+    // IDL contracts: compiled by idlc (W0, the call graph's op table),
+    // plus a pseudo-analysis per file so `// ldft-lint: allow(...)`
+    // directives work in .idl comments.
     let idls = contracts(root)?;
     let idl_analyses: Vec<FileAnalysis> = idls
         .sources
@@ -215,8 +217,8 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     }
 
     // Cross-file passes.
-    let wire_report = wire::check(&analyses, &idls);
-    report.wire_ops = wire_report.ops_checked;
+    let wire_findings = wire::check(&analyses);
+    report.wire_ops = idls.ops().count();
     let lock_report = lockgraph::check(&analyses);
     report.lock_sites = lock_report.sites;
     report.lock_classes = lock_report.classes;
@@ -230,7 +232,7 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     for f in idls
         .rejection
         .into_iter()
-        .chain(wire_report.findings)
+        .chain(wire_findings)
         .chain(lock_report.findings)
         .chain(fail_findings)
     {

@@ -81,8 +81,8 @@ pub const SIM_CRATES: &[&str] = &[
 
 /// All rule IDs, in report order.
 pub const RULE_IDS: &[&str] = &[
-    "D1", "D2", "D3", "D4", "P1", "P2", "P3", "W0", "W1", "W2", "W3", "W4", "L1", "L2", "L3", "E1",
-    "E2", "F1", "F2", "F3", "F4",
+    "D1", "D2", "D3", "D4", "P1", "P2", "P3", "W0", "W4", "L1", "L2", "L3", "E1", "E2", "F1", "F2",
+    "F3", "F4",
 ];
 
 /// Human-readable one-liner per rule, for `--list-rules`.
@@ -96,9 +96,6 @@ pub fn rule_summary(id: &str) -> &'static str {
         "P2" => "discarded remote-invocation result (let _ = ...invoke-like(...))",
         "P3" => "FT proxy method invokes without checkpoint-after-success",
         "W0" => "idl/*.idl contract unit rejected by idlc (parse or check error)",
-        "W1" => "IDL operation with no client-side call site (stub drift)",
-        "W2" => "IDL operation without a skeleton dispatch arm, or a dispatch arm for an op absent from the IDL",
-        "W3" => "CDR request tuple disagrees with the IDL in-parameter list (server types / client arity)",
         "W4" => "CdrWrite/CdrRead pair marshals asymmetrically (tag or field-order mismatch)",
         "L1" => "lock-order inversion across simnet::Shared classes (acquisition-graph cycle)",
         "L2" => "re-entrant acquisition of a Shared cell while its guard is live",

@@ -1,11 +1,11 @@
-//! Fixture tests for the v2 rule set: W1–W4 (wire conformance), L1–L3
-//! (lock order over `simnet::Shared`), E1–E2 (exception/epoch hygiene).
-//! Same contract as `fixtures.rs`: every rule has a deliberately-bad
-//! fixture with exact `(rule, line)` hits asserted and a clean
-//! counterpart that must not fire. The L and E rules run through
-//! `analyze_source` (they are per-file); the W rules need an IDL contract
-//! and a workspace view, so those tests call `wire::check` directly over
-//! in-memory `FileAnalysis` values built from the same fixture files.
+//! Fixture tests for the v2 rule set: W0/W4 (contracts compile, codecs
+//! are symmetric), L1–L3 (lock order over `simnet::Shared`), E1–E2
+//! (exception/epoch hygiene). Same contract as `fixtures.rs`: every rule
+//! has a deliberately-bad fixture with exact `(rule, line)` hits asserted
+//! and a clean counterpart that must not fire. The L and E rules run
+//! through `analyze_source` (they are per-file); the W rules only run in
+//! the workspace pass, so those tests call `Contracts::from_sources` and
+//! `wire::check` directly over in-memory values built from the fixtures.
 
 use ldft_lint::analysis::FileAnalysis;
 use ldft_lint::rules::{Severity, WorkspaceIndex};
@@ -27,9 +27,9 @@ fn errors(label: &str, krate: &str, src: &str) -> Vec<(&'static str, usize)> {
         .collect()
 }
 
-/// Run the wire pass over fixture `(path, source)` pairs plus IDL
-/// contracts (compiled as one unit); returns sorted `(rule, file, line)`
-/// hits, `W0` rejections included, and the op count.
+/// Run W4 over fixture `(path, source)` pairs and compile the IDL
+/// contracts as one unit; returns sorted `(rule, file, line)` hits, `W0`
+/// rejections included, and the unit's op count.
 fn wire_errors(
     sources: &[(&str, &str)],
     idls: &[(&str, &str)],
@@ -43,15 +43,15 @@ fn wire_errors(
             .map(|(p, s)| (p.to_string(), s.to_string()))
             .collect(),
     );
-    let report = wire::check(&files, &idls);
+    let findings = wire::check(&files);
     let mut out: Vec<(&'static str, String, usize)> = idls
         .rejection
         .iter()
-        .chain(&report.findings)
+        .chain(&findings)
         .map(|f| (f.rule, f.file.clone(), f.line))
         .collect();
     out.sort();
-    (out, report.ops_checked)
+    (out, idls.ops().count())
 }
 
 // ---------------------------------------------------------------------
@@ -120,95 +120,30 @@ fn l3_blocking_while_held() {
 }
 
 // ---------------------------------------------------------------------
-// W1 / W2 / W3 (IDL ↔ stub ↔ skeleton)
+// W0 (the contracts compile)
 // ---------------------------------------------------------------------
 
-#[test]
-fn w1_w2_w3_contract_drift() {
-    let (hits, ops) = wire_errors(
-        &[
-            (
-                "crates/demo/src/w_server_bad.rs",
-                fixture!("w_server_bad.rs"),
-            ),
-            (
-                "crates/demo/src/w_client_bad.rs",
-                fixture!("w_client_bad.rs"),
-            ),
-        ],
-        &[("idl/wire.idl", fixture!("wire.idl"))],
-    );
-    assert_eq!(ops, 4, "all four Calculator ops cross-checked");
-    assert_eq!(
-        hits,
-        vec![
-            // missing_arm: no client call site, no dispatch arm.
-            ("W1", "idl/wire.idl".to_string(), 7),
-            ("W2", "idl/wire.idl".to_string(), 7),
-            // client sends (a, b, c) where the IDL declares two in-params.
-            ("W3", "crates/demo/src/w_client_bad.rs".to_string(), 4),
-            // "bogus" arm handles an op no IDL declares.
-            ("W2", "crates/demo/src/w_server_bad.rs".to_string(), 12),
-            // server decodes (u32,) where the IDL declares (u32, u32).
-            ("W3", "crates/demo/src/w_server_bad.rs".to_string(), 7),
-        ]
-        .into_iter()
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect::<Vec<_>>()
-    );
-}
+/// A contract idlc accepts, so the unit below has a clean first file.
+const SOUND_IDL: &str = "module Demo {\n  interface Calculator {\n    \
+    void add(in unsigned long a, in unsigned long b, out unsigned long sum);\n    \
+    unsigned long long total();\n  };\n};\n";
 
 #[test]
-fn w1_w2_w3_clean_triple() {
-    let (hits, ops) = wire_errors(
-        &[
-            (
-                "crates/demo/src/w_server_clean.rs",
-                fixture!("w_server_clean.rs"),
-            ),
-            (
-                "crates/demo/src/w_client_clean.rs",
-                fixture!("w_client_clean.rs"),
-            ),
-        ],
-        &[("idl/wire.idl", fixture!("wire.idl"))],
-    );
-    assert_eq!(ops, 4);
+fn w0_sound_contract_counts_its_ops() {
+    let (hits, ops) = wire_errors(&[], &[("idl/sound.idl", SOUND_IDL)]);
     assert_eq!(hits, vec![]);
-}
-
-#[test]
-fn w2_interface_without_any_skeleton() {
-    let (hits, ops) = wire_errors(
-        &[
-            (
-                "crates/demo/src/w_server_clean.rs",
-                fixture!("w_server_clean.rs"),
-            ),
-            (
-                "crates/demo/src/w_client_clean.rs",
-                fixture!("w_client_clean.rs"),
-            ),
-        ],
-        &[
-            ("idl/wire.idl", fixture!("wire.idl")),
-            ("idl/phantom.idl", fixture!("phantom.idl")),
-        ],
-    );
-    assert_eq!(ops, 5, "phantom's op still counts as checked");
-    assert_eq!(hits, vec![("W2", "idl/phantom.idl".to_string(), 2)]);
+    assert_eq!(ops, 2);
 }
 
 #[test]
 fn w0_contract_idlc_rejects() {
     // The second file of the unit names a type nothing declares: exactly
-    // one error, at the operation using it, and no op is cross-checked
-    // against a contract the compiler refused.
+    // one error, at the operation using it, and a contract the compiler
+    // refused contributes no op.
     let (hits, ops) = wire_errors(
         &[],
         &[
-            ("idl/wire.idl", fixture!("wire.idl")),
+            ("idl/sound.idl", SOUND_IDL),
             ("idl/undeclared.idl", fixture!("undeclared.idl")),
         ],
     );

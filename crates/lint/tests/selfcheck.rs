@@ -1,9 +1,10 @@
 //! Self-check: the analyzer run over its own workspace, through the
 //! library API. This is the acceptance gate in executable form — the
-//! committed tree is finding-free, every IDL operation was actually
-//! cross-checked by the wire pass, and the lock graph saw the workspace's
-//! `simnet::Shared` use sites.
+//! committed tree is finding-free, every IDL operation is declared in one
+//! place only and its generated stub is exercised, and the lock graph saw
+//! the workspace's `simnet::Shared` use sites.
 
+use ldft_lint::ast::TokKind;
 use ldft_lint::{contracts, run_workspace};
 use std::path::Path;
 
@@ -35,19 +36,116 @@ fn workspace_is_finding_free() {
 }
 
 #[test]
-fn wire_pass_covers_every_idl_operation() {
+fn the_contracts_compile_and_keep_their_op_inventory() {
     let report = run_workspace(workspace_root()).expect("lint the workspace");
     // Independent count: compile the contracts directly and sum their ops
-    // (attributes expand to `_get_`/`_set_` pseudo-ops on both sides).
+    // (attributes expand to `_get_`/`_set_` pseudo-ops; an inherited op
+    // counts once, where it is declared).
     let independent = contracts(workspace_root())
         .expect("read idl/")
         .ops()
         .count();
-    assert_eq!(
-        report.wire_ops, independent,
-        "wire pass skipped operations the contracts declare"
-    );
+    assert_eq!(report.wire_ops, independent);
     assert_eq!(independent, 56, "idl/*.idl op inventory changed");
+}
+
+/// Generated files: checked in per owning crate and `include!`d.
+fn is_generated(path: &str) -> bool {
+    path.ends_with("/generated.rs") || path.contains("/generated/")
+}
+
+#[test]
+fn every_operation_is_declared_once_in_idl() {
+    // `idl/*.idl` is the only place an operation is declared: servants
+    // implement the trait `idlc` generates and run behind its skeleton,
+    // clients call through its stub. So outside the checked-in generated
+    // files, the service crates hold no dispatch table, no table of op
+    // names, and no op name spelled as a string at a call site.
+    let root = workspace_root();
+    let idls = contracts(root).expect("read idl/");
+    let op_names: std::collections::BTreeSet<&str> =
+        idls.ops().map(|op| op.name.as_str()).collect();
+    const REMOTE_CALLS: &[&str] = &[
+        "call",
+        "call_with_timeout",
+        "oneway",
+        "invoke",
+        "invoke_with_timeout",
+        "invoke_oneway",
+        "send_request",
+        "new", // DiiRequest::new / FtRequest::new
+    ];
+    let mut offences = Vec::new();
+    let mut generated = 0;
+    for fa in ldft_lint::analyze_workspace(root).expect("parse the workspace") {
+        let scoped = fa.path.starts_with("crates/")
+            && fa.path.contains("/src/")
+            && !matches!(fa.crate_dir.as_deref(), Some("idl" | "lint" | "bench"))
+            && !fa.path.starts_with("crates/explore/src/targets/")
+            && !ldft_lint::analysis::is_test_path(&fa.path);
+        if !scoped {
+            continue;
+        }
+        if is_generated(&fa.path) {
+            generated += 1;
+            continue;
+        }
+        let ast = &fa.ast;
+        let within = |outer: &ldft_lint::ast::Scope, inner: &ldft_lint::ast::Scope| {
+            outer.open < inner.open && inner.close < outer.close
+        };
+        for im in ast
+            .impls
+            .iter()
+            .filter(|im| im.trait_name.as_deref() == Some("Servant") && !fa.is_test_line(im.line))
+        {
+            for m in ast.matches.iter().filter(|m| within(&im.body, &m.body)) {
+                // A dispatch table matches on the operation name: the
+                // scrutinee is `op`, or an arm pattern names an operation.
+                let names_op = m.arms.iter().any(|arm| {
+                    let pat = &ast.toks[arm.pat.0..arm.pat.1];
+                    pat.iter()
+                        .any(|t| t.kind == TokKind::Lit && op_names.contains(t.text.as_str()))
+                });
+                if m.scrutinee.trim() == "op" || names_op {
+                    offences.push(format!(
+                        "{}:{}: hand-written dispatch table in `impl Servant for {}`",
+                        fa.path, m.line, im.type_name
+                    ));
+                }
+            }
+        }
+        for (i, t) in ast.toks.iter().enumerate() {
+            if t.is("mod")
+                && ast.toks.get(i + 1).is_some_and(|n| n.text == "ops")
+                && !fa.is_test_line(t.line)
+            {
+                offences.push(format!(
+                    "{}:{}: `mod ops` table of op names",
+                    fa.path, t.line
+                ));
+            }
+        }
+        for c in ast
+            .calls
+            .iter()
+            .filter(|c| REMOTE_CALLS.contains(&c.method.as_str()) && !fa.is_test_line(c.line))
+        {
+            for arg in &c.args {
+                let toks = &ast.toks[arg.toks.0..arg.toks.1];
+                if let [t] = toks {
+                    if t.kind == TokKind::Lit && op_names.contains(t.text.as_str()) {
+                        offences.push(format!(
+                            "{}:{}: op name \"{}\" spelled at a `{}` call site",
+                            fa.path, c.line, t.text, c.method
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(offences.is_empty(), "{}", offences.join("\n"));
+    assert_eq!(generated, 6, "one generated file per contract-owning crate");
 }
 
 #[test]
@@ -64,7 +162,7 @@ fn call_graph_covers_the_workspace() {
     // functions or call sites are genuinely added or removed.
     assert_eq!(
         (g.nodes.len(), g.edges.len(), g.remote_sites.len()),
-        (1289, 4232, 152),
+        (1419, 4642, 166),
         "call-graph inventory changed — confirm the F pass still sees every site:\n{:?}",
         g.crate_counts()
     );
@@ -81,10 +179,11 @@ fn call_graph_covers_the_workspace() {
 
 #[test]
 fn every_idl_op_stub_is_reachable_from_a_test_root() {
-    // Coverage closure: each IDL operation that has a client stub (a
-    // remote invocation site carrying its op name) must be reachable from
-    // a bench binary or a test fn — i.e. something actually exercises the
-    // stub end to end. A stub this assertion flags is dead client code.
+    // Coverage closure: each IDL operation's client stub (a remote
+    // invocation site carrying its op name — the generated stub method)
+    // must be reachable from a bench binary or a test fn — i.e. something
+    // actually exercises the stub end to end. A stub this assertion flags
+    // is dead client code: an operation nobody calls.
     let report = run_workspace(workspace_root()).expect("lint the workspace");
     let g = &report.graph;
     let roots: Vec<usize> = g
@@ -105,11 +204,12 @@ fn every_idl_op_stub_is_reachable_from_a_test_root() {
         .iter()
         .filter_map(|s| s.op.as_deref())
         .collect();
-    assert!(
-        ops.len() >= 47,
-        "op-evidence inventory shrank: {}",
-        ops.len()
-    );
+    // Every operation the contracts declare has such a stub: it is
+    // generated. (Names shared across interfaces count once.)
+    let idls = contracts(workspace_root()).expect("read idl/");
+    let declared: std::collections::BTreeSet<&str> =
+        idls.ops().map(|op| op.name.as_str()).collect();
+    assert_eq!(ops, declared, "a contract op without a generated stub site");
     let dead: Vec<&str> = ops
         .iter()
         .filter(|op| {

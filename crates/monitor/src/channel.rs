@@ -23,11 +23,11 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use obs::Obs;
-use orb::{reply, CallCtx, Exception, Servant, SystemException};
+use orb::{CallCtx, Exception};
 use simnet::{KernelEvent, Shared, SimTime};
 
 use crate::doctor::{Doctor, MonitorConfig};
-use crate::events::{ops, Event, EventBody};
+use crate::events::{Event, EventBody, Monitor};
 
 /// Publisher pid used for kernel-origin events (there is no sim process
 /// behind them).
@@ -547,7 +547,8 @@ impl MonitorHandle {
 }
 
 /// The CORBA servant fronting a [`ChannelState`] — a normal object a POA
-/// activates; publishers reach it with `oneway push` batches.
+/// activates behind an [`EventChannelSkeleton`](crate::EventChannelSkeleton);
+/// publishers reach it with `oneway push` batches.
 pub struct EventChannel {
     state: Shared<ChannelState>,
 }
@@ -559,47 +560,35 @@ impl EventChannel {
     }
 }
 
-impl Servant for EventChannel {
-    fn dispatch(
-        &mut self,
-        call: &mut CallCtx<'_>,
-        op: &str,
-        args: &[u8],
-    ) -> Result<Vec<u8>, Exception> {
+impl Monitor::EventChannel for EventChannel {
+    fn push(&mut self, call: &mut CallCtx<'_>, batch: Vec<Event>) -> Result<(), Exception> {
         let now = call.ctx.now();
-        match op {
-            ops::PUSH => {
-                let (batch,): (Vec<Event>,) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let mut st = self.state.lock();
-                for ev in batch {
-                    st.ingest(now, ev);
-                }
-                reply(&())
-            }
-            ops::SUBSCRIBE => {
-                let (depth,): (u32,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let id = self.state.lock().subscribe(depth);
-                reply(&id)
-            }
-            ops::UNSUBSCRIBE => {
-                let (sub_id,): (u32,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let live = self.state.lock().unsubscribe(sub_id);
-                reply(&live)
-            }
-            ops::PULL => {
-                let (sub_id, max): (u32, u32) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let batch = self.state.lock().pull(sub_id, max);
-                reply(&batch)
-            }
-            ops::STATS => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                let (received, dropped) = self.state.lock().stats();
-                reply(&(received, dropped))
-            }
-            other => Err(SystemException::bad_operation(other).into()),
+        let mut st = self.state.lock();
+        for ev in batch {
+            st.ingest(now, ev);
         }
+        Ok(())
+    }
+
+    fn subscribe(&mut self, _call: &mut CallCtx<'_>, depth: u32) -> Result<u32, Exception> {
+        Ok(self.state.lock().subscribe(depth))
+    }
+
+    fn unsubscribe(&mut self, _call: &mut CallCtx<'_>, sub_id: u32) -> Result<bool, Exception> {
+        Ok(self.state.lock().unsubscribe(sub_id))
+    }
+
+    fn pull(
+        &mut self,
+        _call: &mut CallCtx<'_>,
+        sub_id: u32,
+        max: u32,
+    ) -> Result<Vec<Event>, Exception> {
+        Ok(self.state.lock().pull(sub_id, max))
+    }
+
+    fn stats(&mut self, _call: &mut CallCtx<'_>) -> Result<(u64, u64), Exception> {
+        Ok(self.state.lock().stats())
     }
 }
 

@@ -1,40 +1,27 @@
 //! Wire types of the monitoring event channel (CDR-encoded, carried over
 //! the ORB as `oneway push` batches).
 //!
-//! Corresponding IDL (also compilable with `idlc`):
+//! The contract is `idl/monitor.idl`; `generated.rs`, included below, is
+//! `idlc`'s output for it: [`Event`], the [`EventChannel`](Monitor::EventChannel)
+//! trait and skeleton the channel servant runs behind, and the
+//! [`EventChannelStub`] publishers and subscribers call through.
 //!
-//! ```idl
-//! module Monitor {
-//!   struct Event {
-//!     unsigned long long time_ns;   // publisher's virtual clock
-//!     unsigned long host;           // publishing host
-//!     unsigned long pid;            // publishing process
-//!     unsigned long long seq;       // per-publisher monotone sequence
-//!     // body: tagged union, see EventBody below
-//!   };
-//!   typedef sequence<Event> EventSeq;
-//!   interface EventChannel {
-//!     oneway void push(in EventSeq batch);
-//!     unsigned long subscribe(in unsigned long depth);
-//!     EventSeq pull(in unsigned long sub_id, in unsigned long max);
-//!     void stats(out unsigned long long received, out unsigned long long dropped);
-//!   };
-//! };
-//! ```
-//!
-//! `EventBody` is a tagged union with per-variant payloads, which
-//! `cdr_enum!` (C-like enums only) cannot derive — the `CdrWrite`/`CdrRead`
-//! impls below hand-encode a `u32` discriminant followed by the variant
-//! fields, exactly the layout an IDL `union` switch would produce.
+//! `EventBody` is a tagged union with per-variant payloads, which IDL
+//! `native` leaves to this module — the `CdrWrite`/`CdrRead` impls below
+//! hand-encode a `u32` discriminant followed by the variant fields,
+//! exactly the layout an IDL `union` switch would produce.
 //!
 //! Loads travel as **milli-units** (`load_avg * 1000`, rounded) so every
 //! consumer formats them with integer arithmetic — a determinism
 //! constraint, not a bandwidth one (DESIGN.md §10).
 
-use cdr::{cdr_struct, CdrDecoder, CdrEncoder, CdrError, CdrRead, CdrResult, CdrWrite, Epoch};
+use cdr::{CdrDecoder, CdrEncoder, CdrError, CdrRead, CdrResult, CdrWrite, Epoch};
+
+include!("generated.rs");
+pub use Monitor::{Event, EventChannelSkeleton, EventChannelStub};
 
 /// Repository id of the event channel interface.
-pub const EVENT_CHANNEL_TYPE: &str = "IDL:Monitor/EventChannel:1.0";
+pub const EVENT_CHANNEL_TYPE: &str = EventChannelStub::REPO_ID;
 
 /// Convert a non-negative float quantity (a load average, a utilization)
 /// to milli-units for the wire. All downstream formatting is integer.
@@ -45,41 +32,6 @@ pub fn milli(value: f64) -> u64 {
 /// The well-known name the channel is registered under in the naming
 /// service (a plain object binding — resolvable like everything else).
 pub const EVENT_CHANNEL_NAME: &str = "MonitorChannel";
-
-/// Operation names of the `EventChannel` interface.
-pub mod ops {
-    /// `oneway void push(in EventSeq batch)` — publish a batch of events.
-    pub const PUSH: &str = "push";
-    /// `ulong subscribe(in ulong depth)` — register a subscriber with a
-    /// bounded ring of `depth` events; returns the subscriber id.
-    pub const SUBSCRIBE: &str = "subscribe";
-    /// `boolean unsubscribe(in ulong sub_id)` — drop a subscriber's ring;
-    /// returns whether the id was live.
-    pub const UNSUBSCRIBE: &str = "unsubscribe";
-    /// `EventSeq pull(in ulong sub_id, in ulong max)` — drain up to `max`
-    /// events from the subscriber's ring, in processed order.
-    pub const PULL: &str = "pull";
-    /// `(ulonglong received, ulonglong dropped) stats()` — events ingested
-    /// and subscriber-ring drops so far.
-    pub const STATS: &str = "stats";
-}
-
-cdr_struct!(
-    /// One monitoring event: who published it, when on the virtual clock,
-    /// and what happened.
-    Event {
-        /// Publisher's virtual time at the moment of publication.
-        time_ns: u64,
-        /// Publishing host (or the subject host for kernel events).
-        host: u32,
-        /// Publishing pid (`u32::MAX` for kernel-origin events).
-        pid: u32,
-        /// Per-publisher monotone sequence number.
-        seq: u64,
-        /// What happened.
-        body: EventBody,
-    }
-);
 
 impl Event {
     /// Total order of the event stream: virtual publish time, ties broken

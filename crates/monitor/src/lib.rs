@@ -35,6 +35,9 @@ mod subscriber;
 
 pub use channel::{ChannelState, EventChannel, MonitorHandle, KERNEL_PID};
 pub use doctor::{Doctor, MonitorConfig};
-pub use events::{milli, ops, Event, EventBody, EVENT_CHANNEL_NAME, EVENT_CHANNEL_TYPE};
+pub use events::{
+    milli, Event, EventBody, EventChannelSkeleton, EventChannelStub, Monitor, EVENT_CHANNEL_NAME,
+    EVENT_CHANNEL_TYPE,
+};
 pub use publisher::Publisher;
 pub use subscriber::Subscription;

@@ -31,7 +31,7 @@ use std::rc::Rc;
 use orb::{DiiRequest, Ior, Orb};
 use simnet::{Ctx, Shared, SimResult};
 
-use crate::events::{ops, Event, EventBody};
+use crate::events::{Event, EventBody, EventChannelStub};
 
 struct PubInner {
     cell: Shared<Option<String>>,
@@ -143,7 +143,8 @@ impl PubInner {
         };
         if !self.reliable {
             let batch = std::mem::take(&mut self.pending);
-            return orb.invoke_oneway(ctx, &ior, ops::PUSH, cdr::to_bytes(&(batch,)));
+            let channel = EventChannelStub::from_ior(ior);
+            return channel.push(orb, ctx, &batch);
         }
         // Reliable mode: at most one push outstanding, so batches arrive
         // in order and a failure re-queues cleanly.
@@ -166,8 +167,8 @@ impl PubInner {
             return Ok(());
         }
         let batch = std::mem::take(&mut self.pending);
-        let mut req = DiiRequest::new(ior, ops::PUSH);
-        req.add_encoded(&cdr::to_bytes(&(batch.clone(),)));
+        let mut req = DiiRequest::new(ior, EventChannelStub::OP_PUSH);
+        req.add_typed(&batch);
         req.send_deferred(orb, ctx)?;
         self.inflight = Some((req, batch));
         Ok(())

@@ -10,12 +10,12 @@
 use orb::{Exception, ObjectRef, Orb};
 use simnet::{Ctx, SimResult};
 
-use crate::events::{ops, Event};
+use crate::events::{Event, EventChannelStub};
 
-/// A registered remote subscription: the channel reference plus the
+/// A registered remote subscription: the channel stub plus the
 /// subscriber id `subscribe` returned.
 pub struct Subscription {
-    obj: ObjectRef,
+    channel: EventChannelStub,
     id: u32,
 }
 
@@ -28,8 +28,9 @@ impl Subscription {
         ctx: &mut Ctx,
         depth: u32,
     ) -> SimResult<Result<Subscription, Exception>> {
-        let r: Result<u32, Exception> = obj.call(orb, ctx, ops::SUBSCRIBE, &(depth,))?;
-        Ok(r.map(|id| Subscription { obj, id }))
+        let channel = EventChannelStub::new(obj);
+        let id = channel.subscribe(orb, ctx, &depth)?;
+        Ok(id.map(|id| Subscription { channel, id }))
     }
 
     /// The server-assigned subscriber id.
@@ -45,17 +46,17 @@ impl Subscription {
         ctx: &mut Ctx,
         max: u32,
     ) -> SimResult<Result<Vec<Event>, Exception>> {
-        self.obj.call(orb, ctx, ops::PULL, &(self.id, max))
+        self.channel.pull(orb, ctx, &self.id, &max)
     }
 
     /// Channel-wide `(events ingested, subscriber-ring drops)`.
     pub fn stats(&self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<Result<(u64, u64), Exception>> {
-        self.obj.call(orb, ctx, ops::STATS, &())
+        self.channel.stats(orb, ctx)
     }
 
     /// Deregister: drop the server-side ring. Consumes the subscription;
     /// returns whether the id was still live on the channel.
     pub fn detach(self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<Result<bool, Exception>> {
-        self.obj.call(orb, ctx, ops::UNSUBSCRIBE, &(self.id,))
+        self.channel.unsubscribe(orb, ctx, &self.id)
     }
 }

@@ -6,8 +6,9 @@ use orb::{Exception, Ior, ObjectRef, Orb};
 use simnet::{Ctx, HostId, SimDuration, SimResult};
 
 use crate::name::Name;
+use crate::protocol::CosNaming::{BindingIteratorStub, NamingContextStub};
 use crate::protocol::{
-    ops, AlreadyBound, Binding, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
+    AlreadyBound, Binding, InvalidName, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
 };
 
 /// Boot-registration retry budget for the `*_retry` helpers. At the
@@ -25,57 +26,35 @@ pub fn initial_naming_ior(host: HostId) -> Ior {
     Ior::new(NAMING_CONTEXT_TYPE, host, NAMING_PORT, ROOT_CONTEXT_KEY)
 }
 
-/// Typed client for a naming context.
+/// Client for a naming context: the generated [`NamingContextStub`]
+/// (`bind`, `rebind`, `unbind`, the group operations, … through `Deref`)
+/// with the operations that answer object references returning usable
+/// handles, plus the bounded boot-registration retries.
 #[derive(Clone, Debug)]
 pub struct NamingClient {
-    /// The context this client talks to.
-    pub obj: ObjectRef,
+    stub: NamingContextStub,
+}
+
+impl std::ops::Deref for NamingClient {
+    type Target = NamingContextStub;
+    fn deref(&self) -> &NamingContextStub {
+        &self.stub
+    }
 }
 
 impl NamingClient {
     /// Wrap a context reference.
     pub fn new(obj: ObjectRef) -> Self {
-        NamingClient { obj }
+        NamingClient {
+            stub: NamingContextStub::new(obj),
+        }
     }
 
     /// Client for the root context of the naming service on `host`.
     pub fn root(host: HostId) -> Self {
         NamingClient {
-            obj: ObjectRef::new(initial_naming_ior(host)),
+            stub: NamingContextStub::from_ior(initial_naming_ior(host)),
         }
-    }
-
-    /// `void bind(in Name n, in Object obj)`.
-    pub fn bind(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        name: &Name,
-        ior: &Ior,
-    ) -> SimResult<Result<(), Exception>> {
-        self.obj.call(orb, ctx, ops::BIND, &(name, ior))
-    }
-
-    /// `void rebind(in Name n, in Object obj)`.
-    pub fn rebind(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        name: &Name,
-        ior: &Ior,
-    ) -> SimResult<Result<(), Exception>> {
-        self.obj.call(orb, ctx, ops::REBIND, &(name, ior))
-    }
-
-    /// `void bind_context(in Name n, in NamingContext nc)`.
-    pub fn bind_context(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        name: &Name,
-        context: &Ior,
-    ) -> SimResult<Result<(), Exception>> {
-        self.obj.call(orb, ctx, ops::BIND_CONTEXT, &(name, context))
     }
 
     /// `Object resolve(in Name n)`.
@@ -85,8 +64,7 @@ impl NamingClient {
         ctx: &mut Ctx,
         name: &Name,
     ) -> SimResult<Result<ObjectRef, Exception>> {
-        let r: Result<Ior, Exception> = self.obj.call(orb, ctx, ops::RESOLVE, &(name,))?;
-        Ok(r.map(ObjectRef::new))
+        Ok(self.stub.resolve(orb, ctx, name)?.map(ObjectRef::new))
     }
 
     /// Resolve a stringified name like `"apps/Workers"`.
@@ -98,18 +76,8 @@ impl NamingClient {
     ) -> SimResult<Result<ObjectRef, Exception>> {
         match Name::parse(name) {
             Ok(n) => self.resolve(orb, ctx, &n),
-            Err(_) => Ok(Err(crate::protocol::InvalidName.raise())),
+            Err(_) => Ok(Err(InvalidName.raise())),
         }
-    }
-
-    /// `void unbind(in Name n)`.
-    pub fn unbind(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        name: &Name,
-    ) -> SimResult<Result<(), Exception>> {
-        self.obj.call(orb, ctx, ops::UNBIND, &(name,))
     }
 
     /// `NamingContext bind_new_context(in Name n)`: create a child context
@@ -120,13 +88,10 @@ impl NamingClient {
         ctx: &mut Ctx,
         name: &Name,
     ) -> SimResult<Result<NamingClient, Exception>> {
-        let r: Result<Ior, Exception> = self.obj.call(orb, ctx, ops::BIND_NEW_CONTEXT, &(name,))?;
-        Ok(r.map(|ior| NamingClient::new(ObjectRef::new(ior))))
-    }
-
-    /// `void destroy()`.
-    pub fn destroy(&self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<Result<(), Exception>> {
-        self.obj.call(orb, ctx, ops::DESTROY, &())
+        let r = self.stub.bind_new_context(orb, ctx, name)?;
+        Ok(r.map(|ior| NamingClient {
+            stub: NamingContextStub::from_ior(ior),
+        }))
     }
 
     /// `list(how_many)`: the first bindings plus an iterator for the rest.
@@ -136,41 +101,13 @@ impl NamingClient {
         ctx: &mut Ctx,
         how_many: u32,
     ) -> SimResult<Result<ListReply, Exception>> {
-        let r: Result<(Vec<Binding>, Option<Ior>), Exception> =
-            self.obj.call(orb, ctx, ops::LIST, &(how_many,))?;
+        let r = self.stub.list(orb, ctx, &how_many)?;
         Ok(r.map(|(bl, it)| {
-            (
-                bl,
-                it.map(|ior| BindingIteratorClient {
-                    obj: ObjectRef::new(ior),
-                }),
-            )
+            let it = it.map(|ior| BindingIteratorClient {
+                stub: BindingIteratorStub::from_ior(ior),
+            });
+            (bl, it)
         }))
-    }
-
-    /// Extension: add a replica to a service group (creating the group).
-    /// This is how servers register with the load-distributing service.
-    pub fn bind_group_member(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        name: &Name,
-        ior: &Ior,
-    ) -> SimResult<Result<(), Exception>> {
-        self.obj
-            .call(orb, ctx, ops::BIND_GROUP_MEMBER, &(name, ior))
-    }
-
-    /// Extension: remove a replica from a service group.
-    pub fn unbind_group_member(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        name: &Name,
-        ior: &Ior,
-    ) -> SimResult<Result<(), Exception>> {
-        self.obj
-            .call(orb, ctx, ops::UNBIND_GROUP_MEMBER, &(name, ior))
     }
 
     /// `rebind`, retried with backoff while the naming service boots.
@@ -186,7 +123,7 @@ impl NamingClient {
     ) -> SimResult<Result<(), Exception>> {
         let mut attempts = 0u32;
         loop {
-            match self.rebind(orb, ctx, name, ior)? {
+            match self.stub.rebind(orb, ctx, name, ior)? {
                 Ok(()) => return Ok(Ok(())),
                 Err(e) if attempts + 1 >= REGISTER_MAX_ATTEMPTS => return Ok(Err(e)),
                 Err(_naming_still_booting) => {
@@ -211,7 +148,7 @@ impl NamingClient {
     ) -> SimResult<Result<(), Exception>> {
         let mut attempts = 0u32;
         loop {
-            match self.bind_group_member(orb, ctx, name, ior)? {
+            match self.stub.bind_group_member(orb, ctx, name, ior)? {
                 Ok(()) => return Ok(Ok(())),
                 Err(e) if AlreadyBound::matches(&e) => return Ok(Ok(())),
                 Err(e) if attempts + 1 >= REGISTER_MAX_ATTEMPTS => return Ok(Err(e)),
@@ -222,49 +159,40 @@ impl NamingClient {
             }
         }
     }
-
-    /// Extension: all replicas of a group.
-    pub fn group_members(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        name: &Name,
-    ) -> SimResult<Result<Vec<Ior>, Exception>> {
-        self.obj.call(orb, ctx, ops::GROUP_MEMBERS, &(name,))
-    }
-
-    /// Extension: the group's membership revision plus its replicas. The
-    /// revision is bumped on every bind/unbind, so a quorum coordinator
-    /// can stamp writes with the view it used and replicas can reject a
-    /// coordinator still acting on a pre-heal view.
-    pub fn group_view(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        name: &Name,
-    ) -> SimResult<Result<(u64, Vec<Ior>), Exception>> {
-        self.obj.call(orb, ctx, ops::GROUP_VIEW, &(name,))
-    }
 }
 
 /// What `list` returns: the first page plus an iterator over the rest.
 pub type ListReply = (Vec<Binding>, Option<BindingIteratorClient>);
 
-/// Typed client for a `BindingIterator`.
+/// Client for a `BindingIterator`: the generated stub (`destroy` through
+/// `Deref`) with the `(more, …)` replies folded.
 #[derive(Clone, Debug)]
 pub struct BindingIteratorClient {
-    /// The iterator reference.
-    pub obj: ObjectRef,
+    stub: BindingIteratorStub,
+}
+
+impl std::ops::Deref for BindingIteratorClient {
+    type Target = BindingIteratorStub;
+    fn deref(&self) -> &BindingIteratorStub {
+        &self.stub
+    }
 }
 
 impl BindingIteratorClient {
+    /// Wrap an iterator reference.
+    pub fn new(obj: ObjectRef) -> Self {
+        BindingIteratorClient {
+            stub: BindingIteratorStub::new(obj),
+        }
+    }
+
     /// `boolean next_one(out Binding b)`.
     pub fn next_one(
         &self,
         orb: &mut Orb,
         ctx: &mut Ctx,
     ) -> SimResult<Result<Option<Binding>, Exception>> {
-        let r: Result<(bool, Binding), Exception> = self.obj.call(orb, ctx, ops::NEXT_ONE, &())?;
+        let r = self.stub.next_one(orb, ctx)?;
         Ok(r.map(|(more, b)| more.then_some(b)))
     }
 
@@ -275,13 +203,7 @@ impl BindingIteratorClient {
         ctx: &mut Ctx,
         how_many: u32,
     ) -> SimResult<Result<Vec<Binding>, Exception>> {
-        let r: Result<(bool, Vec<Binding>), Exception> =
-            self.obj.call(orb, ctx, ops::NEXT_N, &(how_many,))?;
+        let r = self.stub.next_n(orb, ctx, &how_many)?;
         Ok(r.map(|(_, bl)| bl))
-    }
-
-    /// `void destroy()`.
-    pub fn destroy(&self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<Result<(), Exception>> {
-        self.obj.call(orb, ctx, ops::DESTROY, &())
     }
 }

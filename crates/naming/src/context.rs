@@ -16,13 +16,14 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use orb::{reply, CallCtx, Exception, Ior, ObjectKey, Servant, SystemException};
+use orb::{CallCtx, Exception, Ior, ObjectKey, SystemException};
 use winner::SystemManagerClient;
 
 use crate::iterator::BindingIterator;
 use crate::name::{Name, NameComponent};
+use crate::protocol::CosNaming::{self, BindingIteratorSkeleton, NamingContextSkeleton};
 use crate::protocol::{
-    ops, AlreadyBound, Binding, BindingType, EmptyGroup, InvalidName, NotEmpty, NotFound,
+    AlreadyBound, Binding, BindingType, EmptyGroup, InvalidName, NotEmpty, NotFound,
     NotFoundReason, BINDING_ITERATOR_TYPE, NAMING_CONTEXT_TYPE,
 };
 
@@ -163,7 +164,7 @@ impl NamingContext {
         Ok((node, comps[comps.len() - 1].clone()))
     }
 
-    fn bind(&self, name: &Name, entry: Entry) -> Result<(), Exception> {
+    fn bind_entry(&self, name: &Name, entry: Entry) -> Result<(), Exception> {
         let (node, last) = self.walk(name)?;
         let mut tree = self.tree.borrow_mut();
         let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
@@ -174,7 +175,7 @@ impl NamingContext {
         Ok(())
     }
 
-    fn rebind(&self, name: &Name, entry: Entry) -> Result<(), Exception> {
+    fn rebind_entry(&self, name: &Name, entry: Entry) -> Result<(), Exception> {
         let (node, last) = self.walk(name)?;
         let mut tree = self.tree.borrow_mut();
         let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
@@ -269,7 +270,7 @@ impl NamingContext {
         Ok(pick)
     }
 
-    fn resolve(&self, call: &mut CallCtx<'_>, name: &Name) -> Result<Ior, Exception> {
+    fn resolve_name(&self, call: &mut CallCtx<'_>, name: &Name) -> Result<Ior, Exception> {
         let (node, last) = self.walk(name)?;
         self.tree.borrow_mut().resolves += 1;
         {
@@ -295,251 +296,244 @@ impl NamingContext {
         }
         self.pick_member(call, &last, node)
     }
+
+    /// The members and membership revision of the group bound at `name`.
+    fn group(&self, name: &Name) -> Result<(u64, Vec<Ior>), Exception> {
+        let (node, last) = self.walk(name)?;
+        let tree = self.tree.borrow();
+        match tree
+            .nodes
+            .get(&node)
+            .ok_or_else(dead_context)?
+            .entries
+            .get(&last)
+        {
+            Some(Entry::Group {
+                members, revision, ..
+            }) => Ok((*revision, members.clone())),
+            _ => Err(NotFound {
+                why: NotFoundReason::MissingNode,
+                rest_of_name: Name(vec![last]),
+            }
+            .raise()),
+        }
+    }
 }
 
-impl Servant for NamingContext {
-    fn dispatch(
+impl CosNaming::NamingContext for NamingContext {
+    fn bind(&mut self, _call: &mut CallCtx<'_>, n: Name, obj: Ior) -> Result<(), Exception> {
+        self.bind_entry(&n, Entry::Object(obj))
+    }
+
+    fn rebind(&mut self, _call: &mut CallCtx<'_>, n: Name, obj: Ior) -> Result<(), Exception> {
+        self.rebind_entry(&n, Entry::Object(obj))
+    }
+
+    fn bind_context(&mut self, _call: &mut CallCtx<'_>, n: Name, nc: Ior) -> Result<(), Exception> {
+        let node = self.tree.borrow().by_key.get(&nc.key).copied();
+        self.bind_entry(&n, Entry::Context { node, ior: nc })
+    }
+
+    fn resolve(&mut self, call: &mut CallCtx<'_>, n: Name) -> Result<Ior, Exception> {
+        let start = call.ctx.now();
+        let resolved = self.resolve_name(call, &n);
+        if let Some(o) = call.orb.obs().cloned() {
+            o.counter_add("naming.resolves", 1);
+            o.observe("naming.resolve_ns", call.ctx.now().since(start).as_nanos());
+        }
+        resolved
+    }
+
+    fn unbind(&mut self, _call: &mut CallCtx<'_>, n: Name) -> Result<(), Exception> {
+        let (node, last) = self.walk(&n)?;
+        let mut tree = self.tree.borrow_mut();
+        let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
+        if entries.remove(&last).is_none() {
+            return Err(NotFound {
+                why: NotFoundReason::MissingNode,
+                rest_of_name: Name(vec![last]),
+            }
+            .raise());
+        }
+        Ok(())
+    }
+
+    fn bind_new_context(&mut self, call: &mut CallCtx<'_>, n: Name) -> Result<Ior, Exception> {
+        let (node, last) = self.walk(&n)?;
+        // Create the child node.
+        let child_node = {
+            let mut tree = self.tree.borrow_mut();
+            if tree
+                .nodes
+                .get(&node)
+                .ok_or_else(dead_context)?
+                .entries
+                .contains_key(&last)
+            {
+                return Err(AlreadyBound.raise());
+            }
+            let id = tree.next_node;
+            tree.next_node += 1;
+            tree.nodes.insert(
+                id,
+                Node {
+                    entries: BTreeMap::new(),
+                },
+            );
+            id
+        };
+        // Activate a servant for it and bind.
+        let servant = Rc::new(RefCell::new(NamingContextSkeleton(self.child(child_node))));
+        let key = call.poa.activate(NAMING_CONTEXT_TYPE, servant);
+        let ior = call.orb.ior(NAMING_CONTEXT_TYPE, key);
+        {
+            let mut tree = self.tree.borrow_mut();
+            tree.by_key.insert(key, child_node);
+            tree.nodes
+                .get_mut(&node)
+                .ok_or_else(dead_context)?
+                .entries
+                .insert(
+                    last,
+                    Entry::Context {
+                        node: Some(child_node),
+                        ior: ior.clone(),
+                    },
+                );
+        }
+        Ok(ior)
+    }
+
+    fn destroy(&mut self, call: &mut CallCtx<'_>) -> Result<(), Exception> {
+        {
+            let tree = self.tree.borrow();
+            let node = tree.nodes.get(&self.node).ok_or_else(dead_context)?;
+            if !node.entries.is_empty() {
+                return Err(NotEmpty.raise());
+            }
+        }
+        let mut tree = self.tree.borrow_mut();
+        tree.nodes.remove(&self.node);
+        tree.by_key.remove(&call.key);
+        call.poa.deactivate(call.key);
+        Ok(())
+    }
+
+    fn list(
         &mut self,
         call: &mut CallCtx<'_>,
-        op: &str,
-        args: &[u8],
-    ) -> Result<Vec<u8>, Exception> {
-        match op {
-            ops::BIND => {
-                let (name, ior): (Name, Ior) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                self.bind(&name, Entry::Object(ior))?;
-                reply(&())
+        how_many: u32,
+    ) -> Result<(Vec<Binding>, Option<Ior>), Exception> {
+        let mut bindings: Vec<Binding> = {
+            let tree = self.tree.borrow();
+            tree.nodes
+                .get(&self.node)
+                .ok_or_else(dead_context)?
+                .entries
+                .iter()
+                .map(|(comp, entry)| Binding {
+                    name: Name(vec![comp.clone()]),
+                    binding_type: match entry {
+                        Entry::Context { .. } => BindingType::ncontext,
+                        _ => BindingType::nobject,
+                    },
+                })
+                .collect()
+        };
+        bindings.sort_by_key(|a| a.name.stringify());
+        let rest = bindings.split_off((how_many as usize).min(bindings.len()));
+        let iterator = if rest.is_empty() {
+            None
+        } else {
+            let servant = Rc::new(RefCell::new(BindingIteratorSkeleton(BindingIterator::new(
+                rest,
+            ))));
+            let key = call.poa.activate(BINDING_ITERATOR_TYPE, servant);
+            Some(call.orb.ior(BINDING_ITERATOR_TYPE, key))
+        };
+        Ok((bindings, iterator))
+    }
+
+    fn bind_group_member(
+        &mut self,
+        _call: &mut CallCtx<'_>,
+        group: Name,
+        member: Ior,
+    ) -> Result<(), Exception> {
+        let (node, last) = self.walk(&group)?;
+        let mut tree = self.tree.borrow_mut();
+        let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
+        match entries.get_mut(&last) {
+            None => {
+                entries.insert(
+                    last,
+                    Entry::Group {
+                        members: vec![member],
+                        rr: 0,
+                        revision: 1,
+                    },
+                );
             }
-            ops::REBIND => {
-                let (name, ior): (Name, Ior) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                self.rebind(&name, Entry::Object(ior))?;
-                reply(&())
-            }
-            ops::BIND_CONTEXT => {
-                let (name, ior): (Name, Ior) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let node = self.tree.borrow().by_key.get(&ior.key).copied();
-                self.bind(&name, Entry::Context { node, ior })?;
-                reply(&())
-            }
-            ops::RESOLVE => {
-                let (name,): (Name,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let start = call.ctx.now();
-                let resolved = self.resolve(call, &name);
-                if let Some(o) = call.orb.obs().cloned() {
-                    o.counter_add("naming.resolves", 1);
-                    o.observe("naming.resolve_ns", call.ctx.now().since(start).as_nanos());
+            Some(Entry::Group {
+                members, revision, ..
+            }) => {
+                if members.contains(&member) {
+                    return Err(AlreadyBound.raise());
                 }
-                let ior = resolved?;
-                reply(&ior)
+                members.push(member);
+                *revision += 1;
             }
-            ops::UNBIND => {
-                let (name,): (Name,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let (node, last) = self.walk(&name)?;
-                let mut tree = self.tree.borrow_mut();
-                let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
-                if entries.remove(&last).is_none() {
+            Some(_) => return Err(AlreadyBound.raise()),
+        }
+        Ok(())
+    }
+
+    fn unbind_group_member(
+        &mut self,
+        _call: &mut CallCtx<'_>,
+        group: Name,
+        member: Ior,
+    ) -> Result<(), Exception> {
+        let (node, last) = self.walk(&group)?;
+        let mut tree = self.tree.borrow_mut();
+        let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
+        match entries.get_mut(&last) {
+            Some(Entry::Group {
+                members, revision, ..
+            }) => {
+                let before = members.len();
+                members.retain(|m| m != &member);
+                if members.len() == before {
                     return Err(NotFound {
                         why: NotFoundReason::MissingNode,
                         rest_of_name: Name(vec![last]),
                     }
                     .raise());
                 }
-                reply(&())
+                *revision += 1;
+                Ok(())
             }
-            ops::BIND_NEW_CONTEXT => {
-                let (name,): (Name,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let (node, last) = self.walk(&name)?;
-                // Create the child node.
-                let child_node = {
-                    let mut tree = self.tree.borrow_mut();
-                    if tree
-                        .nodes
-                        .get(&node)
-                        .ok_or_else(dead_context)?
-                        .entries
-                        .contains_key(&last)
-                    {
-                        return Err(AlreadyBound.raise());
-                    }
-                    let id = tree.next_node;
-                    tree.next_node += 1;
-                    tree.nodes.insert(
-                        id,
-                        Node {
-                            entries: BTreeMap::new(),
-                        },
-                    );
-                    id
-                };
-                // Activate a servant for it and bind.
-                let servant = Rc::new(RefCell::new(self.child(child_node)));
-                let key = call.poa.activate(NAMING_CONTEXT_TYPE, servant);
-                let ior = call.orb.ior(NAMING_CONTEXT_TYPE, key);
-                {
-                    let mut tree = self.tree.borrow_mut();
-                    tree.by_key.insert(key, child_node);
-                    tree.nodes
-                        .get_mut(&node)
-                        .ok_or_else(dead_context)?
-                        .entries
-                        .insert(
-                            last,
-                            Entry::Context {
-                                node: Some(child_node),
-                                ior: ior.clone(),
-                            },
-                        );
-                }
-                reply(&ior)
+            _ => Err(NotFound {
+                why: NotFoundReason::MissingNode,
+                rest_of_name: Name(vec![last]),
             }
-            ops::DESTROY => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                {
-                    let tree = self.tree.borrow();
-                    let node = tree.nodes.get(&self.node).ok_or_else(dead_context)?;
-                    if !node.entries.is_empty() {
-                        return Err(NotEmpty.raise());
-                    }
-                }
-                let mut tree = self.tree.borrow_mut();
-                tree.nodes.remove(&self.node);
-                tree.by_key.remove(&call.key);
-                call.poa.deactivate(call.key);
-                reply(&())
-            }
-            ops::LIST => {
-                let (how_many,): (u32,) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let mut bindings: Vec<Binding> = {
-                    let tree = self.tree.borrow();
-                    tree.nodes
-                        .get(&self.node)
-                        .ok_or_else(dead_context)?
-                        .entries
-                        .iter()
-                        .map(|(comp, entry)| Binding {
-                            name: Name(vec![comp.clone()]),
-                            binding_type: match entry {
-                                Entry::Context { .. } => BindingType::Context,
-                                _ => BindingType::Object,
-                            },
-                        })
-                        .collect()
-                };
-                bindings.sort_by_key(|a| a.name.stringify());
-                let rest = bindings.split_off((how_many as usize).min(bindings.len()));
-                let iterator = if rest.is_empty() {
-                    None
-                } else {
-                    let servant = Rc::new(RefCell::new(BindingIterator::new(rest)));
-                    let key = call.poa.activate(BINDING_ITERATOR_TYPE, servant);
-                    Some(call.orb.ior(BINDING_ITERATOR_TYPE, key))
-                };
-                reply(&(bindings, iterator))
-            }
-            ops::BIND_GROUP_MEMBER => {
-                let (name, ior): (Name, Ior) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let (node, last) = self.walk(&name)?;
-                let mut tree = self.tree.borrow_mut();
-                let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
-                match entries.get_mut(&last) {
-                    None => {
-                        entries.insert(
-                            last,
-                            Entry::Group {
-                                members: vec![ior],
-                                rr: 0,
-                                revision: 1,
-                            },
-                        );
-                    }
-                    Some(Entry::Group {
-                        members, revision, ..
-                    }) => {
-                        if members.contains(&ior) {
-                            return Err(AlreadyBound.raise());
-                        }
-                        members.push(ior);
-                        *revision += 1;
-                    }
-                    Some(_) => return Err(AlreadyBound.raise()),
-                }
-                reply(&())
-            }
-            ops::UNBIND_GROUP_MEMBER => {
-                let (name, ior): (Name, Ior) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let (node, last) = self.walk(&name)?;
-                let mut tree = self.tree.borrow_mut();
-                let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
-                match entries.get_mut(&last) {
-                    Some(Entry::Group {
-                        members, revision, ..
-                    }) => {
-                        let before = members.len();
-                        members.retain(|m| m != &ior);
-                        if members.len() == before {
-                            return Err(NotFound {
-                                why: NotFoundReason::MissingNode,
-                                rest_of_name: Name(vec![last]),
-                            }
-                            .raise());
-                        }
-                        *revision += 1;
-                        reply(&())
-                    }
-                    _ => Err(NotFound {
-                        why: NotFoundReason::MissingNode,
-                        rest_of_name: Name(vec![last]),
-                    }
-                    .raise()),
-                }
-            }
-            ops::GROUP_MEMBERS => {
-                let (name,): (Name,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let (node, last) = self.walk(&name)?;
-                let tree = self.tree.borrow();
-                match tree
-                    .nodes
-                    .get(&node)
-                    .ok_or_else(dead_context)?
-                    .entries
-                    .get(&last)
-                {
-                    Some(Entry::Group { members, .. }) => reply(&members.clone()),
-                    _ => Err(NotFound {
-                        why: NotFoundReason::MissingNode,
-                        rest_of_name: Name(vec![last]),
-                    }
-                    .raise()),
-                }
-            }
-            ops::GROUP_VIEW => {
-                let (name,): (Name,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let (node, last) = self.walk(&name)?;
-                let tree = self.tree.borrow();
-                match tree
-                    .nodes
-                    .get(&node)
-                    .ok_or_else(dead_context)?
-                    .entries
-                    .get(&last)
-                {
-                    Some(Entry::Group {
-                        members, revision, ..
-                    }) => reply(&(*revision, members.clone())),
-                    _ => Err(NotFound {
-                        why: NotFoundReason::MissingNode,
-                        rest_of_name: Name(vec![last]),
-                    }
-                    .raise()),
-                }
-            }
-            other => Err(SystemException::bad_operation(other).into()),
+            .raise()),
         }
+    }
+
+    fn group_members(
+        &mut self,
+        _call: &mut CallCtx<'_>,
+        group: Name,
+    ) -> Result<Vec<Ior>, Exception> {
+        Ok(self.group(&group)?.1)
+    }
+
+    fn group_view(
+        &mut self,
+        _call: &mut CallCtx<'_>,
+        group: Name,
+    ) -> Result<(u64, Vec<Ior>), Exception> {
+        self.group(&group)
     }
 }

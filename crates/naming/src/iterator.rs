@@ -3,10 +3,10 @@
 
 use std::collections::VecDeque;
 
-use orb::{reply, CallCtx, Exception, Servant, SystemException};
+use orb::{CallCtx, Exception};
 
 use crate::name::Name;
-use crate::protocol::{ops, Binding, BindingType};
+use crate::protocol::{Binding, BindingType, CosNaming};
 
 /// Iterator over bindings not returned directly by `list`.
 pub struct BindingIterator {
@@ -25,38 +25,30 @@ impl BindingIterator {
 fn placeholder() -> Binding {
     Binding {
         name: Name::default(),
-        binding_type: BindingType::Object,
+        binding_type: BindingType::nobject,
     }
 }
 
-impl Servant for BindingIterator {
-    fn dispatch(
+impl CosNaming::BindingIterator for BindingIterator {
+    fn next_one(&mut self, _call: &mut CallCtx<'_>) -> Result<(bool, Binding), Exception> {
+        Ok(match self.items.pop_front() {
+            Some(b) => (true, b),
+            None => (false, placeholder()),
+        })
+    }
+
+    fn next_n(
         &mut self,
-        call: &mut CallCtx<'_>,
-        op: &str,
-        args: &[u8],
-    ) -> Result<Vec<u8>, Exception> {
-        match op {
-            ops::NEXT_ONE => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                match self.items.pop_front() {
-                    Some(b) => reply(&(true, b)),
-                    None => reply(&(false, placeholder())),
-                }
-            }
-            ops::NEXT_N => {
-                let (how_many,): (u32,) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let n = (how_many as usize).min(self.items.len());
-                let batch: Vec<Binding> = self.items.drain(..n).collect();
-                reply(&(!batch.is_empty(), batch))
-            }
-            ops::DESTROY => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                call.poa.deactivate(call.key);
-                reply(&())
-            }
-            other => Err(SystemException::bad_operation(other).into()),
-        }
+        _call: &mut CallCtx<'_>,
+        how_many: u32,
+    ) -> Result<(bool, Vec<Binding>), Exception> {
+        let n = (how_many as usize).min(self.items.len());
+        let batch: Vec<Binding> = self.items.drain(..n).collect();
+        Ok((!batch.is_empty(), batch))
+    }
+
+    fn destroy(&mut self, call: &mut CallCtx<'_>) -> Result<(), Exception> {
+        call.poa.deactivate(call.key);
+        Ok(())
     }
 }

@@ -15,7 +15,8 @@
 //! modified service is never worse than the unmodified one.
 //!
 //! * [`run_naming_service`] — server process body (port 2809, root key 1).
-//! * [`NamingClient`] — typed client (standard ops + group extensions).
+//! * [`NamingClient`] — typed client (standard ops + group extensions),
+//!   over the [`NamingContextStub`] `idlc` generates from `idl/naming.idl`.
 //! * [`Name`] — `id.kind/id.kind` stringified names.
 
 pub mod client;
@@ -29,12 +30,14 @@ pub mod trader;
 pub use client::{initial_naming_ior, BindingIteratorClient, NamingClient};
 pub use context::{LbMode, NamingContext, NamingTree};
 pub use name::{Name, NameComponent, NameParseError};
+pub use protocol::CosNaming::{BindingIteratorSkeleton, NamingContextSkeleton, NamingContextStub};
+pub use protocol::CosTrading::{LookupSkeleton, LookupStub};
 pub use protocol::{
-    AlreadyBound, Binding, BindingType, EmptyGroup, InvalidName, NotEmpty, NotFound,
-    NotFoundReason, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
+    AlreadyBound, Binding, BindingType, CosNaming, CosTrading, EmptyGroup, InvalidName, NotEmpty,
+    NotFound, NotFoundReason, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
 };
 pub use server::{run_naming_service, run_naming_service_obs};
-pub use trader::{run_trader, select_best_offer, Trader, TraderClient, TRADER_TYPE};
+pub use trader::{run_trader, select_best_offer, Trader, TRADER_TYPE};
 
 #[cfg(test)]
 mod naming_tests;

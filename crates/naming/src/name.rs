@@ -5,16 +5,10 @@
 use cdr::{CdrDecoder, CdrEncoder, CdrRead, CdrResult, CdrWrite};
 use std::fmt;
 
-/// One name component: an `id` and a `kind` (both may be empty, but a
-/// fully empty component is invalid).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct NameComponent {
-    /// Identifier.
-    pub id: String,
-    /// Kind qualifier (e.g. "service", "context").
-    pub kind: String,
-}
+pub use crate::protocol::CosNaming::NameComponent;
 
+/// One name component is an `id` and a `kind` (both may be empty, but a
+/// fully empty component is invalid).
 impl NameComponent {
     /// A component with an empty kind.
     pub fn id(id: impl Into<String>) -> Self {
@@ -35,22 +29,6 @@ impl NameComponent {
     /// Whether both fields are empty (not a legal component).
     pub fn is_empty(&self) -> bool {
         self.id.is_empty() && self.kind.is_empty()
-    }
-}
-
-impl CdrWrite for NameComponent {
-    fn write(&self, enc: &mut CdrEncoder) {
-        enc.write_string(&self.id);
-        enc.write_string(&self.kind);
-    }
-}
-
-impl CdrRead for NameComponent {
-    fn read(dec: &mut CdrDecoder<'_>) -> CdrResult<Self> {
-        Ok(NameComponent {
-            id: dec.read_string()?,
-            kind: dec.read_string()?,
-        })
     }
 }
 

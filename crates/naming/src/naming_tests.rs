@@ -7,7 +7,7 @@ use orb::{Ior, ObjectKey, Orb};
 use simnet::{Fault, HostConfig, HostId, Kernel, Pid, Port, SimDuration, SimTime};
 use winner::{BestPerformance, NodeManagerConfig, SystemManagerConfig};
 
-use crate::client::NamingClient;
+use crate::client::{BindingIteratorClient, NamingClient};
 use crate::context::LbMode;
 use crate::name::Name;
 use crate::protocol::{AlreadyBound, EmptyGroup, NotFound};
@@ -151,7 +151,7 @@ fn nested_contexts_and_listing() {
         *out.lock().unwrap(),
         vec![
             "deep:true".to_string(),
-            "list:1:Context:true".to_string(),
+            "list:1:ncontext:true".to_string(),
             "notempty:true".to_string()
         ]
     );
@@ -179,7 +179,7 @@ fn list_pagination_via_iterator() {
         }
         let (bl, it) = ns.list(&mut orb, ctx, 2).unwrap().unwrap();
         o.lock().unwrap().push(bl.len());
-        let it = it.expect("iterator for the remaining 3");
+        let it: BindingIteratorClient = it.expect("iterator for the remaining 3");
         let batch = it.next_n(&mut orb, ctx, 2).unwrap().unwrap();
         o.lock().unwrap().push(batch.len());
         let one = it.next_one(&mut orb, ctx).unwrap().unwrap();
@@ -507,7 +507,7 @@ fn destroyed_context_raises_object_not_exist() {
         ctx.sleep(secs(0.01)).unwrap();
         let mut orb = Orb::init(ctx);
         let ns = NamingClient::root(hosts[0]);
-        let child = ns
+        let child: NamingClient = ns
             .bind_new_context(&mut orb, ctx, &Name::simple("tmp"))
             .unwrap()
             .unwrap();
@@ -592,7 +592,7 @@ fn trader_baseline_with_decentralized_selection() {
     let driver = sim.spawn(hosts[2], "client", move |ctx| {
         ctx.sleep(secs(5.0)).unwrap();
         let mut orb = Orb::init(ctx);
-        let trader = crate::trader::TraderClient::new(orb::ObjectRef::new(
+        let trader = crate::LookupStub::new(orb::ObjectRef::new(
             Ior::destringify(&ti.lock().unwrap().clone().unwrap()).unwrap(),
         ));
         // Export one offer per host 1..=3.

@@ -1,16 +1,30 @@
-//! Wire protocol of the naming service: operation names, user exceptions,
-//! and binding types, following the OMG COS Naming specification (plus the
-//! group-binding extension that carries the paper's load distribution).
+//! Wire protocol of the naming service, following the OMG COS Naming
+//! specification (plus the group-binding extension that carries the
+//! paper's load distribution).
+//!
+//! The contract is `idl/naming.idl`; `generated.rs`, included below, is
+//! `idlc`'s output for it: [`NameComponent`](CosNaming::NameComponent),
+//! [`Binding`], [`BindingType`] and the trait, skeleton and stub of each
+//! interface (`CosNaming::{BindingIterator, NamingContext}`,
+//! `CosTrading::Lookup`). The user exceptions are hand-written here.
 
-use cdr::{cdr_enum, cdr_struct};
-use orb::{Exception, UserException};
+use cdr::cdr_enum;
+use orb::{Exception, Ior, UserException};
 
-use crate::name::Name;
+// `native Name` of the contract.
+pub use crate::name::Name;
+
+/// `native OptionalObject`: `list`'s iterator reference, absent when the
+/// first page held every binding.
+pub type OptionalObject = Option<Ior>;
+
+include!("generated.rs");
+pub use CosNaming::{Binding, BindingType};
 
 /// Repository id of the (load-distributing) naming context interface.
-pub const NAMING_CONTEXT_TYPE: &str = "IDL:CosNaming/NamingContext:1.0";
+pub const NAMING_CONTEXT_TYPE: &str = CosNaming::NamingContextStub::REPO_ID;
 /// Repository id of the binding iterator interface.
-pub const BINDING_ITERATOR_TYPE: &str = "IDL:CosNaming/BindingIterator:1.0";
+pub const BINDING_ITERATOR_TYPE: &str = CosNaming::BindingIteratorStub::REPO_ID;
 
 /// The conventional port of the naming service (CORBA's IANA-registered
 /// 2809), so clients can bootstrap with nothing but a host name.
@@ -19,43 +33,6 @@ pub const NAMING_PORT: simnet::Port = simnet::Port(2809);
 /// Object key of the root context in a freshly booted naming server (the
 /// first object activated in its adapter).
 pub const ROOT_CONTEXT_KEY: orb::ObjectKey = orb::ObjectKey(1);
-
-/// Operation names.
-pub mod ops {
-    /// `void bind(in Name n, in Object obj)`.
-    pub const BIND: &str = "bind";
-    /// `void rebind(in Name n, in Object obj)`.
-    pub const REBIND: &str = "rebind";
-    /// `void bind_context(in Name n, in NamingContext nc)`.
-    pub const BIND_CONTEXT: &str = "bind_context";
-    /// `Object resolve(in Name n)`.
-    pub const RESOLVE: &str = "resolve";
-    /// `void unbind(in Name n)`.
-    pub const UNBIND: &str = "unbind";
-    /// `NamingContext bind_new_context(in Name n)`.
-    pub const BIND_NEW_CONTEXT: &str = "bind_new_context";
-    /// `void destroy()`.
-    pub const DESTROY: &str = "destroy";
-    /// `void list(in unsigned long how_many, out BindingList bl, out BindingIterator bi)`.
-    pub const LIST: &str = "list";
-    /// Extension: `void bind_group_member(in Name n, in Object obj)` —
-    /// adds a replica to a service group (creating the group).
-    pub const BIND_GROUP_MEMBER: &str = "bind_group_member";
-    /// Extension: `void unbind_group_member(in Name n, in Object obj)`.
-    pub const UNBIND_GROUP_MEMBER: &str = "unbind_group_member";
-    /// Extension: `IorSeq group_members(in Name n)`.
-    pub const GROUP_MEMBERS: &str = "group_members";
-    /// Extension: `IorSeq group_view(in Name n, out unsigned long long
-    /// revision)` — the members plus the group's membership revision,
-    /// bumped on every bind/unbind. Quorum coordinators carry the revision
-    /// on writes so replicas can reject a stale view after a partition
-    /// heals.
-    pub const GROUP_VIEW: &str = "group_view";
-    /// BindingIterator: `boolean next_one(out Binding b)`.
-    pub const NEXT_ONE: &str = "next_one";
-    /// BindingIterator: `boolean next_n(in unsigned long how_many, out BindingList bl)`.
-    pub const NEXT_N: &str = "next_n";
-}
 
 cdr_enum!(
     /// Why a `resolve`/`bind` failed with `NotFound`.
@@ -66,26 +43,6 @@ cdr_enum!(
         NotContext = 1,
         /// The final component was a context where an object was expected.
         NotObject = 2,
-    }
-);
-
-cdr_enum!(
-    /// What a binding denotes.
-    BindingType {
-        /// An application object (or a service group).
-        Object = 0,
-        /// A child naming context.
-        Context = 1,
-    }
-);
-
-cdr_struct!(
-    /// One entry in a `list` result.
-    Binding {
-        /// The binding's name relative to the listed context (one component).
-        name: crate::name::Name,
-        /// Object or context.
-        binding_type: BindingType,
     }
 );
 
@@ -196,7 +153,7 @@ mod tests {
     fn binding_round_trip() {
         let b = Binding {
             name: Name::simple("svc"),
-            binding_type: BindingType::Object,
+            binding_type: BindingType::nobject,
         };
         let back: Binding = cdr::from_bytes(&cdr::to_bytes(&b)).unwrap();
         assert_eq!(b, back);

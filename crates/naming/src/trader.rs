@@ -20,22 +20,14 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use orb::{reply, CallCtx, Exception, Ior, ObjectRef, Orb, Poa, Servant, SystemException};
+use orb::{CallCtx, Exception, Ior, Orb, Poa};
 use simnet::{Ctx, SimResult};
 use winner::{performance_score_of, SystemManagerClient};
 
-/// Repository id of the trader lookup interface.
-pub const TRADER_TYPE: &str = "IDL:CosTrading/Lookup:1.0";
+use crate::protocol::CosTrading::{self, LookupSkeleton, LookupStub};
 
-/// Operation names.
-pub mod trader_ops {
-    /// `void export(in string service_type, in Object offer)`.
-    pub const EXPORT: &str = "export";
-    /// `void withdraw(in string service_type, in Object offer)`.
-    pub const WITHDRAW: &str = "withdraw";
-    /// `IorSeq query(in string service_type)`.
-    pub const QUERY: &str = "query";
-}
+/// Repository id of the trader lookup interface.
+pub const TRADER_TYPE: &str = LookupStub::REPO_ID;
 
 /// The trader servant: a flat multimap from service type to offers.
 #[derive(Default)]
@@ -52,96 +44,39 @@ impl Trader {
     }
 }
 
-impl Servant for Trader {
-    fn dispatch(
+impl CosTrading::Lookup for Trader {
+    fn export(
         &mut self,
         _call: &mut CallCtx<'_>,
-        op: &str,
-        args: &[u8],
-    ) -> Result<Vec<u8>, Exception> {
-        match op {
-            trader_ops::EXPORT => {
-                let (ty, ior): (String, Ior) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let offers = self.offers.entry(ty).or_default();
-                if !offers.contains(&ior) {
-                    offers.push(ior);
-                }
-                reply(&())
-            }
-            trader_ops::WITHDRAW => {
-                let (ty, ior): (String, Ior) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                if let Some(offers) = self.offers.get_mut(&ty) {
-                    offers.retain(|o| o != &ior);
-                }
-                reply(&())
-            }
-            trader_ops::QUERY => {
-                let (ty,): (String,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                self.queries += 1;
-                let offers = self.offers.get(&ty).cloned().unwrap_or_default();
-                reply(&offers)
-            }
-            other => Err(SystemException::bad_operation(other).into()),
+        service_type: String,
+        offer: Ior,
+    ) -> Result<(), Exception> {
+        let offers = self.offers.entry(service_type).or_default();
+        if !offers.contains(&offer) {
+            offers.push(offer);
         }
-    }
-}
-
-/// Typed client for the trader.
-#[derive(Clone, Debug)]
-pub struct TraderClient {
-    /// The trader reference.
-    pub obj: ObjectRef,
-}
-
-impl TraderClient {
-    /// Wrap a reference.
-    pub fn new(obj: ObjectRef) -> Self {
-        TraderClient { obj }
+        Ok(())
     }
 
-    /// Export an offer.
-    pub fn export(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        service_type: &str,
-        offer: &Ior,
-    ) -> SimResult<Result<(), Exception>> {
-        self.obj.call(
-            orb,
-            ctx,
-            trader_ops::EXPORT,
-            &(service_type.to_string(), offer),
-        )
+    fn withdraw(
+        &mut self,
+        _call: &mut CallCtx<'_>,
+        service_type: String,
+        offer: Ior,
+    ) -> Result<(), Exception> {
+        if let Some(offers) = self.offers.get_mut(&service_type) {
+            offers.retain(|o| o != &offer);
+        }
+        Ok(())
     }
 
-    /// Withdraw an offer.
-    pub fn withdraw(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        service_type: &str,
-        offer: &Ior,
-    ) -> SimResult<Result<(), Exception>> {
-        self.obj.call(
-            orb,
-            ctx,
-            trader_ops::WITHDRAW,
-            &(service_type.to_string(), offer),
-        )
-    }
-
-    /// Query all offers of a type.
-    pub fn query(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        service_type: &str,
-    ) -> SimResult<Result<Vec<Ior>, Exception>> {
-        self.obj
-            .call(orb, ctx, trader_ops::QUERY, &(service_type.to_string(),))
+    fn query(
+        &mut self,
+        _call: &mut CallCtx<'_>,
+        service_type: String,
+    ) -> Result<Vec<Ior>, Exception> {
+        self.queries += 1;
+        Ok(self.offers.get(&service_type).cloned().unwrap_or_default())
     }
 }
 
@@ -184,7 +119,8 @@ pub fn run_trader(ctx: &mut Ctx, publish: impl FnOnce(Ior)) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
     orb.listen(ctx)?;
     let poa = Poa::new();
-    let key = poa.activate(TRADER_TYPE, Rc::new(RefCell::new(Trader::new())));
+    let trader = Rc::new(RefCell::new(LookupSkeleton(Trader::new())));
+    let key = poa.activate(TRADER_TYPE, trader);
     publish(orb.ior(TRADER_TYPE, key));
     orb.serve_forever(ctx, &poa)
 }

@@ -30,10 +30,12 @@ pub use decompose::{DecomposedRosenbrock, Partition, SubRosenbrock};
 pub use functions::{Griewank, Rastrigin, Rosenbrock, Sphere};
 pub use manager::{run_manager, FtSettings, ManagerConfig, RunReport};
 pub use problem::{Bounds, Problem};
-pub use protocol::{ops, worker_group, SolveResult, SolveSpec, WORKER_SERVICE_TYPE, WORKER_TYPE};
+pub use protocol::{
+    worker_group, Optim, SolveResult, SolveSpec, WorkerFtProxy, WorkerSkeleton, WorkerStub,
+    WORKER_SERVICE_TYPE, WORKER_TYPE,
+};
 pub use worker::{
     run_worker_server, run_worker_server_obs, worker_builder, WorkerCosts, WorkerServant,
-    WorkerStub,
 };
 
 #[cfg(test)]

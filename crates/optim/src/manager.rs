@@ -17,8 +17,7 @@ use simnet::{Ctx, HostId, SimDuration, SimResult};
 
 use crate::complex_box::{AskTellComplex, ComplexBoxConfig};
 use crate::decompose::DecomposedRosenbrock;
-use crate::protocol::{ops, worker_group, SolveResult, SolveSpec, WORKER_SERVICE_TYPE};
-use crate::worker::WorkerStub;
+use crate::protocol::{worker_group, SolveResult, SolveSpec, WorkerStub, WORKER_SERVICE_TYPE};
 
 /// Fault-tolerance settings for the manager's worker calls.
 #[derive(Clone, Debug)]
@@ -132,6 +131,11 @@ pub struct RunReport {
     pub placements: Vec<u32>,
 }
 
+/// The manager's workers: generated stubs, or FT proxies when fault
+/// tolerance is on. Both fan out with deferred requests (all workers
+/// compute concurrently), so the calls go through `DiiRequest` /
+/// `FtRequest` under the generated op-name constants rather than through
+/// the synchronous typed methods.
 enum Handles {
     Plain(Vec<WorkerStub>),
     Ft(Vec<FtProxy>),
@@ -213,8 +217,8 @@ fn run_manager_with_orb(
                 pcfg.mode = ft.mode;
                 pcfg.checkpoint_every = ft.checkpoint_every.max(1);
                 pcfg.max_recoveries_per_call = ft.max_recoveries;
-                pcfg.checkpoint_op = ops::GET_CHECKPOINT.into();
-                pcfg.restore_op = ops::RESTORE_CHECKPOINT.into();
+                pcfg.checkpoint_op = WorkerStub::OP_GET_CHECKPOINT.into();
+                pcfg.restore_op = WorkerStub::OP_RESTORE_CHECKPOINT.into();
                 if ft.store_retries > 0 {
                     pcfg.store_name = Some(store_name.clone());
                     pcfg.store_retries = ft.store_retries;
@@ -270,8 +274,8 @@ fn run_manager_with_orb(
                 // Deferred DII fan-out: all workers compute concurrently.
                 let mut reqs: Vec<DiiRequest> = Vec::with_capacity(cfg.workers);
                 for (w, spec) in specs.iter().enumerate() {
-                    let mut r = DiiRequest::new(stubs[w].obj.ior.clone(), ops::SOLVE);
-                    r.add_typed(&(spec,));
+                    let mut r = DiiRequest::new(stubs[w].obj.ior.clone(), WorkerStub::OP_SOLVE);
+                    r.add_typed(spec);
                     r.send_deferred(orb, ctx)?;
                     reqs.push(r);
                 }
@@ -292,8 +296,8 @@ fn run_manager_with_orb(
             Handles::Ft(proxies) => {
                 let mut reqs: Vec<FtRequest> = Vec::with_capacity(cfg.workers);
                 for (w, spec) in specs.iter().enumerate() {
-                    let mut r = FtRequest::new(ops::SOLVE);
-                    r.add_typed(&(spec,));
+                    let mut r = FtRequest::new(WorkerStub::OP_SOLVE);
+                    r.add_typed(spec);
                     let mut env = ProxyEnv { orb, ctx };
                     r.send_deferred(&mut proxies[w], &mut env)?;
                     reqs.push(r);

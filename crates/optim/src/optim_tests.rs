@@ -9,7 +9,8 @@ use simnet::{HostConfig, HostId, Kernel, SimDuration, SimTime};
 
 use crate::manager::{run_manager, FtSettings, ManagerConfig, RunReport};
 use crate::protocol::SolveSpec;
-use crate::worker::{run_worker_server, worker_builder, WorkerCosts, WorkerStub};
+use crate::protocol::WorkerStub;
+use crate::worker::{run_worker_server, worker_builder, WorkerCosts};
 
 type Cell<T> = Arc<Mutex<T>>;
 
@@ -218,9 +219,9 @@ fn manager_with_ft_proxies_survives_host_crash() {
         let poa = orb::Poa::new();
         let key = poa.activate(
             ftproxy::CHECKPOINT_SERVICE_TYPE,
-            std::rc::Rc::new(std::cell::RefCell::new(
+            std::rc::Rc::new(std::cell::RefCell::new(ftproxy::CheckpointServiceSkeleton(
                 ftproxy::CheckpointService::in_memory(),
-            )),
+            ))),
         );
         let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
         let ns = NamingClient::root(h0);

@@ -1,40 +1,21 @@
 //! Wire protocol between the optimization manager and its workers.
 //!
-//! Corresponding IDL (kept compilable with `idlc`; see the test):
-//!
-//! ```idl
-//! module Optim {
-//!   typedef sequence<double> DoubleSeq;
-//!   struct SolveSpec {
-//!     unsigned long problem_id;
-//!     unsigned long dim;
-//!     boolean has_left;   double left;
-//!     boolean has_right;  double right;
-//!     unsigned long long iters;
-//!     unsigned long long seed;
-//!     boolean reset;
-//!   };
-//!   struct SolveResult {
-//!     double best_value;
-//!     DoubleSeq best_point;
-//!     unsigned long long iterations;
-//!     unsigned long long evals;
-//!   };
-//!   typedef sequence<octet> OctetSeq;
-//!   interface Worker {
-//!     readonly attribute unsigned long solve_count;
-//!     SolveResult solve(in SolveSpec spec);
-//!     OctetSeq get_checkpoint();
-//!     void restore_checkpoint(in OctetSeq state);
-//!   };
-//! };
-//! ```
+//! The contract is `idl/optim.idl`; `generated.rs`, included below, is
+//! `idlc`'s output for it: [`SolveSpec`], [`SolveResult`], and the
+//! `Worker` trait and skeleton, the [`WorkerStub`] the manager holds (its
+//! op-name constants also label the deferred fan-out) and the typed
+//! [`WorkerFtProxy`] for synchronous fault-tolerant callers.
 
-use cdr::cdr_struct;
 use cosnaming::Name;
 
+/// `native OptionalDouble`: a coordination value that may be absent.
+pub type OptionalDouble = Option<f64>;
+
+include!("generated.rs");
+pub use Optim::{SolveResult, SolveSpec, WorkerFtProxy, WorkerSkeleton, WorkerStub};
+
 /// Repository id of the worker interface.
-pub const WORKER_TYPE: &str = "IDL:Optim/Worker:1.0";
+pub const WORKER_TYPE: &str = WorkerStub::REPO_ID;
 
 /// Service-type string factories use to instantiate workers.
 pub const WORKER_SERVICE_TYPE: &str = "OptimWorker";
@@ -43,53 +24,6 @@ pub const WORKER_SERVICE_TYPE: &str = "OptimWorker";
 pub fn worker_group() -> Name {
     Name::simple("Workers")
 }
-
-/// Operation names.
-pub mod ops {
-    /// `SolveResult solve(in SolveSpec spec)`.
-    pub const SOLVE: &str = "solve";
-    /// `OctetSeq get_checkpoint()` — the FT proxy's state fetch.
-    pub const GET_CHECKPOINT: &str = "get_checkpoint";
-    /// `void restore_checkpoint(in OctetSeq state)`.
-    pub const RESTORE_CHECKPOINT: &str = "restore_checkpoint";
-    /// `readonly attribute unsigned long solve_count`.
-    pub const GET_SOLVE_COUNT: &str = "_get_solve_count";
-}
-
-cdr_struct!(
-    /// One subproblem-solving assignment.
-    SolveSpec {
-        /// Block index (also the worker's state key for this subproblem).
-        problem_id: u32,
-        /// Block dimension.
-        dim: u32,
-        /// Fixed left coordination value, if any.
-        left: Option<f64>,
-        /// Fixed right coordination value, if any.
-        right: Option<f64>,
-        /// Complex Box iterations to run — the paper's stopping criterion
-        /// and Table 1's sweep variable.
-        iters: u64,
-        /// Seed for a fresh population.
-        seed: u64,
-        /// Ignore any cached population and start fresh.
-        reset: bool,
-    }
-);
-
-cdr_struct!(
-    /// A worker's answer.
-    SolveResult {
-        /// Best objective value found.
-        best_value: f64,
-        /// Best point found (block variables).
-        best_point: Vec<f64>,
-        /// Total iterations this worker has run on this subproblem.
-        iterations: u64,
-        /// Total objective evaluations on this subproblem.
-        evals: u64,
-    }
-);
 
 #[cfg(test)]
 mod tests {
@@ -120,35 +54,5 @@ mod tests {
         };
         let back: SolveResult = cdr::from_bytes(&cdr::to_bytes(&r)).unwrap();
         assert_eq!(r, back);
-    }
-
-    #[test]
-    fn worker_idl_compiles_with_idlc() {
-        let idl = r#"
-            module Optim {
-              typedef sequence<double> DoubleSeq;
-              struct SolveSpec {
-                unsigned long problem_id; unsigned long dim;
-                boolean has_left; double left;
-                boolean has_right; double right;
-                unsigned long long iters; unsigned long long seed;
-                boolean reset;
-              };
-              struct SolveResult {
-                double best_value; DoubleSeq best_point;
-                unsigned long long iterations; unsigned long long evals;
-              };
-              typedef sequence<octet> OctetSeq;
-              interface Worker {
-                readonly attribute unsigned long solve_count;
-                SolveResult solve(in SolveSpec spec);
-                OctetSeq get_checkpoint();
-                void restore_checkpoint(in OctetSeq state);
-              };
-            };
-        "#;
-        let code = idlc::compile(idl, &idlc::GenOptions::default()).unwrap();
-        assert!(code.contains("pub struct WorkerStub"));
-        assert!(code.contains("pub struct WorkerFtProxy"));
     }
 }

@@ -13,12 +13,12 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use cosnaming::NamingClient;
-use orb::{reply, CallCtx, Exception, Orb, Poa, Servant, SystemException};
+use orb::{CallCtx, Exception, Orb, Poa, Servant, SystemException};
 use simnet::{Ctx, HostId, SimResult};
 
 use crate::complex_box::{ComplexBox, ComplexBoxConfig, ComplexState};
 use crate::decompose::SubRosenbrock;
-use crate::protocol::{ops, worker_group, SolveResult, SolveSpec, WORKER_TYPE};
+use crate::protocol::{worker_group, Optim, SolveResult, SolveSpec, WorkerSkeleton, WORKER_TYPE};
 
 /// CPU cost model of a worker (translates algorithm work into simulated
 /// time; the algorithm itself runs for real).
@@ -56,12 +56,10 @@ impl WorkerServant {
             solve_count: 0,
         }
     }
+}
 
-    fn solve(
-        &mut self,
-        call: &mut CallCtx<'_>,
-        spec: &SolveSpec,
-    ) -> Result<SolveResult, Exception> {
+impl Optim::Worker for WorkerServant {
+    fn solve(&mut self, call: &mut CallCtx<'_>, spec: SolveSpec) -> Result<SolveResult, Exception> {
         if spec.dim == 0 {
             return Err(SystemException::new(
                 orb::SysKind::BadParam,
@@ -112,12 +110,12 @@ impl WorkerServant {
     }
 
     /// Serialize the full worker state (checkpoint payload).
-    fn checkpoint(&self) -> Vec<u8> {
+    fn get_checkpoint(&mut self, _call: &mut CallCtx<'_>) -> Result<Vec<u8>, Exception> {
         // BTreeMap iteration is already key-ordered, so the payload bytes
         // are deterministic without an explicit sort.
         let entries: Vec<(u32, ComplexState)> =
             self.state.iter().map(|(k, v)| (*k, v.clone())).collect();
-        cdr::to_bytes(&(self.solve_count, entries))
+        Ok(cdr::to_bytes(&(self.solve_count, entries)))
     }
 
     /// Replace the whole worker state from a checkpoint. Note: if several
@@ -125,74 +123,20 @@ impl WorkerServant {
     /// restore wins; a clobbered subproblem merely loses its warm-start
     /// population (correctness is unaffected — the next `solve` starts
     /// fresh).
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), Exception> {
+    fn restore_checkpoint(
+        &mut self,
+        _call: &mut CallCtx<'_>,
+        state: Vec<u8>,
+    ) -> Result<(), Exception> {
         let (solve_count, entries): (u32, Vec<(u32, ComplexState)>) =
-            cdr::from_bytes(bytes).map_err(SystemException::marshal)?;
+            cdr::from_bytes(&state).map_err(SystemException::marshal)?;
         self.solve_count = solve_count;
         self.state = entries.into_iter().collect();
         Ok(())
     }
-}
 
-impl Servant for WorkerServant {
-    fn dispatch(
-        &mut self,
-        call: &mut CallCtx<'_>,
-        op: &str,
-        args: &[u8],
-    ) -> Result<Vec<u8>, Exception> {
-        match op {
-            ops::SOLVE => {
-                let (spec,): (SolveSpec,) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let r = self.solve(call, &spec)?;
-                reply(&r)
-            }
-            ops::GET_CHECKPOINT => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                reply(&self.checkpoint())
-            }
-            ops::RESTORE_CHECKPOINT => {
-                let (state,): (Vec<u8>,) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                self.restore(&state)?;
-                reply(&())
-            }
-            ops::GET_SOLVE_COUNT => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                reply(&self.solve_count)
-            }
-            other => Err(SystemException::bad_operation(other).into()),
-        }
-    }
-}
-
-/// Typed client stub for a worker (what `idlc` generates).
-#[derive(Clone, Debug)]
-pub struct WorkerStub {
-    /// The worker reference.
-    pub obj: orb::ObjectRef,
-}
-
-impl WorkerStub {
-    /// Wrap a reference.
-    pub fn new(obj: orb::ObjectRef) -> Self {
-        WorkerStub { obj }
-    }
-
-    /// `SolveResult solve(in SolveSpec spec)`.
-    pub fn solve(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        spec: &SolveSpec,
-    ) -> SimResult<Result<SolveResult, Exception>> {
-        self.obj.call(orb, ctx, ops::SOLVE, &(spec,))
-    }
-
-    /// `unsigned long solve_count()`.
-    pub fn solve_count(&self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<Result<u32, Exception>> {
-        self.obj.call(orb, ctx, ops::GET_SOLVE_COUNT, &())
+    fn get_solve_count(&mut self, _call: &mut CallCtx<'_>) -> Result<u32, Exception> {
+        Ok(self.solve_count)
     }
 }
 
@@ -202,7 +146,8 @@ pub fn worker_builder(costs: WorkerCosts) -> ftproxy::ServantBuilder {
     Box::new(move |_call, ty| {
         (ty == crate::protocol::WORKER_SERVICE_TYPE).then(|| {
             (
-                Rc::new(RefCell::new(WorkerServant::new(costs))) as Rc<RefCell<dyn Servant>>,
+                Rc::new(RefCell::new(WorkerSkeleton(WorkerServant::new(costs))))
+                    as Rc<RefCell<dyn Servant>>,
                 WORKER_TYPE.to_string(),
             )
         })
@@ -229,7 +174,7 @@ pub fn run_worker_server_obs(
     }
     orb.listen(ctx)?;
     let poa = Poa::new();
-    let servant = Rc::new(RefCell::new(WorkerServant::new(costs)));
+    let servant = Rc::new(RefCell::new(WorkerSkeleton(WorkerServant::new(costs))));
     let key = poa.activate(WORKER_TYPE, servant);
     let ior = orb.ior(WORKER_TYPE, key);
     let ns = NamingClient::root(naming_host);

@@ -1,5 +1,5 @@
-//! `ObjectRef`: the client-side handle to a remote object. Typed stubs
-//! (hand-written or generated by `idlc`) are thin wrappers over this.
+//! `ObjectRef`: the client-side handle to a remote object. The typed stubs
+//! `idlc` generates are thin wrappers over this.
 
 use cdr::{CdrRead, CdrWrite};
 use simnet::{Ctx, SimDuration, SimResult};

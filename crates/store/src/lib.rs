@@ -30,16 +30,14 @@
 //! (cf. Dwork/Halpern/Waarts: recovery cost, not crash count, dominates
 //! useful work). See DESIGN.md §9 for the protocol rules.
 
-pub mod admin;
 pub mod chaos;
 pub mod deploy;
 pub mod protocol;
 pub mod replica;
 
-pub use admin::ReplicaAdmin;
 pub use chaos::{ChaosConfig, ChaosPlan};
 pub use deploy::{spawn_replicated_store, StoreDeployment};
-pub use protocol::{ops, StoreConfig};
+pub use protocol::{ReplicationSkeleton, ReplicationStub, Store, StoreConfig};
 pub use replica::{run_store_replica, StoreReplica};
 
 #[cfg(test)]

@@ -1,46 +1,26 @@
-//! Replication protocol surface: the replica-to-replica operation names
-//! and the store configuration.
+//! Replication protocol surface and the store configuration.
 //!
-//! Client-facing operations are exactly the `CheckpointService` ones
-//! ([`ftproxy::service::ops`]); a [`crate::StoreReplica`] answers both.
-//! The `repl_*` operations below are only ever sent replica-to-replica:
-//! they apply a record locally and never fan out further, so replication
-//! cannot loop.
+//! The contract is `idl/store.idl`; `generated.rs`, included below, is
+//! `idlc`'s output for it. `Store::Replication` inherits
+//! `FT::CheckpointService`: a [`crate::StoreReplica`] is a checkpoint
+//! service to its clients and additionally serves the `repl_*`
+//! operations, which are only ever sent replica-to-replica — they apply a
+//! record locally and never fan out further, so replication cannot loop.
+//!
+//! The three `repl_*` *write* ops share one wire shape:
+//! `(unsigned long long view_revision, sequence<octet> body)` — the
+//! naming group's membership revision the coordinator acted on, then the
+//! original client request body. A replica that has witnessed a newer
+//! revision rejects the write with `TRANSIENT`, so a coordinator still on
+//! a pre-partition-heal view cannot assemble a quorum.
 
 use simnet::SimDuration;
 
-use ftproxy::StoreCosts;
+// `Store` names `FT::Checkpoint` and inherits `FT::CheckpointService`.
+use ftproxy::{StoreCosts, FT};
 
-/// Replica-to-replica operation names.
-///
-/// The three `repl_*` *write* ops share one wire shape:
-/// `(unsigned long long view_revision, sequence<octet> body)` — the
-/// naming group's membership revision the coordinator acted on, then the
-/// original client request body. A replica that has witnessed a newer
-/// revision rejects the write with `TRANSIENT`, so a coordinator still on
-/// a pre-partition-heal view cannot assemble a quorum.
-pub mod ops {
-    /// `void repl_store(in ViewStamped s)` — body is
-    /// `(in Checkpoint c)`; apply a bulk record locally.
-    pub const REPL_STORE: &str = "repl_store";
-    /// `void repl_store_value(in ViewStamped s)` — body is
-    /// `(in string id, in string key, in any v)`.
-    pub const REPL_STORE_VALUE: &str = "repl_store_value";
-    /// `boolean repl_delete(in ViewStamped s)` — body is
-    /// `(in string id)`; apply a delete locally.
-    pub const REPL_DELETE: &str = "repl_delete";
-    /// `(boolean, Checkpoint) repl_get(in string id)` — local newest
-    /// epoch, for quorum reads and anti-entropy tooling.
-    pub const REPL_GET: &str = "repl_get";
-    /// `(ulonglong, ulonglong) gc()` — compact now: keep only the newest
-    /// epoch per object and drop superseded chunks. Returns
-    /// `(epochs_dropped, chunks_dropped)`.
-    pub const GC: &str = "gc";
-    /// `(ulonglong, ulonglong, ulonglong) store_status()` — objects,
-    /// retained epochs, values held locally (introspection for tests and
-    /// tools).
-    pub const STORE_STATUS: &str = "store_status";
-}
+include!("generated.rs");
+pub use Store::{ReplicationSkeleton, ReplicationStub};
 
 /// Configuration one replica (and the deployment helper) runs with.
 #[derive(Clone, Debug)]

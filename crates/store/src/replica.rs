@@ -42,13 +42,13 @@ use std::collections::BTreeMap;
 
 use cdr::{Any, Epoch, TypeCode, Value};
 use cosnaming::{Name, NamingClient, NotFound};
-use ftproxy::service::ops as client_ops;
-use ftproxy::{Checkpoint, CHECKPOINT_SERVICE_NAME};
+use ftproxy::service::no_checkpoint;
+use ftproxy::{Checkpoint, CHECKPOINT_SERVICE_NAME, FT};
 use monitor::{EventBody, Publisher};
-use orb::{reply, CallCtx, Exception, Ior, Servant, SystemException};
+use orb::{CallCtx, Exception, Ior, Orb, SystemException};
 use simnet::{Ctx, HostId, SimResult, SimTime};
 
-use crate::protocol::{ops, StoreConfig};
+use crate::protocol::{ReplicationSkeleton, ReplicationStub, Store, StoreConfig};
 
 /// Epoch of a `CkptHeader` any, if that is what it is.
 fn header_epoch_of(v: &Any) -> Option<Epoch> {
@@ -78,6 +78,40 @@ fn chunk_epoch_of(v: &Any) -> Option<Epoch> {
 
 fn killed() -> Exception {
     Exception::System(SystemException::comm_failure("killed"))
+}
+
+/// Which `repl_*` operation a coordinated write fans out as.
+#[derive(Clone, Copy)]
+enum Fanout {
+    Store,
+    StoreValue,
+    Delete,
+}
+
+impl Fanout {
+    fn op(self) -> &'static str {
+        match self {
+            Fanout::Store => ReplicationStub::OP_REPL_STORE,
+            Fanout::StoreValue => ReplicationStub::OP_REPL_STORE_VALUE,
+            Fanout::Delete => ReplicationStub::OP_REPL_DELETE,
+        }
+    }
+
+    /// Send the view-stamped `body` to one peer; only the ack matters.
+    fn deliver(
+        self,
+        peer: &ReplicationStub,
+        orb: &mut Orb,
+        ctx: &mut Ctx,
+        revision: u64,
+        body: &Vec<u8>,
+    ) -> SimResult<Result<(), Exception>> {
+        match self {
+            Fanout::Store => peer.repl_store(orb, ctx, &revision, body),
+            Fanout::StoreValue => peer.repl_store_value(orb, ctx, &revision, body),
+            Fanout::Delete => Ok(peer.repl_delete(orb, ctx, &revision, body)?.map(drop)),
+        }
+    }
 }
 
 /// One replica of the replicated checkpoint store.
@@ -341,14 +375,14 @@ impl StoreReplica {
     }
 
     /// Fan a locally applied write out to the peers in the view and
-    /// enforce the quorum. `op` is the `repl_*` operation; its body is
-    /// the original client request body wrapped as
-    /// `(view_revision, body)` so replicas can reject a stale view.
+    /// enforce the quorum. `body` is the client request body (the
+    /// in-parameters as the client's stub encoded them); each peer gets
+    /// it as `(view_revision, body)` so replicas can reject a stale view.
     fn replicate(
         &mut self,
         call: &mut CallCtx<'_>,
-        op: &str,
-        args: &[u8],
+        fanout: Fanout,
+        body: Vec<u8>,
         object: &str,
         epoch: Epoch,
     ) -> Result<(), Exception> {
@@ -371,20 +405,13 @@ impl StoreReplica {
         let po = call.orb.obs().cloned();
         if let Some(o) = &po {
             o.begin(call.ctx.now(), "store.replicate");
-            o.tag("op", op);
+            o.tag("op", fanout.op());
         }
-        let stamped = cdr::to_bytes(&(revision, args.to_vec()));
         let mut acks = 1usize; // the coordinator's local apply
-        for peer in &peers {
-            let outcome = call.orb.invoke_with_timeout(
-                call.ctx,
-                peer,
-                op,
-                stamped.clone(),
-                Some(self.cfg.repl_timeout),
-            );
-            match outcome {
-                Ok(Ok(_)) => {
+        for peer in peers {
+            let peer = ReplicationStub::from_ior(peer).with_deadline(Some(self.cfg.repl_timeout));
+            match fanout.deliver(&peer, call.orb, call.ctx, revision, &body) {
+                Ok(Ok(())) => {
                     acks += 1;
                     if let Some(o) = &po {
                         o.counter_add("store.repl_acks", 1);
@@ -443,144 +470,176 @@ impl StoreReplica {
     fn bulk_work(&self, state_bytes: usize) -> f64 {
         self.cfg.costs.bulk_fixed + self.cfg.costs.bulk_per_byte * state_bytes as f64
     }
-}
 
-impl Servant for StoreReplica {
-    fn dispatch(
+    /// This replica's newest local epoch of `object_id`, or `false` and a
+    /// placeholder — what both `retrieve` and `repl_get` answer.
+    fn read_local(
         &mut self,
         call: &mut CallCtx<'_>,
-        op: &str,
-        args: &[u8],
-    ) -> Result<Vec<u8>, Exception> {
-        match op {
-            // ---------------- client-coordinated writes ----------------
-            client_ops::STORE => {
-                let (ckpt,): (Checkpoint,) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                // Confirm the membership view BEFORE applying locally: a
-                // coordinator that cannot read the view (a partition
-                // minority) must fail cleanly, not leave a divergent
-                // epoch behind for a post-heal reader to find.
-                self.view(call)?;
-                self.compute(call, self.bulk_work(ckpt.state.len()))?;
-                self.stores += 1;
-                let (object, epoch) = (ckpt.object_id.clone(), ckpt.epoch);
-                self.apply_bulk(ckpt);
-                self.replicate(call, ops::REPL_STORE, args, &object, epoch)?;
-                reply(&())
-            }
-            client_ops::STORE_VALUE => {
-                let (id, key, value): (String, String, Any) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                self.view(call)?;
-                self.compute(call, self.cfg.costs.value_fixed)?;
-                self.value_stores += 1;
-                let epoch = if key == "header" {
-                    header_epoch_of(&value).unwrap_or(Epoch::ZERO)
-                } else {
-                    Epoch::ZERO
-                };
-                self.apply_value(&id, &key, value);
-                self.replicate(call, ops::REPL_STORE_VALUE, args, &id, epoch)?;
-                reply(&())
-            }
-            client_ops::DELETE => {
-                let (id,): (String,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                self.view(call)?;
-                let deleted = self.apply_delete(&id);
-                self.replicate(call, ops::REPL_DELETE, args, &id, Epoch::ZERO)?;
-                reply(&deleted)
-            }
-            // ---------------- replica-to-replica applies ---------------
-            // Each carries `(view_revision, body)`: the membership
-            // revision the coordinator acted on, then the original client
-            // request body. Stale revisions are rejected before applying.
-            ops::REPL_STORE => {
-                let (revision, body): (u64, Vec<u8>) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                self.note_coordinator_view(revision)?;
-                let (ckpt,): (Checkpoint,) =
-                    cdr::from_bytes(&body).map_err(SystemException::marshal)?;
-                self.compute(call, self.bulk_work(ckpt.state.len()))?;
-                self.repl_applied += 1;
-                self.apply_bulk(ckpt);
-                reply(&())
-            }
-            ops::REPL_STORE_VALUE => {
-                let (revision, body): (u64, Vec<u8>) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                self.note_coordinator_view(revision)?;
-                let (id, key, value): (String, String, Any) =
-                    cdr::from_bytes(&body).map_err(SystemException::marshal)?;
-                self.compute(call, self.cfg.costs.value_fixed)?;
-                self.repl_applied += 1;
-                self.apply_value(&id, &key, value);
-                reply(&())
-            }
-            ops::REPL_DELETE => {
-                let (revision, body): (u64, Vec<u8>) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                self.note_coordinator_view(revision)?;
-                let (id,): (String,) = cdr::from_bytes(&body).map_err(SystemException::marshal)?;
-                self.repl_applied += 1;
-                reply(&self.apply_delete(&id))
-            }
-            // ---------------- reads (served locally) -------------------
-            client_ops::RETRIEVE | ops::REPL_GET => {
-                let (id,): (String,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let got = self.local_newest(&id).cloned();
-                self.compute(
-                    call,
-                    self.bulk_work(got.as_ref().map_or(0, |c| c.state.len())),
-                )?;
-                match got {
-                    Some(c) => reply(&(true, c)),
-                    None => reply(&(
-                        false,
-                        Checkpoint {
-                            object_id: id,
-                            epoch: Epoch::ZERO,
-                            state: Vec::new(),
-                            stamp_ns: 0,
-                        },
-                    )),
-                }
-            }
-            client_ops::RETRIEVE_VALUE => {
-                let (id, key): (String, String) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                self.compute(call, self.cfg.costs.value_fixed)?;
-                match self.values.get(&id).and_then(|m| m.get(&key)) {
-                    Some(v) => reply(&(true, v)),
-                    None => reply(&(false, Any::boolean(false))),
-                }
-            }
-            client_ops::LIST => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                let ids: Vec<String> = self.bulks.keys().cloned().collect();
-                reply(&ids)
-            }
-            client_ops::VALUE_COUNT => {
-                let (id,): (String,) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let n = self.values.get(&id).map_or(0, |m| m.len() as u32);
-                reply(&n)
-            }
-            // ---------------- maintenance ------------------------------
-            ops::GC => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                let (e, c) = self.compact();
-                if let Some(o) = call.orb.obs().cloned() {
-                    o.counter_add("store.gc_epochs", e);
-                    o.counter_add("store.gc_chunks", c);
-                }
-                reply(&(e, c))
-            }
-            ops::STORE_STATUS => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                reply(&self.status())
-            }
-            other => Err(SystemException::bad_operation(other).into()),
+        object_id: String,
+    ) -> Result<(bool, Checkpoint), Exception> {
+        let got = self.local_newest(&object_id).cloned();
+        self.compute(
+            call,
+            self.bulk_work(got.as_ref().map_or(0, |c| c.state.len())),
+        )?;
+        Ok(match got {
+            Some(c) => (true, c),
+            None => (false, no_checkpoint(object_id)),
+        })
+    }
+
+    /// The request body of a peer-coordinated write, once its view stamp
+    /// is admitted: the in-parameters of the client operation it repeats.
+    fn admit<T: cdr::CdrRead>(&mut self, revision: u64, body: &[u8]) -> Result<T, Exception> {
+        self.note_coordinator_view(revision)?;
+        Ok(cdr::from_bytes(body).map_err(SystemException::marshal)?)
+    }
+}
+
+// ---------------- the client-facing checkpoint service ---------------------
+// Writes are coordinated: applied locally, then fanned out to the view.
+// Reads are served locally.
+impl FT::CheckpointService for StoreReplica {
+    fn store(&mut self, call: &mut CallCtx<'_>, c: Checkpoint) -> Result<(), Exception> {
+        // Confirm the membership view BEFORE applying locally: a
+        // coordinator that cannot read the view (a partition
+        // minority) must fail cleanly, not leave a divergent
+        // epoch behind for a post-heal reader to find.
+        self.view(call)?;
+        self.compute(call, self.bulk_work(c.state.len()))?;
+        self.stores += 1;
+        let body = cdr::to_bytes(&(&c,));
+        let (object, epoch) = (c.object_id.clone(), c.epoch);
+        self.apply_bulk(c);
+        self.replicate(call, Fanout::Store, body, &object, epoch)
+    }
+
+    fn retrieve(
+        &mut self,
+        call: &mut CallCtx<'_>,
+        object_id: String,
+    ) -> Result<(bool, Checkpoint), Exception> {
+        self.read_local(call, object_id)
+    }
+
+    fn delete(&mut self, call: &mut CallCtx<'_>, object_id: String) -> Result<bool, Exception> {
+        self.view(call)?;
+        let deleted = self.apply_delete(&object_id);
+        let body = cdr::to_bytes(&(&object_id,));
+        self.replicate(call, Fanout::Delete, body, &object_id, Epoch::ZERO)?;
+        Ok(deleted)
+    }
+
+    fn list(&mut self, _call: &mut CallCtx<'_>) -> Result<Vec<String>, Exception> {
+        Ok(self.bulks.keys().cloned().collect())
+    }
+
+    fn store_value(
+        &mut self,
+        call: &mut CallCtx<'_>,
+        object_id: String,
+        key: String,
+        value: Any,
+    ) -> Result<(), Exception> {
+        self.view(call)?;
+        self.compute(call, self.cfg.costs.value_fixed)?;
+        self.value_stores += 1;
+        let epoch = if key == "header" {
+            header_epoch_of(&value).unwrap_or(Epoch::ZERO)
+        } else {
+            Epoch::ZERO
+        };
+        let body = cdr::to_bytes(&(&object_id, &key, &value));
+        self.apply_value(&object_id, &key, value);
+        self.replicate(call, Fanout::StoreValue, body, &object_id, epoch)
+    }
+
+    fn retrieve_value(
+        &mut self,
+        call: &mut CallCtx<'_>,
+        object_id: String,
+        key: String,
+    ) -> Result<(bool, Any), Exception> {
+        self.compute(call, self.cfg.costs.value_fixed)?;
+        Ok(
+            match self.values.get(&object_id).and_then(|m| m.get(&key)) {
+                Some(v) => (true, v.clone()),
+                None => (false, Any::boolean(false)),
+            },
+        )
+    }
+
+    fn value_count(
+        &mut self,
+        _call: &mut CallCtx<'_>,
+        object_id: String,
+    ) -> Result<u32, Exception> {
+        Ok(self.values.get(&object_id).map_or(0, |m| m.len() as u32))
+    }
+}
+
+// ---------------- replica-to-replica applies, maintenance ------------------
+// Each `repl_*` write carries `(view_revision, body)`: the membership
+// revision the coordinator acted on, then the original client request
+// body. Stale revisions are rejected before applying.
+impl Store::Replication for StoreReplica {
+    fn repl_store(
+        &mut self,
+        call: &mut CallCtx<'_>,
+        view_revision: u64,
+        body: Vec<u8>,
+    ) -> Result<(), Exception> {
+        let (ckpt,): (Checkpoint,) = self.admit(view_revision, &body)?;
+        self.compute(call, self.bulk_work(ckpt.state.len()))?;
+        self.repl_applied += 1;
+        self.apply_bulk(ckpt);
+        Ok(())
+    }
+
+    fn repl_store_value(
+        &mut self,
+        call: &mut CallCtx<'_>,
+        view_revision: u64,
+        body: Vec<u8>,
+    ) -> Result<(), Exception> {
+        let (id, key, value): (String, String, Any) = self.admit(view_revision, &body)?;
+        self.compute(call, self.cfg.costs.value_fixed)?;
+        self.repl_applied += 1;
+        self.apply_value(&id, &key, value);
+        Ok(())
+    }
+
+    fn repl_delete(
+        &mut self,
+        _call: &mut CallCtx<'_>,
+        view_revision: u64,
+        body: Vec<u8>,
+    ) -> Result<bool, Exception> {
+        let (id,): (String,) = self.admit(view_revision, &body)?;
+        self.repl_applied += 1;
+        Ok(self.apply_delete(&id))
+    }
+
+    fn repl_get(
+        &mut self,
+        call: &mut CallCtx<'_>,
+        object_id: String,
+    ) -> Result<(bool, Checkpoint), Exception> {
+        self.read_local(call, object_id)
+    }
+
+    fn gc(&mut self, call: &mut CallCtx<'_>) -> Result<(u64, u64), Exception> {
+        let (e, c) = self.compact();
+        if let Some(o) = call.orb.obs().cloned() {
+            o.counter_add("store.gc_epochs", e);
+            o.counter_add("store.gc_chunks", c);
         }
+        Ok((e, c))
+    }
+
+    fn store_status(&mut self, _call: &mut CallCtx<'_>) -> Result<(u64, u64, u64), Exception> {
+        Ok(self.status())
     }
 }
 
@@ -600,13 +659,12 @@ pub fn run_store_replica(
     orb.listen(ctx)?;
     let poa = orb::Poa::new();
     let monitor_cell = cfg.monitor.clone();
-    let replica = std::rc::Rc::new(std::cell::RefCell::new(StoreReplica::new(cfg, naming_host)));
-    if let Some(cell) = monitor_cell {
-        replica.borrow_mut().monitor = Some(Publisher::new(cell, ctx));
-    }
+    let mut replica = StoreReplica::new(cfg, naming_host);
+    replica.monitor = monitor_cell.map(|cell| Publisher::new(cell, ctx));
+    let replica = std::rc::Rc::new(std::cell::RefCell::new(ReplicationSkeleton(replica)));
     let key = poa.activate(ftproxy::CHECKPOINT_SERVICE_TYPE, replica.clone());
     let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
-    replica.borrow_mut().self_ior = Some(ior.clone());
+    replica.borrow_mut().0.self_ior = Some(ior.clone());
     let ns = NamingClient::root(naming_host);
     let name = Name::simple(CHECKPOINT_SERVICE_NAME);
     // Bounded boot registration; see `NamingClient::bind_group_member_retry`.

@@ -374,7 +374,7 @@ fn write_replicates_to_every_view_member() {
             .unwrap();
         assert_eq!(members.len(), 3);
         for m in members {
-            let admin = crate::admin::ReplicaAdmin::new(orb::ObjectRef::new(m));
+            let admin = crate::ReplicationStub::new(orb::ObjectRef::new(m));
             let status = admin.store_status(&mut orb, ctx).unwrap().unwrap();
             c.lock().unwrap().push(status);
         }
@@ -582,7 +582,7 @@ fn partition_heal_keeps_a_single_linear_epoch_history() {
             }
         }
         for m in &members {
-            let admin = crate::admin::ReplicaAdmin::new(orb::ObjectRef::new(m.clone()));
+            let admin = crate::ReplicationStub::new(orb::ObjectRef::new(m.clone()));
             let (found, c) = admin.repl_get(&mut orb, ctx, "obj").unwrap().unwrap();
             sw.lock()
                 .unwrap()
@@ -620,7 +620,7 @@ fn partition_heal_keeps_a_single_linear_epoch_history() {
 #[test]
 fn admin_client_reads_and_compacts_over_the_wire() {
     // Drive the maintenance surface (`repl_get`, `gc`, `store_status` in
-    // idl/store.idl) through the typed ReplicaAdmin client against every
+    // idl/store.idl) through the generated ReplicationStub against every
     // group member: each replica reports the replicated newest epoch,
     // compacts its superseded epochs, and shows the shrunken status.
     let mut sim = Kernel::with_seed(5);
@@ -645,7 +645,7 @@ fn admin_client_reads_and_compacts_over_the_wire() {
             .unwrap();
         assert_eq!(members.len(), 2);
         for m in members {
-            let admin = crate::admin::ReplicaAdmin::new(orb::ObjectRef::new(m));
+            let admin = crate::ReplicationStub::new(orb::ObjectRef::new(m));
             let (found, c) = admin.repl_get(&mut orb, ctx, "obj").unwrap().unwrap();
             assert!(found, "every replica holds the replicated record");
             let (epochs_dropped, _chunks) = admin.gc(&mut orb, ctx).unwrap().unwrap();

@@ -171,3 +171,65 @@ proptest! {
         }
     }
 }
+
+/// A value for `store_value`: the chunk shape the FT proxy writes, or a
+/// plain double / string, so alignment after odd-length strings varies.
+fn any_strategy() -> impl Strategy<Value = cdr::Any> {
+    use cdr::{Any, TypeCode, Value};
+    prop_oneof![
+        any::<f64>().prop_map(Any::double),
+        ".{0,9}".prop_map(Any::string),
+        (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..40)).prop_map(|(epoch, data)| {
+            Any {
+                tc: TypeCode::Struct {
+                    name: "CkptChunk".into(),
+                    members: vec![
+                        ("epoch".into(), TypeCode::ULongLong),
+                        ("data".into(), TypeCode::Sequence(Box::new(TypeCode::Octet))),
+                    ],
+                },
+                value: Value::Struct(vec![
+                    Value::ULongLong(epoch),
+                    Value::Sequence(data.into_iter().map(Value::Octet).collect()),
+                ]),
+            }
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A coordinator fans a write out as the request body *re-encoded from
+    /// the decoded in-parameters* (the generated skeleton hands it values,
+    /// not bytes). That equals forwarding the client's bytes only if
+    /// decode-then-encode is the identity on every request a stub can
+    /// produce — whatever the string lengths do to alignment.
+    #[test]
+    fn a_decoded_write_request_reencodes_to_the_bytes_it_came_in_as(
+        id in ".{0,12}",
+        key in ".{0,7}",
+        epoch in any::<u64>(),
+        state in proptest::collection::vec(any::<u8>(), 0..64),
+        stamp_ns in any::<u64>(),
+        value in any_strategy(),
+    ) {
+        let ckpt = ftproxy::Checkpoint {
+            object_id: id.clone(),
+            epoch: cdr::Epoch(epoch),
+            state,
+            stamp_ns,
+        };
+        let sent = cdr::to_bytes(&(&ckpt,));
+        let (seen,): (ftproxy::Checkpoint,) = cdr::from_bytes(&sent).unwrap();
+        prop_assert_eq!(cdr::to_bytes(&(&seen,)), sent);
+
+        let sent = cdr::to_bytes(&(id.as_str(), key.as_str(), &value));
+        let (i, k, v): (String, String, cdr::Any) = cdr::from_bytes(&sent).unwrap();
+        prop_assert_eq!(cdr::to_bytes(&(&i, &k, &v)), sent);
+
+        let sent = cdr::to_bytes(&(id.as_str(),));
+        let (i,): (String,) = cdr::from_bytes(&sent).unwrap();
+        prop_assert_eq!(cdr::to_bytes(&(&i,)), sent);
+    }
+}

@@ -1,38 +1,44 @@
-//! Typed client stub for the system manager (what `idlc` would generate
-//! for `Winner::SystemManager`).
+//! The system manager's typed client and its server process body.
 
 use orb::{Exception, Ior, ObjectRef, Orb};
 use simnet::{Ctx, SimResult};
 
-use crate::protocol::{ops, HostStatus, LoadReport, SelectRequest, SYSTEM_MANAGER_TYPE};
+use crate::protocol::{
+    SelectRequest, SystemManagerSkeleton, SystemManagerStub, SYSTEM_MANAGER_TYPE,
+};
 use crate::system_manager::{SystemManager, SystemManagerConfig};
 
-/// Client stub for `Winner::SystemManager`.
+/// Client for `Winner::SystemManager`: the generated stub (`report`,
+/// `snapshot` through `Deref`) with `select` answering an `Option`.
 #[derive(Clone, Debug)]
 pub struct SystemManagerClient {
-    /// The underlying reference.
-    pub obj: ObjectRef,
+    stub: SystemManagerStub,
+}
+
+impl std::ops::Deref for SystemManagerClient {
+    type Target = SystemManagerStub;
+    fn deref(&self) -> &SystemManagerStub {
+        &self.stub
+    }
 }
 
 impl SystemManagerClient {
     /// Wrap a reference.
     pub fn new(obj: ObjectRef) -> Self {
-        SystemManagerClient { obj }
+        SystemManagerClient {
+            stub: SystemManagerStub::new(obj),
+        }
     }
 
     /// Wrap an IOR.
     pub fn from_ior(ior: Ior) -> Self {
         SystemManagerClient {
-            obj: ObjectRef::new(ior),
+            stub: SystemManagerStub::from_ior(ior),
         }
     }
 
-    /// `oneway void report(in LoadReport load)`.
-    pub fn report(&self, orb: &mut Orb, ctx: &mut Ctx, load: &LoadReport) -> SimResult<()> {
-        self.obj.oneway(orb, ctx, ops::REPORT, &(load,))
-    }
-
-    /// `void select(...)`: best host among `candidates` (empty = any).
+    /// Best host among `candidates` (empty = any), or `None` when no
+    /// candidate has fresh load data.
     pub fn select(
         &self,
         orb: &mut Orb,
@@ -42,17 +48,8 @@ impl SystemManagerClient {
         let req = SelectRequest {
             candidates: candidates.to_vec(),
         };
-        let r: Result<(bool, u32), Exception> = self.obj.call(orb, ctx, ops::SELECT, &(req,))?;
+        let r = self.stub.select(orb, ctx, &req)?;
         Ok(r.map(|(found, host)| found.then_some(host)))
-    }
-
-    /// `HostStatusSeq snapshot()`.
-    pub fn snapshot(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-    ) -> SimResult<Result<Vec<HostStatus>, Exception>> {
-        self.obj.call(orb, ctx, ops::SNAPSHOT, &())
     }
 }
 
@@ -83,10 +80,9 @@ pub fn run_system_manager_obs(
     orb.listen(ctx)?;
     let poa = orb::Poa::new();
     let monitor_cell = cfg.monitor.clone();
-    let servant = std::rc::Rc::new(std::cell::RefCell::new(SystemManager::new(cfg, policy)));
-    if let Some(cell) = monitor_cell {
-        servant.borrow_mut().monitor = Some(monitor::Publisher::new(cell, ctx));
-    }
+    let mut manager = SystemManager::new(cfg, policy);
+    manager.monitor = monitor_cell.map(|cell| monitor::Publisher::new(cell, ctx));
+    let servant = std::rc::Rc::new(std::cell::RefCell::new(SystemManagerSkeleton(manager)));
     let key = poa.activate(SYSTEM_MANAGER_TYPE, servant);
     publish(orb.ior(SYSTEM_MANAGER_TYPE, key));
     orb.serve_forever(ctx, &poa)

@@ -12,8 +12,9 @@
 //!   spread across machines, and expires hosts whose reports go stale.
 //! * [`policy`] — pluggable selection policies; `BestPerformance` is the
 //!   paper's, `RoundRobin` models a load-oblivious baseline.
-//! * [`SystemManagerClient`] — the typed client stub used by the naming
-//!   service and by tools.
+//! * [`SystemManagerClient`] — the typed client used by the naming
+//!   service and by tools, over the [`SystemManagerStub`] `idlc`
+//!   generates from `idl/winner.idl`.
 
 pub mod client;
 pub mod node_manager;
@@ -28,7 +29,8 @@ pub use policy::{
     SelectionPolicy, Uniform, WeightedRandom,
 };
 pub use protocol::{
-    HostStatus, LoadReport, SelectRequest, SYSTEM_MANAGER_NAME, SYSTEM_MANAGER_TYPE,
+    HostStatus, LoadReport, SelectRequest, SystemManagerSkeleton, SystemManagerStub, Winner,
+    SYSTEM_MANAGER_NAME, SYSTEM_MANAGER_TYPE,
 };
 pub use system_manager::{ReportOutcome, SystemManager, SystemManagerConfig};
 

@@ -1,133 +1,20 @@
 //! Wire types of the Winner resource-management protocol (CDR-encoded,
 //! carried over the ORB).
 //!
-//! Corresponding IDL (also compilable with `idlc`):
-//!
-//! ```idl
-//! module Winner {
-//!   struct LoadReport {
-//!     unsigned long host;
-//!     double speed;
-//!     unsigned long runnable;
-//!     double load_avg;
-//!     double cpu_util;
-//!     unsigned long long seq;
-//!     long long stamp_ns;
-//!   };
-//!   struct HostStatus {
-//!     unsigned long host;
-//!     double speed;
-//!     double load_avg;
-//!     double cpu_util;
-//!     unsigned long runnable;
-//!     double reservations;
-//!     boolean alive;
-//!     double score;
-//!   };
-//!   typedef sequence<unsigned long> HostSeq;
-//!   typedef sequence<HostStatus> HostStatusSeq;
-//!   struct SelectRequest {
-//!     HostSeq candidates;
-//!   };
-//!   interface SystemManager {
-//!     oneway void report(in LoadReport load);
-//!     void select(in SelectRequest req, out boolean found, out unsigned long host);
-//!     HostStatusSeq snapshot();
-//!   };
-//! };
-//! ```
-//!
-//! The authoritative copy of this contract is `idl/winner.idl`; the
-//! lint's wire pass (W1–W3) cross-checks it against this module and the
-//! system-manager servant.
+//! The contract is `idl/winner.idl`; `generated.rs`, included below, is
+//! `idlc`'s output for it: the [`LoadReport`] a node manager sends, the
+//! [`HostStatus`] rows of a `snapshot`, the [`SelectRequest`], and the
+//! `SystemManager` trait, skeleton and stub.
 
-use cdr::{cdr_struct, CdrRead, CdrResult, CdrWrite};
+include!("generated.rs");
+pub use Winner::{HostStatus, LoadReport, SelectRequest, SystemManagerSkeleton, SystemManagerStub};
 
 /// Repository id of the system manager interface.
-pub const SYSTEM_MANAGER_TYPE: &str = "IDL:Winner/SystemManager:1.0";
+pub const SYSTEM_MANAGER_TYPE: &str = SystemManagerStub::REPO_ID;
 
 /// The well-known name the system manager is registered under in the
 /// naming service.
 pub const SYSTEM_MANAGER_NAME: &str = "WinnerSystemManager";
-
-cdr_struct!(
-    /// One periodic measurement a node manager sends to the system manager
-    /// — the data "like CPU utilization which is collected by the host
-    /// operating system" (§2).
-    LoadReport {
-        /// Reporting host.
-        host: u32,
-        /// Benchmark speed of the host (work units per second).
-        speed: f64,
-        /// Currently runnable processes.
-        runnable: u32,
-        /// Load average (EWMA of runnable count).
-        load_avg: f64,
-        /// CPU utilization in [0, 1].
-        cpu_util: f64,
-        /// Monotone per-node sequence number (stale reports are dropped).
-        seq: u64,
-        /// The node's wall-clock reading at sampling time, in nanoseconds.
-        /// On a healthy host this equals virtual time; a fault-injected
-        /// clock skew shifts it, and the system manager quarantines
-        /// reports whose stamp strays too far from its own clock.
-        stamp_ns: i64,
-    }
-);
-
-cdr_struct!(
-    /// The system manager's view of one host, as returned by `snapshot`.
-    HostStatus {
-        /// Host id.
-        host: u32,
-        /// Benchmark speed.
-        speed: f64,
-        /// Last reported load average.
-        load_avg: f64,
-        /// Last reported CPU utilization.
-        cpu_util: f64,
-        /// Last reported runnable count.
-        runnable: u32,
-        /// Outstanding placement reservations (decay over time).
-        reservations: f64,
-        /// Whether reports are fresh enough to trust the host.
-        alive: bool,
-        /// The policy score (higher is better) used for selection.
-        score: f64,
-    }
-);
-
-/// A selection request: choose the best host among `candidates` (empty
-/// means "any known host").
-#[derive(Clone, Debug, PartialEq)]
-pub struct SelectRequest {
-    /// Candidate hosts; empty = all.
-    pub candidates: Vec<u32>,
-}
-
-impl CdrWrite for SelectRequest {
-    fn write(&self, enc: &mut cdr::CdrEncoder) {
-        self.candidates.write(enc);
-    }
-}
-
-impl CdrRead for SelectRequest {
-    fn read(dec: &mut cdr::CdrDecoder<'_>) -> CdrResult<Self> {
-        Ok(SelectRequest {
-            candidates: Vec::<u32>::read(dec)?,
-        })
-    }
-}
-
-/// Operation names on the system manager.
-pub mod ops {
-    /// `oneway void report(in LoadReport load)`.
-    pub const REPORT: &str = "report";
-    /// `void select(in HostSeq candidates, out boolean found, out unsigned long host)`.
-    pub const SELECT: &str = "select";
-    /// `HostStatusSeq snapshot()`.
-    pub const SNAPSHOT: &str = "snapshot";
-}
 
 #[cfg(test)]
 mod tests {
@@ -171,33 +58,5 @@ mod tests {
         };
         let back: HostStatus = cdr::from_bytes(&cdr::to_bytes(&s)).unwrap();
         assert_eq!(s, back);
-    }
-
-    #[test]
-    fn winner_idl_compiles_with_idlc() {
-        // The doc-comment IDL above must stay valid.
-        let idl = r#"
-            module Winner {
-              struct LoadReport {
-                unsigned long host; double speed; unsigned long runnable;
-                double load_avg; double cpu_util; unsigned long long seq;
-                long long stamp_ns;
-              };
-              struct HostStatus {
-                unsigned long host; double speed; double load_avg;
-                double cpu_util; unsigned long runnable; double reservations;
-                boolean alive; double score;
-              };
-              typedef sequence<unsigned long> HostSeq;
-              typedef sequence<HostStatus> HostStatusSeq;
-              interface SystemManager {
-                oneway void report(in LoadReport load);
-                void select(in HostSeq candidates, out boolean found, out unsigned long host);
-                HostStatusSeq snapshot();
-              };
-            };
-        "#;
-        let code = idlc::compile(idl, &idlc::GenOptions::default()).unwrap();
-        assert!(code.contains("pub struct SystemManagerStub"));
     }
 }

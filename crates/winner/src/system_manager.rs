@@ -5,11 +5,11 @@
 use std::collections::BTreeMap;
 
 use monitor::{EventBody, Publisher};
-use orb::{reply, CallCtx, Exception, Servant, SystemException};
+use orb::{CallCtx, Exception, SystemException};
 use simnet::{Shared, SimDuration, SimTime};
 
 use crate::policy::{performance_score, HostView, SelectionPolicy};
-use crate::protocol::{ops, HostStatus, LoadReport, SelectRequest};
+use crate::protocol::{HostStatus, LoadReport, SelectRequest, Winner};
 
 /// System manager tuning.
 #[derive(Clone, Debug)]
@@ -79,7 +79,7 @@ pub struct SystemManager {
     pub monitor: Option<Publisher>,
     /// The loads behind the most recent successful `select`: `(chosen
     /// host, its effective load, the candidates' minimum)` in milli-units.
-    /// Consumed by `dispatch` to publish the placement event.
+    /// Consumed by the `select` operation to publish the placement event.
     last_placement: Option<(u32, u64, u64)>,
 }
 
@@ -158,7 +158,7 @@ impl SystemManager {
 
     /// Select the best host among `candidates` (empty = all known), adding
     /// a placement reservation on the winner.
-    pub fn select(&mut self, now: SimTime, candidates: &[u32]) -> Option<u32> {
+    pub fn select_at(&mut self, now: SimTime, candidates: &[u32]) -> Option<u32> {
         self.selections += 1;
         let views = self.views(now, candidates);
         let pick = self.policy.select(&views)?;
@@ -180,7 +180,7 @@ impl SystemManager {
     }
 
     /// A full status dump (for tools, tests, and the load-balancing demo).
-    pub fn snapshot(&mut self, now: SimTime) -> Vec<HostStatus> {
+    pub fn snapshot_at(&mut self, now: SimTime) -> Vec<HostStatus> {
         let stale_after = self.cfg.stale_after;
         let mut out: Vec<HostStatus> = self
             .hosts
@@ -216,84 +216,71 @@ impl SystemManager {
     }
 }
 
-impl Servant for SystemManager {
-    fn dispatch(
+impl Winner::SystemManager for SystemManager {
+    fn report(&mut self, call: &mut CallCtx<'_>, load: LoadReport) -> Result<(), Exception> {
+        let outcome = self.ingest(call.ctx.now(), load);
+        if let Some(o) = call.orb.obs().cloned() {
+            o.counter_add("winner.reports", 1);
+            match outcome {
+                ReportOutcome::Accepted => {}
+                ReportOutcome::StaleSeq => o.counter_add("winner.stale_reports", 1),
+                ReportOutcome::SkewQuarantined => o.counter_add("winner.skewed_reports", 1),
+            }
+        }
+        Ok(())
+    }
+
+    /// `(found, host)`.
+    fn select(
         &mut self,
         call: &mut CallCtx<'_>,
-        op: &str,
-        args: &[u8],
-    ) -> Result<Vec<u8>, Exception> {
+        req: SelectRequest,
+    ) -> Result<(bool, u32), Exception> {
         let now = call.ctx.now();
-        match op {
-            ops::REPORT => {
-                let (report,): (LoadReport,) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let outcome = self.ingest(now, report);
-                if let Some(o) = call.orb.obs().cloned() {
-                    o.counter_add("winner.reports", 1);
-                    match outcome {
-                        ReportOutcome::Accepted => {}
-                        ReportOutcome::StaleSeq => o.counter_add("winner.stale_reports", 1),
-                        ReportOutcome::SkewQuarantined => o.counter_add("winner.skewed_reports", 1),
-                    }
-                }
-                reply(&())
-            }
-            ops::SELECT => {
-                let (req,): (SelectRequest,) =
-                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
-                let pick = self.select(now, &req.candidates);
-                if let Some(o) = call.orb.obs().cloned() {
-                    o.counter_add("winner.selections", 1);
-                    match pick {
-                        Some(host) => {
-                            if let Some(rec) = self.hosts.get(&host) {
-                                // How old the winning report was: the
-                                // staleness the placement decision acted on.
-                                o.observe(
-                                    "winner.report_age_ns",
-                                    now.since(rec.last_seen).as_nanos(),
-                                );
-                                // Reservations already on the winner beyond
-                                // the one select() just pushed: back-to-back
-                                // placements landing on the same host.
-                                let hits = rec.reservations.len().saturating_sub(1) as u64;
-                                if hits > 0 {
-                                    o.counter_add("winner.reservation_hits", hits);
-                                }
-                            }
+        let pick = self.select_at(now, &req.candidates);
+        if let Some(o) = call.orb.obs().cloned() {
+            o.counter_add("winner.selections", 1);
+            match pick {
+                Some(host) => {
+                    if let Some(rec) = self.hosts.get(&host) {
+                        // How old the winning report was: the
+                        // staleness the placement decision acted on.
+                        o.observe("winner.report_age_ns", now.since(rec.last_seen).as_nanos());
+                        // Reservations already on the winner beyond
+                        // the one select_at() just pushed: back-to-back
+                        // placements landing on the same host.
+                        let hits = rec.reservations.len().saturating_sub(1) as u64;
+                        if hits > 0 {
+                            o.counter_add("winner.reservation_hits", hits);
                         }
-                        None => o.counter_add("winner.select_misses", 1),
                     }
-                    o.gauge_set("winner.alive_hosts", self.alive_hosts(now) as f64);
                 }
-                if let (Some(publisher), Some((chosen, chosen_m, min_m))) =
-                    (self.monitor.clone(), self.last_placement.take())
-                {
-                    // Oneway, so publishing from inside dispatch never
-                    // blocks; Err only means this process is being killed.
-                    publisher
-                        .publish(
-                            call.orb,
-                            call.ctx,
-                            EventBody::Placement {
-                                chosen,
-                                chosen_load_milli: chosen_m,
-                                min_load_milli: min_m,
-                            },
-                        )
-                        .map_err(|_| SystemException::transient("killed mid-dispatch"))?;
-                }
-                // (found, host) — mirrors the IDL out-params.
-                reply(&(pick.is_some(), pick.unwrap_or(0)))
+                None => o.counter_add("winner.select_misses", 1),
             }
-            ops::SNAPSHOT => {
-                cdr::from_bytes::<()>(args).map_err(SystemException::marshal)?;
-                let snap = self.snapshot(now);
-                reply(&snap)
-            }
-            other => Err(SystemException::bad_operation(other).into()),
+            o.gauge_set("winner.alive_hosts", self.alive_hosts(now) as f64);
         }
+        if let (Some(publisher), Some((chosen, chosen_m, min_m))) =
+            (self.monitor.clone(), self.last_placement.take())
+        {
+            // Oneway, so publishing from inside dispatch never
+            // blocks; Err only means this process is being killed.
+            publisher
+                .publish(
+                    call.orb,
+                    call.ctx,
+                    EventBody::Placement {
+                        chosen,
+                        chosen_load_milli: chosen_m,
+                        min_load_milli: min_m,
+                    },
+                )
+                .map_err(|_| SystemException::transient("killed mid-dispatch"))?;
+        }
+        Ok((pick.is_some(), pick.unwrap_or(0)))
+    }
+
+    fn snapshot(&mut self, call: &mut CallCtx<'_>) -> Result<Vec<HostStatus>, Exception> {
+        Ok(self.snapshot_at(call.ctx.now()))
     }
 }
 
@@ -335,7 +322,7 @@ mod tests {
         let mut m = mgr();
         m.ingest(t(0.0), report(0, 1.0, 1));
         m.ingest(t(0.0), report(1, 0.0, 1));
-        assert_eq!(m.select(t(0.1), &[]), Some(1));
+        assert_eq!(m.select_at(t(0.1), &[]), Some(1));
     }
 
     #[test]
@@ -343,7 +330,7 @@ mod tests {
         let mut m = mgr();
         m.ingest(t(0.0), report(0, 1.0, 1));
         m.ingest(t(0.0), report(1, 0.0, 1));
-        assert_eq!(m.select(t(0.1), &[0]), Some(0));
+        assert_eq!(m.select_at(t(0.1), &[0]), Some(0));
     }
 
     #[test]
@@ -352,7 +339,7 @@ mod tests {
         m.ingest(t(0.0), report(0, 0.0, 1));
         m.ingest(t(10.0), report_at(1, 5.0, 1, t(10.0)));
         // At t=10, host 0's report is 10s old (stale_after 3.5s).
-        assert_eq!(m.select(t(10.0), &[]), Some(1));
+        assert_eq!(m.select_at(t(10.0), &[]), Some(1));
         assert_eq!(m.alive_hosts(t(10.0)), 1);
     }
 
@@ -363,7 +350,7 @@ mod tests {
         m.ingest(t(0.0), report(1, 0.0, 1));
         m.ingest(t(0.0), report(2, 0.0, 1));
         // Three back-to-back selections must hit three different hosts.
-        let picks: Vec<_> = (0..3).map(|_| m.select(t(0.1), &[]).unwrap()).collect();
+        let picks: Vec<_> = (0..3).map(|_| m.select_at(t(0.1), &[]).unwrap()).collect();
         let mut sorted = picks.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -374,14 +361,14 @@ mod tests {
     fn reservations_expire() {
         let mut m = mgr();
         m.ingest(t(0.0), report(0, 0.0, 1));
-        assert_eq!(m.select(t(0.0), &[]), Some(0));
+        assert_eq!(m.select_at(t(0.0), &[]), Some(0));
         // Within TTL the host carries a reservation…
-        let snap = m.snapshot(t(0.5));
+        let snap = m.snapshot_at(t(0.5));
         assert!(snap[0].reservations > 0.9);
         // …which expires (TTL 1.5s), but the report also goes stale, so
         // re-ingest a fresh report first.
         m.ingest(t(3.0), report_at(0, 0.0, 2, t(3.0)));
-        let snap = m.snapshot(t(3.0));
+        let snap = m.snapshot_at(t(3.0));
         assert_eq!(snap[0].reservations, 0.0);
     }
 
@@ -391,7 +378,7 @@ mod tests {
         m.ingest(t(0.0), report(0, 0.0, 5));
         m.ingest(t(0.1), report(0, 9.0, 4)); // older seq
         assert_eq!(m.stale_reports_dropped, 1);
-        let snap = m.snapshot(t(0.2));
+        let snap = m.snapshot_at(t(0.2));
         assert_eq!(snap[0].load_avg, 0.0);
     }
 
@@ -408,14 +395,14 @@ mod tests {
         };
         assert_eq!(m.ingest(t(1.0), skewed), ReportOutcome::SkewQuarantined);
         assert_eq!(m.skewed_reports_quarantined, 1);
-        assert_eq!(m.select(t(1.1), &[]), Some(0));
-        assert_eq!(m.snapshot(t(1.1)).len(), 1, "quarantined host unknown");
+        assert_eq!(m.select_at(t(1.1), &[]), Some(0));
+        assert_eq!(m.snapshot_at(t(1.1)).len(), 1, "quarantined host unknown");
         // Skew healed: the same host's sane report is accepted again.
         assert_eq!(
             m.ingest(t(2.0), report_at(1, 0.0, 2, t(2.0))),
             ReportOutcome::Accepted
         );
-        assert_eq!(m.snapshot(t(2.0)).len(), 2);
+        assert_eq!(m.snapshot_at(t(2.0)).len(), 2);
     }
 
     #[test]
@@ -434,18 +421,18 @@ mod tests {
     #[test]
     fn empty_manager_selects_none() {
         let mut m = mgr();
-        assert_eq!(m.select(t(0.0), &[]), None);
-        assert!(m.snapshot(t(0.0)).is_empty());
+        assert_eq!(m.select_at(t(0.0), &[]), None);
+        assert!(m.snapshot_at(t(0.0)).is_empty());
     }
 
     #[test]
     fn snapshot_reports_liveness_and_score() {
         let mut m = mgr();
         m.ingest(t(0.0), report(0, 1.0, 1));
-        let snap = m.snapshot(t(0.1));
+        let snap = m.snapshot_at(t(0.1));
         assert!(snap[0].alive);
         assert!((snap[0].score - 0.5).abs() < 1e-12);
-        let snap = m.snapshot(t(100.0));
+        let snap = m.snapshot_at(t(100.0));
         assert!(!snap[0].alive);
     }
 }

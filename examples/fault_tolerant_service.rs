@@ -67,7 +67,9 @@ fn main() {
         let poa = Poa::new();
         let key = poa.activate(
             ftproxy::CHECKPOINT_SERVICE_TYPE,
-            Rc::new(RefCell::new(ftproxy::CheckpointService::in_memory())),
+            Rc::new(RefCell::new(ftproxy::CheckpointServiceSkeleton(
+                ftproxy::CheckpointService::in_memory(),
+            ))),
         );
         let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
         let ns = NamingClient::root(infra);

@@ -1,7 +1,9 @@
-//! End-to-end test of the IDL tool chain: the checked-in
-//! `generated_calculator.rs` (produced by `idlc` from
-//! `idl/calculator.idl`) must (a) stay in sync with the compiler's current
-//! output, (b) compile, and (c) actually work — trait, skeleton, stub and
+//! End-to-end test of the IDL tool chain. Every checked-in generated file
+//! — `generated/calculator.rs` here and `crates/*/src/generated.rs`, each
+//! produced by `idlc` from the contract its crate owns — must stay in
+//! sync with the compiler's current output; every generated skeleton must
+//! answer hostile bytes with a system exception; and the calculator's
+//! must compile and actually work — trait, skeleton, stub and
 //! fault-tolerant proxy — against the live ORB on the simulated network.
 
 include!("generated/calculator.rs");
@@ -97,25 +99,215 @@ impl Calculator for CalcImpl {
     }
 }
 
+/// One line of `idl/generated.txt`, the list the "generated code is
+/// current" CI step runs: a checked-in file and the `idlc` arguments that
+/// produce it.
+struct Generated {
+    out: String,
+    args: String,
+    ft_proxies: bool,
+    /// Imports first; the first `imports` of them are not emitted.
+    files: Vec<String>,
+    imports: usize,
+}
+
+fn generated() -> Vec<Generated> {
+    let manifest = repo_file("idl/generated.txt");
+    let rows = manifest
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
+    rows.map(|row| {
+        let (out, args) = row.split_once(' ').expect("output, then arguments");
+        let mut g = Generated {
+            out: out.to_string(),
+            args: args.trim().to_string(),
+            ft_proxies: true,
+            files: Vec::new(),
+            imports: 0,
+        };
+        for arg in args.split_whitespace() {
+            match arg {
+                "--no-ft-proxies" => g.ft_proxies = false,
+                "--" => g.imports = g.files.len(),
+                path => g.files.push(path.to_string()),
+            }
+        }
+        g
+    })
+    .collect()
+}
+
+fn repo_file(path: &str) -> String {
+    let root = env!("CARGO_MANIFEST_DIR");
+    std::fs::read_to_string(format!("{root}/{path}")).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
 #[test]
-fn generated_file_is_in_sync_with_idlc() {
-    let idl = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/idl/calculator.idl"))
-        .expect("idl source present");
-    let opts = idlc::GenOptions {
-        source_name: "idl/calculator.idl".into(),
-        ..idlc::GenOptions::default()
-    };
-    let generated = idlc::compile(&idl, &opts).expect("calculator.idl compiles");
-    let checked_in = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/generated/calculator.rs"
-    ))
-    .expect("generated file present");
-    assert_eq!(
-        generated, checked_in,
-        "tests/generated/calculator.rs is stale — regenerate with \
-         `cargo run -p idlc --bin idlc -- idl/calculator.idl -o tests/generated/calculator.rs`"
+fn generated_files_are_in_sync_with_idlc() {
+    let all = generated();
+    assert_eq!(all.len(), 7, "six crates and tests/generated");
+    for g in all {
+        let files: Vec<(String, String)> = g
+            .files
+            .iter()
+            .map(|path| (path.clone(), repo_file(path)))
+            .collect();
+        let out = &g.out;
+        let current = idlc::compile_files(&files, g.imports, g.ft_proxies)
+            .unwrap_or_else(|e| panic!("{out}: {e}"));
+        assert!(
+            current == repo_file(out),
+            "{out} is stale — regenerate with `cargo run -p idlc -- {} -o {out}`",
+            g.args
+        );
+    }
+}
+
+/// One servant of every contract interface behind its generated skeleton.
+fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
+    let tree = cosnaming::NamingTree::new();
+    let monitor = monitor::MonitorHandle::new(monitor::MonitorConfig::default(), None);
+    vec![
+        (
+            "Calculator",
+            Box::new(CalculatorSkeleton(CalcImpl::default())),
+        ),
+        (
+            "BindingIterator",
+            Box::new(cosnaming::BindingIteratorSkeleton(
+                cosnaming::iterator::BindingIterator::new(Vec::new()),
+            )),
+        ),
+        (
+            "NamingContext",
+            Box::new(cosnaming::NamingContextSkeleton(
+                cosnaming::NamingContext::root(tree, LbMode::Plain),
+            )),
+        ),
+        (
+            "Lookup",
+            Box::new(cosnaming::LookupSkeleton(cosnaming::Trader::new())),
+        ),
+        (
+            "SystemManager",
+            Box::new(winner::SystemManagerSkeleton(winner::SystemManager::new(
+                winner::SystemManagerConfig::default(),
+                Box::new(winner::BestPerformance),
+            ))),
+        ),
+        (
+            "CheckpointService",
+            Box::new(ftproxy::CheckpointServiceSkeleton(
+                ftproxy::CheckpointService::in_memory(),
+            )),
+        ),
+        (
+            "ServiceFactory",
+            Box::new(ftproxy::ServiceFactorySkeleton(
+                ftproxy::ServiceFactory::new(Box::new(|_, _| None)),
+            )),
+        ),
+        (
+            "Replication",
+            Box::new(store::ReplicationSkeleton(store::StoreReplica::new(
+                store::StoreConfig::default(),
+                HostId(0),
+            ))),
+        ),
+        (
+            "EventChannel",
+            Box::new(monitor::EventChannelSkeleton(monitor::EventChannel::new(
+                monitor.state,
+            ))),
+        ),
+        (
+            "Worker",
+            Box::new(optim::WorkerSkeleton(optim::WorkerServant::new(
+                optim::WorkerCosts::default(),
+            ))),
+        ),
+    ]
+}
+
+#[test]
+fn skeletons_answer_hostile_bytes_with_system_exceptions() {
+    // The wire names of every interface, inherited ones included, straight
+    // from the contracts: (interface, op, has in-parameters).
+    let paths: std::collections::BTreeSet<String> =
+        generated().into_iter().flat_map(|g| g.files).collect();
+    let sources: Vec<String> = paths.iter().map(|p| repo_file(p)).collect();
+    let unit = idlc::parse_unit(sources.iter().map(String::as_str)).expect("contracts parse");
+    let model = idlc::check(&unit).expect("contracts check");
+    let mut ops: Vec<(String, String, bool)> = Vec::new();
+    for item in &model.items {
+        if let idlc::Item::Interface {
+            def,
+            all_ops,
+            all_attrs,
+            ..
+        } = item
+        {
+            for op in idlc::ast::wire_ops(all_ops, all_attrs) {
+                let ins = op.params.iter().any(|p| p.dir != idlc::ast::Direction::Out);
+                ops.push((def.name.clone(), op.name, ins));
+            }
+        }
+    }
+    assert!(
+        ops.len() >= 56 + 7,
+        "every contract op, Replication's inherited ones too"
     );
+
+    let verdicts = Arc::new(Mutex::new(Vec::<String>::new()));
+    let out = verdicts.clone();
+    let mut sim = Kernel::with_seed(1);
+    let h0 = sim.add_host(HostConfig::new("h0"));
+    let probe = sim.spawn(h0, "probe", move |ctx| {
+        let mut orb = Orb::init(ctx);
+        let poa = Poa::new();
+        let from = ctx.pid();
+        let mut table = skeletons();
+        let mut said = out.lock().unwrap();
+        let interfaces: std::collections::BTreeSet<&str> =
+            ops.iter().map(|(i, _, _)| i.as_str()).collect();
+        for iface in interfaces {
+            if !table.iter().any(|(name, _)| *name == iface) {
+                said.push(format!("{iface}: no skeleton in the table"));
+            }
+        }
+        for (iface, servant) in &mut table {
+            let mut dispatch = |op: &str, args: &[u8]| {
+                let mut call = orb::CallCtx {
+                    ctx: &mut *ctx,
+                    orb: &mut orb,
+                    poa: &poa,
+                    from,
+                    key: orb::ObjectKey(1),
+                };
+                match servant.dispatch(&mut call, op, args) {
+                    Err(orb::Exception::System(e)) => Ok(e.kind),
+                    other => Err(format!("{other:?}")),
+                }
+            };
+            if dispatch("no_such_operation", &[]) != Ok(orb::SysKind::BadOperation) {
+                said.push(format!("{iface}: unknown op not BAD_OPERATION"));
+            }
+            for (_, op, has_ins) in ops.iter().filter(|(i, _, _)| i == iface) {
+                // Truncated where parameters are expected; trailing
+                // garbage where none are.
+                let bodies: &[&[u8]] = if *has_ins { &[&[], &[1]] } else { &[&[0xFF]] };
+                for body in bodies {
+                    let got = dispatch(op, body);
+                    if got != Ok(orb::SysKind::Marshal) {
+                        said.push(format!("{iface}::{op} on {body:?}: {got:?}, not MARSHAL"));
+                    }
+                }
+            }
+        }
+    });
+    sim.run_until_exit(probe);
+    let verdicts = verdicts.lock().unwrap();
+    assert!(verdicts.is_empty(), "{}", verdicts.join("\n"));
 }
 
 fn spawn_server(sim: &mut Kernel, host: HostId, naming_host: HostId) {
@@ -183,7 +375,7 @@ fn generated_stub_and_skeleton_work_over_the_orb() {
         let (ops, last) = calc.stats(&mut orb, ctx).unwrap().unwrap();
         o.lock().unwrap().push(format!("stats:{ops}:{last}"));
         // Oneway.
-        calc.log(&mut orb, ctx, &"hello".to_string()).unwrap();
+        calc.log(&mut orb, ctx, "hello").unwrap();
     });
     sim.run_until_exit(client);
     assert_eq!(
@@ -215,7 +407,9 @@ fn generated_ft_proxy_recovers_from_a_crash() {
         let poa = Poa::new();
         let key = poa.activate(
             ftproxy::CHECKPOINT_SERVICE_TYPE,
-            Rc::new(RefCell::new(ftproxy::CheckpointService::in_memory())),
+            Rc::new(RefCell::new(ftproxy::CheckpointServiceSkeleton(
+                ftproxy::CheckpointService::in_memory(),
+            ))),
         );
         let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
         let ns = NamingClient::root(h0);

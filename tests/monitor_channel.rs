@@ -67,7 +67,9 @@ fn mini_run(wide_depth: u32, tiny_depth: u32) -> MiniRun {
             let poa = orb::Poa::new();
             let key = poa.activate(
                 EVENT_CHANNEL_TYPE,
-                Rc::new(RefCell::new(EventChannel::new(state))),
+                Rc::new(RefCell::new(monitor::EventChannelSkeleton(
+                    EventChannel::new(state),
+                ))),
             );
             cell.put(orb.ior(EVENT_CHANNEL_TYPE, key).stringify());
             let _ = orb.serve_forever(ctx, &poa);
@@ -179,7 +181,9 @@ fn remote_subscriber_pulls_over_the_wire() {
             let poa = orb::Poa::new();
             let key = poa.activate(
                 EVENT_CHANNEL_TYPE,
-                Rc::new(RefCell::new(EventChannel::new(state))),
+                Rc::new(RefCell::new(monitor::EventChannelSkeleton(
+                    EventChannel::new(state),
+                ))),
             );
             cell.put(orb.ior(EVENT_CHANNEL_TYPE, key).stringify());
             let _ = orb.serve_forever(ctx, &poa);
@@ -324,7 +328,9 @@ fn partition_heal_flush_stays_in_publish_order() {
             let poa = orb::Poa::new();
             let key = poa.activate(
                 EVENT_CHANNEL_TYPE,
-                Rc::new(RefCell::new(EventChannel::new(state))),
+                Rc::new(RefCell::new(monitor::EventChannelSkeleton(
+                    EventChannel::new(state),
+                ))),
             );
             cell.put(orb.ior(EVENT_CHANNEL_TYPE, key).stringify());
             let _ = orb.serve_forever(ctx, &poa);

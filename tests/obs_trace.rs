@@ -15,7 +15,7 @@ use ftproxy::{
     CheckpointClient, CheckpointService, FtProxy, FtProxyConfig, MemBackend, ProxyEnv, StoreCosts,
 };
 use obs::{Obs, ProcessObs};
-use optim::{ops, worker_builder, worker_group, WorkerCosts, WORKER_SERVICE_TYPE};
+use optim::{worker_builder, worker_group, WorkerCosts, WorkerFtProxy, WORKER_SERVICE_TYPE};
 use orb::{Orb, OrbConfig};
 use simnet::{Ctx, HostConfig, Kernel, SimDuration};
 
@@ -35,7 +35,7 @@ fn serve_checkpoints(ctx: &mut Ctx, service: CheckpointService, sink: Obs) {
     let poa = orb::Poa::new();
     let key = poa.activate(
         ftproxy::CHECKPOINT_SERVICE_TYPE,
-        Rc::new(RefCell::new(service)),
+        Rc::new(RefCell::new(ftproxy::CheckpointServiceSkeleton(service))),
     );
     let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
     let ns = NamingClient::root(naming_host);
@@ -112,21 +112,19 @@ fn run_crash_recovery_cell(seed: u64) -> Obs {
             }
         };
         let cfg = FtProxyConfig::new(worker_group(), WORKER_SERVICE_TYPE, "worker-0");
-        let mut proxy = FtProxy::new(cfg, NamingClient::root(h0), ckpt);
+        let mut proxy = WorkerFtProxy::new(FtProxy::new(cfg, NamingClient::root(h0), ckpt));
         let mut env = ProxyEnv { orb: &mut orb, ctx };
         for i in 0..3 {
-            let n: u32 = proxy
-                .call(&mut env, ops::GET_SOLVE_COUNT, &())
-                .unwrap()
-                .unwrap();
+            let n = proxy.get_solve_count(&mut env).unwrap().unwrap();
             assert_eq!(n, 0, "no solves were issued");
             if i == 1 {
-                let victim = proxy.current_target().unwrap().ior.host;
+                let victim = proxy.inner.current_target().unwrap().ior.host;
                 env.ctx.crash_host(victim).unwrap();
             }
         }
-        assert!(proxy.stats.factory_creates >= 1, "{:?}", proxy.stats);
-        assert!(proxy.stats.restores >= 1, "{:?}", proxy.stats);
+        let stats = &proxy.inner.stats;
+        assert!(stats.factory_creates >= 1, "{stats:?}");
+        assert!(stats.restores >= 1, "{stats:?}");
     });
     sim.run_until_exit(driver);
     sink
