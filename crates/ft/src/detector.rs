@@ -47,19 +47,10 @@ pub struct DetectorStats {
 }
 
 /// The detector process body: probe every member of every watched group,
-/// evicting members that fail `suspect_after` consecutive probes.
-pub fn run_detector(
-    ctx: &mut Ctx,
-    naming_host: HostId,
-    cfg: DetectorConfig,
-    stats: Shared<DetectorStats>,
-) -> SimResult<()> {
-    run_detector_obs(ctx, naming_host, cfg, stats, None)
-}
-
-/// [`run_detector`] with an observability sink: probe outcomes and
-/// evictions are exported as `detector.*` counters so failover episodes
-/// (e.g. a checkpoint-store replica dropping out) show up in metrics.
+/// evicting members that fail `suspect_after` consecutive probes. With a
+/// `sink`, probe outcomes and evictions are exported as `detector.*`
+/// counters so failover episodes (e.g. a checkpoint-store replica
+/// dropping out) show up in metrics.
 pub fn run_detector_obs(
     ctx: &mut Ctx,
     naming_host: HostId,

@@ -2,16 +2,16 @@
 //!
 //! The paper's proxies "start a new server (using the checkpoint) in case
 //! of a failure". Something must be able to start server objects on a
-//! chosen host: the **service factory**, one per workstation. Recovery and
-//! migration resolve the factory group through the load-distributing
-//! naming service, so replacement instances land on the currently
+//! chosen host: the **service factory**, one per workstation. Recovery
+//! resolves the factory group through the load-distributing naming
+//! service, so replacement instances land on the currently
 //! best-performing host.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use cosnaming::{Name, NamingClient};
-use orb::{forward_to, CallCtx, Exception, Ior, ObjectKey, ObjectRef, Orb, Poa, Servant};
+use orb::{CallCtx, Exception, Ior, ObjectKey, ObjectRef, Orb, Poa, Servant};
 use simnet::{Ctx, HostId, SimResult};
 
 use crate::protocol::FT::{self, ServiceFactorySkeleton, ServiceFactoryStub};
@@ -49,24 +49,6 @@ impl ServiceFactory {
     }
 }
 
-/// A servant that forwards every operation to a new location — what a
-/// migrated service leaves behind so outstanding references keep working.
-pub struct ForwardingAgent {
-    /// Where the object lives now.
-    pub to: Ior,
-}
-
-impl Servant for ForwardingAgent {
-    fn dispatch(
-        &mut self,
-        _call: &mut CallCtx<'_>,
-        _op: &str,
-        _args: &[u8],
-    ) -> Result<Vec<u8>, Exception> {
-        Err(forward_to(&self.to))
-    }
-}
-
 impl FT::ServiceFactory for ServiceFactory {
     fn create(
         &mut self,
@@ -86,27 +68,13 @@ impl FT::ServiceFactory for ServiceFactory {
         })
     }
 
-    fn retire_forward(
-        &mut self,
-        call: &mut CallCtx<'_>,
-        key: u64,
-        new_location: Ior,
-    ) -> Result<bool, Exception> {
-        Ok(call.poa.replace(
-            ObjectKey(key),
-            new_location.type_id.clone(),
-            Rc::new(RefCell::new(ForwardingAgent { to: new_location })),
-        ))
-    }
-
     fn instances(&mut self, _call: &mut CallCtx<'_>) -> Result<u32, Exception> {
         Ok(self.created as u32)
     }
 }
 
 /// Client for a service factory: the generated [`ServiceFactoryStub`]
-/// (`instances` through `Deref`) with `create` answering an `Option` and
-/// `retire_forward` taking an [`ObjectKey`].
+/// (`instances` through `Deref`) with `create` answering an `Option`.
 #[derive(Clone, Debug)]
 pub struct FactoryClient {
     stub: ServiceFactoryStub,
@@ -136,17 +104,6 @@ impl FactoryClient {
     ) -> SimResult<Result<Option<Ior>, Exception>> {
         let r = self.stub.create(orb, ctx, service_type)?;
         Ok(r.map(|(ok, ior)| ok.then_some(ior)))
-    }
-
-    /// Replace a local object with a forwarder to `new_location`.
-    pub fn retire_forward(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        key: ObjectKey,
-        new_location: &Ior,
-    ) -> SimResult<Result<bool, Exception>> {
-        self.stub.retire_forward(orb, ctx, &key.0, new_location)
     }
 }
 

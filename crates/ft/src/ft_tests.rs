@@ -1,18 +1,16 @@
 //! End-to-end fault-tolerance tests on the simulated cluster: proxy
-//! checkpoint/recovery, DII request proxies, the failure detector, and
-//! load-triggered migration.
+//! checkpoint/recovery, DII request proxies and the failure detector.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use cosnaming::{LbMode, Name, NamingClient};
-use orb::{reply, CallCtx, Exception, Ior, ObjectRef, Orb, Servant, SystemException};
+use orb::{reply, CallCtx, Exception, Orb, Servant, SystemException};
 use simnet::{HostConfig, HostId, Kernel, SimDuration};
 
-use crate::detector::{run_detector, DetectorConfig, DetectorStats};
+use crate::detector::{run_detector_obs, DetectorConfig, DetectorStats};
 use crate::factory::{factory_name, FactoryClient};
-use crate::migration::{run_migration_manager, MigrationConfig, MigrationStats};
 use crate::proxy::{CheckpointMode, FtProxy, FtProxyConfig, ProxyEnv};
 use crate::request_proxy::FtRequest;
 use crate::service::{CheckpointClient, CheckpointService};
@@ -95,10 +93,6 @@ impl Servant for Counter {
 // ---------------------------------------------------------------------
 
 /// Spawn the checkpoint service and register it under "CheckpointService".
-fn spawn_ckpt(sim: &mut Kernel, host: HostId) {
-    spawn_ckpt_obs(sim, host, None)
-}
-
 fn spawn_ckpt_obs(sim: &mut Kernel, host: HostId, obs: Option<obs::Obs>) {
     sim.spawn(host, "ckpt-svc", move |ctx| {
         // Register with the naming service before serving, so clients can
@@ -131,10 +125,6 @@ fn spawn_ckpt_obs(sim: &mut Kernel, host: HostId, obs: Option<obs::Obs>) {
         }
         let _ = orb.serve_forever(ctx, &poa);
     });
-}
-
-fn spawn_factories(sim: &mut Kernel, hosts: &[HostId], naming_host: HostId) {
-    spawn_factories_obs(sim, hosts, naming_host, None)
 }
 
 fn spawn_factories_obs(
@@ -589,7 +579,7 @@ fn detector_evicts_dead_members() {
     let st = stats.clone();
     sim.spawn(h0, "detector", move |ctx| {
         ctx.sleep(secs(1.5)).unwrap();
-        let _ = run_detector(
+        let _ = run_detector_obs(
             ctx,
             h0,
             DetectorConfig {
@@ -598,6 +588,7 @@ fn detector_evicts_dead_members() {
                 suspect_after: 2,
             },
             st,
+            None,
         );
     });
     let remaining = cell::<Option<usize>>();
@@ -639,117 +630,6 @@ fn detector_evicts_dead_members() {
     let s = *stats.lock();
     assert!(s.evictions >= 1, "{s:?}");
     assert!(s.probes > 0);
-}
-
-#[test]
-fn migration_moves_loaded_service_and_forwards_old_references() {
-    let mut sim = Kernel::with_seed(9);
-    // Winner-enabled bed: naming in Winner mode + system manager + node
-    // managers, so migration has load data.
-    let hosts: Vec<_> = (0..3)
-        .map(|i| sim.add_host(HostConfig::new(format!("ws{i}"))))
-        .collect();
-    let h0 = hosts[0];
-    let sysmgr_ior = cell::<Option<String>>();
-    let sm = sysmgr_ior.clone();
-    sim.spawn(h0, "winner-sysmgr", move |ctx| {
-        let _ = winner::run_system_manager(
-            ctx,
-            winner::SystemManagerConfig::default(),
-            Box::new(winner::BestPerformance),
-            |i| {
-                *sm.lock().unwrap() = Some(i.stringify());
-            },
-        );
-    });
-    for &h in &hosts {
-        let sm = sysmgr_ior.clone();
-        sim.spawn(h, "winner-nm", move |ctx| {
-            while sm.lock().unwrap().is_none() {
-                if ctx.sleep(secs(0.01)).is_err() {
-                    return;
-                }
-            }
-            let s = sm.lock().unwrap().clone().unwrap();
-            let _ = winner::run_node_manager(
-                ctx,
-                winner::NodeManagerConfig::new(Ior::destringify(&s).unwrap()),
-            );
-        });
-    }
-    sim.spawn(h0, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service(ctx, LbMode::Plain);
-    });
-    spawn_ckpt(&mut sim, h0);
-    spawn_factories(&mut sim, &hosts, h0);
-
-    let mig_stats = simnet::Shared::new(MigrationStats::default());
-    let ms = mig_stats.clone();
-    let sm = sysmgr_ior.clone();
-    sim.spawn(h0, "migration-mgr", move |ctx| {
-        while sm.lock().unwrap().is_none() {
-            if ctx.sleep(secs(0.01)).is_err() {
-                return;
-            }
-        }
-        ctx.sleep(secs(2.0)).unwrap();
-        let s = sm.lock().unwrap().clone().unwrap();
-        let cfg = MigrationConfig::new(Name::simple("Counters"), "Counter");
-        let _ = run_migration_manager(ctx, h0, Ior::destringify(&s).unwrap(), cfg, ms);
-    });
-
-    let out = cell::<Vec<String>>();
-    let o = out.clone();
-    let driver = sim.spawn(hosts[0], "driver", move |ctx| {
-        ctx.sleep(secs(1.0)).unwrap();
-        let mut orb = Orb::init(ctx);
-        let ns = NamingClient::root(h0);
-        let group = Name::simple("Counters");
-        // Create the counter explicitly on host 1.
-        let f = ns
-            .resolve(&mut orb, ctx, &factory_name(hosts[1]))
-            .unwrap()
-            .unwrap();
-        let old_ior = FactoryClient::new(f)
-            .create(&mut orb, ctx, "Counter")
-            .unwrap()
-            .unwrap()
-            .unwrap();
-        ns.bind_group_member(&mut orb, ctx, &group, &old_ior)
-            .unwrap()
-            .unwrap();
-        let old_obj = ObjectRef::new(old_ior.clone());
-        let _: i64 = old_obj
-            .call(&mut orb, ctx, "inc", &(7i64,))
-            .unwrap()
-            .unwrap();
-        // Load host 1 heavily; the migration manager should move the
-        // counter to an idle host.
-        let spin_host = hosts[1];
-        ctx.spawn(spin_host, "spinner", |c| {
-            let _ = c.spin_forever();
-        })
-        .unwrap();
-        ctx.sleep(secs(15.0)).unwrap();
-        let members = ns.group_members(&mut orb, ctx, &group).unwrap().unwrap();
-        o.lock().unwrap().push(format!(
-            "members:{}:host{}",
-            members.len(),
-            members[0].host.0
-        ));
-        // The OLD reference must still work, via the forwarding agent.
-        let v: i64 = old_obj.call(&mut orb, ctx, "get", &()).unwrap().unwrap();
-        o.lock().unwrap().push(format!("old-ref-value:{v}"));
-    });
-    sim.run_until_exit(driver);
-    let log = out.lock().unwrap().clone();
-    assert_eq!(log.len(), 2, "{log:?}");
-    assert!(
-        log[0] == "members:1:host0" || log[0] == "members:1:host2",
-        "service did not migrate away from the loaded host: {log:?}"
-    );
-    assert_eq!(log[1], "old-ref-value:7", "{log:?}");
-    assert!(mig_stats.lock().migrations >= 1);
 }
 
 #[test]
@@ -970,59 +850,208 @@ fn mixed_epoch_checkpoint_chunks_are_rejected() {
     assert_eq!(*out.lock().unwrap(), vec![5, 1]);
 }
 
+/// The fault schedules of `both_call_styles_run_one_recovery_engine` and
+/// `recovery_backoff_is_bounded_and_deterministic`.
+#[derive(Clone, Copy, Debug)]
+enum Schedule {
+    /// The serving host dies while a call executes on it.
+    ServerDiesMidCall,
+    /// The only factory host dies, so every re-acquire fails.
+    FactoryHostDies,
+    /// The stored checkpoint does not decode: `restore_checkpoint` answers
+    /// `MARSHAL`, which no retry can cure.
+    RestoreRefused,
+}
+
+/// Everything a client can observe of one schedule.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outcome: Result<i64, Exception>,
+    stats: crate::proxy::FtProxyStats,
+    events: Vec<monitor::EventBody>,
+    elapsed_ns: u64,
+}
+
+/// One `i64` operation through either call style.
+fn call_via<A: cdr::CdrWrite>(
+    deferred: bool,
+    proxy: &mut FtProxy,
+    env: &mut ProxyEnv<'_>,
+    op: &str,
+    args: &A,
+) -> Result<i64, Exception> {
+    if deferred {
+        let mut req = FtRequest::new(op);
+        req.add_typed(args);
+        req.send_deferred(proxy, env).unwrap();
+        req.get_response_typed(proxy, env).unwrap()
+    } else {
+        proxy.call(env, op, args).unwrap()
+    }
+}
+
+fn run_schedule(schedule: Schedule, deferred: bool) -> Observed {
+    let mut sim = Kernel::with_seed(31);
+    let n_hosts = match schedule {
+        Schedule::FactoryHostDies => 2,
+        _ => 3,
+    };
+    let hosts = standard_bed(&mut sim, n_hosts);
+    let h0 = hosts[0];
+    let mon = monitor::MonitorHandle::new(monitor::MonitorConfig::default(), None);
+    let sub = mon.state.lock().subscribe(256);
+    let (state, channel_ior) = (mon.state.clone(), mon.ior.clone());
+    sim.spawn(h0, "monitor", move |ctx| {
+        let mut orb = Orb::init(ctx);
+        orb.listen(ctx).unwrap();
+        let poa = orb::Poa::new();
+        let key = poa.activate(
+            monitor::EVENT_CHANNEL_TYPE,
+            Rc::new(RefCell::new(monitor::EventChannelSkeleton(
+                monitor::EventChannel::new(state),
+            ))),
+        );
+        channel_ior.put(orb.ior(monitor::EVENT_CHANNEL_TYPE, key).stringify());
+        let _ = orb.serve_forever(ctx, &poa);
+    });
+    let out = cell::<Option<(Result<i64, Exception>, crate::proxy::FtProxyStats, u64)>>();
+    let o = out.clone();
+    let channel_ior = mon.ior.clone();
+    let driver = sim.spawn(h0, "driver", move |ctx| {
+        ctx.sleep(secs(1.0)).unwrap();
+        // Above `slow_inc`'s 2 s of server CPU, so only a crash fails it.
+        let mut orb = Orb::new(
+            ctx,
+            orb::OrbConfig {
+                request_timeout: secs(5.0),
+                ..orb::OrbConfig::default()
+            },
+        );
+        let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::Bulk);
+        proxy.monitor = Some(monitor::Publisher::new(channel_ior, ctx));
+        let mut env = ProxyEnv { orb: &mut orb, ctx };
+        let start = env.ctx.now();
+        let outcome = match schedule {
+            Schedule::ServerDiesMidCall => {
+                call_via(deferred, &mut proxy, &mut env, "inc", &(5i64,)).unwrap();
+                let victim = proxy.current_target().unwrap().ior.host;
+                env.ctx
+                    .spawn(h0, "assassin", move |c| {
+                        c.sleep(secs(0.5)).unwrap();
+                        c.crash_host(victim).unwrap();
+                    })
+                    .unwrap();
+                call_via(deferred, &mut proxy, &mut env, "slow_inc", &(3i64, 2.0f64))
+            }
+            Schedule::FactoryHostDies => {
+                call_via(deferred, &mut proxy, &mut env, "inc", &(1i64,)).unwrap();
+                env.ctx.crash_host(hosts[1]).unwrap();
+                call_via(deferred, &mut proxy, &mut env, "inc", &(1i64,))
+            }
+            Schedule::RestoreRefused => {
+                let torn = crate::checkpoint::Checkpoint {
+                    object_id: "counter-1".into(),
+                    epoch: cdr::Epoch(1),
+                    state: vec![0xff],
+                    stamp_ns: 0,
+                };
+                let ckpt = ckpt_client(env.orb, env.ctx, h0);
+                ckpt.store(env.orb, env.ctx, &torn).unwrap().unwrap();
+                let first = call_via(deferred, &mut proxy, &mut env, "inc", &(1i64,));
+                // The refused replica stays bound: the next call must be
+                // refused again, not run on unrestored state.
+                let again = call_via(deferred, &mut proxy, &mut env, "inc", &(1i64,));
+                assert_eq!(first, again);
+                first
+            }
+        };
+        let elapsed = env.ctx.now().since(start).as_nanos();
+        env.ctx.sleep(secs(1.0)).unwrap(); // let the last oneway pushes land
+        *o.lock().unwrap() = Some((outcome, proxy.stats, elapsed));
+    });
+    let end = sim.run_until_exit(driver);
+    mon.finalize(end);
+    let events = mon.state.lock().pull(sub, 256);
+    let (outcome, stats, elapsed_ns) = out.lock().unwrap().take().unwrap();
+    Observed {
+        outcome,
+        stats,
+        events: events.into_iter().map(|e| e.body).collect(),
+        elapsed_ns,
+    }
+}
+
 #[test]
 fn recovery_backoff_is_bounded_and_deterministic() {
-    fn run_cell(seed: u64) -> (u64, crate::proxy::FtProxyStats) {
-        let mut sim = Kernel::with_seed(seed);
-        let hosts = standard_bed(&mut sim, 2);
-        let h0 = hosts[0];
-        let out = cell::<Option<(u64, crate::proxy::FtProxyStats)>>();
-        let o = out.clone();
-        let driver = sim.spawn(hosts[0], "driver", move |ctx| {
-            ctx.sleep(secs(1.0)).unwrap();
-            // Short request timeout so dead-host RPCs fail fast and the
-            // measured wall-clock is dominated by the backoff schedule.
-            let mut orb = Orb::new(
-                ctx,
-                orb::OrbConfig {
-                    request_timeout: secs(0.25),
-                    ..orb::OrbConfig::default()
-                },
-            );
-            let ckpt = ckpt_client(&mut orb, ctx, h0);
-            let cfg = FtProxyConfig::new(Name::simple("Counters"), "Counter", "counter-bo")
-                .bulk()
-                .with_backoff(secs(0.2), 2.0, secs(10.0), 0.1);
-            let mut proxy = FtProxy::new(cfg, NamingClient::root(h0), ckpt);
-            let mut env = ProxyEnv { orb: &mut orb, ctx };
-            let _: i64 = proxy.call(&mut env, "inc", &(1i64,)).unwrap().unwrap();
-            // Kill the only factory host: recovery has nowhere to go and
-            // burns every attempt, backing off in between.
-            env.ctx.crash_host(hosts[1]).unwrap();
-            let start = env.ctx.now();
-            let r: Result<i64, _> = proxy.call(&mut env, "inc", &(1i64,)).unwrap();
-            assert!(r.is_err(), "no replica can exist after the crash");
-            let elapsed = env.ctx.now().since(start).as_nanos();
-            *o.lock().unwrap() = Some((elapsed, proxy.stats));
-        });
-        sim.run_until_exit(driver);
-        let got = out.lock().unwrap().unwrap();
-        got
-    }
-    let (elapsed_a, stats) = run_cell(21);
-    let (elapsed_b, _) = run_cell(21);
+    // The only factory host dies: recovery has nowhere to go and burns
+    // every attempt, backing off in between.
+    let a = run_schedule(Schedule::FactoryHostDies, false);
     // Same seed ⇒ identical schedule, jitter included.
-    assert_eq!(elapsed_a, elapsed_b);
-    // max_recoveries_per_call = 3 ⇒ three backoffs of ~0.2, 0.4 and 0.8
-    // virtual seconds (each ±10% jitter) between the four attempts.
-    assert_eq!(stats.backoffs, 3, "{stats:?}");
-    assert_eq!(stats.target_failures, 3, "{stats:?}");
-    // Slack: the failed invoke plus three failed factory creates time out
-    // at 0.25s each on top of the backoff sum.
-    let min = (1.4e9 * 0.9) as u64;
-    let max = (1.4e9 * 1.1) as u64 + 2_000_000_000;
-    assert!(elapsed_a >= min, "sum of backoffs too small: {elapsed_a}ns");
-    assert!(elapsed_a <= max, "backoff overshot: {elapsed_a}ns");
+    assert_eq!(a, run_schedule(Schedule::FactoryHostDies, false));
+    // max_recoveries_per_call = 3 ⇒ three backoffs of ~50, 100 and 200
+    // virtual milliseconds (each ±10% jitter) between the four attempts.
+    assert_eq!(a.stats.backoffs, 3, "{a:?}");
+    // The rest of the time: the failed invoke and three failed factory
+    // creates time out at 5 s each, and under 100 ms of healthy RPCs.
+    let slept = a.elapsed_ns - 20_000_000_000;
+    assert!(
+        (315_000_000..=385_000_000 + 100_000_000).contains(&slept),
+        "backoffs off the 50/100/200 ms ± 10 % schedule: {slept}ns"
+    );
+}
+
+#[test]
+fn both_call_styles_run_one_recovery_engine() {
+    use monitor::EventBody::{FailureDetected, RecoveryFinished, RecoveryStarted};
+    for schedule in [
+        Schedule::ServerDiesMidCall,
+        Schedule::FactoryHostDies,
+        Schedule::RestoreRefused,
+    ] {
+        let sync = run_schedule(schedule, false);
+        assert_eq!(sync, run_schedule(schedule, true), "{schedule:?}");
+        let Observed {
+            outcome,
+            stats,
+            events,
+            ..
+        } = sync;
+        let detected = events
+            .iter()
+            .filter(|e| matches!(e, FailureDetected { .. }))
+            .count();
+        let started: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match e {
+                RecoveryStarted { attempt, .. } => Some(*attempt),
+                _ => None,
+            })
+            .collect();
+        match schedule {
+            Schedule::ServerDiesMidCall => {
+                assert_eq!(outcome, Ok(8)); // restored 5, then + 3
+                assert_eq!((stats.recoveries, stats.target_failures), (1, 0));
+                assert_eq!((detected, started), (1, vec![1]));
+                assert!(events.iter().any(|e| matches!(e, RecoveryFinished { .. })));
+            }
+            Schedule::FactoryHostDies => {
+                // The failed invoke and two failed re-acquires each start a
+                // recovery; the third failed re-acquire is the outcome.
+                assert!(outcome.is_err_and(|e| e.is_recoverable()));
+                assert_eq!((stats.recoveries, stats.target_failures), (3, 3));
+                assert_eq!((detected, started), (3, vec![1, 2, 3]));
+            }
+            Schedule::RestoreRefused => {
+                // Exactly one attempt per call: nothing to recover from, no
+                // retry, and no duplicate-epoch suppression on the second.
+                assert!(outcome.is_err_and(|e| !e.is_recoverable()));
+                assert_eq!((stats.factory_creates, stats.target_failures), (1, 2));
+                assert_eq!((stats.recoveries, stats.backoffs, stats.calls), (0, 0, 0));
+                assert_eq!(stats.duplicate_suppressed, 0);
+                assert_eq!((detected, started), (0, vec![]));
+            }
+        }
+    }
 }
 
 #[test]
@@ -1106,7 +1135,7 @@ fn detector_tolerates_transient_misses() {
     let st = stats.clone();
     sim.spawn(h0, "detector", move |ctx| {
         ctx.sleep(secs(1.5)).unwrap();
-        let _ = run_detector(
+        let _ = run_detector_obs(
             ctx,
             h0,
             DetectorConfig {
@@ -1115,6 +1144,7 @@ fn detector_tolerates_transient_misses() {
                 suspect_after: 3,
             },
             st,
+            None,
         );
     });
     let remaining = cell::<Option<usize>>();

@@ -14,30 +14,24 @@
 //!   a fresh replica through the (load-distributing) naming service or
 //!   create one via a [`ServiceFactory`], restore the checkpoint, retry.
 //! * [`FtRequest`] — the request proxy giving the same semantics to
-//!   asynchronous DII invocations (Fig. 2).
-//! * [`run_detector`] — a proactive heartbeat failure detector (extension;
-//!   the paper only detects failures via `COMM_FAILURE`).
-//! * [`migrate_member`] / [`run_migration_manager`] — load-triggered
-//!   migration, the paper's "in principle possible" remark, implemented
-//!   (old locations forward via GIOP `LocationForward`).
+//!   asynchronous DII invocations (Fig. 2), and the one recovery engine:
+//!   an `FtProxy` call is an `FtRequest` sent and awaited at once.
+//! * [`run_detector_obs`] — a proactive heartbeat failure detector
+//!   (extension; the paper only detects failures via `COMM_FAILURE`).
 
 pub mod checkpoint;
 pub mod detector;
 pub mod factory;
-pub mod migration;
 pub mod protocol;
 pub mod proxy;
 pub mod request_proxy;
 pub mod service;
 
 pub use checkpoint::{Backend, Checkpoint, DiskBackend, MemBackend};
-pub use detector::{run_detector, run_detector_obs, DetectorConfig, DetectorStats};
+pub use detector::{run_detector_obs, DetectorConfig, DetectorStats};
 pub use factory::{
-    factory_group, factory_name, run_factory, run_factory_obs, FactoryClient, ForwardingAgent,
-    ServantBuilder, ServiceFactory, FACTORY_TYPE,
-};
-pub use migration::{
-    migrate_member, run_migration_manager, MemberMove, MigrationConfig, MigrationStats,
+    factory_group, factory_name, run_factory, run_factory_obs, FactoryClient, ServantBuilder,
+    ServiceFactory, FACTORY_TYPE,
 };
 pub use protocol::FT::{
     self, CheckpointServiceSkeleton, CheckpointServiceStub, ServiceFactorySkeleton,

@@ -4,10 +4,15 @@
 //! A client using DII "does not call the server object's methods directly,
 //! but uses so-called request objects instead … To enable fault tolerance
 //! in this case, request proxies are used just like the object proxies."
-//! An [`FtRequest`] wraps a [`DiiRequest`] and shares an [`FtProxy`]'s
-//! recovery machinery: on a recoverable failure the request is re-sent to
-//! a freshly resolved (or factory-created, checkpoint-restored) replica;
-//! on success the proxy's checkpoint-after-call policy runs.
+//! An [`FtRequest`] wraps a [`DiiRequest`]: on a recoverable failure the
+//! request is re-sent to a freshly resolved (or factory-created,
+//! checkpoint-restored) replica; on success the proxy's
+//! checkpoint-after-call policy runs.
+//!
+//! This is the crate's one recovery engine (DESIGN.md §3 has the state
+//! diagram): a synchronous [`FtProxy::call`] is an `FtRequest` sent and
+//! awaited at once, so both call styles count, publish and back off
+//! identically.
 
 use cdr::{Any, CdrEncoder, CdrRead, CdrWrite};
 use monitor::EventBody;
@@ -15,6 +20,12 @@ use orb::{DiiRequest, Exception, SystemException};
 use simnet::{SimResult, SimTime};
 
 use crate::proxy::{FtProxy, ProxyEnv};
+
+/// Decode a reply body; a body that does not decode is `MARSHAL`.
+pub(crate) fn decode_reply<R: CdrRead>(reply: Result<Vec<u8>, Exception>) -> Result<R, Exception> {
+    let bytes = reply?;
+    cdr::from_bytes(&bytes).map_err(|e| Exception::System(SystemException::marshal(e)))
+}
 
 /// A fault-tolerant deferred request.
 pub struct FtRequest {
@@ -48,6 +59,16 @@ impl FtRequest {
             started: None,
             sent: None,
             recovering_since: None,
+        }
+    }
+
+    /// A request over an already-encoded parameter list: what
+    /// [`FtProxy::call_raw`] sends.
+    pub(crate) fn with_body(operation: &str, body: Vec<u8>) -> Self {
+        FtRequest {
+            body,
+            args: None,
+            ..FtRequest::new(operation)
         }
     }
 
@@ -97,63 +118,33 @@ impl FtRequest {
             self.body = enc.into_bytes();
         }
         self.started.get_or_insert(env.ctx.now());
-        self.resend(proxy, env)
-    }
-
-    fn resend(&mut self, proxy: &mut FtProxy, env: &mut ProxyEnv<'_>) -> SimResult<()> {
-        loop {
-            match proxy.ensure_target(env)? {
-                Ok(target) => {
-                    let mut req = DiiRequest::new(target.ior.clone(), self.operation.clone());
-                    req.add_encoded(&self.body);
-                    self.sent = Some(env.ctx.now());
-                    req.send_deferred(env.orb, env.ctx)?;
-                    self.inner = Some(req);
-                    return Ok(());
-                }
-                // Acquiring a target can itself hit a dead replica or a
-                // dead factory; keep recovering while attempts remain.
-                Err(e)
-                    if e.is_recoverable()
-                        && self.attempts < proxy.config().max_recoveries_per_call =>
-                {
-                    self.attempts += 1;
-                    self.note_failure(&e, proxy, env)?;
-                    proxy.recover(env)?;
-                    proxy.backoff_sleep(env, self.attempts - 1)?;
-                }
-                Err(e) => {
-                    self.done = Some(Err(e));
-                    return Ok(());
-                }
-            }
+        if let Err(e) = self.try_send(proxy, env)? {
+            self.settle(Err(e), proxy, env)?;
         }
+        Ok(())
     }
 
-    /// Record the start (or continuation) of a recovery episode and
-    /// publish failure-detected / recovery-started monitoring events.
-    fn note_failure(
+    /// Acquire a target and fire the request at it. Acquiring can itself
+    /// hit a dead replica or a dead factory: that is counted and handed
+    /// back as this attempt's failure, like any other.
+    fn try_send(
         &mut self,
-        e: &Exception,
         proxy: &mut FtProxy,
         env: &mut ProxyEnv<'_>,
-    ) -> SimResult<()> {
-        self.recovering_since.get_or_insert(env.ctx.now());
-        let target = proxy.config().object_id.clone();
-        proxy.publish(
-            env,
-            EventBody::FailureDetected {
-                target: target.clone(),
-                reason: FtProxy::failure_reason(e),
-            },
-        )?;
-        proxy.publish(
-            env,
-            EventBody::RecoveryStarted {
-                target,
-                attempt: self.attempts,
-            },
-        )
+    ) -> SimResult<Result<(), Exception>> {
+        let target = match proxy.ensure_target(env)? {
+            Ok(t) => t,
+            Err(e) => {
+                proxy.stats.target_failures += 1;
+                return Ok(Err(e));
+            }
+        };
+        let mut req = DiiRequest::new(target.ior, self.operation.clone());
+        req.add_encoded(&self.body);
+        self.sent = Some(env.ctx.now());
+        req.send_deferred(env.orb, env.ctx)?;
+        self.inner = Some(req);
+        Ok(Ok(()))
     }
 
     /// Non-blocking completion check. A failed attempt triggers recovery
@@ -175,14 +166,8 @@ impl FtRequest {
         if !inner.poll_response(env.orb, env.ctx)? {
             return Ok(false);
         }
-        let outcome = match inner.result::<RawBody>() {
-            Some(o) => o.map(|r| r.0),
-            // poll_response said the reply is in; a missing result is a DII
-            // bookkeeping bug, surfaced as INTERNAL on this request.
-            None => Err(Exception::System(SystemException::internal(
-                "deferred result unavailable after poll_response",
-            ))),
-        };
+        // The reply is in, so this hands it back without blocking.
+        let outcome = inner.get_response(env.orb, env.ctx)?;
         self.settle(outcome, proxy, env)?;
         Ok(self.done.is_some())
     }
@@ -199,7 +184,7 @@ impl FtRequest {
                 return Ok(done.clone());
             }
             let Some(inner) = self.inner.as_mut() else {
-                return Ok(Err(Exception::System(SystemException::transient(
+                return Ok(Err(Exception::System(SystemException::bad_inv_order(
                     "get_response before send_deferred",
                 ))));
             };
@@ -214,13 +199,7 @@ impl FtRequest {
         proxy: &mut FtProxy,
         env: &mut ProxyEnv<'_>,
     ) -> SimResult<Result<R, Exception>> {
-        match self.get_response(proxy, env)? {
-            Ok(bytes) => {
-                Ok(cdr::from_bytes(&bytes)
-                    .map_err(|e| Exception::System(SystemException::marshal(e))))
-            }
-            Err(e) => Ok(Err(e)),
-        }
+        Ok(decode_reply(self.get_response(proxy, env)?))
     }
 
     /// Whether the outcome is available.
@@ -233,13 +212,19 @@ impl FtRequest {
         self.attempts
     }
 
+    /// The recovery engine: settle one attempt's outcome. Success runs
+    /// the checkpoint policy and ends the request. A failure, while it is
+    /// recoverable and attempts remain, is published, the dead target is
+    /// dropped, and after a backoff the request is re-acquired and
+    /// re-sent — where a failed acquire is the next failure. Otherwise the
+    /// failure is the request's outcome.
     fn settle(
         &mut self,
         outcome: Result<Vec<u8>, Exception>,
         proxy: &mut FtProxy,
         env: &mut ProxyEnv<'_>,
     ) -> SimResult<()> {
-        match outcome {
+        let mut failure = match outcome {
             Ok(bytes) => {
                 proxy.stats.calls += 1;
                 let served = env.ctx.now();
@@ -256,11 +241,11 @@ impl FtRequest {
                     )?;
                 }
                 proxy.after_success(env)?;
-                // Critical-path attribution, mirroring the synchronous
-                // proxy path: everything before the winning send is
-                // queue-wait (backoff, resolve, factory creation,
-                // restore), send-to-reply is service, and whatever
-                // `after_success` appended is checkpoint overhead.
+                // Critical-path attribution: everything before the
+                // winning send is queue-wait (backoff, resolve, factory
+                // creation, restore), send-to-reply is service, and
+                // whatever `after_success` appended is checkpoint
+                // overhead.
                 let started = self.started.unwrap_or(served);
                 let sent = self.sent.unwrap_or(served);
                 proxy.publish(
@@ -273,35 +258,40 @@ impl FtRequest {
                     },
                 )?;
                 self.done = Some(Ok(bytes));
+                return Ok(());
             }
-            Err(e)
-                if e.is_recoverable() && self.attempts < proxy.config().max_recoveries_per_call =>
+            Err(e) => e,
+        };
+        self.inner = None;
+        loop {
+            if !failure.is_recoverable() || self.attempts >= proxy.config().max_recoveries_per_call
             {
-                self.attempts += 1;
-                self.note_failure(&e, proxy, env)?;
-                proxy.recover(env)?;
-                proxy.backoff_sleep(env, self.attempts - 1)?;
-                self.inner = None;
-                self.resend(proxy, env)?;
+                self.done = Some(Err(failure));
+                return Ok(());
             }
-            Err(e) => {
-                self.done = Some(Err(e));
+            self.attempts += 1;
+            self.recovering_since.get_or_insert(env.ctx.now());
+            let target = proxy.config().object_id.clone();
+            proxy.publish(
+                env,
+                EventBody::FailureDetected {
+                    target: target.clone(),
+                    reason: FtProxy::failure_reason(&failure),
+                },
+            )?;
+            proxy.publish(
+                env,
+                EventBody::RecoveryStarted {
+                    target,
+                    attempt: self.attempts,
+                },
+            )?;
+            proxy.recover(env)?;
+            proxy.backoff_sleep(env, self.attempts - 1)?;
+            match self.try_send(proxy, env)? {
+                Ok(()) => return Ok(()),
+                Err(e) => failure = e,
             }
         }
-        Ok(())
-    }
-}
-
-/// Helper to pull the raw reply body back out of a `DiiRequest`.
-struct RawBody(Vec<u8>);
-
-impl CdrRead for RawBody {
-    fn read(dec: &mut cdr::CdrDecoder<'_>) -> cdr::CdrResult<Self> {
-        // Consume the whole remaining stream as raw bytes.
-        let mut bytes = Vec::with_capacity(dec.remaining());
-        while !dec.is_empty() {
-            bytes.push(dec.read_u8()?);
-        }
-        Ok(RawBody(bytes))
     }
 }

@@ -149,7 +149,7 @@ fn json_format_workspace_carries_coverage_counters() {
     assert_eq!(out.status.code(), Some(0), "{:?}", out);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"errors\":0"), "{stdout}");
-    assert!(stdout.contains("\"wire_ops\":56"), "{stdout}");
+    assert!(stdout.contains("\"wire_ops\":55"), "{stdout}");
     assert!(stdout.contains("\"lock_sites\":"), "{stdout}");
     assert!(stdout.contains("\"graph_nodes\":"), "{stdout}");
     assert!(stdout.contains("\"remote_sites\":"), "{stdout}");

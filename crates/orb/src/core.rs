@@ -114,8 +114,7 @@ pub struct OrbStats {
 }
 
 /// Reserved user-exception id a servant raises (via [`forward_to`]) to make
-/// the ORB send a GIOP `LocationForward` reply. Used by migration: the old
-/// location leaves a forwarding agent behind.
+/// the ORB send a GIOP `LocationForward` reply.
 pub const FORWARD_ID: &str = "_orb:LocationForward";
 
 /// Build the dispatch error that turns into a `LocationForward` reply

@@ -123,10 +123,8 @@ impl DiiRequest {
         }
     }
 
-    /// Block for the outcome (CORBA `get_response`).
-    ///
-    /// # Panics
-    /// If the request was never sent.
+    /// Block for the outcome (CORBA `get_response`); once it is in, hand
+    /// it back at once. `BAD_INV_ORDER` if the request was never sent.
     pub fn get_response(
         &mut self,
         orb: &mut Orb,
@@ -135,9 +133,7 @@ impl DiiRequest {
         loop {
             match std::mem::replace(&mut self.state, State::Building) {
                 State::Building => {
-                    // API misuse, surfaced as a CORBA exception (the real
-                    // spec raises BAD_INV_ORDER here) instead of a panic.
-                    return Ok(Err(Exception::System(SystemException::internal(
+                    return Ok(Err(Exception::System(SystemException::bad_inv_order(
                         "get_response before send_deferred",
                     ))));
                 }

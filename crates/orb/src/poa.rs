@@ -106,26 +106,6 @@ impl Poa {
         self.inner.borrow_mut().servants.remove(&key).is_some()
     }
 
-    /// Replace the servant behind an existing key, keeping all outstanding
-    /// references valid. Used by migration to install a forwarding agent
-    /// at a service's old location. Returns whether the key was active.
-    pub fn replace(
-        &self,
-        key: ObjectKey,
-        type_id: impl Into<String>,
-        servant: Rc<RefCell<dyn Servant>>,
-    ) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        match inner.servants.get_mut(&key) {
-            Some(entry) => {
-                entry.servant = servant;
-                entry.type_id = type_id.into();
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Whether an object key is active (answers `LocateRequest`s).
     pub fn contains(&self, key: ObjectKey) -> bool {
         self.inner.borrow().servants.contains_key(&key)

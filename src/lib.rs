@@ -13,7 +13,7 @@
 //! * [`idlc`] — the IDL compiler (stubs, skeletons, FT proxies).
 //! * [`winner`] — the Winner resource management system.
 //! * [`cosnaming`] — COS Naming with integrated load distribution.
-//! * [`ftproxy`] — checkpointing proxies, factories, detector, migration.
+//! * [`ftproxy`] — checkpointing proxies, factories, detector.
 //! * [`optim`] — Complex Box optimization and the manager/worker layer.
 //! * [`corba_runtime`] — the assembled cluster and experiment scenarios.
 

@@ -254,7 +254,7 @@ fn skeletons_answer_hostile_bytes_with_system_exceptions() {
         }
     }
     assert!(
-        ops.len() >= 56 + 7,
+        ops.len() >= 55 + 7,
         "every contract op, Replication's inherited ones too"
     );
 
