@@ -1,25 +1,51 @@
-//! The discrete-event kernel: virtual clock, event queue, and the
-//! thread-handoff scheduler that runs simulated processes one at a time.
+//! The discrete-event kernel: virtual clock, event queue, and the baton
+//! scheduler that runs simulated processes one at a time.
+//!
+//! # Execution model
+//!
+//! All simulation state lives in one [`Core`] behind one mutex. Exactly one
+//! OS thread — the *baton holder* — touches it at any moment: the driver
+//! thread (the one inside `Kernel::run_*`, "main" below) or the thread of
+//! the one process that is currently executing. There is no kernel thread.
+//! A process's syscall locks the core and runs `handle_syscall` on the
+//! caller's own thread; an immediate syscall just returns. A blocking one
+//! keeps stepping the scheduler loop (`Core::advance`: drain the runnable
+//! queue, check the stop rule, pop and handle the next event) right there
+//! until a process is due: if it is the caller itself it takes its resume
+//! and returns, otherwise it stores that process's resume, `unpark`s its
+//! thread and `park`s — the only OS thread switch the simulator makes.
+//!
+//! Main gets the baton back when something only main may do is due: the
+//! run's stop rule is reached, a process panicked or `max_events` tripped
+//! (both are re-raised on the driver thread), the baton holder itself died,
+//! or a [`KernelEvent`] was buffered for the tracer / event hook. Those
+//! observers, the profile hook and the [`SchedulePolicy`] are not `Send`
+//! (callers install `Rc`-capturing closures), so they stay in the `Kernel`
+//! on main: buffered events are flushed — in order, with their original
+//! timestamps — before any process runs again, and while a profile hook or
+//! a policy is installed main drives *every* step itself (each syscall is
+//! posted to it), which is what the `sched.handoff` marks measure.
 //!
 //! # Determinism
 //!
 //! Events are ordered by `(time, sequence-number)`, the sequence number
 //! being a monotone insertion counter, so ties break in insertion order.
-//! Exactly one process executes at any moment: the kernel resumes a process
-//! and then waits for it to issue its next blocking syscall before touching
-//! any other process. Per-process RNGs are seeded from the kernel seed and
-//! the deterministically-assigned pid. Two runs with the same seed and the
-//! same program therefore produce identical traces.
+//! Exactly one process executes at any moment, and whichever thread holds
+//! the baton runs the same loop over the same data, so which OS thread that
+//! is cannot be observed from inside the simulation. Per-process RNGs are
+//! seeded from the kernel seed and the deterministically-assigned pid. Two
+//! runs with the same seed and the same program therefore produce identical
+//! traces, with or without observers installed.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 
 use crate::cpu::{HostConfig, HostSnapshot, HostState};
 use crate::ids::{Addr, HostId, Pid, Port};
 use crate::msg::{Msg, Payload};
-use crate::process::{Ctx, ProcessBody, Resume, Syscall};
+use crate::process::{Ctx, Killed, ProcessBody, Resume, SimResult, Syscall};
+use crate::shared::Shared;
 use crate::time::{SimDuration, SimTime};
 
 /// Network timing model.
@@ -191,7 +217,7 @@ enum Status {
     Blocked(Block),
     /// Has a pending resume and sits in the runnable queue.
     Runnable,
-    /// Currently executing (the kernel is waiting for its next syscall).
+    /// Currently executing (it is `Core::running`).
     Running,
     /// Exited or killed.
     Dead,
@@ -202,7 +228,8 @@ struct Proc {
     host: HostId,
     status: Status,
     mailbox: VecDeque<Msg>,
-    resume_tx: Option<Sender<Resume>>,
+    /// The process's OS thread, from its start event until it is killed
+    /// (then the handle moves to `Core::reaped`) or the kernel is dropped.
     join: Option<JoinHandle<()>>,
     body: Option<ProcessBody>,
     /// Invalidates in-flight timer events.
@@ -213,6 +240,25 @@ struct Proc {
 
 /// The simulation kernel. See the module docs for the execution model.
 pub struct Kernel {
+    core: Shared<Core>,
+    obs: Observers,
+}
+
+/// The callbacks a driver may install. None of them is `Send`, so they
+/// never leave the driver thread; see the module docs.
+#[derive(Default)]
+struct Observers {
+    tracer: Option<Tracer>,
+    event_hook: Option<EventHook>,
+    profile_hook: Option<ProfileHook>,
+    policy: Option<Box<dyn SchedulePolicy>>,
+}
+
+/// Everything the simulation is made of, in a [`Shared`] cell held by the
+/// driver thread and every process thread; only the baton holder works on
+/// it. The lock is poison-transparent because a process thread may unwind
+/// through a held guard (a kill, a panic) and must not wedge the run.
+pub(crate) struct Core {
     cfg: KernelConfig,
     now: SimTime,
     seq: u64,
@@ -222,8 +268,6 @@ pub struct Kernel {
     next_port: Vec<u16>,
     procs: Vec<Proc>,
     runnable: VecDeque<Pid>,
-    syscall_rx: Receiver<(Pid, Syscall)>,
-    syscall_tx: Sender<(Pid, Syscall)>,
     partitions: BTreeSet<(HostId, HostId)>,
     /// Directional drops: messages from `.0` to `.1` are discarded.
     oneway_blocks: BTreeSet<(HostId, HostId)>,
@@ -236,12 +280,63 @@ pub struct Kernel {
     /// Per-link one-way latency overrides (WAN modelling).
     link_latency: BTreeMap<(HostId, HostId), SimDuration>,
     stats: KernelStats,
-    panicked: Option<(Pid, String)>,
-    tracer: Option<Tracer>,
-    event_hook: Option<EventHook>,
-    profile_hook: Option<ProfileHook>,
-    policy: Option<Box<dyn SchedulePolicy>>,
     peaks: Peaks,
+    /// The current run's stop rule: stop before the first event later than
+    /// `deadline`, and once process `exit_on` is dead.
+    deadline: Option<SimTime>,
+    exit_on: Option<Pid>,
+    /// A sim process panicked; `run_inner` re-raises it on the driver.
+    panicked: Option<(Pid, String)>,
+    /// `max_events` tripped; `run_inner` raises it on the driver.
+    runaway: bool,
+    /// A tracer or event hook is installed, so `emit` buffers.
+    wants_events: bool,
+    /// Events emitted since main last flushed them to its observers.
+    event_buf: Vec<(SimTime, KernelEvent)>,
+    /// A profile hook or schedule policy is installed for this run: main
+    /// runs every step and each syscall is `posted` to it.
+    main_drives: bool,
+    posted: Option<Syscall>,
+    /// The process that is executing its body (or is about to: `resume`
+    /// then holds what its blocked syscall returns).
+    running: Option<Pid>,
+    resume: Option<Resume>,
+    /// Who holds the baton: the one thread that may work on the core and
+    /// run simulation code. `None` is the driver thread.
+    holder: Option<Pid>,
+    /// The driver thread of the current run.
+    main: Option<Thread>,
+    /// Threads of processes killed since the driver last joined them.
+    reaped: Vec<JoinHandle<()>>,
+    /// Set by `Kernel::drop`: every parked process thread gives up.
+    shutdown: bool,
+    thread_switches: u64,
+}
+
+/// Wake the thread the baton was just passed to — after the core guard is
+/// released, so it does not wake into a held lock.
+pub(crate) fn wake(next: Option<Thread>) {
+    if let Some(t) = next {
+        t.unpark();
+    }
+}
+
+/// Where a process thread stands after `Core::syscall`.
+pub(crate) enum Turn {
+    /// It runs on: this is what the syscall returns.
+    Go(Resume),
+    /// The baton went to this thread; wake it, then wait for `take_turn`.
+    Wait(Option<Thread>),
+}
+
+/// What the scheduler loop came to.
+enum Next {
+    /// This process is due (it is now `Core::running`); hand it the resume.
+    Run(Pid, Resume),
+    /// Something only the driver thread may do is due.
+    Main,
+    /// The stop rule, the deadline or an empty queue was reached.
+    Stop,
 }
 
 /// A tracing callback: `(virtual time, line)`.
@@ -361,9 +456,8 @@ pub enum ProfileMark {
 
 /// A profiling callback, invoked with paired [`ProfileMark`]s around every
 /// event dispatch (`event.*`), every process syscall (`sys.*`), and every
-/// scheduler handoff wait (`sched.handoff` — the kernel parked on the
-/// process thread's next syscall, which is the wall-clock ceiling of the
-/// whole simulator).
+/// scheduler handoff wait (`sched.handoff` — the driver parked until the
+/// process it passed the baton to posts its next syscall).
 pub type ProfileHook = Box<dyn FnMut(ProfileMark)>;
 
 /// Which kind of nondeterminism point a [`SchedulePolicy`] is resolving.
@@ -478,6 +572,39 @@ fn pair(a: HostId, b: HostId) -> (HostId, HostId) {
     }
 }
 
+/// Stable op label for an event, used in profile marks.
+fn event_op(kind: &EventKind) -> &'static str {
+    match kind {
+        EventKind::Start(_) => "event.start",
+        EventKind::Timer { .. } => "event.timer",
+        EventKind::Deliver(_) => "event.deliver",
+        EventKind::CpuCheck { .. } => "event.cpu_check",
+        EventKind::Fault(_) => "event.fault",
+    }
+}
+
+/// Stable op label for a syscall, used in profile marks.
+fn syscall_op(sc: &Syscall) -> &'static str {
+    match sc {
+        Syscall::Sleep(_) => "sys.sleep",
+        Syscall::Compute(_) => "sys.compute",
+        Syscall::Send { .. } => "sys.send",
+        Syscall::Recv { .. } => "sys.recv",
+        Syscall::TryRecv => "sys.try_recv",
+        Syscall::BindPort => "sys.bind_port",
+        Syscall::BindPortExact(_) => "sys.bind_port",
+        Syscall::UnbindPort(_) => "sys.unbind_port",
+        Syscall::Spawn { .. } => "sys.spawn",
+        Syscall::Kill(_) => "sys.kill",
+        Syscall::CrashHost(_) => "sys.crash_host",
+        Syscall::RestartHost(_) => "sys.restart_host",
+        Syscall::HostInfo(_) => "sys.host_info",
+        Syscall::Partition { .. } => "sys.partition",
+        Syscall::Exit => "sys.exit",
+        Syscall::Panicked(_) => "sys.exit",
+    }
+}
+
 enum Flow {
     Reply(Resume),
     Block,
@@ -488,13 +615,12 @@ impl Kernel {
     /// Create a kernel with the given configuration.
     pub fn new(cfg: KernelConfig) -> Self {
         install_quiet_kill_hook();
-        let (syscall_tx, syscall_rx) = channel();
         let net_rng = {
             use rand::SeedableRng as _;
             // Domain-separated from the per-process RNG streams.
             rand::rngs::SmallRng::seed_from_u64(cfg.seed ^ 0x6E65_745F_6472_6F70)
         };
-        Kernel {
+        let core = Shared::new(Core {
             cfg,
             now: SimTime::ZERO,
             seq: 0,
@@ -504,20 +630,32 @@ impl Kernel {
             next_port: Vec::new(),
             procs: Vec::new(),
             runnable: VecDeque::new(),
-            syscall_rx,
-            syscall_tx,
             partitions: BTreeSet::new(),
             oneway_blocks: BTreeSet::new(),
             degraded: BTreeMap::new(),
             net_rng,
             link_latency: BTreeMap::new(),
             stats: KernelStats::default(),
-            panicked: None,
-            tracer: None,
-            event_hook: None,
-            profile_hook: None,
-            policy: None,
             peaks: Peaks::default(),
+            deadline: None,
+            exit_on: None,
+            panicked: None,
+            runaway: false,
+            wants_events: false,
+            event_buf: Vec::new(),
+            main_drives: false,
+            posted: None,
+            running: None,
+            resume: None,
+            holder: None,
+            main: None,
+            reaped: Vec::new(),
+            shutdown: false,
+            thread_switches: 0,
+        });
+        Kernel {
+            core,
+            obs: Observers::default(),
         }
     }
 
@@ -532,9 +670,11 @@ impl Kernel {
     /// Register a simulated workstation. Hosts can only be added before or
     /// between runs.
     pub fn add_host(&mut self, cfg: HostConfig) -> HostId {
-        let id = HostId(self.hosts.len() as u32);
-        self.hosts.push(HostState::new(cfg, self.cfg.load_ewma_tau));
-        self.next_port.push(1024);
+        let mut core = self.core.lock();
+        let id = HostId(core.hosts.len() as u32);
+        let tau = core.cfg.load_ewma_tau;
+        core.hosts.push(HostState::new(cfg, tau));
+        core.next_port.push(1024);
         id
     }
 
@@ -547,7 +687,7 @@ impl Kernel {
 
     /// All registered host ids.
     pub fn host_ids(&self) -> Vec<HostId> {
-        (0..self.hosts.len() as u32).map(HostId).collect()
+        self.core.lock().host_ids()
     }
 
     /// Spawn a process on `host`, starting at the current virtual time.
@@ -557,7 +697,8 @@ impl Kernel {
         name: impl Into<String>,
         body: impl FnOnce(&mut Ctx) + Send + 'static,
     ) -> Pid {
-        self.spawn_at(self.now, host, name, Box::new(body))
+        let now = self.now();
+        self.spawn_at(now, host, name, Box::new(body))
     }
 
     /// Spawn a process whose execution starts at absolute time `at`.
@@ -568,14 +709,257 @@ impl Kernel {
         name: impl Into<String>,
         body: ProcessBody,
     ) -> Pid {
+        let mut core = self.core.lock();
+        let pid = core.spawn_at(at, host, name.into(), body);
+        self.obs.flush(&mut core);
+        pid
+    }
+
+    /// Schedule a fault-injection command at absolute time `at`.
+    pub fn schedule_fault(&mut self, at: SimTime, fault: Fault) {
+        let mut core = self.core.lock();
+        let at = at.max(core.now);
+        core.push_event(at, EventKind::Fault(fault));
+    }
+
+    /// Install a tracing callback invoked with `(time, line)`, where `line`
+    /// is the `Display` rendering of each [`KernelEvent`]. Intended for
+    /// debugging.
+    pub fn set_tracer(&mut self, f: impl FnMut(SimTime, &str) + 'static) {
+        self.obs.tracer = Some(Box::new(f));
+        self.core.lock().wants_events = true;
+    }
+
+    /// Install a structured event callback invoked with `(time, event)` at
+    /// every lifecycle and fault point. At most one
+    /// hook is installed; a second call replaces the first.
+    pub fn set_event_hook(&mut self, f: impl FnMut(SimTime, &KernelEvent) + 'static) {
+        self.obs.event_hook = Some(Box::new(f));
+        self.core.lock().wants_events = true;
+    }
+
+    /// Install a profiling callback fired with paired [`ProfileMark`]s
+    /// around every event dispatch, syscall, and scheduler handoff. At most
+    /// one hook is installed; a second call replaces the first. The hook
+    /// runs on the driver thread and must not call back into the kernel.
+    pub fn set_profile_hook(&mut self, f: impl FnMut(ProfileMark) + 'static) {
+        self.obs.profile_hook = Some(Box::new(f));
+    }
+
+    /// Install a [`SchedulePolicy`] resolving the kernel's scheduling
+    /// nondeterminism points (same-timestamp event ties and runnable-queue
+    /// order). At most one policy is installed; a second call replaces the
+    /// first. With no policy — or a policy that always picks index 0 — the
+    /// kernel behaves exactly as before the hook existed.
+    pub fn set_schedule_policy(&mut self, p: impl SchedulePolicy + 'static) {
+        self.obs.policy = Some(Box::new(p));
+    }
+
+    /// Remove any installed [`SchedulePolicy`], restoring default order.
+    pub fn clear_schedule_policy(&mut self) {
+        self.obs.policy = None;
+    }
+
+    /// Snapshot the deterministic run profile: per-process virtual CPU
+    /// attribution and the kernel queue-depth peaks seen so far.
+    pub fn profile(&self) -> KernelProfile {
+        let core = self.core.lock();
+        let mut cpu_by_proc = Vec::new();
+        for (hi, hs) in core.hosts.iter().enumerate() {
+            for (&pid, &cpu_ns) in &hs.cpu_by_pid {
+                let name = core
+                    .procs
+                    .get(pid.0 as usize)
+                    .map(|p| p.name.clone())
+                    .unwrap_or_default();
+                cpu_by_proc.push(ProcCpu {
+                    pid,
+                    name,
+                    host: HostId(hi as u32),
+                    cpu_ns,
+                });
+            }
+        }
+        cpu_by_proc.sort_by_key(|c| c.pid);
+        KernelProfile {
+            cpu_by_proc,
+            runnable_peak: core.peaks.runnable,
+            event_queue_peak: core.peaks.event_queue,
+            mailbox_peak: core.peaks.mailbox,
+        }
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.core.lock().now
+    }
+
+    /// Run statistics so far.
+    pub fn stats(&self) -> KernelStats {
+        self.core.lock().stats
+    }
+
+    /// How often the baton has passed from one OS thread to another (driver
+    /// → process, process → process, process → driver). This is the host
+    /// cost of a run in machine-independent units; it depends on which
+    /// observers are installed, so it is not part of [`KernelStats`].
+    pub fn thread_switches(&self) -> u64 {
+        self.core.lock().thread_switches
+    }
+
+    /// Whether a process has exited or been killed.
+    pub fn proc_dead(&self, pid: Pid) -> bool {
+        self.core.lock().proc_dead(pid)
+    }
+
+    /// Load metrics for a host, evaluated at the current virtual time
+    /// (driver/test-side equivalent of `Ctx::host_info`).
+    pub fn host_snapshot(&mut self, host: HostId) -> Option<HostSnapshot> {
+        let mut core = self.core.lock();
+        let now = core.now;
+        core.hosts.get_mut(host.0 as usize).map(|h| h.snapshot(now))
+    }
+
+    /// Override the one-way latency between two hosts (symmetric). Used to
+    /// model WAN links between LANs — the metacomputing scenario the paper
+    /// lists as future work. Takes effect for messages sent after the call.
+    pub fn set_link_latency(&mut self, a: HostId, b: HostId, latency: SimDuration) {
+        self.core.lock().link_latency.insert(pair(a, b), latency);
+    }
+
+    /// Run until the event queue is exhausted and no process is runnable.
+    /// Returns the final virtual time.
+    ///
+    /// Like every `run_*` call, this returns only after the processes killed
+    /// during the run have unwound on their own threads, so what they did on
+    /// the way out is the caller's to read. A body that swallows
+    /// `Err(Killed)` and never returns therefore hangs the run.
+    pub fn run_until_idle(&mut self) -> SimTime {
+        self.run_inner(None, None)
+    }
+
+    /// Run until the given process exits (or the queue empties first).
+    pub fn run_until_exit(&mut self, pid: Pid) -> SimTime {
+        self.run_inner(None, Some(pid))
+    }
+
+    /// Run until virtual time reaches `deadline` (or the queue empties).
+    /// The clock is advanced to exactly `deadline` when it is reached.
+    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
+        self.run_inner(Some(deadline), None);
+        let mut core = self.core.lock();
+        core.now = core.now.max(deadline);
+        core.now
+    }
+
+    /// Run for a span of virtual time from the current instant.
+    pub fn run_for(&mut self, d: SimDuration) -> SimTime {
+        let deadline = self.now() + d;
+        self.run_until(deadline)
+    }
+
+    /// The driver's side of the baton: flush buffered events, raise what
+    /// must be raised on this thread, serve a posted syscall, step the
+    /// loop, pass the baton and park — until the stop rule holds.
+    fn run_inner(&mut self, deadline: Option<SimTime>, exit_on: Option<Pid>) -> SimTime {
+        let shared = self.core.clone();
+        let mut core = shared.lock();
+        (core.deadline, core.exit_on) = (deadline, exit_on);
+        core.main = Some(std::thread::current());
+        core.main_drives = self.obs.profile_hook.is_some() || self.obs.policy.is_some();
+        loop {
+            self.obs.flush(&mut core);
+            if let Some((pid, msg)) = core.panicked.take() {
+                let name = &core.procs[pid.0 as usize].name;
+                // ldft-lint: allow(P1, by design: re-raises a sim-process panic on the driver thread so bugs fail the run instead of vanishing with one thread; re-audited 2026-08 — the kernel driver is host-side test harness and P1's exception contract does not apply, expiry 2027-06)
+                panic!("simulated process {pid} ({name}) panicked: {msg}");
+            }
+            if core.runaway {
+                // ldft-lint: allow(P1, by design: explicit runaway-loop guard; stopping silently would report results from a truncated run; re-audited 2026-08 — a Result return would let callers ignore a truncated run, expiry 2027-06)
+                panic!(
+                    "simnet: exceeded max_events={} at {:?} — runaway event loop?",
+                    core.cfg.max_events, core.now
+                );
+            }
+            if let (Some(pid), Some(sc)) = (core.running, core.posted.take()) {
+                let op = syscall_op(&sc);
+                self.obs.mark(ProfileMark::OpBegin(op));
+                match core.handle_syscall(pid, sc) {
+                    Flow::Reply(r) => core.resume = Some(r),
+                    Flow::Block | Flow::Exited => core.running = None,
+                }
+                self.obs.mark(ProfileMark::OpEnd(op));
+                continue;
+            }
+            let pid = match core.running {
+                Some(pid) => pid, // mid-body: its reply waited for a flush
+                None => match core.advance(&shared, None, &mut self.obs) {
+                    Next::Run(pid, resume) => {
+                        core.resume = Some(resume);
+                        pid
+                    }
+                    Next::Main => continue,
+                    Next::Stop => break,
+                },
+            };
+            self.obs.mark(ProfileMark::OpBegin("sched.handoff"));
+            let next = core.pass_to(pid);
+            drop(core);
+            wake(next);
+            core = loop {
+                std::thread::park();
+                let core = shared.lock();
+                if core.holder.is_none() {
+                    break core;
+                }
+            };
+            self.obs.mark(ProfileMark::OpEnd("sched.handoff"));
+        }
+        // Killed processes unwind on their own threads, off the baton.
+        let (now, reaped) = (core.now, std::mem::take(&mut core.reaped));
+        drop(core);
+        for victim in reaped {
+            let _ = victim.join();
+        }
+        now
+    }
+}
+
+impl Observers {
+    fn mark(&mut self, m: ProfileMark) {
+        if let Some(h) = self.profile_hook.as_mut() {
+            h(m);
+        }
+    }
+
+    /// The single delivery point: the tracer gets each buffered event's
+    /// text, the event hook the event itself, stamped with the instant it
+    /// was emitted at.
+    fn flush(&mut self, core: &mut Core) {
+        for (at, ev) in core.event_buf.drain(..) {
+            if let Some(t) = self.tracer.as_mut() {
+                t(at, &ev.to_string());
+            }
+            if let Some(h) = self.event_hook.as_mut() {
+                h(at, &ev);
+            }
+        }
+    }
+}
+
+impl Core {
+    fn host_ids(&self) -> Vec<HostId> {
+        (0..self.hosts.len() as u32).map(HostId).collect()
+    }
+
+    fn spawn_at(&mut self, at: SimTime, host: HostId, name: String, body: ProcessBody) -> Pid {
         assert!((host.0 as usize) < self.hosts.len(), "unknown host {host}");
         let pid = Pid(self.procs.len() as u32);
         self.procs.push(Proc {
-            name: name.into(),
+            name,
             host,
             status: Status::NotStarted,
             mailbox: VecDeque::new(),
-            resume_tx: None,
             join: None,
             body: Some(body),
             timer_epoch: 0,
@@ -592,168 +976,145 @@ impl Kernel {
         pid
     }
 
-    /// Schedule a fault-injection command at absolute time `at`.
-    pub fn schedule_fault(&mut self, at: SimTime, fault: Fault) {
-        self.push_event(at.max(self.now), EventKind::Fault(fault));
-    }
-
-    /// Install a tracing callback invoked with `(time, line)`, where `line`
-    /// is the `Display` rendering of each [`KernelEvent`]. Intended for
-    /// debugging.
-    pub fn set_tracer(&mut self, f: impl FnMut(SimTime, &str) + 'static) {
-        self.tracer = Some(Box::new(f));
-    }
-
-    /// Install a structured event callback invoked with `(time, event)` at
-    /// every lifecycle and fault point. At most one
-    /// hook is installed; a second call replaces the first.
-    pub fn set_event_hook(&mut self, f: impl FnMut(SimTime, &KernelEvent) + 'static) {
-        self.event_hook = Some(Box::new(f));
-    }
-
-    /// Install a profiling callback fired with paired [`ProfileMark`]s
-    /// around every event dispatch, syscall, and scheduler handoff. At most
-    /// one hook is installed; a second call replaces the first. The hook
-    /// runs on the driver thread and must not call back into the kernel.
-    pub fn set_profile_hook(&mut self, f: impl FnMut(ProfileMark) + 'static) {
-        self.profile_hook = Some(Box::new(f));
-    }
-
-    /// Install a [`SchedulePolicy`] resolving the kernel's scheduling
-    /// nondeterminism points (same-timestamp event ties and runnable-queue
-    /// order). At most one policy is installed; a second call replaces the
-    /// first. With no policy — or a policy that always picks index 0 — the
-    /// kernel behaves exactly as before the hook existed.
-    pub fn set_schedule_policy(&mut self, p: impl SchedulePolicy + 'static) {
-        self.policy = Some(Box::new(p));
-    }
-
-    /// Remove any installed [`SchedulePolicy`], restoring default order.
-    pub fn clear_schedule_policy(&mut self) {
-        self.policy = None;
-    }
-
-    /// Snapshot the deterministic run profile: per-process virtual CPU
-    /// attribution and the kernel queue-depth peaks seen so far.
-    pub fn profile(&self) -> KernelProfile {
-        let mut cpu_by_proc = Vec::new();
-        for (hi, hs) in self.hosts.iter().enumerate() {
-            for (&pid, &cpu_ns) in &hs.cpu_by_pid {
-                let name = self
-                    .procs
-                    .get(pid.0 as usize)
-                    .map(|p| p.name.clone())
-                    .unwrap_or_default();
-                cpu_by_proc.push(ProcCpu {
-                    pid,
-                    name,
-                    host: HostId(hi as u32),
-                    cpu_ns,
-                });
-            }
-        }
-        cpu_by_proc.sort_by_key(|c| c.pid);
-        KernelProfile {
-            cpu_by_proc,
-            runnable_peak: self.peaks.runnable,
-            event_queue_peak: self.peaks.event_queue,
-            mailbox_peak: self.peaks.mailbox,
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Run statistics so far.
-    pub fn stats(&self) -> KernelStats {
-        self.stats
-    }
-
-    /// Whether a process has exited or been killed.
-    pub fn proc_dead(&self, pid: Pid) -> bool {
+    fn proc_dead(&self, pid: Pid) -> bool {
         self.procs
             .get(pid.0 as usize)
             .is_none_or(|p| p.status == Status::Dead)
     }
 
-    /// Load metrics for a host, evaluated at the current virtual time
-    /// (driver/test-side equivalent of `Ctx::host_info`).
-    pub fn host_snapshot(&mut self, host: HostId) -> Option<HostSnapshot> {
-        let now = self.now;
-        self.hosts.get_mut(host.0 as usize).map(|h| h.snapshot(now))
-    }
+    // ------------------------------------------------------------------
+    // The scheduler loop and the baton
+    // ------------------------------------------------------------------
 
-    /// Run until the event queue is exhausted and no process is runnable.
-    /// Returns the final virtual time.
-    pub fn run_until_idle(&mut self) -> SimTime {
-        self.run_inner(None, |_| false)
-    }
-
-    /// Run until the given process exits (or the queue empties first).
-    pub fn run_until_exit(&mut self, pid: Pid) -> SimTime {
-        self.run_inner(None, move |k| k.proc_dead(pid))
-    }
-
-    /// Run until virtual time reaches `deadline` (or the queue empties).
-    /// The clock is advanced to exactly `deadline` when it is reached.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        self.run_inner(Some(deadline), |_| false);
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.now
-    }
-
-    /// Run for a span of virtual time from the current instant.
-    pub fn run_for(&mut self, d: SimDuration) -> SimTime {
-        let deadline = self.now + d;
-        self.run_until(deadline)
-    }
-
-    fn run_inner(&mut self, deadline: Option<SimTime>, stop: impl Fn(&Kernel) -> bool) -> SimTime {
+    /// Step the scheduler loop until a process is due or the run stops.
+    /// `me` is the process whose thread is stepping (`None` on the driver
+    /// thread, which alone brings observers that are set); it also stops,
+    /// for main to take over, once something only main may do is due. Main
+    /// re-enters here and decides the same from the same state.
+    fn advance(&mut self, shared: &Shared<Core>, me: Option<Pid>, obs: &mut Observers) -> Next {
         loop {
-            self.drain_runnable();
-            if let Some((pid, msg)) = self.panicked.take() {
-                let name = &self.procs[pid.0 as usize].name;
-                // ldft-lint: allow(P1, by design: re-raises a sim-process panic on the driver thread so bugs fail the run instead of vanishing with one thread; re-audited 2026-08 — the kernel driver is host-side test harness and P1's exception contract does not apply, expiry 2027-06)
-                panic!("simulated process {pid} ({name}) panicked: {msg}");
+            let i_died = me.is_some_and(|pid| self.proc_dead(pid));
+            if !self.event_buf.is_empty() || self.panicked.is_some() || i_died {
+                return Next::Main;
             }
-            if stop(self) {
-                break;
-            }
-            let Some(Reverse(ev)) = self.events.peek() else {
-                break;
-            };
-            if let Some(d) = deadline {
-                if ev.time > d {
-                    break;
+            if let Some(pid) = self.next_runnable(obs.policy.as_deref_mut()) {
+                match self.begin_run(pid) {
+                    Some(resume) => return Next::Run(pid, resume),
+                    None => continue,
                 }
             }
-            let Some(ev) = self.next_event() else {
-                break;
+            if self.exit_on.is_some_and(|pid| self.proc_dead(pid)) {
+                return Next::Stop;
+            }
+            let Some(Reverse(head)) = self.events.peek() else {
+                return Next::Stop;
+            };
+            if self.deadline.is_some_and(|d| head.time > d) {
+                return Next::Stop;
+            }
+            let Some(ev) = self.next_event(obs.policy.as_deref_mut()) else {
+                return Next::Stop;
             };
             debug_assert!(ev.time >= self.now, "event in the past");
             self.now = ev.time;
             self.stats.events += 1;
             if self.stats.events > self.cfg.max_events {
-                // ldft-lint: allow(P1, by design: explicit runaway-loop guard; stopping silently would report results from a truncated run; re-audited 2026-08 — a Result return would let callers ignore a truncated run, expiry 2027-06)
-                panic!(
-                    "simnet: exceeded max_events={} at {:?} — runaway event loop?",
-                    self.cfg.max_events, self.now
-                );
+                self.runaway = true;
+                return Next::Main;
             }
-            if self.profile_hook.is_some() {
-                let op = Kernel::event_op(&ev.kind);
-                self.mark(ProfileMark::OpBegin(op));
-                self.handle_event(ev.kind);
-                self.mark(ProfileMark::OpEnd(op));
-            } else {
-                self.handle_event(ev.kind);
+            let op = event_op(&ev.kind);
+            obs.mark(ProfileMark::OpBegin(op));
+            self.handle_event(ev.kind, shared);
+            obs.mark(ProfileMark::OpEnd(op));
+        }
+    }
+
+    /// Take `pid` off the runnable state: it becomes `running` and the
+    /// caller hands it the returned resume. `None` if it was killed while
+    /// queued.
+    fn begin_run(&mut self, pid: Pid) -> Option<Resume> {
+        let p = &mut self.procs[pid.0 as usize];
+        if p.status != Status::Runnable {
+            return None; // killed while queued
+        }
+        let resume = match (p.pending.take(), &p.join) {
+            (Some(resume), Some(_)) => resume,
+            _ => {
+                // Runnable without a pending resume or without a thread is
+                // a scheduler bookkeeping bug; reap the process instead of
+                // panicking the whole sim.
+                p.status = Status::Dead;
+                return None;
+            }
+        };
+        p.status = Status::Running;
+        self.running = Some(pid);
+        Some(resume)
+    }
+
+    /// Give the baton to `pid` (which must be `running`, with `resume`
+    /// filled in). Returns its thread for the caller to [`wake`].
+    fn pass_to(&mut self, pid: Pid) -> Option<Thread> {
+        self.thread_switches += 1;
+        self.holder = Some(pid);
+        let join = self.procs[pid.0 as usize].join.as_ref();
+        join.map(|j| j.thread().clone())
+    }
+
+    /// Give the baton to the driver thread.
+    fn pass_to_main(&mut self) -> Option<Thread> {
+        self.thread_switches += 1;
+        self.holder = None;
+        self.main.clone()
+    }
+
+    /// A syscall from `pid`, on `pid`'s own thread, which holds the baton.
+    pub(crate) fn syscall(&mut self, shared: &Shared<Core>, pid: Pid, sc: Syscall) -> Turn {
+        if self.main_drives {
+            self.posted = Some(sc);
+            return Turn::Wait(self.pass_to_main());
+        }
+        match self.handle_syscall(pid, sc) {
+            Flow::Reply(r) if self.event_buf.is_empty() => return Turn::Go(r),
+            // Main flushes the events this syscall emitted to its
+            // observers before the caller runs on.
+            Flow::Reply(r) => self.resume = Some(r),
+            // A dead baton holder must not keep driving.
+            Flow::Exited => self.running = None,
+            Flow::Block => {
+                self.running = None;
+                match self.advance(shared, Some(pid), &mut Observers::default()) {
+                    Next::Run(next, resume) if next == pid => return Turn::Go(resume),
+                    Next::Run(next, resume) => {
+                        self.resume = Some(resume);
+                        return Turn::Wait(self.pass_to(next));
+                    }
+                    Next::Main | Next::Stop => {}
+                }
             }
         }
-        self.now
+        Turn::Wait(self.pass_to_main())
+    }
+
+    /// The kernel's own code panicked on `pid`'s thread, inside its syscall
+    /// (a bad argument such as an unknown host, or a kernel bug). The core
+    /// may be half-updated, so nothing but the baton moves: the driver
+    /// re-raises the message like a body panic.
+    pub(crate) fn kernel_fault(&mut self, pid: Pid, msg: String) -> Option<Thread> {
+        self.panicked = Some((pid, format!("kernel fault in its syscall: {msg}")));
+        self.pass_to_main()
+    }
+
+    /// Called by `pid`'s thread after it woke: `Some` once the baton is
+    /// its own (with what its syscall returns) or it has been killed.
+    pub(crate) fn take_turn(&mut self, pid: Pid) -> Option<SimResult<Resume>> {
+        if self.shutdown || self.proc_dead(pid) {
+            return Some(Err(Killed));
+        }
+        if self.holder != Some(pid) {
+            return None;
+        }
+        self.resume.take().map(Ok)
     }
 
     // ------------------------------------------------------------------
@@ -770,11 +1131,11 @@ impl Kernel {
 
     /// Pop the next event, letting the installed policy resolve
     /// same-timestamp ties. Returns `None` when the queue is empty.
-    fn next_event(&mut self) -> Option<Event> {
+    fn next_event(&mut self, policy: Option<&mut (dyn SchedulePolicy + 'static)>) -> Option<Event> {
         let Reverse(head) = self.events.pop()?;
-        if self.policy.is_none() {
+        let Some(policy) = policy else {
             return Some(head);
-        }
+        };
         let mut tied = vec![head];
         while let Some(Reverse(peek)) = self.events.peek() {
             if peek.time != tied[0].time {
@@ -788,17 +1149,9 @@ impl Kernel {
         let idx = if tied.len() > 1 {
             let cands: Vec<ChoiceCandidate> =
                 tied.iter().map(|e| self.event_candidate(e)).collect();
-            let now = self.now;
-            match self.policy.take() {
-                Some(mut p) => {
-                    let i = p
-                        .choose(ChoiceKind::EventTie, now, &cands)
-                        .min(tied.len() - 1);
-                    self.policy = Some(p);
-                    i
-                }
-                None => 0,
-            }
+            policy
+                .choose(ChoiceKind::EventTie, self.now, &cands)
+                .min(tied.len() - 1)
         } else {
             0
         };
@@ -811,10 +1164,13 @@ impl Kernel {
 
     /// Pop the next runnable process, letting the installed policy pick
     /// among all queued processes. Returns `None` when the queue is empty.
-    fn next_runnable(&mut self) -> Option<Pid> {
-        if self.policy.is_none() || self.runnable.len() <= 1 {
+    fn next_runnable(
+        &mut self,
+        policy: Option<&mut (dyn SchedulePolicy + 'static)>,
+    ) -> Option<Pid> {
+        let Some(policy) = policy.filter(|_| self.runnable.len() > 1) else {
             return self.runnable.pop_front();
-        }
+        };
         let cands: Vec<ChoiceCandidate> = self
             .runnable
             .iter()
@@ -829,17 +1185,9 @@ impl Kernel {
                 draws_rng: false,
             })
             .collect();
-        let now = self.now;
-        let idx = match self.policy.take() {
-            Some(mut p) => {
-                let i = p
-                    .choose(ChoiceKind::RunnableTie, now, &cands)
-                    .min(self.runnable.len() - 1);
-                self.policy = Some(p);
-                i
-            }
-            None => 0,
-        };
+        let idx = policy
+            .choose(ChoiceKind::RunnableTie, self.now, &cands)
+            .min(self.runnable.len() - 1);
         self.runnable.remove(idx)
     }
 
@@ -847,9 +1195,7 @@ impl Kernel {
     /// independence relation (see [`ChoiceCandidate`] field docs).
     fn event_candidate(&self, ev: &Event) -> ChoiceCandidate {
         let mut c = ChoiceCandidate {
-            label: Kernel::event_op(&ev.kind)
-                .strip_prefix("event.")
-                .unwrap_or("event"),
+            label: event_op(&ev.kind).strip_prefix("event.").unwrap_or("event"),
             pid: None,
             host: None,
             from: None,
@@ -940,67 +1286,26 @@ impl Kernel {
         self.peaks.event_queue = self.peaks.event_queue.max(self.events.len() as u64);
     }
 
-    fn mark(&mut self, m: ProfileMark) {
-        if let Some(h) = self.profile_hook.as_mut() {
-            h(m);
-        }
-    }
-
-    /// Stable op label for an event, used in profile marks.
-    fn event_op(kind: &EventKind) -> &'static str {
-        match kind {
-            EventKind::Start(_) => "event.start",
-            EventKind::Timer { .. } => "event.timer",
-            EventKind::Deliver(_) => "event.deliver",
-            EventKind::CpuCheck { .. } => "event.cpu_check",
-            EventKind::Fault(_) => "event.fault",
-        }
-    }
-
-    /// Stable op label for a syscall, used in profile marks.
-    fn syscall_op(sc: &Syscall) -> &'static str {
-        match sc {
-            Syscall::Sleep(_) => "sys.sleep",
-            Syscall::Compute(_) => "sys.compute",
-            Syscall::Send { .. } => "sys.send",
-            Syscall::Recv { .. } => "sys.recv",
-            Syscall::TryRecv => "sys.try_recv",
-            Syscall::BindPort => "sys.bind_port",
-            Syscall::BindPortExact(_) => "sys.bind_port",
-            Syscall::UnbindPort(_) => "sys.unbind_port",
-            Syscall::Spawn { .. } => "sys.spawn",
-            Syscall::Kill(_) => "sys.kill",
-            Syscall::CrashHost(_) => "sys.crash_host",
-            Syscall::RestartHost(_) => "sys.restart_host",
-            Syscall::HostInfo(_) => "sys.host_info",
-            Syscall::Partition { .. } => "sys.partition",
-            Syscall::Exit => "sys.exit",
-            Syscall::Panicked(_) => "sys.exit",
-        }
-    }
-
-    /// The single emission point: the tracer gets the event's text, the
-    /// event hook the event itself.
+    /// The single emission point. Events wait in the buffer until the
+    /// driver thread flushes them to its observers (`Observers::flush`),
+    /// which happens before any process runs again.
     fn emit(&mut self, ev: KernelEvent) {
-        if let Some(t) = self.tracer.as_mut() {
-            t(self.now, &ev.to_string());
-        }
-        if let Some(h) = self.event_hook.as_mut() {
-            h(self.now, &ev);
+        if self.wants_events {
+            self.event_buf.push((self.now, ev));
         }
     }
 
     fn emit_proc(&mut self, pid: Pid, make: fn(Pid, String, HostId) -> KernelEvent) {
-        if self.event_hook.is_some() || self.tracer.is_some() {
+        if self.wants_events {
             let p = &self.procs[pid.0 as usize];
             let (name, host) = (p.name.clone(), p.host);
             self.emit(make(pid, name, host));
         }
     }
 
-    fn handle_event(&mut self, kind: EventKind) {
+    fn handle_event(&mut self, kind: EventKind, shared: &Shared<Core>) {
         match kind {
-            EventKind::Start(pid) => self.start_process(pid),
+            EventKind::Start(pid) => self.start_process(pid, shared),
             EventKind::Timer { pid, epoch } => self.fire_timer(pid, epoch),
             EventKind::Deliver(msg) => self.deliver(msg),
             EventKind::CpuCheck { host, epoch } => self.cpu_check(host, epoch),
@@ -1008,7 +1313,8 @@ impl Kernel {
         }
     }
 
-    fn start_process(&mut self, pid: Pid) {
+    /// Give `pid` its OS thread (whose `Ctx` holds `shared`) and queue it.
+    fn start_process(&mut self, pid: Pid, shared: &Shared<Core>) {
         let host;
         {
             let p = &mut self.procs[pid.0 as usize];
@@ -1031,8 +1337,7 @@ impl Kernel {
             p.status = Status::Dead;
             return;
         };
-        let (resume_tx, resume_rx) = channel();
-        let mut ctx = Ctx::new(pid, host, self.cfg.seed, self.syscall_tx.clone(), resume_rx);
+        let mut ctx = Ctx::new(pid, host, self.cfg.seed, shared.clone());
         let thread_name = format!("sim-{pid}-{}", p.name);
         let spawned = std::thread::Builder::new()
             .name(thread_name)
@@ -1041,7 +1346,7 @@ impl Kernel {
                     let result =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
                     match result {
-                        Ok(()) => ctx.send_exit(),
+                        Ok(()) => ctx.leave(Syscall::Exit),
                         Err(payload) => ctx.report_panic(payload),
                     }
                 }
@@ -1056,7 +1361,6 @@ impl Kernel {
                 return;
             }
         };
-        p.resume_tx = Some(resume_tx);
         p.join = Some(join);
         p.pending = Some(Resume::Start { now: self.now });
         p.status = Status::Runnable;
@@ -1287,13 +1591,6 @@ impl Kernel {
         self.emit(ev);
     }
 
-    /// Override the one-way latency between two hosts (symmetric). Used to
-    /// model WAN links between LANs — the metacomputing scenario the paper
-    /// lists as future work. Takes effect for messages sent after the call.
-    pub fn set_link_latency(&mut self, a: HostId, b: HostId, latency: SimDuration) {
-        self.link_latency.insert(pair(a, b), latency);
-    }
-
     /// One-way latency for a message between two hosts under the current
     /// model (default local/remote, or a per-link override).
     fn latency_between(&self, a: HostId, b: HostId) -> SimDuration {
@@ -1313,7 +1610,7 @@ impl Kernel {
     }
 
     fn do_kill(&mut self, pid: Pid) {
-        let (host, was_started, ports);
+        let (host, ports);
         {
             let Some(p) = self.procs.get_mut(pid.0 as usize) else {
                 return;
@@ -1322,7 +1619,6 @@ impl Kernel {
                 return;
             }
             host = p.host;
-            was_started = p.status != Status::NotStarted;
             p.status = Status::Dead;
             p.body = None;
             p.mailbox.clear();
@@ -1338,10 +1634,11 @@ impl Kernel {
         if self.hosts[host.0 as usize].remove_job(now, pid).is_some() {
             self.reschedule_cpu(host);
         }
-        if was_started {
-            if let Some(tx) = &self.procs[pid.0 as usize].resume_tx {
-                let _ = tx.send(Resume::Killed);
-            }
+        // A parked victim wakes, finds itself dead (`take_turn`) and
+        // unwinds on its own thread; it never gets the baton.
+        if let Some(join) = self.procs[pid.0 as usize].join.take() {
+            join.thread().unpark();
+            self.reaped.push(join);
         }
         self.stats.killed += 1;
         self.emit_proc(pid, |pid, name, host| KernelEvent::ProcKill {
@@ -1377,87 +1674,6 @@ impl Kernel {
     // ------------------------------------------------------------------
     // Process execution
     // ------------------------------------------------------------------
-
-    fn drain_runnable(&mut self) {
-        while let Some(pid) = self.next_runnable() {
-            self.run_process(pid);
-            if self.panicked.is_some() {
-                return;
-            }
-        }
-    }
-
-    fn run_process(&mut self, pid: Pid) {
-        let resume = {
-            let p = &mut self.procs[pid.0 as usize];
-            if p.status != Status::Runnable {
-                return; // killed while queued
-            }
-            p.status = Status::Running;
-            match p.pending.take() {
-                Some(r) => r,
-                None => {
-                    // Runnable without a pending resume is a scheduler
-                    // bookkeeping bug; reap the process instead of
-                    // panicking the whole sim.
-                    p.status = Status::Dead;
-                    return;
-                }
-            }
-        };
-        let Some(tx) = self.procs[pid.0 as usize].resume_tx.clone() else {
-            self.procs[pid.0 as usize].status = Status::Dead;
-            return;
-        };
-        if tx.send(resume).is_err() {
-            // Thread is gone (should not happen for a live process).
-            self.procs[pid.0 as usize].status = Status::Dead;
-            return;
-        }
-        loop {
-            self.mark(ProfileMark::OpBegin("sched.handoff"));
-            let sc = self.wait_syscall(pid);
-            self.mark(ProfileMark::OpEnd("sched.handoff"));
-            let Some(sc) = sc else {
-                self.do_kill(pid);
-                return;
-            };
-            let op = Kernel::syscall_op(&sc);
-            self.mark(ProfileMark::OpBegin(op));
-            let flow = self.handle_syscall(pid, sc);
-            self.mark(ProfileMark::OpEnd(op));
-            match flow {
-                Flow::Reply(r) => {
-                    if tx.send(r).is_err() {
-                        self.do_kill(pid);
-                        return;
-                    }
-                }
-                Flow::Block => return,
-                Flow::Exited => return,
-            }
-        }
-    }
-
-    /// Wait for the next syscall from `expect`. `None` means the syscall
-    /// channel closed — impossible while the kernel holds its own sender
-    /// clone, but handled (by reaping the caller) rather than panicking.
-    fn wait_syscall(&mut self, expect: Pid) -> Option<Syscall> {
-        loop {
-            let (pid, sc) = self.syscall_rx.recv().ok()?;
-            if pid == expect {
-                return Some(sc);
-            }
-            // A syscall from another process can only come from a thread
-            // that is unwinding after being killed (its Ctx suppresses
-            // everything once dead, but an Exit/Panicked raced the kill).
-            debug_assert_eq!(
-                self.procs[pid.0 as usize].status,
-                Status::Dead,
-                "unexpected concurrent syscall from live {pid}"
-            );
-        }
-    }
 
     fn handle_syscall(&mut self, pid: Pid, sc: Syscall) -> Flow {
         let now = self.now;
@@ -1541,7 +1757,7 @@ impl Kernel {
             Syscall::Kill(target) => {
                 self.do_kill(target);
                 if target == pid {
-                    Flow::Exited // the kill already sent Resume::Killed
+                    Flow::Exited
                 } else {
                     Flow::Reply(Resume::Ok { now })
                 }
@@ -1612,7 +1828,7 @@ impl Kernel {
     }
 
     /// Clean exit of a process (body returned or panicked): release
-    /// resources but do not send any resume — the thread is finishing.
+    /// resources; there is nothing to wake — the thread is finishing.
     fn finish_process(&mut self, pid: Pid) {
         let (host, ports);
         {
@@ -1644,15 +1860,17 @@ impl Kernel {
 
 impl Drop for Kernel {
     fn drop(&mut self) {
-        // Wake every parked thread by closing its resume channel, then join.
-        let mut joins = Vec::new();
-        for p in &mut self.procs {
-            p.resume_tx = None; // closes the channel; recv() errors => Killed
-            if let Some(j) = p.join.take() {
-                joins.push(j);
-            }
-        }
+        // Tell every parked thread to give up, then wake and join them
+        // (outside the lock: they need it to see the flag).
+        let joins: Vec<JoinHandle<()>> = {
+            let mut core = self.core.lock();
+            core.shutdown = true;
+            let mut joins = std::mem::take(&mut core.reaped);
+            joins.extend(core.procs.iter_mut().filter_map(|p| p.join.take()));
+            joins
+        };
         for j in joins {
+            j.thread().unpark();
             let _ = j.join();
         }
     }
@@ -1692,6 +1910,6 @@ impl Ctx {
         } else {
             "non-string panic payload".to_string()
         };
-        self.send_panicked(msg);
+        self.leave(Syscall::Panicked(msg));
     }
 }

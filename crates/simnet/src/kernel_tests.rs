@@ -286,6 +286,19 @@ fn process_bug_panics_propagate_to_the_driver() {
     sim.run_until_idle();
 }
 
+/// A kernel-side panic on a process's thread (its syscall runs there) is
+/// not mistaken for the body's and does not re-enter the core.
+#[test]
+#[should_panic(expected = "kernel fault in its syscall: unknown host h9")]
+fn kernel_panics_in_a_syscall_propagate_to_the_driver() {
+    let mut sim = Kernel::with_seed(1);
+    let a = sim.add_host(HostConfig::new("a"));
+    sim.spawn(a, "lost", move |ctx| {
+        let _ = ctx.spawn(crate::HostId(9), "nowhere", |_| {});
+    });
+    sim.run_until_idle();
+}
+
 #[test]
 fn host_crash_kills_processes_and_unbinds_ports() {
     let mut sim = Kernel::with_seed(1);
@@ -1069,4 +1082,233 @@ fn schedule_policy_flips_runnable_order() {
         flipped_order,
         vec!["second".to_string(), "first".to_string()]
     );
+}
+
+// ---------------------------------------------------------------------
+// The baton: thread switches, observer equivalence, dying baton holders
+// ---------------------------------------------------------------------
+
+/// A two-host echo pair, `n` round trips: the client runs `compute, send,
+/// recv, compute`, the server `recv, compute, compute, send` (the syscall
+/// mix of one `rpc_small` round trip). Returns the kernel after the run
+/// and how many `sched.handoff` marks a profile hook saw, if one was asked.
+fn echo_pair(n: usize, with_profile_hook: bool) -> (Kernel, usize) {
+    let mut sim = Kernel::with_seed(9);
+    let handoffs = cell::<usize>();
+    if with_profile_hook {
+        let h = handoffs.clone();
+        sim.set_profile_hook(move |mark| {
+            *h.lock() += usize::from(mark == crate::ProfileMark::OpBegin("sched.handoff"));
+        });
+    }
+    let a = sim.add_host(HostConfig::new("client"));
+    let b = sim.add_host(HostConfig::new("server"));
+    let server = sim.spawn(b, "server", move |ctx| {
+        for _ in 0..n {
+            let req = ctx.recv().unwrap();
+            ctx.compute(1e-5).unwrap();
+            ctx.compute(1e-5).unwrap();
+            ctx.send(Addr::Pid(req.from), vec![0; 64]).unwrap();
+        }
+    });
+    sim.spawn(a, "client", move |ctx| {
+        for _ in 0..n {
+            ctx.compute(1e-5).unwrap();
+            ctx.send(Addr::Pid(server), vec![0; 64]).unwrap();
+            ctx.recv().unwrap();
+            ctx.compute(1e-5).unwrap();
+        }
+    });
+    sim.run_until_idle();
+    let seen = *handoffs.lock();
+    (sim, seen)
+}
+
+#[test]
+fn a_round_trip_costs_two_thread_switches() {
+    const N: u64 = 200;
+    // No observers: the baton changes threads when the request reaches the
+    // server and when the reply reaches the client, plus a handful of times
+    // around start-up and exit.
+    let (bare, _) = echo_pair(N as usize, false);
+    let switches = bare.thread_switches();
+    assert!(
+        (2 * N..=2 * N + 8).contains(&switches),
+        "{switches} thread switches for {N} round trips"
+    );
+    // With a profile hook main drives every step: one `sched.handoff` per
+    // syscall (8 per round trip + 2 exits — the count at the commit before
+    // the baton), each a switch to the process and one back.
+    let (hooked, handoffs) = echo_pair(N as usize, true);
+    assert_eq!(handoffs as u64, 8 * N + 2);
+    assert_eq!(hooked.thread_switches(), 2 * handoffs as u64);
+    assert_eq!(bare.now(), hooked.now());
+    assert_eq!(bare.profile(), hooked.profile());
+}
+
+/// What a run of `observed_cell` comes to — stats, profile, end time and
+/// the `(time, note)`s the processes took — then what the tracer and the
+/// event hook were handed (empty unless installed).
+type CellOutcome = (
+    (String, crate::KernelProfile, SimTime, Vec<String>),
+    Vec<String>,
+    Vec<String>,
+);
+
+/// One seed-fixed cell with a kill, a spawn from inside a process, a
+/// `recv_timeout` that expires, a scheduled fault, a host crashed from
+/// another host — and one crashed by a process that lives on it while it
+/// holds the baton: four equal compute jobs on `h[3]` finish at the same
+/// CpuCheck, `w0` takes another turn on the CPU, `w1` crashes the host
+/// with `w0` blocked and `w2`, `w3` still in the runnable queue.
+fn observed_cell(events: bool, profile: bool, policy: bool) -> CellOutcome {
+    let mut sim = Kernel::with_seed(21);
+    let (lines, hooked) = (cell::<Vec<String>>(), cell::<Vec<String>>());
+    if events {
+        let (l, e) = (lines.clone(), hooked.clone());
+        sim.set_tracer(move |t, line| l.lock().push(format!("{t} {line}")));
+        sim.set_event_hook(move |t, ev| e.lock().push(format!("{t} {ev}")));
+    }
+    if profile {
+        sim.set_profile_hook(|_| {});
+    }
+    if policy {
+        sim.set_schedule_policy(TestPolicy {
+            choices: cell(),
+            flip_delivers: false,
+            flip_runs: false,
+        });
+    }
+    let h = sim.add_hosts(4);
+    let notes = cell::<Vec<String>>();
+    let note = |notes: &Cell<Vec<String>>, ctx: &crate::Ctx, what: &str| {
+        notes.lock().push(format!("{} {what}", ctx.now()));
+    };
+    let spinner = sim.spawn(h[1], "spinner", |ctx| {
+        let _ = ctx.spin_forever();
+    });
+    let n = notes.clone();
+    let sink = sim.spawn(h[2], "sink", move |ctx| {
+        while let Ok(Some(m)) = ctx.recv_timeout(secs(0.5)) {
+            note(&n, ctx, &format!("sink got {:?}", m.data()));
+        }
+        note(&n, ctx, "sink timed out");
+    });
+    let (n, hosts) = (notes.clone(), h.clone());
+    sim.spawn(h[0], "boss", move |ctx| {
+        ctx.compute(0.01).unwrap();
+        let child = ctx.spawn(hosts[1], "child", move |ctx| {
+            let _ = ctx.send(Addr::Pid(sink), vec![9]);
+            let _ = ctx.sleep(secs(10.0));
+        });
+        ctx.sleep(secs(0.1)).unwrap();
+        ctx.kill(spinner).unwrap();
+        note(&n, ctx, &format!("killed spinner, child is {child:?}"));
+        ctx.compute(0.02).unwrap();
+        ctx.crash_host(hosts[1]).unwrap();
+        note(&n, ctx, "crashed h1");
+        ctx.restart_host(hosts[1]).unwrap();
+    });
+    for i in 0..4u8 {
+        let n = notes.clone();
+        sim.spawn(h[3], format!("w{i}"), move |ctx| {
+            // A victim leaves at its first `Err(Killed)`, silently: it
+            // unwinds off the baton, so a note from there has no fixed place.
+            let _ = (|| {
+                ctx.compute(0.05)?;
+                note(&n, ctx, &format!("w{i} computed"));
+                if i == 1 {
+                    ctx.crash_host(ctx.host())?;
+                }
+                ctx.send(Addr::Pid(sink), vec![i])?;
+                ctx.compute(0.05)
+            })();
+        });
+    }
+    sim.schedule_fault(
+        SimTime::ZERO + secs(0.3),
+        Fault::Partition(h[0], h[2], true),
+    );
+    let end = sim.run_until_idle();
+    let run = (
+        format!("{:?}", sim.stats()),
+        sim.profile(),
+        end,
+        notes.lock().clone(),
+    );
+    let (lines, hooked) = (lines.lock().clone(), hooked.lock().clone());
+    (run, lines, hooked)
+}
+
+#[test]
+fn observers_do_not_change_the_run() {
+    let traced = observed_cell(true, false, false);
+    let (run, lines, hooked) = &traced;
+    // The trace and counters of this cell at the commit before the baton:
+    // the kernel ran on a thread of its own then.
+    assert_eq!(*lines, GOLDEN_CELL_TRACE, "{lines:#?}");
+    assert_eq!(run.0, GOLDEN_CELL_STATS);
+    assert_eq!(lines, hooked, "tracer and event hook saw different runs");
+    // Process-driven with a flush per event vs. driven by main step by
+    // step: same lines, same timestamps, same order.
+    assert_eq!(traced, observed_cell(true, true, true));
+    // And nothing but the recorded lines tells an observed run from a bare one.
+    for (profile, policy) in [(false, false), (true, false), (false, true)] {
+        assert_eq!(*run, observed_cell(false, profile, policy).0);
+    }
+}
+
+const GOLDEN_CELL_TRACE: [&str; 20] = [
+    "0.000000 spawn p0 spinner on h1",
+    "0.000000 spawn p1 sink on h2",
+    "0.000000 spawn p2 boss on h0",
+    "0.000000 spawn p3 w0 on h3",
+    "0.000000 spawn p4 w1 on h3",
+    "0.000000 spawn p5 w2 on h3",
+    "0.000000 spawn p6 w3 on h3",
+    "0.010000 spawn p7 child on h1",
+    "0.110000 kill p0",
+    "0.130000 kill p7",
+    "0.130000 crash h1",
+    "0.130000 restart h1",
+    "0.130000 exit p2",
+    "0.200000 kill p3",
+    "0.200000 kill p4",
+    "0.200000 kill p5",
+    "0.200000 kill p6",
+    "0.200000 crash h3",
+    "0.300000 partition h0-h2 cut",
+    "0.700150 exit p1",
+];
+const GOLDEN_CELL_STATS: &str =
+    "KernelStats { events: 23, msgs_delivered: 2, msgs_dropped: 0, rsts: 0, spawned: 8, killed: 6 }";
+
+#[test]
+fn events_reach_the_hook_before_the_emitting_process_runs_on() {
+    // `core::runtime`'s monitor channel is fed by the event hook and read
+    // from inside the simulation: what a syscall emitted must be in the
+    // hook's hands by the time that syscall returns.
+    let mut sim = Kernel::with_seed(1);
+    let h = sim.add_hosts(2);
+    let seen = crate::Shared::new(Vec::<String>::new());
+    let sink = seen.clone();
+    sim.set_event_hook(move |_, ev| sink.with(|s| s.push(ev.to_string())));
+    sim.spawn(h[1], "b", |ctx| {
+        let _ = ctx.recv();
+    });
+    let read = cell::<Vec<String>>();
+    let r = read.clone();
+    sim.spawn(h[0], "a", move |ctx| {
+        ctx.sleep(secs(0.1)).unwrap();
+        ctx.crash_host(h[1]).unwrap();
+        *r.lock() = seen.get();
+    });
+    sim.run_until_idle();
+    let want = [
+        "spawn p0 b on h1",
+        "spawn p1 a on h0",
+        "kill p0",
+        "crash h1",
+    ];
+    assert_eq!(*read.lock(), want);
 }

@@ -1,21 +1,22 @@
 //! The process-side view of the simulation: the [`Ctx`] handle and the
-//! syscall/resume protocol between process threads and the kernel.
+//! syscall/resume vocabulary between a process and the kernel core.
 //!
-//! Every simulated process runs on its own OS thread, but the kernel only
-//! ever lets **one** process execute at a time: a process runs from one
-//! blocking syscall to the next, then hands control back. This gives
+//! Every simulated process runs on its own OS thread, but only the thread
+//! that holds the kernel's baton executes (see `kernel`'s module docs): a
+//! process runs from one blocking syscall to the next. This gives
 //! deterministic execution while letting application code (ORB server
 //! loops, optimization workers, ...) be written in ordinary direct style.
 
 use std::fmt;
-use std::sync::mpsc::{Receiver, Sender};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::cpu::HostSnapshot;
 use crate::ids::{Addr, HostId, Pid, Port};
+use crate::kernel::{wake, Core, Turn};
 use crate::msg::Msg;
+use crate::shared::Shared;
 use crate::time::{SimDuration, SimTime};
 
 /// The body of a simulated process.
@@ -124,12 +125,10 @@ pub(crate) enum Resume {
     },
     /// Generic acknowledgement of an immediate syscall.
     Ok { now: SimTime },
-    /// The process has been killed; all further syscalls fail too.
-    Killed,
 }
 
 impl Resume {
-    fn now(&self) -> Option<SimTime> {
+    fn now(&self) -> SimTime {
         match self {
             Resume::Start { now }
             | Resume::Done { now }
@@ -138,8 +137,7 @@ impl Resume {
             | Resume::PortV { now, .. }
             | Resume::PidV { now, .. }
             | Resume::Host { now, .. }
-            | Resume::Ok { now } => Some(*now),
-            Resume::Killed => None,
+            | Resume::Ok { now } => *now,
         }
     }
 }
@@ -160,19 +158,14 @@ pub struct Ctx {
     host: HostId,
     now: SimTime,
     dead: bool,
-    syscall_tx: Sender<(Pid, Syscall)>,
-    resume_rx: Receiver<Resume>,
+    /// Inside `Core::syscall`: a panic now is the kernel's, not the body's.
+    in_kernel: bool,
+    core: Shared<Core>,
     rng: SmallRng,
 }
 
 impl Ctx {
-    pub(crate) fn new(
-        pid: Pid,
-        host: HostId,
-        seed: u64,
-        syscall_tx: Sender<(Pid, Syscall)>,
-        resume_rx: Receiver<Resume>,
-    ) -> Self {
+    pub(crate) fn new(pid: Pid, host: HostId, seed: u64, core: Shared<Core>) -> Self {
         // Derive a per-process RNG deterministically from the kernel seed
         // and the (deterministically assigned) pid.
         let mixed = seed
@@ -183,8 +176,8 @@ impl Ctx {
             host,
             now: SimTime::ZERO,
             dead: false,
-            syscall_tx,
-            resume_rx,
+            in_kernel: false,
+            core,
             rng: SmallRng::seed_from_u64(mixed),
         }
     }
@@ -192,16 +185,29 @@ impl Ctx {
     /// Wait for the initial `Start` resume. Called by the thread wrapper
     /// before the body runs.
     pub(crate) fn wait_start(&mut self) -> SimResult<()> {
-        match self.resume_rx.recv() {
-            Ok(Resume::Start { now }) => {
+        match self.wait_turn()? {
+            Resume::Start { now } => {
                 self.now = now;
                 Ok(())
             }
-            Ok(Resume::Killed) | Err(_) => {
-                self.mark_dead();
-                Err(Killed)
+            other => Err(self.bad_resume("start", &other)),
+        }
+    }
+
+    /// Park until this process holds the baton, then take what its blocked
+    /// syscall returns — or learn that it was killed meanwhile (a kill, a
+    /// host crash and `Kernel::drop` unpark the thread too).
+    fn wait_turn(&mut self) -> SimResult<Resume> {
+        loop {
+            let turn = self.core.lock().take_turn(self.pid);
+            match turn {
+                Some(Ok(resume)) => return Ok(resume),
+                Some(Err(Killed)) => {
+                    self.mark_dead();
+                    return Err(Killed);
+                }
+                None => std::thread::park(),
             }
-            Ok(other) => Err(self.bad_resume("start", &other)),
         }
     }
 
@@ -234,40 +240,39 @@ impl Ctx {
         if self.dead {
             return Err(Killed);
         }
-        if self.syscall_tx.send((self.pid, sc)).is_err() {
-            self.mark_dead();
-            return Err(Killed);
-        }
-        match self.resume_rx.recv() {
-            Ok(r) => {
-                if let Some(now) = r.now() {
-                    self.now = now;
-                    Ok(r)
-                } else {
-                    self.mark_dead();
-                    Err(Killed)
-                }
+        let resume = match self.enter(sc) {
+            Turn::Go(resume) => resume,
+            Turn::Wait(next) => {
+                wake(next);
+                self.wait_turn()?
             }
-            Err(_) => {
-                self.mark_dead();
-                Err(Killed)
-            }
-        }
+        };
+        self.now = resume.now();
+        Ok(resume)
     }
 
-    /// Notify the kernel that the body has returned. Called by the thread
-    /// wrapper; does not wait for a reply.
-    pub(crate) fn send_exit(&mut self) {
-        if !self.dead {
-            let _ = self.syscall_tx.send((self.pid, Syscall::Exit));
-        }
+    fn enter(&mut self, sc: Syscall) -> Turn {
+        self.in_kernel = true;
+        let turn = self.core.lock().syscall(&self.core, self.pid, sc);
+        self.in_kernel = false;
+        turn
     }
 
-    /// Notify the kernel that the body panicked (a real bug, not a kill
-    /// unwind). Does not wait for a reply.
-    pub(crate) fn send_panicked(&mut self, msg: String) {
-        if !self.dead {
-            let _ = self.syscall_tx.send((self.pid, Syscall::Panicked(msg)));
+    /// Tell the kernel that the body is over — it returned (`Exit`) or
+    /// panicked for real, not as a kill unwind (`Panicked`) — and give the
+    /// baton up for good. Called by the thread wrapper; waits for nothing.
+    pub(crate) fn leave(&mut self, sc: Syscall) {
+        if self.dead {
+            return;
+        }
+        let turn = match sc {
+            Syscall::Panicked(msg) if self.in_kernel => {
+                Turn::Wait(self.core.lock().kernel_fault(self.pid, msg))
+            }
+            sc => self.enter(sc),
+        };
+        if let Turn::Wait(next) = turn {
+            wake(next);
         }
     }
 

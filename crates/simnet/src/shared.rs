@@ -1,11 +1,13 @@
 //! Deterministic cross-process shared state.
 //!
-//! Sim processes are OS threads, but the kernel resumes exactly one at a
-//! time, so access to state shared between processes is always serialized
-//! by the scheduler. A `Mutex` is still required for *soundness* (the
-//! `Send`/`Sync` bounds on process bodies), never for mutual exclusion —
-//! it cannot be contended, and locking order cannot affect simulation
-//! outcomes.
+//! Sim processes are OS threads, but only the one holding the kernel's
+//! baton runs (see `kernel`'s module docs), so access to state shared
+//! between processes is always serialized by the scheduler. A `Mutex` is
+//! still required for *soundness* (the `Send`/`Sync` bounds on process
+//! bodies), never for mutual exclusion — the only thread that can meet a
+//! running process at a lock is a killed one unwinding off the baton — and
+//! locking order cannot affect simulation outcomes. The kernel's own state
+//! (`kernel::Core`) lives in a `Shared` cell too.
 //!
 //! `Shared<T>` packages that idiom so the rest of the workspace never
 //! touches `std::sync::Mutex` directly: `ldft-lint` rule D4 bans OS
