@@ -4,8 +4,8 @@
 //! replicated store, monitoring events — alongside many other `u64`
 //! quantities (virtual times, sequence numbers, byte counts). Carrying
 //! them as bare `u64` made it possible to hand a timestamp to a quorum
-//! comparison without a diagnostic; the `ldft-lint` rule E2 now requires
-//! every epoch-named parameter, field, and return to use this newtype.
+//! comparison without a diagnostic; the contract structs now carry this
+//! newtype, so a bare `u64` meeting one of their epochs is a type error.
 //!
 //! On the wire an `Epoch` is exactly an `unsigned long long` (`idl/ft.idl`
 //! declares it `native Epoch` and the generated `FT::Checkpoint` holds

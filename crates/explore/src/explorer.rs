@@ -15,15 +15,15 @@
 //! candidates `0..alt`. When `alt` commutes with each of them under the
 //! independence relation ([`crate::independence`]), the child schedule
 //! is Mazurkiewicz-equivalent to its parent and is *pruned* — counted
-//! but not run. Because the extended relation is heuristic, the first
-//! few pruned children of every parent are *audited*: actually executed
-//! and required to reproduce the parent's semantic digest byte for byte
-//! (the schedule-robustness oracle). An audit mismatch is a violation
-//! like any other: ddmin-shrunk and minted into a replay token.
+//! but not run. The first few pruned children of every parent are
+//! *audited* all the same: actually executed and required to reproduce
+//! the parent's semantic digest byte for byte (the schedule-robustness
+//! oracle). An audit mismatch is a violation like any other:
+//! ddmin-shrunk and minted into a replay token.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::independence::{commutes, commutes_extended, Coupling};
+use crate::independence::commutes;
 use crate::policy::ChoiceLog;
 use crate::shrink::ddmin;
 use crate::targets::{RunOutcome, Target};
@@ -47,9 +47,6 @@ pub struct ExploreConfig {
     pub audits_per_parent: usize,
     /// Maximum ddmin probes per violation (each probe re-runs the cell).
     pub shrink_budget: usize,
-    /// Lint-derived coupling facts enabling the extended independence
-    /// relation; `None` restricts pruning to the strict relation.
-    pub coupling: Option<Coupling>,
 }
 
 impl Default for ExploreConfig {
@@ -60,7 +57,6 @@ impl Default for ExploreConfig {
             max_width: 4,
             audits_per_parent: 2,
             shrink_budget: 60,
-            coupling: None,
         }
     }
 }
@@ -132,7 +128,6 @@ struct Node {
     plan: BTreeMap<u64, usize>,
     log: ChoiceLog,
     digest: u64,
-    names: BTreeMap<u32, String>,
     /// First ordinal children may deviate at.
     frontier_from: u64,
 }
@@ -178,7 +173,6 @@ impl Explorer<'_> {
             plan: root_plan,
             log: root.log,
             digest: root.digest,
-            names: root.proc_names,
             frontier_from: 0,
         });
 
@@ -215,15 +209,9 @@ impl Explorer<'_> {
                 // Choosing `alt` overtakes candidates 0..alt. If `alt`
                 // commutes with each of them, the schedules are
                 // equivalent — prune, optionally audit.
-                let equivalent =
-                    point.cands[..alt]
-                        .iter()
-                        .all(|earlier| match &self.config.coupling {
-                            Some(cpl) => {
-                                commutes_extended(&point.cands[alt], earlier, &node.names, cpl)
-                            }
-                            None => commutes(&point.cands[alt], earlier),
-                        });
+                let equivalent = point.cands[..alt]
+                    .iter()
+                    .all(|earlier| commutes(&point.cands[alt], earlier));
                 let mut child_plan = node.plan.clone();
                 child_plan.insert(point.ordinal, alt);
                 if equivalent {
@@ -251,7 +239,6 @@ impl Explorer<'_> {
                     plan: child_plan,
                     log: child.log,
                     digest: child.digest,
-                    names: child.proc_names,
                     frontier_from: point.ordinal + 1,
                 });
             }

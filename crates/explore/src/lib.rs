@@ -35,7 +35,7 @@ pub mod targets;
 pub mod token;
 
 pub use explorer::{explore, replay, ExploreConfig, ExploreOutcome, ExploreStats, ViolationReport};
-pub use independence::{commutes, commutes_extended, Coupling};
+pub use independence::commutes;
 pub use policy::{ChoiceLog, ChoicePoint, Fp, PlanPolicy};
 pub use targets::{all_targets, target_by_name, RunOutcome, Target};
 pub use token::{ReplayToken, TOKEN_PREFIX};

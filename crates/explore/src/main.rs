@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! explore [--target NAME] [--budget N] [--max-devs N] [--width N]
-//!         [--audits N] [--shrink N] [--require N] [--no-lint-facts]
+//!         [--audits N] [--shrink N] [--require N]
 //!         [--report-out PATH] [--tokens-out PATH] [--replay TOKEN|FILE]
 //!         [--mint PLAN] [--list]
 //! ```
@@ -21,14 +21,12 @@
 use std::fmt::Write as _;
 
 use explore::{
-    all_targets, explore as run_explore, target_by_name, Coupling, ExploreConfig, ReplayToken,
-    TOKEN_PREFIX,
+    all_targets, explore as run_explore, target_by_name, ExploreConfig, ReplayToken, TOKEN_PREFIX,
 };
 
 struct Args {
     target: Option<String>,
     config: ExploreConfig,
-    use_lint_facts: bool,
     require: Option<usize>,
     report_out: Option<String>,
     tokens_out: Option<String>,
@@ -41,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         target: None,
         config: ExploreConfig::default(),
-        use_lint_facts: true,
         require: None,
         report_out: None,
         tokens_out: None,
@@ -78,7 +75,6 @@ fn parse_args() -> Result<Args, String> {
                 args.require = Some(take("--require")?.parse().map_err(|e| format!("{e}"))?);
             }
             "--mint" => args.mint = Some(take("--mint")?),
-            "--no-lint-facts" => args.use_lint_facts = false,
             "--report-out" => args.report_out = Some(take("--report-out")?),
             "--tokens-out" => args.tokens_out = Some(take("--tokens-out")?),
             "--replay" => args.replay = Some(take("--replay")?),
@@ -87,21 +83,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// Load lint-derived coupling facts for the extended independence
-/// relation; falls back to strict-only pruning when the workspace
-/// sources are not reachable (e.g. an installed binary).
-fn load_coupling() -> Option<Coupling> {
-    let cwd = std::env::current_dir().ok()?;
-    let root = ldft_lint::find_workspace_root(&cwd)?;
-    match Coupling::from_workspace(&root) {
-        Ok(c) => Some(c),
-        Err(e) => {
-            eprintln!("explore: lint facts unavailable ({e}); strict relation only");
-            None
-        }
-    }
 }
 
 fn replay_mode(spec: &str) -> i32 {
@@ -233,18 +214,7 @@ fn main() {
         std::process::exit(mint_mode(args.target.as_deref(), spec));
     }
 
-    let mut config = args.config.clone();
-    config.coupling = if args.use_lint_facts {
-        load_coupling()
-    } else {
-        None
-    };
-    let facts = if config.coupling.is_some() {
-        "strict+lint"
-    } else {
-        "strict"
-    };
-
+    let config = &args.config;
     let targets = match &args.target {
         Some(name) => match target_by_name(name) {
             Some(t) => vec![t],
@@ -263,12 +233,15 @@ fn main() {
     let mut require_unmet = false;
     let _ = writeln!(
         report,
-        "ldft-explore report\nconfig: budget={} max_devs={} width={} audits={} shrink={} facts={facts}",
-        config.budget, config.max_deviations, config.max_width, config.audits_per_parent,
+        "ldft-explore report\nconfig: budget={} max_devs={} width={} audits={} shrink={}",
+        config.budget,
+        config.max_deviations,
+        config.max_width,
+        config.audits_per_parent,
         config.shrink_budget,
     );
     for target in &targets {
-        let out = run_explore(target.as_ref(), &config);
+        let out = run_explore(target.as_ref(), config);
         let s = &out.stats;
         let distinct = s.distinct_schedules();
         let _ = writeln!(

@@ -44,7 +44,7 @@ impl Target for DemoRace {
 
 fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     let mut sim = Kernel::with_seed(SEED);
-    let ins = instrument(&mut sim, plan, |_, _| {});
+    let choices = instrument(&mut sim, plan, |_, _| {});
     let host = sim.add_hosts(1)[0];
 
     // Write order and final register value, observed by the oracle.
@@ -85,8 +85,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     RunOutcome {
         digest: h.finish(),
         violations,
-        log: ins.log.get(),
-        proc_names: ins.names.get(),
+        log: choices.get(),
         end_ns: end.as_nanos(),
     }
 }

@@ -38,8 +38,6 @@ pub struct RunOutcome {
     pub violations: Vec<String>,
     /// The recorded choice sequence.
     pub log: ChoiceLog,
-    /// Pid → process name, for the extended independence relation.
-    pub proc_names: BTreeMap<u32, String>,
     /// Virtual end time of the run.
     pub end_ns: u64,
 }
@@ -76,32 +74,18 @@ pub fn target_by_name(name: &str) -> Option<Box<dyn Target>> {
 }
 
 /// Kernel-side instrumentation shared by every cell: the plan-following
-/// schedule policy plus an event hook that records process names and
-/// forwards every kernel event to the cell's own consumer (typically the
-/// monitor's `ingest_kernel`).
-pub(crate) struct Instruments {
-    /// The choice log the policy records into.
-    pub log: Shared<ChoiceLog>,
-    /// Pid → name, filled as processes spawn.
-    pub names: Shared<BTreeMap<u32, String>>,
-}
-
+/// schedule policy, plus an event hook forwarding every kernel event to
+/// the cell's own consumer (typically the monitor's `ingest_kernel`).
+/// Returns the choice log the policy records into.
 pub(crate) fn instrument(
     kernel: &mut Kernel,
     plan: &BTreeMap<u64, usize>,
-    mut forward: impl FnMut(SimTime, &KernelEvent) + 'static,
-) -> Instruments {
+    forward: impl FnMut(SimTime, &KernelEvent) + 'static,
+) -> Shared<ChoiceLog> {
     let log = Shared::new(ChoiceLog::default());
     kernel.set_schedule_policy(PlanPolicy::new(plan.clone(), log.clone()));
-    let names: Shared<BTreeMap<u32, String>> = Shared::new(BTreeMap::new());
-    let sink = names.clone();
-    kernel.set_event_hook(move |now, ev| {
-        if let KernelEvent::ProcSpawn { pid, name, .. } = ev {
-            sink.lock().insert(pid.0, name.clone());
-        }
-        forward(now, ev);
-    });
-    Instruments { log, names }
+    kernel.set_event_hook(forward);
+    log
 }
 
 #[cfg(test)]

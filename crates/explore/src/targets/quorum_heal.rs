@@ -155,7 +155,7 @@ fn drive(ctx: &mut Ctx, naming_host: HostId, out: Shared<DriverOut>) -> SimResul
 fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     let mut sim = Kernel::with_seed(SEED);
     let flight = MonitorHandle::new(MonitorConfig::default(), None);
-    let ins = {
+    let choices = {
         let state = flight.state.clone();
         instrument(&mut sim, plan, move |now, ev| {
             state.with(|s| s.ingest_kernel(now, ev))
@@ -245,8 +245,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     RunOutcome {
         digest: h.finish(),
         violations,
-        log: ins.log.get(),
-        proc_names: ins.names.get(),
+        log: choices.get(),
         end_ns: end.as_nanos(),
     }
 }

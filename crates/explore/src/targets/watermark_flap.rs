@@ -80,7 +80,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     };
     let state = Shared::new(ChannelState::new(cfg, None));
     let wide = state.lock().subscribe(512);
-    let ins = {
+    let choices = {
         let state = state.clone();
         instrument(&mut sim, plan, move |now, ev| {
             state.lock().ingest_kernel(now, ev)
@@ -234,8 +234,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     RunOutcome {
         digest: h.finish(),
         violations,
-        log: ins.log.get(),
-        proc_names: ins.names.get(),
+        log: choices.get(),
         end_ns: end.as_nanos(),
     }
 }

@@ -2,11 +2,6 @@
 //! budget so a change to the kernel's choice-point layout, the
 //! independence relation, or a target cell shows up as a reviewable
 //! diff here — the same re-pin discipline as `ldft-lint`'s selfcheck.
-//!
-//! The pins run with the strict relation only (`coupling: None`): the
-//! extended relation depends on lint facts computed over the whole
-//! workspace, which would make these counts drift with every unrelated
-//! source change.
 
 use std::collections::BTreeMap;
 
@@ -19,7 +14,6 @@ fn pin_config() -> ExploreConfig {
         max_width: 4,
         audits_per_parent: 1,
         shrink_budget: 60,
-        coupling: None,
     }
 }
 

@@ -728,6 +728,8 @@ fn disk_backed_checkpoint_service_works_in_sim() {
         ckpt.store(&mut orb, ctx, &c).unwrap().unwrap();
         let back = ckpt.retrieve(&mut orb, ctx, "disk-test").unwrap().unwrap();
         assert_eq!(back.unwrap().state, vec![9; 100]);
+        let listed = ckpt.list(&mut orb, ctx).unwrap().unwrap();
+        assert_eq!(listed, vec!["disk-test"]);
         // Per-value ops over the wire: a stored chunk is countable, and
         // delete erases the whole object (but leaves "disk-test" alone —
         // its file is asserted below).

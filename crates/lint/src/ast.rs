@@ -4,16 +4,14 @@
 //! and string-literal contents are blanked in `code` but preserved in
 //! `SourceLine::literals`, so this module can tokenize line-by-line and
 //! re-attach literal values as `Lit` tokens. On top of the token stream it
-//! recognizes the handful of constructs the wire-conformance (W) and
-//! lock-graph (L) rules need:
+//! recognizes the handful of constructs the codec-symmetry (W4),
+//! lock-graph (L) and exception (E1) rules need:
 //!
-//! - function items with parsed parameter lists and return types,
+//! - function items with parsed parameter lists,
 //! - `impl` blocks (`impl Trait for Type`),
 //! - `match` expressions with per-arm pattern and body spans,
 //! - call expressions with receiver chains and split argument lists,
-//! - `pub const NAME: &str = "value"` string constants,
-//! - struct definitions (including `cdr_struct!` bodies), tuple-struct
-//!   newtypes, and enum definitions with per-variant fields,
+//! - struct definitions and enum definitions with per-variant fields,
 //! - the brace-scope tree (for guard-liveness in the lock graph).
 //!
 //! This is *not* a general Rust parser: generics are skipped heuristically
@@ -63,8 +61,6 @@ pub struct Param {
     pub name: String,
     /// Joined type text (normalized spacing), empty for `self` receivers.
     pub ty: String,
-    /// Source line of the declaration (1-indexed).
-    pub line: usize,
 }
 
 /// A function item.
@@ -72,8 +68,6 @@ pub struct Param {
 pub struct FnItem {
     pub name: String,
     pub params: Vec<Param>,
-    /// Return type text; empty when the fn returns `()` implicitly.
-    pub ret: String,
     /// Line of the `fn` keyword.
     pub line: usize,
     /// Body block (token indices of the braces); `None` for trait decls.
@@ -94,9 +88,8 @@ pub struct ImplBlock {
 /// One match arm.
 #[derive(Debug, Clone)]
 pub struct Arm {
-    /// Pattern + guard text (joined tokens, literal values quoted).
-    pub pattern: String,
-    /// Token range of the pattern (inclusive start, exclusive end).
+    /// Token range of the pattern and guard (inclusive start, exclusive
+    /// end).
     pub pat: (usize, usize),
     /// Token range of the body (inclusive start, exclusive end).
     pub body: (usize, usize),
@@ -134,14 +127,12 @@ pub struct Call {
     pub name_tok: usize,
 }
 
-/// A struct definition (plain `struct` or a `cdr_struct!` body).
+/// A struct definition with named fields.
 #[derive(Debug, Clone)]
 pub struct StructDef {
     pub name: String,
     pub fields: Vec<Param>,
     pub line: usize,
-    /// Declared through the `cdr_struct!` wire-struct macro.
-    pub is_cdr: bool,
 }
 
 /// One enum variant with its named fields (tuple fields get empty names).
@@ -157,7 +148,6 @@ pub struct Variant {
 pub struct EnumDef {
     pub name: String,
     pub variants: Vec<Variant>,
-    pub line: usize,
 }
 
 /// The parsed file.
@@ -169,12 +159,8 @@ pub struct FileAst {
     pub impls: Vec<ImplBlock>,
     pub matches: Vec<MatchExpr>,
     pub calls: Vec<Call>,
-    /// `const NAME: &str = "value"` — (name, value, line).
-    pub str_consts: Vec<(String, String, usize)>,
     pub structs: Vec<StructDef>,
     pub enums: Vec<EnumDef>,
-    /// Tuple-struct newtypes: name → inner type text (`Epoch` → `u64`).
-    pub newtypes: Vec<(String, String)>,
     /// Matching-close map for parens, kept for later passes (arg splits).
     pub paren_close: BTreeMap<usize, usize>,
 }
@@ -328,16 +314,10 @@ impl FileAst {
                         // calls inside arms must still be collected.
                     }
                 }
-                "const" => {
-                    if let Some(c) = parse_str_const(&toks, i) {
-                        ast.str_consts.push(c);
-                    }
-                }
                 "struct" => {
-                    parse_struct(&toks, i, &paren_close, &brace_close, &mut ast);
-                }
-                "cdr_struct" => {
-                    parse_cdr_struct(&toks, i, &brace_close, &mut ast);
+                    if let Some(st) = parse_struct(&toks, i, &brace_close) {
+                        ast.structs.push(st);
+                    }
                 }
                 "enum" => {
                     if let Some(e) = parse_enum(&toks, i, &paren_close, &brace_close) {
@@ -379,14 +359,6 @@ impl FileAst {
                 let b = f.body.unwrap();
                 b.close - b.open
             })
-    }
-
-    /// True when token `ti` falls inside any match-arm pattern.
-    pub fn in_match_pattern(&self, ti: usize) -> bool {
-        self.matches
-            .iter()
-            .flat_map(|m| &m.arms)
-            .any(|a| a.pat.0 <= ti && ti < a.pat.1)
     }
 }
 
@@ -518,7 +490,6 @@ fn parse_param(toks: &[Tok], start: usize, end: usize) -> Option<Param> {
         return Some(Param {
             name: "self".to_string(),
             ty: String::new(),
-            line: toks[start].line,
         });
     }
     let colon = (start..end).find(|&i| toks[i].is(":"))?;
@@ -529,7 +500,6 @@ fn parse_param(toks: &[Tok], start: usize, end: usize) -> Option<Param> {
     Some(Param {
         name: name_tok.text.clone(),
         ty: join_tokens(&toks[colon + 1..end]),
-        line: name_tok.line,
     })
 }
 
@@ -553,14 +523,6 @@ fn parse_fn(
         .filter_map(|(s, e)| parse_param(toks, s, e))
         .collect();
     j = close + 1;
-    let mut ret = String::new();
-    if toks.get(j).map(|t| t.is("->")).unwrap_or(false) {
-        let ret_start = j + 1;
-        while j < toks.len() && !toks[j].is("{") && !toks[j].is(";") && !toks[j].is("where") {
-            j += 1;
-        }
-        ret = join_tokens(&toks[ret_start..j]);
-    }
     while j < toks.len() && !toks[j].is("{") && !toks[j].is(";") {
         j += 1;
     }
@@ -573,7 +535,6 @@ fn parse_fn(
         FnItem {
             name: name_tok.text.clone(),
             params,
-            ret,
             line: toks[i].line,
             body,
         },
@@ -717,7 +678,6 @@ fn parse_match(
                 (arrow + 1, q, (q + 1).min(body_close))
             };
         arms.push(Arm {
-            pattern: join_tokens(&toks[pat_start..arrow]),
             pat: (pat_start, arrow),
             body: (body_start, body_end),
             line: toks[pat_start].line,
@@ -733,30 +693,6 @@ fn parse_match(
         },
         arms,
     })
-}
-
-fn parse_str_const(toks: &[Tok], i: usize) -> Option<(String, String, usize)> {
-    let name = toks.get(i + 1)?;
-    if name.kind != TokKind::Ident || !toks.get(i + 2)?.is(":") {
-        return None;
-    }
-    // Type tokens until `=`; must mention `str`.
-    let mut j = i + 3;
-    let mut is_str = false;
-    while j < toks.len() && !toks[j].is("=") && !toks[j].is(";") {
-        if toks[j].is("str") {
-            is_str = true;
-        }
-        j += 1;
-    }
-    if !is_str || !toks.get(j)?.is("=") {
-        return None;
-    }
-    let val = toks.get(j + 1)?;
-    if val.kind != TokKind::Lit {
-        return None;
-    }
-    Some((name.text.clone(), val.text.clone(), toks[i].line))
 }
 
 fn parse_fields(toks: &[Tok], open: usize, close: usize) -> Vec<Param> {
@@ -802,69 +738,22 @@ fn parse_fields(toks: &[Tok], open: usize, close: usize) -> Vec<Param> {
 fn parse_struct(
     toks: &[Tok],
     i: usize,
-    paren_close: &std::collections::BTreeMap<usize, usize>,
     brace_close: &std::collections::BTreeMap<usize, usize>,
-    ast: &mut FileAst,
-) {
-    let Some(name) = toks.get(i + 1) else { return };
+) -> Option<StructDef> {
+    let name = toks.get(i + 1)?;
     if name.kind != TokKind::Ident {
-        return;
+        return None;
     }
     let j = skip_generics(toks, i + 2);
-    let Some(t) = toks.get(j) else { return };
-    if t.is("(") {
-        // Tuple struct: single-field ones are wire newtypes.
-        let Some(&close) = paren_close.get(&j) else {
-            return;
-        };
-        let elems = split_commas(toks, j + 1, close);
-        if elems.len() == 1 {
-            let (s, e) = elems[0];
-            let start = if toks[s].is("pub") { s + 1 } else { s };
-            ast.newtypes
-                .push((name.text.clone(), join_tokens(&toks[start..e])));
-        }
-    } else if t.is("{") {
-        let Some(&close) = brace_close.get(&j) else {
-            return;
-        };
-        ast.structs.push(StructDef {
-            name: name.text.clone(),
-            fields: parse_fields(toks, j, close),
-            line: toks[i].line,
-            is_cdr: false,
-        });
+    if !toks.get(j)?.is("{") {
+        return None;
     }
-}
-
-/// `cdr_struct!( Name { field: ty, ... } );` — possibly with doc comments
-/// (already stripped) and attributes between the paren and the name.
-fn parse_cdr_struct(
-    toks: &[Tok],
-    i: usize,
-    brace_close: &std::collections::BTreeMap<usize, usize>,
-    ast: &mut FileAst,
-) {
-    if !toks.get(i + 1).map(|t| t.is("!")).unwrap_or(false) {
-        return;
-    }
-    // Find `Name {` within the macro body.
-    let mut j = i + 2;
-    while j + 1 < toks.len() && j < i + 40 {
-        if toks[j].kind == TokKind::Ident && toks[j + 1].is("{") {
-            let Some(&close) = brace_close.get(&(j + 1)) else {
-                return;
-            };
-            ast.structs.push(StructDef {
-                name: toks[j].text.clone(),
-                fields: parse_fields(toks, j + 1, close),
-                line: toks[j].line,
-                is_cdr: true,
-            });
-            return;
-        }
-        j += 1;
-    }
+    let close = *brace_close.get(&j)?;
+    Some(StructDef {
+        name: name.text.clone(),
+        fields: parse_fields(toks, j, close),
+        line: toks[i].line,
+    })
 }
 
 fn parse_enum(
@@ -909,7 +798,6 @@ fn parse_enum(
                     .map(|(fs, fe)| Param {
                         name: String::new(),
                         ty: join_tokens(&toks[fs..fe]),
-                        line: toks[fs].line,
                     })
                     .collect()
             }
@@ -924,7 +812,6 @@ fn parse_enum(
     Some(EnumDef {
         name: name.text.clone(),
         variants,
-        line: toks[i].line,
     })
 }
 
@@ -1006,7 +893,6 @@ mod tests {
         assert_eq!(f.name, "add");
         assert_eq!(f.params.len(), 2);
         assert_eq!(f.params[1].ty, "f64");
-        assert_eq!(f.ret, "f64");
         assert!(f.body.is_some());
     }
 
@@ -1025,9 +911,9 @@ mod tests {
         );
         let m = &a.matches[0];
         assert_eq!(m.arms.len(), 3);
-        assert!(m.arms[0].pattern.contains("ops::PUSH"));
-        assert!(m.arms[1].pattern.contains("\"add\""));
-        assert!(m.arms[1].pattern.contains("\"div\""));
+        assert!(a.text(m.arms[0].pat).contains("ops::PUSH"));
+        assert!(a.text(m.arms[1].pat).contains("\"add\""));
+        assert!(a.text(m.arms[1].pat).contains("\"div\""));
     }
 
     #[test]
@@ -1039,29 +925,15 @@ mod tests {
     }
 
     #[test]
-    fn const_and_newtype_and_enum() {
+    fn struct_and_enum_fields() {
         let a = ast_of(
-            "pub const PUSH: &str = \"push\";\npub struct Epoch(pub u64);\npub enum E { A { x: u32 }, B, C(u8) }\n",
+            "pub struct Pair<T> {\n pub a: T,\n #[x] b: u32,\n}\npub struct Epoch(pub u64);\npub enum E { A { x: u32 }, B, C(u8) }\n",
         );
-        assert_eq!(
-            a.str_consts,
-            vec![("PUSH".to_string(), "push".to_string(), 1)]
-        );
-        assert_eq!(a.newtypes, vec![("Epoch".to_string(), "u64".to_string())]);
+        assert_eq!(a.structs.len(), 1, "tuple structs have no named fields");
+        assert_eq!(a.structs[0].name, "Pair");
+        assert_eq!(a.structs[0].fields[1].name, "b");
         assert_eq!(a.enums.len(), 1);
         assert_eq!(a.enums[0].variants.len(), 3);
         assert_eq!(a.enums[0].variants[0].fields[0].name, "x");
-    }
-
-    #[test]
-    fn cdr_struct_macro_fields() {
-        let a = ast_of("cdr_struct!(\n Checkpoint {\n object_id: String,\n epoch: u64,\n }\n);\n");
-        assert_eq!(a.structs.len(), 1);
-        let s = &a.structs[0];
-        assert!(s.is_cdr);
-        assert_eq!(s.name, "Checkpoint");
-        assert_eq!(s.fields.len(), 2);
-        assert_eq!(s.fields[1].name, "epoch");
-        assert_eq!(s.fields[1].ty, "u64");
     }
 }

@@ -3,9 +3,9 @@
 //! `idlc` is the workspace's only IDL front end. The contracts are parsed
 //! and checked as **one compilation unit** in sorted path order (so
 //! `idl/store.idl` can name `FT::Checkpoint` from `idl/ft.idl`), and the
-//! call-graph pass consumes the small op table built here from the
-//! checked [`idlc::Model`]. A unit `idlc` rejects yields one error
-//! finding (`W0`) at the offending `file:line` and an empty table.
+//! selfchecks read the small op table built here from the checked
+//! [`idlc::Model`]. A unit `idlc` rejects yields one error finding (`W0`)
+//! at the offending `file:line` and an empty table.
 
 use crate::rules::Finding;
 use idlc::ast::{wire_ops, Operation};

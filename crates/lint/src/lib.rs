@@ -2,17 +2,23 @@
 //!
 //! A repo-specific static analyzer for the corba-ldft workspace. It parses
 //! every workspace `.rs` file (a lexical pass: comments and literal
-//! contents removed, brace depth and function spans tracked) and enforces
-//! two invariant classes the compiler cannot see:
+//! contents removed, brace depth and function spans tracked, then a
+//! token-level AST) and enforces the invariants the compiler cannot see.
+//! Which crates are policed is stated once, at [`rules::SIM_CRATES`].
 //!
 //! * **Determinism (D1–D4)** — the whole experiment pipeline must be a
 //!   pure function of the run seed. Wall-clock time, hash-ordered
 //!   iteration, ambient RNG, and OS synchronization outside the kernel
 //!   all smuggle host nondeterminism into sim results.
-//! * **Protocol (P1–P3)** — the paper's fault-tolerance contract:
+//! * **Protocol (P1–P3, E1)** — the paper's fault-tolerance contract:
 //!   failures surface as CORBA system exceptions (never panics), clients
-//!   must observe `COMM_FAILURE`, and the FT proxy checkpoints after every
-//!   successful invocation.
+//!   must observe `COMM_FAILURE` and never drop it on the floor, and the
+//!   FT proxy checkpoints after every successful invocation.
+//! * **Contracts and codecs (W0, W4)** — `idl/*.idl` compiles under
+//!   `idlc`, and hand-written `CdrWrite`/`CdrRead` pairs are symmetric
+//!   ([`wire`]).
+//! * **Lock order (L1–L3)** — no inversion, re-entrancy, or blocking call
+//!   under a `simnet::Shared` guard ([`lockgraph`]).
 //!
 //! Findings can be suppressed inline with a justified directive:
 //!
@@ -25,9 +31,7 @@
 
 pub mod analysis;
 pub mod ast;
-pub mod callgraph;
 pub mod contracts;
-pub mod failpath;
 pub mod lexer;
 pub mod lockgraph;
 pub mod rules;
@@ -52,14 +56,6 @@ pub struct Report {
     pub lock_sites: usize,
     /// Distinct lock classes in the acquisition graph.
     pub lock_classes: usize,
-    /// Function nodes in the interprocedural call graph (F pass).
-    pub graph_nodes: usize,
-    /// Resolved call edges in the graph.
-    pub graph_edges: usize,
-    /// Remote invocation sites inventoried by the graph.
-    pub remote_sites: usize,
-    /// The call graph itself, for `--graph-out` and the selfcheck pins.
-    pub graph: callgraph::CallGraph,
 }
 
 impl Report {
@@ -179,20 +175,18 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<FileAnalysis>> {
 ///
 /// Three stages: the first parses every `.rs` file, compiles the `.idl`
 /// contracts (see [`contracts`]) and builds the [`WorkspaceIndex`] (P2's
-/// one-hop call graph over the orb stub API),
-/// the second evaluates the per-file rules plus W4 and the cross-file
-/// lock-graph (L1–L3) and failure-path (F1–F4) passes, and the third
-/// routes every finding back to its file so allow directives apply
-/// uniformly.
+/// one-hop index over the orb stub API), the second evaluates the
+/// per-file rules plus W4 and the cross-file lock-graph pass (L1–L3), and
+/// the third routes every finding back to its file so allow directives
+/// apply uniformly.
 pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     let analyses = analyze_workspace(root)?;
     let mut index = WorkspaceIndex::stub_only();
     for fa in &analyses {
         index.absorb(fa);
     }
-    // IDL contracts: compiled by idlc (W0, the call graph's op table),
-    // plus a pseudo-analysis per file so `// ldft-lint: allow(...)`
-    // directives work in .idl comments.
+    // IDL contracts: compiled by idlc (W0), plus a pseudo-analysis per
+    // file so `// ldft-lint: allow(...)` directives work in .idl comments.
     let idls = contracts(root)?;
     let idl_analyses: Vec<FileAnalysis> = idls
         .sources
@@ -222,19 +216,11 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     let lock_report = lockgraph::check(&analyses);
     report.lock_sites = lock_report.sites;
     report.lock_classes = lock_report.classes;
-    // Interprocedural failure-path pass (F1–F4) over the call graph.
-    let graph = callgraph::build(&analyses, &idls);
-    let fail_findings = failpath::check(&analyses, &graph);
-    report.graph_nodes = graph.nodes.len();
-    report.graph_edges = graph.edges.len();
-    report.remote_sites = graph.remote_sites.len();
-    report.graph = graph;
     for f in idls
         .rejection
         .into_iter()
         .chain(wire_findings)
         .chain(lock_report.findings)
-        .chain(fail_findings)
     {
         by_file.entry(f.file.clone()).or_default().push(f);
     }

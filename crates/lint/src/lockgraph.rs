@@ -36,10 +36,6 @@ pub struct LockReport {
     pub sites: usize,
     /// Number of distinct lock classes discovered.
     pub classes: usize,
-    /// Which crates acquire each `Shared` cell name — `ldft-explore`
-    /// derives its cross-crate shared-state coupling (part of the DPOR
-    /// independence relation) from cells acquired by more than one crate.
-    pub class_crates: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// A lock class: `(crate, cell name)`.
@@ -414,15 +410,6 @@ pub fn check(files: &[FileAnalysis]) -> LockReport {
         .flat_map(|f| f.events.iter().map(|e| e.class.clone()))
         .collect::<BTreeSet<_>>()
         .len();
-    for f in &all_facts {
-        for ev in &f.events {
-            report
-                .class_crates
-                .entry(ev.class.1.clone())
-                .or_default()
-                .insert(ev.class.0.clone());
-        }
-    }
 
     // --- Effects fixpoint (same-crate call resolution, 2 rounds) -----------
     let mut effects: BTreeMap<(String, String), Effect> = BTreeMap::new();

@@ -1,9 +1,8 @@
 //! ldft-lint CLI.
 //!
 //! ```text
-//! ldft-lint --workspace [--root DIR] [--verbose] [--format text|json|sarif]
-//!           [--graph-out PATH]
-//! ldft-lint [--crate-name NAME] [--format text|json|sarif] FILE...
+//! ldft-lint --workspace [--root DIR] [--verbose] [--format text|json]
+//! ldft-lint [--crate-name NAME] [--format text|json] FILE...
 //! ldft-lint --list-rules
 //! ```
 //!
@@ -12,10 +11,7 @@
 //! Text diagnostics render as `file:line: severity[RULE]: message`, which
 //! `.github/problem-matchers/ldft-lint.json` turns into GitHub
 //! annotations. `--format json` emits one machine-readable object with
-//! the findings and the coverage counters; `--format sarif` emits a SARIF
-//! 2.1.0 log for code-scanning upload. `--graph-out PATH` additionally
-//! writes the interprocedural call graph (Graphviz DOT when the path ends
-//! in `.dot`, JSON otherwise).
+//! the findings and the coverage counters.
 
 use ldft_lint::rules::{rule_summary, Finding, WorkspaceIndex, RULE_IDS};
 use ldft_lint::{analyze_source, crate_dir_of, find_workspace_root, run_workspace, Report};
@@ -27,12 +23,11 @@ use std::process::ExitCode;
 enum Format {
     Text,
     Json,
-    Sarif,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ldft-lint --workspace [--root DIR] [--verbose] [--format text|json|sarif] [--graph-out PATH]\n       ldft-lint [--crate-name NAME] [--format text|json|sarif] FILE...\n       ldft-lint --list-rules"
+        "usage: ldft-lint --workspace [--root DIR] [--verbose] [--format text|json]\n       ldft-lint [--crate-name NAME] [--format text|json] FILE...\n       ldft-lint --list-rules"
     );
     ExitCode::from(2)
 }
@@ -77,7 +72,7 @@ fn json_finding(f: &Finding) -> String {
 fn print_json(report: &Report, errors: usize, warnings: usize, allowed: usize) {
     let findings: Vec<String> = report.findings.iter().map(json_finding).collect();
     println!(
-        "{{\"files\":{},\"errors\":{},\"warnings\":{},\"allowed\":{},\"wire_ops\":{},\"lock_sites\":{},\"lock_classes\":{},\"graph_nodes\":{},\"graph_edges\":{},\"remote_sites\":{},\"findings\":[{}]}}",
+        "{{\"files\":{},\"errors\":{},\"warnings\":{},\"allowed\":{},\"wire_ops\":{},\"lock_sites\":{},\"lock_classes\":{},\"findings\":[{}]}}",
         report.files,
         errors,
         warnings,
@@ -85,61 +80,7 @@ fn print_json(report: &Report, errors: usize, warnings: usize, allowed: usize) {
         report.wire_ops,
         report.lock_sites,
         report.lock_classes,
-        report.graph_nodes,
-        report.graph_edges,
-        report.remote_sites,
         findings.join(",")
-    );
-}
-
-/// Render the report as a SARIF 2.1.0 log — the schema subset GitHub
-/// code scanning ingests: one run, a rule table, one result per finding.
-/// Allowed findings are carried with a `suppressions` entry so they stay
-/// visible but don't gate.
-fn print_sarif(report: &Report) {
-    let rules: Vec<String> = RULE_IDS
-        .iter()
-        .chain(["A1", "A2"].iter())
-        .map(|id| {
-            format!(
-                "{{\"id\":{},\"shortDescription\":{{\"text\":{}}}}}",
-                json_str(id),
-                json_str(rule_summary(id))
-            )
-        })
-        .collect();
-    let results: Vec<String> = report
-        .findings
-        .iter()
-        .map(|f| {
-            let level = match f.severity.to_string().as_str() {
-                "error" => "error",
-                _ => "warning",
-            };
-            let suppressions = if f.allowed {
-                let just = match &f.allow_reason {
-                    Some(r) => format!(",\"justification\":{}", json_str(r)),
-                    None => String::new(),
-                };
-                format!(",\"suppressions\":[{{\"kind\":\"inSource\"{just}}}]")
-            } else {
-                String::new()
-            };
-            format!(
-                "{{\"ruleId\":{},\"level\":\"{}\",\"message\":{{\"text\":{}}},\"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":{}}},\"region\":{{\"startLine\":{}}}}}}}]{}}}",
-                json_str(f.rule),
-                level,
-                json_str(&f.message),
-                json_str(&f.file),
-                f.line.max(1),
-                suppressions
-            )
-        })
-        .collect();
-    println!(
-        "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"ldft-lint\",\"rules\":[{}]}}}},\"results\":[{}]}}]}}",
-        rules.join(","),
-        results.join(",")
     );
 }
 
@@ -149,7 +90,6 @@ fn main() -> ExitCode {
     let mut verbose = false;
     let mut list_rules = false;
     let mut format = Format::Text;
-    let mut graph_out: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut crate_name: Option<String> = None;
     let mut files: Vec<PathBuf> = Vec::new();
@@ -162,13 +102,8 @@ fn main() -> ExitCode {
             "--list-rules" => list_rules = true,
             "--format" => match it.next().as_deref() {
                 Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
                 Some("text") => format = Format::Text,
                 _ => return usage(),
-            },
-            "--graph-out" => match it.next() {
-                Some(p) => graph_out = Some(PathBuf::from(p)),
-                None => return usage(),
             },
             "--root" => match it.next() {
                 Some(d) => root = Some(PathBuf::from(d)),
@@ -233,25 +168,11 @@ fn main() -> ExitCode {
         report
     };
 
-    if let Some(path) = &graph_out {
-        let dot = path.extension().is_some_and(|e| e == "dot");
-        let rendered = if dot {
-            report.graph.to_dot()
-        } else {
-            report.graph.to_json()
-        };
-        if let Err(e) = std::fs::write(path, rendered) {
-            eprintln!("ldft-lint: --graph-out {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
     let errors = report.errors().count();
     let warnings = report.warnings().count();
     let allowed = report.allowed().count();
     match format {
         Format::Json => print_json(&report, errors, warnings, allowed),
-        Format::Sarif => print_sarif(&report),
         Format::Text => {
             for f in report.errors() {
                 println!("{}", f.render());

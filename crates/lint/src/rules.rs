@@ -1,10 +1,10 @@
-//! The rule set: determinism (D1–D4) and protocol (P1–P3) invariants.
+//! The per-file rule set: determinism (D1–D4), protocol (P1–P3) and
+//! exception hygiene (E1), plus the allow-directive hygiene (A1/A2).
 //!
 //! Scoping model: every rule applies to *library code* (non-test lines) of
-//! the **sim-facing crates** — the crates whose code runs inside, or drives,
-//! the deterministic simulation: `simnet`, `orb`, `naming`, `winner`, `ft`,
-//! `optim`, `core`. Marshalling (`cdr`), the IDL compiler (`idl`), benches,
-//! shims, and this analyzer itself are host-side tooling and out of scope.
+//! the **sim-facing crates** — [`SIM_CRATES`], the one place that scope is
+//! stated. Marshalling (`cdr`), the IDL compiler (`idl`), benches, shims,
+//! and this analyzer itself are host-side tooling and out of scope.
 //!
 //! | ID | class | invariant |
 //! |----|-------|-----------|
@@ -15,6 +15,7 @@
 //! | P1 | protocol | no panicking calls (`unwrap`/`expect`/`panic!`/`unreachable!`) in library code — propagate `Exception`/`SimResult` |
 //! | P2 | protocol | remote-invocation results must not be discarded (`let _ = ...invoke(...)`) — `COMM_FAILURE` is the only failure signal clients get |
 //! | P3 | protocol | FT proxy methods that invoke must checkpoint after success — recovery replays from the last checkpoint |
+//! | E1 | protocol | a caught `COMM_FAILURE`/`TRANSIENT` must not be dropped on the floor — retry it or propagate it |
 //!
 //! `simnet` is exempt from D4: the kernel *implements* the simulated-time
 //! scheduler on OS threads, and that is the one place OS concurrency
@@ -73,7 +74,10 @@ impl Finding {
     }
 }
 
-/// Crates whose code runs in (or drives) the simulation.
+/// The policed scope, stated once: the crates whose code runs in (or
+/// drives) the simulation. D, P, E1, L1–L3 and the allow hygiene (A1/A2)
+/// apply to the non-test lines of these crates and to nothing else; W4
+/// reads every workspace file, W0 the `idl/` contracts.
 pub const SIM_CRATES: &[&str] = &[
     "simnet", "orb", "obs", "naming", "winner", "ft", "optim", "core", "store", "monitor",
     "explore",
@@ -81,8 +85,7 @@ pub const SIM_CRATES: &[&str] = &[
 
 /// All rule IDs, in report order.
 pub const RULE_IDS: &[&str] = &[
-    "D1", "D2", "D3", "D4", "P1", "P2", "P3", "W0", "W4", "L1", "L2", "L3", "E1", "E2", "F1", "F2",
-    "F3", "F4",
+    "D1", "D2", "D3", "D4", "P1", "P2", "P3", "W0", "W4", "L1", "L2", "L3", "E1",
 ];
 
 /// Human-readable one-liner per rule, for `--list-rules`.
@@ -101,11 +104,6 @@ pub fn rule_summary(id: &str) -> &'static str {
         "L2" => "re-entrant acquisition of a Shared cell while its guard is live",
         "L3" => "blocking call (sleep/recv/compute/invoke) while holding a Shared guard",
         "E1" => "caught COMM_FAILURE/TRANSIENT dropped on the floor (no retry, no propagation)",
-        "E2" => "checkpoint epoch crossing a fn/struct boundary as bare u64 (use cdr::Epoch)",
-        "F1" => "naked RPC: remote invocation site not dominated by a reply deadline on any call path",
-        "F2" => "retry loop/cycle around a remote call without a provable bound or without backoff",
-        "F3" => "recoverable failure caught but swallowed before reaching a recovery handler, the doctor, or the outcome (interprocedural E1)",
-        "F4" => "paired-resource lifecycle unbalanced (subscribe/unsubscribe, bind/unbind, group membership)",
         "A1" => "allow directive missing a reason",
         "A2" => "allow directive names no finding (unused)",
         _ => "unknown rule",
@@ -296,14 +294,7 @@ pub fn check_file_raw(fa: &FileAnalysis, index: &WorkspaceIndex) -> Vec<Finding>
     check_p2(fa, index, &mut findings);
     check_p3(fa, &mut findings);
     check_e1(fa, &mut findings);
-    check_e2(fa, &mut findings);
     findings
-}
-
-/// [`check_file_raw`] + allow application, for single-file callers.
-pub fn check_file(fa: &FileAnalysis, index: &WorkspaceIndex) -> Vec<Finding> {
-    let findings = check_file_raw(fa, index);
-    finalize(fa, findings)
 }
 
 /// P2: a `let _ = ...` statement whose right-hand side calls an invoking
@@ -449,75 +440,6 @@ fn check_e1(fa: &FileAnalysis, findings: &mut Vec<Finding>) {
                     allowed: false,
                     allow_reason: None,
                 });
-            }
-        }
-    }
-}
-
-/// True when a type spelling is bare `u64` (possibly behind `&`/`&mut` or
-/// `Option<..>`).
-fn is_bare_u64(ty: &str) -> bool {
-    let t: String = ty.replace("&", "").replace("mut ", "").replace(' ', "");
-    t == "u64" || t == "Option<u64>" || t == "mutu64"
-}
-
-/// E2: checkpoint epochs must cross fn/struct boundaries as `cdr::Epoch`,
-/// never bare `u64` — the newtype keeps epoch arithmetic explicit and lets
-/// the CDR layer reject mixed-epoch reassembly at the type level.
-fn check_e2(fa: &FileAnalysis, findings: &mut Vec<Finding>) {
-    // `simnet` sits below the wire types and cannot depend on `cdr`.
-    if fa.crate_dir.as_deref() == Some("simnet") {
-        return;
-    }
-    let ast = &fa.ast;
-    let mut push = |line: usize, what: String| {
-        if fa.is_test_line(line) {
-            return;
-        }
-        findings.push(Finding {
-            rule: "E2",
-            severity: Severity::Error,
-            file: fa.path.clone(),
-            line,
-            message: format!(
-                "{what} carries a checkpoint epoch as bare u64; use the `cdr::Epoch` newtype so epochs cannot be confused with other counters"
-            ),
-            allowed: false,
-            allow_reason: None,
-        });
-    };
-    for f in &ast.fns {
-        for p in &f.params {
-            if p.name.to_ascii_lowercase().contains("epoch") && is_bare_u64(&p.ty) {
-                push(p.line, format!("fn `{}` parameter `{}`", f.name, p.name));
-            }
-        }
-        if f.name.to_ascii_lowercase().contains("epoch") && is_bare_u64(&f.ret) {
-            push(f.line, format!("fn `{}` return type", f.name));
-        }
-    }
-    for st in &ast.structs {
-        for fld in &st.fields {
-            if fld.name.to_ascii_lowercase().contains("epoch") && is_bare_u64(&fld.ty) {
-                push(
-                    fld.line,
-                    format!("struct `{}` field `{}`", st.name, fld.name),
-                );
-            }
-        }
-    }
-    for en in &ast.enums {
-        for v in &en.variants {
-            for fld in &v.fields {
-                if fld.name.to_ascii_lowercase().contains("epoch") && is_bare_u64(&fld.ty) {
-                    push(
-                        fld.line,
-                        format!(
-                            "enum variant `{}::{}` field `{}`",
-                            en.name, v.name, fld.name
-                        ),
-                    );
-                }
             }
         }
     }

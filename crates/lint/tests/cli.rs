@@ -75,9 +75,7 @@ fn list_rules_names_every_rule() {
         .expect("spawn ldft-lint");
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for id in [
-        "D1", "D2", "D3", "D4", "P1", "P2", "P3", "F1", "F2", "F3", "F4", "A1", "A2",
-    ] {
+    for id in ["D1", "D2", "D3", "D4", "P1", "P2", "P3", "A1", "A2"] {
         assert!(stdout.contains(id), "missing {id} in:\n{stdout}");
     }
 }
@@ -149,59 +147,9 @@ fn json_format_workspace_carries_coverage_counters() {
     assert_eq!(out.status.code(), Some(0), "{:?}", out);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"errors\":0"), "{stdout}");
-    assert!(stdout.contains("\"wire_ops\":55"), "{stdout}");
+    let ops = ldft_lint::contracts(root).expect("read idl/").ops().count();
+    assert!(stdout.contains(&format!("\"wire_ops\":{ops},")), "{stdout}");
     assert!(stdout.contains("\"lock_sites\":"), "{stdout}");
-    assert!(stdout.contains("\"graph_nodes\":"), "{stdout}");
-    assert!(stdout.contains("\"remote_sites\":"), "{stdout}");
-}
-
-#[test]
-fn sarif_format_emits_a_valid_log_shell() {
-    let out = lint()
-        .args([
-            "--format",
-            "sarif",
-            "--crate-name",
-            "orb",
-            &fixture("d1_bad.rs"),
-        ])
-        .output()
-        .expect("spawn ldft-lint");
-    assert_eq!(out.status.code(), Some(1), "findings still gate");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"version\":\"2.1.0\""), "{stdout}");
-    assert!(stdout.contains("\"name\":\"ldft-lint\""), "{stdout}");
-    assert!(stdout.contains("\"ruleId\":\"D1\""), "{stdout}");
-    assert!(stdout.contains("\"startLine\":4"), "{stdout}");
-}
-
-#[test]
-fn graph_out_writes_dot_and_json() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root");
-    let dir = std::env::temp_dir().join("ldft-lint-cli-graphs");
-    std::fs::create_dir_all(&dir).expect("mkdir temp graphs");
-    let dot = dir.join("g.dot");
-    let json = dir.join("g.json");
-    for path in [&dot, &json] {
-        let out = lint()
-            .args(["--workspace", "--root"])
-            .arg(root)
-            .arg("--graph-out")
-            .arg(path)
-            .output()
-            .expect("spawn ldft-lint");
-        assert_eq!(out.status.code(), Some(0), "{:?}", out);
-    }
-    let dot_text = std::fs::read_to_string(&dot).expect("read dot");
-    assert!(dot_text.starts_with("digraph callgraph"), "{dot_text}");
-    assert!(dot_text.contains("cluster_orb"), "{dot_text}");
-    let json_text = std::fs::read_to_string(&json).expect("read json");
-    assert!(json_text.contains("\"nodes\""), "{json_text}");
-    assert!(json_text.contains("\"edges\""), "{json_text}");
-    assert!(json_text.contains("\"remote_sites\""), "{json_text}");
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Fixture tests for the v2 rule set: W0/W4 (contracts compile, codecs
-//! are symmetric), L1–L3 (lock order over `simnet::Shared`), E1–E2
-//! (exception/epoch hygiene). Same contract as `fixtures.rs`: every rule
+//! are symmetric), L1–L3 (lock order over `simnet::Shared`), E1
+//! (exception hygiene). Same contract as `fixtures.rs`: every rule
 //! has a deliberately-bad fixture with exact `(rule, line)` hits asserted
-//! and a clean counterpart that must not fire. The L and E rules run
+//! and a clean counterpart that must not fire. The L and E1 rules run
 //! through `analyze_source` (they are per-file); the W rules only run in
 //! the workspace pass, so those tests call `Contracts::from_sources` and
 //! `wire::check` directly over in-memory values built from the fixtures.
@@ -55,7 +55,7 @@ fn wire_errors(
 }
 
 // ---------------------------------------------------------------------
-// E1 / E2 (per-file)
+// E1 (per-file)
 // ---------------------------------------------------------------------
 
 #[test]
@@ -64,29 +64,6 @@ fn e1_dropped_recoverable_failures() {
     assert_eq!(hits, vec![("E1", 6), ("E1", 13)]);
     let clean = errors("crates/ft/src/e1_clean.rs", "ft", fixture!("e1_clean.rs"));
     assert_eq!(clean, vec![]);
-}
-
-#[test]
-fn e2_bare_u64_epochs() {
-    let hits = errors("crates/store/src/e2_bad.rs", "store", fixture!("e2_bad.rs"));
-    assert_eq!(hits, vec![("E2", 4), ("E2", 8), ("E2", 13)]);
-    let clean = errors(
-        "crates/store/src/e2_clean.rs",
-        "store",
-        fixture!("e2_clean.rs"),
-    );
-    assert_eq!(clean, vec![]);
-}
-
-#[test]
-fn e2_is_waived_inside_simnet() {
-    // simnet sits below cdr and cannot name the newtype.
-    let hits = errors(
-        "crates/simnet/src/e2_bad.rs",
-        "simnet",
-        fixture!("e2_bad.rs"),
-    );
-    assert_eq!(hits, vec![]);
 }
 
 // ---------------------------------------------------------------------

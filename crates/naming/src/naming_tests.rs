@@ -3,11 +3,11 @@
 
 use std::sync::{Arc, Mutex};
 
-use orb::{Ior, ObjectKey, Orb};
+use orb::{CostModel, Ior, ObjectKey, Orb, OrbConfig};
 use simnet::{Fault, HostConfig, HostId, Kernel, Pid, Port, SimDuration, SimTime};
 use winner::{BestPerformance, NodeManagerConfig, SystemManagerConfig};
 
-use crate::client::{BindingIteratorClient, NamingClient};
+use crate::client::{BindingIteratorClient, NamingClient, REGISTER_BACKOFF, REGISTER_MAX_ATTEMPTS};
 use crate::context::LbMode;
 use crate::name::Name;
 use crate::protocol::{AlreadyBound, EmptyGroup, NotFound};
@@ -634,4 +634,98 @@ fn trader_baseline_with_decentralized_selection() {
     assert!(log[1] == "pick:ws2" || log[1] == "pick:ws3", "{log:?}");
     assert_eq!(log[2], "after:2");
     assert_eq!(log[3], "none:true");
+}
+
+/// A boot-registration helper as a plain fn, so one harness drives both.
+type Register = fn(
+    &NamingClient,
+    &mut Orb,
+    &mut simnet::Ctx,
+    &Name,
+    &Ior,
+) -> simnet::SimResult<Result<(), orb::Exception>>;
+
+/// Run `register` against a naming host that is down. Returns whether it
+/// gave up with the `COMM_FAILURE`, the requests it sent, and the virtual
+/// time it spent *between* them: replies time out after 10 ms on a
+/// zero-cost ORB, so everything that is not reply wait is backoff.
+fn register_against_dead_naming(register: Register) -> (bool, u64, SimDuration) {
+    let timeout = SimDuration::from_millis(10);
+    let mut sim = Kernel::with_seed(2);
+    let hosts = sim.add_hosts(2);
+    sim.schedule_fault(SimTime::ZERO, Fault::CrashHost(hosts[0]));
+    let out = cell::<Option<(bool, u64, SimDuration)>>();
+    let o = out.clone();
+    let me = fake_ior(hosts[1], 1);
+    sim.spawn(hosts[1], "driver", move |ctx| {
+        ctx.sleep(secs(0.01)).unwrap();
+        let cfg = OrbConfig {
+            cost: CostModel::free(),
+            request_timeout: timeout,
+            ..OrbConfig::default()
+        };
+        let mut orb = Orb::new(ctx, cfg);
+        let ns = NamingClient::root(hosts[0]);
+        let t0 = ctx.now();
+        let gave_up = register(&ns, &mut orb, ctx, &Name::simple("Svc"), &me).unwrap();
+        let sent = orb.stats().requests_sent;
+        let between = ctx.now().since(t0) - timeout.saturating_mul(sent);
+        let comm_failure = gave_up.is_err_and(|e| e.is_comm_failure());
+        *o.lock().unwrap() = Some((comm_failure, sent, between));
+    });
+    // Twice the whole budget: a helper still retrying then has no bound.
+    let budget = (REGISTER_BACKOFF + timeout).saturating_mul(u64::from(REGISTER_MAX_ATTEMPTS));
+    sim.run_until(SimTime::ZERO + budget + budget);
+    let observed = *out.lock().unwrap();
+    observed.expect("still retrying after twice the registration budget")
+}
+
+#[test]
+fn boot_registration_retries_stop_at_the_budget_and_back_off_in_between() {
+    let helpers: [(&str, Register); 2] = [
+        ("rebind_retry", NamingClient::rebind_retry),
+        (
+            "bind_group_member_retry",
+            NamingClient::bind_group_member_retry,
+        ),
+    ];
+    for (helper, register) in helpers {
+        let (comm_failure, sent, between) = register_against_dead_naming(register);
+        assert!(
+            comm_failure,
+            "{helper}: the last naming error is the answer"
+        );
+        assert_eq!(sent, u64::from(REGISTER_MAX_ATTEMPTS), "{helper}");
+        let paced = REGISTER_BACKOFF.saturating_mul(u64::from(REGISTER_MAX_ATTEMPTS) - 1);
+        assert!(between >= paced, "{helper}: {between:?} < {paced:?}");
+    }
+}
+
+#[test]
+fn bind_group_member_retry_takes_already_bound_as_success() {
+    let mut sim = Kernel::with_seed(2);
+    let hosts = boot_plain(&mut sim, 2);
+    let out = cell::<Option<(bool, u64, usize)>>();
+    let o = out.clone();
+    let member = fake_ior(hosts[1], 1);
+    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
+        ctx.sleep(secs(0.01)).unwrap();
+        let mut orb = Orb::init(ctx);
+        let ns = NamingClient::root(hosts[0]);
+        let name = Name::simple("G");
+        // A previous incarnation's registration is still there.
+        ns.bind_group_member(&mut orb, ctx, &name, &member)
+            .unwrap()
+            .unwrap();
+        let before = orb.stats().requests_sent;
+        let again = ns
+            .bind_group_member_retry(&mut orb, ctx, &name, &member)
+            .unwrap();
+        let sent = orb.stats().requests_sent - before;
+        let members = ns.group_members(&mut orb, ctx, &name).unwrap().unwrap();
+        *o.lock().unwrap() = Some((again.is_ok(), sent, members.len()));
+    });
+    sim.run_until_exit(driver);
+    // Success on the first answer: no retry, no second membership.
+    assert_eq!(*out.lock().unwrap(), Some((true, 1, 1)));
 }

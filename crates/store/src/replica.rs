@@ -143,7 +143,6 @@ pub struct StoreReplica {
     pub quorum_failures: u64,
     /// Superseded bulk epochs trimmed. A count of trimmed records, not
     /// an epoch value, so the bare integer is correct here.
-    // ldft-lint: allow(E2, counter of trimmed epochs rather than an epoch value; re-check when counters grow a Count newtype, expiry 2027-01)
     pub gc_epochs: u64,
     /// Superseded per-value chunks reclaimed.
     pub gc_chunks: u64,
