@@ -180,18 +180,22 @@ fn node_manager_body(ctx: &mut Ctx, sm_cell: Shared<Option<Ior>>) {
 /// the driver writes one epoch every 200 ms.
 fn run_cell(family: Family, intensity: Intensity, seed: u64, scale: f64) -> CellOutcome {
     let mut sim = Kernel::with_seed(seed);
-    if std::env::var("CHAOS_TRACE").is_ok() {
-        sim.set_tracer(|t, line| eprintln!("[{t}] {line}"));
-    }
     let sink = obs::Obs::new();
-    // Flight recorder over the kernel's lifecycle stream: partition
-    // cut/heal pairing and healing-time budgets are checked live; any
-    // violation fails the cell. No obs sink — the recorder must not
+    // Doctor + flight recorder over the kernel's lifecycle stream and the
+    // replicas' view changes and quorum writes: partition cut/heal
+    // pairing, healing-time budgets and quorum health are checked live;
+    // any violation fails the cell. No obs sink — the recorder must not
     // perturb the exports the CI determinism gate `cmp`s.
     let flight = monitor::MonitorHandle::new(monitor::MonitorConfig::default(), None);
     {
-        let state = flight.state.clone();
-        sim.set_event_hook(move |now, ev| state.with(|s| s.ingest_kernel(now, ev)));
+        let flight = flight.clone();
+        let trace = std::env::var("CHAOS_TRACE").is_ok();
+        sim.set_event_hook(move |now, ev| {
+            if trace {
+                eprintln!("[{now}] {ev}");
+            }
+            flight.on_kernel_event(now, ev);
+        });
     }
     let naming_host = sim.add_host(HostConfig::new("infra"));
     let replica_hosts: Vec<_> = (0..REPLICAS)
@@ -204,7 +208,10 @@ fn run_cell(family: Family, intensity: Intensity, seed: u64, scale: f64) -> Cell
         let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, Some(naming_sink));
     });
 
-    let mut store_cfg = StoreConfig::default();
+    let mut store_cfg = StoreConfig {
+        monitor: Some(flight.clone()),
+        ..StoreConfig::default()
+    };
     if family == Family::GroupPartition {
         // A group partition cuts the side from the detector too; evicted
         // replicas boot no new process on heal (nothing crashed), so the
@@ -386,7 +393,7 @@ fn run_cell(family: Family, intensity: Intensity, seed: u64, scale: f64) -> Cell
         stats,
         trace_json: sink.chrome_trace_json(),
         metrics_text: sink.metrics_text(),
-        post_mortems: flight.dumps(),
+        post_mortems: flight.dumps().concat(),
     }
 }
 

@@ -2,11 +2,10 @@
 //!
 //! Runs the 30-dim / 3-worker Winner+FT scenario twice — once healthy and
 //! once with the mid-run worker-host crash from the `--trace-out`
-//! reference cell — with the monitoring event channel deployed, and
-//! renders each run's doctor report: the event census, the per-target
-//! critical-path latency attribution table (queue-wait vs service vs
-//! checkpoint overhead), the four runtime invariants, and the flight
-//! recorder's post-mortems.
+//! reference cell — with the monitor attached, and renders each run's
+//! doctor report: the event census, the per-target critical-path latency
+//! attribution table (queue-wait vs service vs checkpoint overhead), the
+//! runtime invariants, and the flight recorder's post-mortems.
 //!
 //! The report is virtual-time deterministic: the same seed and scale
 //! yield byte-identical output, which CI asserts by running this binary
@@ -63,9 +62,6 @@ fn main() {
     eprintln!(
         "doctor: healthy baseline clean; crash cell recorded {} violation(s), {} post-mortem(s)",
         crashed_handle.violations(),
-        crashed
-            .monitor
-            .as_ref()
-            .map_or(0, |h| h.state.lock().dumps().len()),
+        crashed_handle.dumps().len(),
     );
 }

@@ -81,14 +81,15 @@ fn resolve_store(orb: &mut Orb, ctx: &mut Ctx, naming_host: simnet::HostId) -> C
 fn run_cell(seed: u64, scale: f64) -> CellOutcome {
     let mut sim = Kernel::with_seed(seed);
     let sink = obs::Obs::new();
-    // Flight recorder over the kernel's lifecycle stream: every injected
+    // Flight recorder over the kernel's lifecycle stream and the
+    // replicas' view changes and quorum writes: every injected
     // crash/restart dumps a post-mortem tail, flushed to stderr if the run
     // fails. No obs sink — the recorder must not perturb the trace/metrics
     // exports the CI determinism gate `cmp`s.
     let flight = monitor::MonitorHandle::new(monitor::MonitorConfig::default(), None);
     {
-        let state = flight.state.clone();
-        sim.set_event_hook(move |now, ev| state.with(|s| s.ingest_kernel(now, ev)));
+        let flight = flight.clone();
+        sim.set_event_hook(move |now, ev| flight.on_kernel_event(now, ev));
     }
     let naming_host = sim.add_host(HostConfig::new("infra"));
     let replica_hosts: Vec<_> = (0..REPLICAS)
@@ -104,7 +105,10 @@ fn run_cell(seed: u64, scale: f64) -> CellOutcome {
         &mut sim,
         &replica_hosts,
         naming_host,
-        StoreConfig::default(),
+        StoreConfig {
+            monitor: Some(flight.clone()),
+            ..StoreConfig::default()
+        },
         Some(sink.clone()),
     );
 
@@ -202,7 +206,7 @@ fn run_cell(seed: u64, scale: f64) -> CellOutcome {
         end_ns: end.as_nanos(),
         trace_json: sink.chrome_trace_json(),
         metrics_text: sink.metrics_text(),
-        post_mortems: flight.dumps(),
+        post_mortems: flight.dumps().concat(),
     }
 }
 

@@ -117,7 +117,7 @@ pub fn trace_cell(args: &RunArgs) -> TraceExport {
         post_mortems: outcome
             .monitor
             .as_ref()
-            .map(|h| h.dumps())
+            .map(|h| h.dumps().concat())
             .unwrap_or_default(),
     }
 }

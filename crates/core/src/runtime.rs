@@ -93,10 +93,10 @@ pub struct ClusterConfig {
     pub report_interval: SimDuration,
     /// Winner selection policy.
     pub policy: WinnerPolicy,
-    /// Live monitoring: when set, an event channel (`"MonitorChannel"`)
-    /// is deployed on the infra host, every subsystem publishes to it,
-    /// the kernel's own events feed it directly, and the online doctor +
-    /// flight recorder run with these thresholds.
+    /// Live monitoring: when set, every subsystem and the kernel emit
+    /// their events into [`Cluster::monitor`], where the online doctor +
+    /// flight recorder run with these thresholds. The run itself is the
+    /// one an unmonitored cluster executes: no process or message is added.
     pub monitor: Option<monitor::MonitorConfig>,
 }
 
@@ -142,11 +142,10 @@ pub struct Cluster {
     /// records its spans and metrics here. Hand it to managers
     /// ([`optim::ManagerConfig::obs`]) to get end-to-end causal traces.
     pub obs: Obs,
-    /// Live-monitoring handle (doctor + flight recorder state and the
-    /// channel's IOR cell) when [`ClusterConfig::monitor`] was set. Hand
-    /// the `ior` cell to managers ([`optim::ManagerConfig::monitor`]) so
-    /// their FT proxies publish too, and call
-    /// [`monitor::MonitorHandle::finalize`] when the run ends.
+    /// Live-monitoring handle (doctor + flight recorder state) when
+    /// [`ClusterConfig::monitor`] was set. Hand a clone to managers
+    /// ([`optim::ManagerConfig::monitor`]) so their FT proxies emit too,
+    /// and call [`monitor::MonitorHandle::finalize`] when the run ends.
     pub monitor: Option<monitor::MonitorHandle>,
     /// The configuration the cluster was built with.
     pub config: ClusterConfig,
@@ -186,23 +185,14 @@ impl Cluster {
 
         // ---- live monitoring (opt-in) ----------------------------------
         // The kernel hook must be installed before the first spawn so the
-        // boot itself (proc-spawn events) is on the record; publishers
-        // learn the channel's IOR from the handle's cell once it serves.
+        // boot itself (proc-spawn events) is on the record.
         let monitor_handle = config
             .monitor
             .clone()
             .map(|mcfg| monitor::MonitorHandle::new(mcfg, Some(obs.clone())));
-        if let Some(handle) = &monitor_handle {
-            let state = handle.state.clone();
-            kernel.set_event_hook(move |now, ev| state.with(|s| s.ingest_kernel(now, ev)));
-            let state = handle.state.clone();
-            let cell = handle.ior.clone();
-            let sink = obs.clone();
-            kernel.spawn(infra, "monitor-channel", move |ctx| {
-                let _ = serve_monitor_channel(ctx, state, cell, sink);
-            });
+        if let Some(handle) = monitor_handle.clone() {
+            kernel.set_event_hook(move |now, ev| handle.on_kernel_event(now, ev));
         }
-        let monitor_cell = monitor_handle.as_ref().map(|h| h.ior.clone());
 
         // ---- Winner (only with the load-distributing naming service) ---
         if config.naming == NamingMode::Winner {
@@ -210,7 +200,7 @@ impl Cluster {
             let policy_kind = config.policy;
             let seed = config.seed;
             let sink = obs.clone();
-            let monitor = monitor_cell.clone();
+            let monitor = monitor_handle.clone();
             kernel.spawn(infra, "winner-sysmgr", move |ctx| {
                 let policy = policy_kind.instantiate(seed);
                 let _ = run_system_manager_obs(
@@ -229,7 +219,7 @@ impl Cluster {
             for &h in &hosts {
                 let cell = sysmgr_ior.clone();
                 let interval = config.report_interval;
-                let monitor = monitor_cell.clone();
+                let monitor = monitor_handle.clone();
                 kernel.spawn(h, format!("winner-nm-{h}"), move |ctx| {
                     let Ok(ior) = wait_for_ior(ctx, &cell) else {
                         return;
@@ -285,7 +275,7 @@ impl Cluster {
             };
             let mut scfg = config.store.clone();
             scfg.costs = config.store_costs;
-            scfg.monitor = monitor_cell.clone();
+            scfg.monitor = monitor_handle.clone();
             store::spawn_replicated_store(&mut kernel, &chosen, infra, scfg, Some(obs.clone()));
             chosen
         } else {
@@ -365,40 +355,6 @@ fn wait_for_ior(ctx: &mut Ctx, cell: &Shared<Option<String>>) -> Result<Ior, sim
         }
         ctx.sleep(SimDuration::from_millis(5))?;
     }
-}
-
-/// Serve the monitoring event channel: activate the servant over the
-/// shared channel state, publish the IOR through `cell` (publishers learn
-/// it from there without waiting on naming), and register it in the
-/// naming service under [`monitor::EVENT_CHANNEL_NAME`].
-fn serve_monitor_channel(
-    ctx: &mut Ctx,
-    state: Shared<monitor::ChannelState>,
-    cell: Shared<Option<String>>,
-    sink: Obs,
-) -> simnet::SimResult<()> {
-    let naming_host = ctx.host();
-    let mut orb = Orb::init(ctx);
-    orb.set_obs(ProcessObs::new(sink, ctx));
-    orb.listen(ctx)?;
-    let poa = orb::Poa::new();
-    let key = poa.activate(
-        monitor::EVENT_CHANNEL_TYPE,
-        std::rc::Rc::new(std::cell::RefCell::new(monitor::EventChannelSkeleton(
-            monitor::EventChannel::new(state),
-        ))),
-    );
-    let ior = orb.ior(monitor::EVENT_CHANNEL_TYPE, key);
-    cell.put(ior.stringify());
-    let ns = cosnaming::NamingClient::root(naming_host);
-    let name = cosnaming::Name::simple(monitor::EVENT_CHANNEL_NAME);
-    if ns.rebind_retry(&mut orb, ctx, &name, &ior)?.is_err() {
-        // Naming never came up within the registration budget: an
-        // unregistered channel can never be found, so die like a killed
-        // process instead of spinning forever.
-        return Err(simnet::Killed);
-    }
-    orb.serve_forever(ctx, &poa)
 }
 
 /// Serve a checkpoint service, registered in the naming service under its

@@ -54,9 +54,10 @@ pub struct ExperimentSpec {
     pub store_replicas: usize,
     /// Optional fault injection: crash a checkpoint-store host mid-run.
     pub store_crash: Option<StoreCrashPlan>,
-    /// Live monitoring: deploy the event channel + online doctor + flight
-    /// recorder with these thresholds ([`ExperimentOutcome::monitor`]
-    /// carries the finalized handle).
+    /// Live monitoring: run the online doctor + flight recorder with these
+    /// thresholds over the events the run emits
+    /// ([`ExperimentOutcome::monitor`] carries the finalized handle). The
+    /// run itself — `report`, `started_at` — is the unmonitored one.
     pub monitor: Option<monitor::MonitorConfig>,
 }
 
@@ -161,8 +162,8 @@ pub struct ExperimentOutcome {
     /// every process in the run (export with [`obs::Obs::chrome_trace_json`]
     /// / [`obs::Obs::metrics_text`]).
     pub obs: obs::Obs,
-    /// The live-monitoring handle, already finalized (watermark drained),
-    /// when [`ExperimentSpec::monitor`] was set. Render the doctor report
+    /// The live-monitoring handle, already finalized, when
+    /// [`ExperimentSpec::monitor`] was set. Render the doctor report
     /// with [`monitor::MonitorHandle::report`].
     pub monitor: Option<monitor::MonitorHandle>,
 }
@@ -224,7 +225,7 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<ExperimentOutcome, String
         request_timeout: spec.request_timeout,
         ft: spec.ft.clone(),
         obs: Some(cluster.obs.clone()),
-        monitor: cluster.monitor.as_ref().map(|h| h.ior.clone()),
+        monitor: cluster.monitor.clone(),
         ..ManagerConfig::new(spec.n, spec.workers, cluster.infra)
     };
     let started_at = SimTime::ZERO + spec.warmup;

@@ -16,8 +16,8 @@
 //! reduction — see [`independence`]).
 //!
 //! Each explored execution runs the target's invariant oracles (doctor
-//! invariants, acked-epoch durability, counter continuity, watermark
-//! order) plus a *schedule-robustness* oracle: a sample of the pruned
+//! invariants, acked-epoch durability, counter continuity) plus a
+//! *schedule-robustness* oracle: a sample of the pruned
 //! (equivalence-claimed) deviations is actually executed and must
 //! reproduce the parent schedule's semantic digest byte for byte. On
 //! violation the deviation list is ddmin-shrunk ([`shrink`]) and emitted

@@ -4,8 +4,6 @@
 //!
 //! * [`quorum_heal`] — quorum writes through the replicated checkpoint
 //!   store while a partition cuts one replica off and heals mid-stream.
-//! * [`watermark_flap`] — the monitoring channel's watermark reorder
-//!   under a publisher that flaps behind two partition cycles.
 //! * [`recovery_race`] — FT-proxy failure recovery racing the checkpoint
 //!   store after a mid-stream host crash.
 //! * [`demo_race`] — the reference counterexample (a deliberate
@@ -27,7 +25,6 @@ use crate::policy::{ChoiceLog, PlanPolicy};
 pub mod demo_race;
 pub mod quorum_heal;
 pub mod recovery_race;
-pub mod watermark_flap;
 
 /// What one instrumented cell run produced.
 #[derive(Clone, Debug)]
@@ -58,7 +55,6 @@ pub trait Target {
 pub fn all_targets() -> Vec<Box<dyn Target>> {
     vec![
         Box::new(quorum_heal::QuorumHeal),
-        Box::new(watermark_flap::WatermarkFlap),
         Box::new(recovery_race::RecoveryRace),
     ]
 }
@@ -75,7 +71,7 @@ pub fn target_by_name(name: &str) -> Option<Box<dyn Target>> {
 
 /// Kernel-side instrumentation shared by every cell: the plan-following
 /// schedule policy, plus an event hook forwarding every kernel event to
-/// the cell's own consumer (typically the monitor's `ingest_kernel`).
+/// the cell's own consumer (typically the monitor's `on_kernel_event`).
 /// Returns the choice log the policy records into.
 pub(crate) fn instrument(
     kernel: &mut Kernel,

@@ -220,9 +220,9 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     let mut sim = Kernel::with_seed(SEED);
     let flight = MonitorHandle::new(MonitorConfig::default(), None);
     let choices = {
-        let state = flight.state.clone();
+        let flight = flight.clone();
         instrument(&mut sim, plan, move |now, ev| {
-            state.with(|s| s.ingest_kernel(now, ev))
+            flight.on_kernel_event(now, ev)
         })
     };
 

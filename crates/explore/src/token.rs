@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn empty_plan_round_trips() {
         let t = ReplayToken {
-            target: "watermark_flap".into(),
+            target: "recovery_race".into(),
             seed: 7,
             plan: BTreeMap::new(),
             fp: 1,

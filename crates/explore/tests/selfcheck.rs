@@ -23,7 +23,6 @@ fn pin_config() -> ExploreConfig {
 fn gate_cell_counts_are_pinned() {
     let pins: BTreeMap<&str, (usize, usize, usize, u64)> = BTreeMap::from([
         ("quorum_heal", (40, 0, 0, 360)),
-        ("watermark_flap", (40, 0, 0, 560)),
         ("recovery_race", (42, 2, 120, 546)),
     ]);
     for (name, want) in pins {

@@ -901,24 +901,9 @@ fn run_schedule(schedule: Schedule, deferred: bool) -> Observed {
     let hosts = standard_bed(&mut sim, n_hosts);
     let h0 = hosts[0];
     let mon = monitor::MonitorHandle::new(monitor::MonitorConfig::default(), None);
-    let sub = mon.state.lock().subscribe(256);
-    let (state, channel_ior) = (mon.state.clone(), mon.ior.clone());
-    sim.spawn(h0, "monitor", move |ctx| {
-        let mut orb = Orb::init(ctx);
-        orb.listen(ctx).unwrap();
-        let poa = orb::Poa::new();
-        let key = poa.activate(
-            monitor::EVENT_CHANNEL_TYPE,
-            Rc::new(RefCell::new(monitor::EventChannelSkeleton(
-                monitor::EventChannel::new(state),
-            ))),
-        );
-        channel_ior.put(orb.ior(monitor::EVENT_CHANNEL_TYPE, key).stringify());
-        let _ = orb.serve_forever(ctx, &poa);
-    });
     let out = cell::<Option<(Result<i64, Exception>, crate::proxy::FtProxyStats, u64)>>();
     let o = out.clone();
-    let channel_ior = mon.ior.clone();
+    let emit_to = mon.clone();
     let driver = sim.spawn(h0, "driver", move |ctx| {
         ctx.sleep(secs(1.0)).unwrap();
         // Above `slow_inc`'s 2 s of server CPU, so only a crash fails it.
@@ -930,7 +915,7 @@ fn run_schedule(schedule: Schedule, deferred: bool) -> Observed {
             },
         );
         let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::Bulk);
-        proxy.monitor = Some(monitor::Publisher::new(channel_ior, ctx));
+        proxy.monitor = Some(emit_to);
         let mut env = ProxyEnv { orb: &mut orb, ctx };
         let start = env.ctx.now();
         let outcome = match schedule {
@@ -968,17 +953,14 @@ fn run_schedule(schedule: Schedule, deferred: bool) -> Observed {
             }
         };
         let elapsed = env.ctx.now().since(start).as_nanos();
-        env.ctx.sleep(secs(1.0)).unwrap(); // let the last oneway pushes land
         *o.lock().unwrap() = Some((outcome, proxy.stats, elapsed));
     });
-    let end = sim.run_until_exit(driver);
-    mon.finalize(end);
-    let events = mon.state.lock().pull(sub, 256);
+    sim.run_until_exit(driver);
     let (outcome, stats, elapsed_ns) = out.lock().unwrap().take().unwrap();
     Observed {
         outcome,
         stats,
-        events: events.into_iter().map(|e| e.body).collect(),
+        events: mon.events().into_iter().map(|e| e.body).collect(),
         elapsed_ns,
     }
 }

@@ -232,13 +232,13 @@ impl FtRequest {
                     if let Some(o) = env.orb.obs().cloned() {
                         o.observe("ft.recovery_ns", served.since(since).as_nanos());
                     }
-                    proxy.publish(
+                    proxy.emit(
                         env,
                         EventBody::RecoveryFinished {
                             target: proxy.config().object_id.clone(),
                             dur_ns: served.since(since).as_nanos(),
                         },
-                    )?;
+                    );
                 }
                 proxy.after_success(env)?;
                 // Critical-path attribution: everything before the
@@ -248,7 +248,7 @@ impl FtRequest {
                 // overhead.
                 let started = self.started.unwrap_or(served);
                 let sent = self.sent.unwrap_or(served);
-                proxy.publish(
+                proxy.emit(
                     env,
                     EventBody::RequestDone {
                         target: proxy.config().object_id.clone(),
@@ -256,7 +256,7 @@ impl FtRequest {
                         service_ns: served.since(sent).as_nanos(),
                         ckpt_ns: env.ctx.now().since(served).as_nanos(),
                     },
-                )?;
+                );
                 self.done = Some(Ok(bytes));
                 return Ok(());
             }
@@ -272,20 +272,20 @@ impl FtRequest {
             self.attempts += 1;
             self.recovering_since.get_or_insert(env.ctx.now());
             let target = proxy.config().object_id.clone();
-            proxy.publish(
+            proxy.emit(
                 env,
                 EventBody::FailureDetected {
                     target: target.clone(),
                     reason: FtProxy::failure_reason(&failure),
                 },
-            )?;
-            proxy.publish(
+            );
+            proxy.emit(
                 env,
                 EventBody::RecoveryStarted {
                     target,
                     attempt: self.attempts,
                 },
-            )?;
+            );
             proxy.recover(env)?;
             proxy.backoff_sleep(env, self.attempts - 1)?;
             match self.try_send(proxy, env)? {

@@ -9,7 +9,7 @@
 //! | ID | invariant |
 //! |----|-----------|
 //! | W0 | the `idl/*.idl` unit parses and checks under `idlc` (reported by [`crate::contracts`]) |
-//! | W4 | hand-written `CdrWrite`/`CdrRead` impl pairs round-trip symmetrically: tag bijection and per-variant/struct field order equal on both sides (`EventBody`, `Ior`, `Name`, … — the types IDL leaves `native`) |
+//! | W4 | hand-written `CdrWrite`/`CdrRead` impl pairs round-trip symmetrically: tag bijection and per-variant/struct field order equal on both sides (`Ior`, `Name`, `Epoch`, … — the types IDL leaves `native` or that sit below the contracts) |
 //!
 //! Matching is evidence-based and conservative: a check that cannot find
 //! its counterpart construct is skipped, never guessed.

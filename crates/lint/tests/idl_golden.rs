@@ -32,7 +32,7 @@ fn wire_ops_of(c: &Contracts, name: &str) -> Vec<idlc::ast::Operation> {
 #[test]
 fn the_unit_checks_clean_and_has_the_expected_surface() {
     let c = loaded();
-    assert_eq!(c.sources.len(), 7);
+    assert_eq!(c.sources.len(), 6);
     assert!(c.rejection.is_none(), "idlc rejected: {:?}", c.rejection);
     // (file, interface, op count) — op counts include attribute
     // pseudo-ops (`_get_x`/`_set_x`).
@@ -40,7 +40,6 @@ fn the_unit_checks_clean_and_has_the_expected_surface() {
         ("idl/calculator.idl", "Calculator", 10),
         ("idl/ft.idl", "CheckpointService", 7),
         ("idl/ft.idl", "ServiceFactory", 2),
-        ("idl/monitor.idl", "EventChannel", 5),
         ("idl/naming.idl", "BindingIterator", 3),
         ("idl/naming.idl", "NamingContext", 12),
         ("idl/naming.idl", "Lookup", 3),
@@ -56,7 +55,7 @@ fn the_unit_checks_clean_and_has_the_expected_surface() {
     assert_eq!(got, want);
     // Inherited operations count once, at the interface declaring them
     // (`tests/selfcheck.rs` pins the same total through `Report`).
-    assert_eq!(c.ops().count(), 55);
+    assert_eq!(c.ops().count(), 50);
 }
 
 #[test]
@@ -67,17 +66,11 @@ fn enums_and_natives_are_the_expected_ones() {
         picked.map(Item::name).collect()
     };
     assert_eq!(named(|it| matches!(it, Item::Enum { .. })), ["BindingType"]);
-    // What the Rust side defines by hand: the epoch newtype, the event
-    // body union, the name newtype, and the two `Option` shapes.
+    // What the Rust side defines by hand: the epoch newtype, the name
+    // newtype, and the two `Option` shapes.
     assert_eq!(
         named(|it| matches!(it, Item::Native { .. })),
-        [
-            "Epoch",
-            "EventBody",
-            "Name",
-            "OptionalObject",
-            "OptionalDouble"
-        ]
+        ["Epoch", "Name", "OptionalObject", "OptionalDouble"]
     );
 }
 
@@ -164,12 +157,5 @@ fn oneway_ops_are_flagged() {
             oneway.push(format!("{}::{}", i.name, op.name));
         }
     }
-    assert_eq!(
-        oneway,
-        vec![
-            "Calculator::log",
-            "EventChannel::push",
-            "SystemManager::report"
-        ]
-    );
+    assert_eq!(oneway, vec!["Calculator::log", "SystemManager::report"]);
 }

@@ -1,8 +1,7 @@
-//! The online doctor: streaming analyses over the ordered event stream.
+//! The online doctor: streaming analyses over the event stream.
 //!
-//! The doctor is the channel's built-in subscriber. It consumes events in
-//! virtual-time publish order (the channel's watermark guarantees that,
-//! see [`crate::channel`]) and maintains:
+//! The doctor consumes events in emission order — which is virtual-time
+//! order, see [`crate::handle`] — and maintains:
 //!
 //! * **critical-path latency attribution** — per-target queue-wait vs
 //!   service vs checkpoint-overhead shares, from `request-done` events the
@@ -16,18 +15,15 @@
 
 use std::collections::BTreeMap;
 
+use simnet::KernelEvent;
+
 use crate::events::{Event, EventBody};
 
-/// Invariant thresholds and channel tuning. One struct, because the places
-/// that opt in (`ClusterConfig`/`ExperimentSpec`) want a single knob.
+/// Invariant thresholds and recorder sizing. One struct, because the
+/// places that opt in (`ClusterConfig`/`ExperimentSpec`) want a single
+/// knob.
 #[derive(Clone, Debug)]
 pub struct MonitorConfig {
-    /// Reordering slack of the channel's watermark: events are analyzed
-    /// once they are at least this far behind the channel's clock, which
-    /// must exceed the maximum network delivery delay for the analysis
-    /// order to equal publish order. The default (2 ms) is ~13x the remote
-    /// one-way latency.
-    pub reorder_slack: simnet::SimDuration,
     /// Flight-recorder ring depth per host (last N events).
     pub flight_ring: usize,
     /// Post-mortem dumps retained verbatim; later triggers only count.
@@ -48,19 +44,11 @@ pub struct MonitorConfig {
     /// within this long. Also the bound the finalize pass uses to flag
     /// partitions still open when the run ends.
     pub healing_budget: simnet::SimDuration,
-    /// Host the event channel runs on — the channel uses this to work out
-    /// which publishers a partition cuts off from it (watermark holds).
-    pub channel_host: u32,
-    /// How long after a partition heal the channel keeps the watermark
-    /// held, waiting for cut-off publishers to flush their outage buffers.
-    /// Must cover a publisher retry interval plus network delivery.
-    pub heal_flush_grace: simnet::SimDuration,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
-            reorder_slack: simnet::SimDuration::from_millis(2),
             flight_ring: 32,
             max_dumps: 4,
             // Generous: recoveries wait out restart backoffs that dwarf a
@@ -73,8 +61,6 @@ impl Default for MonitorConfig {
             // Chaos schedules heal their cuts within a few seconds; a
             // partition outliving this is a stuck heal, not slow healing.
             healing_budget: simnet::SimDuration::from_secs(10),
-            channel_host: 0,
-            heal_flush_grace: simnet::SimDuration::from_secs(1),
         }
     }
 }
@@ -98,7 +84,7 @@ const INVARIANTS: [&str; 6] = [
     "recovery-budget",
 ];
 
-/// The streaming analysis state. Owned by the channel; fed one event at a
+/// The streaming analysis state. Owned by the handle; fed one event at a
 /// time, in stream order.
 #[derive(Debug)]
 pub struct Doctor {
@@ -181,6 +167,13 @@ impl Doctor {
                 bump(&mut self.total, *wait_ns, *service_ns, *ckpt_ns);
             }
             EventBody::RecoveryStarted { target, attempt } => {
+                // Attempts restart at 1 per request, so an episode still
+                // open now was given up on (it never finished).
+                if *attempt == 1 {
+                    if let Some((since, attempts)) = self.open_recoveries.remove(target) {
+                        fired.push(self.abandon(t, target, since, attempts));
+                    }
+                }
                 let e = self.open_recoveries.entry(target.clone()).or_insert((t, 0));
                 e.1 = (*attempt).max(e.1);
             }
@@ -272,28 +265,20 @@ impl Doctor {
                     fired.push(format!("load-placement h{chosen}"));
                 }
             }
-            EventBody::HostCrash => {
-                self.down_hosts.insert(ev.host, t);
+            EventBody::Kernel(KernelEvent::HostCrash(h)) => {
+                self.down_hosts.insert(h.0, t);
             }
-            EventBody::HostRestart => {
-                self.down_hosts.remove(&ev.host);
+            EventBody::Kernel(KernelEvent::HostRestart(h)) => {
+                self.down_hosts.remove(&h.0);
             }
-            EventBody::PartitionStart {
-                a_hosts,
-                b_hosts,
-                oneway,
-            } => {
-                let key = EventBody::partition_key(a_hosts, b_hosts, *oneway);
+            EventBody::Kernel(KernelEvent::PartitionStart { a, b, oneway }) => {
+                let key = EventBody::partition_key(a, b, *oneway);
                 // Re-cutting an already open partition keeps the original
                 // cut time; the episode is the full outage.
                 self.open_partitions.entry(key).or_insert(t);
             }
-            EventBody::PartitionHeal {
-                a_hosts,
-                b_hosts,
-                oneway,
-            } => {
-                let key = EventBody::partition_key(a_hosts, b_hosts, *oneway);
+            EventBody::Kernel(KernelEvent::PartitionHeal { a, b, oneway }) => {
+                let key = EventBody::partition_key(a, b, *oneway);
                 let opened = self.open_partitions.remove(&key);
                 if self.check(
                     "partition-health",
@@ -321,9 +306,27 @@ impl Doctor {
         fired
     }
 
-    /// End-of-run pass: every partition still open has no heal coming, so
-    /// it is a partition-health violation. Returns the fired invariants
-    /// like [`Doctor::on_event`] does.
+    /// Judge a recovery episode that will never see `recovery-finished`:
+    /// the request gave up (its recovery attempts ran out). The worst
+    /// outcome there is, so always a recovery-budget violation.
+    fn abandon(&mut self, t: u64, target: &str, since: u64, attempts: u32) -> String {
+        self.verdicts.push(format!(
+            "{t}ns recovery-budget {target}: episode open since {since}ns never finished \
+             ({attempts} attempts) -> ABANDONED"
+        ));
+        self.check(
+            "recovery-budget",
+            t,
+            false,
+            format!("{target} recovery open since {since}ns abandoned after {attempts} attempts"),
+        );
+        format!("recovery-budget {target}")
+    }
+
+    /// End-of-run pass: a partition still open has no heal coming
+    /// (partition-health) and a recovery still open was abandoned
+    /// (recovery-budget). Returns the fired invariants like
+    /// [`Doctor::on_event`] does.
     pub fn finalize(&mut self, now_ns: u64) -> Vec<String> {
         let open: Vec<(String, u64)> = std::mem::take(&mut self.open_partitions)
             .into_iter()
@@ -337,6 +340,9 @@ impl Doctor {
                 format!("{key} cut at {since}ns never healed"),
             );
             fired.push(format!("partition-health {key}"));
+        }
+        for (target, (since, attempts)) in std::mem::take(&mut self.open_recoveries) {
+            fired.push(self.abandon(now_ns, &target, since, attempts));
         }
         fired
     }
@@ -442,9 +448,12 @@ mod tests {
             time_ns,
             host,
             pid: 1,
-            seq: 0,
             body,
         }
+    }
+
+    fn hosts(ids: &[u32]) -> Vec<simnet::HostId> {
+        ids.iter().map(|&i| simnet::HostId(i)).collect()
     }
 
     #[test]
@@ -564,15 +573,19 @@ mod tests {
             healing_budget: simnet::SimDuration::from_nanos(100),
             ..MonitorConfig::default()
         });
-        let cut = |a: &[u32], b: &[u32]| EventBody::PartitionStart {
-            a_hosts: a.to_vec(),
-            b_hosts: b.to_vec(),
-            oneway: false,
+        let cut = |a: &[u32], b: &[u32]| {
+            EventBody::Kernel(KernelEvent::PartitionStart {
+                a: hosts(a),
+                b: hosts(b),
+                oneway: false,
+            })
         };
-        let heal = |a: &[u32], b: &[u32]| EventBody::PartitionHeal {
-            a_hosts: a.to_vec(),
-            b_hosts: b.to_vec(),
-            oneway: false,
+        let heal = |a: &[u32], b: &[u32]| {
+            EventBody::Kernel(KernelEvent::PartitionHeal {
+                a: hosts(a),
+                b: hosts(b),
+                oneway: false,
+            })
         };
         assert!(d.on_event(&ev(10, 0, cut(&[0, 1], &[2]))).is_empty());
         assert_eq!(
@@ -602,11 +615,11 @@ mod tests {
         d.on_event(&ev(
             10,
             0,
-            EventBody::PartitionStart {
-                a_hosts: vec![0],
-                b_hosts: vec![1],
+            EventBody::Kernel(KernelEvent::PartitionStart {
+                a: hosts(&[0]),
+                b: hosts(&[1]),
                 oneway: true,
-            },
+            }),
         ));
         assert_eq!(
             d.finalize(1_000),
@@ -615,6 +628,72 @@ mod tests {
         assert_eq!(d.violation_count(), 1);
         // Idempotent: a second finalize has nothing left to flag.
         assert!(d.finalize(2_000).is_empty());
+    }
+
+    fn started(t: u64, attempt: u32) -> Event {
+        ev(
+            t,
+            1,
+            EventBody::RecoveryStarted {
+                target: "w".into(),
+                attempt,
+            },
+        )
+    }
+
+    #[test]
+    fn finalize_judges_a_recovery_that_never_finished() {
+        let mut d = Doctor::new(MonitorConfig::default());
+        for attempt in 1..=3 {
+            assert!(d
+                .on_event(&started(10 * attempt as u64, attempt))
+                .is_empty());
+        }
+        // The request gave up: no recovery-finished ever comes.
+        assert_eq!(d.finalize(1_000), vec!["recovery-budget w".to_string()]);
+        assert_eq!(d.violation_count(), 1);
+        assert_eq!(
+            d.verdicts(),
+            [
+                "1000ns recovery-budget w: episode open since 10ns never finished \
+              (3 attempts) -> ABANDONED"
+            ]
+        );
+        assert!(d.open_episodes().is_empty());
+        assert!(d.finalize(2_000).is_empty(), "finalize is idempotent");
+    }
+
+    #[test]
+    fn a_new_request_judges_the_episode_the_last_one_abandoned() {
+        let mut d = Doctor::new(MonitorConfig::default());
+        d.on_event(&started(10, 1));
+        d.on_event(&started(20, 2));
+        // Attempt 1 again: the next request's episode. The stale one must
+        // be judged, not inherited.
+        assert_eq!(
+            d.on_event(&started(500, 1)),
+            vec!["recovery-budget w".to_string()]
+        );
+        assert!(
+            d.verdicts()[0].ends_with("-> ABANDONED"),
+            "{:?}",
+            d.verdicts()
+        );
+        assert_eq!(
+            d.open_episodes(),
+            vec!["recovery of w open since 500ns (1 attempts)".to_string()]
+        );
+        // ... and the new episode closes normally.
+        d.on_event(&ev(
+            600,
+            1,
+            EventBody::RecoveryFinished {
+                target: "w".into(),
+                dur_ns: 100,
+            },
+        ));
+        assert_eq!(d.violation_count(), 1);
+        assert!(d.finalize(1_000).is_empty());
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! `ldft-monitor` — live cluster monitoring for the LD/FT runtime.
+//! `ldft-monitor` — live cluster monitoring for the LD/FT runtime
+//! (DESIGN.md §10).
 //!
-//! Control-system CORBA deployments watch themselves through push-based
-//! event channels; this crate is that shape for our cluster (DESIGN.md
-//! §10):
-//!
-//! * an **event channel** — a normal CORBA object ([`EventChannel`])
-//!   bound in naming as [`EVENT_CHANNEL_NAME`], to which the Winner node
-//!   managers, the FT proxy, the store replicas, and the kernel itself
-//!   publish typed [`Event`]s via `oneway push` batches;
-//! * an **online doctor** ([`Doctor`]) consuming the stream in
-//!   virtual-time publish order: per-request critical-path latency
-//!   attribution plus four runtime invariants (recovery-time budget,
-//!   quorum health, checkpoint freshness, load-placement sanity);
+//! * a **handle** ([`MonitorHandle`]) every subsystem emits typed
+//!   [`Event`]s into — the Winner node managers and system manager, the FT
+//!   proxy, the store replicas, and (through the kernel's event hook) the
+//!   kernel itself. Emission is an in-process call at the point where the
+//!   event happens: no process, message or naming binding is added to the
+//!   run being watched;
+//! * an **online doctor** ([`Doctor`]) consuming the stream in emission
+//!   order: per-request critical-path latency attribution plus the runtime
+//!   invariants (recovery-time budget, quorum health, checkpoint
+//!   freshness, load-placement sanity, partition health, healing time);
 //! * a **flight recorder** keeping the last N events per host and dumping
 //!   a deterministic post-mortem (event tails + open episodes + verdicts)
 //!   on a host crash, an invariant violation, or the close of a recovery
@@ -21,23 +20,11 @@
 //! Everything is virtual-time deterministic: same seed ⇒ byte-identical
 //! doctor report, so the report composes with the repo's double-run CI
 //! `cmp` gates.
-//!
-//! The crate deliberately depends only on `simnet`/`cdr`/`orb`/`obs`; the
-//! naming-service binding of the channel is wired where the cluster boots
-//! (`corba-runtime`), keeping `winner`/`ft`/`store` free to depend on
-//! this crate without a cycle through `cosnaming`.
 
-mod channel;
 mod doctor;
 mod events;
-mod publisher;
-mod subscriber;
+mod handle;
 
-pub use channel::{ChannelState, EventChannel, MonitorHandle, KERNEL_PID};
 pub use doctor::{Doctor, MonitorConfig};
-pub use events::{
-    milli, Event, EventBody, EventChannelSkeleton, EventChannelStub, Monitor, EVENT_CHANNEL_NAME,
-    EVENT_CHANNEL_TYPE,
-};
-pub use publisher::Publisher;
-pub use subscriber::Subscription;
+pub use events::{milli, Event, EventBody, KERNEL_PID};
+pub use handle::MonitorHandle;

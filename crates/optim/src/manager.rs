@@ -79,10 +79,9 @@ pub struct ManagerConfig {
     /// root span, one `manager.eval` per outer objective evaluation, and
     /// everything the ORB and proxies record downstream).
     pub obs: Option<obs::Obs>,
-    /// When set (and FT is on), the worker proxies publish failure /
-    /// recovery / checkpoint / request events to the monitoring event
-    /// channel whose IOR appears in this cell.
-    pub monitor: Option<simnet::Shared<Option<String>>>,
+    /// When set (and FT is on), the worker proxies emit failure /
+    /// recovery / checkpoint / request events to the run's monitor.
+    pub monitor: Option<monitor::MonitorHandle>,
 }
 
 impl ManagerConfig {
@@ -201,12 +200,6 @@ fn run_manager_with_orb(
                 Ok(obj) => CheckpointClient::new(obj).with_deadline(ft.store_deadline),
                 Err(e) => return Ok(Err(e)),
             };
-            // One publisher per manager process, cloned into each proxy so
-            // their event streams share a sequence counter.
-            let publisher = cfg
-                .monitor
-                .clone()
-                .map(|cell| monitor::Publisher::new(cell, ctx));
             let mut proxies = Vec::with_capacity(cfg.workers);
             for w in 0..cfg.workers {
                 let mut pcfg = FtProxyConfig::new(
@@ -225,7 +218,7 @@ fn run_manager_with_orb(
                 }
                 let mut proxy =
                     FtProxy::new(pcfg, NamingClient::root(cfg.naming_host), ckpt.clone());
-                proxy.monitor = publisher.clone();
+                proxy.monitor = cfg.monitor.clone();
                 // Bind eagerly so each proxy gets a distinct placement
                 // (the naming service spreads consecutive resolves).
                 let mut env = ProxyEnv {

@@ -18,8 +18,8 @@
 //! Main gets the baton back when something only main may do is due: the
 //! run's stop rule is reached, a process panicked or `max_events` tripped
 //! (both are re-raised on the driver thread), the baton holder itself died,
-//! or a [`KernelEvent`] was buffered for the tracer / event hook. Those
-//! observers, the profile hook and the [`SchedulePolicy`] are not `Send`
+//! or a [`KernelEvent`] was buffered for the event hook. That hook, the
+//! profile hook and the [`SchedulePolicy`] are not `Send`
 //! (callers install `Rc`-capturing closures), so they stay in the `Kernel`
 //! on main: buffered events are flushed — in order, with their original
 //! timestamps — before any process runs again, and while a profile hook or
@@ -248,7 +248,6 @@ pub struct Kernel {
 /// never leave the driver thread; see the module docs.
 #[derive(Default)]
 struct Observers {
-    tracer: Option<Tracer>,
     event_hook: Option<EventHook>,
     profile_hook: Option<ProfileHook>,
     policy: Option<Box<dyn SchedulePolicy>>,
@@ -289,7 +288,7 @@ pub(crate) struct Core {
     panicked: Option<(Pid, String)>,
     /// `max_events` tripped; `run_inner` raises it on the driver.
     runaway: bool,
-    /// A tracer or event hook is installed, so `emit` buffers.
+    /// An event hook is installed, so `emit` buffers.
     wants_events: bool,
     /// Events emitted since main last flushed them to its observers.
     event_buf: Vec<(SimTime, KernelEvent)>,
@@ -339,13 +338,10 @@ enum Next {
     Stop,
 }
 
-/// A tracing callback: `(virtual time, line)`.
-pub type Tracer = Box<dyn FnMut(SimTime, &str)>;
-
 /// A structured process/host lifecycle or fault event. Each is emitted
-/// once: the event hook receives the value, and the textual [`Tracer`]
-/// receives its `Display` rendering (`spawn p0 name on h0`, `kill p0`,
-/// `crash h1`, `partition h0-h1 cut`, ...).
+/// once, to the event hook; its `Display` rendering (`spawn p0 name on
+/// h0`, `kill p0`, `crash h1`, `partition h0-h1 cut`, ...) is the textual
+/// trace line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum KernelEvent {
     /// A process was spawned (its start event is scheduled).
@@ -722,14 +718,6 @@ impl Kernel {
         core.push_event(at, EventKind::Fault(fault));
     }
 
-    /// Install a tracing callback invoked with `(time, line)`, where `line`
-    /// is the `Display` rendering of each [`KernelEvent`]. Intended for
-    /// debugging.
-    pub fn set_tracer(&mut self, f: impl FnMut(SimTime, &str) + 'static) {
-        self.obs.tracer = Some(Box::new(f));
-        self.core.lock().wants_events = true;
-    }
-
     /// Install a structured event callback invoked with `(time, event)` at
     /// every lifecycle and fault point. At most one
     /// hook is installed; a second call replaces the first.
@@ -932,14 +920,10 @@ impl Observers {
         }
     }
 
-    /// The single delivery point: the tracer gets each buffered event's
-    /// text, the event hook the event itself, stamped with the instant it
-    /// was emitted at.
+    /// The single delivery point: the event hook gets each buffered
+    /// event, stamped with the instant it was emitted at.
     fn flush(&mut self, core: &mut Core) {
         for (at, ev) in core.event_buf.drain(..) {
-            if let Some(t) = self.tracer.as_mut() {
-                t(at, &ev.to_string());
-            }
             if let Some(h) = self.event_hook.as_mut() {
                 h(at, &ev);
             }

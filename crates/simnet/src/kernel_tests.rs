@@ -686,13 +686,13 @@ fn spawned_child_runs_on_target_host() {
 }
 
 #[test]
-fn tracer_observes_kills() {
+fn event_hook_observes_kills() {
     let mut sim = Kernel::with_seed(1);
     let a = sim.add_host(HostConfig::new("a"));
     let lines = cell::<Vec<String>>();
     let l = lines.clone();
-    sim.set_tracer(move |t, line| {
-        l.lock().push(format!("{t}: {line}"));
+    sim.set_event_hook(move |t, ev| {
+        l.lock().push(format!("{t}: {ev}"));
     });
     let victim = sim.spawn(a, "victim", |ctx| {
         let _ = ctx.spin_forever();
@@ -702,20 +702,18 @@ fn tracer_observes_kills() {
     let log = lines.lock().clone();
     assert!(
         log.iter().any(|line| line.contains("kill p0")),
-        "tracer saw nothing: {log:?}"
+        "hook saw nothing: {log:?}"
     );
 }
 
 #[test]
-fn tracer_lines_are_the_events_rendered() {
-    // One emission feeds both sinks: every tracer line is the `Display`
-    // of the structured event delivered at the same instant.
+fn trace_lines_are_the_events_rendered() {
+    // The textual trace is the `Display` of each structured event.
     let mut sim = Kernel::with_seed(1);
     let h = sim.add_hosts(3);
-    let (lines, events) = (cell::<Vec<String>>(), cell::<Vec<String>>());
-    let (l, e) = (lines.clone(), events.clone());
-    sim.set_tracer(move |t, line| l.lock().push(format!("{t}: {line}")));
-    sim.set_event_hook(move |t, ev| e.lock().push(format!("{t}: {ev}")));
+    let lines = cell::<Vec<String>>();
+    let l = lines.clone();
+    sim.set_event_hook(move |_, ev| l.lock().push(ev.to_string()));
     sim.spawn(h[1], "victim", |ctx| {
         let _ = ctx.spin_forever();
     });
@@ -735,9 +733,6 @@ fn tracer_lines_are_the_events_rendered() {
         sim.schedule_fault(SimTime::ZERO + secs(1.0 + i as f64), fault);
     }
     sim.run_until_idle();
-    let log = lines.lock().clone();
-    assert_eq!(log, *events.lock());
-    let text: Vec<&str> = log.iter().map(|l| l.split_once(": ").unwrap().1).collect();
     let want = [
         "spawn p0 victim on h1",
         "spawn p1 brief on h0",
@@ -749,7 +744,7 @@ fn tracer_lines_are_the_events_rendered() {
         "crash h1",
         "restart h1",
     ];
-    assert_eq!(text, want);
+    assert_eq!(*lines.lock(), want);
 }
 
 #[test]
@@ -956,7 +951,7 @@ fn policy_reference_run(seed: u64, with_policy: bool) -> PolicyRunTrace {
     let trace = cell::<Vec<(f64, String)>>();
     {
         let trace = trace.clone();
-        sim.set_tracer(move |t, line| trace.lock().push((t.as_secs_f64(), line.to_string())));
+        sim.set_event_hook(move |t, ev| trace.lock().push((t.as_secs_f64(), ev.to_string())));
     }
     if with_policy {
         sim.set_schedule_policy(TestPolicy {
@@ -1147,11 +1142,10 @@ fn a_round_trip_costs_two_thread_switches() {
 }
 
 /// What a run of `observed_cell` comes to — stats, profile, end time and
-/// the `(time, note)`s the processes took — then what the tracer and the
-/// event hook were handed (empty unless installed).
+/// the `(time, note)`s the processes took — then what the event hook was
+/// handed (empty unless installed).
 type CellOutcome = (
     (String, crate::KernelProfile, SimTime, Vec<String>),
-    Vec<String>,
     Vec<String>,
 );
 
@@ -1163,11 +1157,10 @@ type CellOutcome = (
 /// with `w0` blocked and `w2`, `w3` still in the runnable queue.
 fn observed_cell(events: bool, profile: bool, policy: bool) -> CellOutcome {
     let mut sim = Kernel::with_seed(21);
-    let (lines, hooked) = (cell::<Vec<String>>(), cell::<Vec<String>>());
+    let lines = cell::<Vec<String>>();
     if events {
-        let (l, e) = (lines.clone(), hooked.clone());
-        sim.set_tracer(move |t, line| l.lock().push(format!("{t} {line}")));
-        sim.set_event_hook(move |t, ev| e.lock().push(format!("{t} {ev}")));
+        let l = lines.clone();
+        sim.set_event_hook(move |t, ev| l.lock().push(format!("{t} {ev}")));
     }
     if profile {
         sim.set_profile_hook(|_| {});
@@ -1236,19 +1229,18 @@ fn observed_cell(events: bool, profile: bool, policy: bool) -> CellOutcome {
         end,
         notes.lock().clone(),
     );
-    let (lines, hooked) = (lines.lock().clone(), hooked.lock().clone());
-    (run, lines, hooked)
+    let lines = lines.lock().clone();
+    (run, lines)
 }
 
 #[test]
 fn observers_do_not_change_the_run() {
     let traced = observed_cell(true, false, false);
-    let (run, lines, hooked) = &traced;
+    let (run, lines) = &traced;
     // The trace and counters of this cell at the commit before the baton:
     // the kernel ran on a thread of its own then.
     assert_eq!(*lines, GOLDEN_CELL_TRACE, "{lines:#?}");
     assert_eq!(run.0, GOLDEN_CELL_STATS);
-    assert_eq!(lines, hooked, "tracer and event hook saw different runs");
     // Process-driven with a flush per event vs. driven by main step by
     // step: same lines, same timestamps, same order.
     assert_eq!(traced, observed_cell(true, true, true));
@@ -1285,9 +1277,9 @@ const GOLDEN_CELL_STATS: &str =
 
 #[test]
 fn events_reach_the_hook_before_the_emitting_process_runs_on() {
-    // `core::runtime`'s monitor channel is fed by the event hook and read
-    // from inside the simulation: what a syscall emitted must be in the
-    // hook's hands by the time that syscall returns.
+    // `core::runtime`'s monitor is fed by the event hook and, directly, by
+    // the processes: its stream is in order only if what a syscall emitted
+    // is in the hook's hands by the time that syscall returns.
     let mut sim = Kernel::with_seed(1);
     let h = sim.add_hosts(2);
     let seen = crate::Shared::new(Vec::<String>::new());

@@ -55,7 +55,6 @@ pub use ids::{Addr, HostId, Pid, Port};
 pub use kernel::{
     ChoiceCandidate, ChoiceKind, EventHook, Fault, Kernel, KernelConfig, KernelEvent,
     KernelProfile, KernelStats, NetConfig, ProcCpu, ProfileHook, ProfileMark, SchedulePolicy,
-    Tracer,
 };
 pub use msg::{Msg, Payload};
 pub use process::{Ctx, Killed, ProcessBody, SimResult};

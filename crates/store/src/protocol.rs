@@ -48,9 +48,9 @@ pub struct StoreConfig {
     /// CPU cost model of one replica (same knobs as the paper's single
     /// store).
     pub costs: StoreCosts,
-    /// When set, replicas publish view changes and quorum-write outcomes
-    /// to the monitoring event channel whose IOR appears in this cell.
-    pub monitor: Option<simnet::Shared<Option<String>>>,
+    /// When set, replicas emit view changes and quorum-write outcomes to
+    /// the run's monitor.
+    pub monitor: Option<monitor::MonitorHandle>,
 }
 
 impl Default for StoreConfig {

@@ -44,7 +44,7 @@ use cdr::{Any, Epoch, TypeCode, Value};
 use cosnaming::{Name, NamingClient, NotFound};
 use ftproxy::service::no_checkpoint;
 use ftproxy::{Checkpoint, CHECKPOINT_SERVICE_NAME, FT};
-use monitor::{EventBody, Publisher};
+use monitor::EventBody;
 use orb::{CallCtx, Exception, Ior, Orb, SystemException};
 use simnet::{Ctx, HostId, SimResult, SimTime};
 
@@ -146,10 +146,7 @@ pub struct StoreReplica {
     pub gc_epochs: u64,
     /// Superseded per-value chunks reclaimed.
     pub gc_chunks: u64,
-    /// When set, view changes and quorum-write outcomes are published to
-    /// the monitoring event channel.
-    pub monitor: Option<Publisher>,
-    /// Last `(members, quorum)` published, to emit view changes only on
+    /// Last `(members, quorum)` emitted, to emit view changes only on
     /// actual membership transitions.
     last_view_published: Option<(u32, u32)>,
 }
@@ -173,16 +170,14 @@ impl StoreReplica {
             quorum_failures: 0,
             gc_epochs: 0,
             gc_chunks: 0,
-            monitor: None,
             last_view_published: None,
         }
     }
 
-    /// Publish a monitoring event if a publisher is attached.
-    fn publish(&self, call: &mut CallCtx<'_>, body: EventBody) -> Result<(), Exception> {
-        match &self.monitor {
-            Some(p) => p.publish(call.orb, call.ctx, body).map_err(|_| killed()),
-            None => Ok(()),
+    /// Emit a monitoring event if the config carries a monitor.
+    fn emit(&self, call: &CallCtx<'_>, body: EventBody) {
+        if let Some(mon) = &self.cfg.monitor {
+            mon.emit(call.ctx, body);
         }
     }
 
@@ -351,7 +346,7 @@ impl StoreReplica {
         let quorum = self.cfg.write_quorum.clamp(1, peers.len() + 1) as u32;
         if self.last_view_published != Some((members, quorum)) {
             self.last_view_published = Some((members, quorum));
-            self.publish(call, EventBody::ViewChange { members, quorum })?;
+            self.emit(call, EventBody::ViewChange { members, quorum });
         }
         Ok((revision, peers))
     }
@@ -389,7 +384,7 @@ impl StoreReplica {
         let view_size = peers.len() + 1; // the coordinator is in the view
         let w_eff = self.cfg.write_quorum.clamp(1, view_size);
         if w_eff <= 1 && peers.is_empty() {
-            self.publish(
+            self.emit(
                 call,
                 EventBody::QuorumWrite {
                     object: object.to_string(),
@@ -398,7 +393,7 @@ impl StoreReplica {
                     view: 1,
                     quorum: 1,
                 },
-            )?;
+            );
             return Ok(());
         }
         let po = call.orb.obs().cloned();
@@ -439,7 +434,7 @@ impl StoreReplica {
             }
             o.end(call.ctx.now());
         }
-        self.publish(
+        self.emit(
             call,
             EventBody::QuorumWrite {
                 object: object.to_string(),
@@ -448,7 +443,7 @@ impl StoreReplica {
                 view: view_size as u32,
                 quorum: w_eff as u32,
             },
-        )?;
+        );
         if ok {
             Ok(())
         } else {
@@ -657,9 +652,7 @@ pub fn run_store_replica(
     }
     orb.listen(ctx)?;
     let poa = orb::Poa::new();
-    let monitor_cell = cfg.monitor.clone();
-    let mut replica = StoreReplica::new(cfg, naming_host);
-    replica.monitor = monitor_cell.map(|cell| Publisher::new(cell, ctx));
+    let replica = StoreReplica::new(cfg, naming_host);
     let replica = std::rc::Rc::new(std::cell::RefCell::new(ReplicationSkeleton(replica)));
     let key = poa.activate(ftproxy::CHECKPOINT_SERVICE_TYPE, replica.clone());
     let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);

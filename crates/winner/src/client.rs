@@ -79,9 +79,7 @@ pub fn run_system_manager_obs(
     }
     orb.listen(ctx)?;
     let poa = orb::Poa::new();
-    let monitor_cell = cfg.monitor.clone();
-    let mut manager = SystemManager::new(cfg, policy);
-    manager.monitor = monitor_cell.map(|cell| monitor::Publisher::new(cell, ctx));
+    let manager = SystemManager::new(cfg, policy);
     let servant = std::rc::Rc::new(std::cell::RefCell::new(SystemManagerSkeleton(manager)));
     let key = poa.activate(SYSTEM_MANAGER_TYPE, servant);
     publish(orb.ior(SYSTEM_MANAGER_TYPE, key));

@@ -2,10 +2,10 @@
 //! measuring the node's performance and system load … collected by the
 //! host operating system", and sending it to the system manager (§2).
 
-use monitor::{EventBody, Publisher};
+use monitor::{EventBody, MonitorHandle};
 use orb::{Ior, ObjectRef, Orb};
 use rand::Rng;
-use simnet::{Ctx, Shared, SimDuration, SimResult};
+use simnet::{Ctx, SimDuration, SimResult};
 
 use crate::client::SystemManagerClient;
 use crate::protocol::LoadReport;
@@ -19,9 +19,8 @@ pub struct NodeManagerConfig {
     pub interval: SimDuration,
     /// CPU work spent taking one sample (reading `/proc` is not free).
     pub sample_cost: f64,
-    /// When set, each load sample is also published to the monitoring
-    /// event channel whose IOR appears in this cell.
-    pub monitor: Option<Shared<Option<String>>>,
+    /// When set, each load sample is also emitted to the run's monitor.
+    pub monitor: Option<MonitorHandle>,
 }
 
 impl NodeManagerConfig {
@@ -42,7 +41,6 @@ impl NodeManagerConfig {
 pub fn run_node_manager(ctx: &mut Ctx, cfg: NodeManagerConfig) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
     let client = SystemManagerClient::new(ObjectRef::new(cfg.system_manager.clone()));
-    let publisher = cfg.monitor.clone().map(|cell| Publisher::new(cell, ctx));
     // Stagger node managers so reports do not arrive in lockstep.
     let jitter_ns = ctx.rng().random_range(0..cfg.interval.as_nanos().max(1));
     ctx.sleep(SimDuration::from_nanos(jitter_ns))?;
@@ -72,16 +70,15 @@ pub fn run_node_manager(ctx: &mut Ctx, cfg: NodeManagerConfig) -> SimResult<()> 
             stamp_ns: ctx.now().as_nanos() as i64 + snap.clock_skew_ns,
         };
         client.report(&mut orb, ctx, &report)?;
-        if let Some(p) = &publisher {
-            p.publish(
-                &mut orb,
+        if let Some(mon) = &cfg.monitor {
+            mon.emit(
                 ctx,
                 EventBody::LoadReport {
                     runnable: snap.runnable,
                     load_milli: monitor::milli(snap.load_avg),
                     cpu_milli: monitor::milli(snap.cpu_util),
                 },
-            )?;
+            );
         }
         ctx.sleep(cfg.interval)?;
     }

@@ -4,9 +4,9 @@
 
 use std::collections::BTreeMap;
 
-use monitor::{EventBody, Publisher};
-use orb::{CallCtx, Exception, SystemException};
-use simnet::{Shared, SimDuration, SimTime};
+use monitor::{EventBody, MonitorHandle};
+use orb::{CallCtx, Exception};
+use simnet::{SimDuration, SimTime};
 
 use crate::policy::{performance_score, HostView, SelectionPolicy};
 use crate::protocol::{HostStatus, LoadReport, SelectRequest, Winner};
@@ -21,9 +21,9 @@ pub struct SystemManagerConfig {
     /// Covers the window between placing a process and that process
     /// showing up in the next load report.
     pub reservation_ttl: SimDuration,
-    /// When set, every answered `select` is also published as a placement
-    /// event to the monitoring channel whose IOR appears in this cell.
-    pub monitor: Option<Shared<Option<String>>>,
+    /// When set, every answered `select` is also emitted as a placement
+    /// event to the run's monitor.
+    pub monitor: Option<MonitorHandle>,
     /// Quarantine bound on report wall-clock stamps: a report whose
     /// `stamp_ns` strays further than this from the manager's own clock
     /// is rejected — its host's load data is not to be trusted (its clock
@@ -75,11 +75,9 @@ pub struct SystemManager {
     pub skewed_reports_quarantined: u64,
     /// Selections answered.
     pub selections: u64,
-    /// Monitoring publisher (set by the server wrapper when configured).
-    pub monitor: Option<Publisher>,
     /// The loads behind the most recent successful `select`: `(chosen
     /// host, its effective load, the candidates' minimum)` in milli-units.
-    /// Consumed by the `select` operation to publish the placement event.
+    /// Consumed by the `select` operation to emit the placement event.
     last_placement: Option<(u32, u64, u64)>,
 }
 
@@ -94,7 +92,6 @@ impl SystemManager {
             stale_reports_dropped: 0,
             skewed_reports_quarantined: 0,
             selections: 0,
-            monitor: None,
             last_placement: None,
         }
     }
@@ -259,22 +256,17 @@ impl Winner::SystemManager for SystemManager {
             }
             o.gauge_set("winner.alive_hosts", self.alive_hosts(now) as f64);
         }
-        if let (Some(publisher), Some((chosen, chosen_m, min_m))) =
-            (self.monitor.clone(), self.last_placement.take())
+        if let (Some(mon), Some((chosen, chosen_m, min_m))) =
+            (&self.cfg.monitor, self.last_placement.take())
         {
-            // Oneway, so publishing from inside dispatch never
-            // blocks; Err only means this process is being killed.
-            publisher
-                .publish(
-                    call.orb,
-                    call.ctx,
-                    EventBody::Placement {
-                        chosen,
-                        chosen_load_milli: chosen_m,
-                        min_load_milli: min_m,
-                    },
-                )
-                .map_err(|_| SystemException::transient("killed mid-dispatch"))?;
+            mon.emit(
+                call.ctx,
+                EventBody::Placement {
+                    chosen,
+                    chosen_load_milli: chosen_m,
+                    min_load_milli: min_m,
+                },
+            );
         }
         Ok((pick.is_some(), pick.unwrap_or(0)))
     }

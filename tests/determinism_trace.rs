@@ -19,10 +19,10 @@ fn traced_run(seed: u64) -> String {
     });
     let trace: simnet::Shared<String> = simnet::Shared::new(String::new());
     let sink = trace.clone();
-    cluster.kernel.set_tracer(move |t, line| {
+    cluster.kernel.set_event_hook(move |t, ev| {
         sink.with(|s| {
             use std::fmt::Write;
-            let _ = writeln!(s, "{:.9} {line}", t.as_secs_f64());
+            let _ = writeln!(s, "{:.9} {ev}", t.as_secs_f64());
         });
     });
 

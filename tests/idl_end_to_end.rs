@@ -145,7 +145,7 @@ fn repo_file(path: &str) -> String {
 #[test]
 fn generated_files_are_in_sync_with_idlc() {
     let all = generated();
-    assert_eq!(all.len(), 7, "six crates and tests/generated");
+    assert_eq!(all.len(), 6, "five crates and tests/generated");
     for g in all {
         let files: Vec<(String, String)> = g
             .files
@@ -166,7 +166,6 @@ fn generated_files_are_in_sync_with_idlc() {
 /// One servant of every contract interface behind its generated skeleton.
 fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
     let tree = cosnaming::NamingTree::new();
-    let monitor = monitor::MonitorHandle::new(monitor::MonitorConfig::default(), None);
     vec![
         (
             "Calculator",
@@ -212,12 +211,6 @@ fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
             Box::new(store::ReplicationSkeleton(store::StoreReplica::new(
                 store::StoreConfig::default(),
                 HostId(0),
-            ))),
-        ),
-        (
-            "EventChannel",
-            Box::new(monitor::EventChannelSkeleton(monitor::EventChannel::new(
-                monitor.state,
             ))),
         ),
         (
