@@ -1,8 +1,9 @@
 //! Ablation: **recovery cost**. A worker host crashes mid-run; the FT
 //! proxies recover (re-resolve / factory-create / restore / retry). This
 //! study measures the runtime penalty of one crash under both checkpoint
-//! transports and compares COMM_FAILURE-only detection (the paper's) with
-//! detection aided by a shorter request timeout.
+//! transports, and runs the crash cell at two request timeouts: since the
+//! ORB times a silent peer against its host (keepalive probes), the two
+//! rows must agree — the constant is no longer the detector.
 //!
 //! Usage: `cargo run --release -p ldft-bench --bin ablation_recovery [--quick] [--seeds N] [--trace-out PATH] [--metrics-out PATH]`
 
@@ -38,8 +39,8 @@ fn main() {
         ..FtSettings::default()
     };
 
-    // Detection is timeout-based for a crashed host; compare the paper's
-    // generous timeout with an aggressive one.
+    // A generous request timeout and an aggressive one: the crashed host
+    // is found out by unanswered keepalives well inside either.
     let slow = SimDuration::from_secs(60);
     let fast = SimDuration::from_secs_f64((baseline_mean * 0.2).max(0.5));
     let cases: Vec<(&str, Option<FtSettings>, Option<CrashPlan>, SimDuration)> = vec![
@@ -107,10 +108,12 @@ fn main() {
     println!("{}", table.render());
     println!(
         "Reading: without FT a crash would abort the run entirely (the paper's \
-         motivation); with FT the run completes, paying the request timeout \
-         once plus restart/restore. Rarer checkpoints make recovery re-execute \
-         more work; the per-value store pays its overhead on the restore path \
-         too."
+         motivation); with FT the run completes, paying detection plus \
+         restart/restore. Detection is the ORB asking the silent worker's \
+         host with keepalives, so the 60 s and the short request timeout \
+         cost the same. Rarer checkpoints write less and re-execute more \
+         after the crash; the per-value store pays its overhead on the \
+         restore path too."
     );
 
     if args.csv {

@@ -27,6 +27,9 @@ fn base_spec(args: &RunArgs, replicas: usize) -> ExperimentSpec {
         max_recoveries: 6,
         ..FtSettings::default()
     });
+    // Stays: after both crashes a recovering proxy re-resolves onto the idle
+    // worker server on the dead store host, which the manager never called,
+    // and a first contact waits this out once (58 s more at the default).
     spec.request_timeout = SimDuration::from_secs(2);
     spec.store_replicas = replicas;
     spec

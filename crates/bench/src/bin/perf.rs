@@ -108,8 +108,8 @@ fn main() {
     println!("{}", table.render());
     println!(
         "Reading: virtual columns are deterministic per seed (what the gate \
-         compares); wall columns measure this machine. wasted ppm is recovery \
-         plus retry-backoff time over total run time, ×10⁶."
+         compares); wall columns measure this machine. wasted ppm is failure-detection \
+         plus recovery time over total run time, ×10⁶."
     );
 
     if let Some(path) = &args.out {

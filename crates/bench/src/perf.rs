@@ -20,16 +20,20 @@
 //! # Wasted work
 //!
 //! Following the work vs useful-work accounting of Dwork–Halpern–Waarts,
-//! the chaos cell reports `wasted_work_ppm`: virtual time spent on
-//! recovery (`ft.recover` span time plus `ft.backoff_ns` retry backoff)
-//! divided by total manager run time, in parts per million (integer math,
-//! so the value stays byte-deterministic).
+//! the chaos cell reports `wasted_work_ppm`: virtual time a fault kept a
+//! client from useful work — detecting the failure (`ft.detect_ns`, and
+//! any `ft.checkpoint` that failed) plus recovering from it
+//! (`ft.recovery_ns`, which contains the `ft.recover` span, the backoff,
+//! re-creation and restore) — divided by total manager run time, in parts
+//! per million (integer math, so the value stays byte-deterministic). The
+//! repo benchmark's `crash_recovery` defines its `wasted_work_ppm` the same
+//! way, from outside.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use corba_runtime::{run_experiment, CrashPlan, ExperimentSpec, NamingMode};
-use obs::{Metric, Obs, ProcessObs};
+use obs::{Metric, Obs, ProcessObs, SpanRecord};
 use optim::FtSettings;
 use simnet::{HostConfig, Kernel, ProfileMark, SimDuration};
 
@@ -307,27 +311,29 @@ fn invoke_percentiles(obs: &Obs) -> (u64, u64, u64) {
     }
 }
 
-/// Wasted work in parts per million: `ft.recover` span time plus
-/// `ft.backoff_ns` backoff time, over total `manager.run` time.
+/// Wasted work in parts per million: the time faults kept clients from
+/// useful work, over total `manager.run` time. Three terms: finding out
+/// (`ft.detect_ns`: each failed attempt, send to verdict), a checkpoint
+/// that failed (`ft.checkpoint` spans tagged `ok=false` — in the chaos
+/// cell the crash lands between a worker's reply and the fetch of its
+/// state, so that fetch is the call that meets the dead host), and getting
+/// back (`ft.recovery_ns`: verdict to the first reply from the restored
+/// replica).
 pub fn wasted_work_ppm(obs: &Obs) -> u64 {
-    let recover_ns: u64 = obs
-        .spans_named("ft.recover")
-        .iter()
-        .map(|s| s.end_ns - s.start_ns)
-        .sum();
-    let backoff_ns = match obs.metric("ft.backoff_ns") {
+    let sum_ns = |name: &str| match obs.metric(name) {
         Some(Metric::Histogram(h)) => h.sum,
         _ => 0,
     };
-    let total_ns: u64 = obs
-        .spans_named("manager.run")
-        .iter()
-        .map(|s| s.end_ns - s.start_ns)
-        .sum();
+    let dur = |s: &SpanRecord| s.end_ns - s.start_ns;
+    let failed = |s: &&SpanRecord| s.tags.iter().any(|(k, v)| k == "ok" && v == "false");
+    let checkpoints = obs.spans_named("ft.checkpoint");
+    let failed_checkpoint_ns: u64 = checkpoints.iter().filter(failed).map(dur).sum();
+    let wasted_ns = sum_ns("ft.detect_ns") + failed_checkpoint_ns + sum_ns("ft.recovery_ns");
+    let total_ns: u64 = obs.spans_named("manager.run").iter().map(dur).sum();
     if total_ns == 0 {
         return 0;
     }
-    (((recover_ns + backoff_ns) as u128 * 1_000_000) / total_ns as u128) as u64
+    ((wasted_ns as u128 * 1_000_000) / total_ns as u128) as u64
 }
 
 /// Per-op wall-clock totals accumulated from kernel [`ProfileMark`]s.
@@ -636,7 +642,6 @@ fn chaos_wasted_work_cell(args: &RunArgs, seed: u64) -> (BenchRecord, Obs) {
     spec.worker_iters = args.scaled(spec.worker_iters);
     spec.available_hosts = spec.workers;
     spec.ft = Some(FtSettings::default());
-    spec.request_timeout = SimDuration::from_secs(2);
     spec.crash = Some(CrashPlan {
         after: SimDuration::from_millis(200),
         now_host_index: 0,

@@ -96,10 +96,6 @@ pub fn trace_cell(args: &RunArgs) -> TraceExport {
     // episode into the trace.
     spec.available_hosts = spec.workers;
     spec.ft = Some(FtSettings::default());
-    // Timeout-based failure detection bounds how long a crashed worker
-    // stalls the manager; keep it short so the recovery episode (resolve →
-    // factory create → restore → retry) lands well inside the run.
-    spec.request_timeout = SimDuration::from_secs(2);
     spec.crash = Some(CrashPlan {
         after: SimDuration::from_millis(200),
         now_host_index: 0,
@@ -135,7 +131,6 @@ pub fn doctor_cell(args: &RunArgs, crash: bool) -> ExperimentOutcome {
     spec.worker_iters = args.scaled(spec.worker_iters);
     spec.available_hosts = spec.workers;
     spec.ft = Some(FtSettings::default());
-    spec.request_timeout = SimDuration::from_secs(2);
     spec.monitor = Some(monitor::MonitorConfig::default());
     if crash {
         spec.crash = Some(CrashPlan {

@@ -58,14 +58,7 @@ pub fn run_detector_obs(
     stats: Shared<DetectorStats>,
     sink: Option<obs::Obs>,
 ) -> SimResult<()> {
-    let mut orb = Orb::new(
-        ctx,
-        orb::OrbConfig {
-            // Probes should fail fast; the period bounds the timeout.
-            request_timeout: cfg.period,
-            ..orb::OrbConfig::default()
-        },
-    );
+    let mut orb = Orb::init(ctx);
     if let Some(sink) = sink {
         orb.set_obs(obs::ProcessObs::new(sink, ctx));
     }

@@ -893,6 +893,11 @@ fn call_via<A: cdr::CdrWrite>(
 }
 
 fn run_schedule(schedule: Schedule, deferred: bool) -> Observed {
+    run_schedule_obs(schedule, deferred, None)
+}
+
+/// [`run_schedule`] with the driver's metrics recorded into `sink`.
+fn run_schedule_obs(schedule: Schedule, deferred: bool, sink: Option<obs::Obs>) -> Observed {
     let mut sim = Kernel::with_seed(31);
     let n_hosts = match schedule {
         Schedule::FactoryHostDies => 2,
@@ -914,6 +919,9 @@ fn run_schedule(schedule: Schedule, deferred: bool) -> Observed {
                 ..orb::OrbConfig::default()
             },
         );
+        if let Some(sink) = sink {
+            orb.set_obs(obs::ProcessObs::new(sink, ctx));
+        }
         let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::Bulk);
         proxy.monitor = Some(emit_to);
         let mut env = ProxyEnv { orb: &mut orb, ctx };
@@ -969,18 +977,35 @@ fn run_schedule(schedule: Schedule, deferred: bool) -> Observed {
 fn recovery_backoff_is_bounded_and_deterministic() {
     // The only factory host dies: recovery has nowhere to go and burns
     // every attempt, backing off in between.
-    let a = run_schedule(Schedule::FactoryHostDies, false);
+    let (sink, again) = (obs::Obs::default(), obs::Obs::default());
+    let a = run_schedule_obs(Schedule::FactoryHostDies, false, Some(sink.clone()));
     // Same seed ⇒ identical schedule, jitter included.
-    assert_eq!(a, run_schedule(Schedule::FactoryHostDies, false));
+    let b = run_schedule_obs(Schedule::FactoryHostDies, false, Some(again.clone()));
+    assert_eq!(a, b);
+    let backoff_ns = sink.metric("ft.backoff_ns");
+    assert_eq!(backoff_ns, again.metric("ft.backoff_ns"));
     // max_recoveries_per_call = 3 ⇒ three backoffs of ~50, 100 and 200
     // virtual milliseconds (each ±10% jitter) between the four attempts.
+    // Read off the sleeps themselves, not the call's duration: how long
+    // the four failures take to *detect* is the ORB's business.
     assert_eq!(a.stats.backoffs, 3, "{a:?}");
-    // The rest of the time: the failed invoke and three failed factory
-    // creates time out at 5 s each, and under 100 ms of healthy RPCs.
-    let slept = a.elapsed_ns - 20_000_000_000;
+    let Some(obs::Metric::Histogram(h)) = backoff_ns else {
+        panic!("ft.backoff_ns not recorded: {a:?}");
+    };
+    let decade = |upper: u64| {
+        let i = obs::BUCKET_BOUNDS.iter().position(|&b| b == upper);
+        h.counts[i.expect("a bucket bound")]
+    };
+    // 45–55 ms falls in the (10 ms, 100 ms] bucket, 180–220 ms in
+    // (100 ms, 1 s], and 90–110 ms in either.
+    let (short, long) = (decade(100_000_000), decade(1_000_000_000));
     assert!(
-        (315_000_000..=385_000_000 + 100_000_000).contains(&slept),
-        "backoffs off the 50/100/200 ms ± 10 % schedule: {slept}ns"
+        h.count == 3
+            && short + long == 3
+            && short >= 1
+            && long >= 1
+            && (315_000_000..=385_000_000).contains(&h.sum),
+        "backoffs off the 50/100/200 ms ± 10 % schedule: {h:?}"
     );
 }
 

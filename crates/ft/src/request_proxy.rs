@@ -262,7 +262,14 @@ impl FtRequest {
             }
             Err(e) => e,
         };
-        self.inner = None;
+        // What it cost to learn that the target is gone: the failed
+        // attempt, from its send to this verdict. (A failed acquire sent
+        // nothing; its time is already inside the recovery episode.)
+        if self.inner.take().is_some() && failure.is_recoverable() {
+            if let (Some(sent), Some(o)) = (self.sent, env.orb.obs()) {
+                o.observe("ft.detect_ns", env.ctx.now().since(sent).as_nanos());
+            }
+        }
         loop {
             if !failure.is_recoverable() || self.attempts >= proxy.config().max_recoveries_per_call
             {

@@ -606,8 +606,13 @@ mod tests {
         let _ = at.ask();
     }
 
+    /// A `tell` nobody asked for is a caller bug: a `debug_assert!`, so
+    /// loud in debug builds and ignored in release builds.
     #[test]
-    #[should_panic(expected = "tell() without a pending ask()")]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "tell() without a pending ask()")
+    )]
     fn ask_tell_misuse_panics() {
         let b = Bounds::uniform(2, -1.0, 1.0);
         let mut at = AskTellComplex::new(b, ComplexBoxConfig::default());
@@ -615,7 +620,9 @@ mod tests {
             let x = at.ask();
             at.tell(x.iter().map(|v| v * v).sum());
         }
+        let before = (at.evals(), at.iterations(), at.best().1);
         at.tell(0.0); // no pending ask
+        assert_eq!((at.evals(), at.iterations(), at.best().1), before);
     }
 
     #[test]

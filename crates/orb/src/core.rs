@@ -12,8 +12,15 @@
 //!
 //! * Request to a **dead server process** (host up): the simulated network
 //!   bounces an RST and the client raises `COMM_FAILURE` after one RTT.
-//! * Request to a **crashed host** or across a partition: silence; the
-//!   client raises `COMM_FAILURE` when the request timeout expires.
+//! * Request to a **crashed host** or across a partition: silence. Once
+//!   the reply is late by the endpoint's own round-trip history the client
+//!   asks the peer's *host* with keepalive probes ([`Ctx::probe`]): an
+//!   answer means the server is slow, not gone, and the client waits on;
+//!   [`PROBES`] silences in a row raise `COMM_FAILURE` "peer unreachable".
+//!   See [`Rtt`] for the clock. An endpoint that never answered has no
+//!   history to scale by: there, and for a peer whose host keeps answering
+//!   while its server says nothing, `COMM_FAILURE` comes when the request
+//!   timeout expires.
 //! * Stale object key on a live server (e.g. after a service was
 //!   deactivated): `OBJECT_NOT_EXIST`.
 //!
@@ -77,6 +84,8 @@ pub struct OrbConfig {
     /// How long a synchronous call waits for a reply before raising
     /// `COMM_FAILURE`. (CORBA 2 had no TIMEOUT exception; timeouts surface
     /// as communication failures, which is what the paper's proxies catch.)
+    /// It bounds a live-but-stuck peer and a first contact; a peer that has
+    /// answered before and falls silent is found out sooner (module docs).
     pub request_timeout: SimDuration,
     /// Maximum `LocationForward` hops per logical invocation.
     pub forward_limit: u32,
@@ -111,6 +120,10 @@ pub struct OrbStats {
     pub locates_served: u64,
     /// Frames that failed to parse.
     pub protocol_errors: u64,
+    /// Keepalive probes sent because a reply was late.
+    pub probes_sent: u64,
+    /// Replies dropped on arrival: their request had already failed.
+    pub late_replies: u64,
 }
 
 /// Reserved user-exception id a servant raises (via [`forward_to`]) to make
@@ -128,8 +141,107 @@ pub fn forward_to(new_location: &Ior) -> Exception {
 
 struct Pending {
     endpoint: (HostId, Port),
+    sent: SimTime,
     deadline: SimTime,
     operation: String,
+}
+
+/// Why a pending request failed. Each is a `COMM_FAILURE` to the caller.
+#[derive(Clone, Copy)]
+enum Failure {
+    /// The deadline passed: the peer had no history, or its host kept
+    /// answering probes while the reply never came.
+    TimedOut,
+    /// The peer's host answered with an RST: nothing listens on the port.
+    Refused,
+    /// [`PROBES`] keepalives in a row went unanswered.
+    Unreachable,
+    UnknownRequest,
+}
+
+impl Failure {
+    fn detail(self) -> &'static str {
+        match self {
+            Failure::TimedOut => "request timed out",
+            Failure::Refused => "connection refused",
+            Failure::Unreachable => "peer unreachable",
+            Failure::UnknownRequest => "await_reply on unknown request",
+        }
+    }
+
+    fn counter(self) -> Option<&'static str> {
+        match self {
+            Failure::TimedOut => Some("orb.timeouts"),
+            Failure::Refused => Some("orb.rsts"),
+            Failure::Unreachable => Some("orb.unreachable"),
+            Failure::UnknownRequest => None,
+        }
+    }
+}
+
+/// How far the suspicion of one awaited request has got.
+#[derive(Default)]
+struct Suspicion {
+    /// Set when the peer's host answered a keepalive: when the reply, if
+    /// still missing, becomes suspicious again.
+    again_at: Option<SimTime>,
+    /// The probe round under way: keepalives sent, and when the newest is
+    /// given up on.
+    round: Option<(u32, SimTime)>,
+}
+
+/// Keepalives sent, one after the other, before a silent host is declared
+/// unreachable. The first waits twice the smallest round trip the endpoint
+/// ever showed and each next one twice as long as the one before; an
+/// answer to *any* of them counts until the last wait is over. So a false
+/// verdict needs five keepalives (or their answers) lost in a row, and the
+/// last one alone rides out a 32-fold jump of the path's round trip — at
+/// the price of 62 smallest round trips of silence before a dead host is
+/// called dead.
+const PROBES: u32 = 5;
+
+/// The round-trip history of one endpoint: Jacobson/Karels smoothed mean
+/// and deviation (gains ⅛ and ¼, as TCP's RFC 6298) of request-to-reply
+/// times, and the smallest round trip seen, in nanoseconds.
+///
+/// A round trip here includes the servant's work, so the deviation term
+/// does what it does for TCP: an endpoint whose calls vary is given more
+/// time before silence means anything.
+#[derive(Clone, Copy)]
+struct Rtt {
+    srtt: u64,
+    rttvar: u64,
+    min: u64,
+}
+
+impl Rtt {
+    fn first(sample: u64) -> Rtt {
+        Rtt {
+            srtt: sample,
+            rttvar: sample / 2,
+            min: sample,
+        }
+    }
+
+    fn update(&mut self, sample: u64) {
+        self.rttvar = self.rttvar - self.rttvar / 4 + self.srtt.abs_diff(sample) / 4;
+        self.srtt = self.srtt - self.srtt / 8 + sample / 8;
+        self.min = self.min.min(sample);
+    }
+
+    /// How long after sending a missing reply becomes suspicious: twice
+    /// the mean plus four deviations. TCP retransmits at mean + 4 dev; the
+    /// extra mean is because a wrong guess here interrupts nobody — it
+    /// costs two kernel messages — but should still be rare on a steady
+    /// endpoint, whose deviation decays to nothing.
+    fn patience(&self) -> SimDuration {
+        SimDuration::from_nanos(2 * self.srtt + 4 * self.rttvar)
+    }
+
+    /// How long keepalive number `n` (from 0) of a round is waited for.
+    fn probe_wait(&self, n: u32) -> SimDuration {
+        SimDuration::from_nanos(self.min).saturating_mul(2 << n)
+    }
 }
 
 /// The Object Request Broker for one simulated process.
@@ -146,6 +258,10 @@ pub struct Orb {
     pending: BTreeMap<u64, Pending>,
     /// Endpoints that bounced an RST.
     rsts: BTreeSet<(HostId, Port)>,
+    /// Endpoints whose host answered a keepalive probe.
+    alive: BTreeSet<(HostId, Port)>,
+    /// Round-trip history per endpoint that has ever replied.
+    rtt: BTreeMap<(HostId, Port), Rtt>,
     stats: OrbStats,
     interceptors: Vec<Box<dyn Interceptor>>,
     obs: Option<ProcessObs>,
@@ -168,6 +284,8 @@ impl Orb {
             replies: BTreeMap::new(),
             pending: BTreeMap::new(),
             rsts: BTreeSet::new(),
+            alive: BTreeSet::new(),
+            rtt: BTreeMap::new(),
             stats: OrbStats::default(),
             interceptors: Vec::new(),
             obs: None,
@@ -187,6 +305,12 @@ impl Orb {
     /// Counters accumulated so far.
     pub fn stats(&self) -> OrbStats {
         self.stats
+    }
+
+    /// Replies held for a caller that has not asked for them yet.
+    #[cfg(test)]
+    pub(crate) fn stashed_replies(&self) -> usize {
+        self.replies.len()
     }
 
     /// Register a request interceptor.
@@ -262,7 +386,7 @@ impl Orb {
                 return Ok(());
             }
             let msg = ctx.recv()?;
-            self.absorb(msg);
+            self.absorb(ctx.now(), msg);
         }
     }
 
@@ -275,7 +399,7 @@ impl Orb {
                 return Ok(true);
             }
             match ctx.try_recv()? {
-                Some(msg) => self.absorb(msg),
+                Some(msg) => self.absorb(ctx.now(), msg),
                 None => return Ok(false),
             }
         }
@@ -474,6 +598,7 @@ impl Orb {
                 req_id,
                 Pending {
                     endpoint,
+                    sent: ctx.now(),
                     deadline: ctx.now() + timeout.unwrap_or(self.cfg.request_timeout),
                     operation: operation.to_string(),
                 },
@@ -485,34 +610,84 @@ impl Orb {
         Ok(req_id)
     }
 
-    /// Block until the reply for `req_id` arrives (or fails).
+    /// Block until the reply for `req_id` arrives (or fails). This is the
+    /// only place a client blocks ([`Orb::locate`] waits here too), so
+    /// every caller times silence the same way (module docs).
     pub(crate) fn await_reply(&mut self, ctx: &mut Ctx, req_id: u64) -> SimResult<Outcome> {
+        let mut suspicion = Suspicion::default();
         loop {
             if let Some(outcome) = self.check_pending(ctx, req_id)? {
                 return Ok(outcome);
             }
-            let Some(pending) = self.pending.get(&req_id) else {
+            let Some(p) = self.pending.get(&req_id) else {
                 // Unknown request id: bookkeeping bug. Surface it as a
                 // COMM_FAILURE on this call instead of panicking.
-                return Ok(self.fail_pending(req_id, "await_reply on unknown request"));
+                return Ok(self.fail_pending(req_id, Failure::UnknownRequest));
             };
-            let deadline = pending.deadline;
+            let (endpoint, sent, deadline) = (p.endpoint, p.sent, p.deadline);
             let now = ctx.now();
             if now >= deadline {
-                return Ok(self.fail_pending(req_id, "request timed out"));
+                return Ok(self.fail_pending(req_id, Failure::TimedOut));
             }
-            match ctx.recv_timeout(deadline.since(now))? {
-                Some(msg) => self.absorb(msg),
-                None => return Ok(self.fail_pending(req_id, "request timed out")),
+            let mut wake = deadline;
+            // An endpoint that never replied has no history to scale
+            // silence by; the deadline is its only clock (TCP's initial RTO).
+            if let Some(rtt) = self.rtt.get(&endpoint).copied() {
+                match self.probe_when_due(ctx, endpoint, sent, rtt, &mut suspicion)? {
+                    Some(until) => wake = wake.min(until),
+                    None => return Ok(self.fail_pending(req_id, Failure::Unreachable)),
+                }
+            }
+            // A timeout needs no arm: the loop reads the clock.
+            if let Some(msg) = ctx.recv_timeout(wake.since(now))? {
+                self.absorb(ctx.now(), msg);
             }
         }
+    }
+
+    /// No reply yet from `endpoint` to the request sent at `sent`: send
+    /// the next keepalive if one is due, and say until when the silence is
+    /// unremarkable — `None` once [`PROBES`] keepalives went unanswered.
+    fn probe_when_due(
+        &mut self,
+        ctx: &mut Ctx,
+        endpoint: (HostId, Port),
+        sent: SimTime,
+        rtt: Rtt,
+        s: &mut Suspicion,
+    ) -> SimResult<Option<SimTime>> {
+        let now = ctx.now();
+        if s.round.is_some() && self.alive.remove(&endpoint) {
+            // Slow, not gone: it gets as long again as it has had.
+            s.round = None;
+            s.again_at = Some(now + now.since(sent));
+        }
+        let suspect_at = s.again_at.unwrap_or(sent + rtt.patience());
+        let probes = match s.round {
+            None if now < suspect_at => return Ok(Some(suspect_at)),
+            Some((_, until)) if now < until => return Ok(Some(until)),
+            Some((PROBES, _)) => return Ok(None),
+            None => {
+                self.alive.remove(&endpoint); // an answer left from an earlier round
+                0
+            }
+            Some((probes, _)) => probes,
+        };
+        ctx.probe(endpoint.0, endpoint.1)?;
+        self.stats.probes_sent += 1;
+        if let Some(o) = &self.obs {
+            o.counter_add("orb.probes", 1);
+        }
+        let until = now + rtt.probe_wait(probes);
+        s.round = Some((probes + 1, until));
+        Ok(Some(until))
     }
 
     /// Non-blocking: has the reply for `req_id` arrived (or its endpoint
     /// failed)? Drains the mailbox without advancing time.
     pub(crate) fn poll_reply(&mut self, ctx: &mut Ctx, req_id: u64) -> SimResult<Option<Outcome>> {
         while let Some(msg) = ctx.try_recv()? {
-            self.absorb(msg);
+            self.absorb(ctx.now(), msg);
         }
         if let Some(outcome) = self.check_pending(ctx, req_id)? {
             return Ok(Some(outcome));
@@ -520,7 +695,7 @@ impl Orb {
         // A deferred request can also "complete" by timing out.
         if let Some(p) = self.pending.get(&req_id) {
             if ctx.now() >= p.deadline {
-                return Ok(Some(self.fail_pending(req_id, "request timed out")));
+                return Ok(Some(self.fail_pending(req_id, Failure::TimedOut)));
             }
         }
         Ok(None)
@@ -551,39 +726,43 @@ impl Orb {
         }
         if let Some(p) = self.pending.get(&req_id) {
             if self.rsts.contains(&p.endpoint) {
-                return Ok(Some(self.fail_pending(req_id, "connection refused")));
+                return Ok(Some(self.fail_pending(req_id, Failure::Refused)));
             }
         }
         Ok(None)
     }
 
-    fn fail_pending(&mut self, req_id: u64, why: &str) -> Outcome {
+    fn fail_pending(&mut self, req_id: u64, why: Failure) -> Outcome {
         let p = self.pending.remove(&req_id);
         self.stats.comm_failures += 1;
         if let Some(o) = &self.obs {
             o.counter_add("orb.comm_failures", 1);
-            match why {
-                "request timed out" => o.counter_add("orb.timeouts", 1),
-                "connection refused" => o.counter_add("orb.rsts", 1),
-                _ => {}
+            if let Some(counter) = why.counter() {
+                o.counter_add(counter, 1);
             }
         }
         for i in &mut self.interceptors {
             i.client_recv(p.as_ref().map_or("?", |p| &p.operation), false);
         }
-        Outcome::Done(Err(Exception::System(SystemException::comm_failure(why))))
+        Outcome::Done(Err(Exception::System(SystemException::comm_failure(
+            why.detail(),
+        ))))
     }
 
-    /// Route one raw network message: replies and RSTs are recorded,
-    /// server-bound messages are queued for `serve_one`.
-    fn absorb(&mut self, msg: simnet::Msg) {
+    /// Route one raw network message received at `now`: replies, RSTs and
+    /// keepalive answers are recorded, server-bound messages are queued
+    /// for `serve_one`.
+    fn absorb(&mut self, now: SimTime, msg: simnet::Msg) {
         match msg.payload {
             simnet::Payload::Rst { host, port } => {
                 self.rsts.insert((host, port));
             }
+            simnet::Payload::Alive { host, port } => {
+                self.alive.insert((host, port));
+            }
             simnet::Payload::Data(bytes) => match Message::decode(&bytes) {
                 Ok(Message::Reply { request_id, status }) => {
-                    self.replies.insert(request_id, status);
+                    self.stash_reply(now, request_id, status);
                 }
                 Ok(Message::LocateReply { request_id, found }) => {
                     // Represent locate replies through the same reply table.
@@ -594,7 +773,7 @@ impl Orb {
                             "locate: not here",
                         ))
                     };
-                    self.replies.insert(request_id, status);
+                    self.stash_reply(now, request_id, status);
                 }
                 Ok(server_msg) => {
                     self.backlog.push_back((msg.from, server_msg));
@@ -607,6 +786,26 @@ impl Orb {
                 }
             },
         }
+    }
+
+    /// Keep a reply that arrived at `now` for whoever awaits it, and feed
+    /// its round trip to the endpoint's history — here, on arrival: a
+    /// deferred reply can sit stashed long before it is awaited. A reply
+    /// whose request already failed is dropped; nobody will ask for it.
+    fn stash_reply(&mut self, now: SimTime, request_id: u64, status: ReplyBody) {
+        let Some(p) = self.pending.get(&request_id) else {
+            self.stats.late_replies += 1;
+            if let Some(o) = &self.obs {
+                o.counter_add("orb.late_replies", 1);
+            }
+            return;
+        };
+        let sample = now.since(p.sent).as_nanos();
+        self.rtt
+            .entry(p.endpoint)
+            .and_modify(|rtt| rtt.update(sample))
+            .or_insert_with(|| Rtt::first(sample));
+        self.replies.insert(request_id, status);
     }
 
     /// Send a `oneway` request: no reply, no failure report (fire and
@@ -640,6 +839,7 @@ impl Orb {
             req_id,
             Pending {
                 endpoint,
+                sent: ctx.now(),
                 deadline: ctx.now() + self.cfg.request_timeout,
                 operation: "_locate".to_string(),
             },

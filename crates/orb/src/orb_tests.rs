@@ -852,3 +852,180 @@ fn try_serve_supports_polling_servers() {
         "server kept doing its own work"
     );
 }
+
+// ----------------------------------------------------------------------
+// Failure detection on an endpoint with a round-trip history
+// ----------------------------------------------------------------------
+
+/// What the client saw of the call under test.
+struct Seen {
+    /// The result, or the `COMM_FAILURE`'s detail.
+    outcome: Result<f64, String>,
+    /// Virtual seconds the call took.
+    dt: f64,
+    stats: crate::OrbStats,
+}
+
+/// Ten `add` calls give the server's endpoint a history (a round trip is
+/// ≈ 0.6 ms on the default LAN and cost model); at t = 1 s the client
+/// makes `call`. `fault` (given `[client host, server host]`; the server is
+/// `Pid(0)`) is scheduled at an absolute instant.
+fn call_after_history(
+    fault: impl FnOnce(&[HostId]) -> Option<(f64, Fault)>,
+    call: impl FnOnce(&ObjectRef, &mut Orb, &mut simnet::Ctx) -> Result<f64, Exception> + Send + 'static,
+) -> Seen {
+    let mut sim = Kernel::with_seed(1);
+    let hs = sim.add_hosts(2);
+    let ior = cell();
+    spawn_calc(&mut sim, hs[1], ior.clone());
+    if let Some((at, fault)) = fault(&hs) {
+        sim.schedule_fault(SimTime::ZERO + secs(at), fault);
+    }
+    let out = cell::<Option<Seen>>();
+    let o = out.clone();
+    let client = sim.spawn(hs[0], "client", move |ctx| {
+        ctx.sleep(secs(0.01)).unwrap();
+        let mut orb = Orb::init(ctx);
+        let obj = resolve(&ior);
+        for _ in 0..10 {
+            let _: f64 = obj
+                .call(&mut orb, ctx, "add", &(1.0, 1.0))
+                .unwrap()
+                .unwrap();
+        }
+        ctx.sleep(SimTime::from_nanos(1_000_000_000).since(ctx.now()))
+            .unwrap();
+        let t0 = ctx.now();
+        let outcome = call(&obj, &mut orb, ctx).map_err(|e| match e {
+            Exception::System(s) if s.kind == SysKind::CommFailure => s.detail,
+            other => panic!("not a COMM_FAILURE: {other:?}"),
+        });
+        *o.lock().unwrap() = Some(Seen {
+            outcome,
+            dt: ctx.now().since(t0).as_secs_f64(),
+            stats: orb.stats(),
+        });
+    });
+    sim.run_until_exit(client);
+    let seen = out.lock().unwrap().take().expect("client finished");
+    seen
+}
+
+fn add(obj: &ObjectRef, orb: &mut Orb, ctx: &mut simnet::Ctx) -> Result<f64, Exception> {
+    obj.call(orb, ctx, "add", &(1.0, 1.0)).unwrap()
+}
+
+#[test]
+fn crashed_host_with_history_is_found_out_by_probes() {
+    let seen = call_after_history(|hs| Some((0.9, Fault::CrashHost(hs[1]))), add);
+    assert_eq!(seen.outcome, Err("peer unreachable".into()));
+    // 2 s (the request timeout) without probes.
+    assert!(seen.dt < 0.1, "dt={}", seen.dt);
+    assert_eq!(seen.stats.probes_sent, 5);
+}
+
+#[test]
+fn slow_servant_is_waited_for_not_failed() {
+    // 300 × the endpoint's usual round trip, well inside the deadline.
+    let seen = call_after_history(
+        |_| None,
+        |obj, orb, ctx| obj.call(orb, ctx, "work", &0.18f64).unwrap(),
+    );
+    assert_eq!(seen.outcome, Ok(0.18));
+    assert_eq!(seen.stats.comm_failures, 0);
+    // Each answered probe doubles the patience: ⌈log₂ 300⌉ + 1 at most.
+    assert!(
+        (1..=10).contains(&seen.stats.probes_sent),
+        "probes={}",
+        seen.stats.probes_sent
+    );
+}
+
+#[test]
+fn killed_server_holding_the_request_is_refused_not_silent() {
+    // The request is delivered and being worked on when the process dies
+    // (host up): no RST comes for a message already taken, only for the
+    // next keepalive.
+    let seen = call_after_history(
+        |_| Some((1.05, Fault::KillProcess(simnet::Pid(0)))),
+        |obj, orb, ctx| obj.call(orb, ctx, "work", &1.0f64).unwrap(),
+    );
+    assert_eq!(seen.outcome, Err("connection refused".into()));
+    // Killed 50 ms into the call; 2 s (the request timeout) without probes.
+    assert!(seen.dt < 0.15, "dt={}", seen.dt);
+}
+
+#[test]
+fn degraded_link_is_ridden_out() {
+    // +5 ms each way on a link whose round trip was 0.3 ms: the reply is
+    // late by every measure the client has, and still comes.
+    let seen = call_after_history(
+        |hs| {
+            let degrade = Fault::DegradeLink {
+                a: hs[0],
+                b: hs[1],
+                extra_latency: SimDuration::from_millis(5),
+                drop_milli: 0,
+            };
+            Some((0.9, degrade))
+        },
+        add,
+    );
+    assert_eq!(seen.outcome, Ok(2.0));
+    assert_eq!(seen.stats.comm_failures, 0);
+    assert!(seen.stats.probes_sent >= 1, "the reply was not late?");
+}
+
+#[test]
+fn lost_return_path_is_unreachable() {
+    // Requests and keepalives arrive; nothing comes back.
+    let seen = call_after_history(
+        |hs| {
+            let drop = Fault::DropOneWay {
+                from: hs[1],
+                to: hs[0],
+                blocked: true,
+            };
+            Some((0.9, drop))
+        },
+        add,
+    );
+    assert_eq!(seen.outcome, Err("peer unreachable".into()));
+    assert!(seen.dt < 0.1, "dt={}", seen.dt);
+}
+
+#[test]
+fn late_reply_is_dropped_and_counted() {
+    let mut sim = Kernel::with_seed(1);
+    let hs = sim.add_hosts(2);
+    let ior = cell();
+    spawn_calc(&mut sim, hs[1], ior.clone());
+    let out = cell::<Option<(bool, f64, usize, u64)>>();
+    let o = out.clone();
+    let client = sim.spawn(hs[0], "client", move |ctx| {
+        ctx.sleep(secs(0.01)).unwrap();
+        let cfg = OrbConfig {
+            request_timeout: secs(0.1),
+            ..OrbConfig::default()
+        };
+        let mut orb = Orb::new(ctx, cfg);
+        let obj = resolve(&ior);
+        // Answered after 0.3 s: 0.2 s past the deadline.
+        let slow: Result<f64, _> = obj.call(&mut orb, ctx, "work", &0.3f64).unwrap();
+        ctx.sleep(secs(0.4)).unwrap();
+        // The late reply sits in the mailbox; this call reads past it.
+        let sum: f64 = obj
+            .call(&mut orb, ctx, "add", &(1.0, 1.0))
+            .unwrap()
+            .unwrap();
+        let s = orb.stats();
+        *o.lock().unwrap() = Some((
+            slow.unwrap_err().is_comm_failure(),
+            sum,
+            orb.stashed_replies(),
+            s.late_replies,
+        ));
+    });
+    sim.run_until_exit(client);
+    assert_eq!(out.lock().unwrap().unwrap(), (true, 2.0, 0, 1));
+}

@@ -105,7 +105,7 @@ pub struct KernelStats {
     pub msgs_delivered: u64,
     /// Messages dropped (dead destination, down host, or partition).
     pub msgs_dropped: u64,
-    /// RST notifications generated for sends to closed ports.
+    /// RST notifications generated for sends and keepalives to closed ports.
     pub rsts: u64,
     /// Processes spawned.
     pub spawned: u64,
@@ -173,9 +173,21 @@ pub enum Fault {
 #[derive(Debug)]
 enum EventKind {
     Start(Pid),
-    Timer { pid: Pid, epoch: u64 },
+    Timer {
+        pid: Pid,
+        epoch: u64,
+    },
     Deliver(Msg),
-    CpuCheck { host: HostId, epoch: u64 },
+    /// A keepalive from `from` reaches `host`, whose kernel answers it.
+    Probe {
+        from: Pid,
+        host: HostId,
+        port: Port,
+    },
+    CpuCheck {
+        host: HostId,
+        epoch: u64,
+    },
     Fault(Fault),
 }
 
@@ -476,8 +488,8 @@ pub enum ChoiceKind {
 /// to one process/host (fault injection).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChoiceCandidate {
-    /// Stable event-kind label (`start`, `timer`, `deliver`, `cpu_check`,
-    /// `fault`, `run`).
+    /// Stable event-kind label (`start`, `timer`, `deliver`, `probe`,
+    /// `cpu_check`, `fault`, `run`).
     pub label: &'static str,
     /// The process this candidate targets (delivery destination, timer
     /// owner, started/run process), if resolvable.
@@ -574,6 +586,7 @@ fn event_op(kind: &EventKind) -> &'static str {
         EventKind::Start(_) => "event.start",
         EventKind::Timer { .. } => "event.timer",
         EventKind::Deliver(_) => "event.deliver",
+        EventKind::Probe { .. } => "event.probe",
         EventKind::CpuCheck { .. } => "event.cpu_check",
         EventKind::Fault(_) => "event.fault",
     }
@@ -585,6 +598,7 @@ fn syscall_op(sc: &Syscall) -> &'static str {
         Syscall::Sleep(_) => "sys.sleep",
         Syscall::Compute(_) => "sys.compute",
         Syscall::Send { .. } => "sys.send",
+        Syscall::Probe { .. } => "sys.probe",
         Syscall::Recv { .. } => "sys.recv",
         Syscall::TryRecv => "sys.try_recv",
         Syscall::BindPort => "sys.bind_port",
@@ -1244,6 +1258,14 @@ impl Core {
                     }
                 }
             }
+            EventKind::Probe { from, host, .. } => {
+                // Answered by the host, not a process; the answer is a new
+                // event.
+                c.from = Some(*from);
+                c.from_host = self.procs.get(from.0 as usize).map(|p| p.host);
+                c.host = Some(*host);
+                c.wakes = true;
+            }
             EventKind::CpuCheck { host, epoch } => {
                 c.host = Some(*host);
                 c.wakes = self
@@ -1292,6 +1314,7 @@ impl Core {
             EventKind::Start(pid) => self.start_process(pid, shared),
             EventKind::Timer { pid, epoch } => self.fire_timer(pid, epoch),
             EventKind::Deliver(msg) => self.deliver(msg),
+            EventKind::Probe { from, host, port } => self.answer_probe(from, host, port),
             EventKind::CpuCheck { host, epoch } => self.cpu_check(host, epoch),
             EventKind::Fault(f) => self.apply_fault(f),
         }
@@ -1392,7 +1415,7 @@ impl Core {
                     None => {
                         // Port closed, host up: bounce an RST to the sender.
                         self.stats.rsts += 1;
-                        self.send_rst(msg.from, h, port);
+                        self.bounce(msg.from, h, Payload::Rst { host: h, port });
                         return;
                     }
                 }
@@ -1438,20 +1461,41 @@ impl Core {
         }
     }
 
-    fn send_rst(&mut self, to: Pid, host: HostId, port: Port) {
+    /// A keepalive arrived at `host`: its kernel says whether `port` is
+    /// bound — if the host is up and the link let the keepalive through.
+    /// The answer travels back through `deliver` like any message, so a
+    /// cut or lossy return path silences it too.
+    fn answer_probe(&mut self, from: Pid, host: HostId, port: Port) {
+        let from_host = self.procs[from.0 as usize].host;
+        let up = self.hosts.get(host.0 as usize).is_some_and(|hs| hs.up);
+        if !up || self.link_blocked(from_host, host) {
+            self.stats.msgs_dropped += 1;
+            return;
+        }
+        let answer = if self.port_map.contains_key(&(host, port)) {
+            Payload::Alive { host, port }
+        } else {
+            self.stats.rsts += 1;
+            Payload::Rst { host, port }
+        };
+        self.bounce(from, host, answer);
+    }
+
+    /// `host`'s kernel answers process `to` with a zero-byte `payload`.
+    fn bounce(&mut self, to: Pid, host: HostId, payload: Payload) {
         let sender = match self.procs.get(to.0 as usize) {
             Some(p) if p.status != Status::Dead => p,
             _ => return,
         };
         let lat = self.latency_between(sender.host, host);
-        let rst = Msg {
+        let answer = Msg {
             from: to,
             from_host: host,
             to: Addr::Pid(to),
-            payload: Payload::Rst { host, port },
+            payload,
         };
         let at = self.now + lat;
-        self.push_event(at, EventKind::Deliver(rst));
+        self.push_event(at, EventKind::Deliver(answer));
     }
 
     fn cpu_check(&mut self, host: HostId, epoch: u64) {
@@ -1679,6 +1723,13 @@ impl Core {
             }
             Syscall::Send { to, data } => {
                 self.do_send(pid, to, data);
+                Flow::Reply(Resume::Ok { now })
+            }
+            Syscall::Probe { host, port } => {
+                let from_host = self.procs[pid.0 as usize].host;
+                let at = now + self.latency_between(from_host, host);
+                let from = pid;
+                self.push_event(at, EventKind::Probe { from, host, port });
                 Flow::Reply(Resume::Ok { now })
             }
             Syscall::Recv { timeout } => {

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use crate::{Addr, Fault, HostConfig, Kernel, KernelConfig, Port, SimDuration, SimTime};
+use crate::{Addr, Fault, HostConfig, Kernel, KernelConfig, Payload, Port, SimDuration, SimTime};
 
 /// Poison-transparent mutex with the `parking_lot` calling convention
 /// (`lock()` returns the guard directly); keeps the tests dependency-free.
@@ -167,6 +167,87 @@ fn send_to_down_host_is_dropped() {
     sim.run_until_idle();
     assert_eq!(*out.lock(), Some(false));
     assert_eq!(sim.stats().msgs_dropped, 1);
+}
+
+#[test]
+fn probe_is_answered_by_the_host_not_the_process() {
+    let mut sim = Kernel::with_seed(1);
+    let a = sim.add_host(HostConfig::new("a"));
+    let b = sim.add_host(HostConfig::new("b"));
+    let mailbox_empty = cell::<Option<bool>>();
+    let m = mailbox_empty.clone();
+    let server = sim.spawn(b, "busy-server", move |ctx| {
+        ctx.bind_port_exact(Port(7)).unwrap().unwrap();
+        // Never in `recv` while the probes arrive.
+        ctx.compute(0.01).unwrap();
+        *m.lock() = Some(ctx.try_recv().unwrap().is_none());
+    });
+    let out = cell::<Vec<(&'static str, SimDuration)>>();
+    let o = out.clone();
+    sim.spawn(a, "client", move |ctx| {
+        ctx.sleep(secs(0.001)).unwrap();
+        for port in [Port(7), Port(9)] {
+            let t0 = ctx.now();
+            ctx.probe(b, port).unwrap();
+            let answer = match ctx.recv().unwrap().payload {
+                Payload::Alive { host, port: p } if (host, p) == (b, port) => "alive",
+                Payload::Rst { host, port: p } if (host, p) == (b, port) => "rst",
+                other => panic!("unexpected answer {other:?}"),
+            };
+            o.lock().push((answer, ctx.now().since(t0)));
+        }
+    });
+    sim.run_until_idle();
+    // Exactly two hops of the 150 us LAN latency: zero bytes, no CPU.
+    let rtt = SimDuration::from_micros(300);
+    assert_eq!(*out.lock(), vec![("alive", rtt), ("rst", rtt)]);
+    assert_eq!(*mailbox_empty.lock(), Some(true));
+    // Nobody was charged CPU for them: the server's own 10 ms (rounded up
+    // to the clock's nanosecond) is all there is.
+    let cpu = sim.profile().cpu_by_proc;
+    let charged: Vec<_> = cpu.iter().map(|c| (c.pid, c.cpu_ns)).collect();
+    assert_eq!(charged, vec![(server, 10_000_001)]);
+}
+
+#[test]
+fn probe_of_a_down_host_or_across_a_cut_is_silent() {
+    let mut sim = Kernel::with_seed(1);
+    let a = sim.add_host(HostConfig::new("a"));
+    let down = sim.add_host(HostConfig::new("down"));
+    let cut = sim.add_host(HostConfig::new("cut"));
+    sim.schedule_fault(SimTime::ZERO, Fault::CrashHost(down));
+    // From 50 ms on keepalives still reach `cut`; the answers are lost.
+    let lose_answers = Fault::DropOneWay {
+        from: cut,
+        to: a,
+        blocked: true,
+    };
+    sim.schedule_fault(SimTime::ZERO + secs(0.05), lose_answers);
+    sim.spawn(cut, "server", move |ctx| {
+        ctx.bind_port_exact(Port(7)).unwrap().unwrap();
+        let _ = ctx.recv();
+    });
+    fn answered(ctx: &mut crate::Ctx, host: crate::HostId) -> bool {
+        ctx.probe(host, Port(7)).unwrap();
+        ctx.recv_timeout(secs(0.01)).unwrap().is_some()
+    }
+    let out = cell::<Vec<bool>>();
+    let o = out.clone();
+    let client = sim.spawn(a, "client", move |ctx| {
+        ctx.sleep(secs(0.001)).unwrap();
+        let mut seen = vec![answered(ctx, down), answered(ctx, cut)];
+        ctx.set_partition(a, cut, true).unwrap();
+        seen.push(answered(ctx, cut));
+        ctx.set_partition(a, cut, false).unwrap();
+        seen.push(answered(ctx, cut));
+        ctx.sleep(secs(0.05)).unwrap();
+        seen.push(answered(ctx, cut));
+        *o.lock() = seen;
+    });
+    sim.run_until_exit(client);
+    assert_eq!(*out.lock(), vec![false, true, false, true, false]);
+    // The down host, the cut, and the lost answer.
+    assert_eq!(sim.stats().msgs_dropped, 3);
 }
 
 #[test]

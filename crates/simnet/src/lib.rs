@@ -13,7 +13,8 @@
 //! * **Processes** written in plain blocking style (each is an OS thread the
 //!   kernel resumes one at a time): `sleep`, `compute`, `send`, `recv`.
 //! * **A LAN** with latency and bandwidth, port-addressed endpoints, RSTs
-//!   for connections to dead servers, and partitions.
+//!   for connections to dead servers, keepalive probes answered by the
+//!   destination host's kernel ([`Ctx::probe`]), and partitions.
 //! * **Fault injection**: process kills, host crashes and restarts.
 //! * **Load metrics** per host (runnable count, load average, utilization)
 //!   — the data the Winner node managers sample.

@@ -26,6 +26,13 @@ pub enum Payload {
     /// simulated analogue of a TCP RST and is what lets an ORB client raise
     /// `COMM_FAILURE` quickly when a server process has died.
     Rst { host: HostId, port: Port },
+    /// Keepalive answer: a [`Ctx::probe`](crate::Ctx::probe) of
+    /// `(host, port)` found the host up and the port bound. The host's
+    /// kernel answers, not the process behind the port, so it arrives
+    /// however busy that process is — the simulated analogue of a TCP
+    /// keepalive ACK, and what lets a client tell a slow peer from a dead
+    /// one.
+    Alive { host: HostId, port: Port },
 }
 
 impl Msg {
@@ -33,7 +40,7 @@ impl Msg {
     pub fn data(&self) -> Option<&[u8]> {
         match &self.payload {
             Payload::Data(d) => Some(d),
-            Payload::Rst { .. } => None,
+            Payload::Rst { .. } | Payload::Alive { .. } => None,
         }
     }
 
@@ -42,12 +49,12 @@ impl Msg {
         matches!(self.payload, Payload::Rst { host: h, port: p } if h == host && p == port)
     }
 
-    /// Number of payload bytes (0 for RSTs); used by the network model for
-    /// transfer-time computation.
+    /// Number of payload bytes (0 for RSTs and keepalive answers); used by
+    /// the network model for transfer-time computation.
     pub fn wire_size(&self) -> usize {
         match &self.payload {
             Payload::Data(d) => d.len(),
-            Payload::Rst { .. } => 0,
+            Payload::Rst { .. } | Payload::Alive { .. } => 0,
         }
     }
 }

@@ -52,6 +52,11 @@ pub(crate) enum Syscall {
         to: Addr,
         data: Vec<u8>,
     },
+    /// Keepalive to `(host, port)`, answered by that host's kernel.
+    Probe {
+        host: HostId,
+        port: Port,
+    },
     Recv {
         timeout: Option<SimDuration>,
     },
@@ -85,6 +90,7 @@ impl fmt::Debug for Syscall {
             Syscall::Sleep(_) => "Sleep",
             Syscall::Compute(_) => "Compute",
             Syscall::Send { .. } => "Send",
+            Syscall::Probe { .. } => "Probe",
             Syscall::Recv { .. } => "Recv",
             Syscall::TryRecv => "TryRecv",
             Syscall::BindPort => "BindPort",
@@ -334,6 +340,20 @@ impl Ctx {
         match self.call(Syscall::Send { to, data })? {
             Resume::Ok { .. } => Ok(()),
             other => Err(self.bad_resume("send", &other)),
+        }
+    }
+
+    /// Ask the kernel of `host` whether `(host, port)` is there: a
+    /// zero-byte keepalive that no process ever receives. One network
+    /// round trip later this process's mailbox gets
+    /// [`Payload::Alive`](crate::Payload::Alive) (port bound) or
+    /// [`Payload::Rst`](crate::Payload::Rst) (host up, port closed) — or
+    /// nothing, when the host is down or either direction of the link is
+    /// cut. Costs no CPU on either host and does not block.
+    pub fn probe(&mut self, host: HostId, port: Port) -> SimResult<()> {
+        match self.call(Syscall::Probe { host, port })? {
+            Resume::Ok { .. } => Ok(()),
+            other => Err(self.bad_resume("probe", &other)),
         }
     }
 

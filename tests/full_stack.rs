@@ -111,10 +111,8 @@ fn table1_overhead_declines_with_call_length() {
     assert!(ratios[1] > 1.0, "FT always costs something: {ratios:?}");
 }
 
-/// A mid-run host crash with FT proxies: the run completes and the
-/// decomposition identity still holds.
-#[test]
-fn crash_recovery_preserves_results() {
+/// The crash cell: a worker host dies mid-run under FT proxies.
+fn crash_cell() -> ExperimentSpec {
     // Plain naming gives deterministic placements (NOW hosts 1..7), so the
     // crash of NOW host 1 is guaranteed to hit a worker in use.
     let mut spec = quick100(NamingMode::Plain).seed(9);
@@ -125,13 +123,19 @@ fn crash_recovery_preserves_results() {
         max_recoveries: 6,
         ..FtSettings::default()
     });
-    spec.request_timeout = SimDuration::from_secs(2);
     spec.crash = Some(CrashPlan {
         after: SimDuration::from_millis(600),
         now_host_index: 0,
         restart_after: None,
     });
-    let outcome = run_experiment(&spec).expect("experiment run failed");
+    spec
+}
+
+/// A mid-run host crash with FT proxies: the run completes and the
+/// decomposition identity still holds.
+#[test]
+fn crash_recovery_preserves_results() {
+    let outcome = run_experiment(&crash_cell()).expect("experiment run failed");
     let r = &outcome.report;
     assert!(r.recoveries > 0, "the crash must be felt: {r:?}");
     assert_eq!(r.best_point.len(), 100);
@@ -142,6 +146,26 @@ fn crash_recovery_preserves_results() {
         "decomposition broken after recovery: {} vs {}",
         direct,
         r.best_value
+    );
+}
+
+/// How long the manager waits on a dead worker is the ORB's finding (the
+/// worker's host stops answering keepalives), not `request_timeout`'s: the
+/// crash cell ends at the same virtual instant, give or take 1 %, whether
+/// that constant is the default minute or 2 s.
+#[test]
+fn crash_detection_does_not_wait_out_the_request_timeout() {
+    let ends_at = |timeout_s| {
+        let mut spec = crash_cell();
+        spec.request_timeout = SimDuration::from_secs(timeout_s);
+        let outcome = run_experiment(&spec).expect("experiment run failed");
+        assert!(outcome.report.recoveries > 0, "{:?}", outcome.report);
+        outcome.report.elapsed.as_secs_f64()
+    };
+    let (minute, short) = (ends_at(60), ends_at(2));
+    assert!(
+        (minute - short).abs() <= 0.01 * short,
+        "60 s timeout: {minute:.3} s, 2 s timeout: {short:.3} s"
     );
 }
 
@@ -180,7 +204,6 @@ fn host_restart_is_survivable() {
         max_recoveries: 6,
         ..FtSettings::default()
     });
-    spec.request_timeout = SimDuration::from_secs(2);
     spec.crash = Some(CrashPlan {
         after: SimDuration::from_millis(300),
         now_host_index: 1,
