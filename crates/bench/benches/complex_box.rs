@@ -1,8 +1,8 @@
 //! Microbenchmark: the Complex Box optimizer itself (real algorithm
 //! work, independent of the simulation).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use optim::{ComplexBox, ComplexBoxConfig, Problem, Rosenbrock, Sphere};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use optim::{ComplexBox, ComplexBoxConfig, Problem, Rosenbrock, Sphere, SubRosenbrock};
 use std::hint::black_box;
 
 fn bench_complex_box(c: &mut Criterion) {
@@ -23,6 +23,29 @@ fn bench_complex_box(c: &mut Criterion) {
             black_box(opt.run(1000))
         })
     });
+    // The shape the system runs: a worker's `solve` — a block of the
+    // decomposed chain (9/10-dim on the 30/3 curve, 13/14-dim on 100/7),
+    // warm-started from its previous population after the manager moved the
+    // coordination values, 10 000 steps.
+    for dim in [9usize, 10, 13, 14] {
+        let settled = SubRosenbrock::new(dim, Some(1.0), Some(1.0));
+        let mut first = ComplexBox::new(&settled, ComplexBoxConfig::default());
+        first.run(10_000);
+        let state = first.into_state();
+        let moved = SubRosenbrock::new(dim, Some(0.97), Some(1.02));
+        g.bench_function(format!("worker_block_dim{dim}_warm_10k_iters"), |b| {
+            b.iter_batched(
+                || state.points.clone(),
+                |points| {
+                    let cfg = ComplexBoxConfig::default();
+                    let mut opt =
+                        ComplexBox::from_points(&moved, cfg, points, state.iterations, state.evals);
+                    black_box(opt.run(10_000))
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
     g.finish();
 
     let mut g = c.benchmark_group("objective_eval");

@@ -9,6 +9,20 @@
 //! bounds; if the reflected point is still the worst it is moved halfway
 //! towards the centroid repeatedly. The iteration count is the stopping
 //! criterion — exactly the knob the paper's Table 1 sweeps.
+//!
+//! There is one implementation of the method, [`Core`], over one flat
+//! row-major population (the layout of [`ComplexState::points`]), and two
+//! drivers of its `reflect` / `settle` transitions: [`ComplexBox`] (the
+//! objective is a [`Problem`]) and [`AskTellComplex`] (the caller
+//! evaluates). A step allocates nothing.
+//!
+//! **The trajectory is the model.** How many evaluations a run takes —
+//! hence every runtime in Figure 3 and Table 1 — depends on every rounding
+//! here, so the order of floating-point operations is a contract: the
+//! centroid of a dimension is `0.0 + row₀ + row₁ + …` over the non-worst
+//! rows in ascending order, then *divided* by their count. Reordering,
+//! multiplying by a reciprocal or maintaining the sum incrementally is a
+//! model change, not an optimisation (DESIGN.md, `crates/optim`).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -53,6 +67,16 @@ pub struct ComplexState {
     pub evals: u64,
 }
 
+impl ComplexState {
+    /// Whether this is a population a `dim`-dimensional run can start
+    /// from: at least `dim + 1` points of exactly `dim` coordinates. A
+    /// state off the wire is anything that decodes; this is the one check
+    /// between it and the method's flat indexing.
+    pub fn fits(&self, dim: usize) -> bool {
+        self.values.len() > dim && self.values.len().checked_mul(dim) == Some(self.points.len())
+    }
+}
+
 impl cdr::CdrWrite for ComplexState {
     fn write(&self, enc: &mut cdr::CdrEncoder) {
         self.points.write(enc);
@@ -73,226 +97,284 @@ impl cdr::CdrRead for ComplexState {
     }
 }
 
-/// Index of the smallest value under `total_cmp`. Returns 0 for an empty
-/// slice; every caller holds a non-empty population, and the subsequent
-/// index into the population is what enforces that invariant.
-fn argmin(values: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, v) in values.iter().enumerate().skip(1) {
-        if v.total_cmp(&values[best]).is_lt() {
-            best = i;
-        }
-    }
-    best
+/// `f64::total_cmp`'s own order-preserving map onto `i64`, so the worst
+/// search is a max over integers.
+fn order_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// Index of the largest value under `total_cmp` (0 for an empty slice).
-fn argmax(values: &[f64]) -> usize {
-    let mut worst = 0;
-    for (i, v) in values.iter().enumerate().skip(1) {
-        if v.total_cmp(&values[worst]).is_gt() {
-            worst = i;
+/// Columns `at..at + N` of the centroid of every row but `skip`: per
+/// column `0.0 + row₀ + row₁ + …` in ascending row order, then divided by
+/// `m` — the contract order, with the `N` sums held in registers.
+fn centroid_block<const N: usize>(
+    points: &[f64],
+    dim: usize,
+    skip: usize,
+    m: f64,
+    at: usize,
+    centroid: &mut [f64],
+) {
+    let mut acc = [0.0; N];
+    let (before, rest) = points.split_at(skip * dim);
+    for rows in [before, &rest[dim..]] {
+        for row in rows.chunks_exact(dim) {
+            for (a, v) in acc.iter_mut().zip(&row[at..at + N]) {
+                *a += v;
+            }
         }
     }
-    worst
+    for (c, a) in centroid[at..at + N].iter_mut().zip(acc) {
+        *c = a / m;
+    }
 }
 
-/// A running Complex Box optimization over a [`Problem`].
-pub struct ComplexBox<'p> {
-    problem: &'p dyn Problem,
+/// The method: population, scratch, and the two transitions both drivers
+/// share.
+struct Core {
     bounds: Bounds,
     cfg: ComplexBoxConfig,
-    points: Vec<Vec<f64>>,
+    dim: usize,
+    /// Row-major `population × dim`, exactly [`ComplexState::points`].
+    points: Vec<f64>,
+    /// One value per evaluated row (shorter than the population only
+    /// while [`AskTellComplex`] is still being told the initial ones).
     values: Vec<f64>,
+    /// `order_key` of each value.
+    keys: Vec<i64>,
+    centroid: Vec<f64>,
+    candidate: Vec<f64>,
+    /// The row the reflection in flight replaces, and its halvings so far.
+    worst: usize,
+    contractions: u32,
     iterations: u64,
     evals: u64,
     rng: SmallRng,
 }
 
-impl<'p> ComplexBox<'p> {
-    /// Initialize with a random population inside the bounds.
-    pub fn new(problem: &'p dyn Problem, cfg: ComplexBoxConfig) -> Self {
-        let dim = problem.dim();
-        let bounds = problem.bounds();
+impl Core {
+    /// A core over a population drawn uniformly inside the bounds, not
+    /// yet evaluated.
+    fn random(bounds: Bounds, cfg: ComplexBoxConfig) -> Core {
+        let dim = bounds.dim();
         let pop = if cfg.population == 0 {
             (2 * dim).max(dim + 1)
         } else {
             cfg.population.max(dim + 1)
         };
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut points = Vec::with_capacity(pop);
-        let mut values = Vec::with_capacity(pop);
-        let mut evals = 0;
-        for _ in 0..pop {
-            let x: Vec<f64> = (0..dim)
-                .map(|i| rng.random_range(bounds.lower[i]..=bounds.upper[i]))
-                .collect();
-            values.push(problem.eval(&x));
-            evals += 1;
-            points.push(x);
-        }
-        ComplexBox {
-            problem,
-            bounds,
-            cfg,
-            points,
-            values,
-            iterations: 0,
-            evals,
-            rng,
-        }
+        let points = (0..pop * dim)
+            .map(|i| rng.random_range(bounds.lower[i % dim]..=bounds.upper[i % dim]))
+            .collect();
+        Core::over(bounds, cfg, points, 0, 0, rng)
     }
 
-    /// Warm-start from previous population points under a (possibly
-    /// changed) objective: all values are re-evaluated. This is what a
-    /// stateful worker does when the manager moves the coordination
-    /// variables — the block's landscape shifted, but the previous
-    /// population is still an excellent starting complex.
-    pub fn from_points(
-        problem: &'p dyn Problem,
+    /// A core over `points`, none of them evaluated yet.
+    fn over(
+        bounds: Bounds,
         cfg: ComplexBoxConfig,
-        points: Vec<Vec<f64>>,
+        points: Vec<f64>,
         iterations: u64,
         evals: u64,
-    ) -> Self {
-        assert!(!points.is_empty(), "empty population");
-        let bounds = problem.bounds();
-        let mut points = points;
-        let mut values = Vec::with_capacity(points.len());
-        let mut evals = evals;
-        for p in &mut points {
-            assert_eq!(p.len(), problem.dim(), "population dim mismatch");
-            bounds.clip(p);
-            values.push(problem.eval(p));
-            evals += 1;
-        }
-        let rng = SmallRng::seed_from_u64(cfg.seed ^ iterations.rotate_left(23));
-        ComplexBox {
-            problem,
+        rng: SmallRng,
+    ) -> Core {
+        let dim = bounds.dim();
+        assert!(dim > 0, "the Complex method needs at least one variable");
+        let pop = points.len() / dim;
+        assert!(
+            pop > dim && pop * dim == points.len(),
+            "population does not fit the problem"
+        );
+        Core {
             bounds,
             cfg,
+            dim,
             points,
-            values,
+            values: Vec::with_capacity(pop),
+            keys: Vec::with_capacity(pop),
+            centroid: vec![0.0; dim],
+            candidate: vec![0.0; dim],
+            worst: 0,
+            contractions: 0,
             iterations,
             evals,
             rng,
         }
     }
 
-    /// Resume from a checkpointed state.
-    pub fn from_state(
-        problem: &'p dyn Problem,
-        cfg: ComplexBoxConfig,
-        state: ComplexState,
-    ) -> Self {
-        let dim = problem.dim();
-        assert!(
-            dim > 0 && state.points.len().is_multiple_of(dim),
-            "corrupt state"
-        );
-        let pop = state.points.len() / dim;
-        assert_eq!(state.values.len(), pop, "corrupt state");
-        let points: Vec<Vec<f64>> = state.points.chunks(dim).map(|c| c.to_vec()).collect();
-        // Post-restore randomness is re-derived from the seed and progress;
-        // a restored run is deterministic but not bit-identical to an
-        // uninterrupted one (the paper's prototype has the same property).
-        let rng = SmallRng::seed_from_u64(cfg.seed ^ state.iterations.rotate_left(17));
-        ComplexBox {
-            problem,
-            bounds: problem.bounds(),
-            cfg,
-            points,
-            values: state.values,
-            iterations: state.iterations,
-            evals: state.evals,
-            rng,
-        }
+    fn population(&self) -> usize {
+        self.points.len() / self.dim
     }
 
-    /// Snapshot the optimizer state (the checkpoint payload).
-    pub fn state(&self) -> ComplexState {
+    fn row(&self, i: usize) -> &[f64] {
+        &self.points[i * self.dim..][..self.dim]
+    }
+
+    /// Record the value of the next unevaluated row.
+    fn push_value(&mut self, value: f64) {
+        self.values.push(value);
+        self.keys.push(order_key(value));
+        self.evals += 1;
+    }
+
+    fn best(&self) -> (&[f64], f64) {
+        // `min_by_key` keeps the first of equal minima, like `total_cmp`'s
+        // strict `<` scan did; the index into `values` is what rejects an
+        // unevaluated population.
+        let i = (0..self.keys.len())
+            .min_by_key(|&i| self.keys[i])
+            .unwrap_or(0);
+        (self.row(i), self.values[i])
+    }
+
+    /// Start an iteration: find the worst point (the first of equals) and
+    /// over-reflect it through the centroid of the others, clipped. The
+    /// result is the candidate whose value [`Core::settle`] wants.
+    fn reflect(&mut self) -> &[f64] {
+        let (mut worst, mut worst_key) = (0, self.keys[0]);
+        for (i, &k) in self.keys.iter().enumerate().skip(1) {
+            if k > worst_key {
+                (worst, worst_key) = (i, k);
+            }
+        }
+        self.worst = worst;
+        self.contractions = 0;
+
+        let (dim, points, centroid) = (self.dim, &self.points[..], &mut self.centroid[..]);
+        let m = (self.values.len() - 1) as f64;
+        let mut at = 0;
+        while dim - at >= 8 {
+            centroid_block::<8>(points, dim, worst, m, at, centroid);
+            at += 8;
+        }
+        if dim - at >= 4 {
+            centroid_block::<4>(points, dim, worst, m, at, centroid);
+            at += 4;
+        }
+        if dim - at >= 2 {
+            centroid_block::<2>(points, dim, worst, m, at, centroid);
+            at += 2;
+        }
+        if dim - at == 1 {
+            centroid_block::<1>(points, dim, worst, m, at, centroid);
+        }
+
+        let row = &points[worst * dim..][..dim];
+        for ((x, c), w) in self.candidate.iter_mut().zip(&*centroid).zip(row) {
+            *x = c + self.cfg.alpha * (c - w);
+        }
+        self.bounds.clip(&mut self.candidate);
+        &self.candidate
+    }
+
+    /// Take the candidate's value. While it is no better than the worst
+    /// point's, halve the candidate towards the centroid and hand it back
+    /// for another evaluation (`Some`); otherwise, or once the halvings
+    /// are spent, it replaces the worst point and the iteration is over.
+    fn settle(&mut self, value: f64) -> Option<&[f64]> {
+        self.evals += 1;
+        if value >= self.values[self.worst] && self.contractions < self.cfg.max_contractions {
+            for (x, c) in self.candidate.iter_mut().zip(&self.centroid) {
+                *x = 0.5 * (*x + c);
+            }
+            // A tiny random nudge breaks the degenerate case of a collapsed
+            // complex (Box's original suggestion).
+            if self.contractions == self.cfg.max_contractions - 1 {
+                for (i, x) in self.candidate.iter_mut().enumerate() {
+                    let span = self.bounds.upper[i] - self.bounds.lower[i];
+                    *x += 1e-6 * span * (self.rng.random::<f64>() - 0.5);
+                }
+                self.bounds.clip(&mut self.candidate);
+            }
+            self.contractions += 1;
+            return Some(&self.candidate);
+        }
+        self.points[self.worst * self.dim..][..self.dim].copy_from_slice(&self.candidate);
+        self.values[self.worst] = value;
+        self.keys[self.worst] = order_key(value);
+        self.iterations += 1;
+        None
+    }
+}
+
+/// A running Complex Box optimization over a [`Problem`]. Generic so a
+/// concrete objective inlines into the step; `&dyn Problem` works as ever.
+pub struct ComplexBox<'p, P: Problem + ?Sized = dyn Problem> {
+    problem: &'p P,
+    core: Core,
+}
+
+impl<'p, P: Problem + ?Sized> ComplexBox<'p, P> {
+    /// Initialize with a random population inside the bounds.
+    pub fn new(problem: &'p P, cfg: ComplexBoxConfig) -> Self {
+        Self::evaluated(problem, Core::random(problem.bounds(), cfg))
+    }
+
+    /// Warm-start from a previous population (flat, row-major — the
+    /// `points` of a [`ComplexState`] that [`ComplexState::fits`]) under a
+    /// possibly changed objective: all values are re-evaluated. This is
+    /// what a stateful worker does when the manager moves the coordination
+    /// variables — the block's landscape shifted, but the previous
+    /// population is still an excellent starting complex. Randomness is
+    /// re-derived from the seed and progress, so a restored run is
+    /// deterministic but not bit-identical to an uninterrupted one (the
+    /// paper's prototype has the same property).
+    ///
+    /// # Panics
+    /// If `points` is not more than `dim` rows of exactly `dim` values.
+    pub fn from_points(
+        problem: &'p P,
+        cfg: ComplexBoxConfig,
+        points: Vec<f64>,
+        iterations: u64,
+        evals: u64,
+    ) -> Self {
+        let rng = SmallRng::seed_from_u64(cfg.seed ^ iterations.rotate_left(23));
+        let mut core = Core::over(problem.bounds(), cfg, points, iterations, evals, rng);
+        for row in core.points.chunks_exact_mut(core.dim) {
+            core.bounds.clip(row);
+        }
+        Self::evaluated(problem, core)
+    }
+
+    fn evaluated(problem: &'p P, mut core: Core) -> Self {
+        for i in 0..core.population() {
+            core.push_value(problem.eval(core.row(i)));
+        }
+        ComplexBox { problem, core }
+    }
+
+    /// The optimizer state (the checkpoint payload), moved out.
+    pub fn into_state(self) -> ComplexState {
         ComplexState {
-            points: self.points.iter().flatten().copied().collect(),
-            values: self.values.clone(),
-            iterations: self.iterations,
-            evals: self.evals,
+            points: self.core.points,
+            values: self.core.values,
+            iterations: self.core.iterations,
+            evals: self.core.evals,
         }
     }
 
     /// Iterations completed so far.
     pub fn iterations(&self) -> u64 {
-        self.iterations
+        self.core.iterations
     }
 
     /// Objective evaluations spent so far.
     pub fn evals(&self) -> u64 {
-        self.evals
+        self.core.evals
     }
 
     /// Best point and value in the current complex.
     pub fn best(&self) -> (&[f64], f64) {
-        let i = argmin(&self.values);
-        (&self.points[i], self.values[i])
-    }
-
-    fn worst_index(&self) -> usize {
-        argmax(&self.values)
+        self.core.best()
     }
 
     /// Run one reflection step.
     pub fn step(&mut self) {
-        let dim = self.problem.dim();
-        let worst = self.worst_index();
-        let worst_value = self.values[worst];
-
-        // Centroid of all points except the worst.
-        let mut centroid = vec![0.0; dim];
-        for (i, p) in self.points.iter().enumerate() {
-            if i == worst {
-                continue;
-            }
-            for (c, v) in centroid.iter_mut().zip(p) {
-                *c += v;
-            }
+        let mut value = self.problem.eval(self.core.reflect());
+        while let Some(x) = self.core.settle(value) {
+            value = self.problem.eval(x);
         }
-        let m = (self.points.len() - 1) as f64;
-        for c in &mut centroid {
-            *c /= m;
-        }
-
-        // Over-reflect the worst point through the centroid.
-        let mut candidate: Vec<f64> = centroid
-            .iter()
-            .zip(&self.points[worst])
-            .map(|(c, w)| c + self.cfg.alpha * (c - w))
-            .collect();
-        self.bounds.clip(&mut candidate);
-        let mut value = self.problem.eval(&candidate);
-        self.evals += 1;
-
-        // Progressive contraction towards the centroid while still worst.
-        let mut contractions = 0;
-        while value >= worst_value && contractions < self.cfg.max_contractions {
-            for (x, c) in candidate.iter_mut().zip(&centroid) {
-                *x = 0.5 * (*x + c);
-            }
-            // A tiny random nudge breaks the degenerate case of a collapsed
-            // complex (Box's original suggestion).
-            if contractions == self.cfg.max_contractions - 1 {
-                for (i, x) in candidate.iter_mut().enumerate() {
-                    let span = self.bounds.upper[i] - self.bounds.lower[i];
-                    *x += 1e-6 * span * (self.rng.random::<f64>() - 0.5);
-                }
-                self.bounds.clip(&mut candidate);
-            }
-            value = self.problem.eval(&candidate);
-            self.evals += 1;
-            contractions += 1;
-        }
-
-        self.points[worst] = candidate;
-        self.values[worst] = value;
-        self.iterations += 1;
     }
 
     /// Run `iters` reflection steps; returns the best value afterwards.
@@ -311,175 +393,63 @@ impl<'p> ComplexBox<'p> {
 /// remote worker invocations, which a `Problem::eval` callback cannot
 /// express.
 pub struct AskTellComplex {
-    bounds: Bounds,
-    cfg: ComplexBoxConfig,
-    points: Vec<Vec<f64>>,
-    values: Vec<f64>,
-    phase: Phase,
-    iterations: u64,
-    evals: u64,
-    rng: SmallRng,
-}
-
-enum Phase {
-    /// Evaluating the initial population; next index to evaluate.
-    Init(usize),
-    /// Waiting for the value of a reflected/contracted candidate.
-    Reflect {
-        worst: usize,
-        worst_value: f64,
-        centroid: Vec<f64>,
-        candidate: Vec<f64>,
-        contractions: u32,
-    },
-    /// Ready to start the next reflection.
-    Idle,
+    core: Core,
+    /// A reflection is in flight: its candidate is what `ask` returns and
+    /// `tell` settles.
+    reflecting: bool,
 }
 
 impl AskTellComplex {
     /// Initialize over explicit bounds.
     pub fn new(bounds: Bounds, cfg: ComplexBoxConfig) -> Self {
-        let dim = bounds.dim();
-        assert!(dim > 0, "ask/tell needs at least one variable");
-        let pop = if cfg.population == 0 {
-            (2 * dim).max(dim + 1)
-        } else {
-            cfg.population.max(dim + 1)
-        };
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let points: Vec<Vec<f64>> = (0..pop)
-            .map(|_| {
-                (0..dim)
-                    .map(|i| rng.random_range(bounds.lower[i]..=bounds.upper[i]))
-                    .collect()
-            })
-            .collect();
         AskTellComplex {
-            bounds,
-            cfg,
-            points,
-            values: Vec::new(),
-            phase: Phase::Init(0),
-            iterations: 0,
-            evals: 0,
-            rng,
+            core: Core::random(bounds, cfg),
+            reflecting: false,
         }
     }
 
-    /// The next point whose objective value is needed, or `None` if
-    /// [`AskTellComplex::tell`] is owed first... never: `ask` is always
-    /// answerable; it transitions `Idle` into a new reflection.
-    pub fn ask(&mut self) -> Vec<f64> {
-        if let Phase::Idle = self.phase {
-            self.begin_reflection();
+    /// The next point whose objective value is needed: the initial
+    /// population in order, then the candidate of the current reflection
+    /// (starting one if none is in flight). Asking again before
+    /// [`AskTellComplex::tell`] returns the same point.
+    pub fn ask(&mut self) -> &[f64] {
+        let told = self.core.values.len();
+        if told < self.core.population() {
+            return self.core.row(told);
         }
-        match &self.phase {
-            Phase::Init(i) => self.points[*i].clone(),
-            Phase::Reflect { candidate, .. } => candidate.clone(),
-            Phase::Idle => {
-                // begin_reflection always leaves the phase at Reflect;
-                // re-asking the first point keeps release builds moving.
-                debug_assert!(false, "begin_reflection leaves Reflect");
-                self.points[0].clone()
-            }
+        if !self.reflecting {
+            self.reflecting = true;
+            self.core.reflect();
         }
+        &self.core.candidate
     }
 
     /// Report the objective value of the last asked point. Telling without
     /// a pending [`AskTellComplex::ask`] is caller misuse: debug builds
     /// fail loudly, release builds discard the stray value.
     pub fn tell(&mut self, value: f64) {
-        match std::mem::replace(&mut self.phase, Phase::Idle) {
-            Phase::Init(i) => {
-                self.evals += 1;
-                self.values.push(value);
-                if i + 1 < self.points.len() {
-                    self.phase = Phase::Init(i + 1);
-                }
-            }
-            Phase::Reflect {
-                worst,
-                worst_value,
-                centroid,
-                mut candidate,
-                contractions,
-            } => {
-                self.evals += 1;
-                if value >= worst_value && contractions < self.cfg.max_contractions {
-                    for (x, c) in candidate.iter_mut().zip(&centroid) {
-                        *x = 0.5 * (*x + c);
-                    }
-                    if contractions == self.cfg.max_contractions - 1 {
-                        for (i, x) in candidate.iter_mut().enumerate() {
-                            let span = self.bounds.upper[i] - self.bounds.lower[i];
-                            *x += 1e-6 * span * (self.rng.random::<f64>() - 0.5);
-                        }
-                        self.bounds.clip(&mut candidate);
-                    }
-                    self.phase = Phase::Reflect {
-                        worst,
-                        worst_value,
-                        centroid,
-                        candidate,
-                        contractions: contractions + 1,
-                    };
-                } else {
-                    self.points[worst] = candidate;
-                    self.values[worst] = value;
-                    self.iterations += 1;
-                }
-            }
-            Phase::Idle => {
-                debug_assert!(false, "tell() without a pending ask()");
-            }
+        if self.core.values.len() < self.core.population() {
+            self.core.push_value(value);
+        } else if self.reflecting {
+            self.reflecting = self.core.settle(value).is_some();
+        } else {
+            debug_assert!(false, "tell() without a pending ask()");
         }
-    }
-
-    fn begin_reflection(&mut self) {
-        let dim = self.bounds.dim();
-        let worst = argmax(&self.values);
-        let mut centroid = vec![0.0; dim];
-        for (i, p) in self.points.iter().enumerate() {
-            if i == worst {
-                continue;
-            }
-            for (c, v) in centroid.iter_mut().zip(p) {
-                *c += v;
-            }
-        }
-        let m = (self.points.len() - 1) as f64;
-        for c in &mut centroid {
-            *c /= m;
-        }
-        let mut candidate: Vec<f64> = centroid
-            .iter()
-            .zip(&self.points[worst])
-            .map(|(c, w)| c + self.cfg.alpha * (c - w))
-            .collect();
-        self.bounds.clip(&mut candidate);
-        self.phase = Phase::Reflect {
-            worst,
-            worst_value: self.values[worst],
-            centroid,
-            candidate,
-            contractions: 0,
-        };
     }
 
     /// Completed reflection iterations.
     pub fn iterations(&self) -> u64 {
-        self.iterations
+        self.core.iterations
     }
 
     /// Values told so far.
     pub fn evals(&self) -> u64 {
-        self.evals
+        self.core.evals
     }
 
     /// Best point and value (once the initial population is evaluated).
     pub fn best(&self) -> (&[f64], f64) {
-        let i = argmin(&self.values);
-        (&self.points[i], self.values[i])
+        self.core.best()
     }
 }
 
@@ -527,25 +497,31 @@ mod tests {
         let mut opt = ComplexBox::new(&p, ComplexBoxConfig::default());
         opt.run(300);
         let bounds = p.bounds();
-        for pt in &opt.points {
+        for pt in opt.core.points.chunks(3) {
             assert!(bounds.contains(pt), "{pt:?}");
         }
     }
 
+    /// The path a restored worker runs: state → CDR → `fits` →
+    /// `from_points` → `run`.
     #[test]
     fn state_round_trip_resumes() {
         let p = Rosenbrock::new(4);
         let cfg = ComplexBoxConfig::default();
         let mut opt = ComplexBox::new(&p, cfg.clone());
-        opt.run(100);
-        let snap = opt.state();
+        let checkpointed = opt.run(100);
+        let snap = opt.into_state();
         let bytes = cdr::to_bytes(&snap);
         let back: ComplexState = cdr::from_bytes(&bytes).unwrap();
         assert_eq!(snap, back);
+        assert!(back.fits(4) && !back.fits(2) && !back.fits(8));
 
-        let mut resumed = ComplexBox::from_state(&p, cfg, back);
+        let mut resumed =
+            ComplexBox::from_points(&p, cfg, back.points, back.iterations, back.evals);
         assert_eq!(resumed.iterations(), 100);
+        assert_eq!(resumed.evals(), snap.evals + 8, "every point re-evaluated");
         let before = resumed.best().1;
+        assert_eq!(before.to_bits(), checkpointed.to_bits());
         let after = resumed.run(200);
         assert!(after <= before);
     }
@@ -582,8 +558,8 @@ mod tests {
         let p = Sphere::new(4);
         let mut at = AskTellComplex::new(p.bounds(), ComplexBoxConfig::default());
         for _ in 0..1200 {
-            let x = at.ask();
-            at.tell(p.eval(&x));
+            let value = p.eval(at.ask());
+            at.tell(value);
         }
         assert!(at.best().1 < 1e-2, "best={}", at.best().1);
         assert!(at.iterations() > 100);
@@ -594,11 +570,9 @@ mod tests {
         let b = Bounds::uniform(2, -1.0, 1.0);
         let mut at = AskTellComplex::new(b, ComplexBoxConfig::default());
         // Population 4: the first 4 asks are the initial points.
-        let mut inits = Vec::new();
         for _ in 0..4 {
-            let x = at.ask();
-            inits.push(x.clone());
-            at.tell(x.iter().map(|v| v * v).sum());
+            let value = at.ask().iter().map(|v| v * v).sum();
+            at.tell(value);
         }
         assert_eq!(at.evals(), 4);
         assert_eq!(at.iterations(), 0);
@@ -617,8 +591,8 @@ mod tests {
         let b = Bounds::uniform(2, -1.0, 1.0);
         let mut at = AskTellComplex::new(b, ComplexBoxConfig::default());
         for _ in 0..4 {
-            let x = at.ask();
-            at.tell(x.iter().map(|v| v * v).sum());
+            let value = at.ask().iter().map(|v| v * v).sum();
+            at.tell(value);
         }
         let before = (at.evals(), at.iterations(), at.best().1);
         at.tell(0.0); // no pending ask
@@ -630,10 +604,10 @@ mod tests {
         let p1 = Sphere::new(3);
         let mut opt = ComplexBox::new(&p1, ComplexBoxConfig::default());
         opt.run(200);
-        let points: Vec<Vec<f64>> = opt.state().points.chunks(3).map(|c| c.to_vec()).collect();
+        let points = opt.into_state().points;
         // Same points, different objective: values must be recomputed.
         let p2 = Rastrigin3;
-        let warm = ComplexBox::from_points(&p2, ComplexBoxConfig::default(), points.clone(), 0, 0);
+        let warm = ComplexBox::from_points(&p2, ComplexBoxConfig::default(), points, 0, 0);
         let (bp, bv) = warm.best();
         assert!((p2.eval(bp) - bv).abs() < 1e-12);
     }
@@ -662,6 +636,9 @@ mod tests {
                 ..ComplexBoxConfig::default()
             },
         );
-        assert!(opt.points.len() >= 6);
+        assert!(opt.core.population() >= 6);
     }
 }
+
+#[cfg(test)]
+mod pinned;

@@ -343,7 +343,7 @@ fn run_manager_with_orb(
             if let Some(o) = &evo {
                 o.begin(ctx.now(), "manager.eval");
             }
-            let r = eval_coords(&coords, &mut *orb, ctx, &mut handles, &mut worker_calls)?;
+            let r = eval_coords(coords, &mut *orb, ctx, &mut handles, &mut worker_calls)?;
             if let Some(o) = &evo {
                 o.end(ctx.now());
             }
@@ -351,7 +351,7 @@ fn run_manager_with_orb(
                 Ok((v, blocks)) => {
                     if v < best_value {
                         best_value = v;
-                        best_point = decomposition.assemble(&coords, &blocks);
+                        best_point = decomposition.assemble(coords, &blocks);
                     }
                     outer.tell(v);
                 }

@@ -123,6 +123,109 @@ fn worker_state_warm_starts_across_calls() {
     assert_eq!(iters, vec![300, 600]);
 }
 
+/// A checkpoint is whatever bytes someone hands `restore_checkpoint`. For
+/// every hostile one — truncated, a population of another shape, a single
+/// point, counts that do not divide — the worker *process* answers the
+/// restore or the following `solve` with a CORBA exception or a finite
+/// cold-start result: never a panic, never NaN reported as success, never
+/// a population reinterpreted under another dimension. And it keeps
+/// serving.
+#[test]
+fn hostile_checkpoints_never_poison_a_solve() {
+    use crate::complex_box::ComplexState;
+    use orb::{Exception, SysKind};
+
+    let mut sim = Kernel::with_seed(28);
+    let hosts = bed(&mut sim, 2);
+    let h0 = hosts[0];
+    let out = cell::<bool>();
+    let o = out.clone();
+    let driver = sim.spawn(hosts[0], "driver", move |ctx| {
+        ctx.sleep(secs(0.5)).unwrap();
+        let mut orb = Orb::init(ctx);
+        let ns = NamingClient::root(h0);
+        let obj = ns
+            .resolve(&mut orb, ctx, &Name::simple("Workers"))
+            .unwrap()
+            .unwrap();
+        let stub = WorkerStub::new(obj);
+        let spec = |dim| SolveSpec {
+            problem_id: 1,
+            dim,
+            left: Some(0.9),
+            right: Some(1.1),
+            iters: 200,
+            seed: 3,
+            reset: false,
+        };
+        let first = stub.solve(&mut orb, ctx, &spec(14)).unwrap().unwrap();
+        assert_eq!(first.iterations, 200);
+        let genuine = stub.get_checkpoint(&mut orb, ctx).unwrap().unwrap();
+        let (count, entries): (u32, Vec<(u32, ComplexState)>) = cdr::from_bytes(&genuine).unwrap();
+        let population = &entries[0].1;
+        assert_eq!(
+            (population.points.len(), population.values.len()),
+            (392, 28)
+        );
+        let forged = |points: usize, values: usize| {
+            let state = ComplexState {
+                points: population.points[..points].to_vec(),
+                values: population.values[..values].to_vec(),
+                ..population.clone()
+            };
+            cdr::to_bytes(&(count, vec![(1u32, state)]))
+        };
+        let kind = |r: Result<(), Exception>| match r {
+            Err(Exception::System(e)) => Some(e.kind),
+            Ok(()) => None,
+            Err(other) => panic!("unexpected {other:?}"),
+        };
+
+        // (checkpoint, what restore answers, the dim the next solve asks for)
+        let truncated = genuine[..genuine.len() - 5].to_vec();
+        let cases = [
+            (truncated, Some(SysKind::Marshal), 14),
+            // 28 × 14 doubles are also 56 × 7 and 49 × 8 and 196 × 2.
+            (genuine.clone(), None, 7),
+            (genuine.clone(), None, 8),
+            (genuine.clone(), None, 2),
+            // One point: m = 0, a NaN centroid.
+            (forged(14, 1), Some(SysKind::BadParam), 14),
+            (forged(0, 0), Some(SysKind::BadParam), 14),
+            // 28 doubles are not 3 points of anything.
+            (forged(28, 3), Some(SysKind::BadParam), 14),
+            // 2 × 14: a population, but no complex in 14 dimensions.
+            (forged(28, 2), None, 14),
+            // 4 × 2 offered to a 4-dim solve: 8 % 4 == 0 and yet 4 ≯ 4.
+            (forged(8, 4), None, 4),
+        ];
+        for (bytes, restore_answer, dim) in cases {
+            let restored = stub.restore_checkpoint(&mut orb, ctx, &bytes).unwrap();
+            assert_eq!(kind(restored), restore_answer, "restore before dim {dim}");
+            let r = stub.solve(&mut orb, ctx, &spec(dim)).unwrap().unwrap();
+            assert!(r.best_value.is_finite(), "dim {dim}: {r:?}");
+            assert_eq!(r.best_point.len(), dim as usize);
+            if restore_answer.is_none() {
+                // The stored state did not fit: a cold start, not a
+                // continuation of somebody else's 200 iterations.
+                assert_eq!(r.iterations, 200, "dim {dim}: {r:?}");
+            }
+        }
+
+        // The next well-formed restore and solve are served, warm.
+        assert_eq!(
+            kind(stub.restore_checkpoint(&mut orb, ctx, &genuine).unwrap()),
+            None
+        );
+        let r = stub.solve(&mut orb, ctx, &spec(14)).unwrap().unwrap();
+        assert_eq!(r.iterations, 400);
+        assert!(r.best_value <= first.best_value);
+        *o.lock().unwrap() = true;
+    });
+    sim.run_until_exit(driver);
+    assert!(*out.lock().unwrap(), "the driver did not reach its end");
+}
+
 #[test]
 fn manager_runs_decomposed_optimization_plain() {
     let mut sim = Kernel::with_seed(23);

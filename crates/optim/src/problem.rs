@@ -25,10 +25,17 @@ impl Bounds {
     }
 
     /// Clip a point into the box (the Complex method's constraint
-    /// handling).
+    /// handling): `f64::clamp` per coordinate — NaN and `-0.0` pass
+    /// through — minus its `lo <= hi` assert, which the optimizer's inner
+    /// loop would pay on every coordinate of every candidate.
     pub fn clip(&self, x: &mut [f64]) {
-        for (i, v) in x.iter_mut().enumerate() {
-            *v = v.clamp(self.lower[i], self.upper[i]);
+        for ((v, &lo), &hi) in x.iter_mut().zip(&self.lower).zip(&self.upper) {
+            if *v < lo {
+                *v = lo;
+            }
+            if *v > hi {
+                *v = hi;
+            }
         }
     }
 

@@ -58,15 +58,14 @@ impl WorkerServant {
     }
 }
 
+fn bad_param(detail: &str) -> Exception {
+    SystemException::new(orb::SysKind::BadParam, orb::Completion::No, detail).into()
+}
+
 impl Optim::Worker for WorkerServant {
     fn solve(&mut self, call: &mut CallCtx<'_>, spec: SolveSpec) -> Result<SolveResult, Exception> {
         if spec.dim == 0 {
-            return Err(SystemException::new(
-                orb::SysKind::BadParam,
-                orb::Completion::No,
-                "zero-dimensional subproblem",
-            )
-            .into());
+            return Err(bad_param("zero-dimensional subproblem"));
         }
         let problem = SubRosenbrock::new(spec.dim as usize, spec.left, spec.right);
         let cfg = ComplexBoxConfig {
@@ -79,32 +78,27 @@ impl Optim::Worker for WorkerServant {
             .compute(work)
             .map_err(|_| SystemException::comm_failure("killed mid-solve"))?;
 
+        // The cached population moves into the optimizer and back. One
+        // that does not fit this `dim` (a checkpoint is whatever decoded)
+        // is dropped for a cold start, never reinterpreted.
         let cached = (!spec.reset)
-            .then(|| self.state.get(&spec.problem_id))
+            .then(|| self.state.remove(&spec.problem_id))
             .flatten()
-            .filter(|s| s.points.len() % spec.dim as usize == 0 && !s.points.is_empty());
+            .filter(|s| s.fits(spec.dim as usize));
         let mut opt = match cached {
-            Some(s) => {
-                // Warm start: keep the population, re-evaluate under the
-                // new coordination values.
-                let points: Vec<Vec<f64>> = s
-                    .points
-                    .chunks(spec.dim as usize)
-                    .map(|c| c.to_vec())
-                    .collect();
-                ComplexBox::from_points(&problem, cfg, points, s.iterations, s.evals)
-            }
+            // Warm start: keep the population, re-evaluate under the new
+            // coordination values.
+            Some(s) => ComplexBox::from_points(&problem, cfg, s.points, s.iterations, s.evals),
             None => ComplexBox::new(&problem, cfg),
         };
         let best_value = opt.run(spec.iters);
-        let (best_point, _) = opt.best();
         let result = SolveResult {
             best_value,
-            best_point: best_point.to_vec(),
+            best_point: opt.best().0.to_vec(),
             iterations: opt.iterations(),
             evals: opt.evals(),
         };
-        self.state.insert(spec.problem_id, opt.state());
+        self.state.insert(spec.problem_id, opt.into_state());
         self.solve_count += 1;
         Ok(result)
     }
@@ -113,8 +107,7 @@ impl Optim::Worker for WorkerServant {
     fn get_checkpoint(&mut self, _call: &mut CallCtx<'_>) -> Result<Vec<u8>, Exception> {
         // BTreeMap iteration is already key-ordered, so the payload bytes
         // are deterministic without an explicit sort.
-        let entries: Vec<(u32, ComplexState)> =
-            self.state.iter().map(|(k, v)| (*k, v.clone())).collect();
+        let entries: Vec<(&u32, &ComplexState)> = self.state.iter().collect();
         Ok(cdr::to_bytes(&(self.solve_count, entries)))
     }
 
@@ -130,6 +123,15 @@ impl Optim::Worker for WorkerServant {
     ) -> Result<(), Exception> {
         let (solve_count, entries): (u32, Vec<(u32, ComplexState)>) =
             cdr::from_bytes(&state).map_err(SystemException::marshal)?;
+        // Which `dim` an entry is for is only known at its next `solve`
+        // (`ComplexState::fits`); what can be told here is whether it is a
+        // population of any dimension at all.
+        if entries
+            .iter()
+            .any(|(_, s)| s.values.len() < 2 || s.points.len() % s.values.len() != 0)
+        {
+            return Err(bad_param("checkpoint entry is not a population"));
+        }
         self.solve_count = solve_count;
         self.state = entries.into_iter().collect();
         Ok(())

@@ -84,7 +84,8 @@ proptest! {
         }
     }
 
-    /// Checkpoint state round-trips for any progress point.
+    /// Checkpoint state round-trips for any progress point, and resumes
+    /// the way a restored worker does: decode, `fits`, `from_points`.
     #[test]
     fn state_round_trip(seed in any::<u64>(), iters in 0u64..120) {
         let p = Sphere::new(3);
@@ -95,14 +96,22 @@ proptest! {
                 ..ComplexBoxConfig::default()
             },
         );
-        opt.run(iters);
-        let state = opt.state();
+        let best = opt.run(iters);
+        let state = opt.into_state();
         let bytes = cdr::to_bytes(&state);
         let back: optim::ComplexState = cdr::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&state, &back);
-        let resumed = ComplexBox::from_state(&p, ComplexBoxConfig::default(), back);
+        prop_assert!(back.fits(3));
+        let resumed = ComplexBox::from_points(
+            &p,
+            ComplexBoxConfig::default(),
+            back.points,
+            back.iterations,
+            back.evals,
+        );
         prop_assert_eq!(resumed.iterations(), iters);
-        prop_assert!((resumed.best().1 - opt.best().1).abs() < 1e-12);
+        prop_assert_eq!(resumed.evals(), state.evals + 6);
+        prop_assert_eq!(resumed.best().1.to_bits(), best.to_bits());
     }
 
     /// Protocol types round-trip for arbitrary contents.

@@ -275,3 +275,20 @@ fn scales_beyond_the_papers_testbed() {
         );
     }
 }
+
+/// The numerics are part of the model: how many outer evaluations a run
+/// takes — hence every runtime in Figure 3 and Table 1 — depends on every
+/// rounding in `optim`. One `--quick`-sized 30-dim / 3-worker cell, pinned
+/// to the bit, so a change to the floating-point operation order trips a
+/// test and not just a table in EXPERIMENTS.md. If this fails, regenerate
+/// `results/` and say in the PR that the model moved.
+#[test]
+fn numerics_are_pinned_through_the_whole_stack() {
+    let spec = ExperimentSpec {
+        worker_iters: 2_000,
+        ..ExperimentSpec::dim30(NamingMode::Winner)
+    };
+    let r = run_experiment(&spec).expect("experiment run failed").report;
+    assert_eq!(r.best_value.to_bits(), 0x404e_7632_b182_2a89);
+    assert_eq!((r.manager_evals, r.worker_calls), (19, 57));
+}
