@@ -112,8 +112,9 @@ fn main() {
          restart/restore. Detection is the ORB asking the silent worker's \
          host with keepalives, so the 60 s and the short request timeout \
          cost the same. Rarer checkpoints write less and re-execute more \
-         after the crash; the per-value store pays its overhead on the \
-         restore path too."
+         after the crash. The per-value row's overhead is all on the write \
+         path (one RPC per stored value, every call): a restore is one push \
+         of the proxy's own copy of the last acked checkpoint in either mode."
     );
 
     if args.csv {

@@ -9,8 +9,10 @@
 //!
 //! The report is virtual-time deterministic: the same seed and scale
 //! yield byte-identical output, which CI asserts by running this binary
-//! twice and `cmp`-ing the `--report-out` files. CI also fails if the
-//! healthy baseline reports any invariant violation.
+//! twice and `cmp`-ing the `--report-out` files. CI also fails if either
+//! cell reports an invariant violation: the healthy baseline has no
+//! excuse, and the crash cell is where a replica is adopted after acked
+//! checkpoints — the one place `restore-freshness` can fire.
 //!
 //! Usage: `cargo run --release -p ldft-bench --bin doctor
 //! [--quick] [--seeds N] [--report-out PATH]`
@@ -54,14 +56,18 @@ fn main() {
         eprintln!("wrote doctor report to {path}");
     }
 
-    let violations = healthy_handle.violations();
-    if violations > 0 {
-        eprintln!("doctor: healthy baseline reported {violations} invariant violation(s)");
-        std::process::exit(2);
+    for (cell, handle) in [
+        ("healthy baseline", healthy_handle),
+        ("crash cell", crashed_handle),
+    ] {
+        let violations = handle.violations();
+        if violations > 0 {
+            eprintln!("doctor: {cell} reported {violations} invariant violation(s)");
+            std::process::exit(2);
+        }
     }
     eprintln!(
-        "doctor: healthy baseline clean; crash cell recorded {} violation(s), {} post-mortem(s)",
-        crashed_handle.violations(),
+        "doctor: both cells clean; crash cell dumped {} post-mortem(s)",
         crashed_handle.dumps().len(),
     );
 }

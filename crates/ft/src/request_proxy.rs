@@ -215,9 +215,10 @@ impl FtRequest {
     /// The recovery engine: settle one attempt's outcome. Success runs
     /// the checkpoint policy and ends the request. A failure, while it is
     /// recoverable and attempts remain, is published, the dead target is
-    /// dropped, and after a backoff the request is re-acquired and
-    /// re-sent — where a failed acquire is the next failure. Otherwise the
-    /// failure is the request's outcome.
+    /// dropped, and the request is re-acquired and re-sent — at once the
+    /// first time, after a backoff from then on, since a failed acquire
+    /// is the next failure. Otherwise the failure is the request's
+    /// outcome.
     fn settle(
         &mut self,
         outcome: Result<Vec<u8>, Exception>,
@@ -294,7 +295,11 @@ impl FtRequest {
                 },
             );
             proxy.recover(env)?;
-            proxy.backoff_sleep(env, self.attempts - 1)?;
+            // The first re-acquire goes out at once: the ladder paces
+            // retries of a failed acquire, it does not delay the first.
+            if self.attempts > 1 {
+                proxy.backoff_sleep(env, self.attempts - 2)?;
+            }
             match self.try_send(proxy, env)? {
                 Ok(()) => return Ok(()),
                 Err(e) => failure = e,

@@ -74,14 +74,15 @@ struct Attribution {
     ckpt_ns: u64,
 }
 
-/// Names of the six invariants, in report order.
-const INVARIANTS: [&str; 6] = [
+/// Names of the seven invariants, in report order.
+const INVARIANTS: [&str; 7] = [
     "checkpoint-freshness",
     "healing-time",
     "load-placement",
     "partition-health",
     "quorum-health",
     "recovery-budget",
+    "restore-freshness",
 ];
 
 /// The streaming analysis state. Owned by the handle; fed one event at a
@@ -223,6 +224,21 @@ impl Doctor {
                     }
                 }
                 self.last_ckpt.insert(target.clone(), (t, *epoch));
+            }
+            EventBody::StateRestored { target, epoch } => {
+                // A replica adopted after a checkpoint was acked must
+                // start from that checkpoint or a newer one — never cold,
+                // never from an older epoch.
+                if let Some(&(_, acked)) = self.last_ckpt.get(target) {
+                    if self.check(
+                        "restore-freshness",
+                        t,
+                        *epoch >= acked,
+                        format!("{target} restored to epoch {epoch}, epoch {acked} was acked"),
+                    ) {
+                        fired.push(format!("restore-freshness {target}"));
+                    }
+                }
             }
             EventBody::QuorumWrite {
                 object,
@@ -517,6 +533,41 @@ mod tests {
         assert!(d.on_event(&ev(2, 0, qw(1, 1))).is_empty());
         // Too few acks while the view could have met the floor: breach.
         assert_eq!(d.on_event(&ev(3, 0, qw(1, 3))).len(), 1);
+    }
+
+    #[test]
+    fn restore_freshness_compares_against_the_last_acked_epoch() {
+        let mut d = Doctor::new(MonitorConfig::default());
+        let stored = |epoch| EventBody::CheckpointStored {
+            target: "w".into(),
+            epoch: cdr::Epoch(epoch),
+            bytes: 8,
+            dur_ns: 1,
+        };
+        let restored = |epoch| EventBody::StateRestored {
+            target: "w".into(),
+            epoch: cdr::Epoch(epoch),
+        };
+        // A first bind before any checkpoint starts cold: nothing to check.
+        assert!(d.on_event(&ev(1, 0, restored(0))).is_empty());
+        d.on_event(&ev(2, 0, stored(1)));
+        d.on_event(&ev(3, 0, stored(2)));
+        // The last acked epoch (or anything newer the store held): fine.
+        assert!(d.on_event(&ev(4, 0, restored(2))).is_empty());
+        assert!(d.on_event(&ev(5, 0, restored(3))).is_empty());
+        // An older epoch, or the torn-checkpoint cold start: breach.
+        assert_eq!(
+            d.on_event(&ev(6, 0, restored(1))),
+            vec!["restore-freshness w".to_string()]
+        );
+        assert_eq!(d.on_event(&ev(7, 0, restored(0))).len(), 1);
+        // Other targets have their own history.
+        let other = EventBody::StateRestored {
+            target: "v".into(),
+            epoch: cdr::Epoch::ZERO,
+        };
+        assert!(d.on_event(&ev(8, 0, other)).is_empty());
+        assert_eq!(d.violation_count(), 2);
     }
 
     #[test]

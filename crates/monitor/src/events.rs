@@ -88,6 +88,15 @@ pub enum EventBody {
         /// Time spent storing it.
         dur_ns: u64,
     },
+    /// The FT proxy adopted a replica (first bind or recovery) and says
+    /// what state it starts from.
+    StateRestored {
+        /// Object id restored.
+        target: String,
+        /// Epoch pushed into the replica; `Epoch::ZERO` when nothing was
+        /// pushed (it starts cold).
+        epoch: Epoch,
+    },
     /// A store coordinator observed a changed membership view.
     ViewChange {
         /// Live replicas in the new view.
@@ -135,6 +144,7 @@ impl EventBody {
             EventBody::RecoveryStarted { .. } => "recovery-started",
             EventBody::RecoveryFinished { .. } => "recovery-finished",
             EventBody::CheckpointStored { .. } => "checkpoint-stored",
+            EventBody::StateRestored { .. } => "state-restored",
             EventBody::ViewChange { .. } => "view-change",
             EventBody::QuorumWrite { .. } => "quorum-write",
             EventBody::RequestDone { .. } => "request-done",
@@ -207,6 +217,9 @@ impl EventBody {
                 bytes,
                 dur_ns,
             } => format!("target={target} epoch={epoch} bytes={bytes} dur_ns={dur_ns}"),
+            EventBody::StateRestored { target, epoch } => {
+                format!("target={target} epoch={epoch}")
+            }
             EventBody::ViewChange { members, quorum } => {
                 format!("members={members} quorum={quorum}")
             }

@@ -145,12 +145,13 @@ fn a_partitioned_emitter_loses_nothing_and_needs_no_flush() {
 #[test]
 fn recovery_budget_invariant_fires_on_slow_recovery() {
     // The reference crash cell, with the recovery budget tightened from
-    // 10000x mean service latency to 1x: timeout-based failure detection
-    // alone costs well over one mean service time, so the injected crash
-    // must trip the recovery-budget invariant and dump a post-mortem.
+    // 10000x mean service latency to nothing: an episode is resolve +
+    // create + one restore push, 3 ms against this cell's 23 ms mean
+    // `solve`, so no whole multiple trips here. The injected crash must
+    // trip the recovery-budget invariant and dump a post-mortem.
     let mut spec = reference_cell(true);
     spec.monitor = Some(MonitorConfig {
-        recovery_budget_multiple: 1,
+        recovery_budget_multiple: 0,
         ..MonitorConfig::default()
     });
     let outcome = run_experiment(&spec).expect("crash cell runs");

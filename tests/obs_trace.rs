@@ -55,10 +55,13 @@ fn serve_checkpoints(ctx: &mut Ctx, service: CheckpointService, sink: Obs) {
 }
 
 /// Boot a minimal assembled bed — naming + checkpoint service on host 0,
-/// the *sole* worker server on host 1, a factory on host 2 only — and
+/// the *sole* worker server on host 1, a factory on hosts 1 and 2 — and
 /// drive an FT-proxied client through a crash of host 1. With no second
 /// worker bound, recovery is forced down the full paper path: resolve,
-/// factory create, checkpoint restore, retry. Returns the shared sink.
+/// factory create, checkpoint restore, retry. Host 1's factory dies with
+/// it and is what the first re-acquire is handed, so the episode climbs
+/// one rung of the backoff ladder — whose jitter is the one thing in this
+/// cell the seed decides. Returns the shared sink.
 fn run_crash_recovery_cell(seed: u64) -> Obs {
     let mut sim = Kernel::with_seed(seed);
     let sink = Obs::default();
@@ -80,11 +83,17 @@ fn run_crash_recovery_cell(seed: u64) -> Obs {
     sim.spawn(hosts[1], "opt-worker", move |ctx| {
         let _ = optim::run_worker_server_obs(ctx, h0, WorkerCosts::default(), Some(obs));
     });
-    let obs = sink.clone();
-    sim.spawn(h2, "factory", move |ctx| {
-        let _ =
-            ftproxy::run_factory_obs(ctx, h0, worker_builder(WorkerCosts::default()), Some(obs));
-    });
+    for h in [hosts[1], h2] {
+        let obs = sink.clone();
+        sim.spawn(h, "factory", move |ctx| {
+            let _ = ftproxy::run_factory_obs(
+                ctx,
+                h0,
+                worker_builder(WorkerCosts::default()),
+                Some(obs),
+            );
+        });
+    }
 
     let obs = sink.clone();
     let driver = sim.spawn(h0, "driver", move |ctx| {

@@ -1,7 +1,8 @@
 //! Checkpoint-store failover integration tests: a replicated `ldft-store`
 //! deployment survives losing the primary replica mid-optimization (the
-//! FT proxies re-resolve the store group and restore from a backup),
-//! while the paper's single-store baseline demonstrably does not.
+//! FT proxies re-resolve the store group and keep checkpointing to a
+//! backup), while the paper's single-store baseline demonstrably stores
+//! nothing from then on.
 
 use corba_runtime::{
     run_experiment, CrashPlan, ExperimentOutcome, ExperimentSpec, NamingMode, StoreCrashPlan,
@@ -12,7 +13,7 @@ use simnet::SimDuration;
 /// The shared cell: Plain naming (deterministic placements and store
 /// resolution), bulk checkpoints after every call, a primary-store crash
 /// shortly after the manager starts, then a worker-host crash that forces
-/// a restore — which must come from a store backup.
+/// a restore — of a checkpoint a store backup acked.
 fn failover_spec(store_replicas: usize) -> ExperimentSpec {
     let mut spec = ExperimentSpec {
         worker_iters: 2_000,
@@ -90,22 +91,42 @@ fn replicated_store_failover_preserves_results() {
 }
 
 /// Tentpole acceptance, baseline side: the same scenario with the paper's
-/// single checkpoint store is fatal — once the store host dies, worker
-/// recovery cannot fetch its checkpoint and the run fails.
+/// single checkpoint store. Once the store host dies nothing is durable
+/// any more: no checkpoint is ever stored again, where the replicated
+/// cell keeps landing one per call. The run itself completes — the
+/// proxies restore their own copy of the last acked checkpoint — from
+/// state as old as the store's death; a proxy without a copy, a restarted
+/// client, would find nothing.
 #[test]
 fn single_replica_store_is_a_single_point_of_failure() {
-    let err = run_experiment(&failover_spec(1))
-        .expect_err("single-store run must fail once the store host dies");
+    let single = run_experiment(&failover_spec(1)).expect("warm proxies recover without a store");
+    let (s, r) = (&single.report, &run_replicated_cell().report);
+    assert!(s.recoveries > 0, "worker crash must be felt: {s:?}");
+    assert_eq!(r.checkpoints, r.worker_calls, "{r:?}");
+    assert!(s.checkpoints < s.worker_calls, "{s:?}");
+    // Every checkpoint attempted after the store's death failed.
+    let crash_ns = (single.started_at + SimDuration::from_millis(600)).as_nanos();
+    let spans = single.obs.spans();
+    let after: Vec<_> = spans
+        .iter()
+        .filter(|sp| sp.name == "ft.checkpoint" && sp.end_ns > crash_ns)
+        .collect();
+    assert_eq!(after.len() as u64, s.worker_calls - s.checkpoints);
     assert!(
-        err.contains("COMM_FAILURE") || err.contains("recovery") || err.contains("failed"),
-        "failure should surface the store loss: {err}"
+        after
+            .iter()
+            .all(|sp| sp.tags.iter().any(|(k, v)| k == "ok" && v == "false")),
+        "a checkpoint landed on a dead store"
     );
+    // `solve` is a pure function of the state it is handed, so restoring
+    // the stale copy costs re-execution, not the result.
+    assert_eq!(s.best_value, r.best_value);
 }
 
 /// Satellite: the failover leaves a causal span trail — the retarget
 /// re-resolves the store group (`serve:resolve` inside
-/// `ft.store_retarget`), and the post-crash restore is served by the
-/// backup replica.
+/// `ft.store_retarget`), and what the post-crash restore pushes was
+/// acked by the backup replica.
 #[test]
 fn failover_span_tree_shows_resolve_then_backup_restore() {
     let outcome = run_replicated_cell();
@@ -127,9 +148,11 @@ fn failover_span_tree_shows_resolve_then_backup_restore() {
         "retarget must re-resolve the store name"
     );
 
-    // The worker recovery after the store crash restores from the backup:
-    // ft.recover → ft.restore → serve:retrieve on the backup host. With
-    // dim100 auto-placement the two replicas sit on the two
+    // The worker recovery after the store crash: ft.recover → ft.restore,
+    // and the restore asks no store replica — the proxy pushes its own
+    // copy of the last acked checkpoint. The backup's part in that
+    // restore came earlier: it acked the checkpoints the copy is a copy
+    // of. With dim100 auto-placement the two replicas sit on the two
     // highest-numbered NOW hosts; the crashed primary is host 9, the
     // surviving backup host 10.
     let restore = spans
@@ -146,18 +169,25 @@ fn failover_span_tree_shows_resolve_then_backup_restore() {
         recover.start_ns <= restore.start_ns,
         "recovery must precede the restore"
     );
-    let served = spans
+    assert!(
+        !spans.iter().any(|s| s.name.starts_with("serve:retrieve")
+            && s.start_ns >= restore.start_ns
+            && s.end_ns <= restore.end_ns),
+        "a warm proxy's restore must not read the store"
+    );
+    let mut acked = spans
         .iter()
-        .find(|s| {
-            s.name == "serve:retrieve"
-                && s.trace_id == restore.trace_id
-                && s.start_ns >= restore.start_ns
-                && s.end_ns <= restore.end_ns
+        .filter(|s| {
+            s.name == "serve:store" && s.start_ns >= crash_ns && s.end_ns <= restore.start_ns
         })
-        .expect("restore must fetch the checkpoint from a store replica");
-    assert_eq!(
-        served.host, 10,
-        "post-crash restore must be served by the surviving backup replica"
+        .peekable();
+    assert!(
+        acked.peek().is_some(),
+        "no checkpoint landed between the store crash and the recovery"
+    );
+    assert!(
+        acked.all(|s| s.host == 10),
+        "post-crash checkpoints must be acked by the surviving backup replica"
     );
 }
 
