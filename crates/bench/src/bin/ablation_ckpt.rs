@@ -6,107 +6,61 @@
 //!
 //! Usage: `cargo run --release -p ldft-bench --bin ablation_ckpt [--quick] [--seeds N] [--trace-out PATH] [--metrics-out PATH]`
 
-use corba_runtime::{averaged_runtime, ExperimentSpec, NamingMode};
+use corba_runtime::{ExperimentSpec, NamingMode};
 use ftproxy::CheckpointMode;
-use ldft_bench::{Csv, RunArgs, Table};
+use ldft_bench::{ablation_sweep, print_ablation, AblationRow, RunArgs};
 use optim::FtSettings;
 
 fn main() {
     let args = RunArgs::parse();
     eprintln!("ablation_ckpt: 6 strategies × {} seeds …", args.seeds.len());
 
-    let strategies: Vec<(&str, Option<FtSettings>)> = vec![
+    let ft = |mode, checkpoint_every| {
+        Some(FtSettings {
+            mode,
+            checkpoint_every,
+            max_recoveries: 4,
+            ..FtSettings::default()
+        })
+    };
+    let strategies = [
         ("no FT (baseline)", None),
         (
             "per-value, every call (paper)",
-            Some(FtSettings {
-                mode: CheckpointMode::PerValue,
-                checkpoint_every: 1,
-                max_recoveries: 4,
-                ..FtSettings::default()
-            }),
+            ft(CheckpointMode::PerValue, 1),
         ),
-        (
-            "per-value, every 5th call",
-            Some(FtSettings {
-                mode: CheckpointMode::PerValue,
-                checkpoint_every: 5,
-                max_recoveries: 4,
-                ..FtSettings::default()
-            }),
-        ),
+        ("per-value, every 5th call", ft(CheckpointMode::PerValue, 5)),
         (
             "bulk, every call (future work (a))",
-            Some(FtSettings {
-                mode: CheckpointMode::Bulk,
-                checkpoint_every: 1,
-                max_recoveries: 4,
-                ..FtSettings::default()
-            }),
+            ft(CheckpointMode::Bulk, 1),
         ),
-        (
-            "bulk, every 5th call",
-            Some(FtSettings {
-                mode: CheckpointMode::Bulk,
-                checkpoint_every: 5,
-                max_recoveries: 4,
-                ..FtSettings::default()
-            }),
-        ),
-        (
-            "FT proxies, no checkpointing",
-            Some(FtSettings {
-                mode: CheckpointMode::None,
-                checkpoint_every: 1,
-                max_recoveries: 4,
-                ..FtSettings::default()
-            }),
-        ),
+        ("bulk, every 5th call", ft(CheckpointMode::Bulk, 5)),
+        ("FT proxies, no checkpointing", ft(CheckpointMode::None, 1)),
     ];
+    let rows = ablation_sweep(
+        &args,
+        strategies.map(|(label, ft)| {
+            let mut spec = ExperimentSpec::dim100(NamingMode::Winner);
+            spec.ft = ft;
+            (label, spec)
+        }),
+    );
 
-    let mut rows: Vec<(String, f64)> = Vec::new();
-    let mut baseline = None;
-    for (label, ft) in strategies {
-        let mut spec = ExperimentSpec::dim100(NamingMode::Winner);
-        spec.worker_iters = args.scaled(spec.worker_iters);
-        spec.ft = ft;
-        let (mean, _) = averaged_runtime(&spec, &args.seeds).expect("experiment run failed");
-        if baseline.is_none() {
-            baseline = Some(mean);
-        }
-        rows.push((label.to_string(), mean));
-        eprint!(".");
-    }
-    eprintln!();
-    let baseline = baseline.expect("baseline ran");
-
-    println!(
+    let baseline = rows[0].runtime;
+    print_ablation(
+        &args,
         "Checkpoint-strategy ablation — 100-dim / 7 workers, unloaded, \
-         runtime in virtual seconds\n"
+         runtime in virtual seconds",
+        "strategy",
+        &[("overhead [%]", None, &|r: &AblationRow| {
+            format!("{:.1}", 100.0 * (r.runtime - baseline) / baseline)
+        })],
+        &rows,
+        Some(
+            "Reading: the per-value prototype dominates the cost; bulk transport \
+             (the paper's future-work optimization) removes most of it, and \
+             checkpointing less often removes most of the rest — at the price of \
+             a larger recovery window.",
+        ),
     );
-    let mut table = Table::new(vec!["strategy", "runtime [s]", "overhead [%]"]);
-    for (label, mean) in &rows {
-        table.row(vec![
-            label.clone(),
-            format!("{mean:.2}"),
-            format!("{:.1}", 100.0 * (mean - baseline) / baseline),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "Reading: the per-value prototype dominates the cost; bulk transport \
-         (the paper's future-work optimization) removes most of it, and \
-         checkpointing less often removes most of the rest — at the price of \
-         a larger recovery window."
-    );
-
-    if args.csv {
-        let csv_rows: Vec<Vec<String>> = rows
-            .iter()
-            .map(|(l, m)| vec![l.clone(), format!("{m:.4}")])
-            .collect();
-        print!("{}", Csv::render(&["strategy", "runtime_s"], &csv_rows));
-    }
-
-    args.write_exports_or_exit();
 }

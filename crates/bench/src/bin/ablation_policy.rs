@@ -6,8 +6,8 @@
 //!
 //! Usage: `cargo run --release -p ldft-bench --bin ablation_policy [--quick] [--seeds N] [--trace-out PATH] [--metrics-out PATH]`
 
-use corba_runtime::{averaged_runtime, ExperimentSpec, NamingMode, WinnerPolicy};
-use ldft_bench::{Csv, RunArgs, Table};
+use corba_runtime::{ExperimentSpec, NamingMode, WinnerPolicy};
+use ldft_bench::{ablation_sweep, print_ablation, AblationRow, RunArgs};
 
 fn main() {
     let args = RunArgs::parse();
@@ -17,7 +17,6 @@ fn main() {
         args.seeds.len()
     );
 
-    let mut rows: Vec<(String, f64)> = Vec::new();
     let policies = [
         (
             "best-performance (paper)",
@@ -28,45 +27,33 @@ fn main() {
         ("uniform-random", Some(WinnerPolicy::Uniform)),
         ("plain naming (round-robin)", None),
     ];
-    for (label, policy) in policies {
-        let mut spec = match policy {
-            Some(p) => {
-                let mut s = ExperimentSpec::dim100(NamingMode::Winner);
-                s.policy = p;
-                s
-            }
-            None => ExperimentSpec::dim100(NamingMode::Plain),
-        };
-        spec.worker_iters = args.scaled(spec.worker_iters);
-        spec = spec.loaded(loaded);
-        let (mean, _) = averaged_runtime(&spec, &args.seeds).expect("experiment run failed");
-        rows.push((label.to_string(), mean));
-        eprint!(".");
-    }
-    eprintln!();
-
-    println!(
-        "Policy ablation — 100-dim / 7 workers, {loaded}/10 hosts loaded, \
-         runtime in virtual seconds\n"
+    let rows = ablation_sweep(
+        &args,
+        policies.map(|(label, policy)| {
+            let spec = match policy {
+                Some(p) => {
+                    let mut s = ExperimentSpec::dim100(NamingMode::Winner);
+                    s.policy = p;
+                    s
+                }
+                None => ExperimentSpec::dim100(NamingMode::Plain),
+            };
+            (label, spec.loaded(loaded))
+        }),
     );
-    let best = rows.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
-    let mut table = Table::new(vec!["policy", "runtime [s]", "vs best"]);
-    for (label, mean) in &rows {
-        table.row(vec![
-            label.clone(),
-            format!("{mean:.2}"),
-            format!("+{:.0}%", 100.0 * (mean - best) / best),
-        ]);
-    }
-    println!("{}", table.render());
 
-    if args.csv {
-        let csv_rows: Vec<Vec<String>> = rows
-            .iter()
-            .map(|(l, m)| vec![l.clone(), format!("{m:.4}")])
-            .collect();
-        print!("{}", Csv::render(&["policy", "runtime_s"], &csv_rows));
-    }
-
-    args.write_exports_or_exit();
+    let best = rows.iter().map(|r| r.runtime).fold(f64::INFINITY, f64::min);
+    print_ablation(
+        &args,
+        &format!(
+            "Policy ablation — 100-dim / 7 workers, {loaded}/10 hosts loaded, \
+             runtime in virtual seconds"
+        ),
+        "policy",
+        &[("vs best", None, &|r: &AblationRow| {
+            format!("+{:.0}%", 100.0 * (r.runtime - best) / best)
+        })],
+        &rows,
+        None,
+    );
 }

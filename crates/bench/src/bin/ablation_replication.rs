@@ -8,17 +8,16 @@
 //! Usage: `cargo run --release -p ldft-bench --bin ablation_replication
 //! [--quick] [--seeds N] [--trace-out PATH] [--metrics-out PATH]`
 
-use corba_runtime::{averaged_runtime, CrashPlan, ExperimentSpec, NamingMode, StoreCrashPlan};
+use corba_runtime::{CrashPlan, ExperimentSpec, NamingMode, StoreCrashPlan};
 use ftproxy::CheckpointMode;
-use ldft_bench::{Csv, RunArgs, Table};
+use ldft_bench::{ablation_sweep, print_ablation, AblationRow, RunArgs};
 use optim::FtSettings;
 use simnet::SimDuration;
 
 /// The shared cell: Plain naming (deterministic store binding, so crash
 /// index 0 always hits the primary), bulk checkpoints after every call.
-fn base_spec(args: &RunArgs, replicas: usize) -> ExperimentSpec {
+fn base_spec(replicas: usize) -> ExperimentSpec {
     let mut spec = ExperimentSpec::dim100(NamingMode::Plain);
-    spec.worker_iters = args.scaled(spec.worker_iters);
     spec.ft = Some(FtSettings {
         mode: CheckpointMode::Bulk,
         checkpoint_every: 1,
@@ -46,14 +45,9 @@ fn with_crashes(mut spec: ExperimentSpec) -> ExperimentSpec {
     spec
 }
 
-struct Row {
-    label: String,
-    runtime: f64,
-    checkpoints: u64,
-    retargets: u64,
-    recoveries: u64,
-    note: &'static str,
-}
+const NO_FAULTS: &str = "replication overhead";
+const FAILOVER: &str = "failover, checkpoints keep landing";
+const SPOF: &str = "NOTHING STORED after the crash — single point of failure";
 
 fn main() {
     let args = RunArgs::parse();
@@ -62,114 +56,60 @@ fn main() {
         args.seeds.len()
     );
 
-    let mut rows: Vec<Row> = Vec::new();
-
     // Crash-free side: the price of replication (every checkpoint fans
-    // out to the backups before it acks).
-    for replicas in [1usize, 2, 3] {
-        let (mean, runs) =
-            averaged_runtime(&base_spec(&args, replicas), &args.seeds).expect("run failed");
-        rows.push(Row {
-            label: format!("{replicas} replica(s), no faults"),
-            runtime: mean,
-            checkpoints: runs.iter().map(|r| r.report.checkpoints).sum(),
-            retargets: runs.iter().map(|r| r.report.store_retargets).sum(),
-            recoveries: runs.iter().map(|r| r.report.recoveries).sum(),
-            note: "replication overhead",
-        });
-        eprint!(".");
-    }
-
-    // Faulty side: primary store host crashes, then a worker host. Last
-    // the paper's deployment under the same faults: the run survives on
-    // the proxies' own copies, but nothing is stored after the crash.
-    for replicas in [2usize, 3, 1] {
-        let (mean, runs) = averaged_runtime(&with_crashes(base_spec(&args, replicas)), &args.seeds)
-            .expect("run failed");
-        let checkpoints: u64 = runs.iter().map(|r| r.report.checkpoints).sum();
-        let calls: u64 = runs.iter().map(|r| r.report.worker_calls).sum();
+    // out to the backups before it acks). Faulty side: primary store host
+    // crashes, then a worker host. Last the paper's deployment under the
+    // same faults: the run survives on the proxies' own copies, but
+    // nothing is stored after the crash.
+    let healthy = [1usize, 2, 3].map(|n| (format!("{n} replica(s), no faults"), base_spec(n)));
+    let faulty = [2usize, 3, 1].map(|n| {
+        let label = format!("{n} replica(s), store + worker crash");
+        (label, with_crashes(base_spec(n)))
+    });
+    let rows = ablation_sweep(&args, healthy.into_iter().chain(faulty));
+    let note = |r: &AblationRow| match (&r.spec.store_crash, r.spec.store_replicas) {
+        (None, _) => NO_FAULTS,
+        (Some(_), 1) => SPOF,
+        (Some(_), _) => FAILOVER,
+    };
+    for r in &rows {
+        let lost = r.total(|rep| rep.checkpoints) < r.total(|rep| rep.worker_calls);
         assert_eq!(
-            checkpoints < calls,
-            replicas == 1,
-            "only a single store is a single point of failure"
+            lost,
+            note(r) == SPOF,
+            "only a single store under faults is a single point of failure"
         );
-        rows.push(Row {
-            label: format!("{replicas} replica(s), store + worker crash"),
-            runtime: mean,
-            checkpoints,
-            retargets: runs.iter().map(|r| r.report.store_retargets).sum(),
-            recoveries: runs.iter().map(|r| r.report.recoveries).sum(),
-            note: if replicas == 1 {
-                "NOTHING STORED after the crash — single point of failure"
-            } else {
-                "failover, checkpoints keep landing"
-            },
-        });
-        eprint!(".");
     }
-    eprintln!();
 
-    println!(
+    print_ablation(
+        &args,
         "Replication ablation — 100-dim / 7 workers, bulk checkpoints after \
          every call; faulty cells crash the primary store host at +0.6 s and \
-         a worker host at +1.5 s\n"
-    );
-    let mut table = Table::new(vec![
+         a worker host at +1.5 s",
         "setting",
-        "runtime [s]",
-        "checkpoints",
-        "store failovers",
-        "recoveries",
-        "note",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            r.label.clone(),
-            format!("{:.2}", r.runtime),
-            r.checkpoints.to_string(),
-            r.retargets.to_string(),
-            r.recoveries.to_string(),
-            r.note.to_string(),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "Reading: replication adds a small, flat cost per checkpoint (the \
-         backup round-trips overlap the next worker call). Under the store \
-         crash the replicated runs pay one failover and keep checkpointing; \
-         the single-store run finishes too — its proxies restore their own \
-         copy of the last acked checkpoint — but every later checkpoint fails \
-         (and costs a failed failover): nothing is durable any more, the \
-         failure mode replication exists to remove."
+        &[
+            ("checkpoints", Some("checkpoints"), &|r: &AblationRow| {
+                r.total(|rep| rep.checkpoints).to_string()
+            }),
+            (
+                "store failovers",
+                Some("store_failovers"),
+                &|r: &AblationRow| r.total(|rep| rep.store_retargets).to_string(),
+            ),
+            ("recoveries", Some("recoveries"), &|r: &AblationRow| {
+                r.total(|rep| rep.recoveries).to_string()
+            }),
+            ("note", None, &|r: &AblationRow| note(r).to_string()),
+        ],
+        &rows,
+        Some(
+            "Reading: replication adds a small, flat cost per checkpoint (the \
+             backup round-trips overlap the next worker call). Under the store \
+             crash the replicated runs pay one failover and keep checkpointing; \
+             the single-store run finishes too — its proxies restore their own \
+             copy of the last acked checkpoint — but every later checkpoint fails \
+             (and costs a failed failover): nothing is durable any more, the \
+             failure mode replication exists to remove.",
+        ),
     );
-
-    if args.csv {
-        let csv_rows: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.label.clone(),
-                    format!("{:.4}", r.runtime),
-                    r.checkpoints.to_string(),
-                    r.retargets.to_string(),
-                    r.recoveries.to_string(),
-                ]
-            })
-            .collect();
-        print!(
-            "{}",
-            Csv::render(
-                &[
-                    "setting",
-                    "runtime_s",
-                    "checkpoints",
-                    "store_failovers",
-                    "recoveries"
-                ],
-                &csv_rows
-            )
-        );
-    }
-
-    args.write_exports_or_exit();
 }

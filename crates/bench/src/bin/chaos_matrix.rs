@@ -35,9 +35,10 @@ use store::{spawn_replicated_store, ChaosConfig, ChaosPlan, StoreConfig};
 
 const REPLICAS: usize = 3;
 
-/// Retry budget for the driver's resolve/store/retrieve loops; see
-/// `store_chaos` — each retry sleeps ≥ 50 ms, so this is a ≥ 60 s sim-time
-/// window, far beyond any cell's chaos horizon.
+/// Retry budget for the driver's resolve/store/retrieve loops. Each retry
+/// sleeps ≥ 50 ms, so this is a ≥ 60 s sim-time window, far beyond any
+/// cell's chaos horizon. Blowing it means failover is wedged, which the
+/// run should report loudly instead of spinning forever.
 const RETRY_MAX_ATTEMPTS: u32 = 1200;
 
 /// The fault families the matrix sweeps — one [`ChaosConfig`] family

@@ -4,7 +4,7 @@
 //! of the 10 NOW hosts.
 //!
 //! Usage: `cargo run --release -p ldft-bench --bin fig3 [--quick] [--seeds N]
-//! [--trace-out PATH] [--metrics-out PATH] [--bench-out PATH]`
+//! [--trace-out PATH] [--metrics-out PATH]`
 
 use ldft_bench::{fig3_sweep, Csv, RunArgs, Table};
 
@@ -96,18 +96,6 @@ fn main() {
             )
         );
     }
-
-    // Each sweep cell as one macro record: mean virtual runtime under a
-    // stable name, so the sweep can feed the BENCH_*.json comparator.
-    args.write_bench_records(
-        "fig3",
-        rows.iter()
-            .map(|r| {
-                let name = format!("fig3/{}/loaded{}", r.curve.replace(' ', "_"), r.loaded);
-                ldft_bench::perf::macro_record(name, "macro", (r.runtime * 1e9) as u64)
-            })
-            .collect(),
-    );
 
     args.write_exports_or_exit();
 }

@@ -7,34 +7,13 @@
 //! * FT proxies cost "more than three times" the plain runtime in the
 //!   worst case, with a constant per-call overhead.
 //!
-//! It also folds the committed perf-suite report (`results/
-//! BENCH_results.json`, or any report passed via `--bench-json PATH`)
-//! into the output, so one run of this bin shows the claims check and the
-//! current performance numbers side by side.
-//!
-//! Usage: `cargo run --release -p ldft-bench --bin summary [--quick] [--seeds N]
-//! [--bench-json PATH]`
+//! Usage: `cargo run --release -p ldft-bench --bin summary [--quick] [--seeds N]`
 
-use ldft_bench::perf::BenchReport;
 use ldft_bench::{fig3_sweep, table1_sweep, RunArgs, Table};
 use optim::FtSettings;
 
-/// Default location of the committed perf report folded into the summary.
-const DEFAULT_BENCH_JSON: &str = "results/BENCH_results.json";
-
 fn main() {
-    // Strip this bin's own flag, forward the rest to the shared parser.
-    let mut bench_json: Option<String> = None;
-    let mut rest = Vec::new();
-    let mut raw = std::env::args().skip(1);
-    while let Some(a) = raw.next() {
-        if a == "--bench-json" {
-            bench_json = Some(raw.next().expect("--bench-json takes a path"));
-        } else {
-            rest.push(a);
-        }
-    }
-    let args = RunArgs::parse_from(rest);
+    let args = RunArgs::parse();
     eprintln!("summary: running the Figure 3 sweep …");
     let fig3 = fig3_sweep(&args);
     eprintln!("summary: running the Table 1 sweep …");
@@ -116,68 +95,6 @@ fn main() {
 
     println!("§4 claims vs this reproduction\n");
     println!("{}", t.render());
-
-    print_bench_report(bench_json.as_deref());
-}
-
-/// Render the committed perf-suite report next to the claims table. An
-/// explicit `--bench-json PATH` must parse; the default path is optional
-/// (a checkout without committed results just skips the section).
-fn print_bench_report(path: Option<&str>) {
-    let (path, explicit) = match path {
-        Some(p) => (p, true),
-        None => (DEFAULT_BENCH_JSON, false),
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            if explicit {
-                eprintln!("summary: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("summary: no perf report at {path} ({e}); skipping perf section");
-            return;
-        }
-    };
-    let report = match BenchReport::from_json(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("summary: {path} is not a valid BENCH report: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    println!();
-    println!(
-        "Perf suite ({path}) — suite {:?}, scale {}, seed {}\n",
-        report.suite, report.scale, report.seed
-    );
-    let mut t = Table::new(vec![
-        "bench",
-        "kind",
-        "virtual ms",
-        "p50 µs",
-        "p95 µs",
-        "p99 µs",
-        "wasted ppm",
-    ]);
-    for b in &report.benches {
-        t.row(vec![
-            b.name.clone(),
-            b.kind.clone(),
-            format!("{:.3}", b.virtual_ns as f64 / 1e6),
-            format!("{:.1}", b.p50_ns as f64 / 1e3),
-            format!("{:.1}", b.p95_ns as f64 / 1e3),
-            format!("{:.1}", b.p99_ns as f64 / 1e3),
-            b.wasted_work_ppm.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "Reading: virtual columns are deterministic per seed and gated in CI \
-         (perf-gate, ±20% vs results/BENCH_baseline.json); wall-clock fields \
-         are in the JSON but machine-dependent, so not shown here."
-    );
 }
 
 fn verdict(ok: bool) -> String {

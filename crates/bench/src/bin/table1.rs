@@ -5,7 +5,7 @@
 //! case exceeds 3× the plain runtime — both as in the paper.
 //!
 //! Usage: `cargo run --release -p ldft-bench --bin table1 [--quick] [--seeds N]
-//! [--trace-out PATH] [--metrics-out PATH] [--bench-out PATH]`
+//! [--trace-out PATH] [--metrics-out PATH]`
 
 use ldft_bench::{table1_sweep, Csv, RunArgs, Table};
 use optim::FtSettings;
@@ -76,23 +76,6 @@ fn main() {
             )
         );
     }
-
-    // Two macro records per iteration count — the plain and the proxied
-    // runtime — so the overhead sweep can feed the BENCH_*.json comparator.
-    let mut records = Vec::new();
-    for r in &rows {
-        records.push(ldft_bench::perf::macro_record(
-            format!("table1/iters{}/plain", r.iterations),
-            "macro",
-            (r.without_proxy * 1e9) as u64,
-        ));
-        records.push(ldft_bench::perf::macro_record(
-            format!("table1/iters{}/ft", r.iterations),
-            "macro",
-            (r.with_proxy * 1e9) as u64,
-        ));
-    }
-    args.write_bench_records("table1", records);
 
     args.write_exports_or_exit();
 }

@@ -7,7 +7,8 @@ pub mod sweeps;
 
 pub use report::{Csv, Table};
 pub use sweeps::{
-    doctor_cell, fig3_sweep, table1_sweep, trace_cell, Fig3Row, Table1Row, TraceExport,
+    ablation_sweep, doctor_cell, fig3_sweep, print_ablation, table1_sweep, trace_cell, AblationRow,
+    Fig3Row, Table1Row, TraceExport,
 };
 
 /// Common command-line options for experiment binaries.
@@ -26,9 +27,6 @@ pub struct RunArgs {
     /// Write a plain-text metrics dump of the instrumented reference cell
     /// to this path.
     pub metrics_out: Option<String>,
-    /// Write this bin's measurements as a `BENCH_*.json` report (the
-    /// standardized perf schema, see [`perf`]) to this path.
-    pub bench_out: Option<String>,
 }
 
 impl Default for RunArgs {
@@ -39,15 +37,13 @@ impl Default for RunArgs {
             csv: true,
             trace_out: None,
             metrics_out: None,
-            bench_out: None,
         }
     }
 }
 
 impl RunArgs {
     /// Parse from `std::env::args`: `[--quick] [--scale F] [--seeds N]
-    /// [--no-csv] [--trace-out PATH] [--metrics-out PATH]
-    /// [--bench-out PATH]`.
+    /// [--no-csv] [--trace-out PATH] [--metrics-out PATH]`.
     pub fn parse() -> RunArgs {
         RunArgs::parse_from(std::env::args().skip(1).collect())
     }
@@ -80,9 +76,6 @@ impl RunArgs {
                 "--metrics-out" => {
                     out.metrics_out = Some(args.next().expect("--metrics-out takes a path"));
                 }
-                "--bench-out" => {
-                    out.bench_out = Some(args.next().expect("--bench-out takes a path"));
-                }
                 other => {
                     eprintln!("ignoring unknown argument {other:?}");
                 }
@@ -91,27 +84,14 @@ impl RunArgs {
         out
     }
 
+    /// The seed of single-run cells (the reference cell, the perf suite).
+    pub(crate) fn first_seed(&self) -> u64 {
+        self.seeds.first().copied().unwrap_or(1)
+    }
+
     /// Scale an iteration count.
     pub fn scaled(&self, iters: u64) -> u64 {
         ((iters as f64 * self.scale) as u64).max(100)
-    }
-
-    /// Whether any observability export was requested.
-    pub fn wants_exports(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_out.is_some()
-    }
-
-    /// Run the instrumented reference cell and write whichever exports
-    /// were requested on the command line. No-op if neither flag was set.
-    ///
-    /// # Errors
-    /// If an export file cannot be written.
-    pub fn write_exports(&self) -> std::io::Result<()> {
-        if !self.wants_exports() {
-            return Ok(());
-        }
-        let export = trace_cell(self);
-        self.write_export_files(&export.trace_json, &export.metrics_text)
     }
 
     /// Write already-rendered export payloads to whichever paths were
@@ -132,34 +112,13 @@ impl RunArgs {
         Ok(())
     }
 
-    /// Write this bin's measurements to `--bench-out` as a schema-stable
-    /// `BENCH_*.json` report (no-op without the flag). Suite is stamped
-    /// with the bin's name; seed is the first seed, scale the run scale.
-    /// A write failure is reported and turns into a nonzero exit.
-    pub fn write_bench_records(&self, suite: &str, benches: Vec<perf::BenchRecord>) {
-        let Some(path) = &self.bench_out else {
-            return;
-        };
-        let report = perf::BenchReport {
-            schema_version: perf::SCHEMA_VERSION,
-            suite: suite.to_string(),
-            scale: self.scale,
-            seed: self.seeds.first().copied().unwrap_or(1),
-            benches,
-        };
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("failed to write bench report to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote bench report to {path}");
-    }
-
-    /// [`RunArgs::write_exports`], with a write failure reported on
-    /// stderr — including the cell's flight-recorder post-mortems, so the
-    /// failed run stays diagnosable — and turned into a nonzero process
-    /// exit code.
+    /// Run the instrumented reference cell and write whichever exports
+    /// were requested on the command line (no-op if neither flag was set).
+    /// A write failure is reported on stderr — including the cell's
+    /// flight-recorder post-mortems, so the failed run stays diagnosable —
+    /// and turned into a nonzero process exit code.
     pub fn write_exports_or_exit(&self) {
-        if !self.wants_exports() {
+        if self.trace_out.is_none() && self.metrics_out.is_none() {
             return;
         }
         let export = trace_cell(self);

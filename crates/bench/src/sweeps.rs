@@ -1,13 +1,14 @@
-//! The parameter sweeps behind the paper's Figure 3 and Table 1, plus the
-//! instrumented reference cell behind `--trace-out` / `--metrics-out`.
+//! The parameter sweeps behind the paper's Figure 3 and Table 1, the one
+//! loop + table + CSV the `ablation_*` bins share, and the instrumented
+//! reference cell behind `--trace-out` / `--metrics-out`.
 
 use corba_runtime::{
     averaged_runtime, run_experiment, CrashPlan, ExperimentOutcome, ExperimentSpec, NamingMode,
 };
-use optim::FtSettings;
+use optim::{FtSettings, RunReport};
 use simnet::SimDuration;
 
-use crate::RunArgs;
+use crate::{Csv, RunArgs, Table};
 
 /// One Figure 3 data point: a (scenario, naming, load) cell.
 #[derive(Clone, Debug)]
@@ -68,6 +69,28 @@ pub fn fig3_sweep(args: &RunArgs) -> Vec<Fig3Row> {
     rows
 }
 
+/// The *reference cell* behind `--trace-out`, the `doctor` bin and the
+/// perf suite's chaos cell: the 30-dim / 3-worker scenario under Winner
+/// naming with fault-tolerance proxies, at the first seed, and — with
+/// `crash` — a mid-run host crash (restarted later).
+pub(crate) fn reference_spec(args: &RunArgs, crash: bool) -> ExperimentSpec {
+    let mut spec = ExperimentSpec::dim30(NamingMode::Winner);
+    spec.worker_iters = args.scaled(spec.worker_iters);
+    // Exactly as many worker hosts as workers, so the scheduled crash is
+    // guaranteed to take out a selected worker and force a recovery
+    // episode into the trace.
+    spec.available_hosts = spec.workers;
+    spec.ft = Some(FtSettings::default());
+    if crash {
+        spec.crash = Some(CrashPlan {
+            after: SimDuration::from_millis(200),
+            now_host_index: 0,
+            restart_after: Some(SimDuration::from_secs(2)),
+        });
+    }
+    spec.seed(args.first_seed())
+}
+
 /// The serialized observability exports of [`trace_cell`].
 #[derive(Clone, Debug)]
 pub struct TraceExport {
@@ -82,31 +105,15 @@ pub struct TraceExport {
     pub post_mortems: String,
 }
 
-/// Run the instrumented *reference cell* — the 30-dim / 3-worker scenario
-/// under Winner naming with fault-tolerance proxies and a mid-run host
-/// crash (restarted later) — and export its causal trace and metrics.
+/// Run the crashed [`doctor_cell`] and export its causal trace and metrics.
 ///
 /// The cell is deterministic: the same seed and scale yield byte-identical
 /// exports, which CI asserts by running it twice and `cmp`-ing the files.
 pub fn trace_cell(args: &RunArgs) -> TraceExport {
-    let mut spec = ExperimentSpec::dim30(NamingMode::Winner);
-    spec.worker_iters = args.scaled(spec.worker_iters);
-    // Exactly as many worker hosts as workers, so the scheduled crash is
-    // guaranteed to take out a selected worker and force a recovery
-    // episode into the trace.
-    spec.available_hosts = spec.workers;
-    spec.ft = Some(FtSettings::default());
-    spec.crash = Some(CrashPlan {
-        after: SimDuration::from_millis(200),
-        now_host_index: 0,
-        restart_after: Some(SimDuration::from_secs(2)),
-    });
     // Live monitoring rides along so the flight recorder captures the
     // crash + recovery arc; its counters land in the metrics export, which
     // stays deterministic (same seed ⇒ byte-identical, as CI asserts).
-    spec.monitor = Some(monitor::MonitorConfig::default());
-    let seed = args.seeds.first().copied().unwrap_or(1);
-    let outcome = run_experiment(&spec.seed(seed)).expect("trace cell failed");
+    let outcome = doctor_cell(args, true);
     TraceExport {
         trace_json: outcome.obs.chrome_trace_json(),
         metrics_text: outcome.obs.metrics_text(),
@@ -127,20 +134,9 @@ pub fn trace_cell(args: &RunArgs) -> TraceExport {
 /// recovery episode). Deterministic: same seed and scale yield a
 /// byte-identical doctor report.
 pub fn doctor_cell(args: &RunArgs, crash: bool) -> ExperimentOutcome {
-    let mut spec = ExperimentSpec::dim30(NamingMode::Winner);
-    spec.worker_iters = args.scaled(spec.worker_iters);
-    spec.available_hosts = spec.workers;
-    spec.ft = Some(FtSettings::default());
+    let mut spec = reference_spec(args, crash);
     spec.monitor = Some(monitor::MonitorConfig::default());
-    if crash {
-        spec.crash = Some(CrashPlan {
-            after: SimDuration::from_millis(200),
-            now_host_index: 0,
-            restart_after: Some(SimDuration::from_secs(2)),
-        });
-    }
-    let seed = args.seeds.first().copied().unwrap_or(1);
-    run_experiment(&spec.seed(seed)).expect("doctor cell failed")
+    run_experiment(&spec).expect("reference cell failed")
 }
 
 /// One Table 1 row: an iteration count with plain and proxy runtimes.
@@ -184,4 +180,93 @@ pub fn table1_sweep(args: &RunArgs, ft: FtSettings) -> Vec<Table1Row> {
     }
     eprintln!();
     rows
+}
+
+/// One ablation setting, averaged over the seeds.
+pub struct AblationRow {
+    /// The setting's label (first table / CSV column).
+    pub label: String,
+    /// The setting itself, as it ran (iteration count scaled).
+    pub spec: ExperimentSpec,
+    /// Mean runtime in virtual seconds (second column).
+    pub runtime: f64,
+    /// The manager's report of each seed's run.
+    pub reports: Vec<RunReport>,
+}
+
+impl AblationRow {
+    /// A counter of the per-seed reports, summed over the seeds.
+    pub fn total(&self, field: fn(&RunReport) -> u64) -> u64 {
+        self.reports.iter().map(field).sum()
+    }
+}
+
+/// Run each `(label, spec)` setting over the seeds, with the spec's worker
+/// iteration count scaled by the run scale.
+pub fn ablation_sweep<L: Into<String>>(
+    args: &RunArgs,
+    cases: impl IntoIterator<Item = (L, ExperimentSpec)>,
+) -> Vec<AblationRow> {
+    let mut rows = Vec::new();
+    for (label, mut spec) in cases {
+        spec.worker_iters = args.scaled(spec.worker_iters);
+        let (runtime, runs) = averaged_runtime(&spec, &args.seeds).expect("experiment run failed");
+        rows.push(AblationRow {
+            label: label.into(),
+            runtime,
+            reports: runs.into_iter().map(|r| r.report).collect(),
+            spec,
+        });
+        eprint!(".");
+    }
+    eprintln!();
+    rows
+}
+
+/// A column after the label and the runtime: its table header, its CSV
+/// header (`None` keeps it out of the CSV) and a row's cell.
+pub type AblationColumn<'a> = (&'a str, Option<&'a str>, &'a dyn Fn(&AblationRow) -> String);
+
+/// Print an ablation study — `title`, the table, the optional `reading`
+/// paragraph and (unless `--no-csv`) the CSV — then write the requested
+/// observability exports. The first two columns are always the label
+/// (headed `key` in both renderings) and the runtime.
+pub fn print_ablation(
+    args: &RunArgs,
+    title: &str,
+    key: &str,
+    columns: &[AblationColumn<'_>],
+    rows: &[AblationRow],
+    reading: Option<&str>,
+) {
+    let mut header = vec![key, "runtime [s]"];
+    let mut csv_header = vec![key, "runtime_s"];
+    for (name, csv_name, _) in columns {
+        header.push(name);
+        csv_header.extend(csv_name);
+    }
+    let mut table = Table::new(header);
+    let mut csv_rows = Vec::new();
+    for r in rows {
+        let mut cells = vec![r.label.clone(), format!("{:.2}", r.runtime)];
+        let mut csv = vec![r.label.clone(), format!("{:.4}", r.runtime)];
+        for (_, csv_name, cell) in columns {
+            let cell = cell(r);
+            if csv_name.is_some() {
+                csv.push(cell.clone());
+            }
+            cells.push(cell);
+        }
+        table.row(cells);
+        csv_rows.push(csv);
+    }
+    println!("{title}\n");
+    println!("{}", table.render());
+    if let Some(reading) = reading {
+        println!("{reading}");
+    }
+    if args.csv {
+        print!("{}", Csv::render(&csv_header, &csv_rows));
+    }
+    args.write_exports_or_exit();
 }

@@ -41,6 +41,26 @@ fn boot_plain(sim: &mut Kernel, n: usize) -> Vec<HostId> {
     hosts
 }
 
+/// Boot the load-distributing naming service on `host`, once the Winner
+/// system manager has published its IOR into `sysmgr_ior`.
+fn boot_winner_naming(sim: &mut Kernel, host: HostId, sysmgr_ior: &Cell<Option<String>>) {
+    let sm = sysmgr_ior.clone();
+    sim.spawn(host, "naming", move |ctx| {
+        while sm.lock().unwrap().is_none() {
+            if ctx.sleep(secs(0.005)).is_err() {
+                return;
+            }
+        }
+        let s = sm.lock().unwrap().clone().unwrap();
+        let _ = run_naming_service(
+            ctx,
+            LbMode::Winner {
+                system_manager: Ior::destringify(&s).unwrap(),
+            },
+        );
+    });
+}
+
 #[test]
 fn bind_resolve_unbind_round_trip() {
     let mut sim = Kernel::with_seed(2);
@@ -307,21 +327,7 @@ fn winner_resolution_avoids_loaded_hosts() {
         });
     }
     // Load-distributing naming service on host 0.
-    let sm = sysmgr_ior.clone();
-    sim.spawn(hosts[0], "naming", move |ctx| {
-        while sm.lock().unwrap().is_none() {
-            if ctx.sleep(secs(0.005)).is_err() {
-                return;
-            }
-        }
-        let s = sm.lock().unwrap().clone().unwrap();
-        let _ = run_naming_service(
-            ctx,
-            LbMode::Winner {
-                system_manager: Ior::destringify(&s).unwrap(),
-            },
-        );
-    });
+    boot_winner_naming(&mut sim, hosts[0], &sysmgr_ior);
     // Background load on hosts 1 and 2.
     for &h in &hosts[1..3] {
         sim.spawn(h, "spinner", |ctx| {
@@ -376,21 +382,7 @@ fn winner_fallback_when_system_manager_dies() {
             },
         );
     });
-    let sm = sysmgr_ior.clone();
-    sim.spawn(hosts[0], "naming", move |ctx| {
-        while sm.lock().unwrap().is_none() {
-            if ctx.sleep(secs(0.005)).is_err() {
-                return;
-            }
-        }
-        let s = sm.lock().unwrap().clone().unwrap();
-        let _ = run_naming_service(
-            ctx,
-            LbMode::Winner {
-                system_manager: Ior::destringify(&s).unwrap(),
-            },
-        );
-    });
+    boot_winner_naming(&mut sim, hosts[0], &sysmgr_ior);
     // Kill the system manager early (pid 0).
     sim.schedule_fault(SimTime::ZERO + secs(0.5), Fault::KillProcess(Pid(0)));
     let out = cell::<Vec<u32>>();
@@ -536,7 +528,10 @@ fn destroyed_context_raises_object_not_exist() {
 
 /// The §2 trader baseline: offers are exported per type, `query` returns
 /// all of them, and the *client* performs the load-aware selection — the
-/// code-intrusive alternative the paper's naming integration avoids.
+/// code-intrusive alternative the paper's naming integration avoids. It
+/// also costs the client more virtual time per placed reference than one
+/// `resolve` on the Winner-integrated naming service (EXPERIMENTS.md,
+/// "Trader baseline", quotes the two latencies asserted here).
 #[test]
 fn trader_baseline_with_decentralized_selection() {
     let mut sim = Kernel::with_seed(4);
@@ -580,6 +575,8 @@ fn trader_baseline_with_decentralized_selection() {
             *t.lock().unwrap() = Some(i.stringify());
         });
     });
+    // The paper's design beside it: the Winner-integrated naming service.
+    boot_winner_naming(&mut sim, h0, &sysmgr_ior);
     // Background load on ws1.
     sim.spawn(hosts[1], "spinner", |ctx| {
         let _ = ctx.spin_forever();
@@ -587,6 +584,8 @@ fn trader_baseline_with_decentralized_selection() {
 
     let out = cell::<Vec<String>>();
     let o = out.clone();
+    let placement_ns = cell::<(u64, u64)>();
+    let p = placement_ns.clone();
     let (ti, si) = (trader_ior.clone(), sysmgr_ior.clone());
     let offer_hosts = hosts.clone();
     let driver = sim.spawn(hosts[2], "client", move |ctx| {
@@ -613,6 +612,29 @@ fn trader_baseline_with_decentralized_selection() {
             .unwrap()
             .unwrap();
         o.lock().unwrap().push(format!("pick:ws{}", pick.host.0));
+        // What the client waits for a placed reference, both ways, over
+        // the same three candidates: one `resolve` (the naming service
+        // makes the nested `select`) vs `query` + load `snapshot` +
+        // scoring in the client.
+        let ns = NamingClient::root(h0);
+        let name = Name::simple("Solver");
+        for (i, &h) in offer_hosts[1..].iter().enumerate() {
+            ns.bind_group_member(&mut orb, ctx, &name, &fake_ior(h, i as u64))
+                .unwrap()
+                .unwrap();
+        }
+        let t0 = ctx.now();
+        let placed = ns.resolve(&mut orb, ctx, &name).unwrap().unwrap();
+        let t1 = ctx.now();
+        let offers = trader.query(&mut orb, ctx, "Solver").unwrap().unwrap();
+        let pick = crate::trader::select_best_offer(&mut orb, ctx, &offers, &sysmgr)
+            .unwrap()
+            .unwrap()
+            .unwrap();
+        let t2 = ctx.now();
+        let loaded = offer_hosts[1];
+        assert!(placed.ior.host != loaded && pick.host != loaded);
+        *p.lock().unwrap() = (t1.as_nanos() - t0.as_nanos(), t2.as_nanos() - t1.as_nanos());
         // Withdraw and re-query.
         trader
             .withdraw(&mut orb, ctx, "Solver", &offers[0])
@@ -634,6 +656,12 @@ fn trader_baseline_with_decentralized_selection() {
     assert!(log[1] == "pick:ws2" || log[1] == "pick:ws3", "{log:?}");
     assert_eq!(log[2], "after:2");
     assert_eq!(log[3], "none:true");
+    let (resolve_ns, trader_ns) = *placement_ns.lock().unwrap();
+    assert!(
+        0 < resolve_ns && resolve_ns < trader_ns,
+        "one resolve ({resolve_ns} ns) must cost the client less than \
+         query + snapshot + scoring ({trader_ns} ns)"
+    );
 }
 
 /// A boot-registration helper as a plain fn, so one harness drives both.

@@ -451,9 +451,9 @@ pub type EventHook = Box<dyn FnMut(SimTime, &KernelEvent)>;
 ///
 /// The kernel itself never reads a wall clock (the simulation is a pure
 /// function of the seed; see `ldft-lint` rule D1). Wall-clock cost
-/// accounting is the *consumer's* job: the `perf` bench bin installs a
-/// hook that timestamps each mark and aggregates per-op totals into
-/// `BENCH_results.json`.
+/// accounting is the *consumer's* job: the repo benchmark's traced rep
+/// (`benchmark/src/trace.rs`) installs a hook that timestamps each mark
+/// and aggregates per-op totals into its `simnet.*_wall_ns` counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProfileMark {
     /// The kernel is about to execute the named unit of work.
