@@ -109,12 +109,7 @@ impl FactoryClient {
 
 /// The body of a factory process: serve `create` requests and register the
 /// factory in the naming service (per-host name + the `Factories` group).
-pub fn run_factory(ctx: &mut Ctx, naming_host: HostId, make: ServantBuilder) -> SimResult<()> {
-    run_factory_obs(ctx, naming_host, make, None)
-}
-
-/// [`run_factory`] with an observability sink attached: serve spans are
-/// recorded into `obs` when present.
+/// Serve spans are recorded into `obs` when present.
 pub fn run_factory_obs(
     ctx: &mut Ctx,
     naming_host: HostId,

@@ -757,7 +757,7 @@ fn disk_backed_checkpoint_service_works_in_sim() {
         .collect();
     let h0 = hosts[0];
     sim.spawn(h0, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service(ctx, LbMode::Plain);
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     let dir2 = dir.clone();
     sim.spawn(h0, "ckpt-disk", move |ctx| {

@@ -30,8 +30,8 @@ pub mod service;
 pub use checkpoint::{Backend, Checkpoint, DiskBackend, MemBackend};
 pub use detector::{run_detector_obs, DetectorConfig, DetectorStats};
 pub use factory::{
-    factory_group, factory_name, run_factory, run_factory_obs, FactoryClient, ServantBuilder,
-    ServiceFactory, FACTORY_TYPE,
+    factory_group, factory_name, run_factory_obs, FactoryClient, ServantBuilder, ServiceFactory,
+    FACTORY_TYPE,
 };
 pub use protocol::FT::{
     self, CheckpointServiceSkeleton, CheckpointServiceStub, ServiceFactorySkeleton,

@@ -1,18 +1,8 @@
-//! Per-file structural analysis: test-code regions, function spans, and
-//! allowlist directives. Built once per file, consumed by every rule.
+//! Per-file structural analysis: the token-level AST, test-code regions,
+//! and allowlist directives. Built once per file, consumed by every rule.
 
-use crate::lexer::{self, SourceLine};
-
-/// Span of a function item: `start..=end` line numbers (1-indexed).
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    /// Function name (identifier after `fn`).
-    pub name: String,
-    /// Line holding the `fn` keyword.
-    pub start: usize,
-    /// Line holding the closing brace.
-    pub end: usize,
-}
+use crate::ast::FileAst;
+use crate::lexer::{self, seq_at};
 
 /// One `// ldft-lint: allow(RULE, reason)` directive.
 #[derive(Debug, Clone)]
@@ -27,25 +17,23 @@ pub struct AllowDirective {
     pub standalone: bool,
 }
 
-/// Preprocessed file ready for rule evaluation.
+/// Analyzed file ready for rule evaluation.
 pub struct FileAnalysis {
     /// Path as reported in diagnostics.
     pub path: String,
     /// Workspace crate directory name (`simnet`, `orb`, ...), if any.
     pub crate_dir: Option<String>,
-    /// Preprocessed lines (index 0 = line 1).
-    pub lines: Vec<SourceLine>,
-    /// Whitespace-normalized code per line, for pattern matching.
-    pub norm: Vec<String>,
+    /// Comment text per line (index 0 = line 1).
+    comments: Vec<String>,
+    /// True when a token starts on the line.
+    code_line: Vec<bool>,
     /// True when the line is inside test code (`#[cfg(test)]` region, or
     /// the whole file is a test/bench/example file).
     pub test_line: Vec<bool>,
-    /// All function spans (outer and nested; overlapping allowed).
-    pub fn_spans: Vec<FnSpan>,
     /// All allow directives found in comments.
     pub allows: Vec<AllowDirective>,
-    /// Token-level AST (v2 rules: wire conformance, lock graph, E-rules).
-    pub ast: crate::ast::FileAst,
+    /// Token-level AST, read by every rule.
+    pub ast: FileAst,
 }
 
 impl FileAnalysis {
@@ -53,24 +41,27 @@ impl FileAnalysis {
     /// file belongs to (drives rule scoping); `None` means out of scope
     /// for every crate-scoped rule.
     pub fn new(path: &str, crate_dir: Option<&str>, source: &str) -> Self {
-        let lines = lexer::preprocess(source);
-        let norm: Vec<String> = lines.iter().map(|l| lexer::normalize(&l.code)).collect();
-        let whole_file_test = is_test_path(path);
-        let (mut test_line, fn_spans) = scan_structure(&norm);
-        if whole_file_test {
-            for t in test_line.iter_mut() {
-                *t = true;
+        let lexed = lexer::lex(source);
+        let ast = FileAst::parse(lexed.toks);
+        let lines = lexed.comments.len();
+        let mut code_line = vec![false; lines];
+        for t in &ast.toks {
+            if let Some(c) = code_line.get_mut(t.line - 1) {
+                *c = true;
             }
         }
-        let allows = collect_allows(&lines);
-        let ast = crate::ast::FileAst::parse(&lines);
+        let test_line = if is_test_path(path) {
+            vec![true; lines]
+        } else {
+            test_regions(&ast, lines)
+        };
+        let allows = collect_allows(&lexed.comments, &code_line);
         FileAnalysis {
             path: path.to_string(),
             crate_dir: crate_dir.map(str::to_string),
-            lines,
-            norm,
+            comments: lexed.comments,
+            code_line,
             test_line,
-            fn_spans,
             allows,
             ast,
         }
@@ -79,14 +70,6 @@ impl FileAnalysis {
     /// True when line `n` (1-indexed) is test code.
     pub fn is_test_line(&self, n: usize) -> bool {
         self.test_line.get(n - 1).copied().unwrap_or(false)
-    }
-
-    /// Innermost function span containing line `n`, if any.
-    pub fn enclosing_fn(&self, n: usize) -> Option<&FnSpan> {
-        self.fn_spans
-            .iter()
-            .filter(|s| s.start <= n && n <= s.end)
-            .min_by_key(|s| s.end - s.start)
     }
 
     /// Allow directives that govern a finding on line `n`: directives on
@@ -100,14 +83,10 @@ impl FileAnalysis {
             .collect();
         // Walk upward through comment-only lines.
         let mut k = n;
-        while k > 1 {
+        while k > 1 && self.code_line.get(k - 2) == Some(&false) {
             k -= 1;
-            let line = &self.lines[k - 1];
-            if !line.comment_only {
-                break;
-            }
             out.extend(self.allows.iter().filter(|a| a.line == k && a.standalone));
-            if line.comment.is_empty() && line.code.trim().is_empty() {
+            if self.comments[k - 1].is_empty() {
                 // Blank line ends the attached comment run.
                 break;
             }
@@ -129,109 +108,30 @@ pub fn is_test_path(path: &str) -> bool {
         || in_dir("examples")
 }
 
-/// Single pass over normalized code lines computing `#[cfg(test)]` regions
-/// and function spans via brace-depth tracking.
-fn scan_structure(norm: &[String]) -> (Vec<bool>, Vec<FnSpan>) {
-    let mut test_line = vec![false; norm.len()];
-    let mut fn_spans: Vec<FnSpan> = Vec::new();
-
-    let mut depth: u32 = 0;
-    // Open `#[cfg(test)]` regions: the depth *of* the braced block.
-    let mut test_stack: Vec<u32> = Vec::new();
-    // A `#[cfg(test)]` attribute seen, item not yet opened.
-    let mut pending_test_attr = false;
-    // Functions whose `fn` was seen but `{` not yet reached.
-    let mut pending_fns: Vec<(String, usize)> = Vec::new();
-    // Open function bodies: (name, start line, block depth).
-    let mut open_fns: Vec<(String, usize, u32)> = Vec::new();
-
-    for (idx, code) in norm.iter().enumerate() {
-        let line_no = idx + 1;
-        if !test_stack.is_empty() || pending_test_attr {
-            test_line[idx] = true;
+/// Lines gated by `#[cfg(test)]` or `#[cfg(all(test, …))]`: from the
+/// attribute through the end of the item it gates — the brace scope that
+/// follows it, or the `;` of a bodiless item (`mod kernel_tests;`).
+fn test_regions(ast: &FileAst, lines: usize) -> Vec<bool> {
+    let toks = &ast.toks;
+    let attrs = [lexer::toks("#[cfg(test)]"), lexer::toks("#[cfg(all(test")];
+    let mut out = vec![false; lines];
+    for i in 0..toks.len() {
+        if !attrs.iter().any(|a| seq_at(toks, i, a)) {
+            continue;
         }
-        if code.contains("#[cfg(test)]") || code.contains("#[cfg(all(test") {
-            pending_test_attr = true;
-            test_line[idx] = true;
-        }
-        if let Some(name) = fn_name_on_line(code) {
-            pending_fns.push((name, line_no));
-        }
-
-        for c in code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    if pending_test_attr {
-                        pending_test_attr = false;
-                        test_stack.push(depth);
-                        test_line[idx] = true;
-                    }
-                    if let Some((name, start)) = pending_fns.pop() {
-                        open_fns.push((name, start, depth));
-                    }
-                }
-                '}' => {
-                    if test_stack.last() == Some(&depth) {
-                        test_stack.pop();
-                    }
-                    while let Some((name, start, d)) = open_fns.last().cloned() {
-                        if d == depth {
-                            fn_spans.push(FnSpan {
-                                name,
-                                start,
-                                end: line_no,
-                            });
-                            open_fns.pop();
-                        } else {
-                            break;
-                        }
-                    }
-                    depth = depth.saturating_sub(1);
-                }
-                ';' => {
-                    // A `;` can never appear between a fn signature (or a
-                    // pending `#[cfg(test)]` attribute) and its opening
-                    // brace, so any pending item ending here is bodiless:
-                    // `mod name;` after the attr, or a trait method decl.
-                    pending_fns.clear();
-                    pending_test_attr = false;
-                }
-                _ => {}
-            }
-        }
-        if !test_stack.is_empty() {
-            test_line[idx] = true;
+        let Some(j) = (i..toks.len()).find(|&j| toks[j].is("{") || toks[j].is(";")) else {
+            continue;
+        };
+        let last = match ast.scopes.iter().find(|s| s.open == j) {
+            Some(s) => toks[s.close].line,
+            None if toks[j].is(";") => toks[j].line,
+            None => lines,
+        };
+        for t in out.iter_mut().take(last).skip(toks[i].line - 1) {
+            *t = true;
         }
     }
-
-    // Unclosed functions (truncated file): close at EOF.
-    for (name, start, _) in open_fns {
-        fn_spans.push(FnSpan {
-            name,
-            start,
-            end: norm.len(),
-        });
-    }
-    (test_line, fn_spans)
-}
-
-/// Extract the function name if this line declares one (`fn name`).
-/// Returns `None` for fn-pointer types (`fn(...)`) and `fn` in strings
-/// (already blanked by the lexer).
-fn fn_name_on_line(code: &str) -> Option<String> {
-    let at = lexer::find_word(code, "fn")?;
-    let rest = &code[at + 2..];
-    let rest = rest.trim_start();
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    if name.is_empty() {
-        None
-    } else {
-        Some(name)
-    }
+    out
 }
 
 /// Byte offset of the `)` balancing the already-consumed `allow(`, or
@@ -255,10 +155,10 @@ fn balanced_close(body: &str) -> Option<usize> {
 
 /// Parse every `ldft-lint: allow(RULE, reason)` directive in the file's
 /// comments.
-fn collect_allows(lines: &[SourceLine]) -> Vec<AllowDirective> {
+fn collect_allows(comments: &[String], code_line: &[bool]) -> Vec<AllowDirective> {
     let mut out = Vec::new();
-    for (idx, line) in lines.iter().enumerate() {
-        let mut rest: &str = &line.comment;
+    for (idx, comment) in comments.iter().enumerate() {
+        let mut rest: &str = comment;
         while let Some(pos) = rest.find("ldft-lint:") {
             rest = &rest[pos + "ldft-lint:".len()..];
             let Some(open) = rest.find("allow(") else {
@@ -279,7 +179,7 @@ fn collect_allows(lines: &[SourceLine]) -> Vec<AllowDirective> {
                 rule,
                 reason,
                 line: idx + 1,
-                standalone: line.comment_only,
+                standalone: !code_line[idx],
             });
             rest = &body[close..];
         }
@@ -299,13 +199,16 @@ mod tests {
         assert!(!fa.is_test_line(1));
         assert!(fa.is_test_line(2));
         assert!(fa.is_test_line(4));
+        assert!(fa.is_test_line(5));
         assert!(!fa.is_test_line(6));
     }
 
     #[test]
     fn cfg_test_on_external_mod_decl_does_not_leak() {
-        let src = "#[cfg(test)]\nmod kernel_tests;\nfn lib() { x.unwrap(); }\n";
+        let src =
+            "#[cfg(all(test, feature = \"x\"))]\nmod kernel_tests;\nfn lib() { x.unwrap(); }\n";
         let fa = FileAnalysis::new("crates/x/src/a.rs", Some("x"), src);
+        assert!(fa.is_test_line(2));
         assert!(!fa.is_test_line(3));
     }
 
@@ -316,16 +219,6 @@ mod tests {
         assert!(is_test_path("crates/bench/benches/a.rs"));
         assert!(is_test_path("examples/quickstart.rs"));
         assert!(!is_test_path("crates/orb/src/core.rs"));
-    }
-
-    #[test]
-    fn fn_spans_nest() {
-        let src = "fn outer() {\n    fn inner() {\n        body();\n    }\n    more();\n}\n";
-        let fa = FileAnalysis::new("crates/x/src/a.rs", Some("x"), src);
-        let inner = fa.enclosing_fn(3).unwrap();
-        assert_eq!(inner.name, "inner");
-        let outer = fa.enclosing_fn(5).unwrap();
-        assert_eq!(outer.name, "outer");
     }
 
     #[test]
@@ -348,14 +241,5 @@ mod tests {
         let l1 = fa.allows_for_line(1);
         assert_eq!(l1.len(), 1);
         assert_eq!(l1[0].reason, "args after send() are caller misuse");
-    }
-
-    #[test]
-    fn trait_method_decl_is_not_a_span() {
-        let src =
-            "trait T {\n    fn decl(&self);\n    fn with_body(&self) {\n        x();\n    }\n}\n";
-        let fa = FileAnalysis::new("crates/x/src/a.rs", Some("x"), src);
-        assert_eq!(fa.enclosing_fn(4).unwrap().name, "with_body");
-        assert!(fa.fn_spans.iter().all(|s| s.name != "decl"));
     }
 }

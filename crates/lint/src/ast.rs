@@ -1,17 +1,15 @@
-//! A lightweight hand-rolled Rust AST for the v2 rules.
+//! A lightweight hand-rolled Rust AST for the rules that read structure.
 //!
-//! Built on top of the lexical pass ([`crate::lexer`]): comments are gone
-//! and string-literal contents are blanked in `code` but preserved in
-//! `SourceLine::literals`, so this module can tokenize line-by-line and
-//! re-attach literal values as `Lit` tokens. On top of the token stream it
-//! recognizes the handful of constructs the codec-symmetry (W4),
-//! lock-graph (L) and exception (E1) rules need:
+//! Built directly on the token stream of [`crate::lexer`] (comments gone,
+//! literal values kept as `Lit` tokens), it recognizes the handful of
+//! constructs the codec-symmetry (W4), lock-graph (L), exception (E1) and
+//! per-function (P2's index, P3) rules need:
 //!
 //! - function items with parsed parameter lists,
 //! - `impl` blocks (`impl Trait for Type`),
 //! - `match` expressions with per-arm pattern and body spans,
 //! - call expressions with receiver chains and split argument lists,
-//! - struct definitions and enum definitions with per-variant fields,
+//! - struct definitions with named fields,
 //! - the brace-scope tree (for guard-liveness in the lock graph).
 //!
 //! This is *not* a general Rust parser: generics are skipped heuristically
@@ -19,34 +17,8 @@
 //! needs it. That is enough because the workspace is rustfmt-formatted and
 //! the constructs the rules inspect are all first-order.
 
-use crate::lexer::SourceLine;
+use crate::lexer::{Tok, TokKind};
 use std::collections::BTreeMap;
-
-/// Token kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
-    /// Identifier, keyword, or numeric literal.
-    Ident,
-    /// Punctuation; multi-char operators `::`, `->`, `=>` are one token.
-    Punct,
-    /// String literal; `text` is the literal *value* (no quotes).
-    Lit,
-}
-
-/// One token with its source line (1-indexed).
-#[derive(Debug, Clone)]
-pub struct Tok {
-    pub kind: TokKind,
-    pub text: String,
-    pub line: usize,
-}
-
-impl Tok {
-    /// True when this token is the exact ident/punct `s` (never a literal).
-    pub fn is(&self, s: &str) -> bool {
-        self.kind != TokKind::Lit && self.text == s
-    }
-}
 
 /// A brace-delimited block: token indices of `{` and `}`.
 #[derive(Debug, Clone, Copy)]
@@ -67,6 +39,8 @@ pub struct Param {
 #[derive(Debug, Clone)]
 pub struct FnItem {
     pub name: String,
+    /// Token index of the `fn` keyword.
+    pub tok: usize,
     pub params: Vec<Param>,
     /// Line of the `fn` keyword.
     pub line: usize,
@@ -135,21 +109,6 @@ pub struct StructDef {
     pub line: usize,
 }
 
-/// One enum variant with its named fields (tuple fields get empty names).
-#[derive(Debug, Clone)]
-pub struct Variant {
-    pub name: String,
-    pub fields: Vec<Param>,
-    pub line: usize,
-}
-
-/// An enum definition.
-#[derive(Debug, Clone)]
-pub struct EnumDef {
-    pub name: String,
-    pub variants: Vec<Variant>,
-}
-
 /// The parsed file.
 #[derive(Debug, Default)]
 pub struct FileAst {
@@ -160,7 +119,6 @@ pub struct FileAst {
     pub matches: Vec<MatchExpr>,
     pub calls: Vec<Call>,
     pub structs: Vec<StructDef>,
-    pub enums: Vec<EnumDef>,
     /// Matching-close map for parens, kept for later passes (arg splits).
     pub paren_close: BTreeMap<usize, usize>,
 }
@@ -170,109 +128,9 @@ const KEYWORDS_BEFORE_PAREN: &[&str] = &[
     "as", "use", "pub", "let", "mut", "ref", "box", "await", "dyn",
 ];
 
-fn is_ident_start(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
-
-/// Tokenize the preprocessed lines, substituting captured literal values.
-pub fn tokenize(lines: &[SourceLine]) -> Vec<Tok> {
-    let mut toks = Vec::new();
-    for (idx, sl) in lines.iter().enumerate() {
-        let line = idx + 1;
-        let chars: Vec<char> = sl.code.chars().collect();
-        let mut lit_iter = sl.literals.iter();
-        let mut i = 0usize;
-        while i < chars.len() {
-            let c = chars[i];
-            if c.is_whitespace() {
-                i += 1;
-                continue;
-            }
-            if is_ident_start(c) {
-                let mut j = i;
-                while j < chars.len() && is_ident_start(chars[j]) {
-                    j += 1;
-                }
-                let text: String = chars[i..j].iter().collect();
-                // `r` / `r#` prefix of a raw string: fold into the literal.
-                if (text == "r" || text == "b" || text == "br")
-                    && chars.get(j).map(|&c| c == '"' || c == '#').unwrap_or(false)
-                {
-                    i = j;
-                    continue;
-                }
-                toks.push(Tok {
-                    kind: TokKind::Ident,
-                    text,
-                    line,
-                });
-                i = j;
-                continue;
-            }
-            if c == '"' {
-                // Skip to the closing quote (contents are blanks); the
-                // value comes from the captured literal list. A raw
-                // string's `#` suffix chars are skipped as punctuation.
-                let mut j = i + 1;
-                while j < chars.len() && chars[j] != '"' {
-                    j += 1;
-                }
-                let value = lit_iter.next().cloned().unwrap_or_default();
-                toks.push(Tok {
-                    kind: TokKind::Lit,
-                    text: value,
-                    line,
-                });
-                i = (j + 1).min(chars.len());
-                while i < chars.len() && chars[i] == '#' {
-                    i += 1;
-                }
-                continue;
-            }
-            if c == '#' && chars.get(i + 1) == Some(&'"') {
-                // Interior hash of an unterminated raw-string prefix.
-                i += 1;
-                continue;
-            }
-            if c == '\'' {
-                // Char literal ('x') or lifetime ('a). Either way, skip.
-                if chars.get(i + 2) == Some(&'\'') {
-                    i += 3;
-                } else {
-                    let mut j = i + 1;
-                    while j < chars.len() && is_ident_start(chars[j]) {
-                        j += 1;
-                    }
-                    i = j;
-                }
-                continue;
-            }
-            // Multi-char operators the parser cares about.
-            let two: String = chars[i..(i + 2).min(chars.len())].iter().collect();
-            if two == "::" || two == "->" || two == "=>" {
-                toks.push(Tok {
-                    kind: TokKind::Punct,
-                    text: two,
-                    line,
-                });
-                i += 2;
-                continue;
-            }
-            toks.push(Tok {
-                kind: TokKind::Punct,
-                text: c.to_string(),
-                line,
-            });
-            i += 1;
-        }
-    }
-    toks
-}
-
 impl FileAst {
     /// Parse the file. Never fails: unrecognized constructs are skipped.
-    pub fn parse(lines: &[SourceLine]) -> FileAst {
-        let toks = tokenize(lines);
+    pub fn parse(toks: Vec<Tok>) -> FileAst {
         let mut ast = FileAst {
             scopes: match_braces(&toks),
             ..FileAst::default()
@@ -317,11 +175,6 @@ impl FileAst {
                 "struct" => {
                     if let Some(st) = parse_struct(&toks, i, &brace_close) {
                         ast.structs.push(st);
-                    }
-                }
-                "enum" => {
-                    if let Some(e) = parse_enum(&toks, i, &paren_close, &brace_close) {
-                        ast.enums.push(e);
                     }
                 }
                 _ => {
@@ -371,13 +224,12 @@ pub fn join_tokens(toks: &[Tok]) -> String {
             TokKind::Lit => format!("\"{}\"", t.text),
             _ => t.text.clone(),
         };
-        let cur_ident =
-            t.kind == TokKind::Ident && text.chars().next().map(is_ident_start).unwrap_or(false);
+        let cur_ident = t.kind == TokKind::Ident;
         if prev_ident && cur_ident {
             out.push(' ');
         }
         out.push_str(&text);
-        prev_ident = cur_ident && t.kind == TokKind::Ident;
+        prev_ident = cur_ident;
     }
     out
 }
@@ -534,6 +386,7 @@ fn parse_fn(
     Some((
         FnItem {
             name: name_tok.text.clone(),
+            tok: i,
             params,
             line: toks[i].line,
             body,
@@ -756,65 +609,6 @@ fn parse_struct(
     })
 }
 
-fn parse_enum(
-    toks: &[Tok],
-    i: usize,
-    paren_close: &std::collections::BTreeMap<usize, usize>,
-    brace_close: &std::collections::BTreeMap<usize, usize>,
-) -> Option<EnumDef> {
-    let name = toks.get(i + 1)?;
-    if name.kind != TokKind::Ident {
-        return None;
-    }
-    let j = skip_generics(toks, i + 2);
-    if !toks.get(j)?.is("{") {
-        return None;
-    }
-    let close = *brace_close.get(&j)?;
-    let mut variants = Vec::new();
-    for (s, e) in split_commas(toks, j + 1, close) {
-        // Skip attributes.
-        let mut s = s;
-        while s < e && toks[s].is("#") {
-            while s < e && !toks[s].is("]") {
-                s += 1;
-            }
-            s += 1;
-        }
-        if s >= e || toks[s].kind != TokKind::Ident {
-            continue;
-        }
-        let vname = toks[s].text.clone();
-        let vline = toks[s].line;
-        let fields = match toks.get(s + 1) {
-            Some(t) if t.is("{") => {
-                let c = brace_close.get(&(s + 1)).copied().unwrap_or(e);
-                parse_fields(toks, s + 1, c.min(e))
-            }
-            Some(t) if t.is("(") => {
-                let c = paren_close.get(&(s + 1)).copied().unwrap_or(e);
-                split_commas(toks, s + 2, c.min(e))
-                    .into_iter()
-                    .map(|(fs, fe)| Param {
-                        name: String::new(),
-                        ty: join_tokens(&toks[fs..fe]),
-                    })
-                    .collect()
-            }
-            _ => Vec::new(),
-        };
-        variants.push(Variant {
-            name: vname,
-            fields,
-            line: vline,
-        });
-    }
-    Some(EnumDef {
-        name: name.text.clone(),
-        variants,
-    })
-}
-
 fn parse_call(
     toks: &[Tok],
     i: usize,
@@ -882,7 +676,7 @@ mod tests {
     use super::*;
 
     fn ast_of(src: &str) -> FileAst {
-        FileAst::parse(&crate::lexer::preprocess(src))
+        FileAst::parse(crate::lexer::toks(src))
     }
 
     #[test]
@@ -925,15 +719,23 @@ mod tests {
     }
 
     #[test]
-    fn struct_and_enum_fields() {
+    fn fn_bodies_nest_and_decls_have_none() {
         let a = ast_of(
-            "pub struct Pair<T> {\n pub a: T,\n #[x] b: u32,\n}\npub struct Epoch(pub u64);\npub enum E { A { x: u32 }, B, C(u8) }\n",
+            "trait T {\n fn decl(&self);\n fn outer() {\n fn inner() {\n body();\n }\n more();\n }\n}\n",
+        );
+        let at = |name: &str| a.toks.iter().position(|t| t.text == name).unwrap();
+        assert_eq!(a.enclosing_fn(at("body")).unwrap().name, "inner");
+        assert_eq!(a.enclosing_fn(at("more")).unwrap().name, "outer");
+        assert!(a.fns.iter().any(|f| f.name == "decl" && f.body.is_none()));
+    }
+
+    #[test]
+    fn struct_fields() {
+        let a = ast_of(
+            "pub struct Pair<T> {\n pub a: T,\n #[x] b: u32,\n}\npub struct Epoch(pub u64);\n",
         );
         assert_eq!(a.structs.len(), 1, "tuple structs have no named fields");
         assert_eq!(a.structs[0].name, "Pair");
         assert_eq!(a.structs[0].fields[1].name, "b");
-        assert_eq!(a.enums.len(), 1);
-        assert_eq!(a.enums[0].variants.len(), 3);
-        assert_eq!(a.enums[0].variants[0].fields[0].name, "x");
     }
 }

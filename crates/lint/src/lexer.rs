@@ -1,390 +1,295 @@
-//! Line-oriented lexical preprocessing for the analyzer.
+//! The analyzer's one lexical pass: raw source → tokens, plus the comment
+//! text of every line (allow directives are parsed from it).
 //!
-//! Rust has enough lexical regularity that the invariants ldft-lint checks
-//! (banned paths, method calls, macro invocations) can be matched reliably
-//! on *code text* once comments and literal contents are removed. This
-//! module produces, per source line:
-//!
-//! - `code`: the line with comments stripped and string/char literal
-//!   contents blanked (quotes kept, contents replaced by spaces), so rule
-//!   patterns never match inside literals or docs;
-//! - `comment`: the comment text on that line, used to parse
-//!   `// ldft-lint: allow(RULE, reason)` directives;
-//! - `depth`: the brace depth at the *start* of the line, used for
-//!   `#[cfg(test)]` region tracking and function spans.
+//! Comments never reach the token stream, and block comments nest. A
+//! string, byte-string, raw-string or char literal is one `Lit` token
+//! carrying its value (the text between the quotes, escapes as written) on
+//! the line where it opens, however many lines it spans. Lifetimes and loop
+//! labels are dropped.
 
-/// One preprocessed source line.
+/// Token kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokKind {
+    /// Identifier, keyword, or numeric literal.
+    Ident,
+    /// Punctuation; multi-char operators `::`, `->`, `=>` are one token.
+    Punct,
+    /// String or char literal; `text` is the literal *value* (no quotes).
+    Lit,
+}
+
+/// One token with its source line (1-indexed).
 #[derive(Debug, Clone)]
-pub struct SourceLine {
-    /// Code text: comments removed, literal contents blanked.
-    pub code: String,
-    /// Comment text appearing on this line (without `//` / `/* */` markers).
-    pub comment: String,
-    /// Brace depth at the start of the line.
-    pub depth: u32,
-    /// True when the line's `code` is all whitespace (comment/blank line).
-    pub comment_only: bool,
-    /// Contents of each string literal *starting* on this line, in source
-    /// order. Literal contents are blanked in `code`, but the AST layer
-    /// needs the values to resolve operation names.
-    pub literals: Vec<String>,
+pub struct Tok {
+    pub kind: TokKind,
+    pub text: String,
+    pub line: usize,
 }
 
-/// Strip comments and literal contents from `source`, preserving line
-/// structure. The output has exactly one entry per input line.
-pub fn preprocess(source: &str) -> Vec<SourceLine> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum State {
-        Normal,
-        Block(u32),  // nested block comment depth
-        Str,         // inside "..."
-        RawStr(u32), // inside r##"..."## with N hashes
-    }
-
-    let mut out = Vec::new();
-    let mut state = State::Normal;
-    let mut depth: u32 = 0;
-    // String-literal capture: value being accumulated, the 0-based line it
-    // started on, and all completed (line, value) pairs.
-    let mut cur_lit = String::new();
-    let mut lit_start = 0usize;
-    let mut lit_events: Vec<(usize, String)> = Vec::new();
-
-    for (line_idx, raw) in source.lines().enumerate() {
-        let mut code = String::with_capacity(raw.len());
-        let mut comment = String::new();
-        let start_depth = depth;
-        let bytes: Vec<char> = raw.chars().collect();
-        let mut i = 0usize;
-
-        while i < bytes.len() {
-            let c = bytes[i];
-            match state {
-                State::Block(n) => {
-                    if c == '/' && bytes.get(i + 1) == Some(&'*') {
-                        state = State::Block(n + 1);
-                        i += 2;
-                    } else if c == '*' && bytes.get(i + 1) == Some(&'/') {
-                        state = if n == 1 {
-                            State::Normal
-                        } else {
-                            State::Block(n - 1)
-                        };
-                        i += 2;
-                    } else {
-                        comment.push(c);
-                        i += 1;
-                    }
-                }
-                State::Str => {
-                    if c == '\\' {
-                        code.push(' ');
-                        if i + 1 < bytes.len() {
-                            code.push(' ');
-                            cur_lit.push(c);
-                            cur_lit.push(bytes[i + 1]);
-                        }
-                        i += 2;
-                    } else if c == '"' {
-                        code.push('"');
-                        state = State::Normal;
-                        lit_events.push((lit_start, std::mem::take(&mut cur_lit)));
-                        i += 1;
-                    } else {
-                        code.push(' ');
-                        cur_lit.push(c);
-                        i += 1;
-                    }
-                }
-                State::RawStr(hashes) => {
-                    if c == '"' {
-                        let mut ok = true;
-                        for k in 0..hashes as usize {
-                            if bytes.get(i + 1 + k) != Some(&'#') {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        if ok {
-                            code.push('"');
-                            for _ in 0..hashes {
-                                code.push('#');
-                            }
-                            state = State::Normal;
-                            lit_events.push((lit_start, std::mem::take(&mut cur_lit)));
-                            i += 1 + hashes as usize;
-                            continue;
-                        }
-                    }
-                    code.push(' ');
-                    cur_lit.push(c);
-                    i += 1;
-                }
-                State::Normal => {
-                    if c == '/' && bytes.get(i + 1) == Some(&'/') {
-                        // Line comment: rest of line is comment text.
-                        let text: String = bytes[i + 2..].iter().collect();
-                        comment.push_str(&text);
-                        i = bytes.len();
-                    } else if c == '/' && bytes.get(i + 1) == Some(&'*') {
-                        state = State::Block(1);
-                        i += 2;
-                    } else if c == 'r' && prev_nonident(&code) && is_raw_string_start(&bytes, i) {
-                        // r"..." or r#"..."# (also br"...")
-                        let mut j = i + 1;
-                        let mut hashes = 0u32;
-                        while bytes.get(j) == Some(&'#') {
-                            hashes += 1;
-                            j += 1;
-                        }
-                        code.push('r');
-                        for _ in 0..hashes {
-                            code.push('#');
-                        }
-                        code.push('"');
-                        state = State::RawStr(hashes);
-                        lit_start = line_idx;
-                        cur_lit.clear();
-                        i = j + 1;
-                    } else if c == '"' {
-                        code.push('"');
-                        state = State::Str;
-                        lit_start = line_idx;
-                        cur_lit.clear();
-                        i += 1;
-                    } else if c == '\'' {
-                        // Char literal vs lifetime. A char literal is 'x',
-                        // '\n', '\u{..}': detect by looking for a closing
-                        // quote after one (possibly escaped) element.
-                        if let Some(len) = char_literal_len(&bytes, i) {
-                            code.push('\'');
-                            for _ in 0..len.saturating_sub(2) {
-                                code.push(' ');
-                            }
-                            code.push('\'');
-                            i += len;
-                        } else {
-                            // Lifetime: keep as-is (harmless for matching).
-                            code.push('\'');
-                            i += 1;
-                        }
-                    } else {
-                        if c == '{' {
-                            depth += 1;
-                        } else if c == '}' {
-                            depth = depth.saturating_sub(1);
-                        }
-                        code.push(c);
-                        i += 1;
-                    }
-                }
-            }
-        }
-
-        if matches!(state, State::Str | State::RawStr(_)) {
-            // Multi-line literal: keep line structure inside the value.
-            cur_lit.push('\n');
-        }
-        let comment_only = code.trim().is_empty();
-        out.push(SourceLine {
-            code,
-            comment: comment.trim().to_string(),
-            depth: start_depth,
-            comment_only,
-            literals: Vec::new(),
-        });
-    }
-    for (line, value) in lit_events {
-        if let Some(sl) = out.get_mut(line) {
-            sl.literals.push(value);
-        }
-    }
-    out
-}
-
-/// True when the character before the current position (end of `code` so
-/// far) is not part of an identifier — i.e. a standalone `r` can start a
-/// raw string here rather than ending an identifier like `var`.
-fn prev_nonident(code: &str) -> bool {
-    match code.chars().last() {
-        None => true,
-        Some(p) => !(p.is_alphanumeric() || p == '_'),
+impl Tok {
+    /// True when this token is the exact ident/punct `s` (never a literal).
+    pub fn is(&self, s: &str) -> bool {
+        self.kind != TokKind::Lit && self.text == s
     }
 }
 
-fn is_raw_string_start(bytes: &[char], i: usize) -> bool {
-    let mut j = i + 1;
-    while bytes.get(j) == Some(&'#') {
-        j += 1;
-    }
-    bytes.get(j) == Some(&'"')
-}
-
-/// If position `i` (at a `'`) starts a char literal, return its total
-/// length in chars (including both quotes); otherwise `None` (lifetime).
-fn char_literal_len(bytes: &[char], i: usize) -> Option<usize> {
-    match bytes.get(i + 1)? {
-        '\\' => {
-            // Escaped: scan to the closing quote.
-            let mut j = i + 2;
-            while j < bytes.len() && bytes[j] != '\'' {
-                j += 1;
-            }
-            if j < bytes.len() {
-                Some(j - i + 1)
-            } else {
-                None
-            }
-        }
-        '\'' => None, // '' is not a char literal
-        _ => {
-            if bytes.get(i + 2) == Some(&'\'') {
-                Some(3)
-            } else {
-                None // lifetime like 'a or 'static
-            }
-        }
-    }
-}
-
-/// Normalize a code line for pattern matching: collapse whitespace so that
-/// `std :: time :: Instant` and `. unwrap (` match their canonical
-/// spellings. A single space is kept only between two identifier
-/// characters (so `let x` does not become `letx`).
-pub fn normalize(code: &str) -> String {
-    let mut out = String::with_capacity(code.len());
-    let mut pending_space = false;
-    for c in code.chars() {
-        if c.is_whitespace() {
-            pending_space = true;
-            continue;
-        }
-        if pending_space {
-            let prev_ident = out
-                .chars()
-                .last()
-                .map(|p| p.is_alphanumeric() || p == '_')
-                .unwrap_or(false);
-            let cur_ident = c.is_alphanumeric() || c == '_';
-            if prev_ident && cur_ident {
-                out.push(' ');
-            }
-            pending_space = false;
-        }
-        out.push(c);
-    }
-    out
+/// A lexed file.
+#[derive(Debug)]
+pub struct Lexed {
+    pub toks: Vec<Tok>,
+    /// Comment text per line (index 0 = line 1), markers stripped.
+    pub comments: Vec<String>,
 }
 
 fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Find `pattern` in normalized code `hay` with identifier-boundary checks
-/// at both ends: a pattern starting (or ending) with an identifier char
-/// must not be preceded (or followed) by one. Returns the byte offset of
-/// the first boundary-respecting match.
-pub fn find_word(hay: &str, pattern: &str) -> Option<usize> {
-    let first_ident = pattern.chars().next().map(is_ident_char).unwrap_or(false);
-    let last_ident = pattern.chars().last().map(is_ident_char).unwrap_or(false);
-    let mut from = 0;
-    while let Some(pos) = hay[from..].find(pattern) {
-        let at = from + pos;
-        let before_ok = !first_ident
-            || hay[..at]
-                .chars()
-                .last()
-                .map(|c| !is_ident_char(c))
-                .unwrap_or(true);
-        let after_ok = !last_ident
-            || hay[at + pattern.len()..]
-                .chars()
-                .next()
-                .map(|c| !is_ident_char(c))
-                .unwrap_or(true);
-        if before_ok && after_ok {
-            return Some(at);
+/// Lex `src`. Never fails: an unterminated literal or comment runs to the
+/// end of the file.
+pub fn lex(src: &str) -> Lexed {
+    let c: Vec<char> = src.chars().collect();
+    let mut comments = vec![String::new(); src.lines().count()];
+    let mut toks = Vec::new();
+    let mut line = 1;
+    let mut i = 0;
+    while i < c.len() {
+        let start = i;
+        let (kind, text) = if c[i].is_whitespace() {
+            i += 1;
+            (None, String::new())
+        } else if c[i..].starts_with(&['/', '/']) {
+            i = (i..c.len()).find(|&j| c[j] == '\n').unwrap_or(c.len());
+            if let Some(text) = comments.get_mut(line - 1) {
+                text.extend(&c[start + 2..i]);
+            }
+            (None, String::new())
+        } else if c[i..].starts_with(&['/', '*']) {
+            let mut depth = 0;
+            let mut at = line;
+            while i < c.len() {
+                if c[i..].starts_with(&['/', '*']) {
+                    depth += 1;
+                    i += 2;
+                } else if c[i..].starts_with(&['*', '/']) {
+                    depth -= 1;
+                    i += 2;
+                    if depth == 0 {
+                        break;
+                    }
+                } else {
+                    if c[i] == '\n' {
+                        at += 1;
+                    } else if let Some(text) = comments.get_mut(at - 1) {
+                        text.push(c[i]);
+                    }
+                    i += 1;
+                }
+            }
+            (None, String::new())
+        } else if let Some((open, hashes)) = string_open(&c, i) {
+            let mut j = open + 1;
+            let close = loop {
+                match (c.get(j), hashes) {
+                    (None, _) => break c.len(),
+                    (Some('\\'), None) => j += 2,
+                    (Some('"'), _)
+                        if c[j + 1..].iter().take_while(|&&h| h == '#').count()
+                            >= hashes.unwrap_or(0) =>
+                    {
+                        break j
+                    }
+                    _ => j += 1,
+                }
+            };
+            i = (close + 1 + hashes.unwrap_or(0)).min(c.len());
+            (
+                Some(TokKind::Lit),
+                c[open + 1..close.min(c.len())].iter().collect(),
+            )
+        } else if let Some(end) = char_lit_end(&c, i) {
+            i = end;
+            let open = if c[start] == 'b' {
+                start + 2
+            } else {
+                start + 1
+            };
+            (Some(TokKind::Lit), c[open..end - 1].iter().collect())
+        } else if c[i] == '\'' {
+            // Lifetime or label: skip the quote and its name.
+            i += 1;
+            while i < c.len() && is_ident_char(c[i]) {
+                i += 1;
+            }
+            (None, String::new())
+        } else if is_ident_char(c[i]) {
+            // A raw identifier `r#name` is the identifier `name`.
+            if c[i..].starts_with(&['r', '#']) && c.get(i + 2).is_some_and(|&x| is_ident_char(x)) {
+                i += 2;
+            }
+            let from = i;
+            while i < c.len() && is_ident_char(c[i]) {
+                i += 1;
+            }
+            (Some(TokKind::Ident), c[from..i].iter().collect())
+        } else {
+            let two: String = c[i..(i + 2).min(c.len())].iter().collect();
+            let len = if matches!(two.as_str(), "::" | "->" | "=>") {
+                2
+            } else {
+                1
+            };
+            i += len;
+            (Some(TokKind::Punct), c[start..i].iter().collect())
+        };
+        if let Some(kind) = kind {
+            toks.push(Tok { kind, text, line });
         }
-        from = at + pattern.len().max(1);
+        line += c[start..i].iter().filter(|&&x| x == '\n').count();
     }
-    None
+    for text in &mut comments {
+        *text = text.trim().to_string();
+    }
+    Lexed { toks, comments }
+}
+
+/// If a string literal (`"…"`, `b"…"`, `r#"…"#`, `br"…"`) starts at `i`:
+/// the index of its opening quote, and its hash count when it is raw
+/// (`None`: escapes apply).
+fn string_open(c: &[char], i: usize) -> Option<(usize, Option<usize>)> {
+    let mut j = i + usize::from(c[i] == 'b');
+    let raw = c.get(j) == Some(&'r');
+    if !raw {
+        return (c.get(j) == Some(&'"')).then_some((j, None));
+    }
+    j += 1;
+    let hashes = c[j..].iter().take_while(|&&h| h == '#').count();
+    (c.get(j + hashes) == Some(&'"')).then_some((j + hashes, Some(hashes)))
+}
+
+/// If a char literal (`'x'`, `'\n'`, `'\''`, `b'x'`) starts at `i`, the
+/// index just past its closing quote; `None` for a lifetime.
+fn char_lit_end(c: &[char], i: usize) -> Option<usize> {
+    let q = i + usize::from(c[i] == 'b');
+    if c.get(q) != Some(&'\'') {
+        return None;
+    }
+    match *c.get(q + 1)? {
+        '\\' => (q + 3..c.len())
+            .take_while(|&j| c[j] != '\n')
+            .find(|&j| c[j] == '\'')
+            .map(|j| j + 1),
+        '\'' | '\n' => None,
+        _ => (c.get(q + 2) == Some(&'\'')).then_some(q + 3),
+    }
+}
+
+/// The tokens of a code fragment: rule patterns are written as source.
+pub fn toks(fragment: &str) -> Vec<Tok> {
+    lex(fragment).toks
+}
+
+/// True when the ident/punct sequence `pat` occurs in `toks` at index `i`.
+/// Token boundaries are identifier boundaries, so `HashMap` never matches
+/// inside `FxHashMap` and `.unwrap(` never matches `.unwrap_or(`.
+pub fn seq_at(toks: &[Tok], i: usize, pat: &[Tok]) -> bool {
+    pat.iter()
+        .enumerate()
+        .all(|(k, p)| toks.get(i + k).is_some_and(|t| t.is(&p.text)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn strips_line_comments_and_keeps_text() {
-        let lines = preprocess("let x = 1; // ldft-lint: allow(D1, why)\n");
-        assert_eq!(lines[0].code.trim(), "let x = 1;");
-        assert!(lines[0].comment.contains("allow(D1, why)"));
+    fn shape(src: &str) -> Vec<(TokKind, String, usize)> {
+        lex(src)
+            .toks
+            .into_iter()
+            .map(|t| (t.kind, t.text, t.line))
+            .collect()
     }
 
     #[test]
-    fn blanks_string_contents() {
-        let lines = preprocess("let s = \"std::time::Instant\";\n");
-        assert!(!lines[0].code.contains("Instant"));
-        assert!(lines[0].code.contains('"'));
+    fn comments_are_text_not_tokens() {
+        let l = lex("let x = 1; // ldft-lint: allow(D1, why)\na /* start\nstd::time::Instant /* nested */\nend */ b\n");
+        assert!(l.comments[0].contains("allow(D1, why)"));
+        assert!(l.comments[2].contains("Instant"));
+        let idents: Vec<&str> = l.toks.iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(idents, ["let", "x", "=", "1", ";", "a", "b"]);
+        assert_eq!(l.toks[6].line, 4);
     }
 
     #[test]
-    fn handles_block_comments_across_lines() {
-        let src = "a /* start\nstd::time::Instant\nend */ b\n";
-        let lines = preprocess(src);
-        assert_eq!(lines[0].code.trim(), "a");
-        assert!(lines[1].code.trim().is_empty());
-        assert!(lines[1].comment.contains("Instant"));
-        assert_eq!(lines[2].code.trim(), "b");
-    }
-
-    #[test]
-    fn raw_strings_are_blanked() {
-        let lines = preprocess("let s = r#\"HashMap::new()\"#;\n");
-        assert!(!lines[0].code.contains("HashMap"));
+    fn literals_carry_their_values() {
+        use TokKind::*;
+        assert_eq!(
+            shape("call(\"add\", r#\"raw \"q\"\"#, b\"by\", '\"', b'x', \"e\\\"s\")"),
+            [
+                (Ident, "call".into(), 1),
+                (Punct, "(".into(), 1),
+                (Lit, "add".into(), 1),
+                (Punct, ",".into(), 1),
+                (Lit, "raw \"q\"".into(), 1),
+                (Punct, ",".into(), 1),
+                (Lit, "by".into(), 1),
+                (Punct, ",".into(), 1),
+                (Lit, "\"".into(), 1),
+                (Punct, ",".into(), 1),
+                (Lit, "x".into(), 1),
+                (Punct, ",".into(), 1),
+                (Lit, "e\\\"s".into(), 1),
+                (Punct, ")".into(), 1),
+            ]
+        );
     }
 
     #[test]
     fn char_literals_and_lifetimes() {
-        let lines = preprocess("fn f<'a>(c: char) -> &'a str { if c == '\"' { x } else { y } }\n");
-        // The quote char literal must not open a string state.
-        assert!(lines[0].code.contains("else"));
+        let t = shape("fn f<'a>(c: char) -> &'a str { if c == '\\'' { x } else { y } }");
+        assert!(t.iter().any(|(k, s, _)| *k == TokKind::Lit && s == "\\'"));
+        assert!(t.iter().any(|(_, s, _)| s == "else"));
+        assert!(!t.iter().any(|(_, s, _)| s == "a"), "{t:?}");
     }
 
     #[test]
-    fn depth_tracking() {
-        let lines = preprocess("mod m {\n fn f() {\n }\n}\n");
-        assert_eq!(lines[0].depth, 0);
-        assert_eq!(lines[1].depth, 1);
-        assert_eq!(lines[2].depth, 2);
-        assert_eq!(lines[3].depth, 1);
-    }
-
-    #[test]
-    fn normalize_collapses_method_calls() {
-        assert_eq!(normalize(" . unwrap ( )"), ".unwrap()");
-        assert_eq!(normalize("let  x"), "let x");
-        assert_eq!(normalize("std :: time"), "std::time");
-    }
-
-    #[test]
-    fn literal_values_are_captured() {
-        let lines = preprocess("call(orb, \"add\", x); let s = \"two\";\n");
+    fn tokens_after_a_multiline_literal_keep_kind_and_line() {
+        use TokKind::*;
+        let src =
+            "let s = \"abc\ndef\"; x.f();\nlet r = r#\"a\n\"b\"\n\"#; y\nlet b = b\"1\n2\"; z\n";
+        let t = shape(src);
+        let after = |lit: &str| t[t.iter().position(|(_, s, _)| s == lit).unwrap() + 1..].to_vec();
+        assert_eq!(t[3], (Lit, "abc\ndef".into(), 1));
         assert_eq!(
-            lines[0].literals,
-            vec!["add".to_string(), "two".to_string()]
+            after("abc\ndef")[..3],
+            [
+                (Punct, ";".into(), 2),
+                (Ident, "x".into(), 2),
+                (Punct, ".".into(), 2)
+            ]
         );
-        let raw = preprocess("let s = r#\"raw body\"#;\n");
-        assert_eq!(raw[0].literals, vec!["raw body".to_string()]);
+        assert_eq!(
+            after("a\n\"b\"\n")[..2],
+            [(Punct, ";".into(), 5), (Ident, "y".into(), 5)]
+        );
+        assert_eq!(
+            after("1\n2")[..2],
+            [(Punct, ";".into(), 7), (Ident, "z".into(), 7)]
+        );
     }
 
     #[test]
-    fn find_word_boundaries() {
-        assert!(find_word("FxHashMap::new()", "HashMap").is_none());
-        assert!(find_word("HashMap::new()", "HashMap").is_some());
-        assert!(find_word("my_thread::spawn()", "thread::spawn").is_none());
-        assert!(find_word("std::thread::spawn()", "thread::spawn").is_some());
-        assert!(find_word("x.unwrap()", ".unwrap(").is_some());
-        assert!(find_word("x.unwrap_or(0)", ".unwrap(").is_none());
+    fn patterns_match_at_token_boundaries() {
+        let hay =
+            toks("FxHashMap::new(); x.unwrap_or(0); my_thread::spawn(); std::thread::spawn(f)");
+        let hits = |p: &str| {
+            (0..hay.len())
+                .filter(|&i| seq_at(&hay, i, &toks(p)))
+                .count()
+        };
+        assert_eq!(hits("HashMap"), 0);
+        assert_eq!(hits(".unwrap("), 0);
+        assert_eq!(hits("thread::spawn("), 1);
+        assert_eq!(hits("std :: thread"), 1);
     }
 }

@@ -1,9 +1,10 @@
 //! # ldft-lint — determinism & protocol-invariant analyzer
 //!
-//! A repo-specific static analyzer for the corba-ldft workspace. It parses
-//! every workspace `.rs` file (a lexical pass: comments and literal
-//! contents removed, brace depth and function spans tracked, then a
-//! token-level AST) and enforces the invariants the compiler cannot see.
+//! A repo-specific static analyzer for the corba-ldft workspace. It lexes
+//! every workspace `.rs` file once ([`lexer`]: one token stream, literal
+//! values kept, plus each line's comment text for allow directives),
+//! parses a token-level AST over that stream ([`ast`]), and enforces the
+//! invariants the compiler cannot see; every rule reads those tokens.
 //! Which crates are policed is stated once, at [`rules::SIM_CRATES`].
 //!
 //! * **Determinism (D1–D4)** — the whole experiment pipeline must be a
@@ -15,8 +16,8 @@
 //!   must observe `COMM_FAILURE` and never drop it on the floor, and the
 //!   FT proxy checkpoints after every successful invocation.
 //! * **Contracts and codecs (W0, W4)** — `idl/*.idl` compiles under
-//!   `idlc`, and hand-written `CdrWrite`/`CdrRead` pairs are symmetric
-//!   ([`wire`]).
+//!   `idlc`, and hand-written `CdrWrite`/`CdrRead` struct pairs marshal
+//!   their fields in one order ([`wire`]).
 //! * **Lock order (L1–L3)** — no inversion, re-entrancy, or blocking call
 //!   under a `simnet::Shared` guard ([`lockgraph`]).
 //!

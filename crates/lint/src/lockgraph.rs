@@ -24,7 +24,8 @@
 //! guarantee and its internals are the sanctioned lock site.
 
 use crate::analysis::FileAnalysis;
-use crate::ast::{FileAst, TokKind};
+use crate::ast::FileAst;
+use crate::lexer::TokKind;
 use crate::rules::{Finding, Severity, SIM_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -646,6 +647,23 @@ mod tests {
             "{:?}",
             r.findings
         );
+    }
+
+    #[test]
+    fn blocking_after_a_multiline_literal_is_l3() {
+        // Every token after the literal's closing quote must survive for
+        // the guard and the sleep to be seen.
+        let r = run(
+            "fn f(g: &Shared<u32>, ctx: &mut Ctx) {\n let s = \"abc\ndef\"; let x = g.lock(); ctx.sleep(1.0);\n}\n",
+        );
+        assert_eq!(r.sites, 1);
+        let l3: Vec<usize> = r
+            .findings
+            .iter()
+            .filter(|f| f.rule == "L3")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(l3, [3], "{:?}", r.findings);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! ldft-lint CLI.
 //!
 //! ```text
-//! ldft-lint --workspace [--root DIR] [--verbose] [--format text|json]
-//! ldft-lint [--crate-name NAME] [--format text|json] FILE...
+//! ldft-lint --workspace [--root DIR] [--verbose]
+//! ldft-lint [--crate-name NAME] FILE...
 //! ldft-lint --list-rules
 //! ```
 //!
@@ -10,78 +10,19 @@
 //!
 //! Text diagnostics render as `file:line: severity[RULE]: message`, which
 //! `.github/problem-matchers/ldft-lint.json` turns into GitHub
-//! annotations. `--format json` emits one machine-readable object with
-//! the findings and the coverage counters.
+//! annotations. The closing summary line carries the coverage counters:
+//! contract ops, `Shared` lock sites and lock classes.
 
-use ldft_lint::rules::{rule_summary, Finding, WorkspaceIndex, RULE_IDS};
+use ldft_lint::rules::{rule_summary, WorkspaceIndex, RULE_IDS};
 use ldft_lint::{analyze_source, crate_dir_of, find_workspace_root, run_workspace, Report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Output format selected with `--format`.
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
-}
-
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ldft-lint --workspace [--root DIR] [--verbose] [--format text|json]\n       ldft-lint [--crate-name NAME] [--format text|json] FILE...\n       ldft-lint --list-rules"
+        "usage: ldft-lint --workspace [--root DIR] [--verbose]\n       ldft-lint [--crate-name NAME] FILE...\n       ldft-lint --list-rules"
     );
     ExitCode::from(2)
-}
-
-/// Minimal JSON string escaping (the output has no exotic content, but
-/// messages may quote source with backslashes and quotes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_finding(f: &Finding) -> String {
-    let reason = match &f.allow_reason {
-        Some(r) => json_str(r),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"rule\":{},\"severity\":{},\"file\":{},\"line\":{},\"message\":{},\"allowed\":{},\"allow_reason\":{}}}",
-        json_str(f.rule),
-        json_str(&f.severity.to_string()),
-        json_str(&f.file),
-        f.line,
-        json_str(&f.message),
-        f.allowed,
-        reason
-    )
-}
-
-fn print_json(report: &Report, errors: usize, warnings: usize, allowed: usize) {
-    let findings: Vec<String> = report.findings.iter().map(json_finding).collect();
-    println!(
-        "{{\"files\":{},\"errors\":{},\"warnings\":{},\"allowed\":{},\"wire_ops\":{},\"lock_sites\":{},\"lock_classes\":{},\"findings\":[{}]}}",
-        report.files,
-        errors,
-        warnings,
-        allowed,
-        report.wire_ops,
-        report.lock_sites,
-        report.lock_classes,
-        findings.join(",")
-    );
 }
 
 fn main() -> ExitCode {
@@ -89,7 +30,6 @@ fn main() -> ExitCode {
     let mut workspace = false;
     let mut verbose = false;
     let mut list_rules = false;
-    let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
     let mut crate_name: Option<String> = None;
     let mut files: Vec<PathBuf> = Vec::new();
@@ -100,11 +40,6 @@ fn main() -> ExitCode {
             "--workspace" => workspace = true,
             "--verbose" | "-v" => verbose = true,
             "--list-rules" => list_rules = true,
-            "--format" => match it.next().as_deref() {
-                Some("json") => format = Format::Json,
-                Some("text") => format = Format::Text,
-                _ => return usage(),
-            },
             "--root" => match it.next() {
                 Some(d) => root = Some(PathBuf::from(d)),
                 None => return usage(),
@@ -171,26 +106,18 @@ fn main() -> ExitCode {
     let errors = report.errors().count();
     let warnings = report.warnings().count();
     let allowed = report.allowed().count();
-    match format {
-        Format::Json => print_json(&report, errors, warnings, allowed),
-        Format::Text => {
-            for f in report.errors() {
-                println!("{}", f.render());
-            }
-            for f in report.warnings() {
-                println!("{}", f.render());
-            }
-            if verbose {
-                for f in report.allowed() {
-                    println!("{}", f.render());
-                }
-            }
-            println!(
-                "ldft-lint: {} file(s), {errors} error(s), {warnings} warning(s), {allowed} allowed",
-                report.files
-            );
+    for f in report.errors().chain(report.warnings()) {
+        println!("{}", f.render());
+    }
+    if verbose {
+        for f in report.allowed() {
+            println!("{}", f.render());
         }
     }
+    println!(
+        "ldft-lint: {} file(s), {errors} error(s), {warnings} warning(s), {allowed} allowed, {} contract ops, {} lock sites, {} lock classes",
+        report.files, report.wire_ops, report.lock_sites, report.lock_classes
+    );
     if errors > 0 {
         ExitCode::FAILURE
     } else {

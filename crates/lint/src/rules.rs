@@ -22,7 +22,7 @@
 //! belongs.
 
 use crate::analysis::FileAnalysis;
-use crate::lexer::find_word;
+use crate::lexer::{self, seq_at, Tok, TokKind};
 
 /// Diagnostic severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,29 +158,29 @@ impl WorkspaceIndex {
         if !SIM_CRATES.contains(&dir) || dir == "simnet" {
             return;
         }
-        for span in &fa.fn_spans {
-            if CALL_GRAPH_STOPLIST.contains(&span.name.as_str())
-                || STUB_API.contains(&span.name.as_str())
+        let toks = &fa.ast.toks;
+        let stubs: Vec<Vec<Tok>> = STUB_API
+            .iter()
+            .map(|m| lexer::toks(&format!(".{m}(")))
+            .collect();
+        let stub_calls: Vec<usize> = (0..toks.len())
+            .filter(|&i| !fa.is_test_line(toks[i].line) && stubs.iter().any(|p| seq_at(toks, i, p)))
+            .collect();
+        for f in &fa.ast.fns {
+            let Some(body) = f.body else { continue };
+            if CALL_GRAPH_STOPLIST.contains(&f.name.as_str()) || STUB_API.contains(&f.name.as_str())
             {
                 continue;
             }
-            let calls_stub = (span.start..=span.end).any(|n| {
-                if fa.is_test_line(n) {
-                    return false;
-                }
-                let code = &fa.norm[n - 1];
-                STUB_API
-                    .iter()
-                    .any(|m| find_word(code, &format!(".{m}(")).is_some())
-            });
-            if calls_stub {
-                self.invoking.insert(span.name.clone());
+            if stub_calls.iter().any(|&k| f.tok < k && k < body.close) {
+                self.invoking.insert(f.name.clone());
             }
         }
     }
 }
 
-/// Simple pattern rule: any listed pattern on a library line is a finding.
+/// Simple pattern rule: any listed token sequence starting on a library
+/// line is a finding (one per rule per line).
 struct PatternRule {
     id: &'static str,
     patterns: &'static [&'static str],
@@ -268,26 +268,29 @@ pub fn check_file_raw(fa: &FileAnalysis, index: &WorkspaceIndex) -> Vec<Finding>
         return findings;
     }
 
+    let toks = &fa.ast.toks;
     for rule in PATTERN_RULES {
         if rule.exempt.contains(&dir) {
             continue;
         }
-        for (idx, code) in fa.norm.iter().enumerate() {
-            let line = idx + 1;
-            if fa.is_test_line(line) {
+        let patterns: Vec<Vec<Tok>> = rule.patterns.iter().map(|p| lexer::toks(p)).collect();
+        let mut last = 0;
+        for i in 0..toks.len() {
+            let line = toks[i].line;
+            if line == last || fa.is_test_line(line) || !patterns.iter().any(|p| seq_at(toks, i, p))
+            {
                 continue;
             }
-            if rule.patterns.iter().any(|p| find_word(code, p).is_some()) {
-                findings.push(Finding {
-                    rule: rule.id,
-                    severity: Severity::Error,
-                    file: fa.path.clone(),
-                    line,
-                    message: rule.message.to_string(),
-                    allowed: false,
-                    allow_reason: None,
-                });
-            }
+            last = line;
+            findings.push(Finding {
+                rule: rule.id,
+                severity: Severity::Error,
+                file: fa.path.clone(),
+                line,
+                message: rule.message.to_string(),
+                allowed: false,
+                allow_reason: None,
+            });
         }
     }
 
@@ -308,27 +311,24 @@ fn check_p2(fa: &FileAnalysis, index: &WorkspaceIndex, findings: &mut Vec<Findin
         // so their internal plumbing is exempt.
         return;
     }
-    for (idx, code) in fa.norm.iter().enumerate() {
-        let line = idx + 1;
-        if fa.is_test_line(line) {
+    let toks = &fa.ast.toks;
+    let discard = lexer::toks("let _ =");
+    let invoking: Vec<Vec<Tok>> = index
+        .invoking
+        .iter()
+        .map(|m| lexer::toks(&format!(".{m}(")))
+        .collect();
+    let mut last = 0;
+    for i in 0..toks.len() {
+        let line = toks[i].line;
+        if line == last || fa.is_test_line(line) || !seq_at(toks, i, &discard) {
             continue;
         }
-        let Some(at) = find_word(code, "let _=") else {
-            continue;
-        };
         // The statement may span lines (rustfmt splits long call chains):
-        // accumulate until the terminating `;`.
-        let mut rhs = code[at..].to_string();
-        let mut k = idx;
-        while !rhs.contains(';') && k + 1 < fa.norm.len() && k - idx < 10 {
-            k += 1;
-            rhs.push_str(&fa.norm[k]);
-        }
-        let discards_invoke = index
-            .invoking
-            .iter()
-            .any(|m| find_word(&rhs, &format!(".{m}(")).is_some());
-        if discards_invoke {
+        // it runs to its own `;`.
+        let stmt = &toks[..stmt_end(toks, i + discard.len())];
+        if (i..stmt.len()).any(|k| invoking.iter().any(|p| seq_at(stmt, k, p))) {
+            last = line;
             findings.push(Finding {
                 rule: "P2",
                 severity: Severity::Error,
@@ -340,6 +340,25 @@ fn check_p2(fa: &FileAnalysis, index: &WorkspaceIndex, findings: &mut Vec<Findin
             });
         }
     }
+}
+
+/// Index of the `;` ending the statement whose tokens start at `i` (at
+/// bracket depth 0), or of the `}` closing the enclosing block.
+fn stmt_end(toks: &[Tok], i: usize) -> usize {
+    let mut depth = 0i32;
+    for (k, t) in toks.iter().enumerate().skip(i) {
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth == 0 => return k,
+            ")" | "]" | "}" => depth -= 1,
+            ";" if depth == 0 => return k,
+            _ => {}
+        }
+    }
+    toks.len()
 }
 
 /// P3: in the FT proxy implementation, any function that performs a remote
@@ -354,42 +373,34 @@ fn check_p3(fa: &FileAnalysis, findings: &mut Vec<Finding>) {
     if !name.contains("proxy") {
         return;
     }
-    for span in &fa.fn_spans {
+    let ast = &fa.ast;
+    let invokes = [lexer::toks(".invoke("), lexer::toks(".call(")];
+    for f in &ast.fns {
+        let Some(body) = f.body else { continue };
         // Only outermost proxy methods: nested helpers inherit the outer
         // method's obligation.
-        if fa
-            .fn_spans
-            .iter()
-            .any(|o| o.start < span.start && span.end < o.end)
-        {
+        if ast.enclosing_fn(f.tok).is_some() || fa.is_test_line(f.line) {
             continue;
         }
-        if fa.is_test_line(span.start) {
-            continue;
-        }
-        let mut invokes_at = None;
-        let mut checkpoints = false;
-        for n in span.start..=span.end {
-            let code = &fa.norm[n - 1];
-            if invokes_at.is_none()
-                && (find_word(code, ".invoke(").is_some() || find_word(code, ".call(").is_some())
-            {
-                invokes_at = Some(n);
-            }
-            if code.contains("after_success") || code.to_ascii_lowercase().contains("checkpoint") {
-                checkpoints = true;
-            }
-        }
-        if let Some(line) = invokes_at {
+        let range = f.tok..=body.close;
+        let invokes_at = range
+            .clone()
+            .find(|&k| invokes.iter().any(|p| seq_at(&ast.toks, k, p)));
+        let checkpoints = ast.toks[range].iter().any(|t| {
+            t.kind == TokKind::Ident
+                && (t.text.contains("after_success")
+                    || t.text.to_ascii_lowercase().contains("checkpoint"))
+        });
+        if let Some(k) = invokes_at {
             if !checkpoints {
                 findings.push(Finding {
                     rule: "P3",
                     severity: Severity::Error,
                     file: fa.path.clone(),
-                    line,
+                    line: ast.toks[k].line,
                     message: format!(
                         "FT proxy method `{}` invokes without checkpointing after success; failover would replay from a stale checkpoint",
-                        span.name
+                        f.name
                     ),
                     allowed: false,
                     allow_reason: None,
@@ -414,7 +425,6 @@ const E1_MARKERS: &[&str] = &[
 /// body drops the only signal that drives retry/backoff — recoverable
 /// failures must flow into a retry path or propagate to the caller.
 fn check_e1(fa: &FileAnalysis, findings: &mut Vec<Finding>) {
-    use crate::ast::TokKind;
     let ast = &fa.ast;
     for m in &ast.matches {
         for arm in &m.arms {

@@ -9,15 +9,16 @@
 //! | ID | invariant |
 //! |----|-----------|
 //! | W0 | the `idl/*.idl` unit parses and checks under `idlc` (reported by [`crate::contracts`]) |
-//! | W4 | hand-written `CdrWrite`/`CdrRead` impl pairs round-trip symmetrically: tag bijection and per-variant/struct field order equal on both sides (`Ior`, `Name`, `Epoch`, … — the types IDL leaves `native` or that sit below the contracts) |
+//! | W4 | hand-written `CdrWrite`/`CdrRead` impl pairs round-trip symmetrically: a struct's fields are written and read in one order (`Ior`, `Name`, `Epoch`, … — the types IDL leaves `native` or that sit below the contracts) |
 //!
 //! Matching is evidence-based and conservative: a check that cannot find
 //! its counterpart construct is skipped, never guessed.
 
 use crate::analysis::FileAnalysis;
-use crate::ast::{FileAst, TokKind};
+use crate::ast::FileAst;
+use crate::lexer::TokKind;
 use crate::rules::{Finding, Severity};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 pub(crate) fn err(rule: &'static str, file: &str, line: usize, message: String) -> Finding {
     Finding {
@@ -38,13 +39,6 @@ pub fn check(files: &[FileAnalysis]) -> Vec<Finding> {
         check_w4(fa, &mut findings);
     }
     findings
-}
-
-/// Per-variant marshalling shape extracted from one side of a CDR impl.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-struct VariantShape {
-    tag: String,
-    fields: Vec<String>,
 }
 
 /// First-occurrence order of `names` among the Ident tokens of `range`.
@@ -78,8 +72,8 @@ fn impl_fn_body(ast: &FileAst, imp: &crate::ast::ImplBlock) -> Option<(usize, us
         .next()
 }
 
-/// W4 for one file: every local enum/struct with hand-written `CdrWrite`
-/// *and* `CdrRead` impls in this file must marshal symmetrically.
+/// W4 for one file: every local struct with hand-written `CdrWrite` *and*
+/// `CdrRead` impls in this file must marshal its fields in one order.
 fn check_w4(fa: &FileAnalysis, findings: &mut Vec<Finding>) {
     let ast = &fa.ast;
     let write_impls: Vec<&crate::ast::ImplBlock> = ast
@@ -93,180 +87,6 @@ fn check_w4(fa: &FileAnalysis, findings: &mut Vec<Finding>) {
         .filter(|i| i.trait_name.as_deref() == Some("CdrRead"))
         .collect();
 
-    // Enums --------------------------------------------------------------
-    for en in &ast.enums {
-        let Some(w) = write_impls.iter().find(|i| i.type_name == en.name) else {
-            continue;
-        };
-        let Some(r) = read_impls.iter().find(|i| i.type_name == en.name) else {
-            continue;
-        };
-        let variant_names: BTreeSet<&str> = en.variants.iter().map(|v| v.name.as_str()).collect();
-
-        // Write side: match over self → variant arms; tag = first TAG_*
-        // ident in the body; field order = first occurrence of the
-        // variant's field names.
-        let mut write_shape: BTreeMap<String, (VariantShape, usize)> = BTreeMap::new();
-        for m in &ast.matches {
-            if !(w.body.open < m.body.open && m.body.close < w.body.close) {
-                continue;
-            }
-            for arm in &m.arms {
-                let vname = ast.toks[arm.pat.0..arm.pat.1]
-                    .iter()
-                    .find(|t| t.kind == TokKind::Ident && variant_names.contains(t.text.as_str()));
-                let Some(vname) = vname else { continue };
-                let variant = en
-                    .variants
-                    .iter()
-                    .find(|v| v.name == vname.text)
-                    .expect("variant name matched");
-                let fnames: BTreeSet<&str> =
-                    variant.fields.iter().map(|f| f.name.as_str()).collect();
-                let tag = ast.toks[arm.body.0..arm.body.1]
-                    .iter()
-                    .find(|t| t.kind == TokKind::Ident && t.text.starts_with("TAG_"))
-                    .map(|t| t.text.clone())
-                    .unwrap_or_default();
-                write_shape.insert(
-                    vname.text.clone(),
-                    (
-                        VariantShape {
-                            tag,
-                            fields: field_order(ast, arm.body, &fnames),
-                        },
-                        arm.line,
-                    ),
-                );
-            }
-        }
-
-        // Read side: match over the decoded tag → arms keyed by TAG_*
-        // pattern, constructing a variant.
-        let mut read_shape: BTreeMap<String, (VariantShape, usize)> = BTreeMap::new();
-        for m in &ast.matches {
-            if !(r.body.open < m.body.open && m.body.close < r.body.close) {
-                continue;
-            }
-            for arm in &m.arms {
-                let tag = ast.toks[arm.pat.0..arm.pat.1]
-                    .iter()
-                    .find(|t| t.kind == TokKind::Ident && t.text.starts_with("TAG_"))
-                    .map(|t| t.text.clone());
-                let Some(tag) = tag else { continue };
-                let vname = ast.toks[arm.body.0..arm.body.1]
-                    .iter()
-                    .find(|t| t.kind == TokKind::Ident && variant_names.contains(t.text.as_str()));
-                let Some(vname) = vname else { continue };
-                let variant = en
-                    .variants
-                    .iter()
-                    .find(|v| v.name == vname.text)
-                    .expect("variant name matched");
-                let fnames: BTreeSet<&str> =
-                    variant.fields.iter().map(|f| f.name.as_str()).collect();
-                read_shape.insert(
-                    vname.text.clone(),
-                    (
-                        VariantShape {
-                            tag,
-                            fields: field_order(ast, arm.body, &fnames),
-                        },
-                        arm.line,
-                    ),
-                );
-            }
-        }
-        if write_shape.is_empty() || read_shape.is_empty() {
-            continue;
-        }
-
-        for v in &en.variants {
-            match (write_shape.get(&v.name), read_shape.get(&v.name)) {
-                (Some((ws, wline)), Some((rs, _))) => {
-                    if !ws.tag.is_empty() && !rs.tag.is_empty() && ws.tag != rs.tag {
-                        findings.push(err(
-                            "W4",
-                            &fa.path,
-                            *wline,
-                            format!(
-                                "`{}::{}` encodes tag `{}` but decodes under `{}` — round-trip breaks",
-                                en.name, v.name, ws.tag, rs.tag
-                            ),
-                        ));
-                    }
-                    if ws.fields != rs.fields {
-                        findings.push(err(
-                            "W4",
-                            &fa.path,
-                            *wline,
-                            format!(
-                                "`{}::{}` writes fields [{}] but reads [{}] — field order must match",
-                                en.name,
-                                v.name,
-                                ws.fields.join(", "),
-                                rs.fields.join(", ")
-                            ),
-                        ));
-                    }
-                }
-                (Some((_, wline)), None) => findings.push(err(
-                    "W4",
-                    &fa.path,
-                    *wline,
-                    format!(
-                        "`{}::{}` is encoded by CdrWrite but no CdrRead arm reconstructs it",
-                        en.name, v.name
-                    ),
-                )),
-                (None, Some((_, rline))) => findings.push(err(
-                    "W4",
-                    &fa.path,
-                    *rline,
-                    format!(
-                        "`{}::{}` is decoded by CdrRead but never encoded by CdrWrite",
-                        en.name, v.name
-                    ),
-                )),
-                (None, None) => findings.push(err(
-                    "W4",
-                    &fa.path,
-                    v.line,
-                    format!(
-                        "`{}::{}` appears in neither the CdrWrite nor the CdrRead match — the taxonomy drifted from its codec",
-                        en.name, v.name
-                    ),
-                )),
-            }
-        }
-        // Tag bijection: a tag read for one variant but written for another.
-        let mut tag_to_wvariant: BTreeMap<&str, &str> = BTreeMap::new();
-        for (v, (ws, _)) in &write_shape {
-            if !ws.tag.is_empty() {
-                tag_to_wvariant.insert(&ws.tag, v);
-            }
-        }
-        for (v, (rs, rline)) in &read_shape {
-            if rs.tag.is_empty() {
-                continue;
-            }
-            if let Some(wv) = tag_to_wvariant.get(rs.tag.as_str()) {
-                if *wv != v {
-                    findings.push(err(
-                        "W4",
-                        &fa.path,
-                        *rline,
-                        format!(
-                            "tag `{}` decodes to `{}::{}` but encodes `{}::{}`",
-                            rs.tag, en.name, v, en.name, wv
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Structs (hand-written impl pairs only) ------------------------------
     for st in &ast.structs {
         if st.fields.is_empty() {
             continue;

@@ -1,44 +1,4 @@
-//! W4 counterpart: tags are a bijection and field order agrees.
-
-const TAG_MOVE: u8 = 0;
-const TAG_STOP: u8 = 1;
-
-pub enum Cmd {
-    Move { x: u32, y: u32 },
-    Stop { code: u32 },
-}
-
-impl CdrWrite for Cmd {
-    fn write(&self, enc: &mut CdrEncoder) {
-        match self {
-            Cmd::Move { x, y } => {
-                enc.write_u8(TAG_MOVE);
-                x.write(enc);
-                y.write(enc);
-            }
-            Cmd::Stop { code } => {
-                enc.write_u8(TAG_STOP);
-                code.write(enc);
-            }
-        }
-    }
-}
-
-impl CdrRead for Cmd {
-    fn read(dec: &mut CdrDecoder<'_>) -> CdrResult<Self> {
-        match dec.read_u8()? {
-            TAG_MOVE => {
-                let x = u32::read(dec)?;
-                let y = u32::read(dec)?;
-                Ok(Cmd::Move { x, y })
-            }
-            TAG_STOP => Ok(Cmd::Stop {
-                code: u32::read(dec)?,
-            }),
-            _ => Err(CdrError::BadTag),
-        }
-    }
-}
+//! W4 counterpart: field order agrees.
 
 pub struct Pair {
     pub a: u32,

@@ -5,7 +5,7 @@
 //! the workspace's `simnet::Shared` use sites.
 
 use idlc::ast::Direction;
-use ldft_lint::ast::TokKind;
+use ldft_lint::lexer::{self, seq_at, TokKind};
 use ldft_lint::{contracts, run_workspace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -267,43 +267,34 @@ fn kernel_tie_breaks_route_through_the_schedule_policy() {
         }
         let src = std::fs::read_to_string(&path).expect("read simnet source");
         let analysis = ldft_lint::analysis::FileAnalysis::new(&rel, Some("simnet"), &src);
-        for (i, line) in src.lines().enumerate() {
-            let n = i + 1;
-            if analysis.is_test_line(n) {
+        let ast = &analysis.ast;
+        let pops = [
+            (lexer::toks(".events.pop("), "next_event"),
+            (lexer::toks(".runnable.pop_front("), "next_runnable"),
+            (lexer::toks(".runnable.remove("), "next_runnable"),
+        ];
+        for (i, t) in ast.toks.iter().enumerate() {
+            if analysis.is_test_line(t.line) {
                 continue;
             }
-            let code = line.split("//").next().unwrap_or(line);
-            let enclosing = || {
-                analysis
-                    .enclosing_fn(n)
-                    .map(|f| f.name.clone())
-                    .unwrap_or_default()
-            };
-            if code.contains(".events.pop(") {
-                assert_eq!(
-                    enclosing(),
-                    "next_event",
-                    "{rel}:{n}: event-queue pop outside Kernel::next_event bypasses SchedulePolicy"
-                );
-                saw_next_event = true;
-            }
-            if code.contains(".runnable.pop_front(") || code.contains(".runnable.remove(") {
-                assert_eq!(
-                    enclosing(),
-                    "next_runnable",
-                    "{rel}:{n}: runnable-queue pop outside Kernel::next_runnable bypasses SchedulePolicy"
-                );
-                saw_next_runnable = true;
+            for (pop, seam) in &pops {
+                if seq_at(&ast.toks, i, pop) {
+                    let enclosing = ast.enclosing_fn(i).map(|f| f.name.as_str());
+                    assert_eq!(
+                        enclosing,
+                        Some(*seam),
+                        "{rel}:{}: queue pop outside Kernel::{seam} bypasses SchedulePolicy",
+                        t.line
+                    );
+                    saw_next_event |= *seam == "next_event";
+                    saw_next_runnable |= *seam == "next_runnable";
+                }
             }
         }
         // Both seams must actually consult the installed policy.
         for seam in ["next_event", "next_runnable"] {
-            if let Some(span) = analysis.fn_spans.iter().find(|f| f.name == seam) {
-                let body: String = src
-                    .lines()
-                    .skip(span.start - 1)
-                    .take(span.end - span.start + 1)
-                    .collect();
+            if let Some(body) = ast.fns.iter().find(|f| f.name == seam).and_then(|f| f.body) {
+                let body = ast.text((body.open, body.close));
                 assert!(
                     body.contains(".choose(") && body.contains("policy"),
                     "{rel}: Kernel::{seam} no longer consults the schedule policy"

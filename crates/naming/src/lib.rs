@@ -14,7 +14,7 @@
 //! back to round-robin — matching the paper's observation that the
 //! modified service is never worse than the unmodified one.
 //!
-//! * [`run_naming_service`] — server process body (port 2809, root key 1).
+//! * [`run_naming_service_obs`] — server process body (port 2809, root key 1).
 //! * [`NamingClient`] — typed client (standard ops + group extensions),
 //!   over the [`NamingContextStub`] `idlc` generates from `idl/naming.idl`.
 //! * [`Name`] — `id.kind/id.kind` stringified names.
@@ -36,7 +36,7 @@ pub use protocol::{
     AlreadyBound, Binding, BindingType, CosNaming, CosTrading, EmptyGroup, InvalidName, NotEmpty,
     NotFound, NotFoundReason, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
 };
-pub use server::{run_naming_service, run_naming_service_obs};
+pub use server::run_naming_service_obs;
 pub use trader::{run_trader, select_best_offer, Trader, TRADER_TYPE};
 
 #[cfg(test)]

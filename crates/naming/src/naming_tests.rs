@@ -11,7 +11,7 @@ use crate::client::{BindingIteratorClient, NamingClient, REGISTER_BACKOFF, REGIS
 use crate::context::LbMode;
 use crate::name::Name;
 use crate::protocol::{AlreadyBound, EmptyGroup, NotFound};
-use crate::server::run_naming_service;
+use crate::server::run_naming_service_obs;
 
 type Cell<T> = Arc<Mutex<T>>;
 
@@ -36,7 +36,7 @@ fn boot_plain(sim: &mut Kernel, n: usize) -> Vec<HostId> {
         .collect();
     let h0 = hosts[0];
     sim.spawn(h0, "naming", move |ctx| {
-        let _ = run_naming_service(ctx, LbMode::Plain);
+        let _ = run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     hosts
 }
@@ -52,11 +52,12 @@ fn boot_winner_naming(sim: &mut Kernel, host: HostId, sysmgr_ior: &Cell<Option<S
             }
         }
         let s = sm.lock().unwrap().clone().unwrap();
-        let _ = run_naming_service(
+        let _ = run_naming_service_obs(
             ctx,
             LbMode::Winner {
                 system_manager: Ior::destringify(&s).unwrap(),
             },
+            None,
         );
     });
 }
@@ -301,10 +302,11 @@ fn winner_resolution_avoids_loaded_hosts() {
     let sysmgr_ior = cell::<Option<String>>();
     let sm = sysmgr_ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
-        let _ = winner::run_system_manager(
+        let _ = winner::run_system_manager_obs(
             ctx,
             SystemManagerConfig::default(),
             Box::new(BestPerformance),
+            None,
             |i| {
                 *sm.lock().unwrap() = Some(i.stringify());
             },
@@ -373,10 +375,11 @@ fn winner_fallback_when_system_manager_dies() {
     let sysmgr_ior = cell::<Option<String>>();
     let sm = sysmgr_ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
-        let _ = winner::run_system_manager(
+        let _ = winner::run_system_manager_obs(
             ctx,
             SystemManagerConfig::default(),
             Box::new(BestPerformance),
+            None,
             |i| {
                 *sm.lock().unwrap() = Some(i.stringify());
             },
@@ -543,10 +546,11 @@ fn trader_baseline_with_decentralized_selection() {
     let sysmgr_ior = cell::<Option<String>>();
     let sm = sysmgr_ior.clone();
     sim.spawn(h0, "winner-sysmgr", move |ctx| {
-        let _ = winner::run_system_manager(
+        let _ = winner::run_system_manager_obs(
             ctx,
             SystemManagerConfig::default(),
             Box::new(BestPerformance),
+            None,
             |i| {
                 *sm.lock().unwrap() = Some(i.stringify());
             },

@@ -20,13 +20,8 @@ use crate::protocol::{NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY};
 /// ([`LbMode::Winner`]) or the plain baseline ([`LbMode::Plain`]).
 ///
 /// If port 2809 is already bound on this host (another naming server is
-/// running), the process reports it and exits instead of serving.
-pub fn run_naming_service(ctx: &mut Ctx, mode: LbMode) -> SimResult<()> {
-    run_naming_service_obs(ctx, mode, None)
-}
-
-/// [`run_naming_service`] with an observability sink attached: serve spans
-/// and resolve metrics are recorded into `obs` when present.
+/// running), the process reports it and exits instead of serving. Serve
+/// spans and resolve metrics are recorded into `obs` when present.
 pub fn run_naming_service_obs(ctx: &mut Ctx, mode: LbMode, obs: Option<Obs>) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
     if let Some(sink) = obs {

@@ -10,7 +10,7 @@
 //! * [`Rosenbrock`] and friends — the benchmark functions.
 //! * [`DecomposedRosenbrock`] — the manager/worker split: `W` blocks plus
 //!   `W−1` coordination variables (30 → 10/9/9 + 2, exactly the paper).
-//! * [`WorkerServant`] / [`run_worker_server`] — the stateful CORBA worker
+//! * [`WorkerServant`] / [`run_worker_server_obs`] — the stateful CORBA worker
 //!   with the `get_checkpoint`/`restore_checkpoint` convention the FT
 //!   proxies rely on.
 //! * [`run_manager`] — the distributed manager: resolves workers through
@@ -34,9 +34,7 @@ pub use protocol::{
     worker_group, Optim, SolveResult, SolveSpec, WorkerFtProxy, WorkerSkeleton, WorkerStub,
     WORKER_SERVICE_TYPE, WORKER_TYPE,
 };
-pub use worker::{
-    run_worker_server, run_worker_server_obs, worker_builder, WorkerCosts, WorkerServant,
-};
+pub use worker::{run_worker_server_obs, worker_builder, WorkerCosts, WorkerServant};
 
 #[cfg(test)]
 mod optim_tests;

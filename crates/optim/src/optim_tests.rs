@@ -10,7 +10,7 @@ use simnet::{HostConfig, HostId, Kernel, SimDuration, SimTime};
 use crate::manager::{run_manager, FtSettings, ManagerConfig, RunReport};
 use crate::protocol::SolveSpec;
 use crate::protocol::WorkerStub;
-use crate::worker::{run_worker_server, worker_builder, WorkerCosts};
+use crate::worker::{run_worker_server_obs, worker_builder, WorkerCosts};
 
 type Cell<T> = Arc<Mutex<T>>;
 
@@ -29,12 +29,12 @@ fn bed(sim: &mut Kernel, n_hosts: usize) -> Vec<HostId> {
         .collect();
     let h0 = hosts[0];
     sim.spawn(h0, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service(ctx, LbMode::Plain);
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     for &h in &hosts[1..] {
         sim.spawn(h, format!("worker-{h}"), move |ctx| {
             ctx.sleep(secs(0.05)).unwrap();
-            let _ = run_worker_server(ctx, h0, WorkerCosts::default());
+            let _ = run_worker_server_obs(ctx, h0, WorkerCosts::default(), None);
         });
     }
     hosts
@@ -313,7 +313,7 @@ fn manager_with_ft_proxies_survives_host_crash() {
         .collect();
     let h0 = hosts[0];
     sim.spawn(h0, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service(ctx, LbMode::Plain);
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     sim.spawn(h0, "ckpt", move |ctx| {
         // Register the checkpoint service under its well-known name.
@@ -344,11 +344,11 @@ fn manager_with_ft_proxies_survives_host_crash() {
     for &h in &hosts[1..] {
         sim.spawn(h, format!("worker-{h}"), move |ctx| {
             ctx.sleep(secs(0.05)).unwrap();
-            let _ = run_worker_server(ctx, h0, WorkerCosts::default());
+            let _ = run_worker_server_obs(ctx, h0, WorkerCosts::default(), None);
         });
         sim.spawn(h, format!("factory-{h}"), move |ctx| {
             ctx.sleep(secs(0.05)).unwrap();
-            let _ = ftproxy::run_factory(ctx, h0, worker_builder(WorkerCosts::default()));
+            let _ = ftproxy::run_factory_obs(ctx, h0, worker_builder(WorkerCosts::default()), None);
         });
     }
     // Crash one worker host mid-run (the manager starts at t=1.0 and the

@@ -157,13 +157,8 @@ pub fn worker_builder(costs: WorkerCosts) -> ftproxy::ServantBuilder {
 }
 
 /// The body of a standalone worker server process: activate one worker,
-/// register it in the `Workers` group, serve forever.
-pub fn run_worker_server(ctx: &mut Ctx, naming_host: HostId, costs: WorkerCosts) -> SimResult<()> {
-    run_worker_server_obs(ctx, naming_host, costs, None)
-}
-
-/// [`run_worker_server`] with an observability sink attached: serve spans
-/// are recorded into `obs` when present.
+/// register it in the `Workers` group, serve forever. Serve spans are
+/// recorded into `obs` when present.
 pub fn run_worker_server_obs(
     ctx: &mut Ctx,
     naming_host: HostId,

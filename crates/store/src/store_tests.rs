@@ -260,7 +260,7 @@ fn store_bed(sim: &mut Kernel, n_replicas: usize, cfg: StoreConfig) -> Vec<HostI
         .collect();
     let h0 = hosts[0];
     sim.spawn(h0, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service(ctx, LbMode::Plain);
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     spawn_replicated_store(sim, &hosts[1..], h0, cfg, None);
     hosts
@@ -402,7 +402,7 @@ fn unreachable_quorum_fails_the_write() {
     }
     let h0 = hosts[0];
     sim.spawn(h0, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service(ctx, LbMode::Plain);
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     // Replicas only — no detector, so the view keeps both members.
     for (i, &h) in hosts[1..].iter().enumerate() {

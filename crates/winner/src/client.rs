@@ -54,18 +54,8 @@ impl SystemManagerClient {
 }
 
 /// The body of a system manager server process: activate the servant,
-/// publish its IOR through `publish`, then serve forever.
-pub fn run_system_manager(
-    ctx: &mut Ctx,
-    cfg: SystemManagerConfig,
-    policy: Box<dyn crate::policy::SelectionPolicy>,
-    publish: impl FnOnce(Ior),
-) -> SimResult<()> {
-    run_system_manager_obs(ctx, cfg, policy, None, publish)
-}
-
-/// [`run_system_manager`] with an observability sink attached: serve spans
-/// and selection metrics are recorded into `obs` when present.
+/// publish its IOR through `publish`, then serve forever. Serve spans and
+/// selection metrics are recorded into `obs` when present.
 pub fn run_system_manager_obs(
     ctx: &mut Ctx,
     cfg: SystemManagerConfig,

@@ -22,7 +22,7 @@ pub mod policy;
 pub mod protocol;
 pub mod system_manager;
 
-pub use client::{run_system_manager, run_system_manager_obs, SystemManagerClient};
+pub use client::{run_system_manager_obs, SystemManagerClient};
 pub use node_manager::{run_node_manager, NodeManagerConfig};
 pub use policy::{
     performance_score_of, placement_hosts, BestPerformance, HostView, LeastLoaded, RoundRobin,

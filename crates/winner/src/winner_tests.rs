@@ -8,7 +8,7 @@ use simnet::{Fault, HostConfig, Kernel, Pid, SimDuration, SimTime};
 
 use crate::policy::BestPerformance;
 use crate::{
-    run_node_manager, run_system_manager, NodeManagerConfig, SystemManagerClient,
+    run_node_manager, run_system_manager_obs, NodeManagerConfig, SystemManagerClient,
     SystemManagerConfig,
 };
 
@@ -31,10 +31,11 @@ fn boot(sim: &mut Kernel, n_hosts: usize) -> (Vec<simnet::HostId>, Cell<Option<S
     let ior = cell::<Option<String>>();
     let io = ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
-        let _ = run_system_manager(
+        let _ = run_system_manager_obs(
             ctx,
             SystemManagerConfig::default(),
             Box::new(BestPerformance),
+            None,
             |i| {
                 *io.lock().unwrap() = Some(i.stringify());
             },

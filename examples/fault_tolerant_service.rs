@@ -8,7 +8,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cosnaming::{LbMode, Name, NamingClient};
-use ftproxy::{run_factory, CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, ProxyEnv};
+use ftproxy::{
+    run_factory_obs, CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, ProxyEnv,
+};
 use orb::{reply, CallCtx, Exception, Orb, Poa, Servant, SystemException};
 use simnet::{HostConfig, Kernel, SimDuration};
 
@@ -59,7 +61,7 @@ fn main() {
 
     // Infrastructure: naming + checkpoint service on ws0.
     sim.spawn(infra, "naming", |ctx| {
-        let _ = cosnaming::run_naming_service(ctx, LbMode::Plain);
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     sim.spawn(infra, "checkpoint-service", move |ctx| {
         let mut orb = Orb::init(ctx);
@@ -94,7 +96,7 @@ fn main() {
                     )
                 })
             });
-            let _ = run_factory(ctx, infra, builder);
+            let _ = run_factory_obs(ctx, infra, builder, None);
         });
     }
 

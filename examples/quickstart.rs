@@ -40,7 +40,7 @@ fn main() {
 
     // The naming service runs on alice (port 2809, like a real ORB setup).
     sim.spawn(alice, "naming", |ctx| {
-        let _ = cosnaming::run_naming_service(ctx, LbMode::Plain);
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
 
     // A server process on bob: activate the Greeter and register it.

@@ -335,7 +335,7 @@ fn generated_stub_and_skeleton_work_over_the_orb() {
         .collect();
     let h0 = hosts[0];
     sim.spawn(h0, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service(ctx, LbMode::Plain);
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     spawn_server(&mut sim, hosts[1], h0);
 
@@ -393,7 +393,7 @@ fn generated_ft_proxy_recovers_from_a_crash() {
         .collect();
     let h0 = hosts[0];
     sim.spawn(h0, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service(ctx, LbMode::Plain);
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     // Checkpoint service, registered under the well-known name.
     sim.spawn(h0, "ckpt", move |ctx| {
@@ -429,7 +429,7 @@ fn generated_ft_proxy_recovers_from_a_crash() {
                     )
                 })
             });
-            let _ = ftproxy::run_factory(ctx, h0, builder);
+            let _ = ftproxy::run_factory_obs(ctx, h0, builder, None);
         });
     }
 

@@ -235,7 +235,7 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
     let served: Shared<Option<Served>> = Shared::new(None);
 
     sim.spawn(h0, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service(ctx, LbMode::Plain);
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     let (l, s) = (log.clone(), served.clone());
     sim.spawn(h0, "servants", move |ctx| serve_all(ctx, l, s));
