@@ -34,7 +34,11 @@ pub enum Value {
     Double(f64),
     /// String.
     String(String),
-    /// Sequence of homogeneous values.
+    /// `sequence<octet>`: the bytes themselves. This is the one
+    /// representation of an octet sequence — a [`Value::Sequence`] under
+    /// `TypeCode::Sequence(Octet)` does not conform.
+    Octets(Vec<u8>),
+    /// Sequence of homogeneous values of any element type but `octet`.
     Sequence(Vec<Value>),
     /// Struct members in declaration order.
     Struct(Vec<Value>),
@@ -157,7 +161,10 @@ fn write_value(tc: &TypeCode, v: &Value, enc: &mut CdrEncoder) {
         (TypeCode::Float, Value::Float(x)) => enc.write_f32(*x),
         (TypeCode::Double, Value::Double(x)) => enc.write_f64(*x),
         (TypeCode::String, Value::String(s)) => enc.write_string(s),
-        (TypeCode::Sequence(elem), Value::Sequence(items)) => {
+        (TypeCode::Sequence(elem), Value::Octets(bytes)) if **elem == TypeCode::Octet => {
+            enc.write_bytes(bytes)
+        }
+        (TypeCode::Sequence(elem), Value::Sequence(items)) if **elem != TypeCode::Octet => {
             enc.write_len(items.len());
             for item in items {
                 write_value(elem, item, enc);
@@ -192,6 +199,9 @@ fn read_value(tc: &TypeCode, dec: &mut CdrDecoder<'_>) -> CdrResult<Value> {
         TypeCode::Float => Value::Float(dec.read_f32()?),
         TypeCode::Double => Value::Double(dec.read_f64()?),
         TypeCode::String => Value::String(dec.read_string()?),
+        TypeCode::Sequence(elem) if **elem == TypeCode::Octet => {
+            Value::Octets(dec.read_octets()?.to_vec())
+        }
         TypeCode::Sequence(elem) => {
             let n = dec.read_len(1)?;
             let mut items = Vec::with_capacity(n.min(4096));
@@ -224,11 +234,50 @@ impl CdrWrite for Any {
     }
 }
 
+/// [`read_value`] over `v`, reusing the buffers of strings, octet
+/// sequences and structs that already have the shape `tc` gives them.
+fn read_value_into(tc: &TypeCode, v: &mut Value, dec: &mut CdrDecoder<'_>) -> CdrResult<()> {
+    match (tc, v) {
+        (TypeCode::String, Value::String(s)) => s.read_into(dec),
+        (TypeCode::Sequence(elem), Value::Octets(bytes)) if **elem == TypeCode::Octet => {
+            let src = dec.read_octets()?;
+            bytes.clear();
+            bytes.extend_from_slice(src);
+            Ok(())
+        }
+        (TypeCode::Struct { members, .. }, Value::Struct(fields))
+            if fields.len() == members.len() =>
+        {
+            for ((_, mtc), field) in members.iter().zip(fields) {
+                read_value_into(mtc, field, dec)?;
+            }
+            Ok(())
+        }
+        (tc, v) => {
+            *v = read_value(tc, dec)?;
+            Ok(())
+        }
+    }
+}
+
 impl CdrRead for Any {
     fn read(dec: &mut CdrDecoder<'_>) -> CdrResult<Self> {
         let tc = TypeCode::read(dec)?;
         let value = read_value(&tc, dec)?;
         Ok(Any { tc, value })
+    }
+
+    /// A stream carrying this `Any`'s TypeCode is checked against it, not
+    /// decoded into a new one, and the value is read over the old one.
+    fn read_into(&mut self, dec: &mut CdrDecoder<'_>) -> CdrResult<()> {
+        let mut ahead = dec.clone();
+        if self.tc.read_matches(&mut ahead) == Ok(true) {
+            *dec = ahead;
+            read_value_into(&self.tc, &mut self.value, dec)
+        } else {
+            *self = Any::read(dec)?;
+            Ok(())
+        }
     }
 }
 
@@ -290,6 +339,33 @@ mod tests {
             from_bytes::<Any>(&bytes).unwrap_err(),
             CdrError::InvalidEnumTag(5)
         );
+    }
+
+    #[test]
+    fn read_into_a_value_of_the_same_shape_keeps_its_buffers() {
+        let chunk = |epoch: u64, data: &[u8]| Any {
+            tc: TypeCode::Struct {
+                name: "CkptChunk".into(),
+                members: vec![
+                    ("epoch".into(), TypeCode::ULongLong),
+                    ("data".into(), TypeCode::Sequence(Box::new(TypeCode::Octet))),
+                ],
+            },
+            value: Value::Struct(vec![Value::ULongLong(epoch), Value::Octets(data.to_vec())]),
+        };
+        let buffers = |a: &Any| match (&a.tc, &a.value) {
+            (TypeCode::Struct { name, .. }, Value::Struct(fields)) => match &fields[1] {
+                Value::Octets(data) => (name.as_ptr(), data.as_ptr()),
+                other => panic!("not octets: {other:?}"),
+            },
+            other => panic!("not a chunk: {other:?}"),
+        };
+        let mut over = chunk(1, &[9; 64]);
+        let before = buffers(&over);
+        let next = chunk(2, &[7; 64]);
+        crate::from_bytes_into(&mut over, &to_bytes(&next)).unwrap();
+        assert_eq!(over, next);
+        assert_eq!(buffers(&over), before);
     }
 
     #[test]

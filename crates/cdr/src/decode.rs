@@ -4,8 +4,9 @@
 use crate::encode::ByteOrder;
 use crate::error::{CdrError, CdrResult};
 
-/// A decoder over one CDR stream.
-#[derive(Debug)]
+/// A decoder over one CDR stream. Cloning it gives a second cursor at the
+/// same position.
+#[derive(Clone, Debug)]
 pub struct CdrDecoder<'a> {
     data: &'a [u8],
     pos: usize,
@@ -120,18 +121,32 @@ impl<'a> CdrDecoder<'a> {
 
     /// Read a CDR string (length includes the NUL terminator).
     pub fn read_string(&mut self) -> CdrResult<String> {
+        self.read_str().map(str::to_owned)
+    }
+
+    /// [`CdrDecoder::read_string`] without the copy: the string as it lies
+    /// in the stream.
+    pub fn read_str(&mut self) -> CdrResult<&'a str> {
         let len = self.read_u32()? as usize;
         if len == 0 {
             // Not produced by our encoder, but tolerated: an empty string
             // without terminator.
-            return Ok(String::new());
+            return Ok("");
         }
         let bytes = self.take(len)?;
         let (body, nul) = bytes.split_at(len - 1);
         if nul != [0] {
             return Err(CdrError::MissingNul);
         }
-        String::from_utf8(body.to_vec()).map_err(|_| CdrError::InvalidUtf8)
+        std::str::from_utf8(body).map_err(|_| CdrError::InvalidUtf8)
+    }
+
+    /// A `sequence<octet>` as it lies in the stream: the count through
+    /// [`CdrDecoder::read_len`] (an over-long one is `LengthOverrun`), then
+    /// that many bytes.
+    pub fn read_octets(&mut self) -> CdrResult<&'a [u8]> {
+        let n = self.read_len(1)?;
+        self.take(n)
     }
 
     /// Read an octet sequence (u32 count + raw bytes).

@@ -15,6 +15,11 @@ pub enum ByteOrder {
     Little,
 }
 
+/// The least a stream's first write reserves: a typical request or reply
+/// body then takes one allocation, not a run of doublings from eight bytes.
+/// An encoder nothing is written to allocates nothing.
+const MIN_CAPACITY: usize = 128;
+
 /// An encoder for a single CDR stream.
 #[derive(Debug, Default)]
 pub struct CdrEncoder {
@@ -27,6 +32,7 @@ macro_rules! write_prim {
         /// Write a primitive with its natural CDR alignment.
         pub fn $name(&mut self, v: $ty) {
             self.align(std::mem::size_of::<$ty>());
+            self.room(std::mem::size_of::<$ty>());
             let bytes = match self.order {
                 ByteOrder::Big => v.to_be_bytes(),
                 ByteOrder::Little => v.to_le_bytes(),
@@ -76,6 +82,14 @@ impl CdrEncoder {
         self.buf.reserve(additional);
     }
 
+    /// Make room for the `n` bytes about to be written; the first write
+    /// reserves at least [`MIN_CAPACITY`].
+    fn room(&mut self, n: usize) {
+        if self.buf.capacity() - self.buf.len() < n {
+            self.buf.reserve(n.max(MIN_CAPACITY));
+        }
+    }
+
     /// Borrow the bytes written so far.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
@@ -86,11 +100,13 @@ impl CdrEncoder {
     pub fn align(&mut self, n: usize) {
         debug_assert!(n.is_power_of_two());
         let pad = (n - self.buf.len() % n) % n;
+        self.room(pad);
         self.buf.resize(self.buf.len() + pad, 0);
     }
 
     /// Write a boolean as an octet (1 = true, 0 = false).
     pub fn write_bool(&mut self, v: bool) {
+        self.room(1);
         self.buf.push(v as u8);
     }
 
@@ -114,7 +130,7 @@ impl CdrEncoder {
             return;
         }
         self.align(W);
-        self.buf.reserve(items.len() * W);
+        self.room(items.len() * W);
         match self.order {
             ByteOrder::Big => self.buf.extend(items.iter().flat_map(|&v| be(v))),
             ByteOrder::Little => self.buf.extend(items.iter().flat_map(|&v| le(v))),
@@ -134,6 +150,7 @@ impl CdrEncoder {
     /// the UTF-8 bytes, then the NUL.
     pub fn write_string(&mut self, s: &str) {
         self.write_len(s.len() + 1);
+        self.room(s.len() + 1);
         self.buf.extend_from_slice(s.as_bytes());
         self.buf.push(0);
     }
@@ -141,6 +158,7 @@ impl CdrEncoder {
     /// Write an octet sequence: u32 count then raw bytes.
     pub fn write_bytes(&mut self, b: &[u8]) {
         self.write_len(b.len());
+        self.room(b.len());
         self.buf.extend_from_slice(b);
     }
 
@@ -148,6 +166,7 @@ impl CdrEncoder {
     /// Only sound when the bytes were encoded at a compatible alignment —
     /// e.g. appending a whole encoded parameter list to an empty stream.
     pub fn write_raw(&mut self, bytes: &[u8]) {
+        self.room(bytes.len());
         self.buf.extend_from_slice(bytes);
     }
 }

@@ -35,5 +35,5 @@ pub use decode::CdrDecoder;
 pub use encode::{ByteOrder, CdrEncoder};
 pub use epoch::Epoch;
 pub use error::{CdrError, CdrResult};
-pub use traits::{from_bytes, to_bytes, CdrRead, CdrWrite};
+pub use traits::{from_bytes, from_bytes_into, to_bytes, CdrRead, CdrWrite};
 pub use typecode::TypeCode;

@@ -39,6 +39,16 @@ pub trait CdrRead: Sized {
         }
         Ok(v)
     }
+
+    /// Read one value over `self`, reusing what it already holds — a
+    /// string's buffer, an `Any`'s TypeCode — for a caller that decodes
+    /// values of one shape again and again. After an error `self` holds
+    /// some value of its type, not necessarily the old one. The default
+    /// reads a fresh value.
+    fn read_into(&mut self, dec: &mut CdrDecoder<'_>) -> CdrResult<()> {
+        *self = Self::read(dec)?;
+        Ok(())
+    }
 }
 
 /// Encode a single value as a standalone big-endian CDR stream.
@@ -55,6 +65,13 @@ pub fn from_bytes<T: CdrRead>(bytes: &[u8]) -> CdrResult<T> {
     let v = T::read(&mut dec)?;
     dec.finish()?;
     Ok(v)
+}
+
+/// [`from_bytes`] over `value`, through [`CdrRead::read_into`].
+pub fn from_bytes_into<T: CdrRead>(value: &mut T, bytes: &[u8]) -> CdrResult<()> {
+    let mut dec = CdrDecoder::big_endian(bytes);
+    value.read_into(&mut dec)?;
+    dec.finish()
 }
 
 macro_rules! prim_impl {
@@ -115,6 +132,13 @@ impl CdrRead for String {
     fn read(dec: &mut CdrDecoder<'_>) -> CdrResult<Self> {
         dec.read_string()
     }
+
+    fn read_into(&mut self, dec: &mut CdrDecoder<'_>) -> CdrResult<()> {
+        let s = dec.read_str()?;
+        self.clear();
+        self.push_str(s);
+        Ok(())
+    }
 }
 
 impl<T: CdrWrite> CdrWrite for Vec<T> {
@@ -173,6 +197,11 @@ macro_rules! tuple_impl {
         impl<$($name: CdrRead),+> CdrRead for ($($name,)+) {
             fn read(dec: &mut CdrDecoder<'_>) -> CdrResult<Self> {
                 Ok(( $( $name::read(dec)?, )+ ))
+            }
+
+            fn read_into(&mut self, dec: &mut CdrDecoder<'_>) -> CdrResult<()> {
+                $( self.$idx.read_into(dec)?; )+
+                Ok(())
             }
         }
     };

@@ -71,27 +71,70 @@ const TK_SEQUENCE: u32 = 12;
 const TK_STRUCT: u32 = 13;
 const TK_ENUM: u32 = 14;
 
+impl TypeCode {
+    /// The kind this TypeCode is marshalled under.
+    fn kind(&self) -> u32 {
+        match self {
+            TypeCode::Void => TK_VOID,
+            TypeCode::Boolean => TK_BOOLEAN,
+            TypeCode::Octet => TK_OCTET,
+            TypeCode::Short => TK_SHORT,
+            TypeCode::Long => TK_LONG,
+            TypeCode::LongLong => TK_LONGLONG,
+            TypeCode::UShort => TK_USHORT,
+            TypeCode::ULong => TK_ULONG,
+            TypeCode::ULongLong => TK_ULONGLONG,
+            TypeCode::Float => TK_FLOAT,
+            TypeCode::Double => TK_DOUBLE,
+            TypeCode::String => TK_STRING,
+            TypeCode::Sequence(_) => TK_SEQUENCE,
+            TypeCode::Struct { .. } => TK_STRUCT,
+            TypeCode::Enum { .. } => TK_ENUM,
+        }
+    }
+
+    /// Whether the TypeCode next in `dec` equals this one, read without
+    /// building it. `Ok(true)` leaves `dec` just past it, as
+    /// [`TypeCode::read`] would; otherwise `dec` is somewhere inside it.
+    pub(crate) fn read_matches(&self, dec: &mut CdrDecoder<'_>) -> CdrResult<bool> {
+        if dec.read_u32()? != self.kind() {
+            return Ok(false);
+        }
+        Ok(match self {
+            TypeCode::Sequence(elem) => elem.read_matches(dec)?,
+            TypeCode::Struct { name, members } => {
+                if dec.read_str()? != name || dec.read_len(1)? != members.len() {
+                    return Ok(false);
+                }
+                for (mname, mtc) in members {
+                    if dec.read_str()? != mname || !mtc.read_matches(dec)? {
+                        return Ok(false);
+                    }
+                }
+                true
+            }
+            TypeCode::Enum { name, members } => {
+                if dec.read_str()? != name || dec.read_len(1)? != members.len() {
+                    return Ok(false);
+                }
+                for m in members {
+                    if dec.read_str()? != m {
+                        return Ok(false);
+                    }
+                }
+                true
+            }
+            _ => true,
+        })
+    }
+}
+
 impl CdrWrite for TypeCode {
     fn write(&self, enc: &mut CdrEncoder) {
+        enc.write_u32(self.kind());
         match self {
-            TypeCode::Void => enc.write_u32(TK_VOID),
-            TypeCode::Boolean => enc.write_u32(TK_BOOLEAN),
-            TypeCode::Octet => enc.write_u32(TK_OCTET),
-            TypeCode::Short => enc.write_u32(TK_SHORT),
-            TypeCode::Long => enc.write_u32(TK_LONG),
-            TypeCode::LongLong => enc.write_u32(TK_LONGLONG),
-            TypeCode::UShort => enc.write_u32(TK_USHORT),
-            TypeCode::ULong => enc.write_u32(TK_ULONG),
-            TypeCode::ULongLong => enc.write_u32(TK_ULONGLONG),
-            TypeCode::Float => enc.write_u32(TK_FLOAT),
-            TypeCode::Double => enc.write_u32(TK_DOUBLE),
-            TypeCode::String => enc.write_u32(TK_STRING),
-            TypeCode::Sequence(elem) => {
-                enc.write_u32(TK_SEQUENCE);
-                elem.write(enc);
-            }
+            TypeCode::Sequence(elem) => elem.write(enc),
             TypeCode::Struct { name, members } => {
-                enc.write_u32(TK_STRUCT);
                 enc.write_string(name);
                 enc.write_len(members.len());
                 for (mname, mtc) in members {
@@ -100,13 +143,13 @@ impl CdrWrite for TypeCode {
                 }
             }
             TypeCode::Enum { name, members } => {
-                enc.write_u32(TK_ENUM);
                 enc.write_string(name);
                 enc.write_len(members.len());
                 for m in members {
                     enc.write_string(m);
                 }
             }
+            _ => {}
         }
     }
 }
@@ -201,6 +244,46 @@ mod tests {
         };
         let back: TypeCode = from_bytes(&to_bytes(&tc)).unwrap();
         assert_eq!(tc, back);
+    }
+
+    #[test]
+    fn read_matches_is_read_then_compare() {
+        let chunk = |data: &str, elem: TypeCode| TypeCode::Struct {
+            name: "CkptChunk".into(),
+            members: vec![
+                ("epoch".into(), TypeCode::ULongLong),
+                (data.into(), TypeCode::Sequence(Box::new(elem))),
+            ],
+        };
+        let e = |members: &[&str]| TypeCode::Enum {
+            name: "E".into(),
+            members: members.iter().map(|m| m.to_string()).collect(),
+        };
+        let all = [
+            chunk("data", TypeCode::Octet),
+            chunk("date", TypeCode::Octet),
+            chunk("data", TypeCode::Double),
+            TypeCode::Struct {
+                name: "CkptChunk".into(),
+                members: vec![("epoch".into(), TypeCode::ULongLong)],
+            },
+            e(&["A", "B"]),
+            e(&["A"]),
+            e(&["A", "C"]),
+            TypeCode::Sequence(Box::new(TypeCode::Octet)),
+            TypeCode::Octet,
+            TypeCode::String,
+        ];
+        for a in &all {
+            for b in &all {
+                let bytes = to_bytes(b);
+                let mut dec = CdrDecoder::big_endian(&bytes);
+                assert_eq!(a.read_matches(&mut dec), Ok(a == b), "{a:?} vs {b:?}");
+                if a == b {
+                    dec.finish().unwrap();
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@ fn value_strategy() -> impl Strategy<Value = Any> {
             .prop_filter("NaN", |v| !v.is_nan())
             .prop_map(Any::double),
         "\\PC{0,32}".prop_map(Any::string),
+        proptest::collection::vec(any::<u8>(), 0..40).prop_map(|d| octets_any(&d, None)),
     ];
     leaf.prop_recursive(3, 32, 8, |inner| {
         proptest::collection::vec(inner, 0..6).prop_map(|items| {
@@ -119,6 +120,28 @@ proptest! {
         let _ = from_bytes::<Any>(&bytes);
         let _ = from_bytes::<Vec<String>>(&bytes);
         let _ = from_bytes::<TypeCode>(&bytes);
+        let _ = cdr::from_bytes_into(&mut octets_any(&[1, 2], Some(3)), &bytes);
+    }
+
+    /// Decoding over an earlier value — of any shape, or of the same one
+    /// with other contents — gives what a fresh decode gives.
+    #[test]
+    fn read_into_reads_what_read_reads(
+        prior in value_strategy(),
+        v in value_strategy(),
+        data in proptest::collection::vec(any::<u8>(), 0..=300),
+        e0 in any::<u64>(),
+        e1 in any::<u64>(),
+    ) {
+        let cases = [
+            (prior, v),
+            (octets_any(&data[..data.len() / 2], Some(e0)), octets_any(&data, Some(e1))),
+            (octets_any(&data, Some(e0)), octets_any(&data[..data.len() / 2], Some(e1))),
+        ];
+        for (mut over, v) in cases {
+            cdr::from_bytes_into(&mut over, &to_bytes(&v)).unwrap();
+            prop_assert_eq!(over, v);
+        }
     }
 
     #[test]
@@ -270,4 +293,111 @@ fn a_count_the_stream_holds_in_octets_but_not_in_elements_is_refused() {
         from_bytes::<Vec<f64>>(&bytes),
         Err(CdrError::LengthOverrun(16))
     );
+}
+
+/// `sequence<octet>` as an `Any` holds it: alone, or as the `data` member
+/// of the checkpoint store's `CkptChunk { epoch, data }`.
+fn octets_any(data: &[u8], chunk: Option<u64>) -> Any {
+    let seq = TypeCode::Sequence(Box::new(TypeCode::Octet));
+    match chunk {
+        None => Any {
+            tc: seq,
+            value: Value::Octets(data.to_vec()),
+        },
+        Some(epoch) => Any {
+            tc: TypeCode::Struct {
+                name: "CkptChunk".into(),
+                members: vec![("epoch".into(), TypeCode::ULongLong), ("data".into(), seq)],
+            },
+            value: Value::Struct(vec![Value::ULongLong(epoch), Value::Octets(data.to_vec())]),
+        },
+    }
+}
+
+/// The reference: what `Any::write` wrote before octets had a value of
+/// their own — the count, then every octet as one `Value::Octet`.
+fn octets_reference(enc: &mut CdrEncoder, data: &[u8], chunk: Option<u64>) {
+    octets_any(&[], chunk).tc.write(enc);
+    if let Some(epoch) = chunk {
+        enc.write_u64(epoch);
+    }
+    enc.write_len(data.len());
+    for &b in data {
+        enc.write_u8(b);
+    }
+}
+
+proptest! {
+    #[test]
+    fn octets_in_an_any_are_the_elementwise_bytes(
+        data in proptest::collection::vec(any::<u8>(), 0..=300),
+        epoch in any::<u64>(),
+    ) {
+        for chunk in [None, Some(epoch)] {
+            let any = octets_any(&data, chunk);
+            for prefix in 0..8 {
+                let mut enc = CdrEncoder::big_endian();
+                let mut reference = CdrEncoder::big_endian();
+                for _ in 0..prefix {
+                    enc.write_u8(0xEE);
+                    reference.write_u8(0xEE);
+                }
+                any.write(&mut enc);
+                octets_reference(&mut reference, &data, chunk);
+                let bytes = enc.into_bytes();
+                prop_assert_eq!(&bytes, reference.as_bytes());
+                let mut dec = CdrDecoder::big_endian(&bytes);
+                for _ in 0..prefix {
+                    dec.read_u8().unwrap();
+                }
+                prop_assert_eq!(&Any::read(&mut dec).unwrap(), &any);
+                dec.finish().unwrap();
+            }
+        }
+    }
+
+    /// Cut short, the stream fails to decode: inside the octets the count
+    /// outruns what is left (`LengthOverrun`, before anything is
+    /// allocated), anywhere before they start a field ends early
+    /// (`UnexpectedEof`, or `LengthOverrun(2)` for the struct's member
+    /// count). A count above the rest of a whole stream is refused the
+    /// same way.
+    #[test]
+    fn damaged_octets_in_an_any_are_an_error(
+        data in proptest::collection::vec(any::<u8>(), 0..=300),
+        epoch in any::<u64>(),
+    ) {
+        for chunk in [None, Some(epoch)] {
+            let bytes = to_bytes(&octets_any(&data, chunk));
+            let count_at = bytes.len() - data.len() - 4;
+            for cut in 0..bytes.len() {
+                let err = from_bytes::<Any>(&bytes[..cut]).unwrap_err();
+                if cut >= count_at + 4 {
+                    prop_assert_eq!(err, CdrError::LengthOverrun(data.len() as u64));
+                } else {
+                    prop_assert!(
+                        matches!(err, CdrError::UnexpectedEof { .. } | CdrError::LengthOverrun(2)),
+                        "cut at {}: {:?}", cut, err
+                    );
+                }
+            }
+            for claimed in [data.len() as u32 + 1, u32::MAX] {
+                let mut long = bytes.clone();
+                long[count_at..count_at + 4].copy_from_slice(&claimed.to_be_bytes());
+                prop_assert_eq!(
+                    from_bytes::<Any>(&long).unwrap_err(),
+                    CdrError::LengthOverrun(u64::from(claimed))
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "does not conform")]
+fn an_octet_sequence_of_octet_values_does_not_conform() {
+    let _ = to_bytes(&Any {
+        tc: TypeCode::Sequence(Box::new(TypeCode::Octet)),
+        value: Value::Sequence(vec![Value::Octet(1), Value::Octet(2)]),
+    });
 }

@@ -1035,6 +1035,46 @@ fn warm_recovery_reads_nothing_a_fresh_proxy_reads_the_store() {
 }
 
 #[test]
+fn an_absurd_header_length_starts_a_fresh_proxy_cold() {
+    // A per-value header's `len` is only what the store says. Reserved up
+    // front, `u64::MAX` overflowed the capacity and 2^62 aborted the
+    // process on allocation; with no chunk behind the header, a fresh
+    // proxy must simply start its replica cold.
+    for len in [u64::MAX, 1 << 62] {
+        let mut sim = Kernel::with_seed(23);
+        let (hosts, store) = probed_bed(&mut sim, 3, None);
+        let h0 = hosts[0];
+        let out = cell::<Option<(i64, u64, u64)>>();
+        let o = out.clone();
+        let driver = sim.spawn(hosts[0], "driver", move |ctx| {
+            ctx.sleep(secs(1.0)).unwrap();
+            let mut orb = Orb::init(ctx);
+            let header = cdr::Any {
+                tc: cdr::TypeCode::Struct {
+                    name: "CkptHeader".into(),
+                    members: ["len", "epoch", "chunk"]
+                        .map(|m| (m.to_string(), cdr::TypeCode::ULongLong))
+                        .to_vec(),
+                },
+                value: cdr::Value::Struct([len, 1, 64].map(cdr::Value::ULongLong).to_vec()),
+            };
+            ckpt_client(&mut orb, ctx, h0)
+                .store_value(&mut orb, ctx, "counter-1", "header", &header)
+                .unwrap()
+                .unwrap();
+            let mut fresh = proxy_for(h0, &mut orb, ctx, CheckpointMode::PerValue);
+            let mut env = ProxyEnv { orb: &mut orb, ctx };
+            let v: i64 = fresh.call(&mut env, "inc", &(1i64,)).unwrap().unwrap();
+            *o.lock().unwrap() = Some((v, fresh.stats.restores, store.reads()));
+        });
+        sim.run_until_exit(driver);
+        // The header and the missing first chunk were read; nothing was
+        // pushed, so the counter started from 0.
+        assert_eq!(*out.lock().unwrap(), Some((1, 0, 2)), "len {len}");
+    }
+}
+
+#[test]
 fn failed_checkpoints_leave_the_acked_copy_alone() {
     // Neither a refused store write nor a failed `checkpoint_op` fetch
     // replaces the copy recovery restores from. (That a re-push of the

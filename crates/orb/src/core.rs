@@ -143,7 +143,16 @@ struct Pending {
     endpoint: (HostId, Port),
     sent: SimTime,
     deadline: SimTime,
-    operation: String,
+    /// For the interceptors' `client_recv`; not kept when none were
+    /// installed at send time.
+    operation: Option<String>,
+}
+
+/// The operation of a settled request, as its interceptors are told.
+fn operation_of(p: &Option<Pending>) -> &str {
+    p.as_ref()
+        .and_then(|p| p.operation.as_deref())
+        .unwrap_or("?")
 }
 
 /// Why a pending request failed. Each is a `COMM_FAILURE` to the caller.
@@ -439,6 +448,7 @@ impl Orb {
                             poa,
                             from,
                             key: object_key,
+                            args: &body,
                         };
                         let mut s = servant.borrow_mut();
                         s.dispatch(&mut call, &operation, &body)
@@ -536,13 +546,13 @@ impl Orb {
         body: &[u8],
         timeout: Option<SimDuration>,
     ) -> SimResult<Result<Vec<u8>, Exception>> {
-        let mut target = ior.clone();
+        let mut target = std::borrow::Cow::Borrowed(ior);
         for _ in 0..=self.cfg.forward_limit {
             let req_id =
                 self.send_request_with_timeout(ctx, &target, operation, body, true, timeout)?;
             match self.await_reply(ctx, req_id)? {
                 Outcome::Done(r) => return Ok(r),
-                Outcome::Forward(next) => target = next,
+                Outcome::Forward(next) => target = std::borrow::Cow::Owned(next),
             }
         }
         Ok(Err(Exception::System(SystemException::transient(
@@ -600,7 +610,7 @@ impl Orb {
                     endpoint,
                     sent: ctx.now(),
                     deadline: ctx.now() + timeout.unwrap_or(self.cfg.request_timeout),
-                    operation: operation.to_string(),
+                    operation: (!self.interceptors.is_empty()).then(|| operation.to_string()),
                 },
             );
         } else {
@@ -711,13 +721,13 @@ impl Orb {
                 ReplyBody::NoException(body) => {
                     ctx.compute(self.cfg.cost.step(body.len()))?;
                     for i in &mut self.interceptors {
-                        i.client_recv(p.as_ref().map_or("?", |p| &p.operation), true);
+                        i.client_recv(operation_of(&p), true);
                     }
                     Outcome::Done(Ok(body))
                 }
                 other => {
                     for i in &mut self.interceptors {
-                        i.client_recv(p.as_ref().map_or("?", |p| &p.operation), false);
+                        i.client_recv(operation_of(&p), false);
                     }
                     Outcome::Done(other.into_result())
                 }
@@ -742,7 +752,7 @@ impl Orb {
             }
         }
         for i in &mut self.interceptors {
-            i.client_recv(p.as_ref().map_or("?", |p| &p.operation), false);
+            i.client_recv(operation_of(&p), false);
         }
         Outcome::Done(Err(Exception::System(SystemException::comm_failure(
             why.detail(),
@@ -841,7 +851,7 @@ impl Orb {
                 endpoint,
                 sent: ctx.now(),
                 deadline: ctx.now() + self.cfg.request_timeout,
-                operation: "_locate".to_string(),
+                operation: (!self.interceptors.is_empty()).then(|| "_locate".to_string()),
             },
         );
         ctx.send(Addr::Endpoint(ior.host, ior.port), frame)?;

@@ -30,6 +30,10 @@ pub struct CallCtx<'a> {
     pub from: Pid,
     /// The target object's key.
     pub key: ObjectKey,
+    /// The request's in-parameter body as it arrived — the `args` the
+    /// servant's `dispatch` is handed — for a servant that passes the
+    /// request on unchanged (a store coordinator's fan-out).
+    pub args: &'a [u8],
 }
 
 /// A CORBA servant: application code dispatching operations by name.
@@ -49,9 +53,12 @@ pub fn reply<T: CdrWrite>(value: &T) -> Result<Vec<u8>, Exception> {
     Ok(cdr::to_bytes(value))
 }
 
+/// A servant as the adapter holds it.
+type ServantRef = Rc<RefCell<dyn Servant>>;
+
 struct Entry {
-    servant: Rc<RefCell<dyn Servant>>,
-    type_id: String,
+    servant: ServantRef,
+    type_id: Rc<str>,
 }
 
 struct Inner {
@@ -94,7 +101,7 @@ impl Poa {
             key,
             Entry {
                 servant,
-                type_id: type_id.into(),
+                type_id: type_id.into().into(),
             },
         );
         key
@@ -121,9 +128,9 @@ impl Poa {
         self.len() == 0
     }
 
-    /// Look up a servant and its type id. The `Rc` is cloned out so the map
-    /// borrow is released before dispatch.
-    pub(crate) fn lookup(&self, key: ObjectKey) -> Option<(Rc<RefCell<dyn Servant>>, String)> {
+    /// Look up a servant and its type id. Both are `Rc`s, cloned out so
+    /// the map borrow is released before dispatch without copying a string.
+    pub(crate) fn lookup(&self, key: ObjectKey) -> Option<(ServantRef, Rc<str>)> {
         let inner = self.inner.borrow();
         inner
             .servants
@@ -173,7 +180,7 @@ mod tests {
         let poa = Poa::new();
         let k = poa.activate("IDL:Echo:1.0", Rc::new(RefCell::new(Echo)));
         let (_, tid) = poa.lookup(k).unwrap();
-        assert_eq!(tid, "IDL:Echo:1.0");
+        assert_eq!(&*tid, "IDL:Echo:1.0");
         assert!(poa.lookup(ObjectKey(999)).is_none());
     }
 }

@@ -181,23 +181,24 @@ impl HostState {
         self.jobs.drain(..).map(|j| j.pid).collect()
     }
 
-    /// Complete all finished jobs at `now` and return their pids.
-    /// Also bumps the epoch since membership changed.
-    pub(crate) fn take_finished(&mut self, now: SimTime) -> Vec<Pid> {
+    /// Complete all finished jobs at `now`, handing each pid to `done` in
+    /// job order, and return how many finished. Also bumps the epoch when
+    /// any did, since membership changed.
+    pub(crate) fn take_finished(&mut self, now: SimTime, mut done: impl FnMut(Pid)) -> usize {
         self.advance(now);
-        let mut done = Vec::new();
+        let before = self.jobs.len();
         self.jobs.retain(|j| {
-            if j.remaining <= WORK_EPS {
-                done.push(j.pid);
-                false
-            } else {
-                true
+            let finished = j.remaining <= WORK_EPS;
+            if finished {
+                done(j.pid);
             }
+            !finished
         });
-        if !done.is_empty() {
+        let n = before - self.jobs.len();
+        if n > 0 {
             self.cpu_epoch += 1;
         }
-        done
+        n
     }
 
     /// Virtual instant at which the next job will finish under the current
@@ -241,7 +242,6 @@ impl HostState {
     }
 
     /// Number of currently runnable jobs.
-    #[cfg(test)]
     pub(crate) fn runnable(&self) -> usize {
         self.jobs.len()
     }
@@ -271,6 +271,13 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs_f64(secs)
     }
 
+    fn finished(h: &mut HostState, at: SimTime) -> Vec<Pid> {
+        let mut pids = Vec::new();
+        let n = h.take_finished(at, |pid| pids.push(pid));
+        assert_eq!(n, pids.len());
+        pids
+    }
+
     #[test]
     fn single_job_runs_at_full_speed() {
         let mut h = host();
@@ -279,7 +286,7 @@ mod tests {
         // 2 work units at speed 1.0 => 2 seconds (+1ns rounding).
         let secs = done.as_secs_f64();
         assert!((secs - 2.0).abs() < 1e-6, "{secs}");
-        assert!(h.take_finished(done).contains(&Pid(1)));
+        assert!(finished(&mut h, done).contains(&Pid(1)));
         assert_eq!(h.runnable(), 0);
     }
 
@@ -291,8 +298,7 @@ mod tests {
         let done = h.next_completion(t(0.0)).unwrap();
         // Each gets half the CPU: 1 unit takes 2 seconds.
         assert!((done.as_secs_f64() - 2.0).abs() < 1e-6);
-        let finished = h.take_finished(done);
-        assert_eq!(finished.len(), 2);
+        assert_eq!(finished(&mut h, done).len(), 2);
     }
 
     #[test]
@@ -302,8 +308,7 @@ mod tests {
         h.add_job(t(0.0), Pid(2), 1.0);
         let done = h.next_completion(t(0.0)).unwrap();
         assert!((done.as_secs_f64() - 2.0).abs() < 1e-6, "{done:?}");
-        let finished = h.take_finished(done);
-        assert_eq!(finished, vec![Pid(2)]);
+        assert_eq!(finished(&mut h, done), vec![Pid(2)]);
         // Spinner remains runnable and never completes.
         assert_eq!(h.runnable(), 1);
         assert!(h.next_completion(done).is_none());
@@ -329,8 +334,7 @@ mod tests {
         // Both progress at 0.5/s: p2 done after 2 more seconds, p1 too.
         let done = h.next_completion(t(1.0)).unwrap();
         assert!((done.as_secs_f64() - 3.0).abs() < 1e-6, "{done:?}");
-        let finished = h.take_finished(done);
-        assert_eq!(finished.len(), 2);
+        assert_eq!(finished(&mut h, done).len(), 2);
     }
 
     #[test]
@@ -413,7 +417,6 @@ mod tests {
         h.add_job(t(0.0), Pid(1), 1.0);
         let done = h.next_completion(t(0.0)).unwrap();
         // At the completion event the job must actually be finished.
-        let fin = h.take_finished(done);
-        assert_eq!(fin, vec![Pid(1)]);
+        assert_eq!(finished(&mut h, done), vec![Pid(1)]);
     }
 }

@@ -36,6 +36,12 @@
 //! seeded from the kernel seed and the deterministically-assigned pid. Two
 //! runs with the same seed and the same program therefore produce identical
 //! traces, with or without observers installed.
+//!
+//! A `compute` alone on its host finishes inside its syscall when nothing
+//! can happen first (`Core::complete_alone`): its completion check would be
+//! the next event popped, alone at its instant, so skipping the queue takes
+//! no decision the queue would have taken differently — not even a tie for
+//! a [`SchedulePolicy`] — and leaves every other event's order unchanged.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -1504,16 +1510,51 @@ impl Core {
         if hs.cpu_epoch != epoch || !hs.up {
             return;
         }
-        let finished = hs.take_finished(now);
-        for pid in finished {
-            let p = &mut self.procs[pid.0 as usize];
+        let (procs, runnable, peaks) = (&mut self.procs, &mut self.runnable, &mut self.peaks);
+        hs.take_finished(now, |pid| {
+            let p = &mut procs[pid.0 as usize];
             debug_assert_eq!(p.status, Status::Blocked(Block::Compute));
             p.pending = Some(Resume::Done { now });
             p.status = Status::Runnable;
-            self.runnable.push_back(pid);
-            self.peaks.runnable = self.peaks.runnable.max(self.runnable.len() as u64);
-        }
+            runnable.push_back(pid);
+            peaks.runnable = peaks.runnable.max(runnable.len() as u64);
+        });
         self.reschedule_cpu(host);
+    }
+
+    /// Finish `pid`'s just-added compute job here, without the event heap,
+    /// if it is alone on its host and nothing can happen before it
+    /// completes: no process is runnable, no kernel event awaits a flush,
+    /// every queued event is strictly later, and neither the stop rule nor
+    /// `max_events` would halt the run first. The `CpuCheck` it would have
+    /// queued is then the next event popped, alone at its instant, with no
+    /// tie for a policy to break — so this runs exactly what `cpu_check`
+    /// would and counts the event, and the schedule is the heap's own.
+    /// `None` (the job queued as usual) otherwise.
+    fn complete_alone(&mut self, pid: Pid, host: HostId) -> Option<SimTime> {
+        let hs = &self.hosts[host.0 as usize];
+        if hs.runnable() != 1 {
+            return None;
+        }
+        let at = hs.next_completion(self.now)?;
+        let first = self.runnable.is_empty()
+            && self.event_buf.is_empty()
+            && self
+                .events
+                .peek()
+                .is_none_or(|Reverse(head)| head.time > at)
+            && self.deadline.is_none_or(|d| at <= d)
+            && !self.exit_on.is_some_and(|p| self.proc_dead(p))
+            && self.stats.events < self.cfg.max_events;
+        if !first {
+            return None;
+        }
+        self.now = at;
+        self.stats.events += 1;
+        // None finishes only if a residue outlived the rounded-up instant;
+        // the caller then queues the job again, as `cpu_check` reschedules.
+        let finished = self.hosts[host.0 as usize].take_finished(at, |p| debug_assert_eq!(p, pid));
+        (finished > 0).then_some(at)
     }
 
     fn reschedule_cpu(&mut self, host: HostId) {
@@ -1716,8 +1757,11 @@ impl Core {
             }
             Syscall::Compute(work) => {
                 let host = self.procs[pid.0 as usize].host;
-                self.procs[pid.0 as usize].status = Status::Blocked(Block::Compute);
                 self.hosts[host.0 as usize].add_job(now, pid, work);
+                if let Some(done) = self.complete_alone(pid, host) {
+                    return Flow::Reply(Resume::Done { now: done });
+                }
+                self.procs[pid.0 as usize].status = Status::Blocked(Block::Compute);
                 self.reschedule_cpu(host);
                 Flow::Block
             }

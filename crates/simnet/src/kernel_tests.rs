@@ -655,6 +655,22 @@ fn runaway_event_loop_is_caught() {
 }
 
 #[test]
+#[should_panic(expected = "max_events")]
+fn a_lone_compute_counts_against_max_events() {
+    // The start is event 1; the compute's completion would be event 2,
+    // inline or not.
+    let mut sim = Kernel::new(KernelConfig {
+        max_events: 1,
+        ..KernelConfig::default()
+    });
+    let a = sim.add_host(HostConfig::new("a"));
+    sim.spawn(a, "worker", move |ctx| {
+        let _ = ctx.compute(1.0);
+    });
+    sim.run_until_idle();
+}
+
+#[test]
 fn rst_includes_transfer_payload_semantics() {
     // Payload bytes increase transfer time: a big message arrives later
     // than a small one sent at the same instant.
@@ -954,6 +970,12 @@ fn profile_marks_pair_up_and_never_nest() {
         ctx.compute(0.001).unwrap();
         ctx.send(Addr::Pid(server), b"hi".to_vec()).unwrap();
     });
+    // A compute alone on its host may complete without the event heap;
+    // this one shares the CPU with the client's, so a `CpuCheck` runs.
+    sim.spawn(a, "twin", move |ctx| {
+        ctx.sleep(secs(0.01)).unwrap();
+        ctx.compute(0.001).unwrap();
+    });
     sim.run_until_idle();
     let marks = marks.lock();
     assert!(!marks.is_empty());
@@ -1158,6 +1180,142 @@ fn schedule_policy_flips_runnable_order() {
         flipped_order,
         vec!["second".to_string(), "first".to_string()]
     );
+}
+
+// ---------------------------------------------------------------------
+// A compute alone on its host completes without the event heap
+// ---------------------------------------------------------------------
+
+/// 1/256 s of work, exact in binary: on a unit-speed host a lone job ends
+/// `SLICE_NS` after it starts (the whole nanoseconds rounded up, plus one).
+const SLICE: f64 = 1.0 / 256.0;
+const SLICE_NS: u64 = 3_906_251;
+
+fn ms(n: u64) -> SimDuration {
+    SimDuration::from_millis(n)
+}
+
+/// A body that sleeps `at`, then computes `SLICE` `times` times, noting
+/// each completion.
+fn sliced(
+    notes: &Cell<Vec<String>>,
+    name: &'static str,
+    at: SimDuration,
+    times: usize,
+) -> impl FnOnce(&mut crate::Ctx) + Send + 'static {
+    let notes = notes.clone();
+    move |ctx| {
+        if ctx.sleep(at).is_err() {
+            return;
+        }
+        for _ in 0..times {
+            if ctx.compute(SLICE).is_err() {
+                return;
+            }
+            notes
+                .lock()
+                .push(format!("{} {name} computed", ctx.now().as_nanos()));
+        }
+    }
+}
+
+/// What a run of `inline_cell` comes to: the kernel trace, the stats, the
+/// virtual CPU per process, the processes' notes, and where the two early
+/// stops of the run left the clock and the notes.
+type InlineOutcome = (Vec<String>, String, Vec<String>, Vec<String>, Vec<String>);
+
+/// Every case the inline completion must decide as the heap would, one
+/// phase each, nothing of one phase queued inside another:
+/// - (a) 10 ms: a lone compute, twice;
+/// - (b) 20 ms: two computes sharing a host, twice — the second pair
+///   starts while the other process is still runnable;
+/// - (c) 40 ms: a delivery due at exactly a compute's completion instant;
+/// - (d) 50 ms: a crash of the computing host at its completion instant;
+/// - (e) 60 ms: a `run_until` deadline one nanosecond before a completion;
+/// - (f) 70 ms: a short compute joining a longer one on its host, nothing
+///   queued before its completion but the longer one's superseded check;
+/// - (g) 90 ms: `run_until_exit` of a process that leaves at the instant
+///   its host-mate, still runnable, starts another compute.
+fn inline_cell(policy: bool) -> InlineOutcome {
+    let mut sim = Kernel::with_seed(33);
+    let lines = cell::<Vec<String>>();
+    let l = lines.clone();
+    sim.set_event_hook(move |t, ev| l.lock().push(format!("{t} {ev}")));
+    if policy {
+        sim.set_schedule_policy(TestPolicy {
+            choices: cell(),
+            flip_delivers: false,
+            flip_runs: false,
+        });
+    }
+    let h = sim.add_hosts(8);
+    let notes = cell::<Vec<String>>();
+    let computes = |name, at, times| sliced(&notes, name, at, times);
+    sim.spawn(h[0], "lone", computes("lone", ms(10), 2));
+    sim.spawn(h[1], "pair-a", computes("pair-a", ms(20), 2));
+    sim.spawn(h[1], "pair-b", computes("pair-b", ms(20), 2));
+    let n = notes.clone();
+    let sink = sim.spawn(h[2], "sink", move |ctx| {
+        if ctx.recv().is_ok() {
+            n.lock()
+                .push(format!("{} sink got it", ctx.now().as_nanos()));
+        }
+    });
+    sim.set_link_latency(h[3], h[2], ms(1) + SimDuration::from_nanos(SLICE_NS));
+    sim.spawn(h[3], "sender", move |ctx| {
+        let _ = ctx
+            .sleep(ms(40))
+            .and_then(|()| ctx.send(Addr::Pid(sink), Vec::new()));
+    });
+    sim.spawn(h[2], "racer", computes("racer", ms(41), 1));
+    sim.spawn(h[4], "victim", computes("victim", ms(50), 1));
+    let slice = SimDuration::from_nanos(SLICE_NS);
+    sim.schedule_fault(SimTime::ZERO + ms(50) + slice, Fault::CrashHost(h[4]));
+    sim.spawn(h[5], "late", computes("late", ms(60), 1));
+    let n = notes.clone();
+    sim.spawn(h[6], "long", move |ctx| {
+        if ctx.sleep(ms(70)).is_ok() && ctx.compute(4.0 * SLICE).is_ok() {
+            n.lock()
+                .push(format!("{} long computed", ctx.now().as_nanos()));
+        }
+    });
+    sim.spawn(h[6], "short", computes("short", ms(71), 1));
+    let exiter = sim.spawn(h[7], "exiter", computes("exiter", ms(90), 1));
+    sim.spawn(h[7], "stayer", computes("stayer", ms(90), 2));
+    let mut stops = Vec::new();
+    let mut stop = |at: SimTime, notes: &Cell<Vec<String>>| {
+        stops.push(format!(
+            "{} after {} notes",
+            at.as_nanos(),
+            notes.lock().len()
+        ));
+    };
+    let deadline = SimTime::ZERO + ms(60) + SimDuration::from_nanos(SLICE_NS - 1);
+    stop(sim.run_until(deadline), &notes);
+    stop(sim.run_until_exit(exiter), &notes);
+    sim.run_until_idle();
+    let cpu = sim
+        .profile()
+        .cpu_by_proc
+        .iter()
+        .map(|c| format!("{} {} {}", c.pid, c.name, c.cpu_ns))
+        .collect();
+    let lines = lines.lock().clone();
+    let notes = notes.lock().clone();
+    (lines, format!("{:?}", sim.stats()), cpu, notes, stops)
+}
+
+#[test]
+fn a_lone_compute_completes_where_the_heap_would_have_it() {
+    let bare = inline_cell(false);
+    assert_eq!(bare, inline_cell(true), "an index-0 policy changed the run");
+    let (lines, stats, cpu, notes, stops) = bare;
+    // Captured at the commit before computes could complete inline.
+    assert_eq!(lines, INLINE_TRACE, "{lines:#?}");
+    assert_eq!(stats, INLINE_STATS);
+    assert_eq!(cpu, INLINE_CPU, "{cpu:#?}");
+    assert_eq!(notes, INLINE_NOTES, "{notes:#?}");
+    assert_eq!(stops, INLINE_STOPS, "{stops:#?}");
 }
 
 // ---------------------------------------------------------------------
@@ -1385,3 +1543,64 @@ fn events_reach_the_hook_before_the_emitting_process_runs_on() {
     ];
     assert_eq!(*read.lock(), want);
 }
+
+const INLINE_TRACE: [&str; 25] = [
+    "0.000000 spawn p0 lone on h0",
+    "0.000000 spawn p1 pair-a on h1",
+    "0.000000 spawn p2 pair-b on h1",
+    "0.000000 spawn p3 sink on h2",
+    "0.000000 spawn p4 sender on h3",
+    "0.000000 spawn p5 racer on h2",
+    "0.000000 spawn p6 victim on h4",
+    "0.000000 spawn p7 late on h5",
+    "0.000000 spawn p8 long on h6",
+    "0.000000 spawn p9 short on h6",
+    "0.000000 spawn p10 exiter on h7",
+    "0.000000 spawn p11 stayer on h7",
+    "0.017813 exit p0",
+    "0.035625 exit p1",
+    "0.035625 exit p2",
+    "0.040000 exit p4",
+    "0.044906 exit p3",
+    "0.044906 exit p5",
+    "0.053906 kill p6",
+    "0.053906 crash h4",
+    "0.063906 exit p7",
+    "0.078813 exit p9",
+    "0.089531 exit p8",
+    "0.097813 exit p10",
+    "0.101719 exit p11",
+];
+const INLINE_STATS: &str =
+    "KernelStats { events: 40, msgs_delivered: 1, msgs_dropped: 0, rsts: 0, spawned: 12, killed: 1 }";
+const INLINE_CPU: [&str; 10] = [
+    "p0 lone 7812502",
+    "p1 pair-a 7812500",
+    "p2 pair-b 7812500",
+    "p5 racer 3906251",
+    "p6 victim 3906251",
+    "p7 late 3906251",
+    "p8 long 15625001",
+    "p9 short 3906250",
+    "p10 exiter 3906250",
+    "p11 stayer 7812501",
+];
+// The sink's delivery and the racer's completion share an instant; the
+// delivery was queued first, so it runs first.
+const INLINE_NOTES: [&str; 14] = [
+    "13906251 lone computed",
+    "17812502 lone computed",
+    "27812501 pair-a computed",
+    "27812501 pair-b computed",
+    "35625002 pair-a computed",
+    "35625002 pair-b computed",
+    "44906251 sink got it",
+    "44906251 racer computed",
+    "63906251 late computed",
+    "78812501 short computed",
+    "89531252 long computed",
+    "97812501 exiter computed",
+    "97812501 stayer computed",
+    "101718752 stayer computed",
+];
+const INLINE_STOPS: [&str; 2] = ["63906250 after 8 notes", "97812501 after 13 notes"];

@@ -39,6 +39,7 @@
 //! client simply did not get confirmation for.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use cdr::{Any, Epoch, TypeCode, Value};
 use cosnaming::{Name, NamingClient, NotFound};
@@ -74,6 +75,15 @@ fn chunk_epoch_of(v: &Any) -> Option<Epoch> {
         }
         _ => None,
     }
+}
+
+/// A `repl_store_value` request before anything is decoded into it.
+fn blank_request() -> (String, String, Any) {
+    let nothing = Any {
+        tc: TypeCode::Void,
+        value: Value::Void,
+    };
+    (String::new(), String::new(), nothing)
 }
 
 fn killed() -> Exception {
@@ -122,8 +132,9 @@ pub struct StoreReplica {
     /// This replica's own reference; set by [`run_store_replica`] after
     /// activation so the view can exclude it.
     pub self_ior: Option<Ior>,
-    /// Cached membership view: `(fetched_at, revision, peers)`.
-    view_cache: Option<(SimTime, u64, Vec<Ior>)>,
+    /// Cached membership view: `(fetched_at, revision, peers)`, each peer
+    /// a stub that already carries the replication deadline.
+    view_cache: Option<(SimTime, u64, Rc<[ReplicationStub]>)>,
     /// Highest membership revision witnessed, from our own view fetches
     /// or stamped on incoming `repl_*` writes.
     highest_view_revision: u64,
@@ -133,6 +144,11 @@ pub struct StoreReplica {
     bulks: BTreeMap<String, BTreeMap<Epoch, Checkpoint>>,
     /// Per-value records (the paper's proof-of-concept interface).
     values: BTreeMap<String, BTreeMap<String, Any>>,
+    /// The last `repl_store_value` request decoded, and then the value its
+    /// write displaced: the next request is decoded over it, so a peer
+    /// rewriting a value of the same shape builds no new strings,
+    /// TypeCode or buffers.
+    scratch: (String, String, Any),
     /// Client-coordinated bulk stores served.
     pub stores: u64,
     /// Client-coordinated per-value stores served.
@@ -164,6 +180,7 @@ impl StoreReplica {
             stale_view_rejects: 0,
             bulks: BTreeMap::new(),
             values: BTreeMap::new(),
+            scratch: blank_request(),
             stores: 0,
             value_stores: 0,
             repl_applied: 0,
@@ -174,10 +191,11 @@ impl StoreReplica {
         }
     }
 
-    /// Emit a monitoring event if the config carries a monitor.
-    fn emit(&self, call: &CallCtx<'_>, body: EventBody) {
+    /// Emit a monitoring event if the config carries a monitor; the event
+    /// is only built then.
+    fn emit(&self, call: &CallCtx<'_>, body: impl FnOnce() -> EventBody) {
         if let Some(mon) = &self.cfg.monitor {
-            mon.emit(call.ctx, body);
+            mon.emit(call.ctx, body());
         }
     }
 
@@ -217,8 +235,18 @@ impl StoreReplica {
         } else {
             None
         };
-        let vals = self.values.entry(id.to_string()).or_default();
-        vals.insert(key.to_string(), value);
+        // Rewrites reuse the stored object and key, and the value they
+        // displace becomes the scratch the next peer write decodes over.
+        let vals = match self.values.get_mut(id) {
+            Some(vals) => vals,
+            None => self.values.entry(id.to_owned()).or_default(),
+        };
+        match vals.get_mut(key) {
+            Some(slot) => self.scratch.2 = std::mem::replace(slot, value),
+            None => {
+                vals.insert(key.to_owned(), value);
+            }
+        }
         let mut dropped = 0;
         if let Some(e) = header_epoch {
             let floor = Epoch(
@@ -308,11 +336,11 @@ impl StoreReplica {
     /// deterministic fan-out order, and excluding this replica itself.
     /// Cached for `view_ttl` — but a cached view is also discarded early
     /// when a peer's stamped write has already proven it stale.
-    fn view(&mut self, call: &mut CallCtx<'_>) -> Result<(u64, Vec<Ior>), Exception> {
+    fn view(&mut self, call: &mut CallCtx<'_>) -> Result<(u64, Rc<[ReplicationStub]>), Exception> {
         let now = call.ctx.now();
         if let Some((at, rev, v)) = &self.view_cache {
             if now.since(*at) <= self.cfg.view_ttl && *rev >= self.highest_view_revision {
-                return Ok((*rev, v.clone()));
+                return Ok((*rev, Rc::clone(v)));
             }
         }
         let ns = NamingClient::root(self.naming_host);
@@ -341,12 +369,17 @@ impl StoreReplica {
             .collect();
         peers.sort_by_key(|a| (a.host, a.port, a.key));
         peers.dedup();
-        self.view_cache = Some((now, revision, peers.clone()));
+        let deadline = Some(self.cfg.repl_timeout);
+        let peers: Rc<[ReplicationStub]> = peers
+            .into_iter()
+            .map(|p| ReplicationStub::from_ior(p).with_deadline(deadline))
+            .collect();
+        self.view_cache = Some((now, revision, Rc::clone(&peers)));
         let members = (peers.len() + 1) as u32;
         let quorum = self.cfg.write_quorum.clamp(1, peers.len() + 1) as u32;
         if self.last_view_published != Some((members, quorum)) {
             self.last_view_published = Some((members, quorum));
-            self.emit(call, EventBody::ViewChange { members, quorum });
+            self.emit(call, || EventBody::ViewChange { members, quorum });
         }
         Ok((revision, peers))
     }
@@ -369,9 +402,10 @@ impl StoreReplica {
     }
 
     /// Fan a locally applied write out to the peers in the view and
-    /// enforce the quorum. `body` is the client request body (the
-    /// in-parameters as the client's stub encoded them); each peer gets
-    /// it as `(view_revision, body)` so replicas can reject a stale view.
+    /// enforce the quorum. `body` is the client request body as it arrived
+    /// (the in-parameters as the client's stub encoded them); each peer
+    /// gets it as `(view_revision, body)` so replicas can reject a stale
+    /// view.
     fn replicate(
         &mut self,
         call: &mut CallCtx<'_>,
@@ -384,16 +418,13 @@ impl StoreReplica {
         let view_size = peers.len() + 1; // the coordinator is in the view
         let w_eff = self.cfg.write_quorum.clamp(1, view_size);
         if w_eff <= 1 && peers.is_empty() {
-            self.emit(
-                call,
-                EventBody::QuorumWrite {
-                    object: object.to_string(),
-                    epoch,
-                    acks: 1,
-                    view: 1,
-                    quorum: 1,
-                },
-            );
+            self.emit(call, || EventBody::QuorumWrite {
+                object: object.to_string(),
+                epoch,
+                acks: 1,
+                view: 1,
+                quorum: 1,
+            });
             return Ok(());
         }
         let po = call.orb.obs().cloned();
@@ -402,9 +433,8 @@ impl StoreReplica {
             o.tag("op", fanout.op());
         }
         let mut acks = 1usize; // the coordinator's local apply
-        for peer in peers {
-            let peer = ReplicationStub::from_ior(peer).with_deadline(Some(self.cfg.repl_timeout));
-            match fanout.deliver(&peer, call.orb, call.ctx, revision, &body) {
+        for peer in peers.iter() {
+            match fanout.deliver(peer, call.orb, call.ctx, revision, &body) {
                 Ok(Ok(())) => {
                     acks += 1;
                     if let Some(o) = &po {
@@ -434,16 +464,13 @@ impl StoreReplica {
             }
             o.end(call.ctx.now());
         }
-        self.emit(
-            call,
-            EventBody::QuorumWrite {
-                object: object.to_string(),
-                epoch,
-                acks: acks as u32,
-                view: view_size as u32,
-                quorum: w_eff as u32,
-            },
-        );
+        self.emit(call, || EventBody::QuorumWrite {
+            object: object.to_string(),
+            epoch,
+            acks: acks as u32,
+            view: view_size as u32,
+            quorum: w_eff as u32,
+        });
         if ok {
             Ok(())
         } else {
@@ -492,8 +519,8 @@ impl StoreReplica {
 }
 
 // ---------------- the client-facing checkpoint service ---------------------
-// Writes are coordinated: applied locally, then fanned out to the view.
-// Reads are served locally.
+// Writes are coordinated: applied locally, then fanned out to the view as
+// the request body that arrived. Reads are served locally.
 impl FT::CheckpointService for StoreReplica {
     fn store(&mut self, call: &mut CallCtx<'_>, c: Checkpoint) -> Result<(), Exception> {
         // Confirm the membership view BEFORE applying locally: a
@@ -503,7 +530,7 @@ impl FT::CheckpointService for StoreReplica {
         self.view(call)?;
         self.compute(call, self.bulk_work(c.state.len()))?;
         self.stores += 1;
-        let body = cdr::to_bytes(&(&c,));
+        let body = call.args.to_vec();
         let (object, epoch) = (c.object_id.clone(), c.epoch);
         self.apply_bulk(c);
         self.replicate(call, Fanout::Store, body, &object, epoch)
@@ -520,7 +547,7 @@ impl FT::CheckpointService for StoreReplica {
     fn delete(&mut self, call: &mut CallCtx<'_>, object_id: String) -> Result<bool, Exception> {
         self.view(call)?;
         let deleted = self.apply_delete(&object_id);
-        let body = cdr::to_bytes(&(&object_id,));
+        let body = call.args.to_vec();
         self.replicate(call, Fanout::Delete, body, &object_id, Epoch::ZERO)?;
         Ok(deleted)
     }
@@ -544,7 +571,7 @@ impl FT::CheckpointService for StoreReplica {
         } else {
             Epoch::ZERO
         };
-        let body = cdr::to_bytes(&(&object_id, &key, &value));
+        let body = call.args.to_vec();
         self.apply_value(&object_id, &key, value);
         self.replicate(call, Fanout::StoreValue, body, &object_id, epoch)
     }
@@ -597,10 +624,13 @@ impl Store::Replication for StoreReplica {
         view_revision: u64,
         body: Vec<u8>,
     ) -> Result<(), Exception> {
-        let (id, key, value): (String, String, Any) = self.admit(view_revision, &body)?;
+        self.note_coordinator_view(view_revision)?;
+        cdr::from_bytes_into(&mut self.scratch, &body).map_err(SystemException::marshal)?;
         self.compute(call, self.cfg.costs.value_fixed)?;
         self.repl_applied += 1;
+        let (id, key, value) = std::mem::replace(&mut self.scratch, blank_request());
         self.apply_value(&id, &key, value);
+        (self.scratch.0, self.scratch.1) = (id, key);
         Ok(())
     }
 

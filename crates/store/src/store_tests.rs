@@ -61,10 +61,7 @@ fn chunk_any(epoch: u64) -> Any {
                 ("data".into(), TypeCode::Sequence(Box::new(TypeCode::Octet))),
             ],
         },
-        value: Value::Struct(vec![
-            Value::ULongLong(epoch),
-            Value::Sequence(vec![Value::Octet(1), Value::Octet(2)]),
-        ]),
+        value: Value::Struct(vec![Value::ULongLong(epoch), Value::Octets(vec![1, 2])]),
     }
 }
 

@@ -188,10 +188,7 @@ fn any_strategy() -> impl Strategy<Value = cdr::Any> {
                         ("data".into(), TypeCode::Sequence(Box::new(TypeCode::Octet))),
                     ],
                 },
-                value: Value::Struct(vec![
-                    Value::ULongLong(epoch),
-                    Value::Sequence(data.into_iter().map(Value::Octet).collect()),
-                ]),
+                value: Value::Struct(vec![Value::ULongLong(epoch), Value::Octets(data)]),
             }
         }),
     ]
@@ -200,11 +197,12 @@ fn any_strategy() -> impl Strategy<Value = cdr::Any> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A coordinator fans a write out as the request body *re-encoded from
-    /// the decoded in-parameters* (the generated skeleton hands it values,
-    /// not bytes). That equals forwarding the client's bytes only if
-    /// decode-then-encode is the identity on every request a stub can
-    /// produce — whatever the string lengths do to alignment.
+    /// A coordinator fans a write out as the request body it received, and
+    /// each peer applies what that body decodes to. A replica that
+    /// re-encoded the decoded in-parameters instead would send the same
+    /// bytes only because decode-then-encode is the identity on every
+    /// request a stub can produce — whatever the string lengths do to
+    /// alignment.
     #[test]
     fn a_decoded_write_request_reencodes_to_the_bytes_it_came_in_as(
         id in ".{0,12}",

@@ -163,6 +163,21 @@ fn generated_files_are_in_sync_with_idlc() {
     }
 }
 
+/// The `any` of one per-value checkpoint chunk, `{ epoch, data }`.
+fn chunk_any(data: &[u8]) -> cdr::Any {
+    use cdr::{TypeCode, Value};
+    cdr::Any {
+        tc: TypeCode::Struct {
+            name: "CkptChunk".into(),
+            members: vec![
+                ("epoch".into(), TypeCode::ULongLong),
+                ("data".into(), TypeCode::Sequence(Box::new(TypeCode::Octet))),
+            ],
+        },
+        value: Value::Struct(vec![Value::ULongLong(3), Value::Octets(data.to_vec())]),
+    }
+}
+
 /// One servant of every contract interface behind its generated skeleton.
 fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
     let tree = cosnaming::NamingTree::new();
@@ -278,6 +293,7 @@ fn skeletons_answer_hostile_bytes_with_system_exceptions() {
                     poa: &poa,
                     from,
                     key: orb::ObjectKey(1),
+                    args,
                 };
                 match servant.dispatch(&mut call, op, args) {
                     Err(orb::Exception::System(e)) => Ok(e.kind),
@@ -297,6 +313,56 @@ fn skeletons_answer_hostile_bytes_with_system_exceptions() {
                         said.push(format!("{iface}::{op} on {body:?}: {got:?}, not MARSHAL"));
                     }
                 }
+            }
+        }
+
+        // The octets of a checkpoint chunk inside an `any`, as `store_value`
+        // and `repl_store_value` carry them: a count of 2^32 - 1, and a
+        // request cut inside the octets, are MARSHAL; the well-formed
+        // request after them is served and read back.
+        let chunk = chunk_any(&[7; 64]);
+        let good = cdr::to_bytes(&("acct", "w0", &chunk));
+        let count_at = good.len() - 64 - 4;
+        let mut bomb = good.clone();
+        bomb[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        let cut = good[..good.len() - 9].to_vec();
+        let repl = |body: &Vec<u8>| cdr::to_bytes(&(0u64, body));
+        let requests = [
+            ("CheckpointService", "store_value", bomb.clone()),
+            ("CheckpointService", "store_value", cut.clone()),
+            ("Replication", "store_value", bomb.clone()),
+            ("Replication", "store_value", cut.clone()),
+            ("Replication", "repl_store_value", repl(&bomb)),
+            ("Replication", "repl_store_value", repl(&cut)),
+        ];
+        let mut call = |iface: &str, op: &str, args: &[u8]| {
+            let servant = &mut table.iter_mut().find(|(name, _)| *name == iface).unwrap().1;
+            let mut call = orb::CallCtx {
+                ctx: &mut *ctx,
+                orb: &mut orb,
+                poa: &poa,
+                from,
+                key: orb::ObjectKey(1),
+                args,
+            };
+            servant.dispatch(&mut call, op, args)
+        };
+        for (iface, op, body) in &requests {
+            match call(iface, op, body) {
+                Err(orb::Exception::System(e)) if e.kind == orb::SysKind::Marshal => {}
+                other => said.push(format!("{iface}::{op} on hostile octets: {other:?}")),
+            }
+        }
+        let read_back = cdr::to_bytes(&("acct", "w0"));
+        for (iface, op, body) in [
+            ("CheckpointService", "store_value", good.clone()),
+            ("Replication", "repl_store_value", repl(&good)),
+        ] {
+            let stored = call(iface, op, &body)
+                .and_then(|_| call(iface, "retrieve_value", &read_back))
+                .map(|reply| cdr::from_bytes::<(bool, cdr::Any)>(&reply));
+            if stored != Ok(Ok((true, chunk.clone()))) {
+                said.push(format!("{iface}::{op} after hostile octets: {stored:?}"));
             }
         }
     });

@@ -227,6 +227,22 @@ fn header_any(epoch: u64) -> Any {
     }
 }
 
+/// A per-value checkpoint chunk, `{ epoch, data }`: its `data` is a
+/// `sequence<octet>` inside an `any`.
+fn chunk_any(epoch: u64, data: &[u8]) -> Any {
+    use cdr::{TypeCode, Value};
+    Any {
+        tc: TypeCode::Struct {
+            name: "CkptChunk".into(),
+            members: vec![
+                ("epoch".into(), TypeCode::ULongLong),
+                ("data".into(), TypeCode::Sequence(Box::new(TypeCode::Octet))),
+            ],
+        },
+        value: Value::Struct(vec![Value::ULongLong(epoch), Value::Octets(data.to_vec())]),
+    }
+}
+
 #[test]
 fn request_and_reply_bodies_match_the_committed_bytes() {
     let mut sim = Kernel::with_seed(5);
@@ -425,6 +441,22 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
              6c656e00000000080000000665706f636800000000000008000000066368756e\
              6b00000000000008000000000000000000000008000000000000000200000000\
              00000004",
+            "",
+        );
+        // Captured while an octet sequence in an `any` was still one
+        // `Value::Octet` per byte.
+        store
+            .store_value(&mut orb, ctx, "acct", "w0", &chunk_any(2, &[1, 2, 3, 4, 5]))
+            .unwrap()
+            .unwrap();
+        assert_golden(
+            &log,
+            "repl_store_value",
+            "\
+             0000000000000002000000610000000561636374000000000000000377300000\
+             0000000d0000000a436b70744368756e6b000000000000020000000665706f63\
+             68000000000000080000000564617461000000000000000c0000000200000000\
+             00000002000000050102030405",
             "",
         );
     });
