@@ -334,7 +334,7 @@ mod tests {
         let mut bytes = to_bytes(&any);
         // Corrupt the discriminant (last 4 bytes) to 5.
         let n = bytes.len();
-        bytes[n - 4..].copy_from_slice(&5u32.to_be_bytes());
+        bytes[n - 4..].copy_from_slice(&5u32.to_le_bytes());
         assert_eq!(
             from_bytes::<Any>(&bytes).unwrap_err(),
             CdrError::InvalidEnumTag(5)

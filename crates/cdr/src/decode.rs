@@ -1,7 +1,6 @@
 //! The CDR decoder: a cursor over a byte slice applying the same alignment
-//! rules as the encoder.
+//! rules and the same (little-endian) byte order as the encoder.
 
-use crate::encode::ByteOrder;
 use crate::error::{CdrError, CdrResult};
 
 /// A decoder over one CDR stream. Cloning it gives a second cursor at the
@@ -10,7 +9,6 @@ use crate::error::{CdrError, CdrResult};
 pub struct CdrDecoder<'a> {
     data: &'a [u8],
     pos: usize,
-    order: ByteOrder,
 }
 
 macro_rules! read_prim {
@@ -20,27 +18,15 @@ macro_rules! read_prim {
             const W: usize = std::mem::size_of::<$ty>();
             self.align(W)?;
             let bytes: [u8; W] = self.take(W)?.try_into().expect("sized take");
-            Ok(match self.order {
-                ByteOrder::Big => <$ty>::from_be_bytes(bytes),
-                ByteOrder::Little => <$ty>::from_le_bytes(bytes),
-            })
+            Ok(<$ty>::from_le_bytes(bytes))
         }
     )+};
 }
 
 impl<'a> CdrDecoder<'a> {
-    /// Decode `data` in the given byte order.
-    pub fn new(data: &'a [u8], order: ByteOrder) -> Self {
-        CdrDecoder {
-            data,
-            pos: 0,
-            order,
-        }
-    }
-
-    /// Decode big-endian data (the canonical order).
-    pub fn big_endian(data: &'a [u8]) -> Self {
-        CdrDecoder::new(data, ByteOrder::Big)
+    /// Decode `data` from its first byte.
+    pub fn new(data: &'a [u8]) -> Self {
+        CdrDecoder { data, pos: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -96,12 +82,12 @@ impl<'a> CdrDecoder<'a> {
     /// Read `n` back-to-back `W`-byte primitives, the body of a sequence or
     /// array: align once, bounds-check once (a count the stream cannot hold
     /// is `LengthOverrun`, before anything is allocated), convert in one
-    /// pass through the type's `from_be_bytes` / `from_le_bytes`.
+    /// pass through the type's `from_le_bytes` (on a little-endian host, a
+    /// copy).
     pub(crate) fn read_prims<T, const W: usize>(
         &mut self,
         n: usize,
-        be: impl Fn([u8; W]) -> T,
-        le: impl Fn([u8; W]) -> T,
+        from_le: impl Fn([u8; W]) -> T,
     ) -> CdrResult<Vec<T>> {
         if n == 0 {
             // No element, so no alignment padding either.
@@ -113,10 +99,7 @@ impl<'a> CdrDecoder<'a> {
             .filter(|&len| len <= self.remaining())
             .ok_or(CdrError::LengthOverrun(n as u64))?;
         let (chunks, _) = self.take(len)?.as_chunks::<W>();
-        Ok(match self.order {
-            ByteOrder::Big => chunks.iter().map(|&c| be(c)).collect(),
-            ByteOrder::Little => chunks.iter().map(|&c| le(c)).collect(),
-        })
+        Ok(chunks.iter().map(|&c| from_le(c)).collect())
     }
 
     /// Read a CDR string (length includes the NUL terminator).
@@ -149,12 +132,6 @@ impl<'a> CdrDecoder<'a> {
         self.take(n)
     }
 
-    /// Read an octet sequence (u32 count + raw bytes).
-    pub fn read_bytes(&mut self) -> CdrResult<Vec<u8>> {
-        let len = self.read_u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
     /// Read a sequence length prefix, validating it against the remaining
     /// stream so corrupt input cannot trigger huge allocations. `min_elem`
     /// is the smallest possible encoding of one element.
@@ -174,7 +151,7 @@ mod tests {
 
     #[test]
     fn round_trip_primitives() {
-        let mut e = CdrEncoder::big_endian();
+        let mut e = CdrEncoder::new();
         e.write_u8(7);
         e.write_u16(513);
         e.write_u32(70_000);
@@ -183,7 +160,7 @@ mod tests {
         e.write_f64(3.25);
         e.write_bool(true);
         let bytes = e.into_bytes();
-        let mut d = CdrDecoder::big_endian(&bytes);
+        let mut d = CdrDecoder::new(&bytes);
         assert_eq!(d.read_u8().unwrap(), 7);
         assert_eq!(d.read_u16().unwrap(), 513);
         assert_eq!(d.read_u32().unwrap(), 70_000);
@@ -195,54 +172,51 @@ mod tests {
     }
 
     #[test]
-    fn little_endian_round_trip() {
-        let mut e = CdrEncoder::new(ByteOrder::Little);
-        e.write_u32(0xDEADBEEF);
-        let bytes = e.into_bytes();
-        let mut d = CdrDecoder::new(&bytes, ByteOrder::Little);
+    fn primitives_are_read_little_endian() {
+        let mut d = CdrDecoder::new(&[0xEF, 0xBE, 0xAD, 0xDE]);
         assert_eq!(d.read_u32().unwrap(), 0xDEADBEEF);
     }
 
     #[test]
     fn eof_is_reported() {
-        let mut d = CdrDecoder::big_endian(&[0, 0]);
+        let mut d = CdrDecoder::new(&[0, 0]);
         let err = d.read_u32().unwrap_err();
         assert!(matches!(err, CdrError::UnexpectedEof { .. }));
     }
 
     #[test]
     fn invalid_bool_is_rejected() {
-        let mut d = CdrDecoder::big_endian(&[7]);
+        let mut d = CdrDecoder::new(&[7]);
         assert_eq!(d.read_bool().unwrap_err(), CdrError::InvalidBool(7));
     }
 
     #[test]
     fn string_round_trip() {
-        let mut e = CdrEncoder::big_endian();
+        let mut e = CdrEncoder::new();
         e.write_string("grüße");
         let bytes = e.into_bytes();
-        let mut d = CdrDecoder::big_endian(&bytes);
+        let mut d = CdrDecoder::new(&bytes);
         assert_eq!(d.read_string().unwrap(), "grüße");
     }
 
     #[test]
     fn string_missing_nul_is_rejected() {
         // length 2, bytes "ab" (no NUL)
-        let raw = [0, 0, 0, 2, b'a', b'b'];
-        let mut d = CdrDecoder::big_endian(&raw);
+        let raw = [2, 0, 0, 0, b'a', b'b'];
+        let mut d = CdrDecoder::new(&raw);
         assert_eq!(d.read_string().unwrap_err(), CdrError::MissingNul);
     }
 
     #[test]
     fn string_invalid_utf8_is_rejected() {
-        let raw = [0, 0, 0, 2, 0xFF, 0];
-        let mut d = CdrDecoder::big_endian(&raw);
+        let raw = [2, 0, 0, 0, 0xFF, 0];
+        let mut d = CdrDecoder::new(&raw);
         assert_eq!(d.read_string().unwrap_err(), CdrError::InvalidUtf8);
     }
 
     #[test]
     fn trailing_bytes_detected() {
-        let mut d = CdrDecoder::big_endian(&[1, 2]);
+        let mut d = CdrDecoder::new(&[1, 2]);
         d.read_u8().unwrap();
         assert_eq!(d.finish().unwrap_err(), CdrError::TrailingBytes(1));
     }
@@ -251,7 +225,7 @@ mod tests {
     fn hostile_length_does_not_allocate() {
         // A sequence claiming u32::MAX elements in a 6-byte stream.
         let raw = [0xFF, 0xFF, 0xFF, 0xFF, 0, 0];
-        let mut d = CdrDecoder::big_endian(&raw);
+        let mut d = CdrDecoder::new(&raw);
         assert!(matches!(
             d.read_len(1).unwrap_err(),
             CdrError::LengthOverrun(_)
@@ -260,11 +234,11 @@ mod tests {
 
     #[test]
     fn alignment_skips_padding_on_read() {
-        let mut e = CdrEncoder::big_endian();
+        let mut e = CdrEncoder::new();
         e.write_u8(1);
         e.write_u32(2);
         let bytes = e.into_bytes();
-        let mut d = CdrDecoder::big_endian(&bytes);
+        let mut d = CdrDecoder::new(&bytes);
         assert_eq!(d.read_u8().unwrap(), 1);
         assert_eq!(d.read_u32().unwrap(), 2);
     }

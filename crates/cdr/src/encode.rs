@@ -2,29 +2,25 @@
 //!
 //! CDR aligns every primitive to its natural size, measured from the start
 //! of the stream (in GIOP, from the start of the message body). Padding
-//! bytes are zero.
-
-/// Byte order of an encoded stream. GIOP carries a flag so either order is
-/// legal on the wire; receivers byte-swap when needed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ByteOrder {
-    /// Big-endian, the CORBA "canonical" order.
-    #[default]
-    Big,
-    /// Little-endian.
-    Little,
-}
+//! bytes are zero. Primitives are little-endian, the order of the hosts
+//! this runs on: GIOP's flag names the order a frame is in, and every
+//! frame this ORB writes names this one.
 
 /// The least a stream's first write reserves: a typical request or reply
 /// body then takes one allocation, not a run of doublings from eight bytes.
-/// An encoder nothing is written to allocates nothing.
+/// A write that has to grow the stream also leaves this much room after
+/// itself, so the fields that follow a bulk write (a frame's service
+/// contexts) do not move it again. An encoder nothing is written to
+/// allocates nothing.
 const MIN_CAPACITY: usize = 128;
 
 /// An encoder for a single CDR stream.
 #[derive(Debug, Default)]
 pub struct CdrEncoder {
     buf: Vec<u8>,
-    order: ByteOrder,
+    /// Where the stream alignment is measured from: 0, or the first byte
+    /// of the octet sequence [`CdrEncoder::write_octets_with`] is writing.
+    origin: usize,
 }
 
 macro_rules! write_prim {
@@ -33,32 +29,15 @@ macro_rules! write_prim {
         pub fn $name(&mut self, v: $ty) {
             self.align(std::mem::size_of::<$ty>());
             self.room(std::mem::size_of::<$ty>());
-            let bytes = match self.order {
-                ByteOrder::Big => v.to_be_bytes(),
-                ByteOrder::Little => v.to_le_bytes(),
-            };
-            self.buf.extend_from_slice(&bytes);
+            self.buf.extend_from_slice(&v.to_le_bytes());
         }
     )+};
 }
 
 impl CdrEncoder {
-    /// A new encoder in the given byte order.
-    pub fn new(order: ByteOrder) -> Self {
-        CdrEncoder {
-            buf: Vec::new(),
-            order,
-        }
-    }
-
-    /// A new big-endian encoder (the canonical order).
-    pub fn big_endian() -> Self {
-        CdrEncoder::new(ByteOrder::Big)
-    }
-
-    /// The byte order in effect.
-    pub fn order(&self) -> ByteOrder {
-        self.order
+    /// A new, empty encoder.
+    pub fn new() -> Self {
+        CdrEncoder::default()
     }
 
     /// Bytes written so far.
@@ -82,11 +61,11 @@ impl CdrEncoder {
         self.buf.reserve(additional);
     }
 
-    /// Make room for the `n` bytes about to be written; the first write
-    /// reserves at least [`MIN_CAPACITY`].
+    /// Make room for the `n` bytes about to be written, and if that takes
+    /// an allocation, for [`MIN_CAPACITY`] more.
     fn room(&mut self, n: usize) {
         if self.buf.capacity() - self.buf.len() < n {
-            self.buf.reserve(n.max(MIN_CAPACITY));
+            self.buf.reserve(n + MIN_CAPACITY);
         }
     }
 
@@ -99,7 +78,7 @@ impl CdrEncoder {
     /// relative to the start of the stream.
     pub fn align(&mut self, n: usize) {
         debug_assert!(n.is_power_of_two());
-        let pad = (n - self.buf.len() % n) % n;
+        let pad = (n - (self.buf.len() - self.origin) % n) % n;
         self.room(pad);
         self.buf.resize(self.buf.len() + pad, 0);
     }
@@ -117,13 +96,12 @@ impl CdrEncoder {
 
     /// Write `items` back to back as `W`-byte primitives, the body of a
     /// sequence or array: align once, reserve once, convert in one pass
-    /// through the type's `to_be_bytes` / `to_le_bytes`. The bytes are
-    /// those of writing the items one by one.
+    /// through the type's `to_le_bytes` (on a little-endian host, a copy).
+    /// The bytes are those of writing the items one by one.
     pub(crate) fn write_prims<T: Copy, const W: usize>(
         &mut self,
         items: &[T],
-        be: impl Fn(T) -> [u8; W],
-        le: impl Fn(T) -> [u8; W],
+        to_le: impl Fn(T) -> [u8; W],
     ) {
         if items.is_empty() {
             // No element, so no alignment padding either.
@@ -131,10 +109,7 @@ impl CdrEncoder {
         }
         self.align(W);
         self.room(items.len() * W);
-        match self.order {
-            ByteOrder::Big => self.buf.extend(items.iter().flat_map(|&v| be(v))),
-            ByteOrder::Little => self.buf.extend(items.iter().flat_map(|&v| le(v))),
-        }
+        self.buf.extend(items.iter().flat_map(|&v| to_le(v)));
     }
 
     /// Write a sequence length prefix. Every counted thing (sequence,
@@ -157,9 +132,26 @@ impl CdrEncoder {
 
     /// Write an octet sequence: u32 count then raw bytes.
     pub fn write_bytes(&mut self, b: &[u8]) {
-        self.write_len(b.len());
-        self.room(b.len());
-        self.buf.extend_from_slice(b);
+        self.write_octets_with(|enc| enc.write_raw(b));
+    }
+
+    /// Write an octet sequence whose content `content` encodes in place:
+    /// aligned from the content's first byte, as if it were a stream of
+    /// its own, so the octets are what [`crate::to_bytes`] would give for
+    /// the same writes. The count is patched in once the content is
+    /// written. This is how a GIOP request carries its parameters without
+    /// encoding them anywhere but into the frame.
+    ///
+    /// # Panics
+    /// If the content does not fit CDR's 32-bit count.
+    pub fn write_octets_with(&mut self, content: impl FnOnce(&mut CdrEncoder)) {
+        self.write_u32(0);
+        let start = self.buf.len();
+        let outer = std::mem::replace(&mut self.origin, start);
+        content(self);
+        self.origin = outer;
+        let n = u32::try_from(self.buf.len() - start).expect("sequence too long for CDR");
+        self.buf[start - 4..start].copy_from_slice(&n.to_le_bytes());
     }
 
     /// Append pre-encoded bytes verbatim (no length prefix, no alignment).
@@ -177,7 +169,7 @@ mod tests {
 
     #[test]
     fn u8_has_no_padding() {
-        let mut e = CdrEncoder::big_endian();
+        let mut e = CdrEncoder::new();
         e.write_u8(1);
         e.write_u8(2);
         assert_eq!(e.as_bytes(), &[1, 2]);
@@ -185,54 +177,73 @@ mod tests {
 
     #[test]
     fn u32_aligns_to_four() {
-        let mut e = CdrEncoder::big_endian();
+        let mut e = CdrEncoder::new();
         e.write_u8(0xAA);
         e.write_u32(0x01020304);
-        assert_eq!(e.as_bytes(), &[0xAA, 0, 0, 0, 1, 2, 3, 4]);
+        assert_eq!(e.as_bytes(), &[0xAA, 0, 0, 0, 4, 3, 2, 1]);
     }
 
     #[test]
     fn f64_aligns_to_eight() {
-        let mut e = CdrEncoder::big_endian();
+        let mut e = CdrEncoder::new();
         e.write_u8(1);
         e.write_f64(1.0);
         assert_eq!(e.len(), 16);
         assert_eq!(&e.as_bytes()[..8], &[1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(&e.as_bytes()[8..], &[0, 0, 0, 0, 0, 0, 0xF0, 0x3F]);
     }
 
     #[test]
-    fn little_endian_orders_bytes() {
-        let mut e = CdrEncoder::new(ByteOrder::Little);
+    fn primitives_are_little_endian() {
+        let mut e = CdrEncoder::new();
         e.write_u16(0x0102);
         assert_eq!(e.as_bytes(), &[2, 1]);
     }
 
     #[test]
     fn string_is_nul_terminated_with_counted_length() {
-        let mut e = CdrEncoder::big_endian();
+        let mut e = CdrEncoder::new();
         e.write_string("hi");
-        assert_eq!(e.as_bytes(), &[0, 0, 0, 3, b'h', b'i', 0]);
+        assert_eq!(e.as_bytes(), &[3, 0, 0, 0, b'h', b'i', 0]);
     }
 
     #[test]
     fn empty_string() {
-        let mut e = CdrEncoder::big_endian();
+        let mut e = CdrEncoder::new();
         e.write_string("");
-        assert_eq!(e.as_bytes(), &[0, 0, 0, 1, 0]);
+        assert_eq!(e.as_bytes(), &[1, 0, 0, 0, 0]);
     }
 
     #[test]
     fn bytes_sequence() {
-        let mut e = CdrEncoder::big_endian();
+        let mut e = CdrEncoder::new();
         e.write_bytes(&[9, 8]);
-        assert_eq!(e.as_bytes(), &[0, 0, 0, 2, 9, 8]);
+        assert_eq!(e.as_bytes(), &[2, 0, 0, 0, 9, 8]);
     }
 
     #[test]
     fn alignment_is_relative_to_stream_start() {
-        let mut e = CdrEncoder::big_endian();
+        let mut e = CdrEncoder::new();
         e.write_u16(1); // bytes 0..2
         e.write_u16(2); // bytes 2..4, no padding
         assert_eq!(e.len(), 4);
+    }
+
+    #[test]
+    fn octets_written_in_place_are_aligned_from_their_first_byte() {
+        let mut e = CdrEncoder::new();
+        e.write_u64(7); // the count lands at 8, the content at 12
+        e.write_octets_with(|e| {
+            e.write_u8(1);
+            e.write_f64(2.0); // at 8 from the content's start: 20, not 16
+        });
+        e.write_u32(3); // the stream's own alignment again
+        let mut content = CdrEncoder::new();
+        content.write_u8(1);
+        content.write_f64(2.0);
+        let mut expected = vec![7, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0];
+        expected.extend_from_slice(content.as_bytes());
+        expected.extend_from_slice(&[3, 0, 0, 0]);
+        assert_eq!(e.as_bytes(), &expected[..]);
     }
 }

@@ -4,8 +4,8 @@
 //! GIOP/IIOP, providing the wire format for the mini-ORB in this
 //! repository:
 //!
-//! * [`CdrEncoder`] / [`CdrDecoder`] — aligned primitive streams in either
-//!   byte order (GIOP carries a byte-order flag).
+//! * [`CdrEncoder`] / [`CdrDecoder`] — aligned little-endian primitive
+//!   streams (the order GIOP frames from this ORB are flagged with).
 //! * [`CdrWrite`] / [`CdrRead`] — typed (de)serialization, with
 //!   [`cdr_struct!`] and [`cdr_enum!`] macros for protocol types.
 //! * [`TypeCode`] and [`Any`] — runtime-typed, self-describing values for
@@ -32,7 +32,7 @@ mod typecode;
 
 pub use any::{Any, Value};
 pub use decode::CdrDecoder;
-pub use encode::{ByteOrder, CdrEncoder};
+pub use encode::CdrEncoder;
 pub use epoch::Epoch;
 pub use error::{CdrError, CdrResult};
 pub use traits::{from_bytes, from_bytes_into, to_bytes, CdrRead, CdrWrite};

@@ -51,17 +51,17 @@ pub trait CdrRead: Sized {
     }
 }
 
-/// Encode a single value as a standalone big-endian CDR stream.
+/// Encode a single value as a standalone CDR stream.
 pub fn to_bytes<T: CdrWrite + ?Sized>(value: &T) -> Vec<u8> {
-    let mut enc = CdrEncoder::big_endian();
+    let mut enc = CdrEncoder::new();
     value.write(&mut enc);
     enc.into_bytes()
 }
 
-/// Decode a single value from a standalone big-endian CDR stream,
-/// requiring the stream to be fully consumed.
+/// Decode a single value from a standalone CDR stream, requiring the
+/// stream to be fully consumed.
 pub fn from_bytes<T: CdrRead>(bytes: &[u8]) -> CdrResult<T> {
-    let mut dec = CdrDecoder::big_endian(bytes);
+    let mut dec = CdrDecoder::new(bytes);
     let v = T::read(&mut dec)?;
     dec.finish()?;
     Ok(v)
@@ -69,7 +69,7 @@ pub fn from_bytes<T: CdrRead>(bytes: &[u8]) -> CdrResult<T> {
 
 /// [`from_bytes`] over `value`, through [`CdrRead::read_into`].
 pub fn from_bytes_into<T: CdrRead>(value: &mut T, bytes: &[u8]) -> CdrResult<()> {
-    let mut dec = CdrDecoder::big_endian(bytes);
+    let mut dec = CdrDecoder::new(bytes);
     value.read_into(&mut dec)?;
     dec.finish()
 }
@@ -81,7 +81,7 @@ macro_rules! prim_impl {
                 enc.$w(*self);
             }
             fn write_slice(items: &[Self], enc: &mut CdrEncoder) {
-                enc.write_prims(items, <$ty>::to_be_bytes, <$ty>::to_le_bytes);
+                enc.write_prims(items, <$ty>::to_le_bytes);
             }
         }
         impl CdrRead for $ty {
@@ -89,7 +89,7 @@ macro_rules! prim_impl {
                 dec.$r()
             }
             fn read_vec(dec: &mut CdrDecoder<'_>, n: usize) -> CdrResult<Vec<Self>> {
-                dec.read_prims(n, <$ty>::from_be_bytes, <$ty>::from_le_bytes)
+                dec.read_prims(n, <$ty>::from_le_bytes)
             }
         }
     )+};

@@ -277,7 +277,7 @@ mod tests {
         for a in &all {
             for b in &all {
                 let bytes = to_bytes(b);
-                let mut dec = CdrDecoder::big_endian(&bytes);
+                let mut dec = CdrDecoder::new(&bytes);
                 assert_eq!(a.read_matches(&mut dec), Ok(a == b), "{a:?} vs {b:?}");
                 if a == b {
                     dec.finish().unwrap();

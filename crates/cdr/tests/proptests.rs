@@ -1,11 +1,11 @@
 //! Property-based tests: every encodable value round-trips, alignment is
 //! invariant under prefixing, decoders never panic on arbitrary bytes, and
 //! the one-pass path for primitive sequences writes and reads exactly what
-//! the element-by-element path does.
+//! the element-by-element path does — the little-endian bytes a reference
+//! loop in this file lays out by hand.
 
 use cdr::{
-    from_bytes, to_bytes, Any, ByteOrder, CdrDecoder, CdrEncoder, CdrError, CdrRead, CdrWrite,
-    TypeCode, Value,
+    from_bytes, to_bytes, Any, CdrDecoder, CdrEncoder, CdrError, CdrRead, CdrWrite, TypeCode, Value,
 };
 use proptest::prelude::*;
 
@@ -97,13 +97,13 @@ proptest! {
     fn round_trip_survives_prefix_alignment(v in sample_strategy(), prefix in 0usize..8) {
         // Encoding after a prefix of octets must still round-trip, because
         // alignment is relative to the stream start on both sides.
-        let mut enc = CdrEncoder::big_endian();
+        let mut enc = CdrEncoder::new();
         for _ in 0..prefix {
             enc.write_u8(0xEE);
         }
         cdr::CdrWrite::write(&v, &mut enc);
         let bytes = enc.into_bytes();
-        let mut dec = CdrDecoder::big_endian(&bytes);
+        let mut dec = CdrDecoder::new(&bytes);
         for _ in 0..prefix {
             dec.read_u8().unwrap();
         }
@@ -164,18 +164,20 @@ trait Prim: CdrWrite + CdrRead + Copy {
     /// The value's bits: float comparison would call NaN unequal to itself
     /// and `-0.0` equal to `0.0`.
     fn bits(self) -> Vec<u8>;
+    /// The value's little-endian bytes.
+    fn le(self) -> Vec<u8>;
 }
 
 /// `items` after `prefix` octets, as a sequence and (its first five) as an
-/// array, written through `Vec`/array `write` or — the reference — one
-/// element at a time, which is what both did before the slice hooks.
-fn encode<T: Prim>(items: &[T], order: ByteOrder, prefix: usize, reference: bool) -> Vec<u8> {
-    let mut enc = CdrEncoder::new(order);
+/// array, written through `Vec`/array `write` or one element at a time,
+/// which is what both did before the slice hooks.
+fn encode<T: Prim>(items: &[T], prefix: usize, elementwise: bool) -> Vec<u8> {
+    let mut enc = CdrEncoder::new();
     for _ in 0..prefix {
         enc.write_u8(0xEE);
     }
     let head = items.first_chunk::<5>();
-    if reference {
+    if elementwise {
         enc.write_len(items.len());
         for item in items.iter().chain(head.into_iter().flatten()) {
             item.write(&mut enc);
@@ -189,25 +191,41 @@ fn encode<T: Prim>(items: &[T], order: ByteOrder, prefix: usize, reference: bool
     enc.into_bytes()
 }
 
-/// Both byte orders × every misalignment × {empty, `items`}: same bytes as
-/// the reference, and they decode to the same bits.
+/// The reference, laid out by hand: `prefix` octets, the count (aligned to
+/// 4), then every element's little-endian bytes aligned to its width (an
+/// empty sequence pads nothing), then the first five again as an array.
+fn reference<T: Prim>(items: &[T], prefix: usize) -> Vec<u8> {
+    let align = |out: &mut Vec<u8>, n: usize| out.resize(out.len().next_multiple_of(n), 0);
+    let mut out = vec![0xEE; prefix];
+    align(&mut out, 4);
+    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    let head = items.first_chunk::<5>();
+    for item in items.iter().chain(head.into_iter().flatten()) {
+        let bytes = item.le();
+        align(&mut out, bytes.len());
+        out.extend_from_slice(&bytes);
+    }
+    out
+}
+
+/// Every misalignment × {empty, `items`}: the bulk and the element-wise
+/// path give the reference's bytes, and they decode to the same bits.
 fn bulk_matches_elementwise<T: Prim>(items: &[T]) {
     let bits = |v: &[T]| v.iter().map(|x| x.bits()).collect::<Vec<_>>();
-    for order in [ByteOrder::Big, ByteOrder::Little] {
-        for prefix in 0..8 {
-            for items in [&items[..0], items] {
-                let bytes = encode(items, order, prefix, false);
-                assert_eq!(bytes, encode(items, order, prefix, true));
-                let mut dec = CdrDecoder::new(&bytes, order);
-                for _ in 0..prefix {
-                    dec.read_u8().unwrap();
-                }
-                assert_eq!(bits(&Vec::<T>::read(&mut dec).unwrap()), bits(items));
-                if let Some(head) = items.first_chunk::<5>() {
-                    assert_eq!(bits(&<[T; 5]>::read(&mut dec).unwrap()), bits(head));
-                }
-                dec.finish().unwrap();
+    for prefix in 0..8 {
+        for items in [&items[..0], items] {
+            let bytes = encode(items, prefix, false);
+            assert_eq!(bytes, reference(items, prefix));
+            assert_eq!(bytes, encode(items, prefix, true));
+            let mut dec = CdrDecoder::new(&bytes);
+            for _ in 0..prefix {
+                dec.read_u8().unwrap();
             }
+            assert_eq!(bits(&Vec::<T>::read(&mut dec).unwrap()), bits(items));
+            if let Some(head) = items.first_chunk::<5>() {
+                assert_eq!(bits(&<[T; 5]>::read(&mut dec).unwrap()), bits(head));
+            }
+            dec.finish().unwrap();
         }
     }
 }
@@ -224,7 +242,7 @@ fn damaged_input_is_an_error<T: Prim>(items: &[T]) {
     }
     for claimed in [items.len() as u32 + 1, bytes.len() as u32, u32::MAX] {
         let mut long = bytes.clone();
-        long[..4].copy_from_slice(&claimed.to_be_bytes());
+        long[..4].copy_from_slice(&claimed.to_le_bytes());
         assert_eq!(
             from_bytes::<Vec<T>>(&long).err(),
             Some(CdrError::LengthOverrun(u64::from(claimed)))
@@ -237,6 +255,9 @@ macro_rules! prim_sequences {
         $(impl Prim for $ty {
             fn bits(self) -> Vec<u8> {
                 self.to_ne_bytes().to_vec()
+            }
+            fn le(self) -> Vec<u8> {
+                self.to_le_bytes().to_vec()
             }
         })+
         proptest! {$(
@@ -276,9 +297,9 @@ prim_sequences! {
 
 #[test]
 fn bool_sequences_still_check_every_octet() {
-    let ok = [0, 0, 0, 3, 1, 0, 1];
+    let ok = [3, 0, 0, 0, 1, 0, 1];
     assert_eq!(from_bytes::<Vec<bool>>(&ok), Ok(vec![true, false, true]));
-    let bad = [0, 0, 0, 3, 1, 2, 0];
+    let bad = [3, 0, 0, 0, 1, 2, 0];
     assert_eq!(from_bytes::<Vec<bool>>(&bad), Err(CdrError::InvalidBool(2)));
 }
 
@@ -287,7 +308,7 @@ fn a_count_the_stream_holds_in_octets_but_not_in_elements_is_refused() {
     // sequence<double> claiming 16 elements over 16 bytes of data: the
     // count passes an octet-granular guard (16 <= 20 remaining), the
     // element-granular one refuses it before anything is allocated.
-    let mut bytes = vec![0, 0, 0, 16, 0, 0, 0, 0];
+    let mut bytes = vec![16, 0, 0, 0, 0, 0, 0, 0];
     bytes.extend_from_slice(&[0xAB; 16]);
     assert_eq!(
         from_bytes::<Vec<f64>>(&bytes),
@@ -336,8 +357,8 @@ proptest! {
         for chunk in [None, Some(epoch)] {
             let any = octets_any(&data, chunk);
             for prefix in 0..8 {
-                let mut enc = CdrEncoder::big_endian();
-                let mut reference = CdrEncoder::big_endian();
+                let mut enc = CdrEncoder::new();
+                let mut reference = CdrEncoder::new();
                 for _ in 0..prefix {
                     enc.write_u8(0xEE);
                     reference.write_u8(0xEE);
@@ -346,7 +367,7 @@ proptest! {
                 octets_reference(&mut reference, &data, chunk);
                 let bytes = enc.into_bytes();
                 prop_assert_eq!(&bytes, reference.as_bytes());
-                let mut dec = CdrDecoder::big_endian(&bytes);
+                let mut dec = CdrDecoder::new(&bytes);
                 for _ in 0..prefix {
                     dec.read_u8().unwrap();
                 }
@@ -383,7 +404,7 @@ proptest! {
             }
             for claimed in [data.len() as u32 + 1, u32::MAX] {
                 let mut long = bytes.clone();
-                long[count_at..count_at + 4].copy_from_slice(&claimed.to_be_bytes());
+                long[count_at..count_at + 4].copy_from_slice(&claimed.to_le_bytes());
                 prop_assert_eq!(
                     from_bytes::<Any>(&long).unwrap_err(),
                     CdrError::LengthOverrun(u64::from(claimed))

@@ -16,13 +16,13 @@
 
 use cdr::{Any, CdrEncoder, CdrRead, CdrWrite};
 use monitor::EventBody;
-use orb::{DiiRequest, Exception, SystemException};
+use orb::{Body, DiiRequest, Exception, SystemException};
 use simnet::{SimResult, SimTime};
 
 use crate::proxy::{FtProxy, ProxyEnv};
 
 /// Decode a reply body; a body that does not decode is `MARSHAL`.
-pub(crate) fn decode_reply<R: CdrRead>(reply: Result<Vec<u8>, Exception>) -> Result<R, Exception> {
+pub(crate) fn decode_reply<R: CdrRead>(reply: Result<Body, Exception>) -> Result<R, Exception> {
     let bytes = reply?;
     cdr::from_bytes(&bytes).map_err(|e| Exception::System(SystemException::marshal(e)))
 }
@@ -37,7 +37,7 @@ pub struct FtRequest {
     /// outcome then becomes `BAD_INV_ORDER` instead of a panic.
     poisoned: bool,
     attempts: u32,
-    done: Option<Result<Vec<u8>, Exception>>,
+    done: Option<Result<Body, Exception>>,
     // Monitoring timestamps: request creation, the winning (re)send, and
     // the start of the current recovery episode, if any.
     started: Option<SimTime>,
@@ -51,7 +51,7 @@ impl FtRequest {
         FtRequest {
             operation: operation.into(),
             body: Vec::new(),
-            args: Some(CdrEncoder::big_endian()),
+            args: Some(CdrEncoder::new()),
             inner: None,
             poisoned: false,
             attempts: 0,
@@ -177,7 +177,7 @@ impl FtRequest {
         &mut self,
         proxy: &mut FtProxy,
         env: &mut ProxyEnv<'_>,
-    ) -> SimResult<Result<Vec<u8>, Exception>> {
+    ) -> SimResult<Result<Body, Exception>> {
         self.check_poisoned();
         loop {
             if let Some(done) = &self.done {
@@ -221,7 +221,7 @@ impl FtRequest {
     /// outcome.
     fn settle(
         &mut self,
-        outcome: Result<Vec<u8>, Exception>,
+        outcome: Result<Body, Exception>,
         proxy: &mut FtProxy,
         env: &mut ProxyEnv<'_>,
     ) -> SimResult<()> {

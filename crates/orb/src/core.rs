@@ -29,12 +29,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use cdr::CdrWrite;
 use simnet::{Addr, Ctx, HostId, Pid, Port, SimDuration, SimResult, SimTime};
 
 use obs::ProcessObs;
 
 use crate::exceptions::{Exception, SystemException};
-use crate::giop::{FrameError, Message, ReplyBody, ServiceContext};
+use crate::giop::{Body, Message, ReplyBody, ServiceContext};
 use crate::interceptor::{Interceptor, TraceInterceptor};
 use crate::ior::{Ior, ObjectKey};
 use crate::poa::{CallCtx, Poa};
@@ -118,7 +119,7 @@ pub struct OrbStats {
     pub requests_served: u64,
     /// Locate (ping) requests answered.
     pub locates_served: u64,
-    /// Frames that failed to parse.
+    /// Frames that failed to parse (dropped unanswered).
     pub protocol_errors: u64,
     /// Keepalive probes sent because a reply was late.
     pub probes_sent: u64,
@@ -253,6 +254,14 @@ impl Rtt {
     }
 }
 
+/// A server-bound message awaiting `serve_one`: who sent it, its fields,
+/// and — for a request — its parameters where the frame delivered them.
+struct Inbound {
+    from: Pid,
+    msg: Message,
+    body: Body,
+}
+
 /// The Object Request Broker for one simulated process.
 pub struct Orb {
     cfg: OrbConfig,
@@ -260,9 +269,9 @@ pub struct Orb {
     port: Option<Port>,
     next_req: u64,
     /// Inbound server-bound messages awaiting `serve_one`.
-    backlog: VecDeque<(Pid, Message)>,
+    backlog: VecDeque<Inbound>,
     /// Replies that arrived for requests other than the one being awaited.
-    replies: BTreeMap<u64, ReplyBody>,
+    replies: BTreeMap<u64, Outcome>,
     /// Requests in flight (synchronous or deferred).
     pending: BTreeMap<u64, Pending>,
     /// Endpoints that bounced an RST.
@@ -277,7 +286,7 @@ pub struct Orb {
 }
 
 pub(crate) enum Outcome {
-    Done(Result<Vec<u8>, Exception>),
+    Done(Result<Body, Exception>),
     Forward(Ior),
 }
 
@@ -390,8 +399,8 @@ impl Orb {
     /// Block for one inbound message and handle it.
     pub fn serve_one(&mut self, ctx: &mut Ctx, poa: &Poa) -> SimResult<()> {
         loop {
-            if let Some((from, msg)) = self.backlog.pop_front() {
-                self.handle_inbound(ctx, poa, from, msg)?;
+            if let Some(inbound) = self.backlog.pop_front() {
+                self.handle_inbound(ctx, poa, inbound)?;
                 return Ok(());
             }
             let msg = ctx.recv()?;
@@ -403,8 +412,8 @@ impl Orb {
     /// available; returns whether anything was handled. Does not block.
     pub fn try_serve(&mut self, ctx: &mut Ctx, poa: &Poa) -> SimResult<bool> {
         loop {
-            if let Some((from, msg)) = self.backlog.pop_front() {
-                self.handle_inbound(ctx, poa, from, msg)?;
+            if let Some(inbound) = self.backlog.pop_front() {
+                self.handle_inbound(ctx, poa, inbound)?;
                 return Ok(true);
             }
             match ctx.try_recv()? {
@@ -414,21 +423,16 @@ impl Orb {
         }
     }
 
-    fn handle_inbound(
-        &mut self,
-        ctx: &mut Ctx,
-        poa: &Poa,
-        from: Pid,
-        msg: Message,
-    ) -> SimResult<()> {
+    fn handle_inbound(&mut self, ctx: &mut Ctx, poa: &Poa, inbound: Inbound) -> SimResult<()> {
+        let Inbound { from, msg, body } = inbound;
         match msg {
             Message::Request {
                 request_id,
                 response_expected,
                 object_key,
                 operation,
-                body,
                 service_contexts,
+                ..
             } => {
                 // Demarshal cost for the request body.
                 ctx.compute(self.cfg.cost.step(body.len()))?;
@@ -506,17 +510,19 @@ impl Orb {
     // ------------------------------------------------------------------
 
     /// Synchronously invoke `operation` on the object `ior` refers to,
-    /// following location forwards. The outer `Result` is the simulation
-    /// liveness (`Err(Killed)` when this process dies); the inner is the
-    /// CORBA outcome.
+    /// following location forwards. `args` are marshalled straight into
+    /// each request frame, and the reply's result is read where its frame
+    /// delivered it. The outer `Result` is the simulation liveness
+    /// (`Err(Killed)` when this process dies); the inner is the CORBA
+    /// outcome.
     pub fn invoke(
         &mut self,
         ctx: &mut Ctx,
         ior: &Ior,
         operation: &str,
-        body: Vec<u8>,
-    ) -> SimResult<Result<Vec<u8>, Exception>> {
-        self.invoke_with_timeout(ctx, ior, operation, body, None)
+        args: &dyn CdrWrite,
+    ) -> SimResult<Result<Body, Exception>> {
+        self.invoke_with_timeout(ctx, ior, operation, args, None)
     }
 
     /// [`Orb::invoke`] with a per-call reply deadline overriding the
@@ -527,11 +533,11 @@ impl Orb {
         ctx: &mut Ctx,
         ior: &Ior,
         operation: &str,
-        body: Vec<u8>,
+        args: &dyn CdrWrite,
         timeout: Option<SimDuration>,
-    ) -> SimResult<Result<Vec<u8>, Exception>> {
+    ) -> SimResult<Result<Body, Exception>> {
         let start = ctx.now();
-        let out = self.invoke_forwarding(ctx, ior, operation, &body, timeout)?;
+        let out = self.invoke_forwarding(ctx, ior, operation, args, timeout)?;
         if let Some(o) = &self.obs {
             o.observe("orb.invoke_ns", ctx.now().since(start).as_nanos());
         }
@@ -543,13 +549,13 @@ impl Orb {
         ctx: &mut Ctx,
         ior: &Ior,
         operation: &str,
-        body: &[u8],
+        args: &dyn CdrWrite,
         timeout: Option<SimDuration>,
-    ) -> SimResult<Result<Vec<u8>, Exception>> {
+    ) -> SimResult<Result<Body, Exception>> {
         let mut target = std::borrow::Cow::Borrowed(ior);
         for _ in 0..=self.cfg.forward_limit {
             let req_id =
-                self.send_request_with_timeout(ctx, &target, operation, body, true, timeout)?;
+                self.send_request_with_timeout(ctx, &target, operation, args, true, timeout)?;
             match self.await_reply(ctx, req_id)? {
                 Outcome::Done(r) => return Ok(r),
                 Outcome::Forward(next) => target = std::borrow::Cow::Owned(next),
@@ -567,10 +573,10 @@ impl Orb {
         ctx: &mut Ctx,
         target: &Ior,
         operation: &str,
-        body: &[u8],
+        args: &dyn CdrWrite,
         response_expected: bool,
     ) -> SimResult<u64> {
-        self.send_request_with_timeout(ctx, target, operation, body, response_expected, None)
+        self.send_request_with_timeout(ctx, target, operation, args, response_expected, None)
     }
 
     pub(crate) fn send_request_with_timeout(
@@ -578,7 +584,7 @@ impl Orb {
         ctx: &mut Ctx,
         target: &Ior,
         operation: &str,
-        body: &[u8],
+        args: &dyn CdrWrite,
         response_expected: bool,
         timeout: Option<SimDuration>,
     ) -> SimResult<u64> {
@@ -593,12 +599,12 @@ impl Orb {
         for i in &mut self.interceptors {
             i.client_send(operation, target, &mut service_contexts);
         }
-        let frame = Message::encode_request(
+        let frame = Message::encode_call(
             req_id,
             response_expected,
             target.key,
             operation,
-            body,
+            args,
             &service_contexts,
         );
         ctx.compute(self.cfg.cost.step(frame.len()))?;
@@ -713,25 +719,20 @@ impl Orb {
 
     /// Check stashed replies and RSTs for a pending request.
     fn check_pending(&mut self, ctx: &mut Ctx, req_id: u64) -> SimResult<Option<Outcome>> {
-        if let Some(status) = self.replies.remove(&req_id) {
+        if let Some(outcome) = self.replies.remove(&req_id) {
             let p = self.pending.remove(&req_id);
             self.stats.replies_received += 1;
-            let outcome = match status {
-                ReplyBody::LocationForward(ior) => Outcome::Forward(ior),
-                ReplyBody::NoException(body) => {
-                    ctx.compute(self.cfg.cost.step(body.len()))?;
-                    for i in &mut self.interceptors {
-                        i.client_recv(operation_of(&p), true);
+            match &outcome {
+                Outcome::Forward(_) => {}
+                Outcome::Done(result) => {
+                    if let Ok(body) = result {
+                        ctx.compute(self.cfg.cost.step(body.len()))?;
                     }
-                    Outcome::Done(Ok(body))
-                }
-                other => {
                     for i in &mut self.interceptors {
-                        i.client_recv(operation_of(&p), false);
+                        i.client_recv(operation_of(&p), result.is_ok());
                     }
-                    Outcome::Done(other.into_result())
                 }
-            };
+            }
             return Ok(Some(outcome));
         }
         if let Some(p) = self.pending.get(&req_id) {
@@ -761,40 +762,51 @@ impl Orb {
 
     /// Route one raw network message received at `now`: replies, RSTs and
     /// keepalive answers are recorded, server-bound messages are queued
-    /// for `serve_one`.
+    /// for `serve_one`. A frame is parsed where it lies and its body stays
+    /// in it; one that does not parse is counted and dropped.
     fn absorb(&mut self, now: SimTime, msg: simnet::Msg) {
-        match msg.payload {
+        let frame = match msg.payload {
             simnet::Payload::Rst { host, port } => {
                 self.rsts.insert((host, port));
+                return;
             }
             simnet::Payload::Alive { host, port } => {
                 self.alive.insert((host, port));
+                return;
             }
-            simnet::Payload::Data(bytes) => match Message::decode(&bytes) {
-                Ok(Message::Reply { request_id, status }) => {
-                    self.stash_reply(now, request_id, status);
-                }
-                Ok(Message::LocateReply { request_id, found }) => {
-                    // Represent locate replies through the same reply table.
-                    let status = if found {
-                        ReplyBody::NoException(cdr::to_bytes(&true))
-                    } else {
-                        ReplyBody::SystemException(SystemException::object_not_exist(
-                            "locate: not here",
-                        ))
-                    };
-                    self.stash_reply(now, request_id, status);
-                }
-                Ok(server_msg) => {
-                    self.backlog.push_back((msg.from, server_msg));
-                }
-                Err(FrameError::BadMagic)
-                | Err(FrameError::BadVersion(..))
-                | Err(FrameError::BadMessageType(_))
-                | Err(FrameError::Cdr(_)) => {
-                    self.stats.protocol_errors += 1;
-                }
-            },
+            simnet::Payload::Data(frame) => frame,
+        };
+        let Ok((parsed, range)) = Message::parse(&frame) else {
+            self.stats.protocol_errors += 1;
+            return;
+        };
+        let body = Body::new(frame, range);
+        match parsed {
+            Message::Reply { request_id, status } => {
+                let outcome = match status {
+                    ReplyBody::NoException(_) => Outcome::Done(Ok(body)),
+                    ReplyBody::UserException(u) => Outcome::Done(Err(Exception::User(u))),
+                    ReplyBody::SystemException(s) => Outcome::Done(Err(Exception::System(s))),
+                    ReplyBody::LocationForward(ior) => Outcome::Forward(ior),
+                };
+                self.stash_reply(now, request_id, outcome);
+            }
+            Message::LocateReply { request_id, found } => {
+                // Represent locate replies through the same reply table.
+                let outcome = if found {
+                    Ok(cdr::to_bytes(&true).into())
+                } else {
+                    Err(Exception::System(SystemException::object_not_exist(
+                        "locate: not here",
+                    )))
+                };
+                self.stash_reply(now, request_id, Outcome::Done(outcome));
+            }
+            msg_in => self.backlog.push_back(Inbound {
+                from: msg.from,
+                msg: msg_in,
+                body,
+            }),
         }
     }
 
@@ -802,7 +814,7 @@ impl Orb {
     /// its round trip to the endpoint's history — here, on arrival: a
     /// deferred reply can sit stashed long before it is awaited. A reply
     /// whose request already failed is dropped; nobody will ask for it.
-    fn stash_reply(&mut self, now: SimTime, request_id: u64, status: ReplyBody) {
+    fn stash_reply(&mut self, now: SimTime, request_id: u64, outcome: Outcome) {
         let Some(p) = self.pending.get(&request_id) else {
             self.stats.late_replies += 1;
             if let Some(o) = &self.obs {
@@ -815,19 +827,20 @@ impl Orb {
             .entry(p.endpoint)
             .and_modify(|rtt| rtt.update(sample))
             .or_insert_with(|| Rtt::first(sample));
-        self.replies.insert(request_id, status);
+        self.replies.insert(request_id, outcome);
     }
 
-    /// Send a `oneway` request: no reply, no failure report (fire and
-    /// forget, like the Winner node-manager load reports).
+    /// Send a `oneway` request, `args` marshalled straight into its frame:
+    /// no reply, no failure report (fire and forget, like the Winner
+    /// node-manager load reports).
     pub fn invoke_oneway(
         &mut self,
         ctx: &mut Ctx,
         ior: &Ior,
         operation: &str,
-        body: Vec<u8>,
+        args: &dyn CdrWrite,
     ) -> SimResult<()> {
-        self.send_request(ctx, ior, operation, &body, false)?;
+        self.send_request(ctx, ior, operation, args, false)?;
         Ok(())
     }
 

@@ -15,6 +15,7 @@ use simnet::{Ctx, SimResult};
 
 use crate::core::{Orb, Outcome};
 use crate::exceptions::{Exception, SystemException};
+use crate::giop::{Body, Verbatim};
 use crate::ior::Ior;
 
 /// The lifecycle of a DII request.
@@ -25,7 +26,7 @@ enum State {
     /// `send_deferred` has fired; the reply is outstanding.
     Sent { req_id: u64, forwards: u32 },
     /// The outcome is available.
-    Done(Result<Vec<u8>, Exception>),
+    Done(Result<Body, Exception>),
 }
 
 /// A dynamic request object (CORBA `Request`).
@@ -42,7 +43,7 @@ impl DiiRequest {
         DiiRequest {
             target,
             operation: operation.into(),
-            args: CdrEncoder::big_endian(),
+            args: CdrEncoder::new(),
             state: State::Building,
         }
     }
@@ -94,8 +95,8 @@ impl DiiRequest {
     /// Fire the request without waiting (CORBA `send_deferred`).
     pub fn send_deferred(&mut self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<()> {
         assert_eq!(self.state, State::Building, "request already sent");
-        let body = self.args.as_bytes();
-        let req_id = orb.send_request(ctx, &self.target, &self.operation, body, true)?;
+        let body = Verbatim(self.args.as_bytes());
+        let req_id = orb.send_request(ctx, &self.target, &self.operation, &body, true)?;
         self.state = State::Sent {
             req_id,
             forwards: 0,
@@ -129,7 +130,7 @@ impl DiiRequest {
         &mut self,
         orb: &mut Orb,
         ctx: &mut Ctx,
-    ) -> SimResult<Result<Vec<u8>, Exception>> {
+    ) -> SimResult<Result<Body, Exception>> {
         loop {
             match std::mem::replace(&mut self.state, State::Building) {
                 State::Building => {
@@ -157,11 +158,7 @@ impl DiiRequest {
     }
 
     /// Convenience: send and wait (CORBA `invoke`).
-    pub fn invoke(
-        &mut self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-    ) -> SimResult<Result<Vec<u8>, Exception>> {
+    pub fn invoke(&mut self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<Result<Body, Exception>> {
         if matches!(self.state, State::Building) {
             self.send_deferred(orb, ctx)?;
         }
@@ -182,8 +179,8 @@ impl DiiRequest {
             return Ok(());
         }
         self.target = new_target;
-        let body = self.args.as_bytes();
-        let req_id = orb.send_request(ctx, &self.target, &self.operation, body, true)?;
+        let body = Verbatim(self.args.as_bytes());
+        let req_id = orb.send_request(ctx, &self.target, &self.operation, &body, true)?;
         self.state = State::Sent {
             req_id,
             forwards: forwards + 1,
@@ -240,14 +237,14 @@ mod tests {
     #[should_panic(expected = "request already sent")]
     fn add_arg_after_done_panics() {
         let mut r = DiiRequest::new(target(), "f");
-        r.state = State::Done(Ok(vec![]));
+        r.state = State::Done(Ok(Vec::new().into()));
         r.add_arg(&Any::long(1));
     }
 
     #[test]
     fn result_decodes_done_state() {
         let mut r = DiiRequest::new(target(), "f");
-        r.state = State::Done(Ok(cdr::to_bytes(&7.5f64)));
+        r.state = State::Done(Ok(cdr::to_bytes(&7.5f64).into()));
         assert_eq!(r.result::<f64>().unwrap().unwrap(), 7.5);
         assert!(r.is_done());
     }

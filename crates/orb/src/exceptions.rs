@@ -191,7 +191,7 @@ impl CdrRead for UserException {
     fn read(dec: &mut CdrDecoder<'_>) -> CdrResult<Self> {
         Ok(UserException {
             id: dec.read_string()?,
-            body: dec.read_bytes()?,
+            body: dec.read_octets()?.to_vec(),
         })
     }
 }

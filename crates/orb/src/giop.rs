@@ -2,20 +2,25 @@
 //! simulated wire.
 //!
 //! Every frame starts with the GIOP magic, a version, a byte-order flag and
-//! a message type, exactly like GIOP 1.0; headers and bodies are CDR. The
-//! message set covers what the runtime needs: `Request`, `Reply`,
-//! `LocateRequest`/`LocateReply` (used by the failure detector),
-//! `CancelRequest` and `CloseConnection`.
+//! a message type, exactly like GIOP 1.0; headers and bodies are CDR, in
+//! the little-endian order the flag names. The message set covers what the
+//! runtime needs: `Request`, `Reply`, `LocateRequest`/`LocateReply` (used
+//! by the failure detector), `CancelRequest` and `CloseConnection`.
 
-use cdr::{ByteOrder, CdrDecoder, CdrEncoder, CdrRead, CdrWrite};
+use std::ops::{Deref, Range};
 
-use crate::exceptions::{Exception, SystemException, UserException};
+use cdr::{CdrDecoder, CdrEncoder, CdrRead, CdrWrite};
+
+use crate::exceptions::{SystemException, UserException};
 use crate::ior::{Ior, ObjectKey};
 
 /// GIOP magic bytes.
 pub const MAGIC: [u8; 4] = *b"GIOP";
 /// Protocol version carried in each frame.
 pub const VERSION: (u8, u8) = (1, 0);
+/// The flags octet of every frame: bit 0 set, little-endian; no other bit
+/// (GIOP 1.0 defines none).
+const FLAGS: u8 = 1;
 
 const MSG_REQUEST: u8 = 0;
 const MSG_REPLY: u8 = 1;
@@ -34,6 +39,49 @@ pub struct ServiceContext {
     pub id: u32,
     /// Opaque payload.
     pub data: Vec<u8>,
+}
+
+/// A request's parameters or a reply's result, read where it lies: a range
+/// of the frame that delivered it, so a delivered body is never copied out
+/// before it is demarshalled. Dereferences to the body's bytes.
+#[derive(Clone)]
+pub struct Body {
+    frame: Vec<u8>,
+    range: Range<usize>,
+}
+
+impl Body {
+    /// The bytes `range` of `frame`.
+    pub(crate) fn new(frame: Vec<u8>, range: Range<usize>) -> Body {
+        Body { frame, range }
+    }
+}
+
+impl From<Vec<u8>> for Body {
+    fn from(bytes: Vec<u8>) -> Body {
+        let range = 0..bytes.len();
+        Body::new(bytes, range)
+    }
+}
+
+impl Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.frame[self.range.clone()]
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Body) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Body {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 /// A decoded GIOP message.
@@ -97,25 +145,6 @@ pub enum ReplyBody {
     LocationForward(Ior),
 }
 
-impl ReplyBody {
-    /// Convert into the client-visible result.
-    pub fn into_result(self) -> Result<Vec<u8>, Exception> {
-        match self {
-            ReplyBody::NoException(v) => Ok(v),
-            ReplyBody::UserException(u) => Err(Exception::User(u)),
-            ReplyBody::SystemException(s) => Err(Exception::System(s)),
-            ReplyBody::LocationForward(_) => {
-                // Forwards are consumed by the invocation loop; one leaking
-                // through is an ORB bug, reported as INTERNAL rather than a
-                // panic.
-                Err(Exception::System(SystemException::internal(
-                    "unconsumed LocationForward reply",
-                )))
-            }
-        }
-    }
-}
-
 const STATUS_NO_EXCEPTION: u32 = 0;
 const STATUS_USER_EXCEPTION: u32 = 1;
 const STATUS_SYSTEM_EXCEPTION: u32 = 2;
@@ -128,6 +157,9 @@ pub enum FrameError {
     BadMagic,
     /// Unsupported protocol version.
     BadVersion(u8, u8),
+    /// A flags octet other than "little-endian": a frame in the other byte
+    /// order, or with options this ORB does not speak.
+    BadFlags(u8),
     /// Unknown message type octet.
     BadMessageType(u8),
     /// The header or body failed to decode.
@@ -139,6 +171,7 @@ impl std::fmt::Display for FrameError {
         match self {
             FrameError::BadMagic => f.write_str("not a GIOP frame"),
             FrameError::BadVersion(a, b) => write!(f, "unsupported GIOP version {a}.{b}"),
+            FrameError::BadFlags(x) => write!(f, "unsupported GIOP flags {x:#04x}"),
             FrameError::BadMessageType(t) => write!(f, "unknown GIOP message type {t}"),
             FrameError::Cdr(e) => write!(f, "frame decode error: {e}"),
         }
@@ -161,22 +194,63 @@ fn frame_encoder(msg_type: u8, payload: usize) -> CdrEncoder {
     // Header, fixed fields, counts and padding of the largest message (a
     // request: 51 bytes). A low guess costs one reallocation, no more.
     const FIXED: usize = 64;
-    let mut enc = CdrEncoder::big_endian();
+    let mut enc = CdrEncoder::new();
     enc.reserve(FIXED + payload);
     enc.write_raw(&MAGIC);
     enc.write_u8(VERSION.0);
     enc.write_u8(VERSION.1);
-    // Flags octet: bit 0 = byte order (0 = big endian).
-    enc.write_u8(0);
+    enc.write_u8(FLAGS);
     enc.write_u8(msg_type);
     enc
 }
 
+/// What a request frame reserves for parameters whose size it learns only
+/// by marshalling them: a typical body fits, and a bulk one grows the frame
+/// once, with room left for the service contexts after it.
+const BODY_GUESS: usize = 128;
+
+/// Bytes already marshalled, written as they are.
+pub(crate) struct Verbatim<'a>(pub(crate) &'a [u8]);
+
+impl CdrWrite for Verbatim<'_> {
+    fn write(&self, enc: &mut CdrEncoder) {
+        enc.write_raw(self.0);
+    }
+}
+
 impl Message {
-    /// Encode a `Request` frame from borrowed parts: the bytes
-    /// [`Message::encode`] yields for the same fields, without moving the
-    /// body into a `Message` first. The client path sends through this, so
-    /// a body is copied once — into the frame — however often it is sent.
+    /// Encode a `Request` frame whose parameters `args` marshals straight
+    /// into the frame's body octets — aligned from the body's first byte,
+    /// so the body is `cdr::to_bytes(args)` without that buffer ever
+    /// existing. Every request frame is written here; typed calls, and so
+    /// every stub, send through it.
+    pub fn encode_call(
+        request_id: u64,
+        response_expected: bool,
+        object_key: ObjectKey,
+        operation: &str,
+        args: &dyn CdrWrite,
+        service_contexts: &[ServiceContext],
+    ) -> Vec<u8> {
+        // A context adds its id, count and padding to its data.
+        let contexts: usize = service_contexts.iter().map(|sc| 12 + sc.data.len()).sum();
+        let mut enc = frame_encoder(MSG_REQUEST, operation.len() + BODY_GUESS + contexts);
+        enc.write_u64(request_id);
+        enc.write_bool(response_expected);
+        object_key.write(&mut enc);
+        enc.write_string(operation);
+        enc.write_octets_with(|enc| args.write(enc));
+        enc.write_len(service_contexts.len());
+        for sc in service_contexts {
+            enc.write_u32(sc.id);
+            enc.write_bytes(&sc.data);
+        }
+        enc.into_bytes()
+    }
+
+    /// [`Message::encode_call`] over a body already marshalled, copied in
+    /// verbatim: the bytes [`Message::encode`] yields for the same fields,
+    /// without moving the body into a `Message` first.
     pub fn encode_request(
         request_id: u64,
         response_expected: bool,
@@ -185,20 +259,14 @@ impl Message {
         body: &[u8],
         service_contexts: &[ServiceContext],
     ) -> Vec<u8> {
-        // A context adds its id, count and padding to its data.
-        let contexts: usize = service_contexts.iter().map(|sc| 12 + sc.data.len()).sum();
-        let mut enc = frame_encoder(MSG_REQUEST, operation.len() + body.len() + contexts);
-        enc.write_u64(request_id);
-        enc.write_bool(response_expected);
-        object_key.write(&mut enc);
-        enc.write_string(operation);
-        enc.write_bytes(body);
-        enc.write_len(service_contexts.len());
-        for sc in service_contexts {
-            enc.write_u32(sc.id);
-            enc.write_bytes(&sc.data);
-        }
-        enc.into_bytes()
+        Message::encode_call(
+            request_id,
+            response_expected,
+            object_key,
+            operation,
+            &Verbatim(body),
+            service_contexts,
+        )
     }
 
     /// Encode this message as a wire frame.
@@ -273,9 +341,33 @@ impl Message {
         enc.into_bytes()
     }
 
-    /// Decode a wire frame.
+    /// Decode a wire frame: [`Message::parse`], and the body copied out.
     pub fn decode(frame: &[u8]) -> Result<Message, FrameError> {
-        let mut dec = CdrDecoder::new(frame, ByteOrder::Big);
+        let (mut msg, range) = Message::parse(frame)?;
+        if let Message::Request { body, .. }
+        | Message::Reply {
+            status: ReplyBody::NoException(body),
+            ..
+        } = &mut msg
+        {
+            *body = frame[range].to_vec();
+        }
+        Ok(msg)
+    }
+
+    /// Parse a wire frame where it lies. Returns the message and the range
+    /// of `frame` its body occupies — a request's parameters or a
+    /// `NoException` reply's result, which the message itself leaves
+    /// empty; for any other message the range is empty. This is the one
+    /// GIOP parser: the ORB reads delivered frames through it and hands
+    /// the body on as a [`Body`], never copied.
+    pub fn parse(frame: &[u8]) -> Result<(Message, Range<usize>), FrameError> {
+        let mut dec = CdrDecoder::new(frame);
+        // Where the octet sequence just read lies in `frame`.
+        let just_read = |dec: &CdrDecoder<'_>, body: &[u8]| {
+            let end = frame.len() - dec.remaining();
+            end - body.len()..end
+        };
         let mut magic = [0u8; 4];
         for b in &mut magic {
             *b = dec.read_u8()?;
@@ -288,21 +380,27 @@ impl Message {
         if (major, minor) != VERSION {
             return Err(FrameError::BadVersion(major, minor));
         }
-        let _flags = dec.read_u8()?;
+        let flags = dec.read_u8()?;
+        if flags != FLAGS {
+            return Err(FrameError::BadFlags(flags));
+        }
         let msg_type = dec.read_u8()?;
+        let mut range = 0..0;
         let msg = match msg_type {
             MSG_REQUEST => {
                 let request_id = dec.read_u64()?;
                 let response_expected = dec.read_bool()?;
                 let object_key = ObjectKey::read(&mut dec)?;
                 let operation = dec.read_string()?;
-                let body = dec.read_bytes()?;
-                let n = dec.read_u32()?;
-                let mut service_contexts = Vec::new();
+                let body = dec.read_octets()?;
+                range = just_read(&dec, body);
+                // A context is at least its id and its count.
+                let n = dec.read_len(8)?;
+                let mut service_contexts = Vec::with_capacity(n);
                 for _ in 0..n {
                     service_contexts.push(ServiceContext {
                         id: dec.read_u32()?,
-                        data: dec.read_bytes()?,
+                        data: dec.read_octets()?.to_vec(),
                     });
                 }
                 Message::Request {
@@ -310,14 +408,18 @@ impl Message {
                     response_expected,
                     object_key,
                     operation,
-                    body,
+                    body: Vec::new(),
                     service_contexts,
                 }
             }
             MSG_REPLY => {
                 let request_id = dec.read_u64()?;
                 let status = match dec.read_u32()? {
-                    STATUS_NO_EXCEPTION => ReplyBody::NoException(dec.read_bytes()?),
+                    STATUS_NO_EXCEPTION => {
+                        let body = dec.read_octets()?;
+                        range = just_read(&dec, body);
+                        ReplyBody::NoException(Vec::new())
+                    }
                     STATUS_USER_EXCEPTION => {
                         ReplyBody::UserException(UserException::read(&mut dec)?)
                     }
@@ -344,7 +446,7 @@ impl Message {
             other => return Err(FrameError::BadMessageType(other)),
         };
         dec.finish()?;
-        Ok(msg)
+        Ok((msg, range))
     }
 }
 
@@ -435,6 +537,40 @@ mod tests {
             Message::decode(&frame).unwrap_err(),
             FrameError::BadVersion(9, 0)
         );
+    }
+
+    #[test]
+    fn frames_are_flagged_little_endian() {
+        assert_eq!(Message::CloseConnection.encode()[6], 1);
+    }
+
+    #[test]
+    fn other_byte_order_rejected() {
+        let mut frame = Message::CancelRequest { request_id: 3 }.encode();
+        frame[6] = 0;
+        assert_eq!(
+            Message::decode(&frame).unwrap_err(),
+            FrameError::BadFlags(0)
+        );
+    }
+
+    #[test]
+    fn parse_leaves_the_body_in_the_frame() {
+        let m = Message::Request {
+            request_id: 77,
+            response_expected: true,
+            object_key: ObjectKey(5),
+            operation: "solve".into(),
+            body: vec![1, 2, 3],
+            service_contexts: vec![],
+        };
+        let frame = m.encode();
+        let (parsed, range) = Message::parse(&frame).unwrap();
+        assert_eq!(&frame[range], &[1, 2, 3]);
+        let Message::Request { body, .. } = parsed else {
+            panic!("not a request");
+        };
+        assert!(body.is_empty());
     }
 
     #[test]

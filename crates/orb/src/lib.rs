@@ -30,7 +30,7 @@ mod poa;
 pub use crate::core::{forward_to, CostModel, Orb, OrbConfig, OrbStats, FORWARD_ID};
 pub use dii::DiiRequest;
 pub use exceptions::{Completion, Exception, SysKind, SystemException, UserException};
-pub use giop::{FrameError, Message, ReplyBody, ServiceContext};
+pub use giop::{Body, FrameError, Message, ReplyBody, ServiceContext};
 pub use interceptor::{CallCounter, Interceptor, TraceInterceptor};
 pub use ior::{Ior, IorParseError, ObjectKey};
 pub use object::ObjectRef;

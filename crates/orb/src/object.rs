@@ -33,7 +33,9 @@ impl ObjectRef {
     }
 
     /// Invoke `operation` with typed in-parameters and a typed result.
-    /// This is the call path every static stub uses.
+    /// This is the call path every static stub uses: `args` are marshalled
+    /// straight into the request frame, and the result is decoded from the
+    /// reply frame it arrived in.
     pub fn call<A: CdrWrite, R: CdrRead>(
         &self,
         orb: &mut Orb,
@@ -55,8 +57,7 @@ impl ObjectRef {
         args: &A,
         timeout: Option<SimDuration>,
     ) -> SimResult<Result<R, Exception>> {
-        let body = cdr::to_bytes(args);
-        match orb.invoke_with_timeout(ctx, &self.ior, operation, body, timeout)? {
+        match orb.invoke_with_timeout(ctx, &self.ior, operation, args, timeout)? {
             Ok(bytes) => {
                 Ok(cdr::from_bytes(&bytes)
                     .map_err(|e| Exception::System(SystemException::marshal(e))))
@@ -73,7 +74,7 @@ impl ObjectRef {
         operation: &str,
         args: &A,
     ) -> SimResult<()> {
-        orb.invoke_oneway(ctx, &self.ior, operation, cdr::to_bytes(args))
+        orb.invoke_oneway(ctx, &self.ior, operation, args)
     }
 
     /// Liveness probe (GIOP LocateRequest): is the object reachable and

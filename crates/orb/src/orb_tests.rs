@@ -6,12 +6,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use simnet::{Fault, HostId, Kernel, SimDuration, SimTime};
+use simnet::{Addr, Fault, HostId, Kernel, SimDuration, SimTime};
 use std::sync::Mutex as StdMutex;
 
 use crate::{
-    forward_to, reply, CallCounter, CallCtx, CostModel, DiiRequest, Exception, Ior, ObjectRef, Orb,
-    OrbConfig, Poa, Servant, SysKind, SystemException, UserException,
+    forward_to, reply, CallCounter, CallCtx, CostModel, DiiRequest, Exception, Ior, Message,
+    ObjectKey, ObjectRef, Orb, OrbConfig, Poa, ReplyBody, Servant, SysKind, SystemException,
+    UserException,
 };
 
 type Cell<T> = Arc<StdMutex<T>>;
@@ -25,7 +26,8 @@ fn secs(s: f64) -> SimDuration {
 }
 
 /// A calculator servant used throughout: `add(f64,f64)->f64`,
-/// `fail()` raises a user exception, `work(f64)` burns CPU.
+/// `fail()` raises a user exception, `work(f64)` burns CPU,
+/// `protocol_errors()` reads its own ORB's count of unparseable frames.
 struct Calc;
 
 const CALC_TYPE: &str = "IDL:Test/Calc:1.0";
@@ -55,6 +57,7 @@ impl Servant for Calc {
                 call.ctx.compute(units).expect("killed mid-dispatch");
                 reply(&units)
             }
+            "protocol_errors" => reply(&call.orb.stats().protocol_errors),
             other => Err(SystemException::bad_operation(other).into()),
         }
     }
@@ -1028,4 +1031,155 @@ fn late_reply_is_dropped_and_counted() {
     });
     sim.run_until_exit(client);
     assert_eq!(out.lock().unwrap().unwrap(), (true, 2.0, 0, 1));
+}
+
+// ----------------------------------------------------------------------
+// Frames that lie
+// ----------------------------------------------------------------------
+
+/// `frame` with its body octets lying about their length: a count of
+/// 2^32 − 1, a count one past the rest of the frame, and the frame cut
+/// inside the body. The body must not be empty.
+fn hostile_bodies(frame: &[u8]) -> Vec<Vec<u8>> {
+    let (_, body) = Message::parse(frame).expect("a well-formed frame");
+    assert!(!body.is_empty());
+    let count_at = body.start - 4..body.start;
+    let with_count = |n: u32| {
+        let mut f = frame.to_vec();
+        f[count_at.clone()].copy_from_slice(&n.to_le_bytes());
+        f
+    };
+    vec![
+        with_count(u32::MAX),
+        with_count((frame.len() - body.start + 1) as u32),
+        frame[..body.start + body.len() / 2].to_vec(),
+    ]
+}
+
+/// Send `frames` raw to the calc server, then ask it how many frames it
+/// could not parse and for one sum.
+fn send_raw_then_call(frames: impl FnOnce(&Ior) -> Vec<Vec<u8>> + Send + 'static) -> (u64, f64) {
+    let mut sim = Kernel::with_seed(1);
+    let hs = sim.add_hosts(2);
+    let ior = cell();
+    spawn_calc(&mut sim, hs[1], ior.clone());
+    let out = cell::<Option<(u64, f64)>>();
+    let o = out.clone();
+    let client = sim.spawn(hs[0], "client", move |ctx| {
+        ctx.sleep(secs(0.01)).unwrap();
+        let mut orb = Orb::init(ctx);
+        let obj = resolve(&ior);
+        for frame in frames(&obj.ior) {
+            ctx.send(Addr::Endpoint(obj.ior.host, obj.ior.port), frame)
+                .unwrap();
+        }
+        let errors: u64 = obj
+            .call(&mut orb, ctx, "protocol_errors", &())
+            .unwrap()
+            .unwrap();
+        let sum: f64 = obj
+            .call(&mut orb, ctx, "add", &(2.0, 3.0))
+            .unwrap()
+            .unwrap();
+        *o.lock().unwrap() = Some((errors, sum));
+    });
+    sim.run_until_exit(client);
+    let seen = out.lock().unwrap().expect("client finished");
+    seen
+}
+
+/// A request for `add(1, 2)`, as any client would send it.
+fn add_request(target: &Ior) -> Vec<u8> {
+    let args = cdr::to_bytes(&(1.0, 2.0));
+    Message::encode_request(999, true, target.key, "add", &args, &[])
+}
+
+#[test]
+fn a_frame_in_the_other_byte_order_is_refused_and_counted() {
+    let seen = send_raw_then_call(|target| {
+        let mut frame = add_request(target);
+        frame[6] = 0; // GIOP's flag for big-endian
+        vec![frame]
+    });
+    assert_eq!(seen, (1, 5.0));
+}
+
+#[test]
+fn request_bodies_that_lie_about_their_length_are_dropped() {
+    let seen = send_raw_then_call(|target| hostile_bodies(&add_request(target)));
+    assert_eq!(seen, (3, 5.0));
+}
+
+#[test]
+fn reply_bodies_that_lie_fail_the_call_not_the_client() {
+    let mut sim = Kernel::with_seed(1);
+    let hs = sim.add_hosts(2);
+    // A server that answers every request with `4.0`, the first four
+    // times in a frame that lies: three about the result's length, one
+    // with a well-framed result that claims 2^32 − 1 doubles.
+    let ior = cell::<Option<String>>();
+    let publish = ior.clone();
+    sim.spawn(hs[1], "liar", move |ctx| {
+        let port = ctx.bind_port().unwrap();
+        let me = Ior::new(CALC_TYPE, ctx.host(), port, ObjectKey(1));
+        *publish.lock().unwrap() = Some(me.stringify());
+        for answer in 0.. {
+            let Ok(msg) = ctx.recv() else { return };
+            let Some(Ok(Message::Request { request_id, .. })) = msg.data().map(Message::decode)
+            else {
+                continue;
+            };
+            let result = |body: Vec<u8>| {
+                Message::Reply {
+                    request_id,
+                    status: ReplyBody::NoException(body),
+                }
+                .encode()
+            };
+            let honest = result(cdr::to_bytes(&4.0f64));
+            let mut lies = hostile_bodies(&honest);
+            let mut bomb = u32::MAX.to_le_bytes().to_vec();
+            bomb.extend_from_slice(&[0; 8]);
+            lies.push(result(bomb));
+            let frame = lies.get(answer).cloned().unwrap_or(honest);
+            ctx.send(Addr::Pid(msg.from), frame).unwrap();
+        }
+    });
+    let out = cell::<Vec<String>>();
+    let o = out.clone();
+    let client = sim.spawn(hs[0], "client", move |ctx| {
+        ctx.sleep(secs(0.01)).unwrap();
+        let cfg = OrbConfig {
+            request_timeout: secs(0.1),
+            ..OrbConfig::default()
+        };
+        let mut orb = Orb::new(ctx, cfg);
+        let obj = resolve(&ior);
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            let r: Result<f64, _> = obj.call(&mut orb, ctx, "add", &(1.0, 1.0)).unwrap();
+            seen.push(format!("{:?}", r.map_err(|e| e.is_comm_failure())));
+        }
+        let r: Result<Vec<f64>, _> = obj.call(&mut orb, ctx, "add", &(1.0, 1.0)).unwrap();
+        seen.push(match r {
+            Err(Exception::System(s)) => format!("{:?}", s.kind),
+            other => format!("{other:?}"),
+        });
+        let r: Result<f64, _> = obj.call(&mut orb, ctx, "add", &(1.0, 1.0)).unwrap();
+        seen.push(format!("{r:?}"));
+        seen.push(format!("protocol_errors:{}", orb.stats().protocol_errors));
+        *o.lock().unwrap() = seen;
+    });
+    sim.run_until_exit(client);
+    assert_eq!(
+        *out.lock().unwrap(),
+        vec![
+            "Err(true)",
+            "Err(true)",
+            "Err(true)",
+            "Marshal",
+            "Ok(4.0)",
+            "protocol_errors:3"
+        ]
+    );
 }

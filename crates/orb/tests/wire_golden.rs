@@ -1,17 +1,19 @@
 //! The wire format pinned against committed bytes: one whole
 //! `Message::Request` frame — `echo` of a `sequence<double>`, the call
 //! the benchmark's `rpc_*` workloads make — as the encoder produced it
-//! before the bulk CDR path and the pre-sized frame existed. A change to
-//! `cdr` or `giop` that moves a byte fails here, not only against itself.
+//! before the bulk CDR path and the pre-sized frame existed, re-captured
+//! when CDR became little-endian: the same length, the flags octet 1, and
+//! every primitive byte-reversed in place. A change to `cdr` or `giop`
+//! that moves a byte fails here, not only against itself.
 
 use orb::{Message, ObjectKey, ServiceContext};
 
 const GOLDEN_HEX: &str = "\
-47494f5001000000000000000000000701000000000000000000000000000001\
-000000056563686f000000000000004800000008000000000000000000000000\
-80000000000000003ff0000000000000c004000000000000408f400000000000\
-00100000000000007fefffffffffffff7ff80000deadbeef000000014c444654\
-00000003010203";
+47494f5001000100070000000000000001000000000000000100000000000000\
+050000006563686f000000004800000008000000000000000000000000000000\
+0000000000000080000000000000f03f00000000000004c00000000000408f40\
+0000000000001000ffffffffffffef7fefbeadde0000f87f010000005446444c\
+03000000010203";
 
 fn golden() -> Vec<u8> {
     (0..GOLDEN_HEX.len())

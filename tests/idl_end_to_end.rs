@@ -324,7 +324,7 @@ fn skeletons_answer_hostile_bytes_with_system_exceptions() {
         let good = cdr::to_bytes(&("acct", "w0", &chunk));
         let count_at = good.len() - 64 - 4;
         let mut bomb = good.clone();
-        bomb[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        bomb[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let cut = good[..good.len() - 9].to_vec();
         let repl = |body: &Vec<u8>| cdr::to_bytes(&(0u64, body));
         let requests = [
@@ -369,6 +369,148 @@ fn skeletons_answer_hostile_bytes_with_system_exceptions() {
     sim.run_until_exit(probe);
     let verdicts = verdicts.lock().unwrap();
     assert!(verdicts.is_empty(), "{}", verdicts.join("\n"));
+}
+
+/// `frame` with its body octets lying about their length: a count of
+/// 2^32 − 1, a count one past the rest of the frame, and the frame cut
+/// inside the body.
+fn hostile_bodies(frame: &[u8]) -> Vec<Vec<u8>> {
+    let (_, body) = orb::Message::parse(frame).expect("a well-formed frame");
+    let count_at = body.start - 4..body.start;
+    let with_count = |n: u32| {
+        let mut f = frame.to_vec();
+        f[count_at.clone()].copy_from_slice(&n.to_le_bytes());
+        f
+    };
+    vec![
+        with_count(u32::MAX),
+        with_count((frame.len() - body.start + 1) as u32),
+        frame[..body.start + body.len() / 2].to_vec(),
+    ]
+}
+
+/// The calculator's `scale` parameters with `values` claiming 2^32 − 1
+/// doubles (32 GiB): framed honestly, so only the skeleton or the stub
+/// can refuse them — and must, before allocating anything of that size.
+fn scale_bomb() -> Vec<u8> {
+    let mut args = cdr::to_bytes(&(vec![1.0f64, 2.0], 10.0f64));
+    args[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    args
+}
+
+#[test]
+fn frames_whose_bodies_lie_fail_one_call_at_either_end() {
+    use orb::{Message, ReplyBody};
+    use simnet::Addr;
+
+    let mut sim = Kernel::with_seed(33);
+    let hosts: Vec<_> = (0..2)
+        .map(|i| sim.add_host(HostConfig::new(format!("ws{i}"))))
+        .collect();
+    let iors: Arc<Mutex<Vec<orb::Ior>>> = Arc::new(Mutex::new(Vec::new()));
+    // A live calculator behind its generated skeleton.
+    let publish = iors.clone();
+    sim.spawn(hosts[1], "calc-server", move |ctx| {
+        let mut orb = Orb::init(ctx);
+        orb.listen(ctx).unwrap();
+        let poa = Poa::new();
+        let key = poa.activate(
+            CalculatorStub::REPO_ID,
+            Rc::new(RefCell::new(CalculatorSkeleton(CalcImpl::default()))),
+        );
+        publish
+            .lock()
+            .unwrap()
+            .push(orb.ior(CalculatorStub::REPO_ID, key));
+        let _ = orb.serve_forever(ctx, &poa);
+    });
+    // A calculator whose first four replies lie: three about the result's
+    // length, one with a well-framed result claiming 2^32 − 1 doubles.
+    let publish = iors.clone();
+    sim.spawn(hosts[1], "liar", move |ctx| {
+        let port = ctx.bind_port().unwrap();
+        let me = orb::Ior::new(CalculatorStub::REPO_ID, ctx.host(), port, orb::ObjectKey(1));
+        publish.lock().unwrap().push(me);
+        for answer in 0.. {
+            let Ok(msg) = ctx.recv() else { return };
+            let Some(Ok(Message::Request { request_id, .. })) = msg.data().map(Message::decode)
+            else {
+                continue;
+            };
+            let result = |body: Vec<u8>| {
+                Message::Reply {
+                    request_id,
+                    status: ReplyBody::NoException(body),
+                }
+                .encode()
+            };
+            let honest = result(cdr::to_bytes(&vec![10.0f64, 20.0]));
+            let mut lies = hostile_bodies(&honest);
+            let mut bomb = u32::MAX.to_le_bytes().to_vec();
+            bomb.extend_from_slice(&[0; 12]);
+            lies.push(result(bomb));
+            let frame = lies.get(answer).cloned().unwrap_or(honest);
+            ctx.send(Addr::Pid(msg.from), frame).unwrap();
+        }
+    });
+
+    let out: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let o = out.clone();
+    let client = sim.spawn(hosts[0], "client", move |ctx| {
+        ctx.sleep(SimDuration::from_millis(10)).unwrap();
+        let (calc, liar) = match &iors.lock().unwrap()[..] {
+            [calc, liar] => (calc.clone(), liar.clone()),
+            other => panic!("servers not up: {other:?}"),
+        };
+        let say = |s: String| o.lock().unwrap().push(s);
+        // The live server: three lying request frames are dropped, a bomb
+        // inside an honest frame is MARSHAL, and a stub call is served.
+        let at = Addr::Endpoint(calc.host, calc.port);
+        let honest = Message::encode_request(7, true, calc.key, "scale", &scale_bomb(), &[]);
+        for frame in hostile_bodies(&honest) {
+            ctx.send(at, frame).unwrap();
+        }
+        ctx.send(at, honest).unwrap();
+        let answer = ctx.recv().unwrap();
+        say(match answer.data().map(Message::decode) {
+            Some(Ok(Message::Reply {
+                request_id: 7,
+                status: ReplyBody::SystemException(e),
+            })) => format!("{:?}", e.kind),
+            other => format!("{other:?}"),
+        });
+        let mut orb = Orb::init(ctx);
+        let stub = CalculatorStub::new(orb::ObjectRef::new(calc));
+        let scaled = stub.scale(&mut orb, ctx, &vec![1.0, 2.0], &10.0).unwrap();
+        say(format!("{scaled:?}"));
+        // The live client: each lying reply fails its call with a system
+        // exception, and the next call is served.
+        let mut stub = CalculatorStub::new(orb::ObjectRef::new(liar));
+        stub.deadline = Some(SimDuration::from_millis(100));
+        for _ in 0..5 {
+            say(
+                match stub.scale(&mut orb, ctx, &vec![1.0, 2.0], &10.0).unwrap() {
+                    Err(orb::Exception::System(e)) => format!("{:?}", e.kind),
+                    other => format!("{other:?}"),
+                },
+            );
+        }
+        say(format!("protocol_errors:{}", orb.stats().protocol_errors));
+    });
+    sim.run_until_exit(client);
+    assert_eq!(
+        *out.lock().unwrap(),
+        vec![
+            "Marshal",
+            "Ok([10.0, 20.0])",
+            "CommFailure",
+            "CommFailure",
+            "CommFailure",
+            "Marshal",
+            "Ok([10.0, 20.0])",
+            "protocol_errors:3",
+        ]
+    );
 }
 
 fn spawn_server(sim: &mut Kernel, host: HostId, naming_host: HostId) {

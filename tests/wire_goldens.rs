@@ -1,7 +1,9 @@
 //! One request body and one reply body per contract interface, pinned as
 //! committed hex. The bytes were captured from the hand-written stubs and
 //! dispatch tables this repository had before its servants and clients
-//! moved onto `idlc` output (PR 14); the generated stubs and skeletons
+//! moved onto `idlc` output, and re-captured once when CDR became
+//! little-endian — each kept its length and decodes to the values it
+//! decoded to before; the generated stubs and skeletons
 //! below must keep producing and answering exactly them. Beside
 //! `crates/orb/tests/wire_golden.rs` (one whole GIOP frame), this pins
 //! what goes *inside* the frame for each of the eight interfaces.
@@ -286,12 +288,12 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
         assert_golden(
             &log,
             "list",
-            "00000002",
+            "02000000",
             "\
-             0000000200000001000000026100000000000001000000000000000000000001\
-             0000000262000000000000010000000000000000010000000000002249444c3a\
+             0200000001000000020000006100000001000000000000000000000001000000\
+             0200000062000000010000000000000000000000010000002200000049444c3a\
              436f734e616d696e672f42696e64696e674974657261746f723a312e30000000\
-             00000000040000000000000000000009",
+             00000000000400000900000000000000",
         );
 
         // -- CosNaming::BindingIterator: `next_one` ---------------------
@@ -302,7 +304,7 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
             "next_one",
             "",
             "\
-             01000000000000010000000a6c6566742d6f7665720000000000000100000000\
+             01000000010000000a0000006c6566742d6f7665720000000100000000000000\
              00000000",
         );
 
@@ -319,10 +321,10 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
         assert_golden(
             &log,
             "query",
-            "000000085072696e74657200",
+            "080000005072696e74657200",
             "\
-             000000010000001349444c3a536f6d652f5468696e673a312e30000000000000\
-             00070000000000000000000000000009",
+             010000001300000049444c3a536f6d652f5468696e673a312e30000000000000\
+             07000000000000000900000000000000",
         );
 
         // -- Winner::SystemManager: `select` with no host known ---------
@@ -331,7 +333,7 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
         assert_golden(
             &log,
             "select",
-            "000000020000000300000004",
+            "020000000300000004000000",
             "0000000000000000",
         );
 
@@ -344,9 +346,9 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
         assert_golden(
             &log,
             "retrieve",
-            "000000076e6f626f647900",
+            "070000006e6f626f647900",
             "\
-             00000000000000076e6f626f6479000000000000000000000000000000000000\
+             00000000070000006e6f626f6479000000000000000000000000000000000000\
              0000000000000000",
         );
 
@@ -360,10 +362,10 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
         assert_golden(
             &log,
             "create",
-            "0000000c4f7074696d576f726b657200",
+            "0c0000004f7074696d576f726b657200",
             "\
-             010000000000001549444c3a4f7074696d2f576f726b65723a312e3000000000\
-             0000000004000000000000000000000a",
+             010000001500000049444c3a4f7074696d2f576f726b65723a312e3000000000\
+             00000000000400000a00000000000000",
         );
 
         // -- Optim::Worker: `solve` -------------------------------------
@@ -382,11 +384,11 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
             &log,
             "solve",
             "\
-             000000010000000201000000000000003fe00000000000000000000000000000\
-             0000000000000003000000000000000b01",
+             01000000020000000100000000000000000000000000e03f0000000000000000\
+             03000000000000000b0000000000000001",
             "\
-             40253e978e6d81bc0000000200000000bf857bc9edbd6bc0bfc47d0fd9dc2802\
-             00000000000000030000000000000009",
+             bc816d8e973e25400200000000000000c06bbdedc97b85bf0228dcd90f7dc4bf\
+             03000000000000000900000000000000",
         );
 
         // -- Store::Replication: the coordinator's fan-out --------------
@@ -424,8 +426,8 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
             &log,
             "repl_store",
             "\
-             0000000000000002000000300000000561636374000000000000000000000000\
-             0000000200000005010203040500000000000000000000000000004d",
+             0200000000000000300000000500000061636374000000000000000002000000\
+             00000000050000000102030405000000000000004d00000000000000",
             "",
         );
         store
@@ -436,11 +438,11 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
             &log,
             "repl_store_value",
             "\
-             0000000000000002000000780000000561636374000000000000000768656164\
-             657200000000000d0000000b436b707448656164657200000000000300000004\
-             6c656e00000000080000000665706f636800000000000008000000066368756e\
-             6b00000000000008000000000000000000000008000000000000000200000000\
-             00000004",
+             0200000000000000780000000500000061636374000000000700000068656164\
+             657200000d0000000b000000436b707448656164657200000300000004000000\
+             6c656e00080000000600000065706f636800000008000000060000006368756e\
+             6b00000008000000000000000800000000000000020000000000000004000000\
+             00000000",
             "",
         );
         // Captured while an octet sequence in an `any` was still one
@@ -453,10 +455,10 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
             &log,
             "repl_store_value",
             "\
-             0000000000000002000000610000000561636374000000000000000377300000\
-             0000000d0000000a436b70744368756e6b000000000000020000000665706f63\
-             68000000000000080000000564617461000000000000000c0000000200000000\
-             00000002000000050102030405",
+             0200000000000000610000000500000061636374000000000300000077300000\
+             0d0000000a000000436b70744368756e6b000000020000000600000065706f63\
+             68000000080000000500000064617461000000000c0000000200000002000000\
+             00000000050000000102030405",
             "",
         );
     });
