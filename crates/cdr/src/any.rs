@@ -135,16 +135,6 @@ impl Any {
     pub fn write_value(&self, enc: &mut CdrEncoder) {
         write_value(&self.tc, &self.value, enc);
     }
-
-    /// Decode a value under a known TypeCode (no leading TypeCode in the
-    /// stream) — the inverse of [`Any::write_value`].
-    pub fn read_value_with(tc: &TypeCode, dec: &mut CdrDecoder<'_>) -> CdrResult<Any> {
-        let value = read_value(tc, dec)?;
-        Ok(Any {
-            tc: tc.clone(),
-            value,
-        })
-    }
 }
 
 fn write_value(tc: &TypeCode, v: &Value, enc: &mut CdrEncoder) {

@@ -76,7 +76,7 @@ pub fn target_by_name(name: &str) -> Option<Box<dyn Target>> {
 pub(crate) fn instrument(
     kernel: &mut Kernel,
     plan: &BTreeMap<u64, usize>,
-    forward: impl FnMut(SimTime, &KernelEvent) + 'static,
+    forward: impl FnMut(SimTime, &KernelEvent) + Send + 'static,
 ) -> Shared<ChoiceLog> {
     let log = Shared::new(ChoiceLog::default());
     kernel.set_schedule_policy(PlanPolicy::new(plan.clone(), log.clone()));

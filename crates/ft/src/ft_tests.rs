@@ -1076,7 +1076,7 @@ fn an_absurd_header_length_starts_a_fresh_proxy_cold() {
 
 #[test]
 fn failed_checkpoints_leave_the_acked_copy_alone() {
-    // Neither a refused store write nor a failed `checkpoint_op` fetch
+    // Neither a refused store write nor a failed `get_checkpoint` fetch
     // replaces the copy recovery restores from. (That a re-push of the
     // same `(ior, epoch)` from the copy is still suppressed is
     // `one_way_partition_does_not_double_restore`.)

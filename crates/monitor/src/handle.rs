@@ -6,8 +6,9 @@
 //! An emission runs the recorder and the doctor synchronously, in the
 //! emitting process, stamped with that process's virtual clock. The
 //! simulator runs one process at a time in nondecreasing virtual time, and
-//! the kernel flushes its own lifecycle events to the hook before any
-//! process runs on, so the order of emission *is* the order of the stream:
+//! the kernel hands its own lifecycle events to the hook as they happen,
+//! before any process runs on, so the order of emission *is* the order of
+//! the stream:
 //! nothing crosses the simulated network, nothing is buffered, and a
 //! partition or a crash cannot cost the doctor an event. A monitored run
 //! therefore spawns no process and sends no message an unmonitored one

@@ -210,8 +210,6 @@ fn run_manager_with_orb(
                 pcfg.mode = ft.mode;
                 pcfg.checkpoint_every = ft.checkpoint_every.max(1);
                 pcfg.max_recoveries_per_call = ft.max_recoveries;
-                pcfg.checkpoint_op = WorkerStub::OP_GET_CHECKPOINT.into();
-                pcfg.restore_op = WorkerStub::OP_RESTORE_CHECKPOINT.into();
                 if ft.store_retries > 0 {
                     pcfg.store_name = Some(store_name.clone());
                     pcfg.store_retries = ft.store_retries;

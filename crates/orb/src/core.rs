@@ -32,11 +32,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use cdr::CdrWrite;
 use simnet::{Addr, Ctx, HostId, Pid, Port, SimDuration, SimResult, SimTime};
 
-use obs::ProcessObs;
+use obs::{ProcessObs, SpanContext, TRACE_CONTEXT_ID};
 
 use crate::exceptions::{Exception, SystemException};
 use crate::giop::{Body, Message, ReplyBody, ServiceContext};
-use crate::interceptor::{Interceptor, TraceInterceptor};
 use crate::ior::{Ior, ObjectKey};
 use crate::poa::{CallCtx, Poa};
 
@@ -144,16 +143,6 @@ struct Pending {
     endpoint: (HostId, Port),
     sent: SimTime,
     deadline: SimTime,
-    /// For the interceptors' `client_recv`; not kept when none were
-    /// installed at send time.
-    operation: Option<String>,
-}
-
-/// The operation of a settled request, as its interceptors are told.
-fn operation_of(p: &Option<Pending>) -> &str {
-    p.as_ref()
-        .and_then(|p| p.operation.as_deref())
-        .unwrap_or("?")
 }
 
 /// Why a pending request failed. Each is a `COMM_FAILURE` to the caller.
@@ -281,7 +270,6 @@ pub struct Orb {
     /// Round-trip history per endpoint that has ever replied.
     rtt: BTreeMap<(HostId, Port), Rtt>,
     stats: OrbStats,
-    interceptors: Vec<Box<dyn Interceptor>>,
     obs: Option<ProcessObs>,
 }
 
@@ -305,7 +293,6 @@ impl Orb {
             alive: BTreeSet::new(),
             rtt: BTreeMap::new(),
             stats: OrbStats::default(),
-            interceptors: Vec::new(),
             obs: None,
         }
     }
@@ -331,17 +318,12 @@ impl Orb {
         self.replies.len()
     }
 
-    /// Register a request interceptor.
-    pub fn add_interceptor(&mut self, i: Box<dyn Interceptor>) {
-        self.interceptors.push(i);
-    }
-
-    /// Attach an observability handle: installs the tracing interceptor
-    /// (span propagation over the wire) and enables the ORB's own metrics
-    /// (invoke latency, timeouts, RSTs).
+    /// Attach an observability handle, replacing any earlier one. With it
+    /// the ORB propagates spans over the wire — a request carries the
+    /// current span as a [`TRACE_CONTEXT_ID`] service context, and each
+    /// served request is a `serve:{operation}` span under its caller's —
+    /// and records its own metrics (invoke latency, timeouts, RSTs).
     pub fn set_obs(&mut self, po: ProcessObs) {
-        self.interceptors
-            .push(Box::new(TraceInterceptor::new(po.clone())));
         self.obs = Some(po);
     }
 
@@ -437,9 +419,12 @@ impl Orb {
                 // Demarshal cost for the request body.
                 ctx.compute(self.cfg.cost.step(body.len()))?;
                 self.stats.requests_served += 1;
-                let now = ctx.now();
-                for i in &mut self.interceptors {
-                    i.server_recv(now, &operation, object_key, &service_contexts);
+                if let Some(o) = &self.obs {
+                    let parent = service_contexts
+                        .iter()
+                        .find(|sc| sc.id == TRACE_CONTEXT_ID)
+                        .and_then(|sc| SpanContext::from_bytes(&sc.data));
+                    o.begin_remote(ctx.now(), &format!("serve:{operation}"), parent);
                 }
                 let result = match poa.lookup(object_key) {
                     None => Err(Exception::System(SystemException::object_not_exist(
@@ -473,9 +458,11 @@ impl Orb {
                     ctx.compute(self.cfg.cost.step(frame.len()))?;
                     ctx.send(Addr::Pid(from), frame)?;
                 }
-                let done = ctx.now();
-                for i in &mut self.interceptors {
-                    i.server_reply(done, &operation, ok);
+                if let Some(o) = &self.obs {
+                    if !ok {
+                        o.tag("ok", "false");
+                    }
+                    o.end(ctx.now());
                 }
                 Ok(())
             }
@@ -593,12 +580,14 @@ impl Orb {
         self.rsts.remove(&endpoint);
         let req_id = self.next_req;
         self.next_req += 1;
-        // Interceptors run before encoding so the contexts they contribute
-        // (e.g. the trace context) ride on this frame.
-        let mut service_contexts: Vec<ServiceContext> = Vec::new();
-        for i in &mut self.interceptors {
-            i.client_send(operation, target, &mut service_contexts);
-        }
+        // The span this request is made under rides on its frame.
+        let service_contexts = match self.obs.as_ref().and_then(ProcessObs::current) {
+            Some(cur) => vec![ServiceContext {
+                id: TRACE_CONTEXT_ID,
+                data: cur.to_bytes(),
+            }],
+            None => Vec::new(),
+        };
         let frame = Message::encode_call(
             req_id,
             response_expected,
@@ -616,7 +605,6 @@ impl Orb {
                     endpoint,
                     sent: ctx.now(),
                     deadline: ctx.now() + timeout.unwrap_or(self.cfg.request_timeout),
-                    operation: (!self.interceptors.is_empty()).then(|| operation.to_string()),
                 },
             );
         } else {
@@ -720,18 +708,10 @@ impl Orb {
     /// Check stashed replies and RSTs for a pending request.
     fn check_pending(&mut self, ctx: &mut Ctx, req_id: u64) -> SimResult<Option<Outcome>> {
         if let Some(outcome) = self.replies.remove(&req_id) {
-            let p = self.pending.remove(&req_id);
+            self.pending.remove(&req_id);
             self.stats.replies_received += 1;
-            match &outcome {
-                Outcome::Forward(_) => {}
-                Outcome::Done(result) => {
-                    if let Ok(body) = result {
-                        ctx.compute(self.cfg.cost.step(body.len()))?;
-                    }
-                    for i in &mut self.interceptors {
-                        i.client_recv(operation_of(&p), result.is_ok());
-                    }
-                }
+            if let Outcome::Done(Ok(body)) = &outcome {
+                ctx.compute(self.cfg.cost.step(body.len()))?;
             }
             return Ok(Some(outcome));
         }
@@ -744,16 +724,13 @@ impl Orb {
     }
 
     fn fail_pending(&mut self, req_id: u64, why: Failure) -> Outcome {
-        let p = self.pending.remove(&req_id);
+        self.pending.remove(&req_id);
         self.stats.comm_failures += 1;
         if let Some(o) = &self.obs {
             o.counter_add("orb.comm_failures", 1);
             if let Some(counter) = why.counter() {
                 o.counter_add(counter, 1);
             }
-        }
-        for i in &mut self.interceptors {
-            i.client_recv(operation_of(&p), false);
         }
         Outcome::Done(Err(Exception::System(SystemException::comm_failure(
             why.detail(),
@@ -864,7 +841,6 @@ impl Orb {
                 endpoint,
                 sent: ctx.now(),
                 deadline: ctx.now() + self.cfg.request_timeout,
-                operation: (!self.interceptors.is_empty()).then(|| "_locate".to_string()),
             },
         );
         ctx.send(Addr::Endpoint(ior.host, ior.port), frame)?;

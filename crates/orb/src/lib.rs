@@ -14,15 +14,14 @@
 //! * System exceptions, most importantly `COMM_FAILURE` — the paper's sole
 //!   client-side failure signal, raised here on RST (dead server process)
 //!   or timeout (crashed host / partition).
-//! * Request [`Interceptor`]s and per-call CPU cost modelling
-//!   ([`CostModel`]) so experiments see realistic constant per-call
-//!   overhead.
+//! * Causal trace propagation through one [`obs::ProcessObs`] per ORB
+//!   ([`Orb::set_obs`]), and per-call CPU cost modelling ([`CostModel`])
+//!   so experiments see realistic constant per-call overhead.
 
 mod core;
 mod dii;
 mod exceptions;
 mod giop;
-mod interceptor;
 mod ior;
 mod object;
 mod poa;
@@ -31,7 +30,6 @@ pub use crate::core::{forward_to, CostModel, Orb, OrbConfig, OrbStats, FORWARD_I
 pub use dii::DiiRequest;
 pub use exceptions::{Completion, Exception, SysKind, SystemException, UserException};
 pub use giop::{Body, FrameError, Message, ReplyBody, ServiceContext};
-pub use interceptor::{CallCounter, Interceptor, TraceInterceptor};
 pub use ior::{Ior, IorParseError, ObjectKey};
 pub use object::ObjectRef;
 pub use poa::{reply, CallCtx, Poa, Servant};

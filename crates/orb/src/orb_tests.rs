@@ -6,13 +6,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use obs::{SpanContext, TRACE_CONTEXT_ID};
 use simnet::{Addr, Fault, HostId, Kernel, SimDuration, SimTime};
 use std::sync::Mutex as StdMutex;
 
 use crate::{
-    forward_to, reply, CallCounter, CallCtx, CostModel, DiiRequest, Exception, Ior, Message,
-    ObjectKey, ObjectRef, Orb, OrbConfig, Poa, ReplyBody, Servant, SysKind, SystemException,
-    UserException,
+    forward_to, reply, CallCtx, CostModel, DiiRequest, Exception, Ior, Message, ObjectKey,
+    ObjectRef, Orb, OrbConfig, Poa, ReplyBody, Servant, SysKind, SystemException, UserException,
 };
 
 type Cell<T> = Arc<StdMutex<T>>;
@@ -518,78 +518,121 @@ fn nested_calls_from_servant() {
     assert_eq!(*out.lock().unwrap(), Some(8.0));
 }
 
-#[test]
-fn interceptors_observe_calls() {
-    let mut sim = Kernel::with_seed(1);
-    let hs = sim.add_hosts(2);
-    let ior = cell();
-    spawn_calc(&mut sim, hs[1], ior.clone());
-    let out = cell::<Option<(u64, u64)>>();
-    let o = out.clone();
-    let i = ior.clone();
-
-    struct Obs {
-        cell: Cell<Option<(u64, u64)>>,
-        sent: u64,
-        fails: u64,
-    }
-    impl crate::Interceptor for Obs {
-        fn client_send(&mut self, _op: &str, _t: &Ior, _sc: &mut Vec<crate::ServiceContext>) {
-            self.sent += 1;
-            self.cell.lock().unwrap().replace((self.sent, self.fails));
-        }
-        fn client_recv(&mut self, _op: &str, ok: bool) {
-            if !ok {
-                self.fails += 1;
-            }
-            self.cell.lock().unwrap().replace((self.sent, self.fails));
-        }
-    }
-
-    let client = sim.spawn(hs[0], "client", move |ctx| {
-        ctx.sleep(secs(0.01)).unwrap();
+/// A calc server whose ORB records into `sink`, through `attach` handles
+/// set one after the other.
+fn spawn_traced_calc(
+    sim: &mut Kernel,
+    host: HostId,
+    ior_out: Cell<Option<String>>,
+    sink: obs::Obs,
+    attach: usize,
+) {
+    sim.spawn(host, "calc-server", move |ctx| {
         let mut orb = Orb::init(ctx);
-        orb.add_interceptor(Box::new(Obs {
-            cell: o,
-            sent: 0,
-            fails: 0,
-        }));
-        let obj = resolve(&i);
-        let _: f64 = obj
-            .call(&mut orb, ctx, "add", &(1.0, 2.0))
-            .unwrap()
-            .unwrap();
-        let _ = obj
-            .call::<_, f64>(&mut orb, ctx, "div", &(1.0, 0.0))
-            .unwrap();
-        assert_eq!(orb.stats().requests_sent, 2);
-        assert_eq!(orb.stats().replies_received, 2);
+        for _ in 0..attach {
+            orb.set_obs(obs::ProcessObs::new(sink.clone(), ctx));
+        }
+        orb.listen(ctx).unwrap();
+        let poa = Poa::new();
+        let key = poa.activate(CALC_TYPE, Rc::new(RefCell::new(Calc)));
+        *ior_out.lock().unwrap() = Some(orb.ior(CALC_TYPE, key).stringify());
+        let _ = orb.serve_forever(ctx, &poa);
     });
-    sim.run_until_exit(client);
-    assert_eq!(out.lock().unwrap().unwrap(), (2, 1));
 }
 
 #[test]
-fn call_counter_interceptor_integrates() {
-    // CallCounter itself can't be read back out (ownership moves into the
-    // ORB), but it must at least not disturb calls.
+fn a_request_carries_its_callers_span_and_is_served_under_it() {
     let mut sim = Kernel::with_seed(1);
-    let hs = sim.add_hosts(2);
-    let ior = cell();
-    spawn_calc(&mut sim, hs[1], ior.clone());
-    let i = ior.clone();
+    let hs = sim.add_hosts(3);
+    let sink = obs::Obs::new();
+    let calc = cell();
+    spawn_traced_calc(&mut sim, hs[1], calc.clone(), sink.clone(), 1);
+    // A tap on `hs[2]` keeps every frame it is sent and answers none.
+    let (tap, frames) = (cell::<Option<String>>(), cell::<Vec<Vec<u8>>>());
+    let (publish, keep) = (tap.clone(), frames.clone());
+    sim.spawn(hs[2], "tap", move |ctx| {
+        let port = ctx.bind_port().unwrap();
+        let me = Ior::new(CALC_TYPE, ctx.host(), port, ObjectKey(1));
+        *publish.lock().unwrap() = Some(me.stringify());
+        while let Ok(msg) = ctx.recv() {
+            keep.lock().unwrap().extend(msg.data().map(<[u8]>::to_vec));
+        }
+    });
+    let client_sink = sink.clone();
     let client = sim.spawn(hs[0], "client", move |ctx| {
         ctx.sleep(secs(0.01)).unwrap();
+        let (calc, tap) = (resolve(&calc), resolve(&tap).ior);
+        let po = obs::ProcessObs::new(client_sink, ctx);
         let mut orb = Orb::init(ctx);
-        orb.add_interceptor(Box::new(CallCounter::default()));
-        let obj = resolve(&i);
-        let v: f64 = obj
+        orb.set_obs(po.clone());
+        po.begin(ctx.now(), "call");
+        let _: f64 = calc
             .call(&mut orb, ctx, "add", &(1.0, 2.0))
             .unwrap()
             .unwrap();
-        assert_eq!(v, 3.0);
+        orb.invoke_oneway(ctx, &tap, "add", &(1.0, 2.0)).unwrap();
+        po.end(ctx.now());
+        // Requests 3 of the traced ORB, made under no span, and 1 of an
+        // ORB with no handle at all.
+        orb.invoke_oneway(ctx, &tap, "add", &(1.0, 2.0)).unwrap();
+        Orb::init(ctx)
+            .invoke_oneway(ctx, &tap, "add", &(1.0, 2.0))
+            .unwrap();
+        ctx.sleep(secs(0.01)).unwrap();
     });
     sim.run_until_exit(client);
+
+    let call = &sink.spans_named("call")[0];
+    let serve = sink.spans_named("serve:add");
+    assert_eq!(serve.len(), 1, "{serve:?}");
+    let under = (serve[0].trace_id, serve[0].parent, serve[0].hop);
+    assert_eq!(under, (call.trace_id, Some(call.span_id), 1));
+
+    let frames = frames.lock().unwrap().clone();
+    let [traced, no_span, no_handle] = &frames[..] else {
+        panic!("the tap got {} frames", frames.len());
+    };
+    let Ok(Message::Request {
+        service_contexts, ..
+    }) = Message::decode(traced)
+    else {
+        panic!("not a request");
+    };
+    let ids: Vec<u32> = service_contexts.iter().map(|sc| sc.id).collect();
+    assert_eq!(ids, [TRACE_CONTEXT_ID]);
+    let carried = SpanContext::from_bytes(&service_contexts[0].data);
+    let span = SpanContext {
+        trace_id: call.trace_id,
+        span_id: call.span_id,
+        hop: 0,
+    };
+    assert_eq!(carried, Some(span));
+    let bare = |id| Message::encode_call(id, false, ObjectKey(1), "add", &(1.0, 2.0), &[]);
+    assert_eq!(*no_span, bare(3));
+    assert_eq!(*no_handle, bare(1));
+}
+
+#[test]
+fn a_second_handle_replaces_the_first() {
+    // Attaching a handle twice must not trace a served request twice.
+    let mut sim = Kernel::with_seed(1);
+    let hs = sim.add_hosts(2);
+    let sink = obs::Obs::new();
+    let ior = cell();
+    spawn_traced_calc(&mut sim, hs[1], ior.clone(), sink.clone(), 2);
+    let client = sim.spawn(hs[0], "client", move |ctx| {
+        ctx.sleep(secs(0.01)).unwrap();
+        let mut orb = Orb::init(ctx);
+        let obj = resolve(&ior);
+        for _ in 0..3 {
+            let _: f64 = obj
+                .call(&mut orb, ctx, "add", &(1.0, 2.0))
+                .unwrap()
+                .unwrap();
+        }
+    });
+    sim.run_until_exit(client);
+    assert_eq!(sink.spans_named("serve:add").len(), 3);
 }
 
 #[test]

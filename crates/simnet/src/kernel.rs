@@ -17,14 +17,14 @@
 //!
 //! Main gets the baton back when something only main may do is due: the
 //! run's stop rule is reached, a process panicked or `max_events` tripped
-//! (both are re-raised on the driver thread), the baton holder itself died,
-//! or a [`KernelEvent`] was buffered for the event hook. That hook, the
-//! profile hook and the [`SchedulePolicy`] are not `Send`
-//! (callers install `Rc`-capturing closures), so they stay in the `Kernel`
-//! on main: buffered events are flushed — in order, with their original
-//! timestamps — before any process runs again, and while a profile hook or
-//! a policy is installed main drives *every* step itself (each syscall is
-//! posted to it), which is what the `sched.handoff` marks measure.
+//! (both are re-raised on the driver thread), or the baton holder itself
+//! died. The event hook and the [`SchedulePolicy`] live in the core and run
+//! under its lock on whichever thread holds the baton, so observing a run
+//! moves no step to main. The profile hook alone stays on main, because its
+//! one caller outside the tests (`benchmark/src/trace.rs`) keeps a non-`Send`
+//! `Rc<RefCell<_>>` sink: while it is installed main drives *every* step
+//! itself (each syscall is posted to it), which is what the
+//! `sched.handoff` marks measure.
 //!
 //! # Determinism
 //!
@@ -259,16 +259,8 @@ struct Proc {
 /// The simulation kernel. See the module docs for the execution model.
 pub struct Kernel {
     core: Shared<Core>,
-    obs: Observers,
-}
-
-/// The callbacks a driver may install. None of them is `Send`, so they
-/// never leave the driver thread; see the module docs.
-#[derive(Default)]
-struct Observers {
-    event_hook: Option<EventHook>,
+    /// Not `Send`: it stays on the driver thread (module docs).
     profile_hook: Option<ProfileHook>,
-    policy: Option<Box<dyn SchedulePolicy>>,
 }
 
 /// Everything the simulation is made of, in a [`Shared`] cell held by the
@@ -306,12 +298,12 @@ pub(crate) struct Core {
     panicked: Option<(Pid, String)>,
     /// `max_events` tripped; `run_inner` raises it on the driver.
     runaway: bool,
-    /// An event hook is installed, so `emit` buffers.
-    wants_events: bool,
-    /// Events emitted since main last flushed them to its observers.
-    event_buf: Vec<(SimTime, KernelEvent)>,
-    /// A profile hook or schedule policy is installed for this run: main
-    /// runs every step and each syscall is `posted` to it.
+    /// Called by the baton holder at each `emit`.
+    event_hook: Option<EventHook>,
+    /// Consulted by the baton holder at each scheduling choice point.
+    policy: Option<Box<dyn SchedulePolicy>>,
+    /// A profile hook is installed for this run: main runs every step and
+    /// each syscall is `posted` to it.
     main_drives: bool,
     posted: Option<Syscall>,
     /// The process that is executing its body (or is about to: `resume`
@@ -447,8 +439,9 @@ impl std::fmt::Display for KernelEvent {
     }
 }
 
-/// A structured event callback: `(virtual time, event)`.
-pub type EventHook = Box<dyn FnMut(SimTime, &KernelEvent)>;
+/// A structured event callback: `(virtual time, event)`, called under the
+/// kernel's lock on the baton holder's thread: it must not call the kernel.
+pub type EventHook = Box<dyn FnMut(SimTime, &KernelEvent) + Send>;
 
 /// A profiling mark: the kernel is entering or leaving one unit of work.
 /// Marks never nest — every `OpBegin` is followed by the matching `OpEnd`
@@ -528,8 +521,8 @@ pub struct ChoiceCandidate {
 /// This is the seam `ldft-explore` drives to enumerate alternative
 /// schedules; `ldft-lint`'s selfcheck pins that every kernel tie-break
 /// site routes through [`Kernel::next_event`]/[`Kernel::next_runnable`]
-/// so new nondeterminism points cannot bypass it.
-pub trait SchedulePolicy {
+/// so new nondeterminism points cannot bypass it. It runs where the event hook does.
+pub trait SchedulePolicy: Send {
     /// Pick the index of the candidate to execute next.
     fn choose(&mut self, kind: ChoiceKind, now: SimTime, candidates: &[ChoiceCandidate]) -> usize;
 }
@@ -657,8 +650,8 @@ impl Kernel {
             exit_on: None,
             panicked: None,
             runaway: false,
-            wants_events: false,
-            event_buf: Vec::new(),
+            event_hook: None,
+            policy: None,
             main_drives: false,
             posted: None,
             running: None,
@@ -671,7 +664,7 @@ impl Kernel {
         });
         Kernel {
             core,
-            obs: Observers::default(),
+            profile_hook: None,
         }
     }
 
@@ -725,10 +718,7 @@ impl Kernel {
         name: impl Into<String>,
         body: ProcessBody,
     ) -> Pid {
-        let mut core = self.core.lock();
-        let pid = core.spawn_at(at, host, name.into(), body);
-        self.obs.flush(&mut core);
-        pid
+        self.core.lock().spawn_at(at, host, name.into(), body)
     }
 
     /// Schedule a fault-injection command at absolute time `at`.
@@ -739,19 +729,20 @@ impl Kernel {
     }
 
     /// Install a structured event callback invoked with `(time, event)` at
-    /// every lifecycle and fault point. At most one
-    /// hook is installed; a second call replaces the first.
-    pub fn set_event_hook(&mut self, f: impl FnMut(SimTime, &KernelEvent) + 'static) {
-        self.obs.event_hook = Some(Box::new(f));
-        self.core.lock().wants_events = true;
+    /// every lifecycle and fault point, as the event happens, on the thread
+    /// that holds the baton (see [`EventHook`]). At most one hook is
+    /// installed; a second call replaces the first.
+    pub fn set_event_hook(&mut self, f: impl FnMut(SimTime, &KernelEvent) + Send + 'static) {
+        self.core.lock().event_hook = Some(Box::new(f));
     }
 
     /// Install a profiling callback fired with paired [`ProfileMark`]s
     /// around every event dispatch, syscall, and scheduler handoff. At most
     /// one hook is installed; a second call replaces the first. The hook
-    /// runs on the driver thread and must not call back into the kernel.
+    /// runs on the driver thread, which then drives every step of a run
+    /// (module docs), and must not call back into the kernel.
     pub fn set_profile_hook(&mut self, f: impl FnMut(ProfileMark) + 'static) {
-        self.obs.profile_hook = Some(Box::new(f));
+        self.profile_hook = Some(Box::new(f));
     }
 
     /// Install a [`SchedulePolicy`] resolving the kernel's scheduling
@@ -760,12 +751,7 @@ impl Kernel {
     /// first. With no policy — or a policy that always picks index 0 — the
     /// kernel behaves exactly as before the hook existed.
     pub fn set_schedule_policy(&mut self, p: impl SchedulePolicy + 'static) {
-        self.obs.policy = Some(Box::new(p));
-    }
-
-    /// Remove any installed [`SchedulePolicy`], restoring default order.
-    pub fn clear_schedule_policy(&mut self) {
-        self.obs.policy = None;
+        self.core.lock().policy = Some(Box::new(p));
     }
 
     /// Snapshot the deterministic run profile: per-process virtual CPU
@@ -809,8 +795,8 @@ impl Kernel {
 
     /// How often the baton has passed from one OS thread to another (driver
     /// → process, process → process, process → driver). This is the host
-    /// cost of a run in machine-independent units; it depends on which
-    /// observers are installed, so it is not part of [`KernelStats`].
+    /// cost of a run in machine-independent units; it depends on whether a
+    /// profile hook is installed, so it is not part of [`KernelStats`].
     pub fn thread_switches(&self) -> u64 {
         self.core.lock().thread_switches
     }
@@ -866,17 +852,17 @@ impl Kernel {
         self.run_until(deadline)
     }
 
-    /// The driver's side of the baton: flush buffered events, raise what
-    /// must be raised on this thread, serve a posted syscall, step the
-    /// loop, pass the baton and park — until the stop rule holds.
+    /// The driver's side of the baton: raise what must be raised on this
+    /// thread, serve a posted syscall, step the loop, pass the baton and
+    /// park — until the stop rule holds.
     fn run_inner(&mut self, deadline: Option<SimTime>, exit_on: Option<Pid>) -> SimTime {
         let shared = self.core.clone();
         let mut core = shared.lock();
         (core.deadline, core.exit_on) = (deadline, exit_on);
         core.main = Some(std::thread::current());
-        core.main_drives = self.obs.profile_hook.is_some() || self.obs.policy.is_some();
+        core.main_drives = self.profile_hook.is_some();
+        let hook = &mut self.profile_hook;
         loop {
-            self.obs.flush(&mut core);
             if let Some((pid, msg)) = core.panicked.take() {
                 let name = &core.procs[pid.0 as usize].name;
                 // ldft-lint: allow(P1, by design: re-raises a sim-process panic on the driver thread so bugs fail the run instead of vanishing with one thread; re-audited 2026-08 — the kernel driver is host-side test harness and P1's exception contract does not apply, expiry 2027-06)
@@ -891,17 +877,17 @@ impl Kernel {
             }
             if let (Some(pid), Some(sc)) = (core.running, core.posted.take()) {
                 let op = syscall_op(&sc);
-                self.obs.mark(ProfileMark::OpBegin(op));
+                mark(hook, ProfileMark::OpBegin(op));
                 match core.handle_syscall(pid, sc) {
                     Flow::Reply(r) => core.resume = Some(r),
                     Flow::Block | Flow::Exited => core.running = None,
                 }
-                self.obs.mark(ProfileMark::OpEnd(op));
+                mark(hook, ProfileMark::OpEnd(op));
                 continue;
             }
             let pid = match core.running {
-                Some(pid) => pid, // mid-body: its reply waited for a flush
-                None => match core.advance(&shared, None, &mut self.obs) {
+                Some(pid) => pid, // mid-body: main just served its syscall
+                None => match core.advance(&shared, None, hook) {
                     Next::Run(pid, resume) => {
                         core.resume = Some(resume);
                         pid
@@ -910,7 +896,7 @@ impl Kernel {
                     Next::Stop => break,
                 },
             };
-            self.obs.mark(ProfileMark::OpBegin("sched.handoff"));
+            mark(hook, ProfileMark::OpBegin("sched.handoff"));
             let next = core.pass_to(pid);
             drop(core);
             wake(next);
@@ -921,7 +907,7 @@ impl Kernel {
                     break core;
                 }
             };
-            self.obs.mark(ProfileMark::OpEnd("sched.handoff"));
+            mark(hook, ProfileMark::OpEnd("sched.handoff"));
         }
         // Killed processes unwind on their own threads, off the baton.
         let (now, reaped) = (core.now, std::mem::take(&mut core.reaped));
@@ -933,21 +919,9 @@ impl Kernel {
     }
 }
 
-impl Observers {
-    fn mark(&mut self, m: ProfileMark) {
-        if let Some(h) = self.profile_hook.as_mut() {
-            h(m);
-        }
-    }
-
-    /// The single delivery point: the event hook gets each buffered
-    /// event, stamped with the instant it was emitted at.
-    fn flush(&mut self, core: &mut Core) {
-        for (at, ev) in core.event_buf.drain(..) {
-            if let Some(h) = self.event_hook.as_mut() {
-                h(at, &ev);
-            }
-        }
+fn mark(hook: &mut Option<ProfileHook>, m: ProfileMark) {
+    if let Some(h) = hook {
+        h(m);
     }
 }
 
@@ -992,16 +966,21 @@ impl Core {
 
     /// Step the scheduler loop until a process is due or the run stops.
     /// `me` is the process whose thread is stepping (`None` on the driver
-    /// thread, which alone brings observers that are set); it also stops,
-    /// for main to take over, once something only main may do is due. Main
-    /// re-enters here and decides the same from the same state.
-    fn advance(&mut self, shared: &Shared<Core>, me: Option<Pid>, obs: &mut Observers) -> Next {
+    /// thread, which alone brings the profile hook, if one is set); it also
+    /// stops, for main to take over, once something only main may do is
+    /// due. Main re-enters here and decides the same from the same state.
+    fn advance(
+        &mut self,
+        shared: &Shared<Core>,
+        me: Option<Pid>,
+        hook: &mut Option<ProfileHook>,
+    ) -> Next {
         loop {
             let i_died = me.is_some_and(|pid| self.proc_dead(pid));
-            if !self.event_buf.is_empty() || self.panicked.is_some() || i_died {
+            if self.panicked.is_some() || i_died {
                 return Next::Main;
             }
-            if let Some(pid) = self.next_runnable(obs.policy.as_deref_mut()) {
+            if let Some(pid) = self.next_runnable() {
                 match self.begin_run(pid) {
                     Some(resume) => return Next::Run(pid, resume),
                     None => continue,
@@ -1016,7 +995,7 @@ impl Core {
             if self.deadline.is_some_and(|d| head.time > d) {
                 return Next::Stop;
             }
-            let Some(ev) = self.next_event(obs.policy.as_deref_mut()) else {
+            let Some(ev) = self.next_event() else {
                 return Next::Stop;
             };
             debug_assert!(ev.time >= self.now, "event in the past");
@@ -1027,9 +1006,9 @@ impl Core {
                 return Next::Main;
             }
             let op = event_op(&ev.kind);
-            obs.mark(ProfileMark::OpBegin(op));
+            mark(hook, ProfileMark::OpBegin(op));
             self.handle_event(ev.kind, shared);
-            obs.mark(ProfileMark::OpEnd(op));
+            mark(hook, ProfileMark::OpEnd(op));
         }
     }
 
@@ -1079,15 +1058,12 @@ impl Core {
             return Turn::Wait(self.pass_to_main());
         }
         match self.handle_syscall(pid, sc) {
-            Flow::Reply(r) if self.event_buf.is_empty() => return Turn::Go(r),
-            // Main flushes the events this syscall emitted to its
-            // observers before the caller runs on.
-            Flow::Reply(r) => self.resume = Some(r),
+            Flow::Reply(r) => return Turn::Go(r),
             // A dead baton holder must not keep driving.
             Flow::Exited => self.running = None,
             Flow::Block => {
                 self.running = None;
-                match self.advance(shared, Some(pid), &mut Observers::default()) {
+                match self.advance(shared, Some(pid), &mut None) {
                     Next::Run(next, resume) if next == pid => return Turn::Go(resume),
                     Next::Run(next, resume) => {
                         self.resume = Some(resume);
@@ -1135,11 +1111,11 @@ impl Core {
 
     /// Pop the next event, letting the installed policy resolve
     /// same-timestamp ties. Returns `None` when the queue is empty.
-    fn next_event(&mut self, policy: Option<&mut (dyn SchedulePolicy + 'static)>) -> Option<Event> {
+    fn next_event(&mut self) -> Option<Event> {
         let Reverse(head) = self.events.pop()?;
-        let Some(policy) = policy else {
+        if self.policy.is_none() {
             return Some(head);
-        };
+        }
         let mut tied = vec![head];
         while let Some(Reverse(peek)) = self.events.peek() {
             if peek.time != tied[0].time {
@@ -1153,9 +1129,7 @@ impl Core {
         let idx = if tied.len() > 1 {
             let cands: Vec<ChoiceCandidate> =
                 tied.iter().map(|e| self.event_candidate(e)).collect();
-            policy
-                .choose(ChoiceKind::EventTie, self.now, &cands)
-                .min(tied.len() - 1)
+            self.choose(ChoiceKind::EventTie, &cands)
         } else {
             0
         };
@@ -1168,13 +1142,10 @@ impl Core {
 
     /// Pop the next runnable process, letting the installed policy pick
     /// among all queued processes. Returns `None` when the queue is empty.
-    fn next_runnable(
-        &mut self,
-        policy: Option<&mut (dyn SchedulePolicy + 'static)>,
-    ) -> Option<Pid> {
-        let Some(policy) = policy.filter(|_| self.runnable.len() > 1) else {
+    fn next_runnable(&mut self) -> Option<Pid> {
+        if self.policy.is_none() || self.runnable.len() < 2 {
             return self.runnable.pop_front();
-        };
+        }
         let cands: Vec<ChoiceCandidate> = self
             .runnable
             .iter()
@@ -1189,10 +1160,18 @@ impl Core {
                 draws_rng: false,
             })
             .collect();
-        let idx = policy
-            .choose(ChoiceKind::RunnableTie, self.now, &cands)
-            .min(self.runnable.len() - 1);
+        let idx = self.choose(ChoiceKind::RunnableTie, &cands);
         self.runnable.remove(idx)
+    }
+
+    /// The installed policy's pick among two or more `cands`, clamped.
+    fn choose(&mut self, kind: ChoiceKind, cands: &[ChoiceCandidate]) -> usize {
+        let now = self.now;
+        let picked = self
+            .policy
+            .as_mut()
+            .map_or(0, |p| p.choose(kind, now, cands));
+        picked.min(cands.len() - 1)
     }
 
     /// Conservative execution footprint of a queued event, for the
@@ -1298,17 +1277,16 @@ impl Core {
         self.peaks.event_queue = self.peaks.event_queue.max(self.events.len() as u64);
     }
 
-    /// The single emission point. Events wait in the buffer until the
-    /// driver thread flushes them to its observers (`Observers::flush`),
-    /// which happens before any process runs again.
+    /// The single emission point: the event hook gets the event here, on
+    /// the baton holder's thread, stamped with the current instant.
     fn emit(&mut self, ev: KernelEvent) {
-        if self.wants_events {
-            self.event_buf.push((self.now, ev));
+        if let Some(hook) = self.event_hook.as_mut() {
+            hook(self.now, &ev);
         }
     }
 
     fn emit_proc(&mut self, pid: Pid, make: fn(Pid, String, HostId) -> KernelEvent) {
-        if self.wants_events {
+        if self.event_hook.is_some() {
             let p = &self.procs[pid.0 as usize];
             let (name, host) = (p.name.clone(), p.host);
             self.emit(make(pid, name, host));
@@ -1524,9 +1502,9 @@ impl Core {
 
     /// Finish `pid`'s just-added compute job here, without the event heap,
     /// if it is alone on its host and nothing can happen before it
-    /// completes: no process is runnable, no kernel event awaits a flush,
-    /// every queued event is strictly later, and neither the stop rule nor
-    /// `max_events` would halt the run first. The `CpuCheck` it would have
+    /// completes: no process is runnable, every queued event is strictly
+    /// later, and neither the stop rule nor `max_events` would halt the
+    /// run first. The `CpuCheck` it would have
     /// queued is then the next event popped, alone at its instant, with no
     /// tie for a policy to break — so this runs exactly what `cpu_check`
     /// would and counts the event, and the schedule is the heap's own.
@@ -1538,7 +1516,6 @@ impl Core {
         }
         let at = hs.next_completion(self.now)?;
         let first = self.runnable.is_empty()
-            && self.event_buf.is_empty()
             && self
                 .events
                 .peek()

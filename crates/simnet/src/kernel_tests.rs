@@ -1324,12 +1324,22 @@ fn a_lone_compute_completes_where_the_heap_would_have_it() {
 
 /// A two-host echo pair, `n` round trips: the client runs `compute, send,
 /// recv, compute`, the server `recv, compute, compute, send` (the syscall
-/// mix of one `rpc_small` round trip). Returns the kernel after the run
-/// and how many `sched.handoff` marks a profile hook saw, if one was asked.
-fn echo_pair(n: usize, with_profile_hook: bool) -> (Kernel, usize) {
+/// mix of one `rpc_small` round trip), with an event hook and an index-0
+/// policy if `observed`, and a profile hook if `profiled`. Returns the
+/// kernel after the run and how many `sched.handoff` marks the profile hook
+/// saw.
+fn echo_pair(n: usize, observed: bool, profiled: bool) -> (Kernel, usize) {
     let mut sim = Kernel::with_seed(9);
     let handoffs = cell::<usize>();
-    if with_profile_hook {
+    if observed {
+        sim.set_event_hook(|_, _| {});
+        sim.set_schedule_policy(TestPolicy {
+            choices: cell(),
+            flip_delivers: false,
+            flip_runs: false,
+        });
+    }
+    if profiled {
         let h = handoffs.clone();
         sim.set_profile_hook(move |mark| {
             *h.lock() += usize::from(mark == crate::ProfileMark::OpBegin("sched.handoff"));
@@ -1364,20 +1374,26 @@ fn a_round_trip_costs_two_thread_switches() {
     // No observers: the baton changes threads when the request reaches the
     // server and when the reply reaches the client, plus a handful of times
     // around start-up and exit.
-    let (bare, _) = echo_pair(N as usize, false);
+    let (bare, _) = echo_pair(N as usize, false, false);
     let switches = bare.thread_switches();
     assert!(
         (2 * N..=2 * N + 8).contains(&switches),
         "{switches} thread switches for {N} round trips"
     );
+    // The event hook and the policy run on the baton holder's thread:
+    // installing them hands main no step.
+    let (observed, _) = echo_pair(N as usize, true, false);
+    assert_eq!(observed.thread_switches(), switches);
     // With a profile hook main drives every step: one `sched.handoff` per
     // syscall (8 per round trip + 2 exits — the count at the commit before
     // the baton), each a switch to the process and one back.
-    let (hooked, handoffs) = echo_pair(N as usize, true);
+    let (hooked, handoffs) = echo_pair(N as usize, false, true);
     assert_eq!(handoffs as u64, 8 * N + 2);
     assert_eq!(hooked.thread_switches(), 2 * handoffs as u64);
-    assert_eq!(bare.now(), hooked.now());
-    assert_eq!(bare.profile(), hooked.profile());
+    for run in [&observed, &hooked] {
+        assert_eq!(bare.now(), run.now());
+        assert_eq!(bare.profile(), run.profile());
+    }
 }
 
 /// What a run of `observed_cell` comes to — stats, profile, end time and
@@ -1480,8 +1496,9 @@ fn observers_do_not_change_the_run() {
     // the kernel ran on a thread of its own then.
     assert_eq!(*lines, GOLDEN_CELL_TRACE, "{lines:#?}");
     assert_eq!(run.0, GOLDEN_CELL_STATS);
-    // Process-driven with a flush per event vs. driven by main step by
-    // step: same lines, same timestamps, same order.
+    // The hook called on whichever thread holds the baton vs. on main,
+    // which a profile hook makes drive every step: same lines, same
+    // timestamps, same order — with a policy consulted on either.
     assert_eq!(traced, observed_cell(true, true, true));
     // And nothing but the recorded lines tells an observed run from a bare one.
     for (profile, policy) in [(false, false), (true, false), (false, true)] {

@@ -14,11 +14,6 @@
 //! `max_concurrent_down` hosts are disrupted at any instant — a plan can be
 //! tuned to stay within (or deliberately exceed) what the write quorum
 //! tolerates.
-//!
-//! [`ChaosPlan::minimize`] shrinks a failing schedule: classic
-//! delta-debugging over whole episodes (so the matched-heal invariant
-//! survives shrinking), down to a locally minimal set of episodes that
-//! still reproduces the failure.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -113,8 +108,7 @@ pub struct ChaosPlan {
     /// The schedule, in firing order.
     pub events: Vec<ChaosEvent>,
     /// The same schedule grouped into self-contained episodes (a cut and
-    /// its heal, a whole flap train, …) — the unit [`ChaosPlan::minimize`]
-    /// removes, so shrinking cannot orphan a heal.
+    /// its heal, a whole flap train, …).
     pub episodes: Vec<Vec<ChaosEvent>>,
 }
 
@@ -388,45 +382,6 @@ impl ChaosPlan {
         ChaosPlan { events, episodes }
     }
 
-    /// Shrink a failing schedule to a locally minimal episode set: classic
-    /// ddmin over whole episodes. `fails` must return `true` when the
-    /// candidate plan still reproduces the failure; it is re-invoked on
-    /// progressively smaller candidates (so it should be a pure function
-    /// of the plan — re-run the sim, re-check the predicate). Returns the
-    /// smallest failing plan found; if the full plan does not fail, it is
-    /// returned unchanged.
-    pub fn minimize(&self, mut fails: impl FnMut(&ChaosPlan) -> bool) -> ChaosPlan {
-        let mut episodes = self.episodes.clone();
-        if episodes.len() < 2 || !fails(&Self::from_episodes(episodes.clone())) {
-            return self.clone();
-        }
-        let mut n = 2usize;
-        while episodes.len() >= 2 {
-            let chunk = episodes.len().div_ceil(n);
-            let mut reduced = false;
-            let mut i = 0;
-            while i < episodes.len() {
-                let hi = (i + chunk).min(episodes.len());
-                let mut candidate: Vec<Vec<ChaosEvent>> = episodes[..i].to_vec();
-                candidate.extend_from_slice(&episodes[hi..]);
-                if !candidate.is_empty() && fails(&Self::from_episodes(candidate.clone())) {
-                    episodes = candidate;
-                    n = n.saturating_sub(1).max(2);
-                    reduced = true;
-                    break;
-                }
-                i = hi;
-            }
-            if !reduced {
-                if n >= episodes.len() {
-                    break;
-                }
-                n = (n * 2).min(episodes.len());
-            }
-        }
-        Self::from_episodes(episodes)
-    }
-
     /// Install every event of the plan into the kernel.
     pub fn schedule(&self, kernel: &mut Kernel) {
         for e in &self.events {
@@ -441,11 +396,6 @@ impl ChaosPlan {
             .iter()
             .filter(|e| matches!(e.fault, Fault::CrashHost(_)))
             .count()
-    }
-
-    /// Count of events whose fault belongs to the given family predicate.
-    pub fn count_matching(&self, pred: impl Fn(&Fault) -> bool) -> usize {
-        self.events.iter().filter(|e| pred(&e.fault)).count()
     }
 }
 

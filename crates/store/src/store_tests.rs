@@ -197,55 +197,6 @@ fn chaos_without_restart_crashes_each_host_at_most_once() {
     assert_eq!(crashed.len(), 3, "eventually every target dies");
 }
 
-#[test]
-fn minimize_shrinks_a_failing_schedule_to_one_episode() {
-    // A dense multi-family schedule; the "failure" reproduces whenever
-    // host 2 crashes at all — so the minimal reproducer is one
-    // crash/restart episode. ddmin must find it and nothing more.
-    let targets = [HostId(1), HostId(2), HostId(3), HostId(4)];
-    let cfg = ChaosConfig {
-        seed: 5,
-        start: SimTime::from_nanos(0),
-        end: SimTime::from_nanos(60_000_000_000),
-        mean_interval: SimDuration::from_millis(500),
-        restart_after: Some(SimDuration::from_secs(1)),
-        max_concurrent_down: 3,
-        partition_prob: 0.15,
-        group_partition_prob: 0.15,
-        oneway_prob: 0.15,
-        degrade_prob: 0.1,
-        flap_prob: 0.1,
-        skew_prob: 0.1,
-        ..ChaosConfig::default()
-    };
-    let plan = ChaosPlan::generate(&cfg, &targets);
-    assert!(
-        plan.episodes.len() > 20,
-        "need a dense schedule to shrink: {}",
-        plan.episodes.len()
-    );
-    let fails = |p: &ChaosPlan| {
-        p.events
-            .iter()
-            .any(|e| matches!(e.fault, Fault::CrashHost(HostId(2))))
-    };
-    assert!(fails(&plan), "seeded schedule reproduces the failure");
-    let small = plan.minimize(fails);
-    assert!(fails(&small), "minimization must preserve the failure");
-    assert_eq!(small.episodes.len(), 1, "one episode suffices");
-    assert!(
-        small.events.len() <= 3,
-        "shrunk to {} events: {:?}",
-        small.events.len(),
-        small.events
-    );
-    // The shrunken schedule is still well-formed: the crash still heals.
-    assert!(small
-        .events
-        .iter()
-        .any(|e| matches!(e.fault, Fault::RestartHost(HostId(2)))));
-}
-
 // ---------------------------------------------------------------------
 // End-to-end replication on the simulated cluster
 // ---------------------------------------------------------------------
