@@ -20,7 +20,6 @@ fn main() {
             mode,
             checkpoint_every,
             max_recoveries: 4,
-            ..FtSettings::default()
         })
     };
     let strategies = [

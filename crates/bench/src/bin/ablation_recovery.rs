@@ -34,7 +34,6 @@ fn main() {
         mode: CheckpointMode::Bulk,
         checkpoint_every: every,
         max_recoveries: 6,
-        ..FtSettings::default()
     };
 
     // A generous request timeout and an aggressive one: the crashed host
@@ -67,7 +66,6 @@ fn main() {
                 mode: CheckpointMode::PerValue,
                 checkpoint_every: 1,
                 max_recoveries: 6,
-                ..FtSettings::default()
             }),
             Some(crash),
             fast,

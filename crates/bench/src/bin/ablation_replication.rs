@@ -22,7 +22,6 @@ fn base_spec(replicas: usize) -> ExperimentSpec {
         mode: CheckpointMode::Bulk,
         checkpoint_every: 1,
         max_recoveries: 6,
-        ..FtSettings::default()
     });
     // Stays: after both crashes a recovering proxy re-resolves onto the idle
     // worker server on the dead store host, which the manager never called,

@@ -12,10 +12,10 @@
 //! * one **optimization worker** server per worker host, registered in
 //!   the `Workers` group.
 
-use ftproxy::{run_factory_obs, CheckpointService, StoreCosts};
-use obs::{Obs, ProcessObs};
+use ftproxy::{run_checkpoint_service, run_factory_obs, CheckpointService, StoreCosts};
+use obs::Obs;
 use optim::{run_worker_server_obs, worker_builder, WorkerCosts};
-use orb::{Ior, Orb};
+use orb::Ior;
 use simnet::{Ctx, HostConfig, HostId, Kernel, KernelConfig, Shared, SimDuration};
 use winner::{
     run_node_manager, run_system_manager_obs, NodeManagerConfig, SelectionPolicy,
@@ -284,7 +284,7 @@ impl Cluster {
             kernel.spawn(infra, "checkpoint-service", move |ctx| {
                 let service =
                     CheckpointService::new(Box::new(ftproxy::MemBackend::new()), store_costs);
-                let _ = serve_registered(ctx, service, sink);
+                let _ = run_checkpoint_service(ctx, infra, service, Some(sink));
             });
             vec![infra]
         };
@@ -355,30 +355,6 @@ fn wait_for_ior(ctx: &mut Ctx, cell: &Shared<Option<String>>) -> Result<Ior, sim
         }
         ctx.sleep(SimDuration::from_millis(5))?;
     }
-}
-
-/// Serve a checkpoint service, registered in the naming service under its
-/// well-known name (retrying while naming boots).
-fn serve_registered(ctx: &mut Ctx, service: CheckpointService, sink: Obs) -> simnet::SimResult<()> {
-    let naming_host = ctx.host();
-    let mut orb = Orb::init(ctx);
-    orb.set_obs(ProcessObs::new(sink, ctx));
-    orb.listen(ctx)?;
-    let poa = orb::Poa::new();
-    let key = poa.activate(
-        ftproxy::CHECKPOINT_SERVICE_TYPE,
-        std::rc::Rc::new(std::cell::RefCell::new(ftproxy::CheckpointServiceSkeleton(
-            service,
-        ))),
-    );
-    let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
-    let ns = cosnaming::NamingClient::root(naming_host);
-    let name = cosnaming::Name::simple(ftproxy::CHECKPOINT_SERVICE_NAME);
-    if ns.rebind_retry(&mut orb, ctx, &name, &ior)?.is_err() {
-        // See serve_monitor_channel: registration budget exhausted.
-        return Err(simnet::Killed);
-    }
-    orb.serve_forever(ctx, &poa)
 }
 
 /// Publish the kernel's deterministic run profile into the observability

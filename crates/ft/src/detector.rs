@@ -59,9 +59,7 @@ pub fn run_detector_obs(
     sink: Option<obs::Obs>,
 ) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
-    if let Some(sink) = sink {
-        orb.set_obs(obs::ProcessObs::new(sink, ctx));
-    }
+    orb.set_obs(obs::ProcessObs::from_sink(sink, ctx));
     let ns = NamingClient::root(naming_host);
     let mut misses: std::collections::BTreeMap<String, u32> = std::collections::BTreeMap::new();
     loop {
@@ -86,9 +84,7 @@ pub fn run_detector_obs(
                     continue;
                 }
                 stats.lock().failed_probes += 1;
-                if let Some(o) = orb.obs().cloned() {
-                    o.counter_add("detector.failed_probes", 1);
-                }
+                orb.obs().counter_add("detector.failed_probes", 1);
                 let count = misses.entry(key.clone()).or_insert(0);
                 *count += 1;
                 if *count >= cfg.suspect_after {
@@ -98,9 +94,7 @@ pub fn run_detector_obs(
                         .is_ok()
                     {
                         stats.lock().evictions += 1;
-                        if let Some(o) = orb.obs().cloned() {
-                            o.counter_add("detector.evictions", 1);
-                        }
+                        orb.obs().counter_add("detector.evictions", 1);
                     }
                 }
             }

@@ -117,9 +117,7 @@ pub fn run_factory_obs(
     obs: Option<obs::Obs>,
 ) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
-    if let Some(sink) = obs {
-        orb.set_obs(obs::ProcessObs::new(sink, ctx));
-    }
+    orb.set_obs(obs::ProcessObs::from_sink(obs, ctx));
     orb.listen(ctx)?;
     let poa = Poa::new();
     let servant = Rc::new(RefCell::new(ServiceFactorySkeleton(ServiceFactory::new(

@@ -156,16 +156,12 @@ impl Servant for ProbedStore {
     }
 }
 
-/// Spawn the checkpoint service and register it under "CheckpointService".
+/// Spawn the checkpoint service and register it under "CheckpointService":
+/// [`crate::run_checkpoint_service`], but serving a servant `probe` watches.
 fn spawn_ckpt_obs(sim: &mut Kernel, host: HostId, obs: Option<obs::Obs>, probe: StoreProbe) {
     sim.spawn(host, "ckpt-svc", move |ctx| {
-        // Register with the naming service before serving, so clients can
-        // resolve "CheckpointService" (run_checkpoint_service itself does
-        // not register; the runtime layer owns that policy).
         let mut orb = Orb::init(ctx);
-        if let Some(sink) = obs {
-            orb.set_obs(obs::ProcessObs::new(sink, ctx));
-        }
+        orb.set_obs(obs::ProcessObs::from_sink(obs, ctx));
         orb.listen(ctx).unwrap();
         let poa = orb::Poa::new();
         let key = poa.activate(
@@ -761,31 +757,11 @@ fn disk_backed_checkpoint_service_works_in_sim() {
     });
     let dir2 = dir.clone();
     sim.spawn(h0, "ckpt-disk", move |ctx| {
-        let mut orb = Orb::init(ctx);
-        orb.listen(ctx).unwrap();
-        let poa = orb::Poa::new();
         let svc = CheckpointService::new(
             Box::new(crate::checkpoint::DiskBackend::new(&dir2).unwrap()),
             crate::service::StoreCosts::default(),
         );
-        let key = poa.activate(
-            crate::service::CHECKPOINT_SERVICE_TYPE,
-            Rc::new(RefCell::new(crate::CheckpointServiceSkeleton(svc))),
-        );
-        let ior = orb.ior(crate::service::CHECKPOINT_SERVICE_TYPE, key);
-        let ns = NamingClient::root(h0);
-        loop {
-            match ns.rebind(&mut orb, ctx, &Name::simple("CheckpointService"), &ior) {
-                Ok(Ok(())) => break,
-                Ok(Err(_)) => {
-                    if ctx.sleep(secs(0.05)).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-        let _ = orb.serve_forever(ctx, &poa);
+        let _ = crate::run_checkpoint_service(ctx, h0, svc, None);
     });
     let done = cell::<bool>();
     let d = done.clone();
@@ -1170,17 +1146,23 @@ fn call_via<A: cdr::CdrWrite>(
 }
 
 fn run_schedule(schedule: Schedule, deferred: bool) -> Observed {
-    run_schedule_obs(schedule, deferred, None)
+    run_schedule_obs(schedule, deferred, None, None)
 }
 
-/// [`run_schedule`] with the driver's metrics recorded into `sink`.
-fn run_schedule_obs(schedule: Schedule, deferred: bool, sink: Option<obs::Obs>) -> Observed {
+/// [`run_schedule`] with the driver recording into `sink` and every
+/// infrastructure process into `infra`.
+fn run_schedule_obs(
+    schedule: Schedule,
+    deferred: bool,
+    sink: Option<obs::Obs>,
+    infra: Option<obs::Obs>,
+) -> Observed {
     let mut sim = Kernel::with_seed(31);
     let n_hosts = match schedule {
         Schedule::FactoryHostDies => 2,
         _ => 3,
     };
-    let hosts = standard_bed(&mut sim, n_hosts);
+    let hosts = probed_bed(&mut sim, n_hosts, infra).0;
     let h0 = hosts[0];
     let mon = monitor::MonitorHandle::new(monitor::MonitorConfig::default(), None);
     let out = cell::<Option<(Result<i64, Exception>, crate::proxy::FtProxyStats, u64)>>();
@@ -1196,9 +1178,7 @@ fn run_schedule_obs(schedule: Schedule, deferred: bool, sink: Option<obs::Obs>) 
                 ..orb::OrbConfig::default()
             },
         );
-        if let Some(sink) = sink {
-            orb.set_obs(obs::ProcessObs::new(sink, ctx));
-        }
+        orb.set_obs(obs::ProcessObs::from_sink(sink, ctx));
         let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::Bulk);
         proxy.monitor = Some(emit_to);
         let mut env = ProxyEnv { orb: &mut orb, ctx };
@@ -1255,9 +1235,9 @@ fn recovery_backoff_is_bounded_and_deterministic() {
     // The only factory host dies: recovery has nowhere to go and burns
     // every attempt, backing off in between.
     let (sink, again) = (obs::Obs::default(), obs::Obs::default());
-    let a = run_schedule_obs(Schedule::FactoryHostDies, false, Some(sink.clone()));
+    let a = run_schedule_obs(Schedule::FactoryHostDies, false, Some(sink.clone()), None);
     // Same seed ⇒ identical schedule, jitter included.
-    let b = run_schedule_obs(Schedule::FactoryHostDies, false, Some(again.clone()));
+    let b = run_schedule_obs(Schedule::FactoryHostDies, false, Some(again.clone()), None);
     assert_eq!(a, b);
     let backoff_ns = sink.metric("ft.backoff_ns");
     assert_eq!(backoff_ns, again.metric("ft.backoff_ns"));
@@ -1296,6 +1276,29 @@ fn both_call_styles_run_one_recovery_engine() {
     ] {
         let sync = run_schedule(schedule, false);
         assert_eq!(sync, run_schedule(schedule, true), "{schedule:?}");
+        // A sink changes what is recorded, never what runs: with every
+        // server recording, the run is the untraced one to the nanosecond.
+        // A traced client's requests also carry its span (a 20-byte
+        // service context, marshalled and sent like any other byte), so
+        // there only the timings may move.
+        let kinds = |o: &Observed| -> Vec<std::mem::Discriminant<monitor::EventBody>> {
+            o.events.iter().map(std::mem::discriminant).collect()
+        };
+        for deferred in [false, true] {
+            let sink = obs::Obs::default();
+            let servers = run_schedule_obs(schedule, deferred, None, Some(sink.clone()));
+            assert_eq!(sync, servers, "{schedule:?}, deferred: {deferred}");
+            assert!(!sink.spans_named("serve:create").is_empty(), "{schedule:?}");
+            let sink = obs::Obs::default();
+            let all = run_schedule_obs(schedule, deferred, Some(sink.clone()), Some(sink.clone()));
+            assert_eq!((&all.outcome, all.stats), (&sync.outcome, sync.stats));
+            assert_eq!(
+                kinds(&all),
+                kinds(&sync),
+                "{schedule:?}, deferred: {deferred}"
+            );
+            assert!(!sink.spans_named("ft.restore").is_empty(), "{schedule:?}");
+        }
         let Observed {
             outcome,
             stats,

@@ -54,7 +54,7 @@ use simnet::{Ctx, SimDuration, SimResult};
 use crate::checkpoint::Checkpoint;
 use crate::factory::{factory_group, FactoryClient};
 use crate::request_proxy::{decode_reply, FtRequest};
-use crate::service::CheckpointClient;
+use crate::service::{CheckpointClient, CHECKPOINT_SERVICE_NAME};
 
 /// Everything a proxy method needs from the calling process.
 pub struct ProxyEnv<'a> {
@@ -94,13 +94,12 @@ pub struct FtProxyConfig {
     pub checkpoint_every: u32,
     /// Recovery attempts per call before giving up.
     pub max_recoveries_per_call: u32,
-    /// Naming name the checkpoint store is (group-)bound under. When set,
-    /// a recoverable failure on a store operation evicts the dead store
-    /// replica from the group, re-resolves this name and retries the
-    /// operation against a surviving replica — store failover — instead
-    /// of burning the call's worker-recovery attempts.
-    pub store_name: Option<Name>,
-    /// Store retarget attempts per store operation.
+    /// Store failover: a recoverable failure on a store operation evicts
+    /// the dead store replica from the [`CHECKPOINT_SERVICE_NAME`] group,
+    /// re-resolves the name and retries the operation against a surviving
+    /// replica, up to this many times — instead of burning the call's
+    /// worker-recovery attempts. 0 (the default) is the paper's single
+    /// store: the operation runs once.
     pub store_retries: u32,
 }
 
@@ -146,8 +145,7 @@ impl FtProxyConfig {
             mode: CheckpointMode::PerValue,
             checkpoint_every: 1,
             max_recoveries_per_call: 3,
-            store_name: None,
-            store_retries: 2,
+            store_retries: 0,
         }
     }
 
@@ -297,20 +295,13 @@ impl FtProxy {
         op: &str,
         body: Vec<u8>,
     ) -> SimResult<Result<Body, Exception>> {
-        let po = env.orb.obs().cloned();
-        if let Some(o) = &po {
-            o.begin(env.ctx.now(), &format!("ft.call:{op}"));
-        }
+        let o = env.orb.obs().clone();
+        o.begin(env.ctx.now(), format_args!("ft.call:{op}"));
         let mut req = FtRequest::with_body(op, body);
         let out = req
             .send_deferred(self, env)
             .and_then(|()| req.get_response(self, env));
-        if let Some(o) = &po {
-            if !matches!(&out, Ok(Ok(_))) {
-                o.tag("ok", "false");
-            }
-            o.end(env.ctx.now());
-        }
+        o.finish(env.ctx.now(), matches!(&out, Ok(Ok(_))));
         out
     }
 
@@ -325,10 +316,9 @@ impl FtProxy {
         let delay =
             SimDuration::from_nanos((capped * (1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0))) as u64);
         self.stats.backoffs += 1;
-        if let Some(o) = env.orb.obs().cloned() {
-            o.counter_add("ft.backoffs", 1);
-            o.observe("ft.backoff_ns", delay.as_nanos());
-        }
+        let o = env.orb.obs();
+        o.counter_add("ft.backoffs", 1);
+        o.observe("ft.backoff_ns", delay.as_nanos());
         env.ctx.sleep(delay)
     }
 
@@ -379,18 +369,11 @@ impl FtProxy {
     /// Create a fresh instance through the factory group and register it
     /// in the service's naming group.
     fn create_via_factory(&mut self, env: &mut ProxyEnv<'_>) -> SimResult<Result<Ior, Exception>> {
-        let po = env.orb.obs().cloned();
-        if let Some(o) = &po {
-            o.begin(env.ctx.now(), "ft.factory_create");
-            o.tag("service_type", &self.cfg.service_type);
-        }
+        let o = env.orb.obs().clone();
+        o.begin(env.ctx.now(), "ft.factory_create");
+        o.tag("service_type", &self.cfg.service_type);
         let out = self.create_via_factory_inner(env);
-        if let Some(o) = &po {
-            if !matches!(&out, Ok(Ok(_))) {
-                o.tag("ok", "false");
-            }
-            o.end(env.ctx.now());
-        }
+        o.finish(env.ctx.now(), matches!(&out, Ok(Ok(_))));
         out
     }
 
@@ -413,9 +396,7 @@ impl FtProxy {
             Err(e) => return Ok(Err(e)),
         };
         self.stats.factory_creates += 1;
-        if let Some(o) = env.orb.obs().cloned() {
-            o.counter_add("ft.factory_creates", 1);
-        }
+        env.orb.obs().counter_add("ft.factory_creates", 1);
         // Register the new replica so other clients (and future
         // recoveries) find it.
         if let Err(_unregistered) =
@@ -433,11 +414,9 @@ impl FtProxy {
     /// next `ensure_target` finds or creates a healthy replica.
     pub(crate) fn recover(&mut self, env: &mut ProxyEnv<'_>) -> SimResult<()> {
         self.stats.recoveries += 1;
-        let po = env.orb.obs().cloned();
-        if let Some(o) = &po {
-            o.begin(env.ctx.now(), "ft.recover");
-            o.counter_add("ft.recoveries", 1);
-        }
+        let o = env.orb.obs().clone();
+        o.begin(env.ctx.now(), "ft.recover");
+        o.counter_add("ft.recoveries", 1);
         if let Some(dead) = self.target.take() {
             // Best-effort cleanup; the naming service may already have
             // been cleaned by the failure detector.
@@ -451,31 +430,25 @@ impl FtProxy {
                 // either way the stale binding is no longer resolvable.
             }
         }
-        if let Some(o) = &po {
-            o.end(env.ctx.now());
-        }
+        o.end(env.ctx.now());
         Ok(())
     }
 
-    /// Run one checkpoint-store operation with store failover. Without a
-    /// configured `store_name` the operation runs exactly once (legacy
-    /// single-store behavior). With one, a recoverable failure evicts the
-    /// dead store replica from its naming group (mirroring worker
-    /// recovery), re-resolves the name and retries the checkpoint
-    /// operation against the surviving replica.
+    /// Run one checkpoint-store operation with store failover: while
+    /// `store_retries` last, a recoverable failure evicts the dead store
+    /// replica from its naming group (mirroring worker recovery),
+    /// re-resolves the name and retries the checkpoint operation against
+    /// the surviving replica.
     fn store_op<T>(
         &mut self,
         env: &mut ProxyEnv<'_>,
         f: impl Fn(&CheckpointClient, &mut ProxyEnv<'_>) -> SimResult<Result<T, Exception>>,
     ) -> SimResult<Result<T, Exception>> {
         let mut out = f(&self.ckpt, env)?;
-        let Some(store_name) = self.cfg.store_name.clone() else {
-            return Ok(out);
-        };
         for _ in 0..self.cfg.store_retries {
             match &out {
                 Err(e) if e.is_recoverable() => {
-                    self.retarget_store(env, &store_name)?;
+                    self.retarget_store(env)?;
                     out = f(&self.ckpt, env)?;
                 }
                 _ => return Ok(out),
@@ -488,36 +461,31 @@ impl FtProxy {
     /// dead replica from the store's naming group (best-effort — the
     /// store-side failure detector may already have done it), and point
     /// the checkpoint client at a freshly resolved replica.
-    fn retarget_store(&mut self, env: &mut ProxyEnv<'_>, store_name: &Name) -> SimResult<()> {
+    fn retarget_store(&mut self, env: &mut ProxyEnv<'_>) -> SimResult<()> {
         env.ctx.sleep(STORE_RETRY_DELAY)?;
         self.stats.store_retargets += 1;
-        let po = env.orb.obs().cloned();
-        if let Some(o) = &po {
-            o.begin(env.ctx.now(), "ft.store_retarget");
-            o.counter_add("ft.store_retargets", 1);
-        }
+        let o = env.orb.obs().clone();
+        o.begin(env.ctx.now(), "ft.store_retarget");
+        o.counter_add("ft.store_retargets", 1);
+        let store_name = Name::simple(CHECKPOINT_SERVICE_NAME);
         let dead = self.ckpt.obj.ior.clone();
-        if let Err(_not_a_group_or_gone) = self
-            .naming
-            .unbind_group_member(env.orb, env.ctx, store_name, &dead)?
+        if let Err(_not_a_group_or_gone) =
+            self.naming
+                .unbind_group_member(env.orb, env.ctx, &store_name, &dead)?
         {
             // Single-binding (unreplicated) store, or already evicted by
             // the store-side failure detector; nothing to clean up.
         }
-        let resolved = self.naming.resolve(env.orb, env.ctx, store_name)?;
-        match resolved {
-            Ok(obj) => self.ckpt.retarget(obj),
-            Err(_no_replica_yet) => {
-                // Keep the old reference; the retried operation fails fast
-                // and the next retarget attempt resolves again.
-                if let Some(o) = &po {
-                    o.tag("ok", "false");
-                }
+        let ok = match self.naming.resolve(env.orb, env.ctx, &store_name)? {
+            Ok(obj) => {
+                self.ckpt.retarget(obj);
+                true
             }
-        }
-        if let Some(o) = &po {
-            o.end(env.ctx.now());
-        }
+            // Keep the old reference; the retried operation fails fast
+            // and the next retarget attempt resolves again.
+            Err(_no_replica_yet) => false,
+        };
+        o.finish(env.ctx.now(), ok);
         Ok(())
     }
 
@@ -527,17 +495,10 @@ impl FtProxy {
         env: &mut ProxyEnv<'_>,
         obj: &ObjectRef,
     ) -> SimResult<Result<(), Exception>> {
-        let po = env.orb.obs().cloned();
-        if let Some(o) = &po {
-            o.begin(env.ctx.now(), "ft.restore");
-        }
+        let o = env.orb.obs().clone();
+        o.begin(env.ctx.now(), "ft.restore");
         let out = self.restore_into_inner(env, obj);
-        if let Some(o) = &po {
-            if !matches!(&out, Ok(Ok(()))) {
-                o.tag("ok", "false");
-            }
-            o.end(env.ctx.now());
-        }
+        o.finish(env.ctx.now(), matches!(&out, Ok(Ok(()))));
         out
     }
 
@@ -570,9 +531,7 @@ impl FtProxy {
             .is_some_and(|(ior, e)| *ior == obj.ior && *e == epoch)
         {
             self.stats.duplicate_suppressed += 1;
-            if let Some(o) = env.orb.obs().cloned() {
-                o.counter_add("ft.duplicate_suppressed", 1);
-            }
+            env.orb.obs().counter_add("ft.duplicate_suppressed", 1);
             self.emit_restored(env, epoch);
             return Ok(Ok(()));
         }
@@ -580,9 +539,7 @@ impl FtProxy {
         let r: Result<(), Exception> = match obj.call(env.orb, env.ctx, RESTORE_OP, &(state,))? {
             Ok(()) => {
                 self.stats.restores += 1;
-                if let Some(o) = env.orb.obs().cloned() {
-                    o.counter_add("ft.restores", 1);
-                }
+                env.orb.obs().counter_add("ft.restores", 1);
                 self.emit_restored(env, epoch);
                 Ok(())
             }
@@ -622,10 +579,8 @@ impl FtProxy {
         let Some(target) = self.target.clone() else {
             return Ok(());
         };
-        let po = env.orb.obs().cloned();
-        if let Some(o) = &po {
-            o.begin(env.ctx.now(), "ft.checkpoint");
-        }
+        let o = env.orb.obs().clone();
+        o.begin(env.ctx.now(), "ft.checkpoint");
         let begun = env.ctx.now();
         let (ok, bytes) = self.try_checkpoint(env, &target)?;
         if ok {
@@ -646,12 +601,7 @@ impl FtProxy {
         } else {
             self.stats.checkpoint_failures += 1;
         }
-        if let Some(o) = &po {
-            if !ok {
-                o.tag("ok", "false");
-            }
-            o.end(env.ctx.now());
-        }
+        o.finish(env.ctx.now(), ok);
         Ok(())
     }
 
@@ -668,9 +618,9 @@ impl FtProxy {
             Ok(s) => s,
             Err(_) => return Ok((false, 0)),
         };
-        if let Some(o) = env.orb.obs().cloned() {
-            o.observe("ft.checkpoint_bytes", state.len() as u64);
-        }
+        env.orb
+            .obs()
+            .observe("ft.checkpoint_bytes", state.len() as u64);
         // 2. Store it. Only an acknowledged write replaces the copy
         //    recovery restores from.
         self.epoch = self.epoch.next();
@@ -687,9 +637,7 @@ impl FtProxy {
                     self.store_op(env, |c, env| c.store(env.orb, env.ctx, &ckpt))?,
                     Ok(())
                 );
-                if let Some(o) = env.orb.obs().cloned() {
-                    o.counter_add("ft.checkpoint_rpcs", 1);
-                }
+                env.orb.obs().counter_add("ft.checkpoint_rpcs", 1);
                 (ok, ckpt.state)
             }
             CheckpointMode::PerValue => (self.store_per_value(env, &state)?, state),
@@ -707,7 +655,6 @@ impl FtProxy {
     /// inefficient" — Table 1's overhead lives here.
     fn store_per_value(&mut self, env: &mut ProxyEnv<'_>, state: &[u8]) -> SimResult<bool> {
         let id = self.cfg.object_id.clone();
-        let po = env.orb.obs().cloned();
         let header = Any {
             tc: TypeCode::Struct {
                 name: "CkptHeader".into(),
@@ -731,9 +678,7 @@ impl FtProxy {
         {
             return Ok(false);
         }
-        if let Some(o) = &po {
-            o.counter_add("ft.checkpoint_rpcs", 1);
-        }
+        env.orb.obs().counter_add("ft.checkpoint_rpcs", 1);
         // Each value carries the epoch it belongs to, so reassembly can
         // reject a mix of chunks from different checkpoints (a same-length
         // torn write would otherwise go unnoticed). One `Any` carries every
@@ -748,9 +693,7 @@ impl FtProxy {
             {
                 return Ok(false);
             }
-            if let Some(o) = &po {
-                o.counter_add("ft.checkpoint_rpcs", 1);
-            }
+            env.orb.obs().counter_add("ft.checkpoint_rpcs", 1);
         }
         Ok(true)
     }

@@ -230,9 +230,9 @@ impl FtRequest {
                 proxy.stats.calls += 1;
                 let served = env.ctx.now();
                 if let Some(since) = self.recovering_since.take() {
-                    if let Some(o) = env.orb.obs().cloned() {
-                        o.observe("ft.recovery_ns", served.since(since).as_nanos());
-                    }
+                    env.orb
+                        .obs()
+                        .observe("ft.recovery_ns", served.since(since).as_nanos());
                     proxy.emit(
                         env,
                         EventBody::RecoveryFinished {
@@ -267,8 +267,10 @@ impl FtRequest {
         // attempt, from its send to this verdict. (A failed acquire sent
         // nothing; its time is already inside the recovery episode.)
         if self.inner.take().is_some() && failure.is_recoverable() {
-            if let (Some(sent), Some(o)) = (self.sent, env.orb.obs()) {
-                o.observe("ft.detect_ns", env.ctx.now().since(sent).as_nanos());
+            if let Some(sent) = self.sent {
+                env.orb
+                    .obs()
+                    .observe("ft.detect_ns", env.ctx.now().since(sent).as_nanos());
             }
         }
         loop {

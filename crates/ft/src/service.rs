@@ -1,8 +1,9 @@
 //! The checkpoint service servant and its typed client.
 
 use cdr::Any;
-use orb::{CallCtx, Exception, Ior, ObjectRef, Orb, SystemException};
-use simnet::{Ctx, SimDuration, SimResult};
+use cosnaming::{Name, NamingClient};
+use orb::{CallCtx, Exception, ObjectRef, Orb, SystemException};
+use simnet::{Ctx, HostId, SimDuration, SimResult};
 
 use crate::checkpoint::{Backend, Checkpoint, MemBackend};
 use crate::protocol::FT::{self, CheckpointServiceSkeleton, CheckpointServiceStub};
@@ -189,13 +190,6 @@ impl CheckpointClient {
         }
     }
 
-    /// Wrap an IOR.
-    pub fn from_ior(ior: Ior) -> Self {
-        CheckpointClient {
-            stub: CheckpointServiceStub::from_ior(ior),
-        }
-    }
-
     /// Set a per-operation reply deadline for all store calls.
     pub fn with_deadline(self, deadline: Option<SimDuration>) -> Self {
         CheckpointClient {
@@ -233,17 +227,30 @@ impl CheckpointClient {
     }
 }
 
-/// The body of a checkpoint server process: activate, publish, serve.
+/// The body of a checkpoint server process: activate the servant, register
+/// it under [`CHECKPOINT_SERVICE_NAME`] (rebinding, retried while naming
+/// boots), serve forever. Serve spans are recorded into `obs` when present.
 pub fn run_checkpoint_service(
     ctx: &mut Ctx,
+    naming_host: HostId,
     service: CheckpointService,
-    publish: impl FnOnce(Ior),
+    obs: Option<obs::Obs>,
 ) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
+    orb.set_obs(obs::ProcessObs::from_sink(obs, ctx));
     orb.listen(ctx)?;
     let poa = orb::Poa::new();
     let servant = std::rc::Rc::new(std::cell::RefCell::new(CheckpointServiceSkeleton(service)));
     let key = poa.activate(CHECKPOINT_SERVICE_TYPE, servant);
-    publish(orb.ior(CHECKPOINT_SERVICE_TYPE, key));
+    let ior = orb.ior(CHECKPOINT_SERVICE_TYPE, key);
+    let name = Name::simple(CHECKPOINT_SERVICE_NAME);
+    if NamingClient::root(naming_host)
+        .rebind_retry(&mut orb, ctx, &name, &ior)?
+        .is_err()
+    {
+        // Registration budget exhausted: an unregistered store never
+        // receives checkpoints — die instead of spinning.
+        return Err(simnet::Killed);
+    }
     orb.serve_forever(ctx, &poa)
 }

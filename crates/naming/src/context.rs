@@ -215,10 +215,9 @@ impl NamingContext {
                 }
             }
         };
-        let obs = call.orb.obs().cloned();
-        if let Some(o) = &obs {
-            o.observe("naming.group_size", members.len() as u64);
-        }
+        call.orb
+            .obs()
+            .observe("naming.group_size", members.len() as u64);
         if members.is_empty() {
             return Err(EmptyGroup.raise());
         }
@@ -231,9 +230,7 @@ impl NamingContext {
                 Ok(Ok(Some(host))) => {
                     if let Some(m) = members.iter().find(|m| m.host.0 == host) {
                         self.tree.borrow_mut().winner_picks += 1;
-                        if let Some(o) = &obs {
-                            o.counter_add("naming.winner_picks", 1);
-                        }
+                        call.orb.obs().counter_add("naming.winner_picks", 1);
                         return Ok(m.clone());
                     }
                 }
@@ -249,9 +246,7 @@ impl NamingContext {
         // plain service is genuinely load-oblivious — registration order
         // can correlate with load, which would smuggle load-awareness
         // into the baseline.
-        if let Some(o) = &obs {
-            o.counter_add("naming.fallback_picks", 1);
-        }
+        call.orb.obs().counter_add("naming.fallback_picks", 1);
         let mut tree = self.tree.borrow_mut();
         tree.fallback_picks += 1;
         let Some(Entry::Group { members, rr, .. }) = tree
@@ -337,10 +332,9 @@ impl CosNaming::NamingContext for NamingContext {
     fn resolve(&mut self, call: &mut CallCtx<'_>, n: Name) -> Result<Ior, Exception> {
         let start = call.ctx.now();
         let resolved = self.resolve_name(call, &n);
-        if let Some(o) = call.orb.obs().cloned() {
-            o.counter_add("naming.resolves", 1);
-            o.observe("naming.resolve_ns", call.ctx.now().since(start).as_nanos());
-        }
+        let o = call.orb.obs();
+        o.counter_add("naming.resolves", 1);
+        o.observe("naming.resolve_ns", call.ctx.now().since(start).as_nanos());
         resolved
     }
 

@@ -24,9 +24,7 @@ use crate::protocol::{NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY};
 /// spans and resolve metrics are recorded into `obs` when present.
 pub fn run_naming_service_obs(ctx: &mut Ctx, mode: LbMode, obs: Option<Obs>) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
-    if let Some(sink) = obs {
-        orb.set_obs(ProcessObs::new(sink, ctx));
-    }
+    orb.set_obs(ProcessObs::from_sink(obs, ctx));
     let Some(port) = orb.listen_on(ctx, NAMING_PORT)? else {
         eprintln!(
             "naming: port {NAMING_PORT:?} already in use on host {:?}; not serving",

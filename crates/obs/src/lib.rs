@@ -23,6 +23,12 @@
 //! [`simnet::Shared`] cell, the sanctioned cross-process state); each
 //! process holds a [`ProcessObs`] handle carrying its identity and its
 //! open-span stack.
+//!
+//! Whether a process is observed is decided once, when its handle is made
+//! ([`ProcessObs::from_sink`]): a handle without a sink records nothing,
+//! never formats a span name and propagates no context. Every ORB holds a
+//! handle, so code that records calls it unconditionally; only a metric
+//! whose value costs work to compute asks [`ProcessObs::recording`] first.
 
 mod export;
 mod metrics;

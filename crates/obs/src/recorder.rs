@@ -3,6 +3,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::rc::Rc;
 
 use simnet::{Ctx, Shared, SimTime};
@@ -111,91 +112,119 @@ impl Obs {
 /// A span still on some process's stack.
 #[derive(Debug)]
 struct OpenSpan {
-    trace_id: u64,
-    span_id: u64,
+    /// Its identity: what a request made under it carries.
+    ctx: SpanContext,
     parent: Option<u64>,
-    hop: u32,
     name: String,
     start_ns: u64,
     tags: Vec<(String, String)>,
 }
 
 /// Per-process recording handle: the shared sink plus this process's
-/// identity and open-span stack. Clones alias the same stack, so the
-/// handle an ORB holds and the handle application code holds agree on
-/// "the current span".
-#[derive(Clone, Debug)]
+/// identity and open-span stack — or no sink at all, and then every
+/// method is a no-op. Whether a process is observed is decided here, once,
+/// when the handle is made; code that records calls the handle it has
+/// without asking.
+///
+/// Clones alias the same stack, so the handle an ORB holds and the handle
+/// application code holds agree on "the current span". The default handle
+/// has no sink.
+#[derive(Clone, Debug, Default)]
 pub struct ProcessObs {
+    rec: Option<Rc<Recording>>,
+}
+
+/// What a handle with a sink records into.
+#[derive(Debug)]
+struct Recording {
     obs: Obs,
     host: u32,
     pid: u32,
-    stack: Rc<RefCell<Vec<OpenSpan>>>,
+    stack: RefCell<Vec<OpenSpan>>,
 }
 
-impl ProcessObs {
-    /// Handle for the current simulated process.
-    pub fn new(obs: Obs, ctx: &Ctx) -> Self {
-        let host = ctx.host().0;
-        let pid = ctx.pid().0;
-        ProcessObs::for_process(obs, host, pid)
-    }
-
-    /// Handle for an explicit (host, pid) identity; the testable core of
-    /// [`ProcessObs::new`].
-    pub fn for_process(obs: Obs, host: u32, pid: u32) -> Self {
-        ProcessObs {
-            obs,
-            host,
-            pid,
-            stack: Rc::new(RefCell::new(Vec::new())),
-        }
-    }
-
-    /// The shared sink behind this handle.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Open a span. Children of the current span when one is open,
-    /// otherwise the root of a fresh trace.
-    pub fn begin(&self, now: SimTime, name: &str) {
-        let inherited = self
-            .stack
-            .borrow()
-            .last()
-            .map(|top| (top.trace_id, Some(top.span_id), top.hop));
-        let (trace_id, parent, hop) =
-            inherited.unwrap_or_else(|| (self.obs.alloc_trace(), None, 0));
-        self.push(now, name, trace_id, parent, hop);
-    }
-
-    /// Open a span caused by a *remote* parent (a context extracted from an
-    /// inbound request). The local stack is ignored: a server span belongs
-    /// to its caller's trace, not to whatever the server was doing.
-    pub fn begin_remote(&self, now: SimTime, name: &str, parent: Option<SpanContext>) {
-        let (trace_id, parent, hop) = match parent {
-            Some(p) => (p.trace_id, Some(p.span_id), p.hop + 1),
-            None => (self.obs.alloc_trace(), None, 0),
+impl Recording {
+    /// Open a span `hops` process hops below `parent`, or the root of a
+    /// fresh trace.
+    fn open(&self, now: SimTime, name: impl Display, parent: Option<SpanContext>, hops: u32) {
+        let (trace_id, hop) = match parent {
+            Some(p) => (p.trace_id, p.hop + hops),
+            None => (self.obs.alloc_trace(), 0),
         };
-        self.push(now, name, trace_id, parent, hop);
-    }
-
-    fn push(&self, now: SimTime, name: &str, trace_id: u64, parent: Option<u64>, hop: u32) {
         let span_id = self.obs.alloc_span();
         self.stack.borrow_mut().push(OpenSpan {
-            trace_id,
-            span_id,
-            parent,
-            hop,
+            ctx: SpanContext {
+                trace_id,
+                span_id,
+                hop,
+            },
+            parent: parent.map(|p| p.span_id),
             name: name.to_string(),
             start_ns: now.as_nanos(),
             tags: Vec::new(),
         });
     }
+}
+
+impl ProcessObs {
+    /// Handle for the current simulated process, recording into `obs`.
+    pub fn new(obs: Obs, ctx: &Ctx) -> Self {
+        ProcessObs::from_sink(Some(obs), ctx)
+    }
+
+    /// Handle for the current simulated process: recording into `sink`,
+    /// or, without one, recording nothing.
+    pub fn from_sink(sink: Option<Obs>, ctx: &Ctx) -> Self {
+        match sink {
+            Some(obs) => ProcessObs::for_process(obs, ctx.host().0, ctx.pid().0),
+            None => ProcessObs::default(),
+        }
+    }
+
+    /// Handle for an explicit (host, pid) identity; the testable core of
+    /// [`ProcessObs::new`].
+    pub fn for_process(obs: Obs, host: u32, pid: u32) -> Self {
+        let stack = RefCell::new(Vec::new());
+        let rec = Recording {
+            obs,
+            host,
+            pid,
+            stack,
+        };
+        ProcessObs {
+            rec: Some(Rc::new(rec)),
+        }
+    }
+
+    /// Whether this handle has a sink. Only a metric whose *value* costs
+    /// work to compute needs to ask; every other call is a no-op without
+    /// one.
+    pub fn recording(&self) -> bool {
+        self.rec.is_some()
+    }
+
+    /// Open a span. Children of the current span when one is open,
+    /// otherwise the root of a fresh trace. `name` is formatted only when
+    /// the handle records (pass `format_args!` for a composed name).
+    pub fn begin(&self, now: SimTime, name: impl Display) {
+        if let Some(r) = &self.rec {
+            r.open(now, name, self.current(), 0);
+        }
+    }
+
+    /// Open a span caused by a *remote* parent (a context extracted from an
+    /// inbound request). The local stack is ignored: a server span belongs
+    /// to its caller's trace, not to whatever the server was doing.
+    pub fn begin_remote(&self, now: SimTime, name: impl Display, parent: Option<SpanContext>) {
+        if let Some(r) = &self.rec {
+            r.open(now, name, parent, 1);
+        }
+    }
 
     /// Annotate the current span. No-op when no span is open.
     pub fn tag(&self, key: &str, value: &str) {
-        if let Some(top) = self.stack.borrow_mut().last_mut() {
+        let Some(r) = &self.rec else { return };
+        if let Some(top) = r.stack.borrow_mut().last_mut() {
             top.tags.push((key.to_string(), value.to_string()));
         }
     }
@@ -203,46 +232,58 @@ impl ProcessObs {
     /// Close the current span, recording it. No-op when no span is open —
     /// an unbalanced `end` must not take a process down.
     pub fn end(&self, now: SimTime) {
-        let open = self.stack.borrow_mut().pop();
-        if let Some(o) = open {
-            self.obs.record(SpanRecord {
-                trace_id: o.trace_id,
-                span_id: o.span_id,
-                parent: o.parent,
-                name: o.name,
-                hop: o.hop,
-                host: self.host,
-                pid: self.pid,
-                start_ns: o.start_ns,
-                end_ns: now.as_nanos().max(o.start_ns),
-                tags: o.tags,
-            });
+        let Some(r) = &self.rec else { return };
+        let Some(o) = r.stack.borrow_mut().pop() else {
+            return;
+        };
+        r.obs.record(SpanRecord {
+            trace_id: o.ctx.trace_id,
+            span_id: o.ctx.span_id,
+            parent: o.parent,
+            name: o.name,
+            hop: o.ctx.hop,
+            host: r.host,
+            pid: r.pid,
+            start_ns: o.start_ns,
+            end_ns: now.as_nanos().max(o.start_ns),
+            tags: o.tags,
+        });
+    }
+
+    /// Close the current span with its outcome: a failed one is tagged
+    /// `ok=false` first.
+    pub fn finish(&self, now: SimTime, ok: bool) {
+        if !ok {
+            self.tag("ok", "false");
         }
+        self.end(now);
     }
 
     /// The context a request sent *now* should carry: the current span, if
     /// any.
     pub fn current(&self) -> Option<SpanContext> {
-        self.stack.borrow().last().map(|top| SpanContext {
-            trace_id: top.trace_id,
-            span_id: top.span_id,
-            hop: top.hop,
-        })
+        Some(self.rec.as_ref()?.stack.borrow().last()?.ctx)
     }
 
     /// Add `delta` to the counter `name` (sink passthrough).
     pub fn counter_add(&self, name: &str, delta: u64) {
-        self.obs.counter_add(name, delta);
+        if let Some(r) = &self.rec {
+            r.obs.counter_add(name, delta);
+        }
     }
 
     /// Set the gauge `name` (sink passthrough).
     pub fn gauge_set(&self, name: &str, value: f64) {
-        self.obs.gauge_set(name, value);
+        if let Some(r) = &self.rec {
+            r.obs.gauge_set(name, value);
+        }
     }
 
     /// Record one histogram observation (sink passthrough).
     pub fn observe(&self, name: &str, value: u64) {
-        self.obs.observe(name, value);
+        if let Some(r) = &self.rec {
+            r.obs.observe(name, value);
+        }
     }
 }
 
@@ -302,16 +343,39 @@ mod tests {
     }
 
     #[test]
-    fn tags_attach_to_the_open_span() {
+    fn finish_tags_only_a_failed_span() {
         let obs = Obs::new();
         let po = ProcessObs::for_process(obs.clone(), 0, 1);
-        po.begin(t(0), "work");
+        po.begin(t(0), format_args!("serve:{}", "op"));
+        po.tag("k", "v");
+        po.finish(t(1), false);
+        po.begin(t(2), "fine");
+        po.finish(t(3), true);
+        let spans = obs.spans();
+        assert_eq!(spans[0].name, "serve:op");
+        let kv = |k: &str, v: &str| (k.to_string(), v.to_string());
+        assert_eq!(spans[0].tags, vec![kv("k", "v"), kv("ok", "false")]);
+        assert!(spans[1].tags.is_empty());
+    }
+
+    /// A span name that panics when formatted.
+    struct Unformattable;
+
+    impl Display for Unformattable {
+        fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            panic!("a handle without a sink formatted a span name");
+        }
+    }
+
+    #[test]
+    fn a_handle_without_a_sink_records_nothing() {
+        let po = ProcessObs::default();
+        po.begin(t(0), Unformattable);
+        po.begin_remote(t(1), Unformattable, None);
+        assert_eq!((po.recording(), po.current()), (false, None));
         po.tag("ok", "false");
-        po.end(t(1));
-        assert_eq!(
-            obs.spans()[0].tags,
-            vec![("ok".to_string(), "false".to_string())]
-        );
+        po.counter_add("x.calls", 1);
+        po.finish(t(2), false);
     }
 
     #[test]

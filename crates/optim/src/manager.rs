@@ -11,7 +11,10 @@
 //! goes through the checkpointing proxies instead of plain stubs.
 
 use cosnaming::{Name, NamingClient};
-use ftproxy::{CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, FtRequest, ProxyEnv};
+use ftproxy::{
+    CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, FtRequest, ProxyEnv,
+    CHECKPOINT_SERVICE_NAME,
+};
 use orb::{DiiRequest, Exception, Orb, OrbConfig, SystemException};
 use simnet::{Ctx, HostId, SimDuration, SimResult};
 
@@ -28,16 +31,6 @@ pub struct FtSettings {
     pub checkpoint_every: u32,
     /// Recovery attempts per call.
     pub max_recoveries: u32,
-    /// Reply deadline for checkpoint-store operations, distinct from the
-    /// worker-call timeout (`None` = the ORB-wide timeout). A dead store
-    /// should be detected on the store's latency envelope, not the
-    /// worker's much longer one.
-    pub store_deadline: Option<SimDuration>,
-    /// Store failover: on a recoverable store failure, re-resolve
-    /// `"CheckpointService"` (a replicated deployment rebinds it to a
-    /// live backup) and retry, up to this many times. 0 disables
-    /// failover — the paper's single-store behaviour.
-    pub store_retries: u32,
 }
 
 impl Default for FtSettings {
@@ -46,11 +39,18 @@ impl Default for FtSettings {
             mode: CheckpointMode::PerValue, // the paper's prototype
             checkpoint_every: 1,
             max_recoveries: 4,
-            store_deadline: Some(SimDuration::from_secs(5)),
-            store_retries: 2,
         }
     }
 }
+
+/// Reply deadline for checkpoint-store operations, distinct from the
+/// worker-call timeout: a dead store is detected on the store's latency
+/// envelope, not the worker's much longer one.
+const STORE_DEADLINE: SimDuration = SimDuration::from_secs(5);
+/// Store failover attempts per store operation: on a recoverable store
+/// failure the proxies re-resolve [`CHECKPOINT_SERVICE_NAME`] (a
+/// replicated deployment rebinds it to a live backup) and retry.
+const STORE_RETRIES: u32 = 2;
 
 /// Manager configuration.
 #[derive(Clone, Debug)]
@@ -154,18 +154,11 @@ pub fn run_manager(ctx: &mut Ctx, cfg: &ManagerConfig) -> SimResult<Result<RunRe
             ..OrbConfig::default()
         },
     );
-    let po = cfg.obs.clone().map(|sink| obs::ProcessObs::new(sink, ctx));
-    if let Some(p) = &po {
-        orb.set_obs(p.clone());
-        p.begin(ctx.now(), "manager.run");
-    }
+    let o = obs::ProcessObs::from_sink(cfg.obs.clone(), ctx);
+    orb.set_obs(o.clone());
+    o.begin(ctx.now(), "manager.run");
     let out = run_manager_with_orb(ctx, cfg, &mut orb);
-    if let Some(p) = &po {
-        if !matches!(&out, Ok(Ok(_))) {
-            p.tag("ok", "false");
-        }
-        p.end(ctx.now());
-    }
+    o.finish(ctx.now(), matches!(&out, Ok(Ok(_))));
     out
 }
 
@@ -195,9 +188,8 @@ fn run_manager_with_orb(
             Handles::Plain(stubs)
         }
         Some(ft) => {
-            let store_name = Name::simple("CheckpointService");
-            let ckpt = match ns.resolve(orb, ctx, &store_name)? {
-                Ok(obj) => CheckpointClient::new(obj).with_deadline(ft.store_deadline),
+            let ckpt = match ns.resolve(orb, ctx, &Name::simple(CHECKPOINT_SERVICE_NAME))? {
+                Ok(obj) => CheckpointClient::new(obj).with_deadline(Some(STORE_DEADLINE)),
                 Err(e) => return Ok(Err(e)),
             };
             let mut proxies = Vec::with_capacity(cfg.workers);
@@ -210,10 +202,7 @@ fn run_manager_with_orb(
                 pcfg.mode = ft.mode;
                 pcfg.checkpoint_every = ft.checkpoint_every.max(1);
                 pcfg.max_recoveries_per_call = ft.max_recoveries;
-                if ft.store_retries > 0 {
-                    pcfg.store_name = Some(store_name.clone());
-                    pcfg.store_retries = ft.store_retries;
-                }
+                pcfg.store_retries = STORE_RETRIES;
                 let mut proxy =
                     FtProxy::new(pcfg, NamingClient::root(cfg.naming_host), ckpt.clone());
                 proxy.monitor = cfg.monitor.clone();
@@ -309,16 +298,12 @@ fn run_manager_with_orb(
         Ok(Ok((decomposition.combine(&block_values), block_points)))
     };
 
-    let evo = orb.obs().cloned();
+    let o = orb.obs().clone();
     let (manager_iterations, manager_evals) = if mdim == 0 {
         // Degenerate single-worker case: one combined solve.
-        if let Some(o) = &evo {
-            o.begin(ctx.now(), "manager.eval");
-        }
+        o.begin(ctx.now(), "manager.eval");
         let r = eval_coords(&[], &mut *orb, ctx, &mut handles, &mut worker_calls)?;
-        if let Some(o) = &evo {
-            o.end(ctx.now());
-        }
+        o.end(ctx.now());
         match r {
             Ok((v, blocks)) => {
                 best_value = v;
@@ -338,13 +323,9 @@ fn run_manager_with_orb(
         );
         while outer.iterations() < cfg.manager_iters {
             let coords = outer.ask();
-            if let Some(o) = &evo {
-                o.begin(ctx.now(), "manager.eval");
-            }
+            o.begin(ctx.now(), "manager.eval");
             let r = eval_coords(coords, &mut *orb, ctx, &mut handles, &mut worker_calls)?;
-            if let Some(o) = &evo {
-                o.end(ctx.now());
-            }
+            o.end(ctx.now());
             match r {
                 Ok((v, blocks)) => {
                     if v < best_value {

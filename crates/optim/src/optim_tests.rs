@@ -316,30 +316,8 @@ fn manager_with_ft_proxies_survives_host_crash() {
         let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     sim.spawn(h0, "ckpt", move |ctx| {
-        // Register the checkpoint service under its well-known name.
-        let mut orb = Orb::init(ctx);
-        orb.listen(ctx).unwrap();
-        let poa = orb::Poa::new();
-        let key = poa.activate(
-            ftproxy::CHECKPOINT_SERVICE_TYPE,
-            std::rc::Rc::new(std::cell::RefCell::new(ftproxy::CheckpointServiceSkeleton(
-                ftproxy::CheckpointService::in_memory(),
-            ))),
-        );
-        let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
-        let ns = NamingClient::root(h0);
-        loop {
-            match ns.rebind(&mut orb, ctx, &Name::simple("CheckpointService"), &ior) {
-                Ok(Ok(())) => break,
-                Ok(Err(_)) => {
-                    if ctx.sleep(secs(0.05)).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-        let _ = orb.serve_forever(ctx, &poa);
+        let service = ftproxy::CheckpointService::in_memory();
+        let _ = ftproxy::run_checkpoint_service(ctx, h0, service, None);
     });
     for &h in &hosts[1..] {
         sim.spawn(h, format!("worker-{h}"), move |ctx| {

@@ -166,9 +166,7 @@ pub fn run_worker_server_obs(
     obs: Option<obs::Obs>,
 ) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
-    if let Some(sink) = obs {
-        orb.set_obs(obs::ProcessObs::new(sink, ctx));
-    }
+    orb.set_obs(obs::ProcessObs::from_sink(obs, ctx));
     orb.listen(ctx)?;
     let poa = Poa::new();
     let servant = Rc::new(RefCell::new(WorkerSkeleton(WorkerServant::new(costs))));

@@ -270,7 +270,7 @@ pub struct Orb {
     /// Round-trip history per endpoint that has ever replied.
     rtt: BTreeMap<(HostId, Port), Rtt>,
     stats: OrbStats,
-    obs: Option<ProcessObs>,
+    obs: ProcessObs,
 }
 
 pub(crate) enum Outcome {
@@ -293,7 +293,7 @@ impl Orb {
             alive: BTreeSet::new(),
             rtt: BTreeMap::new(),
             stats: OrbStats::default(),
-            obs: None,
+            obs: ProcessObs::default(),
         }
     }
 
@@ -318,19 +318,21 @@ impl Orb {
         self.replies.len()
     }
 
-    /// Attach an observability handle, replacing any earlier one. With it
-    /// the ORB propagates spans over the wire — a request carries the
-    /// current span as a [`TRACE_CONTEXT_ID`] service context, and each
-    /// served request is a `serve:{operation}` span under its caller's —
-    /// and records its own metrics (invoke latency, timeouts, RSTs).
+    /// Replace the observability handle (a new ORB's records nothing).
+    /// With a sink the ORB propagates spans over the wire — a request
+    /// carries the current span as a [`TRACE_CONTEXT_ID`] service context,
+    /// and each served request is a `serve:{operation}` span under its
+    /// caller's — and records its own metrics (invoke latency, timeouts,
+    /// RSTs).
     pub fn set_obs(&mut self, po: ProcessObs) {
-        self.obs = Some(po);
+        self.obs = po;
     }
 
-    /// The attached observability handle, if any. Application code above
-    /// the ORB (naming, FT proxies, managers) records through this.
-    pub fn obs(&self) -> Option<&ProcessObs> {
-        self.obs.as_ref()
+    /// The observability handle. Application code above the ORB (naming,
+    /// FT proxies, managers) records through this; without a sink it
+    /// records nothing.
+    pub fn obs(&self) -> &ProcessObs {
+        &self.obs
     }
 
     // ------------------------------------------------------------------
@@ -419,13 +421,12 @@ impl Orb {
                 // Demarshal cost for the request body.
                 ctx.compute(self.cfg.cost.step(body.len()))?;
                 self.stats.requests_served += 1;
-                if let Some(o) = &self.obs {
-                    let parent = service_contexts
-                        .iter()
-                        .find(|sc| sc.id == TRACE_CONTEXT_ID)
-                        .and_then(|sc| SpanContext::from_bytes(&sc.data));
-                    o.begin_remote(ctx.now(), &format!("serve:{operation}"), parent);
-                }
+                let parent = service_contexts
+                    .iter()
+                    .find(|sc| sc.id == TRACE_CONTEXT_ID)
+                    .and_then(|sc| SpanContext::from_bytes(&sc.data));
+                self.obs
+                    .begin_remote(ctx.now(), format_args!("serve:{operation}"), parent);
                 let result = match poa.lookup(object_key) {
                     None => Err(Exception::System(SystemException::object_not_exist(
                         format!("{object_key:?}"),
@@ -458,12 +459,7 @@ impl Orb {
                     ctx.compute(self.cfg.cost.step(frame.len()))?;
                     ctx.send(Addr::Pid(from), frame)?;
                 }
-                if let Some(o) = &self.obs {
-                    if !ok {
-                        o.tag("ok", "false");
-                    }
-                    o.end(ctx.now());
-                }
+                self.obs.finish(ctx.now(), ok);
                 Ok(())
             }
             Message::LocateRequest {
@@ -525,9 +521,8 @@ impl Orb {
     ) -> SimResult<Result<Body, Exception>> {
         let start = ctx.now();
         let out = self.invoke_forwarding(ctx, ior, operation, args, timeout)?;
-        if let Some(o) = &self.obs {
-            o.observe("orb.invoke_ns", ctx.now().since(start).as_nanos());
-        }
+        self.obs
+            .observe("orb.invoke_ns", ctx.now().since(start).as_nanos());
         Ok(out)
     }
 
@@ -581,7 +576,7 @@ impl Orb {
         let req_id = self.next_req;
         self.next_req += 1;
         // The span this request is made under rides on its frame.
-        let service_contexts = match self.obs.as_ref().and_then(ProcessObs::current) {
+        let service_contexts = match self.obs.current() {
             Some(cur) => vec![ServiceContext {
                 id: TRACE_CONTEXT_ID,
                 data: cur.to_bytes(),
@@ -679,9 +674,7 @@ impl Orb {
         };
         ctx.probe(endpoint.0, endpoint.1)?;
         self.stats.probes_sent += 1;
-        if let Some(o) = &self.obs {
-            o.counter_add("orb.probes", 1);
-        }
+        self.obs.counter_add("orb.probes", 1);
         let until = now + rtt.probe_wait(probes);
         s.round = Some((probes + 1, until));
         Ok(Some(until))
@@ -726,11 +719,9 @@ impl Orb {
     fn fail_pending(&mut self, req_id: u64, why: Failure) -> Outcome {
         self.pending.remove(&req_id);
         self.stats.comm_failures += 1;
-        if let Some(o) = &self.obs {
-            o.counter_add("orb.comm_failures", 1);
-            if let Some(counter) = why.counter() {
-                o.counter_add(counter, 1);
-            }
+        self.obs.counter_add("orb.comm_failures", 1);
+        if let Some(counter) = why.counter() {
+            self.obs.counter_add(counter, 1);
         }
         Outcome::Done(Err(Exception::System(SystemException::comm_failure(
             why.detail(),
@@ -794,9 +785,7 @@ impl Orb {
     fn stash_reply(&mut self, now: SimTime, request_id: u64, outcome: Outcome) {
         let Some(p) = self.pending.get(&request_id) else {
             self.stats.late_replies += 1;
-            if let Some(o) = &self.obs {
-                o.counter_add("orb.late_replies", 1);
-            }
+            self.obs.counter_add("orb.late_replies", 1);
             return;
         };
         let sample = now.since(p.sent).as_nanos();

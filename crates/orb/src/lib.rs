@@ -14,8 +14,9 @@
 //! * System exceptions, most importantly `COMM_FAILURE` — the paper's sole
 //!   client-side failure signal, raised here on RST (dead server process)
 //!   or timeout (crashed host / partition).
-//! * Causal trace propagation through one [`obs::ProcessObs`] per ORB
-//!   ([`Orb::set_obs`]), and per-call CPU cost modelling ([`CostModel`])
+//! * Causal trace propagation through the one [`obs::ProcessObs`] every
+//!   ORB holds (without a sink until [`Orb::set_obs`] gives it one), and
+//!   per-call CPU cost modelling ([`CostModel`])
 //!   so experiments see realistic constant per-call overhead.
 
 mod core;

@@ -573,11 +573,17 @@ fn a_request_carries_its_callers_span_and_is_served_under_it() {
         orb.invoke_oneway(ctx, &tap, "add", &(1.0, 2.0)).unwrap();
         po.end(ctx.now());
         // Requests 3 of the traced ORB, made under no span, and 1 of an
-        // ORB with no handle at all.
+        // ORB whose handle has no sink, made inside a span it was asked
+        // to open.
         orb.invoke_oneway(ctx, &tap, "add", &(1.0, 2.0)).unwrap();
-        Orb::init(ctx)
+        let no_sink = obs::ProcessObs::from_sink(None, ctx);
+        let mut unobserved = Orb::init(ctx);
+        unobserved.set_obs(no_sink.clone());
+        no_sink.begin(ctx.now(), "unrecorded");
+        unobserved
             .invoke_oneway(ctx, &tap, "add", &(1.0, 2.0))
             .unwrap();
+        no_sink.end(ctx.now());
         ctx.sleep(secs(0.01)).unwrap();
     });
     sim.run_until_exit(client);
@@ -589,7 +595,7 @@ fn a_request_carries_its_callers_span_and_is_served_under_it() {
     assert_eq!(under, (call.trace_id, Some(call.span_id), 1));
 
     let frames = frames.lock().unwrap().clone();
-    let [traced, no_span, no_handle] = &frames[..] else {
+    let [traced, no_span, no_sink] = &frames[..] else {
         panic!("the tap got {} frames", frames.len());
     };
     let Ok(Message::Request {
@@ -609,7 +615,8 @@ fn a_request_carries_its_callers_span_and_is_served_under_it() {
     assert_eq!(carried, Some(span));
     let bare = |id| Message::encode_call(id, false, ObjectKey(1), "add", &(1.0, 2.0), &[]);
     assert_eq!(*no_span, bare(3));
-    assert_eq!(*no_handle, bare(1));
+    assert_eq!(*no_sink, bare(1));
+    assert_eq!(sink.spans().len(), 2, "only `call` and `serve:add`");
 }
 
 #[test]

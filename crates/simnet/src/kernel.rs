@@ -14,6 +14,11 @@
 //! until a process is due: if it is the caller itself it takes its resume
 //! and returns, otherwise it stores that process's resume, `unpark`s its
 //! thread and `park`s — the only OS thread switch the simulator makes.
+//! Two types carry the hand-over: `Resume`, what a syscall returns, and
+//! `Turn`, what the caller's thread does next (run on with a `Resume`, or
+//! wake another thread and wait). `handle_syscall` answers `Some(Resume)`
+//! or `None` (the caller blocked or is gone); `advance` answers the next
+//! process with its `Resume`, or `None` when the baton goes to main.
 //!
 //! Main gets the baton back when something only main may do is due: the
 //! run's stop rule is reached, a process panicked or `max_events` tripped
@@ -338,16 +343,6 @@ pub(crate) enum Turn {
     Wait(Option<Thread>),
 }
 
-/// What the scheduler loop came to.
-enum Next {
-    /// This process is due (it is now `Core::running`); hand it the resume.
-    Run(Pid, Resume),
-    /// Something only the driver thread may do is due.
-    Main,
-    /// The stop rule, the deadline or an empty queue was reached.
-    Stop,
-}
-
 /// A structured process/host lifecycle or fault event. Each is emitted
 /// once, to the event hook; its `Display` rendering (`spawn p0 name on
 /// h0`, `kill p0`, `crash h1`, `partition h0-h1 cut`, ...) is the textual
@@ -614,12 +609,6 @@ fn syscall_op(sc: &Syscall) -> &'static str {
     }
 }
 
-enum Flow {
-    Reply(Resume),
-    Block,
-    Exited,
-}
-
 impl Kernel {
     /// Create a kernel with the given configuration.
     pub fn new(cfg: KernelConfig) -> Self {
@@ -863,24 +852,13 @@ impl Kernel {
         core.main_drives = self.profile_hook.is_some();
         let hook = &mut self.profile_hook;
         loop {
-            if let Some((pid, msg)) = core.panicked.take() {
-                let name = &core.procs[pid.0 as usize].name;
-                // ldft-lint: allow(P1, by design: re-raises a sim-process panic on the driver thread so bugs fail the run instead of vanishing with one thread; re-audited 2026-08 — the kernel driver is host-side test harness and P1's exception contract does not apply, expiry 2027-06)
-                panic!("simulated process {pid} ({name}) panicked: {msg}");
-            }
-            if core.runaway {
-                // ldft-lint: allow(P1, by design: explicit runaway-loop guard; stopping silently would report results from a truncated run; re-audited 2026-08 — a Result return would let callers ignore a truncated run, expiry 2027-06)
-                panic!(
-                    "simnet: exceeded max_events={} at {:?} — runaway event loop?",
-                    core.cfg.max_events, core.now
-                );
-            }
+            core.reraise();
             if let (Some(pid), Some(sc)) = (core.running, core.posted.take()) {
                 let op = syscall_op(&sc);
                 mark(hook, ProfileMark::OpBegin(op));
                 match core.handle_syscall(pid, sc) {
-                    Flow::Reply(r) => core.resume = Some(r),
-                    Flow::Block | Flow::Exited => core.running = None,
+                    Some(r) => core.resume = Some(r),
+                    None => core.running = None,
                 }
                 mark(hook, ProfileMark::OpEnd(op));
                 continue;
@@ -888,12 +866,16 @@ impl Kernel {
             let pid = match core.running {
                 Some(pid) => pid, // mid-body: main just served its syscall
                 None => match core.advance(&shared, None, hook) {
-                    Next::Run(pid, resume) => {
+                    Some((pid, resume)) => {
                         core.resume = Some(resume);
                         pid
                     }
-                    Next::Main => continue,
-                    Next::Stop => break,
+                    None => {
+                        // On this thread the loop stops for a panic or a
+                        // runaway, or at the stop rule.
+                        core.reraise();
+                        break;
+                    }
                 },
             };
             mark(hook, ProfileMark::OpBegin("sched.handoff"));
@@ -954,6 +936,23 @@ impl Core {
         pid
     }
 
+    /// Re-raise on the driver thread what must fail the run: a process's
+    /// panic, or the `max_events` guard.
+    fn reraise(&mut self) {
+        if let Some((pid, msg)) = self.panicked.take() {
+            let name = &self.procs[pid.0 as usize].name;
+            // ldft-lint: allow(P1, by design: re-raises a sim-process panic on the driver thread so bugs fail the run instead of vanishing with one thread; re-audited 2026-08 — the kernel driver is host-side test harness and P1's exception contract does not apply, expiry 2027-06)
+            panic!("simulated process {pid} ({name}) panicked: {msg}");
+        }
+        if self.runaway {
+            // ldft-lint: allow(P1, by design: explicit runaway-loop guard; stopping silently would report results from a truncated run; re-audited 2026-08 — a Result return would let callers ignore a truncated run, expiry 2027-06)
+            panic!(
+                "simnet: exceeded max_events={} at {:?} — runaway event loop?",
+                self.cfg.max_events, self.now
+            );
+        }
+    }
+
     fn proc_dead(&self, pid: Pid) -> bool {
         self.procs
             .get(pid.0 as usize)
@@ -964,46 +963,44 @@ impl Core {
     // The scheduler loop and the baton
     // ------------------------------------------------------------------
 
-    /// Step the scheduler loop until a process is due or the run stops.
-    /// `me` is the process whose thread is stepping (`None` on the driver
-    /// thread, which alone brings the profile hook, if one is set); it also
-    /// stops, for main to take over, once something only main may do is
-    /// due. Main re-enters here and decides the same from the same state.
+    /// Step the scheduler loop until a process is due: it is now
+    /// `running`, and the caller hands it the returned resume. `None` when
+    /// the baton goes to main instead — the run stops, a process panicked,
+    /// `max_events` tripped, or `me`, the process whose thread is stepping,
+    /// died. (`me` is `None` on the driver thread, which alone brings the
+    /// profile hook, if one is set.) Main re-enters here and decides the
+    /// same from the same state.
     fn advance(
         &mut self,
         shared: &Shared<Core>,
         me: Option<Pid>,
         hook: &mut Option<ProfileHook>,
-    ) -> Next {
+    ) -> Option<(Pid, Resume)> {
         loop {
             let i_died = me.is_some_and(|pid| self.proc_dead(pid));
             if self.panicked.is_some() || i_died {
-                return Next::Main;
+                return None;
             }
             if let Some(pid) = self.next_runnable() {
                 match self.begin_run(pid) {
-                    Some(resume) => return Next::Run(pid, resume),
+                    Some(resume) => return Some((pid, resume)),
                     None => continue,
                 }
             }
             if self.exit_on.is_some_and(|pid| self.proc_dead(pid)) {
-                return Next::Stop;
+                return None;
             }
-            let Some(Reverse(head)) = self.events.peek() else {
-                return Next::Stop;
-            };
+            let Reverse(head) = self.events.peek()?;
             if self.deadline.is_some_and(|d| head.time > d) {
-                return Next::Stop;
+                return None;
             }
-            let Some(ev) = self.next_event() else {
-                return Next::Stop;
-            };
+            let ev = self.next_event()?;
             debug_assert!(ev.time >= self.now, "event in the past");
             self.now = ev.time;
             self.stats.events += 1;
             if self.stats.events > self.cfg.max_events {
                 self.runaway = true;
-                return Next::Main;
+                return None;
             }
             let op = event_op(&ev.kind);
             mark(hook, ProfileMark::OpBegin(op));
@@ -1057,23 +1054,19 @@ impl Core {
             self.posted = Some(sc);
             return Turn::Wait(self.pass_to_main());
         }
-        match self.handle_syscall(pid, sc) {
-            Flow::Reply(r) => return Turn::Go(r),
-            // A dead baton holder must not keep driving.
-            Flow::Exited => self.running = None,
-            Flow::Block => {
-                self.running = None;
-                match self.advance(shared, Some(pid), &mut None) {
-                    Next::Run(next, resume) if next == pid => return Turn::Go(resume),
-                    Next::Run(next, resume) => {
-                        self.resume = Some(resume);
-                        return Turn::Wait(self.pass_to(next));
-                    }
-                    Next::Main | Next::Stop => {}
-                }
-            }
+        if let Some(r) = self.handle_syscall(pid, sc) {
+            return Turn::Go(r);
         }
-        Turn::Wait(self.pass_to_main())
+        // Blocked or gone: step on here (a dead caller only passes to main).
+        self.running = None;
+        match self.advance(shared, Some(pid), &mut None) {
+            Some((next, resume)) if next == pid => Turn::Go(resume),
+            Some((next, resume)) => {
+                self.resume = Some(resume);
+                Turn::Wait(self.pass_to(next))
+            }
+            None => Turn::Wait(self.pass_to_main()),
+        }
     }
 
     /// The kernel's own code panicked on `pid`'s thread, inside its syscall
@@ -1721,7 +1714,10 @@ impl Core {
     // Process execution
     // ------------------------------------------------------------------
 
-    fn handle_syscall(&mut self, pid: Pid, sc: Syscall) -> Flow {
+    /// Serve `pid`'s syscall: what it returns, or `None` when `pid`
+    /// blocked or is gone (it exited, panicked, killed itself or crashed
+    /// its own host).
+    fn handle_syscall(&mut self, pid: Pid, sc: Syscall) -> Option<Resume> {
         let now = self.now;
         match sc {
             Syscall::Sleep(d) => {
@@ -1730,33 +1726,33 @@ impl Core {
                 let epoch = p.timer_epoch;
                 p.status = Status::Blocked(Block::Sleep);
                 self.push_event(now + d, EventKind::Timer { pid, epoch });
-                Flow::Block
+                None
             }
             Syscall::Compute(work) => {
                 let host = self.procs[pid.0 as usize].host;
                 self.hosts[host.0 as usize].add_job(now, pid, work);
                 if let Some(done) = self.complete_alone(pid, host) {
-                    return Flow::Reply(Resume::Done { now: done });
+                    return Some(Resume::Done { now: done });
                 }
                 self.procs[pid.0 as usize].status = Status::Blocked(Block::Compute);
                 self.reschedule_cpu(host);
-                Flow::Block
+                None
             }
             Syscall::Send { to, data } => {
                 self.do_send(pid, to, data);
-                Flow::Reply(Resume::Ok { now })
+                Some(Resume::Ok { now })
             }
             Syscall::Probe { host, port } => {
                 let from_host = self.procs[pid.0 as usize].host;
                 let at = now + self.latency_between(from_host, host);
                 let from = pid;
                 self.push_event(at, EventKind::Probe { from, host, port });
-                Flow::Reply(Resume::Ok { now })
+                Some(Resume::Ok { now })
             }
             Syscall::Recv { timeout } => {
                 let p = &mut self.procs[pid.0 as usize];
                 if let Some(msg) = p.mailbox.pop_front() {
-                    return Flow::Reply(Resume::Msg { now, msg });
+                    return Some(Resume::Msg { now, msg });
                 }
                 p.status = Status::Blocked(Block::Recv);
                 p.timer_epoch += 1;
@@ -1764,21 +1760,18 @@ impl Core {
                     let epoch = p.timer_epoch;
                     self.push_event(now + d, EventKind::Timer { pid, epoch });
                 }
-                Flow::Block
+                None
             }
             Syscall::TryRecv => {
-                let p = &mut self.procs[pid.0 as usize];
-                match p.mailbox.pop_front() {
-                    Some(msg) => Flow::Reply(Resume::Msg { now, msg }),
-                    None => Flow::Reply(Resume::Empty { now }),
-                }
+                let msg = self.procs[pid.0 as usize].mailbox.pop_front();
+                Some(msg.map_or(Resume::Empty { now }, |msg| Resume::Msg { now, msg }))
             }
             Syscall::BindPort => {
                 let host = self.procs[pid.0 as usize].host;
                 let port = self.alloc_port(host);
                 self.port_map.insert((host, port), pid);
                 self.procs[pid.0 as usize].ports.push(port);
-                Flow::Reply(Resume::PortV {
+                Some(Resume::PortV {
                     now,
                     port: Some(port),
                 })
@@ -1790,12 +1783,12 @@ impl Core {
                 {
                     e.insert(pid);
                     self.procs[pid.0 as usize].ports.push(port);
-                    Flow::Reply(Resume::PortV {
+                    Some(Resume::PortV {
                         now,
                         port: Some(port),
                     })
                 } else {
-                    Flow::Reply(Resume::PortV { now, port: None })
+                    Some(Resume::PortV { now, port: None })
                 }
             }
             Syscall::UnbindPort(port) => {
@@ -1804,49 +1797,42 @@ impl Core {
                     self.port_map.remove(&(host, port));
                     self.procs[pid.0 as usize].ports.retain(|&p| p != port);
                 }
-                Flow::Reply(Resume::Ok { now })
+                Some(Resume::Ok { now })
             }
             Syscall::Spawn { host, name, body } => {
                 let child = self.spawn_at(now, host, name, body);
-                Flow::Reply(Resume::PidV { now, pid: child })
+                Some(Resume::PidV { now, pid: child })
             }
+            // A caller that killed itself, or crashed its own host, is gone.
             Syscall::Kill(target) => {
                 self.do_kill(target);
-                if target == pid {
-                    Flow::Exited
-                } else {
-                    Flow::Reply(Resume::Ok { now })
-                }
+                (target != pid).then_some(Resume::Ok { now })
             }
             Syscall::CrashHost(h) => {
                 let self_host = self.procs[pid.0 as usize].host;
                 self.do_crash_host(h);
-                if self_host == h {
-                    Flow::Exited
-                } else {
-                    Flow::Reply(Resume::Ok { now })
-                }
+                (self_host != h).then_some(Resume::Ok { now })
             }
             Syscall::RestartHost(h) => {
                 self.apply_fault(Fault::RestartHost(h));
-                Flow::Reply(Resume::Ok { now })
+                Some(Resume::Ok { now })
             }
             Syscall::HostInfo(h) => {
                 let snap = self.hosts.get_mut(h.0 as usize).map(|hs| hs.snapshot(now));
-                Flow::Reply(Resume::Host { now, snap })
+                Some(Resume::Host { now, snap })
             }
             Syscall::Partition { a, b, blocked } => {
                 self.apply_fault(Fault::Partition(a, b, blocked));
-                Flow::Reply(Resume::Ok { now })
+                Some(Resume::Ok { now })
             }
             Syscall::Exit => {
                 self.finish_process(pid);
-                Flow::Exited
+                None
             }
             Syscall::Panicked(msg) => {
                 self.finish_process(pid);
                 self.panicked = Some((pid, msg));
-                Flow::Exited
+                None
             }
         }
     }

@@ -427,43 +427,27 @@ impl StoreReplica {
             });
             return Ok(());
         }
-        let po = call.orb.obs().cloned();
-        if let Some(o) = &po {
-            o.begin(call.ctx.now(), "store.replicate");
-            o.tag("op", fanout.op());
-        }
+        let o = call.orb.obs().clone();
+        o.begin(call.ctx.now(), "store.replicate");
+        o.tag("op", fanout.op());
         let mut acks = 1usize; // the coordinator's local apply
         for peer in peers.iter() {
             match fanout.deliver(peer, call.orb, call.ctx, revision, &body) {
                 Ok(Ok(())) => {
                     acks += 1;
-                    if let Some(o) = &po {
-                        o.counter_add("store.repl_acks", 1);
-                    }
+                    o.counter_add("store.repl_acks", 1);
                 }
-                Ok(Err(_dead_or_slow_peer)) => {
-                    // The detector (or a client's retarget) will evict the
-                    // peer; until then the quorum check below decides.
-                    if let Some(o) = &po {
-                        o.counter_add("store.repl_failures", 1);
-                    }
-                }
+                // The detector (or a client's retarget) will evict the
+                // peer; until then the quorum check below decides.
+                Ok(Err(_dead_or_slow_peer)) => o.counter_add("store.repl_failures", 1),
                 Err(_killed) => {
-                    if let Some(o) = &po {
-                        o.tag("ok", "false");
-                        o.end(call.ctx.now());
-                    }
+                    o.finish(call.ctx.now(), false);
                     return Err(killed());
                 }
             }
         }
         let ok = acks >= w_eff;
-        if let Some(o) = &po {
-            if !ok {
-                o.tag("ok", "false");
-            }
-            o.end(call.ctx.now());
-        }
+        o.finish(call.ctx.now(), ok);
         self.emit(call, || EventBody::QuorumWrite {
             object: object.to_string(),
             epoch,
@@ -475,9 +459,7 @@ impl StoreReplica {
             Ok(())
         } else {
             self.quorum_failures += 1;
-            if let Some(o) = &po {
-                o.counter_add("store.quorum_failures", 1);
-            }
+            o.counter_add("store.quorum_failures", 1);
             Err(Exception::System(SystemException::transient(format!(
                 "replication quorum not reached: {acks}/{w_eff} acks (view {view_size})"
             ))))
@@ -655,10 +637,9 @@ impl Store::Replication for StoreReplica {
 
     fn gc(&mut self, call: &mut CallCtx<'_>) -> Result<(u64, u64), Exception> {
         let (e, c) = self.compact();
-        if let Some(o) = call.orb.obs().cloned() {
-            o.counter_add("store.gc_epochs", e);
-            o.counter_add("store.gc_chunks", c);
-        }
+        let o = call.orb.obs();
+        o.counter_add("store.gc_epochs", e);
+        o.counter_add("store.gc_chunks", c);
         Ok((e, c))
     }
 
@@ -677,9 +658,7 @@ pub fn run_store_replica(
     sink: Option<obs::Obs>,
 ) -> SimResult<()> {
     let mut orb = orb::Orb::init(ctx);
-    if let Some(s) = sink {
-        orb.set_obs(obs::ProcessObs::new(s, ctx));
-    }
+    orb.set_obs(obs::ProcessObs::from_sink(sink, ctx));
     orb.listen(ctx)?;
     let poa = orb::Poa::new();
     let replica = StoreReplica::new(cfg, naming_host);

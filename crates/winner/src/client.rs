@@ -64,9 +64,7 @@ pub fn run_system_manager_obs(
     publish: impl FnOnce(Ior),
 ) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
-    if let Some(sink) = obs {
-        orb.set_obs(obs::ProcessObs::new(sink, ctx));
-    }
+    orb.set_obs(obs::ProcessObs::from_sink(obs, ctx));
     orb.listen(ctx)?;
     let poa = orb::Poa::new();
     let manager = SystemManager::new(cfg, policy);

@@ -216,13 +216,12 @@ impl SystemManager {
 impl Winner::SystemManager for SystemManager {
     fn report(&mut self, call: &mut CallCtx<'_>, load: LoadReport) -> Result<(), Exception> {
         let outcome = self.ingest(call.ctx.now(), load);
-        if let Some(o) = call.orb.obs().cloned() {
-            o.counter_add("winner.reports", 1);
-            match outcome {
-                ReportOutcome::Accepted => {}
-                ReportOutcome::StaleSeq => o.counter_add("winner.stale_reports", 1),
-                ReportOutcome::SkewQuarantined => o.counter_add("winner.skewed_reports", 1),
-            }
+        let o = call.orb.obs();
+        o.counter_add("winner.reports", 1);
+        match outcome {
+            ReportOutcome::Accepted => {}
+            ReportOutcome::StaleSeq => o.counter_add("winner.stale_reports", 1),
+            ReportOutcome::SkewQuarantined => o.counter_add("winner.skewed_reports", 1),
         }
         Ok(())
     }
@@ -235,25 +234,28 @@ impl Winner::SystemManager for SystemManager {
     ) -> Result<(bool, u32), Exception> {
         let now = call.ctx.now();
         let pick = self.select_at(now, &req.candidates);
-        if let Some(o) = call.orb.obs().cloned() {
-            o.counter_add("winner.selections", 1);
-            match pick {
-                Some(host) => {
-                    if let Some(rec) = self.hosts.get(&host) {
-                        // How old the winning report was: the
-                        // staleness the placement decision acted on.
-                        o.observe("winner.report_age_ns", now.since(rec.last_seen).as_nanos());
-                        // Reservations already on the winner beyond
-                        // the one select_at() just pushed: back-to-back
-                        // placements landing on the same host.
-                        let hits = rec.reservations.len().saturating_sub(1) as u64;
-                        if hits > 0 {
-                            o.counter_add("winner.reservation_hits", hits);
-                        }
+        let o = call.orb.obs();
+        o.counter_add("winner.selections", 1);
+        match pick {
+            Some(host) => {
+                if let Some(rec) = self.hosts.get(&host) {
+                    // How old the winning report was: the staleness the
+                    // placement decision acted on.
+                    o.observe("winner.report_age_ns", now.since(rec.last_seen).as_nanos());
+                    // Reservations already on the winner beyond the one
+                    // select_at() just pushed: back-to-back placements
+                    // landing on the same host.
+                    let hits = rec.reservations.len().saturating_sub(1) as u64;
+                    if hits > 0 {
+                        o.counter_add("winner.reservation_hits", hits);
                     }
                 }
-                None => o.counter_add("winner.select_misses", 1),
             }
+            None => o.counter_add("winner.select_misses", 1),
+        }
+        // Counting live hosts prunes reservations: only a recorded gauge
+        // is worth that work.
+        if o.recording() {
             o.gauge_set("winner.alive_hosts", self.alive_hosts(now) as f64);
         }
         if let (Some(mon), Some((chosen, chosen_m, min_m))) =

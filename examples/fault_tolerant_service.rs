@@ -9,9 +9,10 @@ use std::rc::Rc;
 
 use cosnaming::{LbMode, Name, NamingClient};
 use ftproxy::{
-    run_factory_obs, CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, ProxyEnv,
+    run_checkpoint_service, run_factory_obs, CheckpointClient, CheckpointMode, FtProxy,
+    FtProxyConfig, ProxyEnv,
 };
-use orb::{reply, CallCtx, Exception, Orb, Poa, Servant, SystemException};
+use orb::{reply, CallCtx, Exception, Orb, Servant, SystemException};
 use simnet::{HostConfig, Kernel, SimDuration};
 
 /// A stateful accumulator implementing the checkpoint convention.
@@ -64,25 +65,8 @@ fn main() {
         let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     sim.spawn(infra, "checkpoint-service", move |ctx| {
-        let mut orb = Orb::init(ctx);
-        orb.listen(ctx).unwrap();
-        let poa = Poa::new();
-        let key = poa.activate(
-            ftproxy::CHECKPOINT_SERVICE_TYPE,
-            Rc::new(RefCell::new(ftproxy::CheckpointServiceSkeleton(
-                ftproxy::CheckpointService::in_memory(),
-            ))),
-        );
-        let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
-        let ns = NamingClient::root(infra);
-        loop {
-            match ns.rebind(&mut orb, ctx, &Name::simple("CheckpointService"), &ior) {
-                Ok(Ok(())) => break,
-                Ok(Err(_)) => ctx.sleep(SimDuration::from_millis(50)).unwrap(),
-                Err(_) => return,
-            }
-        }
-        let _ = orb.serve_forever(ctx, &poa);
+        let service = ftproxy::CheckpointService::in_memory();
+        let _ = run_checkpoint_service(ctx, infra, service, None);
     });
 
     // Factories on the worker hosts can (re)create Account instances.

@@ -121,7 +121,6 @@ fn crash_cell() -> ExperimentSpec {
         mode: ftproxy::CheckpointMode::Bulk,
         checkpoint_every: 1,
         max_recoveries: 6,
-        ..FtSettings::default()
     });
     spec.crash = Some(CrashPlan {
         after: SimDuration::from_millis(600),
@@ -202,7 +201,6 @@ fn host_restart_is_survivable() {
         mode: ftproxy::CheckpointMode::Bulk,
         checkpoint_every: 1,
         max_recoveries: 6,
-        ..FtSettings::default()
     });
     spec.crash = Some(CrashPlan {
         after: SimDuration::from_millis(300),

@@ -605,25 +605,8 @@ fn generated_ft_proxy_recovers_from_a_crash() {
     });
     // Checkpoint service, registered under the well-known name.
     sim.spawn(h0, "ckpt", move |ctx| {
-        let mut orb = Orb::init(ctx);
-        orb.listen(ctx).unwrap();
-        let poa = Poa::new();
-        let key = poa.activate(
-            ftproxy::CHECKPOINT_SERVICE_TYPE,
-            Rc::new(RefCell::new(ftproxy::CheckpointServiceSkeleton(
-                ftproxy::CheckpointService::in_memory(),
-            ))),
-        );
-        let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
-        let ns = NamingClient::root(h0);
-        loop {
-            match ns.rebind(&mut orb, ctx, &Name::simple("CheckpointService"), &ior) {
-                Ok(Ok(())) => break,
-                Ok(Err(_)) => ctx.sleep(SimDuration::from_millis(50)).unwrap(),
-                Err(_) => return,
-            }
-        }
-        let _ = orb.serve_forever(ctx, &poa);
+        let service = ftproxy::CheckpointService::in_memory();
+        let _ = ftproxy::run_checkpoint_service(ctx, h0, service, None);
     });
     // Factories on both worker hosts, able to build generated skeletons.
     for &h in &hosts[1..] {

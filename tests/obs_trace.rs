@@ -7,9 +7,6 @@
 //! `determinism_trace.rs`: traces are only trustworthy evidence if they
 //! are reproducible.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use cosnaming::{LbMode, Name, NamingClient};
 use ftproxy::{
     CheckpointClient, CheckpointService, FtProxy, FtProxyConfig, MemBackend, ProxyEnv, StoreCosts,
@@ -17,41 +14,10 @@ use ftproxy::{
 use obs::{Obs, ProcessObs};
 use optim::{worker_builder, worker_group, WorkerCosts, WorkerFtProxy, WORKER_SERVICE_TYPE};
 use orb::{Orb, OrbConfig};
-use simnet::{Ctx, HostConfig, Kernel, SimDuration};
+use simnet::{HostConfig, Kernel, SimDuration};
 
 fn secs(s: f64) -> SimDuration {
     SimDuration::from_secs_f64(s)
-}
-
-/// Serve a checkpoint service registered under its well-known name (the
-/// same policy `corba-runtime`'s cluster boot applies).
-fn serve_checkpoints(ctx: &mut Ctx, service: CheckpointService, sink: Obs) {
-    let naming_host = ctx.host();
-    let mut orb = Orb::init(ctx);
-    orb.set_obs(ProcessObs::new(sink, ctx));
-    if orb.listen(ctx).is_err() {
-        return;
-    }
-    let poa = orb::Poa::new();
-    let key = poa.activate(
-        ftproxy::CHECKPOINT_SERVICE_TYPE,
-        Rc::new(RefCell::new(ftproxy::CheckpointServiceSkeleton(service))),
-    );
-    let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
-    let ns = NamingClient::root(naming_host);
-    let name = Name::simple(ftproxy::CHECKPOINT_SERVICE_NAME);
-    loop {
-        match ns.rebind(&mut orb, ctx, &name, &ior) {
-            Ok(Ok(())) => break,
-            Ok(Err(_)) => {
-                if ctx.sleep(secs(0.05)).is_err() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-    let _ = orb.serve_forever(ctx, &poa);
 }
 
 /// Boot a minimal assembled bed — naming + checkpoint service on host 0,
@@ -77,7 +43,7 @@ fn run_crash_recovery_cell(seed: u64) -> Obs {
     let obs = sink.clone();
     sim.spawn(h0, "ckpt-svc", move |ctx| {
         let service = CheckpointService::new(Box::new(MemBackend::new()), StoreCosts::default());
-        serve_checkpoints(ctx, service, obs);
+        let _ = ftproxy::run_checkpoint_service(ctx, h0, service, Some(obs));
     });
     let obs = sink.clone();
     sim.spawn(hosts[1], "opt-worker", move |ctx| {

@@ -25,7 +25,6 @@ fn failover_spec(store_replicas: usize) -> ExperimentSpec {
         mode: ftproxy::CheckpointMode::Bulk,
         checkpoint_every: 1,
         max_recoveries: 6,
-        ..FtSettings::default()
     });
     spec.request_timeout = SimDuration::from_secs(2);
     spec.store_replicas = store_replicas;
