@@ -12,7 +12,7 @@
 //! * one **optimization worker** server per worker host, registered in
 //!   the `Workers` group.
 
-use ftproxy::{run_checkpoint_service, run_factory_obs, CheckpointService, StoreCosts};
+use ftproxy::run_factory_obs;
 use obs::Obs;
 use optim::{run_worker_server_obs, worker_builder, WorkerCosts};
 use orb::Ior;
@@ -74,8 +74,6 @@ pub struct ClusterConfig {
     pub worker_hosts: Vec<usize>,
     /// Worker CPU cost model.
     pub worker_costs: WorkerCosts,
-    /// Checkpoint store cost model.
-    pub store_costs: StoreCosts,
     /// Checkpoint store replication factor. 1 = the paper's deployment
     /// (one service on the infra host, plain `rebind`); ≥ 2 = that many
     /// [`store::StoreReplica`]s behind the same name on distinct hosts,
@@ -85,9 +83,8 @@ pub struct ClusterConfig {
     /// Empty = automatic placement on the highest-numbered hosts (they are
     /// never the infra host, and load is typically spread from the front).
     pub store_hosts: Vec<usize>,
-    /// Replication tuning for the replicated store (quorum, retention,
-    /// detector cadence). Its cost model is overridden by `store_costs`
-    /// so both deployments share one knob.
+    /// The checkpoint store's configuration: its cost model (for both
+    /// deployments), and quorum, retention and detector cadence.
     pub store: store::StoreConfig,
     /// Winner node-manager report interval.
     pub report_interval: SimDuration,
@@ -109,7 +106,6 @@ impl Default for ClusterConfig {
             naming: NamingMode::Winner,
             worker_hosts: Vec::new(),
             worker_costs: WorkerCosts::default(),
-            store_costs: StoreCosts::default(),
             store_replicas: 1,
             store_hosts: Vec::new(),
             store: store::StoreConfig::default(),
@@ -274,17 +270,19 @@ impl Cluster {
                     .collect()
             };
             let mut scfg = config.store.clone();
-            scfg.costs = config.store_costs;
             scfg.monitor = monitor_handle.clone();
             store::spawn_replicated_store(&mut kernel, &chosen, infra, scfg, Some(obs.clone()));
             chosen
         } else {
-            let store_costs = config.store_costs;
+            // The paper's deployment: one replica alone, with no monitor
+            // and no detector.
+            let scfg = store::StoreConfig {
+                monitor: None,
+                ..config.store.clone()
+            };
             let sink = obs.clone();
             kernel.spawn(infra, "checkpoint-service", move |ctx| {
-                let service =
-                    CheckpointService::new(Box::new(ftproxy::MemBackend::new()), store_costs);
-                let _ = run_checkpoint_service(ctx, infra, service, Some(sink));
+                let _ = store::run_checkpoint_service(ctx, infra, scfg, Some(sink));
             });
             vec![infra]
         };

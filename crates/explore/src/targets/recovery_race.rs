@@ -20,8 +20,8 @@ use std::rc::Rc;
 
 use cosnaming::{LbMode, Name, NamingClient};
 use ftproxy::{
-    run_factory_obs, CheckpointClient, CheckpointMode, CheckpointService, FtProxy, FtProxyConfig,
-    FtProxyStats, ProxyEnv, ServantBuilder, CHECKPOINT_SERVICE_TYPE,
+    run_factory_obs, CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, FtProxyStats,
+    ProxyEnv, ServantBuilder, CHECKPOINT_SERVICE_TYPE,
 };
 use monitor::{MonitorConfig, MonitorHandle};
 use orb::{reply, CallCtx, Exception, Orb, OrbConfig, Servant, SystemException};
@@ -121,7 +121,7 @@ fn serve_ckpt(ctx: &mut Ctx, naming_host: HostId) -> SimResult<()> {
     let key = poa.activate(
         CHECKPOINT_SERVICE_TYPE,
         Rc::new(RefCell::new(ftproxy::CheckpointServiceSkeleton(
-            CheckpointService::in_memory(),
+            store::StoreReplica::alone(store::StoreConfig::default()),
         ))),
     );
     let ior = orb.ior(CHECKPOINT_SERVICE_TYPE, key);

@@ -13,7 +13,7 @@ use crate::detector::{run_detector_obs, DetectorConfig, DetectorStats};
 use crate::factory::{factory_name, FactoryClient};
 use crate::proxy::{CheckpointMode, FtProxy, FtProxyConfig, ProxyEnv};
 use crate::request_proxy::FtRequest;
-use crate::service::{CheckpointClient, CheckpointService};
+use crate::service::CheckpointClient;
 
 type Cell<T> = Arc<Mutex<T>>;
 
@@ -129,7 +129,7 @@ impl StoreProbe {
 
 /// The checkpoint service behind a [`StoreProbe`].
 struct ProbedStore {
-    inner: crate::CheckpointServiceSkeleton<CheckpointService>,
+    inner: store::ReplicationSkeleton<store::StoreReplica>,
     probe: StoreProbe,
 }
 
@@ -157,7 +157,7 @@ impl Servant for ProbedStore {
 }
 
 /// Spawn the checkpoint service and register it under "CheckpointService":
-/// [`crate::run_checkpoint_service`], but serving a servant `probe` watches.
+/// `store::run_checkpoint_service`, but serving a servant `probe` watches.
 fn spawn_ckpt_obs(sim: &mut Kernel, host: HostId, obs: Option<obs::Obs>, probe: StoreProbe) {
     sim.spawn(host, "ckpt-svc", move |ctx| {
         let mut orb = Orb::init(ctx);
@@ -167,7 +167,9 @@ fn spawn_ckpt_obs(sim: &mut Kernel, host: HostId, obs: Option<obs::Obs>, probe: 
         let key = poa.activate(
             crate::service::CHECKPOINT_SERVICE_TYPE,
             Rc::new(RefCell::new(ProbedStore {
-                inner: crate::CheckpointServiceSkeleton(CheckpointService::in_memory()),
+                inner: store::ReplicationSkeleton(store::StoreReplica::alone(
+                    store::StoreConfig::default(),
+                )),
                 probe,
             })),
         );
@@ -744,67 +746,6 @@ fn checkpoint_service_failure_degrades_gracefully() {
 }
 
 #[test]
-fn disk_backed_checkpoint_service_works_in_sim() {
-    let dir = std::env::temp_dir().join(format!("ft-disk-sim-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut sim = Kernel::with_seed(10);
-    let hosts: Vec<_> = (0..2)
-        .map(|i| sim.add_host(HostConfig::new(format!("ws{i}"))))
-        .collect();
-    let h0 = hosts[0];
-    sim.spawn(h0, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
-    });
-    let dir2 = dir.clone();
-    sim.spawn(h0, "ckpt-disk", move |ctx| {
-        let svc = CheckpointService::new(
-            Box::new(crate::checkpoint::DiskBackend::new(&dir2).unwrap()),
-            crate::service::StoreCosts::default(),
-        );
-        let _ = crate::run_checkpoint_service(ctx, h0, svc, None);
-    });
-    let done = cell::<bool>();
-    let d = done.clone();
-    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
-        ctx.sleep(secs(0.5)).unwrap();
-        let mut orb = Orb::init(ctx);
-        let ckpt = ckpt_client(&mut orb, ctx, h0);
-        let c = crate::checkpoint::Checkpoint {
-            object_id: "disk-test".into(),
-            epoch: cdr::Epoch(3),
-            state: vec![9; 100],
-            stamp_ns: ctx.now().as_nanos(),
-        };
-        ckpt.store(&mut orb, ctx, &c).unwrap().unwrap();
-        let back = ckpt.retrieve(&mut orb, ctx, "disk-test").unwrap().unwrap();
-        assert_eq!(back.unwrap().state, vec![9; 100]);
-        let listed = ckpt.list(&mut orb, ctx).unwrap().unwrap();
-        assert_eq!(listed, vec!["disk-test"]);
-        // Per-value ops over the wire: a stored chunk is countable, and
-        // delete erases the whole object (but leaves "disk-test" alone —
-        // its file is asserted below).
-        ckpt.store_value(&mut orb, ctx, "kv-test", "w0", &cdr::Any::long(7))
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            ckpt.value_count(&mut orb, ctx, "kv-test").unwrap().unwrap(),
-            1
-        );
-        assert!(ckpt.delete(&mut orb, ctx, "kv-test").unwrap().unwrap());
-        assert_eq!(
-            ckpt.value_count(&mut orb, ctx, "kv-test").unwrap().unwrap(),
-            0
-        );
-        *d.lock().unwrap() = true;
-    });
-    sim.run_until_exit(driver);
-    assert!(*done.lock().unwrap());
-    // The checkpoint really is on disk.
-    assert!(dir.join("disk-test.ckpt").exists());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn failed_checkpoint_stays_due_until_it_succeeds() {
     // Regression: a failed checkpoint attempt must not reset the
     // every-k counter. Once a checkpoint is due, each following
@@ -1011,6 +952,49 @@ fn warm_recovery_reads_nothing_a_fresh_proxy_reads_the_store() {
 }
 
 #[test]
+fn a_fresh_proxy_continues_the_epochs_it_finds() {
+    // The replicated store keeps the newest epochs and answers the newest.
+    // A proxy taking over an object restores epoch 5; its own next write
+    // must be epoch 6, or the store trims it at once — and still acks it —
+    // and the proxy after it restores the old epoch 5 again.
+    let mut sim = Kernel::with_seed(23);
+    let hosts: Vec<_> = (0..6)
+        .map(|i| sim.add_host(HostConfig::new(format!("ws{i}"))))
+        .collect();
+    let h0 = hosts[0];
+    sim.spawn(h0, "naming", move |ctx| {
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
+    });
+    store::spawn_replicated_store(
+        &mut sim,
+        &hosts[3..],
+        h0,
+        store::StoreConfig::default(),
+        None,
+    );
+    spawn_factories_obs(&mut sim, &hosts[1..3], h0, None);
+    let out = cell::<Vec<(i64, u64)>>();
+    let o = out.clone();
+    let driver = sim.spawn(h0, "driver", move |ctx| {
+        ctx.sleep(secs(1.0)).unwrap();
+        let mut orb = Orb::init(ctx);
+        let mut env = ProxyEnv { orb: &mut orb, ctx };
+        let mut first = proxy_for(h0, env.orb, env.ctx, CheckpointMode::Bulk);
+        for _ in 0..5 {
+            let _: i64 = first.call(&mut env, "inc", &(1i64,)).unwrap().unwrap();
+        }
+        for delta in [10i64, 100] {
+            let mut fresh = proxy_for(h0, env.orb, env.ctx, CheckpointMode::Bulk);
+            let v: i64 = fresh.call(&mut env, "inc", &(delta,)).unwrap().unwrap();
+            o.lock().unwrap().push((v, fresh.stats.restores));
+        }
+    });
+    sim.run_until_exit(driver);
+    // Each fresh proxy restored what the one before it acked.
+    assert_eq!(*out.lock().unwrap(), vec![(15, 1), (115, 1)]);
+}
+
+#[test]
 fn an_absurd_header_length_starts_a_fresh_proxy_cold() {
     // A per-value header's `len` is only what the store says. Reserved up
     // front, `u64::MAX` overflowed the capacity and 2^62 aborted the
@@ -1201,7 +1185,7 @@ fn run_schedule_obs(
                 call_via(deferred, &mut proxy, &mut env, "inc", &(1i64,))
             }
             Schedule::RestoreRefused => {
-                let torn = crate::checkpoint::Checkpoint {
+                let torn = crate::Checkpoint {
                     object_id: "counter-1".into(),
                     epoch: cdr::Epoch(1),
                     state: vec![0xff],

@@ -5,10 +5,9 @@
 //! compromise to restrict fault tolerance to checkpointing and
 //! restarting". The pieces:
 //!
-//! * [`CheckpointService`] — the paper's "simple service for storing
-//!   checkpointing data", with the in-memory proof-of-concept backend and
-//!   the disk persistence the paper deferred ([`MemBackend`],
-//!   [`DiskBackend`]).
+//! * [`CheckpointClient`] — the client of the paper's "simple service for
+//!   storing checkpointing data" (`FT::CheckpointService`, served by
+//!   `ldft-store`'s `StoreReplica`).
 //! * [`FtProxy`] — the client-side proxy "derived from the stub class":
 //!   checkpoint after each successful call, catch `COMM_FAILURE`, resolve
 //!   a fresh replica through the (load-distributing) naming service or
@@ -19,7 +18,6 @@
 //! * [`run_detector_obs`] — a proactive heartbeat failure detector
 //!   (extension; the paper only detects failures via `COMM_FAILURE`).
 
-pub mod checkpoint;
 pub mod detector;
 pub mod factory;
 pub mod protocol;
@@ -27,22 +25,19 @@ pub mod proxy;
 pub mod request_proxy;
 pub mod service;
 
-pub use checkpoint::{Backend, Checkpoint, DiskBackend, MemBackend};
 pub use detector::{run_detector_obs, DetectorConfig, DetectorStats};
 pub use factory::{
     factory_group, factory_name, run_factory_obs, FactoryClient, ServantBuilder, ServiceFactory,
     FACTORY_TYPE,
 };
+pub use protocol::Checkpoint;
 pub use protocol::FT::{
     self, CheckpointServiceSkeleton, CheckpointServiceStub, ServiceFactorySkeleton,
     ServiceFactoryStub,
 };
 pub use proxy::{CheckpointMode, FtProxy, FtProxyConfig, FtProxyStats, ProxyEnv};
 pub use request_proxy::FtRequest;
-pub use service::{
-    run_checkpoint_service, CheckpointClient, CheckpointService, StoreCosts,
-    CHECKPOINT_SERVICE_NAME, CHECKPOINT_SERVICE_TYPE,
-};
+pub use service::{CheckpointClient, CHECKPOINT_SERVICE_NAME, CHECKPOINT_SERVICE_TYPE};
 
 #[cfg(test)]
 mod ft_tests;

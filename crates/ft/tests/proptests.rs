@@ -1,9 +1,7 @@
-//! Property tests for the fault-tolerance layer: both checkpoint backends
-//! obey the same contract for arbitrary contents, and checkpoints
-//! round-trip through CDR.
+//! Property tests for the fault-tolerance layer: checkpoints round-trip
+//! through CDR.
 
-use cdr::Any;
-use ftproxy::{Backend, Checkpoint, DiskBackend, MemBackend};
+use ftproxy::Checkpoint;
 use proptest::prelude::*;
 
 fn ckpt_strategy() -> impl Strategy<Value = Checkpoint> {
@@ -28,60 +26,5 @@ proptest! {
     fn checkpoint_cdr_round_trip(c in ckpt_strategy()) {
         let back: Checkpoint = cdr::from_bytes(&cdr::to_bytes(&c)).unwrap();
         prop_assert_eq!(c, back);
-    }
-
-    /// Last-write-wins semantics: after any sequence of stores, retrieve
-    /// returns the final checkpoint per object id — identically for the
-    /// in-memory and disk backends.
-    #[test]
-    fn backends_agree_on_store_sequences(ckpts in proptest::collection::vec(ckpt_strategy(), 1..12)) {
-        let dir = std::env::temp_dir().join(format!(
-            "ftprop-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        let mut mem = MemBackend::new();
-        let mut disk = DiskBackend::new(&dir).unwrap();
-        for c in &ckpts {
-            mem.store(c.clone()).unwrap();
-            disk.store(c.clone()).unwrap();
-        }
-        for c in &ckpts {
-            let m = mem.retrieve(&c.object_id).unwrap();
-            let d = disk.retrieve(&c.object_id).unwrap();
-            prop_assert_eq!(&m, &d);
-            // The retrieved value is the LAST store for that id.
-            let expected = ckpts
-                .iter()
-                .rev()
-                .find(|k| k.object_id == c.object_id)
-                .unwrap();
-            prop_assert_eq!(m.as_ref().unwrap(), expected);
-        }
-        prop_assert_eq!(mem.list().unwrap(), disk.list().unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Value stores replace by key, for arbitrary key/value sequences.
-    #[test]
-    fn value_store_replaces_by_key(
-        entries in proptest::collection::vec(("[a-z]{1,4}", any::<i32>()), 1..16),
-    ) {
-        let mut mem = MemBackend::new();
-        for (k, v) in &entries {
-            mem.store_value("obj", k, Any::long(*v)).unwrap();
-        }
-        let mut last: std::collections::HashMap<&str, i32> = Default::default();
-        for (k, v) in &entries {
-            last.insert(k.as_str(), *v);
-        }
-        prop_assert_eq!(mem.value_count("obj").unwrap() as usize, last.len());
-        for (k, v) in last {
-            let got = mem.retrieve_value("obj", k).unwrap().unwrap();
-            prop_assert_eq!(got.as_long(), Some(v));
-        }
     }
 }

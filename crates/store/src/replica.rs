@@ -37,14 +37,21 @@
 //! replica may additionally hold a *newer unacked* epoch (its quorum
 //! failed); restoring it is harmless — the state is a valid snapshot the
 //! client simply did not get confirmation for.
+//!
+//! ## A replica alone
+//!
+//! The paper's deployment is one checkpoint service under a plain
+//! binding: [`StoreReplica::alone`], served by [`run_checkpoint_service`].
+//! It belongs to no group, so its view is always empty — no `group_view`
+//! RPC, no view change — and every write is applied locally and answered
+//! through the solo branch of the quorum path.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use cdr::{Any, Epoch, TypeCode, Value};
 use cosnaming::{Name, NamingClient, NotFound};
-use ftproxy::service::no_checkpoint;
-use ftproxy::{Checkpoint, CHECKPOINT_SERVICE_NAME, FT};
+use ftproxy::{Checkpoint, CHECKPOINT_SERVICE_NAME, CHECKPOINT_SERVICE_TYPE, FT};
 use monitor::EventBody;
 use orb::{CallCtx, Exception, Ior, Orb, SystemException};
 use simnet::{Ctx, HostId, SimResult, SimTime};
@@ -90,6 +97,17 @@ fn killed() -> Exception {
     Exception::System(SystemException::comm_failure("killed"))
 }
 
+/// What `retrieve` answers beside `false` when nothing is stored under
+/// `object_id`.
+fn no_checkpoint(object_id: String) -> Checkpoint {
+    Checkpoint {
+        object_id,
+        epoch: Epoch::ZERO,
+        state: Vec::new(),
+        stamp_ns: 0,
+    }
+}
+
 /// Which `repl_*` operation a coordinated write fans out as.
 #[derive(Clone, Copy)]
 enum Fanout {
@@ -127,10 +145,11 @@ impl Fanout {
 /// One replica of the replicated checkpoint store.
 pub struct StoreReplica {
     cfg: StoreConfig,
-    naming_host: HostId,
-    group: Name,
-    /// This replica's own reference; set by [`run_store_replica`] after
-    /// activation so the view can exclude it.
+    /// The naming service and group name the view is read from; `None`
+    /// for a replica alone, whose view is always empty.
+    group: Option<(HostId, Name)>,
+    /// This replica's own reference; set after activation so the view
+    /// can exclude it.
     pub self_ior: Option<Ior>,
     /// Cached membership view: `(fetched_at, revision, peers)`, each peer
     /// a stub that already carries the replication deadline.
@@ -168,12 +187,25 @@ pub struct StoreReplica {
 }
 
 impl StoreReplica {
-    /// A fresh, empty replica.
+    /// A fresh, empty replica of the `"CheckpointService"` group on
+    /// `naming_host`.
     pub fn new(cfg: StoreConfig, naming_host: HostId) -> Self {
+        Self::with_group(
+            cfg,
+            Some((naming_host, Name::simple(CHECKPOINT_SERVICE_NAME))),
+        )
+    }
+
+    /// A fresh, empty replica with no group: the paper's single checkpoint
+    /// service.
+    pub fn alone(cfg: StoreConfig) -> Self {
+        Self::with_group(cfg, None)
+    }
+
+    fn with_group(cfg: StoreConfig, group: Option<(HostId, Name)>) -> Self {
         StoreReplica {
             cfg,
-            naming_host,
-            group: Name::simple(CHECKPOINT_SERVICE_NAME),
+            group,
             self_ior: None,
             view_cache: None,
             highest_view_revision: 0,
@@ -335,17 +367,21 @@ impl StoreReplica {
     /// members, deduplicated, sorted by `(host, port, key)` for
     /// deterministic fan-out order, and excluding this replica itself.
     /// Cached for `view_ttl` — but a cached view is also discarded early
-    /// when a peer's stamped write has already proven it stale.
+    /// when a peer's stamped write has already proven it stale. A replica
+    /// alone has no peers and asks nobody.
     fn view(&mut self, call: &mut CallCtx<'_>) -> Result<(u64, Rc<[ReplicationStub]>), Exception> {
+        let Some((naming_host, group)) = &self.group else {
+            return Ok((0, Rc::new([])));
+        };
         let now = call.ctx.now();
         if let Some((at, rev, v)) = &self.view_cache {
             if now.since(*at) <= self.cfg.view_ttl && *rev >= self.highest_view_revision {
                 return Ok((*rev, Rc::clone(v)));
             }
         }
-        let ns = NamingClient::root(self.naming_host);
+        let ns = NamingClient::root(*naming_host);
         let (revision, members) = match ns
-            .group_view(call.orb, call.ctx, &self.group)
+            .group_view(call.orb, call.ctx, group)
             .map_err(|_| killed())?
         {
             Ok(rv) => rv,
@@ -402,15 +438,13 @@ impl StoreReplica {
     }
 
     /// Fan a locally applied write out to the peers in the view and
-    /// enforce the quorum. `body` is the client request body as it arrived
-    /// (the in-parameters as the client's stub encoded them); each peer
-    /// gets it as `(view_revision, body)` so replicas can reject a stale
-    /// view.
+    /// enforce the quorum. Each peer gets the client request body as it
+    /// arrived (the in-parameters as the client's stub encoded them) as
+    /// `(view_revision, body)`, so replicas can reject a stale view.
     fn replicate(
         &mut self,
         call: &mut CallCtx<'_>,
         fanout: Fanout,
-        body: Vec<u8>,
         object: &str,
         epoch: Epoch,
     ) -> Result<(), Exception> {
@@ -427,6 +461,7 @@ impl StoreReplica {
             });
             return Ok(());
         }
+        let body = call.args.to_vec();
         let o = call.orb.obs().clone();
         o.begin(call.ctx.now(), "store.replicate");
         o.tag("op", fanout.op());
@@ -512,10 +547,9 @@ impl FT::CheckpointService for StoreReplica {
         self.view(call)?;
         self.compute(call, self.bulk_work(c.state.len()))?;
         self.stores += 1;
-        let body = call.args.to_vec();
         let (object, epoch) = (c.object_id.clone(), c.epoch);
         self.apply_bulk(c);
-        self.replicate(call, Fanout::Store, body, &object, epoch)
+        self.replicate(call, Fanout::Store, &object, epoch)
     }
 
     fn retrieve(
@@ -529,8 +563,7 @@ impl FT::CheckpointService for StoreReplica {
     fn delete(&mut self, call: &mut CallCtx<'_>, object_id: String) -> Result<bool, Exception> {
         self.view(call)?;
         let deleted = self.apply_delete(&object_id);
-        let body = call.args.to_vec();
-        self.replicate(call, Fanout::Delete, body, &object_id, Epoch::ZERO)?;
+        self.replicate(call, Fanout::Delete, &object_id, Epoch::ZERO)?;
         Ok(deleted)
     }
 
@@ -553,9 +586,8 @@ impl FT::CheckpointService for StoreReplica {
         } else {
             Epoch::ZERO
         };
-        let body = call.args.to_vec();
         self.apply_value(&object_id, &key, value);
-        self.replicate(call, Fanout::StoreValue, body, &object_id, epoch)
+        self.replicate(call, Fanout::StoreValue, &object_id, epoch)
     }
 
     fn retrieve_value(
@@ -648,34 +680,64 @@ impl Store::Replication for StoreReplica {
     }
 }
 
-/// The body of one store-replica process: activate the servant, join the
-/// `"CheckpointService"` naming group (retrying while naming boots), and
-/// serve forever.
+/// How a replica process registers under [`CHECKPOINT_SERVICE_NAME`]: a
+/// bounded, retrying naming call (`rebind_retry` or
+/// `bind_group_member_retry`).
+type Register =
+    fn(&NamingClient, &mut Orb, &mut Ctx, &Name, &Ior) -> SimResult<Result<(), Exception>>;
+
+/// The body of one store-replica process: activate the servant, register
+/// it (retrying while naming boots), and serve forever.
+fn serve(
+    ctx: &mut Ctx,
+    naming_host: HostId,
+    replica: StoreReplica,
+    sink: Option<obs::Obs>,
+    register: Register,
+) -> SimResult<()> {
+    let mut orb = Orb::init(ctx);
+    orb.set_obs(obs::ProcessObs::from_sink(sink, ctx));
+    orb.listen(ctx)?;
+    let poa = orb::Poa::new();
+    let replica = Rc::new(std::cell::RefCell::new(ReplicationSkeleton(replica)));
+    let key = poa.activate(CHECKPOINT_SERVICE_TYPE, replica.clone());
+    let ior = orb.ior(CHECKPOINT_SERVICE_TYPE, key);
+    replica.borrow_mut().0.self_ior = Some(ior.clone());
+    let name = Name::simple(CHECKPOINT_SERVICE_NAME);
+    if register(&NamingClient::root(naming_host), &mut orb, ctx, &name, &ior)?.is_err() {
+        // Registration budget exhausted: an unregistered replica never
+        // receives checkpoints — die instead of spinning.
+        return Err(simnet::Killed);
+    }
+    orb.serve_forever(ctx, &poa)
+}
+
+/// One replica of a replicated store: joins the `"CheckpointService"`
+/// naming group and serves forever.
 pub fn run_store_replica(
     ctx: &mut Ctx,
     naming_host: HostId,
     cfg: StoreConfig,
     sink: Option<obs::Obs>,
 ) -> SimResult<()> {
-    let mut orb = orb::Orb::init(ctx);
-    orb.set_obs(obs::ProcessObs::from_sink(sink, ctx));
-    orb.listen(ctx)?;
-    let poa = orb::Poa::new();
     let replica = StoreReplica::new(cfg, naming_host);
-    let replica = std::rc::Rc::new(std::cell::RefCell::new(ReplicationSkeleton(replica)));
-    let key = poa.activate(ftproxy::CHECKPOINT_SERVICE_TYPE, replica.clone());
-    let ior = orb.ior(ftproxy::CHECKPOINT_SERVICE_TYPE, key);
-    replica.borrow_mut().0.self_ior = Some(ior.clone());
-    let ns = NamingClient::root(naming_host);
-    let name = Name::simple(CHECKPOINT_SERVICE_NAME);
-    // Bounded boot registration; see `NamingClient::bind_group_member_retry`.
-    if ns
-        .bind_group_member_retry(&mut orb, ctx, &name, &ior)?
-        .is_err()
-    {
-        // Registration budget exhausted: an unregistered replica never
-        // receives checkpoints — die instead of spinning.
-        return Err(simnet::Killed);
-    }
-    orb.serve_forever(ctx, &poa)
+    serve(
+        ctx,
+        naming_host,
+        replica,
+        sink,
+        NamingClient::bind_group_member_retry,
+    )
+}
+
+/// The paper's checkpoint service: a [`StoreReplica::alone`], bound (plain
+/// `rebind`, not a group) under `"CheckpointService"`, serving forever.
+pub fn run_checkpoint_service(
+    ctx: &mut Ctx,
+    naming_host: HostId,
+    cfg: StoreConfig,
+    sink: Option<obs::Obs>,
+) -> SimResult<()> {
+    let replica = StoreReplica::alone(cfg);
+    serve(ctx, naming_host, replica, sink, NamingClient::rebind_retry)
 }

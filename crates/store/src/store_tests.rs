@@ -71,7 +71,7 @@ fn chunk_any(epoch: u64) -> Any {
 
 #[test]
 fn retention_trims_old_bulk_epochs() {
-    let mut r = StoreReplica::new(StoreConfig::default().with_retain_epochs(2), HostId(0));
+    let mut r = StoreReplica::alone(StoreConfig::default().with_retain_epochs(2));
     for e in 1..=4 {
         r.apply_bulk(ckpt("obj", e, b"state"));
     }
@@ -84,7 +84,7 @@ fn retention_trims_old_bulk_epochs() {
 
 #[test]
 fn header_write_reclaims_superseded_chunks() {
-    let mut r = StoreReplica::new(StoreConfig::default().with_retain_epochs(2), HostId(0));
+    let mut r = StoreReplica::alone(StoreConfig::default().with_retain_epochs(2));
     // Chunks of epochs 1 and 2, then a header advancing to epoch 3:
     // the retention floor becomes 3 - (2-1) = 2, so epoch-1 chunks go.
     r.apply_value("obj", "w0", chunk_any(1));
@@ -98,7 +98,7 @@ fn header_write_reclaims_superseded_chunks() {
 
 #[test]
 fn compact_keeps_only_newest_epoch_and_chunks() {
-    let mut r = StoreReplica::new(StoreConfig::default().with_retain_epochs(8), HostId(0));
+    let mut r = StoreReplica::alone(StoreConfig::default().with_retain_epochs(8));
     for e in 1..=3 {
         r.apply_bulk(ckpt("obj", e, b"state"));
     }
@@ -115,7 +115,7 @@ fn compact_keeps_only_newest_epoch_and_chunks() {
 
 #[test]
 fn delete_removes_both_stores() {
-    let mut r = StoreReplica::new(StoreConfig::default(), HostId(0));
+    let mut r = StoreReplica::alone(StoreConfig::default());
     r.apply_bulk(ckpt("obj", 1, b"s"));
     r.apply_value("obj", "header", header_any(1));
     assert!(r.apply_delete("obj"));
@@ -226,6 +226,75 @@ fn resolve_store(orb: &mut Orb, ctx: &mut simnet::Ctx, naming_host: HostId) -> C
             Err(_) => ctx.sleep(secs(0.05)).unwrap(),
         }
     }
+}
+
+/// Boot naming and the paper's checkpoint service — a replica alone —
+/// on one host, and run `drive` against it from a second process.
+/// Returns what the naming service recorded.
+fn with_lone_store(
+    drive: impl FnOnce(&mut Orb, &mut simnet::Ctx, &CheckpointClient) + Send + 'static,
+) -> obs::Obs {
+    let naming = obs::Obs::default();
+    let mut sim = Kernel::with_seed(3);
+    let h0 = sim.add_host(HostConfig::new("sh0"));
+    let sink = naming.clone();
+    sim.spawn(h0, "naming", move |ctx| {
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, Some(sink));
+    });
+    sim.spawn(h0, "checkpoint-service", move |ctx| {
+        let _ = crate::run_checkpoint_service(ctx, h0, StoreConfig::default(), None);
+    });
+    let done = cell::<bool>();
+    let d = done.clone();
+    let driver = sim.spawn(h0, "driver", move |ctx| {
+        ctx.sleep(secs(0.5)).unwrap();
+        let mut orb = Orb::init(ctx);
+        let client = resolve_store(&mut orb, ctx, h0);
+        drive(&mut orb, ctx, &client);
+        *d.lock().unwrap() = true;
+    });
+    sim.run_until_exit(driver);
+    assert!(*done.lock().unwrap(), "the driver ran to the end");
+    naming
+}
+
+#[test]
+fn a_lone_replica_keeps_the_checkpoint_service_contract() {
+    let naming = with_lone_store(|orb, ctx, c| {
+        assert!(c.retrieve(orb, ctx, "w1").unwrap().unwrap().is_none());
+        c.store(orb, ctx, &ckpt("w1", 1, b"one")).unwrap().unwrap();
+        c.store(orb, ctx, &ckpt("w2", 1, b"two")).unwrap().unwrap();
+        c.store(orb, ctx, &ckpt("w1", 2, b"newer"))
+            .unwrap()
+            .unwrap();
+        let got = c.retrieve(orb, ctx, "w1").unwrap().unwrap().unwrap();
+        assert_eq!((got.epoch, got.state.as_slice()), (Epoch(2), &b"newer"[..]));
+        assert_eq!(c.list(orb, ctx).unwrap().unwrap(), vec!["w1", "w2"]);
+
+        for (key, v) in [("x0", 1.5), ("x1", 2.5), ("x0", 9.0)] {
+            c.store_value(orb, ctx, "w1", key, &Any::double(v))
+                .unwrap()
+                .unwrap();
+        }
+        assert_eq!(c.value_count(orb, ctx, "w1").unwrap().unwrap(), 2);
+        let x0 = c.retrieve_value(orb, ctx, "w1", "x0").unwrap().unwrap();
+        assert_eq!(x0, Some(Any::double(9.0)), "a value is replaced by key");
+        assert!(c
+            .retrieve_value(orb, ctx, "w1", "nope")
+            .unwrap()
+            .unwrap()
+            .is_none());
+
+        // Delete erases both halves of an object, and only that object.
+        assert!(c.delete(orb, ctx, "w1").unwrap().unwrap());
+        assert!(!c.delete(orb, ctx, "w1").unwrap().unwrap());
+        assert!(c.retrieve(orb, ctx, "w1").unwrap().unwrap().is_none());
+        assert_eq!(c.value_count(orb, ctx, "w1").unwrap().unwrap(), 0);
+        assert_eq!(c.list(orb, ctx).unwrap().unwrap(), vec!["w2"]);
+    });
+    // Its writes read no membership view: a plain binding, as the paper's.
+    assert!(naming.spans_named("serve:group_view").is_empty());
+    assert!(!naming.spans_named("serve:resolve").is_empty());
 }
 
 #[test]

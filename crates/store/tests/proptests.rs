@@ -1,11 +1,16 @@
 //! Property tests for the chaos adversary: for arbitrary configurations,
 //! generated schedules are deterministic in the seed, honor the shared
 //! disruption ledger across *every* fault family, and never orphan a cut
-//! — each one heals strictly before the horizon.
+//! — each one heals strictly before the horizon. Then the write path: a
+//! fanned-out request re-encodes to its bytes, and a replica alone
+//! replaces values by key.
 
-use ldft_store::{ChaosConfig, ChaosPlan};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
+use ldft_store::{ChaosConfig, ChaosPlan, StoreConfig};
 use proptest::prelude::*;
-use simnet::{Fault, HostId, SimDuration, SimTime};
+use simnet::{Fault, HostConfig, HostId, Kernel, SimDuration, SimTime};
 
 /// Arbitrary-but-sane chaos configs: the six family weights sum to at
 /// most ~0.96, leaving the remainder for plain crash/restart.
@@ -229,5 +234,62 @@ proptest! {
         let sent = cdr::to_bytes(&(id.as_str(),));
         let (i,): (String,) = cdr::from_bytes(&sent).unwrap();
         prop_assert_eq!(cdr::to_bytes(&(&i,)), sent);
+    }
+}
+
+/// Store `entries` in order as one object's values on the paper's
+/// checkpoint service — a replica alone — and read back the value count
+/// and each key's value.
+fn lone_store_values(entries: Vec<(String, i32)>) -> (u32, BTreeMap<String, Option<i32>>) {
+    let mut sim = Kernel::with_seed(1);
+    let h0 = sim.add_host(HostConfig::new("sh0"));
+    sim.spawn(h0, "naming", |ctx| {
+        let _ = cosnaming::run_naming_service_obs(ctx, cosnaming::LbMode::Plain, None);
+    });
+    sim.spawn(h0, "checkpoint-service", move |ctx| {
+        let _ = ldft_store::run_checkpoint_service(ctx, h0, StoreConfig::default(), None);
+    });
+    let out = Arc::new(Mutex::new(None));
+    let o = out.clone();
+    let driver = sim.spawn(h0, "driver", move |ctx| {
+        ctx.sleep(SimDuration::from_millis(500)).unwrap();
+        let mut orb = orb::Orb::init(ctx);
+        let ns = cosnaming::NamingClient::root(h0);
+        let name = ftproxy::CHECKPOINT_SERVICE_NAME;
+        let c =
+            ftproxy::CheckpointClient::new(ns.resolve_str(&mut orb, ctx, name).unwrap().unwrap());
+        for (k, v) in &entries {
+            c.store_value(&mut orb, ctx, "obj", k, &cdr::Any::long(*v))
+                .unwrap()
+                .unwrap();
+        }
+        let count = c.value_count(&mut orb, ctx, "obj").unwrap().unwrap();
+        let mut values = BTreeMap::new();
+        for (k, _) in &entries {
+            let got = c.retrieve_value(&mut orb, ctx, "obj", k).unwrap().unwrap();
+            values.insert(k.clone(), got.and_then(|v| v.as_long()));
+        }
+        *o.lock().unwrap() = Some((count, values));
+    });
+    sim.run_until_exit(driver);
+    let got = out.lock().unwrap().take();
+    got.expect("the driver ran to the end")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Value stores replace by key, for arbitrary key/value sequences.
+    #[test]
+    fn value_store_replaces_by_key(
+        entries in proptest::collection::vec(("[a-z]{1,4}", any::<i32>()), 1..16),
+    ) {
+        let mut last = BTreeMap::new();
+        for (k, v) in &entries {
+            last.insert(k.clone(), Some(*v));
+        }
+        let (count, values) = lone_store_values(entries);
+        prop_assert_eq!(count as usize, last.len());
+        prop_assert_eq!(values, last);
     }
 }

@@ -9,8 +9,7 @@ use std::rc::Rc;
 
 use cosnaming::{LbMode, Name, NamingClient};
 use ftproxy::{
-    run_checkpoint_service, run_factory_obs, CheckpointClient, CheckpointMode, FtProxy,
-    FtProxyConfig, ProxyEnv,
+    run_factory_obs, CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, ProxyEnv,
 };
 use orb::{reply, CallCtx, Exception, Orb, Servant, SystemException};
 use simnet::{HostConfig, Kernel, SimDuration};
@@ -65,8 +64,7 @@ fn main() {
         let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     sim.spawn(infra, "checkpoint-service", move |ctx| {
-        let service = ftproxy::CheckpointService::in_memory();
-        let _ = run_checkpoint_service(ctx, infra, service, None);
+        let _ = store::run_checkpoint_service(ctx, infra, store::StoreConfig::default(), None);
     });
 
     // Factories on the worker hosts can (re)create Account instances.

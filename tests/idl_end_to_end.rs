@@ -212,7 +212,7 @@ fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
         (
             "CheckpointService",
             Box::new(ftproxy::CheckpointServiceSkeleton(
-                ftproxy::CheckpointService::in_memory(),
+                store::StoreReplica::alone(store::StoreConfig::default()),
             )),
         ),
         (
@@ -605,8 +605,7 @@ fn generated_ft_proxy_recovers_from_a_crash() {
     });
     // Checkpoint service, registered under the well-known name.
     sim.spawn(h0, "ckpt", move |ctx| {
-        let service = ftproxy::CheckpointService::in_memory();
-        let _ = ftproxy::run_checkpoint_service(ctx, h0, service, None);
+        let _ = store::run_checkpoint_service(ctx, h0, store::StoreConfig::default(), None);
     });
     // Factories on both worker hosts, able to build generated skeletons.
     for &h in &hosts[1..] {

@@ -8,9 +8,7 @@
 //! are reproducible.
 
 use cosnaming::{LbMode, Name, NamingClient};
-use ftproxy::{
-    CheckpointClient, CheckpointService, FtProxy, FtProxyConfig, MemBackend, ProxyEnv, StoreCosts,
-};
+use ftproxy::{CheckpointClient, FtProxy, FtProxyConfig, ProxyEnv};
 use obs::{Obs, ProcessObs};
 use optim::{worker_builder, worker_group, WorkerCosts, WorkerFtProxy, WORKER_SERVICE_TYPE};
 use orb::{Orb, OrbConfig};
@@ -42,8 +40,7 @@ fn run_crash_recovery_cell(seed: u64) -> Obs {
     });
     let obs = sink.clone();
     sim.spawn(h0, "ckpt-svc", move |ctx| {
-        let service = CheckpointService::new(Box::new(MemBackend::new()), StoreCosts::default());
-        let _ = ftproxy::run_checkpoint_service(ctx, h0, service, Some(obs));
+        let _ = store::run_checkpoint_service(ctx, h0, store::StoreConfig::default(), Some(obs));
     });
     let obs = sink.clone();
     sim.spawn(hosts[1], "opt-worker", move |ctx| {

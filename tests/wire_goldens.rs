@@ -148,7 +148,9 @@ fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
             &orb,
             &log,
             ftproxy::CHECKPOINT_SERVICE_TYPE,
-            ftproxy::CheckpointServiceSkeleton(ftproxy::CheckpointService::in_memory()),
+            ftproxy::CheckpointServiceSkeleton(store::StoreReplica::alone(
+                store::StoreConfig::default(),
+            )),
         )
         .0,
         factory: tap(
