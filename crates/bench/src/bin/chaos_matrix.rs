@@ -238,7 +238,7 @@ fn run_cell(family: Family, intensity: Intensity, seed: u64, scale: f64) -> Cell
         sim.spawn(naming_host, "winner-sm", move |ctx| {
             let _ = winner::run_system_manager_obs(
                 ctx,
-                winner::SystemManagerConfig::default(),
+                None,
                 Box::new(winner::BestPerformance),
                 Some(sm_sink),
                 |ior| publish.with(|c| *c = Some(ior)),

@@ -14,13 +14,10 @@
 
 use ftproxy::run_factory_obs;
 use obs::Obs;
-use optim::{run_worker_server_obs, worker_builder, WorkerCosts};
+use optim::{run_worker_server_obs, worker_builder};
 use orb::Ior;
 use simnet::{Ctx, HostConfig, HostId, Kernel, KernelConfig, Shared, SimDuration};
-use winner::{
-    run_node_manager, run_system_manager_obs, NodeManagerConfig, SelectionPolicy,
-    SystemManagerConfig,
-};
+use winner::{run_node_manager, run_system_manager_obs, NodeManagerConfig, SelectionPolicy};
 
 /// Which naming service to deploy — the paper's comparison axis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,8 +69,6 @@ pub struct ClusterConfig {
     /// Empty = all hosts except the infra host. This models the paper's
     /// "6 workstations were available" restriction.
     pub worker_hosts: Vec<usize>,
-    /// Worker CPU cost model.
-    pub worker_costs: WorkerCosts,
     /// Checkpoint store replication factor. 1 = the paper's deployment
     /// (one service on the infra host, plain `rebind`); ≥ 2 = that many
     /// [`store::StoreReplica`]s behind the same name on distinct hosts,
@@ -83,11 +78,6 @@ pub struct ClusterConfig {
     /// Empty = automatic placement on the highest-numbered hosts (they are
     /// never the infra host, and load is typically spread from the front).
     pub store_hosts: Vec<usize>,
-    /// The checkpoint store's configuration: its cost model (for both
-    /// deployments), and quorum, retention and detector cadence.
-    pub store: store::StoreConfig,
-    /// Winner node-manager report interval.
-    pub report_interval: SimDuration,
     /// Winner selection policy.
     pub policy: WinnerPolicy,
     /// Live monitoring: when set, every subsystem and the kernel emit
@@ -105,11 +95,8 @@ impl Default for ClusterConfig {
             seed: 0xBEEF,
             naming: NamingMode::Winner,
             worker_hosts: Vec::new(),
-            worker_costs: WorkerCosts::default(),
             store_replicas: 1,
             store_hosts: Vec::new(),
-            store: store::StoreConfig::default(),
-            report_interval: SimDuration::from_secs(1),
             policy: WinnerPolicy::BestPerformance,
             monitor: None,
         }
@@ -199,29 +186,18 @@ impl Cluster {
             let monitor = monitor_handle.clone();
             kernel.spawn(infra, "winner-sysmgr", move |ctx| {
                 let policy = policy_kind.instantiate(seed);
-                let _ = run_system_manager_obs(
-                    ctx,
-                    SystemManagerConfig {
-                        monitor,
-                        ..SystemManagerConfig::default()
-                    },
-                    policy,
-                    Some(sink),
-                    |ior| {
-                        publish.put(ior.stringify());
-                    },
-                );
+                let _ = run_system_manager_obs(ctx, monitor, policy, Some(sink), |ior| {
+                    publish.put(ior.stringify());
+                });
             });
             for &h in &hosts {
                 let cell = sysmgr_ior.clone();
-                let interval = config.report_interval;
                 let monitor = monitor_handle.clone();
                 kernel.spawn(h, format!("winner-nm-{h}"), move |ctx| {
                     let Ok(ior) = wait_for_ior(ctx, &cell) else {
                         return;
                     };
                     let mut cfg = NodeManagerConfig::new(ior);
-                    cfg.interval = interval;
                     cfg.monitor = monitor;
                     let _ = run_node_manager(ctx, cfg);
                 });
@@ -269,35 +245,32 @@ impl Cluster {
                     })
                     .collect()
             };
-            let mut scfg = config.store.clone();
-            scfg.monitor = monitor_handle.clone();
+            let scfg = store::StoreConfig {
+                monitor: monitor_handle.clone(),
+                ..store::StoreConfig::default()
+            };
             store::spawn_replicated_store(&mut kernel, &chosen, infra, scfg, Some(obs.clone()));
             chosen
         } else {
             // The paper's deployment: one replica alone, with no monitor
             // and no detector.
-            let scfg = store::StoreConfig {
-                monitor: None,
-                ..config.store.clone()
-            };
             let sink = obs.clone();
             kernel.spawn(infra, "checkpoint-service", move |ctx| {
-                let _ = store::run_checkpoint_service(ctx, infra, scfg, Some(sink));
+                let cfg = store::StoreConfig::default();
+                let _ = store::run_checkpoint_service(ctx, infra, cfg, Some(sink));
             });
             vec![infra]
         };
 
         // ---- factories + workers on the worker hosts -------------------
         for &h in &worker_hosts {
-            let costs = config.worker_costs;
             let sink = obs.clone();
             kernel.spawn(h, format!("factory-{h}"), move |ctx| {
-                let _ = run_factory_obs(ctx, infra, worker_builder(costs), Some(sink));
+                let _ = run_factory_obs(ctx, infra, worker_builder(), Some(sink));
             });
-            let costs = config.worker_costs;
             let sink = obs.clone();
             kernel.spawn(h, format!("opt-worker-{h}"), move |ctx| {
-                let _ = run_worker_server_obs(ctx, infra, costs, Some(sink));
+                let _ = run_worker_server_obs(ctx, infra, Some(sink));
             });
         }
 

@@ -11,6 +11,7 @@ use simnet::{HostConfig, HostId, Kernel, SimDuration};
 
 use crate::detector::{run_detector_obs, DetectorConfig, DetectorStats};
 use crate::factory::{factory_name, FactoryClient};
+use crate::per_value;
 use crate::proxy::{CheckpointMode, FtProxy, FtProxyConfig, ProxyEnv};
 use crate::request_proxy::FtRequest;
 use crate::service::CheckpointClient;
@@ -811,23 +812,15 @@ fn mixed_epoch_checkpoint_chunks_are_rejected() {
         o.lock().unwrap().push(v);
         // Tamper: re-tag the first chunk with a foreign epoch, keeping its
         // bytes (and therefore the reassembled length) identical.
+        let w0 = per_value::chunk_key(0);
         let stored = ckpt
-            .retrieve_value(env.orb, env.ctx, "counter-1", "w0")
+            .retrieve_value(env.orb, env.ctx, "counter-1", &w0)
             .unwrap()
             .unwrap()
             .unwrap();
-        let (tc, data) = match stored {
-            cdr::Any {
-                tc,
-                value: cdr::Value::Struct(mut fields),
-            } => (tc, fields.remove(1)),
-            other => panic!("unexpected chunk shape: {other:?}"),
-        };
-        let tampered = cdr::Any {
-            tc,
-            value: cdr::Value::Struct(vec![cdr::Value::ULongLong(77), data]),
-        };
-        ckpt.store_value(env.orb, env.ctx, "counter-1", "w0", &tampered)
+        let (_, data) = per_value::read_chunk(&stored).expect("a chunk");
+        let tampered = per_value::chunk(cdr::Epoch(77), data);
+        ckpt.store_value(env.orb, env.ctx, "counter-1", &w0, &tampered)
             .unwrap()
             .unwrap();
         // A proxy with no copy of its own reads the store on its first
@@ -1009,17 +1002,14 @@ fn an_absurd_header_length_starts_a_fresh_proxy_cold() {
         let driver = sim.spawn(hosts[0], "driver", move |ctx| {
             ctx.sleep(secs(1.0)).unwrap();
             let mut orb = Orb::init(ctx);
-            let header = cdr::Any {
-                tc: cdr::TypeCode::Struct {
-                    name: "CkptHeader".into(),
-                    members: ["len", "epoch", "chunk"]
-                        .map(|m| (m.to_string(), cdr::TypeCode::ULongLong))
-                        .to_vec(),
-                },
-                value: cdr::Value::Struct([len, 1, 64].map(cdr::Value::ULongLong).to_vec()),
-            };
+            let header = per_value::Header {
+                len,
+                epoch: cdr::Epoch(1),
+                chunk: 64,
+            }
+            .to_any();
             ckpt_client(&mut orb, ctx, h0)
-                .store_value(&mut orb, ctx, "counter-1", "header", &header)
+                .store_value(&mut orb, ctx, "counter-1", per_value::HEADER_KEY, &header)
                 .unwrap()
                 .unwrap();
             let mut fresh = proxy_for(h0, &mut orb, ctx, CheckpointMode::PerValue);

@@ -20,6 +20,7 @@
 
 pub mod detector;
 pub mod factory;
+pub mod per_value;
 pub mod protocol;
 pub mod proxy;
 pub mod request_proxy;

@@ -211,6 +211,122 @@ fn every_idl_op_has_a_caller() {
 }
 
 #[test]
+fn every_default_field_has_a_second_value() {
+    // An option only one value is ever given is a constant. Each field of
+    // a `*Config`, `*Costs` or `*Settings` struct a library crate builds
+    // with `impl Default` must be named outside its definition and that
+    // impl, anywhere in the workspace (`benchmark/` included): as a bare
+    // identifier — a field init, a shorthand init, a local — or as
+    // `.field =`. Reading `cfg.field` is not a second value. Any token
+    // of the same name counts, so a collision can hide a candidate but
+    // never flag one.
+    // Left alone on purpose: `rpc_*` host CPU moves with code placement
+    // alone (+13.5 % on code it never ran), so `orb` and `simnet` are not
+    // edited for a constant. An entry the check no longer flags fails it.
+    const PLACEMENT: &str = "orb/simnet code placement moves rpc_* host CPU";
+    const ALLOWED: &[(&str, &str, &str)] = &[
+        ("OrbConfig", "forward_limit", PLACEMENT),
+        ("NetConfig", "latency_local", PLACEMENT),
+        ("NetConfig", "bandwidth", PLACEMENT),
+        ("KernelConfig", "load_ewma_tau", PLACEMENT),
+    ];
+    const HOT_CODE: [&str; 3] = [
+        "crates/orb/",
+        "crates/simnet/",
+        "crates/optim/src/complex_box",
+    ];
+    let files = ldft_lint::analyze_workspace(workspace_root()).expect("parse the workspace");
+    // (file, struct, field, the definition's and the impl's token ranges)
+    type Candidate<'a> = (usize, &'a str, &'a str, [(usize, usize); 2]);
+    let mut candidates: Vec<Candidate> = Vec::new();
+    for (fi, fa) in files.iter().enumerate() {
+        let library = fa.path.starts_with("crates/")
+            && fa.path.contains("/src/")
+            && !fa.path.contains("/src/bin/")
+            && !fa.path.ends_with("/main.rs")
+            && !ldft_lint::analysis::is_test_path(&fa.path);
+        if !library {
+            continue;
+        }
+        let ast = &fa.ast;
+        for im in &ast.impls {
+            let ty = im.type_name.as_str();
+            let knobs = ["Config", "Costs", "Settings"]
+                .iter()
+                .any(|s| ty.ends_with(s));
+            if im.trait_name.as_deref() != Some("Default") || !knobs || fa.is_test_line(im.line) {
+                continue;
+            }
+            let def = (0..ast.toks.len().saturating_sub(2)).find(|&i| {
+                ast.toks[i].is("struct") && ast.toks[i + 1].text == ty && ast.toks[i + 2].is("{")
+            });
+            let def = def.and_then(|i| ast.scopes.iter().find(|s| s.open == i + 2));
+            let (Some(def), Some(st)) = (def, ast.structs.iter().find(|s| s.name == ty)) else {
+                continue;
+            };
+            for field in &st.fields {
+                let spans = [(def.open, def.close), (im.body.open, im.body.close)];
+                candidates.push((fi, ty, field.name.as_str(), spans));
+            }
+        }
+    }
+    assert!(
+        candidates.len() > 20,
+        "found {} candidates",
+        candidates.len()
+    );
+    let mut valued: BTreeSet<usize> = BTreeSet::new();
+    for (fi, fa) in files.iter().enumerate() {
+        let toks = &fa.ast.toks;
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokKind::Ident {
+                continue;
+            }
+            let (prev, next) = (i.checked_sub(1).map(|p| &toks[p]), toks.get(i + 1));
+            let after_dot = prev.is_some_and(|p| p.is("."));
+            let bare = !after_dot && !next.is_some_and(|n| n.is("::") || n.is("("));
+            let assigned = after_dot
+                && next.is_some_and(|n| n.is("="))
+                && !toks.get(i + 2).is_some_and(|n| n.is("="));
+            if !bare && !assigned {
+                continue;
+            }
+            for (ci, (cf, _, field, spans)) in candidates.iter().enumerate() {
+                let own = *cf == fi && spans.iter().any(|&(a, b)| a < i && i < b);
+                if t.text == *field && !own {
+                    valued.insert(ci);
+                }
+            }
+        }
+    }
+    let mut offences = Vec::new();
+    let mut allowed_seen = BTreeSet::new();
+    for (ci, &(fi, ty, field, _)) in candidates.iter().enumerate() {
+        if valued.contains(&ci) {
+            continue;
+        }
+        let path = &files[fi].path;
+        match ALLOWED.iter().find(|a| (a.0, a.1) == (ty, field)) {
+            Some(a) if HOT_CODE.iter().any(|h| path.starts_with(h)) => {
+                allowed_seen.insert((a.0, a.1));
+            }
+            _ => offences.push(format!(
+                "{path}: `{ty}::{field}` is only ever its default — make it a constant"
+            )),
+        }
+    }
+    assert!(offences.is_empty(), "{}", offences.join("\n"));
+    let stale: Vec<_> = ALLOWED
+        .iter()
+        .filter(|a| !allowed_seen.contains(&(a.0, a.1)))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "allowed knobs that need no allowance: {stale:?}"
+    );
+}
+
+#[test]
 fn lock_graph_covers_the_shared_use_sites() {
     let report = run_workspace(workspace_root()).expect("lint the workspace");
     assert!(

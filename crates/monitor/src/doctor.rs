@@ -19,15 +19,10 @@ use simnet::KernelEvent;
 
 use crate::events::{Event, EventBody};
 
-/// Invariant thresholds and recorder sizing. One struct, because the
-/// places that opt in (`ClusterConfig`/`ExperimentSpec`) want a single
-/// knob.
+/// Invariant thresholds. One struct, because the places that opt in
+/// (`ClusterConfig`/`ExperimentSpec`) want a single knob.
 #[derive(Clone, Debug)]
 pub struct MonitorConfig {
-    /// Flight-recorder ring depth per host (last N events).
-    pub flight_ring: usize,
-    /// Post-mortem dumps retained verbatim; later triggers only count.
-    pub max_dumps: usize,
     /// Recovery-time budget: a recovery episode must finish within this
     /// multiple of the mean service latency observed so far.
     pub recovery_budget_multiple: u64,
@@ -49,8 +44,6 @@ pub struct MonitorConfig {
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
-            flight_ring: 32,
-            max_dumps: 4,
             // Generous: recoveries wait out restart backoffs that dwarf a
             // single call, so the default budget only catches pathological
             // episodes. Experiments tighten it deliberately.

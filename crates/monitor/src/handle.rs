@@ -23,14 +23,18 @@ use simnet::{Ctx, KernelEvent, Shared, SimTime};
 use crate::doctor::{Doctor, MonitorConfig};
 use crate::events::{Event, EventBody, KERNEL_PID};
 
+/// Flight-recorder ring depth per host (last N events).
+const FLIGHT_RING: usize = 32;
+/// Post-mortem dumps retained verbatim; later triggers only count.
+const MAX_DUMPS: usize = 4;
+
 /// Per-host bounded event tails plus the post-mortems already dumped.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct FlightRecorder {
-    ring: usize,
-    /// host -> rendered event lines, oldest first, at most `ring` each.
+    /// host -> rendered event lines, oldest first, at most [`FLIGHT_RING`]
+    /// each.
     tails: BTreeMap<u32, VecDeque<String>>,
     dumps: Vec<String>,
-    max_dumps: usize,
     suppressed_dumps: u64,
 }
 
@@ -38,14 +42,14 @@ impl FlightRecorder {
     fn record(&mut self, ev: &Event) {
         let line = render_line(ev);
         let tail = self.tails.entry(ev.host).or_default();
-        if tail.len() == self.ring {
+        if tail.len() == FLIGHT_RING {
             tail.pop_front();
         }
         tail.push_back(line);
     }
 
     fn dump(&mut self, time_ns: u64, reason: &str, episodes: &[String], verdicts: &[String]) {
-        if self.dumps.len() >= self.max_dumps {
+        if self.dumps.len() >= MAX_DUMPS {
             self.suppressed_dumps += 1;
             return;
         }
@@ -208,17 +212,10 @@ pub struct MonitorHandle {
 impl MonitorHandle {
     /// Fresh handle with the given thresholds and metric sink.
     pub fn new(cfg: MonitorConfig, obs: Option<Obs>) -> Self {
-        let recorder = FlightRecorder {
-            ring: cfg.flight_ring.max(1),
-            tails: BTreeMap::new(),
-            dumps: Vec::new(),
-            max_dumps: cfg.max_dumps.max(1),
-            suppressed_dumps: 0,
-        };
         let state = Shared::new(State {
             obs,
             doctor: Doctor::new(cfg),
-            recorder,
+            recorder: FlightRecorder::default(),
             stream: Vec::new(),
             ended_ns: 0,
         });
@@ -261,7 +258,7 @@ impl MonitorHandle {
         self.state.lock().render_report()
     }
 
-    /// Post-mortem dumps recorded so far (at most `max_dumps`).
+    /// Post-mortem dumps recorded so far (at most [`MAX_DUMPS`]).
     pub fn dumps(&self) -> Vec<String> {
         self.state.lock().recorder.dumps.clone()
     }

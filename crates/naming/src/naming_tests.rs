@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 
 use orb::{CostModel, Ior, ObjectKey, Orb, OrbConfig};
 use simnet::{Fault, HostConfig, HostId, Kernel, Pid, Port, SimDuration, SimTime};
-use winner::{BestPerformance, NodeManagerConfig, SystemManagerConfig};
+use winner::{BestPerformance, NodeManagerConfig};
 
 use crate::client::{BindingIteratorClient, NamingClient, REGISTER_BACKOFF, REGISTER_MAX_ATTEMPTS};
 use crate::context::LbMode;
@@ -302,15 +302,9 @@ fn winner_resolution_avoids_loaded_hosts() {
     let sysmgr_ior = cell::<Option<String>>();
     let sm = sysmgr_ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
-        let _ = winner::run_system_manager_obs(
-            ctx,
-            SystemManagerConfig::default(),
-            Box::new(BestPerformance),
-            None,
-            |i| {
-                *sm.lock().unwrap() = Some(i.stringify());
-            },
-        );
+        let _ = winner::run_system_manager_obs(ctx, None, Box::new(BestPerformance), None, |i| {
+            *sm.lock().unwrap() = Some(i.stringify());
+        });
     });
     // Node managers everywhere.
     for &h in &hosts {
@@ -375,15 +369,9 @@ fn winner_fallback_when_system_manager_dies() {
     let sysmgr_ior = cell::<Option<String>>();
     let sm = sysmgr_ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
-        let _ = winner::run_system_manager_obs(
-            ctx,
-            SystemManagerConfig::default(),
-            Box::new(BestPerformance),
-            None,
-            |i| {
-                *sm.lock().unwrap() = Some(i.stringify());
-            },
-        );
+        let _ = winner::run_system_manager_obs(ctx, None, Box::new(BestPerformance), None, |i| {
+            *sm.lock().unwrap() = Some(i.stringify());
+        });
     });
     boot_winner_naming(&mut sim, hosts[0], &sysmgr_ior);
     // Kill the system manager early (pid 0).
@@ -546,15 +534,9 @@ fn trader_baseline_with_decentralized_selection() {
     let sysmgr_ior = cell::<Option<String>>();
     let sm = sysmgr_ior.clone();
     sim.spawn(h0, "winner-sysmgr", move |ctx| {
-        let _ = winner::run_system_manager_obs(
-            ctx,
-            SystemManagerConfig::default(),
-            Box::new(BestPerformance),
-            None,
-            |i| {
-                *sm.lock().unwrap() = Some(i.stringify());
-            },
-        );
+        let _ = winner::run_system_manager_obs(ctx, None, Box::new(BestPerformance), None, |i| {
+            *sm.lock().unwrap() = Some(i.stringify());
+        });
     });
     for &h in &hosts {
         let sm = sysmgr_ior.clone();

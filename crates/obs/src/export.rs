@@ -1,16 +1,13 @@
-//! Exporters: Chrome `trace_event` JSON for spans, plain text / CSV for
-//! metrics, and an indented tree rendering for assertions.
+//! Exporters: Chrome `trace_event` JSON for spans, plain text for
+//! metrics.
 //!
 //! Everything here is deterministic by construction: spans are sorted by
 //! `(start_ns, span_id)`, metrics iterate a `BTreeMap`, and all numeric
 //! formatting is integer-based except gauges (fixed `{:.6}`). Two same-seed
 //! runs therefore export byte-identical files.
 
-use std::collections::BTreeMap;
-
-use crate::metrics::{Metric, BUCKET_BOUNDS};
+use crate::metrics::Metric;
 use crate::recorder::Obs;
-use crate::span::SpanRecord;
 
 /// Escape a string for inclusion in a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -92,69 +89,6 @@ impl Obs {
         });
         out
     }
-
-    /// All metrics as CSV (`kind,name,field,value`); histograms flatten to
-    /// one row per bucket plus `count` and `sum`.
-    pub fn metrics_csv(&self) -> String {
-        let mut out = String::from("kind,name,field,value\n");
-        self.inner.with(|i| {
-            for (name, m) in &i.metrics {
-                match m {
-                    Metric::Counter(c) => out.push_str(&format!("counter,{name},value,{c}\n")),
-                    Metric::Gauge(g) => out.push_str(&format!("gauge,{name},value,{g:.6}\n")),
-                    Metric::Histogram(h) => {
-                        out.push_str(&format!("hist,{name},count,{}\n", h.count));
-                        out.push_str(&format!("hist,{name},sum,{}\n", h.sum));
-                        for p in [50, 95, 99] {
-                            out.push_str(&format!("hist,{name},p{p},{}\n", h.percentile(p)));
-                        }
-                        for (b, c) in h.counts.iter().enumerate() {
-                            let field = match BUCKET_BOUNDS.get(b) {
-                                Some(bound) => format!("le_{bound}"),
-                                None => "overflow".to_string(),
-                            };
-                            out.push_str(&format!("hist,{name},{field},{c}\n"));
-                        }
-                    }
-                }
-            }
-        });
-        out
-    }
-
-    /// Render one trace as an indented tree, children ordered by start
-    /// time. The assertion surface for recovery-path tests.
-    pub fn trace_tree(&self, trace_id: u64) -> String {
-        let mut spans: Vec<SpanRecord> = self
-            .spans()
-            .into_iter()
-            .filter(|s| s.trace_id == trace_id)
-            .collect();
-        spans.sort_by_key(|s| (s.start_ns, s.span_id));
-        let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.span_id).collect();
-        let mut children: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        let mut roots: Vec<usize> = Vec::new();
-        for (i, s) in spans.iter().enumerate() {
-            match s.parent {
-                // A parent outside this trace snapshot (e.g. still open)
-                // makes the span a root rather than an orphan.
-                Some(p) if ids.contains(&p) => children.entry(p).or_default().push(i),
-                _ => roots.push(i),
-            }
-        }
-        let mut out = String::new();
-        let mut work: Vec<(usize, usize)> = roots.into_iter().rev().map(|i| (i, 0)).collect();
-        while let Some((i, depth)) = work.pop() {
-            let s = &spans[i];
-            out.push_str(&format!("{}{}\n", "  ".repeat(depth), s.name));
-            if let Some(kids) = children.get(&s.span_id) {
-                for &k in kids.iter().rev() {
-                    work.push((k, depth + 1));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -205,25 +139,6 @@ mod tests {
         // percentile interpolates to that bucket's top.
         assert!(lines[2]
             .starts_with("hist x.ns count=1 sum=1500 p50=10000 p95=10000 p99=10000 buckets="));
-    }
-
-    #[test]
-    fn metrics_csv_flattens_histograms() {
-        let csv = sample().metrics_csv();
-        assert!(csv.starts_with("kind,name,field,value\n"));
-        assert!(csv.contains("counter,x.calls,value,7\n"));
-        assert!(csv.contains("hist,x.ns,count,1\n"));
-        assert!(csv.contains("hist,x.ns,p50,10000\n"));
-        assert!(csv.contains("hist,x.ns,p99,10000\n"));
-        assert!(csv.contains("hist,x.ns,le_100,0\n"));
-        assert!(csv.contains("hist,x.ns,overflow,0\n"));
-    }
-
-    #[test]
-    fn trace_tree_indents_children() {
-        let obs = sample();
-        let trace = obs.spans()[0].trace_id;
-        assert_eq!(obs.trace_tree(trace), "outer\n  inner\n");
     }
 
     #[test]

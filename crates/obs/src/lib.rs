@@ -15,9 +15,8 @@
 //!   the layer is subject to the same determinism rules (D1–D4) as the
 //!   code it observes, and two same-seed runs export byte-identical data.
 //! * **Exporters** — Chrome `trace_event` JSON ([`Obs::chrome_trace_json`])
-//!   and plain-text/CSV metric dumps ([`Obs::metrics_text`],
-//!   [`Obs::metrics_csv`]), wired into the bench binaries behind
-//!   `--trace-out` / `--metrics-out`.
+//!   and a plain-text metric dump ([`Obs::metrics_text`]), wired into the
+//!   bench binaries behind `--trace-out` / `--metrics-out`.
 //!
 //! One [`Obs`] sink is shared by every process in a simulation (it is a
 //! [`simnet::Shared`] cell, the sanctioned cross-process state); each

@@ -104,39 +104,6 @@ impl Problem for Rastrigin {
     }
 }
 
-/// The Griewank function — many regularly-spaced local minima.
-#[derive(Clone, Debug)]
-pub struct Griewank {
-    dim: usize,
-}
-
-impl Griewank {
-    /// `dim`-dimensional Griewank on `[-600, 600]^n`.
-    pub fn new(dim: usize) -> Self {
-        Griewank { dim }
-    }
-}
-
-impl Problem for Griewank {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn bounds(&self) -> Bounds {
-        Bounds::uniform(self.dim, -600.0, 600.0)
-    }
-
-    fn eval(&self, x: &[f64]) -> f64 {
-        let sum: f64 = x.iter().map(|v| v * v).sum::<f64>() / 4000.0;
-        let prod: f64 = x
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v / ((i + 1) as f64).sqrt()).cos())
-            .product();
-        1.0 + sum - prod
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,13 +135,6 @@ mod tests {
         let f = Rastrigin::new(3);
         assert!(f.eval(&[0.0; 3]).abs() < 1e-9);
         assert!(f.eval(&[1.0, 1.0, 1.0]) > 0.0);
-    }
-
-    #[test]
-    fn griewank_minimum_at_origin() {
-        let f = Griewank::new(3);
-        assert!(f.eval(&[0.0; 3]).abs() < 1e-12);
-        assert!(f.eval(&[10.0, -10.0, 10.0]) > 0.0);
     }
 
     #[test]

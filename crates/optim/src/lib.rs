@@ -27,14 +27,14 @@ pub mod worker;
 
 pub use complex_box::{AskTellComplex, ComplexBox, ComplexBoxConfig, ComplexState};
 pub use decompose::{DecomposedRosenbrock, Partition, SubRosenbrock};
-pub use functions::{Griewank, Rastrigin, Rosenbrock, Sphere};
+pub use functions::{Rastrigin, Rosenbrock, Sphere};
 pub use manager::{run_manager, FtSettings, ManagerConfig, RunReport};
 pub use problem::{Bounds, Problem};
 pub use protocol::{
     worker_group, Optim, SolveResult, SolveSpec, WorkerFtProxy, WorkerSkeleton, WorkerStub,
     WORKER_SERVICE_TYPE, WORKER_TYPE,
 };
-pub use worker::{run_worker_server_obs, worker_builder, WorkerCosts, WorkerServant};
+pub use worker::{run_worker_server_obs, worker_builder, WorkerServant};
 
 #[cfg(test)]
 mod optim_tests;

@@ -63,16 +63,12 @@ pub struct ManagerConfig {
     pub worker_iters: u64,
     /// Reflection iterations of the manager's outer optimization.
     pub manager_iters: u64,
-    /// Manager population (0 = default `2 × manager_dim`).
-    pub manager_population: usize,
     /// Seed for the outer optimization and the workers.
     pub seed: u64,
     /// Host of the naming service.
     pub naming_host: HostId,
     /// ORB request timeout (must exceed the longest worker call).
     pub request_timeout: SimDuration,
-    /// The group name the workers are registered under.
-    pub worker_group: Name,
     /// `Some` = route calls through fault-tolerant proxies.
     pub ft: Option<FtSettings>,
     /// Observability sink: when present, the run is traced (`manager.run`
@@ -92,11 +88,9 @@ impl ManagerConfig {
             workers,
             worker_iters: 20_000,
             manager_iters: 12,
-            manager_population: 0,
             seed: 0xD15C0,
             naming_host,
             request_timeout: SimDuration::from_secs(120),
-            worker_group: worker_group(),
             ft: None,
             obs: None,
             monitor: None,
@@ -177,7 +171,7 @@ fn run_manager_with_orb(
         None => {
             let mut stubs = Vec::with_capacity(cfg.workers);
             for _ in 0..cfg.workers {
-                match ns.resolve(orb, ctx, &cfg.worker_group)? {
+                match ns.resolve(orb, ctx, &worker_group())? {
                     Ok(obj) => {
                         placements.push(obj.ior.host.0);
                         stubs.push(WorkerStub::new(obj));
@@ -195,7 +189,7 @@ fn run_manager_with_orb(
             let mut proxies = Vec::with_capacity(cfg.workers);
             for w in 0..cfg.workers {
                 let mut pcfg = FtProxyConfig::new(
-                    cfg.worker_group.clone(),
+                    worker_group(),
                     WORKER_SERVICE_TYPE,
                     format!("opt-worker-{w}"),
                 );
@@ -316,7 +310,6 @@ fn run_manager_with_orb(
         let mut outer = AskTellComplex::new(
             decomposition.manager_bounds(),
             ComplexBoxConfig {
-                population: cfg.manager_population,
                 seed: cfg.seed,
                 ..ComplexBoxConfig::default()
             },

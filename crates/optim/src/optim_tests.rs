@@ -10,7 +10,7 @@ use simnet::{HostConfig, HostId, Kernel, SimDuration, SimTime};
 use crate::manager::{run_manager, FtSettings, ManagerConfig, RunReport};
 use crate::protocol::SolveSpec;
 use crate::protocol::WorkerStub;
-use crate::worker::{run_worker_server_obs, worker_builder, WorkerCosts};
+use crate::worker::{run_worker_server_obs, worker_builder};
 
 type Cell<T> = Arc<Mutex<T>>;
 
@@ -34,7 +34,7 @@ fn bed(sim: &mut Kernel, n_hosts: usize) -> Vec<HostId> {
     for &h in &hosts[1..] {
         sim.spawn(h, format!("worker-{h}"), move |ctx| {
             ctx.sleep(secs(0.05)).unwrap();
-            let _ = run_worker_server_obs(ctx, h0, WorkerCosts::default(), None);
+            let _ = run_worker_server_obs(ctx, h0, None);
         });
     }
     hosts
@@ -321,11 +321,11 @@ fn manager_with_ft_proxies_survives_host_crash() {
     for &h in &hosts[1..] {
         sim.spawn(h, format!("worker-{h}"), move |ctx| {
             ctx.sleep(secs(0.05)).unwrap();
-            let _ = run_worker_server_obs(ctx, h0, WorkerCosts::default(), None);
+            let _ = run_worker_server_obs(ctx, h0, None);
         });
         sim.spawn(h, format!("factory-{h}"), move |ctx| {
             ctx.sleep(secs(0.05)).unwrap();
-            let _ = ftproxy::run_factory_obs(ctx, h0, worker_builder(WorkerCosts::default()), None);
+            let _ = ftproxy::run_factory_obs(ctx, h0, worker_builder(), None);
         });
     }
     // Crash one worker host mid-run (the manager starts at t=1.0 and the

@@ -20,28 +20,17 @@ use crate::complex_box::{ComplexBox, ComplexBoxConfig, ComplexState};
 use crate::decompose::SubRosenbrock;
 use crate::protocol::{worker_group, Optim, SolveResult, SolveSpec, WorkerSkeleton, WORKER_TYPE};
 
-/// CPU cost model of a worker (translates algorithm work into simulated
-/// time; the algorithm itself runs for real).
-#[derive(Clone, Copy, Debug)]
-pub struct WorkerCosts {
-    /// CPU work units per Complex Box iteration per problem dimension.
-    /// Default calibrated so a 14-dim subproblem runs ≈10 ms of CPU per
-    /// 1000 iterations — the right order for a late-90s workstation
-    /// evaluating an O(dim) objective a couple of times per iteration.
-    pub per_iter_per_dim: f64,
-}
-
-impl Default for WorkerCosts {
-    fn default() -> Self {
-        WorkerCosts {
-            per_iter_per_dim: 7.0e-7,
-        }
-    }
-}
+/// CPU work units per Complex Box iteration per problem dimension: the
+/// worker's cost model (it translates algorithm work into simulated time;
+/// the algorithm itself runs for real). Calibrated so a 14-dim subproblem
+/// runs ≈10 ms of CPU per 1000 iterations — the right order for a late-90s
+/// workstation evaluating an O(dim) objective a couple of times per
+/// iteration.
+const PER_ITER_PER_DIM: f64 = 7.0e-7;
 
 /// The worker servant.
+#[derive(Default)]
 pub struct WorkerServant {
-    costs: WorkerCosts,
     /// Cached optimizer state per subproblem id.
     state: BTreeMap<u32, ComplexState>,
     solve_count: u32,
@@ -49,12 +38,8 @@ pub struct WorkerServant {
 
 impl WorkerServant {
     /// A fresh worker.
-    pub fn new(costs: WorkerCosts) -> Self {
-        WorkerServant {
-            costs,
-            state: BTreeMap::new(),
-            solve_count: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -73,7 +58,7 @@ impl Optim::Worker for WorkerServant {
             ..ComplexBoxConfig::default()
         };
         // Model the CPU cost of the whole solve (iterations × dimension).
-        let work = spec.iters as f64 * spec.dim as f64 * self.costs.per_iter_per_dim;
+        let work = spec.iters as f64 * spec.dim as f64 * PER_ITER_PER_DIM;
         call.ctx
             .compute(work)
             .map_err(|_| SystemException::comm_failure("killed mid-solve"))?;
@@ -144,11 +129,11 @@ impl Optim::Worker for WorkerServant {
 
 /// A factory builder that can instantiate workers (register under the
 /// service type [`WORKER_SERVICE_TYPE`](crate::protocol::WORKER_SERVICE_TYPE)).
-pub fn worker_builder(costs: WorkerCosts) -> ftproxy::ServantBuilder {
+pub fn worker_builder() -> ftproxy::ServantBuilder {
     Box::new(move |_call, ty| {
         (ty == crate::protocol::WORKER_SERVICE_TYPE).then(|| {
             (
-                Rc::new(RefCell::new(WorkerSkeleton(WorkerServant::new(costs))))
+                Rc::new(RefCell::new(WorkerSkeleton(WorkerServant::new())))
                     as Rc<RefCell<dyn Servant>>,
                 WORKER_TYPE.to_string(),
             )
@@ -162,14 +147,13 @@ pub fn worker_builder(costs: WorkerCosts) -> ftproxy::ServantBuilder {
 pub fn run_worker_server_obs(
     ctx: &mut Ctx,
     naming_host: HostId,
-    costs: WorkerCosts,
     obs: Option<obs::Obs>,
 ) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
     orb.set_obs(obs::ProcessObs::from_sink(obs, ctx));
     orb.listen(ctx)?;
     let poa = Poa::new();
-    let servant = Rc::new(RefCell::new(WorkerSkeleton(WorkerServant::new(costs))));
+    let servant = Rc::new(RefCell::new(WorkerSkeleton(WorkerServant::new())));
     let key = poa.activate(WORKER_TYPE, servant);
     let ior = orb.ior(WORKER_TYPE, key);
     let ns = NamingClient::root(naming_host);

@@ -55,19 +55,20 @@ pub struct ChaosConfig {
     pub flap_prob: f64,
     /// Probability of a clock-skew episode.
     pub skew_prob: f64,
-    /// Extra one-way latency a degraded link carries.
-    pub degrade_extra_latency: SimDuration,
-    /// Per-message drop probability of a degraded link, in milli-units
-    /// (0..=1000).
-    pub degrade_drop_milli: u32,
-    /// Crash/restart cycles in one flap train.
-    pub flap_cycles: u32,
-    /// Length of one flap cycle (down for half, up for half).
-    pub flap_period: SimDuration,
-    /// Clock skew magnitude bound: skews are drawn from
-    /// `[-max_skew_ns, max_skew_ns]`, nonzero.
-    pub max_skew_ns: i64,
 }
+
+/// Extra one-way latency a degraded link carries.
+const DEGRADE_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(5);
+/// Per-message drop probability of a degraded link, in milli-units
+/// (0..=1000).
+const DEGRADE_DROP_MILLI: u32 = 200;
+/// Crash/restart cycles in one flap train.
+const FLAP_CYCLES: u32 = 3;
+/// Length of one flap cycle (down for half, up for half).
+const FLAP_PERIOD: SimDuration = SimDuration::from_millis(600);
+/// Clock skew magnitude bound: skews are drawn from
+/// `[-MAX_SKEW_NS, MAX_SKEW_NS]`, nonzero.
+const MAX_SKEW_NS: i64 = 500_000_000;
 
 impl Default for ChaosConfig {
     fn default() -> Self {
@@ -84,11 +85,6 @@ impl Default for ChaosConfig {
             degrade_prob: 0.0,
             flap_prob: 0.0,
             skew_prob: 0.0,
-            degrade_extra_latency: SimDuration::from_millis(5),
-            degrade_drop_milli: 200,
-            flap_cycles: 3,
-            flap_period: SimDuration::from_millis(600),
-            max_skew_ns: 500_000_000,
         }
     }
 }
@@ -156,7 +152,11 @@ impl ChaosPlan {
             }
             t = t.saturating_add(SimDuration::from_nanos(gap_ns.max(1)));
         }
-        Self::from_episodes(episodes)
+        // Firing order; the sort is stable, so same-instant events keep
+        // episode order.
+        let mut events: Vec<ChaosEvent> = episodes.iter().flatten().cloned().collect();
+        events.sort_by_key(|e| e.at);
+        ChaosPlan { events, episodes }
     }
 
     /// Draw one episode at `t`, or `None` if the slot stays empty (budget
@@ -263,8 +263,8 @@ impl ChaosPlan {
                         Fault::DegradeLink {
                             a,
                             b,
-                            extra_latency: cfg.degrade_extra_latency,
-                            drop_milli: cfg.degrade_drop_milli,
+                            extra_latency: DEGRADE_EXTRA_LATENCY,
+                            drop_milli: DEGRADE_DROP_MILLI,
                         },
                         Fault::DegradeLink {
                             a,
@@ -320,12 +320,12 @@ impl ChaosPlan {
             }
             Family::Flap => {
                 // A crash/restart train: down half a period, up half a
-                // period, `flap_cycles` times — truncated at the horizon.
+                // period, `FLAP_CYCLES` times — truncated at the horizon.
                 let victim = free[rng.random_range(0..free.len())];
-                let half = SimDuration::from_nanos((cfg.flap_period.as_nanos() / 2).max(1));
+                let half = SimDuration::from_nanos(FLAP_PERIOD.as_nanos() / 2);
                 let mut events = Vec::new();
                 let mut at = t;
-                for _ in 0..cfg.flap_cycles.max(1) {
+                for _ in 0..FLAP_CYCLES {
                     if at >= last {
                         break;
                     }
@@ -351,10 +351,9 @@ impl ChaosPlan {
             }
             Family::Skew => {
                 let victim = free[rng.random_range(0..free.len())];
-                let max = cfg.max_skew_ns.max(1);
-                let mut skew: i64 = rng.random_range(-max..=max);
+                let mut skew: i64 = rng.random_range(-MAX_SKEW_NS..=MAX_SKEW_NS);
                 if skew == 0 {
-                    skew = max;
+                    skew = MAX_SKEW_NS;
                 }
                 let heal = heal_at(t);
                 Some(Episode {
@@ -372,14 +371,6 @@ impl ChaosPlan {
                 })
             }
         }
-    }
-
-    /// Assemble a plan from a set of episodes: flatten and sort into
-    /// firing order (stable, so same-instant events keep episode order).
-    pub fn from_episodes(episodes: Vec<Vec<ChaosEvent>>) -> ChaosPlan {
-        let mut events: Vec<ChaosEvent> = episodes.iter().flatten().cloned().collect();
-        events.sort_by_key(|e| e.at);
-        ChaosPlan { events, episodes }
     }
 
     /// Install every event of the plan into the kernel.

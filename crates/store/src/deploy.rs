@@ -4,10 +4,13 @@
 
 use cosnaming::Name;
 use ftproxy::{DetectorConfig, DetectorStats, CHECKPOINT_SERVICE_NAME};
-use simnet::{HostId, Kernel, Shared};
+use simnet::{HostId, Kernel, Shared, SimDuration};
 
 use crate::protocol::StoreConfig;
 use crate::replica::run_store_replica;
+
+/// Probe period of the store-side failure detector.
+const DETECTOR_PERIOD: SimDuration = SimDuration::from_millis(250);
 
 /// What [`spawn_replicated_store`] set up.
 pub struct StoreDeployment {
@@ -46,7 +49,7 @@ pub fn spawn_replicated_store(
         let det_sink = sink;
         let det_cfg = DetectorConfig {
             groups: vec![Name::simple(CHECKPOINT_SERVICE_NAME)],
-            period: cfg.detector_period,
+            period: DETECTOR_PERIOD,
             suspect_after: cfg.suspect_after,
         };
         kernel.spawn(naming_host, "store-detector", move |ctx| {

@@ -3,11 +3,11 @@
 //! The paper's whole fault-tolerance story hangs off a checkpoint service
 //! it admits is "an unoptimized in-memory map": one CORBA object on one
 //! host. [`run_checkpoint_service`] deploys exactly that — a
-//! [`StoreReplica::alone`] under a plain binding, charging the paper's
-//! [`StoreCosts`]. But the component that makes workers survive crashes
-//! is then itself a single point of failure — an FT proxy that loses its
-//! store loses every epoch it ever saved. The same servant, replicated,
-//! removes it:
+//! [`StoreReplica::alone`] under a plain binding, charging that store's CPU
+//! costs (constants in `replica.rs`). But the component that makes workers
+//! survive crashes is then itself a single point of failure — an FT proxy
+//! that loses its store loses every epoch it ever saved. The same servant,
+//! replicated, removes it:
 //!
 //! * [`StoreReplica`] — a `CheckpointService`-compatible servant that
 //!   **replicates** every write to its peer replicas with quorum
@@ -40,7 +40,7 @@ pub mod replica;
 
 pub use chaos::{ChaosConfig, ChaosPlan};
 pub use deploy::{spawn_replicated_store, StoreDeployment};
-pub use protocol::{ReplicationSkeleton, ReplicationStub, Store, StoreConfig, StoreCosts};
+pub use protocol::{ReplicationSkeleton, ReplicationStub, Store, StoreConfig};
 pub use replica::{run_checkpoint_service, run_store_replica, StoreReplica};
 
 #[cfg(test)]

@@ -22,30 +22,6 @@ use ftproxy::FT;
 include!("generated.rs");
 pub use Store::{ReplicationSkeleton, ReplicationStub};
 
-/// Cost model of one replica: the paper's store was "rather inefficient"
-/// and "not optimized for speed in any way"; these knobs reproduce that
-/// (and let the ablation benchmark show what optimizing buys).
-#[derive(Clone, Copy, Debug)]
-pub struct StoreCosts {
-    /// CPU work per bulk store/retrieve, plus per byte of state.
-    pub bulk_fixed: f64,
-    /// CPU work per state byte on the bulk path.
-    pub bulk_per_byte: f64,
-    /// CPU work per `store_value`/`retrieve_value` call. Deliberately
-    /// expensive: the proof-of-concept stores values one at a time.
-    pub value_fixed: f64,
-}
-
-impl Default for StoreCosts {
-    fn default() -> Self {
-        StoreCosts {
-            bulk_fixed: 100e-6,
-            bulk_per_byte: 5e-8, // ~20 MB/s
-            value_fixed: 500e-6,
-        }
-    }
-}
-
 /// Configuration one replica (and the deployment helper) runs with.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
@@ -62,15 +38,8 @@ pub struct StoreConfig {
     /// Reply deadline for one replica-to-replica replication RPC. Bounds
     /// how long a write blocks on a dead peer before the quorum check.
     pub repl_timeout: SimDuration,
-    /// How long a fetched membership view stays fresh before the
-    /// coordinator re-reads the group from the naming service.
-    pub view_ttl: SimDuration,
-    /// Probe period of the store-side failure detector.
-    pub detector_period: SimDuration,
     /// Consecutive failed probes before the detector evicts a replica.
     pub suspect_after: u32,
-    /// CPU cost model of one replica.
-    pub costs: StoreCosts,
     /// When set, replicas emit view changes and quorum-write outcomes to
     /// the run's monitor.
     pub monitor: Option<monitor::MonitorHandle>,
@@ -82,10 +51,7 @@ impl Default for StoreConfig {
             write_quorum: usize::MAX,
             retain_epochs: 2,
             repl_timeout: SimDuration::from_millis(300),
-            view_ttl: SimDuration::from_millis(100),
-            detector_period: SimDuration::from_millis(250),
             suspect_after: 2,
-            costs: StoreCosts::default(),
             monitor: None,
         }
     }

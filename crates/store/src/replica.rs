@@ -51,38 +51,28 @@ use std::rc::Rc;
 
 use cdr::{Any, Epoch, TypeCode, Value};
 use cosnaming::{Name, NamingClient, NotFound};
+use ftproxy::per_value::{read_chunk, Header, HEADER_KEY};
 use ftproxy::{Checkpoint, CHECKPOINT_SERVICE_NAME, CHECKPOINT_SERVICE_TYPE, FT};
 use monitor::EventBody;
 use orb::{CallCtx, Exception, Ior, Orb, SystemException};
-use simnet::{Ctx, HostId, SimResult, SimTime};
+use simnet::{Ctx, HostId, SimDuration, SimResult, SimTime};
 
 use crate::protocol::{ReplicationSkeleton, ReplicationStub, Store, StoreConfig};
 
-/// Epoch of a `CkptHeader` any, if that is what it is.
-fn header_epoch_of(v: &Any) -> Option<Epoch> {
-    match (&v.tc, &v.value) {
-        (TypeCode::Struct { name, .. }, Value::Struct(fields)) if name == "CkptHeader" => {
-            match fields.get(1) {
-                Some(Value::ULongLong(e)) => Some(Epoch(*e)),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
+/// How long a fetched membership view stays fresh before the coordinator
+/// re-reads the group from the naming service.
+const VIEW_TTL: SimDuration = SimDuration::from_millis(100);
 
-/// Epoch of a `CkptChunk` any, if that is what it is.
-fn chunk_epoch_of(v: &Any) -> Option<Epoch> {
-    match (&v.tc, &v.value) {
-        (TypeCode::Struct { name, .. }, Value::Struct(fields)) if name == "CkptChunk" => {
-            match fields.first() {
-                Some(Value::ULongLong(e)) => Some(Epoch(*e)),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
+// The cost model of one replica. The paper's store was "rather
+// inefficient" and "not optimized for speed in any way"; these reproduce
+// that.
+/// CPU work per bulk store/retrieve, plus [`BULK_PER_BYTE`] per state byte.
+const BULK_FIXED: f64 = 100e-6;
+/// CPU work per state byte on the bulk path (~20 MB/s).
+const BULK_PER_BYTE: f64 = 5e-8;
+/// CPU work per `store_value`/`retrieve_value` call. Deliberately
+/// expensive: the proof-of-concept stores values one at a time.
+const VALUE_FIXED: f64 = 500e-6;
 
 /// A `repl_store_value` request before anything is decoded into it.
 fn blank_request() -> (String, String, Any) {
@@ -231,11 +221,6 @@ impl StoreReplica {
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &StoreConfig {
-        &self.cfg
-    }
-
     // ------------------------------------------------------------------
     // Local state transitions (pure, unit-testable)
     // ------------------------------------------------------------------
@@ -262,8 +247,8 @@ impl StoreReplica {
     /// window (shrinking states leave tail chunks behind that no header
     /// references any more). Returns how many chunks were reclaimed.
     pub(crate) fn apply_value(&mut self, id: &str, key: &str, value: Any) -> u64 {
-        let header_epoch = if key == "header" {
-            header_epoch_of(&value)
+        let header_epoch = if key == HEADER_KEY {
+            Header::read(&value).map(|h| h.epoch)
         } else {
             None
         };
@@ -286,11 +271,11 @@ impl StoreReplica {
                     .saturating_sub(self.cfg.retain_epochs.max(1) as u64 - 1),
             );
             vals.retain(|k, v| {
-                if k == "header" {
+                if k == HEADER_KEY {
                     return true;
                 }
-                match chunk_epoch_of(v) {
-                    Some(ce) if ce < floor => {
+                match read_chunk(v) {
+                    Some((ce, _)) if ce < floor => {
                         dropped += 1;
                         false
                     }
@@ -330,14 +315,14 @@ impl StoreReplica {
             }
         }
         for vals in self.values.values_mut() {
-            let newest = vals.get("header").and_then(header_epoch_of);
-            if let Some(e) = newest {
+            let newest = vals.get(HEADER_KEY).and_then(Header::read);
+            if let Some(Header { epoch: e, .. }) = newest {
                 vals.retain(|k, v| {
-                    if k == "header" {
+                    if k == HEADER_KEY {
                         return true;
                     }
-                    match chunk_epoch_of(v) {
-                        Some(ce) if ce != e => {
+                    match read_chunk(v) {
+                        Some((ce, _)) if ce != e => {
                             chunks_dropped += 1;
                             false
                         }
@@ -366,7 +351,7 @@ impl StoreReplica {
     /// The current peer view: the group's membership revision plus its
     /// members, deduplicated, sorted by `(host, port, key)` for
     /// deterministic fan-out order, and excluding this replica itself.
-    /// Cached for `view_ttl` — but a cached view is also discarded early
+    /// Cached for [`VIEW_TTL`] — but a cached view is also discarded early
     /// when a peer's stamped write has already proven it stale. A replica
     /// alone has no peers and asks nobody.
     fn view(&mut self, call: &mut CallCtx<'_>) -> Result<(u64, Rc<[ReplicationStub]>), Exception> {
@@ -375,7 +360,7 @@ impl StoreReplica {
         };
         let now = call.ctx.now();
         if let Some((at, rev, v)) = &self.view_cache {
-            if now.since(*at) <= self.cfg.view_ttl && *rev >= self.highest_view_revision {
+            if now.since(*at) <= VIEW_TTL && *rev >= self.highest_view_revision {
                 return Ok((*rev, Rc::clone(v)));
             }
         }
@@ -505,8 +490,8 @@ impl StoreReplica {
         call.ctx.compute(work).map_err(|_| killed())
     }
 
-    fn bulk_work(&self, state_bytes: usize) -> f64 {
-        self.cfg.costs.bulk_fixed + self.cfg.costs.bulk_per_byte * state_bytes as f64
+    fn bulk_work(state_bytes: usize) -> f64 {
+        BULK_FIXED + BULK_PER_BYTE * state_bytes as f64
     }
 
     /// This replica's newest local epoch of `object_id`, or `false` and a
@@ -519,7 +504,7 @@ impl StoreReplica {
         let got = self.local_newest(&object_id).cloned();
         self.compute(
             call,
-            self.bulk_work(got.as_ref().map_or(0, |c| c.state.len())),
+            Self::bulk_work(got.as_ref().map_or(0, |c| c.state.len())),
         )?;
         Ok(match got {
             Some(c) => (true, c),
@@ -545,7 +530,7 @@ impl FT::CheckpointService for StoreReplica {
         // minority) must fail cleanly, not leave a divergent
         // epoch behind for a post-heal reader to find.
         self.view(call)?;
-        self.compute(call, self.bulk_work(c.state.len()))?;
+        self.compute(call, Self::bulk_work(c.state.len()))?;
         self.stores += 1;
         let (object, epoch) = (c.object_id.clone(), c.epoch);
         self.apply_bulk(c);
@@ -579,10 +564,10 @@ impl FT::CheckpointService for StoreReplica {
         value: Any,
     ) -> Result<(), Exception> {
         self.view(call)?;
-        self.compute(call, self.cfg.costs.value_fixed)?;
+        self.compute(call, VALUE_FIXED)?;
         self.value_stores += 1;
-        let epoch = if key == "header" {
-            header_epoch_of(&value).unwrap_or(Epoch::ZERO)
+        let epoch = if key == HEADER_KEY {
+            Header::read(&value).map_or(Epoch::ZERO, |h| h.epoch)
         } else {
             Epoch::ZERO
         };
@@ -596,7 +581,7 @@ impl FT::CheckpointService for StoreReplica {
         object_id: String,
         key: String,
     ) -> Result<(bool, Any), Exception> {
-        self.compute(call, self.cfg.costs.value_fixed)?;
+        self.compute(call, VALUE_FIXED)?;
         Ok(
             match self.values.get(&object_id).and_then(|m| m.get(&key)) {
                 Some(v) => (true, v.clone()),
@@ -626,7 +611,7 @@ impl Store::Replication for StoreReplica {
         body: Vec<u8>,
     ) -> Result<(), Exception> {
         let (ckpt,): (Checkpoint,) = self.admit(view_revision, &body)?;
-        self.compute(call, self.bulk_work(ckpt.state.len()))?;
+        self.compute(call, Self::bulk_work(ckpt.state.len()))?;
         self.repl_applied += 1;
         self.apply_bulk(ckpt);
         Ok(())
@@ -640,7 +625,7 @@ impl Store::Replication for StoreReplica {
     ) -> Result<(), Exception> {
         self.note_coordinator_view(view_revision)?;
         cdr::from_bytes_into(&mut self.scratch, &body).map_err(SystemException::marshal)?;
-        self.compute(call, self.cfg.costs.value_fixed)?;
+        self.compute(call, VALUE_FIXED)?;
         self.repl_applied += 1;
         let (id, key, value) = std::mem::replace(&mut self.scratch, blank_request());
         self.apply_value(&id, &key, value);

@@ -4,8 +4,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use cdr::{Any, Epoch, TypeCode, Value};
+use cdr::{Any, Epoch};
 use cosnaming::{LbMode, Name, NamingClient};
+use ftproxy::per_value::{self, chunk_key, HEADER_KEY};
 use ftproxy::{Checkpoint, CheckpointClient, CHECKPOINT_SERVICE_NAME};
 use orb::{Exception, Orb, SysKind, SystemException};
 use simnet::{Fault, HostConfig, HostId, Kernel, SimDuration, SimTime};
@@ -35,34 +36,16 @@ fn ckpt(id: &str, epoch: u64, state: &[u8]) -> Checkpoint {
 }
 
 fn header_any(epoch: u64) -> Any {
-    Any {
-        tc: TypeCode::Struct {
-            name: "CkptHeader".into(),
-            members: vec![
-                ("len".into(), TypeCode::ULongLong),
-                ("epoch".into(), TypeCode::ULongLong),
-                ("chunk".into(), TypeCode::ULongLong),
-            ],
-        },
-        value: Value::Struct(vec![
-            Value::ULongLong(8),
-            Value::ULongLong(epoch),
-            Value::ULongLong(4),
-        ]),
+    per_value::Header {
+        len: 8,
+        epoch: Epoch(epoch),
+        chunk: 4,
     }
+    .to_any()
 }
 
 fn chunk_any(epoch: u64) -> Any {
-    Any {
-        tc: TypeCode::Struct {
-            name: "CkptChunk".into(),
-            members: vec![
-                ("epoch".into(), TypeCode::ULongLong),
-                ("data".into(), TypeCode::Sequence(Box::new(TypeCode::Octet))),
-            ],
-        },
-        value: Value::Struct(vec![Value::ULongLong(epoch), Value::Octets(vec![1, 2])]),
-    }
+    per_value::chunk(Epoch(epoch), &[1, 2])
 }
 
 // ---------------------------------------------------------------------
@@ -87,9 +70,9 @@ fn header_write_reclaims_superseded_chunks() {
     let mut r = StoreReplica::alone(StoreConfig::default().with_retain_epochs(2));
     // Chunks of epochs 1 and 2, then a header advancing to epoch 3:
     // the retention floor becomes 3 - (2-1) = 2, so epoch-1 chunks go.
-    r.apply_value("obj", "w0", chunk_any(1));
-    r.apply_value("obj", "w1", chunk_any(2));
-    let dropped = r.apply_value("obj", "header", header_any(3));
+    r.apply_value("obj", &chunk_key(0), chunk_any(1));
+    r.apply_value("obj", &chunk_key(1), chunk_any(2));
+    let dropped = r.apply_value("obj", HEADER_KEY, header_any(3));
     assert_eq!(dropped, 1, "only the epoch-1 chunk falls out");
     let (_, _, values) = r.status();
     assert_eq!(values, 2, "header + epoch-2 chunk survive");
@@ -102,9 +85,9 @@ fn compact_keeps_only_newest_epoch_and_chunks() {
     for e in 1..=3 {
         r.apply_bulk(ckpt("obj", e, b"state"));
     }
-    r.apply_value("obj", "w0", chunk_any(2));
-    r.apply_value("obj", "w1", chunk_any(3));
-    r.apply_value("obj", "header", header_any(3));
+    r.apply_value("obj", &chunk_key(0), chunk_any(2));
+    r.apply_value("obj", &chunk_key(1), chunk_any(3));
+    r.apply_value("obj", HEADER_KEY, header_any(3));
     let (epochs_dropped, chunks_dropped) = r.compact();
     assert_eq!(epochs_dropped, 2, "bulk epochs 1 and 2 dropped");
     assert_eq!(chunks_dropped, 1, "epoch-2 chunk dropped");
@@ -117,7 +100,7 @@ fn compact_keeps_only_newest_epoch_and_chunks() {
 fn delete_removes_both_stores() {
     let mut r = StoreReplica::alone(StoreConfig::default());
     r.apply_bulk(ckpt("obj", 1, b"s"));
-    r.apply_value("obj", "header", header_any(1));
+    r.apply_value("obj", HEADER_KEY, header_any(1));
     assert!(r.apply_delete("obj"));
     assert!(!r.apply_delete("obj"), "second delete finds nothing");
     assert_eq!(r.status(), (0, 0, 0));
@@ -380,7 +363,7 @@ fn write_replicates_to_every_view_member() {
             .unwrap()
             .unwrap();
         client
-            .store_value(&mut orb, ctx, "a", "header", &header_any(1))
+            .store_value(&mut orb, ctx, "a", HEADER_KEY, &header_any(1))
             .unwrap()
             .unwrap();
         // Ask every group member directly for its local status.
@@ -406,9 +389,48 @@ fn write_replicates_to_every_view_member() {
 }
 
 #[test]
+fn a_coordinator_rereads_its_view_only_after_the_ttl() {
+    // The membership view a coordinator fetched serves its writes for
+    // 100 ms (`VIEW_TTL`, the literal here on purpose): writes 50 and
+    // 99 ms after the fetch read no view, the one 101 ms after it does.
+    let mut sim = Kernel::with_seed(5);
+    let hosts: Vec<_> = (0..4)
+        .map(|i| sim.add_host(HostConfig::new(format!("sh{i}"))))
+        .collect();
+    let h0 = hosts[0];
+    let naming = obs::Obs::default();
+    let sink = naming.clone();
+    sim.spawn(h0, "naming", move |ctx| {
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, Some(sink));
+    });
+    spawn_replicated_store(&mut sim, &hosts[1..], h0, StoreConfig::default(), None);
+    let fetches = cell::<Vec<usize>>();
+    let (f, seen) = (fetches.clone(), naming.clone());
+    let driver = sim.spawn(h0, "driver", move |ctx| {
+        ctx.sleep(secs(1.0)).unwrap();
+        let mut orb = Orb::init(ctx);
+        let client = resolve_store(&mut orb, ctx, h0);
+        let first = ctx.now();
+        for (epoch, after_ms) in [(1, 0), (2, 50), (3, 99), (4, 101)] {
+            let at = first + SimDuration::from_millis(after_ms);
+            ctx.sleep(at.since(ctx.now())).unwrap();
+            client
+                .store(&mut orb, ctx, &ckpt("obj", epoch, b"x"))
+                .unwrap()
+                .unwrap();
+            f.lock()
+                .unwrap()
+                .push(seen.spans_named("serve:group_view").len());
+        }
+    });
+    sim.run_until_exit(driver);
+    assert_eq!(*fetches.lock().unwrap(), vec![1, 1, 1, 2]);
+}
+
+#[test]
 fn unreachable_quorum_fails_the_write() {
-    // Two replicas, strict W=2, detector disabled by a long period: crash
-    // the backup and write before any eviction can shrink the view.
+    // Two replicas, strict W=2 and no detector: crash the backup and
+    // write before any eviction can shrink the view.
     let cfg = StoreConfig::default()
         .with_write_quorum(2)
         .with_repl_timeout(SimDuration::from_millis(200));

@@ -40,7 +40,6 @@ fn cfg_strategy() -> impl Strategy<Value = ChaosConfig> {
                 degrade_prob: w[3],
                 flap_prob: w[4],
                 skew_prob: w[5],
-                ..ChaosConfig::default()
             },
         )
 }
@@ -180,22 +179,12 @@ proptest! {
 /// A value for `store_value`: the chunk shape the FT proxy writes, or a
 /// plain double / string, so alignment after odd-length strings varies.
 fn any_strategy() -> impl Strategy<Value = cdr::Any> {
-    use cdr::{Any, TypeCode, Value};
+    use cdr::Any;
     prop_oneof![
         any::<f64>().prop_map(Any::double),
         ".{0,9}".prop_map(Any::string),
-        (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..40)).prop_map(|(epoch, data)| {
-            Any {
-                tc: TypeCode::Struct {
-                    name: "CkptChunk".into(),
-                    members: vec![
-                        ("epoch".into(), TypeCode::ULongLong),
-                        ("data".into(), TypeCode::Sequence(Box::new(TypeCode::Octet))),
-                    ],
-                },
-                value: Value::Struct(vec![Value::ULongLong(epoch), Value::Octets(data)]),
-            }
-        }),
+        (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..40))
+            .prop_map(|(epoch, data)| ftproxy::per_value::chunk(cdr::Epoch(epoch), &data)),
     ]
 }
 

@@ -6,7 +6,7 @@ use simnet::{Ctx, SimResult};
 use crate::protocol::{
     SelectRequest, SystemManagerSkeleton, SystemManagerStub, SYSTEM_MANAGER_TYPE,
 };
-use crate::system_manager::{SystemManager, SystemManagerConfig};
+use crate::system_manager::SystemManager;
 
 /// Client for `Winner::SystemManager`: the generated stub (`report`,
 /// `snapshot` through `Deref`) with `select` answering an `Option`.
@@ -55,10 +55,11 @@ impl SystemManagerClient {
 
 /// The body of a system manager server process: activate the servant,
 /// publish its IOR through `publish`, then serve forever. Serve spans and
-/// selection metrics are recorded into `obs` when present.
+/// selection metrics are recorded into `obs` when present, placements are
+/// emitted to `monitor`.
 pub fn run_system_manager_obs(
     ctx: &mut Ctx,
-    cfg: SystemManagerConfig,
+    monitor: Option<monitor::MonitorHandle>,
     policy: Box<dyn crate::policy::SelectionPolicy>,
     obs: Option<obs::Obs>,
     publish: impl FnOnce(Ior),
@@ -67,7 +68,7 @@ pub fn run_system_manager_obs(
     orb.set_obs(obs::ProcessObs::from_sink(obs, ctx));
     orb.listen(ctx)?;
     let poa = orb::Poa::new();
-    let manager = SystemManager::new(cfg, policy);
+    let manager = SystemManager::new(monitor, policy);
     let servant = std::rc::Rc::new(std::cell::RefCell::new(SystemManagerSkeleton(manager)));
     let key = poa.activate(SYSTEM_MANAGER_TYPE, servant);
     publish(orb.ior(SYSTEM_MANAGER_TYPE, key));

@@ -32,7 +32,7 @@ pub use protocol::{
     HostStatus, LoadReport, SelectRequest, SystemManagerSkeleton, SystemManagerStub, Winner,
     SYSTEM_MANAGER_NAME, SYSTEM_MANAGER_TYPE,
 };
-pub use system_manager::{ReportOutcome, SystemManager, SystemManagerConfig};
+pub use system_manager::{ReportOutcome, SystemManager};
 
 #[cfg(test)]
 mod winner_tests;

@@ -10,6 +10,9 @@ use simnet::{Ctx, SimDuration, SimResult};
 use crate::client::SystemManagerClient;
 use crate::protocol::LoadReport;
 
+/// CPU work spent taking one sample (reading `/proc` is not free).
+const SAMPLE_COST: f64 = 50e-6;
+
 /// Node manager tuning.
 #[derive(Clone, Debug)]
 pub struct NodeManagerConfig {
@@ -17,19 +20,16 @@ pub struct NodeManagerConfig {
     pub system_manager: Ior,
     /// Sampling/report period.
     pub interval: SimDuration,
-    /// CPU work spent taking one sample (reading `/proc` is not free).
-    pub sample_cost: f64,
     /// When set, each load sample is also emitted to the run's monitor.
     pub monitor: Option<MonitorHandle>,
 }
 
 impl NodeManagerConfig {
-    /// Defaults: 1 s period, 50 µs sampling cost, no monitoring.
+    /// Defaults: 1 s period, no monitoring.
     pub fn new(system_manager: Ior) -> Self {
         NodeManagerConfig {
             system_manager,
             interval: SimDuration::from_secs(1),
-            sample_cost: 50e-6,
             monitor: None,
         }
     }
@@ -46,9 +46,7 @@ pub fn run_node_manager(ctx: &mut Ctx, cfg: NodeManagerConfig) -> SimResult<()> 
     ctx.sleep(SimDuration::from_nanos(jitter_ns))?;
     let mut seq = 0u64;
     loop {
-        if cfg.sample_cost > 0.0 {
-            ctx.compute(cfg.sample_cost)?;
-        }
+        ctx.compute(SAMPLE_COST)?;
         let host = ctx.host();
         let Some(snap) = ctx.host_info(host)? else {
             // A process's own host must exist; if the kernel disagrees,

@@ -11,37 +11,19 @@ use simnet::{SimDuration, SimTime};
 use crate::policy::{performance_score, HostView, SelectionPolicy};
 use crate::protocol::{HostStatus, LoadReport, SelectRequest, Winner};
 
-/// System manager tuning.
-#[derive(Clone, Debug)]
-pub struct SystemManagerConfig {
-    /// Reports older than this mark a host dead (node manager or host
-    /// failure ⇒ the host is never selected).
-    pub stale_after: SimDuration,
-    /// How long a placement reservation inflates a host's effective load.
-    /// Covers the window between placing a process and that process
-    /// showing up in the next load report.
-    pub reservation_ttl: SimDuration,
-    /// When set, every answered `select` is also emitted as a placement
-    /// event to the run's monitor.
-    pub monitor: Option<MonitorHandle>,
-    /// Quarantine bound on report wall-clock stamps: a report whose
-    /// `stamp_ns` strays further than this from the manager's own clock
-    /// is rejected — its host's load data is not to be trusted (its clock
-    /// is broken, or the report spent absurdly long in flight). The bound
-    /// must comfortably exceed report latency plus one sampling interval.
-    pub max_report_skew: SimDuration,
-}
-
-impl Default for SystemManagerConfig {
-    fn default() -> Self {
-        SystemManagerConfig {
-            stale_after: SimDuration::from_millis(3500),
-            reservation_ttl: SimDuration::from_millis(1500),
-            monitor: None,
-            max_report_skew: SimDuration::from_millis(100),
-        }
-    }
-}
+/// Reports older than this mark a host dead (node manager or host failure
+/// ⇒ the host is never selected).
+const STALE_AFTER: SimDuration = SimDuration::from_millis(3500);
+/// How long a placement reservation inflates a host's effective load.
+/// Covers the window between placing a process and that process showing
+/// up in the next load report.
+const RESERVATION_TTL: SimDuration = SimDuration::from_millis(1500);
+/// Quarantine bound on report wall-clock stamps: a report whose `stamp_ns`
+/// strays further than this from the manager's own clock is rejected — its
+/// host's load data is not to be trusted (its clock is broken, or the
+/// report spent absurdly long in flight). The bound must comfortably
+/// exceed report latency plus one sampling interval.
+const MAX_REPORT_SKEW: SimDuration = SimDuration::from_millis(100);
 
 /// What [`SystemManager::ingest`] did with a report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,7 +32,7 @@ pub enum ReportOutcome {
     Accepted,
     /// Dropped: an equal-or-newer sequence number was already recorded.
     StaleSeq,
-    /// Dropped: the wall-clock stamp strayed beyond `max_report_skew`.
+    /// Dropped: the wall-clock stamp strayed beyond [`MAX_REPORT_SKEW`].
     SkewQuarantined,
 }
 
@@ -63,7 +45,9 @@ struct HostRecord {
 
 /// The system manager servant.
 pub struct SystemManager {
-    cfg: SystemManagerConfig,
+    /// When set, every answered `select` is also emitted as a placement
+    /// event to the run's monitor.
+    monitor: Option<MonitorHandle>,
     policy: Box<dyn SelectionPolicy>,
     hosts: BTreeMap<u32, HostRecord>,
     /// Counters for tests/benchmarks.
@@ -71,7 +55,7 @@ pub struct SystemManager {
     /// Reports dropped because a newer sequence number was already seen.
     pub stale_reports_dropped: u64,
     /// Reports quarantined for a wall-clock stamp outside
-    /// `max_report_skew` (fault-injected clock skew, usually).
+    /// [`MAX_REPORT_SKEW`] (fault-injected clock skew, usually).
     pub skewed_reports_quarantined: u64,
     /// Selections answered.
     pub selections: u64,
@@ -82,10 +66,11 @@ pub struct SystemManager {
 }
 
 impl SystemManager {
-    /// Create a system manager with the given policy.
-    pub fn new(cfg: SystemManagerConfig, policy: Box<dyn SelectionPolicy>) -> Self {
+    /// Create a system manager with the given policy, emitting placements
+    /// to `monitor` when one is given.
+    pub fn new(monitor: Option<MonitorHandle>, policy: Box<dyn SelectionPolicy>) -> Self {
         SystemManager {
-            cfg,
+            monitor,
             policy,
             hosts: BTreeMap::new(),
             reports_received: 0,
@@ -104,7 +89,7 @@ impl SystemManager {
         // staleness), so the host simply goes silent to the selector
         // until its clock is sane again.
         let delta = (now.as_nanos() as i64).abs_diff(report.stamp_ns);
-        if delta > self.cfg.max_report_skew.as_nanos() {
+        if delta > MAX_REPORT_SKEW.as_nanos() {
             self.skewed_reports_quarantined += 1;
             return ReportOutcome::SkewQuarantined;
         }
@@ -134,12 +119,11 @@ impl SystemManager {
     /// The current selectable views: fresh hosts only, with reservations
     /// folded into the effective load.
     fn views(&mut self, now: SimTime, candidates: &[u32]) -> Vec<HostView> {
-        let stale_after = self.cfg.stale_after;
         self.hosts
             .iter_mut()
             .filter(|(host, rec)| {
                 (candidates.is_empty() || candidates.contains(host))
-                    && now.since(rec.last_seen) < stale_after
+                    && now.since(rec.last_seen) < STALE_AFTER
             })
             .map(|(host, rec)| {
                 rec.reservations.retain(|&exp| exp > now);
@@ -155,7 +139,7 @@ impl SystemManager {
 
     /// Select the best host among `candidates` (empty = all known), adding
     /// a placement reservation on the winner.
-    pub fn select_at(&mut self, now: SimTime, candidates: &[u32]) -> Option<u32> {
+    fn select_at(&mut self, now: SimTime, candidates: &[u32]) -> Option<u32> {
         self.selections += 1;
         let views = self.views(now, candidates);
         let pick = self.policy.select(&views)?;
@@ -171,20 +155,19 @@ impl SystemManager {
             monitor::milli(if min_load.is_finite() { min_load } else { 0.0 }),
         ));
         if let Some(rec) = self.hosts.get_mut(&pick) {
-            rec.reservations.push(now + self.cfg.reservation_ttl);
+            rec.reservations.push(now + RESERVATION_TTL);
         }
         Some(pick)
     }
 
     /// A full status dump (for tools, tests, and the load-balancing demo).
-    pub fn snapshot_at(&mut self, now: SimTime) -> Vec<HostStatus> {
-        let stale_after = self.cfg.stale_after;
+    fn snapshot_at(&mut self, now: SimTime) -> Vec<HostStatus> {
         let mut out: Vec<HostStatus> = self
             .hosts
             .iter_mut()
             .map(|(host, rec)| {
                 rec.reservations.retain(|&exp| exp > now);
-                let alive = now.since(rec.last_seen) < stale_after;
+                let alive = now.since(rec.last_seen) < STALE_AFTER;
                 let view = HostView {
                     host: *host,
                     speed: rec.last.speed,
@@ -208,7 +191,7 @@ impl SystemManager {
     }
 
     /// Number of hosts with fresh reports.
-    pub fn alive_hosts(&mut self, now: SimTime) -> usize {
+    fn alive_hosts(&mut self, now: SimTime) -> usize {
         self.views(now, &[]).len()
     }
 }
@@ -259,7 +242,7 @@ impl Winner::SystemManager for SystemManager {
             o.gauge_set("winner.alive_hosts", self.alive_hosts(now) as f64);
         }
         if let (Some(mon), Some((chosen, chosen_m, min_m))) =
-            (&self.cfg.monitor, self.last_placement.take())
+            (&self.monitor, self.last_placement.take())
         {
             mon.emit(
                 call.ctx,
@@ -308,7 +291,7 @@ mod tests {
     }
 
     fn mgr() -> SystemManager {
-        SystemManager::new(SystemManagerConfig::default(), Box::new(BestPerformance))
+        SystemManager::new(None, Box::new(BestPerformance))
     }
 
     #[test]

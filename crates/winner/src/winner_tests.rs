@@ -7,10 +7,7 @@ use std::sync::{Arc, Mutex};
 use simnet::{Fault, HostConfig, Kernel, Pid, SimDuration, SimTime};
 
 use crate::policy::BestPerformance;
-use crate::{
-    run_node_manager, run_system_manager_obs, NodeManagerConfig, SystemManagerClient,
-    SystemManagerConfig,
-};
+use crate::{run_node_manager, run_system_manager_obs, NodeManagerConfig, SystemManagerClient};
 
 type Cell<T> = Arc<Mutex<T>>;
 
@@ -31,15 +28,9 @@ fn boot(sim: &mut Kernel, n_hosts: usize) -> (Vec<simnet::HostId>, Cell<Option<S
     let ior = cell::<Option<String>>();
     let io = ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
-        let _ = run_system_manager_obs(
-            ctx,
-            SystemManagerConfig::default(),
-            Box::new(BestPerformance),
-            None,
-            |i| {
-                *io.lock().unwrap() = Some(i.stringify());
-            },
-        );
+        let _ = run_system_manager_obs(ctx, None, Box::new(BestPerformance), None, |i| {
+            *io.lock().unwrap() = Some(i.stringify());
+        });
     });
     for &h in &hosts {
         let io = ior.clone();

@@ -163,21 +163,6 @@ fn generated_files_are_in_sync_with_idlc() {
     }
 }
 
-/// The `any` of one per-value checkpoint chunk, `{ epoch, data }`.
-fn chunk_any(data: &[u8]) -> cdr::Any {
-    use cdr::{TypeCode, Value};
-    cdr::Any {
-        tc: TypeCode::Struct {
-            name: "CkptChunk".into(),
-            members: vec![
-                ("epoch".into(), TypeCode::ULongLong),
-                ("data".into(), TypeCode::Sequence(Box::new(TypeCode::Octet))),
-            ],
-        },
-        value: Value::Struct(vec![Value::ULongLong(3), Value::Octets(data.to_vec())]),
-    }
-}
-
 /// One servant of every contract interface behind its generated skeleton.
 fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
     let tree = cosnaming::NamingTree::new();
@@ -205,7 +190,7 @@ fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
         (
             "SystemManager",
             Box::new(winner::SystemManagerSkeleton(winner::SystemManager::new(
-                winner::SystemManagerConfig::default(),
+                None,
                 Box::new(winner::BestPerformance),
             ))),
         ),
@@ -230,9 +215,7 @@ fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
         ),
         (
             "Worker",
-            Box::new(optim::WorkerSkeleton(optim::WorkerServant::new(
-                optim::WorkerCosts::default(),
-            ))),
+            Box::new(optim::WorkerSkeleton(optim::WorkerServant::new())),
         ),
     ]
 }
@@ -320,8 +303,9 @@ fn skeletons_answer_hostile_bytes_with_system_exceptions() {
         // and `repl_store_value` carry them: a count of 2^32 - 1, and a
         // request cut inside the octets, are MARSHAL; the well-formed
         // request after them is served and read back.
-        let chunk = chunk_any(&[7; 64]);
-        let good = cdr::to_bytes(&("acct", "w0", &chunk));
+        let chunk = ftproxy::per_value::chunk(cdr::Epoch(3), &[7; 64]);
+        let w0 = ftproxy::per_value::chunk_key(0);
+        let good = cdr::to_bytes(&("acct", w0.as_str(), &chunk));
         let count_at = good.len() - 64 - 4;
         let mut bomb = good.clone();
         bomb[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -353,7 +337,7 @@ fn skeletons_answer_hostile_bytes_with_system_exceptions() {
                 other => said.push(format!("{iface}::{op} on hostile octets: {other:?}")),
             }
         }
-        let read_back = cdr::to_bytes(&("acct", "w0"));
+        let read_back = cdr::to_bytes(&("acct", w0.as_str()));
         for (iface, op, body) in [
             ("CheckpointService", "store_value", good.clone()),
             ("Replication", "repl_store_value", repl(&good)),

@@ -10,7 +10,7 @@
 use cosnaming::{LbMode, Name, NamingClient};
 use ftproxy::{CheckpointClient, FtProxy, FtProxyConfig, ProxyEnv};
 use obs::{Obs, ProcessObs};
-use optim::{worker_builder, worker_group, WorkerCosts, WorkerFtProxy, WORKER_SERVICE_TYPE};
+use optim::{worker_builder, worker_group, WorkerFtProxy, WORKER_SERVICE_TYPE};
 use orb::{Orb, OrbConfig};
 use simnet::{HostConfig, Kernel, SimDuration};
 
@@ -44,17 +44,12 @@ fn run_crash_recovery_cell(seed: u64) -> Obs {
     });
     let obs = sink.clone();
     sim.spawn(hosts[1], "opt-worker", move |ctx| {
-        let _ = optim::run_worker_server_obs(ctx, h0, WorkerCosts::default(), Some(obs));
+        let _ = optim::run_worker_server_obs(ctx, h0, Some(obs));
     });
     for h in [hosts[1], h2] {
         let obs = sink.clone();
         sim.spawn(h, "factory", move |ctx| {
-            let _ = ftproxy::run_factory_obs(
-                ctx,
-                h0,
-                worker_builder(WorkerCosts::default()),
-                Some(obs),
-            );
+            let _ = ftproxy::run_factory_obs(ctx, h0, worker_builder(), Some(obs));
         });
     }
 

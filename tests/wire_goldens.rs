@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use cdr::{Any, Epoch};
 use cosnaming::{LbMode, Name, NamingClient};
-use ftproxy::{Checkpoint, CheckpointClient};
+use ftproxy::{per_value, Checkpoint, CheckpointClient};
 use orb::{CallCtx, Exception, Ior, ObjectRef, Orb, Poa, Servant};
 use simnet::{HostConfig, HostId, Kernel, Shared, SimDuration};
 
@@ -138,7 +138,7 @@ fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
             &log,
             winner::SYSTEM_MANAGER_TYPE,
             winner::SystemManagerSkeleton(winner::SystemManager::new(
-                winner::SystemManagerConfig::default(),
+                None,
                 Box::new(winner::BestPerformance),
             )),
         )
@@ -158,9 +158,7 @@ fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
             &orb,
             &log,
             ftproxy::FACTORY_TYPE,
-            ftproxy::ServiceFactorySkeleton(ftproxy::ServiceFactory::new(optim::worker_builder(
-                optim::WorkerCosts::default(),
-            ))),
+            ftproxy::ServiceFactorySkeleton(ftproxy::ServiceFactory::new(optim::worker_builder())),
         )
         .0,
         worker: tap(
@@ -168,7 +166,7 @@ fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
             &orb,
             &log,
             optim::WORKER_TYPE,
-            optim::WorkerSkeleton(optim::WorkerServant::new(optim::WorkerCosts::default())),
+            optim::WorkerSkeleton(optim::WorkerServant::new()),
         )
         .0,
     };
@@ -213,38 +211,12 @@ fn serve_tapped_replica(ctx: &mut simnet::Ctx, naming_host: HostId, log: Log) {
 }
 
 fn header_any(epoch: u64) -> Any {
-    use cdr::{TypeCode, Value};
-    Any {
-        tc: TypeCode::Struct {
-            name: "CkptHeader".into(),
-            members: vec![
-                ("len".into(), TypeCode::ULongLong),
-                ("epoch".into(), TypeCode::ULongLong),
-                ("chunk".into(), TypeCode::ULongLong),
-            ],
-        },
-        value: Value::Struct(vec![
-            Value::ULongLong(8),
-            Value::ULongLong(epoch),
-            Value::ULongLong(4),
-        ]),
+    per_value::Header {
+        len: 8,
+        epoch: Epoch(epoch),
+        chunk: 4,
     }
-}
-
-/// A per-value checkpoint chunk, `{ epoch, data }`: its `data` is a
-/// `sequence<octet>` inside an `any`.
-fn chunk_any(epoch: u64, data: &[u8]) -> Any {
-    use cdr::{TypeCode, Value};
-    Any {
-        tc: TypeCode::Struct {
-            name: "CkptChunk".into(),
-            members: vec![
-                ("epoch".into(), TypeCode::ULongLong),
-                ("data".into(), TypeCode::Sequence(Box::new(TypeCode::Octet))),
-            ],
-        },
-        value: Value::Struct(vec![Value::ULongLong(epoch), Value::Octets(data.to_vec())]),
-    }
+    .to_any()
 }
 
 #[test]
@@ -433,7 +405,7 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
             "",
         );
         store
-            .store_value(&mut orb, ctx, "acct", "header", &header_any(2))
+            .store_value(&mut orb, ctx, "acct", per_value::HEADER_KEY, &header_any(2))
             .unwrap()
             .unwrap();
         assert_golden(
@@ -450,7 +422,13 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
         // Captured while an octet sequence in an `any` was still one
         // `Value::Octet` per byte.
         store
-            .store_value(&mut orb, ctx, "acct", "w0", &chunk_any(2, &[1, 2, 3, 4, 5]))
+            .store_value(
+                &mut orb,
+                ctx,
+                "acct",
+                &per_value::chunk_key(0),
+                &per_value::chunk(Epoch(2), &[1, 2, 3, 4, 5]),
+            )
             .unwrap()
             .unwrap();
         assert_golden(
