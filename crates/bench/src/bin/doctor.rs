@@ -17,7 +17,9 @@
 //! Usage: `cargo run --release -p ldft-bench --bin doctor
 //! [--quick] [--seeds N] [--report-out PATH]`
 
-use ldft_bench::{doctor_cell, RunArgs};
+use ldft_bench::{doctor_cell, usage_exit, RunArgs};
+
+const EXTRA: &str = "[--report-out PATH] ";
 
 fn main() {
     let mut report_out: Option<String> = None;
@@ -27,12 +29,14 @@ fn main() {
     let mut args_iter = std::env::args().skip(1);
     while let Some(a) = args_iter.next() {
         if a == "--report-out" {
-            report_out = Some(args_iter.next().expect("--report-out takes a path"));
+            let path = args_iter.next();
+            report_out =
+                Some(path.unwrap_or_else(|| usage_exit("--report-out takes a path", EXTRA)));
         } else {
             forwarded.push(a);
         }
     }
-    let args = RunArgs::parse_from(forwarded);
+    let args = RunArgs::parse_from(forwarded).unwrap_or_else(|e| usage_exit(&e, EXTRA));
 
     eprintln!("doctor: healthy baseline …");
     let healthy = doctor_cell(&args, false);

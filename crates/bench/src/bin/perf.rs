@@ -12,7 +12,9 @@
 //! [--quick] [--seeds N] [--scale F] [--out PATH] [--flat-out PATH]`
 
 use ldft_bench::perf::run_suite;
-use ldft_bench::{RunArgs, Table};
+use ldft_bench::{usage_exit, RunArgs, Table};
+
+const EXTRA: &str = "[--out PATH] [--flat-out PATH] ";
 
 fn write_or_exit(path: &str, what: &str, text: &str) {
     if let Err(e) = std::fs::write(path, text) {
@@ -29,13 +31,19 @@ fn main() {
     let mut rest = Vec::new();
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {
-        match a.as_str() {
-            "--out" => out = Some(raw.next().expect("--out takes a path")),
-            "--flat-out" => flat_out = Some(raw.next().expect("--flat-out takes a path")),
-            _ => rest.push(a),
-        }
+        let slot = match a.as_str() {
+            "--out" => &mut out,
+            "--flat-out" => &mut flat_out,
+            _ => {
+                rest.push(a);
+                continue;
+            }
+        };
+        let path = raw.next();
+        *slot = Some(path.unwrap_or_else(|| usage_exit(&format!("{a} takes a path"), EXTRA)));
     }
-    let outcome = run_suite(&RunArgs::parse_from(rest));
+    let args = RunArgs::parse_from(rest).unwrap_or_else(|e| usage_exit(&e, EXTRA));
+    let outcome = run_suite(&args);
     let report = &outcome.report;
 
     println!(

@@ -41,47 +41,63 @@ impl Default for RunArgs {
     }
 }
 
+/// The flags [`RunArgs::parse_from`] accepts.
+const USAGE: &str =
+    "[--quick] [--scale F] [--seeds N] [--no-csv] [--trace-out PATH] [--metrics-out PATH]";
+
+/// Report a bad command line on stderr and exit with status 2. `extra`
+/// names the calling binary's own flags ahead of the shared ones.
+pub fn usage_exit(err: &str, extra: &str) -> ! {
+    let arg0 = std::env::args().next().unwrap_or_default();
+    let bin = arg0.rsplit('/').next().unwrap_or(&arg0);
+    eprintln!("{bin}: {err}\nusage: {bin} {extra}{USAGE}");
+    std::process::exit(2)
+}
+
 impl RunArgs {
-    /// Parse from `std::env::args`: `[--quick] [--scale F] [--seeds N]
-    /// [--no-csv] [--trace-out PATH] [--metrics-out PATH]`.
+    /// Parse from `std::env::args`; a bad argument list prints usage and
+    /// exits with status 2.
     pub fn parse() -> RunArgs {
         RunArgs::parse_from(std::env::args().skip(1).collect())
+            .unwrap_or_else(|e| usage_exit(&e, ""))
     }
 
     /// Parse from an explicit argument list (bins with extra flags strip
     /// theirs first and forward the rest here).
-    pub fn parse_from(list: Vec<String>) -> RunArgs {
+    ///
+    /// # Errors
+    /// On an unknown flag, a flag missing its value, a malformed number,
+    /// or `--seeds 0`.
+    pub fn parse_from(list: Vec<String>) -> Result<RunArgs, String> {
         let mut out = RunArgs::default();
         let mut args = list.into_iter();
         while let Some(a) = args.next() {
+            let mut value = |what: &str| args.next().ok_or(format!("{a} takes {what}"));
             match a.as_str() {
                 "--quick" => out.scale = 0.1,
                 "--scale" => {
-                    out.scale = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scale takes a float");
+                    let v = value("a number")?;
+                    out.scale = v
+                        .parse()
+                        .map_err(|_| format!("--scale takes a number, not {v:?}"))?;
                 }
                 "--seeds" => {
-                    let n: u64 = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seeds takes a count");
+                    let v = value("a count")?;
+                    let n: u64 = v
+                        .parse()
+                        .map_err(|_| format!("--seeds takes a count, not {v:?}"))?;
+                    if n == 0 {
+                        return Err("--seeds takes a count of at least 1".into());
+                    }
                     out.seeds = (1..=n).collect();
                 }
                 "--no-csv" => out.csv = false,
-                "--trace-out" => {
-                    out.trace_out = Some(args.next().expect("--trace-out takes a path"));
-                }
-                "--metrics-out" => {
-                    out.metrics_out = Some(args.next().expect("--metrics-out takes a path"));
-                }
-                other => {
-                    eprintln!("ignoring unknown argument {other:?}");
-                }
+                "--trace-out" => out.trace_out = Some(value("a path")?),
+                "--metrics-out" => out.metrics_out = Some(value("a path")?),
+                _ => return Err(format!("unknown argument {a:?}")),
             }
         }
-        out
+        Ok(out)
     }
 
     /// The seed of single-run cells (the reference cell, the perf suite).
@@ -137,5 +153,46 @@ pub fn flush_post_mortems(label: &str, dumps: &str) {
         eprintln!("{label}: flight recorder captured no post-mortems");
     } else {
         eprintln!("{label}: flight recorder post-mortems:\n{dumps}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::RunArgs;
+
+    fn parse(list: &[&str]) -> Result<RunArgs, String> {
+        RunArgs::parse_from(list.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn quick_with_two_seeds() {
+        let args = parse(&["--quick", "--seeds", "2"]).expect("valid flags");
+        assert_eq!((args.seeds, args.scale), (vec![1, 2], 0.1));
+    }
+
+    #[test]
+    fn a_zero_or_malformed_count_is_rejected() {
+        for bad in [
+            ["--seeds", "0"],
+            ["--seeds", "two"],
+            ["--seeds", "-1"],
+            ["--scale", "x"],
+        ] {
+            assert!(parse(&bad).is_err_and(|e| e.starts_with(bad[0])), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_flag_missing_its_value_is_rejected() {
+        for flag in ["--seeds", "--scale", "--trace-out", "--metrics-out"] {
+            let takes = format!("{flag} takes ");
+            assert!(parse(&["--quick", flag]).is_err_and(|e| e.starts_with(&takes)));
+        }
+    }
+
+    #[test]
+    fn an_unknown_flag_is_rejected() {
+        let err = parse(&["--seed", "7"]).err();
+        assert_eq!(err.as_deref(), Some("unknown argument \"--seed\""));
     }
 }

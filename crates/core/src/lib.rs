@@ -20,6 +20,20 @@
 //! cluster.kernel.run_for(simnet::SimDuration::from_secs(10));
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod runtime;
 pub mod scenario;
 

@@ -27,6 +27,20 @@
 //! See DESIGN.md §15 for the exploration model and EXPERIMENTS.md for
 //! the reference counterexample walkthrough.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod explorer;
 pub mod independence;
 pub mod policy;

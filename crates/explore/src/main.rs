@@ -18,6 +18,20 @@
 //! the regression mode `tests/explore_replay.rs` uses for the committed
 //! corpus under `tests/explore_corpus/`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::fmt::Write as _;
 
 use explore::{

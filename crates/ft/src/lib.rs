@@ -18,6 +18,20 @@
 //! * [`run_detector_obs`] — a proactive heartbeat failure detector
 //!   (extension; the paper only detects failures via `COMM_FAILURE`).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod detector;
 pub mod factory;
 pub mod per_value;

@@ -72,13 +72,9 @@ fn bad_char(ch: char, pos: Pos) -> IdlError {
     IdlError { msg, pos }
 }
 
-/// Tokenize IDL source. Handles `//` line comments, `/* */` block comments,
-/// and `#pragma`/preprocessor lines (skipped to end of line).
-pub fn lex(src: &str) -> Result<Vec<Token>, IdlError> {
-    lex_file(src, 0)
-}
-
-/// [`lex`] for source number `file` of a compilation unit.
+/// Tokenize source number `file` of a compilation unit. Handles `//` line
+/// comments, `/* */` block comments, and `#pragma`/preprocessor lines
+/// (skipped to end of line).
 pub(crate) fn lex_file(src: &str, file: u32) -> Result<Vec<Token>, IdlError> {
     let mut out = Vec::new();
     let mut chars = src.chars().peekable();
@@ -210,7 +206,11 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<TokKind> {
-        lex(src).unwrap().into_iter().map(|t| t.kind).collect()
+        lex_file(src, 0)
+            .unwrap()
+            .into_iter()
+            .map(|t| t.kind)
+            .collect()
     }
 
     #[test]
@@ -286,19 +286,19 @@ mod tests {
 
     #[test]
     fn positions_tracked() {
-        let toks = lex("a\n  b").unwrap();
+        let toks = lex_file("a\n  b", 0).unwrap();
         assert_eq!((toks[0].pos.line, toks[0].pos.col), (1, 1));
         assert_eq!((toks[1].pos.line, toks[1].pos.col), (2, 3));
     }
 
     #[test]
     fn bad_char_reported() {
-        let err = lex("a @ b").unwrap_err();
+        let err = lex_file("a @ b", 0).unwrap_err();
         assert_eq!(err.to_string(), "1:3: unexpected character '@'");
     }
 
     #[test]
     fn unterminated_block_comment_errors() {
-        assert!(lex("/* never ends").is_err());
+        assert!(lex_file("/* never ends", 0).is_err());
     }
 }

@@ -35,18 +35,10 @@ mod lexer;
 mod parser;
 mod pretty;
 
-pub use check::{check, repo_id, CheckError, Item, Model, SymbolKind};
+pub use check::{check, CheckError, Item, Model};
 pub use codegen::{generate, generate_from, GenOptions};
-pub use lexer::{lex, TokKind, Token};
 pub use parser::{parse, parse_unit, ParseError};
 pub use pretty::pretty;
-
-/// Compile IDL source to Rust source in one step.
-pub fn compile(src: &str, opts: &GenOptions) -> Result<String, String> {
-    let spec = parse(src).map_err(|e| e.to_string())?;
-    let model = check(&spec).map_err(|e| e.to_string())?;
-    Ok(generate(&model, opts))
-}
 
 /// Compile `(path, source)` files as one compilation unit, in the order
 /// given, and generate Rust for all but the first `imports` of them; the

@@ -676,7 +676,7 @@ mod tests {
     use super::*;
 
     fn ast_of(src: &str) -> FileAst {
-        FileAst::parse(crate::lexer::toks(src))
+        FileAst::parse(crate::lexer::lex(src))
     }
 
     #[test]

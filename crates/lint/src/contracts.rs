@@ -57,7 +57,7 @@ impl Contracts {
             Err(e) => {
                 let msg = format!("contract rejected by idlc: {}", e.msg);
                 let line = e.pos.line as usize;
-                c.rejection = Some(crate::wire::err("W0", &file(e.pos.file), line, msg));
+                c.rejection = Some(Finding::new("W0", &file(e.pos.file), line, msg));
             }
         }
         for item in &c.model.items {

@@ -1,5 +1,4 @@
-//! The analyzer's one lexical pass: raw source → tokens, plus the comment
-//! text of every line (allow directives are parsed from it).
+//! The analyzer's one lexical pass: raw source → tokens.
 //!
 //! Comments never reach the token stream, and block comments nest. A
 //! string, byte-string, raw-string or char literal is one `Lit` token
@@ -33,23 +32,14 @@ impl Tok {
     }
 }
 
-/// A lexed file.
-#[derive(Debug)]
-pub struct Lexed {
-    pub toks: Vec<Tok>,
-    /// Comment text per line (index 0 = line 1), markers stripped.
-    pub comments: Vec<String>,
-}
-
 fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
 /// Lex `src`. Never fails: an unterminated literal or comment runs to the
 /// end of the file.
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Tok> {
     let c: Vec<char> = src.chars().collect();
-    let mut comments = vec![String::new(); src.lines().count()];
     let mut toks = Vec::new();
     let mut line = 1;
     let mut i = 0;
@@ -60,13 +50,9 @@ pub fn lex(src: &str) -> Lexed {
             (None, String::new())
         } else if c[i..].starts_with(&['/', '/']) {
             i = (i..c.len()).find(|&j| c[j] == '\n').unwrap_or(c.len());
-            if let Some(text) = comments.get_mut(line - 1) {
-                text.extend(&c[start + 2..i]);
-            }
             (None, String::new())
         } else if c[i..].starts_with(&['/', '*']) {
             let mut depth = 0;
-            let mut at = line;
             while i < c.len() {
                 if c[i..].starts_with(&['/', '*']) {
                     depth += 1;
@@ -78,11 +64,6 @@ pub fn lex(src: &str) -> Lexed {
                         break;
                     }
                 } else {
-                    if c[i] == '\n' {
-                        at += 1;
-                    } else if let Some(text) = comments.get_mut(at - 1) {
-                        text.push(c[i]);
-                    }
                     i += 1;
                 }
             }
@@ -147,10 +128,7 @@ pub fn lex(src: &str) -> Lexed {
         }
         line += c[start..i].iter().filter(|&&x| x == '\n').count();
     }
-    for text in &mut comments {
-        *text = text.trim().to_string();
-    }
-    Lexed { toks, comments }
+    toks
 }
 
 /// If a string literal (`"…"`, `b"…"`, `r#"…"#`, `br"…"`) starts at `i`:
@@ -184,11 +162,6 @@ fn char_lit_end(c: &[char], i: usize) -> Option<usize> {
     }
 }
 
-/// The tokens of a code fragment: rule patterns are written as source.
-pub fn toks(fragment: &str) -> Vec<Tok> {
-    lex(fragment).toks
-}
-
 /// True when the ident/punct sequence `pat` occurs in `toks` at index `i`.
 /// Token boundaries are identifier boundaries, so `HashMap` never matches
 /// inside `FxHashMap` and `.unwrap(` never matches `.unwrap_or(`.
@@ -204,20 +177,18 @@ mod tests {
 
     fn shape(src: &str) -> Vec<(TokKind, String, usize)> {
         lex(src)
-            .toks
             .into_iter()
             .map(|t| (t.kind, t.text, t.line))
             .collect()
     }
 
     #[test]
-    fn comments_are_text_not_tokens() {
-        let l = lex("let x = 1; // ldft-lint: allow(D1, why)\na /* start\nstd::time::Instant /* nested */\nend */ b\n");
-        assert!(l.comments[0].contains("allow(D1, why)"));
-        assert!(l.comments[2].contains("Instant"));
-        let idents: Vec<&str> = l.toks.iter().map(|t| t.text.as_str()).collect();
+    fn comments_are_not_tokens() {
+        let toks =
+            lex("let x = 1; // trailing\na /* start\nstd::time::Instant /* nested */\nend */ b\n");
+        let idents: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(idents, ["let", "x", "=", "1", ";", "a", "b"]);
-        assert_eq!(l.toks[6].line, 4);
+        assert_eq!(toks[6].line, 4);
     }
 
     #[test]
@@ -281,12 +252,8 @@ mod tests {
     #[test]
     fn patterns_match_at_token_boundaries() {
         let hay =
-            toks("FxHashMap::new(); x.unwrap_or(0); my_thread::spawn(); std::thread::spawn(f)");
-        let hits = |p: &str| {
-            (0..hay.len())
-                .filter(|&i| seq_at(&hay, i, &toks(p)))
-                .count()
-        };
+            lex("FxHashMap::new(); x.unwrap_or(0); my_thread::spawn(); std::thread::spawn(f)");
+        let hits = |p: &str| (0..hay.len()).filter(|&i| seq_at(&hay, i, &lex(p))).count();
         assert_eq!(hits("HashMap"), 0);
         assert_eq!(hits(".unwrap("), 0);
         assert_eq!(hits("thread::spawn("), 1);

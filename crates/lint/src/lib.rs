@@ -1,34 +1,25 @@
-//! # ldft-lint — determinism & protocol-invariant analyzer
+//! # ldft-lint — protocol, contract and lock-order analyzer
 //!
 //! A repo-specific static analyzer for the corba-ldft workspace. It lexes
-//! every workspace `.rs` file once ([`lexer`]: one token stream, literal
-//! values kept, plus each line's comment text for allow directives),
-//! parses a token-level AST over that stream ([`ast`]), and enforces the
-//! invariants the compiler cannot see; every rule reads those tokens.
-//! Which crates are policed is stated once, at [`rules::SIM_CRATES`].
+//! every workspace `.rs` file once ([`lexer`]), parses a token-level AST
+//! over that token stream ([`ast`]), and enforces the invariants no other
+//! tool checks; every rule reads those tokens. Which crates are policed is
+//! stated once, at [`rules::SIM_CRATES`].
 //!
-//! * **Determinism (D1–D4)** — the whole experiment pipeline must be a
-//!   pure function of the run seed. Wall-clock time, hash-ordered
-//!   iteration, ambient RNG, and OS synchronization outside the kernel
-//!   all smuggle host nondeterminism into sim results.
-//! * **Protocol (P1–P3, E1)** — the paper's fault-tolerance contract:
-//!   failures surface as CORBA system exceptions (never panics), clients
-//!   must observe `COMM_FAILURE` and never drop it on the floor, and the
-//!   FT proxy checkpoints after every successful invocation.
+//! * **Protocol (P2, P3, E1)** — the paper's fault-tolerance contract:
+//!   clients must observe `COMM_FAILURE` and never drop it on the floor,
+//!   and the FT proxy checkpoints after every successful invocation.
 //! * **Contracts and codecs (W0, W4)** — `idl/*.idl` compiles under
 //!   `idlc`, and hand-written `CdrWrite`/`CdrRead` struct pairs marshal
 //!   their fields in one order ([`wire`]).
 //! * **Lock order (L1–L3)** — no inversion, re-entrancy, or blocking call
 //!   under a `simnet::Shared` guard ([`lockgraph`]).
 //!
-//! Findings can be suppressed inline with a justified directive:
-//!
-//! ```text
-//! // ldft-lint: allow(P1, kernel invariant: resume channel outlives process)
-//! ```
-//!
-//! A directive with no reason is itself an error (`A1`); a directive that
-//! suppresses nothing is a warning (`A2`). See `crates/lint/README.md`.
+//! Determinism (D1, D2, D4) and panic-freedom (P1) are clippy lints the
+//! sim crates deny at their roots (`clippy.toml` holds the paths), and a
+//! waiver is a rustc `#[expect(lint, reason = "…")]` attribute. There is
+//! no suppression comment: a finding here is fixed, not waived. See
+//! `crates/lint/README.md`.
 
 pub mod analysis;
 pub mod ast;
@@ -40,13 +31,13 @@ pub mod wire;
 
 use analysis::FileAnalysis;
 pub use contracts::{contracts, Contracts};
-use rules::{check_file_raw, finalize, Finding, Severity, WorkspaceIndex};
+use rules::{check_file, Finding, WorkspaceIndex};
 use std::path::{Path, PathBuf};
 
 /// Result of a lint run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Every finding, including allowed ones (for `--verbose` display).
+    /// Every finding; each one fails the run.
     pub findings: Vec<Finding>,
     /// Number of files parsed.
     pub files: usize,
@@ -57,33 +48,6 @@ pub struct Report {
     pub lock_sites: usize,
     /// Distinct lock classes in the acquisition graph.
     pub lock_classes: usize,
-}
-
-impl Report {
-    /// Findings that fail the run: errors not suppressed by an allowlist
-    /// directive.
-    pub fn errors(&self) -> impl Iterator<Item = &Finding> {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error && !f.allowed)
-    }
-
-    /// Non-fatal diagnostics (warnings, e.g. unused allows).
-    pub fn warnings(&self) -> impl Iterator<Item = &Finding> {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Warning && !f.allowed)
-    }
-
-    /// Suppressed findings, for audit output.
-    pub fn allowed(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.allowed)
-    }
-
-    /// True when the run should exit nonzero.
-    pub fn failed(&self) -> bool {
-        self.errors().next().is_some()
-    }
 }
 
 /// Derive the crate directory (`crates/<dir>/...`) from a workspace-relative
@@ -111,9 +75,10 @@ pub fn analyze_source(
     index: &WorkspaceIndex,
 ) -> Vec<Finding> {
     let fa = FileAnalysis::new(path_label, crate_dir, source);
-    let mut findings = check_file_raw(&fa, index);
+    let mut findings = check_file(&fa, index);
     findings.extend(lockgraph::check(std::slice::from_ref(&fa)).findings);
-    finalize(&fa, findings)
+    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    findings
 }
 
 /// Collect every workspace `.rs` file under `root`, sorted for
@@ -174,83 +139,35 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<FileAnalysis>> {
 
 /// Run the analyzer over the whole workspace rooted at `root`.
 ///
-/// Three stages: the first parses every `.rs` file, compiles the `.idl`
+/// Two stages: the first parses every `.rs` file, compiles the `.idl`
 /// contracts (see [`contracts`]) and builds the [`WorkspaceIndex`] (P2's
-/// one-hop index over the orb stub API), the second evaluates the
-/// per-file rules plus W4 and the cross-file lock-graph pass (L1–L3), and
-/// the third routes every finding back to its file so allow directives
-/// apply uniformly.
+/// one-hop index over the orb stub API); the second evaluates the
+/// per-file rules plus W4 and the cross-file lock-graph pass (L1–L3).
+/// Findings are sorted by file, line and rule.
 pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     let analyses = analyze_workspace(root)?;
     let mut index = WorkspaceIndex::stub_only();
     for fa in &analyses {
         index.absorb(fa);
     }
-    // IDL contracts: compiled by idlc (W0), plus a pseudo-analysis per
-    // file so `// ldft-lint: allow(...)` directives work in .idl comments.
     let idls = contracts(root)?;
-    let idl_analyses: Vec<FileAnalysis> = idls
-        .sources
-        .iter()
-        .map(|(rel, source)| FileAnalysis::new(rel, None, source))
-        .collect();
-
-    let mut report = Report {
-        findings: Vec::new(),
-        files: analyses.len() + idl_analyses.len(),
-        ..Report::default()
-    };
-
-    // Per-file rules, keyed by path for cross-file routing.
-    let mut by_file: std::collections::BTreeMap<String, Vec<Finding>> =
-        std::collections::BTreeMap::new();
-    for fa in &analyses {
-        by_file.insert(fa.path.clone(), check_file_raw(fa, &index));
-    }
-    for fa in &idl_analyses {
-        by_file.insert(fa.path.clone(), Vec::new());
-    }
-
-    // Cross-file passes.
-    let wire_findings = wire::check(&analyses);
-    report.wire_ops = idls.ops().count();
+    let (files, wire_ops) = (analyses.len() + idls.sources.len(), idls.ops().count());
     let lock_report = lockgraph::check(&analyses);
-    report.lock_sites = lock_report.sites;
-    report.lock_classes = lock_report.classes;
-    for f in idls
-        .rejection
-        .into_iter()
-        .chain(wire_findings)
+    let mut findings: Vec<Finding> = analyses
+        .iter()
+        .flat_map(|fa| check_file(fa, &index))
+        .chain(wire::check(&analyses))
         .chain(lock_report.findings)
-    {
-        by_file.entry(f.file.clone()).or_default().push(f);
-    }
-
-    // Allow application, per file. Allowlist *hygiene* (A1/A2) only runs
-    // on policed files — sim crates and the IDL contracts — so that doc
-    // examples quoting the directive syntax elsewhere don't trip A1.
-    for fa in analyses.iter().chain(idl_analyses.iter()) {
-        let mut raw = by_file.remove(&fa.path).unwrap_or_default();
-        let policed = fa
-            .crate_dir
-            .as_deref()
-            .map(|d| rules::SIM_CRATES.contains(&d))
-            .unwrap_or(false)
-            || fa.path.ends_with(".idl");
-        if policed {
-            report.findings.extend(finalize(fa, raw));
-        } else {
-            rules::apply_allows(fa, &mut raw);
-            raw.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-            report.findings.extend(raw);
-        }
-    }
-    // Findings attributed to paths we never analyzed (should not happen;
-    // keep them rather than lose them).
-    for (_, rest) in by_file {
-        report.findings.extend(rest);
-    }
-    Ok(report)
+        .chain(idls.rejection)
+        .collect();
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    Ok(Report {
+        findings,
+        files,
+        wire_ops,
+        lock_sites: lock_report.sites,
+        lock_classes: lock_report.classes,
+    })
 }
 
 /// Locate the workspace root: walk up from `start` to the first directory
@@ -305,7 +222,7 @@ mod tests {
         let findings = analyze_source(
             "crates/cdr/src/x.rs",
             Some("cdr"),
-            "fn f(v: &[u8]) -> u8 { *v.first().unwrap() }\n",
+            "fn f(o: &Orb) { let _ = o.invoke(1); }\n",
             &index,
         );
         assert!(findings.is_empty());

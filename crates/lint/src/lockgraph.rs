@@ -26,7 +26,7 @@
 use crate::analysis::FileAnalysis;
 use crate::ast::FileAst;
 use crate::lexer::TokKind;
-use crate::rules::{Finding, Severity, SIM_CRATES};
+use crate::rules::{Finding, SIM_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Result of the lock-graph pass.
@@ -345,7 +345,7 @@ fn facts_of<'a>(fa: &'a FileAnalysis, cells: &BTreeSet<String>, krate: &str) -> 
                 continue;
             };
             let Some(tail) = &c.recv_tail else { continue };
-            // `.lock()` is unambiguous (D4 bans Mutex outside the kernel);
+            // `.lock()` is unambiguous (clippy's D4 paths ban Mutex outside the kernel);
             // the generic names need a declared Shared cell to bind to.
             if kind != AcqKind::Lock && !cells.contains(tail) {
                 continue;
@@ -375,18 +375,6 @@ fn facts_of<'a>(fa: &'a FileAnalysis, cells: &BTreeSet<String>, krate: &str) -> 
         });
     }
     out
-}
-
-fn finding(rule: &'static str, file: &str, line: usize, message: String) -> Finding {
-    Finding {
-        rule,
-        severity: Severity::Error,
-        file: file.to_string(),
-        line,
-        message,
-        allowed: false,
-        allow_reason: None,
-    }
 }
 
 /// Run the lock-graph pass over the workspace.
@@ -479,7 +467,7 @@ pub fn check(files: &[FileAnalysis]) -> LockReport {
                 }
                 if e2.class == held.class {
                     if dedup.insert((path.clone(), e2.line, "L2")) {
-                        report.findings.push(finding(
+                        report.findings.push(Finding::new(
                             "L2",
                             path,
                             e2.line,
@@ -502,7 +490,7 @@ pub fn check(files: &[FileAnalysis]) -> LockReport {
                 }
                 if c.is_method && BLOCKING_METHODS.contains(&c.method.as_str()) {
                     if dedup.insert((path.clone(), c.line, "L3")) {
-                        report.findings.push(finding(
+                        report.findings.push(Finding::new(
                             "L3",
                             path,
                             c.line,
@@ -522,7 +510,7 @@ pub fn check(files: &[FileAnalysis]) -> LockReport {
                 }
                 if let Some(callee) = effects.get(&(f.krate.clone(), c.method.clone())) {
                     if callee.may_block && dedup.insert((path.clone(), c.line, "L3")) {
-                        report.findings.push(finding(
+                        report.findings.push(Finding::new(
                             "L3",
                             path,
                             c.line,
@@ -535,7 +523,7 @@ pub fn check(files: &[FileAnalysis]) -> LockReport {
                     if callee.acquires.contains(&held.class)
                         && dedup.insert((path.clone(), c.line, "L2"))
                     {
-                        report.findings.push(finding(
+                        report.findings.push(Finding::new(
                             "L2",
                             path,
                             c.line,
@@ -583,7 +571,7 @@ pub fn check(files: &[FileAnalysis]) -> LockReport {
     };
     for ((a, b), (file, line)) in &edges {
         if reaches(b, a) {
-            report.findings.push(finding(
+            report.findings.push(Finding::new(
                 "L1",
                 file,
                 *line,

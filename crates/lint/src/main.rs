@@ -1,14 +1,14 @@
 //! ldft-lint CLI.
 //!
 //! ```text
-//! ldft-lint --workspace [--root DIR] [--verbose]
+//! ldft-lint --workspace [--root DIR]
 //! ldft-lint [--crate-name NAME] FILE...
 //! ldft-lint --list-rules
 //! ```
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 //!
-//! Text diagnostics render as `file:line: severity[RULE]: message`, which
+//! Text diagnostics render as `file:line: error[RULE]: message`, which
 //! `.github/problem-matchers/ldft-lint.json` turns into GitHub
 //! annotations. The closing summary line carries the coverage counters:
 //! contract ops, `Shared` lock sites and lock classes.
@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ldft-lint --workspace [--root DIR] [--verbose]\n       ldft-lint [--crate-name NAME] FILE...\n       ldft-lint --list-rules"
+        "usage: ldft-lint --workspace [--root DIR]\n       ldft-lint [--crate-name NAME] FILE...\n       ldft-lint --list-rules"
     );
     ExitCode::from(2)
 }
@@ -28,7 +28,6 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut workspace = false;
-    let mut verbose = false;
     let mut list_rules = false;
     let mut root: Option<PathBuf> = None;
     let mut crate_name: Option<String> = None;
@@ -38,7 +37,6 @@ fn main() -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--verbose" | "-v" => verbose = true,
             "--list-rules" => list_rules = true,
             "--root" => match it.next() {
                 Some(d) => root = Some(PathBuf::from(d)),
@@ -58,7 +56,7 @@ fn main() -> ExitCode {
     }
 
     if list_rules {
-        for id in RULE_IDS.iter().chain(["A1", "A2"].iter()) {
+        for id in RULE_IDS {
             println!("{id}  {}", rule_summary(id));
         }
         return ExitCode::SUCCESS;
@@ -103,19 +101,12 @@ fn main() -> ExitCode {
         report
     };
 
-    let errors = report.errors().count();
-    let warnings = report.warnings().count();
-    let allowed = report.allowed().count();
-    for f in report.errors().chain(report.warnings()) {
+    let errors = report.findings.len();
+    for f in &report.findings {
         println!("{}", f.render());
     }
-    if verbose {
-        for f in report.allowed() {
-            println!("{}", f.render());
-        }
-    }
     println!(
-        "ldft-lint: {} file(s), {errors} error(s), {warnings} warning(s), {allowed} allowed, {} contract ops, {} lock sites, {} lock classes",
+        "ldft-lint: {} file(s), {errors} error(s), {} contract ops, {} lock sites, {} lock classes",
         report.files, report.wire_ops, report.lock_sites, report.lock_classes
     );
     if errors > 0 {

@@ -1,5 +1,4 @@
-//! The per-file rule set: determinism (D1–D4), protocol (P1–P3) and
-//! exception hygiene (E1), plus the allow-directive hygiene (A1/A2).
+//! The per-file rules: protocol (P2, P3) and exception hygiene (E1).
 //!
 //! Scoping model: every rule applies to *library code* (non-test lines) of
 //! the **sim-facing crates** — [`SIM_CRATES`], the one place that scope is
@@ -8,94 +7,64 @@
 //!
 //! | ID | class | invariant |
 //! |----|-------|-----------|
-//! | D1 | determinism | no wall-clock time (`std::time::{Instant,SystemTime}`, `thread::sleep`) — sim time only |
-//! | D2 | determinism | no `HashMap`/`HashSet` — hash iteration order is seed-dependent; use `BTreeMap`/`BTreeSet` |
-//! | D3 | determinism | no ambient RNG (`thread_rng`, `from_entropy`, `from_os_rng`, `OsRng`) — all randomness flows from the run seed |
-//! | D4 | determinism | no OS concurrency (`std::sync::{Mutex,Condvar,RwLock}`, `thread::spawn`) outside the kernel — use `simnet::Shared` |
-//! | P1 | protocol | no panicking calls (`unwrap`/`expect`/`panic!`/`unreachable!`) in library code — propagate `Exception`/`SimResult` |
 //! | P2 | protocol | remote-invocation results must not be discarded (`let _ = ...invoke(...)`) — `COMM_FAILURE` is the only failure signal clients get |
 //! | P3 | protocol | FT proxy methods that invoke must checkpoint after success — recovery replays from the last checkpoint |
 //! | E1 | protocol | a caught `COMM_FAILURE`/`TRANSIENT` must not be dropped on the floor — retry it or propagate it |
 //!
-//! `simnet` is exempt from D4: the kernel *implements* the simulated-time
-//! scheduler on OS threads, and that is the one place OS concurrency
-//! belongs.
+//! The determinism and panic rules (D1, D2, D4, P1) are clippy lints that
+//! each sim crate denies at its root, configured in `clippy.toml`; D3 is
+//! the `rand` shim, which has no unseeded source to call.
 
 use crate::analysis::FileAnalysis;
 use crate::lexer::{self, seq_at, Tok, TokKind};
 
-/// Diagnostic severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the lint run.
-    Error,
-    /// Reported, does not fail the run.
-    Warning,
-}
-
-impl std::fmt::Display for Severity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Severity::Error => write!(f, "error"),
-            Severity::Warning => write!(f, "warning"),
-        }
-    }
-}
-
-/// One diagnostic produced by a rule.
+/// One diagnostic produced by a rule. Every finding fails the run.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Stable rule ID (`D1`..`P3`, or `A1`/`A2` for allowlist hygiene).
+    /// Stable rule ID (see [`RULE_IDS`]).
     pub rule: &'static str,
-    pub severity: Severity,
     /// Path as given to the analyzer.
     pub file: String,
     /// 1-indexed line.
     pub line: usize,
     pub message: String,
-    /// True when an allow directive suppressed this finding.
-    pub allowed: bool,
-    /// Reason given on the suppressing directive, if any.
-    pub allow_reason: Option<String>,
 }
 
 impl Finding {
-    /// `file:line: severity[RULE]: message` (+ allow note).
-    pub fn render(&self) -> String {
-        let mut s = format!(
-            "{}:{}: {}[{}]: {}",
-            self.file, self.line, self.severity, self.rule, self.message
-        );
-        if self.allowed {
-            let why = self.allow_reason.as_deref().unwrap_or("");
-            s.push_str(&format!("  [allowed: {why}]"));
+    pub fn new(rule: &'static str, file: &str, line: usize, message: String) -> Finding {
+        Finding {
+            rule,
+            file: file.to_string(),
+            line,
+            message,
         }
-        s
+    }
+
+    /// `file:line: error[RULE]: message`.
+    pub fn render(&self) -> String {
+        format!(
+            "{}:{}: error[{}]: {}",
+            self.file, self.line, self.rule, self.message
+        )
     }
 }
 
 /// The policed scope, stated once: the crates whose code runs in (or
-/// drives) the simulation. D, P, E1, L1–L3 and the allow hygiene (A1/A2)
-/// apply to the non-test lines of these crates and to nothing else; W4
-/// reads every workspace file, W0 the `idl/` contracts.
+/// drives) the simulation. P2, P3, E1 and L1–L3 apply to the non-test
+/// lines of these crates and to nothing else; W4 reads every workspace
+/// file, W0 the `idl/` contracts. The same crates deny the clippy lints
+/// that carry D1, D2, D4 and P1 at their crate roots.
 pub const SIM_CRATES: &[&str] = &[
     "simnet", "orb", "obs", "naming", "winner", "ft", "optim", "core", "store", "monitor",
     "explore",
 ];
 
 /// All rule IDs, in report order.
-pub const RULE_IDS: &[&str] = &[
-    "D1", "D2", "D3", "D4", "P1", "P2", "P3", "W0", "W4", "L1", "L2", "L3", "E1",
-];
+pub const RULE_IDS: &[&str] = &["P2", "P3", "W0", "W4", "L1", "L2", "L3", "E1"];
 
 /// Human-readable one-liner per rule, for `--list-rules`.
 pub fn rule_summary(id: &str) -> &'static str {
     match id {
-        "D1" => "wall-clock time in sim code (std::time::Instant/SystemTime, thread::sleep)",
-        "D2" => "hash-ordered collections in sim code (HashMap/HashSet; use BTreeMap/BTreeSet)",
-        "D3" => "ambient/unseeded RNG in sim code (thread_rng, from_entropy, from_os_rng, OsRng)",
-        "D4" => "OS concurrency outside the kernel (std::sync::Mutex/Condvar/RwLock, thread::spawn; use simnet::Shared)",
-        "P1" => "panicking call in library code (unwrap/expect/panic!/unreachable!/todo!)",
         "P2" => "discarded remote-invocation result (let _ = ...invoke-like(...))",
         "P3" => "FT proxy method invokes without checkpoint-after-success",
         "W0" => "idl/*.idl contract unit rejected by idlc (parse or check error)",
@@ -104,8 +73,6 @@ pub fn rule_summary(id: &str) -> &'static str {
         "L2" => "re-entrant acquisition of a Shared cell while its guard is live",
         "L3" => "blocking call (sleep/recv/compute/invoke) while holding a Shared guard",
         "E1" => "caught COMM_FAILURE/TRANSIENT dropped on the floor (no retry, no propagation)",
-        "A1" => "allow directive missing a reason",
-        "A2" => "allow directive names no finding (unused)",
         _ => "unknown rule",
     }
 }
@@ -161,7 +128,7 @@ impl WorkspaceIndex {
         let toks = &fa.ast.toks;
         let stubs: Vec<Vec<Tok>> = STUB_API
             .iter()
-            .map(|m| lexer::toks(&format!(".{m}(")))
+            .map(|m| lexer::lex(&format!(".{m}(")))
             .collect();
         let stub_calls: Vec<usize> = (0..toks.len())
             .filter(|&i| !fa.is_test_line(toks[i].line) && stubs.iter().any(|p| seq_at(toks, i, p)))
@@ -179,121 +146,18 @@ impl WorkspaceIndex {
     }
 }
 
-/// Simple pattern rule: any listed token sequence starting on a library
-/// line is a finding (one per rule per line).
-struct PatternRule {
-    id: &'static str,
-    patterns: &'static [&'static str],
-    message: &'static str,
-    /// Crate dirs exempt from this rule (beyond the non-sim crates).
-    exempt: &'static [&'static str],
-}
-
-const PATTERN_RULES: &[PatternRule] = &[
-    PatternRule {
-        id: "D1",
-        patterns: &[
-            "std::time::Instant",
-            "std::time::SystemTime",
-            "Instant::now(",
-            "SystemTime::now(",
-            "thread::sleep(",
-            "UNIX_EPOCH",
-        ],
-        message: "wall-clock time in sim code; use the kernel's simulated clock (SimTime/Ctx::sleep)",
-        exempt: &[],
-    },
-    PatternRule {
-        id: "D2",
-        patterns: &["HashMap", "HashSet"],
-        message: "hash-ordered collection in sim code; iteration order depends on the hasher seed — use BTreeMap/BTreeSet",
-        exempt: &[],
-    },
-    PatternRule {
-        id: "D3",
-        patterns: &[
-            "thread_rng",
-            "from_entropy",
-            "from_os_rng",
-            "OsRng",
-            "rand::random(",
-            "getrandom",
-        ],
-        message: "ambient/unseeded RNG in sim code; derive all randomness from the run seed (SmallRng::seed_from_u64)",
-        exempt: &[],
-    },
-    PatternRule {
-        id: "D4",
-        patterns: &[
-            // Bare type names (ident-boundary matched) so grouped imports
-            // like `use std::sync::{Arc, Mutex};` are caught too. `Arc`
-            // itself is allowed: refcounting cannot affect scheduling.
-            "Mutex",
-            "Condvar",
-            "RwLock",
-            "Barrier",
-            "mpsc",
-            "thread::spawn(",
-            "thread::Builder",
-        ],
-        message: "OS concurrency primitive outside the kernel; sim processes are scheduler-serialized — use simnet::Shared",
-        exempt: &["simnet"],
-    },
-    PatternRule {
-        id: "P1",
-        patterns: &[
-            ".unwrap(",
-            ".expect(",
-            "panic!(",
-            "unreachable!(",
-            "todo!(",
-            "unimplemented!(",
-            ".unwrap_unchecked(",
-        ],
-        message: "panicking call in library code; propagate Exception/SimResult — a panic here takes down the whole sim, not one process",
-        exempt: &[],
-    },
-];
-
-/// Run every *per-file* rule against one analyzed file, without applying
-/// allow directives. `index` feeds P2's call graph. The workspace driver
-/// merges these raw findings with the cross-file passes ([`crate::wire`],
-/// [`crate::lockgraph`]) before calling [`finalize`].
-pub fn check_file_raw(fa: &FileAnalysis, index: &WorkspaceIndex) -> Vec<Finding> {
+/// Run every per-file rule against one analyzed file. `index` feeds P2's
+/// call graph. The workspace driver merges these findings with the
+/// cross-file passes ([`crate::wire`], [`crate::lockgraph`]).
+pub fn check_file(fa: &FileAnalysis, index: &WorkspaceIndex) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let Some(dir) = fa.crate_dir.as_deref() else {
-        return findings;
-    };
-    if !SIM_CRATES.contains(&dir) {
+    if !fa
+        .crate_dir
+        .as_deref()
+        .is_some_and(|d| SIM_CRATES.contains(&d))
+    {
         return findings;
     }
-
-    let toks = &fa.ast.toks;
-    for rule in PATTERN_RULES {
-        if rule.exempt.contains(&dir) {
-            continue;
-        }
-        let patterns: Vec<Vec<Tok>> = rule.patterns.iter().map(|p| lexer::toks(p)).collect();
-        let mut last = 0;
-        for i in 0..toks.len() {
-            let line = toks[i].line;
-            if line == last || fa.is_test_line(line) || !patterns.iter().any(|p| seq_at(toks, i, p))
-            {
-                continue;
-            }
-            last = line;
-            findings.push(Finding {
-                rule: rule.id,
-                severity: Severity::Error,
-                file: fa.path.clone(),
-                line,
-                message: rule.message.to_string(),
-                allowed: false,
-                allow_reason: None,
-            });
-        }
-    }
-
     check_p2(fa, index, &mut findings);
     check_p3(fa, &mut findings);
     check_e1(fa, &mut findings);
@@ -312,11 +176,11 @@ fn check_p2(fa: &FileAnalysis, index: &WorkspaceIndex, findings: &mut Vec<Findin
         return;
     }
     let toks = &fa.ast.toks;
-    let discard = lexer::toks("let _ =");
+    let discard = lexer::lex("let _ =");
     let invoking: Vec<Vec<Tok>> = index
         .invoking
         .iter()
-        .map(|m| lexer::toks(&format!(".{m}(")))
+        .map(|m| lexer::lex(&format!(".{m}(")))
         .collect();
     let mut last = 0;
     for i in 0..toks.len() {
@@ -329,15 +193,7 @@ fn check_p2(fa: &FileAnalysis, index: &WorkspaceIndex, findings: &mut Vec<Findin
         let stmt = &toks[..stmt_end(toks, i + discard.len())];
         if (i..stmt.len()).any(|k| invoking.iter().any(|p| seq_at(stmt, k, p))) {
             last = line;
-            findings.push(Finding {
-                rule: "P2",
-                severity: Severity::Error,
-                file: fa.path.clone(),
-                line,
-                message: "remote-invocation result discarded; COMM_FAILURE is the only failure signal the client gets — handle it, propagate it, or route the call through the FT proxy".to_string(),
-                allowed: false,
-                allow_reason: None,
-            });
+            findings.push(Finding::new("P2", &fa.path, line, "remote-invocation result discarded; COMM_FAILURE is the only failure signal the client gets — handle it, propagate it, or route the call through the FT proxy".to_string()));
         }
     }
 }
@@ -374,7 +230,7 @@ fn check_p3(fa: &FileAnalysis, findings: &mut Vec<Finding>) {
         return;
     }
     let ast = &fa.ast;
-    let invokes = [lexer::toks(".invoke("), lexer::toks(".call(")];
+    let invokes = [lexer::lex(".invoke("), lexer::lex(".call(")];
     for f in &ast.fns {
         let Some(body) = f.body else { continue };
         // Only outermost proxy methods: nested helpers inherit the outer
@@ -393,18 +249,10 @@ fn check_p3(fa: &FileAnalysis, findings: &mut Vec<Finding>) {
         });
         if let Some(k) = invokes_at {
             if !checkpoints {
-                findings.push(Finding {
-                    rule: "P3",
-                    severity: Severity::Error,
-                    file: fa.path.clone(),
-                    line: ast.toks[k].line,
-                    message: format!(
+                findings.push(Finding::new("P3", &fa.path, ast.toks[k].line, format!(
                         "FT proxy method `{}` invokes without checkpointing after success; failover would replay from a stale checkpoint",
                         f.name
-                    ),
-                    allowed: false,
-                    allow_reason: None,
-                });
+                    )));
             }
         }
     }
@@ -441,90 +289,8 @@ fn check_e1(fa: &FileAnalysis, findings: &mut Vec<Finding>) {
                 .iter()
                 .any(|t| matches!(t.kind, TokKind::Ident | TokKind::Lit));
             if trivial {
-                findings.push(Finding {
-                    rule: "E1",
-                    severity: Severity::Error,
-                    file: fa.path.clone(),
-                    line: arm.line,
-                    message: "recoverable CORBA failure (COMM_FAILURE/TRANSIENT) caught and dropped; feed it into retry-with-backoff or propagate it — silent drops hide partitions".to_string(),
-                    allowed: false,
-                    allow_reason: None,
-                });
+                findings.push(Finding::new("E1", &fa.path, arm.line, "recoverable CORBA failure (COMM_FAILURE/TRANSIENT) caught and dropped; feed it into retry-with-backoff or propagate it — silent drops hide partitions".to_string()));
             }
         }
     }
-}
-
-/// Mark findings suppressed by a matching allow directive. Returns the
-/// per-directive "used" bitmap so [`finalize`] can report unused ones.
-pub fn apply_allows(fa: &FileAnalysis, findings: &mut [Finding]) -> Vec<bool> {
-    let mut used: Vec<bool> = vec![false; fa.allows.len()];
-    for f in findings.iter_mut() {
-        for a in fa.allows_for_line(f.line) {
-            if a.rule == f.rule {
-                f.allowed = true;
-                f.allow_reason = if a.reason.is_empty() {
-                    None
-                } else {
-                    Some(a.reason.clone())
-                };
-                if let Some(pos) = fa
-                    .allows
-                    .iter()
-                    .position(|x| x.line == a.line && x.rule == a.rule)
-                {
-                    used[pos] = true;
-                }
-            }
-        }
-    }
-    used
-}
-
-/// Apply allow directives to raw findings and append allowlist-hygiene
-/// diagnostics (A1: missing reason — error; A2: unused directive —
-/// warning).
-pub fn finalize(fa: &FileAnalysis, mut findings: Vec<Finding>) -> Vec<Finding> {
-    let used = apply_allows(fa, &mut findings);
-    for (a, was_used) in fa.allows.iter().zip(used.iter()) {
-        if !RULE_IDS.contains(&a.rule.as_str()) {
-            findings.push(Finding {
-                rule: "A1",
-                severity: Severity::Error,
-                file: fa.path.clone(),
-                line: a.line,
-                message: format!("allow directive names unknown rule `{}`", a.rule),
-                allowed: false,
-                allow_reason: None,
-            });
-            continue;
-        }
-        if a.reason.is_empty() {
-            findings.push(Finding {
-                rule: "A1",
-                severity: Severity::Error,
-                file: fa.path.clone(),
-                line: a.line,
-                message: format!(
-                    "allow({}) directive has no reason; every suppression must be justified in writing",
-                    a.rule
-                ),
-                allowed: false,
-                allow_reason: None,
-            });
-        }
-        if !*was_used {
-            findings.push(Finding {
-                rule: "A2",
-                severity: Severity::Warning,
-                file: fa.path.clone(),
-                line: a.line,
-                message: format!("allow({}) directive suppresses nothing; remove it", a.rule),
-                allowed: false,
-                allow_reason: None,
-            });
-        }
-    }
-    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    findings
 }

@@ -17,20 +17,8 @@
 use crate::analysis::FileAnalysis;
 use crate::ast::FileAst;
 use crate::lexer::TokKind;
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 use std::collections::BTreeSet;
-
-pub(crate) fn err(rule: &'static str, file: &str, line: usize, message: String) -> Finding {
-    Finding {
-        rule,
-        severity: Severity::Error,
-        file: file.to_string(),
-        line,
-        message,
-        allowed: false,
-        allow_reason: None,
-    }
-}
 
 /// Per-file W4 over every analyzed file.
 pub fn check(files: &[FileAnalysis]) -> Vec<Finding> {
@@ -107,7 +95,7 @@ fn check_w4(fa: &FileAnalysis, findings: &mut Vec<Finding>) {
         let worder = field_order(ast, wb, &fnames);
         let rorder = field_order(ast, rb, &fnames);
         if !worder.is_empty() && !rorder.is_empty() && worder != rorder {
-            findings.push(err(
+            findings.push(Finding::new(
                 "W4",
                 &fa.path,
                 st.line,

@@ -1,11 +1,14 @@
 //! Self-check: the analyzer run over its own workspace, through the
 //! library API. This is the acceptance gate in executable form — the
 //! committed tree is finding-free, every IDL operation is declared in one
-//! place only and its generated stub is exercised, and the lock graph saw
-//! the workspace's `simnet::Shared` use sites.
+//! place only and its generated stub is exercised, the lock graph saw
+//! the workspace's `simnet::Shared` use sites, and the determinism and
+//! panic rules that moved to clippy still bind exactly the sim crates.
 
 use idlc::ast::Direction;
+use ldft_lint::analysis::FileAnalysis;
 use ldft_lint::lexer::{self, seq_at, TokKind};
+use ldft_lint::rules::SIM_CRATES;
 use ldft_lint::{contracts, run_workspace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -20,20 +23,176 @@ fn workspace_root() -> &'static Path {
 #[test]
 fn workspace_is_finding_free() {
     let report = run_workspace(workspace_root()).expect("lint the workspace");
-    let errors: Vec<String> = report.errors().map(|f| f.render()).collect();
-    assert!(
-        errors.is_empty(),
-        "unsuppressed errors:\n{}",
-        errors.join("\n")
-    );
-    let warnings: Vec<String> = report.warnings().map(|f| f.render()).collect();
-    assert!(warnings.is_empty(), "warnings:\n{}", warnings.join("\n"));
-    // Every suppression carries a reason (A1 would have fired otherwise);
-    // keep the count pinned so new allows are a conscious diff.
+    let errors: Vec<String> = report.findings.iter().map(|f| f.render()).collect();
+    assert!(errors.is_empty(), "findings:\n{}", errors.join("\n"));
+}
+
+/// The lints each sim crate denies at its root, in this order: D1, D2
+/// and D4 (`clippy.toml`'s paths), P1, and waiver hygiene (A1, A2).
+const ROOT_DENIES: &str = "disallowed_types disallowed_methods unwrap_used expect_used panic \
+    unreachable allow_attributes allow_attributes_without_reason";
+
+/// The `clippy::` lints named inside the parenthesised group that opens
+/// at token `open`.
+fn clippy_lints(fa: &FileAnalysis, open: usize) -> Vec<&str> {
+    let toks = &fa.ast.toks;
+    let close = fa.ast.paren_close.get(&open).copied().unwrap_or(open);
+    (open..close)
+        .filter(|&i| toks[i].is("clippy") && toks[i + 1].is("::"))
+        .map(|i| toks[i + 2].text.as_str())
+        .collect()
+}
+
+#[test]
+fn sim_crates_deny_the_clippy_rules_at_their_roots() {
+    // D1, D2, D4 and P1 are clippy lints, denied by one
+    // `#![cfg_attr(not(test), deny(…))]` per sim-crate root: library code
+    // only, as ldft-lint scoped them. A root that drops the line, a host
+    // crate that gains it, or a clippy.toml that drops a path would
+    // silently move the scope.
+    let root = workspace_root();
+    let deny = lexer::lex("#![cfg_attr(not(test), deny(");
+    let (outer, inner) = (lexer::lex("#[expect("), lexer::lex("#![expect("));
+    let mut roots = 0;
+    let mut waivers = Vec::new();
+    for fa in ldft_lint::analyze_workspace(root).expect("parse the workspace") {
+        let dir = fa.crate_dir.as_deref();
+        let sim = dir.is_some_and(|d| SIM_CRATES.contains(&d));
+        let crate_root = fa.path.ends_with("src/lib.rs")
+            || fa.path.ends_with("src/main.rs")
+            || fa.path.contains("/src/bin/");
+        let toks = &fa.ast.toks;
+        if crate_root {
+            let at = (0..toks.len()).find(|&i| seq_at(toks, i, &deny));
+            let lints = at.map(|i| clippy_lints(&fa, i + deny.len() - 1));
+            if sim {
+                roots += 1;
+                let want: Vec<&str> = ROOT_DENIES.split_whitespace().collect();
+                assert_eq!(lints, Some(want), "{}", fa.path);
+            } else {
+                assert_eq!(
+                    lints, None,
+                    "{}: a host crate denies the sim rules",
+                    fa.path
+                );
+            }
+        }
+        // Every waiver in sim library code is an `#[expect]` whose reason
+        // carries an expiry (CI fails the run once it passes).
+        if !sim {
+            continue;
+        }
+        for i in 0..toks.len() {
+            let at = [&outer, &inner].into_iter().find(|p| seq_at(toks, i, p));
+            let Some(pat) = at.filter(|_| !fa.is_test_line(toks[i].line)) else {
+                continue;
+            };
+            let open = i + pat.len() - 1;
+            let close = fa.ast.paren_close[&open];
+            let reason = (open..close)
+                .find(|&k| toks[k].is("reason"))
+                .map_or("", |k| toks[k + 2].text.as_str());
+            let expiry = reason.split("expiry ").nth(1).unwrap_or("");
+            let dated = expiry.len() >= 7
+                && expiry.as_bytes()[4] == b'-'
+                && expiry[..7].chars().filter(char::is_ascii_digit).count() == 6;
+            assert!(
+                dated,
+                "{}:{}: waiver without `expiry YYYY-MM`",
+                fa.path, toks[i].line
+            );
+            waivers.push(format!("{}: {:?}", fa.path, clippy_lints(&fa, open)));
+        }
+    }
     assert_eq!(
-        report.allowed().count(),
-        3,
-        "allow inventory changed — re-audit crates/lint/README.md's list"
+        roots,
+        SIM_CRATES.len() + 1,
+        "11 lib.rs files plus explore's main.rs"
+    );
+    // Pinned so a new waiver is a conscious diff: Kernel::reraise (P1),
+    // the kernel's thread spawn and Shared (D4), Orb::ior (P1), and one
+    // type_complexity in the FT proxy.
+    assert_eq!(
+        waivers.len(),
+        5,
+        "waiver inventory changed:\n{}",
+        waivers.join("\n")
+    );
+    let config = std::fs::read_to_string(root.join("clippy.toml")).expect("read clippy.toml");
+    let paths: BTreeSet<&str> = config
+        .split("path = \"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    // D1, D2, then D4.
+    for path in "std::time::Instant std::time::SystemTime std::time::Instant::now \
+        std::time::SystemTime::now std::time::SystemTime::elapsed std::thread::sleep \
+        std::collections::HashMap std::collections::HashSet std::sync::Mutex std::sync::RwLock \
+        std::sync::Condvar std::sync::Barrier std::sync::mpsc::Sender std::sync::mpsc::SyncSender \
+        std::sync::mpsc::Receiver std::sync::mpsc::channel std::sync::mpsc::sync_channel \
+        std::thread::Builder std::thread::spawn"
+        .split_whitespace()
+    {
+        assert!(
+            paths.contains(path),
+            "clippy.toml no longer disallows {path}"
+        );
+    }
+}
+
+#[test]
+fn the_rand_shim_has_no_unseeded_source() {
+    // D3 (all randomness flows from the run seed) is the shim's job: the
+    // only `rand` the workspace builds is `crates/shims/rand`, and a call
+    // to an ambient source cannot compile while it defines none.
+    // `Rng::random` samples a seeded generator; only a free `random()`
+    // (the real crate's `rand::random`) is ambient.
+    const AMBIENT: &str = "thread_rng rng random from_entropy from_os_rng OsRng ThreadRng";
+    const ITEMS: &[&str] = &["fn", "struct", "enum", "type", "trait", "static", "const"];
+    let shim = workspace_root().join("crates/shims/rand/src");
+    let mut defined = Vec::new();
+    for entry in std::fs::read_dir(&shim).expect("list the rand shim") {
+        let path = entry.expect("dir entry").path();
+        let src = std::fs::read_to_string(&path).expect("read the rand shim");
+        let fa = FileAnalysis::new(&path.to_string_lossy(), None, &src);
+        let ast = &fa.ast;
+        let in_mod_only = |i: usize| {
+            ast.scopes
+                .iter()
+                .filter(|s| s.open < i && i < s.close)
+                .all(|s| s.open >= 2 && ast.toks[s.open - 2].is("mod"))
+        };
+        for (i, t) in ast.toks.iter().enumerate().skip(1) {
+            let item = ITEMS.iter().any(|k| ast.toks[i - 1].is(k));
+            let method = !in_mod_only(i) && t.text == "random";
+            if item
+                && !method
+                && AMBIENT.split(' ').any(|a| a == t.text)
+                && !fa.is_test_line(t.line)
+            {
+                defined.push(format!("{}:{}: {}", path.display(), t.line, t.text));
+            }
+        }
+    }
+    assert!(defined.is_empty(), "unseeded sources: {defined:?}");
+    // No real `rand` (or the OS entropy crate under it) in the build.
+    let lock =
+        std::fs::read_to_string(workspace_root().join("Cargo.lock")).expect("read Cargo.lock");
+    let packages: Vec<&str> = lock.split("[[package]]").skip(1).collect();
+    let named = |name: &str| {
+        let line = format!("name = \"{name}\"\n");
+        packages
+            .iter()
+            .filter(move |p| p.trim_start().starts_with(&line))
+            .collect::<Vec<_>>()
+    };
+    assert!(named("getrandom").is_empty(), "getrandom is in Cargo.lock");
+    let rand = named("rand");
+    assert_eq!(rand.len(), 1, "{rand:?}");
+    assert!(
+        !rand[0].contains("source ="),
+        "`rand` is not the path shim: {}",
+        rand[0]
     );
 }
 
@@ -382,12 +541,12 @@ fn kernel_tie_breaks_route_through_the_schedule_policy() {
             continue;
         }
         let src = std::fs::read_to_string(&path).expect("read simnet source");
-        let analysis = ldft_lint::analysis::FileAnalysis::new(&rel, Some("simnet"), &src);
+        let analysis = FileAnalysis::new(&rel, Some("simnet"), &src);
         let ast = &analysis.ast;
         let pops = [
-            (lexer::toks(".events.pop("), "next_event"),
-            (lexer::toks(".runnable.pop_front("), "next_runnable"),
-            (lexer::toks(".runnable.remove("), "next_runnable"),
+            (lexer::lex(".events.pop("), "next_event"),
+            (lexer::lex(".runnable.pop_front("), "next_runnable"),
+            (lexer::lex(".runnable.remove("), "next_runnable"),
         ];
         for (i, t) in ast.toks.iter().enumerate() {
             if analysis.is_test_line(t.line) {

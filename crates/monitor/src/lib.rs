@@ -21,6 +21,20 @@
 //! doctor report, so the report composes with the repo's double-run CI
 //! `cmp` gates.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod doctor;
 mod events;
 mod handle;

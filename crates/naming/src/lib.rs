@@ -19,6 +19,20 @@
 //!   over the [`NamingContextStub`] `idlc` generates from `idl/naming.idl`.
 //! * [`Name`] — `id.kind/id.kind` stringified names.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod client;
 pub mod context;
 pub mod iterator;

@@ -12,8 +12,8 @@
 //!   of [`SpanRecord`]s.
 //! * **A metrics registry** — counters, gauges and histograms over fixed
 //!   bucket boundaries, all keyed by virtual time. No wall clock anywhere:
-//!   the layer is subject to the same determinism rules (D1–D4) as the
-//!   code it observes, and two same-seed runs export byte-identical data.
+//!   the layer denies the same determinism lints (clippy's D1, D2 and D4
+//!   paths, `clippy.toml`) as the code it observes, and two same-seed runs export byte-identical data.
 //! * **Exporters** — Chrome `trace_event` JSON ([`Obs::chrome_trace_json`])
 //!   and a plain-text metric dump ([`Obs::metrics_text`]), wired into the
 //!   bench binaries behind `--trace-out` / `--metrics-out`.
@@ -28,6 +28,20 @@
 //! never formats a span name and propagates no context. Every ORB holds a
 //! handle, so code that records calls it unconditionally; only a metric
 //! whose value costs work to compute asks [`ProcessObs::recording`] first.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 mod export;
 mod metrics;

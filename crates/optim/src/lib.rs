@@ -17,6 +17,20 @@
 //!   the (load-distributing) naming service, fans out parallel DII
 //!   `solve` calls, optionally through fault-tolerant proxies.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod complex_box;
 pub mod decompose;
 pub mod functions;

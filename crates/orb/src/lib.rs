@@ -19,6 +19,20 @@
 //!   per-call CPU cost modelling ([`CostModel`])
 //!   so experiments see realistic constant per-call overhead.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod core;
 mod dii;
 mod exceptions;

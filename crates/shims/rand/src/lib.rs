@@ -6,10 +6,13 @@
 //! SplitMix64), `SeedableRng::seed_from_u64`, `Rng::{random,
 //! random_range, random_bool}`, and `seq::SliceRandom::{shuffle, choose}`.
 //!
-//! **Intentionally absent:** `rng()`, `thread_rng()`, `from_os_rng`,
-//! `from_entropy` — every generator in this repository must be explicitly
-//! seeded (lint rule D3 enforces this at the call-site level; the shim
-//! enforces it at the API level by simply not providing ambient entropy).
+//! **Intentionally absent:** `rng()`, `thread_rng()`, `random()`,
+//! `from_os_rng`, `from_entropy`, `OsRng`, `ThreadRng` — every generator
+//! in this repository must be explicitly seeded. This shim *is* rule D3
+//! (no ambient randomness in sim code): it is the only `rand` in
+//! `Cargo.lock`, so a call to an unseeded source does not compile.
+//! `ldft-lint`'s selfcheck `the_rand_shim_has_no_unseeded_source` fails if
+//! one is added here or a real `rand` enters the lock file.
 
 use std::ops::{Range, RangeInclusive};
 

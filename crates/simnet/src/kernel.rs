@@ -444,10 +444,11 @@ pub type EventHook = Box<dyn FnMut(SimTime, &KernelEvent) + Send>;
 /// wall instant at `OpBegin`, charge the difference to `op` at `OpEnd`.
 ///
 /// The kernel itself never reads a wall clock (the simulation is a pure
-/// function of the seed; see `ldft-lint` rule D1). Wall-clock cost
-/// accounting is the *consumer's* job: the repo benchmark's traced rep
-/// (`benchmark/src/trace.rs`) installs a hook that timestamps each mark
-/// and aggregates per-op totals into its `simnet.*_wall_ns` counters.
+/// function of the seed; `clippy.toml`'s D1 paths deny it here).
+/// Wall-clock cost accounting is the *consumer's* job: the repo
+/// benchmark's traced rep (`benchmark/src/trace.rs`) installs a hook that
+/// timestamps each mark and aggregates per-op totals into its
+/// `simnet.*_wall_ns` counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProfileMark {
     /// The kernel is about to execute the named unit of work.
@@ -938,14 +939,16 @@ impl Core {
 
     /// Re-raise on the driver thread what must fail the run: a process's
     /// panic, or the `max_events` guard.
+    #[expect(
+        clippy::panic,
+        reason = "P1 waiver, by design: a sim-process panic is re-raised on the driver thread so a bug fails the run instead of vanishing with one thread, and the runaway-loop guard stops a truncated run from reporting results; a Result return would let callers ignore both; re-audited 2026-08, expiry 2027-06"
+    )]
     fn reraise(&mut self) {
         if let Some((pid, msg)) = self.panicked.take() {
             let name = &self.procs[pid.0 as usize].name;
-            // ldft-lint: allow(P1, by design: re-raises a sim-process panic on the driver thread so bugs fail the run instead of vanishing with one thread; re-audited 2026-08 — the kernel driver is host-side test harness and P1's exception contract does not apply, expiry 2027-06)
             panic!("simulated process {pid} ({name}) panicked: {msg}");
         }
         if self.runaway {
-            // ldft-lint: allow(P1, by design: explicit runaway-loop guard; stopping silently would report results from a truncated run; re-audited 2026-08 — a Result return would let callers ignore a truncated run, expiry 2027-06)
             panic!(
                 "simnet: exceeded max_events={} at {:?} — runaway event loop?",
                 self.cfg.max_events, self.now
@@ -1323,6 +1326,10 @@ impl Core {
         };
         let mut ctx = Ctx::new(pid, host, self.cfg.seed, shared.clone());
         let thread_name = format!("sim-{pid}-{}", p.name);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "D4 waiver: the kernel runs each sim process on an OS thread and hands them one baton; re-audited 2026-10, expiry 2027-06"
+        )]
         let spawned = std::thread::Builder::new()
             .name(thread_name)
             .spawn(move || {

@@ -10,10 +10,16 @@
 //! (`kernel::Core`) lives in a `Shared` cell too.
 //!
 //! `Shared<T>` packages that idiom so the rest of the workspace never
-//! touches `std::sync::Mutex` directly: `ldft-lint` rule D4 bans OS
-//! synchronization primitives in sim-process code, and this module — inside
-//! the kernel crate, which implements the serialization guarantee — is the
-//! one sanctioned implementation.
+//! touches `std::sync::Mutex` directly: the sim crates deny clippy's D4
+//! paths (`clippy.toml`), which ban OS synchronization primitives in
+//! sim-process code, and this module — inside the kernel crate, which
+//! implements the serialization guarantee — is the one sanctioned
+//! implementation, waived by the `expect` below.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "D4 waiver: Shared is the one Mutex the sim crates use, for Send/Sync soundness only; re-audited 2026-10, expiry 2027-06"
+)]
 
 use std::sync::{Arc, Mutex, MutexGuard};
 

@@ -33,6 +33,20 @@
 //! (cf. Dwork/Halpern/Waarts: recovery cost, not crash count, dominates
 //! useful work). See DESIGN.md §9 for the protocol rules.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod chaos;
 pub mod deploy;
 pub mod protocol;

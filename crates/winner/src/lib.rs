@@ -16,6 +16,20 @@
 //!   service and by tools, over the [`SystemManagerStub`] `idlc`
 //!   generates from `idl/winner.idl`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod client;
 pub mod node_manager;
 pub mod policy;

@@ -3,7 +3,9 @@
 //! must produce a **byte-identical kernel event trace** when re-run with
 //! the same seed — not merely the same summary numbers. This is the
 //! property every result in the paper reproduction rests on, and the
-//! property `ldft-lint`'s determinism rules (D1–D4) exist to protect.
+//! property the sim crates' determinism lints (D1, D2 and D4 in
+//! `clippy.toml`, denied at each crate root) and the seeded-only `rand`
+//! shim (D3) exist to protect.
 
 use corba_runtime::{Cluster, ClusterConfig, NamingMode};
 use optim::{run_manager, FtSettings, ManagerConfig};
