@@ -96,8 +96,9 @@ impl CdrEncoder {
 
     /// Write `items` back to back as `W`-byte primitives, the body of a
     /// sequence or array: align once, reserve once, convert in one pass
-    /// through the type's `to_le_bytes` (on a little-endian host, a copy).
-    /// The bytes are those of writing the items one by one.
+    /// through the type's `to_le_bytes` into the reserved region (on a
+    /// little-endian host, a copy). The bytes are those of writing the
+    /// items one by one.
     pub(crate) fn write_prims<T: Copy, const W: usize>(
         &mut self,
         items: &[T],
@@ -109,7 +110,12 @@ impl CdrEncoder {
         }
         self.align(W);
         self.room(items.len() * W);
-        self.buf.extend(items.iter().flat_map(|&v| to_le(v)));
+        let start = self.buf.len();
+        self.buf.resize(start + items.len() * W, 0);
+        let (chunks, _) = self.buf[start..].as_chunks_mut::<W>();
+        for (chunk, &v) in chunks.iter_mut().zip(items) {
+            *chunk = to_le(v);
+        }
     }
 
     /// Write a sequence length prefix. Every counted thing (sequence,

@@ -34,34 +34,37 @@ impl Obs {
     /// complete `"ph":"X"` event per line; load in `about:tracing` or
     /// Perfetto). Host maps to `pid`, sim process to `tid`.
     pub fn chrome_trace_json(&self) -> String {
-        let mut spans = self.spans();
-        spans.sort_by_key(|s| (s.start_ns, s.span_id));
-        let mut out = String::from("[\n");
-        let last = spans.len();
-        for (i, s) in spans.iter().enumerate() {
-            let mut args = format!(
-                "\"trace\":{},\"span\":{},\"hop\":{}",
-                s.trace_id, s.span_id, s.hop
-            );
-            if let Some(p) = s.parent {
-                args.push_str(&format!(",\"parent\":{p}"));
+        self.inner.with(|i| {
+            let mut order: Vec<usize> = (0..i.spans.len()).collect();
+            order.sort_unstable_by_key(|&k| (i.spans[k].start_ns, i.spans[k].span_id));
+            let mut out = String::from("[\n");
+            let last = order.len();
+            for (n, &idx) in order.iter().enumerate() {
+                let s = &i.spans[idx];
+                let mut args = format!(
+                    "\"trace\":{},\"span\":{},\"hop\":{}",
+                    s.trace_id, s.span_id, s.hop
+                );
+                if s.parent != 0 {
+                    args.push_str(&format!(",\"parent\":{}", s.parent));
+                }
+                for (k, v) in i.tags(idx) {
+                    args.push_str(&format!(",\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+                }
+                out.push_str(&format!(
+                    "{{\"name\":\"{}\",\"cat\":\"ldft\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{{}}}}}{}\n",
+                    json_escape(i.name(s.name)),
+                    micros(s.start_ns),
+                    micros(s.dur()),
+                    s.host,
+                    s.pid,
+                    args,
+                    if n + 1 == last { "" } else { "," },
+                ));
             }
-            for (k, v) in &s.tags {
-                args.push_str(&format!(",\"{}\":\"{}\"", json_escape(k), json_escape(v)));
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"ldft\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{{}}}}}{}\n",
-                json_escape(&s.name),
-                micros(s.start_ns),
-                micros(s.end_ns - s.start_ns),
-                s.host,
-                s.pid,
-                args,
-                if i + 1 == last { "" } else { "," },
-            ));
-        }
-        out.push_str("]\n");
-        out
+            out.push_str("]\n");
+            out
+        })
     }
 
     /// All metrics as sorted plain text, one metric per line.

@@ -34,33 +34,38 @@ impl Obs {
     /// Roll completed spans up into a flat profile, ordered by descending
     /// self time with name as the deterministic tie-break.
     pub fn flat_profile(&self) -> Vec<FlatProfileEntry> {
-        let spans = self.spans();
-        // Inclusive time of all direct children, keyed by parent span id.
-        let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
-        for s in &spans {
-            if let Some(parent) = s.parent {
-                *child_ns.entry(parent).or_insert(0) += s.end_ns - s.start_ns;
+        self.inner.with(|i| {
+            // Inclusive time of all direct children, keyed by parent span id.
+            let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
+            for s in &i.spans {
+                if s.parent != 0 {
+                    *child_ns.entry(s.parent).or_insert(0) += s.dur();
+                }
             }
-        }
-        let mut by_name: BTreeMap<&str, FlatProfileEntry> = BTreeMap::new();
-        for s in &spans {
-            let dur = s.end_ns - s.start_ns;
-            let own = dur.saturating_sub(child_ns.get(&s.span_id).copied().unwrap_or(0));
-            let e = by_name
-                .entry(s.name.as_str())
-                .or_insert_with(|| FlatProfileEntry {
-                    name: s.name.clone(),
+            let mut rows: Vec<FlatProfileEntry> = i
+                .names
+                .iter()
+                .map(|name| FlatProfileEntry {
+                    name: name.clone(),
                     count: 0,
                     total_ns: 0,
                     self_ns: 0,
-                });
-            e.count += 1;
-            e.total_ns += dur;
-            e.self_ns += own;
-        }
-        let mut rows: Vec<FlatProfileEntry> = by_name.into_values().collect();
-        rows.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.name.cmp(&b.name)));
-        rows
+                })
+                .collect();
+            for s in &i.spans {
+                let own = s
+                    .dur()
+                    .saturating_sub(child_ns.get(&s.span_id).copied().unwrap_or(0));
+                let e = &mut rows[s.name as usize];
+                e.count += 1;
+                e.total_ns += s.dur();
+                e.self_ns += own;
+            }
+            // A name whose every span is still open has no row.
+            rows.retain(|e| e.count > 0);
+            rows.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.name.cmp(&b.name)));
+            rows
+        })
     }
 
     /// Render the top-`top_n` flat-profile rows as an aligned text table.

@@ -3,21 +3,68 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Display;
+use std::fmt::{Display, Write as _};
 use std::rc::Rc;
 
 use simnet::{Ctx, Shared, SimTime};
 
 use crate::metrics::{Histogram, Metric};
-use crate::span::{SpanContext, SpanRecord};
+use crate::span::{PackedSpan, SpanContext, SpanRecord};
+
+/// Key/value annotations on one span.
+type Tags = Vec<(String, String)>;
 
 /// Everything one simulation run records.
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
     next_trace: u64,
     next_span: u64,
-    pub(crate) spans: Vec<SpanRecord>,
+    /// Completed spans, in recording order.
+    pub(crate) spans: Vec<PackedSpan>,
+    /// Span names by id, each stored once.
+    pub(crate) names: Vec<String>,
+    name_ids: BTreeMap<String, u32>,
+    /// Tags of the spans that have any, by index into `spans`.
+    tags: BTreeMap<usize, Tags>,
     pub(crate) metrics: BTreeMap<String, Metric>,
+}
+
+impl Inner {
+    /// The id of `name`, adding it to the table on first sight.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.name_ids.get(name) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.push(name.to_string());
+        self.name_ids.insert(name.to_string(), id);
+        id
+    }
+
+    pub(crate) fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+
+    pub(crate) fn tags(&self, index: usize) -> &[(String, String)] {
+        self.tags.get(&index).map_or(&[], Vec::as_slice)
+    }
+
+    /// The public view of the span at `index`.
+    fn view(&self, index: usize) -> SpanRecord {
+        let s = &self.spans[index];
+        SpanRecord {
+            trace_id: s.trace_id,
+            span_id: s.span_id,
+            parent: (s.parent != 0).then_some(s.parent),
+            name: self.name(s.name).to_string(),
+            hop: s.hop,
+            host: s.host,
+            pid: s.pid,
+            start_ns: s.start_ns,
+            end_ns: s.end_ns,
+            tags: self.tags(index).to_vec(),
+        }
+    }
 }
 
 /// The run-wide observability sink. Clones alias the same storage; the
@@ -41,24 +88,33 @@ impl Obs {
         })
     }
 
-    fn alloc_span(&self) -> u64 {
+    /// A fresh span id, and the id of the span's name.
+    fn alloc_span(&self, name: &str) -> (u64, u32) {
         self.inner.with(|i| {
             i.next_span += 1;
-            i.next_span
+            (i.next_span, i.intern(name))
         })
     }
 
-    fn record(&self, rec: SpanRecord) {
-        self.inner.with(|i| i.spans.push(rec));
+    fn record(&self, rec: PackedSpan, tags: Tags) {
+        self.inner.with(|i| {
+            if !tags.is_empty() {
+                i.tags.insert(i.spans.len(), tags);
+            }
+            i.spans.push(rec);
+        });
     }
 
     /// Add `delta` to the counter `name`, creating it at zero.
     pub fn counter_add(&self, name: &str, delta: u64) {
         self.inner.with(|i| {
-            let m = i
-                .metrics
-                .entry(name.to_string())
-                .or_insert(Metric::Counter(0));
+            let m = match i.metrics.get_mut(name) {
+                Some(m) => m,
+                None => i
+                    .metrics
+                    .entry(name.to_string())
+                    .or_insert(Metric::Counter(0)),
+            };
             if let Metric::Counter(c) = m {
                 *c += delta;
             }
@@ -67,17 +123,24 @@ impl Obs {
 
     /// Set the gauge `name` to `value`.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        self.inner
-            .with(|i| i.metrics.insert(name.to_string(), Metric::Gauge(value)));
+        self.inner.with(|i| match i.metrics.get_mut(name) {
+            Some(m) => *m = Metric::Gauge(value),
+            None => {
+                i.metrics.insert(name.to_string(), Metric::Gauge(value));
+            }
+        });
     }
 
     /// Record one observation in the histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
         self.inner.with(|i| {
-            let m = i
-                .metrics
-                .entry(name.to_string())
-                .or_insert_with(|| Metric::Histogram(Histogram::default()));
+            let m = match i.metrics.get_mut(name) {
+                Some(m) => m,
+                None => i
+                    .metrics
+                    .entry(name.to_string())
+                    .or_insert_with(|| Metric::Histogram(Histogram::default())),
+            };
             if let Metric::Histogram(h) = m {
                 h.observe(value);
             }
@@ -99,13 +162,21 @@ impl Obs {
 
     /// Snapshot of all completed spans, in recording order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.with(|i| i.spans.clone())
+        self.inner
+            .with(|i| (0..i.spans.len()).map(|k| i.view(k)).collect())
     }
 
     /// Completed spans with the given name, in recording order.
     pub fn spans_named(&self, name: &str) -> Vec<SpanRecord> {
-        self.inner
-            .with(|i| i.spans.iter().filter(|s| s.name == name).cloned().collect())
+        self.inner.with(|i| {
+            let Some(&id) = i.name_ids.get(name) else {
+                return Vec::new();
+            };
+            (0..i.spans.len())
+                .filter(|&k| i.spans[k].name == id)
+                .map(|k| i.view(k))
+                .collect()
+        })
     }
 }
 
@@ -114,10 +185,11 @@ impl Obs {
 struct OpenSpan {
     /// Its identity: what a request made under it carries.
     ctx: SpanContext,
-    parent: Option<u64>,
-    name: String,
+    /// Parent span id, 0 for none.
+    parent: u64,
+    name: u32,
     start_ns: u64,
-    tags: Vec<(String, String)>,
+    tags: Tags,
 }
 
 /// Per-process recording handle: the shared sink plus this process's
@@ -141,6 +213,9 @@ struct Recording {
     host: u32,
     pid: u32,
     stack: RefCell<Vec<OpenSpan>>,
+    /// Where a span's name is formatted before the sink looks it up;
+    /// reused, so a name seen before costs no allocation.
+    name_buf: RefCell<String>,
 }
 
 impl Recording {
@@ -151,15 +226,22 @@ impl Recording {
             Some(p) => (p.trace_id, p.hop + hops),
             None => (self.obs.alloc_trace(), 0),
         };
-        let span_id = self.obs.alloc_span();
+        let (span_id, name) = {
+            let mut buf = self.name_buf.borrow_mut();
+            buf.clear();
+            // Formatting into a `String` fails only if `name`'s own
+            // `Display` does; the span then keeps what was written.
+            let _ = write!(buf, "{name}");
+            self.obs.alloc_span(&buf)
+        };
         self.stack.borrow_mut().push(OpenSpan {
             ctx: SpanContext {
                 trace_id,
                 span_id,
                 hop,
             },
-            parent: parent.map(|p| p.span_id),
-            name: name.to_string(),
+            parent: parent.map_or(0, |p| p.span_id),
+            name,
             start_ns: now.as_nanos(),
             tags: Vec::new(),
         });
@@ -184,12 +266,12 @@ impl ProcessObs {
     /// Handle for an explicit (host, pid) identity; the testable core of
     /// [`ProcessObs::new`].
     pub fn for_process(obs: Obs, host: u32, pid: u32) -> Self {
-        let stack = RefCell::new(Vec::new());
         let rec = Recording {
             obs,
             host,
             pid,
-            stack,
+            stack: RefCell::new(Vec::new()),
+            name_buf: RefCell::new(String::new()),
         };
         ProcessObs {
             rec: Some(Rc::new(rec)),
@@ -236,18 +318,18 @@ impl ProcessObs {
         let Some(o) = r.stack.borrow_mut().pop() else {
             return;
         };
-        r.obs.record(SpanRecord {
+        let rec = PackedSpan {
             trace_id: o.ctx.trace_id,
             span_id: o.ctx.span_id,
             parent: o.parent,
-            name: o.name,
-            hop: o.ctx.hop,
-            host: r.host,
-            pid: r.pid,
             start_ns: o.start_ns,
             end_ns: now.as_nanos().max(o.start_ns),
-            tags: o.tags,
-        });
+            name: o.name,
+            host: r.host,
+            pid: r.pid,
+            hop: o.ctx.hop,
+        };
+        r.obs.record(rec, o.tags);
     }
 
     /// Close the current span with its outcome: a failed one is tagged
@@ -383,13 +465,125 @@ mod tests {
         let obs = Obs::new();
         obs.counter_add("x.calls", 2);
         obs.counter_add("x.calls", 3);
+        obs.gauge_set("x.level", 0.5);
         obs.gauge_set("x.level", 1.5);
         obs.observe("x.ns", 500);
+        obs.observe("x.ns", 500);
+        obs.observe("x.ns", 5_000);
+        // A key keeps its first kind: another kind's update leaves it alone.
+        obs.observe("x.calls", 1);
+        obs.counter_add("x.ns", 1);
         assert_eq!(obs.counter("x.calls"), 5);
         assert_eq!(obs.metric("x.level"), Some(Metric::Gauge(1.5)));
         match obs.metric("x.ns") {
-            Some(Metric::Histogram(h)) => assert_eq!((h.count, h.sum), (1, 500)),
+            Some(Metric::Histogram(h)) => {
+                assert_eq!((h.count, h.sum), (3, 6_000));
+                assert_eq!((h.counts[1], h.counts[2]), (2, 1));
+            }
             other => panic!("expected histogram, got {other:?}"),
         }
+    }
+
+    /// A hand-built tree touching every export path: a remote parent from
+    /// outside the sink, repeated and composed names, `ok=false` and
+    /// `service_type` tags, an end before its start, and every metric kind.
+    fn golden_tree() -> Obs {
+        let obs = Obs::new();
+        let client = ProcessObs::for_process(obs.clone(), 0, 1);
+        let server = ProcessObs::for_process(obs.clone(), 3, 7);
+        client.begin(t(1_000), "manager.run");
+        for (k, op) in ["solve", "solve", "store_value"].into_iter().enumerate() {
+            let at = 2_000 + 10_000 * k as u64;
+            client.begin(t(at), format_args!("ft.call:{op}"));
+            server.begin_remote(t(at + 500), format_args!("serve:{op}"), client.current());
+            if op == "store_value" {
+                server.begin(t(at + 1_000), "store.replicate");
+                server.tag("op", op);
+                server.end(t(at + 2_000));
+            }
+            server.end(t(at + 4_000));
+            client.finish(t(at + 6_000), k != 1);
+        }
+        client.begin(t(40_000), "ft.factory_create");
+        client.tag("service_type", "IDL:\"Worker\":1.0");
+        client.finish(t(39_000), false);
+        client.end(t(50_000));
+        let stranger = SpanContext {
+            trace_id: 99,
+            span_id: 12_345,
+            hop: 2,
+        };
+        server.begin_remote(t(60_000), "serve:resolve", Some(stranger));
+        server.end(t(61_234));
+        obs.counter_add("orb.requests", 3);
+        obs.counter_add("orb.requests", 4);
+        obs.gauge_set("winner.alive_hosts", 2.0);
+        obs.gauge_set("winner.alive_hosts", 7.5);
+        for v in [50, 700, 700, 25_000, u64::MAX] {
+            obs.observe("ft.recovery_ns", v);
+        }
+        obs
+    }
+
+    /// `golden_tree`'s three exports, byte for byte: how the sink stores a
+    /// span must not show in what it exports.
+    const GOLDEN: &str = r#"[
+{"name":"manager.run","cat":"ldft","ph":"X","ts":1.000,"dur":49.000,"pid":0,"tid":1,"args":{"trace":1,"span":1,"hop":0}},
+{"name":"ft.call:solve","cat":"ldft","ph":"X","ts":2.000,"dur":6.000,"pid":0,"tid":1,"args":{"trace":1,"span":2,"hop":0,"parent":1}},
+{"name":"serve:solve","cat":"ldft","ph":"X","ts":2.500,"dur":3.500,"pid":3,"tid":7,"args":{"trace":1,"span":3,"hop":1,"parent":2}},
+{"name":"ft.call:solve","cat":"ldft","ph":"X","ts":12.000,"dur":6.000,"pid":0,"tid":1,"args":{"trace":1,"span":4,"hop":0,"parent":1,"ok":"false"}},
+{"name":"serve:solve","cat":"ldft","ph":"X","ts":12.500,"dur":3.500,"pid":3,"tid":7,"args":{"trace":1,"span":5,"hop":1,"parent":4}},
+{"name":"ft.call:store_value","cat":"ldft","ph":"X","ts":22.000,"dur":6.000,"pid":0,"tid":1,"args":{"trace":1,"span":6,"hop":0,"parent":1}},
+{"name":"serve:store_value","cat":"ldft","ph":"X","ts":22.500,"dur":3.500,"pid":3,"tid":7,"args":{"trace":1,"span":7,"hop":1,"parent":6}},
+{"name":"store.replicate","cat":"ldft","ph":"X","ts":23.000,"dur":1.000,"pid":3,"tid":7,"args":{"trace":1,"span":8,"hop":1,"parent":7,"op":"store_value"}},
+{"name":"ft.factory_create","cat":"ldft","ph":"X","ts":40.000,"dur":0.000,"pid":0,"tid":1,"args":{"trace":1,"span":9,"hop":0,"parent":1,"service_type":"IDL:\"Worker\":1.0","ok":"false"}},
+{"name":"serve:resolve","cat":"ldft","ph":"X","ts":60.000,"dur":1.234,"pid":3,"tid":7,"args":{"trace":99,"span":10,"hop":3,"parent":12345}}
+]
+--
+hist ft.recovery_ns count=5 sum=18446744073709551615 p50=1000 p95=10000000000000 p99=10000000000000 buckets=1,2,0,1,0,0,0,0,0,0,0,0,1
+counter orb.requests 7
+gauge winner.alive_hosts 7.500000
+--
+# flat profile: top 8 of 8 span names by self time (virtual ns)
+name                          count          self_ns         total_ns
+manager.run                       1            31000            49000
+serve:solve                       2             7000             7000
+ft.call:solve                     2             5000            12000
+ft.call:store_value               1             2500             6000
+serve:store_value                 1             2500             3500
+serve:resolve                     1             1234             1234
+store.replicate                   1             1000             1000
+ft.factory_create                 1                0                0
+"#;
+
+    #[test]
+    fn exports_match_the_golden() {
+        let obs = golden_tree();
+        let got = format!(
+            "{}--\n{}--\n{}",
+            obs.chrome_trace_json(),
+            obs.metrics_text(),
+            obs.flat_profile_text(10)
+        );
+        assert_eq!(got, GOLDEN);
+    }
+
+    #[test]
+    fn a_packed_span_fits_in_a_cache_line() {
+        assert!(std::mem::size_of::<PackedSpan>() <= 64);
+    }
+
+    #[test]
+    fn a_repeated_name_is_stored_once() {
+        let obs = Obs::new();
+        let po = ProcessObs::for_process(obs.clone(), 0, 1);
+        for k in 0..10_000 {
+            po.begin(t(k), format_args!("serve:{}", "store_value"));
+            po.end(t(k + 1));
+        }
+        let (spans, names) = obs.inner.with(|i| (i.spans.len(), i.names.clone()));
+        assert_eq!(spans, 10_000);
+        assert_eq!(names, vec!["serve:store_value".to_string()]);
+        assert_eq!(obs.spans_named("serve:store_value").len(), 10_000);
     }
 }

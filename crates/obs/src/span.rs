@@ -79,6 +79,30 @@ pub struct SpanRecord {
     pub tags: Vec<(String, String)>,
 }
 
+/// One completed span as the sink stores it: fixed size, no heap. The
+/// name is an index into the sink's name table; tags, which few spans
+/// carry, live in a side table keyed by the record's index.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PackedSpan {
+    pub(crate) trace_id: u64,
+    pub(crate) span_id: u64,
+    /// Parent span id, 0 for none (ids start at 1).
+    pub(crate) parent: u64,
+    pub(crate) start_ns: u64,
+    pub(crate) end_ns: u64,
+    pub(crate) name: u32,
+    pub(crate) host: u32,
+    pub(crate) pid: u32,
+    pub(crate) hop: u32,
+}
+
+impl PackedSpan {
+    /// Virtual duration, nanoseconds (`end_ns >= start_ns` by construction).
+    pub(crate) fn dur(&self) -> u64 {
+        self.end_ns - self.start_ns
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
