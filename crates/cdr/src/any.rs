@@ -96,23 +96,6 @@ impl Any {
         }
     }
 
-    /// Wrap a homogeneous `double` sequence (the checkpoint payload shape
-    /// used by the paper's proof-of-concept store).
-    pub fn double_seq(vs: &[f64]) -> Any {
-        Any {
-            tc: TypeCode::Sequence(Box::new(TypeCode::Double)),
-            value: Value::Sequence(vs.iter().copied().map(Value::Double).collect()),
-        }
-    }
-
-    /// Extract a `double`, if that is what this holds.
-    pub fn as_double(&self) -> Option<f64> {
-        match self.value {
-            Value::Double(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Extract a string slice, if that is what this holds.
     pub fn as_str(&self) -> Option<&str> {
         match &self.value {
@@ -292,7 +275,10 @@ mod tests {
 
     #[test]
     fn sequence_any_round_trip() {
-        let any = Any::double_seq(&[1.0, 2.5, -3.75]);
+        let any = Any {
+            tc: TypeCode::Sequence(Box::new(TypeCode::Double)),
+            value: Value::Sequence([1.0, 2.5, -3.75].map(Value::Double).to_vec()),
+        };
         let back: Any = from_bytes(&to_bytes(&any)).unwrap();
         assert_eq!(any, back);
     }
@@ -370,7 +356,6 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert_eq!(Any::double(2.0).as_double(), Some(2.0));
         assert_eq!(Any::double(2.0).as_long(), None);
         assert_eq!(Any::string("s").as_str(), Some("s"));
         assert_eq!(Any::long(3).as_long(), Some(3));

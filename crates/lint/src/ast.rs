@@ -2,15 +2,15 @@
 //!
 //! Built directly on the token stream of [`crate::lexer`] (comments gone,
 //! literal values kept as `Lit` tokens), it recognizes the handful of
-//! constructs the codec-symmetry (W4), lock-graph (L), exception (E1) and
-//! per-function (P2's index, P3) rules need:
+//! constructs the exception (E1) and per-function (P2's index, P3) rules
+//! and the selfchecks need:
 //!
 //! - function items with parsed parameter lists,
 //! - `impl` blocks (`impl Trait for Type`),
 //! - `match` expressions with per-arm pattern and body spans,
-//! - call expressions with receiver chains and split argument lists,
+//! - call expressions with split argument lists,
 //! - struct definitions with named fields,
-//! - the brace-scope tree (for guard-liveness in the lock graph).
+//! - the brace-scope tree.
 //!
 //! This is *not* a general Rust parser: generics are skipped heuristically
 //! and expression structure inside bodies is only recovered where a rule
@@ -27,21 +27,12 @@ pub struct Scope {
     pub close: usize,
 }
 
-/// One parsed parameter or struct field: `name: ty`.
-#[derive(Debug, Clone)]
-pub struct Param {
-    pub name: String,
-    /// Joined type text (normalized spacing), empty for `self` receivers.
-    pub ty: String,
-}
-
 /// A function item.
 #[derive(Debug, Clone)]
 pub struct FnItem {
     pub name: String,
     /// Token index of the `fn` keyword.
     pub tok: usize,
-    pub params: Vec<Param>,
     /// Line of the `fn` keyword.
     pub line: usize,
     /// Body block (token indices of the braces); `None` for trait decls.
@@ -89,13 +80,8 @@ pub struct Arg {
 /// A call expression `recv.method(args)` or `method(args)`.
 #[derive(Debug, Clone)]
 pub struct Call {
-    /// Last identifier of the receiver chain (`self.state.lock()` → `state`);
-    /// `None` for free calls or computed receivers (`f().g()`).
-    pub recv_tail: Option<String>,
     pub method: String,
     pub line: usize,
-    /// True for `recv.method(...)`, false for `method(...)`.
-    pub is_method: bool,
     pub args: Vec<Arg>,
     /// Token index of the method-name identifier.
     pub name_tok: usize,
@@ -105,7 +91,8 @@ pub struct Call {
 #[derive(Debug, Clone)]
 pub struct StructDef {
     pub name: String,
-    pub fields: Vec<Param>,
+    /// Field names, in declaration order.
+    pub fields: Vec<String>,
     pub line: usize,
 }
 
@@ -192,15 +179,6 @@ impl FileAst {
     /// Joined text of a token range (exclusive end), literal values quoted.
     pub fn text(&self, range: (usize, usize)) -> String {
         join_tokens(&self.toks[range.0..range.1.min(self.toks.len())])
-    }
-
-    /// Innermost scope containing token index `ti`, if any.
-    pub fn enclosing_scope(&self, ti: usize) -> Option<Scope> {
-        self.scopes
-            .iter()
-            .filter(|s| s.open < ti && ti < s.close)
-            .min_by_key(|s| s.close - s.open)
-            .copied()
     }
 
     /// The function item whose body contains token index `ti` (innermost).
@@ -334,25 +312,14 @@ pub fn split_commas(toks: &[Tok], start: usize, end: usize) -> Vec<(usize, usize
     out
 }
 
-/// Parse one `name: ty` segment into a [`Param`].
-fn parse_param(toks: &[Tok], start: usize, end: usize) -> Option<Param> {
-    // `self`, `&self`, `&mut self` receivers.
-    if toks[start..end].iter().any(|t| t.is("self")) && !toks[start..end].iter().any(|t| t.is(":"))
-    {
-        return Some(Param {
-            name: "self".to_string(),
-            ty: String::new(),
-        });
-    }
+/// The name of one `name: ty` field segment.
+fn field_name(toks: &[Tok], start: usize, end: usize) -> Option<String> {
     let colon = (start..end).find(|&i| toks[i].is(":"))?;
     let name_tok = toks[start..colon]
         .iter()
         .rev()
-        .find(|t| t.kind == TokKind::Ident && t.text != "mut" && t.text != "ref")?;
-    Some(Param {
-        name: name_tok.text.clone(),
-        ty: join_tokens(&toks[colon + 1..end]),
-    })
+        .find(|t| t.kind == TokKind::Ident)?;
+    Some(name_tok.text.clone())
 }
 
 fn parse_fn(
@@ -369,12 +336,7 @@ fn parse_fn(
     if !toks.get(j)?.is("(") {
         return None;
     }
-    let close = *paren_close.get(&j)?;
-    let params = split_commas(toks, j + 1, close)
-        .into_iter()
-        .filter_map(|(s, e)| parse_param(toks, s, e))
-        .collect();
-    j = close + 1;
+    j = *paren_close.get(&j)? + 1;
     while j < toks.len() && !toks[j].is("{") && !toks[j].is(";") {
         j += 1;
     }
@@ -387,7 +349,6 @@ fn parse_fn(
         FnItem {
             name: name_tok.text.clone(),
             tok: i,
-            params,
             line: toks[i].line,
             body,
         },
@@ -548,7 +509,7 @@ fn parse_match(
     })
 }
 
-fn parse_fields(toks: &[Tok], open: usize, close: usize) -> Vec<Param> {
+fn parse_fields(toks: &[Tok], open: usize, close: usize) -> Vec<String> {
     split_commas(toks, open + 1, close)
         .into_iter()
         .filter_map(|(s, e)| {
@@ -583,7 +544,7 @@ fn parse_fields(toks: &[Tok], open: usize, close: usize) -> Vec<Param> {
                     break;
                 }
             }
-            parse_param(toks, s, e)
+            field_name(toks, s, e)
         })
         .collect()
 }
@@ -632,40 +593,13 @@ fn parse_call(
         return None;
     }
     let close = *paren_close.get(&j)?;
-    let is_method = i > 0 && toks[i - 1].is(".");
-    // Receiver chain: walk back over `ident . ident . ... .`
-    let recv_tail = if is_method {
-        let mut p = i - 1; // at `.`
-        let mut tail = None;
-        loop {
-            if p == 0 {
-                break;
-            }
-            let prev = &toks[p - 1];
-            if prev.kind == TokKind::Ident {
-                if tail.is_none() {
-                    tail = Some(prev.text.clone());
-                }
-                if p >= 2 && toks[p - 2].is(".") {
-                    p -= 2;
-                    continue;
-                }
-            }
-            break;
-        }
-        tail
-    } else {
-        None
-    };
     let args = split_commas(toks, j + 1, close)
         .into_iter()
         .map(|toks_range| Arg { toks: toks_range })
         .collect();
     Some(Call {
-        recv_tail,
         method: t.text.clone(),
         line: t.line,
-        is_method,
         args,
         name_tok: i,
     })
@@ -680,13 +614,11 @@ mod tests {
     }
 
     #[test]
-    fn fn_items_and_params() {
+    fn fn_items() {
         let a = ast_of("fn add(a: f64, b: f64) -> f64 { a + b }\n");
         assert_eq!(a.fns.len(), 1);
         let f = &a.fns[0];
         assert_eq!(f.name, "add");
-        assert_eq!(f.params.len(), 2);
-        assert_eq!(f.params[1].ty, "f64");
         assert!(f.body.is_some());
     }
 
@@ -711,10 +643,9 @@ mod tests {
     }
 
     #[test]
-    fn calls_receiver_and_args() {
+    fn calls_and_args() {
         let a = ast_of("fn f() { self.obj.call(orb, ctx, \"add\", &(a, b,)); }\n");
         let c = a.calls.iter().find(|c| c.method == "call").unwrap();
-        assert_eq!(c.recv_tail.as_deref(), Some("obj"));
         assert_eq!(c.args.len(), 4);
     }
 
@@ -736,6 +667,6 @@ mod tests {
         );
         assert_eq!(a.structs.len(), 1, "tuple structs have no named fields");
         assert_eq!(a.structs[0].name, "Pair");
-        assert_eq!(a.structs[0].fields[1].name, "b");
+        assert_eq!(a.structs[0].fields[1], "b");
     }
 }

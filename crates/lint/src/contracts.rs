@@ -4,10 +4,10 @@
 //! and checked as **one compilation unit** in sorted path order (so
 //! `idl/store.idl` can name `FT::Checkpoint` from `idl/ft.idl`), and the
 //! selfchecks read the small op table built here from the checked
-//! [`idlc::Model`]. A unit `idlc` rejects yields one error finding (`W0`)
-//! at the offending `file:line` and an empty table.
+//! [`idlc::Model`]. A unit `idlc` rejects is an error at the offending
+//! `file:line:col`, which fails `ldft-lint --workspace` like any other I/O
+//! error.
 
-use crate::rules::Finding;
 use idlc::ast::{wire_ops, Operation};
 use std::path::Path;
 
@@ -37,29 +37,26 @@ pub struct IdlInterface {
 pub struct Contracts {
     /// `(workspace-relative path, source)` of every contract, sorted.
     pub sources: Vec<(String, String)>,
-    /// What `idlc::check` made of the unit (empty when it was rejected).
+    /// What `idlc::check` made of the unit.
     pub model: idlc::Model,
     /// All interfaces, in unit order.
     pub interfaces: Vec<IdlInterface>,
-    /// The rejection, if `idlc` refused the unit, as a `W0` finding.
-    pub rejection: Option<Finding>,
 }
 
 impl Contracts {
-    /// Compile in-memory `(path, source)` pairs as one unit, in that order.
-    pub fn from_sources(sources: Vec<(String, String)>) -> Contracts {
+    /// Compile in-memory `(path, source)` pairs as one unit, in that order;
+    /// `idlc`'s rejection is an `InvalidData` error, `file:line:col: message`.
+    fn from_sources(sources: Vec<(String, String)>) -> std::io::Result<Contracts> {
         let file = |i: u32| sources[i as usize].0.clone();
-        let mut c = Contracts::default();
-        match idlc::parse_unit(sources.iter().map(|(_, src)| src.as_str()))
-            .and_then(|spec| idlc::check(&spec))
-        {
-            Ok(model) => c.model = model,
-            Err(e) => {
-                let msg = format!("contract rejected by idlc: {}", e.msg);
-                let line = e.pos.line as usize;
-                c.rejection = Some(Finding::new("W0", &file(e.pos.file), line, msg));
-            }
-        }
+        let mut c = Contracts {
+            model: idlc::parse_unit(sources.iter().map(|(_, src)| src.as_str()))
+                .and_then(|spec| idlc::check(&spec))
+                .map_err(|e| {
+                    let msg = format!("{}:{e}", file(e.pos.file));
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+                })?,
+            ..Contracts::default()
+        };
         for item in &c.model.items {
             if let idlc::Item::Interface { def, .. } = item {
                 let op = |op: &Operation| IdlOp {
@@ -78,7 +75,7 @@ impl Contracts {
             }
         }
         c.sources = sources;
-        c
+        Ok(c)
     }
 
     /// Every operation across all interfaces.
@@ -100,5 +97,5 @@ pub fn contracts(root: &Path) -> std::io::Result<Contracts> {
         }
     }
     sources.sort();
-    Ok(Contracts::from_sources(sources))
+    Contracts::from_sources(sources)
 }

@@ -1,4 +1,4 @@
-//! # ldft-lint — protocol, contract and lock-order analyzer
+//! # ldft-lint — protocol and contract analyzer
 //!
 //! A repo-specific static analyzer for the corba-ldft workspace. It lexes
 //! every workspace `.rs` file once ([`lexer`]), parses a token-level AST
@@ -9,25 +9,21 @@
 //! * **Protocol (P2, P3, E1)** — the paper's fault-tolerance contract:
 //!   clients must observe `COMM_FAILURE` and never drop it on the floor,
 //!   and the FT proxy checkpoints after every successful invocation.
-//! * **Contracts and codecs (W0, W4)** — `idl/*.idl` compiles under
-//!   `idlc`, and hand-written `CdrWrite`/`CdrRead` struct pairs marshal
-//!   their fields in one order ([`wire`]).
-//! * **Lock order (L1–L3)** — no inversion, re-entrancy, or blocking call
-//!   under a `simnet::Shared` guard ([`lockgraph`]).
+//! * **Contracts** — `idl/*.idl` must compile under `idlc` as one unit
+//!   ([`contracts`]); a rejected unit fails the run.
 //!
 //! Determinism (D1, D2, D4) and panic-freedom (P1) are clippy lints the
 //! sim crates deny at their roots (`clippy.toml` holds the paths), and a
-//! waiver is a rustc `#[expect(lint, reason = "…")]` attribute. There is
-//! no suppression comment: a finding here is fixed, not waived. See
-//! `crates/lint/README.md`.
+//! waiver is a rustc `#[expect(lint, reason = "…")]` attribute. The lock
+//! discipline of `simnet::Shared` is checked at run time by `simnet`
+//! itself. There is no suppression comment: a finding here is fixed, not
+//! waived. See `crates/lint/README.md`.
 
 pub mod analysis;
 pub mod ast;
 pub mod contracts;
 pub mod lexer;
-pub mod lockgraph;
 pub mod rules;
-pub mod wire;
 
 use analysis::FileAnalysis;
 pub use contracts::{contracts, Contracts};
@@ -41,13 +37,8 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of files parsed.
     pub files: usize,
-    /// Operations the compiled `idl/*.idl` unit declares (0 when `idlc`
-    /// rejected it — rule W0).
+    /// Operations the compiled `idl/*.idl` unit declares.
     pub wire_ops: usize,
-    /// `simnet::Shared` acquisition sites covered by the lock graph.
-    pub lock_sites: usize,
-    /// Distinct lock classes in the acquisition graph.
-    pub lock_classes: usize,
 }
 
 /// Derive the crate directory (`crates/<dir>/...`) from a workspace-relative
@@ -65,9 +56,8 @@ pub fn crate_dir_of(rel_path: &str) -> Option<String> {
 }
 
 /// Analyze a single in-memory source (fixture tests and `--crate-name`
-/// runs). `crate_dir` drives rule scoping. Runs the per-file rules plus a
-/// single-file lock-graph pass; the contracts (W0) and the per-file W4
-/// pass only run under [`run_workspace`].
+/// runs). `crate_dir` drives rule scoping. Runs the per-file rules; the
+/// contracts are only compiled under [`run_workspace`].
 pub fn analyze_source(
     path_label: &str,
     crate_dir: Option<&str>,
@@ -76,7 +66,6 @@ pub fn analyze_source(
 ) -> Vec<Finding> {
     let fa = FileAnalysis::new(path_label, crate_dir, source);
     let mut findings = check_file(&fa, index);
-    findings.extend(lockgraph::check(std::slice::from_ref(&fa)).findings);
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     findings
 }
@@ -140,10 +129,10 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<FileAnalysis>> {
 /// Run the analyzer over the whole workspace rooted at `root`.
 ///
 /// Two stages: the first parses every `.rs` file, compiles the `.idl`
-/// contracts (see [`contracts`]) and builds the [`WorkspaceIndex`] (P2's
-/// one-hop index over the orb stub API); the second evaluates the
-/// per-file rules plus W4 and the cross-file lock-graph pass (L1–L3).
-/// Findings are sorted by file, line and rule.
+/// contracts (see [`contracts`]; a rejected unit is the error) and builds
+/// the [`WorkspaceIndex`] (P2's one-hop index over the orb stub API); the
+/// second evaluates the per-file rules. Findings are sorted by file, line
+/// and rule.
 pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     let analyses = analyze_workspace(root)?;
     let mut index = WorkspaceIndex::stub_only();
@@ -152,21 +141,15 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     }
     let idls = contracts(root)?;
     let (files, wire_ops) = (analyses.len() + idls.sources.len(), idls.ops().count());
-    let lock_report = lockgraph::check(&analyses);
     let mut findings: Vec<Finding> = analyses
         .iter()
         .flat_map(|fa| check_file(fa, &index))
-        .chain(wire::check(&analyses))
-        .chain(lock_report.findings)
-        .chain(idls.rejection)
         .collect();
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(Report {
         findings,
         files,
         wire_ops,
-        lock_sites: lock_report.sites,
-        lock_classes: lock_report.classes,
     })
 }
 

@@ -10,8 +10,7 @@
 //!
 //! Text diagnostics render as `file:line: error[RULE]: message`, which
 //! `.github/problem-matchers/ldft-lint.json` turns into GitHub
-//! annotations. The closing summary line carries the coverage counters:
-//! contract ops, `Shared` lock sites and lock classes.
+//! annotations. The closing summary line carries the contract-op count.
 
 use ldft_lint::rules::{rule_summary, WorkspaceIndex, RULE_IDS};
 use ldft_lint::{analyze_source, crate_dir_of, find_workspace_root, run_workspace, Report};
@@ -106,8 +105,8 @@ fn main() -> ExitCode {
         println!("{}", f.render());
     }
     println!(
-        "ldft-lint: {} file(s), {errors} error(s), {} contract ops, {} lock sites, {} lock classes",
-        report.files, report.wire_ops, report.lock_sites, report.lock_classes
+        "ldft-lint: {} file(s), {errors} error(s), {} contract ops",
+        report.files, report.wire_ops
     );
     if errors > 0 {
         ExitCode::FAILURE

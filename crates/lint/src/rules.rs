@@ -50,9 +50,8 @@ impl Finding {
 }
 
 /// The policed scope, stated once: the crates whose code runs in (or
-/// drives) the simulation. P2, P3, E1 and L1–L3 apply to the non-test
-/// lines of these crates and to nothing else; W4 reads every workspace
-/// file, W0 the `idl/` contracts. The same crates deny the clippy lints
+/// drives) the simulation. P2, P3 and E1 apply to the non-test lines of
+/// these crates and to nothing else. The same crates deny the clippy lints
 /// that carry D1, D2, D4 and P1 at their crate roots.
 pub const SIM_CRATES: &[&str] = &[
     "simnet", "orb", "obs", "naming", "winner", "ft", "optim", "core", "store", "monitor",
@@ -60,18 +59,13 @@ pub const SIM_CRATES: &[&str] = &[
 ];
 
 /// All rule IDs, in report order.
-pub const RULE_IDS: &[&str] = &["P2", "P3", "W0", "W4", "L1", "L2", "L3", "E1"];
+pub const RULE_IDS: &[&str] = &["P2", "P3", "E1"];
 
 /// Human-readable one-liner per rule, for `--list-rules`.
 pub fn rule_summary(id: &str) -> &'static str {
     match id {
         "P2" => "discarded remote-invocation result (let _ = ...invoke-like(...))",
         "P3" => "FT proxy method invokes without checkpoint-after-success",
-        "W0" => "idl/*.idl contract unit rejected by idlc (parse or check error)",
-        "W4" => "CdrWrite/CdrRead pair marshals asymmetrically (tag or field-order mismatch)",
-        "L1" => "lock-order inversion across simnet::Shared classes (acquisition-graph cycle)",
-        "L2" => "re-entrant acquisition of a Shared cell while its guard is live",
-        "L3" => "blocking call (sleep/recv/compute/invoke) while holding a Shared guard",
         "E1" => "caught COMM_FAILURE/TRANSIENT dropped on the floor (no retry, no propagation)",
         _ => "unknown rule",
     }
@@ -147,8 +141,7 @@ impl WorkspaceIndex {
 }
 
 /// Run every per-file rule against one analyzed file. `index` feeds P2's
-/// call graph. The workspace driver merges these findings with the
-/// cross-file passes ([`crate::wire`], [`crate::lockgraph`]).
+/// call graph.
 pub fn check_file(fa: &FileAnalysis, index: &WorkspaceIndex) -> Vec<Finding> {
     let mut findings = Vec::new();
     if !fa

@@ -53,11 +53,7 @@ fn list_rules_names_every_rule() {
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
     let ids: Vec<&str> = stdout.lines().filter_map(|l| l.split(' ').next()).collect();
-    assert_eq!(
-        ids,
-        ["P2", "P3", "W0", "W4", "L1", "L2", "L3", "E1"],
-        "{stdout}"
-    );
+    assert_eq!(ids, ["P2", "P3", "E1"], "{stdout}");
 }
 
 #[test]
@@ -105,13 +101,11 @@ fn workspace_summary_carries_coverage_counters() {
     assert_eq!(out.status.code(), Some(0), "{:?}", out);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let ops = ldft_lint::contracts(root).expect("read idl/").ops().count();
-    let report = ldft_lint::run_workspace(root).expect("lint the workspace");
-    let counters = format!(
-        "{ops} contract ops, {} lock sites, {} lock classes",
-        report.lock_sites, report.lock_classes
-    );
     let summary = stdout.lines().last().expect("summary line");
-    assert!(summary.ends_with(&counters), "{summary}");
+    assert!(
+        summary.ends_with(&format!(" {ops} contract ops")),
+        "{summary}"
+    );
 }
 
 #[test]

@@ -230,14 +230,6 @@ impl Exception {
             })
         )
     }
-
-    /// The user exception, if that is what this is.
-    pub fn as_user(&self) -> Option<&UserException> {
-        match self {
-            Exception::User(u) => Some(u),
-            Exception::System(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Exception {
@@ -300,7 +292,6 @@ mod tests {
         assert!(!bo.is_recoverable());
         let ue: Exception = UserException::tag("IDL:X:1.0").into();
         assert!(!ue.is_comm_failure());
-        assert!(ue.as_user().is_some());
     }
 
     #[test]

@@ -669,7 +669,7 @@ impl Kernel {
     /// Register a simulated workstation. Hosts can only be added before or
     /// between runs.
     pub fn add_host(&mut self, cfg: HostConfig) -> HostId {
-        let mut core = self.core.lock();
+        let mut core = self.core.lock_untracked();
         let id = HostId(core.hosts.len() as u32);
         let tau = core.cfg.load_ewma_tau;
         core.hosts.push(HostState::new(cfg, tau));
@@ -686,7 +686,7 @@ impl Kernel {
 
     /// All registered host ids.
     pub fn host_ids(&self) -> Vec<HostId> {
-        self.core.lock().host_ids()
+        self.core.lock_untracked().host_ids()
     }
 
     /// Spawn a process on `host`, starting at the current virtual time.
@@ -708,12 +708,14 @@ impl Kernel {
         name: impl Into<String>,
         body: ProcessBody,
     ) -> Pid {
-        self.core.lock().spawn_at(at, host, name.into(), body)
+        self.core
+            .lock_untracked()
+            .spawn_at(at, host, name.into(), body)
     }
 
     /// Schedule a fault-injection command at absolute time `at`.
     pub fn schedule_fault(&mut self, at: SimTime, fault: Fault) {
-        let mut core = self.core.lock();
+        let mut core = self.core.lock_untracked();
         let at = at.max(core.now);
         core.push_event(at, EventKind::Fault(fault));
     }
@@ -723,7 +725,7 @@ impl Kernel {
     /// that holds the baton (see [`EventHook`]). At most one hook is
     /// installed; a second call replaces the first.
     pub fn set_event_hook(&mut self, f: impl FnMut(SimTime, &KernelEvent) + Send + 'static) {
-        self.core.lock().event_hook = Some(Box::new(f));
+        self.core.lock_untracked().event_hook = Some(Box::new(f));
     }
 
     /// Install a profiling callback fired with paired [`ProfileMark`]s
@@ -741,13 +743,13 @@ impl Kernel {
     /// first. With no policy — or a policy that always picks index 0 — the
     /// kernel behaves exactly as before the hook existed.
     pub fn set_schedule_policy(&mut self, p: impl SchedulePolicy + 'static) {
-        self.core.lock().policy = Some(Box::new(p));
+        self.core.lock_untracked().policy = Some(Box::new(p));
     }
 
     /// Snapshot the deterministic run profile: per-process virtual CPU
     /// attribution and the kernel queue-depth peaks seen so far.
     pub fn profile(&self) -> KernelProfile {
-        let core = self.core.lock();
+        let core = self.core.lock_untracked();
         let mut cpu_by_proc = Vec::new();
         for (hi, hs) in core.hosts.iter().enumerate() {
             for (&pid, &cpu_ns) in &hs.cpu_by_pid {
@@ -775,12 +777,12 @@ impl Kernel {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.lock().now
+        self.core.lock_untracked().now
     }
 
     /// Run statistics so far.
     pub fn stats(&self) -> KernelStats {
-        self.core.lock().stats
+        self.core.lock_untracked().stats
     }
 
     /// How often the baton has passed from one OS thread to another (driver
@@ -788,18 +790,18 @@ impl Kernel {
     /// cost of a run in machine-independent units; it depends on whether a
     /// profile hook is installed, so it is not part of [`KernelStats`].
     pub fn thread_switches(&self) -> u64 {
-        self.core.lock().thread_switches
+        self.core.lock_untracked().thread_switches
     }
 
     /// Whether a process has exited or been killed.
     pub fn proc_dead(&self, pid: Pid) -> bool {
-        self.core.lock().proc_dead(pid)
+        self.core.lock_untracked().proc_dead(pid)
     }
 
     /// Load metrics for a host, evaluated at the current virtual time
     /// (driver/test-side equivalent of `Ctx::host_info`).
     pub fn host_snapshot(&mut self, host: HostId) -> Option<HostSnapshot> {
-        let mut core = self.core.lock();
+        let mut core = self.core.lock_untracked();
         let now = core.now;
         core.hosts.get_mut(host.0 as usize).map(|h| h.snapshot(now))
     }
@@ -808,7 +810,10 @@ impl Kernel {
     /// model WAN links between LANs — the metacomputing scenario the paper
     /// lists as future work. Takes effect for messages sent after the call.
     pub fn set_link_latency(&mut self, a: HostId, b: HostId, latency: SimDuration) {
-        self.core.lock().link_latency.insert(pair(a, b), latency);
+        self.core
+            .lock_untracked()
+            .link_latency
+            .insert(pair(a, b), latency);
     }
 
     /// Run until the event queue is exhausted and no process is runnable.
@@ -818,25 +823,29 @@ impl Kernel {
     /// during the run have unwound on their own threads, so what they did on
     /// the way out is the caller's to read. A body that swallows
     /// `Err(Killed)` and never returns therefore hangs the run.
+    #[track_caller]
     pub fn run_until_idle(&mut self) -> SimTime {
         self.run_inner(None, None)
     }
 
     /// Run until the given process exits (or the queue empties first).
+    #[track_caller]
     pub fn run_until_exit(&mut self, pid: Pid) -> SimTime {
         self.run_inner(None, Some(pid))
     }
 
     /// Run until virtual time reaches `deadline` (or the queue empties).
     /// The clock is advanced to exactly `deadline` when it is reached.
+    #[track_caller]
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.run_inner(Some(deadline), None);
-        let mut core = self.core.lock();
+        let mut core = self.core.lock_untracked();
         core.now = core.now.max(deadline);
         core.now
     }
 
     /// Run for a span of virtual time from the current instant.
+    #[track_caller]
     pub fn run_for(&mut self, d: SimDuration) -> SimTime {
         let deadline = self.now() + d;
         self.run_until(deadline)
@@ -845,9 +854,12 @@ impl Kernel {
     /// The driver's side of the baton: raise what must be raised on this
     /// thread, serve a posted syscall, step the loop, pass the baton and
     /// park — until the stop rule holds.
+    #[track_caller]
     fn run_inner(&mut self, deadline: Option<SimTime>, exit_on: Option<Pid>) -> SimTime {
+        let at = std::panic::Location::caller();
+        crate::shared::assert_unheld(format_args!("Kernel::run_*"), at);
         let shared = self.core.clone();
-        let mut core = shared.lock();
+        let mut core = shared.lock_untracked();
         (core.deadline, core.exit_on) = (deadline, exit_on);
         core.main = Some(std::thread::current());
         core.main_drives = self.profile_hook.is_some();
@@ -885,7 +897,7 @@ impl Kernel {
             wake(next);
             core = loop {
                 std::thread::park();
-                let core = shared.lock();
+                let core = shared.lock_untracked();
                 if core.holder.is_none() {
                     break core;
                 }
@@ -1912,7 +1924,7 @@ impl Drop for Kernel {
         // Tell every parked thread to give up, then wake and join them
         // (outside the lock: they need it to see the flag).
         let joins: Vec<JoinHandle<()>> = {
-            let mut core = self.core.lock();
+            let mut core = self.core.lock_untracked();
             core.shutdown = true;
             let mut joins = std::mem::take(&mut core.reaped);
             joins.extend(core.procs.iter_mut().filter_map(|p| p.join.take()));

@@ -1621,3 +1621,138 @@ const INLINE_NOTES: [&str; 14] = [
     "101718752 stayer computed",
 ];
 const INLINE_STOPS: [&str; 2] = ["63906250 after 8 notes", "97812501 after 13 notes"];
+
+// ---------------------------------------------------------------------
+// Shared's lock discipline, checked at run time
+// ---------------------------------------------------------------------
+
+/// The message `run` panics with.
+fn panic_message(run: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .expect_err("the run must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default()
+}
+
+/// `file:line:` of the line of this file that ends with `marker`.
+fn site_of(marker: &str) -> String {
+    let src = include_str!("kernel_tests.rs");
+    let at = src
+        .lines()
+        .position(|l| l.ends_with(marker))
+        .expect("marker");
+    format!("{}:{}:", file!(), at + 1)
+}
+
+/// What a run panics with whose one process runs `body` on a fresh cell.
+fn holding(body: fn(&mut crate::Ctx, &crate::Shared<u32>) -> crate::SimResult<()>) -> String {
+    let mut sim = Kernel::with_seed(1);
+    let h = sim.add_host(HostConfig::new("a"));
+    let cell = crate::Shared::new(0);
+    sim.spawn(h, "holder", move |ctx| {
+        let _ = body(ctx, &cell);
+    });
+    panic_message(|| {
+        sim.run_until_idle();
+    })
+}
+
+#[test]
+fn a_guard_live_across_a_blocking_syscall_fails_the_run() {
+    let cases = [
+        holding(|ctx, c| {
+            let _g = c.lock(); // held across sleep
+            ctx.sleep(secs(1.0))
+        }),
+        holding(|ctx, c| {
+            let _g = c.lock(); // held across compute
+            ctx.compute(1.0)
+        }),
+        holding(|ctx, c| {
+            let _g = c.lock(); // held across recv_timeout
+            ctx.recv_timeout(secs(1.0)).map(drop)
+        }),
+        holding(|ctx, c| c.with(|_| ctx.sleep(secs(1.0)))), // a with that sleeps
+    ];
+    let want = [
+        ("Sleep", "// held across sleep"),
+        ("Compute", "// held across compute"),
+        ("Recv", "// held across recv_timeout"),
+        ("Sleep", "// a with that sleeps"),
+    ];
+    for (msg, (syscall, marker)) in cases.iter().zip(want) {
+        let guard = format!(
+            "while holding the Shared guard taken at {}",
+            site_of(marker)
+        );
+        assert!(
+            msg.contains(&format!("blocking syscall {syscall} at ")),
+            "{msg}"
+        );
+        assert!(msg.contains(&guard), "{msg}");
+    }
+}
+
+#[test]
+fn a_guard_held_across_an_immediate_syscall_is_allowed() {
+    let mut sim = Kernel::with_seed(1);
+    let h = sim.add_host(HostConfig::new("a"));
+    let cell = crate::Shared::new(0u32);
+    let c = cell.clone();
+    sim.spawn(h, "holder", move |ctx| {
+        let mut g = c.lock();
+        ctx.send(Addr::Pid(ctx.pid()), b"x".to_vec()).unwrap();
+        ctx.probe(h, Port(1)).unwrap();
+        *g += 1;
+        drop(g);
+        ctx.recv().unwrap();
+        c.with(|n| *n += 1);
+    });
+    sim.run_until_idle();
+    assert_eq!(cell.get(), 2);
+}
+
+#[test]
+fn a_killed_process_unwinding_under_a_guard_is_waited_for() {
+    // The victim takes the cell on its own thread as it unwinds, off the
+    // baton, racing the killer's own lock: whichever is second waits.
+    struct Unwinder(crate::Shared<u32>);
+    impl Drop for Unwinder {
+        fn drop(&mut self) {
+            let mut g = self.0.lock();
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            *g += 1;
+        }
+    }
+    let mut sim = Kernel::with_seed(1);
+    let h = sim.add_host(HostConfig::new("a"));
+    let cell = crate::Shared::new(0u32);
+    let unwinder = Unwinder(cell.clone());
+    let victim = sim.spawn(h, "victim", move |ctx| {
+        let _unwinder = unwinder;
+        let _ = ctx.recv();
+    });
+    let c = cell.clone();
+    sim.spawn(h, "killer", move |ctx| {
+        ctx.kill(victim).unwrap();
+        c.with(|n| *n += 1);
+    });
+    sim.run_until_idle();
+    assert_eq!(cell.get(), 2);
+}
+
+#[test]
+fn the_driver_holding_a_guard_cannot_run_the_kernel() {
+    let mut sim = Kernel::with_seed(1);
+    let cell = crate::Shared::new(0u32);
+    let _g = cell.lock(); // the driver's guard
+    let msg = panic_message(|| {
+        sim.run_until(SimTime::ZERO + secs(1.0)); // the driver runs the kernel
+    });
+    let run = site_of("// the driver runs the kernel");
+    let guard = site_of("// the driver's guard");
+    assert!(msg.starts_with(&format!("Kernel::run_* at {run}")), "{msg}");
+    assert!(msg.contains(&format!("guard taken at {guard}")), "{msg}");
+}

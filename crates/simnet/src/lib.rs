@@ -73,7 +73,7 @@ pub use kernel::{
 };
 pub use msg::{Msg, Payload};
 pub use process::{Ctx, Killed, ProcessBody, SimResult};
-pub use shared::Shared;
+pub use shared::{Shared, SharedGuard};
 pub use time::{SimDuration, SimTime};
 
 #[cfg(test)]

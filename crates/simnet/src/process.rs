@@ -205,7 +205,7 @@ impl Ctx {
     /// host crash and `Kernel::drop` unpark the thread too).
     fn wait_turn(&mut self) -> SimResult<Resume> {
         loop {
-            let turn = self.core.lock().take_turn(self.pid);
+            let turn = self.core.lock_untracked().take_turn(self.pid);
             match turn {
                 Some(Ok(resume)) => return Ok(resume),
                 Some(Err(Killed)) => {
@@ -242,9 +242,16 @@ impl Ctx {
         self.dead
     }
 
+    /// Make syscall `sc`. One that can pass the baton panics under a live
+    /// `Shared` guard (`shared`'s module docs), naming the caller.
+    #[track_caller]
     fn call(&mut self, sc: Syscall) -> SimResult<Resume> {
         if self.dead {
             return Err(Killed);
+        }
+        if let Syscall::Sleep(_) | Syscall::Compute(_) | Syscall::Recv { .. } = sc {
+            let at = std::panic::Location::caller();
+            crate::shared::assert_unheld(format_args!("blocking syscall {sc:?}"), at);
         }
         let resume = match self.enter(sc) {
             Turn::Go(resume) => resume,
@@ -259,7 +266,7 @@ impl Ctx {
 
     fn enter(&mut self, sc: Syscall) -> Turn {
         self.in_kernel = true;
-        let turn = self.core.lock().syscall(&self.core, self.pid, sc);
+        let turn = self.core.lock_untracked().syscall(&self.core, self.pid, sc);
         self.in_kernel = false;
         turn
     }
@@ -273,7 +280,7 @@ impl Ctx {
         }
         let turn = match sc {
             Syscall::Panicked(msg) if self.in_kernel => {
-                Turn::Wait(self.core.lock().kernel_fault(self.pid, msg))
+                Turn::Wait(self.core.lock_untracked().kernel_fault(self.pid, msg))
             }
             sc => self.enter(sc),
         };
@@ -303,6 +310,7 @@ impl Ctx {
     }
 
     /// Suspend for a span of virtual time.
+    #[track_caller]
     pub fn sleep(&mut self, d: SimDuration) -> SimResult<()> {
         match self.call(Syscall::Sleep(d))? {
             Resume::Done { .. } => Ok(()),
@@ -312,6 +320,7 @@ impl Ctx {
 
     /// Consume `work` CPU work units on this host, sharing the CPU with all
     /// other runnable jobs. Virtual time advances accordingly.
+    #[track_caller]
     pub fn compute(&mut self, work: f64) -> SimResult<()> {
         assert!(
             work >= 0.0 && !work.is_nan(),
@@ -329,6 +338,7 @@ impl Ctx {
     /// Spin on the CPU forever (a background-load process). Only returns
     /// when the process is killed, so the `Ok` branch is unreachable and the
     /// caller can simply `return` afterwards.
+    #[track_caller]
     pub fn spin_forever(&mut self) -> SimResult<()> {
         self.compute(f64::INFINITY)
     }
@@ -358,6 +368,7 @@ impl Ctx {
     }
 
     /// Block until a message arrives.
+    #[track_caller]
     pub fn recv(&mut self) -> SimResult<Msg> {
         match self.call(Syscall::Recv { timeout: None })? {
             Resume::Msg { msg, .. } => Ok(msg),
@@ -366,6 +377,7 @@ impl Ctx {
     }
 
     /// Block until a message arrives or `timeout` elapses.
+    #[track_caller]
     pub fn recv_timeout(&mut self, timeout: SimDuration) -> SimResult<Option<Msg>> {
         match self.call(Syscall::Recv {
             timeout: Some(timeout),
