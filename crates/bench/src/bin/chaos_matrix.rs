@@ -21,8 +21,7 @@
 //!
 //! Usage: `cargo run --release -p ldft-bench --bin chaos_matrix
 //! [--quick] [--seeds N] [--trace-out PATH] [--metrics-out PATH]`.
-//! Set `CHAOS_TRACE=1` to stream the kernel's lifecycle trace to stderr
-//! when post-morteming a failing cell.
+//! A failing cell prints the flight recorder's post-mortems to stderr.
 
 use std::sync::{Arc, Mutex};
 
@@ -190,13 +189,7 @@ fn run_cell(family: Family, intensity: Intensity, seed: u64, scale: f64) -> Cell
     let flight = monitor::MonitorHandle::new(monitor::MonitorConfig::default(), None);
     {
         let flight = flight.clone();
-        let trace = std::env::var("CHAOS_TRACE").is_ok();
-        sim.set_event_hook(move |now, ev| {
-            if trace {
-                eprintln!("[{now}] {ev}");
-            }
-            flight.on_kernel_event(now, ev);
-        });
+        sim.set_event_hook(move |now, ev| flight.on_kernel_event(now, ev));
     }
     let naming_host = sim.add_host(HostConfig::new("infra"));
     let replica_hosts: Vec<_> = (0..REPLICAS)

@@ -29,6 +29,7 @@
         clippy::expect_used,
         clippy::panic,
         clippy::unreachable,
+        clippy::let_underscore_must_use,
         clippy::allow_attributes,
         clippy::allow_attributes_without_reason
     )

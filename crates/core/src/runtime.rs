@@ -186,20 +186,17 @@ impl Cluster {
             let monitor = monitor_handle.clone();
             kernel.spawn(infra, "winner-sysmgr", move |ctx| {
                 let policy = policy_kind.instantiate(seed);
-                let _ = run_system_manager_obs(ctx, monitor, policy, Some(sink), |ior| {
+                run_system_manager_obs(ctx, monitor, policy, Some(sink), |ior| {
                     publish.put(ior.stringify());
-                });
+                })
             });
             for &h in &hosts {
                 let cell = sysmgr_ior.clone();
                 let monitor = monitor_handle.clone();
                 kernel.spawn(h, format!("winner-nm-{h}"), move |ctx| {
-                    let Ok(ior) = wait_for_ior(ctx, &cell) else {
-                        return;
-                    };
-                    let mut cfg = NodeManagerConfig::new(ior);
+                    let mut cfg = NodeManagerConfig::new(wait_for_ior(ctx, &cell)?);
                     cfg.monitor = monitor;
-                    let _ = run_node_manager(ctx, cfg);
+                    run_node_manager(ctx, cfg)
                 });
             }
         }
@@ -211,16 +208,13 @@ impl Cluster {
             let sink = obs.clone();
             kernel.spawn(infra, "naming", move |ctx| {
                 let mode = if winner_mode {
-                    let Ok(ior) = wait_for_ior(ctx, &cell) else {
-                        return;
-                    };
                     cosnaming::LbMode::Winner {
-                        system_manager: ior,
+                        system_manager: wait_for_ior(ctx, &cell)?,
                     }
                 } else {
                     cosnaming::LbMode::Plain
                 };
-                let _ = cosnaming::run_naming_service_obs(ctx, mode, Some(sink));
+                cosnaming::run_naming_service_obs(ctx, mode, Some(sink))
             });
         }
 
@@ -257,7 +251,7 @@ impl Cluster {
             let sink = obs.clone();
             kernel.spawn(infra, "checkpoint-service", move |ctx| {
                 let cfg = store::StoreConfig::default();
-                let _ = store::run_checkpoint_service(ctx, infra, cfg, Some(sink));
+                store::run_checkpoint_service(ctx, infra, cfg, Some(sink))
             });
             vec![infra]
         };
@@ -266,11 +260,11 @@ impl Cluster {
         for &h in &worker_hosts {
             let sink = obs.clone();
             kernel.spawn(h, format!("factory-{h}"), move |ctx| {
-                let _ = run_factory_obs(ctx, infra, worker_builder(), Some(sink));
+                run_factory_obs(ctx, infra, worker_builder(), Some(sink))
             });
             let sink = obs.clone();
             kernel.spawn(h, format!("opt-worker-{h}"), move |ctx| {
-                let _ = run_worker_server_obs(ctx, infra, Some(sink));
+                run_worker_server_obs(ctx, infra, Some(sink))
             });
         }
 
@@ -289,9 +283,8 @@ impl Cluster {
 
     /// Add a background load process (an infinite CPU spinner) on `host`.
     pub fn add_background_load(&mut self, host: HostId) {
-        self.kernel.spawn(host, format!("bgload-{host}"), |ctx| {
-            let _ = ctx.spin_forever();
-        });
+        let now = self.kernel.now();
+        self.add_background_load_at(host, now);
     }
 
     /// Add a background load process starting at absolute time `at`.
@@ -300,8 +293,9 @@ impl Cluster {
             at,
             host,
             format!("bgload-{host}"),
-            Box::new(|ctx: &mut Ctx| {
-                let _ = ctx.spin_forever();
+            Box::new(|ctx: &mut Ctx| match ctx.spin_forever() {
+                // Only a kill ends the spin.
+                Ok(()) | Err(simnet::Killed) => {}
             }),
         );
     }

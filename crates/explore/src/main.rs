@@ -27,15 +27,17 @@
         clippy::expect_used,
         clippy::panic,
         clippy::unreachable,
+        clippy::let_underscore_must_use,
         clippy::allow_attributes,
         clippy::allow_attributes_without_reason
     )
 )]
 
-use std::fmt::Write as _;
+use std::fmt;
 
 use explore::{
-    all_targets, explore as run_explore, target_by_name, ExploreConfig, ReplayToken, TOKEN_PREFIX,
+    all_targets, explore as run_explore, target_by_name, ExploreConfig, ExploreOutcome,
+    ReplayToken, Target, TOKEN_PREFIX,
 };
 
 struct Args {
@@ -240,74 +242,21 @@ fn main() {
         None => all_targets(),
     };
 
-    let mut report = String::new();
-    let mut tokens = String::new();
-    let mut total_enumerated = 0usize;
-    let mut total_violations = 0usize;
-    let mut require_unmet = false;
-    let _ = writeln!(
-        report,
-        "ldft-explore report\nconfig: budget={} max_devs={} width={} audits={} shrink={}",
-        config.budget,
-        config.max_deviations,
-        config.max_width,
-        config.audits_per_parent,
-        config.shrink_budget,
-    );
-    for target in &targets {
-        let out = run_explore(target.as_ref(), config);
-        let s = &out.stats;
-        let distinct = s.distinct_schedules();
-        let _ = writeln!(
-            report,
-            "\ntarget {} (seed {}):\n  explored={} (audits {}) pruned={} enumerated={}\n  \
-             distinct_schedules={distinct} distinct_digests={} choice_points={} misfits={} \
-             shrink_runs={}\n  root_digest={:016x}\n  violations={}",
-            target.name(),
-            target.seed(),
-            s.explored,
-            s.audited,
-            s.pruned,
-            s.enumerated(),
-            s.distinct_digests,
-            s.choice_points_seen,
-            s.misfit_runs,
-            s.shrink_runs,
-            out.root_digest,
-            out.violations.len(),
-        );
-        for v in &out.violations {
-            let kind = if v.robustness {
-                "schedule-robustness"
-            } else {
-                "invariant"
-            };
-            let _ = writeln!(
-                report,
-                "  {kind} violation (shrunk {} → {} deviations):\n    {}\n    oracle: {}",
-                v.shrunk_from,
-                v.token.plan.len(),
-                v.token,
-                v.oracle.join("; "),
-            );
-            let _ = writeln!(tokens, "{}", v.token);
-        }
-        total_enumerated += s.enumerated();
-        total_violations += out.violations.len();
-        if let Some(floor) = args.require {
-            if distinct < floor {
-                require_unmet = true;
-                let _ = writeln!(
-                    report,
-                    "  REQUIRE FAILED: {distinct} distinct non-equivalent schedules < {floor}"
-                );
-            }
-        }
-    }
-    let _ = writeln!(
-        report,
-        "\ntotal: enumerated={total_enumerated} violations={total_violations}"
-    );
+    let outs: Vec<ExploreOutcome> = targets
+        .iter()
+        .map(|t| run_explore(t.as_ref(), config))
+        .collect();
+    let report = fmt::from_fn(|f| render_report(f, &args, &targets, &outs)).to_string();
+    let tokens: String = outs
+        .iter()
+        .flat_map(|o| &o.violations)
+        .map(|v| format!("{}\n", v.token))
+        .collect();
+    let unmet = |o: &ExploreOutcome| {
+        args.require
+            .is_some_and(|n| o.stats.distinct_schedules() < n)
+    };
+    let failed = outs.iter().any(|o| !o.violations.is_empty() || unmet(o));
 
     print!("{report}");
     if let Some(path) = &args.report_out {
@@ -327,7 +276,76 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if total_violations > 0 || require_unmet {
+    if failed {
         std::process::exit(1);
     }
+}
+
+/// The deterministic report: the config, then each target's counters and
+/// shrunk violations, then the totals.
+fn render_report(
+    f: &mut fmt::Formatter<'_>,
+    args: &Args,
+    targets: &[Box<dyn Target>],
+    outs: &[ExploreOutcome],
+) -> fmt::Result {
+    let config = &args.config;
+    writeln!(
+        f,
+        "ldft-explore report\nconfig: budget={} max_devs={} width={} audits={} shrink={}",
+        config.budget,
+        config.max_deviations,
+        config.max_width,
+        config.audits_per_parent,
+        config.shrink_budget,
+    )?;
+    for (target, out) in targets.iter().zip(outs) {
+        let s = &out.stats;
+        let distinct = s.distinct_schedules();
+        writeln!(
+            f,
+            "\ntarget {} (seed {}):\n  explored={} (audits {}) pruned={} enumerated={}\n  \
+             distinct_schedules={distinct} distinct_digests={} choice_points={} misfits={} \
+             shrink_runs={}\n  root_digest={:016x}\n  violations={}",
+            target.name(),
+            target.seed(),
+            s.explored,
+            s.audited,
+            s.pruned,
+            s.enumerated(),
+            s.distinct_digests,
+            s.choice_points_seen,
+            s.misfit_runs,
+            s.shrink_runs,
+            out.root_digest,
+            out.violations.len(),
+        )?;
+        for v in &out.violations {
+            let kind = if v.robustness {
+                "schedule-robustness"
+            } else {
+                "invariant"
+            };
+            writeln!(
+                f,
+                "  {kind} violation (shrunk {} → {} deviations):\n    {}\n    oracle: {}",
+                v.shrunk_from,
+                v.token.plan.len(),
+                v.token,
+                v.oracle.join("; "),
+            )?;
+        }
+        if let Some(floor) = args.require.filter(|&n| distinct < n) {
+            writeln!(
+                f,
+                "  REQUIRE FAILED: {distinct} distinct non-equivalent schedules < {floor}"
+            )?;
+        }
+    }
+    let enumerated: usize = outs.iter().map(|o| o.stats.enumerated()).sum();
+    let violations: usize = outs.iter().map(|o| o.violations.len()).sum();
+    writeln!(
+        f,
+        "\ntotal: enumerated={enumerated} violations={violations}"
+    )
 }

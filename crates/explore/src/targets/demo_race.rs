@@ -52,7 +52,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     let mut spawn_writer = |name: &str, value: u64, delay_ms: u64| {
         let writes = writes.clone();
         sim.spawn(host, name, move |ctx| {
-            let _ = write_after(ctx, writes, value, delay_ms);
+            write_after(ctx, writes, value, delay_ms)
         });
     };
     spawn_writer("writer-a", 1, 10);

@@ -169,7 +169,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     let driver_host = sim.add_host(HostConfig::new("driver"));
 
     sim.spawn(naming_host, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
+        cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None)
     });
     let store_cfg = StoreConfig {
         // A dead peer stalls a write for at most this long before the
@@ -201,7 +201,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     let driver = {
         let out = out.clone();
         sim.spawn(driver_host, "driver", move |ctx| {
-            let _ = drive(ctx, naming_host, out);
+            drive(ctx, naming_host, out)
         })
     };
     let end = sim.run_until_exit(driver);

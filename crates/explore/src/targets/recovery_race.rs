@@ -109,9 +109,7 @@ struct DriverOut {
 }
 
 fn spawn_ckpt_service(sim: &mut Kernel, host: HostId) {
-    sim.spawn(host, "ckpt-svc", move |ctx| {
-        let _ = serve_ckpt(ctx, host);
-    });
+    sim.spawn(host, "ckpt-svc", move |ctx| serve_ckpt(ctx, host));
 }
 
 fn serve_ckpt(ctx: &mut Ctx, naming_host: HostId) -> SimResult<()> {
@@ -147,7 +145,7 @@ fn spawn_factory(sim: &mut Kernel, host: HostId, naming_host: HostId) {
                 )
             })
         });
-        let _ = run_factory_obs(ctx, naming_host, builder, None);
+        run_factory_obs(ctx, naming_host, builder, None)
     });
 }
 
@@ -233,7 +231,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     let driver_host = sim.add_host(HostConfig::new("client"));
 
     sim.spawn(infra, "naming", move |ctx| {
-        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
+        cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None)
     });
     spawn_ckpt_service(&mut sim, infra);
     for &w in &workers {
@@ -244,7 +242,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     let driver = {
         let out = out.clone();
         sim.spawn(driver_host, "driver", move |ctx| {
-            let _ = drive(ctx, infra, infra, out);
+            drive(ctx, infra, infra, out)
         })
     };
     let end = sim.run_until_exit(driver);

@@ -5,8 +5,7 @@
 //! `idl/store.idl` can name `FT::Checkpoint` from `idl/ft.idl`), and the
 //! selfchecks read the small op table built here from the checked
 //! [`idlc::Model`]. A unit `idlc` rejects is an error at the offending
-//! `file:line:col`, which fails `ldft-lint --workspace` like any other I/O
-//! error.
+//! `file:line:col`, which fails the selfcheck `the_contracts_compile`.
 
 use idlc::ast::{wire_ops, Operation};
 use std::path::Path;

@@ -1,23 +1,24 @@
-//! # ldft-lint — protocol and contract analyzer
+//! # ldft-lint — the workspace read as tokens, for the selfchecks
 //!
-//! A repo-specific static analyzer for the corba-ldft workspace. It lexes
-//! every workspace `.rs` file once ([`lexer`]), parses a token-level AST
-//! over that token stream ([`ast`]), and enforces the invariants no other
-//! tool checks; every rule reads those tokens. Which crates are policed is
-//! stated once, at [`rules::SIM_CRATES`].
+//! A test library for the corba-ldft workspace. It lexes every workspace
+//! `.rs` file ([`lexer`]), parses a token-level AST over that token stream
+//! ([`ast`]), and loads the `idl/*.idl` contracts through `idlc`
+//! ([`contracts`]). `tests/selfcheck.rs` reads them to hold what no
+//! compiler or clippy lint checks:
 //!
-//! * **Protocol (P2, P3, E1)** — the paper's fault-tolerance contract:
-//!   clients must observe `COMM_FAILURE` and never drop it on the floor,
-//!   and the FT proxy checkpoints after every successful invocation.
-//! * **Contracts** — `idl/*.idl` must compile under `idlc` as one unit
-//!   ([`contracts`]); a rejected unit fails the run.
+//! * **Protocol (P3, E1)** — the paper's fault-tolerance contract
+//!   ([`rules`]): the FT proxy checkpoints after every successful
+//!   invocation, and no client drops a caught `COMM_FAILURE`.
+//! * **Contracts** — every op is declared once, in IDL, and has a caller.
+//! * **Design economy** — no option with one value, no public item
+//!   without a caller.
 //!
-//! Determinism (D1, D2, D4) and panic-freedom (P1) are clippy lints the
-//! sim crates deny at their roots (`clippy.toml` holds the paths), and a
-//! waiver is a rustc `#[expect(lint, reason = "…")]` attribute. The lock
-//! discipline of `simnet::Shared` is checked at run time by `simnet`
-//! itself. There is no suppression comment: a finding here is fixed, not
-//! waived. See `crates/lint/README.md`.
+//! Determinism (D1, D2, D4), panic-freedom (P1) and discarded results (P2)
+//! are clippy lints the sim crates deny at their roots (`clippy.toml` holds
+//! the paths), and a waiver is a rustc `#[expect(lint, reason = "…")]`
+//! attribute. The lock discipline of `simnet::Shared` is checked at run
+//! time by `simnet` itself. A P3 or E1 finding is fixed, not waived. See
+//! `crates/lint/README.md`.
 
 pub mod analysis;
 pub mod ast;
@@ -27,19 +28,7 @@ pub mod rules;
 
 use analysis::FileAnalysis;
 pub use contracts::{contracts, Contracts};
-use rules::{check_file, Finding, WorkspaceIndex};
 use std::path::{Path, PathBuf};
-
-/// Result of a lint run.
-#[derive(Debug, Default)]
-pub struct Report {
-    /// Every finding; each one fails the run.
-    pub findings: Vec<Finding>,
-    /// Number of files parsed.
-    pub files: usize,
-    /// Operations the compiled `idl/*.idl` unit declares.
-    pub wire_ops: usize,
-}
 
 /// Derive the crate directory (`crates/<dir>/...`) from a workspace-relative
 /// path, if the file lives under `crates/`.
@@ -53,21 +42,6 @@ pub fn crate_dir_of(rel_path: &str) -> Option<String> {
             None => return None,
         }
     }
-}
-
-/// Analyze a single in-memory source (fixture tests and `--crate-name`
-/// runs). `crate_dir` drives rule scoping. Runs the per-file rules; the
-/// contracts are only compiled under [`run_workspace`].
-pub fn analyze_source(
-    path_label: &str,
-    crate_dir: Option<&str>,
-    source: &str,
-    index: &WorkspaceIndex,
-) -> Vec<Finding> {
-    let fa = FileAnalysis::new(path_label, crate_dir, source);
-    let mut findings = check_file(&fa, index);
-    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    findings
 }
 
 /// Collect every workspace `.rs` file under `root`, sorted for
@@ -126,49 +100,6 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<FileAnalysis>> {
     Ok(analyses)
 }
 
-/// Run the analyzer over the whole workspace rooted at `root`.
-///
-/// Two stages: the first parses every `.rs` file, compiles the `.idl`
-/// contracts (see [`contracts`]; a rejected unit is the error) and builds
-/// the [`WorkspaceIndex`] (P2's one-hop index over the orb stub API); the
-/// second evaluates the per-file rules. Findings are sorted by file, line
-/// and rule.
-pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
-    let analyses = analyze_workspace(root)?;
-    let mut index = WorkspaceIndex::stub_only();
-    for fa in &analyses {
-        index.absorb(fa);
-    }
-    let idls = contracts(root)?;
-    let (files, wire_ops) = (analyses.len() + idls.sources.len(), idls.ops().count());
-    let mut findings: Vec<Finding> = analyses
-        .iter()
-        .flat_map(|fa| check_file(fa, &index))
-        .collect();
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(Report {
-        findings,
-        files,
-        wire_ops,
-    })
-}
-
-/// Locate the workspace root: walk up from `start` to the first directory
-/// whose `Cargo.toml` contains a `[workspace]` table.
-pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,29 +116,5 @@ mod tests {
         );
         assert_eq!(crate_dir_of("src/lib.rs"), None);
         assert_eq!(crate_dir_of("tests/full_stack.rs"), None);
-    }
-
-    #[test]
-    fn clean_source_has_no_findings() {
-        let index = WorkspaceIndex::stub_only();
-        let findings = analyze_source(
-            "crates/core/src/x.rs",
-            Some("core"),
-            "use std::collections::BTreeMap;\nfn f() -> BTreeMap<u32, u32> { BTreeMap::new() }\n",
-            &index,
-        );
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn non_sim_crate_is_out_of_scope() {
-        let index = WorkspaceIndex::stub_only();
-        let findings = analyze_source(
-            "crates/cdr/src/x.rs",
-            Some("cdr"),
-            "fn f(o: &Orb) { let _ = o.invoke(1); }\n",
-            &index,
-        );
-        assert!(findings.is_empty());
     }
 }

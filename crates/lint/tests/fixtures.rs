@@ -3,11 +3,10 @@
 //! fire. The fixtures live under `tests/fixtures/` and are analyzed as
 //! in-memory sources with a synthetic crate assignment; they are never
 //! compiled, and the workspace walker skips `fixtures` directories so the
-//! `--workspace` run stays clean. Every rule (P2, P3, E1) runs through
-//! `analyze_source`.
+//! selfchecks stay clean.
 
-use ldft_lint::analyze_source;
-use ldft_lint::rules::WorkspaceIndex;
+use ldft_lint::analysis::FileAnalysis;
+use ldft_lint::rules::{check_e1, check_p3};
 
 macro_rules! fixture {
     ($name:literal) => {
@@ -15,25 +14,18 @@ macro_rules! fixture {
     };
 }
 
-/// Hits as `(rule, line)` via the per-file pipeline.
+/// Hits as `(rule, line)`, read back from each `file:line: message`.
 fn errors(label: &str, krate: &str, src: &str) -> Vec<(&'static str, usize)> {
-    let index = WorkspaceIndex::stub_only();
-    analyze_source(label, Some(krate), src, &index)
-        .iter()
-        .map(|f| (f.rule, f.line))
-        .collect()
-}
-
-#[test]
-fn p2_discarded_invocation_results() {
-    let hits = errors("crates/core/src/p2_bad.rs", "core", fixture!("p2_bad.rs"));
-    assert_eq!(hits, vec![("P2", 4), ("P2", 8)]);
-    let clean = errors(
-        "crates/core/src/p2_clean.rs",
-        "core",
-        fixture!("p2_clean.rs"),
-    );
-    assert_eq!(clean, vec![]);
+    let fa = FileAnalysis::new(label, Some(krate), src);
+    let mut hits = Vec::new();
+    for (rule, found) in [("P3", check_p3(&fa)), ("E1", check_e1(&fa))] {
+        for f in found {
+            let line = f[label.len() + 1..].split(':').next();
+            hits.push((rule, line.and_then(|n| n.parse().ok()).expect("file:line")));
+        }
+    }
+    hits.sort_by_key(|&(rule, line)| (line, rule));
+    hits
 }
 
 #[test]
@@ -66,12 +58,8 @@ fn p3_only_applies_to_proxy_files() {
 
 #[test]
 fn fixtures_are_inert_outside_sim_crates() {
-    // The same bad sources assigned to an out-of-scope crate produce
+    // The same bad source assigned to an out-of-scope crate produces
     // nothing: the rules police the simulation, not host tooling.
-    assert_eq!(
-        errors("crates/cdr/src/x.rs", "cdr", fixture!("p2_bad.rs")),
-        vec![]
-    );
     assert_eq!(
         errors("crates/idl/src/x.rs", "idl", fixture!("e1_bad.rs")),
         vec![]

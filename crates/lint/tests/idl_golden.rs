@@ -52,8 +52,7 @@ fn the_unit_checks_clean_and_has_the_expected_surface() {
         .map(|i| (i.file.as_str(), i.name.as_str(), i.ops.len()))
         .collect();
     assert_eq!(got, want);
-    // Inherited operations count once, at the interface declaring them
-    // (`tests/selfcheck.rs` pins the same total through `Report`).
+    // Inherited operations count once, at the interface declaring them.
     assert_eq!(c.ops().count(), 50);
 }
 

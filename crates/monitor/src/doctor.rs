@@ -382,24 +382,23 @@ impl Doctor {
     /// Render the doctor's report: event census, latency attribution,
     /// invariant summary, verdicts, violations. Deterministic (integer
     /// formatting, sorted maps).
-    pub fn render_report(&self, out: &mut String) {
-        use std::fmt::Write as _;
+    pub fn render_report(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
         let total_events: u64 = self.kind_counts.values().sum();
-        let _ = writeln!(out, "events: {total_events}");
+        writeln!(out, "events: {total_events}")?;
         for (kind, n) in &self.kind_counts {
-            let _ = writeln!(out, "  {kind}: {n}");
+            writeln!(out, "  {kind}: {n}")?;
         }
-        let _ = writeln!(out, "latency attribution (critical path, per target):");
-        let _ = writeln!(
+        writeln!(out, "latency attribution (critical path, per target):")?;
+        writeln!(
             out,
             "  {:<28} {:>6} {:>12} {:>12} {:>12}",
             "target", "calls", "wait_ms", "service_ms", "ckpt_ms"
-        );
+        )?;
         if self.per_target.is_empty() {
-            let _ = writeln!(out, "  (no completed requests)");
+            writeln!(out, "  (no completed requests)")?;
         }
         for (target, a) in &self.per_target {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "  {:<28} {:>6} {:>12} {:>12} {:>12}",
                 target,
@@ -407,11 +406,11 @@ impl Doctor {
                 fmt_ms(a.wait_ns),
                 fmt_ms(a.service_ns),
                 fmt_ms(a.ckpt_ns)
-            );
+            )?;
         }
         if !self.per_target.is_empty() {
             let a = &self.total;
-            let _ = writeln!(
+            writeln!(
                 out,
                 "  {:<28} {:>6} {:>12} {:>12} {:>12}",
                 "(all)",
@@ -419,26 +418,27 @@ impl Doctor {
                 fmt_ms(a.wait_ns),
                 fmt_ms(a.service_ns),
                 fmt_ms(a.ckpt_ns)
-            );
+            )?;
         }
-        let _ = writeln!(out, "invariants:");
+        writeln!(out, "invariants:")?;
         for (name, &(checks, violations)) in &self.invariants {
-            let _ = writeln!(out, "  {name}: checks={checks} violations={violations}");
+            writeln!(out, "  {name}: checks={checks} violations={violations}")?;
         }
-        let _ = writeln!(out, "verdicts:");
+        writeln!(out, "verdicts:")?;
         if self.verdicts.is_empty() {
-            let _ = writeln!(out, "  (none)");
+            writeln!(out, "  (none)")?;
         }
         for v in &self.verdicts {
-            let _ = writeln!(out, "  {v}");
+            writeln!(out, "  {v}")?;
         }
-        let _ = writeln!(out, "violations:");
+        writeln!(out, "violations:")?;
         if self.violations.is_empty() {
-            let _ = writeln!(out, "  (none)");
+            writeln!(out, "  (none)")?;
         }
         for v in &self.violations {
-            let _ = writeln!(out, "  {v}");
+            writeln!(out, "  {v}")?;
         }
+        Ok(())
     }
 }
 

@@ -16,6 +16,7 @@
 //! across same-seed runs.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 
 use obs::Obs;
 use simnet::{Ctx, KernelEvent, Shared, SimTime};
@@ -53,31 +54,31 @@ impl FlightRecorder {
             self.suppressed_dumps += 1;
             return;
         }
-        let mut s = String::new();
-        use std::fmt::Write as _;
-        let _ = writeln!(s, "== post-mortem @{time_ns}ns: {reason} ==");
-        for (host, tail) in &self.tails {
-            let _ = writeln!(s, "-- host h{host} event tail --");
-            for line in tail {
-                let _ = writeln!(s, "  {line}");
+        let dump = fmt::from_fn(|s| {
+            writeln!(s, "== post-mortem @{time_ns}ns: {reason} ==")?;
+            for (host, tail) in &self.tails {
+                writeln!(s, "-- host h{host} event tail --")?;
+                for line in tail {
+                    writeln!(s, "  {line}")?;
+                }
             }
-        }
-        let _ = writeln!(s, "-- open episodes --");
-        if episodes.is_empty() {
-            let _ = writeln!(s, "  (none)");
-        }
-        for e in episodes {
-            let _ = writeln!(s, "  {e}");
-        }
-        let _ = writeln!(s, "-- doctor verdicts --");
-        if verdicts.is_empty() {
-            let _ = writeln!(s, "  (none)");
-        }
-        for v in verdicts {
-            let _ = writeln!(s, "  {v}");
-        }
-        let _ = writeln!(s, "== end post-mortem ==");
-        self.dumps.push(s);
+            writeln!(s, "-- open episodes --")?;
+            if episodes.is_empty() {
+                writeln!(s, "  (none)")?;
+            }
+            for e in episodes {
+                writeln!(s, "  {e}")?;
+            }
+            writeln!(s, "-- doctor verdicts --")?;
+            if verdicts.is_empty() {
+                writeln!(s, "  (none)")?;
+            }
+            for v in verdicts {
+                writeln!(s, "  {v}")?;
+            }
+            writeln!(s, "== end post-mortem ==")
+        });
+        self.dumps.push(dump.to_string());
     }
 }
 
@@ -173,29 +174,30 @@ impl State {
 
     /// Render the full doctor report: analysis, then the post-mortems.
     fn render_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "doctor report");
-        let _ = writeln!(out, "=============");
-        let _ = writeln!(
-            out,
-            "ingested: {} events (run ended {}ns)",
-            self.stream.len(),
-            self.ended_ns
-        );
-        self.doctor.render_report(&mut out);
-        let _ = writeln!(out, "post-mortems: {}", self.recorder.dumps.len());
-        for d in &self.recorder.dumps {
-            out.push_str(d);
-        }
-        if self.recorder.suppressed_dumps > 0 {
-            let _ = writeln!(
+        fmt::from_fn(|out| {
+            writeln!(out, "doctor report")?;
+            writeln!(out, "=============")?;
+            writeln!(
                 out,
-                "({} further post-mortem triggers suppressed)",
-                self.recorder.suppressed_dumps
-            );
-        }
-        out
+                "ingested: {} events (run ended {}ns)",
+                self.stream.len(),
+                self.ended_ns
+            )?;
+            self.doctor.render_report(out)?;
+            writeln!(out, "post-mortems: {}", self.recorder.dumps.len())?;
+            for d in &self.recorder.dumps {
+                out.write_str(d)?;
+            }
+            if self.recorder.suppressed_dumps > 0 {
+                writeln!(
+                    out,
+                    "({} further post-mortem triggers suppressed)",
+                    self.recorder.suppressed_dumps
+                )?;
+            }
+            Ok(())
+        })
+        .to_string()
     }
 }
 

@@ -231,7 +231,7 @@ impl Recording {
             buf.clear();
             // Formatting into a `String` fails only if `name`'s own
             // `Display` does; the span then keeps what was written.
-            let _ = write!(buf, "{name}");
+            write!(buf, "{name}").ok();
             self.obs.alloc_span(&buf)
         };
         self.stack.borrow_mut().push(OpenSpan {

@@ -61,10 +61,10 @@ impl Ior {
         let bytes = cdr::to_bytes(self);
         let mut s = String::with_capacity(4 + bytes.len() * 2);
         s.push_str("IOR:");
+        const HEX: &[u8; 16] = b"0123456789abcdef";
         for b in bytes {
-            use std::fmt::Write;
-            // Writing to a String is infallible; ignore the fmt::Result.
-            let _ = write!(s, "{b:02x}");
+            s.push(HEX[usize::from(b >> 4)].into());
+            s.push(HEX[usize::from(b & 0xf)].into());
         }
         s
     }

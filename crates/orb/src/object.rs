@@ -21,17 +21,6 @@ impl ObjectRef {
         ObjectRef { ior }
     }
 
-    /// The repository type id this reference claims.
-    pub fn type_id(&self) -> &str {
-        &self.ior.type_id
-    }
-
-    /// CORBA `is_equivalent`: do two references certainly denote the same
-    /// object?
-    pub fn is_equivalent(&self, other: &ObjectRef) -> bool {
-        self.ior == other.ior
-    }
-
     /// Invoke `operation` with typed in-parameters and a typed result.
     /// This is the call path every static stub uses: `args` are marshalled
     /// straight into the request frame, and the result is decoded from the
@@ -81,22 +70,5 @@ impl ObjectRef {
     /// active?
     pub fn ping(&self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<Result<bool, Exception>> {
         orb.locate(ctx, &self.ior)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ior::ObjectKey;
-    use simnet::{HostId, Port};
-
-    #[test]
-    fn equivalence_is_ior_equality() {
-        let a = ObjectRef::new(Ior::new("IDL:T:1.0", HostId(0), Port(1), ObjectKey(1)));
-        let b = ObjectRef::new(Ior::new("IDL:T:1.0", HostId(0), Port(1), ObjectKey(1)));
-        let c = ObjectRef::new(Ior::new("IDL:T:1.0", HostId(0), Port(1), ObjectKey(2)));
-        assert!(a.is_equivalent(&b));
-        assert!(!a.is_equivalent(&c));
-        assert_eq!(a.type_id(), "IDL:T:1.0");
     }
 }

@@ -55,7 +55,7 @@ use std::thread::{JoinHandle, Thread};
 use crate::cpu::{HostConfig, HostSnapshot, HostState};
 use crate::ids::{Addr, HostId, Pid, Port};
 use crate::msg::{Msg, Payload};
-use crate::process::{Ctx, Killed, ProcessBody, Resume, SimResult, Syscall};
+use crate::process::{boxed, Ctx, Killed, ProcessBody, ProcessExit, Resume, SimResult, Syscall};
 use crate::shared::Shared;
 use crate::time::{SimDuration, SimTime};
 
@@ -515,9 +515,10 @@ pub struct ChoiceCandidate {
 /// kernel byte for byte. Out-of-range returns are clamped.
 ///
 /// This is the seam `ldft-explore` drives to enumerate alternative
-/// schedules; `ldft-lint`'s selfcheck pins that every kernel tie-break
-/// site routes through [`Kernel::next_event`]/[`Kernel::next_runnable`]
-/// so new nondeterminism points cannot bypass it. It runs where the event hook does.
+/// schedules; `crates/lint/tests/selfcheck.rs` pins that every kernel
+/// tie-break site routes through
+/// [`Kernel::next_event`]/[`Kernel::next_runnable`] so new nondeterminism
+/// points cannot bypass it. It runs where the event hook does.
 pub trait SchedulePolicy: Send {
     /// Pick the index of the candidate to execute next.
     fn choose(&mut self, kind: ChoiceKind, now: SimTime, candidates: &[ChoiceCandidate]) -> usize;
@@ -690,14 +691,14 @@ impl Kernel {
     }
 
     /// Spawn a process on `host`, starting at the current virtual time.
-    pub fn spawn(
+    pub fn spawn<R: ProcessExit>(
         &mut self,
         host: HostId,
         name: impl Into<String>,
-        body: impl FnOnce(&mut Ctx) + Send + 'static,
+        body: impl FnOnce(&mut Ctx) -> R + Send + 'static,
     ) -> Pid {
         let now = self.now();
-        self.spawn_at(now, host, name, Box::new(body))
+        self.spawn_at(now, host, name, boxed(body))
     }
 
     /// Spawn a process whose execution starts at absolute time `at`.
@@ -908,7 +909,9 @@ impl Kernel {
         let (now, reaped) = (core.now, std::mem::take(&mut core.reaped));
         drop(core);
         for victim in reaped {
-            let _ = victim.join();
+            // Only waits for the thread to finish unwinding: its body ran
+            // under `catch_unwind`, so the result carries nothing new.
+            let _exited = victim.join();
         }
         now
     }
@@ -1932,7 +1935,9 @@ impl Drop for Kernel {
         };
         for j in joins {
             j.thread().unpark();
-            let _ = j.join();
+            // Only waits for the thread to exit: its body ran under
+            // `catch_unwind`, so the result carries nothing new.
+            let _exited = j.join();
         }
     }
 }

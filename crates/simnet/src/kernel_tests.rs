@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use crate::{Addr, Fault, HostConfig, Kernel, KernelConfig, Payload, Port, SimDuration, SimTime};
+use crate::{
+    Addr, Fault, HostConfig, Kernel, KernelConfig, Payload, Port, SimDuration, SimResult, SimTime,
+};
 
 /// Poison-transparent mutex with the `parking_lot` calling convention
 /// (`lock()` returns the guard directly); keeps the tests dependency-free.
@@ -344,7 +346,7 @@ fn kill_process_interrupts_compute() {
 fn killed_process_unwrap_panics_are_quiet_and_harmless() {
     let mut sim = Kernel::with_seed(1);
     let a = sim.add_host(HostConfig::new("a"));
-    let victim = sim.spawn(a, "victim", move |ctx| {
+    let victim = sim.spawn(a, "victim", move |ctx| -> SimResult<()> {
         // unwrap() on the syscall result: panics when killed; the kernel
         // treats this as the expected kill unwind.
         loop {
@@ -361,7 +363,7 @@ fn killed_process_unwrap_panics_are_quiet_and_harmless() {
 fn process_bug_panics_propagate_to_the_driver() {
     let mut sim = Kernel::with_seed(1);
     let a = sim.add_host(HostConfig::new("a"));
-    sim.spawn(a, "buggy", move |_ctx| {
+    sim.spawn(a, "buggy", move |_ctx| -> SimResult<()> {
         panic!("application bug");
     });
     sim.run_until_idle();
@@ -648,8 +650,10 @@ fn runaway_event_loop_is_caught() {
         ..KernelConfig::default()
     });
     let a = sim.add_host(HostConfig::new("a"));
-    sim.spawn(a, "looper", move |ctx| loop {
-        ctx.sleep(SimDuration::from_nanos(1)).unwrap();
+    sim.spawn(a, "looper", move |ctx| -> SimResult<()> {
+        loop {
+            ctx.sleep(SimDuration::from_nanos(1)).unwrap();
+        }
     });
     sim.run_until_idle();
 }

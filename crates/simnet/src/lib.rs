@@ -52,6 +52,7 @@
         clippy::expect_used,
         clippy::panic,
         clippy::unreachable,
+        clippy::let_underscore_must_use,
         clippy::allow_attributes,
         clippy::allow_attributes_without_reason
     )
@@ -72,7 +73,7 @@ pub use kernel::{
     KernelProfile, KernelStats, NetConfig, ProcCpu, ProfileHook, ProfileMark, SchedulePolicy,
 };
 pub use msg::{Msg, Payload};
-pub use process::{Ctx, Killed, ProcessBody, SimResult};
+pub use process::{Ctx, Killed, ProcessBody, ProcessExit, SimResult};
 pub use shared::{Shared, SharedGuard};
 pub use time::{SimDuration, SimTime};
 

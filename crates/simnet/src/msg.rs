@@ -48,15 +48,6 @@ impl Msg {
     pub fn is_rst_for(&self, host: HostId, port: Port) -> bool {
         matches!(self.payload, Payload::Rst { host: h, port: p } if h == host && p == port)
     }
-
-    /// Number of payload bytes (0 for RSTs and keepalive answers); used by
-    /// the network model for transfer-time computation.
-    pub fn wire_size(&self) -> usize {
-        match &self.payload {
-            Payload::Data(d) => d.len(),
-            Payload::Rst { .. } | Payload::Alive { .. } => 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +67,6 @@ mod tests {
     fn data_accessor() {
         let m = mk(Payload::Data(vec![1, 2, 3]));
         assert_eq!(m.data(), Some(&[1u8, 2, 3][..]));
-        assert_eq!(m.wire_size(), 3);
         assert!(!m.is_rst_for(HostId(1), Port(5)));
     }
 
@@ -89,6 +79,5 @@ mod tests {
         assert_eq!(m.data(), None);
         assert!(m.is_rst_for(HostId(1), Port(5)));
         assert!(!m.is_rst_for(HostId(1), Port(6)));
-        assert_eq!(m.wire_size(), 0);
     }
 }

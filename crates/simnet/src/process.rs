@@ -22,6 +22,50 @@ use crate::time::{SimDuration, SimTime};
 /// The body of a simulated process.
 pub type ProcessBody = Box<dyn FnOnce(&mut Ctx) + Send + 'static>;
 
+/// What a process body passed to `spawn` returns: `()`, or the
+/// [`SimResult`] of a body that propagates [`Killed`] with `?`. Either way
+/// the process just ends there. Sealed to exactly these two types, so no
+/// body ends by dropping another `Result`, such as a remote exception:
+///
+/// ```compile_fail
+/// let mut sim = simnet::Kernel::with_seed(1);
+/// let h = sim.add_host(simnet::HostConfig::new("h"));
+/// sim.spawn(h, "p", |_| -> simnet::SimResult<Result<(), String>> { Ok(Ok(())) });
+/// ```
+pub trait ProcessExit: sealed::Sealed {}
+
+impl ProcessExit for () {}
+
+impl ProcessExit for SimResult<()> {}
+
+mod sealed {
+    use super::{Killed, SimResult};
+
+    pub trait Sealed {
+        fn end(self);
+    }
+
+    impl Sealed for () {
+        fn end(self) {}
+    }
+
+    impl Sealed for SimResult<()> {
+        fn end(self) {
+            // `Err(Killed)` is how a killed body unwinds: nothing is lost.
+            match self {
+                Ok(()) | Err(Killed) => {}
+            }
+        }
+    }
+}
+
+/// Box a `spawn` body as a [`ProcessBody`].
+pub(crate) fn boxed<R: ProcessExit>(
+    body: impl FnOnce(&mut Ctx) -> R + Send + 'static,
+) -> ProcessBody {
+    Box::new(move |ctx| body(ctx).end())
+}
+
 /// Error returned from every blocking operation of a process that has been
 /// killed (or whose host has crashed, or whose kernel has shut down).
 ///
@@ -428,16 +472,16 @@ impl Ctx {
     /// Spawn a new process on `host`. The process starts at the current
     /// virtual instant. If the host is down the pid is returned but the
     /// process never runs.
-    pub fn spawn(
+    pub fn spawn<R: ProcessExit>(
         &mut self,
         host: HostId,
         name: impl Into<String>,
-        body: impl FnOnce(&mut Ctx) + Send + 'static,
+        body: impl FnOnce(&mut Ctx) -> R + Send + 'static,
     ) -> SimResult<Pid> {
         match self.call(Syscall::Spawn {
             host,
             name: name.into(),
-            body: Box::new(body),
+            body: boxed(body),
         })? {
             Resume::PidV { pid, .. } => Ok(pid),
             other => Err(self.bad_resume("spawn", &other)),

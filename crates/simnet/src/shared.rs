@@ -92,7 +92,7 @@ impl<T> Drop for SharedGuard<'_, T> {
     fn drop(&mut self) {
         // `try_with`: a guard dropped while the thread's locals are torn
         // down has nothing left to unregister from.
-        let _ = HELD.try_with(|held| held.borrow_mut().retain(|&(c, _)| c != self.cell));
+        let _torn_down = HELD.try_with(|held| held.borrow_mut().retain(|&(c, _)| c != self.cell));
     }
 }
 

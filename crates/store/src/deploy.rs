@@ -40,7 +40,7 @@ pub fn spawn_replicated_store(
         let cfg = cfg.clone();
         let sink = sink.clone();
         kernel.spawn(h, format!("store-replica-{i}"), move |ctx| {
-            let _ = run_store_replica(ctx, naming_host, cfg, sink);
+            run_store_replica(ctx, naming_host, cfg, sink)
         });
     }
     let detector_stats = if hosts.len() > 1 {
@@ -53,7 +53,7 @@ pub fn spawn_replicated_store(
             suspect_after: cfg.suspect_after,
         };
         kernel.spawn(naming_host, "store-detector", move |ctx| {
-            let _ = ftproxy::run_detector_obs(ctx, naming_host, det_cfg, det_stats, det_sink);
+            ftproxy::run_detector_obs(ctx, naming_host, det_cfg, det_stats, det_sink)
         });
         Some(stats)
     } else {
