@@ -11,12 +11,21 @@
 //!   optimization workers), and
 //! * one **optimization worker** server per worker host, registered in
 //!   the `Workers` group.
+//!
+//! Every boot process is one entry of a per-host service list. Under a
+//! [`ClusterConfig::chaos`] workload the same list reboots a restarted
+//! host: hosts boot empty, so whatever the list runs there is run again.
+
+use std::sync::Arc;
 
 use ftproxy::run_factory_obs;
 use obs::Obs;
 use optim::{run_worker_server_obs, worker_builder};
 use orb::Ior;
-use simnet::{Ctx, HostConfig, HostId, Kernel, KernelConfig, Shared, SimDuration};
+use simnet::{
+    Ctx, Fault, HostConfig, HostId, Kernel, KernelConfig, Shared, SimDuration, SimResult,
+};
+use store::{run_store_detector, run_store_replica, ChaosConfig, ChaosPlan};
 use winner::{run_node_manager, run_system_manager_obs, NodeManagerConfig, SelectionPolicy};
 
 /// Which naming service to deploy — the paper's comparison axis.
@@ -85,6 +94,11 @@ pub struct ClusterConfig {
     /// flight recorder run with these thresholds. The run itself is the
     /// one an unmonitored cluster executes: no process or message is added.
     pub monitor: Option<monitor::MonitorConfig>,
+    /// Fault workload: when set, a [`ChaosPlan`] of this config over every
+    /// host but the infra host is scheduled, each restarted host reboots
+    /// its services 100 ms after its `RestartHost`, and the store detector
+    /// out-waits the plan's longest group cut.
+    pub chaos: Option<ChaosConfig>,
 }
 
 impl Default for ClusterConfig {
@@ -99,6 +113,7 @@ impl Default for ClusterConfig {
             store_hosts: Vec::new(),
             policy: WinnerPolicy::BestPerformance,
             monitor: None,
+            chaos: None,
         }
     }
 }
@@ -130,6 +145,9 @@ pub struct Cluster {
     /// ([`optim::ManagerConfig::monitor`]) so their FT proxies emit too,
     /// and call [`monitor::MonitorHandle::finalize`] when the run ends.
     pub monitor: Option<monitor::MonitorHandle>,
+    /// The fault schedule [`ClusterConfig::chaos`] generated (empty without
+    /// one).
+    pub chaos_plan: ChaosPlan,
     /// The configuration the cluster was built with.
     pub config: ClusterConfig,
 }
@@ -176,6 +194,13 @@ impl Cluster {
         if let Some(handle) = monitor_handle.clone() {
             kernel.set_event_hook(move |now, ev| handle.on_kernel_event(now, ev));
         }
+        let chaos_plan = config
+            .chaos
+            .as_ref()
+            .map(|cfg| ChaosPlan::generate(cfg, &hosts[1..]))
+            .unwrap_or_default();
+
+        let mut services: Vec<Service> = Vec::new();
 
         // ---- Winner (only with the load-distributing naming service) ---
         if config.naming == NamingMode::Winner {
@@ -184,20 +209,21 @@ impl Cluster {
             let seed = config.seed;
             let sink = obs.clone();
             let monitor = monitor_handle.clone();
-            kernel.spawn(infra, "winner-sysmgr", move |ctx| {
+            services.push(Service::new(infra, "winner-sysmgr", move |ctx| {
+                let publish = publish.clone();
                 let policy = policy_kind.instantiate(seed);
-                run_system_manager_obs(ctx, monitor, policy, Some(sink), |ior| {
+                run_system_manager_obs(ctx, monitor.clone(), policy, Some(sink.clone()), |ior| {
                     publish.put(ior.stringify());
                 })
-            });
+            }));
             for &h in &hosts {
                 let cell = sysmgr_ior.clone();
                 let monitor = monitor_handle.clone();
-                kernel.spawn(h, format!("winner-nm-{h}"), move |ctx| {
+                services.push(Service::new(h, format!("winner-nm-{h}"), move |ctx| {
                     let mut cfg = NodeManagerConfig::new(wait_for_ior(ctx, &cell)?);
-                    cfg.monitor = monitor;
+                    cfg.monitor = monitor.clone();
                     run_node_manager(ctx, cfg)
-                });
+                }));
             }
         }
 
@@ -206,7 +232,7 @@ impl Cluster {
             let cell = sysmgr_ior.clone();
             let winner_mode = config.naming == NamingMode::Winner;
             let sink = obs.clone();
-            kernel.spawn(infra, "naming", move |ctx| {
+            services.push(Service::new(infra, "naming", move |ctx| {
                 let mode = if winner_mode {
                     cosnaming::LbMode::Winner {
                         system_manager: wait_for_ior(ctx, &cell)?,
@@ -214,8 +240,8 @@ impl Cluster {
                 } else {
                     cosnaming::LbMode::Plain
                 };
-                cosnaming::run_naming_service_obs(ctx, mode, Some(sink))
-            });
+                cosnaming::run_naming_service_obs(ctx, mode, Some(sink.clone()))
+            }));
         }
 
         // ---- checkpoint service ----------------------------------------
@@ -239,33 +265,54 @@ impl Cluster {
                     })
                     .collect()
             };
-            let scfg = store::StoreConfig {
+            let mut scfg = store::StoreConfig {
                 monitor: monitor_handle.clone(),
                 ..store::StoreConfig::default()
             };
-            store::spawn_replicated_store(&mut kernel, &chosen, infra, scfg, Some(obs.clone()));
+            scfg.suspect_after = scfg.suspect_after.max(out_wait_probes(&chaos_plan));
+            for (i, &h) in chosen.iter().enumerate() {
+                let (cfg, sink) = (scfg.clone(), obs.clone());
+                services.push(Service::new(h, format!("store-replica-{i}"), move |ctx| {
+                    run_store_replica(ctx, infra, cfg.clone(), Some(sink.clone()))
+                }));
+            }
+            if chosen.len() > 1 {
+                let sink = obs.clone();
+                services.push(Service::new(infra, "store-detector", move |ctx| {
+                    run_store_detector(ctx, infra, &scfg, Some(sink.clone()))
+                }));
+            }
             chosen
         } else {
             // The paper's deployment: one replica alone, with no monitor
             // and no detector.
             let sink = obs.clone();
-            kernel.spawn(infra, "checkpoint-service", move |ctx| {
+            services.push(Service::new(infra, "checkpoint-service", move |ctx| {
                 let cfg = store::StoreConfig::default();
-                store::run_checkpoint_service(ctx, infra, cfg, Some(sink))
-            });
+                store::run_checkpoint_service(ctx, infra, cfg, Some(sink.clone()))
+            }));
             vec![infra]
         };
 
         // ---- factories + workers on the worker hosts -------------------
         for &h in &worker_hosts {
             let sink = obs.clone();
-            kernel.spawn(h, format!("factory-{h}"), move |ctx| {
-                run_factory_obs(ctx, infra, worker_builder(), Some(sink))
-            });
+            services.push(Service::new(h, format!("factory-{h}"), move |ctx| {
+                run_factory_obs(ctx, infra, worker_builder(), Some(sink.clone()))
+            }));
             let sink = obs.clone();
-            kernel.spawn(h, format!("opt-worker-{h}"), move |ctx| {
-                run_worker_server_obs(ctx, infra, Some(sink))
-            });
+            services.push(Service::new(h, format!("opt-worker-{h}"), move |ctx| {
+                run_worker_server_obs(ctx, infra, Some(sink.clone()))
+            }));
+        }
+
+        for service in &services {
+            let body = service.body.clone();
+            kernel.spawn(service.host, service.name.clone(), move |ctx| body(ctx));
+        }
+        if !chaos_plan.events.is_empty() {
+            chaos_plan.schedule(&mut kernel);
+            spawn_respawner(&mut kernel, infra, &chaos_plan, services);
         }
 
         Cluster {
@@ -277,6 +324,7 @@ impl Cluster {
             sysmgr_ior,
             obs,
             monitor: monitor_handle,
+            chaos_plan,
             config,
         }
     }
@@ -299,6 +347,78 @@ impl Cluster {
             }),
         );
     }
+}
+
+/// A boot process's body; it can run again, so a restarted host reboots
+/// from the same service list.
+type ServiceBody = Arc<dyn Fn(&mut Ctx) -> SimResult<()> + Send + Sync>;
+
+/// One boot process: the host it runs on, its name and its body.
+struct Service {
+    host: HostId,
+    name: String,
+    body: ServiceBody,
+}
+
+impl Service {
+    fn new(
+        host: HostId,
+        name: impl Into<String>,
+        body: impl Fn(&mut Ctx) -> SimResult<()> + Send + Sync + 'static,
+    ) -> Service {
+        Service {
+            host,
+            name: name.into(),
+            body: Arc::new(body),
+        }
+    }
+}
+
+/// Delay between a host's `RestartHost` and its services' reboot.
+const REBOOT_DELAY: SimDuration = SimDuration::from_millis(100);
+
+/// The init system: a supervisor on the never-faulted infra host that
+/// walks the plan's restarts and, [`REBOOT_DELAY`] after each, spawns every
+/// service the restarted host boots. Registering the processes up front
+/// with `spawn_at` would not survive: a host crash reaps every process
+/// registered on the host, booted or not. A reboot landing on a host a
+/// flap train has already crashed again never runs — the train's last
+/// restart wins.
+fn spawn_respawner(kernel: &mut Kernel, infra: HostId, plan: &ChaosPlan, services: Vec<Service>) {
+    let events = plan.events.clone();
+    kernel.spawn(infra, "init-respawner", move |ctx| {
+        for e in events {
+            let Fault::RestartHost(host) = e.fault else {
+                continue;
+            };
+            ctx.sleep(e.at.saturating_add(REBOOT_DELAY).since(ctx.now()))?;
+            for service in services.iter().filter(|s| s.host == host) {
+                let body = service.body.clone();
+                ctx.spawn(host, service.name.clone(), move |ctx| body(ctx))?;
+            }
+        }
+        Ok(())
+    });
+}
+
+/// Consecutive missed probes before the store detector evicts a replica,
+/// sized to out-wait the plan's longest group cut. A group cut hides its
+/// side from the detector too, and nothing reboots an evicted replica when
+/// the cut heals.
+fn out_wait_probes(plan: &ChaosPlan) -> u32 {
+    let longest_cut = plan
+        .episodes
+        .iter()
+        .filter_map(|ep| match &ep[..] {
+            [cut, .., heal] if matches!(cut.fault, Fault::PartitionGroup { .. }) => {
+                Some(heal.at.since(cut.at).as_nanos())
+            }
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    // A cut of L ns overlaps at most L / period + 1 probes.
+    u32::try_from(longest_cut / store::DETECTOR_PERIOD.as_nanos() + 2).unwrap_or(u32::MAX)
 }
 
 /// Wait (with polling) until the Winner system manager has published its

@@ -21,7 +21,7 @@ use std::rc::Rc;
 use cosnaming::{LbMode, Name, NamingClient};
 use ftproxy::{
     run_factory_obs, CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, FtProxyStats,
-    ProxyEnv, ServantBuilder, CHECKPOINT_SERVICE_TYPE,
+    ProxyEnv, ServantBuilder, CHECKPOINT_SERVICE_NAME,
 };
 use monitor::{MonitorConfig, MonitorHandle};
 use orb::{reply, CallCtx, Exception, Orb, OrbConfig, Servant, SystemException};
@@ -33,7 +33,8 @@ use crate::Fnv;
 const SEED: u64 = 17;
 /// Increments the driver issues; the crash lands in the middle.
 const INCS: i64 = 8;
-/// Naming registration retry budget (50 ms sleeps → multi-second window).
+/// Checkpoint-service resolve retry budget (50 ms sleeps → multi-second
+/// window).
 const RETRY_MAX_ATTEMPTS: u32 = 200;
 
 const COUNTER_TYPE: &str = "IDL:Explore/Counter:1.0";
@@ -108,33 +109,6 @@ struct DriverOut {
     completed: bool,
 }
 
-fn spawn_ckpt_service(sim: &mut Kernel, host: HostId) {
-    sim.spawn(host, "ckpt-svc", move |ctx| serve_ckpt(ctx, host));
-}
-
-fn serve_ckpt(ctx: &mut Ctx, naming_host: HostId) -> SimResult<()> {
-    let mut orb = Orb::init(ctx);
-    orb.listen(ctx)?;
-    let poa = orb::Poa::new();
-    let key = poa.activate(
-        CHECKPOINT_SERVICE_TYPE,
-        Rc::new(RefCell::new(ftproxy::CheckpointServiceSkeleton(
-            store::StoreReplica::alone(store::StoreConfig::default()),
-        ))),
-    );
-    let ior = orb.ior(CHECKPOINT_SERVICE_TYPE, key);
-    let ns = NamingClient::root(naming_host);
-    let mut attempts = 0u32;
-    while attempts < RETRY_MAX_ATTEMPTS {
-        attempts += 1;
-        match ns.rebind(&mut orb, ctx, &Name::simple("CheckpointService"), &ior)? {
-            Ok(()) => break,
-            Err(_) => ctx.sleep(SimDuration::from_millis(50))?,
-        }
-    }
-    orb.serve_forever(ctx, &poa)
-}
-
 fn spawn_factory(sim: &mut Kernel, host: HostId, naming_host: HostId) {
     sim.spawn(host, format!("factory-{host}"), move |ctx| {
         let builder: ServantBuilder = Box::new(|_call, ty| {
@@ -158,7 +132,7 @@ fn resolve_ckpt(
     let mut attempts = 0u32;
     while attempts < RETRY_MAX_ATTEMPTS {
         attempts += 1;
-        match ns.resolve(orb, ctx, &Name::simple("CheckpointService"))? {
+        match ns.resolve(orb, ctx, &Name::simple(CHECKPOINT_SERVICE_NAME))? {
             Ok(obj) => return Ok(Some(CheckpointClient::new(obj))),
             Err(_) => ctx.sleep(SimDuration::from_millis(50))?,
         }
@@ -233,7 +207,9 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     sim.spawn(infra, "naming", move |ctx| {
         cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None)
     });
-    spawn_ckpt_service(&mut sim, infra);
+    sim.spawn(infra, "ckpt-svc", move |ctx| {
+        store::run_checkpoint_service(ctx, infra, store::StoreConfig::default(), None)
+    });
     for &w in &workers {
         spawn_factory(&mut sim, w, infra);
     }

@@ -1,28 +1,26 @@
 //! Deterministic fault-injection adversary for the replicated store.
 //!
-//! A [`ChaosPlan`] is a *precomputed*, seeded schedule of fault episodes —
-//! host crashes/restarts, group partitions, one-way link drops, gray-failure
-//! link degradation, crash/restart flap trains, and clock skew — generated
-//! before the simulation runs and applied via `Kernel::schedule_fault`, so
-//! the same seed always yields the same fault timeline regardless of what
-//! the workload does.
+//! A [`ChaosPlan`] is a *precomputed*, seeded schedule of episodes of one
+//! [`FaultFamily`] — host crashes/restarts, pairwise or group partitions,
+//! one-way link drops, gray-failure link degradation, crash/restart flap
+//! trains, or clock skew — generated before the simulation runs and
+//! applied via `Kernel::schedule_fault`, so the same seed always yields the
+//! same fault timeline regardless of what the workload does.
 //!
 //! Every episode is **bounded**: each cut has a matching heal, each crash
 //! in a train has a matching restart, and every heal lands strictly before
-//! `end`. The generator runs one disruption ledger across *all* fault
-//! families, so no host is under two overlapping disruptions and at most
-//! `max_concurrent_down` hosts are disrupted at any instant — a plan can be
-//! tuned to stay within (or deliberately exceed) what the write quorum
-//! tolerates.
+//! `end`. The generator keeps one disruption ledger, so no host is under
+//! two overlapping disruptions and at most `max_concurrent_down` hosts are
+//! disrupted at any instant — a plan can be tuned to stay within (or
+//! deliberately exceed) what the write quorum tolerates.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use simnet::{Fault, HostId, Kernel, SimDuration, SimTime};
 
-/// Tuning for [`ChaosPlan::generate`]. The per-family probabilities are
-/// cumulative weights of one draw per injection slot; whatever they leave
-/// of the unit interval goes to plain crash/restart.
+/// Tuning for [`ChaosPlan::generate`]: one fault family injected at a
+/// seeded rate over a window.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Seed of the fault schedule (independent of the kernel seed).
@@ -39,22 +37,55 @@ pub struct ChaosConfig {
     /// crashed at most once) and the non-crash families are disabled,
     /// since they need a bounded episode.
     pub restart_after: Option<SimDuration>,
-    /// Upper bound on hosts disrupted — by *any* family — at one instant.
+    /// Upper bound on hosts disrupted at one instant.
     pub max_concurrent_down: usize,
-    /// Probability that an injection is a transient pairwise partition.
-    pub partition_prob: f64,
-    /// Probability of a group partition: a randomly sized side of the
-    /// target set is cut off from everything else.
-    pub group_partition_prob: f64,
-    /// Probability of an asymmetric one-way link drop.
-    pub oneway_prob: f64,
-    /// Probability of gray-failure link degradation (extra latency plus
-    /// probabilistic drops, the link stays "up").
-    pub degrade_prob: f64,
-    /// Probability of a crash/restart flap train.
-    pub flap_prob: f64,
-    /// Probability of a clock-skew episode.
-    pub skew_prob: f64,
+    /// What every injection slot injects.
+    pub family: FaultFamily,
+}
+
+/// The fault families a [`ChaosPlan`] injects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultFamily {
+    /// A host crash, restarted `restart_after` later.
+    Crash,
+    /// A transient pairwise partition.
+    Partition,
+    /// A randomly sized side of the targets, cut off from everything else.
+    GroupPartition,
+    /// An asymmetric one-way link drop.
+    OneWay,
+    /// Gray-failure link degradation: slow and lossy, but "up".
+    Degrade,
+    /// A crash/restart flap train.
+    Flap,
+    /// A clock-skew episode.
+    Skew,
+}
+
+impl FaultFamily {
+    /// Every family, in declaration order.
+    pub const ALL: [FaultFamily; 7] = [
+        FaultFamily::Crash,
+        FaultFamily::Partition,
+        FaultFamily::GroupPartition,
+        FaultFamily::OneWay,
+        FaultFamily::Degrade,
+        FaultFamily::Flap,
+        FaultFamily::Skew,
+    ];
+
+    /// The family's name in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultFamily::Crash => "crash",
+            FaultFamily::Partition => "partition",
+            FaultFamily::GroupPartition => "group-partition",
+            FaultFamily::OneWay => "oneway-drop",
+            FaultFamily::Degrade => "degrade-link",
+            FaultFamily::Flap => "flap",
+            FaultFamily::Skew => "clock-skew",
+        }
+    }
 }
 
 /// Extra one-way latency a degraded link carries.
@@ -79,12 +110,7 @@ impl Default for ChaosConfig {
             mean_interval: SimDuration::from_secs(3),
             restart_after: Some(SimDuration::from_secs(2)),
             max_concurrent_down: 1,
-            partition_prob: 0.0,
-            group_partition_prob: 0.0,
-            oneway_prob: 0.0,
-            degrade_prob: 0.0,
-            flap_prob: 0.0,
-            skew_prob: 0.0,
+            family: FaultFamily::Crash,
         }
     }
 }
@@ -106,18 +132,6 @@ pub struct ChaosPlan {
     /// The same schedule grouped into self-contained episodes (a cut and
     /// its heal, a whole flap train, …).
     pub episodes: Vec<Vec<ChaosEvent>>,
-}
-
-/// Which fault family one injection slot drew.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Family {
-    Crash,
-    Partition,
-    GroupPartition,
-    OneWay,
-    Degrade,
-    Flap,
-    Skew,
 }
 
 impl ChaosPlan {
@@ -169,42 +183,26 @@ impl ChaosPlan {
         t: SimTime,
         last: SimTime,
     ) -> Option<Episode> {
-        // One family draw per slot, taken even when the slot turns out to
-        // be infeasible, so feasibility does not perturb the RNG stream of
-        // later slots more than it must.
-        let family = {
-            let u: f64 = rng.random_range(0.0..1.0);
-            let mut acc = 0.0;
-            let table = [
-                (Family::Partition, cfg.partition_prob),
-                (Family::GroupPartition, cfg.group_partition_prob),
-                (Family::OneWay, cfg.oneway_prob),
-                (Family::Degrade, cfg.degrade_prob),
-                (Family::Flap, cfg.flap_prob),
-                (Family::Skew, cfg.skew_prob),
-            ];
-            let mut chosen = Family::Crash;
-            for (f, p) in table {
-                acc += p;
-                if u < acc {
-                    chosen = f;
-                    break;
-                }
-            }
-            chosen
-        };
+        // Every slot consumes one uniform draw it does not use: each
+        // family's schedule for a seed is pinned to that RNG stream, which
+        // the chaos matrix's committed fault counts were measured on.
+        let _slot_roll: f64 = rng.random_range(0.0..1.0);
         if slots == 0 || free.is_empty() {
             return None;
         }
         // Everything except a permanent crash needs a bounded episode.
         let dur = cfg.restart_after;
-        let family = if dur.is_none() { Family::Crash } else { family };
+        let family = if dur.is_none() {
+            FaultFamily::Crash
+        } else {
+            cfg.family
+        };
         let heal_at = |at: SimTime| {
             at.saturating_add(dur.unwrap_or(SimDuration::ZERO))
                 .min(last)
         };
         match family {
-            Family::Crash => {
+            FaultFamily::Crash => {
                 let victim = free[rng.random_range(0..free.len())];
                 match dur {
                     Some(_) => {
@@ -232,7 +230,7 @@ impl ChaosPlan {
                     }),
                 }
             }
-            Family::Partition | Family::OneWay | Family::Degrade => {
+            FaultFamily::Partition | FaultFamily::OneWay | FaultFamily::Degrade => {
                 // All three need a pair; the second endpoint may be any
                 // target (a disrupted peer just makes the cut redundant),
                 // but the ledger slot is charged to the first.
@@ -244,10 +242,10 @@ impl ChaosPlan {
                 let (a, b) = (pick[0], pick[1]);
                 let heal = heal_at(t);
                 let (cut, mend) = match family {
-                    Family::Partition => {
+                    FaultFamily::Partition => {
                         (Fault::Partition(a, b, true), Fault::Partition(a, b, false))
                     }
-                    Family::OneWay => (
+                    FaultFamily::OneWay => (
                         Fault::DropOneWay {
                             from: a,
                             to: b,
@@ -285,7 +283,7 @@ impl ChaosPlan {
                     holds: vec![(a, heal)],
                 })
             }
-            Family::GroupPartition => {
+            FaultFamily::GroupPartition => {
                 // The cut side must leave at least one target outside it,
                 // and every side member occupies a ledger slot.
                 let max_side = slots.min(free.len().saturating_sub(1));
@@ -318,7 +316,7 @@ impl ChaosPlan {
                     holds: side.into_iter().map(|h| (h, heal)).collect(),
                 })
             }
-            Family::Flap => {
+            FaultFamily::Flap => {
                 // A crash/restart train: down half a period, up half a
                 // period, `FLAP_CYCLES` times — truncated at the horizon.
                 let victim = free[rng.random_range(0..free.len())];
@@ -349,7 +347,7 @@ impl ChaosPlan {
                     holds: vec![(victim, until)],
                 })
             }
-            Family::Skew => {
+            FaultFamily::Skew => {
                 let victim = free[rng.random_range(0..free.len())];
                 let mut skew: i64 = rng.random_range(-MAX_SKEW_NS..=MAX_SKEW_NS);
                 if skew == 0 {

@@ -3,24 +3,15 @@
 //! replicated) a store-side failure detector that evicts dead replicas.
 
 use cosnaming::Name;
-use ftproxy::{DetectorConfig, DetectorStats, CHECKPOINT_SERVICE_NAME};
-use simnet::{HostId, Kernel, Shared, SimDuration};
+use ftproxy::{DetectorConfig, CHECKPOINT_SERVICE_NAME};
+use simnet::{Ctx, HostId, Kernel, Shared, SimDuration, SimResult};
 
 use crate::protocol::StoreConfig;
 use crate::replica::run_store_replica;
 
-/// Probe period of the store-side failure detector.
-const DETECTOR_PERIOD: SimDuration = SimDuration::from_millis(250);
-
-/// What [`spawn_replicated_store`] set up.
-pub struct StoreDeployment {
-    /// The hosts carrying one replica each.
-    pub hosts: Vec<HostId>,
-    /// Stats of the store-side failure detector, or `None` when the
-    /// deployment is single-replica (nothing to fail over to, so no
-    /// detector is spawned and the legacy lazy detection applies).
-    pub detector_stats: Option<Shared<DetectorStats>>,
-}
+/// Probe period of the store-side failure detector: a replica is evicted
+/// after `StoreConfig::suspect_after` periods of silence.
+pub const DETECTOR_PERIOD: SimDuration = SimDuration::from_millis(250);
 
 /// Spawn one [`crate::StoreReplica`] process per host in `hosts`, each
 /// joining the `"CheckpointService"` naming group on `naming_host`, and —
@@ -35,7 +26,7 @@ pub fn spawn_replicated_store(
     naming_host: HostId,
     cfg: StoreConfig,
     sink: Option<obs::Obs>,
-) -> StoreDeployment {
+) {
     for (i, &h) in hosts.iter().enumerate() {
         let cfg = cfg.clone();
         let sink = sink.clone();
@@ -43,24 +34,27 @@ pub fn spawn_replicated_store(
             run_store_replica(ctx, naming_host, cfg, sink)
         });
     }
-    let detector_stats = if hosts.len() > 1 {
-        let stats = Shared::new(DetectorStats::default());
-        let det_stats = stats.clone();
-        let det_sink = sink;
-        let det_cfg = DetectorConfig {
-            groups: vec![Name::simple(CHECKPOINT_SERVICE_NAME)],
-            period: DETECTOR_PERIOD,
-            suspect_after: cfg.suspect_after,
-        };
+    if hosts.len() > 1 {
         kernel.spawn(naming_host, "store-detector", move |ctx| {
-            ftproxy::run_detector_obs(ctx, naming_host, det_cfg, det_stats, det_sink)
+            run_store_detector(ctx, naming_host, &cfg, sink)
         });
-        Some(stats)
-    } else {
-        None
-    };
-    StoreDeployment {
-        hosts: hosts.to_vec(),
-        detector_stats,
     }
+}
+
+/// The store-side failure detector's process body: probe the
+/// `"CheckpointService"` group every [`DETECTOR_PERIOD`] and evict the
+/// replicas that miss `cfg.suspect_after` probes in a row. Its probe and
+/// eviction counts go to `sink` as `detector.*` counters.
+pub fn run_store_detector(
+    ctx: &mut Ctx,
+    naming_host: HostId,
+    cfg: &StoreConfig,
+    sink: Option<obs::Obs>,
+) -> SimResult<()> {
+    let det_cfg = DetectorConfig {
+        groups: vec![Name::simple(CHECKPOINT_SERVICE_NAME)],
+        period: DETECTOR_PERIOD,
+        suspect_after: cfg.suspect_after,
+    };
+    ftproxy::run_detector_obs(ctx, naming_host, det_cfg, Shared::default(), sink)
 }

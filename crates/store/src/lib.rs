@@ -21,9 +21,10 @@
 //!   (reusing [`ftproxy::run_detector_obs`]) that evicts dead replicas so
 //!   the next `resolve` already avoids them.
 //! * [`chaos`] — a deterministic fault-injection harness: a seeded
-//!   schedule of replica crashes / restarts / link partitions, precomputed
-//!   as a [`ChaosPlan`] and applied via `Kernel::schedule_fault`, that
-//!   never takes more replicas down than the quorum can lose.
+//!   schedule of one [`FaultFamily`] (crashes, partitions, drops,
+//!   degradation, flaps, skew), precomputed as a [`ChaosPlan`] and applied
+//!   via `Kernel::schedule_fault`, that never disrupts more replicas than
+//!   `max_concurrent_down`.
 //!
 //! Coordination is **leaderless**: whichever replica a client's `resolve`
 //! picked coordinates that write, applying locally and fanning out to the
@@ -53,8 +54,8 @@ pub mod deploy;
 pub mod protocol;
 pub mod replica;
 
-pub use chaos::{ChaosConfig, ChaosPlan};
-pub use deploy::{spawn_replicated_store, StoreDeployment};
+pub use chaos::{ChaosConfig, ChaosPlan, FaultFamily};
+pub use deploy::{run_store_detector, spawn_replicated_store, DETECTOR_PERIOD};
 pub use protocol::{ReplicationSkeleton, ReplicationStub, Store, StoreConfig};
 pub use replica::{run_checkpoint_service, run_store_replica, StoreReplica};
 

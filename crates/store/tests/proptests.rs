@@ -1,19 +1,18 @@
-//! Property tests for the chaos adversary: for arbitrary configurations,
-//! generated schedules are deterministic in the seed, honor the shared
-//! disruption ledger across *every* fault family, and never orphan a cut
-//! — each one heals strictly before the horizon. Then the write path: a
-//! fanned-out request re-encodes to its bytes, and a replica alone
-//! replaces values by key.
+//! Property tests for the chaos adversary: for arbitrary configurations
+//! of every fault family, generated schedules are deterministic in the
+//! seed, honor the disruption ledger, and never orphan a cut — each one
+//! heals strictly before the horizon. Then the write path: a fanned-out
+//! request re-encodes to its bytes, and a replica alone replaces values by
+//! key.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use ldft_store::{ChaosConfig, ChaosPlan, StoreConfig};
+use ldft_store::{ChaosConfig, ChaosPlan, FaultFamily, StoreConfig};
 use proptest::prelude::*;
 use simnet::{Fault, HostConfig, HostId, Kernel, SimDuration, SimTime};
 
-/// Arbitrary-but-sane chaos configs: the six family weights sum to at
-/// most ~0.96, leaving the remainder for plain crash/restart.
+/// Arbitrary-but-sane chaos configs over any one fault family.
 fn cfg_strategy() -> impl Strategy<Value = ChaosConfig> {
     (
         any::<u64>(),
@@ -24,22 +23,17 @@ fn cfg_strategy() -> impl Strategy<Value = ChaosConfig> {
             (200u64..3_000).prop_map(|ms| Some(SimDuration::from_millis(ms))),
         ],
         1usize..4,
-        proptest::collection::vec(0.0f64..0.16, 6),
+        (0..FaultFamily::ALL.len()).prop_map(|i| FaultFamily::ALL[i]),
     )
         .prop_map(
-            |(seed, len, mean_interval, restart_after, down, w)| ChaosConfig {
+            |(seed, len, mean_interval, restart_after, down, family)| ChaosConfig {
                 seed,
                 start: SimTime::from_nanos(1_000_000),
                 end: SimTime::from_nanos(1_000_000 + len.as_nanos()),
                 mean_interval,
                 restart_after,
                 max_concurrent_down: down,
-                partition_prob: w[0],
-                group_partition_prob: w[1],
-                oneway_prob: w[2],
-                degrade_prob: w[3],
-                flap_prob: w[4],
-                skew_prob: w[5],
+                family,
             },
         )
 }
@@ -83,7 +77,7 @@ proptest! {
     }
 
     /// At most `max_concurrent_down` hosts are under a disruption at any
-    /// instant, counting every family — partitions, drops, degradations,
+    /// instant, whatever the family — partitions, drops, degradations,
     /// flap trains, and skews included, not just crashes.
     #[test]
     fn concurrency_ledger_spans_all_families(
