@@ -7,8 +7,9 @@
 //! Winner-integrated naming service, while the NOW hosts (each carrying a
 //! store replica, a node manager, a factory and a worker) suffer the
 //! faults. Each cell must end with the newest acked epoch durable and
-//! **zero doctor invariant violations** (the flight recorder ingests the
-//! kernel's lifecycle stream: every cut must heal, and heal within budget),
+//! **zero doctor invariant violations** (the doctor reads the cell's event
+//! log, the kernel's lifecycle included: every cut must heal, and heal
+//! within budget),
 //! and two same-seed runs must produce byte-identical observability exports
 //! (the CI determinism gate runs this binary twice and `cmp`s the files).
 //!
@@ -82,7 +83,7 @@ struct CellStats {
     final_epoch: cdr::Epoch,
     /// Winner load reports quarantined for a far-skewed wall-clock stamp.
     quarantined: u64,
-    /// Doctor invariant violations the flight recorder accumulated.
+    /// Doctor invariant violations over the cell's event log.
     violations: u64,
 }
 
@@ -199,7 +200,6 @@ fn run_cell(family: FaultFamily, intensity: Intensity, seed: u64, scale: f64) ->
         hosts: 1 + REPLICAS,
         seed,
         store_replicas: REPLICAS,
-        monitor: Some(monitor::MonitorConfig::default()),
         chaos: Some(ChaosConfig {
             seed: seed.wrapping_mul(0x517C_C1B7).wrapping_add(family as u64),
             start: SimTime::from_nanos(1_000_000_000),
@@ -211,7 +211,6 @@ fn run_cell(family: FaultFamily, intensity: Intensity, seed: u64, scale: f64) ->
         }),
         ..ClusterConfig::default()
     });
-    let flight = cluster.monitor.clone().expect("the cell is monitored");
     let write_end = SimTime::from_nanos(((chaos_end_s + 3.0) * 1e9) as u64);
     let stats: Shared<CellStats> = Shared::default();
     let out = stats.clone();
@@ -220,17 +219,17 @@ fn run_cell(family: FaultFamily, intensity: Intensity, seed: u64, scale: f64) ->
         out.replace(drive(ctx, infra, sink, write_end));
     });
     let end = cluster.kernel.run_until_exit(driver);
-    flight.finalize(end);
+    let doctor = monitor::diagnose(&cluster.obs, monitor::MonitorConfig::default(), end);
 
     let mut stats = stats.get();
     stats.faults = cluster.chaos_plan.events.len();
     stats.quarantined = cluster.obs.counter("winner.skewed_reports");
-    stats.violations = flight.violations();
+    stats.violations = doctor.violations;
     CellOutcome {
         stats,
         trace_json: cluster.obs.chrome_trace_json(),
         metrics_text: cluster.obs.metrics_text(),
-        post_mortems: flight.dumps().concat(),
+        post_mortems: doctor.dumps.concat(),
     }
 }
 

@@ -39,17 +39,19 @@ fn main() {
     let args = RunArgs::parse_from(forwarded).unwrap_or_else(|e| usage_exit(&e, EXTRA));
 
     eprintln!("doctor: healthy baseline …");
-    let healthy = doctor_cell(&args, false);
-    let healthy_handle = healthy.monitor.as_ref().expect("monitor was configured");
+    let healthy = doctor_cell(&args, false)
+        .doctor
+        .expect("monitor was configured");
     eprintln!("doctor: crash cell …");
-    let crashed = doctor_cell(&args, true);
-    let crashed_handle = crashed.monitor.as_ref().expect("monitor was configured");
+    let crashed = doctor_cell(&args, true)
+        .doctor
+        .expect("monitor was configured");
 
     let mut report = String::new();
     report.push_str("== healthy baseline ==\n");
-    report.push_str(&healthy_handle.report());
+    report.push_str(&healthy.report);
     report.push_str("\n== crash cell ==\n");
-    report.push_str(&crashed_handle.report());
+    report.push_str(&crashed.report);
     print!("{report}");
 
     if let Some(path) = &report_out {
@@ -60,11 +62,8 @@ fn main() {
         eprintln!("wrote doctor report to {path}");
     }
 
-    for (cell, handle) in [
-        ("healthy baseline", healthy_handle),
-        ("crash cell", crashed_handle),
-    ] {
-        let violations = handle.violations();
+    for (cell, doctor) in [("healthy baseline", &healthy), ("crash cell", &crashed)] {
+        let violations = doctor.violations;
         if violations > 0 {
             eprintln!("doctor: {cell} reported {violations} invariant violation(s)");
             std::process::exit(2);
@@ -72,6 +71,6 @@ fn main() {
     }
     eprintln!(
         "doctor: both cells clean; crash cell dumped {} post-mortem(s)",
-        crashed_handle.dumps().len(),
+        crashed.dumps.len(),
     );
 }

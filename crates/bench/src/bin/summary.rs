@@ -7,6 +7,8 @@
 //! * FT proxies cost "more than three times" the plain runtime in the
 //!   worst case, with a constant per-call overhead.
 //!
+//! A gate: it exits 1 when any claim reads ✗ (CI runs `summary --quick`).
+//!
 //! Usage: `cargo run --release -p ldft-bench --bin summary [--quick] [--seeds N]`
 
 use ldft_bench::{fig3_sweep, table1_sweep, RunArgs, Table};
@@ -20,6 +22,16 @@ fn main() {
     let table1 = table1_sweep(&args, FtSettings::default());
 
     let mut t = Table::new(vec!["claim (paper)", "measured", "verdict"]);
+    let mut failed = 0usize;
+    let mut verdict = |ok: bool| {
+        failed += usize::from(!ok);
+        if ok {
+            "✓ reproduced"
+        } else {
+            "✗ NOT reproduced"
+        }
+        .to_string()
+    };
 
     // Claim 1: best-case reduction ≈ 40%.
     let mut best = 0.0f64;
@@ -95,13 +107,8 @@ fn main() {
 
     println!("§4 claims vs this reproduction\n");
     println!("{}", t.render());
-}
-
-fn verdict(ok: bool) -> String {
-    if ok {
-        "✓ reproduced"
-    } else {
-        "✗ NOT reproduced"
+    if failed > 0 {
+        eprintln!("summary: {failed} claim(s) NOT reproduced");
+        std::process::exit(1);
     }
-    .to_string()
 }

@@ -117,16 +117,12 @@ pub fn trace_cell(args: &RunArgs) -> TraceExport {
     TraceExport {
         trace_json: outcome.obs.chrome_trace_json(),
         metrics_text: outcome.obs.metrics_text(),
-        post_mortems: outcome
-            .monitor
-            .as_ref()
-            .map(|h| h.dumps().concat())
-            .unwrap_or_default(),
+        post_mortems: outcome.doctor.map(|d| d.dumps.concat()).unwrap_or_default(),
     }
 }
 
 /// Run the reference cell with live monitoring attached and return the
-/// finalized outcome (its `monitor` handle carries the doctor report).
+/// outcome (its `doctor` carries the doctor report).
 ///
 /// `crash` selects between the healthy baseline (no fault injection; the
 /// doctor must report zero violations) and the crash cell from

@@ -89,11 +89,6 @@ pub struct ClusterConfig {
     pub store_hosts: Vec<usize>,
     /// Winner selection policy.
     pub policy: WinnerPolicy,
-    /// Live monitoring: when set, every subsystem and the kernel emit
-    /// their events into [`Cluster::monitor`], where the online doctor +
-    /// flight recorder run with these thresholds. The run itself is the
-    /// one an unmonitored cluster executes: no process or message is added.
-    pub monitor: Option<monitor::MonitorConfig>,
     /// Fault workload: when set, a [`ChaosPlan`] of this config over every
     /// host but the infra host is scheduled, each restarted host reboots
     /// its services 100 ms after its `RestartHost`, and the store detector
@@ -112,7 +107,6 @@ impl Default for ClusterConfig {
             store_replicas: 1,
             store_hosts: Vec::new(),
             policy: WinnerPolicy::BestPerformance,
-            monitor: None,
             chaos: None,
         }
     }
@@ -137,14 +131,11 @@ pub struct Cluster {
     /// until published; always None when Winner is not deployed).
     pub sysmgr_ior: Shared<Option<String>>,
     /// The cluster-wide observability sink: every infrastructure process
-    /// records its spans and metrics here. Hand it to managers
-    /// ([`optim::ManagerConfig::obs`]) to get end-to-end causal traces.
+    /// records its spans, metrics and events here, and the kernel its
+    /// lifecycle and fault events. Hand it to managers
+    /// ([`optim::ManagerConfig::obs`]) to get end-to-end causal traces and
+    /// the FT proxies' events; [`monitor::diagnose`] reads the event log.
     pub obs: Obs,
-    /// Live-monitoring handle (doctor + flight recorder state) when
-    /// [`ClusterConfig::monitor`] was set. Hand a clone to managers
-    /// ([`optim::ManagerConfig::monitor`]) so their FT proxies emit too,
-    /// and call [`monitor::MonitorHandle::finalize`] when the run ends.
-    pub monitor: Option<monitor::MonitorHandle>,
     /// The fault schedule [`ClusterConfig::chaos`] generated (empty without
     /// one).
     pub chaos_plan: ChaosPlan,
@@ -184,15 +175,12 @@ impl Cluster {
         let sysmgr_ior: Shared<Option<String>> = Shared::new(None);
         let obs = Obs::default();
 
-        // ---- live monitoring (opt-in) ----------------------------------
-        // The kernel hook must be installed before the first spawn so the
-        // boot itself (proc-spawn events) is on the record.
-        let monitor_handle = config
-            .monitor
-            .clone()
-            .map(|mcfg| monitor::MonitorHandle::new(mcfg, Some(obs.clone())));
-        if let Some(handle) = monitor_handle.clone() {
-            kernel.set_event_hook(move |now, ev| handle.on_kernel_event(now, ev));
+        // The kernel's events go to the sink's event log. The hook must be
+        // installed before the first spawn so the boot itself (proc-spawn
+        // events) is on the record.
+        {
+            let sink = obs.clone();
+            kernel.set_event_hook(move |now, ev| sink.kernel_event(now, ev));
         }
         let chaos_plan = config
             .chaos
@@ -208,20 +196,18 @@ impl Cluster {
             let policy_kind = config.policy;
             let seed = config.seed;
             let sink = obs.clone();
-            let monitor = monitor_handle.clone();
             services.push(Service::new(infra, "winner-sysmgr", move |ctx| {
                 let publish = publish.clone();
                 let policy = policy_kind.instantiate(seed);
-                run_system_manager_obs(ctx, monitor.clone(), policy, Some(sink.clone()), |ior| {
+                run_system_manager_obs(ctx, policy, Some(sink.clone()), |ior| {
                     publish.put(ior.stringify());
                 })
             }));
             for &h in &hosts {
-                let cell = sysmgr_ior.clone();
-                let monitor = monitor_handle.clone();
+                let (cell, sink) = (sysmgr_ior.clone(), obs.clone());
                 services.push(Service::new(h, format!("winner-nm-{h}"), move |ctx| {
                     let mut cfg = NodeManagerConfig::new(wait_for_ior(ctx, &cell)?);
-                    cfg.monitor = monitor.clone();
+                    cfg.monitor = Some(sink.clone());
                     run_node_manager(ctx, cfg)
                 }));
             }
@@ -265,10 +251,7 @@ impl Cluster {
                     })
                     .collect()
             };
-            let mut scfg = store::StoreConfig {
-                monitor: monitor_handle.clone(),
-                ..store::StoreConfig::default()
-            };
+            let mut scfg = store::StoreConfig::default();
             scfg.suspect_after = scfg.suspect_after.max(out_wait_probes(&chaos_plan));
             for (i, &h) in chosen.iter().enumerate() {
                 let (cfg, sink) = (scfg.clone(), obs.clone());
@@ -284,8 +267,8 @@ impl Cluster {
             }
             chosen
         } else {
-            // The paper's deployment: one replica alone, with no monitor
-            // and no detector.
+            // The paper's deployment: one replica alone, with no detector
+            // (and no events: a lone replica's writes are quorums of one).
             let sink = obs.clone();
             services.push(Service::new(infra, "checkpoint-service", move |ctx| {
                 let cfg = store::StoreConfig::default();
@@ -323,7 +306,6 @@ impl Cluster {
             store_hosts,
             sysmgr_ior,
             obs,
-            monitor: monitor_handle,
             chaos_plan,
             config,
         }

@@ -54,10 +54,11 @@ pub struct ExperimentSpec {
     pub store_replicas: usize,
     /// Optional fault injection: crash a checkpoint-store host mid-run.
     pub store_crash: Option<StoreCrashPlan>,
-    /// Live monitoring: run the online doctor + flight recorder with these
-    /// thresholds over the events the run emits
-    /// ([`ExperimentOutcome::monitor`] carries the finalized handle). The
-    /// run itself — `report`, `started_at` — is the unmonitored one.
+    /// Live monitoring: when set, the doctor + flight recorder read the
+    /// run's event log with these thresholds once it ends
+    /// ([`ExperimentOutcome::doctor`]). Every run records the events; the
+    /// run itself — `report`, `started_at`, the sink — is the same either
+    /// way.
     pub monitor: Option<monitor::MonitorConfig>,
 }
 
@@ -158,14 +159,13 @@ pub struct ExperimentOutcome {
     pub loaded: Vec<u32>,
     /// Virtual instant the manager started.
     pub started_at: SimTime,
-    /// The cluster-wide observability sink: spans and metrics recorded by
-    /// every process in the run (export with [`obs::Obs::chrome_trace_json`]
-    /// / [`obs::Obs::metrics_text`]).
+    /// The cluster-wide observability sink: spans, metrics and events
+    /// recorded by every process and the kernel in the run (export with
+    /// [`obs::Obs::chrome_trace_json`] / [`obs::Obs::metrics_text`]).
     pub obs: obs::Obs,
-    /// The live-monitoring handle, already finalized, when
-    /// [`ExperimentSpec::monitor`] was set. Render the doctor report
-    /// with [`monitor::MonitorHandle::report`].
-    pub monitor: Option<monitor::MonitorHandle>,
+    /// The doctor's verdict on the run's event log, when
+    /// [`ExperimentSpec::monitor`] was set.
+    pub doctor: Option<monitor::Diagnosis>,
 }
 
 /// Run one experiment cell to completion.
@@ -193,7 +193,6 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<ExperimentOutcome, String
         policy: spec.policy,
         store_replicas: spec.store_replicas.max(1),
         store_hosts,
-        monitor: spec.monitor.clone(),
         ..ClusterConfig::default()
     });
 
@@ -225,7 +224,6 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<ExperimentOutcome, String
         request_timeout: spec.request_timeout,
         ft: spec.ft.clone(),
         obs: Some(cluster.obs.clone()),
-        monitor: cluster.monitor.clone(),
         ..ManagerConfig::new(spec.n, spec.workers, cluster.infra)
     };
     let started_at = SimTime::ZERO + spec.warmup;
@@ -265,9 +263,10 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<ExperimentOutcome, String
         }),
     );
     cluster.kernel.run_until_exit(manager);
-    if let Some(handle) = &cluster.monitor {
-        handle.finalize(cluster.kernel.now());
-    }
+    let doctor = spec
+        .monitor
+        .clone()
+        .map(|cfg| monitor::diagnose(&cluster.obs, cfg, cluster.kernel.now()));
     crate::runtime::publish_kernel_profile(&cluster.kernel, &cluster.obs);
     let report = match report_cell.take() {
         Some(Ok(report)) => report,
@@ -279,7 +278,7 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<ExperimentOutcome, String
         loaded: loaded.iter().map(|h| h.0).collect(),
         started_at,
         obs: cluster.obs.clone(),
-        monitor: cluster.monitor.clone(),
+        doctor,
     })
 }
 

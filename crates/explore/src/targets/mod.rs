@@ -71,7 +71,7 @@ pub fn target_by_name(name: &str) -> Option<Box<dyn Target>> {
 
 /// Kernel-side instrumentation shared by every cell: the plan-following
 /// schedule policy, plus an event hook forwarding every kernel event to
-/// the cell's own consumer (typically the monitor's `on_kernel_event`).
+/// the cell's own consumer (typically the sink's `Obs::kernel_event`).
 /// Returns the choice log the policy records into.
 pub(crate) fn instrument(
     kernel: &mut Kernel,

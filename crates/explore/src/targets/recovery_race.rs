@@ -23,7 +23,7 @@ use ftproxy::{
     run_factory_obs, CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, FtProxyStats,
     ProxyEnv, ServantBuilder, CHECKPOINT_SERVICE_NAME,
 };
-use monitor::{MonitorConfig, MonitorHandle};
+use monitor::MonitorConfig;
 use orb::{reply, CallCtx, Exception, Orb, OrbConfig, Servant, SystemException};
 use simnet::{Ctx, HostConfig, HostId, Kernel, Shared, SimDuration, SimResult};
 
@@ -190,12 +190,15 @@ fn drive(
 
 fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
     let mut sim = Kernel::with_seed(SEED);
-    let flight = MonitorHandle::new(MonitorConfig::default(), None);
+    // Blind spot: the doctor here reads kernel events only. The driver's
+    // `FtProxy` records its events on its ORB's sink, and that ORB has
+    // none, so restore-freshness and recovery-budget cannot fire in this
+    // cell. A sink puts a span context on every request frame, which moves
+    // the explore corpus (ROADMAP item 4).
+    let flight = obs::Obs::new();
     let choices = {
         let flight = flight.clone();
-        instrument(&mut sim, plan, move |now, ev| {
-            flight.on_kernel_event(now, ev)
-        })
+        instrument(&mut sim, plan, move |now, ev| flight.kernel_event(now, ev))
     };
 
     let infra = sim.add_host(HostConfig::new("infra"));
@@ -222,7 +225,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
         })
     };
     let end = sim.run_until_exit(driver);
-    flight.finalize(end);
+    let doctor = monitor::diagnose(&flight, MonitorConfig::default(), end);
 
     let s = out.get();
     let mut violations = Vec::new();
@@ -244,11 +247,10 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
         }
         None => violations.push("driver never reported stats".to_string()),
     }
-    if flight.violations() > 0 {
+    if doctor.violations > 0 {
         violations.push(format!(
             "doctor recorded {} invariant violation(s):\n{}",
-            flight.violations(),
-            flight.report()
+            doctor.violations, doctor.report
         ));
     }
 
@@ -269,7 +271,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
             h.write_u64(c);
         }
     }
-    h.write_u64(flight.violations());
+    h.write_u64(doctor.violations);
     h.write_u64(end.as_nanos());
 
     RunOutcome {

@@ -837,12 +837,12 @@ fn mixed_epoch_checkpoint_chunks_are_rejected() {
     assert_eq!(*out.lock().unwrap(), vec![5, 6]);
 }
 
-/// The epochs of the `StateRestored` events a monitored proxy emitted.
-fn restored_epochs(mon: &monitor::MonitorHandle) -> Vec<u64> {
-    mon.events()
+/// The epochs of the `StateRestored` events a traced proxy recorded.
+fn restored_epochs(sink: &obs::Obs) -> Vec<u64> {
+    sink.events()
         .into_iter()
         .filter_map(|e| match e.body {
-            monitor::EventBody::StateRestored { epoch, .. } => Some(epoch.get()),
+            obs::EventBody::StateRestored { epoch, .. } => Some(epoch),
             _ => None,
         })
         .collect()
@@ -858,17 +858,17 @@ fn torn_checkpoint_recovers_the_last_acked_state() {
     let mut sim = Kernel::with_seed(17);
     let (hosts, store) = probed_bed(&mut sim, 3, None);
     let h0 = hosts[0];
-    let mon = monitor::MonitorHandle::new(monitor::MonitorConfig::default(), None);
+    let sink = obs::Obs::new();
     let out = cell::<Vec<i64>>();
     let o = out.clone();
     let stats_out = cell::<Option<crate::proxy::FtProxyStats>>();
     let so = stats_out.clone();
-    let emit_to = mon.clone();
+    let record_to = sink.clone();
     let driver = sim.spawn(hosts[0], "driver", move |ctx| {
         ctx.sleep(secs(1.0)).unwrap();
         let mut orb = Orb::init(ctx);
+        orb.set_obs(obs::ProcessObs::new(record_to, ctx));
         let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::PerValue);
-        proxy.monitor = Some(emit_to);
         let mut env = ProxyEnv { orb: &mut orb, ctx };
         // 144 bytes of state: three 64-byte values per checkpoint.
         let _: () = proxy.call(&mut env, "set_pad", &(16u32,)).unwrap().unwrap();
@@ -884,7 +884,7 @@ fn torn_checkpoint_recovers_the_last_acked_state() {
         o.lock().unwrap().push(v);
         *so.lock().unwrap() = Some(proxy.stats);
     });
-    sim.run_until_exit(driver);
+    let end = sim.run_until_exit(driver);
     // The second inc was acked to the caller but never checkpointed (the
     // window ROADMAP item 2 is about); the replacement resumes from the
     // acked 5, not from 0.
@@ -897,8 +897,9 @@ fn torn_checkpoint_recovers_the_last_acked_state() {
     );
     // First bind cold, recovery to epoch 2 (set_pad, inc) — and the
     // doctor's restore-freshness agrees.
-    assert_eq!(restored_epochs(&mon), vec![0, 2]);
-    assert_eq!(mon.violations(), 0, "{}", mon.report());
+    assert_eq!(restored_epochs(&sink), vec![0, 2]);
+    let doctor = monitor::diagnose(&sink, monitor::MonitorConfig::default(), end);
+    assert_eq!(doctor.violations, 0, "{}", doctor.report);
 }
 
 #[test]
@@ -1033,17 +1034,17 @@ fn failed_checkpoints_leave_the_acked_copy_alone() {
     let mut sim = Kernel::with_seed(23);
     let (hosts, store) = probed_bed(&mut sim, 3, None);
     let h0 = hosts[0];
-    let mon = monitor::MonitorHandle::new(monitor::MonitorConfig::default(), None);
+    let sink = obs::Obs::new();
     let out = cell::<Vec<i64>>();
     let o = out.clone();
     let stats_out = cell::<Option<crate::proxy::FtProxyStats>>();
     let so = stats_out.clone();
-    let emit_to = mon.clone();
+    let record_to = sink.clone();
     let driver = sim.spawn(hosts[0], "driver", move |ctx| {
         ctx.sleep(secs(1.0)).unwrap();
         let mut orb = Orb::init(ctx);
+        orb.set_obs(obs::ProcessObs::new(record_to, ctx));
         let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::Bulk);
-        proxy.monitor = Some(emit_to);
         let mut env = ProxyEnv { orb: &mut orb, ctx };
         let inc = |proxy: &mut FtProxy, env: &mut ProxyEnv<'_>, by: i64| {
             let v: i64 = proxy.call(env, "inc", &(by,)).unwrap().unwrap();
@@ -1065,7 +1066,7 @@ fn failed_checkpoints_leave_the_acked_copy_alone() {
         assert_eq!(store.reads(), reads, "recovery read the store");
         *so.lock().unwrap() = Some(proxy.stats);
     });
-    sim.run_until_exit(driver);
+    let end = sim.run_until_exit(driver);
     assert_eq!(*out.lock().unwrap(), vec![5, 6, 7, 6]);
     let s = stats_out.lock().unwrap().unwrap();
     // One refused write, two refused fetches (the `refuse_checkpoints`
@@ -1075,8 +1076,9 @@ fn failed_checkpoints_leave_the_acked_copy_alone() {
         (3, 1, 1),
         "{s:?}"
     );
-    assert_eq!(restored_epochs(&mon), vec![0, 1]);
-    assert_eq!(mon.violations(), 0, "{}", mon.report());
+    assert_eq!(restored_epochs(&sink), vec![0, 1]);
+    let doctor = monitor::diagnose(&sink, monitor::MonitorConfig::default(), end);
+    assert_eq!(doctor.violations, 0, "{}", doctor.report);
 }
 
 /// The fault schedules of `both_call_styles_run_one_recovery_engine` and
@@ -1097,7 +1099,7 @@ enum Schedule {
 struct Observed {
     outcome: Result<i64, Exception>,
     stats: crate::proxy::FtProxyStats,
-    events: Vec<monitor::EventBody>,
+    events: Vec<obs::EventBody>,
     elapsed_ns: u64,
 }
 
@@ -1119,12 +1121,15 @@ fn call_via<A: cdr::CdrWrite>(
     }
 }
 
+/// One schedule with a traced driver (its proxy's events are the
+/// `Observed::events`) and untraced infrastructure.
 fn run_schedule(schedule: Schedule, deferred: bool) -> Observed {
-    run_schedule_obs(schedule, deferred, None, None)
+    run_schedule_obs(schedule, deferred, Some(obs::Obs::default()), None)
 }
 
-/// [`run_schedule`] with the driver recording into `sink` and every
-/// infrastructure process into `infra`.
+/// One schedule with the driver recording into `sink` and every
+/// infrastructure process into `infra`. An untraced driver records no
+/// events.
 fn run_schedule_obs(
     schedule: Schedule,
     deferred: bool,
@@ -1138,10 +1143,9 @@ fn run_schedule_obs(
     };
     let hosts = probed_bed(&mut sim, n_hosts, infra).0;
     let h0 = hosts[0];
-    let mon = monitor::MonitorHandle::new(monitor::MonitorConfig::default(), None);
     let out = cell::<Option<(Result<i64, Exception>, crate::proxy::FtProxyStats, u64)>>();
     let o = out.clone();
-    let emit_to = mon.clone();
+    let events = sink.clone();
     let driver = sim.spawn(h0, "driver", move |ctx| {
         ctx.sleep(secs(1.0)).unwrap();
         // Above `slow_inc`'s 2 s of server CPU, so only a crash fails it.
@@ -1154,7 +1158,6 @@ fn run_schedule_obs(
         );
         orb.set_obs(obs::ProcessObs::from_sink(sink, ctx));
         let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::Bulk);
-        proxy.monitor = Some(emit_to);
         let mut env = ProxyEnv { orb: &mut orb, ctx };
         let start = env.ctx.now();
         let outcome = match schedule {
@@ -1199,7 +1202,9 @@ fn run_schedule_obs(
     Observed {
         outcome,
         stats,
-        events: mon.events().into_iter().map(|e| e.body).collect(),
+        events: events
+            .map(|s| s.events().into_iter().map(|e| e.body).collect())
+            .unwrap_or_default(),
         elapsed_ns,
     }
 }
@@ -1242,36 +1247,48 @@ fn recovery_backoff_is_bounded_and_deterministic() {
 
 #[test]
 fn both_call_styles_run_one_recovery_engine() {
-    use monitor::EventBody::{FailureDetected, RecoveryFinished, RecoveryStarted};
+    use obs::EventBody::{FailureDetected, RecoveryFinished, RecoveryStarted};
     for schedule in [
         Schedule::ServerDiesMidCall,
         Schedule::FactoryHostDies,
         Schedule::RestoreRefused,
     ] {
+        // Untraced, the two call styles are one run to the nanosecond.
+        let bare = run_schedule_obs(schedule, false, None, None);
+        assert_eq!(
+            bare,
+            run_schedule_obs(schedule, true, None, None),
+            "{schedule:?}"
+        );
+        assert!(bare.events.is_empty(), "an untraced proxy recorded events");
         let sync = run_schedule(schedule, false);
-        assert_eq!(sync, run_schedule(schedule, true), "{schedule:?}");
-        // A sink changes what is recorded, never what runs: with every
-        // server recording, the run is the untraced one to the nanosecond.
-        // A traced client's requests also carry its span (a 20-byte
-        // service context, marshalled and sent like any other byte), so
-        // there only the timings may move.
-        let kinds = |o: &Observed| -> Vec<std::mem::Discriminant<monitor::EventBody>> {
+        let kinds = |o: &Observed| -> Vec<std::mem::Discriminant<obs::EventBody>> {
             o.events.iter().map(std::mem::discriminant).collect()
         };
         for deferred in [false, true] {
-            let sink = obs::Obs::default();
-            let servers = run_schedule_obs(schedule, deferred, None, Some(sink.clone()));
-            assert_eq!(sync, servers, "{schedule:?}, deferred: {deferred}");
-            assert!(!sink.spans_named("serve:create").is_empty(), "{schedule:?}");
-            let sink = obs::Obs::default();
-            let all = run_schedule_obs(schedule, deferred, Some(sink.clone()), Some(sink.clone()));
-            assert_eq!((&all.outcome, all.stats), (&sync.outcome, sync.stats));
+            // A sink changes what is recorded, never what runs: with every
+            // server recording, the run is the untraced one to the
+            // nanosecond.
+            let servers = obs::Obs::default();
+            let traced = run_schedule_obs(schedule, deferred, None, Some(servers.clone()));
+            assert_eq!(bare, traced, "{schedule:?}, deferred: {deferred}");
+            assert!(
+                !servers.spans_named("serve:create").is_empty(),
+                "{schedule:?}"
+            );
+            // A traced client's requests also carry its span (a 20-byte
+            // service context, marshalled and sent like any other byte),
+            // so there only the timings may move; either style records
+            // the same events.
+            let client = obs::Obs::default();
+            let traced = run_schedule_obs(schedule, deferred, Some(client.clone()), None);
+            assert_eq!((&traced.outcome, traced.stats), (&bare.outcome, bare.stats));
             assert_eq!(
-                kinds(&all),
+                kinds(&traced),
                 kinds(&sync),
                 "{schedule:?}, deferred: {deferred}"
             );
-            assert!(!sink.spans_named("ft.restore").is_empty(), "{schedule:?}");
+            assert!(!client.spans_named("ft.restore").is_empty(), "{schedule:?}");
         }
         let Observed {
             outcome,

@@ -44,9 +44,11 @@
 //! re-execution (the optimization workers are: `solve` is a pure function
 //! of the carried state).
 
+use std::sync::Arc;
+
 use cdr::{CdrRead, CdrWrite, Epoch};
 use cosnaming::{EmptyGroup, Name, NamingClient, NotFound};
-use monitor::{EventBody, MonitorHandle};
+use obs::EventBody;
 use orb::{Body, Exception, Ior, ObjectRef, Orb, SystemException};
 use rand::Rng;
 use simnet::{Ctx, SimDuration, SimResult};
@@ -212,10 +214,8 @@ pub struct FtProxy {
     acked: Option<(Epoch, Vec<u8>)>,
     /// Live counters.
     pub stats: FtProxyStats,
-    /// When set, the proxy narrates its life-cycle (failure detection,
-    /// recovery episodes, checkpoints, per-request latency attribution)
-    /// to the run's monitor.
-    pub monitor: Option<MonitorHandle>,
+    /// `cfg.object_id`, shared with every event recorded about it.
+    id: Arc<str>,
 }
 
 impl FtProxy {
@@ -223,7 +223,6 @@ impl FtProxy {
     /// `ckpt` stores state.
     pub fn new(cfg: FtProxyConfig, naming: NamingClient, ckpt: CheckpointClient) -> Self {
         FtProxy {
-            cfg,
             naming,
             ckpt,
             target: None,
@@ -232,14 +231,19 @@ impl FtProxy {
             restored_epoch: None,
             acked: None,
             stats: FtProxyStats::default(),
-            monitor: None,
+            id: cfg.object_id.as_str().into(),
+            cfg,
         }
     }
 
-    /// Emit a monitoring event if a monitor is attached.
-    pub(crate) fn emit(&self, env: &ProxyEnv<'_>, body: EventBody) {
-        if let Some(mon) = &self.monitor {
-            mon.emit(env.ctx, body);
+    /// Record one life-cycle event (failure detection, recovery episodes,
+    /// checkpoints, restores, per-request latency attribution) about this
+    /// proxy's object on the ORB's sink. `body` gets the object id and is
+    /// only called when the sink records.
+    pub(crate) fn emit(&self, env: &ProxyEnv<'_>, body: impl FnOnce(Arc<str>) -> EventBody) {
+        let o = env.orb.obs();
+        if o.recording() {
+            o.event(env.ctx.now(), body(Arc::clone(&self.id)));
         }
     }
 
@@ -563,16 +567,13 @@ impl FtProxy {
         Ok(r)
     }
 
-    /// Tell the monitor which epoch the replica now being adopted holds
+    /// Record which epoch the replica now being adopted holds
     /// (`Epoch::ZERO`: nothing was pushed, it starts cold).
     fn emit_restored(&self, env: &ProxyEnv<'_>, epoch: Epoch) {
-        self.emit(
-            env,
-            EventBody::StateRestored {
-                target: self.cfg.object_id.clone(),
-                epoch,
-            },
-        );
+        self.emit(env, |target| EventBody::StateRestored {
+            target,
+            epoch: epoch.get(),
+        });
     }
 
     /// After a successful call: checkpoint if due.
@@ -597,15 +598,13 @@ impl FtProxy {
             // immediately, not wait another `checkpoint_every` calls.
             self.calls_since_ckpt = 0;
             self.stats.checkpoints += 1;
-            self.emit(
-                env,
-                EventBody::CheckpointStored {
-                    target: self.cfg.object_id.clone(),
-                    epoch: self.epoch,
-                    bytes,
-                    dur_ns: env.ctx.now().since(begun).as_nanos(),
-                },
-            );
+            let (epoch, dur_ns) = (self.epoch.get(), env.ctx.now().since(begun).as_nanos());
+            self.emit(env, |target| EventBody::CheckpointStored {
+                target,
+                epoch,
+                bytes,
+                dur_ns,
+            });
         } else {
             self.stats.checkpoint_failures += 1;
         }
@@ -615,7 +614,7 @@ impl FtProxy {
 
     /// One checkpoint attempt: fetch the server state and store it.
     /// Returns whether the checkpoint landed in the checkpoint service,
-    /// plus the serialized state size (for the monitoring event).
+    /// plus the serialized state size (for the `checkpoint-stored` event).
     fn try_checkpoint(
         &mut self,
         env: &mut ProxyEnv<'_>,

@@ -15,7 +15,7 @@
 //! identically.
 
 use cdr::{Any, CdrEncoder, CdrRead, CdrWrite};
-use monitor::EventBody;
+use obs::EventBody;
 use orb::{Body, DiiRequest, Exception, SystemException};
 use simnet::{SimResult, SimTime};
 
@@ -233,13 +233,10 @@ impl FtRequest {
                     env.orb
                         .obs()
                         .observe("ft.recovery_ns", served.since(since).as_nanos());
-                    proxy.emit(
-                        env,
-                        EventBody::RecoveryFinished {
-                            target: proxy.config().object_id.clone(),
-                            dur_ns: served.since(since).as_nanos(),
-                        },
-                    );
+                    proxy.emit(env, |target| EventBody::RecoveryFinished {
+                        target,
+                        dur_ns: served.since(since).as_nanos(),
+                    });
                 }
                 proxy.after_success(env)?;
                 // Critical-path attribution: everything before the
@@ -249,15 +246,13 @@ impl FtRequest {
                 // overhead.
                 let started = self.started.unwrap_or(served);
                 let sent = self.sent.unwrap_or(served);
-                proxy.emit(
-                    env,
-                    EventBody::RequestDone {
-                        target: proxy.config().object_id.clone(),
-                        wait_ns: sent.since(started).as_nanos(),
-                        service_ns: served.since(sent).as_nanos(),
-                        ckpt_ns: env.ctx.now().since(served).as_nanos(),
-                    },
-                );
+                let ckpt_ns = env.ctx.now().since(served).as_nanos();
+                proxy.emit(env, |target| EventBody::RequestDone {
+                    target,
+                    wait_ns: sent.since(started).as_nanos(),
+                    service_ns: served.since(sent).as_nanos(),
+                    ckpt_ns,
+                });
                 self.done = Some(Ok(bytes));
                 return Ok(());
             }
@@ -281,21 +276,12 @@ impl FtRequest {
             }
             self.attempts += 1;
             self.recovering_since.get_or_insert(env.ctx.now());
-            let target = proxy.config().object_id.clone();
-            proxy.emit(
-                env,
-                EventBody::FailureDetected {
-                    target: target.clone(),
-                    reason: FtProxy::failure_reason(&failure),
-                },
-            );
-            proxy.emit(
-                env,
-                EventBody::RecoveryStarted {
-                    target,
-                    attempt: self.attempts,
-                },
-            );
+            proxy.emit(env, |target| EventBody::FailureDetected {
+                target,
+                reason: FtProxy::failure_reason(&failure),
+            });
+            let attempt = self.attempts;
+            proxy.emit(env, |target| EventBody::RecoveryStarted { target, attempt });
             proxy.recover(env)?;
             // The first re-acquire goes out at once: the ladder paces
             // retries of a failed acquire, it does not delay the first.

@@ -1,7 +1,7 @@
-//! The online doctor: streaming analyses over the event stream.
+//! The doctor: streaming analyses over the event log.
 //!
-//! The doctor consumes events in emission order — which is virtual-time
-//! order, see [`crate::handle`] — and maintains:
+//! The doctor consumes events in record order — which is virtual-time
+//! order, see [`crate::diagnose`] — and maintains:
 //!
 //! * **critical-path latency attribution** — per-target queue-wait vs
 //!   service vs checkpoint-overhead shares, from `request-done` events the
@@ -14,13 +14,13 @@
 //! rendered report is byte-identical across same-seed runs.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use obs::{Event, EventBody};
 use simnet::KernelEvent;
 
-use crate::events::{Event, EventBody};
-
-/// Invariant thresholds. One struct, because the places that opt in
-/// (`ClusterConfig`/`ExperimentSpec`) want a single knob.
+/// Invariant thresholds. One struct, because the place that opts in
+/// (`ExperimentSpec::monitor`) wants a single knob.
 #[derive(Clone, Debug)]
 pub struct MonitorConfig {
     /// Recovery-time budget: a recovery episode must finish within this
@@ -78,22 +78,22 @@ const INVARIANTS: [&str; 7] = [
     "restore-freshness",
 ];
 
-/// The streaming analysis state. Owned by the handle; fed one event at a
-/// time, in stream order.
+/// The streaming analysis state, fed one event at a time, in record
+/// order.
 #[derive(Debug)]
-pub struct Doctor {
+pub(crate) struct Doctor {
     cfg: MonitorConfig,
     kind_counts: BTreeMap<&'static str, u64>,
-    per_target: BTreeMap<String, Attribution>,
+    per_target: BTreeMap<Arc<str>, Attribution>,
     total: Attribution,
     /// Recovery episodes currently open: target -> (start_ns, attempts).
-    open_recoveries: BTreeMap<String, (u64, u32)>,
+    open_recoveries: BTreeMap<Arc<str>, (u64, u32)>,
     /// Hosts currently down: host -> crash time.
     down_hosts: BTreeMap<u32, u64>,
     /// Partitions currently open: partition key -> cut time.
     open_partitions: BTreeMap<String, u64>,
     /// Last stored checkpoint per target: target -> (time_ns, epoch).
-    last_ckpt: BTreeMap<String, (u64, cdr::Epoch)>,
+    last_ckpt: BTreeMap<Arc<str>, (u64, u64)>,
     /// Per-invariant (checks, violations).
     invariants: BTreeMap<&'static str, (u64, u64)>,
     /// One line per recovery episode (budget verdicts, OK or not).
@@ -137,7 +137,7 @@ impl Doctor {
         !ok
     }
 
-    /// Ingest one event (in stream order). Returns the descriptions of any
+    /// Ingest one event (in record order). Returns the descriptions of any
     /// invariant violations this event fired.
     pub fn on_event(&mut self, ev: &Event) -> Vec<String> {
         *self.kind_counts.entry(ev.body.kind()).or_insert(0) += 1;
@@ -514,7 +514,7 @@ mod tests {
         });
         let qw = |acks, view| EventBody::QuorumWrite {
             object: "o".into(),
-            epoch: cdr::Epoch(1),
+            epoch: 1,
             acks,
             view,
             quorum: 2,
@@ -533,13 +533,13 @@ mod tests {
         let mut d = Doctor::new(MonitorConfig::default());
         let stored = |epoch| EventBody::CheckpointStored {
             target: "w".into(),
-            epoch: cdr::Epoch(epoch),
+            epoch,
             bytes: 8,
             dur_ns: 1,
         };
         let restored = |epoch| EventBody::StateRestored {
             target: "w".into(),
-            epoch: cdr::Epoch(epoch),
+            epoch,
         };
         // A first bind before any checkpoint starts cold: nothing to check.
         assert!(d.on_event(&ev(1, 0, restored(0))).is_empty());
@@ -557,7 +557,7 @@ mod tests {
         // Other targets have their own history.
         let other = EventBody::StateRestored {
             target: "v".into(),
-            epoch: cdr::Epoch::ZERO,
+            epoch: 0,
         };
         assert!(d.on_event(&ev(8, 0, other)).is_empty());
         assert_eq!(d.violation_count(), 2);
@@ -600,7 +600,7 @@ mod tests {
                 0,
                 EventBody::CheckpointStored {
                     target: "w".into(),
-                    epoch: cdr::Epoch(epoch),
+                    epoch,
                     bytes: 8,
                     dur_ns: 1,
                 },

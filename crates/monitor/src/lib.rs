@@ -1,19 +1,19 @@
-//! `ldft-monitor` — live cluster monitoring for the LD/FT runtime
-//! (DESIGN.md §10).
+//! `ldft-monitor` — the doctor and the flight recorder for the LD/FT
+//! runtime (DESIGN.md §8).
 //!
-//! * a **handle** ([`MonitorHandle`]) every subsystem emits typed
-//!   [`Event`]s into — the Winner node managers and system manager, the FT
-//!   proxy, the store replicas, and (through the kernel's event hook) the
-//!   kernel itself. Emission is an in-process call at the point where the
-//!   event happens: no process, message or naming binding is added to the
-//!   run being watched;
-//! * an **online doctor** ([`Doctor`]) consuming the stream in emission
-//!   order: per-request critical-path latency attribution plus the runtime
-//!   invariants (recovery-time budget, quorum health, checkpoint
-//!   freshness, load-placement sanity, partition health, healing time);
-//! * a **flight recorder** keeping the last N events per host and dumping
-//!   a deterministic post-mortem (event tails + open episodes + verdicts)
-//!   on a host crash, an invariant violation, or the close of a recovery
+//! Both are readers of the run's event log: the typed [`obs::Event`]s
+//! that the Winner node and system managers, the FT proxy, the store
+//! replicas and (through [`obs::Obs::kernel_event`]) the kernel record
+//! into the one `obs` sink as things happen. [`diagnose`] replays that log
+//! once, in record order, through
+//!
+//! * the **doctor**: per-request critical-path latency attribution plus
+//!   the runtime invariants (recovery-time budget, quorum health,
+//!   checkpoint freshness, restore freshness, load-placement sanity,
+//!   partition health, healing time), and
+//! * the **flight recorder**: the last N events per host, dumped as a
+//!   deterministic post-mortem (event tails + open episodes + verdicts) on
+//!   a host crash, an invariant violation, or the close of a recovery
 //!   episode (so the dump spans the whole failure-detected → recovered
 //!   arc, not just its onset).
 //!
@@ -36,10 +36,8 @@
     )
 )]
 
+mod diagnose;
 mod doctor;
-mod events;
-mod handle;
 
-pub use doctor::{Doctor, MonitorConfig};
-pub use events::{milli, Event, EventBody, KERNEL_PID};
-pub use handle::MonitorHandle;
+pub use diagnose::{diagnose, Diagnosis};
+pub use doctor::MonitorConfig;

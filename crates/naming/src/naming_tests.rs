@@ -302,7 +302,7 @@ fn winner_resolution_avoids_loaded_hosts() {
     let sysmgr_ior = cell::<Option<String>>();
     let sm = sysmgr_ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
-        let _ = winner::run_system_manager_obs(ctx, None, Box::new(BestPerformance), None, |i| {
+        let _ = winner::run_system_manager_obs(ctx, Box::new(BestPerformance), None, |i| {
             *sm.lock().unwrap() = Some(i.stringify());
         });
     });
@@ -369,7 +369,7 @@ fn winner_fallback_when_system_manager_dies() {
     let sysmgr_ior = cell::<Option<String>>();
     let sm = sysmgr_ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
-        let _ = winner::run_system_manager_obs(ctx, None, Box::new(BestPerformance), None, |i| {
+        let _ = winner::run_system_manager_obs(ctx, Box::new(BestPerformance), None, |i| {
             *sm.lock().unwrap() = Some(i.stringify());
         });
     });
@@ -534,7 +534,7 @@ fn trader_baseline_with_decentralized_selection() {
     let sysmgr_ior = cell::<Option<String>>();
     let sm = sysmgr_ior.clone();
     sim.spawn(h0, "winner-sysmgr", move |ctx| {
-        let _ = winner::run_system_manager_obs(ctx, None, Box::new(BestPerformance), None, |i| {
+        let _ = winner::run_system_manager_obs(ctx, Box::new(BestPerformance), None, |i| {
             *sm.lock().unwrap() = Some(i.stringify());
         });
     });

@@ -1,14 +1,19 @@
-//! The event taxonomy (DESIGN.md §10): what the subsystems and the kernel
-//! report to the doctor and the flight recorder.
+//! Typed events: the sink's second record kind, beside spans
+//! (DESIGN.md §8). What the subsystems and the kernel report, and what the
+//! doctor and the flight recorder in `ldft-monitor` read back.
 //!
 //! Product events are declared here; kernel lifecycle events are carried
 //! as the kernel's own [`KernelEvent`] — one declaration, in `simnet`.
 //!
-//! Loads are reported in **milli-units** (`load_avg * 1000`, rounded) so
-//! every consumer formats them with integer arithmetic — a determinism
-//! constraint (DESIGN.md §10).
+//! Loads are reported in **milli-units** (`load_avg * 1000`, rounded) and
+//! checkpoint epochs as the bare `u64` counter (printed as `cdr::Epoch`
+//! prints), so every consumer formats them with integer arithmetic — a
+//! determinism constraint. Object ids are shared `Arc<str>`s: a proxy
+//! records a few events per call about the same object, and cloning its
+//! id allocates nothing.
 
-use cdr::Epoch;
+use std::sync::Arc;
+
 use simnet::{HostId, KernelEvent};
 
 /// Emitter pid of kernel-origin events (there is no sim process behind
@@ -21,21 +26,21 @@ pub fn milli(value: f64) -> u64 {
     (value.max(0.0) * 1000.0).round() as u64
 }
 
-/// One emitted event, stamped where it happened.
+/// One recorded event, stamped where it happened.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Event {
     /// Virtual time of the emission.
     pub time_ns: u64,
-    /// Emitting host (the subject host for kernel events).
+    /// Recording host (the subject host for kernel events).
     pub host: u32,
-    /// Emitting pid ([`KERNEL_PID`] for kernel events).
+    /// Recording pid ([`KERNEL_PID`] for kernel events).
     pub pid: u32,
     /// What happened.
     pub body: EventBody,
 }
 
 /// The typed payload of an [`Event`]. Variant set = the union of what the
-/// subsystems can report (DESIGN.md §10 taxonomy).
+/// subsystems can report.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EventBody {
     /// A Winner node manager's periodic load sample.
@@ -59,30 +64,30 @@ pub enum EventBody {
     /// The FT proxy classified a call failure as a dead target.
     FailureDetected {
         /// Object id of the failed target.
-        target: String,
+        target: Arc<str>,
         /// Exception kind that triggered detection.
         reason: String,
     },
     /// The FT proxy began a recovery attempt.
     RecoveryStarted {
         /// Object id being recovered.
-        target: String,
+        target: Arc<str>,
         /// 1-based attempt number within the episode.
         attempt: u32,
     },
     /// A call succeeded after one or more recoveries.
     RecoveryFinished {
         /// Object id that recovered.
-        target: String,
+        target: Arc<str>,
         /// Episode duration: first failure to first post-recovery success.
         dur_ns: u64,
     },
     /// The FT proxy stored a checkpoint.
     CheckpointStored {
         /// Object id checkpointed.
-        target: String,
+        target: Arc<str>,
         /// Checkpoint epoch.
-        epoch: Epoch,
+        epoch: u64,
         /// Serialized checkpoint size.
         bytes: u64,
         /// Time spent storing it.
@@ -92,10 +97,10 @@ pub enum EventBody {
     /// what state it starts from.
     StateRestored {
         /// Object id restored.
-        target: String,
-        /// Epoch pushed into the replica; `Epoch::ZERO` when nothing was
-        /// pushed (it starts cold).
-        epoch: Epoch,
+        target: Arc<str>,
+        /// Epoch pushed into the replica; 0 when nothing was pushed (it
+        /// starts cold).
+        epoch: u64,
     },
     /// A store coordinator observed a changed membership view.
     ViewChange {
@@ -107,9 +112,9 @@ pub enum EventBody {
     /// A store coordinator completed (or failed) a quorum write.
     QuorumWrite {
         /// Object id written.
-        object: String,
+        object: Arc<str>,
         /// Checkpoint epoch written.
-        epoch: Epoch,
+        epoch: u64,
         /// Replicas that acked (counting the coordinator).
         acks: u32,
         /// View size at the time of the write.
@@ -121,7 +126,7 @@ pub enum EventBody {
     /// attribution, measured client-side on the virtual clock).
     RequestDone {
         /// Object id the request went to.
-        target: String,
+        target: Arc<str>,
         /// Queue-wait share: backoff sleeps + resolve/re-create time.
         wait_ns: u64,
         /// Service share: the successful invocation round-trip.
@@ -257,7 +262,7 @@ impl EventBody {
 }
 
 impl Event {
-    /// A kernel event as the stream carries it: stamped with its fire time
+    /// A kernel event as the log carries it: stamped with its fire time
     /// and filed under the host it is about (the first `a`-side host for a
     /// partition, one endpoint for a link).
     pub(crate) fn from_kernel(time_ns: u64, kev: &KernelEvent) -> Event {

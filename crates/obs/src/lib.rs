@@ -10,6 +10,11 @@
 //!   `solve` call can be followed through naming resolve → Winner select →
 //!   worker dispatch → checkpoint store → recovery retry as a single tree
 //!   of [`SpanRecord`]s.
+//! * **Typed events** — the second record kind ([`Event`]): load reports,
+//!   placements, the FT proxy's failure / recovery / checkpoint / restore
+//!   life-cycle, quorum writes, and (through [`Obs::kernel_event`]) the
+//!   kernel's own lifecycle and fault events. The doctor and the flight
+//!   recorder in `ldft-monitor` are readers of this log.
 //! * **A metrics registry** — counters, gauges and histograms over fixed
 //!   bucket boundaries, all keyed by virtual time. No wall clock anywhere:
 //!   the layer denies the same determinism lints (clippy's D1, D2 and D4
@@ -44,12 +49,14 @@
     )
 )]
 
+mod event;
 mod export;
 mod metrics;
 mod profile;
 mod recorder;
 mod span;
 
+pub use event::{milli, Event, EventBody, KERNEL_PID};
 pub use metrics::{Metric, BUCKET_BOUNDS};
 pub use profile::FlatProfileEntry;
 pub use recorder::{Obs, ProcessObs};

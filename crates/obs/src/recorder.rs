@@ -1,13 +1,19 @@
 //! The shared sink ([`Obs`]) and the per-process recording handle
 //! ([`ProcessObs`]).
+//!
+//! The sink keeps two record kinds: completed spans and typed events
+//! ([`Event`]). Both are appended as they happen, so each log is in call
+//! order — the one process running at a time (or the kernel firing its
+//! event hook) decides it, and a same-seed run records the same logs.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
 use std::rc::Rc;
 
-use simnet::{Ctx, Shared, SimTime};
+use simnet::{Ctx, KernelEvent, Shared, SimTime};
 
+use crate::event::{Event, EventBody};
 use crate::metrics::{Histogram, Metric};
 use crate::span::{PackedSpan, SpanContext, SpanRecord};
 
@@ -26,6 +32,8 @@ pub(crate) struct Inner {
     name_ids: BTreeMap<String, u32>,
     /// Tags of the spans that have any, by index into `spans`.
     tags: BTreeMap<usize, Tags>,
+    /// Recorded events, in recording order.
+    events: Vec<Event>,
     pub(crate) metrics: BTreeMap<String, Metric>,
 }
 
@@ -103,6 +111,21 @@ impl Obs {
             }
             i.spans.push(rec);
         });
+    }
+
+    fn push_event(&self, ev: Event) {
+        self.inner.with(|i| i.events.push(ev));
+    }
+
+    /// Record one kernel lifecycle or fault event at its fire time — the
+    /// body of a `Kernel::set_event_hook` closure.
+    pub fn kernel_event(&self, now: SimTime, kev: &KernelEvent) {
+        self.push_event(Event::from_kernel(now.as_nanos(), kev));
+    }
+
+    /// Snapshot of every recorded event, in recording order.
+    pub fn events(&self) -> Vec<Event> {
+        self.inner.with(|i| i.events.clone())
     }
 
     /// Add `delta` to the counter `name`, creating it at zero.
@@ -347,6 +370,20 @@ impl ProcessObs {
         Some(self.rec.as_ref()?.stack.borrow().last()?.ctx)
     }
 
+    /// Record one event, stamped with `now` and this handle's host and
+    /// pid. A body that costs work to build (one carrying a `String`) is
+    /// built behind [`ProcessObs::recording`].
+    pub fn event(&self, now: SimTime, body: EventBody) {
+        if let Some(r) = &self.rec {
+            r.obs.push_event(Event {
+                time_ns: now.as_nanos(),
+                host: r.host,
+                pid: r.pid,
+                body,
+            });
+        }
+    }
+
     /// Add `delta` to the counter `name` (sink passthrough).
     pub fn counter_add(&self, name: &str, delta: u64) {
         if let Some(r) = &self.rec {
@@ -458,6 +495,45 @@ mod tests {
         po.tag("ok", "false");
         po.counter_add("x.calls", 1);
         po.finish(t(2), false);
+    }
+
+    #[test]
+    fn spans_and_events_of_two_processes_share_one_sink_in_call_order() {
+        let obs = Obs::new();
+        let a = ProcessObs::for_process(obs.clone(), 1, 10);
+        let b = ProcessObs::for_process(obs.clone(), 2, 20);
+        let load = |runnable| EventBody::LoadReport {
+            runnable,
+            load_milli: 0,
+            cpu_milli: 0,
+        };
+        a.begin(t(0), "a.work");
+        a.event(t(1), load(1));
+        b.event(t(2), load(2));
+        obs.kernel_event(t(3), &KernelEvent::HostCrash(simnet::HostId(2)));
+        b.begin(t(3), "b.work");
+        b.end(t(4));
+        a.event(t(5), load(3));
+        a.end(t(6));
+        let stamps: Vec<_> = obs
+            .events()
+            .iter()
+            .map(|e| (e.time_ns, e.host, e.pid, e.body.kind()))
+            .collect();
+        assert_eq!(
+            stamps,
+            [
+                (1, 1, 10, "load-report"),
+                (2, 2, 20, "load-report"),
+                (3, 2, crate::KERNEL_PID, "host-crash"),
+                (5, 1, 10, "load-report"),
+            ]
+        );
+        let names: Vec<_> = obs.spans().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["b.work", "a.work"]);
+        // A handle without a sink records no event.
+        ProcessObs::default().event(t(7), load(4));
+        assert_eq!(obs.events().len(), 4);
     }
 
     #[test]

@@ -73,11 +73,9 @@ pub struct ManagerConfig {
     pub ft: Option<FtSettings>,
     /// Observability sink: when present, the run is traced (`manager.run`
     /// root span, one `manager.eval` per outer objective evaluation, and
-    /// everything the ORB and proxies record downstream).
+    /// everything the ORB and proxies record downstream — with FT on, the
+    /// worker proxies' failure / recovery / checkpoint / request events).
     pub obs: Option<obs::Obs>,
-    /// When set (and FT is on), the worker proxies emit failure /
-    /// recovery / checkpoint / request events to the run's monitor.
-    pub monitor: Option<monitor::MonitorHandle>,
 }
 
 impl ManagerConfig {
@@ -93,7 +91,6 @@ impl ManagerConfig {
             request_timeout: SimDuration::from_secs(120),
             ft: None,
             obs: None,
-            monitor: None,
         }
     }
 }
@@ -199,7 +196,6 @@ fn run_manager_with_orb(
                 pcfg.store_retries = STORE_RETRIES;
                 let mut proxy =
                     FtProxy::new(pcfg, NamingClient::root(cfg.naming_host), ckpt.clone());
-                proxy.monitor = cfg.monitor.clone();
                 // Bind eagerly so each proxy gets a distinct placement
                 // (the naming service spreads consecutive resolves).
                 let mut env = ProxyEnv {

@@ -40,9 +40,6 @@ pub struct StoreConfig {
     pub repl_timeout: SimDuration,
     /// Consecutive failed probes before the detector evicts a replica.
     pub suspect_after: u32,
-    /// When set, replicas emit view changes and quorum-write outcomes to
-    /// the run's monitor.
-    pub monitor: Option<monitor::MonitorHandle>,
 }
 
 impl Default for StoreConfig {
@@ -52,7 +49,6 @@ impl Default for StoreConfig {
             retain_epochs: 2,
             repl_timeout: SimDuration::from_millis(300),
             suspect_after: 2,
-            monitor: None,
         }
     }
 }

@@ -53,7 +53,7 @@ use cdr::{Any, Epoch, TypeCode, Value};
 use cosnaming::{Name, NamingClient, NotFound};
 use ftproxy::per_value::{read_chunk, Header, HEADER_KEY};
 use ftproxy::{Checkpoint, CHECKPOINT_SERVICE_NAME, CHECKPOINT_SERVICE_TYPE, FT};
-use monitor::EventBody;
+use obs::EventBody;
 use orb::{CallCtx, Exception, Ior, Orb, SystemException};
 use simnet::{Ctx, HostId, SimDuration, SimResult, SimTime};
 
@@ -213,11 +213,14 @@ impl StoreReplica {
         }
     }
 
-    /// Emit a monitoring event if the config carries a monitor; the event
-    /// is only built then.
+    /// Record a view-change or quorum-write event on the serving ORB's
+    /// sink; the event is only built when it records. The paper's lone
+    /// checkpoint service (no group) records none: every write it takes
+    /// is a quorum of one.
     fn emit(&self, call: &CallCtx<'_>, body: impl FnOnce() -> EventBody) {
-        if let Some(mon) = &self.cfg.monitor {
-            mon.emit(call.ctx, body());
+        let o = call.orb.obs();
+        if self.group.is_some() && o.recording() {
+            o.event(call.ctx.now(), body());
         }
     }
 
@@ -438,8 +441,8 @@ impl StoreReplica {
         let w_eff = self.cfg.write_quorum.clamp(1, view_size);
         if w_eff <= 1 && peers.is_empty() {
             self.emit(call, || EventBody::QuorumWrite {
-                object: object.to_string(),
-                epoch,
+                object: object.into(),
+                epoch: epoch.get(),
                 acks: 1,
                 view: 1,
                 quorum: 1,
@@ -469,8 +472,8 @@ impl StoreReplica {
         let ok = acks >= w_eff;
         o.finish(call.ctx.now(), ok);
         self.emit(call, || EventBody::QuorumWrite {
-            object: object.to_string(),
-            epoch,
+            object: object.into(),
+            epoch: epoch.get(),
             acks: acks as u32,
             view: view_size as u32,
             quorum: w_eff as u32,

@@ -55,11 +55,10 @@ impl SystemManagerClient {
 
 /// The body of a system manager server process: activate the servant,
 /// publish its IOR through `publish`, then serve forever. Serve spans and
-/// selection metrics are recorded into `obs` when present, placements are
-/// emitted to `monitor`.
+/// selection metrics — and a placement event per answered `select` — are
+/// recorded into `obs` when present.
 pub fn run_system_manager_obs(
     ctx: &mut Ctx,
-    monitor: Option<monitor::MonitorHandle>,
     policy: Box<dyn crate::policy::SelectionPolicy>,
     obs: Option<obs::Obs>,
     publish: impl FnOnce(Ior),
@@ -68,7 +67,7 @@ pub fn run_system_manager_obs(
     orb.set_obs(obs::ProcessObs::from_sink(obs, ctx));
     orb.listen(ctx)?;
     let poa = orb::Poa::new();
-    let manager = SystemManager::new(monitor, policy);
+    let manager = SystemManager::new(policy);
     let servant = std::rc::Rc::new(std::cell::RefCell::new(SystemManagerSkeleton(manager)));
     let key = poa.activate(SYSTEM_MANAGER_TYPE, servant);
     publish(orb.ior(SYSTEM_MANAGER_TYPE, key));

@@ -2,7 +2,7 @@
 //! measuring the node's performance and system load … collected by the
 //! host operating system", and sending it to the system manager (§2).
 
-use monitor::{EventBody, MonitorHandle};
+use obs::{EventBody, ProcessObs};
 use orb::{Ior, ObjectRef, Orb};
 use rand::Rng;
 use simnet::{Ctx, SimDuration, SimResult};
@@ -20,8 +20,11 @@ pub struct NodeManagerConfig {
     pub system_manager: Ior,
     /// Sampling/report period.
     pub interval: SimDuration,
-    /// When set, each load sample is also emitted to the run's monitor.
-    pub monitor: Option<MonitorHandle>,
+    /// When set, each load sample is also recorded there as a
+    /// `load-report` event. Events only: the node manager's ORB stays
+    /// without a sink, because a sink puts a span context on every report
+    /// frame and so changes the modelled run.
+    pub monitor: Option<obs::Obs>,
 }
 
 impl NodeManagerConfig {
@@ -40,6 +43,7 @@ impl NodeManagerConfig {
 /// unreachable system manager never blocks the node manager.
 pub fn run_node_manager(ctx: &mut Ctx, cfg: NodeManagerConfig) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
+    let events = ProcessObs::from_sink(cfg.monitor.clone(), ctx);
     let client = SystemManagerClient::new(ObjectRef::new(cfg.system_manager.clone()));
     // Stagger node managers so reports do not arrive in lockstep.
     let jitter_ns = ctx.rng().random_range(0..cfg.interval.as_nanos().max(1));
@@ -68,16 +72,14 @@ pub fn run_node_manager(ctx: &mut Ctx, cfg: NodeManagerConfig) -> SimResult<()> 
             stamp_ns: ctx.now().as_nanos() as i64 + snap.clock_skew_ns,
         };
         client.report(&mut orb, ctx, &report)?;
-        if let Some(mon) = &cfg.monitor {
-            mon.emit(
-                ctx,
-                EventBody::LoadReport {
-                    runnable: snap.runnable,
-                    load_milli: monitor::milli(snap.load_avg),
-                    cpu_milli: monitor::milli(snap.cpu_util),
-                },
-            );
-        }
+        events.event(
+            ctx.now(),
+            EventBody::LoadReport {
+                runnable: snap.runnable,
+                load_milli: obs::milli(snap.load_avg),
+                cpu_milli: obs::milli(snap.cpu_util),
+            },
+        );
         ctx.sleep(cfg.interval)?;
     }
 }

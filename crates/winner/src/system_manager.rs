@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use monitor::{EventBody, MonitorHandle};
+use obs::EventBody;
 use orb::{CallCtx, Exception};
 use simnet::{SimDuration, SimTime};
 
@@ -45,9 +45,6 @@ struct HostRecord {
 
 /// The system manager servant.
 pub struct SystemManager {
-    /// When set, every answered `select` is also emitted as a placement
-    /// event to the run's monitor.
-    monitor: Option<MonitorHandle>,
     policy: Box<dyn SelectionPolicy>,
     hosts: BTreeMap<u32, HostRecord>,
     /// Counters for tests/benchmarks.
@@ -61,16 +58,14 @@ pub struct SystemManager {
     pub selections: u64,
     /// The loads behind the most recent successful `select`: `(chosen
     /// host, its effective load, the candidates' minimum)` in milli-units.
-    /// Consumed by the `select` operation to emit the placement event.
+    /// Consumed by the `select` operation to record the placement event.
     last_placement: Option<(u32, u64, u64)>,
 }
 
 impl SystemManager {
-    /// Create a system manager with the given policy, emitting placements
-    /// to `monitor` when one is given.
-    pub fn new(monitor: Option<MonitorHandle>, policy: Box<dyn SelectionPolicy>) -> Self {
+    /// Create a system manager with the given policy.
+    pub fn new(policy: Box<dyn SelectionPolicy>) -> Self {
         SystemManager {
-            monitor,
             policy,
             hosts: BTreeMap::new(),
             reports_received: 0,
@@ -151,8 +146,8 @@ impl SystemManager {
         let min_load = views.iter().fold(f64::INFINITY, |m, v| m.min(v.eff_load));
         self.last_placement = Some((
             pick,
-            monitor::milli(chosen_load),
-            monitor::milli(if min_load.is_finite() { min_load } else { 0.0 }),
+            obs::milli(chosen_load),
+            obs::milli(if min_load.is_finite() { min_load } else { 0.0 }),
         ));
         if let Some(rec) = self.hosts.get_mut(&pick) {
             rec.reservations.push(now + RESERVATION_TTL);
@@ -241,11 +236,9 @@ impl Winner::SystemManager for SystemManager {
         if o.recording() {
             o.gauge_set("winner.alive_hosts", self.alive_hosts(now) as f64);
         }
-        if let (Some(mon), Some((chosen, chosen_m, min_m))) =
-            (&self.monitor, self.last_placement.take())
-        {
-            mon.emit(
-                call.ctx,
+        if let Some((chosen, chosen_m, min_m)) = self.last_placement.take() {
+            o.event(
+                call.ctx.now(),
                 EventBody::Placement {
                     chosen,
                     chosen_load_milli: chosen_m,
@@ -291,7 +284,7 @@ mod tests {
     }
 
     fn mgr() -> SystemManager {
-        SystemManager::new(None, Box::new(BestPerformance))
+        SystemManager::new(Box::new(BestPerformance))
     }
 
     #[test]

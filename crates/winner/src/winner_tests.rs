@@ -28,7 +28,7 @@ fn boot(sim: &mut Kernel, n_hosts: usize) -> (Vec<simnet::HostId>, Cell<Option<S
     let ior = cell::<Option<String>>();
     let io = ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
-        let _ = run_system_manager_obs(ctx, None, Box::new(BestPerformance), None, |i| {
+        let _ = run_system_manager_obs(ctx, Box::new(BestPerformance), None, |i| {
             *io.lock().unwrap() = Some(i.stringify());
         });
     });

@@ -190,7 +190,6 @@ fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
         (
             "SystemManager",
             Box::new(winner::SystemManagerSkeleton(winner::SystemManager::new(
-                None,
                 Box::new(winner::BestPerformance),
             ))),
         ),

@@ -1,6 +1,6 @@
-//! Integration tests for live monitoring (DESIGN.md §10) over the
-//! assembled stack: attaching the monitor does not change the run, a
-//! partition costs the doctor's stream nothing, and the recovery-budget
+//! Integration tests for live monitoring (DESIGN.md §8) over the
+//! assembled stack: asking for the doctor does not change the run, a
+//! partition costs the event log nothing, and the recovery-budget
 //! invariant fires on the crash cell once tightened.
 //!
 //! These live at the workspace root rather than in `ldft-monitor` because
@@ -8,7 +8,8 @@
 //! name it had when events crossed the simulated LAN to a channel object.)
 
 use corba_runtime::{run_experiment, CrashPlan, ExperimentSpec, NamingMode};
-use monitor::{Event, EventBody, MonitorConfig, MonitorHandle, KERNEL_PID};
+use monitor::MonitorConfig;
+use obs::{Event, EventBody, Obs, ProcessObs, KERNEL_PID};
 use optim::FtSettings;
 use simnet::{Ctx, Fault, Kernel, KernelConfig, SimDuration, SimTime};
 
@@ -34,7 +35,9 @@ fn reference_cell(crash: bool) -> ExperimentSpec {
 #[test]
 fn a_monitored_run_is_the_unmonitored_run() {
     // The doctor must certify the run it is asked about: same virtual end
-    // time, same optimum, same placements, same recovery counts.
+    // time, same optimum, same placements, same recovery counts — and,
+    // since every run records its events, the doctor read off the
+    // unmonitored run's log afterwards says exactly what it said live.
     for crash in [false, true] {
         let bare = run_experiment(&reference_cell(crash)).expect("cell runs");
         let mut spec = reference_cell(crash);
@@ -47,10 +50,16 @@ fn a_monitored_run_is_the_unmonitored_run() {
         );
         assert_eq!(watched.started_at, bare.started_at);
         assert_eq!(watched.loaded, bare.loaded);
-        let events = watched.monitor.expect("monitor was configured").events();
+        let events = bare.obs.events();
         assert!(events
             .iter()
             .any(|e| matches!(e.body, EventBody::RequestDone { .. })));
+        let live = watched.doctor.expect("monitor was configured");
+        // The run ends when the manager does.
+        let end = bare.started_at + bare.report.elapsed;
+        let after = monitor::diagnose(&bare.obs, MonitorConfig::default(), end);
+        assert_eq!(after.report, live.report, "crash={crash}");
+        assert_eq!(after.dumps, live.dumps, "crash={crash}");
     }
 }
 
@@ -69,28 +78,29 @@ fn load_reports(stream: &[Event], host: u32) -> Vec<u32> {
 #[test]
 fn a_partitioned_emitter_loses_nothing_and_needs_no_flush() {
     // Host 2 is cut off from the infra host (and everyone else) for 70 ms
-    // of its 160 ms stream. Emission never crosses the network, so the
-    // outage window is in the doctor's stream as it happens — not lost,
-    // and not delivered in a burst after the heal.
+    // of its 160 ms stream. Recording never crosses the network, so the
+    // outage window is in the event log as it happens — not lost, and not
+    // delivered in a burst after the heal.
     let mut kernel = Kernel::new(KernelConfig {
         seed: 11,
         ..KernelConfig::default()
     });
     let hosts = kernel.add_hosts(3);
-    let mon = MonitorHandle::new(MonitorConfig::default(), None);
+    let sink = Obs::new();
     {
-        let mon = mon.clone();
-        kernel.set_event_hook(move |t, kev| mon.on_kernel_event(t, kev));
+        let sink = sink.clone();
+        kernel.set_event_hook(move |t, kev| sink.kernel_event(t, kev));
     }
     for (host, first_ms) in [(hosts[1], 10), (hosts[2], 11)] {
-        let mon = mon.clone();
+        let sink = sink.clone();
         kernel.spawn(host, format!("emitter-{host}"), move |ctx: &mut Ctx| {
+            let events = ProcessObs::new(sink, ctx);
             if ctx.sleep(SimDuration::from_millis(first_ms)).is_err() {
                 return;
             }
             for n in 0..40u32 {
-                mon.emit(
-                    ctx,
+                events.event(
+                    ctx.now(),
                     EventBody::LoadReport {
                         runnable: n,
                         load_milli: 0,
@@ -117,7 +127,7 @@ fn a_partitioned_emitter_loses_nothing_and_needs_no_flush() {
     // Stop at the heal instant: host 2 has emitted at 11, 15, … 119 ms,
     // and all 28 are already there, the 18 of the outage window included.
     kernel.run_until(SimTime::from_nanos(heal_at));
-    let at_heal = mon.events();
+    let at_heal = sink.events();
     assert_eq!(load_reports(&at_heal, 2), (0..28).collect::<Vec<u32>>());
     let in_outage = at_heal
         .iter()
@@ -126,8 +136,7 @@ fn a_partitioned_emitter_loses_nothing_and_needs_no_flush() {
     assert_eq!(in_outage, 18);
 
     let end = kernel.run_for(SimDuration::from_secs(1));
-    mon.finalize(end);
-    let stream = mon.events();
+    let stream = sink.events();
     assert!(
         stream.windows(2).all(|w| w[0].time_ns <= w[1].time_ns),
         "stream out of time order"
@@ -135,11 +144,12 @@ fn a_partitioned_emitter_loses_nothing_and_needs_no_flush() {
     for host in [1, 2] {
         assert_eq!(load_reports(&stream, host), (0..40).collect::<Vec<u32>>());
     }
-    // The kernel's partition lifecycle is in the same stream, in place.
+    // The kernel's partition lifecycle is in the same log, in place.
     let at = |kind| stream.iter().find(|e| e.body.kind() == kind);
     assert_eq!(at("partition-start").map(|e| e.time_ns), Some(cut_at));
     assert_eq!(at("partition-heal").map(|e| e.time_ns), Some(heal_at));
-    assert_eq!(mon.violations(), 0, "{}", mon.report());
+    let doctor = monitor::diagnose(&sink, MonitorConfig::default(), end);
+    assert_eq!(doctor.violations, 0, "{}", doctor.report);
 }
 
 #[test]
@@ -155,18 +165,17 @@ fn recovery_budget_invariant_fires_on_slow_recovery() {
         ..MonitorConfig::default()
     });
     let outcome = run_experiment(&spec).expect("crash cell runs");
-    let handle = outcome.monitor.expect("monitor was configured");
+    let doctor = outcome.doctor.expect("monitor was configured");
     assert!(
-        handle.violations() >= 1,
+        doctor.violations >= 1,
         "tight recovery budget did not fire:\n{}",
-        handle.report()
+        doctor.report
     );
-    let report = handle.report();
-    assert!(report.contains("recovery-budget"));
-    assert!(report.contains("VIOLATION"));
+    assert!(doctor.report.contains("recovery-budget"));
+    assert!(doctor.report.contains("VIOLATION"));
     assert!(
-        handle
-            .dumps()
+        doctor
+            .dumps
             .concat()
             .contains("invariant violated: recovery-budget"),
         "violation did not trigger a post-mortem dump"

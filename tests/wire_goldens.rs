@@ -137,10 +137,9 @@ fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
             &orb,
             &log,
             winner::SYSTEM_MANAGER_TYPE,
-            winner::SystemManagerSkeleton(winner::SystemManager::new(
-                None,
-                Box::new(winner::BestPerformance),
-            )),
+            winner::SystemManagerSkeleton(winner::SystemManager::new(Box::new(
+                winner::BestPerformance,
+            ))),
         )
         .0,
         checkpoint_service: tap(
