@@ -114,7 +114,10 @@ impl Default for ClusterConfig {
 
 /// A booted cluster: the kernel plus the handles experiments need.
 pub struct Cluster {
-    /// The simulation kernel.
+    /// The simulation kernel. Its one event hook is taken: every kernel
+    /// event goes to [`Cluster::obs`]'s event log, so read them there.
+    /// Installing another hook replaces that one and leaves the log, and
+    /// any [`monitor::diagnose`] over it, blind to hosts and processes.
     pub kernel: Kernel,
     /// All hosts; `hosts[0]` is the infrastructure host.
     pub hosts: Vec<HostId>,
@@ -206,9 +209,8 @@ impl Cluster {
             for &h in &hosts {
                 let (cell, sink) = (sysmgr_ior.clone(), obs.clone());
                 services.push(Service::new(h, format!("winner-nm-{h}"), move |ctx| {
-                    let mut cfg = NodeManagerConfig::new(wait_for_ior(ctx, &cell)?);
-                    cfg.monitor = Some(sink.clone());
-                    run_node_manager(ctx, cfg)
+                    let cfg = NodeManagerConfig::new(wait_for_ior(ctx, &cell)?);
+                    run_node_manager(ctx, cfg, Some(sink.clone()))
                 }));
             }
         }

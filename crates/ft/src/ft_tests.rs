@@ -1245,6 +1245,27 @@ fn recovery_backoff_is_bounded_and_deterministic() {
     );
 }
 
+/// `o`'s events with every duration zeroed: all a traced client's span
+/// context may move.
+fn untimed(o: &Observed) -> Vec<obs::EventBody> {
+    use obs::EventBody::{CheckpointStored, RecoveryFinished, RequestDone};
+    let mut events = o.events.clone();
+    for e in &mut events {
+        if let RecoveryFinished { dur_ns, .. } | CheckpointStored { dur_ns, .. } = e {
+            *dur_ns = 0;
+        } else if let RequestDone {
+            wait_ns,
+            service_ns,
+            ckpt_ns,
+            ..
+        } = e
+        {
+            (*wait_ns, *service_ns, *ckpt_ns) = (0, 0, 0);
+        }
+    }
+    events
+}
+
 #[test]
 fn both_call_styles_run_one_recovery_engine() {
     use obs::EventBody::{FailureDetected, RecoveryFinished, RecoveryStarted};
@@ -1262,9 +1283,6 @@ fn both_call_styles_run_one_recovery_engine() {
         );
         assert!(bare.events.is_empty(), "an untraced proxy recorded events");
         let sync = run_schedule(schedule, false);
-        let kinds = |o: &Observed| -> Vec<std::mem::Discriminant<obs::EventBody>> {
-            o.events.iter().map(std::mem::discriminant).collect()
-        };
         for deferred in [false, true] {
             // A sink changes what is recorded, never what runs: with every
             // server recording, the run is the untraced one to the
@@ -1279,13 +1297,14 @@ fn both_call_styles_run_one_recovery_engine() {
             // A traced client's requests also carry its span (a 20-byte
             // service context, marshalled and sent like any other byte),
             // so there only the timings may move; either style records
-            // the same events.
+            // the same events, attempts, reasons, epochs and targets
+            // included.
             let client = obs::Obs::default();
             let traced = run_schedule_obs(schedule, deferred, Some(client.clone()), None);
             assert_eq!((&traced.outcome, traced.stats), (&bare.outcome, bare.stats));
             assert_eq!(
-                kinds(&traced),
-                kinds(&sync),
+                untimed(&traced),
+                untimed(&sync),
                 "{schedule:?}, deferred: {deferred}"
             );
             assert!(!client.spans_named("ft.restore").is_empty(), "{schedule:?}");

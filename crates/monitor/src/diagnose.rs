@@ -52,7 +52,7 @@ impl FlightRecorder {
         if self.dumps.len() >= MAX_DUMPS {
             return;
         }
-        let (episodes, verdicts) = (doctor.open_episodes(), doctor.verdicts());
+        let (open, verdicts) = (doctor.open_episodes(), doctor.verdicts());
         let dump = fmt::from_fn(|s| {
             writeln!(s, "== post-mortem @{time_ns}ns: {reason} ==")?;
             for (host, tail) in &self.tails {
@@ -61,19 +61,14 @@ impl FlightRecorder {
                     writeln!(s, "  {line}")?;
                 }
             }
-            writeln!(s, "-- open episodes --")?;
-            if episodes.is_empty() {
-                writeln!(s, "  (none)")?;
-            }
-            for e in &episodes {
-                writeln!(s, "  {e}")?;
-            }
-            writeln!(s, "-- doctor verdicts --")?;
-            if verdicts.is_empty() {
-                writeln!(s, "  (none)")?;
-            }
-            for v in verdicts {
-                writeln!(s, "  {v}")?;
+            for (title, lines) in [("open episodes", &*open), ("doctor verdicts", verdicts)] {
+                writeln!(s, "-- {title} --")?;
+                if lines.is_empty() {
+                    writeln!(s, "  (none)")?;
+                }
+                for line in lines {
+                    writeln!(s, "  {line}")?;
+                }
             }
             writeln!(s, "== end post-mortem ==")
         });
@@ -83,24 +78,14 @@ impl FlightRecorder {
 
 /// Deterministic one-line rendering of an event for tails and dumps.
 fn render_line(ev: &Event) -> String {
-    let detail = ev.body.detail();
-    let who = if ev.pid == KERNEL_PID {
-        "kernel".to_string()
-    } else {
-        format!("p{}", ev.pid)
+    let (time_ns, host, kind) = (ev.time_ns, ev.host, ev.body.kind());
+    let who = match ev.pid {
+        KERNEL_PID => "kernel".to_string(),
+        pid => format!("p{pid}"),
     };
-    if detail.is_empty() {
-        format!("{}ns h{} {} {}", ev.time_ns, ev.host, who, ev.body.kind())
-    } else {
-        format!(
-            "{}ns h{} {} {} {}",
-            ev.time_ns,
-            ev.host,
-            who,
-            ev.body.kind(),
-            detail
-        )
-    }
+    let detail = ev.body.detail();
+    let sep = if detail.is_empty() { "" } else { " " };
+    format!("{time_ns}ns h{host} {who} {kind}{sep}{detail}")
 }
 
 /// What the doctor concluded about one run.
@@ -125,6 +110,7 @@ pub struct Diagnosis {
 /// recovery-finished) plus the verdict the doctor just issued.
 pub fn diagnose(obs: &Obs, cfg: MonitorConfig, end: SimTime) -> Diagnosis {
     let events = obs.events();
+    let n = events.len();
     let mut doctor = Doctor::new(cfg);
     let mut recorder = FlightRecorder::default();
     for ev in &events {
@@ -149,12 +135,12 @@ pub fn diagnose(obs: &Obs, cfg: MonitorConfig, end: SimTime) -> Diagnosis {
         recorder.dump(ended_ns, &reason, &doctor);
     }
     // A counter is created by its first add, so count only what happened.
-    for (counter, n) in [
-        ("monitor.events", events.len() as u64),
+    for (counter, count) in [
+        ("monitor.events", n as u64),
         ("monitor.dumps", recorder.triggers),
     ] {
-        if n > 0 {
-            obs.counter_add(counter, n);
+        if count > 0 {
+            obs.counter_add(counter, count);
         }
     }
     let violations = doctor.violation_count();
@@ -162,11 +148,7 @@ pub fn diagnose(obs: &Obs, cfg: MonitorConfig, end: SimTime) -> Diagnosis {
     let report = fmt::from_fn(|out| {
         writeln!(out, "doctor report")?;
         writeln!(out, "=============")?;
-        writeln!(
-            out,
-            "ingested: {} events (run ended {ended_ns}ns)",
-            events.len()
-        )?;
+        writeln!(out, "ingested: {n} events (run ended {ended_ns}ns)")?;
         doctor.render_report(out)?;
         writeln!(out, "post-mortems: {}", recorder.dumps.len())?;
         for d in &recorder.dumps {

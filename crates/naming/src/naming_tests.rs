@@ -319,6 +319,7 @@ fn winner_resolution_avoids_loaded_hosts() {
             let _ = winner::run_node_manager(
                 ctx,
                 NodeManagerConfig::new(Ior::destringify(&s).unwrap()),
+                None,
             );
         });
     }
@@ -550,6 +551,7 @@ fn trader_baseline_with_decentralized_selection() {
             let _ = winner::run_node_manager(
                 ctx,
                 NodeManagerConfig::new(Ior::destringify(&s).unwrap()),
+                None,
             );
         });
     }

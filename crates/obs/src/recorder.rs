@@ -113,14 +113,11 @@ impl Obs {
         });
     }
 
-    fn push_event(&self, ev: Event) {
-        self.inner.with(|i| i.events.push(ev));
-    }
-
     /// Record one kernel lifecycle or fault event at its fire time — the
     /// body of a `Kernel::set_event_hook` closure.
     pub fn kernel_event(&self, now: SimTime, kev: &KernelEvent) {
-        self.push_event(Event::from_kernel(now.as_nanos(), kev));
+        let ev = Event::from_kernel(now.as_nanos(), kev);
+        self.inner.with(|i| i.events.push(ev));
     }
 
     /// Snapshot of every recorded event, in recording order.
@@ -375,12 +372,13 @@ impl ProcessObs {
     /// built behind [`ProcessObs::recording`].
     pub fn event(&self, now: SimTime, body: EventBody) {
         if let Some(r) = &self.rec {
-            r.obs.push_event(Event {
+            let ev = Event {
                 time_ns: now.as_nanos(),
                 host: r.host,
                 pid: r.pid,
                 body,
-            });
+            };
+            r.obs.inner.with(|i| i.events.push(ev));
         }
     }
 

@@ -2,7 +2,7 @@
 //! measuring the node's performance and system load … collected by the
 //! host operating system", and sending it to the system manager (§2).
 
-use obs::{EventBody, ProcessObs};
+use obs::{EventBody, Obs, ProcessObs};
 use orb::{Ior, ObjectRef, Orb};
 use rand::Rng;
 use simnet::{Ctx, SimDuration, SimResult};
@@ -20,30 +20,27 @@ pub struct NodeManagerConfig {
     pub system_manager: Ior,
     /// Sampling/report period.
     pub interval: SimDuration,
-    /// When set, each load sample is also recorded there as a
-    /// `load-report` event. Events only: the node manager's ORB stays
-    /// without a sink, because a sink puts a span context on every report
-    /// frame and so changes the modelled run.
-    pub monitor: Option<obs::Obs>,
 }
 
 impl NodeManagerConfig {
-    /// Defaults: 1 s period, no monitoring.
+    /// Defaults: 1 s period.
     pub fn new(system_manager: Ior) -> Self {
         NodeManagerConfig {
             system_manager,
             interval: SimDuration::from_secs(1),
-            monitor: None,
         }
     }
 }
 
 /// The body of a node manager process: sample the local host, report,
 /// sleep, repeat. Runs until killed. Reports are `oneway`, so a crashed or
-/// unreachable system manager never blocks the node manager.
-pub fn run_node_manager(ctx: &mut Ctx, cfg: NodeManagerConfig) -> SimResult<()> {
+/// unreachable system manager never blocks the node manager. Each sample
+/// is recorded into `obs`, when present, as a `load-report` event; the
+/// node manager opens no span, so its report frames carry no trace
+/// context and the sink changes nothing that runs.
+pub fn run_node_manager(ctx: &mut Ctx, cfg: NodeManagerConfig, obs: Option<Obs>) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
-    let events = ProcessObs::from_sink(cfg.monitor.clone(), ctx);
+    orb.set_obs(ProcessObs::from_sink(obs, ctx));
     let client = SystemManagerClient::new(ObjectRef::new(cfg.system_manager.clone()));
     // Stagger node managers so reports do not arrive in lockstep.
     let jitter_ns = ctx.rng().random_range(0..cfg.interval.as_nanos().max(1));
@@ -72,7 +69,7 @@ pub fn run_node_manager(ctx: &mut Ctx, cfg: NodeManagerConfig) -> SimResult<()> 
             stamp_ns: ctx.now().as_nanos() as i64 + snap.clock_skew_ns,
         };
         client.report(&mut orb, ctx, &report)?;
-        events.event(
+        orb.obs().event(
             ctx.now(),
             EventBody::LoadReport {
                 runnable: snap.runnable,

@@ -43,7 +43,7 @@ fn boot(sim: &mut Kernel, n_hosts: usize) -> (Vec<simnet::HostId>, Cell<Option<S
             }
             let s = io.lock().unwrap().clone().unwrap();
             let cfg = NodeManagerConfig::new(orb::Ior::destringify(&s).unwrap());
-            let _ = run_node_manager(ctx, cfg);
+            let _ = run_node_manager(ctx, cfg, None);
         });
     }
     (hosts, ior)

@@ -19,15 +19,6 @@ fn traced_run(seed: u64) -> String {
         naming: NamingMode::Winner,
         ..ClusterConfig::default()
     });
-    let trace: simnet::Shared<String> = simnet::Shared::new(String::new());
-    let sink = trace.clone();
-    cluster.kernel.set_event_hook(move |t, ev| {
-        sink.with(|s| {
-            use std::fmt::Write;
-            let _ = writeln!(s, "{:.9} {ev}", t.as_secs_f64());
-        });
-    });
-
     // Background load on one host, as in the loaded-hosts sweep.
     let loaded = cluster.hosts[2];
     cluster.add_background_load_at(loaded, SimTime::ZERO + SimDuration::from_secs(2));
@@ -63,7 +54,14 @@ fn traced_run(seed: u64) -> String {
         }),
     );
     cluster.kernel.run_until_exit(manager);
-    trace.get()
+    // The cluster's sink logs every kernel event as it fires.
+    let mut trace = String::new();
+    for e in cluster.obs.events() {
+        if let obs::EventBody::Kernel(ev) = e.body {
+            trace += &format!("{:.9} {ev}\n", e.time_ns as f64 / 1e9);
+        }
+    }
+    trace
 }
 
 #[test]
