@@ -24,7 +24,7 @@
 use corba_runtime::{Cluster, ClusterConfig};
 use cosnaming::{Name, NamingClient};
 use ftproxy::{Checkpoint, CheckpointClient, CHECKPOINT_SERVICE_NAME};
-use ldft_bench::{Csv, RunArgs, Table};
+use ldft_bench::{RunArgs, Section, Table};
 use orb::Orb;
 use simnet::{Ctx, HostId, Shared, SimDuration, SimTime};
 use store::{ChaosConfig, FaultFamily};
@@ -301,28 +301,24 @@ fn main() {
     }
     eprintln!();
 
-    println!(
-        "Chaos matrix — the Winner-integrated cluster with {REPLICAS} store replicas; \
-         every fault family at two injection intensities, a driver writing one epoch \
-         every 200 ms\n"
+    let title = format!(
+        "Chaos matrix — the Winner-integrated cluster with {REPLICAS} store replicas; every \
+         fault family at two injection intensities, a driver writing one epoch every 200 ms"
     );
-    let mut table = Table::new(COLUMNS.to_vec());
-    for r in &rows {
-        table.row(r.clone());
+    let header = COLUMNS.map(|c| c.replace([' ', '-'], "_")).join(",");
+    let mut section = Section::new(&title, Table::new(COLUMNS.to_vec()), &header);
+    for r in rows {
+        section.csv.push(r.join(","));
+        section.table.row(r);
     }
-    println!("{}", table.render());
-    println!(
-        "Reading: every cell survived its family — no acked epoch was lost and the \
-         doctor saw every cut heal within budget (violations 0). Retries count \
-         writes that waited out a failover; skew-quarantined counts Winner load \
-         reports rejected for a far-skewed wall-clock stamp (clock-skew cells)."
+    section.notes.push(
+        "Reading: every cell survived its family — no acked epoch was lost and the doctor saw \
+         every cut heal within budget (violations 0). Retries count writes that waited out a \
+         failover; skew-quarantined counts Winner load reports rejected for a far-skewed \
+         wall-clock stamp (clock-skew cells)."
+            .into(),
     );
-
-    if args.csv {
-        let header = COLUMNS.map(|c| c.replace([' ', '-'], "_"));
-        let header: Vec<&str> = header.iter().map(String::as_str).collect();
-        print!("{}", Csv::render(&header, &rows));
-    }
+    print!("{}", section.render(args.csv));
 
     // Observability exports of the first cell (the CI determinism gate
     // runs this binary twice and compares byte-for-byte).

@@ -1,23 +1,24 @@
 //! Live-monitoring doctor report over the reference cell (DESIGN.md §10).
 //!
 //! Runs the 30-dim / 3-worker Winner+FT scenario twice — once healthy and
-//! once with the mid-run worker-host crash from the `--trace-out`
-//! reference cell — with the monitor attached, and renders each run's
-//! doctor report: the event census, the per-target critical-path latency
-//! attribution table (queue-wait vs service vs checkpoint overhead), the
-//! runtime invariants, and the flight recorder's post-mortems.
+//! once with a mid-run worker-host crash — with the doctor on, and renders
+//! each run's doctor report: the event census, the per-target
+//! critical-path latency attribution table (queue-wait vs service vs
+//! checkpoint overhead), the runtime invariants, and the flight
+//! recorder's post-mortems. `--trace-out` / `--metrics-out` export the
+//! crash cell's causal trace (Chrome `trace_event` JSON) and metrics.
 //!
-//! The report is virtual-time deterministic: the same seed and scale
-//! yield byte-identical output, which CI asserts by running this binary
-//! twice and `cmp`-ing the `--report-out` files. CI also fails if either
-//! cell reports an invariant violation: the healthy baseline has no
-//! excuse, and the crash cell is where a replica is adopted after acked
-//! checkpoints — the one place `restore-freshness` can fire.
+//! Report and exports are virtual-time deterministic: the same seed and
+//! scale yield byte-identical files, which CI asserts by running this
+//! binary twice and `cmp`-ing them. CI also fails if either cell reports
+//! an invariant violation: the healthy baseline has no excuse, and the
+//! crash cell is where a replica is adopted after acked checkpoints — the
+//! one place `restore-freshness` can fire.
 //!
 //! Usage: `cargo run --release -p ldft-bench --bin doctor
-//! [--quick] [--seeds N] [--report-out PATH]`
+//! [--quick] [--seeds N] [--report-out PATH] [--trace-out PATH] [--metrics-out PATH]`
 
-use ldft_bench::{doctor_cell, usage_exit, RunArgs};
+use ldft_bench::{doctor_cell, flush_post_mortems, usage_exit, RunArgs};
 
 const EXTRA: &str = "[--report-out PATH] ";
 
@@ -43,9 +44,8 @@ fn main() {
         .doctor
         .expect("monitor was configured");
     eprintln!("doctor: crash cell …");
-    let crashed = doctor_cell(&args, true)
-        .doctor
-        .expect("monitor was configured");
+    let crash_cell = doctor_cell(&args, true);
+    let crashed = crash_cell.doctor.expect("monitor was configured");
 
     let mut report = String::new();
     report.push_str("== healthy baseline ==\n");
@@ -60,6 +60,15 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("wrote doctor report to {path}");
+    }
+    let (trace, metrics) = (
+        &crash_cell.obs.chrome_trace_json(),
+        &crash_cell.obs.metrics_text(),
+    );
+    if let Err(e) = args.write_export_files(trace, metrics) {
+        eprintln!("failed to write observability exports: {e}");
+        flush_post_mortems("crash cell", &crashed.dumps.concat());
+        std::process::exit(1);
     }
 
     for (cell, doctor) in [("healthy baseline", &healthy), ("crash cell", &crashed)] {

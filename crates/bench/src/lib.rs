@@ -1,31 +1,32 @@
 //! Shared harness code for the experiment binaries: argument parsing,
-//! table/CSV rendering, and the sweep drivers for the paper's figures.
+//! table/CSV rendering, the sweeps behind the paper's Figure 3, Table 1
+//! and the ablations, and the claims `summary` checks against them.
 
+pub mod claims;
 pub mod perf;
 pub mod report;
 pub mod sweeps;
 
-pub use report::{Csv, Table};
-pub use sweeps::{
-    ablation_sweep, doctor_cell, fig3_sweep, print_ablation, table1_sweep, trace_cell, AblationRow,
-    Fig3Row, Table1Row, TraceExport,
-};
+pub use report::{Section, Table};
+pub use sweeps::{doctor_cell, Row};
 
 /// Common command-line options for experiment binaries.
 #[derive(Clone, Debug)]
 pub struct RunArgs {
     /// Seeds to average over.
     pub seeds: Vec<u64>,
-    /// Scale factor on iteration counts (use `--quick` = 0.1 for smoke
-    /// runs).
+    /// Scale factor on the work (`--quick` = 0.1 for smoke runs): the
+    /// sweeps scale their number of calls ([`RunArgs::calls`]), the
+    /// reference cell and the perf suite their iteration counts
+    /// ([`RunArgs::scaled`]).
     pub scale: f64,
     /// Emit CSV after the human-readable table.
     pub csv: bool,
-    /// Write a Chrome `trace_event` JSON export of the instrumented
-    /// reference cell to this path.
+    /// Write a Chrome `trace_event` JSON export of the bin's instrumented
+    /// cell to this path.
     pub trace_out: Option<String>,
-    /// Write a plain-text metrics dump of the instrumented reference cell
-    /// to this path.
+    /// Write a plain-text metrics dump of the bin's instrumented cell to
+    /// this path.
     pub metrics_out: Option<String>,
 }
 
@@ -110,9 +111,14 @@ impl RunArgs {
         ((iters as f64 * self.scale) as u64).max(100)
     }
 
+    /// Scale a number of calls (a sweep's manager iterations), keeping
+    /// at least one: the calls stay as long as at full scale.
+    pub fn calls(&self, calls: u64) -> u64 {
+        ((calls as f64 * self.scale) as u64).max(1)
+    }
+
     /// Write already-rendered export payloads to whichever paths were
-    /// requested on the command line (shared by bins that produce their
-    /// own instrumented cell instead of the reference one).
+    /// requested on the command line.
     ///
     /// # Errors
     /// If an export file cannot be written.
@@ -126,23 +132,6 @@ impl RunArgs {
             eprintln!("wrote metrics export to {path}");
         }
         Ok(())
-    }
-
-    /// Run the instrumented reference cell and write whichever exports
-    /// were requested on the command line (no-op if neither flag was set).
-    /// A write failure is reported on stderr — including the cell's
-    /// flight-recorder post-mortems, so the failed run stays diagnosable —
-    /// and turned into a nonzero process exit code.
-    pub fn write_exports_or_exit(&self) {
-        if self.trace_out.is_none() && self.metrics_out.is_none() {
-            return;
-        }
-        let export = trace_cell(self);
-        if let Err(e) = self.write_export_files(&export.trace_json, &export.metrics_text) {
-            eprintln!("failed to write observability exports: {e}");
-            flush_post_mortems("reference cell", &export.post_mortems);
-            std::process::exit(1);
-        }
     }
 }
 

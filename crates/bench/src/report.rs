@@ -1,5 +1,43 @@
 //! Minimal table / CSV rendering for experiment output.
 
+/// One printed result of an experiment: a title, the aligned table, the
+/// notes under it, and the same data as CSV.
+pub struct Section {
+    /// First line, e.g. `Table 1 — …`.
+    pub title: String,
+    /// The human-readable table.
+    pub table: Table,
+    /// Lines printed under the table (summary numbers, the reading).
+    pub notes: Vec<String>,
+    /// CSV lines, the header first.
+    pub csv: Vec<String>,
+}
+
+impl Section {
+    /// A section with no notes whose CSV starts with `csv_header`.
+    pub fn new(title: &str, table: Table, csv_header: &str) -> Section {
+        let (title, notes, csv) = (title.to_string(), Vec::new(), vec![csv_header.to_string()]);
+        Section {
+            title,
+            table,
+            notes,
+            csv,
+        }
+    }
+
+    /// Render title, table and notes, then (with `csv`) the CSV.
+    pub fn render(&self, csv: bool) -> String {
+        let mut out = format!("{}\n\n{}", self.title, self.table.render());
+        if !self.notes.is_empty() {
+            out.push_str(&format!("\n{}\n", self.notes.join("\n")));
+        }
+        if csv {
+            out.push_str(&format!("\n{}\n", self.csv.join("\n")));
+        }
+        out
+    }
+}
+
 /// A simple aligned text table.
 pub struct Table {
     header: Vec<String>,
@@ -57,23 +95,6 @@ impl Table {
     }
 }
 
-/// CSV rendering of the same data.
-pub struct Csv;
-
-impl Csv {
-    /// Render header + rows as CSV lines.
-    pub fn render(header: &[&str], rows: &[Vec<String>]) -> String {
-        let mut out = String::new();
-        out.push_str(&header.join(","));
-        out.push('\n');
-        for row in rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,8 +119,12 @@ mod tests {
     }
 
     #[test]
-    fn csv_renders() {
-        let s = Csv::render(&["x", "y"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(s, "x,y\n1,2\n");
+    fn section_renders_notes_and_csv() {
+        let mut s = Section::new("T", Table::new(vec!["x"]), "x");
+        s.table.row(vec!["1"]);
+        s.notes.push("n".into());
+        s.csv.push("1".into());
+        assert_eq!(s.render(false), "T\n\nx\n-\n1\n\nn\n");
+        assert!(s.render(true).ends_with("\nn\n\nx\n1\n"));
     }
 }

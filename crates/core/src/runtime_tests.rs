@@ -130,68 +130,76 @@ fn heterogeneous_speeds_are_applied() {
 /// A chaos `RestartHost` on a store host reboots that host's services:
 /// its replica, evicted while the host was down, joins the
 /// `CheckpointService` group again, and its node manager, gone stale at the
-/// system manager, reports again.
+/// system manager, reports again. The node manager counts its reports
+/// from 1 again; Winner takes them once its record of the host is stale,
+/// so the host reads alive within the staleness window (3.5 s) plus one
+/// report period of its reboot — also after a long first life (a crash at
+/// 11 s follows at least 10 reports).
 #[test]
 fn a_restarted_store_host_rejoins_the_group_and_reports_again() {
-    let mut cluster = Cluster::build(ClusterConfig {
-        hosts: 1 + 3,
-        seed: 3,
-        store_replicas: 3,
-        chaos: Some(ChaosConfig {
-            seed: 5,
-            start: SimTime::ZERO + SimDuration::from_secs(1),
-            end: SimTime::ZERO + SimDuration::from_secs(12),
-            // One slot: the next one would fall past `end`.
-            mean_interval: SimDuration::from_secs(30),
-            // Longer than Winner's 3.5 s staleness window.
-            restart_after: Some(SimDuration::from_secs(4)),
-            max_concurrent_down: 1,
-            family: FaultFamily::Crash,
-        }),
-        ..ClusterConfig::default()
-    });
-    let [crash, restart] = &cluster.chaos_plan.events[..] else {
-        panic!("one crash and its restart: {:?}", cluster.chaos_plan.events);
-    };
-    let Fault::CrashHost(victim) = crash.fault else {
-        panic!("not a crash: {crash:?}");
-    };
-    assert_eq!(restart.fault, Fault::RestartHost(victim));
-    assert!(cluster.store_hosts.contains(&victim));
+    for crash_at in [1, 11].map(SimDuration::from_secs) {
+        let mut cluster = Cluster::build(ClusterConfig {
+            hosts: 1 + 3,
+            seed: 3,
+            store_replicas: 3,
+            chaos: Some(ChaosConfig {
+                seed: 5,
+                start: SimTime::ZERO + crash_at,
+                end: SimTime::ZERO + crash_at + SimDuration::from_secs(11),
+                // One slot: the next one would fall past `end`.
+                mean_interval: SimDuration::from_secs(30),
+                // Longer than Winner's 3.5 s staleness window.
+                restart_after: Some(SimDuration::from_secs(4)),
+                max_concurrent_down: 1,
+                family: FaultFamily::Crash,
+            }),
+            ..ClusterConfig::default()
+        });
+        let [crash, restart] = &cluster.chaos_plan.events[..] else {
+            panic!("one crash and its restart: {:?}", cluster.chaos_plan.events);
+        };
+        let Fault::CrashHost(victim) = crash.fault else {
+            panic!("not a crash: {crash:?}");
+        };
+        assert_eq!(crash.at, SimTime::ZERO + crash_at);
+        assert_eq!(restart.fault, Fault::RestartHost(victim));
+        assert!(cluster.store_hosts.contains(&victim));
 
-    // Sampled just before the reboot and 6 s after it: is the victim's
-    // replica in the group, and is its load data fresh at Winner?
-    let samples = [
-        SimTime::from_nanos(restart.at.as_nanos() - 200_000_000),
-        restart.at + SimDuration::from_secs(6),
-    ];
-    let (infra, sysmgr) = (cluster.infra, cluster.sysmgr_ior.clone());
-    let seen: Shared<Vec<(bool, bool)>> = Shared::default();
-    let out = seen.clone();
-    let probe = cluster.kernel.spawn(infra, "probe", move |ctx| {
-        let mut orb = orb::Orb::init(ctx);
-        let sysmgr = Ior::destringify(&sysmgr.get().unwrap()).unwrap();
-        let winner = winner::SystemManagerClient::from_ior(sysmgr);
-        let group = cosnaming::Name::simple(ftproxy::CHECKPOINT_SERVICE_NAME);
-        for at in samples {
-            ctx.sleep(at.since(ctx.now()))?;
-            let members = cosnaming::NamingClient::root(infra)
-                .group_members(&mut orb, ctx, &group)?
-                .unwrap();
-            let status = winner.snapshot(&mut orb, ctx)?.unwrap();
-            out.with(|v| {
-                v.push((
-                    members.iter().any(|ior| ior.host == victim),
-                    status.iter().any(|s| s.host == victim.0 && s.alive),
-                ))
-            });
-        }
-        Ok(())
-    });
-    cluster.kernel.run_until_exit(probe);
-    assert_eq!(
-        seen.get(),
-        vec![(false, false), (true, true)],
-        "down: evicted and stale; rebooted: a group member reporting load"
-    );
+        // Sampled just before the reboot and 4.5 s after it: is the
+        // victim's replica in the group, and is its load data fresh at
+        // Winner?
+        let samples = [
+            SimTime::from_nanos(restart.at.as_nanos() - 200_000_000),
+            restart.at + SimDuration::from_millis(4_500),
+        ];
+        let (infra, sysmgr) = (cluster.infra, cluster.sysmgr_ior.clone());
+        let seen: Shared<Vec<(bool, bool)>> = Shared::default();
+        let out = seen.clone();
+        let probe = cluster.kernel.spawn(infra, "probe", move |ctx| {
+            let mut orb = orb::Orb::init(ctx);
+            let sysmgr = Ior::destringify(&sysmgr.get().unwrap()).unwrap();
+            let winner = winner::SystemManagerClient::from_ior(sysmgr);
+            let group = cosnaming::Name::simple(ftproxy::CHECKPOINT_SERVICE_NAME);
+            for at in samples {
+                ctx.sleep(at.since(ctx.now()))?;
+                let members = cosnaming::NamingClient::root(infra)
+                    .group_members(&mut orb, ctx, &group)?
+                    .unwrap();
+                let status = winner.snapshot(&mut orb, ctx)?.unwrap();
+                out.with(|v| {
+                    v.push((
+                        members.iter().any(|ior| ior.host == victim),
+                        status.iter().any(|s| s.host == victim.0 && s.alive),
+                    ))
+                });
+            }
+            Ok(())
+        });
+        cluster.kernel.run_until_exit(probe);
+        assert_eq!(
+            seen.get(),
+            vec![(false, false), (true, true)],
+            "crash at {crash_at:?}; down: evicted and stale; rebooted: a group member reporting load"
+        );
+    }
 }

@@ -2,7 +2,7 @@
 //! acceptance gate in executable form — P3 and E1 find nothing, every IDL
 //! operation is declared in one place only and its generated stub is
 //! exercised, every contract is generated, every public item has a caller,
-//! and the determinism, panic and discard rules that are clippy lints
+//! every binary target is run by CI or a test, and the determinism, panic and discard rules that are clippy lints
 //! still bind exactly the sim crates.
 
 use idlc::ast::Direction;
@@ -656,4 +656,94 @@ fn every_public_item_has_a_caller() {
         stale.is_empty(),
         "allowed items that need no allowance: {stale:?}"
     );
+}
+
+#[test]
+fn every_binary_target_is_run() {
+    // No bin that nothing runs. Each workspace binary target — a
+    // `src/bin/*.rs`, a `[[bin]]` of a crate's Cargo.toml, or a bare
+    // `src/main.rs` — must be run by a step of `.github/workflows/ci.yml`
+    // (`--bin NAME`, or `-p PACKAGE` when it is the package's only
+    // binary) or by a test (`env!("CARGO_BIN_EXE_NAME")`). A bin that only
+    // a person runs drifts from the code it reports on without failing.
+    let root = workspace_root();
+    let mut crates: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("read crates/")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.join("Cargo.toml").is_file())
+        .collect();
+    crates.push(root.to_path_buf());
+    crates.sort();
+    let quoted = |line: &str| line.split('"').nth(1).map(str::to_string);
+    // package name → its binary targets.
+    let mut bins: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for dir in &crates {
+        let toml = std::fs::read_to_string(dir.join("Cargo.toml")).expect("read Cargo.toml");
+        let (mut package, mut declared, mut section) = (None, BTreeSet::new(), "");
+        for line in toml.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            } else if line.starts_with("name") {
+                match section {
+                    "[package]" => package = quoted(line),
+                    "[[bin]]" => declared.extend(quoted(line)),
+                    _ => {}
+                }
+            }
+        }
+        let package = package.expect("a [package] name");
+        let mut found = declared;
+        if let Ok(entries) = std::fs::read_dir(dir.join("src/bin")) {
+            for e in entries {
+                let path = e.expect("dir entry").path();
+                if path.extension().is_some_and(|x| x == "rs") {
+                    let stem = path.file_stem().expect("file stem");
+                    found.insert(stem.to_string_lossy().into_owned());
+                }
+            }
+        }
+        if found.is_empty() && dir.join("src/main.rs").is_file() {
+            found.insert(package.clone());
+        }
+        bins.insert(package, found);
+    }
+
+    assert!(
+        bins.values().any(|b| b.contains("summary")),
+        "no binary targets found: {bins:?}"
+    );
+
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("read ci.yml");
+    let mut run = BTreeSet::new();
+    for line in ci.lines().filter(|l| !l.trim_start().starts_with('#')) {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let names_bin = words.contains(&"--bin");
+        for w in words.windows(2) {
+            match (w[0], bins.get(w[1])) {
+                ("--bin", _) => {
+                    run.insert(w[1].to_string());
+                }
+                ("-p", Some(only)) if !names_bin && only.len() == 1 => run.extend(only.clone()),
+                _ => {}
+            }
+        }
+    }
+    for path in ldft_lint::workspace_files(root).expect("list the workspace") {
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+        if ldft_lint::analysis::is_test_path(&rel) {
+            let source = std::fs::read_to_string(&path).expect("read a test");
+            for name in bins.values().flatten() {
+                if source.contains(&format!("\"CARGO_BIN_EXE_{name}\"")) {
+                    run.insert(name.clone());
+                }
+            }
+        }
+    }
+    let unrun: Vec<String> = bins
+        .iter()
+        .flat_map(|(package, names)| names.iter().map(move |n| (package, n)))
+        .filter(|(_, name)| !run.contains(*name))
+        .map(|(package, name)| format!("{package}: bin `{name}` is run by no CI step or test"))
+        .collect();
+    assert!(unrun.is_empty(), "{}", unrun.join("\n"));
 }

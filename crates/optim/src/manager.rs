@@ -96,7 +96,7 @@ impl ManagerConfig {
 }
 
 /// The outcome of one distributed optimization run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Best combined objective value found.
     pub best_value: f64,

@@ -30,7 +30,8 @@ const MAX_REPORT_SKEW: SimDuration = SimDuration::from_millis(100);
 pub enum ReportOutcome {
     /// The report replaced (or created) its host's record.
     Accepted,
-    /// Dropped: an equal-or-newer sequence number was already recorded.
+    /// Dropped: an equal-or-newer sequence number was recorded less than
+    /// [`STALE_AFTER`] ago.
     StaleSeq,
     /// Dropped: the wall-clock stamp strayed beyond [`MAX_REPORT_SKEW`].
     SkewQuarantined,
@@ -49,7 +50,7 @@ pub struct SystemManager {
     hosts: BTreeMap<u32, HostRecord>,
     /// Counters for tests/benchmarks.
     pub reports_received: u64,
-    /// Reports dropped because a newer sequence number was already seen.
+    /// Reports dropped because a fresh record had a newer sequence number.
     pub stale_reports_dropped: u64,
     /// Reports quarantined for a wall-clock stamp outside
     /// [`MAX_REPORT_SKEW`] (fault-injected clock skew, usually).
@@ -90,7 +91,11 @@ impl SystemManager {
         }
         match self.hosts.get_mut(&report.host) {
             Some(rec) => {
-                if report.seq <= rec.last.seq {
+                // A record gone stale is replaced whatever its `seq`: a
+                // rebooted node manager counts from 1 again, and its host
+                // must not stay dead to selection for as many report
+                // periods as its previous life lasted.
+                if report.seq <= rec.last.seq && now.since(rec.last_seen) < STALE_AFTER {
                     self.stale_reports_dropped += 1;
                     return ReportOutcome::StaleSeq;
                 }
@@ -343,13 +348,18 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_reports_are_dropped() {
+    fn out_of_order_reports_are_dropped_until_the_record_is_stale() {
         let mut m = mgr();
         m.ingest(t(0.0), report(0, 0.0, 5));
         m.ingest(t(0.1), report(0, 9.0, 4)); // older seq
         assert_eq!(m.stale_reports_dropped, 1);
         let snap = m.snapshot_at(t(0.2));
         assert_eq!(snap[0].load_avg, 0.0);
+        // A stale record is replaced whatever its seq: a rebooted node
+        // manager counts from 1 again.
+        let rebooted = report_at(0, 2.0, 1, t(3.5));
+        assert_eq!(m.ingest(t(3.5), rebooted), ReportOutcome::Accepted);
+        assert!(m.snapshot_at(t(3.6))[0].alive);
     }
 
     #[test]
