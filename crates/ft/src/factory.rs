@@ -38,14 +38,12 @@ pub type ServantBuilder =
 /// The factory servant.
 pub struct ServiceFactory {
     make: ServantBuilder,
-    /// Instances created by this factory.
-    pub created: u64,
 }
 
 impl ServiceFactory {
     /// A factory using the given builder.
     pub fn new(make: ServantBuilder) -> Self {
-        ServiceFactory { make, created: 0 }
+        ServiceFactory { make }
     }
 }
 
@@ -57,7 +55,6 @@ impl FT::ServiceFactory for ServiceFactory {
     ) -> Result<(bool, Ior), Exception> {
         Ok(match (self.make)(call, &service_type) {
             Some((servant, type_id)) => {
-                self.created += 1;
                 let key = call.poa.activate(type_id.clone(), servant);
                 (true, call.orb.ior(type_id, key))
             }
@@ -67,24 +64,13 @@ impl FT::ServiceFactory for ServiceFactory {
             ),
         })
     }
-
-    fn instances(&mut self, _call: &mut CallCtx<'_>) -> Result<u32, Exception> {
-        Ok(self.created as u32)
-    }
 }
 
 /// Client for a service factory: the generated [`ServiceFactoryStub`]
-/// (`instances` through `Deref`) with `create` answering an `Option`.
+/// with `create` answering an `Option`.
 #[derive(Clone, Debug)]
 pub struct FactoryClient {
     stub: ServiceFactoryStub,
-}
-
-impl std::ops::Deref for FactoryClient {
-    type Target = ServiceFactoryStub;
-    fn deref(&self) -> &ServiceFactoryStub {
-        &self.stub
-    }
 }
 
 impl FactoryClient {

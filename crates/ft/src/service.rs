@@ -15,9 +15,8 @@ pub const CHECKPOINT_SERVICE_TYPE: &str = CheckpointServiceStub::REPO_ID;
 pub const CHECKPOINT_SERVICE_NAME: &str = "CheckpointService";
 
 /// Client for the checkpoint service: the generated
-/// [`CheckpointServiceStub`] (`store`, `delete`, `list`, `store_value`,
-/// `value_count` through `Deref`) with the two `(found, value)` replies
-/// folded into `Option`s.
+/// [`CheckpointServiceStub`] (`store` and `store_value` through `Deref`)
+/// with the two `(found, value)` replies folded into `Option`s.
 ///
 /// Store operations carry their own reply deadline (`with_deadline`),
 /// distinct from the proxy's call timeout: a slow store

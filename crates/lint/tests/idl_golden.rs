@@ -37,13 +37,12 @@ fn the_unit_checks_clean_and_has_the_expected_surface() {
     // pseudo-ops (`_get_x`/`_set_x`).
     let want: &[(&str, &str, usize)] = &[
         ("idl/calculator.idl", "Calculator", 10),
-        ("idl/ft.idl", "CheckpointService", 7),
-        ("idl/ft.idl", "ServiceFactory", 2),
-        ("idl/naming.idl", "BindingIterator", 3),
-        ("idl/naming.idl", "NamingContext", 12),
+        ("idl/ft.idl", "CheckpointService", 4),
+        ("idl/ft.idl", "ServiceFactory", 1),
+        ("idl/naming.idl", "NamingContext", 7),
         ("idl/naming.idl", "Lookup", 3),
-        ("idl/optim.idl", "Worker", 4),
-        ("idl/store.idl", "Replication", 6),
+        ("idl/optim.idl", "Worker", 3),
+        ("idl/store.idl", "Replication", 2),
         ("idl/winner.idl", "SystemManager", 3),
     ];
     let got: Vec<(&str, &str, usize)> = c
@@ -53,7 +52,7 @@ fn the_unit_checks_clean_and_has_the_expected_surface() {
         .collect();
     assert_eq!(got, want);
     // Inherited operations count once, at the interface declaring them.
-    assert_eq!(c.ops().count(), 50);
+    assert_eq!(c.ops().count(), 33);
 }
 
 #[test]
@@ -63,12 +62,12 @@ fn enums_and_natives_are_the_expected_ones() {
         let picked = c.model.items.iter().filter(|it| pick(it));
         picked.map(Item::name).collect()
     };
-    assert_eq!(named(|it| matches!(it, Item::Enum { .. })), ["BindingType"]);
+    assert!(named(|it| matches!(it, Item::Enum { .. })).is_empty());
     // What the Rust side defines by hand: the epoch newtype, the name
-    // newtype, and the two `Option` shapes.
+    // newtype, and an `Option` shape.
     assert_eq!(
         named(|it| matches!(it, Item::Native { .. })),
-        ["Epoch", "Name", "OptionalObject", "OptionalDouble"]
+        ["Epoch", "Name", "OptionalDouble"]
     );
 }
 
@@ -84,13 +83,17 @@ fn attributes_expand_to_wire_pseudo_ops() {
         names[..4],
         ["_get_op_count", "_get_precision", "_set_precision", "add"]
     );
-    let worker = wire_ops_of(&c, "Worker");
-    let solve_count = worker
-        .iter()
-        .find(|o| o.name == "_get_solve_count")
-        .expect("readonly attribute expanded");
-    assert!(solve_count.params.is_empty());
-    assert_eq!(solve_count.ret.rust(), "u32");
+    let (get, set) = (&calc.ops[0], &calc.ops[2]);
+    let wire = wire_ops_of(&c, "Calculator");
+    let expanded = |name: &str| wire.iter().find(|o| o.name == name).unwrap();
+    assert!(expanded(&get.name).params.is_empty());
+    assert_eq!(expanded(&get.name).ret.rust(), "u32");
+    let setter = expanded(&set.name);
+    let params: Vec<String> = setter.params.iter().map(|p| p.ty.rust()).collect();
+    assert_eq!(
+        (params, setter.ret.rust()),
+        (vec!["f64".to_string()], "()".to_string())
+    );
 }
 
 #[test]
@@ -111,10 +114,16 @@ fn any_object_and_cross_file_names_resolve() {
         tys(&op("ServiceFactory", "create")),
         ["String", "::orb::Ior"]
     );
-    // `Store::Replication` names `FT::Checkpoint` from another file, as
-    // an `out` param, and inherits `FT::CheckpointService`.
+    // `Store::Replication` inherits `FT::CheckpointService` from another
+    // file, and with it `retrieve`'s `out FT::Checkpoint`.
+    let inherited = c.model.items.iter().find_map(|it| match it {
+        Item::Interface { def, all_ops, .. } if def.name == "Replication" => {
+            all_ops.iter().find(|o| o.name == "retrieve").cloned()
+        }
+        _ => None,
+    });
     assert_eq!(
-        tys(&op("Replication", "repl_get")),
+        tys(&inherited.expect("retrieve is inherited")),
         ["String", "FT::Checkpoint"]
     );
     let base = c.model.items.iter().find_map(|it| match it {

@@ -6,9 +6,9 @@ use orb::{Exception, Ior, ObjectRef, Orb};
 use simnet::{Ctx, HostId, SimDuration, SimResult};
 
 use crate::name::Name;
-use crate::protocol::CosNaming::{BindingIteratorStub, NamingContextStub};
+use crate::protocol::CosNaming::NamingContextStub;
 use crate::protocol::{
-    AlreadyBound, Binding, InvalidName, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
+    AlreadyBound, InvalidName, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
 };
 
 /// Boot-registration retry budget for the `*_retry` helpers. At the
@@ -27,7 +27,7 @@ pub fn initial_naming_ior(host: HostId) -> Ior {
 }
 
 /// Client for a naming context: the generated [`NamingContextStub`]
-/// (`bind`, `rebind`, `unbind`, the group operations, … through `Deref`)
+/// (`bind`, `rebind` and the group operations through `Deref`)
 /// with the operations that answer object references returning usable
 /// handles, plus the bounded boot-registration retries.
 #[derive(Clone, Debug)]
@@ -80,36 +80,6 @@ impl NamingClient {
         }
     }
 
-    /// `NamingContext bind_new_context(in Name n)`: create a child context
-    /// and return a client for it.
-    pub fn bind_new_context(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        name: &Name,
-    ) -> SimResult<Result<NamingClient, Exception>> {
-        let r = self.stub.bind_new_context(orb, ctx, name)?;
-        Ok(r.map(|ior| NamingClient {
-            stub: NamingContextStub::from_ior(ior),
-        }))
-    }
-
-    /// `list(how_many)`: the first bindings plus an iterator for the rest.
-    pub fn list(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        how_many: u32,
-    ) -> SimResult<Result<ListReply, Exception>> {
-        let r = self.stub.list(orb, ctx, &how_many)?;
-        Ok(r.map(|(bl, it)| {
-            let it = it.map(|ior| BindingIteratorClient {
-                stub: BindingIteratorStub::from_ior(ior),
-            });
-            (bl, it)
-        }))
-    }
-
     /// `rebind`, retried with backoff while the naming service boots.
     /// Bounded: after [`REGISTER_MAX_ATTEMPTS`] failures the last naming
     /// error is returned instead of spinning forever against a host that
@@ -158,52 +128,5 @@ impl NamingClient {
                 }
             }
         }
-    }
-}
-
-/// What `list` returns: the first page plus an iterator over the rest.
-pub type ListReply = (Vec<Binding>, Option<BindingIteratorClient>);
-
-/// Client for a `BindingIterator`: the generated stub (`destroy` through
-/// `Deref`) with the `(more, …)` replies folded.
-#[derive(Clone, Debug)]
-pub struct BindingIteratorClient {
-    stub: BindingIteratorStub,
-}
-
-impl std::ops::Deref for BindingIteratorClient {
-    type Target = BindingIteratorStub;
-    fn deref(&self) -> &BindingIteratorStub {
-        &self.stub
-    }
-}
-
-impl BindingIteratorClient {
-    /// Wrap an iterator reference.
-    pub fn new(obj: ObjectRef) -> Self {
-        BindingIteratorClient {
-            stub: BindingIteratorStub::new(obj),
-        }
-    }
-
-    /// `boolean next_one(out Binding b)`.
-    pub fn next_one(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-    ) -> SimResult<Result<Option<Binding>, Exception>> {
-        let r = self.stub.next_one(orb, ctx)?;
-        Ok(r.map(|(more, b)| more.then_some(b)))
-    }
-
-    /// `boolean next_n(in unsigned long how_many, out BindingList bl)`.
-    pub fn next_n(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        how_many: u32,
-    ) -> SimResult<Result<Vec<Binding>, Exception>> {
-        let r = self.stub.next_n(orb, ctx, &how_many)?;
-        Ok(r.map(|(_, bl)| bl))
     }
 }

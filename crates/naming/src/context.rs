@@ -1,31 +1,25 @@
-//! The naming context servant and the shared naming tree.
+//! The naming context servant.
 //!
-//! One naming server process holds one [`NamingTree`]; every context
-//! (root and children created by `bind_new_context`) is a servant sharing
-//! that tree. Besides the standard COS Naming operations, a context
-//! supports **group bindings**: several object references registered under
-//! one name. `resolve` on a group picks one member — using the Winner
-//! system manager's load information when configured ([`LbMode::Winner`]),
-//! or round-robin otherwise ([`LbMode::Plain`]). This is the paper's §2
-//! design: load distribution inside the naming service, fully transparent
-//! to clients, falling back to plain behaviour (and thus "at least the
-//! same results as the unmodified naming service") when Winner is
-//! unavailable.
+//! One naming server process serves one [`NamingContext`]: a flat map
+//! from a single name component to an object or a group, so a name of
+//! more than one component is `NotFound`. Besides the standard
+//! `bind`/`rebind`/`resolve`, it supports **group bindings**: several
+//! object references registered under one name. `resolve` on a group
+//! picks one member — using the Winner system manager's load information
+//! when configured ([`LbMode::Winner`]), or round-robin otherwise
+//! ([`LbMode::Plain`]). This is the paper's §2 design: load distribution
+//! inside the naming service, fully transparent to clients, falling back
+//! to plain behaviour (and thus "at least the same results as the
+//! unmodified naming service") when Winner is unavailable.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
-use orb::{CallCtx, Exception, Ior, ObjectKey, SystemException};
+use orb::{CallCtx, Exception, Ior, SystemException};
 use winner::SystemManagerClient;
 
-use crate::iterator::BindingIterator;
 use crate::name::{Name, NameComponent};
-use crate::protocol::CosNaming::{self, BindingIteratorSkeleton, NamingContextSkeleton};
-use crate::protocol::{
-    AlreadyBound, Binding, BindingType, EmptyGroup, InvalidName, NotEmpty, NotFound,
-    NotFoundReason, BINDING_ITERATOR_TYPE, NAMING_CONTEXT_TYPE,
-};
+use crate::protocol::CosNaming;
+use crate::protocol::{AlreadyBound, EmptyGroup, InvalidName, NotFound, NotFoundReason};
 
 /// How group resolution picks a member.
 #[derive(Clone, Debug)]
@@ -41,14 +35,11 @@ pub enum LbMode {
     },
 }
 
-/// A binding in a context.
+/// A binding in the context.
 #[derive(Clone, Debug)]
 enum Entry {
     /// A plain object binding.
     Object(Ior),
-    /// A child context. `node` is set for contexts local to this server
-    /// (traversable); foreign contexts are stored but cannot be traversed.
-    Context { node: Option<u64>, ior: Ior },
     /// A service group: multiple replicas under one name. `revision`
     /// counts membership changes (bind/unbind), so a coordinator can
     /// prove to replicas that its view of the group is current.
@@ -59,162 +50,48 @@ enum Entry {
     },
 }
 
-struct Node {
-    entries: BTreeMap<NameComponent, Entry>,
-}
-
-/// The naming tree shared by all context servants of one server process.
-pub struct NamingTree {
-    nodes: BTreeMap<u64, Node>,
-    /// Local context object keys → tree nodes (for `bind_context`).
-    by_key: BTreeMap<ObjectKey, u64>,
-    next_node: u64,
-    /// Resolution statistics (read by tests and the demo).
-    pub resolves: u64,
-    /// Group resolves that used Winner successfully.
-    pub winner_picks: u64,
-    /// Group resolves that fell back to round-robin.
-    pub fallback_picks: u64,
-}
-
-impl NamingTree {
-    /// A tree with a root node (id 0).
-    pub fn new() -> Rc<RefCell<NamingTree>> {
-        let mut nodes = BTreeMap::new();
-        nodes.insert(
-            0,
-            Node {
-                entries: BTreeMap::new(),
-            },
-        );
-        Rc::new(RefCell::new(NamingTree {
-            nodes,
-            by_key: BTreeMap::new(),
-            next_node: 1,
-            resolves: 0,
-            winner_picks: 0,
-            fallback_picks: 0,
-        }))
-    }
-}
-
-/// A naming context servant: a view onto one node of the shared tree.
+/// The naming context servant.
 pub struct NamingContext {
-    tree: Rc<RefCell<NamingTree>>,
-    node: u64,
+    entries: BTreeMap<NameComponent, Entry>,
     mode: LbMode,
 }
 
-/// The servant's tree node is gone: the context was destroyed while a
-/// client still held its reference. COS Naming surfaces this as
-/// `OBJECT_NOT_EXIST`, not a server crash.
-fn dead_context() -> Exception {
-    SystemException::object_not_exist("naming context no longer exists").into()
+/// `NotFound(MissingNode)` for `name`.
+fn missing(name: Name) -> Exception {
+    NotFound {
+        why: NotFoundReason::MissingNode,
+        rest_of_name: name,
+    }
+    .raise()
+}
+
+/// The one component of a flat name: empty is `InvalidName`, more than
+/// one component is `NotFound` (there are no child contexts to follow).
+fn component(name: Name) -> Result<NameComponent, Exception> {
+    match <[NameComponent; 1]>::try_from(name.0) {
+        Ok([comp]) => Ok(comp),
+        Err(comps) if comps.is_empty() => Err(InvalidName.raise()),
+        Err(comps) => Err(missing(Name(comps))),
+    }
 }
 
 impl NamingContext {
-    /// The root context of a tree.
-    pub fn root(tree: Rc<RefCell<NamingTree>>, mode: LbMode) -> Self {
+    /// An empty context.
+    pub fn new(mode: LbMode) -> Self {
         NamingContext {
-            tree,
-            node: 0,
+            entries: BTreeMap::new(),
             mode,
-        }
-    }
-
-    fn child(&self, node: u64) -> Self {
-        NamingContext {
-            tree: self.tree.clone(),
-            node,
-            mode: self.mode.clone(),
-        }
-    }
-
-    /// Follow all but the last component from this node through local
-    /// child contexts; returns the parent node and the final component.
-    fn walk(&self, name: &Name) -> Result<(u64, NameComponent), Exception> {
-        if name.is_empty() {
-            return Err(InvalidName.raise());
-        }
-        let tree = self.tree.borrow();
-        let mut node = self.node;
-        let comps = &name.0;
-        for (i, comp) in comps[..comps.len() - 1].iter().enumerate() {
-            let n = tree.nodes.get(&node).ok_or_else(dead_context)?;
-            match n.entries.get(comp) {
-                Some(Entry::Context {
-                    node: Some(child), ..
-                }) => node = *child,
-                Some(Entry::Context { node: None, .. }) | Some(_) => {
-                    return Err(NotFound {
-                        why: NotFoundReason::NotContext,
-                        rest_of_name: Name(comps[i..].to_vec()),
-                    }
-                    .raise())
-                }
-                None => {
-                    return Err(NotFound {
-                        why: NotFoundReason::MissingNode,
-                        rest_of_name: Name(comps[i..].to_vec()),
-                    }
-                    .raise())
-                }
-            }
-        }
-        Ok((node, comps[comps.len() - 1].clone()))
-    }
-
-    fn bind_entry(&self, name: &Name, entry: Entry) -> Result<(), Exception> {
-        let (node, last) = self.walk(name)?;
-        let mut tree = self.tree.borrow_mut();
-        let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
-        if entries.contains_key(&last) {
-            return Err(AlreadyBound.raise());
-        }
-        entries.insert(last, entry);
-        Ok(())
-    }
-
-    fn rebind_entry(&self, name: &Name, entry: Entry) -> Result<(), Exception> {
-        let (node, last) = self.walk(name)?;
-        let mut tree = self.tree.borrow_mut();
-        let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
-        match entries.get(&last) {
-            Some(Entry::Context { .. }) => Err(NotFound {
-                why: NotFoundReason::NotObject,
-                rest_of_name: Name(vec![last]),
-            }
-            .raise()),
-            _ => {
-                entries.insert(last, entry);
-                Ok(())
-            }
         }
     }
 
     /// The heart of the paper: pick a group member, preferring the
     /// best-performing host as reported by Winner.
     fn pick_member(
-        &self,
+        &mut self,
         call: &mut CallCtx<'_>,
+        members: Vec<Ior>,
         name: &NameComponent,
-        node: u64,
     ) -> Result<Ior, Exception> {
-        // Snapshot the member list without holding the borrow across the
-        // nested Winner call.
-        let members: Vec<Ior> = {
-            let tree = self.tree.borrow();
-            match tree.nodes.get(&node).and_then(|n| n.entries.get(name)) {
-                Some(Entry::Group { members, .. }) => members.clone(),
-                // The caller just saw a group here; anything else means the
-                // tree changed under us — an internal bug, not a panic.
-                _ => {
-                    return Err(
-                        SystemException::internal("group entry vanished mid-dispatch").into(),
-                    )
-                }
-            }
-        };
         call.orb
             .obs()
             .observe("naming.group_size", members.len() as u64);
@@ -229,7 +106,6 @@ impl NamingContext {
             match client.select(call.orb, call.ctx, &hosts) {
                 Ok(Ok(Some(host))) => {
                     if let Some(m) = members.iter().find(|m| m.host.0 == host) {
-                        self.tree.borrow_mut().winner_picks += 1;
                         call.orb.obs().counter_add("naming.winner_picks", 1);
                         return Ok(m.clone());
                     }
@@ -247,15 +123,7 @@ impl NamingContext {
         // can correlate with load, which would smuggle load-awareness
         // into the baseline.
         call.orb.obs().counter_add("naming.fallback_picks", 1);
-        let mut tree = self.tree.borrow_mut();
-        tree.fallback_picks += 1;
-        let Some(Entry::Group { members, rr, .. }) = tree
-            .nodes
-            .get_mut(&node)
-            .ok_or_else(dead_context)?
-            .entries
-            .get_mut(name)
-        else {
+        let Some(Entry::Group { members, rr, .. }) = self.entries.get_mut(name) else {
             return Err(SystemException::internal("group entry vanished mid-dispatch").into());
         };
         let mut order: Vec<usize> = (0..members.len()).collect();
@@ -265,187 +133,51 @@ impl NamingContext {
         Ok(pick)
     }
 
-    fn resolve_name(&self, call: &mut CallCtx<'_>, name: &Name) -> Result<Ior, Exception> {
-        let (node, last) = self.walk(name)?;
-        self.tree.borrow_mut().resolves += 1;
-        {
-            let tree = self.tree.borrow();
-            match tree
-                .nodes
-                .get(&node)
-                .ok_or_else(dead_context)?
-                .entries
-                .get(&last)
-            {
-                None => {
-                    return Err(NotFound {
-                        why: NotFoundReason::MissingNode,
-                        rest_of_name: Name(vec![last]),
-                    }
-                    .raise())
-                }
-                Some(Entry::Object(ior)) => return Ok(ior.clone()),
-                Some(Entry::Context { ior, .. }) => return Ok(ior.clone()),
-                Some(Entry::Group { .. }) => {}
-            }
-        }
-        self.pick_member(call, &last, node)
+    fn resolve_name(&mut self, call: &mut CallCtx<'_>, name: Name) -> Result<Ior, Exception> {
+        let comp = component(name)?;
+        // Snapshot the member list: the Winner call nests a request.
+        let members = match self.entries.get(&comp) {
+            None => return Err(missing(Name(vec![comp]))),
+            Some(Entry::Object(ior)) => return Ok(ior.clone()),
+            Some(Entry::Group { members, .. }) => members.clone(),
+        };
+        self.pick_member(call, members, &comp)
     }
 
     /// The members and membership revision of the group bound at `name`.
-    fn group(&self, name: &Name) -> Result<(u64, Vec<Ior>), Exception> {
-        let (node, last) = self.walk(name)?;
-        let tree = self.tree.borrow();
-        match tree
-            .nodes
-            .get(&node)
-            .ok_or_else(dead_context)?
-            .entries
-            .get(&last)
-        {
+    fn group(&self, name: Name) -> Result<(u64, Vec<Ior>), Exception> {
+        let comp = component(name)?;
+        match self.entries.get(&comp) {
             Some(Entry::Group {
                 members, revision, ..
             }) => Ok((*revision, members.clone())),
-            _ => Err(NotFound {
-                why: NotFoundReason::MissingNode,
-                rest_of_name: Name(vec![last]),
-            }
-            .raise()),
+            _ => Err(missing(Name(vec![comp]))),
         }
     }
 }
 
 impl CosNaming::NamingContext for NamingContext {
     fn bind(&mut self, _call: &mut CallCtx<'_>, n: Name, obj: Ior) -> Result<(), Exception> {
-        self.bind_entry(&n, Entry::Object(obj))
+        let comp = component(n)?;
+        if self.entries.contains_key(&comp) {
+            return Err(AlreadyBound.raise());
+        }
+        self.entries.insert(comp, Entry::Object(obj));
+        Ok(())
     }
 
     fn rebind(&mut self, _call: &mut CallCtx<'_>, n: Name, obj: Ior) -> Result<(), Exception> {
-        self.rebind_entry(&n, Entry::Object(obj))
-    }
-
-    fn bind_context(&mut self, _call: &mut CallCtx<'_>, n: Name, nc: Ior) -> Result<(), Exception> {
-        let node = self.tree.borrow().by_key.get(&nc.key).copied();
-        self.bind_entry(&n, Entry::Context { node, ior: nc })
+        self.entries.insert(component(n)?, Entry::Object(obj));
+        Ok(())
     }
 
     fn resolve(&mut self, call: &mut CallCtx<'_>, n: Name) -> Result<Ior, Exception> {
         let start = call.ctx.now();
-        let resolved = self.resolve_name(call, &n);
+        let resolved = self.resolve_name(call, n);
         let o = call.orb.obs();
         o.counter_add("naming.resolves", 1);
         o.observe("naming.resolve_ns", call.ctx.now().since(start).as_nanos());
         resolved
-    }
-
-    fn unbind(&mut self, _call: &mut CallCtx<'_>, n: Name) -> Result<(), Exception> {
-        let (node, last) = self.walk(&n)?;
-        let mut tree = self.tree.borrow_mut();
-        let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
-        if entries.remove(&last).is_none() {
-            return Err(NotFound {
-                why: NotFoundReason::MissingNode,
-                rest_of_name: Name(vec![last]),
-            }
-            .raise());
-        }
-        Ok(())
-    }
-
-    fn bind_new_context(&mut self, call: &mut CallCtx<'_>, n: Name) -> Result<Ior, Exception> {
-        let (node, last) = self.walk(&n)?;
-        // Create the child node.
-        let child_node = {
-            let mut tree = self.tree.borrow_mut();
-            if tree
-                .nodes
-                .get(&node)
-                .ok_or_else(dead_context)?
-                .entries
-                .contains_key(&last)
-            {
-                return Err(AlreadyBound.raise());
-            }
-            let id = tree.next_node;
-            tree.next_node += 1;
-            tree.nodes.insert(
-                id,
-                Node {
-                    entries: BTreeMap::new(),
-                },
-            );
-            id
-        };
-        // Activate a servant for it and bind.
-        let servant = Rc::new(RefCell::new(NamingContextSkeleton(self.child(child_node))));
-        let key = call.poa.activate(NAMING_CONTEXT_TYPE, servant);
-        let ior = call.orb.ior(NAMING_CONTEXT_TYPE, key);
-        {
-            let mut tree = self.tree.borrow_mut();
-            tree.by_key.insert(key, child_node);
-            tree.nodes
-                .get_mut(&node)
-                .ok_or_else(dead_context)?
-                .entries
-                .insert(
-                    last,
-                    Entry::Context {
-                        node: Some(child_node),
-                        ior: ior.clone(),
-                    },
-                );
-        }
-        Ok(ior)
-    }
-
-    fn destroy(&mut self, call: &mut CallCtx<'_>) -> Result<(), Exception> {
-        {
-            let tree = self.tree.borrow();
-            let node = tree.nodes.get(&self.node).ok_or_else(dead_context)?;
-            if !node.entries.is_empty() {
-                return Err(NotEmpty.raise());
-            }
-        }
-        let mut tree = self.tree.borrow_mut();
-        tree.nodes.remove(&self.node);
-        tree.by_key.remove(&call.key);
-        call.poa.deactivate(call.key);
-        Ok(())
-    }
-
-    fn list(
-        &mut self,
-        call: &mut CallCtx<'_>,
-        how_many: u32,
-    ) -> Result<(Vec<Binding>, Option<Ior>), Exception> {
-        let mut bindings: Vec<Binding> = {
-            let tree = self.tree.borrow();
-            tree.nodes
-                .get(&self.node)
-                .ok_or_else(dead_context)?
-                .entries
-                .iter()
-                .map(|(comp, entry)| Binding {
-                    name: Name(vec![comp.clone()]),
-                    binding_type: match entry {
-                        Entry::Context { .. } => BindingType::ncontext,
-                        _ => BindingType::nobject,
-                    },
-                })
-                .collect()
-        };
-        bindings.sort_by_key(|a| a.name.stringify());
-        let rest = bindings.split_off((how_many as usize).min(bindings.len()));
-        let iterator = if rest.is_empty() {
-            None
-        } else {
-            let servant = Rc::new(RefCell::new(BindingIteratorSkeleton(BindingIterator::new(
-                rest,
-            ))));
-            let key = call.poa.activate(BINDING_ITERATOR_TYPE, servant);
-            Some(call.orb.ior(BINDING_ITERATOR_TYPE, key))
-        };
-        Ok((bindings, iterator))
     }
 
     fn bind_group_member(
@@ -454,13 +186,11 @@ impl CosNaming::NamingContext for NamingContext {
         group: Name,
         member: Ior,
     ) -> Result<(), Exception> {
-        let (node, last) = self.walk(&group)?;
-        let mut tree = self.tree.borrow_mut();
-        let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
-        match entries.get_mut(&last) {
+        let comp = component(group)?;
+        match self.entries.get_mut(&comp) {
             None => {
-                entries.insert(
-                    last,
+                self.entries.insert(
+                    comp,
                     Entry::Group {
                         members: vec![member],
                         rr: 0,
@@ -477,7 +207,7 @@ impl CosNaming::NamingContext for NamingContext {
                 members.push(member);
                 *revision += 1;
             }
-            Some(_) => return Err(AlreadyBound.raise()),
+            Some(Entry::Object(_)) => return Err(AlreadyBound.raise()),
         }
         Ok(())
     }
@@ -488,30 +218,20 @@ impl CosNaming::NamingContext for NamingContext {
         group: Name,
         member: Ior,
     ) -> Result<(), Exception> {
-        let (node, last) = self.walk(&group)?;
-        let mut tree = self.tree.borrow_mut();
-        let entries = &mut tree.nodes.get_mut(&node).ok_or_else(dead_context)?.entries;
-        match entries.get_mut(&last) {
+        let comp = component(group)?;
+        match self.entries.get_mut(&comp) {
             Some(Entry::Group {
                 members, revision, ..
             }) => {
                 let before = members.len();
                 members.retain(|m| m != &member);
                 if members.len() == before {
-                    return Err(NotFound {
-                        why: NotFoundReason::MissingNode,
-                        rest_of_name: Name(vec![last]),
-                    }
-                    .raise());
+                    return Err(missing(Name(vec![comp])));
                 }
                 *revision += 1;
                 Ok(())
             }
-            _ => Err(NotFound {
-                why: NotFoundReason::MissingNode,
-                rest_of_name: Name(vec![last]),
-            }
-            .raise()),
+            _ => Err(missing(Name(vec![comp]))),
         }
     }
 
@@ -520,7 +240,7 @@ impl CosNaming::NamingContext for NamingContext {
         _call: &mut CallCtx<'_>,
         group: Name,
     ) -> Result<Vec<Ior>, Exception> {
-        Ok(self.group(&group)?.1)
+        Ok(self.group(group)?.1)
     }
 
     fn group_view(
@@ -528,6 +248,6 @@ impl CosNaming::NamingContext for NamingContext {
         _call: &mut CallCtx<'_>,
         group: Name,
     ) -> Result<(u64, Vec<Ior>), Exception> {
-        self.group(&group)
+        self.group(group)
     }
 }

@@ -36,20 +36,19 @@
 
 pub mod client;
 pub mod context;
-pub mod iterator;
 pub mod name;
 pub mod protocol;
 pub mod server;
 pub mod trader;
 
-pub use client::{initial_naming_ior, BindingIteratorClient, NamingClient};
-pub use context::{LbMode, NamingContext, NamingTree};
+pub use client::{initial_naming_ior, NamingClient};
+pub use context::{LbMode, NamingContext};
 pub use name::{Name, NameComponent, NameParseError};
-pub use protocol::CosNaming::{BindingIteratorSkeleton, NamingContextSkeleton, NamingContextStub};
+pub use protocol::CosNaming::{NamingContextSkeleton, NamingContextStub};
 pub use protocol::CosTrading::{LookupSkeleton, LookupStub};
 pub use protocol::{
-    AlreadyBound, Binding, BindingType, CosNaming, CosTrading, EmptyGroup, InvalidName, NotEmpty,
-    NotFound, NotFoundReason, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
+    AlreadyBound, CosNaming, CosTrading, EmptyGroup, InvalidName, NotFound, NotFoundReason,
+    NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
 };
 pub use server::run_naming_service_obs;
 pub use trader::{run_trader, select_best_offer, Trader, TRADER_TYPE};

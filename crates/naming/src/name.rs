@@ -166,13 +166,6 @@ impl Name {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-
-    /// Split into the first component and the remaining path.
-    pub fn split_first(&self) -> Option<(&NameComponent, Name)> {
-        self.0
-            .split_first()
-            .map(|(head, tail)| (head, Name(tail.to_vec())))
-    }
 }
 
 impl fmt::Display for Name {
@@ -259,13 +252,5 @@ mod tests {
         let n = Name::parse("a.b/c").unwrap();
         let back: Name = cdr::from_bytes(&cdr::to_bytes(&n)).unwrap();
         assert_eq!(n, back);
-    }
-
-    #[test]
-    fn split_first() {
-        let n = Name::parse("a/b/c").unwrap();
-        let (head, rest) = n.split_first().unwrap();
-        assert_eq!(head.id, "a");
-        assert_eq!(rest.stringify(), "b/c");
     }
 }

@@ -7,7 +7,7 @@ use orb::{CostModel, Ior, ObjectKey, Orb, OrbConfig};
 use simnet::{Fault, HostConfig, HostId, Kernel, Pid, Port, SimDuration, SimTime};
 use winner::{BestPerformance, NodeManagerConfig};
 
-use crate::client::{BindingIteratorClient, NamingClient, REGISTER_BACKOFF, REGISTER_MAX_ATTEMPTS};
+use crate::client::{NamingClient, REGISTER_BACKOFF, REGISTER_MAX_ATTEMPTS};
 use crate::context::LbMode;
 use crate::name::Name;
 use crate::protocol::{AlreadyBound, EmptyGroup, NotFound};
@@ -63,7 +63,7 @@ fn boot_winner_naming(sim: &mut Kernel, host: HostId, sysmgr_ior: &Cell<Option<S
 }
 
 #[test]
-fn bind_resolve_unbind_round_trip() {
+fn bind_resolve_round_trip() {
     let mut sim = Kernel::with_seed(2);
     let hosts = boot_plain(&mut sim, 2);
     let out = cell::<Vec<String>>();
@@ -79,18 +79,58 @@ fn bind_resolve_unbind_round_trip() {
         o.lock()
             .unwrap()
             .push(format!("resolved:{}", obj.ior == target));
-        ns.unbind(&mut orb, ctx, &name).unwrap().unwrap();
-        let gone = ns.resolve(&mut orb, ctx, &name).unwrap();
+        let again = ns.bind(&mut orb, ctx, &name, &target).unwrap();
         o.lock().unwrap().push(format!(
-            "gone:{}",
-            NotFound::extract(&gone.unwrap_err()).is_some()
+            "already-bound:{}",
+            AlreadyBound::matches(&again.unwrap_err())
+        ));
+        let unknown = ns.resolve(&mut orb, ctx, &Name::simple("Nope")).unwrap();
+        o.lock().unwrap().push(format!(
+            "unknown:{}",
+            NotFound::extract(&unknown.unwrap_err()).is_some()
         ));
     });
     sim.run_until_exit(driver);
     assert_eq!(
         *out.lock().unwrap(),
-        vec!["resolved:true".to_string(), "gone:true".to_string()]
+        vec![
+            "resolved:true".to_string(),
+            "already-bound:true".to_string(),
+            "unknown:true".to_string()
+        ]
     );
+}
+
+/// The context is flat: a name of two components has nothing to follow,
+/// so every operation on it is `NotFound(MissingNode)` naming the whole
+/// name, even when its first component is bound.
+#[test]
+fn a_two_component_name_is_not_found() {
+    let mut sim = Kernel::with_seed(2);
+    let hosts = boot_plain(&mut sim, 2);
+    let out = cell::<Vec<Option<NotFound>>>();
+    let o = out.clone();
+    let obj = fake_ior(hosts[1], 3);
+    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
+        ctx.sleep(secs(0.01)).unwrap();
+        let mut orb = Orb::init(ctx);
+        let ns = NamingClient::root(hosts[0]);
+        ns.bind(&mut orb, ctx, &Name::simple("apps"), &obj)
+            .unwrap()
+            .unwrap();
+        let deep = Name::parse("apps/solver").unwrap();
+        let nf = |r: Result<_, orb::Exception>| r.err().and_then(|e| NotFound::extract(&e));
+        let resolved = ns.resolve(&mut orb, ctx, &deep).unwrap().map(drop);
+        let bound = ns.bind(&mut orb, ctx, &deep, &obj).unwrap();
+        let joined = ns.bind_group_member(&mut orb, ctx, &deep, &obj).unwrap();
+        *o.lock().unwrap() = vec![nf(resolved), nf(bound), nf(joined)];
+    });
+    sim.run_until_exit(driver);
+    let missing = NotFound {
+        why: crate::protocol::NotFoundReason::MissingNode,
+        rest_of_name: Name::parse("apps/solver").unwrap(),
+    };
+    assert_eq!(*out.lock().unwrap(), vec![Some(missing); 3]);
 }
 
 #[test]
@@ -117,103 +157,6 @@ fn bind_twice_raises_already_bound_and_rebind_replaces() {
     });
     sim.run_until_exit(driver);
     assert_eq!(*out.lock().unwrap(), vec![true, true]);
-}
-
-#[test]
-fn nested_contexts_and_listing() {
-    let mut sim = Kernel::with_seed(2);
-    let hosts = boot_plain(&mut sim, 2);
-    let out = cell::<Vec<String>>();
-    let o = out.clone();
-    let svc = fake_ior(hosts[1], 5);
-    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
-        ctx.sleep(secs(0.01)).unwrap();
-        let mut orb = Orb::init(ctx);
-        let ns = NamingClient::root(hosts[0]);
-        // Create apps/opt and bind apps/opt/solver.
-        let apps = ns
-            .bind_new_context(&mut orb, ctx, &Name::simple("apps"))
-            .unwrap()
-            .unwrap();
-        apps.bind_new_context(&mut orb, ctx, &Name::simple("opt"))
-            .unwrap()
-            .unwrap();
-        ns.bind(
-            &mut orb,
-            ctx,
-            &Name::parse("apps/opt/solver").unwrap(),
-            &svc,
-        )
-        .unwrap()
-        .unwrap();
-        // Multi-component resolve from the root.
-        let got = ns
-            .resolve_str(&mut orb, ctx, "apps/opt/solver")
-            .unwrap()
-            .unwrap();
-        o.lock().unwrap().push(format!("deep:{}", got.ior == svc));
-        // Listing the root: one binding ("apps", context).
-        let (bl, it) = ns.list(&mut orb, ctx, 10).unwrap().unwrap();
-        o.lock().unwrap().push(format!(
-            "list:{}:{:?}:{}",
-            bl.len(),
-            bl[0].binding_type,
-            it.is_none()
-        ));
-        // Destroy of a non-empty context fails.
-        let denied = apps.destroy(&mut orb, ctx).unwrap();
-        o.lock().unwrap().push(format!(
-            "notempty:{}",
-            crate::protocol::NotEmpty::matches(&denied.unwrap_err())
-        ));
-    });
-    sim.run_until_exit(driver);
-    assert_eq!(
-        *out.lock().unwrap(),
-        vec![
-            "deep:true".to_string(),
-            "list:1:ncontext:true".to_string(),
-            "notempty:true".to_string()
-        ]
-    );
-}
-
-#[test]
-fn list_pagination_via_iterator() {
-    let mut sim = Kernel::with_seed(2);
-    let hosts = boot_plain(&mut sim, 2);
-    let out = cell::<Vec<usize>>();
-    let o = out.clone();
-    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
-        ctx.sleep(secs(0.01)).unwrap();
-        let mut orb = Orb::init(ctx);
-        let ns = NamingClient::root(hosts[0]);
-        for i in 0..5 {
-            ns.bind(
-                &mut orb,
-                ctx,
-                &Name::simple(format!("svc{i}")),
-                &fake_ior(hosts[1], i),
-            )
-            .unwrap()
-            .unwrap();
-        }
-        let (bl, it) = ns.list(&mut orb, ctx, 2).unwrap().unwrap();
-        o.lock().unwrap().push(bl.len());
-        let it: BindingIteratorClient = it.expect("iterator for the remaining 3");
-        let batch = it.next_n(&mut orb, ctx, 2).unwrap().unwrap();
-        o.lock().unwrap().push(batch.len());
-        let one = it.next_one(&mut orb, ctx).unwrap().unwrap();
-        o.lock().unwrap().push(one.is_some() as usize);
-        let done = it.next_one(&mut orb, ctx).unwrap().unwrap();
-        o.lock().unwrap().push(done.is_some() as usize);
-        it.destroy(&mut orb, ctx).unwrap().unwrap();
-        // After destroy the iterator is gone.
-        let dead = it.next_one(&mut orb, ctx).unwrap();
-        o.lock().unwrap().push(dead.is_err() as usize);
-    });
-    sim.run_until_exit(driver);
-    assert_eq!(*out.lock().unwrap(), vec![2, 2, 1, 0, 1]);
 }
 
 #[test]
@@ -415,107 +358,6 @@ fn resolve_str_rejects_invalid_names() {
     });
     sim.run_until_exit(driver);
     assert_eq!(*out.lock().unwrap(), Some(true));
-}
-
-#[test]
-fn foreign_context_cannot_be_traversed_but_resolves_directly() {
-    // Bind a context reference from a *different* naming server: it can be
-    // resolved (returning the reference), but multi-component traversal
-    // through it fails with NotFound{NotContext} — a documented limit.
-    let mut sim = Kernel::with_seed(2);
-    let hosts = boot_plain(&mut sim, 2);
-    let out = cell::<Vec<String>>();
-    let o = out.clone();
-    // A made-up foreign context reference (no such server needed for the
-    // binding itself).
-    let foreign = Ior::new(
-        crate::protocol::NAMING_CONTEXT_TYPE,
-        hosts[1],
-        Port(2809),
-        ObjectKey(1),
-    );
-    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
-        ctx.sleep(secs(0.01)).unwrap();
-        let mut orb = Orb::init(ctx);
-        let ns = NamingClient::root(hosts[0]);
-        ns.bind_context(&mut orb, ctx, &Name::simple("remote"), &foreign)
-            .unwrap()
-            .unwrap();
-        // Direct resolve returns the foreign reference.
-        let got = ns.resolve_str(&mut orb, ctx, "remote").unwrap().unwrap();
-        o.lock()
-            .unwrap()
-            .push(format!("direct:{}", got.ior == foreign));
-        // Traversal through it is refused.
-        let r = ns.resolve_str(&mut orb, ctx, "remote/deeper").unwrap();
-        let nf = NotFound::extract(&r.unwrap_err()).expect("NotFound");
-        o.lock().unwrap().push(format!("traverse:{:?}", nf.why));
-    });
-    sim.run_until_exit(driver);
-    assert_eq!(
-        *out.lock().unwrap(),
-        vec!["direct:true".to_string(), "traverse:NotContext".to_string()]
-    );
-}
-
-#[test]
-fn rebind_refuses_to_replace_a_context() {
-    let mut sim = Kernel::with_seed(2);
-    let hosts = boot_plain(&mut sim, 2);
-    let out = cell::<Option<bool>>();
-    let o = out.clone();
-    let obj = fake_ior(hosts[1], 9);
-    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
-        ctx.sleep(secs(0.01)).unwrap();
-        let mut orb = Orb::init(ctx);
-        let ns = NamingClient::root(hosts[0]);
-        ns.bind_new_context(&mut orb, ctx, &Name::simple("ctx"))
-            .unwrap()
-            .unwrap();
-        let r = ns
-            .rebind(&mut orb, ctx, &Name::simple("ctx"), &obj)
-            .unwrap();
-        *o.lock().unwrap() = Some(NotFound::extract(&r.unwrap_err()).is_some());
-    });
-    sim.run_until_exit(driver);
-    assert_eq!(*out.lock().unwrap(), Some(true));
-}
-
-#[test]
-fn destroyed_context_raises_object_not_exist() {
-    let mut sim = Kernel::with_seed(2);
-    let hosts = boot_plain(&mut sim, 2);
-    let out = cell::<Vec<bool>>();
-    let o = out.clone();
-    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
-        ctx.sleep(secs(0.01)).unwrap();
-        let mut orb = Orb::init(ctx);
-        let ns = NamingClient::root(hosts[0]);
-        let child: NamingClient = ns
-            .bind_new_context(&mut orb, ctx, &Name::simple("tmp"))
-            .unwrap()
-            .unwrap();
-        // Unbind the entry, then destroy the (now empty, unreferenced)
-        // context object itself.
-        ns.unbind(&mut orb, ctx, &Name::simple("tmp"))
-            .unwrap()
-            .unwrap();
-        child.destroy(&mut orb, ctx).unwrap().unwrap();
-        o.lock().unwrap().push(true);
-        // Any further call on the destroyed context fails with a system
-        // exception (OBJECT_NOT_EXIST).
-        let r = child.list(&mut orb, ctx, 5).unwrap();
-        let is_one = matches!(
-            r.unwrap_err(),
-            orb::Exception::System(orb::SystemException {
-                kind: orb::SysKind::ObjectNotExist,
-                ..
-            })
-        );
-        o.lock().unwrap().push(is_one);
-    });
-    sim.run_until_exit(driver);
-    assert_eq!(*out.lock().unwrap(), vec![true, true]);
 }
 
 /// The §2 trader baseline: offers are exported per type, `query` returns

@@ -3,28 +3,21 @@
 //! paper's load distribution).
 //!
 //! The contract is `idl/naming.idl`; `generated.rs`, included below, is
-//! `idlc`'s output for it: [`NameComponent`](CosNaming::NameComponent),
-//! [`Binding`], [`BindingType`] and the trait, skeleton and stub of each
-//! interface (`CosNaming::{BindingIterator, NamingContext}`,
-//! `CosTrading::Lookup`). The user exceptions are hand-written here.
+//! `idlc`'s output for it: [`NameComponent`](CosNaming::NameComponent)
+//! and the trait, skeleton and stub of each interface
+//! (`CosNaming::NamingContext`, `CosTrading::Lookup`). The user
+//! exceptions are hand-written here.
 
 use cdr::cdr_enum;
-use orb::{Exception, Ior, UserException};
+use orb::{Exception, UserException};
 
 // `native Name` of the contract.
 pub use crate::name::Name;
 
-/// `native OptionalObject`: `list`'s iterator reference, absent when the
-/// first page held every binding.
-pub type OptionalObject = Option<Ior>;
-
 include!("generated.rs");
-pub use CosNaming::{Binding, BindingType};
 
 /// Repository id of the (load-distributing) naming context interface.
 pub const NAMING_CONTEXT_TYPE: &str = CosNaming::NamingContextStub::REPO_ID;
-/// Repository id of the binding iterator interface.
-pub const BINDING_ITERATOR_TYPE: &str = CosNaming::BindingIteratorStub::REPO_ID;
 
 /// The conventional port of the naming service (CORBA's IANA-registered
 /// 2809), so clients can bootstrap with nothing but a host name.
@@ -35,7 +28,8 @@ pub const NAMING_PORT: simnet::Port = simnet::Port(2809);
 pub const ROOT_CONTEXT_KEY: orb::ObjectKey = orb::ObjectKey(1);
 
 cdr_enum!(
-    /// Why a `resolve`/`bind` failed with `NotFound`.
+    /// Why a `resolve`/`bind` failed with `NotFound` — the COS Naming
+    /// enum, of which a flat context raises only `MissingNode`.
     NotFoundReason {
         /// A component was missing entirely.
         MissingNode = 0,
@@ -108,11 +102,6 @@ tag_exception!(
     "IDL:CosNaming/NamingContext/AlreadyBound:1.0"
 );
 tag_exception!(
-    /// `destroy` on a non-empty context.
-    NotEmpty,
-    "IDL:CosNaming/NamingContext/NotEmpty:1.0"
-);
-tag_exception!(
     /// A structurally invalid name.
     InvalidName,
     "IDL:CosNaming/NamingContext/InvalidName:1.0"
@@ -144,18 +133,7 @@ mod tests {
         let e = AlreadyBound.raise();
         assert!(AlreadyBound::matches(&e));
         assert!(NotFound::extract(&e).is_none());
-        assert!(NotEmpty::matches(&NotEmpty.raise()));
         assert!(InvalidName::matches(&InvalidName.raise()));
         assert!(EmptyGroup::matches(&EmptyGroup.raise()));
-    }
-
-    #[test]
-    fn binding_round_trip() {
-        let b = Binding {
-            name: Name::simple("svc"),
-            binding_type: BindingType::nobject,
-        };
-        let back: Binding = cdr::from_bytes(&cdr::to_bytes(&b)).unwrap();
-        assert_eq!(b, back);
     }
 }

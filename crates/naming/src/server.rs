@@ -7,7 +7,7 @@ use obs::{Obs, ProcessObs};
 use orb::{Orb, Poa};
 use simnet::{Ctx, SimResult};
 
-use crate::context::{LbMode, NamingContext, NamingTree};
+use crate::context::{LbMode, NamingContext};
 use crate::protocol::CosNaming::NamingContextSkeleton;
 use crate::protocol::{NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY};
 
@@ -34,9 +34,8 @@ pub fn run_naming_service_obs(ctx: &mut Ctx, mode: LbMode, obs: Option<Obs>) -> 
     };
     debug_assert_eq!(port, NAMING_PORT);
     let poa = Poa::new();
-    let tree = NamingTree::new();
-    let root = Rc::new(RefCell::new(NamingContextSkeleton(NamingContext::root(
-        tree, mode,
+    let root = Rc::new(RefCell::new(NamingContextSkeleton(NamingContext::new(
+        mode,
     ))));
     let key = poa.activate(NAMING_CONTEXT_TYPE, root);
     debug_assert_eq!(key, ROOT_CONTEXT_KEY);

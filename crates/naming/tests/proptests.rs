@@ -39,11 +39,4 @@ proptest! {
         prop_assert_eq!(n, back);
     }
 
-    #[test]
-    fn split_first_reassembles(n in name()) {
-        let (head, rest) = n.split_first().unwrap();
-        let mut parts = vec![head.clone()];
-        parts.extend(rest.0);
-        prop_assert_eq!(Name(parts), n);
-    }
 }

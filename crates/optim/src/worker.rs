@@ -33,6 +33,7 @@ const PER_ITER_PER_DIM: f64 = 7.0e-7;
 pub struct WorkerServant {
     /// Cached optimizer state per subproblem id.
     state: BTreeMap<u32, ComplexState>,
+    /// Solves served. Only the checkpoint carries it.
     solve_count: u32,
 }
 
@@ -120,10 +121,6 @@ impl Optim::Worker for WorkerServant {
         self.solve_count = solve_count;
         self.state = entries.into_iter().collect();
         Ok(())
-    }
-
-    fn get_solve_count(&mut self, _call: &mut CallCtx<'_>) -> Result<u32, Exception> {
-        Ok(self.solve_count)
     }
 }
 

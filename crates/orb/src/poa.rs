@@ -3,8 +3,8 @@
 //!
 //! A [`Poa`] lives inside one server process. Servants are stored behind
 //! `Rc<RefCell<…>>` so a servant can be dispatched while other servants are
-//! activated or deactivated (e.g. a naming context activating a
-//! `BindingIterator` during `list`).
+//! activated or deactivated (e.g. a factory activating a new servant
+//! during `create`).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

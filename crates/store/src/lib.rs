@@ -13,7 +13,7 @@
 //!   **replicates** every write to its peer replicas with quorum
 //!   acknowledgement before reporting success, keeps checkpoints
 //!   **epoch-versioned** (retaining the last K epochs per object), and
-//!   **garbage-collects** superseded per-value chunks.
+//!   **trims** superseded per-value chunks on each header write.
 //! * [`spawn_replicated_store`] — deploys N replicas on distinct simnet
 //!   hosts, all bound as members of the *same* naming-service group name
 //!   (`"CheckpointService"`) — the paper's own multi-binding `resolve`

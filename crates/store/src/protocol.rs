@@ -7,7 +7,7 @@
 //! operations, which are only ever sent replica-to-replica — they apply a
 //! record locally and never fan out further, so replication cannot loop.
 //!
-//! The three `repl_*` *write* ops share one wire shape:
+//! Both `repl_*` ops are writes and share one wire shape:
 //! `(unsigned long long view_revision, sequence<octet> body)` — the
 //! naming group's membership revision the coordinator acted on, then the
 //! original client request body. A replica that has witnessed a newer
@@ -50,25 +50,5 @@ impl Default for StoreConfig {
             repl_timeout: SimDuration::from_millis(300),
             suspect_after: 2,
         }
-    }
-}
-
-impl StoreConfig {
-    /// Set the write quorum.
-    pub fn with_write_quorum(mut self, w: usize) -> Self {
-        self.write_quorum = w.max(1);
-        self
-    }
-
-    /// Set the number of retained epochs per object.
-    pub fn with_retain_epochs(mut self, k: usize) -> Self {
-        self.retain_epochs = k.max(1);
-        self
-    }
-
-    /// Set the replica-to-replica replication RPC deadline.
-    pub fn with_repl_timeout(mut self, t: SimDuration) -> Self {
-        self.repl_timeout = t;
-        self
     }
 }

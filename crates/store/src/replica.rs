@@ -1,6 +1,6 @@
 //! The store replica servant: a `CheckpointService`-compatible object
 //! that replicates writes to its peers with quorum acknowledgement,
-//! versions checkpoints by epoch, and garbage-collects superseded data.
+//! versions checkpoints by epoch, and trims superseded data on write.
 //!
 //! ## Coordination
 //!
@@ -103,7 +103,6 @@ fn no_checkpoint(object_id: String) -> Checkpoint {
 enum Fanout {
     Store,
     StoreValue,
-    Delete,
 }
 
 impl Fanout {
@@ -111,7 +110,6 @@ impl Fanout {
         match self {
             Fanout::Store => ReplicationStub::OP_REPL_STORE,
             Fanout::StoreValue => ReplicationStub::OP_REPL_STORE_VALUE,
-            Fanout::Delete => ReplicationStub::OP_REPL_DELETE,
         }
     }
 
@@ -127,7 +125,6 @@ impl Fanout {
         match self {
             Fanout::Store => peer.repl_store(orb, ctx, &revision, body),
             Fanout::StoreValue => peer.repl_store_value(orb, ctx, &revision, body),
-            Fanout::Delete => Ok(peer.repl_delete(orb, ctx, &revision, body)?.map(drop)),
         }
     }
 }
@@ -147,8 +144,6 @@ pub struct StoreReplica {
     /// Highest membership revision witnessed, from our own view fetches
     /// or stamped on incoming `repl_*` writes.
     highest_view_revision: u64,
-    /// Replicated writes rejected for carrying a stale membership view.
-    pub stale_view_rejects: u64,
     /// Epoch-versioned bulk checkpoints: object id → epoch → record.
     bulks: BTreeMap<String, BTreeMap<Epoch, Checkpoint>>,
     /// Per-value records (the paper's proof-of-concept interface).
@@ -158,19 +153,6 @@ pub struct StoreReplica {
     /// rewriting a value of the same shape builds no new strings,
     /// TypeCode or buffers.
     scratch: (String, String, Any),
-    /// Client-coordinated bulk stores served.
-    pub stores: u64,
-    /// Client-coordinated per-value stores served.
-    pub value_stores: u64,
-    /// Replicated records applied on behalf of a peer coordinator.
-    pub repl_applied: u64,
-    /// Writes that failed their quorum.
-    pub quorum_failures: u64,
-    /// Superseded bulk epochs trimmed. A count of trimmed records, not
-    /// an epoch value, so the bare integer is correct here.
-    pub gc_epochs: u64,
-    /// Superseded per-value chunks reclaimed.
-    pub gc_chunks: u64,
     /// Last `(members, quorum)` emitted, to emit view changes only on
     /// actual membership transitions.
     last_view_published: Option<(u32, u32)>,
@@ -199,16 +181,9 @@ impl StoreReplica {
             self_ior: None,
             view_cache: None,
             highest_view_revision: 0,
-            stale_view_rejects: 0,
             bulks: BTreeMap::new(),
             values: BTreeMap::new(),
             scratch: blank_request(),
-            stores: 0,
-            value_stores: 0,
-            repl_applied: 0,
-            quorum_failures: 0,
-            gc_epochs: 0,
-            gc_chunks: 0,
             last_view_published: None,
         }
     }
@@ -241,7 +216,6 @@ impl StoreReplica {
             epochs.remove(&oldest);
             dropped += 1;
         }
-        self.gc_epochs += dropped;
         dropped
     }
 
@@ -286,65 +260,12 @@ impl StoreReplica {
                 }
             });
         }
-        self.gc_chunks += dropped;
         dropped
-    }
-
-    /// Remove everything stored for an object.
-    pub(crate) fn apply_delete(&mut self, id: &str) -> bool {
-        let a = self.bulks.remove(id).is_some();
-        let b = self.values.remove(id).is_some();
-        a || b
     }
 
     /// The newest locally held bulk epoch for an object.
     pub(crate) fn local_newest(&self, id: &str) -> Option<&Checkpoint> {
         self.bulks.get(id).and_then(|m| m.values().next_back())
-    }
-
-    /// Aggressive compaction: keep only the newest bulk epoch per object
-    /// and only chunks of the newest header epoch. Returns
-    /// `(epochs_dropped, chunks_dropped)`.
-    pub(crate) fn compact(&mut self) -> (u64, u64) {
-        let mut epochs_dropped = 0;
-        let mut chunks_dropped = 0;
-        for epochs in self.bulks.values_mut() {
-            while epochs.len() > 1 {
-                let Some(&oldest) = epochs.keys().next() else {
-                    break;
-                };
-                epochs.remove(&oldest);
-                epochs_dropped += 1;
-            }
-        }
-        for vals in self.values.values_mut() {
-            let newest = vals.get(HEADER_KEY).and_then(Header::read);
-            if let Some(Header { epoch: e, .. }) = newest {
-                vals.retain(|k, v| {
-                    if k == HEADER_KEY {
-                        return true;
-                    }
-                    match read_chunk(v) {
-                        Some((ce, _)) if ce != e => {
-                            chunks_dropped += 1;
-                            false
-                        }
-                        _ => true,
-                    }
-                });
-            }
-        }
-        self.gc_epochs += epochs_dropped;
-        self.gc_chunks += chunks_dropped;
-        (epochs_dropped, chunks_dropped)
-    }
-
-    /// (objects, retained epochs, values) held locally.
-    pub(crate) fn status(&self) -> (u64, u64, u64) {
-        let objects = self.bulks.len() as u64;
-        let epochs: u64 = self.bulks.values().map(|m| m.len() as u64).sum();
-        let values: u64 = self.values.values().map(|m| m.len() as u64).sum();
-        (objects, epochs, values)
     }
 
     // ------------------------------------------------------------------
@@ -414,7 +335,6 @@ impl StoreReplica {
     /// view: reject, so it cannot assemble a quorum without refreshing.
     fn note_coordinator_view(&mut self, revision: u64) -> Result<(), Exception> {
         if revision < self.highest_view_revision {
-            self.stale_view_rejects += 1;
             return Err(Exception::System(SystemException::transient(format!(
                 "stale membership view: write stamped revision {revision}, \
                  replica has witnessed {}",
@@ -481,7 +401,6 @@ impl StoreReplica {
         if ok {
             Ok(())
         } else {
-            self.quorum_failures += 1;
             o.counter_add("store.quorum_failures", 1);
             Err(Exception::System(SystemException::transient(format!(
                 "replication quorum not reached: {acks}/{w_eff} acks (view {view_size})"
@@ -495,24 +414,6 @@ impl StoreReplica {
 
     fn bulk_work(state_bytes: usize) -> f64 {
         BULK_FIXED + BULK_PER_BYTE * state_bytes as f64
-    }
-
-    /// This replica's newest local epoch of `object_id`, or `false` and a
-    /// placeholder — what both `retrieve` and `repl_get` answer.
-    fn read_local(
-        &mut self,
-        call: &mut CallCtx<'_>,
-        object_id: String,
-    ) -> Result<(bool, Checkpoint), Exception> {
-        let got = self.local_newest(&object_id).cloned();
-        self.compute(
-            call,
-            Self::bulk_work(got.as_ref().map_or(0, |c| c.state.len())),
-        )?;
-        Ok(match got {
-            Some(c) => (true, c),
-            None => (false, no_checkpoint(object_id)),
-        })
     }
 
     /// The request body of a peer-coordinated write, once its view stamp
@@ -534,7 +435,6 @@ impl FT::CheckpointService for StoreReplica {
         // epoch behind for a post-heal reader to find.
         self.view(call)?;
         self.compute(call, Self::bulk_work(c.state.len()))?;
-        self.stores += 1;
         let (object, epoch) = (c.object_id.clone(), c.epoch);
         self.apply_bulk(c);
         self.replicate(call, Fanout::Store, &object, epoch)
@@ -545,18 +445,15 @@ impl FT::CheckpointService for StoreReplica {
         call: &mut CallCtx<'_>,
         object_id: String,
     ) -> Result<(bool, Checkpoint), Exception> {
-        self.read_local(call, object_id)
-    }
-
-    fn delete(&mut self, call: &mut CallCtx<'_>, object_id: String) -> Result<bool, Exception> {
-        self.view(call)?;
-        let deleted = self.apply_delete(&object_id);
-        self.replicate(call, Fanout::Delete, &object_id, Epoch::ZERO)?;
-        Ok(deleted)
-    }
-
-    fn list(&mut self, _call: &mut CallCtx<'_>) -> Result<Vec<String>, Exception> {
-        Ok(self.bulks.keys().cloned().collect())
+        let got = self.local_newest(&object_id).cloned();
+        self.compute(
+            call,
+            Self::bulk_work(got.as_ref().map_or(0, |c| c.state.len())),
+        )?;
+        Ok(match got {
+            Some(c) => (true, c),
+            None => (false, no_checkpoint(object_id)),
+        })
     }
 
     fn store_value(
@@ -568,7 +465,6 @@ impl FT::CheckpointService for StoreReplica {
     ) -> Result<(), Exception> {
         self.view(call)?;
         self.compute(call, VALUE_FIXED)?;
-        self.value_stores += 1;
         let epoch = if key == HEADER_KEY {
             Header::read(&value).map_or(Epoch::ZERO, |h| h.epoch)
         } else {
@@ -592,17 +488,9 @@ impl FT::CheckpointService for StoreReplica {
             },
         )
     }
-
-    fn value_count(
-        &mut self,
-        _call: &mut CallCtx<'_>,
-        object_id: String,
-    ) -> Result<u32, Exception> {
-        Ok(self.values.get(&object_id).map_or(0, |m| m.len() as u32))
-    }
 }
 
-// ---------------- replica-to-replica applies, maintenance ------------------
+// ---------------- replica-to-replica applies -------------------------------
 // Each `repl_*` write carries `(view_revision, body)`: the membership
 // revision the coordinator acted on, then the original client request
 // body. Stale revisions are rejected before applying.
@@ -615,7 +503,6 @@ impl Store::Replication for StoreReplica {
     ) -> Result<(), Exception> {
         let (ckpt,): (Checkpoint,) = self.admit(view_revision, &body)?;
         self.compute(call, Self::bulk_work(ckpt.state.len()))?;
-        self.repl_applied += 1;
         self.apply_bulk(ckpt);
         Ok(())
     }
@@ -629,42 +516,10 @@ impl Store::Replication for StoreReplica {
         self.note_coordinator_view(view_revision)?;
         cdr::from_bytes_into(&mut self.scratch, &body).map_err(SystemException::marshal)?;
         self.compute(call, VALUE_FIXED)?;
-        self.repl_applied += 1;
         let (id, key, value) = std::mem::replace(&mut self.scratch, blank_request());
         self.apply_value(&id, &key, value);
         (self.scratch.0, self.scratch.1) = (id, key);
         Ok(())
-    }
-
-    fn repl_delete(
-        &mut self,
-        _call: &mut CallCtx<'_>,
-        view_revision: u64,
-        body: Vec<u8>,
-    ) -> Result<bool, Exception> {
-        let (id,): (String,) = self.admit(view_revision, &body)?;
-        self.repl_applied += 1;
-        Ok(self.apply_delete(&id))
-    }
-
-    fn repl_get(
-        &mut self,
-        call: &mut CallCtx<'_>,
-        object_id: String,
-    ) -> Result<(bool, Checkpoint), Exception> {
-        self.read_local(call, object_id)
-    }
-
-    fn gc(&mut self, call: &mut CallCtx<'_>) -> Result<(u64, u64), Exception> {
-        let (e, c) = self.compact();
-        let o = call.orb.obs();
-        o.counter_add("store.gc_epochs", e);
-        o.counter_add("store.gc_chunks", c);
-        Ok((e, c))
-    }
-
-    fn store_status(&mut self, _call: &mut CallCtx<'_>) -> Result<(u64, u64, u64), Exception> {
-        Ok(self.status())
     }
 }
 

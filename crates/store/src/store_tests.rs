@@ -1,4 +1,4 @@
-//! Tests for the replicated store: local GC/retention rules, the chaos
+//! Tests for the replicated store: local retention rules, the chaos
 //! plan generator, and end-to-end replication + failover on the simulated
 //! cluster.
 
@@ -54,56 +54,30 @@ fn chunk_any(epoch: u64) -> Any {
 
 #[test]
 fn retention_trims_old_bulk_epochs() {
-    let mut r = StoreReplica::alone(StoreConfig::default().with_retain_epochs(2));
-    for e in 1..=4 {
-        r.apply_bulk(ckpt("obj", e, b"state"));
-    }
+    let mut r = StoreReplica::alone(StoreConfig {
+        retain_epochs: 2,
+        ..StoreConfig::default()
+    });
+    let trimmed: Vec<u64> = (1..=4)
+        .map(|e| r.apply_bulk(ckpt("obj", e, b"state")))
+        .collect();
+    assert_eq!(trimmed, [0, 0, 1, 1], "retain K=2: epochs 1 and 2 trimmed");
     let newest = r.local_newest("obj").unwrap();
     assert_eq!(newest.epoch, Epoch(4));
-    let (objects, epochs, _) = r.status();
-    assert_eq!((objects, epochs), (1, 2), "retain K=2 epochs");
-    assert_eq!(r.gc_epochs, 2, "epochs 1 and 2 trimmed");
 }
 
 #[test]
 fn header_write_reclaims_superseded_chunks() {
-    let mut r = StoreReplica::alone(StoreConfig::default().with_retain_epochs(2));
+    let mut r = StoreReplica::alone(StoreConfig {
+        retain_epochs: 2,
+        ..StoreConfig::default()
+    });
     // Chunks of epochs 1 and 2, then a header advancing to epoch 3:
     // the retention floor becomes 3 - (2-1) = 2, so epoch-1 chunks go.
-    r.apply_value("obj", &chunk_key(0), chunk_any(1));
-    r.apply_value("obj", &chunk_key(1), chunk_any(2));
+    assert_eq!(r.apply_value("obj", &chunk_key(0), chunk_any(1)), 0);
+    assert_eq!(r.apply_value("obj", &chunk_key(1), chunk_any(2)), 0);
     let dropped = r.apply_value("obj", HEADER_KEY, header_any(3));
     assert_eq!(dropped, 1, "only the epoch-1 chunk falls out");
-    let (_, _, values) = r.status();
-    assert_eq!(values, 2, "header + epoch-2 chunk survive");
-    assert_eq!(r.gc_chunks, 1);
-}
-
-#[test]
-fn compact_keeps_only_newest_epoch_and_chunks() {
-    let mut r = StoreReplica::alone(StoreConfig::default().with_retain_epochs(8));
-    for e in 1..=3 {
-        r.apply_bulk(ckpt("obj", e, b"state"));
-    }
-    r.apply_value("obj", &chunk_key(0), chunk_any(2));
-    r.apply_value("obj", &chunk_key(1), chunk_any(3));
-    r.apply_value("obj", HEADER_KEY, header_any(3));
-    let (epochs_dropped, chunks_dropped) = r.compact();
-    assert_eq!(epochs_dropped, 2, "bulk epochs 1 and 2 dropped");
-    assert_eq!(chunks_dropped, 1, "epoch-2 chunk dropped");
-    let (objects, epochs, values) = r.status();
-    assert_eq!((objects, epochs, values), (1, 1, 2));
-    assert_eq!(r.local_newest("obj").unwrap().epoch, Epoch(3));
-}
-
-#[test]
-fn delete_removes_both_stores() {
-    let mut r = StoreReplica::alone(StoreConfig::default());
-    r.apply_bulk(ckpt("obj", 1, b"s"));
-    r.apply_value("obj", HEADER_KEY, header_any(1));
-    assert!(r.apply_delete("obj"));
-    assert!(!r.apply_delete("obj"), "second delete finds nothing");
-    assert_eq!(r.status(), (0, 0, 0));
 }
 
 // ---------------------------------------------------------------------
@@ -211,6 +185,15 @@ fn resolve_store(orb: &mut Orb, ctx: &mut simnet::Ctx, naming_host: HostId) -> C
     }
 }
 
+/// The store group's members, asked of the naming service on
+/// `naming_host`.
+fn group_members(orb: &mut Orb, ctx: &mut simnet::Ctx, naming_host: HostId) -> Vec<orb::Ior> {
+    NamingClient::root(naming_host)
+        .group_members(orb, ctx, &Name::simple(CHECKPOINT_SERVICE_NAME))
+        .unwrap()
+        .unwrap()
+}
+
 /// Boot naming and the paper's checkpoint service — a replica alone —
 /// on one host, and run `drive` against it from a second process.
 /// Returns what the naming service recorded.
@@ -252,28 +235,23 @@ fn a_lone_replica_keeps_the_checkpoint_service_contract() {
             .unwrap();
         let got = c.retrieve(orb, ctx, "w1").unwrap().unwrap().unwrap();
         assert_eq!((got.epoch, got.state.as_slice()), (Epoch(2), &b"newer"[..]));
-        assert_eq!(c.list(orb, ctx).unwrap().unwrap(), vec!["w1", "w2"]);
+        let w2 = c.retrieve(orb, ctx, "w2").unwrap().unwrap().unwrap();
+        assert_eq!((w2.epoch, w2.state.as_slice()), (Epoch(1), &b"two"[..]));
 
         for (key, v) in [("x0", 1.5), ("x1", 2.5), ("x0", 9.0)] {
             c.store_value(orb, ctx, "w1", key, &Any::double(v))
                 .unwrap()
                 .unwrap();
         }
-        assert_eq!(c.value_count(orb, ctx, "w1").unwrap().unwrap(), 2);
         let x0 = c.retrieve_value(orb, ctx, "w1", "x0").unwrap().unwrap();
         assert_eq!(x0, Some(Any::double(9.0)), "a value is replaced by key");
+        let x1 = c.retrieve_value(orb, ctx, "w1", "x1").unwrap().unwrap();
+        assert_eq!(x1, Some(Any::double(2.5)));
         assert!(c
             .retrieve_value(orb, ctx, "w1", "nope")
             .unwrap()
             .unwrap()
             .is_none());
-
-        // Delete erases both halves of an object, and only that object.
-        assert!(c.delete(orb, ctx, "w1").unwrap().unwrap());
-        assert!(!c.delete(orb, ctx, "w1").unwrap().unwrap());
-        assert!(c.retrieve(orb, ctx, "w1").unwrap().unwrap().is_none());
-        assert_eq!(c.value_count(orb, ctx, "w1").unwrap().unwrap(), 0);
-        assert_eq!(c.list(orb, ctx).unwrap().unwrap(), vec!["w2"]);
     });
     // Its writes read no membership view: a plain binding, as the paper's.
     assert!(naming.spans_named("serve:group_view").is_empty());
@@ -352,7 +330,7 @@ fn write_replicates_to_every_view_member() {
     let mut sim = Kernel::with_seed(5);
     let hosts = store_bed(&mut sim, 3, StoreConfig::default());
     let h0 = hosts[0];
-    let counts = cell::<Vec<(u64, u64, u64)>>();
+    let counts = cell::<Vec<(Option<Epoch>, bool)>>();
     let c = counts.clone();
     let driver = sim.spawn(h0, "driver", move |ctx| {
         ctx.sleep(secs(1.0)).unwrap();
@@ -366,24 +344,24 @@ fn write_replicates_to_every_view_member() {
             .store_value(&mut orb, ctx, "a", HEADER_KEY, &header_any(1))
             .unwrap()
             .unwrap();
-        // Ask every group member directly for its local status.
-        let ns = NamingClient::root(h0);
-        let members = ns
-            .group_members(&mut orb, ctx, &Name::simple(CHECKPOINT_SERVICE_NAME))
-            .unwrap()
-            .unwrap();
+        // Ask every group member directly for what it holds locally.
+        let members = group_members(&mut orb, ctx, h0);
         assert_eq!(members.len(), 3);
         for m in members {
-            let admin = crate::ReplicationStub::new(orb::ObjectRef::new(m));
-            let status = admin.store_status(&mut orb, ctx).unwrap().unwrap();
-            c.lock().unwrap().push(status);
+            let member = CheckpointClient::new(orb::ObjectRef::new(m));
+            let bulk = member.retrieve(&mut orb, ctx, "a").unwrap().unwrap();
+            let value = member.retrieve_value(&mut orb, ctx, "a", HEADER_KEY);
+            let value = value.unwrap().unwrap();
+            c.lock()
+                .unwrap()
+                .push((bulk.map(|b| b.epoch), value == Some(header_any(1))));
         }
     });
     sim.run_until_exit(driver);
     let counts = counts.lock().unwrap().clone();
     assert_eq!(
         counts,
-        vec![(1, 1, 1); 3],
+        vec![(Some(Epoch(1)), true); 3],
         "every replica holds the bulk record and the value"
     );
 }
@@ -431,9 +409,11 @@ fn a_coordinator_rereads_its_view_only_after_the_ttl() {
 fn unreachable_quorum_fails_the_write() {
     // Two replicas, strict W=2 and no detector: crash the backup and
     // write before any eviction can shrink the view.
-    let cfg = StoreConfig::default()
-        .with_write_quorum(2)
-        .with_repl_timeout(SimDuration::from_millis(200));
+    let cfg = StoreConfig {
+        write_quorum: 2,
+        repl_timeout: SimDuration::from_millis(200),
+        ..StoreConfig::default()
+    };
     let mut sim = Kernel::with_seed(9);
     let mut hosts = Vec::new();
     for i in 0..3 {
@@ -621,11 +601,11 @@ fn partition_heal_keeps_a_single_linear_epoch_history() {
             }
         }
         for m in &members {
-            let admin = crate::ReplicationStub::new(orb::ObjectRef::new(m.clone()));
-            let (found, c) = admin.repl_get(&mut orb, ctx, "obj").unwrap().unwrap();
-            sw.lock()
-                .unwrap()
-                .push((m.host, found, c.epoch.get(), c.state));
+            let member = CheckpointClient::new(orb::ObjectRef::new(m.clone()));
+            let c = member.retrieve(&mut orb, ctx, "obj").unwrap().unwrap();
+            let found = c.is_some();
+            let (epoch, state) = c.map_or((0, Vec::new()), |c| (c.epoch.get(), c.state));
+            sw.lock().unwrap().push((m.host, found, epoch, state));
         }
     });
     sim.run_until_exit(driver_a);
@@ -657,15 +637,13 @@ fn partition_heal_keeps_a_single_linear_epoch_history() {
 }
 
 #[test]
-fn admin_client_reads_and_compacts_over_the_wire() {
-    // Drive the maintenance surface (`repl_get`, `gc`, `store_status` in
-    // idl/store.idl) through the generated ReplicationStub against every
-    // group member: each replica reports the replicated newest epoch,
-    // compacts its superseded epochs, and shows the shrunken status.
+fn every_replica_answers_retrieve_with_the_newest_epoch() {
+    // Audit every group member directly: each holds the replicated
+    // newest epoch of a record written three times.
     let mut sim = Kernel::with_seed(5);
-    let hosts = store_bed(&mut sim, 2, StoreConfig::default().with_retain_epochs(4));
+    let hosts = store_bed(&mut sim, 2, StoreConfig::default());
     let h0 = hosts[0];
-    let out = cell::<Vec<(bool, u64, u64, u64)>>();
+    let out = cell::<Vec<Option<Epoch>>>();
     let o = out.clone();
     let driver = sim.spawn(h0, "driver", move |ctx| {
         ctx.sleep(secs(1.0)).unwrap();
@@ -677,28 +655,18 @@ fn admin_client_reads_and_compacts_over_the_wire() {
                 .unwrap()
                 .unwrap();
         }
-        let ns = NamingClient::root(h0);
-        let members = ns
-            .group_members(&mut orb, ctx, &Name::simple(CHECKPOINT_SERVICE_NAME))
-            .unwrap()
-            .unwrap();
+        let members = group_members(&mut orb, ctx, h0);
         assert_eq!(members.len(), 2);
         for m in members {
-            let admin = crate::ReplicationStub::new(orb::ObjectRef::new(m));
-            let (found, c) = admin.repl_get(&mut orb, ctx, "obj").unwrap().unwrap();
-            assert!(found, "every replica holds the replicated record");
-            let (epochs_dropped, _chunks) = admin.gc(&mut orb, ctx).unwrap().unwrap();
-            let (_objects, epochs_left, _values) =
-                admin.store_status(&mut orb, ctx).unwrap().unwrap();
-            o.lock()
-                .unwrap()
-                .push((found, c.epoch.get(), epochs_dropped, epochs_left));
+            let member = CheckpointClient::new(orb::ObjectRef::new(m));
+            let c = member.retrieve(&mut orb, ctx, "obj").unwrap().unwrap();
+            o.lock().unwrap().push(c.map(|c| c.epoch));
         }
     });
     sim.run_until_exit(driver);
     assert_eq!(
         *out.lock().unwrap(),
-        vec![(true, 3, 2, 1); 2],
-        "both replicas: newest epoch 3 visible, gc drops 2, one epoch left"
+        vec![Some(Epoch(3)); 2],
+        "both replicas: newest epoch 3 visible"
     );
 }

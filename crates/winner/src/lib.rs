@@ -40,8 +40,8 @@ pub mod system_manager;
 pub use client::{run_system_manager_obs, SystemManagerClient};
 pub use node_manager::{run_node_manager, NodeManagerConfig};
 pub use policy::{
-    performance_score_of, placement_hosts, BestPerformance, HostView, LeastLoaded, RoundRobin,
-    SelectionPolicy, Uniform, WeightedRandom,
+    performance_score_of, BestPerformance, HostView, LeastLoaded, RoundRobin, SelectionPolicy,
+    Uniform, WeightedRandom,
 };
 pub use protocol::{
     HostStatus, LoadReport, SelectRequest, SystemManagerSkeleton, SystemManagerStub, Winner,

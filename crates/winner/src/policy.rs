@@ -39,24 +39,6 @@ pub fn performance_score_of(speed: f64, eff_load: f64) -> f64 {
     speed / (1.0 + eff_load.max(0.0))
 }
 
-/// Rank candidates for multi-host service placement: the `n` hosts with
-/// the best [`performance_score`], best first (ties: lowest id, so the
-/// ranking is deterministic). Where [`SelectionPolicy::select`] places
-/// *one* process, this places a *set* — e.g. the replicas of a
-/// replicated checkpoint store, which should sit on the most capable
-/// hosts but never share one.
-pub fn placement_hosts(candidates: &[HostView], n: usize) -> Vec<u32> {
-    let mut ranked: Vec<&HostView> = candidates.iter().collect();
-    ranked.sort_by(|a, b| {
-        performance_score(b)
-            .partial_cmp(&performance_score(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.host.cmp(&b.host))
-    });
-    ranked.truncate(n);
-    ranked.into_iter().map(|v| v.host).collect()
-}
-
 /// A pluggable host selection policy.
 pub trait SelectionPolicy: Send {
     /// Pick one of the candidate hosts, or `None` if the slice is empty.
@@ -254,15 +236,6 @@ mod tests {
         let mut vs = views();
         vs[1].eff_load = 1.0; // all tied at 1.0 → fastest wins
         assert_eq!(LeastLoaded.select(&vs), Some(2));
-    }
-
-    #[test]
-    fn placement_ranks_by_score_then_id() {
-        // score: h0 = 0.5, h1 = 1.0, h2 = 1.0 → h1 before h2 (tie: id).
-        assert_eq!(placement_hosts(&views(), 2), vec![1, 2]);
-        assert_eq!(placement_hosts(&views(), 3), vec![1, 2, 0]);
-        assert_eq!(placement_hosts(&views(), 9), vec![1, 2, 0], "n clamps");
-        assert_eq!(placement_hosts(&[], 2), Vec::<u32>::new());
     }
 
     #[test]

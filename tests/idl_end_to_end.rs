@@ -165,22 +165,15 @@ fn generated_files_are_in_sync_with_idlc() {
 
 /// One servant of every contract interface behind its generated skeleton.
 fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
-    let tree = cosnaming::NamingTree::new();
     vec![
         (
             "Calculator",
             Box::new(CalculatorSkeleton(CalcImpl::default())),
         ),
         (
-            "BindingIterator",
-            Box::new(cosnaming::BindingIteratorSkeleton(
-                cosnaming::iterator::BindingIterator::new(Vec::new()),
-            )),
-        ),
-        (
             "NamingContext",
             Box::new(cosnaming::NamingContextSkeleton(
-                cosnaming::NamingContext::root(tree, LbMode::Plain),
+                cosnaming::NamingContext::new(LbMode::Plain),
             )),
         ),
         (
@@ -246,7 +239,7 @@ fn skeletons_answer_hostile_bytes_with_system_exceptions() {
         }
     }
     assert!(
-        ops.len() >= declared + 7,
+        ops.len() >= declared + 4,
         "every contract op, Replication's inherited ones too"
     );
 

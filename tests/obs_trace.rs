@@ -81,9 +81,18 @@ fn run_crash_recovery_cell(seed: u64) -> Obs {
         let cfg = FtProxyConfig::new(worker_group(), WORKER_SERVICE_TYPE, "worker-0");
         let mut proxy = WorkerFtProxy::new(FtProxy::new(cfg, NamingClient::root(h0), ckpt));
         let mut env = ProxyEnv { orb: &mut orb, ctx };
+        let spec = optim::SolveSpec {
+            problem_id: 0,
+            dim: 4,
+            left: None,
+            right: None,
+            iters: 10,
+            seed: 1,
+            reset: false,
+        };
         for i in 0..3 {
-            let n = proxy.get_solve_count(&mut env).unwrap().unwrap();
-            assert_eq!(n, 0, "no solves were issued");
+            let r = proxy.solve(&mut env, &spec).unwrap().unwrap();
+            assert_eq!(r.best_point.len(), 4);
             if i == 1 {
                 let victim = proxy.inner.current_target().unwrap().ior.host;
                 env.ctx.crash_host(victim).unwrap();
@@ -118,7 +127,7 @@ fn recovery_episode_is_one_causal_span_tree() {
             .unwrap_or_else(|| panic!("{n} missing from trace: {names:?}"))
     };
     // The paper's recovery sequence, in causal order, inside one trace.
-    let call = pos("ft.call:_get_solve_count");
+    let call = pos("ft.call:solve");
     let rec = pos("ft.recover");
     let create = pos("ft.factory_create");
     let restore = pos("ft.restore");
@@ -130,10 +139,7 @@ fn recovery_episode_is_one_causal_span_tree() {
     );
     // …and ends with the retried dispatch on the freshly created replica.
     assert!(
-        names
-            .iter()
-            .skip(restore)
-            .any(|&n| n == "serve:_get_solve_count"),
+        names.iter().skip(restore).any(|&n| n == "serve:solve"),
         "{names:?}"
     );
     // The failing client call is the root of the episode's trace, and the

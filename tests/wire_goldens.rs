@@ -6,7 +6,7 @@
 //! decoded to before; the generated stubs and skeletons
 //! below must keep producing and answering exactly them. Beside
 //! `crates/orb/tests/wire_golden.rs` (one whole GIOP frame), this pins
-//! what goes *inside* the frame for each of the eight interfaces.
+//! what goes *inside* the frame for each of the interfaces.
 //!
 //! Every servant sits behind a [`Tap`] that records `(op, args, reply)`
 //! of each dispatch, so both directions come from one real round trip
@@ -86,7 +86,6 @@ fn assert_golden(log: &Log, op: &str, request: &str, reply: &str) {
 #[derive(Clone)]
 struct Served {
     context: Ior,
-    iterator: Ior,
     trader: Ior,
     system_manager: Ior,
     checkpoint_service: Ior,
@@ -98,30 +97,13 @@ fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
     let mut orb = Orb::init(ctx);
     orb.listen(ctx).unwrap();
     let poa = Poa::new();
-    let binding = |id: &str| cosnaming::Binding {
-        name: Name::simple(id),
-        binding_type: cosnaming::BindingType::nobject,
-    };
     let all = Served {
         context: tap(
             &poa,
             &orb,
             &log,
             cosnaming::NAMING_CONTEXT_TYPE,
-            cosnaming::NamingContextSkeleton(cosnaming::NamingContext::root(
-                cosnaming::NamingTree::new(),
-                LbMode::Plain,
-            )),
-        )
-        .0,
-        iterator: tap(
-            &poa,
-            &orb,
-            &log,
-            "IDL:CosNaming/BindingIterator:1.0",
-            cosnaming::BindingIteratorSkeleton(cosnaming::iterator::BindingIterator::new(vec![
-                binding("left-over"),
-            ])),
+            cosnaming::NamingContextSkeleton(cosnaming::NamingContext::new(LbMode::Plain)),
         )
         .0,
         trader: tap(
@@ -169,13 +151,16 @@ fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
         )
         .0,
     };
-    // Object keys count up per POA, and two goldens carry the key of an
-    // object created mid-test (`list`'s iterator, `create`'s worker). They
-    // were captured over eight servants; seven are left, so spend one key.
-    let spare = Rc::new(RefCell::new(cosnaming::LookupSkeleton(
-        cosnaming::Trader::new(),
-    )));
-    poa.deactivate(poa.activate(cosnaming::TRADER_TYPE, spare));
+    // Object keys count up per POA, and `create`'s golden carries the key
+    // of the worker it creates mid-test. It was captured over eight
+    // servants and after `list` had created an iterator; six servants are
+    // left and nothing creates before it, so spend three keys.
+    for _ in 0..3 {
+        let spare = Rc::new(RefCell::new(cosnaming::LookupSkeleton(
+            cosnaming::Trader::new(),
+        )));
+        poa.deactivate(poa.activate(cosnaming::TRADER_TYPE, spare));
+    }
     served.replace(Some(all));
     let _ = orb.serve_forever(ctx, &poa);
 }
@@ -248,37 +233,19 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
         let obj = |ior: &Ior| ObjectRef::new(ior.clone());
         let some_ior = Ior::new("IDL:Some/Thing:1.0", h0, simnet::Port(7), orb::ObjectKey(9));
 
-        // -- CosNaming::NamingContext: `list` ---------------------------
+        // -- CosNaming::NamingContext: `resolve` ------------------------
         let ns = NamingClient::new(obj(&s.context));
-        for id in ["a", "b", "c"] {
-            ns.bind(&mut orb, ctx, &Name::simple(id), &some_ior)
-                .unwrap()
-                .unwrap();
-        }
-        let (page, rest) = ns.list(&mut orb, ctx, 2).unwrap().unwrap();
-        assert_eq!(page.len(), 2);
-        assert!(rest.is_some(), "the third binding goes to an iterator");
+        let name = Name::simple("a");
+        ns.bind(&mut orb, ctx, &name, &some_ior).unwrap().unwrap();
+        let got = ns.resolve(&mut orb, ctx, &name).unwrap().unwrap();
+        assert_eq!(got.ior, some_ior);
         assert_golden(
             &log,
-            "list",
-            "02000000",
+            "resolve",
+            "0100000002000000610000000100000000",
             "\
-             0200000001000000020000006100000001000000000000000000000001000000\
-             0200000062000000010000000000000000000000010000002200000049444c3a\
-             436f734e616d696e672f42696e64696e674974657261746f723a312e30000000\
-             00000000000400000900000000000000",
-        );
-
-        // -- CosNaming::BindingIterator: `next_one` ---------------------
-        let it = cosnaming::BindingIteratorClient::new(obj(&s.iterator));
-        assert!(it.next_one(&mut orb, ctx).unwrap().unwrap().is_some());
-        assert_golden(
-            &log,
-            "next_one",
-            "",
-            "\
-             01000000010000000a0000006c6566742d6f7665720000000100000000000000\
-             00000000",
+             1300000049444c3a536f6d652f5468696e673a312e30000000000000\
+             070000000900000000000000",
         );
 
         // -- CosTrading::Lookup: `query` --------------------------------
