@@ -219,7 +219,7 @@ fn run_cell(family: FaultFamily, intensity: Intensity, seed: u64, scale: f64) ->
         out.replace(drive(ctx, infra, sink, write_end));
     });
     let end = cluster.kernel.run_until_exit(driver);
-    let doctor = monitor::diagnose(&cluster.obs, monitor::MonitorConfig::default(), end);
+    let doctor = monitor::diagnose(&cluster.obs, end);
 
     let mut stats = stats.get();
     stats.faults = cluster.chaos_plan.events.len();

@@ -108,7 +108,7 @@ pub(crate) fn reference_spec(args: &RunArgs, crash: bool) -> ExperimentSpec {
 /// exports.
 pub fn doctor_cell(args: &RunArgs, crash: bool) -> ExperimentOutcome {
     let mut spec = reference_spec(args, crash);
-    spec.monitor = Some(monitor::MonitorConfig::default());
+    spec.monitor = Some(monitor::MonitorConfig);
     run_experiment(&spec).expect("reference cell failed")
 }
 

@@ -26,7 +26,7 @@ use simnet::{
     Ctx, Fault, HostConfig, HostId, Kernel, KernelConfig, Shared, SimDuration, SimResult,
 };
 use store::{run_store_detector, run_store_replica, ChaosConfig, ChaosPlan};
-use winner::{run_node_manager, run_system_manager_obs, NodeManagerConfig, SelectionPolicy};
+use winner::{run_node_manager, run_system_manager_obs, SelectionPolicy};
 
 /// Which naming service to deploy — the paper's comparison axis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -209,8 +209,8 @@ impl Cluster {
             for &h in &hosts {
                 let (cell, sink) = (sysmgr_ior.clone(), obs.clone());
                 services.push(Service::new(h, format!("winner-nm-{h}"), move |ctx| {
-                    let cfg = NodeManagerConfig::new(wait_for_ior(ctx, &cell)?);
-                    run_node_manager(ctx, cfg, Some(sink.clone()))
+                    let system_manager = wait_for_ior(ctx, &cell)?;
+                    run_node_manager(ctx, system_manager, Some(sink.clone()))
                 }));
             }
         }

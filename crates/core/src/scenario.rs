@@ -55,7 +55,7 @@ pub struct ExperimentSpec {
     /// Optional fault injection: crash a checkpoint-store host mid-run.
     pub store_crash: Option<StoreCrashPlan>,
     /// Live monitoring: when set, the doctor + flight recorder read the
-    /// run's event log with these thresholds once it ends
+    /// run's event log once it ends
     /// ([`ExperimentOutcome::doctor`]). Every run records the events; the
     /// run itself — `report`, `started_at`, the sink — is the same either
     /// way.
@@ -265,8 +265,7 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<ExperimentOutcome, String
     cluster.kernel.run_until_exit(manager);
     let doctor = spec
         .monitor
-        .clone()
-        .map(|cfg| monitor::diagnose(&cluster.obs, cfg, cluster.kernel.now()));
+        .map(|_| monitor::diagnose(&cluster.obs, cluster.kernel.now()));
     crate::runtime::publish_kernel_profile(&cluster.kernel, &cluster.obs);
     let report = match report_cell.take() {
         Some(Ok(report)) => report,

@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 
 use cosnaming::{LbMode, Name, NamingClient};
 use ftproxy::{Checkpoint, CheckpointClient, CHECKPOINT_SERVICE_NAME};
-use monitor::MonitorConfig;
 use orb::{Orb, OrbConfig};
 use simnet::{Ctx, Fault, HostConfig, HostId, Kernel, Shared, SimDuration, SimResult, SimTime};
 use store::{spawn_replicated_store, StoreConfig};
@@ -209,7 +208,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
         })
     };
     let end = sim.run_until_exit(driver);
-    let doctor = monitor::diagnose(&flight, MonitorConfig::default(), end);
+    let doctor = monitor::diagnose(&flight, end);
 
     let s = out.get();
     let mut violations = Vec::new();

@@ -23,7 +23,6 @@ use ftproxy::{
     run_factory_obs, CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, FtProxyStats,
     ProxyEnv, ServantBuilder, CHECKPOINT_SERVICE_NAME,
 };
-use monitor::MonitorConfig;
 use orb::{reply, CallCtx, Exception, Orb, OrbConfig, Servant, SystemException};
 use simnet::{Ctx, HostConfig, HostId, Kernel, Shared, SimDuration, SimResult};
 
@@ -225,7 +224,7 @@ fn run_cell(plan: &BTreeMap<u64, usize>) -> RunOutcome {
         })
     };
     let end = sim.run_until_exit(driver);
-    let doctor = monitor::diagnose(&flight, MonitorConfig::default(), end);
+    let doctor = monitor::diagnose(&flight, end);
 
     let s = out.get();
     let mut violations = Vec::new();

@@ -416,11 +416,15 @@ fn one_way_partition_does_not_double_restore() {
     let o = out.clone();
     let stats_out = cell::<Option<crate::proxy::FtProxyStats>>();
     let so = stats_out.clone();
+    let sink = obs::Obs::default();
+    let driver_obs = sink.clone();
     let driver = sim.spawn(hd, "driver", move |ctx| {
         ctx.sleep(secs(1.0)).unwrap();
         let mut orb = Orb::init(ctx);
+        orb.set_obs(obs::ProcessObs::new(driver_obs, ctx));
         let ckpt = ckpt_client(&mut orb, ctx, h0);
-        let mut cfg = FtProxyConfig::new(Name::simple("Counters"), "Counter", "counter-1").bulk();
+        let mut cfg = FtProxyConfig::new(Name::simple("Counters"), "Counter", "counter-1");
+        cfg.mode = CheckpointMode::Bulk;
         cfg.max_recoveries_per_call = 6;
         let mut proxy = FtProxy::new(cfg, NamingClient::root(h0), ckpt);
         let mut env = ProxyEnv { orb: &mut orb, ctx };
@@ -440,7 +444,7 @@ fn one_way_partition_does_not_double_restore() {
     // invisible; the surviving chain restores epoch-2 state (value 4).
     assert_eq!(*out.lock().unwrap(), vec![2, 4, 6, 8]);
     let s = stats_out.lock().unwrap().unwrap();
-    assert_eq!(s.duplicate_suppressed, 1, "{s:?}");
+    assert_eq!(sink.counter("ft.duplicate_suppressed"), 1, "{s:?}");
     assert_eq!(
         *c3_restores.lock().unwrap(),
         1,
@@ -518,9 +522,9 @@ fn checkpoint_every_k_reduces_checkpoints() {
         ctx.sleep(secs(1.0)).unwrap();
         let mut orb = Orb::init(ctx);
         let ckpt = ckpt_client(&mut orb, ctx, h0);
-        let cfg = FtProxyConfig::new(Name::simple("Counters"), "Counter", "counter-k")
-            .bulk()
-            .checkpoint_every(3);
+        let mut cfg = FtProxyConfig::new(Name::simple("Counters"), "Counter", "counter-k");
+        cfg.mode = CheckpointMode::Bulk;
+        cfg.checkpoint_every = 3;
         let mut proxy = FtProxy::new(cfg, NamingClient::root(h0), ckpt);
         let mut env = ProxyEnv { orb: &mut orb, ctx };
         for _ in 0..7 {
@@ -570,7 +574,7 @@ fn request_proxy_recovers_deferred_call() {
             .unwrap()
             .unwrap();
         o.lock().unwrap().push(v);
-        o.lock().unwrap().push(req.attempts() as i64);
+        o.lock().unwrap().push(proxy.stats.recoveries as i64);
     });
     sim.run_until_exit(driver);
     let log = out.lock().unwrap().clone();
@@ -578,38 +582,6 @@ fn request_proxy_recovers_deferred_call() {
     assert_eq!(log[0], 5);
     assert_eq!(log[1], 8);
     assert!(log[2] >= 1, "{log:?}");
-}
-
-#[test]
-fn request_proxy_poll_path() {
-    let mut sim = Kernel::with_seed(7);
-    let hosts = standard_bed(&mut sim, 2);
-    let out = cell::<Vec<bool>>();
-    let o = out.clone();
-    let h0 = hosts[0];
-    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
-        ctx.sleep(secs(1.0)).unwrap();
-        let mut orb = Orb::init(ctx);
-        let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::None);
-        let mut env = ProxyEnv { orb: &mut orb, ctx };
-        let mut req = FtRequest::new("slow_inc");
-        req.add_typed(&1i64).add_typed(&1.0f64);
-        req.send_deferred(&mut proxy, &mut env).unwrap();
-        o.lock()
-            .unwrap()
-            .push(req.poll_response(&mut proxy, &mut env).unwrap());
-        env.ctx.sleep(secs(3.0)).unwrap();
-        o.lock()
-            .unwrap()
-            .push(req.poll_response(&mut proxy, &mut env).unwrap());
-        let v: i64 = req
-            .get_response_typed(&mut proxy, &mut env)
-            .unwrap()
-            .unwrap();
-        assert_eq!(v, 1);
-    });
-    sim.run_until_exit(driver);
-    assert_eq!(*out.lock().unwrap(), vec![false, true]);
 }
 
 #[test]
@@ -656,7 +628,7 @@ fn detector_evicts_dead_members() {
             ctx,
             h0,
             DetectorConfig {
-                groups: vec![Name::simple("Counters")],
+                group: Name::simple("Counters"),
                 period: secs(0.5),
                 suspect_after: 2,
             },
@@ -762,9 +734,9 @@ fn failed_checkpoint_stays_due_until_it_succeeds() {
             },
         );
         let ckpt = ckpt_client(&mut orb, ctx, h0);
-        let cfg = FtProxyConfig::new(Name::simple("Counters"), "Counter", "counter-due")
-            .bulk()
-            .checkpoint_every(2);
+        let mut cfg = FtProxyConfig::new(Name::simple("Counters"), "Counter", "counter-due");
+        cfg.mode = CheckpointMode::Bulk;
+        cfg.checkpoint_every = 2;
         let mut proxy = FtProxy::new(cfg, NamingClient::root(h0), ckpt);
         let mut env = ProxyEnv { orb: &mut orb, ctx };
         // Call 1: not yet due (k = 2).
@@ -894,7 +866,7 @@ fn torn_checkpoint_recovers_the_last_acked_state() {
     // First bind cold, recovery to epoch 2 (set_pad, inc) — and the
     // doctor's restore-freshness agrees.
     assert_eq!(restored_epochs(&sink), vec![0, 2]);
-    let doctor = monitor::diagnose(&sink, monitor::MonitorConfig::default(), end);
+    let doctor = monitor::diagnose(&sink, end);
     assert_eq!(doctor.violations, 0, "{}", doctor.report);
 }
 
@@ -1073,7 +1045,7 @@ fn failed_checkpoints_leave_the_acked_copy_alone() {
         "{s:?}"
     );
     assert_eq!(restored_epochs(&sink), vec![0, 1]);
-    let doctor = monitor::diagnose(&sink, monitor::MonitorConfig::default(), end);
+    let doctor = monitor::diagnose(&sink, end);
     assert_eq!(doctor.violations, 0, "{}", doctor.report);
 }
 
@@ -1115,12 +1087,6 @@ fn call_via<A: cdr::CdrWrite>(
     } else {
         proxy.call(env, op, args).unwrap()
     }
-}
-
-/// One schedule with a traced driver (its proxy's events are the
-/// `Observed::events`) and untraced infrastructure.
-fn run_schedule(schedule: Schedule, deferred: bool) -> Observed {
-    run_schedule_obs(schedule, deferred, Some(obs::Obs::default()), None)
 }
 
 /// One schedule with the driver recording into `sink` and every
@@ -1221,7 +1187,7 @@ fn recovery_backoff_is_bounded_and_deterministic() {
     // jitter) pace the other two. Read off the sleeps themselves, not the
     // call's duration: how long the four failures take to *detect* is the
     // ORB's business.
-    assert_eq!(a.stats.backoffs, 2, "{a:?}");
+    assert_eq!(sink.counter("ft.backoffs"), 2, "{a:?}");
     let Some(obs::Metric::Histogram(h)) = backoff_ns else {
         panic!("ft.backoff_ns not recorded: {a:?}");
     };
@@ -1278,7 +1244,8 @@ fn both_call_styles_run_one_recovery_engine() {
             "{schedule:?}"
         );
         assert!(bare.events.is_empty(), "an untraced proxy recorded events");
-        let sync = run_schedule(schedule, false);
+        let sink = obs::Obs::default();
+        let sync = run_schedule_obs(schedule, false, Some(sink.clone()), None);
         for deferred in [false, true] {
             // A sink changes what is recorded, never what runs: with every
             // server recording, the run is the untraced one to the
@@ -1341,8 +1308,9 @@ fn both_call_styles_run_one_recovery_engine() {
                 // retry, and no duplicate-epoch suppression on the second.
                 assert!(outcome.is_err_and(|e| !e.is_recoverable()));
                 assert_eq!((stats.factory_creates, stats.target_failures), (1, 2));
-                assert_eq!((stats.recoveries, stats.backoffs, stats.calls), (0, 0, 0));
-                assert_eq!(stats.duplicate_suppressed, 0);
+                assert_eq!((stats.recoveries, stats.calls), (0, 0));
+                let counted = ["ft.backoffs", "ft.duplicate_suppressed"].map(|c| sink.counter(c));
+                assert_eq!(counted, [0, 0]);
                 assert_eq!((detected, started), (0, vec![]));
             }
         }
@@ -1434,7 +1402,7 @@ fn detector_tolerates_transient_misses() {
             ctx,
             h0,
             DetectorConfig {
-                groups: vec![Name::simple("Counters")],
+                group: Name::simple("Counters"),
                 period: secs(0.5),
                 suspect_after: 3,
             },

@@ -151,18 +151,6 @@ impl FtProxyConfig {
             store_retries: 0,
         }
     }
-
-    /// Use bulk checkpointing instead of the per-value proof of concept.
-    pub fn bulk(mut self) -> Self {
-        self.mode = CheckpointMode::Bulk;
-        self
-    }
-
-    /// Checkpoint only every `k`-th call (ablation knob).
-    pub fn checkpoint_every(mut self, k: u32) -> Self {
-        self.checkpoint_every = k.max(1);
-        self
-    }
 }
 
 /// Counters the proxy accumulates.
@@ -183,15 +171,8 @@ pub struct FtProxyStats {
     /// Recovery attempts burned because no healthy target could be
     /// acquired (resolve and factory creation both failed).
     pub target_failures: u64,
-    /// Backoff sleeps taken between recovery attempts.
-    pub backoffs: u64,
     /// Checkpoint-store retargets (store replica failovers followed).
     pub store_retargets: u64,
-    /// Restores skipped because the same checkpoint epoch had already
-    /// been pushed into the same replica. This is the asymmetric-link
-    /// case: the earlier push applied but its reply was lost, so a
-    /// retargeting proxy would re-apply the epoch on every retry.
-    pub duplicate_suppressed: u64,
 }
 
 /// The generic fault-tolerant proxy engine.
@@ -320,7 +301,6 @@ impl FtProxy {
         let unit: f64 = env.ctx.rng().random();
         let delay =
             SimDuration::from_nanos((capped * (1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0))) as u64);
-        self.stats.backoffs += 1;
         let o = env.orb.obs();
         o.counter_add("ft.backoffs", 1);
         o.observe("ft.backoff_ns", delay.as_nanos());
@@ -535,14 +515,14 @@ impl FtProxy {
         };
         // Duplicate-epoch suppression: if this very epoch was already
         // pushed into this very replica, the earlier push most likely
-        // applied and only its reply was lost (a one-way partition).
-        // Re-applying is redundant at best; skip and retry the call.
+        // applied and only its reply was lost (a one-way partition), so a
+        // retargeting proxy would re-apply it on every retry. Re-applying
+        // is redundant at best; skip and retry the call.
         if self
             .restored_epoch
             .as_ref()
             .is_some_and(|(ior, e)| *ior == obj.ior && *e == epoch)
         {
-            self.stats.duplicate_suppressed += 1;
             env.orb.obs().counter_add("ft.duplicate_suppressed", 1);
             self.emit_restored(env, epoch);
             return Ok(Ok(()));

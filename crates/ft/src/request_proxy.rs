@@ -14,7 +14,7 @@
 //! awaited at once, so both call styles count, publish and back off
 //! identically.
 
-use cdr::{Any, CdrEncoder, CdrRead, CdrWrite};
+use cdr::{CdrEncoder, CdrRead, CdrWrite};
 use obs::EventBody;
 use orb::{Body, DiiRequest, Exception, SystemException};
 use simnet::{SimResult, SimTime};
@@ -72,23 +72,11 @@ impl FtRequest {
         }
     }
 
-    /// Append a dynamically-typed argument.
+    /// Append a statically-typed argument.
     ///
     /// Adding an argument after the request was sent is a caller error;
     /// the chained `&mut Self` API cannot carry a `Result`, so the
     /// request is poisoned and its outcome becomes `BAD_INV_ORDER`.
-    pub fn add_arg(&mut self, arg: &Any) -> &mut Self {
-        match self.args.as_mut() {
-            Some(enc) => arg.write_value(enc),
-            None => self.poisoned = true,
-        }
-        self
-    }
-
-    /// Append a statically-typed argument.
-    ///
-    /// Same late-add contract as [`FtRequest::add_arg`]: arguments added
-    /// after send poison the request with `BAD_INV_ORDER`.
     pub fn add_typed<T: CdrWrite>(&mut self, arg: &T) -> &mut Self {
         match self.args.as_mut() {
             Some(enc) => arg.write(enc),
@@ -147,31 +135,6 @@ impl FtRequest {
         Ok(Ok(()))
     }
 
-    /// Non-blocking completion check. A failed attempt triggers recovery
-    /// and an immediate re-send; the request then remains pending.
-    pub fn poll_response(
-        &mut self,
-        proxy: &mut FtProxy,
-        env: &mut ProxyEnv<'_>,
-    ) -> SimResult<bool> {
-        if self.check_poisoned() {
-            return Ok(true);
-        }
-        if self.done.is_some() {
-            return Ok(true);
-        }
-        let Some(inner) = self.inner.as_mut() else {
-            return Ok(false); // never sent
-        };
-        if !inner.poll_response(env.orb, env.ctx)? {
-            return Ok(false);
-        }
-        // The reply is in, so this hands it back without blocking.
-        let outcome = inner.get_response(env.orb, env.ctx)?;
-        self.settle(outcome, proxy, env)?;
-        Ok(self.done.is_some())
-    }
-
     /// Block until the outcome is available, recovering as needed.
     pub fn get_response(
         &mut self,
@@ -200,16 +163,6 @@ impl FtRequest {
         env: &mut ProxyEnv<'_>,
     ) -> SimResult<Result<R, Exception>> {
         Ok(decode_reply(self.get_response(proxy, env)?))
-    }
-
-    /// Whether the outcome is available.
-    pub fn is_done(&self) -> bool {
-        self.done.is_some()
-    }
-
-    /// Recovery attempts so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
     }
 
     /// The recovery engine: settle one attempt's outcome. Success runs

@@ -46,6 +46,8 @@ pub struct ImplBlock {
     pub trait_name: Option<String>,
     /// The implementing type path's last segment.
     pub type_name: String,
+    /// Token index of that segment in the header.
+    pub type_tok: usize,
     pub line: usize,
     pub body: Scope,
 }
@@ -364,8 +366,8 @@ fn parse_impl(
     brace_close: &std::collections::BTreeMap<usize, usize>,
 ) -> Option<(ImplBlock, usize)> {
     let mut j = skip_generics(toks, i + 1);
-    let mut first_path: Vec<String> = Vec::new();
-    let mut second_path: Vec<String> = Vec::new();
+    let mut first_path: Vec<usize> = Vec::new();
+    let mut second_path: Vec<usize> = Vec::new();
     let mut saw_for = false;
     while j < toks.len() {
         let t = &toks[j];
@@ -376,9 +378,9 @@ fn parse_impl(
             saw_for = true;
         } else if t.kind == TokKind::Ident {
             if saw_for {
-                second_path.push(t.text.clone());
+                second_path.push(j);
             } else {
-                first_path.push(t.text.clone());
+                first_path.push(j);
             }
             j = skip_generics(toks, j + 1);
             continue;
@@ -389,15 +391,16 @@ fn parse_impl(
         j += 1;
     }
     let close = *brace_close.get(&j)?;
-    let (trait_name, type_name) = if saw_for {
-        (first_path.last().cloned(), second_path.last().cloned()?)
+    let (trait_tok, type_tok) = if saw_for {
+        (first_path.last().copied(), *second_path.last()?)
     } else {
-        (None, first_path.last().cloned()?)
+        (None, *first_path.last()?)
     };
     Some((
         ImplBlock {
-            trait_name,
-            type_name,
+            trait_name: trait_tok.map(|k| toks[k].text.clone()),
+            type_name: toks[type_tok].text.clone(),
+            type_tok,
             line: toks[i].line,
             body: Scope { open: j, close },
         },

@@ -8,6 +8,7 @@
 
 use idlc::ast::Direction;
 use ldft_lint::analysis::FileAnalysis;
+use ldft_lint::ast::split_commas;
 use ldft_lint::contracts;
 use ldft_lint::lexer::{self, seq_at, TokKind};
 use ldft_lint::rules::{check_e1, check_p3, SIM_CRATES};
@@ -356,6 +357,14 @@ fn is_product_root(path: &str) -> bool {
         || path.ends_with("src/main.rs")
 }
 
+/// Library code: what `crates/*/src` holds besides binaries and tests.
+fn is_library(path: &str) -> bool {
+    path.starts_with("crates/")
+        && path.contains("/src/")
+        && !is_product_root(path)
+        && !ldft_lint::analysis::is_test_path(path)
+}
+
 /// Per file, per token: whether product code reaches it. A test is not a
 /// caller. A root's non-test tokens are reached. A library fn's body
 /// (generated stubs included) is reached once a reached call names the
@@ -534,19 +543,24 @@ fn every_idl_op_has_a_caller() {
 fn every_default_field_has_a_second_value() {
     // An option only one value is ever given is a constant. Each field of
     // a `*Config`, `*Costs` or `*Settings` struct a library crate builds
-    // with `impl Default` must be named outside its definition and that
-    // impl, anywhere in the workspace (`benchmark/` included): as a bare
-    // identifier — a field init, a shorthand init, a local — or as
-    // `.field =`. Reading `cfg.field` is not a second value. Any token
-    // of the same name counts, so a collision can hide a candidate but
-    // never flag one.
+    // — with `impl Default`, or with an inherent `fn new` — must be named
+    // outside its definition and that builder by product code anywhere in
+    // the workspace (`benchmark/` included): as a bare identifier — a
+    // field init, a shorthand init, a local — or as `.field =`. Reading
+    // `cfg.field` is not a second value, and a value a test gives is not
+    // one either (`examples/` are product code, as in `product_reach`).
+    // A field `new` fills from one of its own parameters is valued: every
+    // caller passes it. Any token of the same name counts, so a collision
+    // can hide a candidate but never flag one.
     // Left alone on purpose (`PLACEMENT`): `orb` and `simnet` are not
     // edited for a constant. An entry the check no longer flags fails it.
     const ALLOWED: &[(&str, &str, &str)] = &[
         ("OrbConfig", "forward_limit", PLACEMENT),
+        ("OrbConfig", "cost", PLACEMENT),
         ("NetConfig", "latency_local", PLACEMENT),
         ("NetConfig", "bandwidth", PLACEMENT),
         ("KernelConfig", "load_ewma_tau", PLACEMENT),
+        ("KernelConfig", "max_events", PLACEMENT),
     ];
     const HOT_CODE: [&str; 3] = [
         "crates/orb/",
@@ -554,50 +568,86 @@ fn every_default_field_has_a_second_value() {
         "crates/optim/src/complex_box",
     ];
     let files = ldft_lint::analyze_workspace(workspace_root()).expect("parse the workspace");
-    // (file, struct, field, the definition's and the impl's token ranges)
+    // (file, struct, field, the definition's and the builder's token ranges)
     type Candidate<'a> = (usize, &'a str, &'a str, [(usize, usize); 2]);
     let mut candidates: Vec<Candidate> = Vec::new();
+    let mut valued: BTreeSet<usize> = BTreeSet::new();
     for (fi, fa) in files.iter().enumerate() {
-        let library = fa.path.starts_with("crates/")
-            && fa.path.contains("/src/")
-            && !fa.path.contains("/src/bin/")
-            && !fa.path.ends_with("/main.rs")
-            && !ldft_lint::analysis::is_test_path(&fa.path);
-        if !library {
+        if !is_library(&fa.path) {
             continue;
         }
         let ast = &fa.ast;
+        let toks = &ast.toks;
         for im in &ast.impls {
             let ty = im.type_name.as_str();
             let knobs = ["Config", "Costs", "Settings"]
                 .iter()
                 .any(|s| ty.ends_with(s));
-            if im.trait_name.as_deref() != Some("Default") || !knobs || fa.is_test_line(im.line) {
+            if !knobs || fa.is_test_line(im.line) {
                 continue;
             }
-            let def = (0..ast.toks.len().saturating_sub(2)).find(|&i| {
-                ast.toks[i].is("struct") && ast.toks[i + 1].text == ty && ast.toks[i + 2].is("{")
-            });
+            // The builder: a `Default` impl, or the `new` of an inherent
+            // impl with the fields its literal fills from its parameters.
+            let (builder, from_param) = match im.trait_name.as_deref() {
+                Some("Default") => ((im.body.open, im.body.close), BTreeSet::new()),
+                None => {
+                    let new = ast
+                        .fns
+                        .iter()
+                        .find(|f| f.name == "new" && im.body.open < f.tok && f.tok < im.body.close);
+                    let Some((new, body)) = new.and_then(|f| Some((f, f.body?))) else {
+                        continue;
+                    };
+                    let params: BTreeSet<&str> = (new.tok..body.open)
+                        .filter(|&k| toks[k].kind == TokKind::Ident && toks[k + 1].is(":"))
+                        .map(|k| toks[k].text.as_str())
+                        .collect();
+                    let literal = ast.scopes.iter().find(|s| {
+                        body.open < s.open
+                            && s.close < body.close
+                            && (toks[s.open - 1].is("Self") || toks[s.open - 1].text == ty)
+                    });
+                    let inits = literal.map(|s| split_commas(toks, s.open + 1, s.close));
+                    let from_param = inits
+                        .into_iter()
+                        .flatten()
+                        .filter(|&(f, end)| {
+                            let init = if toks[f + 1].is(":") { f + 2 } else { f };
+                            toks[init..end]
+                                .iter()
+                                .any(|t| params.contains(t.text.as_str()))
+                        })
+                        .map(|(f, _)| toks[f].text.as_str())
+                        .collect();
+                    ((body.open, body.close), from_param)
+                }
+                Some(_) => continue,
+            };
+            let def = (0..toks.len().saturating_sub(2))
+                .find(|&i| toks[i].is("struct") && toks[i + 1].text == ty && toks[i + 2].is("{"));
             let def = def.and_then(|i| ast.scopes.iter().find(|s| s.open == i + 2));
             let (Some(def), Some(st)) = (def, ast.structs.iter().find(|s| s.name == ty)) else {
                 continue;
             };
             for field in &st.fields {
-                let spans = [(def.open, def.close), (im.body.open, im.body.close)];
+                if from_param.contains(field.as_str()) {
+                    valued.insert(candidates.len());
+                }
+                let spans = [(def.open, def.close), builder];
                 candidates.push((fi, ty, field.as_str(), spans));
             }
         }
     }
     assert!(
-        candidates.len() > 20,
+        candidates.len() > 30,
         "found {} candidates",
         candidates.len()
     );
-    let mut valued: BTreeSet<usize> = BTreeSet::new();
     for (fi, fa) in files.iter().enumerate() {
+        let example = fa.path.starts_with("examples/");
         let toks = &fa.ast.toks;
         for (i, t) in toks.iter().enumerate() {
-            if t.kind != TokKind::Ident {
+            if t.kind != TokKind::Ident || (fa.is_test_line(t.line) && !example) {
                 continue;
             }
             let (prev, next) = (i.checked_sub(1).map(|p| &toks[p]), toks.get(i + 1));
@@ -710,17 +760,22 @@ fn every_public_item_has_a_caller() {
     // No primitive without a caller, and a test is not one. Each `pub fn`,
     // `struct`, `enum` and `trait` in library code under `crates/*/src`
     // (`generated.rs` and the `crates/lint` test library exempt) must be
-    // named, other than at its definition, by a token product code
-    // reaches (`product_reach`). Names only: a collision can hide a
-    // candidate but never flag one. An entry the check no longer flags
-    // fails it.
+    // named by a token product code reaches (`product_reach`). A
+    // definition is not a use, neither of its own item nor of another of
+    // the same name, and neither is the self type of an `impl … [for] X`
+    // header. Names only: a collision can hide a candidate but never flag
+    // one. An entry the check no longer flags fails it.
+    const ITEMS: [&str; 4] = ["fn", "struct", "enum", "trait"];
     const ALLOWED: &[(&str, &str, &str)] = &[
         ("crates/cdr/src/any.rs", "double", PLACEMENT),
         ("crates/cdr/src/any.rs", "long", PLACEMENT),
         ("crates/cdr/src/any.rs", "ulong", PLACEMENT),
         ("crates/cdr/src/any.rs", "as_long", PLACEMENT),
         ("crates/orb/src/core.rs", "forward_to", PLACEMENT),
+        ("crates/orb/src/core.rs", "invoke", PLACEMENT),
         ("crates/orb/src/core.rs", "try_serve", PLACEMENT),
+        ("crates/orb/src/dii.rs", "add_arg", PLACEMENT),
+        ("crates/orb/src/dii.rs", "invoke", PLACEMENT),
         ("crates/orb/src/exceptions.rs", "is_comm_failure", PLACEMENT),
         ("crates/orb/src/object.rs", "ping", PLACEMENT),
         ("crates/orb/src/poa.rs", "deactivate", PLACEMENT),
@@ -735,24 +790,24 @@ fn every_public_item_has_a_caller() {
     ];
     let files = ldft_lint::analyze_workspace(workspace_root()).expect("parse the workspace");
     let reach = product_reach(&files);
-    let mut named: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    let mut named: BTreeSet<&str> = BTreeSet::new();
     for (fi, fa) in files.iter().enumerate() {
-        for (ti, t) in fa.ast.toks.iter().enumerate() {
-            if t.kind == TokKind::Ident && reach[fi][ti] {
-                named.entry(t.text.as_str()).or_default().push((fi, ti));
+        let toks = &fa.ast.toks;
+        // A definition names no other item, and an `impl` header does not
+        // use its own self type.
+        let self_types: BTreeSet<usize> = fa.ast.impls.iter().map(|im| im.type_tok).collect();
+        for (ti, t) in toks.iter().enumerate() {
+            let defines = ti > 0 && ITEMS.iter().any(|k| toks[ti - 1].is(k));
+            if t.kind == TokKind::Ident && reach[fi][ti] && !defines && !self_types.contains(&ti) {
+                named.insert(t.text.as_str());
             }
         }
     }
     let mut offences = Vec::new();
     let mut allowed_seen = BTreeSet::new();
-    for (fi, fa) in files.iter().enumerate() {
-        let library = fa.path.starts_with("crates/")
-            && fa.path.contains("/src/")
-            && fa.crate_dir.as_deref() != Some("lint")
-            && !is_product_root(&fa.path)
-            && !is_generated(&fa.path)
-            && !ldft_lint::analysis::is_test_path(&fa.path);
-        if !library {
+    for fa in &files {
+        let lint = fa.crate_dir.as_deref() == Some("lint");
+        if !is_library(&fa.path) || is_generated(&fa.path) || lint {
             continue;
         }
         let toks = &fa.ast.toks;
@@ -764,8 +819,7 @@ fn every_public_item_has_a_caller() {
             while toks.get(k).is_some_and(|t| t.is("const") || t.is("unsafe")) {
                 k += 1;
             }
-            let item = ["fn", "struct", "enum", "trait"];
-            if !toks.get(k).is_some_and(|t| item.iter().any(|w| t.is(w))) {
+            if !toks.get(k).is_some_and(|t| ITEMS.iter().any(|w| t.is(w))) {
                 continue;
             }
             let def = k + 1;
@@ -773,8 +827,7 @@ fn every_public_item_has_a_caller() {
                 continue;
             }
             let name = toks[def].text.as_str();
-            let sites = named.get(name).into_iter().flatten();
-            if sites.into_iter().any(|&site| site != (fi, def)) {
+            if named.contains(name) {
                 continue;
             }
             match ALLOWED

@@ -19,7 +19,7 @@ use std::fmt;
 use obs::{Event, EventBody, Obs, KERNEL_PID};
 use simnet::{KernelEvent, SimTime};
 
-use crate::doctor::{Doctor, MonitorConfig};
+use crate::doctor::Doctor;
 
 /// Flight-recorder ring depth per host (last N events).
 const FLIGHT_RING: usize = 32;
@@ -108,10 +108,10 @@ pub struct Diagnosis {
 /// the close of a recovery episode — at crash time the tails end at the
 /// failure; at close time they span the whole episode (failure-detected …
 /// recovery-finished) plus the verdict the doctor just issued.
-pub fn diagnose(obs: &Obs, cfg: MonitorConfig, end: SimTime) -> Diagnosis {
+pub fn diagnose(obs: &Obs, end: SimTime) -> Diagnosis {
     let events = obs.events();
     let n = events.len();
-    let mut doctor = Doctor::new(cfg);
+    let mut doctor = Doctor::new();
     let mut recorder = FlightRecorder::default();
     for ev in &events {
         recorder.record(ev);
@@ -190,7 +190,7 @@ mod tests {
         };
         obs.kernel_event(t(5), &spawn);
         obs.kernel_event(t(500), &KernelEvent::HostCrash(HostId(1)));
-        let d = diagnose(&obs, MonitorConfig::default(), t(1_000));
+        let d = diagnose(&obs, t(1_000));
         assert_eq!(d.dumps.len(), 1);
         assert!(d.dumps[0].contains("host h1 crashed"));
         assert!(d.dumps[0].contains("host h1 down since 500ns"));
@@ -208,11 +208,44 @@ mod tests {
         let restart = KernelEvent::HostRestart(HostId(2));
         obs.kernel_event(t(10), &KernelEvent::HostCrash(HostId(2)));
         obs.kernel_event(t(10), &restart);
-        let d = diagnose(&obs, MonitorConfig::default(), t(20));
+        let d = diagnose(&obs, t(20));
         assert_eq!(d.violations, 0);
         // The crash dump was taken before the restart was replayed.
         assert!(d.dumps[0].contains("host h2 down since 10ns"));
         assert!(!d.dumps[0].contains("host-restart"));
         assert!(d.report.contains("  host-crash: 1\n  host-restart: 1\n"));
+    }
+
+    #[test]
+    fn recovery_budget_invariant_fires_on_slow_recovery() {
+        // One call served in 1 µs is the baseline; an episode longer than
+        // 10 000 of those trips the budget and dumps a post-mortem.
+        let obs = Obs::new();
+        let proxy = obs::ProcessObs::for_process(obs.clone(), 1, 4);
+        let done = EventBody::RequestDone {
+            target: "w".into(),
+            wait_ns: 0,
+            service_ns: 1_000,
+            ckpt_ns: 0,
+        };
+        proxy.event(t(10), done);
+        let dur_ns = 10_000_001;
+        proxy.event(
+            t(20 + dur_ns),
+            EventBody::RecoveryFinished {
+                target: "w".into(),
+                dur_ns,
+            },
+        );
+        let d = diagnose(&obs, t(30_000_000));
+        assert_eq!(d.violations, 1, "{}", d.report);
+        let verdict = "10000021ns recovery-budget w: episode 10000001ns budget 10000000ns \
+                       (10000x mean 1000ns) -> VIOLATION";
+        let violation = "10000021ns recovery-budget: w episode 10000001ns exceeds budget";
+        for line in [verdict, violation] {
+            assert!(d.report.contains(line), "{}", d.report);
+        }
+        let dumps = d.dumps.concat();
+        assert!(dumps.contains("invariant violated: recovery-budget w"));
     }
 }

@@ -17,46 +17,32 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use obs::{Event, EventBody};
-use simnet::KernelEvent;
+use simnet::{KernelEvent, SimDuration};
 
-/// Invariant thresholds. One struct, because the place that opts in
-/// (`ExperimentSpec::monitor`) wants a single knob.
-#[derive(Clone, Debug)]
-pub struct MonitorConfig {
-    /// Recovery-time budget: a recovery episode must finish within this
-    /// multiple of the mean service latency observed so far.
-    pub recovery_budget_multiple: u64,
-    /// Quorum-health floor: a quorum write must collect at least this many
-    /// acks while the membership view still holds that many replicas.
-    pub quorum_floor: u32,
-    /// Checkpoint freshness: consecutive stored checkpoints of one target
-    /// must not be further apart than this.
-    pub checkpoint_freshness: simnet::SimDuration,
-    /// Load-placement sanity: the chosen host's effective load may exceed
-    /// the candidates' minimum by at most this many milli-load-units.
-    pub placement_tolerance_milli: u64,
-    /// Healing-time budget: a partition episode (cut to heal) must close
-    /// within this long. Also the bound the finalize pass uses to flag
-    /// partitions still open when the run ends.
-    pub healing_budget: simnet::SimDuration,
-}
+/// Opts a run into the doctor (`ExperimentSpec::monitor`). It carries
+/// nothing: the thresholds below are constants. It stays a type because
+/// `benchmark/` reads that field as an `Option` (`is_none()`).
+#[derive(Clone, Copy, Debug)]
+pub struct MonitorConfig;
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            // Generous: recoveries wait out restart backoffs that dwarf a
-            // single call, so the default budget only catches pathological
-            // episodes. Experiments tighten it deliberately.
-            recovery_budget_multiple: 10_000,
-            quorum_floor: 1,
-            checkpoint_freshness: simnet::SimDuration::from_secs(30),
-            placement_tolerance_milli: 1_500,
-            // Chaos schedules heal their cuts within a few seconds; a
-            // partition outliving this is a stuck heal, not slow healing.
-            healing_budget: simnet::SimDuration::from_secs(10),
-        }
-    }
-}
+/// Recovery-time budget: a recovery episode must finish within this
+/// multiple of the mean service latency observed so far. Generous:
+/// recoveries wait out restart backoffs that dwarf a single call, so it
+/// only catches pathological episodes.
+const RECOVERY_BUDGET_MULTIPLE: u64 = 10_000;
+/// Quorum-health floor: a quorum write must collect at least this many
+/// acks while the membership view still holds that many replicas.
+const QUORUM_FLOOR: u32 = 1;
+/// Checkpoint freshness: consecutive stored checkpoints of one target
+/// must not be further apart than this.
+const CHECKPOINT_FRESHNESS: SimDuration = SimDuration::from_secs(30);
+/// Load-placement sanity: the chosen host's effective load may exceed the
+/// candidates' minimum by at most this many milli-load-units.
+const PLACEMENT_TOLERANCE_MILLI: u64 = 1_500;
+/// Healing-time budget: a partition episode (cut to heal) must close
+/// within this long. Chaos schedules heal their cuts within a few
+/// seconds; a partition outliving this is a stuck heal, not slow healing.
+const HEALING_BUDGET: SimDuration = SimDuration::from_secs(10);
 
 /// Per-target latency-attribution accumulator.
 #[derive(Clone, Copy, Debug, Default)]
@@ -82,7 +68,6 @@ const INVARIANTS: [&str; 7] = [
 /// order.
 #[derive(Debug)]
 pub(crate) struct Doctor {
-    cfg: MonitorConfig,
     kind_counts: BTreeMap<&'static str, u64>,
     per_target: BTreeMap<Arc<str>, Attribution>,
     total: Attribution,
@@ -103,11 +88,10 @@ pub(crate) struct Doctor {
 }
 
 impl Doctor {
-    /// Fresh doctor with the given thresholds.
-    pub fn new(cfg: MonitorConfig) -> Self {
+    /// Fresh doctor.
+    pub fn new() -> Self {
         let invariants = INVARIANTS.iter().map(|&n| (n, (0, 0))).collect();
         Doctor {
-            cfg,
             kind_counts: BTreeMap::new(),
             per_target: BTreeMap::new(),
             total: Attribution::default(),
@@ -177,13 +161,13 @@ impl Doctor {
                 // Without a single completed call there is no baseline;
                 // record the episode but skip the check.
                 if let Some(mean) = self.total.service_ns.checked_div(self.total.calls) {
-                    let budget = mean.saturating_mul(self.cfg.recovery_budget_multiple);
+                    let budget = mean.saturating_mul(RECOVERY_BUDGET_MULTIPLE);
                     let ok = *dur_ns <= budget;
                     let verdict = if ok { "OK" } else { "VIOLATION" };
                     self.verdicts.push(format!(
                         "{t}ns recovery-budget {target}: episode {dur_ns}ns budget {budget}ns \
                          ({}x mean {mean}ns) -> {verdict}",
-                        self.cfg.recovery_budget_multiple
+                        RECOVERY_BUDGET_MULTIPLE
                     ));
                     if self.check(
                         "recovery-budget",
@@ -203,7 +187,7 @@ impl Doctor {
             EventBody::CheckpointStored { target, epoch, .. } => {
                 if let Some(&(prev_t, prev_epoch)) = self.last_ckpt.get(target) {
                     let gap = t.saturating_sub(prev_t);
-                    let bound = self.cfg.checkpoint_freshness.as_nanos();
+                    let bound = CHECKPOINT_FRESHNESS.as_nanos();
                     if self.check(
                         "checkpoint-freshness",
                         t,
@@ -240,7 +224,7 @@ impl Doctor {
                 quorum,
                 ..
             } => {
-                let floor = self.cfg.quorum_floor;
+                let floor = QUORUM_FLOOR;
                 // Degradation is only an invariant breach while enough
                 // replicas are still in the view to have met the floor.
                 let ok = *acks >= floor || *view < floor;
@@ -261,7 +245,7 @@ impl Doctor {
                 chosen_load_milli,
                 min_load_milli,
             } => {
-                let tol = self.cfg.placement_tolerance_milli;
+                let tol = PLACEMENT_TOLERANCE_MILLI;
                 if self.check(
                     "load-placement",
                     t,
@@ -299,7 +283,7 @@ impl Doctor {
                 }
                 if let Some(since) = opened {
                     let dur = t.saturating_sub(since);
-                    let budget = self.cfg.healing_budget.as_nanos();
+                    let budget = HEALING_BUDGET.as_nanos();
                     if self.check(
                         "healing-time",
                         t,
@@ -467,11 +451,8 @@ mod tests {
 
     #[test]
     fn recovery_budget_fires_only_past_the_multiple() {
-        let mut d = Doctor::new(MonitorConfig {
-            recovery_budget_multiple: 10,
-            ..MonitorConfig::default()
-        });
-        // Baseline: two calls, mean service 1000ns -> budget 10_000ns.
+        let mut d = Doctor::new();
+        // Baseline: two calls, mean service 1000ns -> budget 10ms.
         for t in [10, 20] {
             d.on_event(&ev(
                 t,
@@ -489,7 +470,7 @@ mod tests {
             1,
             EventBody::RecoveryFinished {
                 target: "w".into(),
-                dur_ns: 9_000,
+                dur_ns: 10_000_000,
             },
         ));
         assert!(fired.is_empty());
@@ -498,7 +479,7 @@ mod tests {
             1,
             EventBody::RecoveryFinished {
                 target: "w".into(),
-                dur_ns: 10_001,
+                dur_ns: 10_000_001,
             },
         ));
         assert_eq!(fired, vec!["recovery-budget w".to_string()]);
@@ -508,29 +489,26 @@ mod tests {
 
     #[test]
     fn quorum_health_respects_the_view() {
-        let mut d = Doctor::new(MonitorConfig {
-            quorum_floor: 2,
-            ..MonitorConfig::default()
-        });
+        let mut d = Doctor::new();
         let qw = |acks, view| EventBody::QuorumWrite {
             object: "o".into(),
             epoch: 1,
             acks,
             view,
-            quorum: 2,
+            quorum: view,
         };
         // Enough acks: fine.
-        assert!(d.on_event(&ev(1, 0, qw(2, 3))).is_empty());
+        assert!(d.on_event(&ev(1, 0, qw(1, 3))).is_empty());
         // Too few acks but the view itself shrank below the floor: the
         // floor is unreachable, not breached.
-        assert!(d.on_event(&ev(2, 0, qw(1, 1))).is_empty());
+        assert!(d.on_event(&ev(2, 0, qw(0, 0))).is_empty());
         // Too few acks while the view could have met the floor: breach.
-        assert_eq!(d.on_event(&ev(3, 0, qw(1, 3))).len(), 1);
+        assert_eq!(d.on_event(&ev(3, 0, qw(0, 3))).len(), 1);
     }
 
     #[test]
     fn restore_freshness_compares_against_the_last_acked_epoch() {
-        let mut d = Doctor::new(MonitorConfig::default());
+        let mut d = Doctor::new();
         let stored = |epoch| EventBody::CheckpointStored {
             target: "w".into(),
             epoch,
@@ -565,18 +543,14 @@ mod tests {
 
     #[test]
     fn placement_and_freshness_checks() {
-        let mut d = Doctor::new(MonitorConfig {
-            placement_tolerance_milli: 100,
-            checkpoint_freshness: simnet::SimDuration::from_nanos(50),
-            ..MonitorConfig::default()
-        });
+        let mut d = Doctor::new();
         assert!(d
             .on_event(&ev(
                 1,
                 0,
                 EventBody::Placement {
                     chosen: 2,
-                    chosen_load_milli: 600,
+                    chosen_load_milli: 2_000,
                     min_load_milli: 500,
                 }
             ))
@@ -587,7 +561,7 @@ mod tests {
                 0,
                 EventBody::Placement {
                     chosen: 2,
-                    chosen_load_milli: 601,
+                    chosen_load_milli: 2_001,
                     min_load_milli: 500,
                 }
             ))
@@ -606,17 +580,16 @@ mod tests {
                 },
             )
         };
+        let bound = CHECKPOINT_FRESHNESS.as_nanos();
         assert!(d.on_event(&ck(100, 1)).is_empty()); // first: no gap yet
-        assert!(d.on_event(&ck(150, 2)).is_empty()); // gap 50 = bound
-        assert_eq!(d.on_event(&ck(201, 3)).len(), 1); // gap 51 > bound
+        assert!(d.on_event(&ck(100 + bound, 2)).is_empty()); // gap = bound
+        assert_eq!(d.on_event(&ck(101 + 2 * bound, 3)).len(), 1); // gap > bound
     }
 
     #[test]
     fn partition_episodes_are_attributed_and_budgeted() {
-        let mut d = Doctor::new(MonitorConfig {
-            healing_budget: simnet::SimDuration::from_nanos(100),
-            ..MonitorConfig::default()
-        });
+        let mut d = Doctor::new();
+        let budget = HEALING_BUDGET.as_nanos();
         let cut = |a: &[u32], b: &[u32]| {
             EventBody::Kernel(KernelEvent::PartitionStart {
                 a: hosts(a),
@@ -637,17 +610,20 @@ mod tests {
             vec!["partition h0+h1|h2 open since 10ns".to_string()]
         );
         // Heals within budget, sides listed in either order.
-        assert!(d.on_event(&ev(100, 0, heal(&[2], &[1, 0]))).is_empty());
+        assert!(d
+            .on_event(&ev(10 + budget, 0, heal(&[2], &[1, 0])))
+            .is_empty());
         assert!(d.open_episodes().is_empty());
         // Slow heal breaches healing-time.
-        d.on_event(&ev(200, 0, cut(&[0], &[1])));
+        let t = 20 + budget;
+        d.on_event(&ev(t, 0, cut(&[0], &[1])));
         assert_eq!(
-            d.on_event(&ev(500, 0, heal(&[0], &[1]))),
+            d.on_event(&ev(t + budget + 1, 0, heal(&[0], &[1]))),
             vec!["healing-time h0|h1".to_string()]
         );
         // A heal with no matching cut breaches partition-health.
         assert_eq!(
-            d.on_event(&ev(600, 0, heal(&[3], &[4]))),
+            d.on_event(&ev(t + 2 * budget, 0, heal(&[3], &[4]))),
             vec!["partition-health h3|h4".to_string()]
         );
         assert_eq!(d.violation_count(), 2);
@@ -655,7 +631,7 @@ mod tests {
 
     #[test]
     fn finalize_flags_partitions_that_never_heal() {
-        let mut d = Doctor::new(MonitorConfig::default());
+        let mut d = Doctor::new();
         d.on_event(&ev(
             10,
             0,
@@ -687,7 +663,7 @@ mod tests {
 
     #[test]
     fn finalize_judges_a_recovery_that_never_finished() {
-        let mut d = Doctor::new(MonitorConfig::default());
+        let mut d = Doctor::new();
         for attempt in 1..=3 {
             assert!(d
                 .on_event(&started(10 * attempt as u64, attempt))
@@ -709,7 +685,7 @@ mod tests {
 
     #[test]
     fn a_new_request_judges_the_episode_the_last_one_abandoned() {
-        let mut d = Doctor::new(MonitorConfig::default());
+        let mut d = Doctor::new();
         d.on_event(&started(10, 1));
         d.on_event(&started(20, 2));
         // Attempt 1 again: the next request's episode. The stale one must

@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 
 use orb::{CostModel, Ior, ObjectKey, Orb, OrbConfig};
 use simnet::{Fault, HostConfig, HostId, Kernel, Pid, Port, SimDuration, SimTime};
-use winner::{BestPerformance, NodeManagerConfig};
+use winner::BestPerformance;
 
 use crate::client::{NamingClient, REGISTER_BACKOFF, REGISTER_MAX_ATTEMPTS};
 use crate::context::LbMode;
@@ -259,11 +259,7 @@ fn winner_resolution_avoids_loaded_hosts() {
                 }
             }
             let s = sm.lock().unwrap().clone().unwrap();
-            let _ = winner::run_node_manager(
-                ctx,
-                NodeManagerConfig::new(Ior::destringify(&s).unwrap()),
-                None,
-            );
+            let _ = winner::run_node_manager(ctx, Ior::destringify(&s).unwrap(), None);
         });
     }
     // Load-distributing naming service on host 0.
@@ -390,11 +386,7 @@ fn trader_baseline_with_decentralized_selection() {
                 }
             }
             let s = sm.lock().unwrap().clone().unwrap();
-            let _ = winner::run_node_manager(
-                ctx,
-                NodeManagerConfig::new(Ior::destringify(&s).unwrap()),
-                None,
-            );
+            let _ = winner::run_node_manager(ctx, Ior::destringify(&s).unwrap(), None);
         });
     }
     // The trader itself.

@@ -52,7 +52,7 @@ pub fn run_store_detector(
     sink: Option<obs::Obs>,
 ) -> SimResult<()> {
     let det_cfg = DetectorConfig {
-        groups: vec![Name::simple(CHECKPOINT_SERVICE_NAME)],
+        group: Name::simple(CHECKPOINT_SERVICE_NAME),
         period: DETECTOR_PERIOD,
         suspect_after: cfg.suspect_after,
     };

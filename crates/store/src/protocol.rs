@@ -25,16 +25,6 @@ pub use Store::{ReplicationSkeleton, ReplicationStub};
 /// Configuration one replica (and the deployment helper) runs with.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
-    /// Write quorum W: a coordinated write succeeds once `W_eff` replicas
-    /// (counting the coordinator) acked, where `W_eff = min(W, view)` and
-    /// the view is the set of replicas currently bound in the naming
-    /// group. `usize::MAX` (the default) means "every replica in the
-    /// view" — reads can then be served locally by any live replica.
-    pub write_quorum: usize,
-    /// Epochs retained per object id (K). Older bulk epochs are trimmed
-    /// on write; per-value chunks more than K-1 epochs behind the newest
-    /// header are reclaimed.
-    pub retain_epochs: usize,
     /// Reply deadline for one replica-to-replica replication RPC. Bounds
     /// how long a write blocks on a dead peer before the quorum check.
     pub repl_timeout: SimDuration,
@@ -45,8 +35,6 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            write_quorum: usize::MAX,
-            retain_epochs: 2,
             repl_timeout: SimDuration::from_millis(300),
             suspect_after: 2,
         }

@@ -10,9 +10,9 @@
 //! (the replicas bound in the `"CheckpointService"` naming group), and
 //! fans the record out to every peer as a `repl_*` operation. `repl_*`
 //! operations apply locally and never fan out further, so replication
-//! cannot loop. The write succeeds once `W_eff = min(W, view)` replicas
-//! (counting the coordinator) have acknowledged; otherwise the client
-//! sees `TRANSIENT` and the FT proxy's store failover retries elsewhere.
+//! cannot loop. The write succeeds once every replica in the view
+//! (counting the coordinator) has acknowledged; otherwise the client sees
+//! `TRANSIENT` and the FT proxy's store failover retries elsewhere.
 //!
 //! Quorums are evaluated against the *view*, not the configured
 //! replication factor: failure-detector eviction is a view change, so a
@@ -31,7 +31,7 @@
 //! `TRANSIENT`, because silently shrinking to a one-replica view is
 //! exactly the split-brain a partition minority would otherwise commit.
 //!
-//! With the default `W = view` every live replica holds every acked
+//! With a quorum of the whole view every live replica holds every acked
 //! write, so reads are served locally by whichever replica the client
 //! resolved — "any live replica holding the newest acked epoch". A
 //! replica may additionally hold a *newer unacked* epoch (its quorum
@@ -62,6 +62,10 @@ use crate::protocol::{ReplicationSkeleton, ReplicationStub, Store, StoreConfig};
 /// How long a fetched membership view stays fresh before the coordinator
 /// re-reads the group from the naming service.
 const VIEW_TTL: SimDuration = SimDuration::from_millis(100);
+/// Epochs retained per object id (K). Older bulk epochs are trimmed on
+/// write; per-value chunks more than K-1 epochs behind the newest header
+/// are reclaimed.
+const RETAIN_EPOCHS: usize = 2;
 
 // The cost model of one replica. The paper's store was "rather
 // inefficient" and "not optimized for speed in any way"; these reproduce
@@ -153,9 +157,9 @@ pub struct StoreReplica {
     /// rewriting a value of the same shape builds no new strings,
     /// TypeCode or buffers.
     scratch: (String, String, Any),
-    /// Last `(members, quorum)` emitted, to emit view changes only on
-    /// actual membership transitions.
-    last_view_published: Option<(u32, u32)>,
+    /// Last view size emitted, to emit view changes only on actual
+    /// membership transitions.
+    last_view_published: Option<u32>,
 }
 
 impl StoreReplica {
@@ -209,7 +213,7 @@ impl StoreReplica {
         let epochs = self.bulks.entry(ckpt.object_id.clone()).or_default();
         epochs.insert(ckpt.epoch, ckpt);
         let mut dropped = 0;
-        while epochs.len() > self.cfg.retain_epochs.max(1) {
+        while epochs.len() > RETAIN_EPOCHS {
             let Some(&oldest) = epochs.keys().next() else {
                 break;
             };
@@ -243,10 +247,7 @@ impl StoreReplica {
         }
         let mut dropped = 0;
         if let Some(e) = header_epoch {
-            let floor = Epoch(
-                e.get()
-                    .saturating_sub(self.cfg.retain_epochs.max(1) as u64 - 1),
-            );
+            let floor = Epoch(e.get().saturating_sub(RETAIN_EPOCHS as u64 - 1));
             vals.retain(|k, v| {
                 if k == HEADER_KEY {
                     return true;
@@ -320,11 +321,14 @@ impl StoreReplica {
             .map(|p| ReplicationStub::from_ior(p).with_deadline(deadline))
             .collect();
         self.view_cache = Some((now, revision, Rc::clone(&peers)));
+        // The write quorum is every member of the view.
         let members = (peers.len() + 1) as u32;
-        let quorum = self.cfg.write_quorum.clamp(1, peers.len() + 1) as u32;
-        if self.last_view_published != Some((members, quorum)) {
-            self.last_view_published = Some((members, quorum));
-            self.emit(call, || EventBody::ViewChange { members, quorum });
+        if self.last_view_published != Some(members) {
+            self.last_view_published = Some(members);
+            self.emit(call, || EventBody::ViewChange {
+                members,
+                quorum: members,
+            });
         }
         Ok((revision, peers))
     }
@@ -358,8 +362,7 @@ impl StoreReplica {
     ) -> Result<(), Exception> {
         let (revision, peers) = self.view(call)?;
         let view_size = peers.len() + 1; // the coordinator is in the view
-        let w_eff = self.cfg.write_quorum.clamp(1, view_size);
-        if w_eff <= 1 && peers.is_empty() {
+        if peers.is_empty() {
             self.emit(call, || EventBody::QuorumWrite {
                 object: object.into(),
                 epoch: epoch.get(),
@@ -389,21 +392,21 @@ impl StoreReplica {
                 }
             }
         }
-        let ok = acks >= w_eff;
+        let ok = acks == view_size;
         o.finish(call.ctx.now(), ok);
         self.emit(call, || EventBody::QuorumWrite {
             object: object.into(),
             epoch: epoch.get(),
             acks: acks as u32,
             view: view_size as u32,
-            quorum: w_eff as u32,
+            quorum: view_size as u32,
         });
         if ok {
             Ok(())
         } else {
             o.counter_add("store.quorum_failures", 1);
             Err(Exception::System(SystemException::transient(format!(
-                "replication quorum not reached: {acks}/{w_eff} acks (view {view_size})"
+                "replication quorum not reached: {acks}/{view_size} acks (view {view_size})"
             ))))
         }
     }

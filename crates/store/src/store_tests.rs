@@ -54,10 +54,7 @@ fn chunk_any(epoch: u64) -> Any {
 
 #[test]
 fn retention_trims_old_bulk_epochs() {
-    let mut r = StoreReplica::alone(StoreConfig {
-        retain_epochs: 2,
-        ..StoreConfig::default()
-    });
+    let mut r = StoreReplica::alone(StoreConfig::default());
     let trimmed: Vec<u64> = (1..=4)
         .map(|e| r.apply_bulk(ckpt("obj", e, b"state")))
         .collect();
@@ -68,10 +65,7 @@ fn retention_trims_old_bulk_epochs() {
 
 #[test]
 fn header_write_reclaims_superseded_chunks() {
-    let mut r = StoreReplica::alone(StoreConfig {
-        retain_epochs: 2,
-        ..StoreConfig::default()
-    });
+    let mut r = StoreReplica::alone(StoreConfig::default());
     // Chunks of epochs 1 and 2, then a header advancing to epoch 3:
     // the retention floor becomes 3 - (2-1) = 2, so epoch-1 chunks go.
     assert_eq!(r.apply_value("obj", &chunk_key(0), chunk_any(1)), 0);
@@ -407,10 +401,9 @@ fn a_coordinator_rereads_its_view_only_after_the_ttl() {
 
 #[test]
 fn unreachable_quorum_fails_the_write() {
-    // Two replicas, strict W=2 and no detector: crash the backup and
-    // write before any eviction can shrink the view.
+    // Two replicas, a quorum of both and no detector: crash the backup
+    // and write before any eviction can shrink the view.
     let cfg = StoreConfig {
-        write_quorum: 2,
         repl_timeout: SimDuration::from_millis(200),
         ..StoreConfig::default()
     };

@@ -11,7 +11,7 @@
 //!   `select` with placement **reservations** so back-to-back selections
 //!   spread across machines, and expires hosts whose reports go stale.
 //! * [`policy`] — pluggable selection policies; `BestPerformance` is the
-//!   paper's, `RoundRobin` models a load-oblivious baseline.
+//!   paper's, the others are the policy ablation's baselines.
 //! * [`SystemManagerClient`] — the typed client used by the naming
 //!   service and by tools, over the [`SystemManagerStub`] `idlc`
 //!   generates from `idl/winner.idl`.
@@ -38,10 +38,10 @@ pub mod protocol;
 pub mod system_manager;
 
 pub use client::{run_system_manager_obs, SystemManagerClient};
-pub use node_manager::{run_node_manager, NodeManagerConfig};
+pub use node_manager::run_node_manager;
 pub use policy::{
-    performance_score_of, BestPerformance, HostView, LeastLoaded, RoundRobin, SelectionPolicy,
-    Uniform, WeightedRandom,
+    performance_score_of, BestPerformance, HostView, LeastLoaded, SelectionPolicy, Uniform,
+    WeightedRandom,
 };
 pub use protocol::{
     HostStatus, LoadReport, SelectRequest, SystemManagerSkeleton, SystemManagerStub, Winner,

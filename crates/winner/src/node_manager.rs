@@ -12,38 +12,22 @@ use crate::protocol::LoadReport;
 
 /// CPU work spent taking one sample (reading `/proc` is not free).
 const SAMPLE_COST: f64 = 50e-6;
+/// Sampling/report period.
+const INTERVAL: SimDuration = SimDuration::from_secs(1);
 
-/// Node manager tuning.
-#[derive(Clone, Debug)]
-pub struct NodeManagerConfig {
-    /// Reference to the system manager.
-    pub system_manager: Ior,
-    /// Sampling/report period.
-    pub interval: SimDuration,
-}
-
-impl NodeManagerConfig {
-    /// Defaults: 1 s period.
-    pub fn new(system_manager: Ior) -> Self {
-        NodeManagerConfig {
-            system_manager,
-            interval: SimDuration::from_secs(1),
-        }
-    }
-}
-
-/// The body of a node manager process: sample the local host, report,
-/// sleep, repeat. Runs until killed. Reports are `oneway`, so a crashed or
-/// unreachable system manager never blocks the node manager. Each sample
+/// The body of a node manager process: sample the local host, report to
+/// `system_manager`, sleep, repeat. Runs until killed. Reports are
+/// `oneway`, so a crashed or unreachable system manager never blocks the
+/// node manager. Each sample
 /// is recorded into `obs`, when present, as a `load-report` event; the
 /// node manager opens no span, so its report frames carry no trace
 /// context and the sink changes nothing that runs.
-pub fn run_node_manager(ctx: &mut Ctx, cfg: NodeManagerConfig, obs: Option<Obs>) -> SimResult<()> {
+pub fn run_node_manager(ctx: &mut Ctx, system_manager: Ior, obs: Option<Obs>) -> SimResult<()> {
     let mut orb = Orb::init(ctx);
     orb.set_obs(ProcessObs::from_sink(obs, ctx));
-    let client = SystemManagerClient::new(ObjectRef::new(cfg.system_manager.clone()));
+    let client = SystemManagerClient::new(ObjectRef::new(system_manager));
     // Stagger node managers so reports do not arrive in lockstep.
-    let jitter_ns = ctx.rng().random_range(0..cfg.interval.as_nanos().max(1));
+    let jitter_ns = ctx.rng().random_range(0..INTERVAL.as_nanos());
     ctx.sleep(SimDuration::from_nanos(jitter_ns))?;
     let mut seq = 0u64;
     loop {
@@ -52,7 +36,7 @@ pub fn run_node_manager(ctx: &mut Ctx, cfg: NodeManagerConfig, obs: Option<Obs>)
         let Some(snap) = ctx.host_info(host)? else {
             // A process's own host must exist; if the kernel disagrees,
             // skip this sample rather than killing the node manager.
-            ctx.sleep(cfg.interval)?;
+            ctx.sleep(INTERVAL)?;
             continue;
         };
         seq += 1;
@@ -77,6 +61,6 @@ pub fn run_node_manager(ctx: &mut Ctx, cfg: NodeManagerConfig, obs: Option<Obs>)
                 cpu_milli: obs::milli(snap.cpu_util),
             },
         );
-        ctx.sleep(cfg.interval)?;
+        ctx.sleep(INTERVAL)?;
     }
 }

@@ -2,9 +2,7 @@
 //!
 //! The system manager "has functionality to determine the machine with the
 //! currently best performance" (§2); [`BestPerformance`] is that policy.
-//! The others exist as baselines and for the policy ablation benchmark —
-//! in particular [`RoundRobin`], which models the load-*oblivious*
-//! placement an unmodified naming service gives you.
+//! The others exist as baselines for the policy ablation benchmark.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -90,31 +88,6 @@ impl SelectionPolicy for LeastLoaded {
 
     fn name(&self) -> &'static str {
         "least-loaded"
-    }
-}
-
-/// Cycle through candidates ignoring load entirely — the behaviour of a
-/// plain, load-oblivious naming service (the paper's baseline).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl SelectionPolicy for RoundRobin {
-    fn select(&mut self, candidates: &[HostView]) -> Option<u32> {
-        if candidates.is_empty() {
-            return None;
-        }
-        // Deterministic order independent of report arrival order.
-        let mut hosts: Vec<u32> = candidates.iter().map(|v| v.host).collect();
-        hosts.sort_unstable();
-        let pick = hosts[self.next % hosts.len()];
-        self.next += 1;
-        Some(pick)
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
     }
 }
 
@@ -239,17 +212,9 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_in_host_order() {
-        let mut rr = RoundRobin::default();
-        let picks: Vec<_> = (0..5).map(|_| rr.select(&views()).unwrap()).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1]);
-    }
-
-    #[test]
     fn empty_candidates_give_none() {
         assert_eq!(BestPerformance.select(&[]), None);
         assert_eq!(LeastLoaded.select(&[]), None);
-        assert_eq!(RoundRobin::default().select(&[]), None);
         assert_eq!(Uniform::new(1).select(&[]), None);
         assert_eq!(WeightedRandom::new(1).select(&[]), None);
     }

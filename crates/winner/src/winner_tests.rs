@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use simnet::{Fault, HostConfig, Kernel, Pid, SimDuration, SimTime};
 
 use crate::policy::BestPerformance;
-use crate::{run_node_manager, run_system_manager_obs, NodeManagerConfig, SystemManagerClient};
+use crate::{run_node_manager, run_system_manager_obs, SystemManagerClient};
 
 type Cell<T> = Arc<Mutex<T>>;
 
@@ -42,8 +42,7 @@ fn boot(sim: &mut Kernel, n_hosts: usize) -> (Vec<simnet::HostId>, Cell<Option<S
                 }
             }
             let s = io.lock().unwrap().clone().unwrap();
-            let cfg = NodeManagerConfig::new(orb::Ior::destringify(&s).unwrap());
-            let _ = run_node_manager(ctx, cfg, None);
+            let _ = run_node_manager(ctx, orb::Ior::destringify(&s).unwrap(), None);
         });
     }
     (hosts, ior)
