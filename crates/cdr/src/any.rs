@@ -1,5 +1,5 @@
 //! `Any`: a self-describing value — a [`TypeCode`] plus a [`Value`] encoded
-//! under it. The Dynamic Invocation Interface traffics in `Any`s.
+//! under it. The checkpoint store's per-value records are `Any`s.
 
 use crate::decode::CdrDecoder;
 use crate::encode::CdrEncoder;
@@ -56,67 +56,12 @@ pub struct Any {
 }
 
 impl Any {
-    /// Wrap a `double`.
-    pub fn double(v: f64) -> Any {
-        Any {
-            tc: TypeCode::Double,
-            value: Value::Double(v),
-        }
-    }
-
-    /// Wrap a `long`.
-    pub fn long(v: i32) -> Any {
-        Any {
-            tc: TypeCode::Long,
-            value: Value::Long(v),
-        }
-    }
-
-    /// Wrap an `unsigned long`.
-    pub fn ulong(v: u32) -> Any {
-        Any {
-            tc: TypeCode::ULong,
-            value: Value::ULong(v),
-        }
-    }
-
-    /// Wrap a string.
-    pub fn string(v: impl Into<String>) -> Any {
-        Any {
-            tc: TypeCode::String,
-            value: Value::String(v.into()),
-        }
-    }
-
     /// Wrap a boolean.
     pub fn boolean(v: bool) -> Any {
         Any {
             tc: TypeCode::Boolean,
             value: Value::Boolean(v),
         }
-    }
-
-    /// Extract a string slice, if that is what this holds.
-    pub fn as_str(&self) -> Option<&str> {
-        match &self.value {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Extract a `long`, if that is what this holds.
-    pub fn as_long(&self) -> Option<i32> {
-        match self.value {
-            Value::Long(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Encode only the value, without the leading TypeCode. This is how the
-    /// Dynamic Invocation Interface puts arguments on the wire: a DII
-    /// request must produce the exact same bytes as a static stub would.
-    pub fn write_value(&self, enc: &mut CdrEncoder) {
-        write_value(&self.tc, &self.value, enc);
     }
 }
 
@@ -261,13 +206,14 @@ mod tests {
 
     #[test]
     fn primitive_any_round_trip() {
-        for any in [
-            Any::double(1.25),
-            Any::long(-7),
-            Any::ulong(42),
-            Any::string("hello"),
-            Any::boolean(true),
+        for (tc, value) in [
+            (TypeCode::Double, Value::Double(1.25)),
+            (TypeCode::Long, Value::Long(-7)),
+            (TypeCode::ULong, Value::ULong(42)),
+            (TypeCode::String, Value::String("hello".into())),
+            (TypeCode::Boolean, Value::Boolean(true)),
         ] {
+            let any = Any { tc, value };
             let back: Any = from_bytes(&to_bytes(&any)).unwrap();
             assert_eq!(any, back);
         }
@@ -352,12 +298,5 @@ mod tests {
             value: Value::String("oops".into()),
         };
         let _ = to_bytes(&any);
-    }
-
-    #[test]
-    fn accessors() {
-        assert_eq!(Any::double(2.0).as_long(), None);
-        assert_eq!(Any::string("s").as_str(), Some("s"));
-        assert_eq!(Any::long(3).as_long(), Some(3));
     }
 }

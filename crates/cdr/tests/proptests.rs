@@ -46,15 +46,19 @@ fn sample_strategy() -> impl Strategy<Value = Sample> {
         })
 }
 
+fn leaf(tc: TypeCode, value: Value) -> Any {
+    Any { tc, value }
+}
+
 fn value_strategy() -> impl Strategy<Value = Any> {
     let leaf = prop_oneof![
         any::<bool>().prop_map(Any::boolean),
-        any::<i32>().prop_map(Any::long),
-        any::<u32>().prop_map(Any::ulong),
+        any::<i32>().prop_map(|v| leaf(TypeCode::Long, Value::Long(v))),
+        any::<u32>().prop_map(|v| leaf(TypeCode::ULong, Value::ULong(v))),
         any::<f64>()
             .prop_filter("NaN", |v| !v.is_nan())
-            .prop_map(Any::double),
-        "\\PC{0,32}".prop_map(Any::string),
+            .prop_map(|v| leaf(TypeCode::Double, Value::Double(v))),
+        "\\PC{0,32}".prop_map(|v| leaf(TypeCode::String, Value::String(v))),
         proptest::collection::vec(any::<u8>(), 0..40).prop_map(|d| octets_any(&d, None)),
     ];
     leaf.prop_recursive(3, 32, 8, |inner| {

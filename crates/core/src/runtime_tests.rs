@@ -117,14 +117,19 @@ fn heterogeneous_speeds_are_applied() {
         naming: NamingMode::Plain,
         ..crate::runtime::ClusterConfig::default()
     });
-    cluster.kernel.run_for(SimDuration::from_secs(1));
-    let speeds: Vec<f64> = cluster
-        .hosts
-        .clone()
-        .into_iter()
-        .map(|h| cluster.kernel.host_snapshot(h).unwrap().speed)
-        .collect();
-    assert_eq!(speeds, vec![1.0, 2.0, 0.5]);
+    // Read as a node manager reads them, from a process.
+    let speeds = Shared::new(Vec::new());
+    let (out, hosts) = (speeds.clone(), cluster.hosts.clone());
+    let reader = cluster.kernel.spawn(cluster.infra, "reader", move |ctx| {
+        ctx.sleep(SimDuration::from_secs(1))?;
+        for h in hosts {
+            let speed = ctx.host_info(h)?.map(|s| s.speed);
+            out.with(|v| v.push(speed));
+        }
+        Ok(())
+    });
+    cluster.kernel.run_until_exit(reader);
+    assert_eq!(speeds.get(), vec![Some(1.0), Some(2.0), Some(0.5)]);
 }
 
 /// A chaos `RestartHost` on a store host reboots that host's services:

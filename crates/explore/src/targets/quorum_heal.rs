@@ -86,7 +86,6 @@ fn drive(ctx: &mut Ctx, naming_host: HostId, out: Shared<DriverOut>) -> SimResul
         ctx,
         OrbConfig {
             request_timeout: SimDuration::from_millis(500),
-            ..OrbConfig::default()
         },
     );
     let Some(mut client) = resolve_store(&mut orb, ctx, naming_host)? else {

@@ -151,7 +151,6 @@ fn drive(
         ctx,
         OrbConfig {
             request_timeout: SimDuration::from_secs(2),
-            ..OrbConfig::default()
         },
     );
     let Some(ckpt) = resolve_ckpt(&mut orb, ctx, naming_host)? else {

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use cosnaming::{LbMode, Name, NamingClient};
 use orb::{reply, CallCtx, Exception, Orb, Servant, SystemException};
-use simnet::{HostConfig, HostId, Kernel, SimDuration};
+use simnet::{Fault, HostConfig, HostId, Kernel, Pid, SimDuration, SimTime};
 
 use crate::detector::{run_detector_obs, DetectorConfig, DetectorStats};
 use crate::factory::{factory_name, FactoryClient};
@@ -24,6 +24,11 @@ fn cell<T: Default>() -> Cell<T> {
 
 fn secs(s: f64) -> SimDuration {
     SimDuration::from_secs_f64(s)
+}
+
+/// How long from now until `t` seconds of virtual time.
+fn until(ctx: &simnet::Ctx, t: f64) -> SimDuration {
+    (SimTime::ZERO + secs(t)).since(ctx.now())
 }
 
 // ---------------------------------------------------------------------
@@ -62,6 +67,25 @@ impl Servant for Counter {
                 call.ctx
                     .compute(work)
                     .map_err(|_| SystemException::comm_failure("killed"))?;
+                self.value += delta;
+                reply(&self.value)
+            }
+            "inc_then_crash" => {
+                // Served on host `victim`, the call kills it 250 us after
+                // this dispatch: the reply has left (60 us of marshalling),
+                // the proxy's checkpoint fetch has not arrived (two 150 us
+                // hops away). Served elsewhere, it is `inc`.
+                let (delta, victim): (i64, u32) =
+                    cdr::from_bytes(args).map_err(SystemException::marshal)?;
+                let host = call.ctx.host();
+                if host.0 == victim {
+                    call.ctx
+                        .spawn(host, "assassin", move |c| {
+                            c.sleep(SimDuration::from_micros(250))?;
+                            c.crash_host(host)
+                        })
+                        .map_err(|_| SystemException::comm_failure("killed"))?;
+                }
                 self.value += delta;
                 reply(&self.value)
             }
@@ -551,7 +575,6 @@ fn request_proxy_recovers_deferred_call() {
             ctx,
             orb::OrbConfig {
                 request_timeout: secs(5.0),
-                ..orb::OrbConfig::default()
             },
         );
         let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::PerValue);
@@ -680,6 +703,9 @@ fn checkpoint_service_failure_degrades_gracefully() {
     let mut sim = Kernel::with_seed(10);
     let hosts = standard_bed(&mut sim, 3);
     let h0 = hosts[0];
+    // The checkpoint service (spawned second on h0: naming is pid 0,
+    // ckpt-svc pid 1) dies between the first call and the second.
+    sim.schedule_fault(SimTime::ZERO + secs(1.5), Fault::KillProcess(Pid(1)));
     let stats_out = cell::<Option<crate::proxy::FtProxyStats>>();
     let so = stats_out.clone();
     let values = cell::<Vec<i64>>();
@@ -690,16 +716,13 @@ fn checkpoint_service_failure_degrades_gracefully() {
             ctx,
             orb::OrbConfig {
                 request_timeout: secs(0.5), // fast checkpoint failure
-                ..orb::OrbConfig::default()
             },
         );
         let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::Bulk);
         let mut env = ProxyEnv { orb: &mut orb, ctx };
         let v: i64 = proxy.call(&mut env, "inc", &(1i64,)).unwrap().unwrap();
         vo.lock().unwrap().push(v);
-        // Kill the checkpoint service process (spawned second on h0:
-        // naming is pid 0, ckpt-svc pid 1).
-        env.ctx.kill(simnet::Pid(1)).unwrap();
+        env.ctx.sleep(until(env.ctx, 2.0)).unwrap(); // the store died at 1.5 s
         for _ in 0..2 {
             let v: i64 = proxy.call(&mut env, "inc", &(1i64,)).unwrap().unwrap();
             vo.lock().unwrap().push(v);
@@ -722,6 +745,9 @@ fn failed_checkpoint_stays_due_until_it_succeeds() {
     let mut sim = Kernel::with_seed(11);
     let hosts = standard_bed(&mut sim, 2);
     let h0 = hosts[0];
+    // The checkpoint service (spawned second on h0: naming is pid 0,
+    // ckpt-svc pid 1) dies after call 1, before the checkpoint comes due.
+    sim.schedule_fault(SimTime::ZERO + secs(1.5), Fault::KillProcess(Pid(1)));
     let stats_out = cell::<Option<crate::proxy::FtProxyStats>>();
     let so = stats_out.clone();
     let driver = sim.spawn(hosts[1], "driver", move |ctx| {
@@ -730,7 +756,6 @@ fn failed_checkpoint_stays_due_until_it_succeeds() {
             ctx,
             orb::OrbConfig {
                 request_timeout: secs(0.5), // fast checkpoint failure
-                ..orb::OrbConfig::default()
             },
         );
         let ckpt = ckpt_client(&mut orb, ctx, h0);
@@ -741,9 +766,7 @@ fn failed_checkpoint_stays_due_until_it_succeeds() {
         let mut env = ProxyEnv { orb: &mut orb, ctx };
         // Call 1: not yet due (k = 2).
         let _: i64 = proxy.call(&mut env, "inc", &(1i64,)).unwrap().unwrap();
-        // Kill the checkpoint service (spawned second on h0: naming is
-        // pid 0, ckpt-svc pid 1) before the checkpoint comes due.
-        env.ctx.kill(simnet::Pid(1)).unwrap();
+        env.ctx.sleep(until(env.ctx, 2.0)).unwrap(); // the store died at 1.5 s
         for _ in 0..3 {
             let _: i64 = proxy.call(&mut env, "inc", &(1i64,)).unwrap().unwrap();
         }
@@ -1060,6 +1083,9 @@ enum Schedule {
     /// The stored checkpoint does not decode: `restore_checkpoint` answers
     /// `MARSHAL`, which no retry can cure.
     RestoreRefused,
+    /// The serving host dies after a call's reply leaves it and before the
+    /// proxy's `get_checkpoint` arrives.
+    ServerDiesBeforeCheckpoint,
 }
 
 /// Everything a client can observe of one schedule.
@@ -1115,7 +1141,6 @@ fn run_schedule_obs(
             ctx,
             orb::OrbConfig {
                 request_timeout: secs(5.0),
-                ..orb::OrbConfig::default()
             },
         );
         orb.set_obs(obs::ProcessObs::from_sink(sink, ctx));
@@ -1154,6 +1179,13 @@ fn run_schedule_obs(
                 let again = call_via(deferred, &mut proxy, &mut env, "inc", &(1i64,));
                 assert_eq!(first, again);
                 first
+            }
+            Schedule::ServerDiesBeforeCheckpoint => {
+                call_via(deferred, &mut proxy, &mut env, "inc", &(5i64,)).unwrap();
+                let victim = proxy.current_target().unwrap().ior.host.0;
+                let args = (3i64, victim);
+                call_via(deferred, &mut proxy, &mut env, "inc_then_crash", &args).unwrap();
+                call_via(deferred, &mut proxy, &mut env, "inc", &(1i64,))
             }
         };
         let elapsed = env.ctx.now().since(start).as_nanos();
@@ -1235,6 +1267,7 @@ fn both_call_styles_run_one_recovery_engine() {
         Schedule::ServerDiesMidCall,
         Schedule::FactoryHostDies,
         Schedule::RestoreRefused,
+        Schedule::ServerDiesBeforeCheckpoint,
     ] {
         // Untraced, the two call styles are one run to the nanosecond.
         let bare = run_schedule_obs(schedule, false, None, None);
@@ -1312,6 +1345,14 @@ fn both_call_styles_run_one_recovery_engine() {
                 let counted = ["ft.backoffs", "ft.duplicate_suppressed"].map(|c| sink.counter(c));
                 assert_eq!(counted, [0, 0]);
                 assert_eq!((detected, started), (0, vec![]));
+            }
+            Schedule::ServerDiesBeforeCheckpoint => {
+                // The fetch found the target dead, so `inc 3` is redone on
+                // the restored 5, not lost: 5 + 3 + 1.
+                assert_eq!(outcome, Ok(9), "{stats:?}");
+                assert_eq!((stats.calls, stats.checkpoints), (3, 3));
+                assert_eq!((stats.recoveries, stats.checkpoint_failures), (1, 0));
+                assert_eq!((detected, started), (1, vec![1]));
             }
         }
     }
@@ -1394,6 +1435,15 @@ fn detector_tolerates_transient_misses() {
     let mut sim = Kernel::with_seed(12);
     let hosts = standard_bed(&mut sim, 3);
     let h0 = hosts[0];
+    // Briefly cut the detector's path to the member (one probe round).
+    sim.schedule_fault(
+        SimTime::ZERO + secs(1.1),
+        Fault::Partition(h0, hosts[1], true),
+    );
+    sim.schedule_fault(
+        SimTime::ZERO + secs(1.8),
+        Fault::Partition(h0, hosts[1], false),
+    );
     let stats = simnet::Shared::new(DetectorStats::default());
     let st = stats.clone();
     sim.spawn(h0, "detector", move |ctx| {
@@ -1429,11 +1479,7 @@ fn detector_tolerates_transient_misses() {
         ns.bind_group_member(&mut orb, ctx, &group, &ior)
             .unwrap()
             .unwrap();
-        // Briefly cut the detector's path to the member (one probe round).
-        ctx.set_partition(h0, hosts[1], true).unwrap();
-        ctx.sleep(secs(0.7)).unwrap();
-        ctx.set_partition(h0, hosts[1], false).unwrap();
-        ctx.sleep(secs(4.0)).unwrap();
+        ctx.sleep(until(ctx, 5.8)).unwrap();
         let members = ns.group_members(&mut orb, ctx, &group).unwrap().unwrap();
         *rem.lock().unwrap() = Some(members.len());
     });

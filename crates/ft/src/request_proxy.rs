@@ -165,8 +165,49 @@ impl FtRequest {
         Ok(decode_reply(self.get_response(proxy, env)?))
     }
 
+    /// A reply arrived: close any recovery episode and run the checkpoint
+    /// policy. The call is done, counted and published only once
+    /// `after_success` lets it be.
+    fn finish(
+        &mut self,
+        bytes: Body,
+        proxy: &mut FtProxy,
+        env: &mut ProxyEnv<'_>,
+    ) -> SimResult<Result<(), Exception>> {
+        let served = env.ctx.now();
+        if let Some(since) = self.recovering_since.take() {
+            env.orb
+                .obs()
+                .observe("ft.recovery_ns", served.since(since).as_nanos());
+            proxy.emit(env, |target| EventBody::RecoveryFinished {
+                target,
+                dur_ns: served.since(since).as_nanos(),
+            });
+        }
+        if let Err(e) = proxy.after_success(env)? {
+            return Ok(Err(e));
+        }
+        proxy.stats.calls += 1;
+        // Critical-path attribution: everything before the winning send
+        // is queue-wait (backoff, resolve, factory creation, restore),
+        // send-to-reply is service, and whatever `after_success` appended
+        // is checkpoint overhead.
+        let started = self.started.unwrap_or(served);
+        let sent = self.sent.unwrap_or(served);
+        let ckpt_ns = env.ctx.now().since(served).as_nanos();
+        proxy.emit(env, |target| EventBody::RequestDone {
+            target,
+            wait_ns: sent.since(started).as_nanos(),
+            service_ns: served.since(sent).as_nanos(),
+            ckpt_ns,
+        });
+        self.done = Some(Ok(bytes));
+        Ok(Ok(()))
+    }
+
     /// The recovery engine: settle one attempt's outcome. Success runs
-    /// the checkpoint policy and ends the request. A failure, while it is
+    /// the checkpoint policy and, unless the checkpoint fetch found the
+    /// target dead, ends the request. A failure, while it is
     /// recoverable and attempts remain, is published, the dead target is
     /// dropped, and the request is re-acquired and re-sent — at once the
     /// first time, after a backoff from then on, since a failed acquire
@@ -179,36 +220,13 @@ impl FtRequest {
         env: &mut ProxyEnv<'_>,
     ) -> SimResult<()> {
         let mut failure = match outcome {
-            Ok(bytes) => {
-                proxy.stats.calls += 1;
-                let served = env.ctx.now();
-                if let Some(since) = self.recovering_since.take() {
-                    env.orb
-                        .obs()
-                        .observe("ft.recovery_ns", served.since(since).as_nanos());
-                    proxy.emit(env, |target| EventBody::RecoveryFinished {
-                        target,
-                        dur_ns: served.since(since).as_nanos(),
-                    });
-                }
-                proxy.after_success(env)?;
-                // Critical-path attribution: everything before the
-                // winning send is queue-wait (backoff, resolve, factory
-                // creation, restore), send-to-reply is service, and
-                // whatever `after_success` appended is checkpoint
-                // overhead.
-                let started = self.started.unwrap_or(served);
-                let sent = self.sent.unwrap_or(served);
-                let ckpt_ns = env.ctx.now().since(served).as_nanos();
-                proxy.emit(env, |target| EventBody::RequestDone {
-                    target,
-                    wait_ns: sent.since(started).as_nanos(),
-                    service_ns: served.since(sent).as_nanos(),
-                    ckpt_ns,
-                });
-                self.done = Some(Ok(bytes));
-                return Ok(());
-            }
+            Ok(bytes) => match self.finish(bytes, proxy, env)? {
+                Ok(()) => return Ok(()),
+                // The target died before its state was fetched: this
+                // attempt failed, and the call is redone on a replica
+                // restored to the state before it.
+                Err(e) => e,
+            },
             Err(e) => e,
         };
         // What it cost to learn that the target is gone: the failed

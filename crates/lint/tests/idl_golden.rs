@@ -40,7 +40,6 @@ fn the_unit_checks_clean_and_has_the_expected_surface() {
         ("idl/ft.idl", "CheckpointService", 4),
         ("idl/ft.idl", "ServiceFactory", 1),
         ("idl/naming.idl", "NamingContext", 7),
-        ("idl/naming.idl", "Lookup", 3),
         ("idl/optim.idl", "Worker", 3),
         ("idl/store.idl", "Replication", 2),
         ("idl/winner.idl", "SystemManager", 3),
@@ -52,7 +51,7 @@ fn the_unit_checks_clean_and_has_the_expected_surface() {
         .collect();
     assert_eq!(got, want);
     // Inherited operations count once, at the interface declaring them.
-    assert_eq!(c.ops().count(), 33);
+    assert_eq!(c.ops().count(), 30);
 }
 
 #[test]

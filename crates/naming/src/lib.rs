@@ -39,19 +39,16 @@ pub mod context;
 pub mod name;
 pub mod protocol;
 pub mod server;
-pub mod trader;
 
 pub use client::{initial_naming_ior, NamingClient};
 pub use context::{LbMode, NamingContext};
 pub use name::{Name, NameComponent, NameParseError};
 pub use protocol::CosNaming::{NamingContextSkeleton, NamingContextStub};
-pub use protocol::CosTrading::{LookupSkeleton, LookupStub};
 pub use protocol::{
-    AlreadyBound, CosNaming, CosTrading, EmptyGroup, InvalidName, NotFound, NotFoundReason,
+    AlreadyBound, CosNaming, EmptyGroup, InvalidName, NotFound, NotFoundReason,
     NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
 };
 pub use server::run_naming_service_obs;
-pub use trader::{run_trader, select_best_offer, Trader, TRADER_TYPE};
 
 #[cfg(test)]
 mod naming_tests;

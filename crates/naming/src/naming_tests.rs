@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use orb::{CostModel, Ior, ObjectKey, Orb, OrbConfig};
+use orb::{Ior, ObjectKey, Orb, OrbConfig};
 use simnet::{Fault, HostConfig, HostId, Kernel, Pid, Port, SimDuration, SimTime};
 use winner::BestPerformance;
 
@@ -356,136 +356,6 @@ fn resolve_str_rejects_invalid_names() {
     assert_eq!(*out.lock().unwrap(), Some(true));
 }
 
-/// The §2 trader baseline: offers are exported per type, `query` returns
-/// all of them, and the *client* performs the load-aware selection — the
-/// code-intrusive alternative the paper's naming integration avoids. It
-/// also costs the client more virtual time per placed reference than one
-/// `resolve` on the Winner-integrated naming service (EXPERIMENTS.md,
-/// "Trader baseline", quotes the two latencies asserted here).
-#[test]
-fn trader_baseline_with_decentralized_selection() {
-    let mut sim = Kernel::with_seed(4);
-    let hosts: Vec<_> = (0..4)
-        .map(|i| sim.add_host(HostConfig::new(format!("ws{i}"))))
-        .collect();
-    let h0 = hosts[0];
-    // Winner stack (the decentralized client needs the snapshot).
-    let sysmgr_ior = cell::<Option<String>>();
-    let sm = sysmgr_ior.clone();
-    sim.spawn(h0, "winner-sysmgr", move |ctx| {
-        let _ = winner::run_system_manager_obs(ctx, Box::new(BestPerformance), None, |i| {
-            *sm.lock().unwrap() = Some(i.stringify());
-        });
-    });
-    for &h in &hosts {
-        let sm = sysmgr_ior.clone();
-        sim.spawn(h, "winner-nm", move |ctx| {
-            while sm.lock().unwrap().is_none() {
-                if ctx.sleep(secs(0.005)).is_err() {
-                    return;
-                }
-            }
-            let s = sm.lock().unwrap().clone().unwrap();
-            let _ = winner::run_node_manager(ctx, Ior::destringify(&s).unwrap(), None);
-        });
-    }
-    // The trader itself.
-    let trader_ior = cell::<Option<String>>();
-    let t = trader_ior.clone();
-    sim.spawn(h0, "trader", move |ctx| {
-        let _ = crate::trader::run_trader(ctx, |i| {
-            *t.lock().unwrap() = Some(i.stringify());
-        });
-    });
-    // The paper's design beside it: the Winner-integrated naming service.
-    boot_winner_naming(&mut sim, h0, &sysmgr_ior);
-    // Background load on ws1.
-    sim.spawn(hosts[1], "spinner", |ctx| {
-        let _ = ctx.spin_forever();
-    });
-
-    let out = cell::<Vec<String>>();
-    let o = out.clone();
-    let placement_ns = cell::<(u64, u64)>();
-    let p = placement_ns.clone();
-    let (ti, si) = (trader_ior.clone(), sysmgr_ior.clone());
-    let offer_hosts = hosts.clone();
-    let driver = sim.spawn(hosts[2], "client", move |ctx| {
-        ctx.sleep(secs(5.0)).unwrap();
-        let mut orb = Orb::init(ctx);
-        let trader = crate::LookupStub::new(orb::ObjectRef::new(
-            Ior::destringify(&ti.lock().unwrap().clone().unwrap()).unwrap(),
-        ));
-        // Export one offer per host 1..=3.
-        for (i, &h) in offer_hosts[1..].iter().enumerate() {
-            trader
-                .export(&mut orb, ctx, "Solver", &fake_ior(h, i as u64))
-                .unwrap()
-                .unwrap();
-        }
-        let offers = trader.query(&mut orb, ctx, "Solver").unwrap().unwrap();
-        o.lock().unwrap().push(format!("offers:{}", offers.len()));
-        // Decentralized selection: the client evaluates the load itself.
-        let sysmgr = winner::SystemManagerClient::from_ior(
-            Ior::destringify(&si.lock().unwrap().clone().unwrap()).unwrap(),
-        );
-        let pick = crate::trader::select_best_offer(&mut orb, ctx, &offers, &sysmgr)
-            .unwrap()
-            .unwrap()
-            .unwrap();
-        o.lock().unwrap().push(format!("pick:ws{}", pick.host.0));
-        // What the client waits for a placed reference, both ways, over
-        // the same three candidates: one `resolve` (the naming service
-        // makes the nested `select`) vs `query` + load `snapshot` +
-        // scoring in the client.
-        let ns = NamingClient::root(h0);
-        let name = Name::simple("Solver");
-        for (i, &h) in offer_hosts[1..].iter().enumerate() {
-            ns.bind_group_member(&mut orb, ctx, &name, &fake_ior(h, i as u64))
-                .unwrap()
-                .unwrap();
-        }
-        let t0 = ctx.now();
-        let placed = ns.resolve(&mut orb, ctx, &name).unwrap().unwrap();
-        let t1 = ctx.now();
-        let offers = trader.query(&mut orb, ctx, "Solver").unwrap().unwrap();
-        let pick = crate::trader::select_best_offer(&mut orb, ctx, &offers, &sysmgr)
-            .unwrap()
-            .unwrap()
-            .unwrap();
-        let t2 = ctx.now();
-        let loaded = offer_hosts[1];
-        assert!(placed.ior.host != loaded && pick.host != loaded);
-        *p.lock().unwrap() = (t1.as_nanos() - t0.as_nanos(), t2.as_nanos() - t1.as_nanos());
-        // Withdraw and re-query.
-        trader
-            .withdraw(&mut orb, ctx, "Solver", &offers[0])
-            .unwrap()
-            .unwrap();
-        let offers = trader.query(&mut orb, ctx, "Solver").unwrap().unwrap();
-        o.lock().unwrap().push(format!("after:{}", offers.len()));
-        // Unknown type: empty, selection yields None.
-        let none = trader.query(&mut orb, ctx, "Nope").unwrap().unwrap();
-        let sel = crate::trader::select_best_offer(&mut orb, ctx, &none, &sysmgr)
-            .unwrap()
-            .unwrap();
-        o.lock().unwrap().push(format!("none:{}", sel.is_none()));
-    });
-    sim.run_until_exit(driver);
-    let log = out.lock().unwrap().clone();
-    assert_eq!(log[0], "offers:3");
-    // The loaded host ws1 must not be picked (ws2/ws3 are idle).
-    assert!(log[1] == "pick:ws2" || log[1] == "pick:ws3", "{log:?}");
-    assert_eq!(log[2], "after:2");
-    assert_eq!(log[3], "none:true");
-    let (resolve_ns, trader_ns) = *placement_ns.lock().unwrap();
-    assert!(
-        0 < resolve_ns && resolve_ns < trader_ns,
-        "one resolve ({resolve_ns} ns) must cost the client less than \
-         query + snapshot + scoring ({trader_ns} ns)"
-    );
-}
-
 /// A boot-registration helper as a plain fn, so one harness drives both.
 type Register = fn(
     &NamingClient,
@@ -497,8 +367,8 @@ type Register = fn(
 
 /// Run `register` against a naming host that is down. Returns whether it
 /// gave up with the `COMM_FAILURE`, the requests it sent, and the virtual
-/// time it spent *between* them: replies time out after 10 ms on a
-/// zero-cost ORB, so everything that is not reply wait is backoff.
+/// time it spent *between* them: replies time out after 10 ms, so
+/// everything that is not reply wait is backoff and marshalling.
 fn register_against_dead_naming(register: Register) -> (bool, u64, SimDuration) {
     let timeout = SimDuration::from_millis(10);
     let mut sim = Kernel::with_seed(2);
@@ -510,9 +380,7 @@ fn register_against_dead_naming(register: Register) -> (bool, u64, SimDuration) 
     sim.spawn(hosts[1], "driver", move |ctx| {
         ctx.sleep(secs(0.01)).unwrap();
         let cfg = OrbConfig {
-            cost: CostModel::free(),
             request_timeout: timeout,
-            ..OrbConfig::default()
         };
         let mut orb = Orb::new(ctx, cfg);
         let ns = NamingClient::root(hosts[0]);

@@ -4,9 +4,8 @@
 //!
 //! The contract is `idl/naming.idl`; `generated.rs`, included below, is
 //! `idlc`'s output for it: [`NameComponent`](CosNaming::NameComponent)
-//! and the trait, skeleton and stub of each interface
-//! (`CosNaming::NamingContext`, `CosTrading::Lookup`). The user
-//! exceptions are hand-written here.
+//! and the trait, skeleton and stub of `CosNaming::NamingContext`. The
+//! user exceptions are hand-written here.
 
 use cdr::cdr_enum;
 use orb::{Exception, UserException};

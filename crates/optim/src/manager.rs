@@ -142,7 +142,6 @@ pub fn run_manager(ctx: &mut Ctx, cfg: &ManagerConfig) -> SimResult<Result<RunRe
         ctx,
         OrbConfig {
             request_timeout: cfg.request_timeout,
-            ..OrbConfig::default()
         },
     );
     let o = obs::ProcessObs::from_sink(cfg.obs.clone(), ctx);

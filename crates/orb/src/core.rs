@@ -21,8 +21,8 @@
 //!   history to scale by: there, and for a peer whose host keeps answering
 //!   while its server says nothing, `COMM_FAILURE` comes when the request
 //!   timeout expires.
-//! * Stale object key on a live server (e.g. after a service was
-//!   deactivated): `OBJECT_NOT_EXIST`.
+//! * Object key unknown to a live server (e.g. minted by an earlier
+//!   incarnation of it): `OBJECT_NOT_EXIST`.
 //!
 //! These are exactly the error surfaces the paper's fault-tolerant proxies
 //! are built against.
@@ -39,43 +39,19 @@ use crate::giop::{Body, Message, ReplyBody, ServiceContext};
 use crate::ior::{Ior, ObjectKey};
 use crate::poa::{CallCtx, Poa};
 
-/// CPU cost model for marshalling and ORB dispatch, in work units
-/// (seconds on a speed-1.0 host).
-///
-/// The paper observes that the proxy/checkpoint "overhead is constant for
-/// each method call"; that constant is made explicit here.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Fixed CPU work per marshal or demarshal step (one per message end).
-    pub marshal_fixed: f64,
-    /// CPU work per payload byte (inverse of marshalling throughput).
-    pub marshal_per_byte: f64,
-}
+/// Fixed CPU work per marshal or demarshal step (one per message end), in
+/// work units (seconds on a speed-1.0 host): plausible for a late-90s ORB
+/// on a late-90s workstation. The paper observes that the
+/// proxy/checkpoint "overhead is constant for each method call"; this is
+/// that constant.
+const MARSHAL_FIXED: f64 = 60e-6;
+/// CPU work per payload byte: ~50 MB/s marshalling throughput.
+const MARSHAL_PER_BYTE: f64 = 2e-8;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        // ~60 us fixed per step and ~50 MB/s marshalling throughput,
-        // plausible for a late-90s ORB on a late-90s workstation.
-        CostModel {
-            marshal_fixed: 60e-6,
-            marshal_per_byte: 2e-8,
-        }
-    }
-}
-
-impl CostModel {
-    /// Work units for one marshal/demarshal step of `bytes` payload bytes.
-    pub fn step(&self, bytes: usize) -> f64 {
-        self.marshal_fixed + self.marshal_per_byte * bytes as f64
-    }
-
-    /// A zero-cost model (useful in unit tests that assert exact timings).
-    pub fn free() -> Self {
-        CostModel {
-            marshal_fixed: 0.0,
-            marshal_per_byte: 0.0,
-        }
-    }
+/// Work units for one marshal/demarshal step (one per message end) of
+/// `bytes` payload bytes.
+fn marshal_step(bytes: usize) -> f64 {
+    MARSHAL_FIXED + MARSHAL_PER_BYTE * bytes as f64
 }
 
 /// ORB configuration.
@@ -87,18 +63,12 @@ pub struct OrbConfig {
     /// It bounds a live-but-stuck peer and a first contact; a peer that has
     /// answered before and falls silent is found out sooner (module docs).
     pub request_timeout: SimDuration,
-    /// Maximum `LocationForward` hops per logical invocation.
-    pub forward_limit: u32,
-    /// Marshalling cost model.
-    pub cost: CostModel,
 }
 
 impl Default for OrbConfig {
     fn default() -> Self {
         OrbConfig {
             request_timeout: SimDuration::from_millis(2000),
-            forward_limit: 8,
-            cost: CostModel::default(),
         }
     }
 }
@@ -124,19 +94,6 @@ pub struct OrbStats {
     pub probes_sent: u64,
     /// Replies dropped on arrival: their request had already failed.
     pub late_replies: u64,
-}
-
-/// Reserved user-exception id a servant raises (via [`forward_to`]) to make
-/// the ORB send a GIOP `LocationForward` reply.
-pub const FORWARD_ID: &str = "_orb:LocationForward";
-
-/// Build the dispatch error that turns into a `LocationForward` reply
-/// pointing clients at `new_location`.
-pub fn forward_to(new_location: &Ior) -> Exception {
-    Exception::User(crate::exceptions::UserException::new(
-        FORWARD_ID,
-        new_location,
-    ))
 }
 
 struct Pending {
@@ -260,7 +217,7 @@ pub struct Orb {
     /// Inbound server-bound messages awaiting `serve_one`.
     backlog: VecDeque<Inbound>,
     /// Replies that arrived for requests other than the one being awaited.
-    replies: BTreeMap<u64, Outcome>,
+    replies: BTreeMap<u64, Result<Body, Exception>>,
     /// Requests in flight (synchronous or deferred).
     pending: BTreeMap<u64, Pending>,
     /// Endpoints that bounced an RST.
@@ -271,11 +228,6 @@ pub struct Orb {
     rtt: BTreeMap<(HostId, Port), Rtt>,
     stats: OrbStats,
     obs: ProcessObs,
-}
-
-pub(crate) enum Outcome {
-    Done(Result<Body, Exception>),
-    Forward(Ior),
 }
 
 impl Orb {
@@ -300,11 +252,6 @@ impl Orb {
     /// Create an ORB with default configuration.
     pub fn init(ctx: &Ctx) -> Self {
         Orb::new(ctx, OrbConfig::default())
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &OrbConfig {
-        &self.cfg
     }
 
     /// Counters accumulated so far.
@@ -395,21 +342,6 @@ impl Orb {
         }
     }
 
-    /// Handle one inbound message if one is queued or immediately
-    /// available; returns whether anything was handled. Does not block.
-    pub fn try_serve(&mut self, ctx: &mut Ctx, poa: &Poa) -> SimResult<bool> {
-        loop {
-            if let Some(inbound) = self.backlog.pop_front() {
-                self.handle_inbound(ctx, poa, inbound)?;
-                return Ok(true);
-            }
-            match ctx.try_recv()? {
-                Some(msg) => self.absorb(ctx.now(), msg),
-                None => return Ok(false),
-            }
-        }
-    }
-
     fn handle_inbound(&mut self, ctx: &mut Ctx, poa: &Poa, inbound: Inbound) -> SimResult<()> {
         let Inbound { from, msg, body } = inbound;
         match msg {
@@ -422,7 +354,7 @@ impl Orb {
                 ..
             } => {
                 // Demarshal cost for the request body.
-                ctx.compute(self.cfg.cost.step(body.len()))?;
+                ctx.compute(marshal_step(body.len()))?;
                 self.stats.requests_served += 1;
                 let parent = service_contexts
                     .iter()
@@ -451,15 +383,11 @@ impl Orb {
                 if response_expected {
                     let status = match result {
                         Ok(body) => ReplyBody::NoException(body),
-                        Err(Exception::User(u)) if u.id == FORWARD_ID => match u.members::<Ior>() {
-                            Ok(ior) => ReplyBody::LocationForward(ior),
-                            Err(e) => ReplyBody::SystemException(SystemException::marshal(e)),
-                        },
                         Err(Exception::User(u)) => ReplyBody::UserException(u),
                         Err(Exception::System(s)) => ReplyBody::SystemException(s),
                     };
                     let frame = Message::Reply { request_id, status }.encode();
-                    ctx.compute(self.cfg.cost.step(frame.len()))?;
+                    ctx.compute(marshal_step(frame.len()))?;
                     ctx.send(Addr::Pid(from), frame)?;
                 }
                 self.obs.finish(ctx.now(), ok);
@@ -495,25 +423,14 @@ impl Orb {
     // Client side
     // ------------------------------------------------------------------
 
-    /// Synchronously invoke `operation` on the object `ior` refers to,
-    /// following location forwards. `args` are marshalled straight into
-    /// each request frame, and the reply's result is read where its frame
-    /// delivered it. The outer `Result` is the simulation liveness
-    /// (`Err(Killed)` when this process dies); the inner is the CORBA
-    /// outcome.
-    pub fn invoke(
-        &mut self,
-        ctx: &mut Ctx,
-        ior: &Ior,
-        operation: &str,
-        args: &dyn CdrWrite,
-    ) -> SimResult<Result<Body, Exception>> {
-        self.invoke_with_timeout(ctx, ior, operation, args, None)
-    }
-
-    /// [`Orb::invoke`] with a per-call reply deadline overriding the
-    /// configured `request_timeout`. The FT checkpoint client uses this so a
-    /// slow store does not masquerade as a dead worker (and vice versa).
+    /// Synchronously invoke `operation` on the object `ior` refers to.
+    /// `args` are marshalled straight into the request frame, and the
+    /// reply's result is read where its frame delivered it. `timeout`
+    /// overrides the configured `request_timeout` for this call: the FT
+    /// checkpoint client uses it so a slow store does not masquerade as a
+    /// dead worker (and vice versa). The outer `Result` is the simulation
+    /// liveness (`Err(Killed)` when this process dies); the inner is the
+    /// CORBA outcome.
     pub fn invoke_with_timeout(
         &mut self,
         ctx: &mut Ctx,
@@ -523,32 +440,11 @@ impl Orb {
         timeout: Option<SimDuration>,
     ) -> SimResult<Result<Body, Exception>> {
         let start = ctx.now();
-        let out = self.invoke_forwarding(ctx, ior, operation, args, timeout)?;
+        let req_id = self.send_request_with_timeout(ctx, ior, operation, args, true, timeout)?;
+        let out = self.await_reply(ctx, req_id)?;
         self.obs
             .observe("orb.invoke_ns", ctx.now().since(start).as_nanos());
         Ok(out)
-    }
-
-    fn invoke_forwarding(
-        &mut self,
-        ctx: &mut Ctx,
-        ior: &Ior,
-        operation: &str,
-        args: &dyn CdrWrite,
-        timeout: Option<SimDuration>,
-    ) -> SimResult<Result<Body, Exception>> {
-        let mut target = std::borrow::Cow::Borrowed(ior);
-        for _ in 0..=self.cfg.forward_limit {
-            let req_id =
-                self.send_request_with_timeout(ctx, &target, operation, args, true, timeout)?;
-            match self.await_reply(ctx, req_id)? {
-                Outcome::Done(r) => return Ok(r),
-                Outcome::Forward(next) => target = std::borrow::Cow::Owned(next),
-            }
-        }
-        Ok(Err(Exception::System(SystemException::transient(
-            "too many location forwards",
-        ))))
     }
 
     /// Send a request frame; registers it in `pending` when a response is
@@ -594,7 +490,7 @@ impl Orb {
             args,
             &service_contexts,
         );
-        ctx.compute(self.cfg.cost.step(frame.len()))?;
+        ctx.compute(marshal_step(frame.len()))?;
         if response_expected {
             self.stats.requests_sent += 1;
             self.pending.insert(
@@ -615,7 +511,11 @@ impl Orb {
     /// Block until the reply for `req_id` arrives (or fails). This is the
     /// only place a client blocks ([`Orb::locate`] waits here too), so
     /// every caller times silence the same way (module docs).
-    pub(crate) fn await_reply(&mut self, ctx: &mut Ctx, req_id: u64) -> SimResult<Outcome> {
+    pub(crate) fn await_reply(
+        &mut self,
+        ctx: &mut Ctx,
+        req_id: u64,
+    ) -> SimResult<Result<Body, Exception>> {
         let mut suspicion = Suspicion::default();
         loop {
             if let Some(outcome) = self.check_pending(ctx, req_id)? {
@@ -685,7 +585,11 @@ impl Orb {
 
     /// Non-blocking: has the reply for `req_id` arrived (or its endpoint
     /// failed)? Drains the mailbox without advancing time.
-    pub(crate) fn poll_reply(&mut self, ctx: &mut Ctx, req_id: u64) -> SimResult<Option<Outcome>> {
+    pub(crate) fn poll_reply(
+        &mut self,
+        ctx: &mut Ctx,
+        req_id: u64,
+    ) -> SimResult<Option<Result<Body, Exception>>> {
         while let Some(msg) = ctx.try_recv()? {
             self.absorb(ctx.now(), msg);
         }
@@ -702,12 +606,16 @@ impl Orb {
     }
 
     /// Check stashed replies and RSTs for a pending request.
-    fn check_pending(&mut self, ctx: &mut Ctx, req_id: u64) -> SimResult<Option<Outcome>> {
+    fn check_pending(
+        &mut self,
+        ctx: &mut Ctx,
+        req_id: u64,
+    ) -> SimResult<Option<Result<Body, Exception>>> {
         if let Some(outcome) = self.replies.remove(&req_id) {
             self.pending.remove(&req_id);
             self.stats.replies_received += 1;
-            if let Outcome::Done(Ok(body)) = &outcome {
-                ctx.compute(self.cfg.cost.step(body.len()))?;
+            if let Ok(body) = &outcome {
+                ctx.compute(marshal_step(body.len()))?;
             }
             return Ok(Some(outcome));
         }
@@ -719,16 +627,16 @@ impl Orb {
         Ok(None)
     }
 
-    fn fail_pending(&mut self, req_id: u64, why: Failure) -> Outcome {
+    fn fail_pending(&mut self, req_id: u64, why: Failure) -> Result<Body, Exception> {
         self.pending.remove(&req_id);
         self.stats.comm_failures += 1;
         self.obs.counter_add("orb.comm_failures", 1);
         if let Some(counter) = why.counter() {
             self.obs.counter_add(counter, 1);
         }
-        Outcome::Done(Err(Exception::System(SystemException::comm_failure(
+        Err(Exception::System(SystemException::comm_failure(
             why.detail(),
-        ))))
+        )))
     }
 
     /// Route one raw network message received at `now`: replies, RSTs and
@@ -755,10 +663,9 @@ impl Orb {
         match parsed {
             Message::Reply { request_id, status } => {
                 let outcome = match status {
-                    ReplyBody::NoException(_) => Outcome::Done(Ok(body)),
-                    ReplyBody::UserException(u) => Outcome::Done(Err(Exception::User(u))),
-                    ReplyBody::SystemException(s) => Outcome::Done(Err(Exception::System(s))),
-                    ReplyBody::LocationForward(ior) => Outcome::Forward(ior),
+                    ReplyBody::NoException(_) => Ok(body),
+                    ReplyBody::UserException(u) => Err(Exception::User(u)),
+                    ReplyBody::SystemException(s) => Err(Exception::System(s)),
                 };
                 self.stash_reply(now, request_id, outcome);
             }
@@ -771,7 +678,7 @@ impl Orb {
                         "locate: not here",
                     )))
                 };
-                self.stash_reply(now, request_id, Outcome::Done(outcome));
+                self.stash_reply(now, request_id, outcome);
             }
             msg_in => self.backlog.push_back(Inbound {
                 from: msg.from,
@@ -785,7 +692,7 @@ impl Orb {
     /// its round trip to the endpoint's history — here, on arrival: a
     /// deferred reply can sit stashed long before it is awaited. A reply
     /// whose request already failed is dropped; nobody will ask for it.
-    fn stash_reply(&mut self, now: SimTime, request_id: u64, outcome: Outcome) {
+    fn stash_reply(&mut self, now: SimTime, request_id: u64, outcome: Result<Body, Exception>) {
         let Some(p) = self.pending.get(&request_id) else {
             self.stats.late_replies += 1;
             self.obs.counter_add("orb.late_replies", 1);
@@ -837,13 +744,12 @@ impl Orb {
         );
         ctx.send(Addr::Endpoint(ior.host, ior.port), frame)?;
         match self.await_reply(ctx, req_id)? {
-            Outcome::Done(Ok(_)) => Ok(Ok(true)),
-            Outcome::Done(Err(Exception::System(SystemException {
+            Ok(_) => Ok(Ok(true)),
+            Err(Exception::System(SystemException {
                 kind: crate::exceptions::SysKind::ObjectNotExist,
                 ..
-            }))) => Ok(Ok(false)),
-            Outcome::Done(Err(e)) => Ok(Err(e)),
-            Outcome::Forward(_) => Ok(Ok(true)),
+            })) => Ok(Ok(false)),
+            Err(e) => Ok(Err(e)),
         }
     }
 }

@@ -8,12 +8,12 @@
 //! `get_response` — that is where the application's parallelism comes from.
 //!
 //! Wire compatibility: a DII request produces exactly the bytes a static
-//! stub would, because `Any` arguments are marshalled value-only.
+//! stub would, because its arguments are marshalled as the stub's are.
 
-use cdr::{Any, CdrEncoder, CdrRead, CdrWrite};
+use cdr::{CdrEncoder, CdrRead, CdrWrite};
 use simnet::{Ctx, SimResult};
 
-use crate::core::{Orb, Outcome};
+use crate::core::Orb;
 use crate::exceptions::{Exception, SystemException};
 use crate::giop::{Body, Verbatim};
 use crate::ior::Ior;
@@ -24,7 +24,7 @@ enum State {
     /// Arguments are still being added.
     Building,
     /// `send_deferred` has fired; the reply is outstanding.
-    Sent { req_id: u64, forwards: u32 },
+    Sent { req_id: u64 },
     /// The outcome is available.
     Done(Result<Body, Exception>),
 }
@@ -58,17 +58,6 @@ impl DiiRequest {
         &self.target
     }
 
-    /// Append a dynamically-typed argument (marshalled value-only, exactly
-    /// as a static stub would).
-    ///
-    /// # Panics
-    /// If the request was already sent.
-    pub fn add_arg(&mut self, arg: &Any) -> &mut Self {
-        assert_eq!(self.state, State::Building, "request already sent");
-        arg.write_value(&mut self.args);
-        self
-    }
-
     /// Append a statically-typed argument.
     ///
     /// # Panics
@@ -97,10 +86,7 @@ impl DiiRequest {
         assert_eq!(self.state, State::Building, "request already sent");
         let body = Verbatim(self.args.as_bytes());
         let req_id = orb.send_request(ctx, &self.target, &self.operation, &body, true)?;
-        self.state = State::Sent {
-            req_id,
-            forwards: 0,
-        };
+        self.state = State::Sent { req_id };
         Ok(())
     }
 
@@ -110,15 +96,11 @@ impl DiiRequest {
         match self.state {
             State::Building => Ok(false),
             State::Done(_) => Ok(true),
-            State::Sent { req_id, forwards } => match orb.poll_reply(ctx, req_id)? {
+            State::Sent { req_id } => match orb.poll_reply(ctx, req_id)? {
                 None => Ok(false),
-                Some(Outcome::Done(r)) => {
+                Some(r) => {
                     self.state = State::Done(r);
                     Ok(true)
-                }
-                Some(Outcome::Forward(ior)) => {
-                    self.follow_forward(orb, ctx, ior, forwards)?;
-                    Ok(matches!(self.state, State::Done(_)))
                 }
             },
         }
@@ -131,61 +113,17 @@ impl DiiRequest {
         orb: &mut Orb,
         ctx: &mut Ctx,
     ) -> SimResult<Result<Body, Exception>> {
-        loop {
-            match std::mem::replace(&mut self.state, State::Building) {
-                State::Building => {
-                    return Ok(Err(Exception::System(SystemException::bad_inv_order(
-                        "get_response before send_deferred",
-                    ))));
-                }
-                State::Done(r) => {
-                    self.state = State::Done(r.clone());
-                    return Ok(r);
-                }
-                State::Sent { req_id, forwards } => {
-                    self.state = State::Sent { req_id, forwards };
-                    match orb.await_reply(ctx, req_id)? {
-                        Outcome::Done(r) => {
-                            self.state = State::Done(r);
-                        }
-                        Outcome::Forward(ior) => {
-                            self.follow_forward(orb, ctx, ior, forwards)?;
-                        }
-                    }
-                }
+        match self.state {
+            State::Building => Ok(Err(Exception::System(SystemException::bad_inv_order(
+                "get_response before send_deferred",
+            )))),
+            State::Done(ref r) => Ok(r.clone()),
+            State::Sent { req_id } => {
+                let r = orb.await_reply(ctx, req_id)?;
+                self.state = State::Done(r.clone());
+                Ok(r)
             }
         }
-    }
-
-    /// Convenience: send and wait (CORBA `invoke`).
-    pub fn invoke(&mut self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<Result<Body, Exception>> {
-        if matches!(self.state, State::Building) {
-            self.send_deferred(orb, ctx)?;
-        }
-        self.get_response(orb, ctx)
-    }
-
-    fn follow_forward(
-        &mut self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        new_target: Ior,
-        forwards: u32,
-    ) -> SimResult<()> {
-        if forwards >= orb.config().forward_limit {
-            self.state = State::Done(Err(Exception::System(SystemException::transient(
-                "too many location forwards",
-            ))));
-            return Ok(());
-        }
-        self.target = new_target;
-        let body = Verbatim(self.args.as_bytes());
-        let req_id = orb.send_request(ctx, &self.target, &self.operation, &body, true)?;
-        self.state = State::Sent {
-            req_id,
-            forwards: forwards + 1,
-        };
-        Ok(())
     }
 
     /// The outcome, decoded to a typed result, if it has arrived.
@@ -216,29 +154,11 @@ mod tests {
     }
 
     #[test]
-    fn args_encode_value_only() {
-        let mut r = DiiRequest::new(target(), "f");
-        r.add_arg(&Any::double(2.0)).add_arg(&Any::long(3));
-        // A static stub writing (f64, i32) produces identical bytes.
-        let expected = cdr::to_bytes(&(2.0f64, 3i32));
-        assert_eq!(r.args.as_bytes(), &expected[..]);
-    }
-
-    #[test]
-    fn typed_args_match_any_args() {
-        let mut a = DiiRequest::new(target(), "f");
-        a.add_arg(&Any::string("xy"));
-        let mut b = DiiRequest::new(target(), "f");
-        b.add_typed(&"xy".to_string());
-        assert_eq!(a.args.as_bytes(), b.args.as_bytes());
-    }
-
-    #[test]
     #[should_panic(expected = "request already sent")]
-    fn add_arg_after_done_panics() {
+    fn add_typed_after_done_panics() {
         let mut r = DiiRequest::new(target(), "f");
         r.state = State::Done(Ok(Vec::new().into()));
-        r.add_arg(&Any::long(1));
+        r.add_typed(&1i32);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::ops::{Deref, Range};
 use cdr::{CdrDecoder, CdrEncoder, CdrRead, CdrWrite};
 
 use crate::exceptions::{SystemException, UserException};
-use crate::ior::{Ior, ObjectKey};
+use crate::ior::ObjectKey;
 
 /// GIOP magic bytes.
 pub const MAGIC: [u8; 4] = *b"GIOP";
@@ -141,14 +141,11 @@ pub enum ReplyBody {
     UserException(UserException),
     /// The ORB or server runtime raised a system exception.
     SystemException(SystemException),
-    /// The object now lives elsewhere; retry there.
-    LocationForward(Ior),
 }
 
 const STATUS_NO_EXCEPTION: u32 = 0;
 const STATUS_USER_EXCEPTION: u32 = 1;
 const STATUS_SYSTEM_EXCEPTION: u32 = 2;
-const STATUS_LOCATION_FORWARD: u32 = 3;
 
 /// Errors raised while parsing a frame.
 #[derive(Clone, Debug, PartialEq)]
@@ -309,10 +306,6 @@ impl Message {
                         enc.write_u32(STATUS_SYSTEM_EXCEPTION);
                         s.write(&mut enc);
                     }
-                    ReplyBody::LocationForward(ior) => {
-                        enc.write_u32(STATUS_LOCATION_FORWARD);
-                        ior.write(&mut enc);
-                    }
                 }
                 enc
             }
@@ -426,7 +419,6 @@ impl Message {
                     STATUS_SYSTEM_EXCEPTION => {
                         ReplyBody::SystemException(SystemException::read(&mut dec)?)
                     }
-                    STATUS_LOCATION_FORWARD => ReplyBody::LocationForward(Ior::read(&mut dec)?),
                     other => return Err(FrameError::Cdr(cdr::CdrError::InvalidEnumTag(other))),
                 };
                 Message::Reply { request_id, status }
@@ -453,7 +445,6 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{HostId, Port};
 
     #[test]
     fn request_round_trip() {
@@ -487,7 +478,6 @@ mod tests {
             ReplyBody::NoException(vec![9, 9]),
             ReplyBody::UserException(UserException::tag("IDL:X/E:1.0")),
             ReplyBody::SystemException(SystemException::comm_failure("down")),
-            ReplyBody::LocationForward(Ior::new("IDL:T:1.0", HostId(1), Port(99), ObjectKey(3))),
         ];
         for status in cases {
             let m = Message::Reply {
@@ -496,6 +486,19 @@ mod tests {
             };
             assert_eq!(Message::decode(&m.encode()).unwrap(), m);
         }
+    }
+
+    #[test]
+    fn reply_status_3_is_an_unknown_status() {
+        // GIOP's LOCATION_FORWARD: this ORB has no locator, so no status
+        // past SYSTEM_EXCEPTION decodes.
+        let mut enc = frame_encoder(MSG_REPLY, 0);
+        enc.write_u64(12);
+        enc.write_u32(3);
+        assert_eq!(
+            Message::decode(&enc.into_bytes()),
+            Err(FrameError::Cdr(cdr::CdrError::InvalidEnumTag(3)))
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   or timeout (crashed host / partition).
 //! * Causal trace propagation through the one [`obs::ProcessObs`] every
 //!   ORB holds (without a sink until [`Orb::set_obs`] gives it one), and
-//!   per-call CPU cost modelling ([`CostModel`])
-//!   so experiments see realistic constant per-call overhead.
+//!   a per-call CPU cost for marshalling, so experiments see realistic
+//!   constant per-call overhead.
 
 #![cfg_attr(
     not(test),
@@ -42,7 +42,7 @@ mod ior;
 mod object;
 mod poa;
 
-pub use crate::core::{forward_to, CostModel, Orb, OrbConfig, OrbStats, FORWARD_ID};
+pub use crate::core::{Orb, OrbConfig, OrbStats};
 pub use dii::DiiRequest;
 pub use exceptions::{Completion, Exception, SysKind, SystemException, UserException};
 pub use giop::{Body, FrameError, Message, ReplyBody, ServiceContext};

@@ -65,10 +65,4 @@ impl ObjectRef {
     ) -> SimResult<()> {
         orb.invoke_oneway(ctx, &self.ior, operation, args)
     }
-
-    /// Liveness probe (GIOP LocateRequest): is the object reachable and
-    /// active?
-    pub fn ping(&self, orb: &mut Orb, ctx: &mut Ctx) -> SimResult<Result<bool, Exception>> {
-        orb.locate(ctx, &self.ior)
-    }
 }

@@ -3,8 +3,7 @@
 //!
 //! A [`Poa`] lives inside one server process. Servants are stored behind
 //! `Rc<RefCell<…>>` so a servant can be dispatched while other servants are
-//! activated or deactivated (e.g. a factory activating a new servant
-//! during `create`).
+//! activated (e.g. a factory activating a new servant during `create`).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -107,25 +106,9 @@ impl Poa {
         key
     }
 
-    /// Deactivate an object. Returns whether it was active. Stale
-    /// references then raise `OBJECT_NOT_EXIST`.
-    pub fn deactivate(&self, key: ObjectKey) -> bool {
-        self.inner.borrow_mut().servants.remove(&key).is_some()
-    }
-
     /// Whether an object key is active (answers `LocateRequest`s).
     pub fn contains(&self, key: ObjectKey) -> bool {
         self.inner.borrow().servants.contains_key(&key)
-    }
-
-    /// Number of active objects.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().servants.len()
-    }
-
-    /// Whether no objects are active.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Look up a servant and its type id. Both are `Rc`s, cloned out so
@@ -161,18 +144,7 @@ mod tests {
         let k1 = poa.activate("IDL:Echo:1.0", Rc::new(RefCell::new(Echo)));
         let k2 = poa.activate("IDL:Echo:1.0", Rc::new(RefCell::new(Echo)));
         assert_ne!(k1, k2);
-        assert!(poa.contains(k1));
-        assert_eq!(poa.len(), 2);
-    }
-
-    #[test]
-    fn deactivate_removes() {
-        let poa = Poa::new();
-        let k = poa.activate("IDL:Echo:1.0", Rc::new(RefCell::new(Echo)));
-        assert!(poa.deactivate(k));
-        assert!(!poa.deactivate(k));
-        assert!(!poa.contains(k));
-        assert!(poa.is_empty());
+        assert!(poa.contains(k1) && poa.contains(k2));
     }
 
     #[test]

@@ -65,10 +65,6 @@ fn message_strategy() -> impl Strategy<Value = Message> {
             request_id,
             status: ReplyBody::SystemException(SystemException::comm_failure(detail)),
         }),
-        (any::<u64>(), ior_strategy()).prop_map(|(request_id, ior)| Message::Reply {
-            request_id,
-            status: ReplyBody::LocationForward(ior),
-        }),
         any::<u64>().prop_map(|request_id| Message::CancelRequest { request_id }),
         (any::<u64>(), any::<u64>()).prop_map(|(request_id, key)| Message::LocateRequest {
             request_id,

@@ -52,32 +52,35 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::thread::{JoinHandle, Thread};
 
-use crate::cpu::{HostConfig, HostSnapshot, HostState};
+use crate::cpu::{HostConfig, HostState};
 use crate::ids::{Addr, HostId, Pid, Port};
 use crate::msg::{Msg, Payload};
 use crate::process::{boxed, Ctx, Killed, ProcessBody, ProcessExit, Resume, SimResult, Syscall};
 use crate::shared::Shared;
 use crate::time::{SimDuration, SimTime};
 
+/// One-way latency between processes on the same host. With the
+/// bandwidth below and the default remote latency, it is the timing of a
+/// late-90s switched 100 Mbit/s workstation LAN, the environment of the
+/// paper's Winner cluster.
+const LATENCY_LOCAL: SimDuration = SimDuration::from_micros(20);
+/// Link bandwidth in bytes per second (100 Mbit/s): a message takes
+/// `size / BANDWIDTH` on top of its latency.
+const BANDWIDTH: f64 = 12_500_000.0;
+/// Time constant of the per-host load-average EWMA.
+const LOAD_EWMA_TAU: SimDuration = SimDuration::from_secs(2);
+
 /// Network timing model.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// One-way latency between processes on the same host.
-    pub latency_local: SimDuration,
     /// One-way latency between different hosts on the LAN.
     pub latency_remote: SimDuration,
-    /// Link bandwidth in bytes per second (adds `size/bandwidth` per message).
-    pub bandwidth: f64,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
-        // Values typical of a late-90s switched 100 Mbit/s workstation LAN,
-        // the environment of the paper's Winner cluster.
         NetConfig {
-            latency_local: SimDuration::from_micros(20),
             latency_remote: SimDuration::from_micros(150),
-            bandwidth: 12_500_000.0, // 100 Mbit/s
         }
     }
 }
@@ -89,8 +92,6 @@ pub struct KernelConfig {
     pub seed: u64,
     /// Network timing model.
     pub net: NetConfig,
-    /// Time constant of the per-host load-average EWMA.
-    pub load_ewma_tau: SimDuration,
     /// Safety valve: the run aborts (panics) after this many events, which
     /// catches accidental infinite event loops in tests.
     pub max_events: u64,
@@ -101,7 +102,6 @@ impl Default for KernelConfig {
         KernelConfig {
             seed: 0xC0FFEE,
             net: NetConfig::default(),
-            load_ewma_tau: SimDuration::from_secs(2),
             max_events: 50_000_000,
         }
     }
@@ -120,7 +120,8 @@ pub struct KernelStats {
     pub rsts: u64,
     /// Processes spawned.
     pub spawned: u64,
-    /// Processes killed (by `kill`, host crash, or kernel shutdown).
+    /// Processes killed (by a `KillProcess` fault, host crash, or kernel
+    /// shutdown).
     pub killed: u64,
 }
 
@@ -599,13 +600,10 @@ fn syscall_op(sc: &Syscall) -> &'static str {
         Syscall::TryRecv => "sys.try_recv",
         Syscall::BindPort => "sys.bind_port",
         Syscall::BindPortExact(_) => "sys.bind_port",
-        Syscall::UnbindPort(_) => "sys.unbind_port",
         Syscall::Spawn { .. } => "sys.spawn",
-        Syscall::Kill(_) => "sys.kill",
         Syscall::CrashHost(_) => "sys.crash_host",
         Syscall::RestartHost(_) => "sys.restart_host",
         Syscall::HostInfo(_) => "sys.host_info",
-        Syscall::Partition { .. } => "sys.partition",
         Syscall::Exit => "sys.exit",
         Syscall::Panicked(_) => "sys.exit",
     }
@@ -672,8 +670,7 @@ impl Kernel {
     pub fn add_host(&mut self, cfg: HostConfig) -> HostId {
         let mut core = self.core.lock_untracked();
         let id = HostId(core.hosts.len() as u32);
-        let tau = core.cfg.load_ewma_tau;
-        core.hosts.push(HostState::new(cfg, tau));
+        core.hosts.push(HostState::new(cfg, LOAD_EWMA_TAU));
         core.next_port.push(1024);
         id
     }
@@ -797,14 +794,6 @@ impl Kernel {
     /// Whether a process has exited or been killed.
     pub fn proc_dead(&self, pid: Pid) -> bool {
         self.core.lock_untracked().proc_dead(pid)
-    }
-
-    /// Load metrics for a host, evaluated at the current virtual time
-    /// (driver/test-side equivalent of `Ctx::host_info`).
-    pub fn host_snapshot(&mut self, host: HostId) -> Option<HostSnapshot> {
-        let mut core = self.core.lock_untracked();
-        let now = core.now;
-        core.hosts.get_mut(host.0 as usize).map(|h| h.snapshot(now))
     }
 
     /// Override the one-way latency between two hosts (symmetric). Used to
@@ -1658,7 +1647,7 @@ impl Core {
         let base = if let Some(&d) = self.link_latency.get(&pair(a, b)) {
             d
         } else if a == b {
-            self.cfg.net.latency_local
+            LATENCY_LOCAL
         } else {
             self.cfg.net.latency_remote
         };
@@ -1813,23 +1802,11 @@ impl Core {
                     Some(Resume::PortV { now, port: None })
                 }
             }
-            Syscall::UnbindPort(port) => {
-                let host = self.procs[pid.0 as usize].host;
-                if self.port_map.get(&(host, port)) == Some(&pid) {
-                    self.port_map.remove(&(host, port));
-                    self.procs[pid.0 as usize].ports.retain(|&p| p != port);
-                }
-                Some(Resume::Ok { now })
-            }
             Syscall::Spawn { host, name, body } => {
                 let child = self.spawn_at(now, host, name, body);
                 Some(Resume::PidV { now, pid: child })
             }
-            // A caller that killed itself, or crashed its own host, is gone.
-            Syscall::Kill(target) => {
-                self.do_kill(target);
-                (target != pid).then_some(Resume::Ok { now })
-            }
+            // A caller that crashed its own host is gone.
             Syscall::CrashHost(h) => {
                 let self_host = self.procs[pid.0 as usize].host;
                 self.do_crash_host(h);
@@ -1842,10 +1819,6 @@ impl Core {
             Syscall::HostInfo(h) => {
                 let snap = self.hosts.get_mut(h.0 as usize).map(|hs| hs.snapshot(now));
                 Some(Resume::Host { now, snap })
-            }
-            Syscall::Partition { a, b, blocked } => {
-                self.apply_fault(Fault::Partition(a, b, blocked));
-                Some(Resume::Ok { now })
             }
             Syscall::Exit => {
                 self.finish_process(pid);
@@ -1869,7 +1842,7 @@ impl Core {
             Some(h) => self.latency_between(from_host, h),
             None => self.cfg.net.latency_remote,
         };
-        let xfer = SimDuration::from_secs_f64(data.len() as f64 / self.cfg.net.bandwidth);
+        let xfer = SimDuration::from_secs_f64(data.len() as f64 / BANDWIDTH);
         let at = self.now + lat + xfer;
         let msg = Msg {
             from,

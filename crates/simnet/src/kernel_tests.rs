@@ -145,7 +145,7 @@ fn send_to_closed_port_produces_rst() {
     sim.spawn(a, "client", move |ctx| {
         ctx.send(Addr::Endpoint(b, Port(9)), vec![0]).unwrap();
         let m = ctx.recv().unwrap();
-        *o.lock() = m.is_rst_for(b, Port(9));
+        *o.lock() = matches!(m.payload, Payload::Rst { host, port: Port(9) } if host == b);
     });
     sim.run_until_idle();
     assert!(*out.lock());
@@ -225,6 +225,8 @@ fn probe_of_a_down_host_or_across_a_cut_is_silent() {
         blocked: true,
     };
     sim.schedule_fault(SimTime::ZERO + secs(0.05), lose_answers);
+    sim.schedule_fault(SimTime::ZERO + secs(0.02), Fault::Partition(a, cut, true));
+    sim.schedule_fault(SimTime::ZERO + secs(0.04), Fault::Partition(a, cut, false));
     sim.spawn(cut, "server", move |ctx| {
         ctx.bind_port_exact(Port(7)).unwrap().unwrap();
         let _ = ctx.recv();
@@ -233,16 +235,20 @@ fn probe_of_a_down_host_or_across_a_cut_is_silent() {
         ctx.probe(host, Port(7)).unwrap();
         ctx.recv_timeout(secs(0.01)).unwrap().is_some()
     }
+    fn at(ctx: &mut crate::Ctx, t: f64) {
+        let wait = (SimTime::ZERO + secs(t)).since(ctx.now());
+        ctx.sleep(wait).unwrap();
+    }
     let out = cell::<Vec<bool>>();
     let o = out.clone();
     let client = sim.spawn(a, "client", move |ctx| {
-        ctx.sleep(secs(0.001)).unwrap();
+        at(ctx, 0.001);
         let mut seen = vec![answered(ctx, down), answered(ctx, cut)];
-        ctx.set_partition(a, cut, true).unwrap();
+        at(ctx, 0.021); // cut at 20 ms
         seen.push(answered(ctx, cut));
-        ctx.set_partition(a, cut, false).unwrap();
+        at(ctx, 0.041); // healed at 40 ms
         seen.push(answered(ctx, cut));
-        ctx.sleep(secs(0.05)).unwrap();
+        at(ctx, 0.061); // answers lost from 50 ms
         seen.push(answered(ctx, cut));
         *o.lock() = seen;
     });
@@ -326,10 +332,10 @@ fn kill_process_interrupts_compute() {
         Ok(()) => o.lock().push("finished".into()),
         Err(_) => o.lock().push("killed".into()),
     });
+    sim.schedule_fault(SimTime::ZERO + secs(1.0), Fault::KillProcess(victim));
     let o2 = out.clone();
     sim.spawn(a, "killer", move |ctx| {
         ctx.sleep(secs(1.0)).unwrap();
-        ctx.kill(victim).unwrap();
         // After the kill this process has the CPU to itself.
         ctx.compute(1.0).unwrap();
         o2.lock().push(format!("t={:.3}", ctx.now().as_secs_f64()));
@@ -469,14 +475,15 @@ fn partition_blocks_and_heals() {
             ctx.send(Addr::Pid(m.from), vec![9]).unwrap();
         }
     });
+    sim.schedule_fault(SimTime::ZERO + secs(0.05), Fault::Partition(a, b, true));
+    sim.schedule_fault(SimTime::ZERO + secs(0.65), Fault::Partition(a, b, false));
     let o = out.clone();
     sim.spawn(a, "client", move |ctx| {
         ctx.sleep(secs(0.1)).unwrap();
-        ctx.set_partition(a, b, true).unwrap();
         ctx.send(Addr::Endpoint(b, Port(7)), vec![1]).unwrap();
         let first = ctx.recv_timeout(secs(0.5)).unwrap();
         o.lock().push(first.is_some());
-        ctx.set_partition(a, b, false).unwrap();
+        ctx.sleep(secs(0.1)).unwrap(); // healed at 0.65 s
         ctx.send(Addr::Endpoint(b, Port(7)), vec![1]).unwrap();
         let second = ctx.recv_timeout(secs(0.5)).unwrap();
         o.lock().push(second.is_some());
@@ -529,24 +536,6 @@ fn ephemeral_ports_are_distinct() {
     v.sort_unstable();
     v.dedup();
     assert_eq!(v.len(), 5);
-}
-
-#[test]
-fn unbound_port_goes_back_to_rst() {
-    let mut sim = Kernel::with_seed(1);
-    let a = sim.add_host(HostConfig::new("a"));
-    let out = cell::<bool>();
-    let o = out.clone();
-    sim.spawn(a, "svc", move |ctx| {
-        let p = ctx.bind_port_exact(Port(80)).unwrap().unwrap();
-        ctx.unbind_port(p).unwrap();
-        // Our own send to the now-closed port bounces.
-        ctx.send(Addr::Endpoint(a, Port(80)), vec![1]).unwrap();
-        let m = ctx.recv().unwrap();
-        *o.lock() = m.is_rst_for(a, Port(80));
-    });
-    sim.run_until_idle();
-    assert!(*out.lock());
 }
 
 #[test]
@@ -846,34 +835,6 @@ fn trace_lines_are_the_events_rendered() {
         "restart h1",
     ];
     assert_eq!(*lines.lock(), want);
-}
-
-#[test]
-fn self_kill_terminates_the_process() {
-    let mut sim = Kernel::with_seed(1);
-    let a = sim.add_host(HostConfig::new("a"));
-    let out = cell::<Vec<&'static str>>();
-    let o = out.clone();
-    let pid = sim.spawn(a, "suicidal", move |ctx| {
-        o.lock().push("before");
-        let me = ctx.pid();
-        let r = ctx.kill(me);
-        // The kill syscall itself reports Killed; nothing after runs
-        // normally.
-        if r.is_err() {
-            o.lock().push("killed");
-        }
-        // Further syscalls fail immediately.
-        if ctx.sleep(secs(1.0)).is_err() {
-            o.lock().push("still-dead");
-        }
-    });
-    sim.run_until_idle();
-    assert!(sim.proc_dead(pid));
-    // Killed processes unwind on their own thread; dropping the kernel
-    // joins them, making their final side effects visible.
-    drop(sim);
-    assert_eq!(*out.lock(), vec!["before", "killed", "still-dead"]);
 }
 
 #[test]
@@ -1409,7 +1370,7 @@ type CellOutcome = (
 );
 
 /// One seed-fixed cell with a kill, a spawn from inside a process, a
-/// `recv_timeout` that expires, a scheduled fault, a host crashed from
+/// `recv_timeout` that expires, a scheduled partition, a host crashed from
 /// another host — and one crashed by a process that lives on it while it
 /// holds the baton: four equal compute jobs on `h[3]` finish at the same
 /// CpuCheck, `w0` takes another turn on the CPU, `w1` crashes the host
@@ -1453,9 +1414,8 @@ fn observed_cell(events: bool, profile: bool, policy: bool) -> CellOutcome {
             let _ = ctx.send(Addr::Pid(sink), vec![9]);
             let _ = ctx.sleep(secs(10.0));
         });
-        ctx.sleep(secs(0.1)).unwrap();
-        ctx.kill(spinner).unwrap();
-        note(&n, ctx, &format!("killed spinner, child is {child:?}"));
+        ctx.sleep(secs(0.1)).unwrap(); // the spinner is killed meanwhile
+        note(&n, ctx, &format!("spinner killed, child is {child:?}"));
         ctx.compute(0.02).unwrap();
         ctx.crash_host(hosts[1]).unwrap();
         note(&n, ctx, "crashed h1");
@@ -1477,6 +1437,7 @@ fn observed_cell(events: bool, profile: bool, policy: bool) -> CellOutcome {
             })();
         });
     }
+    sim.schedule_fault(SimTime::ZERO + secs(0.11), Fault::KillProcess(spinner));
     sim.schedule_fault(
         SimTime::ZERO + secs(0.3),
         Fault::Partition(h[0], h[2], true),
@@ -1532,8 +1493,10 @@ const GOLDEN_CELL_TRACE: [&str; 20] = [
     "0.300000 partition h0-h2 cut",
     "0.700150 exit p1",
 ];
+/// One event more than at that commit: the spinner's kill is a scheduled
+/// fault now, an event of its own, where it was the boss's syscall.
 const GOLDEN_CELL_STATS: &str =
-    "KernelStats { events: 23, msgs_delivered: 2, msgs_dropped: 0, rsts: 0, spawned: 8, killed: 6 }";
+    "KernelStats { events: 24, msgs_delivered: 2, msgs_dropped: 0, rsts: 0, spawned: 8, killed: 6 }";
 
 #[test]
 fn events_reach_the_hook_before_the_emitting_process_runs_on() {
@@ -1738,9 +1701,10 @@ fn a_killed_process_unwinding_under_a_guard_is_waited_for() {
         let _unwinder = unwinder;
         let _ = ctx.recv();
     });
+    sim.schedule_fault(SimTime::ZERO, Fault::KillProcess(victim));
     let c = cell.clone();
     sim.spawn(h, "killer", move |ctx| {
-        ctx.kill(victim).unwrap();
+        ctx.sleep(SimDuration::from_nanos(1)).unwrap(); // past the kill
         c.with(|n| *n += 1);
     });
     sim.run_until_idle();

@@ -43,11 +43,6 @@ impl Msg {
             Payload::Rst { .. } | Payload::Alive { .. } => None,
         }
     }
-
-    /// Whether this is a reset notification for the given endpoint.
-    pub fn is_rst_for(&self, host: HostId, port: Port) -> bool {
-        matches!(self.payload, Payload::Rst { host: h, port: p } if h == host && p == port)
-    }
 }
 
 #[cfg(test)]
@@ -67,7 +62,6 @@ mod tests {
     fn data_accessor() {
         let m = mk(Payload::Data(vec![1, 2, 3]));
         assert_eq!(m.data(), Some(&[1u8, 2, 3][..]));
-        assert!(!m.is_rst_for(HostId(1), Port(5)));
     }
 
     #[test]
@@ -77,7 +71,5 @@ mod tests {
             port: Port(5),
         });
         assert_eq!(m.data(), None);
-        assert!(m.is_rst_for(HostId(1), Port(5)));
-        assert!(!m.is_rst_for(HostId(1), Port(6)));
     }
 }

@@ -107,21 +107,14 @@ pub(crate) enum Syscall {
     TryRecv,
     BindPort,
     BindPortExact(Port),
-    UnbindPort(Port),
     Spawn {
         host: HostId,
         name: String,
         body: ProcessBody,
     },
-    Kill(Pid),
     CrashHost(HostId),
     RestartHost(HostId),
     HostInfo(HostId),
-    Partition {
-        a: HostId,
-        b: HostId,
-        blocked: bool,
-    },
     Exit,
     /// The process body panicked (a bug, not a kill): the kernel re-raises
     /// this on the main thread to fail fast.
@@ -139,13 +132,10 @@ impl fmt::Debug for Syscall {
             Syscall::TryRecv => "TryRecv",
             Syscall::BindPort => "BindPort",
             Syscall::BindPortExact(_) => "BindPortExact",
-            Syscall::UnbindPort(_) => "UnbindPort",
             Syscall::Spawn { .. } => "Spawn",
-            Syscall::Kill(_) => "Kill",
             Syscall::CrashHost(_) => "CrashHost",
             Syscall::RestartHost(_) => "RestartHost",
             Syscall::HostInfo(_) => "HostInfo",
-            Syscall::Partition { .. } => "Partition",
             Syscall::Exit => "Exit",
             Syscall::Panicked(_) => "Panicked",
         };
@@ -461,14 +451,6 @@ impl Ctx {
         }
     }
 
-    /// Release a previously bound port.
-    pub fn unbind_port(&mut self, port: Port) -> SimResult<()> {
-        match self.call(Syscall::UnbindPort(port))? {
-            Resume::Ok { .. } => Ok(()),
-            other => Err(self.bad_resume("unbind_port", &other)),
-        }
-    }
-
     /// Spawn a new process on `host`. The process starts at the current
     /// virtual instant. If the host is down the pid is returned but the
     /// process never runs.
@@ -485,15 +467,6 @@ impl Ctx {
         })? {
             Resume::PidV { pid, .. } => Ok(pid),
             other => Err(self.bad_resume("spawn", &other)),
-        }
-    }
-
-    /// Kill another process (or this one). Killing an already-dead process
-    /// is a no-op.
-    pub fn kill(&mut self, pid: Pid) -> SimResult<()> {
-        match self.call(Syscall::Kill(pid))? {
-            Resume::Ok { .. } => Ok(()),
-            other => Err(self.bad_resume("kill", &other)),
         }
     }
 
@@ -520,14 +493,6 @@ impl Ctx {
         match self.call(Syscall::HostInfo(host))? {
             Resume::Host { snap, .. } => Ok(snap),
             other => Err(self.bad_resume("host_info", &other)),
-        }
-    }
-
-    /// Block or heal the network link between two hosts.
-    pub fn set_partition(&mut self, a: HostId, b: HostId, blocked: bool) -> SimResult<()> {
-        match self.call(Syscall::Partition { a, b, blocked })? {
-            Resume::Ok { .. } => Ok(()),
-            other => Err(self.bad_resume("set_partition", &other)),
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use cdr::{Any, Epoch};
+use cdr::{Any, Epoch, TypeCode, Value};
 use cosnaming::{LbMode, Name, NamingClient};
 use ftproxy::per_value::{self, chunk_key, HEADER_KEY};
 use ftproxy::{Checkpoint, CheckpointClient, CHECKPOINT_SERVICE_NAME};
@@ -232,15 +232,19 @@ fn a_lone_replica_keeps_the_checkpoint_service_contract() {
         let w2 = c.retrieve(orb, ctx, "w2").unwrap().unwrap().unwrap();
         assert_eq!((w2.epoch, w2.state.as_slice()), (Epoch(1), &b"two"[..]));
 
+        let double = |v| Any {
+            tc: TypeCode::Double,
+            value: Value::Double(v),
+        };
         for (key, v) in [("x0", 1.5), ("x1", 2.5), ("x0", 9.0)] {
-            c.store_value(orb, ctx, "w1", key, &Any::double(v))
+            c.store_value(orb, ctx, "w1", key, &double(v))
                 .unwrap()
                 .unwrap();
         }
         let x0 = c.retrieve_value(orb, ctx, "w1", "x0").unwrap().unwrap();
-        assert_eq!(x0, Some(Any::double(9.0)), "a value is replaced by key");
+        assert_eq!(x0, Some(double(9.0)), "a value is replaced by key");
         let x1 = c.retrieve_value(orb, ctx, "w1", "x1").unwrap().unwrap();
-        assert_eq!(x1, Some(Any::double(2.5)));
+        assert_eq!(x1, Some(double(2.5)));
         assert!(c
             .retrieve_value(orb, ctx, "w1", "nope")
             .unwrap()

@@ -173,10 +173,16 @@ proptest! {
 /// A value for `store_value`: the chunk shape the FT proxy writes, or a
 /// plain double / string, so alignment after odd-length strings varies.
 fn any_strategy() -> impl Strategy<Value = cdr::Any> {
-    use cdr::Any;
+    use cdr::{Any, TypeCode, Value};
     prop_oneof![
-        any::<f64>().prop_map(Any::double),
-        ".{0,9}".prop_map(Any::string),
+        any::<f64>().prop_map(|v| Any {
+            tc: TypeCode::Double,
+            value: Value::Double(v),
+        }),
+        ".{0,9}".prop_map(|v| Any {
+            tc: TypeCode::String,
+            value: Value::String(v),
+        }),
         (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..40))
             .prop_map(|(epoch, data)| ftproxy::per_value::chunk(cdr::Epoch(epoch), &data)),
     ]
@@ -237,14 +243,22 @@ fn lone_store_values(entries: Vec<(String, i32)>) -> BTreeMap<String, Option<i32
         let c =
             ftproxy::CheckpointClient::new(ns.resolve_str(&mut orb, ctx, name).unwrap().unwrap());
         for (k, v) in &entries {
-            c.store_value(&mut orb, ctx, "obj", k, &cdr::Any::long(*v))
+            let long = cdr::Any {
+                tc: cdr::TypeCode::Long,
+                value: cdr::Value::Long(*v),
+            };
+            c.store_value(&mut orb, ctx, "obj", k, &long)
                 .unwrap()
                 .unwrap();
         }
         let mut values = BTreeMap::new();
         for (k, _) in &entries {
             let got = c.retrieve_value(&mut orb, ctx, "obj", k).unwrap().unwrap();
-            values.insert(k.clone(), got.and_then(|v| v.as_long()));
+            let long = got.and_then(|v| match v.value {
+                cdr::Value::Long(v) => Some(v),
+                _ => None,
+            });
+            values.insert(k.clone(), long);
         }
         *o.lock().unwrap() = Some(values);
     });

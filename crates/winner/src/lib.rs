@@ -40,8 +40,7 @@ pub mod system_manager;
 pub use client::{run_system_manager_obs, SystemManagerClient};
 pub use node_manager::run_node_manager;
 pub use policy::{
-    performance_score_of, BestPerformance, HostView, LeastLoaded, SelectionPolicy, Uniform,
-    WeightedRandom,
+    BestPerformance, HostView, LeastLoaded, SelectionPolicy, Uniform, WeightedRandom,
 };
 pub use protocol::{
     HostStatus, LoadReport, SelectRequest, SystemManagerSkeleton, SystemManagerStub, Winner,

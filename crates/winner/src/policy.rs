@@ -26,15 +26,7 @@ pub struct HostView {
 /// more runnable process is placed on the host. With `n` runnable
 /// processes, a new arrival gets roughly `speed / (n + 1)`.
 pub fn performance_score(v: &HostView) -> f64 {
-    performance_score_of(v.speed, v.eff_load)
-}
-
-/// The same score from raw numbers — for clients (e.g. the decentralized
-/// trader strategy) that compute it from a [`HostStatus`] snapshot.
-///
-/// [`HostStatus`]: crate::protocol::HostStatus
-pub fn performance_score_of(speed: f64, eff_load: f64) -> f64 {
-    speed / (1.0 + eff_load.max(0.0))
+    v.speed / (1.0 + v.eff_load.max(0.0))
 }
 
 /// A pluggable host selection policy.

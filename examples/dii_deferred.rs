@@ -63,7 +63,6 @@ fn main() {
             ctx,
             orb::OrbConfig {
                 request_timeout: SimDuration::from_secs(30),
-                ..orb::OrbConfig::default()
             },
         );
         let targets: Vec<orb::Ior> = iors

@@ -90,7 +90,6 @@ fn main() {
             ctx,
             orb::OrbConfig {
                 request_timeout: SimDuration::from_secs(2),
-                ..orb::OrbConfig::default()
             },
         );
         let ns = NamingClient::root(infra);

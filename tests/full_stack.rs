@@ -148,6 +148,40 @@ fn crash_recovery_preserves_results() {
     );
 }
 
+/// Recovery is transparent: a crash that lands between a worker's reply
+/// and the proxy's checkpoint fetch leaves the answer the fault-free run
+/// gives, to the bit. Two cells of the crash sweep (NOW host × instant ×
+/// checkpoint mode) that hit that window.
+#[test]
+fn a_crash_before_the_checkpoint_fetch_changes_no_answer() {
+    for (mode, host, at_ms) in [
+        (ftproxy::CheckpointMode::Bulk, 1, 309),
+        (ftproxy::CheckpointMode::PerValue, 2, 420),
+    ] {
+        let mut spec = crash_cell();
+        spec.ft = spec.ft.map(|ft| FtSettings { mode, ..ft });
+        spec.crash = None;
+        let clean = run_experiment(&spec).expect("experiment run failed").report;
+        spec.crash = Some(CrashPlan {
+            after: SimDuration::from_millis(at_ms),
+            now_host_index: host,
+            restart_after: None,
+        });
+        let r = run_experiment(&spec).expect("experiment run failed").report;
+        assert!(r.recoveries > 0, "the crash must be felt: {r:?}");
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(&r.best_point) == bits(&clean.best_point)
+                && r.manager_iterations == clean.manager_iterations,
+            "{mode:?}, host {host} at {at_ms} ms: best {} against {}, {} checkpoints for {} calls",
+            r.best_value,
+            clean.best_value,
+            r.checkpoints,
+            r.worker_calls
+        );
+    }
+}
+
 /// How long the manager waits on a dead worker is the ORB's finding (the
 /// worker's host stops answering keepalives), not `request_timeout`'s: the
 /// crash cell ends at the same virtual instant, give or take 1 %, whether
@@ -238,10 +272,22 @@ fn cluster_monitoring_sees_load() {
     });
     let loaded_host = cluster.hosts[2];
     cluster.add_background_load(loaded_host);
-    cluster.kernel.run_for(SimDuration::from_secs(6));
-    let snap = cluster.kernel.host_snapshot(loaded_host).unwrap();
+    // Read as a node manager reads them, from a process, after 6 s.
+    let snaps = simnet::Shared::new(Vec::new());
+    let (out, hosts) = (snaps.clone(), [loaded_host, cluster.hosts[3]]);
+    let reader = cluster.kernel.spawn(cluster.infra, "reader", move |ctx| {
+        ctx.sleep(SimDuration::from_secs(6))?;
+        for h in hosts {
+            let snap = ctx.host_info(h)?.expect("a cluster host");
+            out.with(|v| v.push(snap));
+        }
+        Ok(())
+    });
+    cluster.kernel.run_until_exit(reader);
+    let [snap, idle] = snaps.get()[..] else {
+        panic!("two hosts read")
+    };
     assert!(snap.load_avg > 0.8, "{snap:?}");
-    let idle = cluster.kernel.host_snapshot(cluster.hosts[3]).unwrap();
     assert!(idle.load_avg < 0.3, "{idle:?}");
 }
 

@@ -177,10 +177,6 @@ fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
             )),
         ),
         (
-            "Lookup",
-            Box::new(cosnaming::LookupSkeleton(cosnaming::Trader::new())),
-        ),
-        (
             "SystemManager",
             Box::new(winner::SystemManagerSkeleton(winner::SystemManager::new(
                 Box::new(winner::BestPerformance),

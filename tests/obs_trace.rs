@@ -60,7 +60,6 @@ fn run_crash_recovery_cell(seed: u64) -> Obs {
             ctx,
             OrbConfig {
                 request_timeout: secs(0.5),
-                ..OrbConfig::default()
             },
         );
         orb.set_obs(ProcessObs::new(obs, ctx));

@@ -86,7 +86,6 @@ fn assert_golden(log: &Log, op: &str, request: &str, reply: &str) {
 #[derive(Clone)]
 struct Served {
     context: Ior,
-    trader: Ior,
     system_manager: Ior,
     checkpoint_service: Ior,
     factory: Ior,
@@ -104,14 +103,6 @@ fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
             &log,
             cosnaming::NAMING_CONTEXT_TYPE,
             cosnaming::NamingContextSkeleton(cosnaming::NamingContext::new(LbMode::Plain)),
-        )
-        .0,
-        trader: tap(
-            &poa,
-            &orb,
-            &log,
-            cosnaming::TRADER_TYPE,
-            cosnaming::LookupSkeleton(cosnaming::Trader::new()),
         )
         .0,
         system_manager: tap(
@@ -153,13 +144,13 @@ fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
     };
     // Object keys count up per POA, and `create`'s golden carries the key
     // of the worker it creates mid-test. It was captured over eight
-    // servants and after `list` had created an iterator; six servants are
-    // left and nothing creates before it, so spend three keys.
-    for _ in 0..3 {
-        let spare = Rc::new(RefCell::new(cosnaming::LookupSkeleton(
-            cosnaming::Trader::new(),
+    // servants and after `list` had created an iterator; five servants are
+    // left and nothing creates before it, so spend four keys.
+    for _ in 0..4 {
+        let spare = Rc::new(RefCell::new(cosnaming::NamingContextSkeleton(
+            cosnaming::NamingContext::new(LbMode::Plain),
         )));
-        poa.deactivate(poa.activate(cosnaming::TRADER_TYPE, spare));
+        poa.activate(cosnaming::NAMING_CONTEXT_TYPE, spare);
     }
     served.replace(Some(all));
     let _ = orb.serve_forever(ctx, &poa);
@@ -246,25 +237,6 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
             "\
              1300000049444c3a536f6d652f5468696e673a312e30000000000000\
              070000000900000000000000",
-        );
-
-        // -- CosTrading::Lookup: `query` --------------------------------
-        let trader = cosnaming::LookupStub::new(obj(&s.trader));
-        trader
-            .export(&mut orb, ctx, "Printer", &some_ior)
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            trader.query(&mut orb, ctx, "Printer").unwrap().unwrap(),
-            vec![some_ior.clone()]
-        );
-        assert_golden(
-            &log,
-            "query",
-            "080000005072696e74657200",
-            "\
-             010000001300000049444c3a536f6d652f5468696e673a312e30000000000000\
-             07000000000000000900000000000000",
         );
 
         // -- Winner::SystemManager: `select` with no host known ---------
