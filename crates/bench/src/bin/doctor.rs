@@ -15,10 +15,15 @@
 //! crash cell is where a replica is adopted after acked checkpoints — the
 //! one place `restore-freshness` can fire.
 //!
+//! Recovery must also be transparent: the crash cell's answer (the bits of
+//! `best_value` and `best_point`, and `manager_iterations`) must be the
+//! healthy baseline's. A difference exits 3 (a violation exits 2).
+//!
 //! Usage: `cargo run --release -p ldft-bench --bin doctor
 //! [--quick] [--seeds N] [--report-out PATH] [--trace-out PATH] [--metrics-out PATH]`
 
 use ldft_bench::{doctor_cell, flush_post_mortems, usage_exit, RunArgs};
+use optim::RunReport;
 
 const EXTRA: &str = "[--report-out PATH] ";
 
@@ -40,9 +45,8 @@ fn main() {
     let args = RunArgs::parse_from(forwarded).unwrap_or_else(|e| usage_exit(&e, EXTRA));
 
     eprintln!("doctor: healthy baseline …");
-    let healthy = doctor_cell(&args, false)
-        .doctor
-        .expect("monitor was configured");
+    let healthy_cell = doctor_cell(&args, false);
+    let healthy = healthy_cell.doctor.expect("monitor was configured");
     eprintln!("doctor: crash cell …");
     let crash_cell = doctor_cell(&args, true);
     let crashed = crash_cell.doctor.expect("monitor was configured");
@@ -82,4 +86,25 @@ fn main() {
         "doctor: both cells clean; crash cell dumped {} post-mortem(s)",
         crashed.dumps.len(),
     );
+
+    let (want, got) = (&healthy_cell.report, &crash_cell.report);
+    if answer(want) != answer(got) {
+        eprintln!(
+            "doctor: the crash changed the answer: best {:.6} after {} iterations, \
+             healthy baseline {:.6} after {}",
+            got.best_value, got.manager_iterations, want.best_value, want.manager_iterations,
+        );
+        std::process::exit(3);
+    }
+    eprintln!(
+        "doctor: crash cell answers the healthy baseline's best {:.6} ({:016x})",
+        got.best_value,
+        got.best_value.to_bits(),
+    );
+}
+
+/// What the client sees of a run, to the bit.
+fn answer(r: &RunReport) -> (u64, Vec<u64>, u64) {
+    let point = r.best_point.iter().map(|x| x.to_bits()).collect();
+    (r.best_value.to_bits(), point, r.manager_iterations)
 }

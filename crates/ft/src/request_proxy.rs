@@ -253,7 +253,7 @@ impl FtRequest {
             });
             let attempt = self.attempts;
             proxy.emit(env, |target| EventBody::RecoveryStarted { target, attempt });
-            proxy.recover(env)?;
+            proxy.recover(env);
             // The first re-acquire goes out at once: the ladder paces
             // retries of a failed acquire, it does not delay the first.
             if self.attempts > 1 {

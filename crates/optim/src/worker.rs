@@ -97,11 +97,10 @@ impl Optim::Worker for WorkerServant {
         Ok(cdr::to_bytes(&(self.solve_count, entries)))
     }
 
-    /// Replace the whole worker state from a checkpoint. Note: if several
-    /// logical services were recovered into one physical instance, the last
-    /// restore wins; a clobbered subproblem merely loses its warm-start
-    /// population (correctness is unaffected — the next `solve` starts
-    /// fresh).
+    /// Replace the whole worker state from a checkpoint. A restore into
+    /// an instance that serves another proxy would clobber that proxy's
+    /// populations, and the run would end on a different best point; the
+    /// FT proxy adopts each instance for itself alone, so none does.
     fn restore_checkpoint(
         &mut self,
         _call: &mut CallCtx<'_>,

@@ -5,7 +5,8 @@
 //! a message type, exactly like GIOP 1.0; headers and bodies are CDR, in
 //! the little-endian order the flag names. The message set covers what the
 //! runtime needs: `Request`, `Reply`, `LocateRequest`/`LocateReply` (used
-//! by the failure detector), `CancelRequest` and `CloseConnection`.
+//! by the failure detector). A frame of any other GIOP message type
+//! (`CancelRequest`, `CloseConnection`, ...) is `BadMessageType`.
 
 use std::ops::{Deref, Range};
 
@@ -24,10 +25,8 @@ const FLAGS: u8 = 1;
 
 const MSG_REQUEST: u8 = 0;
 const MSG_REPLY: u8 = 1;
-const MSG_CANCEL: u8 = 2;
 const MSG_LOCATE_REQUEST: u8 = 3;
 const MSG_LOCATE_REPLY: u8 = 4;
-const MSG_CLOSE: u8 = 5;
 
 /// One entry of a request's service-context list: out-of-band data
 /// piggy-backed on the call, as in CORBA's `ServiceContextList`. The
@@ -109,11 +108,6 @@ pub enum Message {
         /// Outcome.
         status: ReplyBody,
     },
-    /// The client abandoned a request (e.g. timed out).
-    CancelRequest {
-        /// The abandoned request.
-        request_id: u64,
-    },
     /// "Does this object live here?" — also used as a liveness ping.
     LocateRequest {
         /// Correlates the locate reply.
@@ -128,8 +122,6 @@ pub enum Message {
         /// Whether the object is active here.
         found: bool,
     },
-    /// The server is closing the (notional) connection.
-    CloseConnection,
 }
 
 /// The outcome part of a reply.
@@ -309,11 +301,6 @@ impl Message {
                 }
                 enc
             }
-            Message::CancelRequest { request_id } => {
-                let mut enc = frame_encoder(MSG_CANCEL, 0);
-                enc.write_u64(*request_id);
-                enc
-            }
             Message::LocateRequest {
                 request_id,
                 object_key,
@@ -329,7 +316,6 @@ impl Message {
                 enc.write_bool(*found);
                 enc
             }
-            Message::CloseConnection => frame_encoder(MSG_CLOSE, 0),
         };
         enc.into_bytes()
     }
@@ -423,9 +409,6 @@ impl Message {
                 };
                 Message::Reply { request_id, status }
             }
-            MSG_CANCEL => Message::CancelRequest {
-                request_id: dec.read_u64()?,
-            },
             MSG_LOCATE_REQUEST => Message::LocateRequest {
                 request_id: dec.read_u64()?,
                 object_key: ObjectKey::read(&mut dec)?,
@@ -434,7 +417,6 @@ impl Message {
                 request_id: dec.read_u64()?,
                 found: dec.read_bool()?,
             },
-            MSG_CLOSE => Message::CloseConnection,
             other => return Err(FrameError::BadMessageType(other)),
         };
         dec.finish()?;
@@ -515,26 +497,25 @@ mod tests {
         assert_eq!(Message::decode(&rep.encode()).unwrap(), rep);
     }
 
-    #[test]
-    fn cancel_and_close_round_trip() {
-        let c = Message::CancelRequest { request_id: 3 };
-        assert_eq!(Message::decode(&c.encode()).unwrap(), c);
-        assert_eq!(
-            Message::decode(&Message::CloseConnection.encode()).unwrap(),
-            Message::CloseConnection
-        );
+    /// A small frame for the header checks.
+    fn locate_reply() -> Vec<u8> {
+        Message::LocateReply {
+            request_id: 3,
+            found: true,
+        }
+        .encode()
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut frame = Message::CloseConnection.encode();
+        let mut frame = locate_reply();
         frame[0] = b'X';
         assert_eq!(Message::decode(&frame).unwrap_err(), FrameError::BadMagic);
     }
 
     #[test]
     fn bad_version_rejected() {
-        let mut frame = Message::CloseConnection.encode();
+        let mut frame = locate_reply();
         frame[4] = 9;
         assert_eq!(
             Message::decode(&frame).unwrap_err(),
@@ -544,12 +525,12 @@ mod tests {
 
     #[test]
     fn frames_are_flagged_little_endian() {
-        assert_eq!(Message::CloseConnection.encode()[6], 1);
+        assert_eq!(locate_reply()[6], 1);
     }
 
     #[test]
     fn other_byte_order_rejected() {
-        let mut frame = Message::CancelRequest { request_id: 3 }.encode();
+        let mut frame = locate_reply();
         frame[6] = 0;
         assert_eq!(
             Message::decode(&frame).unwrap_err(),
@@ -578,12 +559,16 @@ mod tests {
 
     #[test]
     fn bad_type_rejected() {
-        let mut frame = Message::CloseConnection.encode();
-        frame[7] = 42;
-        assert_eq!(
-            Message::decode(&frame).unwrap_err(),
-            FrameError::BadMessageType(42)
-        );
+        // GIOP's CancelRequest (2) and CloseConnection (5) included: this
+        // ORB sends neither.
+        for msg_type in [2, 5, 42] {
+            let mut frame = locate_reply();
+            frame[7] = msg_type;
+            assert_eq!(
+                Message::decode(&frame).unwrap_err(),
+                FrameError::BadMessageType(msg_type)
+            );
+        }
     }
 
     #[test]

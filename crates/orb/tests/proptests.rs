@@ -65,14 +65,12 @@ fn message_strategy() -> impl Strategy<Value = Message> {
             request_id,
             status: ReplyBody::SystemException(SystemException::comm_failure(detail)),
         }),
-        any::<u64>().prop_map(|request_id| Message::CancelRequest { request_id }),
         (any::<u64>(), any::<u64>()).prop_map(|(request_id, key)| Message::LocateRequest {
             request_id,
             object_key: ObjectKey(key),
         }),
         (any::<u64>(), any::<bool>())
             .prop_map(|(request_id, found)| Message::LocateReply { request_id, found }),
-        Just(Message::CloseConnection),
     ]
 }
 
