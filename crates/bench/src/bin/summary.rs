@@ -158,9 +158,10 @@ fn ablation_sections(s: &Sweeps) -> [Section; 4] {
                 ("recoveries", true, &recoveries),
             ],
             "without FT a crash would abort the run (the paper's motivation); with FT it \
-             completes, paying detection plus restart/restore. Detection is the ORB asking \
-             the silent worker's host with keepalives, so the 60 s and the short request \
-             timeout cost the same.",
+             completes, paying detection plus restart/restore, and the replacement shares a \
+             host with another worker for the rest of the run (7 workers, 7 hosts). \
+             Detection is the ORB asking the silent worker's host with keepalives, so the \
+             60 s and the short request timeout cost the same.",
         ),
         ablation_section(
             "Replication ablation — 100-dim / 7 workers, bulk checkpoints after every call; \

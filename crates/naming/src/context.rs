@@ -14,7 +14,8 @@
 
 use std::collections::BTreeMap;
 
-use orb::{CallCtx, Exception, Ior, SystemException};
+use orb::{CallCtx, Exception, Ior, ObjectKey, SystemException};
+use simnet::{HostId, Port};
 use winner::SystemManagerClient;
 
 use crate::name::{Name, NameComponent};
@@ -63,6 +64,20 @@ fn missing(name: Name) -> Exception {
         rest_of_name: name,
     }
     .raise()
+}
+
+/// The order round-robin walks a group in: by host, not by registration
+/// (see `pick_member`).
+fn walk_key(m: &Ior) -> (HostId, Port, ObjectKey) {
+    (m.host, m.port, m.key)
+}
+
+/// Where `member` falls in that walk.
+fn rank(members: &[Ior], member: &Ior) -> usize {
+    members
+        .iter()
+        .filter(|m| walk_key(m) < walk_key(member))
+        .count()
 }
 
 /// The one component of a flat name: empty is `InvalidName`, more than
@@ -127,7 +142,7 @@ impl NamingContext {
             return Err(SystemException::internal("group entry vanished mid-dispatch").into());
         };
         let mut order: Vec<usize> = (0..members.len()).collect();
-        order.sort_by_key(|&i| (members[i].host, members[i].port, members[i].key));
+        order.sort_by_key(|&i| walk_key(&members[i]));
         let pick = members[order[*rr % members.len()]].clone();
         *rr += 1;
         Ok(pick)
@@ -199,10 +214,19 @@ impl CosNaming::NamingContext for NamingContext {
                 );
             }
             Some(Entry::Group {
-                members, revision, ..
+                members,
+                rr,
+                revision,
             }) => {
                 if members.contains(&member) {
                     return Err(AlreadyBound.raise());
+                }
+                // Membership changes keep the round-robin walk on the
+                // member it would pick next: one sorted before the cursor
+                // moves the cursor on a place (an unbind, back a place).
+                if !members.is_empty() {
+                    let cursor = *rr % members.len();
+                    *rr = cursor + usize::from(rank(members, &member) < cursor);
                 }
                 members.push(member);
                 *revision += 1;
@@ -221,13 +245,16 @@ impl CosNaming::NamingContext for NamingContext {
         let comp = component(group)?;
         match self.entries.get_mut(&comp) {
             Some(Entry::Group {
-                members, revision, ..
+                members,
+                rr,
+                revision,
             }) => {
-                let before = members.len();
-                members.retain(|m| m != &member);
-                if members.len() == before {
+                let Some(i) = members.iter().position(|m| m == &member) else {
                     return Err(missing(Name(vec![comp])));
-                }
+                };
+                let cursor = *rr % members.len();
+                *rr = cursor - usize::from(rank(members, &member) < cursor);
+                members.remove(i);
                 *revision += 1;
                 Ok(())
             }

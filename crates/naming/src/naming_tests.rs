@@ -187,6 +187,60 @@ fn plain_group_resolution_round_robins() {
 }
 
 #[test]
+fn membership_changes_keep_the_round_robin_walk_in_order() {
+    // A bind or unbind behind or ahead of the cursor must not make the
+    // walk skip a member or pick one twice, and clients that take each
+    // resolved member out of the group (as FT proxies adopt theirs) must
+    // still walk the hosts in order.
+    let mut sim = Kernel::with_seed(2);
+    let hosts = boot_plain(&mut sim, 8);
+    let out = cell::<Vec<u32>>();
+    let o = out.clone();
+    let members: Vec<Ior> = (1..8).map(|i| fake_ior(hosts[i], i as u64)).collect();
+    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
+        ctx.sleep(secs(0.01)).unwrap();
+        let mut orb = Orb::init(ctx);
+        let ns = NamingClient::root(hosts[0]);
+        let name = Name::simple("Workers");
+        let bind = |orb: &mut Orb, ctx: &mut simnet::Ctx, m: &Ior| {
+            ns.bind_group_member(orb, ctx, &name, m).unwrap().unwrap();
+        };
+        let unbind = |orb: &mut Orb, ctx: &mut simnet::Ctx, m: &Ior| {
+            ns.unbind_group_member(orb, ctx, &name, m).unwrap().unwrap();
+        };
+        let resolve = |orb: &mut Orb, ctx: &mut simnet::Ctx| {
+            let got = ns.resolve(orb, ctx, &name).unwrap().unwrap().ior;
+            o.lock().unwrap().push(got.host.0);
+            got
+        };
+        for i in [0, 2, 3, 4] {
+            bind(&mut orb, ctx, &members[i]);
+        }
+        // 1, 3; then host 2 joins behind the cursor and host 5 leaves
+        // ahead of it: 4, 1, 2.
+        for _ in 0..2 {
+            resolve(&mut orb, ctx);
+        }
+        bind(&mut orb, ctx, &members[1]);
+        unbind(&mut orb, ctx, &members[4]);
+        for _ in 0..3 {
+            resolve(&mut orb, ctx);
+        }
+        // Hosts 5–7 join ahead of the cursor; each pick is then adopted.
+        for m in &members[4..] {
+            bind(&mut orb, ctx, m);
+        }
+        for _ in 0..7 {
+            let got = resolve(&mut orb, ctx);
+            unbind(&mut orb, ctx, &got);
+        }
+    });
+    sim.run_until_exit(driver);
+    let walk = [1, 3, 4, 1, 2, 3, 4, 5, 6, 7, 1, 2];
+    assert_eq!(*out.lock().unwrap(), walk);
+}
+
+#[test]
 fn group_member_management() {
     let mut sim = Kernel::with_seed(2);
     let hosts = boot_plain(&mut sim, 3);

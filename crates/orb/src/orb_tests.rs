@@ -786,6 +786,27 @@ fn crashed_host_with_history_is_found_out_by_probes() {
 }
 
 #[test]
+fn first_contact_with_a_host_found_silent_is_probed_at_once() {
+    // Another endpoint on the crashed host (a factory, say) never answered
+    // this client: without the host's verdict it would wait out the 2 s
+    // request timeout.
+    let seen = call_after_history(
+        |hs| Some((0.9, Fault::CrashHost(hs[1]))),
+        |obj, orb, ctx| {
+            assert!(add(obj, orb, ctx).is_err());
+            let elsewhere = Ior {
+                port: simnet::Port(obj.ior.port.0 + 1),
+                ..obj.ior.clone()
+            };
+            add(&ObjectRef::new(elsewhere), orb, ctx)
+        },
+    );
+    assert_eq!(seen.outcome, Err("peer unreachable".into()));
+    assert!(seen.dt < 0.2, "dt={}", seen.dt);
+    assert_eq!(seen.stats.probes_sent, 10);
+}
+
+#[test]
 fn slow_servant_is_waited_for_not_failed() {
     // 300 × the endpoint's usual round trip, well inside the deadline.
     let seen = call_after_history(
