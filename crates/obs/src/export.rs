@@ -2,12 +2,14 @@
 //! metrics.
 //!
 //! Everything here is deterministic by construction: spans are sorted by
-//! `(start_ns, span_id)`, metrics iterate a `BTreeMap`, and all numeric
-//! formatting is integer-based except gauges (fixed `{:.6}`). Two same-seed
-//! runs therefore export byte-identical files.
+//! `(start_ns, span_id)`, then recording order, metrics iterate a
+//! `BTreeMap`, and all numeric formatting is integer-based except gauges
+//! (fixed `{:.6}`). Two same-seed runs therefore export byte-identical
+//! files.
 
 use crate::metrics::Metric;
 use crate::recorder::Obs;
+use crate::span::PackedSpan;
 
 /// Escape a string for inclusion in a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -35,12 +37,11 @@ impl Obs {
     /// Perfetto). Host maps to `pid`, sim process to `tid`.
     pub fn chrome_trace_json(&self) -> String {
         self.inner.with(|i| {
-            let mut order: Vec<usize> = (0..i.spans.len()).collect();
-            order.sort_unstable_by_key(|&k| (i.spans[k].start_ns, i.spans[k].span_id));
+            let mut order: Vec<(usize, PackedSpan)> = i.spans.iter().enumerate().collect();
+            order.sort_unstable_by_key(|&(k, s)| (s.start_ns, s.span_id, k));
             let mut out = String::from("[\n");
             let last = order.len();
-            for (n, &idx) in order.iter().enumerate() {
-                let s = &i.spans[idx];
+            for (n, (idx, s)) in order.iter().enumerate() {
                 let mut args = format!(
                     "\"trace\":{},\"span\":{},\"hop\":{}",
                     s.trace_id, s.span_id, s.hop
@@ -48,7 +49,7 @@ impl Obs {
                 if s.parent != 0 {
                     args.push_str(&format!(",\"parent\":{}", s.parent));
                 }
-                for (k, v) in i.tags(idx) {
+                for (k, v) in i.tags(*idx) {
                     args.push_str(&format!(",\"{}\":\"{}\"", json_escape(k), json_escape(v)));
                 }
                 out.push_str(&format!(

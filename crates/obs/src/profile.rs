@@ -37,9 +37,10 @@ impl Obs {
         self.inner.with(|i| {
             // Inclusive time of all direct children, keyed by parent span id.
             let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
-            for s in &i.spans {
+            for s in i.spans.iter() {
                 if s.parent != 0 {
-                    *child_ns.entry(s.parent).or_insert(0) += s.dur();
+                    let c = child_ns.entry(s.parent).or_insert(0);
+                    *c = c.saturating_add(s.dur());
                 }
             }
             let mut rows: Vec<FlatProfileEntry> = i
@@ -52,14 +53,14 @@ impl Obs {
                     self_ns: 0,
                 })
                 .collect();
-            for s in &i.spans {
+            for s in i.spans.iter() {
                 let own = s
                     .dur()
                     .saturating_sub(child_ns.get(&s.span_id).copied().unwrap_or(0));
                 let e = &mut rows[s.name as usize];
                 e.count += 1;
-                e.total_ns += s.dur();
-                e.self_ns += own;
+                e.total_ns = e.total_ns.saturating_add(s.dur());
+                e.self_ns = e.self_ns.saturating_add(own);
             }
             // A name whose every span is still open has no row.
             rows.retain(|e| e.count > 0);

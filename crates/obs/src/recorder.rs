@@ -15,7 +15,7 @@ use simnet::{Ctx, KernelEvent, Shared, SimTime};
 
 use crate::event::{Event, EventBody};
 use crate::metrics::{Histogram, Metric};
-use crate::span::{PackedSpan, SpanContext, SpanRecord};
+use crate::span::{PackedSpan, SpanContext, SpanLog, SpanRecord};
 
 /// Key/value annotations on one span.
 type Tags = Vec<(String, String)>;
@@ -26,7 +26,7 @@ pub(crate) struct Inner {
     next_trace: u64,
     next_span: u64,
     /// Completed spans, in recording order.
-    pub(crate) spans: Vec<PackedSpan>,
+    pub(crate) spans: SpanLog,
     /// Span names by id, each stored once.
     pub(crate) names: Vec<String>,
     name_ids: BTreeMap<String, u32>,
@@ -57,9 +57,8 @@ impl Inner {
         self.tags.get(&index).map_or(&[], Vec::as_slice)
     }
 
-    /// The public view of the span at `index`.
-    fn view(&self, index: usize) -> SpanRecord {
-        let s = &self.spans[index];
+    /// The public view of `s`, the span at `index`.
+    fn view(&self, index: usize, s: &PackedSpan) -> SpanRecord {
         SpanRecord {
             trace_id: s.trace_id,
             span_id: s.span_id,
@@ -109,7 +108,7 @@ impl Obs {
             if !tags.is_empty() {
                 i.tags.insert(i.spans.len(), tags);
             }
-            i.spans.push(rec);
+            i.spans.push(&rec);
         });
     }
 
@@ -182,8 +181,10 @@ impl Obs {
 
     /// Snapshot of all completed spans, in recording order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner
-            .with(|i| (0..i.spans.len()).map(|k| i.view(k)).collect())
+        self.inner.with(|i| {
+            let all = i.spans.iter().enumerate();
+            all.map(|(k, s)| i.view(k, &s)).collect()
+        })
     }
 
     /// Completed spans with the given name, in recording order.
@@ -192,9 +193,9 @@ impl Obs {
             let Some(&id) = i.name_ids.get(name) else {
                 return Vec::new();
             };
-            (0..i.spans.len())
-                .filter(|&k| i.spans[k].name == id)
-                .map(|k| i.view(k))
+            let all = i.spans.iter().enumerate();
+            all.filter(|(_, s)| s.name == id)
+                .map(|(k, s)| i.view(k, &s))
                 .collect()
         })
     }
@@ -243,7 +244,7 @@ impl Recording {
     /// fresh trace.
     fn open(&self, now: SimTime, name: impl Display, parent: Option<SpanContext>, hops: u32) {
         let (trace_id, hop) = match parent {
-            Some(p) => (p.trace_id, p.hop + hops),
+            Some(p) => (p.trace_id, p.hop.saturating_add(hops)),
             None => (self.obs.alloc_trace(), 0),
         };
         let (span_id, name) = {
@@ -642,9 +643,133 @@ ft.factory_create                 1                0                0
         assert_eq!(got, GOLDEN);
     }
 
+    /// Ten thousand spans shaped like a Table 1 run's `serve:store_value`:
+    /// one trace, one parent, ≈ 3.3 ms apart and ≈ 561 µs long. As
+    /// `PackedSpan`s in a `Vec` they took 56 bytes each.
     #[test]
-    fn a_packed_span_fits_in_a_cache_line() {
-        assert!(std::mem::size_of::<PackedSpan>() <= 64);
+    fn a_served_span_costs_the_log_at_most_16_bytes() {
+        let obs = Obs::new();
+        let client = ProcessObs::for_process(obs.clone(), 0, 1);
+        let server = ProcessObs::for_process(obs.clone(), 3, 7);
+        client.begin(t(0), "ft.call:store_value");
+        for k in 0..10_000u64 {
+            let at = 1_000 + k * 3_300_000 + k % 7 * 10_000;
+            server.begin_remote(t(at), "serve:store_value", client.current());
+            server.end(t(at + 561_000 + k % 13 * 1_000));
+        }
+        let (n, held) = obs.inner.with(|i| (i.spans.len(), i.spans.held_bytes()));
+        assert_eq!(n, 10_000);
+        assert!(held <= 16 * n, "{held} bytes for {n} spans");
+    }
+
+    /// The readers over the log against the same readers written over a
+    /// plain `Vec` of records: spans of every shape a wire context can
+    /// give, across many chunks, some tagged.
+    #[test]
+    fn readers_over_the_log_match_a_plain_vec() {
+        let names = ["serve:store_value", "ft.call:solve", "manager.run"];
+        for seed in 0..8 {
+            let obs = Obs::new();
+            let ids: Vec<u32> = obs
+                .inner
+                .with(|i| names.iter().map(|n| i.intern(n)).collect());
+            let mut want = Vec::new();
+            for (k, mut s) in crate::span::tests::wild_records(seed, 3_000)
+                .into_iter()
+                .enumerate()
+            {
+                s.name = ids[s.name as usize % ids.len()];
+                let tags: Tags = if k % 5 == 0 {
+                    vec![("ok".to_string(), "false".to_string())]
+                } else {
+                    Vec::new()
+                };
+                obs.record(s, tags.clone());
+                want.push(SpanRecord {
+                    trace_id: s.trace_id,
+                    span_id: s.span_id,
+                    parent: (s.parent != 0).then_some(s.parent),
+                    name: names[s.name as usize].to_string(),
+                    hop: s.hop,
+                    host: s.host,
+                    pid: s.pid,
+                    start_ns: s.start_ns,
+                    end_ns: s.end_ns,
+                    tags,
+                });
+            }
+            assert_eq!(obs.spans(), want, "seed {seed}");
+            for name in names {
+                let named: Vec<_> = want.iter().filter(|s| s.name == name).cloned().collect();
+                assert_eq!(obs.spans_named(name), named, "seed {seed}");
+            }
+            assert_eq!(obs.flat_profile(), flat_profile_of(&want), "seed {seed}");
+            assert_eq!(
+                obs.chrome_trace_json(),
+                chrome_trace_of(&want),
+                "seed {seed}"
+            );
+        }
+    }
+
+    fn dur(s: &SpanRecord) -> u64 {
+        s.end_ns - s.start_ns
+    }
+
+    /// [`Obs::flat_profile`] over a plain list of spans.
+    fn flat_profile_of(spans: &[SpanRecord]) -> Vec<crate::FlatProfileEntry> {
+        let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
+        for s in spans {
+            if let Some(p) = s.parent {
+                let c = child_ns.entry(p).or_insert(0);
+                *c = c.saturating_add(dur(s));
+            }
+        }
+        let mut rows: BTreeMap<&str, crate::FlatProfileEntry> = BTreeMap::new();
+        for s in spans {
+            let e = rows.entry(&s.name).or_insert(crate::FlatProfileEntry {
+                name: s.name.clone(),
+                count: 0,
+                total_ns: 0,
+                self_ns: 0,
+            });
+            let own = dur(s).saturating_sub(child_ns.get(&s.span_id).copied().unwrap_or(0));
+            e.count += 1;
+            e.total_ns = e.total_ns.saturating_add(dur(s));
+            e.self_ns = e.self_ns.saturating_add(own);
+        }
+        let mut rows: Vec<_> = rows.into_values().collect();
+        rows.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.name.cmp(&b.name)));
+        rows
+    }
+
+    /// [`Obs::chrome_trace_json`] over a plain list of spans whose names
+    /// and tags need no escaping.
+    fn chrome_trace_of(spans: &[SpanRecord]) -> String {
+        let mut sorted: Vec<&SpanRecord> = spans.iter().collect();
+        sorted.sort_by_key(|s| (s.start_ns, s.span_id));
+        let us = |ns: u64| format!("{}.{:03}", ns / 1_000, ns % 1_000);
+        let lines: Vec<String> = sorted
+            .iter()
+            .map(|s| {
+                let mut args = format!("\"trace\":{},\"span\":{},\"hop\":{}", s.trace_id, s.span_id, s.hop);
+                if let Some(p) = s.parent {
+                    args += &format!(",\"parent\":{p}");
+                }
+                for (k, v) in &s.tags {
+                    args += &format!(",\"{k}\":\"{v}\"");
+                }
+                format!(
+                    "{{\"name\":\"{}\",\"cat\":\"ldft\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
+                    s.name,
+                    us(s.start_ns),
+                    us(dur(s)),
+                    s.host,
+                    s.pid,
+                )
+            })
+            .collect();
+        format!("[\n{}\n]\n", lines.join(",\n"))
     }
 
     #[test]

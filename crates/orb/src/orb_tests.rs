@@ -11,7 +11,7 @@ use std::sync::Mutex as StdMutex;
 
 use crate::{
     reply, CallCtx, DiiRequest, Exception, Ior, Message, ObjectKey, ObjectRef, Orb, OrbConfig, Poa,
-    ReplyBody, Servant, SysKind, SystemException, UserException,
+    ReplyBody, Servant, ServiceContext, SysKind, SystemException, UserException,
 };
 
 type Cell<T> = Arc<StdMutex<T>>;
@@ -934,14 +934,21 @@ fn hostile_bodies(frame: &[u8]) -> Vec<Vec<u8>> {
     ]
 }
 
-/// Send `frames` raw to the calc server, then ask it how many frames it
-/// could not parse and for one sum.
-fn send_raw_then_call(frames: impl FnOnce(&Ior) -> Vec<Vec<u8>> + Send + 'static) -> (u64, f64) {
+/// Send `frames` raw to the calc server, traced into `sink` if given,
+/// then ask it how many frames it could not parse and for one sum.
+/// Returns the count, how many raw frames were answered, and the sum.
+fn send_raw_then_call(
+    sink: Option<obs::Obs>,
+    frames: impl FnOnce(&Ior) -> Vec<Vec<u8>> + Send + 'static,
+) -> (u64, u64, f64) {
     let mut sim = Kernel::with_seed(1);
     let hs = sim.add_hosts(2);
     let ior = cell();
-    spawn_calc(&mut sim, hs[1], ior.clone());
-    let out = cell::<Option<(u64, f64)>>();
+    match sink {
+        Some(sink) => spawn_traced_calc(&mut sim, hs[1], ior.clone(), sink, 1),
+        None => spawn_calc(&mut sim, hs[1], ior.clone()),
+    }
+    let out = cell::<Option<(u64, u64, f64)>>();
     let o = out.clone();
     let client = sim.spawn(hs[0], "client", move |ctx| {
         ctx.sleep(secs(0.01)).unwrap();
@@ -959,7 +966,8 @@ fn send_raw_then_call(frames: impl FnOnce(&Ior) -> Vec<Vec<u8>> + Send + 'static
             .call(&mut orb, ctx, "add", &(2.0, 3.0))
             .unwrap()
             .unwrap();
-        *o.lock().unwrap() = Some((errors, sum));
+        // A reply to a raw frame has no pending call to go to.
+        *o.lock().unwrap() = Some((errors, orb.stats().late_replies, sum));
     });
     sim.run_until_exit(client);
     let seen = out.lock().unwrap().expect("client finished");
@@ -974,18 +982,62 @@ fn add_request(target: &Ior) -> Vec<u8> {
 
 #[test]
 fn a_frame_in_the_other_byte_order_is_refused_and_counted() {
-    let seen = send_raw_then_call(|target| {
+    let seen = send_raw_then_call(None, |target| {
         let mut frame = add_request(target);
         frame[6] = 0; // GIOP's flag for big-endian
         vec![frame]
     });
-    assert_eq!(seen, (1, 5.0));
+    assert_eq!(seen, (1, 0, 5.0));
 }
 
 #[test]
 fn request_bodies_that_lie_about_their_length_are_dropped() {
-    let seen = send_raw_then_call(|target| hostile_bodies(&add_request(target)));
-    assert_eq!(seen, (3, 5.0));
+    let seen = send_raw_then_call(None, |target| hostile_bodies(&add_request(target)));
+    assert_eq!(seen, (3, 0, 5.0));
+}
+
+#[test]
+fn hostile_trace_contexts_are_served_under_a_sane_span() {
+    let sink = obs::Obs::new();
+    let seen = send_raw_then_call(Some(sink.clone()), |target| {
+        let args = cdr::to_bytes(&(1.0, 2.0));
+        let context = |trace_id, span_id, hop| SpanContext {
+            trace_id,
+            span_id,
+            hop,
+        };
+        let request = |id, contexts: Vec<Vec<u8>>| {
+            let contexts: Vec<ServiceContext> = contexts
+                .into_iter()
+                .map(|data| ServiceContext {
+                    id: TRACE_CONTEXT_ID,
+                    data,
+                })
+                .collect();
+            Message::encode_request(id, true, target.key, "add", &args, &contexts)
+        };
+        // Smallest frame first: a shorter frame sent at the same instant
+        // arrives sooner.
+        vec![
+            request(991, vec![vec![7; 19]]),
+            request(992, vec![context(40, 41, u32::MAX).to_bytes()]),
+            request(
+                993,
+                vec![context(50, 51, 2).to_bytes(), context(60, 61, 5).to_bytes()],
+            ),
+        ]
+    });
+    assert_eq!(seen, (0, 3, 5.0));
+    let served: Vec<_> = sink
+        .spans_named("serve:add")
+        .iter()
+        .map(|s| (s.trace_id, s.parent, s.hop))
+        .collect();
+    assert_eq!(served.len(), 4, "three raw requests and the sum");
+    // A context of the wrong size starts a fresh trace (the sink's first),
+    // the hop saturates, and of two contexts the first counts.
+    let want = [(1, None, 0), (40, Some(41), u32::MAX), (50, Some(51), 3)];
+    assert_eq!(served[..3], want);
 }
 
 #[test]

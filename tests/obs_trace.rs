@@ -167,6 +167,45 @@ fn same_seed_exports_are_byte_identical() {
     assert_eq!(metrics_a.as_bytes(), metrics_b.as_bytes());
 }
 
+/// FNV-1a over `bytes`.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |d, &b| {
+        (d ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Digests of the cell's trace, metrics, flat profile and span list. How
+/// the sink stores a span must not show in any of them.
+fn export_digests(seed: u64) -> [u64; 4] {
+    let sink = run_crash_recovery_cell(seed);
+    [
+        fnv(sink.chrome_trace_json().as_bytes()),
+        fnv(sink.metrics_text().as_bytes()),
+        fnv(sink.flat_profile_text(20).as_bytes()),
+        fnv(format!("{:?}", sink.spans()).as_bytes()),
+    ]
+}
+
+#[test]
+fn pinned_exports_of_the_crash_cell() {
+    let got = [export_digests(7), export_digests(9)];
+    let want = [
+        [
+            0x7f62_040d_26b4_7273,
+            0xdf14_6c79_fc01_de6b,
+            0xf506_5dd6_b58d_ee14,
+            0x04ff_e41a_2447_ffd9,
+        ],
+        [
+            0xc725_0bf6_d441_8242,
+            0x7bad_7027_f534_3509,
+            0x5dda_65ec_c68f_cbc9,
+            0xbe47_2077_eac5_9a0d,
+        ],
+    ];
+    assert_eq!(got, want, "the crash cell's exports moved: {got:#018x?}");
+}
+
 #[test]
 fn different_seed_changes_the_trace() {
     let a = run_crash_recovery_cell(7).chrome_trace_json();
