@@ -69,8 +69,6 @@ pub struct ChoicePoint {
     pub ordinal: u64,
     /// Event-queue tie or runnable-queue order.
     pub kind: ChoiceKind,
-    /// Virtual time of the choice.
-    pub at_ns: u64,
     /// Candidate footprints, in default (insertion / FIFO) order.
     pub cands: Vec<Fp>,
     /// Index the policy picked.
@@ -130,7 +128,7 @@ impl PlanPolicy {
 }
 
 impl SchedulePolicy for PlanPolicy {
-    fn choose(&mut self, kind: ChoiceKind, now: SimTime, cands: &[ChoiceCandidate]) -> usize {
+    fn choose(&mut self, kind: ChoiceKind, _now: SimTime, cands: &[ChoiceCandidate]) -> usize {
         let ordinal = self.next_ordinal;
         self.next_ordinal += 1;
         let want = self.plan.get(&ordinal).copied().unwrap_or(0);
@@ -143,7 +141,6 @@ impl SchedulePolicy for PlanPolicy {
         self.log.lock().points.push(ChoicePoint {
             ordinal,
             kind,
-            at_ns: now.as_nanos(),
             cands: cands.iter().map(Fp::of).collect(),
             chosen: idx,
         });

@@ -5,7 +5,7 @@
 //! when its next call raises `COMM_FAILURE`. This detector probes a service
 //! group proactively (GIOP `LocateRequest` pings) and removes dead
 //! replicas from the naming service, so the *next* resolve already avoids
-//! them. The recovery-latency ablation benchmark compares both modes.
+//! them.
 
 use simnet::Shared;
 

@@ -71,12 +71,15 @@ impl Servant for Counter {
                 reply(&self.value)
             }
             "inc_then_crash" => {
-                // Served on host `victim`, the call kills it 250 us after
-                // this dispatch: the reply has left (60 us of marshalling),
-                // the proxy's checkpoint fetch has not arrived (two 150 us
-                // hops away). Served elsewhere, it is `inc`.
-                let (delta, victim): (i64, u32) =
+                // `slow_inc`, and served on host `victim`, the call kills
+                // it 250 us after its work: the reply has left (60 us of
+                // marshalling), the proxy's checkpoint fetch has not
+                // arrived (two 150 us hops away).
+                let (delta, work, victim): (i64, f64, u32) =
                     cdr::from_bytes(args).map_err(SystemException::marshal)?;
+                call.ctx
+                    .compute(work)
+                    .map_err(|_| SystemException::comm_failure("killed"))?;
                 let host = call.ctx.host();
                 if host.0 == victim {
                     call.ctx
@@ -970,6 +973,48 @@ fn mixed_epoch_checkpoint_chunks_are_rejected() {
     assert_eq!(*out.lock().unwrap(), vec![5, 1]);
 }
 
+#[test]
+fn a_shrunk_per_value_state_restores_without_its_stale_chunks() {
+    // Three values of state, then one: the store keeps the two stale
+    // chunks, and a restore reads only the one chunk its header counts.
+    let mut sim = Kernel::with_seed(13);
+    let hosts = standard_bed(&mut sim, 3);
+    let h0 = hosts[0];
+    let out = cell::<Option<(Vec<Option<u64>>, Vec<u8>)>>();
+    let o = out.clone();
+    let driver = sim.spawn(h0, "driver", move |ctx| {
+        ctx.sleep(secs(1.0)).unwrap();
+        let mut orb = Orb::init(ctx);
+        let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::PerValue);
+        let ckpt = ckpt_client(&mut orb, ctx, h0);
+        let mut env = ProxyEnv { orb: &mut orb, ctx };
+        // Epochs 1 and 2 hold 144 bytes (three 64-byte values), 3 and 4
+        // hold 12 (one).
+        let _: () = proxy.call(&mut env, "set_pad", &(16u32,)).unwrap().unwrap();
+        let _: i64 = proxy.call(&mut env, "inc", &(5i64,)).unwrap().unwrap();
+        let _: () = proxy.call(&mut env, "set_pad", &(0u32,)).unwrap().unwrap();
+        let _: i64 = proxy.call(&mut env, "inc", &(1i64,)).unwrap().unwrap();
+        let epochs = (0..3)
+            .map(|i| {
+                let key = per_value::chunk_key(i);
+                let v = ckpt.retrieve_value(env.orb, env.ctx, "counter-1", &key);
+                per_value::read_chunk(&v.unwrap().unwrap()?).map(|(e, _)| e.get())
+            })
+            .collect();
+        let victim = proxy.current_target().unwrap().ior.host;
+        env.ctx.crash_host(victim).unwrap();
+        // A restarted client has no copy of its own: it restores from the
+        // store.
+        let mut fresh = proxy_for(h0, env.orb, env.ctx, CheckpointMode::PerValue);
+        let state = fresh.call(&mut env, "get_checkpoint", &()).unwrap();
+        *o.lock().unwrap() = Some((epochs, state.unwrap()));
+    });
+    sim.run_until_exit(driver);
+    let (epochs, state) = out.lock().unwrap().take().unwrap();
+    assert_eq!(epochs, [Some(4), Some(2), Some(2)]);
+    assert_eq!(state, cdr::to_bytes(&(6i64, Vec::<f64>::new())));
+}
+
 /// The epochs of the `StateRestored` events a traced proxy recorded.
 fn epochs_restored(sink: &obs::Obs) -> Vec<u64> {
     sink.events()
@@ -1226,6 +1271,9 @@ enum Schedule {
     /// The serving host dies after a call's reply leaves it and before the
     /// proxy's `get_checkpoint` arrives.
     ServerDiesBeforeCheckpoint,
+    /// The serving host dies mid-call, then the replacement's host dies
+    /// after its reply to the redone call and before `get_checkpoint`.
+    ReplacementDiesBeforeCheckpoint,
 }
 
 /// Everything a client can observe of one schedule.
@@ -1267,6 +1315,7 @@ fn run_schedule_obs(
     let mut sim = Kernel::with_seed(31);
     let n_hosts = match schedule {
         Schedule::FactoryHostDies => 2,
+        Schedule::ReplacementDiesBeforeCheckpoint => 4,
         _ => 3,
     };
     let hosts = probed_bed(&mut sim, n_hosts, infra).0;
@@ -1326,9 +1375,23 @@ fn run_schedule_obs(
             Schedule::ServerDiesBeforeCheckpoint => {
                 call_via(deferred, &mut proxy, &mut env, "inc", &(5i64,)).unwrap();
                 let victim = proxy.current_target().unwrap().ior.host.0;
-                let args = (3i64, victim);
+                let args = (3i64, 0.0f64, victim);
                 call_via(deferred, &mut proxy, &mut env, "inc_then_crash", &args).unwrap();
                 call_via(deferred, &mut proxy, &mut env, "inc", &(1i64,))
+            }
+            Schedule::ReplacementDiesBeforeCheckpoint => {
+                call_via(deferred, &mut proxy, &mut env, "inc", &(5i64,)).unwrap();
+                let victim = proxy.current_target().unwrap().ior.host;
+                env.ctx
+                    .spawn(h0, "assassin", move |c| {
+                        c.sleep(secs(0.5)).unwrap();
+                        c.crash_host(victim).unwrap();
+                    })
+                    .unwrap();
+                // Round-robin places the replacement on the next factory
+                // host.
+                let args = (3i64, 2.0f64, victim.0 + 1);
+                call_via(deferred, &mut proxy, &mut env, "inc_then_crash", &args)
             }
         };
         let elapsed = env.ctx.now().since(start).as_nanos();
@@ -1411,6 +1474,7 @@ fn both_call_styles_run_one_recovery_engine() {
         Schedule::FactoryHostDies,
         Schedule::RestoreRefused,
         Schedule::ServerDiesBeforeCheckpoint,
+        Schedule::ReplacementDiesBeforeCheckpoint,
     ] {
         // Untraced, the two call styles are one run to the nanosecond.
         let bare = run_schedule_obs(schedule, false, None, None);
@@ -1495,6 +1559,26 @@ fn both_call_styles_run_one_recovery_engine() {
                 assert_eq!((stats.calls, stats.checkpoints), (3, 3));
                 assert_eq!((stats.recoveries, stats.checkpoint_failures), (1, 0));
                 assert_eq!((detected, started), (1, vec![1]));
+            }
+            Schedule::ReplacementDiesBeforeCheckpoint => {
+                // The redone `inc 3` runs a third time, on the instance
+                // restored to 5 after the replacement died too.
+                assert_eq!(outcome, Ok(8), "{stats:?}");
+                assert_eq!((stats.calls, stats.recoveries), (2, 2));
+                assert_eq!((detected, started), (2, vec![1, 2]));
+                // One episode, from the first failure to the reply of the
+                // third run: two redos of 2 s of work.
+                let finished: Vec<u64> = events
+                    .iter()
+                    .filter_map(|e| match e {
+                        RecoveryFinished { dur_ns, .. } => Some(*dur_ns),
+                        _ => None,
+                    })
+                    .collect();
+                assert!(
+                    matches!(finished[..], [d] if d > 4_000_000_000),
+                    "{finished:?}"
+                );
             }
         }
     }

@@ -165,9 +165,9 @@ impl FtRequest {
         Ok(decode_reply(self.get_response(proxy, env)?))
     }
 
-    /// A reply arrived: close any recovery episode and run the checkpoint
-    /// policy. The call is done, counted and published only once
-    /// `after_success` lets it be.
+    /// A reply arrived: run the checkpoint policy. The call is done,
+    /// counted and published, and its recovery episode closed, only once
+    /// `after_success` lets it be; the episode ends at the reply.
     fn finish(
         &mut self,
         bytes: Body,
@@ -175,17 +175,13 @@ impl FtRequest {
         env: &mut ProxyEnv<'_>,
     ) -> SimResult<Result<(), Exception>> {
         let served = env.ctx.now();
-        if let Some(since) = self.recovering_since.take() {
-            env.orb
-                .obs()
-                .observe("ft.recovery_ns", served.since(since).as_nanos());
-            proxy.emit(env, |target| EventBody::RecoveryFinished {
-                target,
-                dur_ns: served.since(since).as_nanos(),
-            });
-        }
         if let Err(e) = proxy.after_success(env)? {
             return Ok(Err(e));
+        }
+        if let Some(since) = self.recovering_since.take() {
+            let dur_ns = served.since(since).as_nanos();
+            env.orb.obs().observe("ft.recovery_ns", dur_ns);
+            proxy.emit(env, |target| EventBody::RecoveryFinished { target, dur_ns });
         }
         proxy.stats.calls += 1;
         // Critical-path attribution: everything before the winning send

@@ -2,8 +2,8 @@
 //! acceptance gate in executable form — P3 and E1 find nothing, every IDL
 //! operation is declared in one place only and its generated stub is
 //! exercised by product code, every contract is generated, every public
-//! item has a product caller (a test is not one), every binary target is
-//! run by CI or a test, and the determinism, panic and discard rules that
+//! item has a product caller (a test is not one), every `pub` field is
+//! read, every binary target is run by CI or a test, and the determinism, panic and discard rules that
 //! are clippy lints still bind exactly the sim crates.
 
 use idlc::ast::Direction;
@@ -805,6 +805,125 @@ fn every_public_item_has_a_caller() {
                     fa.path, toks[def].line
                 )),
             }
+        }
+    }
+    assert!(offences.is_empty(), "{}", offences.join("\n"));
+    assert_no_stale_allowance(ALLOWED, &allowed_seen);
+}
+
+/// Token ranges that hold patterns: match arms, `let` up to its `=`, and
+/// the pattern of `matches!`.
+fn pattern_ranges(fa: &FileAnalysis) -> Vec<(usize, usize)> {
+    let toks = &fa.ast.toks;
+    let mut ranges: Vec<(usize, usize)> = fa
+        .ast
+        .matches
+        .iter()
+        .flat_map(|m| m.arms.iter().map(|a| a.pat))
+        .collect();
+    for (i, t) in toks.iter().enumerate() {
+        if t.is("let") {
+            let end = (i..toks.len()).find(|&k| toks[k].is("=") || toks[k].is(";"));
+            ranges.push((i, end.unwrap_or(toks.len())));
+        } else if t.is("matches") && toks.get(i + 1).is_some_and(|n| n.is("!")) {
+            let close = fa.ast.paren_close.get(&(i + 2)).copied();
+            let args = close.map(|c| split_commas(toks, i + 3, c));
+            if let Some(&[_, (start, _), ..]) = args.as_deref() {
+                ranges.push((start, close.unwrap_or(start)));
+            }
+        }
+    }
+    ranges
+}
+
+#[test]
+fn every_pub_field_is_read() {
+    // No write-only state. Each `pub` field of a struct in library code
+    // (`generated.rs` and the `crates/lint` test library exempt) must be
+    // read somewhere in the workspace — tests, examples and `benchmark/`
+    // included: a counter a test asserts is that test's witness. A read
+    // is `.field` that is not the target of `=` or a compound assignment,
+    // nor a method call, or the field named in a struct pattern. A
+    // struct-literal initialiser is not a read. Names only: a collision
+    // can hide a candidate but never flag one. An entry the check no
+    // longer flags fails it.
+    const ALLOWED: &[(&str, &str, &str)] = &[];
+    const COMPOUND: [&str; 8] = ["+", "-", "*", "/", "%", "|", "&", "^"];
+    let files = ldft_lint::analyze_workspace(workspace_root()).expect("parse the workspace");
+    // (file, line, struct, field)
+    let mut candidates: Vec<(&str, usize, &str, &str)> = Vec::new();
+    for fa in &files {
+        let lint = fa.crate_dir.as_deref() == Some("lint");
+        if !is_library(&fa.path) || is_generated(&fa.path) || lint {
+            continue;
+        }
+        let toks = &fa.ast.toks;
+        for i in 1..toks.len() {
+            let ty = &toks[i];
+            if !toks[i - 1].is("struct") || fa.is_test_line(ty.line) {
+                continue;
+            }
+            // Past any generics: a braced body, not a tuple or unit struct.
+            let open = (i..toks.len()).find(|&k| ["{", "(", ";"].iter().any(|p| toks[k].is(p)));
+            let Some(scope) = fa.ast.scopes.iter().find(|s| Some(s.open) == open) else {
+                continue;
+            };
+            for (start, end) in split_commas(toks, scope.open + 1, scope.close) {
+                // Past any `#[..]` attributes: `pub`, not `pub(crate)`.
+                let mut k = start;
+                while k < end && toks[k].is("#") {
+                    k = (k..end).find(|&q| toks[q].is("]")).map_or(end, |q| q + 1);
+                }
+                let public = k + 2 < end && toks[k].is("pub") && !toks[k + 1].is("(");
+                if public && toks[k + 2].is(":") {
+                    let field = toks[k + 1].text.as_str();
+                    candidates.push((fa.path.as_str(), toks[k + 1].line, &ty.text, field));
+                }
+            }
+        }
+    }
+    assert!(candidates.len() > 100, "found {}", candidates.len());
+    let mut read: BTreeSet<&str> = BTreeSet::new();
+    let readers = files
+        .iter()
+        .filter(|fa| fa.crate_dir.as_deref() != Some("lint"));
+    for fa in readers {
+        let toks = &fa.ast.toks;
+        for i in 1..toks.len().saturating_sub(1) {
+            let (next, after) = (&toks[i + 1], toks.get(i + 2));
+            let assigned = next.is("=") && !after.is_some_and(|a| a.is("="));
+            let compound =
+                COMPOUND.iter().any(|op| next.is(op)) && after.is_some_and(|a| a.is("="));
+            let call = next.is("(") || next.is("::");
+            if toks[i - 1].is(".") && !(assigned || compound || call) {
+                read.insert(toks[i].text.as_str());
+            }
+        }
+        let scopes = &fa.ast.scopes;
+        for (start, end) in pattern_ranges(fa) {
+            for scope in scopes.iter().filter(|s| start <= s.open && s.open < end) {
+                for (f, e) in split_commas(toks, scope.open + 1, scope.close) {
+                    let f = (f..e)
+                        .find(|&k| !toks[k].is("ref") && !toks[k].is("mut"))
+                        .unwrap_or(e);
+                    if f < e && toks[f].kind == TokKind::Ident {
+                        read.insert(toks[f].text.as_str());
+                    }
+                }
+            }
+        }
+    }
+    let mut offences = Vec::new();
+    let mut allowed_seen = BTreeSet::new();
+    for &(path, line, ty, field) in &candidates {
+        if read.contains(field) {
+            continue;
+        }
+        match ALLOWED.iter().position(|a| (a.0, a.1) == (ty, field)) {
+            Some(a) => {
+                allowed_seen.insert(a);
+            }
+            None => offences.push(format!("{path}:{line}: `{ty}::{field}` is never read")),
         }
     }
     assert!(offences.is_empty(), "{}", offences.join("\n"));

@@ -7,9 +7,7 @@ use simnet::{Ctx, HostId, SimDuration, SimResult};
 
 use crate::name::Name;
 use crate::protocol::CosNaming::NamingContextStub;
-use crate::protocol::{
-    AlreadyBound, InvalidName, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
-};
+use crate::protocol::{AlreadyBound, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY};
 
 /// Boot-registration retry budget for the `*_retry` helpers. At the
 /// [`REGISTER_BACKOFF`] pace this is a 60 s sim-time budget — orders of
@@ -65,19 +63,6 @@ impl NamingClient {
         name: &Name,
     ) -> SimResult<Result<ObjectRef, Exception>> {
         Ok(self.stub.resolve(orb, ctx, name)?.map(ObjectRef::new))
-    }
-
-    /// Resolve a stringified name like `"apps/Workers"`.
-    pub fn resolve_str(
-        &self,
-        orb: &mut Orb,
-        ctx: &mut Ctx,
-        name: &str,
-    ) -> SimResult<Result<ObjectRef, Exception>> {
-        match Name::parse(name) {
-            Ok(n) => self.resolve(orb, ctx, &n),
-            Err(_) => Ok(Err(InvalidName.raise())),
-        }
     }
 
     /// `rebind`, retried with backoff while the naming service boots.

@@ -17,7 +17,8 @@
 //! * [`run_naming_service_obs`] — server process body (port 2809, root key 1).
 //! * [`NamingClient`] — typed client (standard ops + group extensions),
 //!   over the [`NamingContextStub`] `idlc` generates from `idl/naming.idl`.
-//! * [`Name`] — `id.kind/id.kind` stringified names.
+//! * [`Name`] — a sequence of `(id, kind)` components; the flat context
+//!   answers one-component names.
 
 #![cfg_attr(
     not(test),
@@ -42,7 +43,7 @@ pub mod server;
 
 pub use client::{initial_naming_ior, NamingClient};
 pub use context::{LbMode, NamingContext};
-pub use name::{Name, NameComponent, NameParseError};
+pub use name::{Name, NameComponent};
 pub use protocol::CosNaming::{NamingContextSkeleton, NamingContextStub};
 pub use protocol::{
     AlreadyBound, CosNaming, EmptyGroup, InvalidName, NotFound, NotFoundReason,

@@ -9,7 +9,7 @@ use winner::BestPerformance;
 
 use crate::client::{NamingClient, REGISTER_BACKOFF, REGISTER_MAX_ATTEMPTS};
 use crate::context::LbMode;
-use crate::name::Name;
+use crate::name::{Name, NameComponent};
 use crate::protocol::{AlreadyBound, EmptyGroup, NotFound};
 use crate::server::run_naming_service_obs;
 
@@ -101,6 +101,11 @@ fn bind_resolve_round_trip() {
     );
 }
 
+/// `apps/solver`: a name of two components.
+fn apps_solver() -> Name {
+    Name(vec![NameComponent::id("apps"), NameComponent::id("solver")])
+}
+
 /// The context is flat: a name of two components has nothing to follow,
 /// so every operation on it is `NotFound(MissingNode)` naming the whole
 /// name, even when its first component is bound.
@@ -118,7 +123,7 @@ fn a_two_component_name_is_not_found() {
         ns.bind(&mut orb, ctx, &Name::simple("apps"), &obj)
             .unwrap()
             .unwrap();
-        let deep = Name::parse("apps/solver").unwrap();
+        let deep = apps_solver();
         let nf = |r: Result<_, orb::Exception>| r.err().and_then(|e| NotFound::extract(&e));
         let resolved = ns.resolve(&mut orb, ctx, &deep).unwrap().map(drop);
         let bound = ns.bind(&mut orb, ctx, &deep, &obj).unwrap();
@@ -128,7 +133,7 @@ fn a_two_component_name_is_not_found() {
     sim.run_until_exit(driver);
     let missing = NotFound {
         why: crate::protocol::NotFoundReason::MissingNode,
-        rest_of_name: Name::parse("apps/solver").unwrap(),
+        rest_of_name: apps_solver(),
     };
     assert_eq!(*out.lock().unwrap(), vec![Some(missing); 3]);
 }
@@ -391,23 +396,6 @@ fn winner_fallback_when_system_manager_dies() {
     sim.run_until_exit(driver);
     // Round-robin fallback over hosts 1,2.
     assert_eq!(*out.lock().unwrap(), vec![1, 2, 1, 2]);
-}
-
-#[test]
-fn resolve_str_rejects_invalid_names() {
-    let mut sim = Kernel::with_seed(2);
-    let hosts = boot_plain(&mut sim, 2);
-    let out = cell::<Option<bool>>();
-    let o = out.clone();
-    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
-        ctx.sleep(secs(0.01)).unwrap();
-        let mut orb = Orb::init(ctx);
-        let ns = NamingClient::root(hosts[0]);
-        let r = ns.resolve_str(&mut orb, ctx, "a//b").unwrap();
-        *o.lock().unwrap() = Some(crate::protocol::InvalidName::matches(&r.unwrap_err()));
-    });
-    sim.run_until_exit(driver);
-    assert_eq!(*out.lock().unwrap(), Some(true));
 }
 
 /// A boot-registration helper as a plain fn, so one harness drives both.

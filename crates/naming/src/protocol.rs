@@ -27,15 +27,11 @@ pub const NAMING_PORT: simnet::Port = simnet::Port(2809);
 pub const ROOT_CONTEXT_KEY: orb::ObjectKey = orb::ObjectKey(1);
 
 cdr_enum!(
-    /// Why a `resolve`/`bind` failed with `NotFound` — the COS Naming
-    /// enum, of which a flat context raises only `MissingNode`.
+    /// Why a `resolve`/`bind` failed with `NotFound`: of the COS Naming
+    /// enum, the one reason a flat context raises (wire value 0).
     NotFoundReason {
         /// A component was missing entirely.
         MissingNode = 0,
-        /// An intermediate component was bound to an object, not a context.
-        NotContext = 1,
-        /// The final component was a context where an object was expected.
-        NotObject = 2,
     }
 );
 
@@ -119,7 +115,7 @@ mod tests {
     #[test]
     fn not_found_round_trip() {
         let nf = NotFound {
-            why: NotFoundReason::NotContext,
+            why: NotFoundReason::MissingNode,
             rest_of_name: Name(vec![NameComponent::id("x")]),
         };
         let e = nf.clone().raise();

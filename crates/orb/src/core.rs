@@ -81,14 +81,8 @@ pub struct OrbStats {
     pub requests_sent: u64,
     /// Oneway requests sent.
     pub oneways_sent: u64,
-    /// Replies received and consumed.
-    pub replies_received: u64,
     /// `COMM_FAILURE`s raised on the client path.
     pub comm_failures: u64,
-    /// Requests dispatched to servants.
-    pub requests_served: u64,
-    /// Locate (ping) requests answered.
-    pub locates_served: u64,
     /// Frames that failed to parse (dropped unanswered).
     pub protocol_errors: u64,
     /// Keepalive probes sent because a reply was late.
@@ -360,7 +354,6 @@ impl Orb {
             } => {
                 // Demarshal cost for the request body.
                 ctx.compute(marshal_step(body.len()))?;
-                self.stats.requests_served += 1;
                 let parent = service_contexts
                     .iter()
                     .find(|sc| sc.id == TRACE_CONTEXT_ID)
@@ -402,7 +395,6 @@ impl Orb {
                 request_id,
                 object_key,
             } => {
-                self.stats.locates_served += 1;
                 let frame = Message::LocateReply {
                     request_id,
                     found: poa.contains(object_key),
@@ -629,7 +621,6 @@ impl Orb {
     ) -> SimResult<Option<Result<Body, Exception>>> {
         if let Some(outcome) = self.replies.remove(&req_id) {
             self.pending.remove(&req_id);
-            self.stats.replies_received += 1;
             if let Ok(body) = &outcome {
                 ctx.compute(marshal_step(body.len()))?;
             }

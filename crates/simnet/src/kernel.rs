@@ -176,10 +176,6 @@ pub enum Fault {
     /// readers that stamp wall-clock times (Winner load reports) pick it
     /// up from there. Zero restores an honest clock.
     SetClockSkew(HostId, i64),
-    /// Override the one-way latency between two hosts (e.g. a WAN link
-    /// between two LANs, or a degrading path). `None` restores the
-    /// default model.
-    SetLinkLatency(HostId, HostId, Option<SimDuration>),
 }
 
 #[derive(Debug)]
@@ -1620,14 +1616,6 @@ impl Core {
                 }
                 self.emit(KernelEvent::ClockSkewSet(h, skew_ns));
             }
-            Fault::SetLinkLatency(a, b, lat) => match lat {
-                Some(d) => {
-                    self.link_latency.insert(pair(a, b), d);
-                }
-                None => {
-                    self.link_latency.remove(&pair(a, b));
-                }
-            },
         }
     }
 

@@ -11,9 +11,9 @@
 //!
 //! * [`StoreReplica`] — a `CheckpointService`-compatible servant that
 //!   **replicates** every write to its peer replicas with quorum
-//!   acknowledgement before reporting success, keeps checkpoints
-//!   **epoch-versioned** (retaining the last K epochs per object), and
-//!   **trims** superseded per-value chunks on each header write.
+//!   acknowledgement before reporting success, and keeps **one record per
+//!   key**: the newest epoch of each object's bulk checkpoint, the last
+//!   write of each named value.
 //! * [`spawn_replicated_store`] — deploys N replicas on distinct simnet
 //!   hosts, all bound as members of the *same* naming-service group name
 //!   (`"CheckpointService"`) — the paper's own multi-binding `resolve`

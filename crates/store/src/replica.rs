@@ -1,6 +1,7 @@
 //! The store replica servant: a `CheckpointService`-compatible object
-//! that replicates writes to its peers with quorum acknowledgement,
-//! versions checkpoints by epoch, and trims superseded data on write.
+//! that replicates writes to its peers with quorum acknowledgement and
+//! keeps one record per key: the newest bulk epoch per object, the last
+//! write per named value.
 //!
 //! ## Coordination
 //!
@@ -50,8 +51,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use cdr::{Any, Epoch, TypeCode, Value};
-use cosnaming::{Name, NamingClient, NotFound};
-use ftproxy::per_value::{read_chunk, Header, HEADER_KEY};
+use cosnaming::{Name, NamingClient};
+use ftproxy::per_value::{Header, HEADER_KEY};
 use ftproxy::{Checkpoint, CHECKPOINT_SERVICE_NAME, CHECKPOINT_SERVICE_TYPE, FT};
 use obs::EventBody;
 use orb::{CallCtx, Exception, Ior, Orb, SystemException};
@@ -62,10 +63,6 @@ use crate::protocol::{ReplicationSkeleton, ReplicationStub, Store, StoreConfig};
 /// How long a fetched membership view stays fresh before the coordinator
 /// re-reads the group from the naming service.
 const VIEW_TTL: SimDuration = SimDuration::from_millis(100);
-/// Epochs retained per object id (K). Older bulk epochs are trimmed on
-/// write; per-value chunks more than K-1 epochs behind the newest header
-/// are reclaimed.
-const RETAIN_EPOCHS: usize = 2;
 
 // The cost model of one replica. The paper's store was "rather
 // inefficient" and "not optimized for speed in any way"; these reproduce
@@ -148,8 +145,8 @@ pub struct StoreReplica {
     /// Highest membership revision witnessed, from our own view fetches
     /// or stamped on incoming `repl_*` writes.
     highest_view_revision: u64,
-    /// Epoch-versioned bulk checkpoints: object id → epoch → record.
-    bulks: BTreeMap<String, BTreeMap<Epoch, Checkpoint>>,
+    /// The newest bulk checkpoint of each object id.
+    bulks: BTreeMap<String, Checkpoint>,
     /// Per-value records (the paper's proof-of-concept interface).
     values: BTreeMap<String, BTreeMap<String, Any>>,
     /// The last `repl_store_value` request decoded, and then the value its
@@ -207,32 +204,22 @@ impl StoreReplica {
     // Local state transitions (pure, unit-testable)
     // ------------------------------------------------------------------
 
-    /// Insert a bulk record, trimming epochs beyond the retention window.
-    /// Returns how many epochs were trimmed.
-    pub(crate) fn apply_bulk(&mut self, ckpt: Checkpoint) -> u64 {
-        let epochs = self.bulks.entry(ckpt.object_id.clone()).or_default();
-        epochs.insert(ckpt.epoch, ckpt);
-        let mut dropped = 0;
-        while epochs.len() > RETAIN_EPOCHS {
-            let Some(&oldest) = epochs.keys().next() else {
-                break;
-            };
-            epochs.remove(&oldest);
-            dropped += 1;
+    /// Keep a bulk record unless the object already holds a newer epoch;
+    /// an equal epoch is a rewrite and replaces it.
+    pub(crate) fn apply_bulk(&mut self, ckpt: Checkpoint) {
+        match self.bulks.get_mut(&ckpt.object_id) {
+            Some(held) if held.epoch > ckpt.epoch => {}
+            Some(held) => *held = ckpt,
+            None => {
+                self.bulks.insert(ckpt.object_id.clone(), ckpt);
+            }
         }
-        dropped
     }
 
-    /// Insert one named value. A `CkptHeader` write advances the object's
-    /// newest epoch and reclaims chunks that fell out of the retention
-    /// window (shrinking states leave tail chunks behind that no header
-    /// references any more). Returns how many chunks were reclaimed.
-    pub(crate) fn apply_value(&mut self, id: &str, key: &str, value: Any) -> u64 {
-        let header_epoch = if key == HEADER_KEY {
-            Header::read(&value).map(|h| h.epoch)
-        } else {
-            None
-        };
+    /// Store one named value over whatever the key held. A state that
+    /// shrank leaves its old tail chunks behind; no reader reaches them,
+    /// because a restore reads only the chunks its header counts.
+    pub(crate) fn apply_value(&mut self, id: &str, key: &str, value: Any) {
         // Rewrites reuse the stored object and key, and the value they
         // displace becomes the scratch the next peer write decodes over.
         let vals = match self.values.get_mut(id) {
@@ -245,28 +232,11 @@ impl StoreReplica {
                 vals.insert(key.to_owned(), value);
             }
         }
-        let mut dropped = 0;
-        if let Some(e) = header_epoch {
-            let floor = Epoch(e.get().saturating_sub(RETAIN_EPOCHS as u64 - 1));
-            vals.retain(|k, v| {
-                if k == HEADER_KEY {
-                    return true;
-                }
-                match read_chunk(v) {
-                    Some((ce, _)) if ce < floor => {
-                        dropped += 1;
-                        false
-                    }
-                    _ => true,
-                }
-            });
-        }
-        dropped
     }
 
     /// The newest locally held bulk epoch for an object.
     pub(crate) fn local_newest(&self, id: &str) -> Option<&Checkpoint> {
-        self.bulks.get(id).and_then(|m| m.values().next_back())
+        self.bulks.get(id)
     }
 
     // ------------------------------------------------------------------
@@ -290,14 +260,14 @@ impl StoreReplica {
             }
         }
         let ns = NamingClient::root(*naming_host);
+        // A grouped replica joins its group before it serves, and the
+        // context never drops a group entry: every error is an
+        // unconfirmable view.
         let (revision, members) = match ns
             .group_view(call.orb, call.ctx, group)
             .map_err(|_| killed())?
         {
             Ok(rv) => rv,
-            // The name is not a group (a legacy single-store binding):
-            // coordinate solo, under the pre-group revision 0.
-            Err(e) if NotFound::extract(&e).is_some() => (0, Vec::new()),
             // Naming unreachable — crashed, or we are on the wrong side
             // of a partition. An unconfirmable view must NOT collapse to
             // "solo": that is the split-brain a partition minority would

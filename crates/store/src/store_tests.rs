@@ -1,4 +1,4 @@
-//! Tests for the replicated store: local retention rules, the chaos
+//! Tests for the replicated store: what a replica keeps per key, the chaos
 //! plan generator, and end-to-end replication + failover on the simulated
 //! cluster.
 
@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use cdr::{Any, Epoch, TypeCode, Value};
 use cosnaming::{LbMode, Name, NamingClient};
-use ftproxy::per_value::{self, chunk_key, HEADER_KEY};
+use ftproxy::per_value::{self, HEADER_KEY};
 use ftproxy::{Checkpoint, CheckpointClient, CHECKPOINT_SERVICE_NAME};
 use orb::{Exception, Orb, SysKind, SystemException};
 use simnet::{Fault, HostConfig, HostId, Kernel, SimDuration, SimTime};
@@ -44,34 +44,25 @@ fn header_any(epoch: u64) -> Any {
     .to_any()
 }
 
-fn chunk_any(epoch: u64) -> Any {
-    per_value::chunk(Epoch(epoch), &[1, 2])
-}
-
 // ---------------------------------------------------------------------
 // Local state rules (no kernel)
 // ---------------------------------------------------------------------
 
 #[test]
-fn retention_trims_old_bulk_epochs() {
+fn a_bulk_object_keeps_only_its_newest_epoch() {
     let mut r = StoreReplica::alone(StoreConfig::default());
-    let trimmed: Vec<u64> = (1..=4)
-        .map(|e| r.apply_bulk(ckpt("obj", e, b"state")))
-        .collect();
-    assert_eq!(trimmed, [0, 0, 1, 1], "retain K=2: epochs 1 and 2 trimmed");
+    for e in 1..=4 {
+        r.apply_bulk(ckpt("obj", e, b"state"));
+    }
+    r.apply_bulk(ckpt("obj", 2, b"older"));
     let newest = r.local_newest("obj").unwrap();
-    assert_eq!(newest.epoch, Epoch(4));
-}
-
-#[test]
-fn header_write_reclaims_superseded_chunks() {
-    let mut r = StoreReplica::alone(StoreConfig::default());
-    // Chunks of epochs 1 and 2, then a header advancing to epoch 3:
-    // the retention floor becomes 3 - (2-1) = 2, so epoch-1 chunks go.
-    assert_eq!(r.apply_value("obj", &chunk_key(0), chunk_any(1)), 0);
-    assert_eq!(r.apply_value("obj", &chunk_key(1), chunk_any(2)), 0);
-    let dropped = r.apply_value("obj", HEADER_KEY, header_any(3));
-    assert_eq!(dropped, 1, "only the epoch-1 chunk falls out");
+    assert_eq!((newest.epoch, &newest.state[..]), (Epoch(4), &b"state"[..]));
+    r.apply_bulk(ckpt("obj", 4, b"rewrite"));
+    let newest = r.local_newest("obj").unwrap();
+    assert_eq!(
+        (newest.epoch, &newest.state[..]),
+        (Epoch(4), &b"rewrite"[..])
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -239,9 +239,8 @@ fn lone_store_values(entries: Vec<(String, i32)>) -> BTreeMap<String, Option<i32
         ctx.sleep(SimDuration::from_millis(500)).unwrap();
         let mut orb = orb::Orb::init(ctx);
         let ns = cosnaming::NamingClient::root(h0);
-        let name = ftproxy::CHECKPOINT_SERVICE_NAME;
-        let c =
-            ftproxy::CheckpointClient::new(ns.resolve_str(&mut orb, ctx, name).unwrap().unwrap());
+        let name = cosnaming::Name::simple(ftproxy::CHECKPOINT_SERVICE_NAME);
+        let c = ftproxy::CheckpointClient::new(ns.resolve(&mut orb, ctx, &name).unwrap().unwrap());
         for (k, v) in &entries {
             let long = cdr::Any {
                 tc: cdr::TypeCode::Long,

@@ -48,15 +48,6 @@ struct HostRecord {
 pub struct SystemManager {
     policy: Box<dyn SelectionPolicy>,
     hosts: BTreeMap<u32, HostRecord>,
-    /// Counters for tests/benchmarks.
-    pub reports_received: u64,
-    /// Reports dropped because a fresh record had a newer sequence number.
-    pub stale_reports_dropped: u64,
-    /// Reports quarantined for a wall-clock stamp outside
-    /// [`MAX_REPORT_SKEW`] (fault-injected clock skew, usually).
-    pub skewed_reports_quarantined: u64,
-    /// Selections answered.
-    pub selections: u64,
     /// The loads behind the most recent successful `select`: `(chosen
     /// host, its effective load, the candidates' minimum)` in milli-units.
     /// Consumed by the `select` operation to record the placement event.
@@ -69,24 +60,18 @@ impl SystemManager {
         SystemManager {
             policy,
             hosts: BTreeMap::new(),
-            reports_received: 0,
-            stale_reports_dropped: 0,
-            skewed_reports_quarantined: 0,
-            selections: 0,
             last_placement: None,
         }
     }
 
     /// Ingest one load report.
     pub fn ingest(&mut self, now: SimTime, report: LoadReport) -> ReportOutcome {
-        self.reports_received += 1;
         // Quarantine far-skewed stamps before they touch the record: a
         // skewed clock corrupts every time-derived quantity (load EWMA,
         // staleness), so the host simply goes silent to the selector
         // until its clock is sane again.
         let delta = (now.as_nanos() as i64).abs_diff(report.stamp_ns);
         if delta > MAX_REPORT_SKEW.as_nanos() {
-            self.skewed_reports_quarantined += 1;
             return ReportOutcome::SkewQuarantined;
         }
         match self.hosts.get_mut(&report.host) {
@@ -96,7 +81,6 @@ impl SystemManager {
                 // must not stay dead to selection for as many report
                 // periods as its previous life lasted.
                 if report.seq <= rec.last.seq && now.since(rec.last_seen) < STALE_AFTER {
-                    self.stale_reports_dropped += 1;
                     return ReportOutcome::StaleSeq;
                 }
                 rec.last = report;
@@ -140,7 +124,6 @@ impl SystemManager {
     /// Select the best host among `candidates` (empty = all known), adding
     /// a placement reservation on the winner.
     fn select_at(&mut self, now: SimTime, candidates: &[u32]) -> Option<u32> {
-        self.selections += 1;
         let views = self.views(now, candidates);
         let pick = self.policy.select(&views)?;
         let chosen_load = views
@@ -351,8 +334,8 @@ mod tests {
     fn out_of_order_reports_are_dropped_until_the_record_is_stale() {
         let mut m = mgr();
         m.ingest(t(0.0), report(0, 0.0, 5));
-        m.ingest(t(0.1), report(0, 9.0, 4)); // older seq
-        assert_eq!(m.stale_reports_dropped, 1);
+        let older_seq = report(0, 9.0, 4);
+        assert_eq!(m.ingest(t(0.1), older_seq), ReportOutcome::StaleSeq);
         let snap = m.snapshot_at(t(0.2));
         assert_eq!(snap[0].load_avg, 0.0);
         // A stale record is replaced whatever its seq: a rebooted node
@@ -374,7 +357,6 @@ mod tests {
             ..report(1, 0.0, 1)
         };
         assert_eq!(m.ingest(t(1.0), skewed), ReportOutcome::SkewQuarantined);
-        assert_eq!(m.skewed_reports_quarantined, 1);
         assert_eq!(m.select_at(t(1.1), &[]), Some(0));
         assert_eq!(m.snapshot_at(t(1.1)).len(), 1, "quarantined host unknown");
         // Skew healed: the same host's sane report is accepted again.
@@ -395,7 +377,6 @@ mod tests {
             ..report(0, 0.0, 1)
         };
         assert_eq!(m.ingest(t(1.0), r), ReportOutcome::Accepted);
-        assert_eq!(m.skewed_reports_quarantined, 0);
     }
 
     #[test]

@@ -94,7 +94,10 @@ fn main() {
         );
         let ns = NamingClient::root(infra);
         let ckpt = loop {
-            match ns.resolve_str(&mut orb, ctx, "CheckpointService").unwrap() {
+            match ns
+                .resolve(&mut orb, ctx, &Name::simple("CheckpointService"))
+                .unwrap()
+            {
                 Ok(obj) => break CheckpointClient::new(obj),
                 Err(_) => ctx.sleep(SimDuration::from_millis(50)).unwrap(),
             }

@@ -71,7 +71,7 @@ fn main() {
         let mut orb = Orb::init(ctx);
         let ns = NamingClient::root(alice);
         let greeter = ns
-            .resolve_str(&mut orb, ctx, "Greeter")
+            .resolve(&mut orb, ctx, &Name::simple("Greeter"))
             .unwrap()
             .expect("Greeter is registered");
         let answer: String = greeter

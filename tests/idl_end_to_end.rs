@@ -525,7 +525,10 @@ fn generated_stub_and_skeleton_work_over_the_orb() {
         ctx.sleep(SimDuration::from_millis(500)).unwrap();
         let mut orb = Orb::init(ctx);
         let ns = NamingClient::root(h0);
-        let obj = ns.resolve_str(&mut orb, ctx, "Calcs").unwrap().unwrap();
+        let obj = ns
+            .resolve(&mut orb, ctx, &Name::simple("Calcs"))
+            .unwrap()
+            .unwrap();
         let calc = CalculatorStub::new(obj);
 
         // Plain operation.
@@ -602,7 +605,10 @@ fn generated_ft_proxy_recovers_from_a_crash() {
         let mut orb = Orb::init(ctx);
         let ns = NamingClient::root(h0);
         let ckpt = loop {
-            match ns.resolve_str(&mut orb, ctx, "CheckpointService").unwrap() {
+            match ns
+                .resolve(&mut orb, ctx, &Name::simple("CheckpointService"))
+                .unwrap()
+            {
                 Ok(obj) => break CheckpointClient::new(obj),
                 Err(_) => ctx.sleep(SimDuration::from_millis(50)).unwrap(),
             }
