@@ -189,14 +189,14 @@ fn giop_roundtrip_cell(args: &RunArgs, seed: u64) -> BenchRecord {
     let mut sim = Kernel::with_seed(seed);
     let a = sim.add_host(HostConfig::new("a"));
     let b = sim.add_host(HostConfig::new("b"));
-    let ior_cell: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
+    let ior_cell: Arc<Mutex<Option<orb::Ior>>> = Arc::new(Mutex::new(None));
     let pub_ior = ior_cell.clone();
     sim.spawn(b, "server", move |ctx| {
         let mut orb = Orb::init(ctx);
         orb.listen(ctx).expect("server binds");
         let poa = Poa::new();
         let key = poa.activate("IDL:Echo:1.0", Rc::new(RefCell::new(Echo)));
-        *pub_ior.lock().expect("ior cell") = Some(orb.ior("IDL:Echo:1.0", key).stringify());
+        *pub_ior.lock().expect("ior cell") = Some(orb.ior("IDL:Echo:1.0", key));
         let _ = orb.serve_forever(ctx, &poa);
     });
     let client_sink = sink.clone();
@@ -205,8 +205,8 @@ fn giop_roundtrip_cell(args: &RunArgs, seed: u64) -> BenchRecord {
             .expect("client lives");
         let mut orb = Orb::init(ctx);
         orb.set_obs(ProcessObs::new(client_sink, ctx));
-        let s = ior_cell.lock().expect("ior cell").clone().expect("ior set");
-        let obj = orb::ObjectRef::new(orb::Ior::destringify(&s).expect("ior parses"));
+        let ior = ior_cell.lock().expect("ior cell").clone().expect("ior set");
+        let obj = orb::ObjectRef::new(ior);
         let payload: Vec<f64> = vec![1.5; 64];
         for _ in 0..rounds {
             let _r: Vec<f64> = obj

@@ -130,9 +130,9 @@ pub struct Cluster {
     /// placement order, so `store_hosts[0]` is the member a plain
     /// group-resolve returns first — "the primary") otherwise.
     pub store_hosts: Vec<HostId>,
-    /// Stringified IOR of the Winner system manager (None in plain mode
-    /// until published; always None when Winner is not deployed).
-    pub sysmgr_ior: Shared<Option<String>>,
+    /// IOR of the Winner system manager (None until published; always
+    /// None when Winner is not deployed).
+    pub sysmgr_ior: Shared<Option<Ior>>,
     /// The cluster-wide observability sink: every infrastructure process
     /// records its spans, metrics and events here, and the kernel its
     /// lifecycle and fault events. Hand it to managers
@@ -175,7 +175,7 @@ impl Cluster {
                 .collect()
         };
 
-        let sysmgr_ior: Shared<Option<String>> = Shared::new(None);
+        let sysmgr_ior: Shared<Option<Ior>> = Shared::new(None);
         let obs = Obs::default();
 
         // The kernel's events go to the sink's event log. The hook must be
@@ -203,7 +203,7 @@ impl Cluster {
                 let publish = publish.clone();
                 let policy = policy_kind.instantiate(seed);
                 run_system_manager_obs(ctx, policy, Some(sink.clone()), |ior| {
-                    publish.put(ior.stringify());
+                    publish.put(ior);
                 })
             }));
             for &h in &hosts {
@@ -407,20 +407,10 @@ fn out_wait_probes(plan: &ChaosPlan) -> u32 {
 
 /// Wait (with polling) until the Winner system manager has published its
 /// IOR.
-fn wait_for_ior(ctx: &mut Ctx, cell: &Shared<Option<String>>) -> Result<Ior, simnet::Killed> {
+fn wait_for_ior(ctx: &mut Ctx, cell: &Shared<Option<Ior>>) -> Result<Ior, simnet::Killed> {
     loop {
-        if let Some(s) = cell.get() {
-            return match Ior::destringify(&s) {
-                Ok(ior) => Ok(ior),
-                Err(e) => {
-                    // The cell is only written with `Ior::stringify` output;
-                    // an unparsable value means the publisher is broken, so
-                    // stop this process rather than poll forever.
-                    eprintln!("[core] published system-manager IOR is invalid: {e}");
-                    debug_assert!(false, "published IOR failed to parse");
-                    Err(simnet::Killed)
-                }
-            };
+        if let Some(ior) = cell.get() {
+            return Ok(ior);
         }
         ctx.sleep(SimDuration::from_millis(5))?;
     }

@@ -1,7 +1,6 @@
 //! Integration tests of the assembled runtime: full cluster boots, and the
 //! paper's headline qualitative claims on small configurations.
 
-use orb::Ior;
 use simnet::{Fault, Shared, SimDuration, SimTime};
 use store::{ChaosConfig, FaultFamily};
 
@@ -182,8 +181,7 @@ fn a_restarted_store_host_rejoins_the_group_and_reports_again() {
         let out = seen.clone();
         let probe = cluster.kernel.spawn(infra, "probe", move |ctx| {
             let mut orb = orb::Orb::init(ctx);
-            let sysmgr = Ior::destringify(&sysmgr.get().unwrap()).unwrap();
-            let winner = winner::SystemManagerClient::from_ior(sysmgr);
+            let winner = winner::SystemManagerClient::from_ior(sysmgr.get().unwrap());
             let group = cosnaming::Name::simple(ftproxy::CHECKPOINT_SERVICE_NAME);
             for at in samples {
                 ctx.sleep(at.since(ctx.now()))?;

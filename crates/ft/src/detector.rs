@@ -61,7 +61,7 @@ pub fn run_detector_obs(
     let mut orb = Orb::init(ctx);
     orb.set_obs(obs::ProcessObs::from_sink(sink, ctx));
     let ns = NamingClient::root(naming_host);
-    let mut misses: std::collections::BTreeMap<String, u32> = std::collections::BTreeMap::new();
+    let mut misses: std::collections::BTreeMap<orb::Ior, u32> = std::collections::BTreeMap::new();
     loop {
         // Naming unavailable: nothing to probe this round.
         let members = ns.group_members(&mut orb, ctx, &cfg.group)?;
@@ -75,17 +75,16 @@ pub fn run_detector_obs(
                         ..
                     }))
             );
-            let key = member.stringify();
             if alive {
-                misses.remove(&key);
+                misses.remove(&member);
                 continue;
             }
             stats.lock().failed_probes += 1;
             orb.obs().counter_add("detector.failed_probes", 1);
-            let count = misses.entry(key.clone()).or_insert(0);
+            let count = misses.entry(member.clone()).or_insert(0);
             *count += 1;
             if *count >= cfg.suspect_after {
-                misses.remove(&key);
+                misses.remove(&member);
                 if ns
                     .unbind_group_member(&mut orb, ctx, &cfg.group, &member)?
                     .is_ok()

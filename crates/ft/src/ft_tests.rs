@@ -732,9 +732,8 @@ fn request_proxy_recovers_deferred_call() {
         // Fire a deferred slow call (2s of CPU), then crash the server
         // mid-call: the reply never arrives, the request proxy recovers
         // and re-executes against the restored replica.
-        let mut req = FtRequest::new("slow_inc");
-        req.add_typed(&3i64).add_typed(&2.0f64);
-        req.send_deferred(&mut proxy, &mut env).unwrap();
+        let mut req =
+            FtRequest::send_deferred(&mut proxy, &mut env, "slow_inc", &(3i64, 2.0f64)).unwrap();
         env.ctx.sleep(secs(0.5)).unwrap();
         env.ctx.crash_host(victim).unwrap();
         let v: i64 = req
@@ -750,37 +749,6 @@ fn request_proxy_recovers_deferred_call() {
     assert_eq!(log[0], 5);
     assert_eq!(log[1], 8);
     assert!(log[2] >= 1, "{log:?}");
-}
-
-#[test]
-fn late_argument_poisons_request_with_bad_inv_order() {
-    // Adding an argument after send is caller misuse. The chained
-    // builder API cannot return an error from add_typed itself, so the
-    // request is poisoned and the *outcome* is BAD_INV_ORDER — a
-    // diagnosable exception instead of a sim-wide panic.
-    let mut sim = Kernel::with_seed(7);
-    let hosts = standard_bed(&mut sim, 2);
-    let out = cell::<Vec<bool>>();
-    let o = out.clone();
-    let h0 = hosts[0];
-    let driver = sim.spawn(hosts[1], "driver", move |ctx| {
-        ctx.sleep(secs(1.0)).unwrap();
-        let mut orb = Orb::init(ctx);
-        let mut proxy = proxy_for(h0, &mut orb, ctx, CheckpointMode::None);
-        let mut env = ProxyEnv { orb: &mut orb, ctx };
-        let mut req = FtRequest::new("slow_inc");
-        req.add_typed(&1i64).add_typed(&1.0f64);
-        req.send_deferred(&mut proxy, &mut env).unwrap();
-        req.add_typed(&9i64); // too late: poisons the request
-        let outcome = req.get_response(&mut proxy, &mut env).unwrap();
-        let poisoned = matches!(
-            outcome,
-            Err(orb::Exception::System(ref s)) if s.kind == orb::SysKind::BadInvOrder
-        );
-        o.lock().unwrap().push(poisoned);
-    });
-    sim.run_until_exit(driver);
-    assert_eq!(*out.lock().unwrap(), vec![true]);
 }
 
 #[test]
@@ -1124,6 +1092,55 @@ fn warm_recovery_reads_nothing_a_fresh_proxy_reads_the_store() {
 }
 
 #[test]
+fn a_fresh_proxy_recovers_from_the_state_its_first_bind_read() {
+    // A fresh proxy binds over a stored epoch, then the store's host and,
+    // mid-call, the target's host crash. Recovery pushes the state the
+    // first bind read and pushed: the store is not asked again.
+    let mut sim = Kernel::with_seed(29);
+    let hosts: Vec<_> = (0..4)
+        .map(|i| sim.add_host(HostConfig::new(format!("ws{i}"))))
+        .collect();
+    let (h0, store_host) = (hosts[0], hosts[3]);
+    sim.spawn(h0, "naming", move |ctx| {
+        let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
+    });
+    store::spawn_replicated_store(
+        &mut sim,
+        &[store_host],
+        h0,
+        store::StoreConfig::default(),
+        None,
+    );
+    spawn_factories_obs(&mut sim, &hosts[1..3], h0, None);
+    let out = cell::<Option<Result<i64, Exception>>>();
+    let o = out.clone();
+    let driver = sim.spawn(h0, "driver", move |ctx| {
+        ctx.sleep(secs(1.0)).unwrap();
+        let mut orb = Orb::new(
+            ctx,
+            orb::OrbConfig {
+                request_timeout: secs(5.0),
+            },
+        );
+        let mut env = ProxyEnv { orb: &mut orb, ctx };
+        let mut first = proxy_for(h0, env.orb, env.ctx, CheckpointMode::Bulk);
+        let v: i64 = first.call(&mut env, "inc", &(5i64,)).unwrap().unwrap();
+        assert_eq!(v, 5);
+        let mut fresh = proxy_for(h0, env.orb, env.ctx, CheckpointMode::Bulk);
+        let bound = fresh.ensure_target(&mut env).unwrap().unwrap();
+        assert_eq!(fresh.stats.restores, 1);
+        env.ctx.crash_host(store_host).unwrap();
+        let mut req =
+            FtRequest::send_deferred(&mut fresh, &mut env, "slow_inc", &(3i64, 1.0f64)).unwrap();
+        env.ctx.sleep(secs(0.5)).unwrap();
+        env.ctx.crash_host(bound.ior.host).unwrap();
+        *o.lock().unwrap() = Some(req.get_response_typed(&mut fresh, &mut env).unwrap());
+    });
+    sim.run_until_exit(driver);
+    assert_eq!(out.lock().unwrap().clone(), Some(Ok(8)));
+}
+
+#[test]
 fn a_fresh_proxy_continues_the_epochs_it_finds() {
     // The replicated store keeps the newest epochs and answers the newest.
     // A proxy taking over an object restores epoch 5; its own next write
@@ -1294,9 +1311,7 @@ fn call_via<A: cdr::CdrWrite>(
     args: &A,
 ) -> Result<i64, Exception> {
     if deferred {
-        let mut req = FtRequest::new(op);
-        req.add_typed(args);
-        req.send_deferred(proxy, env).unwrap();
+        let mut req = FtRequest::send_deferred(proxy, env, op, args).unwrap();
         req.get_response_typed(proxy, env).unwrap()
     } else {
         proxy.call(env, op, args).unwrap()

@@ -7,16 +7,18 @@
 //! An [`FtRequest`] wraps a [`DiiRequest`]: on a recoverable failure the
 //! request is re-sent to a freshly resolved (or factory-created,
 //! checkpoint-restored) replica; on success the proxy's
-//! checkpoint-after-call policy runs.
+//! checkpoint-after-call policy runs. Like a DII request it is sent when
+//! it is made: [`FtRequest::send_deferred`] marshals the arguments once
+//! and keeps them, and each (re)send writes them straight into its frame.
 //!
 //! This is the crate's one recovery engine (DESIGN.md §3 has the state
 //! diagram): a synchronous [`FtProxy::call`] is an `FtRequest` sent and
 //! awaited at once, so both call styles count, publish and back off
 //! identically.
 
-use cdr::{CdrEncoder, CdrRead, CdrWrite};
+use cdr::{CdrRead, CdrWrite};
 use obs::EventBody;
-use orb::{Body, DiiRequest, Exception, SystemException};
+use orb::{Body, DiiRequest, Exception, SystemException, Verbatim};
 use simnet::{SimResult, SimTime};
 
 use crate::proxy::{FtProxy, ProxyEnv};
@@ -27,112 +29,56 @@ pub(crate) fn decode_reply<R: CdrRead>(reply: Result<Body, Exception>) -> Result
     cdr::from_bytes(&bytes).map_err(|e| Exception::System(SystemException::marshal(e)))
 }
 
-/// A fault-tolerant deferred request.
+/// A fault-tolerant deferred request. It is sent when it is made, so it is
+/// only ever in flight or done.
 pub struct FtRequest {
+    call: Call,
+    state: State,
+}
+
+/// Where a request stands.
+enum State {
+    /// Sent to the current target; the reply is outstanding.
+    InFlight(DiiRequest),
+    /// The outcome.
+    Done(Result<Body, Exception>),
+}
+
+/// What a request keeps across its attempts.
+struct Call {
     operation: String,
+    /// The marshalled arguments, written into each (re)sent frame.
     body: Vec<u8>,
-    args: Option<CdrEncoder>,
-    inner: Option<DiiRequest>,
-    /// Set when an argument is added after the request was sent; the
-    /// outcome then becomes `BAD_INV_ORDER` instead of a panic.
-    poisoned: bool,
     attempts: u32,
-    done: Option<Result<Body, Exception>>,
     // Monitoring timestamps: request creation, the winning (re)send, and
     // the start of the current recovery episode, if any.
-    started: Option<SimTime>,
+    started: SimTime,
     sent: Option<SimTime>,
     recovering_since: Option<SimTime>,
 }
 
 impl FtRequest {
-    /// A new request for `operation`; add arguments, then `send_deferred`.
-    pub fn new(operation: impl Into<String>) -> Self {
-        FtRequest {
-            operation: operation.into(),
-            body: Vec::new(),
-            args: Some(CdrEncoder::new()),
-            inner: None,
-            poisoned: false,
-            attempts: 0,
-            done: None,
-            started: None,
-            sent: None,
-            recovering_since: None,
-        }
-    }
-
-    /// A request over an already-encoded parameter list: what
-    /// [`FtProxy::call_raw`] sends.
-    pub(crate) fn with_body(operation: &str, body: Vec<u8>) -> Self {
-        FtRequest {
-            body,
-            args: None,
-            ..FtRequest::new(operation)
-        }
-    }
-
-    /// Append a statically-typed argument.
-    ///
-    /// Adding an argument after the request was sent is a caller error;
-    /// the chained `&mut Self` API cannot carry a `Result`, so the
-    /// request is poisoned and its outcome becomes `BAD_INV_ORDER`.
-    pub fn add_typed<T: CdrWrite>(&mut self, arg: &T) -> &mut Self {
-        match self.args.as_mut() {
-            Some(enc) => arg.write(enc),
-            None => self.poisoned = true,
-        }
-        self
-    }
-
-    /// Replace the outcome with `BAD_INV_ORDER` if the builder was
-    /// misused; returns whether it was.
-    fn check_poisoned(&mut self) -> bool {
-        if self.poisoned {
-            self.done = Some(Err(Exception::System(SystemException::bad_inv_order(
-                "argument added after send_deferred",
-            ))));
-        }
-        self.poisoned
-    }
-
-    /// Fire the request at the proxy's current (or freshly acquired)
-    /// target without waiting.
-    pub fn send_deferred(&mut self, proxy: &mut FtProxy, env: &mut ProxyEnv<'_>) -> SimResult<()> {
-        if self.check_poisoned() {
-            return Ok(());
-        }
-        if let Some(enc) = self.args.take() {
-            self.body = enc.into_bytes();
-        }
-        self.started.get_or_insert(env.ctx.now());
-        if let Err(e) = self.try_send(proxy, env)? {
-            self.settle(Err(e), proxy, env)?;
-        }
-        Ok(())
-    }
-
-    /// Acquire a target and fire the request at it. Acquiring can itself
-    /// hit a dead replica or a dead factory: that is counted and handed
-    /// back as this attempt's failure, like any other.
-    fn try_send(
-        &mut self,
+    /// Marshal `args` for `operation` and fire the request at the proxy's
+    /// current (or freshly acquired) target without waiting.
+    pub fn send_deferred<A: CdrWrite + ?Sized>(
         proxy: &mut FtProxy,
         env: &mut ProxyEnv<'_>,
-    ) -> SimResult<Result<(), Exception>> {
-        let target = match proxy.ensure_target(env)? {
-            Ok(t) => t,
-            Err(e) => {
-                proxy.stats.target_failures += 1;
-                return Ok(Err(e));
-            }
+        operation: &str,
+        args: &A,
+    ) -> SimResult<FtRequest> {
+        let mut call = Call {
+            operation: operation.into(),
+            body: cdr::to_bytes(args),
+            attempts: 0,
+            started: env.ctx.now(),
+            sent: None,
+            recovering_since: None,
         };
-        let mut req = DiiRequest::new(target.ior, self.operation.clone());
-        req.add_encoded(&self.body);
-        self.sent = Some(env.ctx.now());
-        req.send_deferred(env.orb, env.ctx)?;
-        self.inner = Some(req);
-        Ok(Ok(()))
+        let state = match call.try_send(proxy, env)? {
+            Ok(inner) => State::InFlight(inner),
+            Err(e) => call.settle(Err(e), proxy, env)?,
+        };
+        Ok(FtRequest { call, state })
     }
 
     /// Block until the outcome is available, recovering as needed.
@@ -141,18 +87,13 @@ impl FtRequest {
         proxy: &mut FtProxy,
         env: &mut ProxyEnv<'_>,
     ) -> SimResult<Result<Body, Exception>> {
-        self.check_poisoned();
         loop {
-            if let Some(done) = &self.done {
-                return Ok(done.clone());
-            }
-            let Some(inner) = self.inner.as_mut() else {
-                return Ok(Err(Exception::System(SystemException::bad_inv_order(
-                    "get_response before send_deferred",
-                ))));
+            let inner = match &mut self.state {
+                State::Done(done) => return Ok(done.clone()),
+                State::InFlight(inner) => inner,
             };
             let outcome = inner.get_response(env.orb, env.ctx)?;
-            self.settle(outcome, proxy, env)?;
+            self.state = self.call.settle(outcome, proxy, env)?;
         }
     }
 
@@ -164,6 +105,30 @@ impl FtRequest {
     ) -> SimResult<Result<R, Exception>> {
         Ok(decode_reply(self.get_response(proxy, env)?))
     }
+}
+
+impl Call {
+    /// Acquire a target and fire the request at it, the kept body written
+    /// straight into the frame. Acquiring can itself hit a dead replica or
+    /// a dead factory: that is counted and handed back as this attempt's
+    /// failure, like any other.
+    fn try_send(
+        &mut self,
+        proxy: &mut FtProxy,
+        env: &mut ProxyEnv<'_>,
+    ) -> SimResult<Result<DiiRequest, Exception>> {
+        let target = match proxy.ensure_target(env)? {
+            Ok(t) => t,
+            Err(e) => {
+                proxy.stats.target_failures += 1;
+                return Ok(Err(e));
+            }
+        };
+        self.sent = Some(env.ctx.now());
+        let args = Verbatim(&self.body);
+        let req = DiiRequest::send_deferred(env.orb, env.ctx, &target.ior, &self.operation, &args)?;
+        Ok(Ok(req))
+    }
 
     /// A reply arrived: run the checkpoint policy. The call is done,
     /// counted and published, and its recovery episode closed, only once
@@ -173,7 +138,7 @@ impl FtRequest {
         bytes: Body,
         proxy: &mut FtProxy,
         env: &mut ProxyEnv<'_>,
-    ) -> SimResult<Result<(), Exception>> {
+    ) -> SimResult<Result<Body, Exception>> {
         let served = env.ctx.now();
         if let Err(e) = proxy.after_success(env)? {
             return Ok(Err(e));
@@ -188,7 +153,7 @@ impl FtRequest {
         // is queue-wait (backoff, resolve, factory creation, restore),
         // send-to-reply is service, and whatever `after_success` appended
         // is checkpoint overhead.
-        let started = self.started.unwrap_or(served);
+        let started = self.started;
         let sent = self.sent.unwrap_or(served);
         let ckpt_ns = env.ctx.now().since(served).as_nanos();
         proxy.emit(env, |target| EventBody::RequestDone {
@@ -197,8 +162,7 @@ impl FtRequest {
             service_ns: served.since(sent).as_nanos(),
             ckpt_ns,
         });
-        self.done = Some(Ok(bytes));
-        Ok(Ok(()))
+        Ok(Ok(bytes))
     }
 
     /// The recovery engine: settle one attempt's outcome. Success runs
@@ -214,10 +178,10 @@ impl FtRequest {
         outcome: Result<Body, Exception>,
         proxy: &mut FtProxy,
         env: &mut ProxyEnv<'_>,
-    ) -> SimResult<()> {
+    ) -> SimResult<State> {
         let mut failure = match outcome {
             Ok(bytes) => match self.finish(bytes, proxy, env)? {
-                Ok(()) => return Ok(()),
+                Ok(bytes) => return Ok(State::Done(Ok(bytes))),
                 // The target died before its state was fetched: this
                 // attempt failed, and the call is redone on a replica
                 // restored to the state before it.
@@ -226,9 +190,10 @@ impl FtRequest {
             Err(e) => e,
         };
         // What it cost to learn that the target is gone: the failed
-        // attempt, from its send to this verdict. (A failed acquire sent
-        // nothing; its time is already inside the recovery episode.)
-        if self.inner.take().is_some() && failure.is_recoverable() {
+        // attempt, from its send to this verdict. (A request whose first
+        // acquire failed sent nothing; its time is already inside the
+        // recovery episode.)
+        if failure.is_recoverable() {
             if let Some(sent) = self.sent {
                 env.orb
                     .obs()
@@ -238,8 +203,7 @@ impl FtRequest {
         loop {
             if !failure.is_recoverable() || self.attempts >= proxy.config().max_recoveries_per_call
             {
-                self.done = Some(Err(failure));
-                return Ok(());
+                return Ok(State::Done(Err(failure)));
             }
             self.attempts += 1;
             self.recovering_since.get_or_insert(env.ctx.now());
@@ -256,7 +220,7 @@ impl FtRequest {
                 proxy.backoff_sleep(env, self.attempts - 2)?;
             }
             match self.try_send(proxy, env)? {
-                Ok(()) => return Ok(()),
+                Ok(inner) => return Ok(State::InFlight(inner)),
                 Err(e) => failure = e,
             }
         }

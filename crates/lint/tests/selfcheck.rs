@@ -263,7 +263,7 @@ fn every_operation_is_declared_once_in_idl() {
         "invoke_with_timeout",
         "invoke_oneway",
         "send_request",
-        "new", // DiiRequest::new / FtRequest::new
+        "send_deferred", // DiiRequest::send_deferred / FtRequest::send_deferred
     ];
     let mut offences = Vec::new();
     let mut generated = 0;

@@ -43,7 +43,7 @@ fn boot_plain(sim: &mut Kernel, n: usize) -> Vec<HostId> {
 
 /// Boot the load-distributing naming service on `host`, once the Winner
 /// system manager has published its IOR into `sysmgr_ior`.
-fn boot_winner_naming(sim: &mut Kernel, host: HostId, sysmgr_ior: &Cell<Option<String>>) {
+fn boot_winner_naming(sim: &mut Kernel, host: HostId, sysmgr_ior: &Cell<Option<Ior>>) {
     let sm = sysmgr_ior.clone();
     sim.spawn(host, "naming", move |ctx| {
         while sm.lock().unwrap().is_none() {
@@ -52,13 +52,7 @@ fn boot_winner_naming(sim: &mut Kernel, host: HostId, sysmgr_ior: &Cell<Option<S
             }
         }
         let s = sm.lock().unwrap().clone().unwrap();
-        let _ = run_naming_service_obs(
-            ctx,
-            LbMode::Winner {
-                system_manager: Ior::destringify(&s).unwrap(),
-            },
-            None,
-        );
+        let _ = run_naming_service_obs(ctx, LbMode::Winner { system_manager: s }, None);
     });
 }
 
@@ -301,11 +295,11 @@ fn winner_resolution_avoids_loaded_hosts() {
         .map(|i| sim.add_host(HostConfig::new(format!("ws{i}"))))
         .collect();
     // Winner system manager on host 0.
-    let sysmgr_ior = cell::<Option<String>>();
+    let sysmgr_ior = cell::<Option<Ior>>();
     let sm = sysmgr_ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
         let _ = winner::run_system_manager_obs(ctx, Box::new(BestPerformance), None, |i| {
-            *sm.lock().unwrap() = Some(i.stringify());
+            *sm.lock().unwrap() = Some(i);
         });
     });
     // Node managers everywhere.
@@ -318,7 +312,7 @@ fn winner_resolution_avoids_loaded_hosts() {
                 }
             }
             let s = sm.lock().unwrap().clone().unwrap();
-            let _ = winner::run_node_manager(ctx, Ior::destringify(&s).unwrap(), None);
+            let _ = winner::run_node_manager(ctx, s, None);
         });
     }
     // Load-distributing naming service on host 0.
@@ -365,11 +359,11 @@ fn winner_fallback_when_system_manager_dies() {
     let hosts: Vec<_> = (0..3)
         .map(|i| sim.add_host(HostConfig::new(format!("ws{i}"))))
         .collect();
-    let sysmgr_ior = cell::<Option<String>>();
+    let sysmgr_ior = cell::<Option<Ior>>();
     let sm = sysmgr_ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
         let _ = winner::run_system_manager_obs(ctx, Box::new(BestPerformance), None, |i| {
-            *sm.lock().unwrap() = Some(i.stringify());
+            *sm.lock().unwrap() = Some(i);
         });
     });
     boot_winner_naming(&mut sim, hosts[0], &sysmgr_ior);

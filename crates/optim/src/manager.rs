@@ -243,10 +243,14 @@ fn run_manager_with_orb(
                 // Deferred DII fan-out: all workers compute concurrently.
                 let mut reqs: Vec<DiiRequest> = Vec::with_capacity(cfg.workers);
                 for (w, spec) in specs.iter().enumerate() {
-                    let mut r = DiiRequest::new(stubs[w].obj.ior.clone(), WorkerStub::OP_SOLVE);
-                    r.add_typed(spec);
-                    r.send_deferred(orb, ctx)?;
-                    reqs.push(r);
+                    let ior = &stubs[w].obj.ior;
+                    reqs.push(DiiRequest::send_deferred(
+                        orb,
+                        ctx,
+                        ior,
+                        WorkerStub::OP_SOLVE,
+                        spec,
+                    )?);
                 }
                 let mut out = Vec::with_capacity(cfg.workers);
                 for mut r in reqs {
@@ -265,11 +269,13 @@ fn run_manager_with_orb(
             Handles::Ft(proxies) => {
                 let mut reqs: Vec<FtRequest> = Vec::with_capacity(cfg.workers);
                 for (w, spec) in specs.iter().enumerate() {
-                    let mut r = FtRequest::new(WorkerStub::OP_SOLVE);
-                    r.add_typed(spec);
                     let mut env = ProxyEnv { orb, ctx };
-                    r.send_deferred(&mut proxies[w], &mut env)?;
-                    reqs.push(r);
+                    reqs.push(FtRequest::send_deferred(
+                        &mut proxies[w],
+                        &mut env,
+                        WorkerStub::OP_SOLVE,
+                        spec,
+                    )?);
                 }
                 let mut out = Vec::with_capacity(cfg.workers);
                 for (w, mut r) in reqs.into_iter().enumerate() {

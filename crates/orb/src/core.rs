@@ -434,27 +434,17 @@ impl Orb {
         timeout: Option<SimDuration>,
     ) -> SimResult<Result<Body, Exception>> {
         let start = ctx.now();
-        let req_id = self.send_request_with_timeout(ctx, ior, operation, args, true, timeout)?;
+        let req_id = self.send_request(ctx, ior, operation, args, true, timeout)?;
         let out = self.await_reply(ctx, req_id)?;
         self.obs
             .observe("orb.invoke_ns", ctx.now().since(start).as_nanos());
         Ok(out)
     }
 
-    /// Send a request frame; registers it in `pending` when a response is
-    /// expected. Returns the request id.
+    /// Send a request frame, `args` marshalled straight into it, under the
+    /// current span. A response is awaited for `timeout`, else for the
+    /// configured `request_timeout`. Returns the request id.
     pub(crate) fn send_request(
-        &mut self,
-        ctx: &mut Ctx,
-        target: &Ior,
-        operation: &str,
-        args: &dyn CdrWrite,
-        response_expected: bool,
-    ) -> SimResult<u64> {
-        self.send_request_with_timeout(ctx, target, operation, args, response_expected, None)
-    }
-
-    pub(crate) fn send_request_with_timeout(
         &mut self,
         ctx: &mut Ctx,
         target: &Ior,
@@ -463,11 +453,6 @@ impl Orb {
         response_expected: bool,
         timeout: Option<SimDuration>,
     ) -> SimResult<u64> {
-        let endpoint = (target.host, target.port);
-        // About to find out whether the endpoint is alive: drop stale RSTs.
-        self.rsts.remove(&endpoint);
-        let req_id = self.next_req;
-        self.next_req += 1;
         // The span this request is made under rides on its frame.
         let service_contexts = match self.obs.current() {
             Some(cur) => vec![ServiceContext {
@@ -476,27 +461,54 @@ impl Orb {
             }],
             None => Vec::new(),
         };
-        let frame = Message::encode_call(
-            req_id,
-            response_expected,
-            target.key,
-            operation,
-            args,
-            &service_contexts,
-        );
-        ctx.compute(marshal_step(frame.len()))?;
-        if response_expected {
-            self.stats.requests_sent += 1;
-            self.pending.insert(
+        let wait = response_expected.then(|| timeout.unwrap_or(self.cfg.request_timeout));
+        self.send_frame(ctx, target, wait, true, |req_id| {
+            Message::encode_call(
                 req_id,
-                Pending {
-                    endpoint,
-                    sent: ctx.now(),
-                    deadline: ctx.now() + timeout.unwrap_or(self.cfg.request_timeout),
-                },
-            );
-        } else {
-            self.stats.oneways_sent += 1;
+                response_expected,
+                target.key,
+                operation,
+                args,
+                &service_contexts,
+            )
+        })
+    }
+
+    /// The one place a request is tracked: send the frame `encode` writes
+    /// for a fresh request id to `target`, after a marshal step for it if
+    /// `marshal`. With a `wait` the request is pending until its reply (or
+    /// failure) is taken or `wait` runs out; without one it is a oneway.
+    /// Returns the request id.
+    fn send_frame(
+        &mut self,
+        ctx: &mut Ctx,
+        target: &Ior,
+        wait: Option<SimDuration>,
+        marshal: bool,
+        encode: impl FnOnce(u64) -> Vec<u8>,
+    ) -> SimResult<u64> {
+        let endpoint = (target.host, target.port);
+        // About to find out whether the endpoint is alive: drop stale RSTs.
+        self.rsts.remove(&endpoint);
+        let req_id = self.next_req;
+        self.next_req += 1;
+        let frame = encode(req_id);
+        if marshal {
+            ctx.compute(marshal_step(frame.len()))?;
+        }
+        match wait {
+            Some(wait) => {
+                self.stats.requests_sent += 1;
+                self.pending.insert(
+                    req_id,
+                    Pending {
+                        endpoint,
+                        sent: ctx.now(),
+                        deadline: ctx.now() + wait,
+                    },
+                );
+            }
+            None => self.stats.oneways_sent += 1,
         }
         ctx.send(Addr::Endpoint(target.host, target.port), frame)?;
         Ok(req_id)
@@ -725,7 +737,7 @@ impl Orb {
         operation: &str,
         args: &dyn CdrWrite,
     ) -> SimResult<()> {
-        self.send_request(ctx, ior, operation, args, false)?;
+        self.send_request(ctx, ior, operation, args, false, None)?;
         Ok(())
     }
 
@@ -733,25 +745,14 @@ impl Orb {
     /// active at its endpoint, `Ok(false)` if the endpoint answers but the
     /// object is gone, `Err(COMM_FAILURE)` if the endpoint is dead.
     pub fn locate(&mut self, ctx: &mut Ctx, ior: &Ior) -> SimResult<Result<bool, Exception>> {
-        let endpoint = (ior.host, ior.port);
-        self.rsts.remove(&endpoint);
-        let req_id = self.next_req;
-        self.next_req += 1;
-        let frame = Message::LocateRequest {
-            request_id: req_id,
-            object_key: ior.key,
-        }
-        .encode();
-        self.stats.requests_sent += 1;
-        self.pending.insert(
-            req_id,
-            Pending {
-                endpoint,
-                sent: ctx.now(),
-                deadline: ctx.now() + self.cfg.request_timeout,
-            },
-        );
-        ctx.send(Addr::Endpoint(ior.host, ior.port), frame)?;
+        let wait = Some(self.cfg.request_timeout);
+        let req_id = self.send_frame(ctx, ior, wait, false, |request_id| {
+            Message::LocateRequest {
+                request_id,
+                object_key: ior.key,
+            }
+            .encode()
+        })?;
         match self.await_reply(ctx, req_id)? {
             Ok(_) => Ok(Ok(true)),
             Err(Exception::System(SystemException {

@@ -41,9 +41,6 @@ cdr::cdr_enum!(
         BadParam = 6,
         /// ORB-internal error.
         Internal = 7,
-        /// Operations were invoked in an order the interface forbids
-        /// (e.g. adding arguments to an already-sent DII request).
-        BadInvOrder = 8,
     }
 );
 
@@ -101,11 +98,6 @@ impl SystemException {
     /// `MARSHAL` for a malformed request or reply body.
     pub fn marshal(detail: impl fmt::Display) -> Self {
         SystemException::new(SysKind::Marshal, Completion::No, detail.to_string())
-    }
-
-    /// `BAD_INV_ORDER` with `COMPLETED_NO`.
-    pub fn bad_inv_order(detail: impl Into<String>) -> Self {
-        SystemException::new(SysKind::BadInvOrder, Completion::No, detail)
     }
 }
 

@@ -198,8 +198,9 @@ fn frame_encoder(msg_type: u8, payload: usize) -> CdrEncoder {
 /// once, with room left for the service contexts after it.
 const BODY_GUESS: usize = 128;
 
-/// Bytes already marshalled, written as they are.
-pub(crate) struct Verbatim<'a>(pub(crate) &'a [u8]);
+/// Bytes already marshalled, written as they are: what a fault-tolerant
+/// request re-sends.
+pub struct Verbatim<'a>(pub &'a [u8]);
 
 impl CdrWrite for Verbatim<'_> {
     fn write(&self, enc: &mut CdrEncoder) {

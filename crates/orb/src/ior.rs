@@ -33,7 +33,7 @@ impl CdrRead for ObjectKey {
 }
 
 /// An interoperable object reference.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ior {
     /// Repository type id, e.g. `IDL:Winner/SystemManager:1.0`.
     pub type_id: String,

@@ -9,8 +9,9 @@
 //! * A [`Poa`] object adapter dispatching to [`Servant`]s.
 //! * Synchronous typed invocation through [`ObjectRef::call`] — the path
 //!   static stubs use.
-//! * The Dynamic Invocation Interface ([`DiiRequest`]) with
-//!   `send_deferred` / `poll_response` / `get_response`.
+//! * The Dynamic Invocation Interface ([`DiiRequest`]): a deferred
+//!   request is sent when it is made (`send_deferred`), then collected
+//!   with `poll_response` / `get_response`.
 //! * System exceptions, most importantly `COMM_FAILURE` — the paper's sole
 //!   client-side failure signal, raised here on RST (dead server process)
 //!   or timeout (crashed host / partition).
@@ -45,7 +46,7 @@ mod poa;
 pub use crate::core::{Orb, OrbConfig, OrbStats};
 pub use dii::DiiRequest;
 pub use exceptions::{Completion, Exception, SysKind, SystemException, UserException};
-pub use giop::{Body, FrameError, Message, ReplyBody, ServiceContext};
+pub use giop::{Body, FrameError, Message, ReplyBody, ServiceContext, Verbatim};
 pub use ior::{Ior, IorParseError, ObjectKey};
 pub use object::ObjectRef;
 pub use poa::{reply, CallCtx, Poa, Servant};

@@ -65,11 +65,11 @@ impl Servant for Calc {
 /// Spawn a calc server on `host`, publishing its stringified IOR into the
 /// cell (servers publish IORs out-of-band in these tests; higher layers use
 /// the naming service).
-fn spawn_calc(sim: &mut Kernel, host: HostId, ior_out: Cell<Option<String>>) {
+fn spawn_calc(sim: &mut Kernel, host: HostId, ior_out: Cell<Option<Ior>>) {
     spawn_calc_cfg(sim, host, ior_out, OrbConfig::default());
 }
 
-fn spawn_calc_cfg(sim: &mut Kernel, host: HostId, ior_out: Cell<Option<String>>, cfg: OrbConfig) {
+fn spawn_calc_cfg(sim: &mut Kernel, host: HostId, ior_out: Cell<Option<Ior>>, cfg: OrbConfig) {
     spawn_servant(sim, host, ior_out, cfg, Calc);
 }
 
@@ -77,7 +77,7 @@ fn spawn_calc_cfg(sim: &mut Kernel, host: HostId, ior_out: Cell<Option<String>>,
 fn spawn_servant(
     sim: &mut Kernel,
     host: HostId,
-    ior_out: Cell<Option<String>>,
+    ior_out: Cell<Option<Ior>>,
     cfg: OrbConfig,
     servant: impl Servant + Send + 'static,
 ) {
@@ -86,18 +86,18 @@ fn spawn_servant(
         orb.listen(ctx).unwrap();
         let poa = Poa::new();
         let key = poa.activate(CALC_TYPE, Rc::new(RefCell::new(servant)));
-        *ior_out.lock().unwrap() = Some(orb.ior(CALC_TYPE, key).stringify());
+        *ior_out.lock().unwrap() = Some(orb.ior(CALC_TYPE, key));
         let _ = orb.serve_forever(ctx, &poa);
     });
 }
 
-fn resolve(ior_cell: &Cell<Option<String>>) -> ObjectRef {
+fn resolve(ior_cell: &Cell<Option<Ior>>) -> ObjectRef {
     let s = ior_cell
         .lock()
         .unwrap()
         .clone()
         .expect("server published IOR");
-    ObjectRef::new(Ior::destringify(&s).unwrap())
+    ObjectRef::new(s)
 }
 
 #[test]
@@ -268,12 +268,8 @@ fn dii_deferred_requests_run_in_parallel() {
         let t0 = ctx.now();
         // Each worker burns 2 CPU-seconds; deferred fan-out should cost
         // ~2s wall, not ~4s.
-        let mut r1 = DiiRequest::new(w1.ior.clone(), "work");
-        r1.add_typed(&2.0f64);
-        let mut r2 = DiiRequest::new(w2.ior.clone(), "work");
-        r2.add_typed(&2.0f64);
-        r1.send_deferred(&mut orb, ctx).unwrap();
-        r2.send_deferred(&mut orb, ctx).unwrap();
+        let mut r1 = DiiRequest::send_deferred(&mut orb, ctx, &w1.ior, "work", &2.0f64).unwrap();
+        let mut r2 = DiiRequest::send_deferred(&mut orb, ctx, &w2.ior, "work", &2.0f64).unwrap();
         let v1 = r1.get_response(&mut orb, ctx).unwrap().unwrap();
         let v2 = r2.get_response(&mut orb, ctx).unwrap().unwrap();
         let dt = ctx.now().since(t0).as_secs_f64();
@@ -305,9 +301,7 @@ fn dii_poll_response_is_nonblocking() {
         ctx.sleep(secs(0.01)).unwrap();
         let mut orb = Orb::init(ctx);
         let obj = resolve(&i);
-        let mut r = DiiRequest::new(obj.ior.clone(), "work");
-        r.add_typed(&1.0f64);
-        r.send_deferred(&mut orb, ctx).unwrap();
+        let mut r = DiiRequest::send_deferred(&mut orb, ctx, &obj.ior, "work", &1.0f64).unwrap();
         // Immediately after sending: not done.
         o.lock()
             .unwrap()
@@ -385,7 +379,7 @@ fn nested_calls_from_servant() {
     spawn_calc(&mut sim, hs[1], calc_ior.clone());
 
     struct Doubler {
-        calc: Cell<Option<String>>,
+        calc: Cell<Option<Ior>>,
     }
     impl Servant for Doubler {
         fn dispatch(
@@ -397,7 +391,7 @@ fn nested_calls_from_servant() {
             assert_eq!(op, "double_add");
             let (a, b): (f64, f64) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
             let s = self.calc.lock().unwrap().clone().expect("calc up");
-            let calc = ObjectRef::new(Ior::destringify(&s).unwrap());
+            let calc = ObjectRef::new(s);
             let sum: f64 = calc
                 .call(call.orb, call.ctx, "add", &(a, b))
                 .expect("not killed")?;
@@ -416,7 +410,7 @@ fn nested_calls_from_servant() {
             "IDL:Test/Doubler:1.0",
             Rc::new(RefCell::new(Doubler { calc: c })),
         );
-        *d.lock().unwrap() = Some(orb.ior("IDL:Test/Doubler:1.0", key).stringify());
+        *d.lock().unwrap() = Some(orb.ior("IDL:Test/Doubler:1.0", key));
         let _ = orb.serve_forever(ctx, &poa);
     });
 
@@ -442,7 +436,7 @@ fn nested_calls_from_servant() {
 fn spawn_traced_calc(
     sim: &mut Kernel,
     host: HostId,
-    ior_out: Cell<Option<String>>,
+    ior_out: Cell<Option<Ior>>,
     sink: obs::Obs,
     attach: usize,
 ) {
@@ -454,7 +448,7 @@ fn spawn_traced_calc(
         orb.listen(ctx).unwrap();
         let poa = Poa::new();
         let key = poa.activate(CALC_TYPE, Rc::new(RefCell::new(Calc)));
-        *ior_out.lock().unwrap() = Some(orb.ior(CALC_TYPE, key).stringify());
+        *ior_out.lock().unwrap() = Some(orb.ior(CALC_TYPE, key));
         let _ = orb.serve_forever(ctx, &poa);
     });
 }
@@ -467,12 +461,12 @@ fn a_request_carries_its_callers_span_and_is_served_under_it() {
     let calc = cell();
     spawn_traced_calc(&mut sim, hs[1], calc.clone(), sink.clone(), 1);
     // A tap on `hs[2]` keeps every frame it is sent and answers none.
-    let (tap, frames) = (cell::<Option<String>>(), cell::<Vec<Vec<u8>>>());
+    let (tap, frames) = (cell::<Option<Ior>>(), cell::<Vec<Vec<u8>>>());
     let (publish, keep) = (tap.clone(), frames.clone());
     sim.spawn(hs[2], "tap", move |ctx| {
         let port = ctx.bind_port().unwrap();
         let me = Ior::new(CALC_TYPE, ctx.host(), port, ObjectKey(1));
-        *publish.lock().unwrap() = Some(me.stringify());
+        *publish.lock().unwrap() = Some(me);
         while let Ok(msg) = ctx.recv() {
             keep.lock().unwrap().extend(msg.data().map(<[u8]>::to_vec));
         }
@@ -1047,12 +1041,12 @@ fn reply_bodies_that_lie_fail_the_call_not_the_client() {
     // A server that answers every request with `4.0`, the first four
     // times in a frame that lies: three about the result's length, one
     // with a well-framed result that claims 2^32 − 1 doubles.
-    let ior = cell::<Option<String>>();
+    let ior = cell::<Option<Ior>>();
     let publish = ior.clone();
     sim.spawn(hs[1], "liar", move |ctx| {
         let port = ctx.bind_port().unwrap();
         let me = Ior::new(CALC_TYPE, ctx.host(), port, ObjectKey(1));
-        *publish.lock().unwrap() = Some(me.stringify());
+        *publish.lock().unwrap() = Some(me);
         for answer in 0.. {
             let Ok(msg) = ctx.recv() else { return };
             let Some(Ok(Message::Request { request_id, .. })) = msg.data().map(Message::decode)

@@ -17,10 +17,9 @@ impl<T> Mutex<T> {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-        match self.0.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 

@@ -122,10 +122,9 @@ impl<T> Shared<T> {
     /// Lock the cell without the bookkeeping of [`Shared::lock`]: for the
     /// kernel's own core only (module docs).
     pub(crate) fn lock_untracked(&self) -> MutexGuard<'_, T> {
-        match self.0.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Run `f` with exclusive access to the value.

@@ -4,6 +4,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use orb::Ior;
 use simnet::{Fault, HostConfig, Kernel, Pid, SimDuration, SimTime};
 
 use crate::policy::BestPerformance;
@@ -21,15 +22,15 @@ fn secs(s: f64) -> SimDuration {
 
 /// Boot a cluster: system manager on host 0, node managers everywhere.
 /// Returns the IOR cell.
-fn boot(sim: &mut Kernel, n_hosts: usize) -> (Vec<simnet::HostId>, Cell<Option<String>>) {
+fn boot(sim: &mut Kernel, n_hosts: usize) -> (Vec<simnet::HostId>, Cell<Option<Ior>>) {
     let hosts: Vec<_> = (0..n_hosts)
         .map(|i| sim.add_host(HostConfig::new(format!("ws{i}"))))
         .collect();
-    let ior = cell::<Option<String>>();
+    let ior = cell::<Option<Ior>>();
     let io = ior.clone();
     sim.spawn(hosts[0], "winner-sysmgr", move |ctx| {
         let _ = run_system_manager_obs(ctx, Box::new(BestPerformance), None, |i| {
-            *io.lock().unwrap() = Some(i.stringify());
+            *io.lock().unwrap() = Some(i);
         });
     });
     for &h in &hosts {
@@ -42,15 +43,15 @@ fn boot(sim: &mut Kernel, n_hosts: usize) -> (Vec<simnet::HostId>, Cell<Option<S
                 }
             }
             let s = io.lock().unwrap().clone().unwrap();
-            let _ = run_node_manager(ctx, orb::Ior::destringify(&s).unwrap(), None);
+            let _ = run_node_manager(ctx, s, None);
         });
     }
     (hosts, ior)
 }
 
-fn client_from(ior: &Cell<Option<String>>) -> SystemManagerClient {
+fn client_from(ior: &Cell<Option<Ior>>) -> SystemManagerClient {
     let s = ior.lock().unwrap().clone().expect("sysmgr up");
-    SystemManagerClient::from_ior(orb::Ior::destringify(&s).unwrap())
+    SystemManagerClient::from_ior(s)
 }
 
 #[test]

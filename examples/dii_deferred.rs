@@ -7,7 +7,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use orb::{reply, CallCtx, DiiRequest, Exception, Orb, Poa, Servant, SystemException};
+use orb::{reply, CallCtx, DiiRequest, Exception, Ior, Orb, Poa, Servant, SystemException};
 use simnet::{Kernel, SimDuration};
 use std::sync::{Arc, Mutex};
 
@@ -37,7 +37,7 @@ impl Servant for Cruncher {
 fn main() {
     let mut sim = Kernel::with_seed(7);
     let hosts = sim.add_hosts(4);
-    let iors: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let iors: Arc<Mutex<Vec<Ior>>> = Arc::new(Mutex::new(Vec::new()));
 
     // Three cruncher servers.
     for &h in &hosts[1..] {
@@ -49,7 +49,7 @@ fn main() {
             let key = poa.activate("IDL:Demo/Cruncher:1.0", Rc::new(RefCell::new(Cruncher)));
             iors.lock()
                 .unwrap()
-                .push(orb.ior("IDL:Demo/Cruncher:1.0", key).stringify());
+                .push(orb.ior("IDL:Demo/Cruncher:1.0", key));
             let _ = orb.serve_forever(ctx, &poa);
         });
     }
@@ -65,12 +65,7 @@ fn main() {
                 request_timeout: SimDuration::from_secs(30),
             },
         );
-        let targets: Vec<orb::Ior> = iors
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|s| orb::Ior::destringify(s).unwrap())
-            .collect();
+        let targets: Vec<Ior> = iors.lock().unwrap().clone();
 
         // --- sequential: three 2-second calls, one after another --------
         let t0 = ctx.now();
@@ -87,12 +82,7 @@ fn main() {
         let t0 = ctx.now();
         let mut requests: Vec<DiiRequest> = targets
             .iter()
-            .map(|ior| {
-                let mut r = DiiRequest::new(ior.clone(), "crunch");
-                r.add_typed(&2.0f64);
-                r.send_deferred(&mut orb, ctx).unwrap();
-                r
-            })
+            .map(|ior| DiiRequest::send_deferred(&mut orb, ctx, ior, "crunch", &2.0f64).unwrap())
             .collect();
         // Poll while "doing other work" (sleeping here).
         let mut polls = 0;

@@ -35,8 +35,7 @@ fn main() {
         let mut orb = Orb::init(ctx);
 
         // 1. The system manager's view of the cluster.
-        let s = sysmgr.get().expect("winner up");
-        let mgr = SystemManagerClient::from_ior(orb::Ior::destringify(&s).unwrap());
+        let mgr = SystemManagerClient::from_ior(sysmgr.get().expect("winner up"));
         let snapshot = mgr.snapshot(&mut orb, ctx).unwrap().unwrap();
         let mut lines = vec![
             "host   speed  load-avg  cpu-util  score   alive".to_string(),

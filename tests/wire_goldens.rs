@@ -17,7 +17,10 @@ use std::rc::Rc;
 
 use cdr::{Any, Epoch};
 use cosnaming::{LbMode, Name, NamingClient};
-use ftproxy::{per_value, Checkpoint, CheckpointClient};
+use ftproxy::{
+    per_value, Checkpoint, CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, FtRequest,
+    ProxyEnv,
+};
 use orb::{CallCtx, Exception, Ior, ObjectRef, Orb, Poa, Servant};
 use simnet::{HostConfig, HostId, Kernel, Shared, SimDuration};
 
@@ -242,6 +245,39 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
         // -- Winner::SystemManager: `select` with no host known ---------
         let sm = winner::SystemManagerClient::new(obj(&s.system_manager));
         assert_eq!(sm.select(&mut orb, ctx, &[3, 4]).unwrap().unwrap(), None);
+        assert_golden(
+            &log,
+            "select",
+            "020000000300000004000000",
+            "0000000000000000",
+        );
+        // The deferred paths put the same bytes on the wire: a DII request,
+        // and a fault-tolerant one, whose kept body every (re)send writes.
+        log.lock().clear();
+        let hosts = (vec![3u32, 4],);
+        let mut dii =
+            orb::DiiRequest::send_deferred(&mut orb, ctx, &s.system_manager, "select", &hosts)
+                .unwrap();
+        dii.get_response(&mut orb, ctx).unwrap().unwrap();
+        assert_golden(
+            &log,
+            "select",
+            "020000000300000004000000",
+            "0000000000000000",
+        );
+        log.lock().clear();
+        let group = Name::simple("Selectors");
+        NamingClient::root(h0)
+            .bind_group_member(&mut orb, ctx, &group, &s.system_manager)
+            .unwrap()
+            .unwrap();
+        let mut cfg = FtProxyConfig::new(group, "SystemManager", "selector");
+        cfg.mode = CheckpointMode::None;
+        let ckpt = CheckpointClient::new(obj(&s.checkpoint_service));
+        let mut proxy = FtProxy::new(cfg, NamingClient::root(h0), ckpt);
+        let mut env = ProxyEnv { orb: &mut orb, ctx };
+        let mut ft = FtRequest::send_deferred(&mut proxy, &mut env, "select", &hosts).unwrap();
+        ft.get_response(&mut proxy, &mut env).unwrap().unwrap();
         assert_golden(
             &log,
             "select",
