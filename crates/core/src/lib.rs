@@ -17,7 +17,8 @@
 //! });
 //! let h = cluster.hosts[3];
 //! cluster.add_background_load(h);
-//! cluster.kernel.run_for(simnet::SimDuration::from_secs(10));
+//! let deadline = cluster.kernel.now() + simnet::SimDuration::from_secs(10);
+//! cluster.kernel.run_until(deadline);
 //! ```
 
 #![cfg_attr(

@@ -256,9 +256,9 @@ impl Cluster {
             let mut scfg = store::StoreConfig::default();
             scfg.suspect_after = scfg.suspect_after.max(out_wait_probes(&chaos_plan));
             for (i, &h) in chosen.iter().enumerate() {
-                let (cfg, sink) = (scfg.clone(), obs.clone());
+                let sink = obs.clone();
                 services.push(Service::new(h, format!("store-replica-{i}"), move |ctx| {
-                    run_store_replica(ctx, infra, cfg.clone(), Some(sink.clone()))
+                    run_store_replica(ctx, infra, Some(sink.clone()))
                 }));
             }
             if chosen.len() > 1 {
@@ -273,8 +273,7 @@ impl Cluster {
             // (and no events: a lone replica's writes are quorums of one).
             let sink = obs.clone();
             services.push(Service::new(infra, "checkpoint-service", move |ctx| {
-                let cfg = store::StoreConfig::default();
-                store::run_checkpoint_service(ctx, infra, cfg, Some(sink.clone()))
+                store::run_checkpoint_service(ctx, infra, Some(sink.clone()))
             }));
             vec![infra]
         };

@@ -195,9 +195,7 @@ fn spawn_ckpt_obs(sim: &mut Kernel, host: HostId, obs: Option<obs::Obs>, probe: 
         let key = poa.activate(
             crate::service::CHECKPOINT_SERVICE_TYPE,
             Rc::new(RefCell::new(ProbedStore {
-                inner: store::ReplicationSkeleton(store::StoreReplica::alone(
-                    store::StoreConfig::default(),
-                )),
+                inner: store::ReplicationSkeleton(store::StoreReplica::alone()),
                 probe,
             })),
         );

@@ -25,7 +25,6 @@ use crate::lexer::{self, seq_at, TokKind};
 /// carry D1, D2, D4, P1 and P2 at their crate roots.
 pub const SIM_CRATES: &[&str] = &[
     "simnet", "orb", "obs", "naming", "winner", "ft", "optim", "core", "store", "monitor",
-    "explore",
 ];
 
 /// P3: in the FT proxy implementation, any function that performs a remote

@@ -316,7 +316,7 @@ fn manager_with_ft_proxies_survives_host_crash() {
         let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     sim.spawn(h0, "ckpt", move |ctx| {
-        let _ = store::run_checkpoint_service(ctx, h0, store::StoreConfig::default(), None);
+        let _ = store::run_checkpoint_service(ctx, h0, None);
     });
     for &h in &hosts[1..] {
         sim.spawn(h, format!("worker-{h}"), move |ctx| {

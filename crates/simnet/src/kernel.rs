@@ -23,9 +23,9 @@
 //! Main gets the baton back when something only main may do is due: the
 //! run's stop rule is reached, a process panicked or `max_events` tripped
 //! (both are re-raised on the driver thread), or the baton holder itself
-//! died. The event hook and the [`SchedulePolicy`] live in the core and run
-//! under its lock on whichever thread holds the baton, so observing a run
-//! moves no step to main. The profile hook alone stays on main, because its
+//! died. The event hook lives in the core and runs under its lock on
+//! whichever thread holds the baton, so observing a run moves no step to
+//! main. The profile hook alone stays on main, because its
 //! one caller outside the tests (`benchmark/src/trace.rs`) keeps a non-`Send`
 //! `Rc<RefCell<_>>` sink: while it is installed main drives *every* step
 //! itself (each syscall is posted to it), which is what the
@@ -45,8 +45,8 @@
 //! A `compute` alone on its host finishes inside its syscall when nothing
 //! can happen first (`Core::complete_alone`): its completion check would be
 //! the next event popped, alone at its instant, so skipping the queue takes
-//! no decision the queue would have taken differently — not even a tie for
-//! a [`SchedulePolicy`] — and leaves every other event's order unchanged.
+//! no decision the queue would have taken differently — not even a tie —
+//! and leaves every other event's order unchanged.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -302,8 +302,9 @@ pub(crate) struct Core {
     runaway: bool,
     /// Called by the baton holder at each `emit`.
     event_hook: Option<EventHook>,
-    /// Consulted by the baton holder at each scheduling choice point.
-    policy: Option<Box<dyn SchedulePolicy>>,
+    /// An armed send trigger: crash this host once it has sent this many
+    /// more frames (`Kernel::crash_after_sends`).
+    send_trigger: Option<(HostId, u64)>,
     /// A profile hook is installed for this run: main runs every step and
     /// each syscall is `posted` to it.
     main_drives: bool,
@@ -460,67 +461,6 @@ pub enum ProfileMark {
 /// process it passed the baton to posts its next syscall).
 pub type ProfileHook = Box<dyn FnMut(ProfileMark)>;
 
-/// Which kind of nondeterminism point a [`SchedulePolicy`] is resolving.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChoiceKind {
-    /// Two or more events share the head timestamp of the event queue;
-    /// the policy picks which executes first (insertion order otherwise).
-    EventTie,
-    /// Two or more processes hold a pending resume; the policy picks
-    /// which the scheduler runs next (FIFO otherwise).
-    RunnableTie,
-}
-
-/// One candidate at a scheduling choice point, described by the entities
-/// its execution can touch. This is the *footprint* the `ldft-explore`
-/// independence relation is computed from, so the fields are deliberately
-/// conservative: `wakes` is true whenever executing the candidate might
-/// resume a process or push a new event (including the RST bounced off a
-/// closed port), and `global` marks events whose effect is not confined
-/// to one process/host (fault injection).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChoiceCandidate {
-    /// Stable event-kind label (`start`, `timer`, `deliver`, `probe`,
-    /// `cpu_check`, `fault`, `run`).
-    pub label: &'static str,
-    /// The process this candidate targets (delivery destination, timer
-    /// owner, started/run process), if resolvable.
-    pub pid: Option<Pid>,
-    /// The host the target lives on.
-    pub host: Option<HostId>,
-    /// For deliveries: the sending process (the RST destination when the
-    /// target port turns out closed).
-    pub from: Option<Pid>,
-    /// For deliveries: the sending host.
-    pub from_host: Option<HostId>,
-    /// Executing this candidate may resume a process or schedule a new
-    /// event (conservatively true when the kernel cannot prove otherwise).
-    pub wakes: bool,
-    /// The effect is global (fault injection): dependent on everything.
-    pub global: bool,
-    /// Executing this candidate may draw from the kernel's seeded network
-    /// RNG (a delivery crossing a degraded link with a drop probability).
-    /// Two draws never commute: swapping them shifts the RNG stream.
-    pub draws_rng: bool,
-}
-
-/// A hook resolving the kernel's scheduling nondeterminism points. The
-/// kernel consults the installed policy whenever more than one candidate
-/// is admissible — same-timestamp event-queue ties and runnable-queue
-/// order — passing the candidates **in default order** (insertion /
-/// FIFO), so a policy that always returns `0` reproduces the un-hooked
-/// kernel byte for byte. Out-of-range returns are clamped.
-///
-/// This is the seam `ldft-explore` drives to enumerate alternative
-/// schedules; `crates/lint/tests/selfcheck.rs` pins that every kernel
-/// tie-break site routes through
-/// [`Kernel::next_event`]/[`Kernel::next_runnable`] so new nondeterminism
-/// points cannot bypass it. It runs where the event hook does.
-pub trait SchedulePolicy: Send {
-    /// Pick the index of the candidate to execute next.
-    fn choose(&mut self, kind: ChoiceKind, now: SimTime, candidates: &[ChoiceCandidate]) -> usize;
-}
-
 /// Per-process virtual-time CPU attribution, one entry per process that
 /// ever held the CPU.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -636,7 +576,7 @@ impl Kernel {
             panicked: None,
             runaway: false,
             event_hook: None,
-            policy: None,
+            send_trigger: None,
             main_drives: false,
             posted: None,
             running: None,
@@ -731,13 +671,14 @@ impl Kernel {
         self.profile_hook = Some(Box::new(f));
     }
 
-    /// Install a [`SchedulePolicy`] resolving the kernel's scheduling
-    /// nondeterminism points (same-timestamp event ties and runnable-queue
-    /// order). At most one policy is installed; a second call replaces the
-    /// first. With no policy — or a policy that always picks index 0 — the
-    /// kernel behaves exactly as before the hook existed.
-    pub fn set_schedule_policy(&mut self, p: impl SchedulePolicy + 'static) {
-        self.core.lock_untracked().policy = Some(Box::new(p));
+    /// Crash `host` right after a process on it sends its `n`-th frame
+    /// from now on (`n` ≥ 1): in the same instant, before any process on
+    /// it runs again. Only frames a process sends count, not the RSTs and
+    /// probe answers its kernel makes. One trigger is armed at a time; a
+    /// second call replaces the first, and a trigger that never fires
+    /// changes nothing.
+    pub fn crash_after_sends(&mut self, host: HostId, n: u64) {
+        self.core.lock_untracked().send_trigger = Some((host, n));
     }
 
     /// Snapshot the deterministic run profile: per-process virtual CPU
@@ -828,13 +769,6 @@ impl Kernel {
         let mut core = self.core.lock_untracked();
         core.now = core.now.max(deadline);
         core.now
-    }
-
-    /// Run for a span of virtual time from the current instant.
-    #[track_caller]
-    pub fn run_for(&mut self, d: SimDuration) -> SimTime {
-        let deadline = self.now() + d;
-        self.run_until(deadline)
     }
 
     /// The driver's side of the baton: raise what must be raised on this
@@ -984,7 +918,7 @@ impl Core {
             if self.panicked.is_some() || i_died {
                 return None;
             }
-            if let Some(pid) = self.next_runnable() {
+            if let Some(pid) = self.runnable.pop_front() {
                 match self.begin_run(pid) {
                     Some(resume) => return Some((pid, resume)),
                     None => continue,
@@ -997,7 +931,7 @@ impl Core {
             if self.deadline.is_some_and(|d| head.time > d) {
                 return None;
             }
-            let ev = self.next_event()?;
+            let Reverse(ev) = self.events.pop()?;
             debug_assert!(ev.time >= self.now, "event in the past");
             self.now = ev.time;
             self.stats.events += 1;
@@ -1091,175 +1025,6 @@ impl Core {
             return None;
         }
         self.resume.take().map(Ok)
-    }
-
-    // ------------------------------------------------------------------
-    // Scheduling choice points
-    //
-    // These two functions are the ONLY places the kernel pops the event
-    // queue or the runnable queue (the lint selfcheck pins this), so an
-    // installed SchedulePolicy sees every nondeterminism point. With no
-    // policy both reduce to the historical pop: heap order for events,
-    // FIFO for runnables — and tied candidates the policy did not pick
-    // are re-pushed with their original (time, seq) keys, so choosing
-    // index 0 is byte-identical to having no policy at all.
-    // ------------------------------------------------------------------
-
-    /// Pop the next event, letting the installed policy resolve
-    /// same-timestamp ties. Returns `None` when the queue is empty.
-    fn next_event(&mut self) -> Option<Event> {
-        let Reverse(head) = self.events.pop()?;
-        if self.policy.is_none() {
-            return Some(head);
-        }
-        let mut tied = vec![head];
-        while let Some(Reverse(peek)) = self.events.peek() {
-            if peek.time != tied[0].time {
-                break;
-            }
-            let Some(Reverse(e)) = self.events.pop() else {
-                break;
-            };
-            tied.push(e);
-        }
-        let idx = if tied.len() > 1 {
-            let cands: Vec<ChoiceCandidate> =
-                tied.iter().map(|e| self.event_candidate(e)).collect();
-            self.choose(ChoiceKind::EventTie, &cands)
-        } else {
-            0
-        };
-        let chosen = tied.remove(idx);
-        for e in tied {
-            self.events.push(Reverse(e));
-        }
-        Some(chosen)
-    }
-
-    /// Pop the next runnable process, letting the installed policy pick
-    /// among all queued processes. Returns `None` when the queue is empty.
-    fn next_runnable(&mut self) -> Option<Pid> {
-        if self.policy.is_none() || self.runnable.len() < 2 {
-            return self.runnable.pop_front();
-        }
-        let cands: Vec<ChoiceCandidate> = self
-            .runnable
-            .iter()
-            .map(|&pid| ChoiceCandidate {
-                label: "run",
-                pid: Some(pid),
-                host: self.procs.get(pid.0 as usize).map(|p| p.host),
-                from: None,
-                from_host: None,
-                wakes: true,
-                global: false,
-                draws_rng: false,
-            })
-            .collect();
-        let idx = self.choose(ChoiceKind::RunnableTie, &cands);
-        self.runnable.remove(idx)
-    }
-
-    /// The installed policy's pick among two or more `cands`, clamped.
-    fn choose(&mut self, kind: ChoiceKind, cands: &[ChoiceCandidate]) -> usize {
-        let now = self.now;
-        let picked = self
-            .policy
-            .as_mut()
-            .map_or(0, |p| p.choose(kind, now, cands));
-        picked.min(cands.len() - 1)
-    }
-
-    /// Conservative execution footprint of a queued event, for the
-    /// independence relation (see [`ChoiceCandidate`] field docs).
-    fn event_candidate(&self, ev: &Event) -> ChoiceCandidate {
-        let mut c = ChoiceCandidate {
-            label: event_op(&ev.kind).strip_prefix("event.").unwrap_or("event"),
-            pid: None,
-            host: None,
-            from: None,
-            from_host: None,
-            wakes: false,
-            global: false,
-            draws_rng: false,
-        };
-        match &ev.kind {
-            EventKind::Start(pid) => {
-                c.pid = Some(*pid);
-                if let Some(p) = self.procs.get(pid.0 as usize) {
-                    c.host = Some(p.host);
-                    c.wakes = p.status == Status::NotStarted
-                        && self.hosts.get(p.host.0 as usize).is_some_and(|h| h.up);
-                }
-            }
-            EventKind::Timer { pid, epoch } => {
-                c.pid = Some(*pid);
-                if let Some(p) = self.procs.get(pid.0 as usize) {
-                    c.host = Some(p.host);
-                    c.wakes = p.timer_epoch == *epoch && matches!(p.status, Status::Blocked(_));
-                }
-            }
-            EventKind::Deliver(msg) => {
-                c.from = Some(msg.from);
-                c.from_host = Some(msg.from_host);
-                match msg.to {
-                    Addr::Endpoint(h, port) => {
-                        c.host = Some(h);
-                        c.draws_rng = msg.from_host != h
-                            && self
-                                .degraded
-                                .get(&pair(msg.from_host, h))
-                                .is_some_and(|&(_, d)| d > 0);
-                        match self.port_map.get(&(h, port)) {
-                            Some(&pid) => {
-                                c.pid = Some(pid);
-                                c.wakes = self
-                                    .procs
-                                    .get(pid.0 as usize)
-                                    .is_some_and(|p| p.status == Status::Blocked(Block::Recv));
-                            }
-                            None => {
-                                // Closed port: executing this bounces an RST
-                                // (a new event) back at the sender.
-                                c.wakes = true;
-                            }
-                        }
-                    }
-                    Addr::Pid(pid) => {
-                        c.pid = Some(pid);
-                        if let Some(p) = self.procs.get(pid.0 as usize) {
-                            c.host = Some(p.host);
-                            c.wakes = p.status == Status::Blocked(Block::Recv);
-                            c.draws_rng = msg.from_host != p.host
-                                && self
-                                    .degraded
-                                    .get(&pair(msg.from_host, p.host))
-                                    .is_some_and(|&(_, d)| d > 0);
-                        }
-                    }
-                }
-            }
-            EventKind::Probe { from, host, .. } => {
-                // Answered by the host, not a process; the answer is a new
-                // event.
-                c.from = Some(*from);
-                c.from_host = self.procs.get(from.0 as usize).map(|p| p.host);
-                c.host = Some(*host);
-                c.wakes = true;
-            }
-            EventKind::CpuCheck { host, epoch } => {
-                c.host = Some(*host);
-                c.wakes = self
-                    .hosts
-                    .get(host.0 as usize)
-                    .is_some_and(|h| h.up && h.cpu_epoch == *epoch);
-            }
-            EventKind::Fault(_) => {
-                c.wakes = true;
-                c.global = true;
-            }
-        }
-        c
     }
 
     // ------------------------------------------------------------------
@@ -1504,10 +1269,10 @@ impl Core {
     /// if it is alone on its host and nothing can happen before it
     /// completes: no process is runnable, every queued event is strictly
     /// later, and neither the stop rule nor `max_events` would halt the
-    /// run first. The `CpuCheck` it would have
-    /// queued is then the next event popped, alone at its instant, with no
-    /// tie for a policy to break — so this runs exactly what `cpu_check`
-    /// would and counts the event, and the schedule is the heap's own.
+    /// run first. The `CpuCheck` it would have queued is then the next
+    /// event popped, alone at its instant, with no tie to break — so this
+    /// runs exactly what `cpu_check` would and counts the event, and the
+    /// schedule is the heap's own.
     /// `None` (the job queued as usual) otherwise.
     fn complete_alone(&mut self, pid: Pid, host: HostId) -> Option<SimTime> {
         let hs = &self.hosts[host.0 as usize];
@@ -1739,6 +1504,16 @@ impl Core {
             }
             Syscall::Send { to, data } => {
                 self.do_send(pid, to, data);
+                let host = self.procs[pid.0 as usize].host;
+                if let Some((_, left)) = self.send_trigger.as_mut().filter(|(h, _)| *h == host) {
+                    *left = left.saturating_sub(1);
+                    if *left == 0 {
+                        // The caller's own host crashed: it is gone.
+                        self.send_trigger = None;
+                        self.do_crash_host(host);
+                        return None;
+                    }
+                }
                 Some(Resume::Ok { now })
             }
             Syscall::Probe { host, port } => {

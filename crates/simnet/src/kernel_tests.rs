@@ -936,173 +936,40 @@ fn profile_marks_pair_up_and_never_nest() {
 }
 
 // ---------------------------------------------------------------------
-// SchedulePolicy choice points
+// The send trigger: a crash right after a host's n-th frame
 // ---------------------------------------------------------------------
 
-/// Test policy: records every choice it is asked to make, and optionally
-/// flips all-deliver event ties and runnable ties to the last candidate.
-struct TestPolicy {
-    choices: Cell<Vec<(crate::ChoiceKind, usize)>>,
-    flip_delivers: bool,
-    flip_runs: bool,
-}
-
-impl crate::SchedulePolicy for TestPolicy {
-    fn choose(
-        &mut self,
-        kind: crate::ChoiceKind,
-        _now: SimTime,
-        cands: &[crate::ChoiceCandidate],
-    ) -> usize {
-        self.choices.lock().push((kind, cands.len()));
-        match kind {
-            crate::ChoiceKind::EventTie
-                if self.flip_delivers && cands.iter().all(|c| c.label == "deliver") =>
-            {
-                cands.len() - 1
-            }
-            crate::ChoiceKind::RunnableTie if self.flip_runs => cands.len() - 1,
-            _ => 0,
+#[test]
+fn a_host_crashes_right_after_its_nth_send() {
+    const N: u8 = 3;
+    let mut sim = Kernel::with_seed(4);
+    let h = sim.add_hosts(2);
+    let lines = cell::<Vec<String>>();
+    let l = lines.clone();
+    sim.set_event_hook(move |t, ev| l.lock().push(format!("{} {ev}", t.as_nanos())));
+    let got = cell::<Vec<u8>>();
+    let g = got.clone();
+    let sink = sim.spawn(h[1], "sink", move |ctx| {
+        while let Ok(Some(m)) = ctx.recv_timeout(secs(1.0)) {
+            g.lock().extend(m.data().unwrap_or_default());
         }
-    }
-}
-
-/// `(time, rng draw)` samples plus the `(time, line)` kernel trace.
-type PolicyRunTrace = (Vec<(f64, u64)>, Vec<(f64, String)>);
-
-/// The determinism scenario from `determinism_same_seed_same_trace`, with
-/// an optional always-pick-0 policy installed.
-fn policy_reference_run(seed: u64, with_policy: bool) -> PolicyRunTrace {
-    let mut sim = Kernel::with_seed(seed);
-    let trace = cell::<Vec<(f64, String)>>();
-    {
-        let trace = trace.clone();
-        sim.set_event_hook(move |t, ev| trace.lock().push((t.as_secs_f64(), ev.to_string())));
-    }
-    if with_policy {
-        sim.set_schedule_policy(TestPolicy {
-            choices: cell(),
-            flip_delivers: false,
-            flip_runs: false,
-        });
-    }
-    let hosts = sim.add_hosts(4);
-    let out = cell::<Vec<(f64, u64)>>();
-    for (i, &h) in hosts.iter().enumerate() {
-        let o = out.clone();
-        let hosts = hosts.clone();
-        sim.spawn(h, format!("p{i}"), move |ctx| {
-            use rand::Rng;
-            for _ in 0..20 {
-                let work: f64 = ctx.rng().random_range(0.01..0.1);
-                ctx.compute(work).unwrap();
-                let peer = hosts[ctx.rng().random_range(0..hosts.len())];
-                ctx.send(Addr::Endpoint(peer, Port(1)), vec![0; 16])
-                    .unwrap();
-                let v: u64 = ctx.rng().random();
-                o.lock().push((ctx.now().as_secs_f64(), v));
-            }
-        });
-    }
+    });
+    let sent_at = cell::<Vec<u64>>();
+    let s = sent_at.clone();
+    sim.spawn(h[0], "sender", move |ctx| {
+        for tag in 1..=5u8 {
+            ctx.sleep(SimDuration::from_millis(1))?;
+            s.lock().push(ctx.now().as_nanos());
+            ctx.send(Addr::Pid(sink), vec![tag])?;
+        }
+        Ok::<(), crate::Killed>(())
+    });
+    sim.crash_after_sends(h[0], u64::from(N));
     sim.run_until_idle();
-    let vals = out.lock().clone();
-    let lines = trace.lock().clone();
-    (vals, lines)
-}
-
-#[test]
-fn schedule_policy_choose_zero_is_byte_identical_to_no_policy() {
-    let bare = policy_reference_run(7, false);
-    let hooked = policy_reference_run(7, true);
-    assert_eq!(bare, hooked);
-}
-
-#[test]
-fn schedule_policy_flips_cotemporal_delivery_order() {
-    fn run(flip: bool) -> (Vec<u8>, Vec<(crate::ChoiceKind, usize)>) {
-        let mut sim = Kernel::with_seed(3);
-        let choices = cell::<Vec<(crate::ChoiceKind, usize)>>();
-        sim.set_schedule_policy(TestPolicy {
-            choices: choices.clone(),
-            flip_delivers: flip,
-            flip_runs: false,
-        });
-        let a = sim.add_host(HostConfig::new("a"));
-        let b = sim.add_host(HostConfig::new("b"));
-        let got = cell::<Vec<u8>>();
-        let g = got.clone();
-        let sink = sim.spawn(a, "sink", move |ctx| {
-            for _ in 0..2 {
-                let m = ctx.recv().unwrap();
-                if let Some(d) = m.data() {
-                    g.lock().push(d[0]);
-                }
-            }
-        });
-        // Both senders live on host b and send at the same virtual time
-        // with identical payload sizes, so the two Deliver events carry
-        // the same timestamp — a genuine tie the policy resolves.
-        for tag in [1u8, 2u8] {
-            sim.spawn(b, format!("send{tag}"), move |ctx| {
-                ctx.sleep(SimDuration::from_millis(1)).unwrap();
-                ctx.send(Addr::Pid(sink), vec![tag]).unwrap();
-            });
-        }
-        sim.run_until_idle();
-        let order = got.lock().clone();
-        let ch = choices.lock().clone();
-        (order, ch)
-    }
-    let (default_order, choices) = run(false);
-    let (flipped_order, _) = run(true);
-    assert_eq!(default_order, vec![1, 2]);
-    assert_eq!(flipped_order, vec![2, 1]);
-    // The policy really was consulted on an event tie.
-    assert!(choices
-        .iter()
-        .any(|&(k, n)| k == crate::ChoiceKind::EventTie && n >= 2));
-}
-
-#[test]
-fn schedule_policy_flips_runnable_order() {
-    fn run(flip: bool) -> (Vec<String>, bool) {
-        let mut sim = Kernel::with_seed(5);
-        let choices = cell::<Vec<(crate::ChoiceKind, usize)>>();
-        sim.set_schedule_policy(TestPolicy {
-            choices: choices.clone(),
-            flip_delivers: false,
-            flip_runs: flip,
-        });
-        let a = sim.add_host(HostConfig::new("a"));
-        let ran = cell::<Vec<String>>();
-        // Two identical compute jobs on one host finish at the same
-        // CpuCheck, so both processes land in the runnable queue at once.
-        for name in ["first", "second"] {
-            let r = ran.clone();
-            sim.spawn(a, name, move |ctx| {
-                ctx.compute(0.05).unwrap();
-                r.lock().push(name.to_string());
-            });
-        }
-        sim.run_until_idle();
-        let order = ran.lock().clone();
-        let saw_tie = choices
-            .lock()
-            .iter()
-            .any(|&(k, n)| k == crate::ChoiceKind::RunnableTie && n >= 2);
-        (order, saw_tie)
-    }
-    let (default_order, saw_tie) = run(false);
-    assert!(saw_tie, "expected a runnable tie in this scenario");
-    let (flipped_order, _) = run(true);
-    assert_eq!(
-        default_order,
-        vec!["first".to_string(), "second".to_string()]
-    );
-    assert_eq!(
-        flipped_order,
-        vec!["second".to_string(), "first".to_string()]
-    );
+    assert_eq!(*got.lock(), [1, 2, 3], "frames 1..=n arrive, none after");
+    let nth = sent_at.lock()[usize::from(N) - 1];
+    let crash = format!("{nth} crash h0");
+    assert!(lines.lock().contains(&crash), "{:#?}", lines.lock());
 }
 
 // ---------------------------------------------------------------------
@@ -1159,18 +1026,11 @@ type InlineOutcome = (Vec<String>, String, Vec<String>, Vec<String>, Vec<String>
 ///   queued before its completion but the longer one's superseded check;
 /// - (g) 90 ms: `run_until_exit` of a process that leaves at the instant
 ///   its host-mate, still runnable, starts another compute.
-fn inline_cell(policy: bool) -> InlineOutcome {
+fn inline_cell() -> InlineOutcome {
     let mut sim = Kernel::with_seed(33);
     let lines = cell::<Vec<String>>();
     let l = lines.clone();
     sim.set_event_hook(move |t, ev| l.lock().push(format!("{t} {ev}")));
-    if policy {
-        sim.set_schedule_policy(TestPolicy {
-            choices: cell(),
-            flip_delivers: false,
-            flip_runs: false,
-        });
-    }
     let h = sim.add_hosts(8);
     let notes = cell::<Vec<String>>();
     let computes = |name, at, times| sliced(&notes, name, at, times);
@@ -1230,9 +1090,7 @@ fn inline_cell(policy: bool) -> InlineOutcome {
 
 #[test]
 fn a_lone_compute_completes_where_the_heap_would_have_it() {
-    let bare = inline_cell(false);
-    assert_eq!(bare, inline_cell(true), "an index-0 policy changed the run");
-    let (lines, stats, cpu, notes, stops) = bare;
+    let (lines, stats, cpu, notes, stops) = inline_cell();
     // Captured at the commit before computes could complete inline.
     assert_eq!(lines, INLINE_TRACE, "{lines:#?}");
     assert_eq!(stats, INLINE_STATS);
@@ -1247,8 +1105,8 @@ fn a_lone_compute_completes_where_the_heap_would_have_it() {
 
 /// A two-host echo pair, `n` round trips: the client runs `compute, send,
 /// recv, compute`, the server `recv, compute, compute, send` (the syscall
-/// mix of one `rpc_small` round trip), with an event hook and an index-0
-/// policy if `observed`, and a profile hook if `profiled`. Returns the
+/// mix of one `rpc_small` round trip), with an event hook if `observed`,
+/// and a profile hook if `profiled`. Returns the
 /// kernel after the run and how many `sched.handoff` marks the profile hook
 /// saw.
 fn echo_pair(n: usize, observed: bool, profiled: bool) -> (Kernel, usize) {
@@ -1256,11 +1114,6 @@ fn echo_pair(n: usize, observed: bool, profiled: bool) -> (Kernel, usize) {
     let handoffs = cell::<usize>();
     if observed {
         sim.set_event_hook(|_, _| {});
-        sim.set_schedule_policy(TestPolicy {
-            choices: cell(),
-            flip_delivers: false,
-            flip_runs: false,
-        });
     }
     if profiled {
         let h = handoffs.clone();
@@ -1303,8 +1156,8 @@ fn a_round_trip_costs_two_thread_switches() {
         (2 * N..=2 * N + 8).contains(&switches),
         "{switches} thread switches for {N} round trips"
     );
-    // The event hook and the policy run on the baton holder's thread:
-    // installing them hands main no step.
+    // The event hook runs on the baton holder's thread: installing it
+    // hands main no step.
     let (observed, _) = echo_pair(N as usize, true, false);
     assert_eq!(observed.thread_switches(), switches);
     // With a profile hook main drives every step: one `sched.handoff` per
@@ -1332,8 +1185,10 @@ type CellOutcome = (
 /// another host — and one crashed by a process that lives on it while it
 /// holds the baton: four equal compute jobs on `h[3]` finish at the same
 /// CpuCheck, `w0` takes another turn on the CPU, `w1` crashes the host
-/// with `w0` blocked and `w2`, `w3` still in the runnable queue.
-fn observed_cell(events: bool, profile: bool, policy: bool) -> CellOutcome {
+/// with `w0` blocked and `w2`, `w3` still in the runnable queue. `armed`
+/// arms a send trigger on `h[3]` that counts `w0`'s one frame and never
+/// fires.
+fn observed_cell(events: bool, profile: bool, armed: bool) -> CellOutcome {
     let mut sim = Kernel::with_seed(21);
     let lines = cell::<Vec<String>>();
     if events {
@@ -1343,14 +1198,10 @@ fn observed_cell(events: bool, profile: bool, policy: bool) -> CellOutcome {
     if profile {
         sim.set_profile_hook(|_| {});
     }
-    if policy {
-        sim.set_schedule_policy(TestPolicy {
-            choices: cell(),
-            flip_delivers: false,
-            flip_runs: false,
-        });
-    }
     let h = sim.add_hosts(4);
+    if armed {
+        sim.crash_after_sends(h[3], 2);
+    }
     let notes = cell::<Vec<String>>();
     let note = |notes: &Cell<Vec<String>>, ctx: &crate::Ctx, what: &str| {
         notes.lock().push(format!("{} {what}", ctx.now()));
@@ -1421,11 +1272,12 @@ fn observers_do_not_change_the_run() {
     assert_eq!(run.0, GOLDEN_CELL_STATS);
     // The hook called on whichever thread holds the baton vs. on main,
     // which a profile hook makes drive every step: same lines, same
-    // timestamps, same order — with a policy consulted on either.
+    // timestamps, same order — with a trigger armed that never fires.
     assert_eq!(traced, observed_cell(true, true, true));
-    // And nothing but the recorded lines tells an observed run from a bare one.
-    for (profile, policy) in [(false, false), (true, false), (false, true)] {
-        assert_eq!(*run, observed_cell(false, profile, policy).0);
+    // And nothing but the recorded lines tells an observed run from a bare
+    // one, nor an armed trigger that never fires from none.
+    for (profile, armed) in [(false, false), (true, false), (false, true)] {
+        assert_eq!(*run, observed_cell(false, profile, armed).0);
     }
 }
 

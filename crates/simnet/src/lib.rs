@@ -15,7 +15,8 @@
 //! * **A LAN** with latency and bandwidth, port-addressed endpoints, RSTs
 //!   for connections to dead servers, keepalive probes answered by the
 //!   destination host's kernel ([`Ctx::probe`]), and partitions.
-//! * **Fault injection**: process kills, host crashes and restarts.
+//! * **Fault injection**: process kills, host crashes (at an instant or
+//!   right after a host's *n*-th sent frame) and restarts.
 //! * **Load metrics** per host (runnable count, load average, utilization)
 //!   — the data the Winner node managers sample.
 //!
@@ -69,8 +70,8 @@ mod time;
 pub use cpu::{HostConfig, HostSnapshot};
 pub use ids::{Addr, HostId, Pid, Port};
 pub use kernel::{
-    ChoiceCandidate, ChoiceKind, EventHook, Fault, Kernel, KernelConfig, KernelEvent,
-    KernelProfile, KernelStats, NetConfig, ProcCpu, ProfileHook, ProfileMark, SchedulePolicy,
+    EventHook, Fault, Kernel, KernelConfig, KernelEvent, KernelProfile, KernelStats, NetConfig,
+    ProcCpu, ProfileHook, ProfileMark,
 };
 pub use msg::{Msg, Payload};
 pub use process::{Ctx, Killed, ProcessBody, ProcessExit, SimResult};

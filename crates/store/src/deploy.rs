@@ -28,10 +28,9 @@ pub fn spawn_replicated_store(
     sink: Option<obs::Obs>,
 ) {
     for (i, &h) in hosts.iter().enumerate() {
-        let cfg = cfg.clone();
         let sink = sink.clone();
         kernel.spawn(h, format!("store-replica-{i}"), move |ctx| {
-            run_store_replica(ctx, naming_host, cfg, sink)
+            run_store_replica(ctx, naming_host, sink)
         });
     }
     if hosts.len() > 1 {

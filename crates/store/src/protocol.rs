@@ -22,21 +22,19 @@ use ftproxy::FT;
 include!("generated.rs");
 pub use Store::{ReplicationSkeleton, ReplicationStub};
 
+/// Reply deadline for one replica-to-replica replication RPC. Bounds how
+/// long a write blocks on a dead peer before the quorum check.
+pub(crate) const REPL_TIMEOUT: SimDuration = SimDuration::from_millis(300);
+
 /// Configuration one replica (and the deployment helper) runs with.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
-    /// Reply deadline for one replica-to-replica replication RPC. Bounds
-    /// how long a write blocks on a dead peer before the quorum check.
-    pub repl_timeout: SimDuration,
     /// Consecutive failed probes before the detector evicts a replica.
     pub suspect_after: u32,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig {
-            repl_timeout: SimDuration::from_millis(300),
-            suspect_after: 2,
-        }
+        StoreConfig { suspect_after: 2 }
     }
 }

@@ -58,7 +58,7 @@ use obs::EventBody;
 use orb::{CallCtx, Exception, Ior, Orb, SystemException};
 use simnet::{Ctx, HostId, SimDuration, SimResult, SimTime};
 
-use crate::protocol::{ReplicationSkeleton, ReplicationStub, Store, StoreConfig};
+use crate::protocol::{ReplicationSkeleton, ReplicationStub, Store, REPL_TIMEOUT};
 
 /// How long a fetched membership view stays fresh before the coordinator
 /// re-reads the group from the naming service.
@@ -132,7 +132,6 @@ impl Fanout {
 
 /// One replica of the replicated checkpoint store.
 pub struct StoreReplica {
-    cfg: StoreConfig,
     /// The naming service and group name the view is read from; `None`
     /// for a replica alone, whose view is always empty.
     group: Option<(HostId, Name)>,
@@ -162,22 +161,18 @@ pub struct StoreReplica {
 impl StoreReplica {
     /// A fresh, empty replica of the `"CheckpointService"` group on
     /// `naming_host`.
-    pub fn new(cfg: StoreConfig, naming_host: HostId) -> Self {
-        Self::with_group(
-            cfg,
-            Some((naming_host, Name::simple(CHECKPOINT_SERVICE_NAME))),
-        )
+    pub fn new(naming_host: HostId) -> Self {
+        Self::with_group(Some((naming_host, Name::simple(CHECKPOINT_SERVICE_NAME))))
     }
 
     /// A fresh, empty replica with no group: the paper's single checkpoint
     /// service.
-    pub fn alone(cfg: StoreConfig) -> Self {
-        Self::with_group(cfg, None)
+    pub fn alone() -> Self {
+        Self::with_group(None)
     }
 
-    fn with_group(cfg: StoreConfig, group: Option<(HostId, Name)>) -> Self {
+    fn with_group(group: Option<(HostId, Name)>) -> Self {
         StoreReplica {
-            cfg,
             group,
             self_ior: None,
             view_cache: None,
@@ -285,7 +280,7 @@ impl StoreReplica {
             .collect();
         peers.sort_by_key(|a| (a.host, a.port, a.key));
         peers.dedup();
-        let deadline = Some(self.cfg.repl_timeout);
+        let deadline = Some(REPL_TIMEOUT);
         let peers: Rc<[ReplicationStub]> = peers
             .into_iter()
             .map(|p| ReplicationStub::from_ior(p).with_deadline(deadline))
@@ -533,10 +528,9 @@ fn serve(
 pub fn run_store_replica(
     ctx: &mut Ctx,
     naming_host: HostId,
-    cfg: StoreConfig,
     sink: Option<obs::Obs>,
 ) -> SimResult<()> {
-    let replica = StoreReplica::new(cfg, naming_host);
+    let replica = StoreReplica::new(naming_host);
     serve(
         ctx,
         naming_host,
@@ -551,9 +545,8 @@ pub fn run_store_replica(
 pub fn run_checkpoint_service(
     ctx: &mut Ctx,
     naming_host: HostId,
-    cfg: StoreConfig,
     sink: Option<obs::Obs>,
 ) -> SimResult<()> {
-    let replica = StoreReplica::alone(cfg);
+    let replica = StoreReplica::alone();
     serve(ctx, naming_host, replica, sink, NamingClient::rebind_retry)
 }

@@ -50,7 +50,7 @@ fn header_any(epoch: u64) -> Any {
 
 #[test]
 fn a_bulk_object_keeps_only_its_newest_epoch() {
-    let mut r = StoreReplica::alone(StoreConfig::default());
+    let mut r = StoreReplica::alone();
     for e in 1..=4 {
         r.apply_bulk(ckpt("obj", e, b"state"));
     }
@@ -193,7 +193,7 @@ fn with_lone_store(
         let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, Some(sink));
     });
     sim.spawn(h0, "checkpoint-service", move |ctx| {
-        let _ = crate::run_checkpoint_service(ctx, h0, StoreConfig::default(), None);
+        let _ = crate::run_checkpoint_service(ctx, h0, None);
     });
     let done = cell::<bool>();
     let d = done.clone();
@@ -398,10 +398,6 @@ fn a_coordinator_rereads_its_view_only_after_the_ttl() {
 fn unreachable_quorum_fails_the_write() {
     // Two replicas, a quorum of both and no detector: crash the backup
     // and write before any eviction can shrink the view.
-    let cfg = StoreConfig {
-        repl_timeout: SimDuration::from_millis(200),
-        ..StoreConfig::default()
-    };
     let mut sim = Kernel::with_seed(9);
     let mut hosts = Vec::new();
     for i in 0..3 {
@@ -413,9 +409,8 @@ fn unreachable_quorum_fails_the_write() {
     });
     // Replicas only — no detector, so the view keeps both members.
     for (i, &h) in hosts[1..].iter().enumerate() {
-        let cfg = cfg.clone();
         sim.spawn(h, format!("store-replica-{i}"), move |ctx| {
-            let _ = crate::replica::run_store_replica(ctx, h0, cfg, None);
+            let _ = crate::replica::run_store_replica(ctx, h0, None);
         });
     }
     let out = cell::<Option<bool>>();

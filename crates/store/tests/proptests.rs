@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use ldft_store::{ChaosConfig, ChaosPlan, FaultFamily, StoreConfig};
+use ldft_store::{ChaosConfig, ChaosPlan, FaultFamily};
 use proptest::prelude::*;
 use simnet::{Fault, HostConfig, HostId, Kernel, SimDuration, SimTime};
 
@@ -231,7 +231,7 @@ fn lone_store_values(entries: Vec<(String, i32)>) -> BTreeMap<String, Option<i32
         let _ = cosnaming::run_naming_service_obs(ctx, cosnaming::LbMode::Plain, None);
     });
     sim.spawn(h0, "checkpoint-service", move |ctx| {
-        let _ = ldft_store::run_checkpoint_service(ctx, h0, StoreConfig::default(), None);
+        let _ = ldft_store::run_checkpoint_service(ctx, h0, None);
     });
     let out = Arc::new(Mutex::new(None));
     let o = out.clone();

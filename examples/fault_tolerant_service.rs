@@ -64,7 +64,7 @@ fn main() {
         let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
     sim.spawn(infra, "checkpoint-service", move |ctx| {
-        let _ = store::run_checkpoint_service(ctx, infra, store::StoreConfig::default(), None);
+        let _ = store::run_checkpoint_service(ctx, infra, None);
     });
 
     // Factories on the worker hosts can (re)create Account instances.

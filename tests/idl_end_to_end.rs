@@ -185,7 +185,7 @@ fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
         (
             "CheckpointService",
             Box::new(ftproxy::CheckpointServiceSkeleton(
-                store::StoreReplica::alone(store::StoreConfig::default()),
+                store::StoreReplica::alone(),
             )),
         ),
         (
@@ -197,7 +197,6 @@ fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
         (
             "Replication",
             Box::new(store::ReplicationSkeleton(store::StoreReplica::new(
-                store::StoreConfig::default(),
                 HostId(0),
             ))),
         ),
@@ -580,7 +579,7 @@ fn generated_ft_proxy_recovers_from_a_crash() {
     });
     // Checkpoint service, registered under the well-known name.
     sim.spawn(h0, "ckpt", move |ctx| {
-        let _ = store::run_checkpoint_service(ctx, h0, store::StoreConfig::default(), None);
+        let _ = store::run_checkpoint_service(ctx, h0, None);
     });
     // Factories on both worker hosts, able to build generated skeletons.
     for &h in &hosts[1..] {

@@ -134,7 +134,7 @@ fn a_partitioned_emitter_loses_nothing_and_needs_no_flush() {
         .count();
     assert_eq!(in_outage, 18);
 
-    let end = kernel.run_for(SimDuration::from_secs(1));
+    let end = kernel.run_until(kernel.now() + SimDuration::from_secs(1));
     let stream = sink.events();
     assert!(
         stream.windows(2).all(|w| w[0].time_ns <= w[1].time_ns),

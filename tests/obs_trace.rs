@@ -40,7 +40,7 @@ fn run_crash_recovery_cell(seed: u64) -> Obs {
     });
     let obs = sink.clone();
     sim.spawn(h0, "ckpt-svc", move |ctx| {
-        let _ = store::run_checkpoint_service(ctx, h0, store::StoreConfig::default(), Some(obs));
+        let _ = store::run_checkpoint_service(ctx, h0, Some(obs));
     });
     let obs = sink.clone();
     sim.spawn(hosts[1], "opt-worker", move |ctx| {

@@ -123,9 +123,7 @@ fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
             &orb,
             &log,
             ftproxy::CHECKPOINT_SERVICE_TYPE,
-            ftproxy::CheckpointServiceSkeleton(store::StoreReplica::alone(
-                store::StoreConfig::default(),
-            )),
+            ftproxy::CheckpointServiceSkeleton(store::StoreReplica::alone()),
         )
         .0,
         factory: tap(
@@ -170,10 +168,7 @@ fn serve_tapped_replica(ctx: &mut simnet::Ctx, naming_host: HostId, log: Log) {
         &orb,
         &log,
         ftproxy::CHECKPOINT_SERVICE_TYPE,
-        store::ReplicationSkeleton(store::StoreReplica::new(
-            store::StoreConfig::default(),
-            naming_host,
-        )),
+        store::ReplicationSkeleton(store::StoreReplica::new(naming_host)),
     );
     replica.borrow_mut().0.self_ior = Some(ior.clone());
     NamingClient::root(naming_host)
