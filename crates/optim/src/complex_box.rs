@@ -129,6 +129,30 @@ fn centroid_block<const N: usize>(
     }
 }
 
+type CentroidBlock = fn(&[f64], usize, usize, f64, usize, &mut [f64]);
+
+/// `centroid_block::<N>` at index `N - 1`, for every `N` up to 16: the
+/// centroid takes one pass over the rows per 16 columns, and one for the
+/// rest.
+const CENTROID_BLOCKS: [CentroidBlock; 16] = [
+    centroid_block::<1>,
+    centroid_block::<2>,
+    centroid_block::<3>,
+    centroid_block::<4>,
+    centroid_block::<5>,
+    centroid_block::<6>,
+    centroid_block::<7>,
+    centroid_block::<8>,
+    centroid_block::<9>,
+    centroid_block::<10>,
+    centroid_block::<11>,
+    centroid_block::<12>,
+    centroid_block::<13>,
+    centroid_block::<14>,
+    centroid_block::<15>,
+    centroid_block::<16>,
+];
+
 /// The method: population, scratch, and the two transitions both drivers
 /// share.
 struct Core {
@@ -243,20 +267,10 @@ impl Core {
         let (dim, points, centroid) = (self.dim, &self.points[..], &mut self.centroid[..]);
         let m = (self.values.len() - 1) as f64;
         let mut at = 0;
-        while dim - at >= 8 {
-            centroid_block::<8>(points, dim, worst, m, at, centroid);
-            at += 8;
-        }
-        if dim - at >= 4 {
-            centroid_block::<4>(points, dim, worst, m, at, centroid);
-            at += 4;
-        }
-        if dim - at >= 2 {
-            centroid_block::<2>(points, dim, worst, m, at, centroid);
-            at += 2;
-        }
-        if dim - at == 1 {
-            centroid_block::<1>(points, dim, worst, m, at, centroid);
+        while at < dim {
+            let n = (dim - at).min(CENTROID_BLOCKS.len());
+            CENTROID_BLOCKS[n - 1](points, dim, worst, m, at, centroid);
+            at += n;
         }
 
         let row = &points[worst * dim..][..dim];

@@ -53,8 +53,8 @@ fn golden_worker_block_cold_then_warm() {
     assert_eq!(fold(&s.points, &s.values), 0x2afb_ed8b_57d3_aa4c);
 }
 
-/// d = 2 and 3 collapse and exercise the jitter / RNG path; 2 … 33 cover
-/// every tail of the 8 / 4 / 2 / 1 centroid blocks.
+/// d = 2 and 3 collapse and exercise the jitter / RNG path; 2 … 33 take
+/// one to three of the centroid's passes of up to 16 columns.
 #[test]
 fn golden_rosenbrock_across_block_tails() {
     // (d, best value, evals, fold of the population)

@@ -7,6 +7,8 @@
 //! OS thread — the *baton holder* — touches it at any moment: the driver
 //! thread (the one inside `Kernel::run_*`, "main" below) or the thread of
 //! the one process that is currently executing. There is no kernel thread.
+//! Each process's body runs on a thread of the program-wide pool (`pool`),
+//! which another process, of this kernel or the next, gets once it ends.
 //! A process's syscall locks the core and runs `handle_syscall` on the
 //! caller's own thread; an immediate syscall just returns. A blocking one
 //! keeps stepping the scheduler loop (`Core::advance`: drain the runnable
@@ -50,11 +52,12 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
-use std::thread::{JoinHandle, Thread};
+use std::thread::Thread;
 
 use crate::cpu::{HostConfig, HostState};
 use crate::ids::{Addr, HostId, Pid, Port};
 use crate::msg::{Msg, Payload};
+use crate::pool::{self, Task};
 use crate::process::{boxed, Ctx, Killed, ProcessBody, ProcessExit, Resume, SimResult, Syscall};
 use crate::shared::Shared;
 use crate::time::{SimDuration, SimTime};
@@ -123,6 +126,11 @@ pub struct KernelStats {
     /// Processes killed (by a `KillProcess` fault, host crash, or kernel
     /// shutdown).
     pub killed: u64,
+    /// OS threads started for this kernel's processes: zero when idle
+    /// threads of the program's pool ran them all. Unlike the counters
+    /// above it depends on what ran before in the program, and beside it,
+    /// not on the seed.
+    pub threads_started: u64,
 }
 
 /// A fault-injection command, schedulable at an absolute virtual time.
@@ -231,7 +239,7 @@ enum Block {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Status {
-    /// Created; thread not yet started.
+    /// Created; not yet handed to a thread.
     NotStarted,
     /// Waiting in a blocking syscall.
     Blocked(Block),
@@ -248,9 +256,10 @@ struct Proc {
     host: HostId,
     status: Status,
     mailbox: VecDeque<Msg>,
-    /// The process's OS thread, from its start event until it is killed
-    /// (then the handle moves to `Core::reaped`) or the kernel is dropped.
-    join: Option<JoinHandle<()>>,
+    /// The process's body on its pooled thread, from its start event until
+    /// it is killed (then the task moves to `Core::reaped`) or the kernel
+    /// is dropped.
+    task: Option<Task>,
     body: Option<ProcessBody>,
     /// Invalidates in-flight timer events.
     timer_epoch: u64,
@@ -318,8 +327,8 @@ pub(crate) struct Core {
     holder: Option<Pid>,
     /// The driver thread of the current run.
     main: Option<Thread>,
-    /// Threads of processes killed since the driver last joined them.
-    reaped: Vec<JoinHandle<()>>,
+    /// Tasks of processes killed since the driver last waited for them.
+    reaped: Vec<Task>,
     /// Set by `Kernel::drop`: every parked process thread gives up.
     shutdown: bool,
     thread_switches: u64,
@@ -828,9 +837,7 @@ impl Kernel {
         let (now, reaped) = (core.now, std::mem::take(&mut core.reaped));
         drop(core);
         for victim in reaped {
-            // Only waits for the thread to finish unwinding: its body ran
-            // under `catch_unwind`, so the result carries nothing new.
-            let _exited = victim.join();
+            victim.wait();
         }
         now
     }
@@ -855,7 +862,7 @@ impl Core {
             host,
             status: Status::NotStarted,
             mailbox: VecDeque::new(),
-            join: None,
+            task: None,
             body: Some(body),
             timer_epoch: 0,
             ports: Vec::new(),
@@ -954,7 +961,7 @@ impl Core {
         if p.status != Status::Runnable {
             return None; // killed while queued
         }
-        let resume = match (p.pending.take(), &p.join) {
+        let resume = match (p.pending.take(), &p.task) {
             (Some(resume), Some(_)) => resume,
             _ => {
                 // Runnable without a pending resume or without a thread is
@@ -974,8 +981,8 @@ impl Core {
     fn pass_to(&mut self, pid: Pid) -> Option<Thread> {
         self.thread_switches += 1;
         self.holder = Some(pid);
-        let join = self.procs[pid.0 as usize].join.as_ref();
-        join.map(|j| j.thread().clone())
+        let task = self.procs[pid.0 as usize].task.as_ref();
+        task.map(|t| t.thread().clone())
     }
 
     /// Give the baton to the driver thread.
@@ -1065,7 +1072,8 @@ impl Core {
         }
     }
 
-    /// Give `pid` its OS thread (whose `Ctx` holds `shared`) and queue it.
+    /// Hand `pid`'s body to a pooled thread (its `Ctx` holds `shared`) and
+    /// queue it.
     fn start_process(&mut self, pid: Pid, shared: &Shared<Core>) {
         let host;
         {
@@ -1090,36 +1098,30 @@ impl Core {
             return;
         };
         let mut ctx = Ctx::new(pid, host, self.cfg.seed, shared.clone());
-        let thread_name = format!("sim-{pid}-{}", p.name);
-        #[expect(
-            clippy::disallowed_types,
-            reason = "D4 waiver: the kernel runs each sim process on an OS thread and hands them one baton; re-audited 2026-10, expiry 2027-06"
-        )]
-        let spawned = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                if ctx.wait_start().is_ok() {
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-                    match result {
-                        Ok(()) => ctx.leave(Syscall::Exit),
-                        Err(payload) => ctx.report_panic(payload),
-                    }
+        let run = move || {
+            if ctx.wait_start().is_ok() {
+                let result =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
+                match result {
+                    Ok(()) => ctx.leave(Syscall::Exit),
+                    Err(payload) => ctx.report_panic(payload),
                 }
-            });
-        let join = match spawned {
-            Ok(join) => join,
+            }
+        };
+        let (task, started) = match pool::start(&p.name, Box::new(run)) {
+            Ok(started) => started,
             Err(e) => {
                 // The OS refused to give us a thread; the process can never
                 // run. Reap it rather than panicking the driver.
-                eprintln!("simnet: failed to spawn simulation thread for {pid}: {e}");
+                eprintln!("simnet: failed to start a thread for {pid}: {e}");
                 p.status = Status::Dead;
                 return;
             }
         };
-        p.join = Some(join);
+        p.task = Some(task);
         p.pending = Some(Resume::Start { now: self.now });
         p.status = Status::Runnable;
+        self.stats.threads_started += u64::from(started);
         self.runnable.push_back(pid);
         self.peaks.runnable = self.peaks.runnable.max(self.runnable.len() as u64);
     }
@@ -1439,9 +1441,9 @@ impl Core {
         }
         // A parked victim wakes, finds itself dead (`take_turn`) and
         // unwinds on its own thread; it never gets the baton.
-        if let Some(join) = self.procs[pid.0 as usize].join.take() {
-            join.thread().unpark();
-            self.reaped.push(join);
+        if let Some(task) = self.procs[pid.0 as usize].task.take() {
+            task.thread().unpark();
+            self.reaped.push(task);
         }
         self.stats.killed += 1;
         self.emit_proc(pid, |pid, name, host| KernelEvent::ProcKill {
@@ -1660,20 +1662,24 @@ impl Core {
 
 impl Drop for Kernel {
     fn drop(&mut self) {
-        // Tell every parked thread to give up, then wake and join them
-        // (outside the lock: they need it to see the flag).
-        let joins: Vec<JoinHandle<()>> = {
+        // Tell every parked body to give up, then wake and wait for them
+        // (outside the lock: they need it to see the flag). A body that
+        // has ended is not woken: its thread may run another kernel's
+        // process by now.
+        let tasks: Vec<Task> = {
             let mut core = self.core.lock_untracked();
             core.shutdown = true;
-            let mut joins = std::mem::take(&mut core.reaped);
-            joins.extend(core.procs.iter_mut().filter_map(|p| p.join.take()));
-            joins
+            let mut tasks = std::mem::take(&mut core.reaped);
+            tasks.extend(core.procs.iter_mut().filter_map(|p| p.task.take()));
+            tasks
         };
-        for j in joins {
-            j.thread().unpark();
-            // Only waits for the thread to exit: its body ran under
-            // `catch_unwind`, so the result carries nothing new.
-            let _exited = j.join();
+        for t in &tasks {
+            if !t.ended() {
+                t.thread().unpark();
+            }
+        }
+        for t in tasks {
+            t.wait();
         }
     }
 }

@@ -34,6 +34,16 @@ fn secs(s: f64) -> SimDuration {
     SimDuration::from_secs_f64(s)
 }
 
+/// The run's counters, rendered with `threads_started` zeroed: that one
+/// depends on the thread pool, which every test in this binary shares.
+fn seeded_stats(sim: &Kernel) -> String {
+    let stats = crate::KernelStats {
+        threads_started: 0,
+        ..sim.stats()
+    };
+    format!("{stats:?}")
+}
+
 #[test]
 fn sleep_advances_virtual_time() {
     let mut sim = Kernel::with_seed(1);
@@ -1085,7 +1095,7 @@ fn inline_cell() -> InlineOutcome {
         .collect();
     let lines = lines.lock().clone();
     let notes = notes.lock().clone();
-    (lines, format!("{:?}", sim.stats()), cpu, notes, stops)
+    (lines, seeded_stats(&sim), cpu, notes, stops)
 }
 
 #[test]
@@ -1252,12 +1262,7 @@ fn observed_cell(events: bool, profile: bool, armed: bool) -> CellOutcome {
         Fault::Partition(h[0], h[2], true),
     );
     let end = sim.run_until_idle();
-    let run = (
-        format!("{:?}", sim.stats()),
-        sim.profile(),
-        end,
-        notes.lock().clone(),
-    );
+    let run = (seeded_stats(&sim), sim.profile(), end, notes.lock().clone());
     let lines = lines.lock().clone();
     (run, lines)
 }
@@ -1306,7 +1311,7 @@ const GOLDEN_CELL_TRACE: [&str; 20] = [
 /// One event more than at that commit: the spinner's kill is a scheduled
 /// fault now, an event of its own, where it was the boss's syscall.
 const GOLDEN_CELL_STATS: &str =
-    "KernelStats { events: 24, msgs_delivered: 2, msgs_dropped: 0, rsts: 0, spawned: 8, killed: 6 }";
+    "KernelStats { events: 24, msgs_delivered: 2, msgs_dropped: 0, rsts: 0, spawned: 8, killed: 6, threads_started: 0 }";
 
 #[test]
 fn events_reach_the_hook_before_the_emitting_process_runs_on() {
@@ -1366,7 +1371,7 @@ const INLINE_TRACE: [&str; 25] = [
     "0.101719 exit p11",
 ];
 const INLINE_STATS: &str =
-    "KernelStats { events: 40, msgs_delivered: 1, msgs_dropped: 0, rsts: 0, spawned: 12, killed: 1 }";
+    "KernelStats { events: 40, msgs_delivered: 1, msgs_dropped: 0, rsts: 0, spawned: 12, killed: 1, threads_started: 0 }";
 const INLINE_CPU: [&str; 10] = [
     "p0 lone 7812502",
     "p1 pair-a 7812500",
@@ -1533,4 +1538,193 @@ fn the_driver_holding_a_guard_cannot_run_the_kernel() {
     let guard = site_of("// the driver's guard");
     assert!(msg.starts_with(&format!("Kernel::run_* at {run}")), "{msg}");
     assert!(msg.contains(&format!("guard taken at {guard}")), "{msg}");
+}
+
+// ---------------------------------------------------------------------
+// Pooled threads: each body starts clean, and kernels share the pool
+// ---------------------------------------------------------------------
+
+const HYGIENE: [&str; 3] = ["hygiene-panicked", "hygiene-exited", "hygiene-killed"];
+
+/// Three bodies end three ways, each on a thread of its own: one panics
+/// under a `Shared` guard (re-raised on the driver), one exits, and one is
+/// killed mid-`recv` (its `unwrap` panics as a quiet kill unwind). Returns
+/// the thread each ran on.
+fn end_three_ways() -> Vec<(&'static str, std::thread::ThreadId)> {
+    let ran_on = cell::<Vec<(&str, std::thread::ThreadId)>>();
+    let mut sim = Kernel::with_seed(1);
+    let h = sim.add_host(HostConfig::new("a"));
+    let shared = crate::Shared::new(0u32);
+    let (r, c) = (ran_on.clone(), shared.clone());
+    sim.spawn(h, HYGIENE[0], move |ctx| -> SimResult<()> {
+        r.lock().push((HYGIENE[0], std::thread::current().id()));
+        ctx.sleep(ms(1)).unwrap();
+        let _held = c.lock();
+        panic!("first panic");
+    });
+    let (r, c) = (ran_on.clone(), shared.clone());
+    sim.spawn(h, HYGIENE[1], move |ctx| {
+        r.lock().push((HYGIENE[1], std::thread::current().id()));
+        ctx.sleep(ms(2)).unwrap();
+        c.with(|n| *n += 1);
+    });
+    let r = ran_on.clone();
+    let victim = sim.spawn(h, HYGIENE[2], move |ctx| {
+        r.lock().push((HYGIENE[2], std::thread::current().id()));
+        ctx.recv().unwrap();
+    });
+    sim.schedule_fault(SimTime::ZERO + ms(3), Fault::KillProcess(victim));
+    let msg = panic_message(|| {
+        sim.run_until_idle();
+    });
+    assert!(
+        msg.contains("(hygiene-panicked) panicked: first panic"),
+        "{msg}"
+    );
+    sim.run_until_idle();
+    assert!(sim.proc_dead(victim));
+    assert_eq!(shared.get(), 1);
+    let ran_on = ran_on.lock().clone();
+    ran_on
+}
+
+#[test]
+fn pooled_threads_run_each_next_process_clean() {
+    // The next processes of those names get those threads back. Each finds
+    // its panics reported and no guard held (its `sleep` would fail the run
+    // under one), and a panic of one is re-raised as before. Every test in
+    // this binary shares the pool, so another test's kernel may take one
+    // of the parked threads first; then the round is run again.
+    for round in 1.. {
+        let first = end_three_ways();
+        let second = cell::<Vec<(&str, std::thread::ThreadId, bool)>>();
+        let mut sim = Kernel::with_seed(1);
+        let h = sim.add_host(HostConfig::new("a"));
+        for name in HYGIENE {
+            let s = second.clone();
+            sim.spawn(h, name, move |ctx| {
+                let quiet = crate::process::SUPPRESS_PANIC_REPORT.with(|q| q.get());
+                s.lock().push((name, std::thread::current().id(), quiet));
+                ctx.sleep(ms(1)).unwrap();
+                if name == HYGIENE[0] {
+                    panic!("second panic");
+                }
+            });
+        }
+        let msg = panic_message(|| {
+            sim.run_until_idle();
+        });
+        assert!(
+            msg.contains("(hygiene-panicked) panicked: second panic"),
+            "{msg}"
+        );
+        let second = second.lock().clone();
+        assert_eq!(second.len(), 3, "{second:?}");
+        let mut reused = 0;
+        for (name, thread, quiet) in second {
+            assert!(!quiet, "{name} starts with its panics suppressed");
+            reused += usize::from(first.contains(&(name, thread)));
+        }
+        if reused == 3 {
+            return;
+        }
+        assert!(
+            round < 50,
+            "in {round} rounds, other tests always took a thread"
+        );
+    }
+}
+
+/// One bit two OS threads raise for each other.
+type Flag = Arc<std::sync::atomic::AtomicBool>;
+
+fn flag(set: bool) -> Flag {
+    Arc::new(std::sync::atomic::AtomicBool::new(set))
+}
+
+/// A cell run to 50 ms and handed back with processes still parked in
+/// it: a server that answers forever, a client of three calls, a sleeper
+/// killed mid-sleep, and a holder that at 5 ms, holding the baton, raises
+/// `holding` and waits for `go` (the driver is inside `run_until` all that
+/// while), then spawns a second client. Returns the undropped kernel and
+/// what its event hook saw, then its counters.
+fn cut_short(holding: &Flag, go: &Flag) -> (Kernel, Vec<String>) {
+    use std::sync::atomic::Ordering::SeqCst;
+    let mut sim = Kernel::with_seed(5);
+    let lines = cell::<Vec<String>>();
+    let l = lines.clone();
+    sim.set_event_hook(move |t, ev| l.lock().push(format!("{t} {ev}")));
+    let h = sim.add_hosts(2);
+    let server = sim.spawn(h[1], "server", |ctx| -> SimResult<()> {
+        loop {
+            let req = ctx.recv()?;
+            ctx.compute(1e-4)?;
+            ctx.send(Addr::Pid(req.from), vec![0; 8])?;
+        }
+    });
+    let client = move |ctx: &mut crate::Ctx| -> SimResult<()> {
+        for _ in 0..3 {
+            ctx.send(Addr::Pid(server), vec![0; 8])?;
+            ctx.recv()?;
+        }
+        Ok(())
+    };
+    sim.spawn(h[0], "client", client);
+    let sleeper = sim.spawn(h[0], "sleeper", |ctx| ctx.sleep(secs(1.0)));
+    sim.schedule_fault(SimTime::ZERO + ms(2), Fault::KillProcess(sleeper));
+    let (holding, go) = (holding.clone(), go.clone());
+    sim.spawn(h[0], "holder", move |ctx| -> SimResult<()> {
+        ctx.sleep(ms(5))?;
+        holding.store(true, SeqCst);
+        while !go.load(SeqCst) {
+            std::thread::yield_now();
+        }
+        ctx.spawn(h[0], "late-client", client)?;
+        Ok(())
+    });
+    sim.run_until(SimTime::ZERO + ms(50));
+    let mut seen = lines.lock().clone();
+    seen.push(seeded_stats(&sim));
+    (sim, seen)
+}
+
+#[test]
+fn two_kernels_on_two_threads_each_run_as_alone() {
+    use std::sync::atomic::Ordering::SeqCst;
+    let (kernel, solo) = cut_short(&flag(false), &flag(true));
+    drop(kernel);
+    assert!(solo.iter().any(|l| l.contains("late-client")), "{solo:#?}");
+    // Each thread drops a kernel while the other's kernel is mid-run: its
+    // holder has the baton and waits for that drop.
+    let (one_holds, one_dropped) = (flag(false), flag(false));
+    let (two_holds, two_dropped) = (flag(false), flag(false));
+    let one = {
+        let (one_holds, one_dropped) = (one_holds.clone(), one_dropped.clone());
+        let (two_holds, two_dropped) = (two_holds.clone(), two_dropped.clone());
+        std::thread::spawn(move || {
+            let (kernel, seen) = cut_short(&one_holds, &two_dropped);
+            while !two_holds.load(SeqCst) {
+                std::thread::yield_now();
+            }
+            drop(kernel);
+            one_dropped.store(true, SeqCst);
+            seen
+        })
+    };
+    let two = std::thread::spawn(move || {
+        let (kernel, first) = cut_short(&flag(false), &flag(true));
+        while !one_holds.load(SeqCst) {
+            std::thread::yield_now();
+        }
+        drop(kernel);
+        two_dropped.store(true, SeqCst);
+        let (kernel, second) = cut_short(&two_holds, &one_dropped);
+        drop(kernel);
+        [first, second]
+    });
+    let one = one.join().expect("thread one");
+    let [first, second] = two.join().expect("thread two");
+    for seen in [one, first, second] {
+        assert_eq!(seen, solo);
+    }
 }

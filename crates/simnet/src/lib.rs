@@ -10,8 +10,8 @@
 //!   processor sharing — a worker co-located with a background load process
 //!   runs at half speed, which is exactly the physics behind the paper's
 //!   Figure 3.
-//! * **Processes** written in plain blocking style (each is an OS thread the
-//!   kernel resumes one at a time): `sleep`, `compute`, `send`, `recv`.
+//! * **Processes** written in plain blocking style (each runs on a pooled
+//!   OS thread, resumed one at a time): `sleep`, `compute`, `send`, `recv`.
 //! * **A LAN** with latency and bandwidth, port-addressed endpoints, RSTs
 //!   for connections to dead servers, keepalive probes answered by the
 //!   destination host's kernel ([`Ctx::probe`]), and partitions.
@@ -63,6 +63,7 @@ mod cpu;
 mod ids;
 mod kernel;
 mod msg;
+mod pool;
 mod process;
 mod shared;
 mod time;

@@ -1,11 +1,12 @@
 //! The process-side view of the simulation: the [`Ctx`] handle and the
 //! syscall/resume vocabulary between a process and the kernel core.
 //!
-//! Every simulated process runs on its own OS thread, but only the thread
-//! that holds the kernel's baton executes (see `kernel`'s module docs): a
-//! process runs from one blocking syscall to the next. This gives
-//! deterministic execution while letting application code (ORB server
-//! loops, optimization workers, ...) be written in ordinary direct style.
+//! Every simulated process runs on an OS thread of its own while it lives
+//! (a pooled one, see `pool`), but only the thread that holds the kernel's
+//! baton executes (see `kernel`'s module docs): a process runs from one
+//! blocking syscall to the next. This gives deterministic execution while
+//! letting application code (ORB server loops, optimization workers, ...)
+//! be written in ordinary direct style.
 
 use std::fmt;
 
@@ -185,7 +186,8 @@ impl Resume {
 thread_local! {
     /// Set once this thread's process has been killed: the global panic hook
     /// then suppresses the report for the expected kill-unwind panic
-    /// (e.g. `.unwrap()` on a syscall result).
+    /// (e.g. `.unwrap()` on a syscall result). The pool clears it before
+    /// the thread runs its next process.
     pub(crate) static SUPPRESS_PANIC_REPORT: std::cell::Cell<bool> =
         const { std::cell::Cell::new(false) };
 }

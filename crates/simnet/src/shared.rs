@@ -1,7 +1,7 @@
 //! Deterministic cross-process shared state, and the run-time check of
 //! its lock discipline.
 //!
-//! Sim processes are OS threads, but only the one holding the kernel's
+//! Sim processes run on OS threads, but only the one holding the kernel's
 //! baton runs (see `kernel`'s module docs), so access to state shared
 //! between processes is always serialized by the scheduler. A `Mutex` is
 //! still required for *soundness* (the `Send`/`Sync` bounds on process
@@ -169,6 +169,18 @@ pub(crate) fn assert_unheld(what: std::fmt::Arguments, at: Site) {
         violation(format_args!(
             "{what} at {at} while holding the Shared guard taken at {since}"
         ));
+    }
+}
+
+/// Debug-assert that this thread holds no `Shared` guard: a pooled thread
+/// between two processes' bodies (`pool`).
+pub(crate) fn debug_assert_none_held() {
+    if cfg!(debug_assertions) {
+        if let Some((_, since)) = HELD.with(|held| held.borrow().first().copied()) {
+            violation(format_args!(
+                "a process body ended holding the Shared guard taken at {since}"
+            ));
+        }
     }
 }
 
