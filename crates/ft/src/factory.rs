@@ -2,7 +2,9 @@
 //!
 //! The paper's proxies "start a new server (using the checkpoint) in case
 //! of a failure". Something must be able to start server objects on a
-//! chosen host: the **service factory**, one per workstation. Recovery
+//! chosen host: the **service factory**, one per workstation. Each
+//! instance it creates is activated behind an [`FtServant`], so the
+//! checkpoint and the restore ride its calls. Recovery
 //! resolves the factory group through the load-distributing naming
 //! service, so replacement instances land on the currently
 //! best-performing host.
@@ -15,6 +17,7 @@ use orb::{CallCtx, Exception, Ior, ObjectKey, ObjectRef, Orb, Poa, Servant};
 use simnet::{Ctx, HostId, SimResult};
 
 use crate::protocol::FT::{self, ServiceFactorySkeleton, ServiceFactoryStub};
+use crate::servant::FtServant;
 
 /// Repository id of the factory interface.
 pub const FACTORY_TYPE: &str = ServiceFactoryStub::REPO_ID;
@@ -55,7 +58,7 @@ impl FT::ServiceFactory for ServiceFactory {
     ) -> Result<(bool, Ior), Exception> {
         Ok(match (self.make)(call, &service_type) {
             Some((servant, type_id)) => {
-                let key = call.poa.activate(type_id.clone(), servant);
+                let key = call.poa.activate(type_id.clone(), FtServant::wrap(servant));
                 (true, call.orb.ior(type_id, key))
             }
             None => (

@@ -11,7 +11,10 @@
 //! * [`FtProxy`] — the client-side proxy "derived from the stub class":
 //!   checkpoint after each successful call, catch `COMM_FAILURE`, resolve
 //!   a fresh replica through the (load-distributing) naming service or
-//!   create one via a [`ServiceFactory`], restore the checkpoint, retry.
+//!   create one via a [`ServiceFactory`], retry with the checkpoint.
+//! * [`FtServant`] — the server half: the checkpoint comes back with the
+//!   call's reply and the restore rides the retried request, as two GIOP
+//!   service contexts, so a checkpointed call is one round trip.
 //! * [`FtRequest`] — the request proxy giving the same semantics to
 //!   asynchronous DII invocations (Fig. 2), and the one recovery engine:
 //!   an `FtProxy` call is an `FtRequest` sent and awaited at once.
@@ -39,6 +42,7 @@ pub mod per_value;
 pub mod protocol;
 pub mod proxy;
 pub mod request_proxy;
+pub mod servant;
 pub mod service;
 
 pub use detector::{run_detector_obs, DetectorConfig, DetectorStats};
@@ -53,6 +57,7 @@ pub use protocol::FT::{
 };
 pub use proxy::{CheckpointMode, FtProxy, FtProxyConfig, FtProxyStats, ProxyEnv};
 pub use request_proxy::FtRequest;
+pub use servant::{FtServant, CHECKPOINT_CONTEXT_ID, RESTORE_CONTEXT_ID};
 pub use service::{CheckpointClient, CHECKPOINT_SERVICE_NAME, CHECKPOINT_SERVICE_TYPE};
 
 #[cfg(test)]

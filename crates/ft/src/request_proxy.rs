@@ -5,23 +5,25 @@
 //! but uses so-called request objects instead … To enable fault tolerance
 //! in this case, request proxies are used just like the object proxies."
 //! An [`FtRequest`] wraps a [`DiiRequest`]: on a recoverable failure the
-//! request is re-sent to a freshly resolved (or factory-created,
-//! checkpoint-restored) replica; on success the proxy's
-//! checkpoint-after-call policy runs. Like a DII request it is sent when
-//! it is made: [`FtRequest::send_deferred`] marshals the arguments once
-//! and keeps them, and each (re)send writes them straight into its frame.
+//! request is re-sent to a freshly resolved (or factory-created) replica,
+//! carrying the checkpoint it restores; on success the state the reply
+//! brought back is stored when a checkpoint was due. Like a DII request it
+//! is sent when it is made: [`FtRequest::send_deferred`] marshals the
+//! arguments once and keeps them, and each (re)send writes them straight
+//! into its frame, the proxy's FT service contexts after them.
 //!
 //! This is the crate's one recovery engine (DESIGN.md §3 has the state
 //! diagram): a synchronous [`FtProxy::call`] is an `FtRequest` sent and
-//! awaited at once, so both call styles count, publish and back off
-//! identically.
+//! awaited at once, so both call styles count, publish, back off and trace
+//! identically: one `ft.call:{op}` span, off the span stack while in
+//! flight, so requests fanned out together are siblings.
 
 use cdr::{CdrRead, CdrWrite};
-use obs::EventBody;
+use obs::{Detached, EventBody};
 use orb::{Body, DiiRequest, Exception, SystemException, Verbatim};
 use simnet::{SimResult, SimTime};
 
-use crate::proxy::{FtProxy, ProxyEnv};
+use crate::proxy::{Asked, FtProxy, ProxyEnv};
 
 /// Decode a reply body; a body that does not decode is `MARSHAL`.
 pub(crate) fn decode_reply<R: CdrRead>(reply: Result<Body, Exception>) -> Result<R, Exception> {
@@ -34,6 +36,8 @@ pub(crate) fn decode_reply<R: CdrRead>(reply: Result<Body, Exception>) -> Result
 pub struct FtRequest {
     call: Call,
     state: State,
+    /// The request's `ft.call:{op}` span while the request is in flight.
+    span: Option<Detached>,
 }
 
 /// Where a request stands.
@@ -50,6 +54,8 @@ struct Call {
     /// The marshalled arguments, written into each (re)sent frame.
     body: Vec<u8>,
     attempts: u32,
+    /// What the attempt in flight asked of its target.
+    asked: Asked,
     // Monitoring timestamps: request creation, the winning (re)send, and
     // the start of the current recovery episode, if any.
     started: SimTime,
@@ -66,10 +72,13 @@ impl FtRequest {
         operation: &str,
         args: &A,
     ) -> SimResult<FtRequest> {
+        let o = env.orb.obs().clone();
+        o.begin(env.ctx.now(), format_args!("ft.call:{operation}"));
         let mut call = Call {
             operation: operation.into(),
             body: cdr::to_bytes(args),
             attempts: 0,
+            asked: Asked::default(),
             started: env.ctx.now(),
             sent: None,
             recovering_since: None,
@@ -78,7 +87,14 @@ impl FtRequest {
             Ok(inner) => State::InFlight(inner),
             Err(e) => call.settle(Err(e), proxy, env)?,
         };
-        Ok(FtRequest { call, state })
+        let span = match &state {
+            State::InFlight(_) => o.detach(),
+            State::Done(out) => {
+                o.finish(env.ctx.now(), out.is_ok());
+                None
+            }
+        };
+        Ok(FtRequest { call, state, span })
     }
 
     /// Block until the outcome is available, recovering as needed.
@@ -87,9 +103,16 @@ impl FtRequest {
         proxy: &mut FtProxy,
         env: &mut ProxyEnv<'_>,
     ) -> SimResult<Result<Body, Exception>> {
+        let o = env.orb.obs().clone();
+        let traced = self.span.take().map(|span| o.attach(span)).is_some();
         loop {
             let inner = match &mut self.state {
-                State::Done(done) => return Ok(done.clone()),
+                State::Done(done) => {
+                    if traced {
+                        o.finish(env.ctx.now(), done.is_ok());
+                    }
+                    return Ok(done.clone());
+                }
                 State::InFlight(inner) => inner,
             };
             let outcome = inner.get_response(env.orb, env.ctx)?;
@@ -109,9 +132,9 @@ impl FtRequest {
 
 impl Call {
     /// Acquire a target and fire the request at it, the kept body written
-    /// straight into the frame. Acquiring can itself hit a dead replica or
-    /// a dead factory: that is counted and handed back as this attempt's
-    /// failure, like any other.
+    /// straight into the frame and the proxy's FT contexts after it.
+    /// Acquiring can itself hit a dead replica or a dead factory: that is
+    /// counted and handed back as this attempt's failure, like any other.
     fn try_send(
         &mut self,
         proxy: &mut FtProxy,
@@ -124,15 +147,25 @@ impl Call {
                 return Ok(Err(e));
             }
         };
+        let (asked, contexts) = proxy.request_contexts();
+        self.asked = asked;
         self.sent = Some(env.ctx.now());
         let args = Verbatim(&self.body);
-        let req = DiiRequest::send_deferred(env.orb, env.ctx, &target.ior, &self.operation, &args)?;
+        let req = DiiRequest::send_deferred(
+            env.orb,
+            env.ctx,
+            &target.ior,
+            &self.operation,
+            &args,
+            &contexts,
+        )?;
         Ok(Ok(req))
     }
 
-    /// A reply arrived: run the checkpoint policy. The call is done,
-    /// counted and published, and its recovery episode closed, only once
-    /// `after_success` lets it be; the episode ends at the reply.
+    /// A reply arrived: the restore it carried applied, and the state it
+    /// asked for is stored. The call is done, counted and published, and
+    /// its recovery episode closed, only once `after_success` lets it be;
+    /// the episode ends at the reply.
     fn finish(
         &mut self,
         bytes: Body,
@@ -140,7 +173,10 @@ impl Call {
         env: &mut ProxyEnv<'_>,
     ) -> SimResult<Result<Body, Exception>> {
         let served = env.ctx.now();
-        if let Err(e) = proxy.after_success(env)? {
+        if let Some(epoch) = self.asked.restore {
+            proxy.restored(env, epoch);
+        }
+        if let Err(e) = proxy.after_success(env, &bytes, self.asked.checkpoint)? {
             return Ok(Err(e));
         }
         if let Some(since) = self.recovering_since.take() {
@@ -150,7 +186,7 @@ impl Call {
         }
         proxy.stats.calls += 1;
         // Critical-path attribution: everything before the winning send
-        // is queue-wait (backoff, resolve, factory creation, restore),
+        // is queue-wait (backoff, resolve, factory creation, locate),
         // send-to-reply is service, and whatever `after_success` appended
         // is checkpoint overhead.
         let started = self.started;
@@ -165,9 +201,9 @@ impl Call {
         Ok(Ok(bytes))
     }
 
-    /// The recovery engine: settle one attempt's outcome. Success runs
-    /// the checkpoint policy and, unless the checkpoint fetch found the
-    /// target dead, ends the request. A failure, while it is
+    /// The recovery engine: settle one attempt's outcome. Success stores
+    /// the state the reply brought and, unless the reply lacked the state
+    /// it was asked for, ends the request. A failure, while it is
     /// recoverable and attempts remain, is published, the dead target is
     /// dropped, and the request is re-acquired and re-sent — at once the
     /// first time, after a backoff from then on, since a failed acquire
@@ -182,9 +218,9 @@ impl Call {
         let mut failure = match outcome {
             Ok(bytes) => match self.finish(bytes, proxy, env)? {
                 Ok(bytes) => return Ok(State::Done(Ok(bytes))),
-                // The target died before its state was fetched: this
-                // attempt failed, and the call is redone on a replica
-                // restored to the state before it.
+                // The state did not come back: this attempt failed, and
+                // the call is redone on a replica restored to the state
+                // before it.
                 Err(e) => e,
             },
             Err(e) => e,

@@ -2,8 +2,7 @@
 //!
 //! Built directly on the token stream of [`crate::lexer`] (comments gone,
 //! literal values kept as `Lit` tokens), it recognizes the handful of
-//! constructs the exception (E1) and per-function (P2's index, P3) rules
-//! and the selfchecks need:
+//! constructs the exception rule (E1) and the selfchecks need:
 //!
 //! - function items with parsed parameter lists,
 //! - `impl` blocks (`impl Trait for Type`),

@@ -6,9 +6,8 @@
 //! ([`contracts`]). `tests/selfcheck.rs` reads them to hold what no
 //! compiler or clippy lint checks:
 //!
-//! * **Protocol (P3, E1)** — the paper's fault-tolerance contract
-//!   ([`rules`]): the FT proxy checkpoints after every successful
-//!   invocation, and no client drops a caught `COMM_FAILURE`.
+//! * **Protocol (E1)** — the paper's fault-tolerance contract
+//!   ([`rules`]): no client drops a caught `COMM_FAILURE`.
 //! * **Contracts** — every op is declared once, in IDL, and has a caller.
 //! * **Design economy** — no option with one value, no public item
 //!   without a caller.
@@ -17,7 +16,7 @@
 //! are clippy lints the sim crates deny at their roots (`clippy.toml` holds
 //! the paths), and a waiver is a rustc `#[expect(lint, reason = "…")]`
 //! attribute. The lock discipline of `simnet::Shared` is checked at run
-//! time by `simnet` itself. A P3 or E1 finding is fixed, not waived. See
+//! time by `simnet` itself. An E1 finding is fixed, not waived. See
 //! `crates/lint/README.md`.
 
 pub mod analysis;

@@ -1,14 +1,13 @@
-//! The two protocol checks no compiler or clippy lint carries: P3 and E1.
-//! `tests/selfcheck.rs` runs each over the workspace.
+//! The protocol check no compiler or clippy lint carries: E1.
+//! `tests/selfcheck.rs` runs it over the workspace.
 //!
-//! Scoping model: both apply to *library code* (non-test lines) of the
+//! Scoping model: it applies to *library code* (non-test lines) of the
 //! **sim-facing crates** — [`SIM_CRATES`], the one place that scope is
 //! stated. Marshalling (`cdr`), the IDL compiler (`idl`), benches, shims,
 //! and this crate are host-side tooling and out of scope.
 //!
 //! | ID | invariant |
 //! |----|-----------|
-//! | P3 | FT proxy methods that invoke must checkpoint after success — recovery replays from the last checkpoint |
 //! | E1 | a caught `COMM_FAILURE`/`TRANSIENT` must not be dropped on the floor — retry it or propagate it |
 //!
 //! Each check returns its findings as `file:line: message` lines. The
@@ -17,58 +16,15 @@
 //! the `rand` shim, which has no unseeded source to call.
 
 use crate::analysis::FileAnalysis;
-use crate::lexer::{self, seq_at, TokKind};
+use crate::lexer::TokKind;
 
 /// The policed scope, stated once: the crates whose code runs in (or
-/// drives) the simulation. P3 and E1 apply to the non-test lines of these
+/// drives) the simulation. E1 applies to the non-test lines of these
 /// crates and to nothing else. The same crates deny the clippy lints that
 /// carry D1, D2, D4, P1 and P2 at their crate roots.
 pub const SIM_CRATES: &[&str] = &[
     "simnet", "orb", "obs", "naming", "winner", "ft", "optim", "core", "store", "monitor",
 ];
-
-/// P3: in the FT proxy implementation, any function that performs a remote
-/// invocation must checkpoint after a successful reply — otherwise a later
-/// failover replays from a stale state and the at-most-once contract breaks.
-pub fn check_p3(fa: &FileAnalysis) -> Vec<String> {
-    let mut findings = Vec::new();
-    if fa.crate_dir.as_deref() != Some("ft") {
-        return findings;
-    }
-    let file = fa.path.replace('\\', "/");
-    let name = file.rsplit('/').next().unwrap_or("");
-    if !name.contains("proxy") {
-        return findings;
-    }
-    let ast = &fa.ast;
-    let invokes = [lexer::lex(".invoke("), lexer::lex(".call(")];
-    for f in &ast.fns {
-        let Some(body) = f.body else { continue };
-        // Only outermost proxy methods: nested helpers inherit the outer
-        // method's obligation.
-        if ast.enclosing_fn(f.tok).is_some() || fa.is_test_line(f.line) {
-            continue;
-        }
-        let range = f.tok..=body.close;
-        let invokes_at = range
-            .clone()
-            .find(|&k| invokes.iter().any(|p| seq_at(&ast.toks, k, p)));
-        let checkpoints = ast.toks[range].iter().any(|t| {
-            t.kind == TokKind::Ident
-                && (t.text.contains("after_success")
-                    || t.text.to_ascii_lowercase().contains("checkpoint"))
-        });
-        if let Some(k) = invokes_at {
-            if !checkpoints {
-                findings.push(format!(
-                    "{}:{}: FT proxy method `{}` invokes without checkpointing after success; failover would replay from a stale checkpoint",
-                    fa.path, ast.toks[k].line, f.name
-                ));
-            }
-        }
-    }
-    findings
-}
 
 /// Pattern idents that mark a match arm as catching a *recoverable* CORBA
 /// failure (`COMM_FAILURE`/`TRANSIENT`).

@@ -6,7 +6,7 @@
 //! selfchecks stay clean.
 
 use ldft_lint::analysis::FileAnalysis;
-use ldft_lint::rules::{check_e1, check_p3};
+use ldft_lint::rules::check_e1;
 
 macro_rules! fixture {
     ($name:literal) => {
@@ -18,7 +18,7 @@ macro_rules! fixture {
 fn errors(label: &str, krate: &str, src: &str) -> Vec<(&'static str, usize)> {
     let fa = FileAnalysis::new(label, Some(krate), src);
     let mut hits = Vec::new();
-    for (rule, found) in [("P3", check_p3(&fa)), ("E1", check_e1(&fa))] {
+    for (rule, found) in [("E1", check_e1(&fa))] {
         for f in found {
             let line = f[label.len() + 1..].split(':').next();
             hits.push((rule, line.and_then(|n| n.parse().ok()).expect("file:line")));
@@ -26,34 +26,6 @@ fn errors(label: &str, krate: &str, src: &str) -> Vec<(&'static str, usize)> {
     }
     hits.sort_by_key(|&(rule, line)| (line, rule));
     hits
-}
-
-#[test]
-fn p3_proxy_checkpoint_after_success() {
-    let hits = errors(
-        "crates/ft/src/p3_bad_proxy.rs",
-        "ft",
-        fixture!("p3_bad_proxy.rs"),
-    );
-    assert_eq!(hits, vec![("P3", 6)]);
-    let clean = errors(
-        "crates/ft/src/p3_clean_proxy.rs",
-        "ft",
-        fixture!("p3_clean_proxy.rs"),
-    );
-    assert_eq!(clean, vec![]);
-}
-
-#[test]
-fn p3_only_applies_to_proxy_files() {
-    // The identical unrepaired source outside a proxy file is not P3's
-    // business (it has no other violations either).
-    let hits = errors(
-        "crates/ft/src/p3_elsewhere.rs",
-        "ft",
-        fixture!("p3_bad_proxy.rs"),
-    );
-    assert_eq!(hits, vec![]);
 }
 
 #[test]

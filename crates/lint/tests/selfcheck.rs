@@ -1,5 +1,5 @@
 //! Self-checks: the workspace read through the library API. This is the
-//! acceptance gate in executable form — P3 and E1 find nothing, every IDL
+//! acceptance gate in executable form — E1 finds nothing, every IDL
 //! operation is declared in one place only and its generated stub is
 //! exercised by product code, every contract is generated, every public
 //! item has a product caller (a test is not one), every `pub` field is
@@ -11,7 +11,7 @@ use ldft_lint::analysis::FileAnalysis;
 use ldft_lint::ast::split_commas;
 use ldft_lint::contracts;
 use ldft_lint::lexer::{self, seq_at, TokKind};
-use ldft_lint::rules::{check_e1, check_p3, SIM_CRATES};
+use ldft_lint::rules::{check_e1, SIM_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -27,11 +27,6 @@ fn assert_finds_nothing(check: fn(&FileAnalysis) -> Vec<String>) {
     let files = ldft_lint::analyze_workspace(workspace_root()).expect("parse the workspace");
     let findings: Vec<String> = files.iter().flat_map(check).collect();
     assert!(findings.is_empty(), "findings:\n{}", findings.join("\n"));
-}
-
-#[test]
-fn every_invoking_proxy_method_checkpoints() {
-    assert_finds_nothing(check_p3);
 }
 
 #[test]
@@ -452,7 +447,8 @@ fn every_idl_op_has_a_caller() {
     // config. A contract whose generated code lives under `tests/` (the
     // generator's own `calculator.idl`) has no product to call it. An
     // entry the check no longer flags fails it.
-    const BY_NAME: &str = "the FT proxy invokes it by name (CHECKPOINT_OP, RESTORE_OP)";
+    const BY_NAME: &str =
+        "the ft servant wrapper invokes it by name, locally (CHECKPOINT_OP, RESTORE_OP)";
     const ALLOWED: &[(&str, &str, &str)] = &[
         ("Worker", "get_checkpoint", BY_NAME),
         ("Worker", "restore_checkpoint", BY_NAME),

@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use orb::{Ior, ObjectKey, Orb, OrbConfig};
+use orb::{Exception, Ior, ObjectKey, Orb, OrbConfig, SysKind::CommFailure};
 use simnet::{Fault, HostConfig, HostId, Kernel, Pid, Port, SimDuration, SimTime};
 use winner::BestPerformance;
 
@@ -424,7 +424,8 @@ fn register_against_dead_naming(register: Register) -> (bool, u64, SimDuration) 
         let gave_up = register(&ns, &mut orb, ctx, &Name::simple("Svc"), &me).unwrap();
         let sent = orb.stats().requests_sent;
         let between = ctx.now().since(t0) - timeout.saturating_mul(sent);
-        let comm_failure = gave_up.is_err_and(|e| e.is_comm_failure());
+        let comm_failure =
+            gave_up.is_err_and(|e| matches!(e, Exception::System(s) if s.kind == CommFailure));
         *o.lock().unwrap() = Some((comm_failure, sent, between));
     });
     // Twice the whole budget: a helper still retrying then has no bound.

@@ -59,5 +59,5 @@ mod span;
 pub use event::{milli, Event, EventBody, KERNEL_PID};
 pub use metrics::{Metric, BUCKET_BOUNDS};
 pub use profile::FlatProfileEntry;
-pub use recorder::{Obs, ProcessObs};
+pub use recorder::{Detached, Obs, ProcessObs};
 pub use span::{SpanContext, SpanRecord, TRACE_CONTEXT_ID};

@@ -213,6 +213,10 @@ struct OpenSpan {
     tags: Tags,
 }
 
+/// An open span off its process's stack: see [`ProcessObs::detach`].
+#[derive(Debug)]
+pub struct Detached(OpenSpan);
+
 /// Per-process recording handle: the shared sink plus this process's
 /// identity and open-span stack — or no sink at all, and then every
 /// method is a no-op. Whether a process is observed is decided here, once,
@@ -360,6 +364,21 @@ impl ProcessObs {
             self.tag("ok", "false");
         }
         self.end(now);
+    }
+
+    /// Take the current span off the stack, still open: a deferred request
+    /// keeps its span so, and [`ProcessObs::attach`]es it while worked on.
+    pub fn detach(&self) -> Option<Detached> {
+        let r = self.rec.as_ref()?;
+        let open = r.stack.borrow_mut().pop()?;
+        Some(Detached(open))
+    }
+
+    /// Put a detached span back on top of the stack.
+    pub fn attach(&self, span: Detached) {
+        if let Some(r) = &self.rec {
+            r.stack.borrow_mut().push(span.0);
+        }
     }
 
     /// The context a request sent *now* should carry: the current span, if

@@ -250,6 +250,7 @@ fn run_manager_with_orb(
                         ior,
                         WorkerStub::OP_SOLVE,
                         spec,
+                        &[],
                     )?);
                 }
                 let mut out = Vec::with_capacity(cfg.workers);

@@ -137,9 +137,9 @@ pub fn worker_builder() -> ftproxy::ServantBuilder {
     })
 }
 
-/// The body of a standalone worker server process: activate one worker,
-/// register it in the `Workers` group, serve forever. Serve spans are
-/// recorded into `obs` when present.
+/// The body of a standalone worker server process: activate one worker
+/// (behind an [`ftproxy::FtServant`]), register it in the `Workers`
+/// group, serve forever. Serve spans are recorded into `obs` if present.
 pub fn run_worker_server_obs(
     ctx: &mut Ctx,
     naming_host: HostId,
@@ -150,7 +150,7 @@ pub fn run_worker_server_obs(
     orb.listen(ctx)?;
     let poa = Poa::new();
     let servant = Rc::new(RefCell::new(WorkerSkeleton(WorkerServant::new())));
-    let key = poa.activate(WORKER_TYPE, servant);
+    let key = poa.activate(WORKER_TYPE, ftproxy::FtServant::wrap(servant));
     let ior = orb.ior(WORKER_TYPE, key);
     let ns = NamingClient::root(naming_host);
     // Bounded boot registration; see `NamingClient::bind_group_member_retry`.

@@ -372,19 +372,27 @@ impl Orb {
                             from,
                             key: object_key,
                             args: &body,
+                            contexts: &service_contexts,
+                            reply_contexts: Vec::new(),
                         };
                         let mut s = servant.borrow_mut();
-                        s.dispatch(&mut call, &operation, &body)
+                        let out = s.dispatch(&mut call, &operation, &body);
+                        out.map(|body| (body, call.reply_contexts))
                     }
                 };
                 let ok = result.is_ok();
                 if response_expected {
-                    let status = match result {
-                        Ok(body) => ReplyBody::NoException(body),
-                        Err(Exception::User(u)) => ReplyBody::UserException(u),
-                        Err(Exception::System(s)) => ReplyBody::SystemException(s),
+                    let (status, service_contexts) = match result {
+                        Ok((body, contexts)) => (ReplyBody::NoException(body), contexts),
+                        Err(Exception::User(u)) => (ReplyBody::UserException(u), Vec::new()),
+                        Err(Exception::System(s)) => (ReplyBody::SystemException(s), Vec::new()),
                     };
-                    let frame = Message::Reply { request_id, status }.encode();
+                    let frame = Message::Reply {
+                        request_id,
+                        status,
+                        service_contexts,
+                    }
+                    .encode();
                     ctx.compute(marshal_step(frame.len()))?;
                     ctx.send(Addr::Pid(from), frame)?;
                 }
@@ -434,38 +442,45 @@ impl Orb {
         timeout: Option<SimDuration>,
     ) -> SimResult<Result<Body, Exception>> {
         let start = ctx.now();
-        let req_id = self.send_request(ctx, ior, operation, args, true, timeout)?;
+        let wait = timeout.unwrap_or(self.cfg.request_timeout);
+        let req_id = self.send_request(ctx, ior, operation, args, Some(wait), &[])?;
         let out = self.await_reply(ctx, req_id)?;
         self.obs
             .observe("orb.invoke_ns", ctx.now().since(start).as_nanos());
         Ok(out)
     }
 
+    /// The configured `request_timeout`: how long a reply is awaited.
+    pub(crate) fn request_timeout(&self) -> SimDuration {
+        self.cfg.request_timeout
+    }
+
     /// Send a request frame, `args` marshalled straight into it, under the
-    /// current span. A response is awaited for `timeout`, else for the
-    /// configured `request_timeout`. Returns the request id.
+    /// current span and with the caller's `contexts` after the span's. With
+    /// a `wait` a response is awaited that long; without one the request is
+    /// a oneway. Returns the request id.
     pub(crate) fn send_request(
         &mut self,
         ctx: &mut Ctx,
         target: &Ior,
         operation: &str,
         args: &dyn CdrWrite,
-        response_expected: bool,
-        timeout: Option<SimDuration>,
+        wait: Option<SimDuration>,
+        contexts: &[ServiceContext],
     ) -> SimResult<u64> {
         // The span this request is made under rides on its frame.
-        let service_contexts = match self.obs.current() {
+        let mut service_contexts = match self.obs.current() {
             Some(cur) => vec![ServiceContext {
                 id: TRACE_CONTEXT_ID,
                 data: cur.to_bytes(),
             }],
             None => Vec::new(),
         };
-        let wait = response_expected.then(|| timeout.unwrap_or(self.cfg.request_timeout));
+        service_contexts.extend_from_slice(contexts);
         self.send_frame(ctx, target, wait, true, |req_id| {
             Message::encode_call(
                 req_id,
-                response_expected,
+                wait.is_some(),
                 target.key,
                 operation,
                 args,
@@ -634,7 +649,7 @@ impl Orb {
         if let Some(outcome) = self.replies.remove(&req_id) {
             self.pending.remove(&req_id);
             if let Ok(body) = &outcome {
-                ctx.compute(marshal_step(body.len()))?;
+                ctx.compute(marshal_step(body.demarshalled_len()))?;
             }
             return Ok(Some(outcome));
         }
@@ -681,9 +696,13 @@ impl Orb {
         };
         let body = Body::new(frame, range);
         match parsed {
-            Message::Reply { request_id, status } => {
+            Message::Reply {
+                request_id,
+                status,
+                service_contexts,
+            } => {
                 let outcome = match status {
-                    ReplyBody::NoException(_) => Ok(body),
+                    ReplyBody::NoException(_) => Ok(body.with_contexts(service_contexts)),
                     ReplyBody::UserException(u) => Err(Exception::User(u)),
                     ReplyBody::SystemException(s) => Err(Exception::System(s)),
                 };
@@ -727,17 +746,18 @@ impl Orb {
         self.replies.insert(request_id, outcome);
     }
 
-    /// Send a `oneway` request, `args` marshalled straight into its frame:
-    /// no reply, no failure report (fire and forget, like the Winner
-    /// node-manager load reports).
+    /// Send a `oneway` request, `args` marshalled straight into its frame
+    /// and `contexts` after the current span's: no reply, no failure
+    /// report (fire and forget, like the Winner node-manager load reports).
     pub fn invoke_oneway(
         &mut self,
         ctx: &mut Ctx,
         ior: &Ior,
         operation: &str,
         args: &dyn CdrWrite,
+        contexts: &[ServiceContext],
     ) -> SimResult<()> {
-        self.send_request(ctx, ior, operation, args, false, None)?;
+        self.send_request(ctx, ior, operation, args, None, contexts)?;
         Ok(())
     }
 

@@ -8,7 +8,8 @@
 //! `get_response` — that is where the application's parallelism comes from.
 //!
 //! A request is sent when it is made: [`DiiRequest::send_deferred`] takes
-//! the target, operation and arguments, so a request object is only ever
+//! the target, operation, arguments and any service contexts of the
+//! caller's (the FT protocol's), so a request object is only ever
 //! in flight or done. Its arguments are marshalled straight into the frame
 //! through the path a static stub's call takes, so both produce the same
 //! bytes (`tests/wire_goldens.rs` pins it).
@@ -18,7 +19,7 @@ use simnet::{Ctx, SimResult};
 
 use crate::core::Orb;
 use crate::exceptions::{Exception, SystemException};
-use crate::giop::Body;
+use crate::giop::{Body, ServiceContext};
 use crate::ior::Ior;
 
 /// The lifecycle of a DII request: it is sent when it is made.
@@ -35,16 +36,19 @@ pub struct DiiRequest {
 }
 
 impl DiiRequest {
-    /// Marshal `args` straight into a request for `operation` on `target`
-    /// and fire it without waiting (CORBA `send_deferred`).
+    /// Marshal `args` straight into a request for `operation` on `target`,
+    /// `contexts` after the current span's, and fire it without waiting
+    /// (CORBA `send_deferred`).
     pub fn send_deferred(
         orb: &mut Orb,
         ctx: &mut Ctx,
         target: &Ior,
         operation: &str,
         args: &dyn CdrWrite,
+        contexts: &[ServiceContext],
     ) -> SimResult<DiiRequest> {
-        let req_id = orb.send_request(ctx, target, operation, args, true, None)?;
+        let wait = Some(orb.request_timeout());
+        let req_id = orb.send_request(ctx, target, operation, args, wait, contexts)?;
         Ok(DiiRequest {
             state: State::Sent { req_id },
         })

@@ -198,18 +198,6 @@ pub enum Exception {
 }
 
 impl Exception {
-    /// Whether this is `COMM_FAILURE` — the trigger for the paper's
-    /// proxy-based recovery.
-    pub fn is_comm_failure(&self) -> bool {
-        matches!(
-            self,
-            Exception::System(SystemException {
-                kind: SysKind::CommFailure,
-                ..
-            })
-        )
-    }
-
     /// Whether a retry against a fresh reference could plausibly succeed
     /// (`COMM_FAILURE`, `TRANSIENT`, or `OBJECT_NOT_EXIST` from a stale
     /// reference).
@@ -277,13 +265,11 @@ mod tests {
     #[test]
     fn comm_failure_classification() {
         let cf: Exception = SystemException::comm_failure("x").into();
-        assert!(cf.is_comm_failure());
         assert!(cf.is_recoverable());
         let bo: Exception = SystemException::bad_operation("solve").into();
-        assert!(!bo.is_comm_failure());
         assert!(!bo.is_recoverable());
         let ue: Exception = UserException::tag("IDL:X:1.0").into();
-        assert!(!ue.is_comm_failure());
+        assert!(!ue.is_recoverable());
     }
 
     #[test]

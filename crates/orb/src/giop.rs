@@ -28,10 +28,11 @@ const MSG_REPLY: u8 = 1;
 const MSG_LOCATE_REQUEST: u8 = 3;
 const MSG_LOCATE_REPLY: u8 = 4;
 
-/// One entry of a request's service-context list: out-of-band data
-/// piggy-backed on the call, as in CORBA's `ServiceContextList`. The
-/// tracing layer rides here (see [`obs::TRACE_CONTEXT_ID`]); unknown ids
-/// are carried opaquely and ignored by receivers.
+/// One entry of a request's or a reply's service-context list: out-of-band
+/// data piggy-backed on the call, as in CORBA's `ServiceContextList`. The
+/// tracing layer rides here (see [`obs::TRACE_CONTEXT_ID`]), and so does
+/// the FT protocol (`ftproxy::servant`); unknown ids are carried opaquely
+/// and ignored by receivers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceContext {
     /// Context id (who the data belongs to).
@@ -42,17 +43,39 @@ pub struct ServiceContext {
 
 /// A request's parameters or a reply's result, read where it lies: a range
 /// of the frame that delivered it, so a delivered body is never copied out
-/// before it is demarshalled. Dereferences to the body's bytes.
+/// before it is demarshalled. Dereferences to the body's bytes. A reply's
+/// body also holds the service contexts that came back with it.
 #[derive(Clone)]
 pub struct Body {
     frame: Vec<u8>,
     range: Range<usize>,
+    contexts: Vec<ServiceContext>,
 }
 
 impl Body {
     /// The bytes `range` of `frame`.
     pub(crate) fn new(frame: Vec<u8>, range: Range<usize>) -> Body {
-        Body { frame, range }
+        Body {
+            frame,
+            range,
+            contexts: Vec::new(),
+        }
+    }
+
+    /// This body with the service contexts of the reply that carried it.
+    pub(crate) fn with_contexts(self, contexts: Vec<ServiceContext>) -> Body {
+        Body { contexts, ..self }
+    }
+
+    /// The data of the reply's service context `id`, if it carried one.
+    pub fn service_context(&self, id: u32) -> Option<&[u8]> {
+        let sc = self.contexts.iter().find(|sc| sc.id == id)?;
+        Some(&sc.data)
+    }
+
+    /// The bytes a receiver demarshals: the body and its contexts' data.
+    pub(crate) fn demarshalled_len(&self) -> usize {
+        self.len() + self.contexts.iter().map(|sc| sc.data.len()).sum::<usize>()
     }
 }
 
@@ -107,6 +130,9 @@ pub enum Message {
         request_id: u64,
         /// Outcome.
         status: ReplyBody,
+        /// Out-of-band contexts sent back, after the outcome; an empty list
+        /// is not written, so such a reply is the frame it always was.
+        service_contexts: Vec<ServiceContext>,
     },
     /// "Does this object live here?" — also used as a liveness ping.
     LocateRequest {
@@ -208,6 +234,32 @@ impl CdrWrite for Verbatim<'_> {
     }
 }
 
+/// What a context list adds to a frame: ids, counts, padding and data.
+fn contexts_len(service_contexts: &[ServiceContext]) -> usize {
+    service_contexts.iter().map(|sc| 12 + sc.data.len()).sum()
+}
+
+fn write_contexts(enc: &mut CdrEncoder, service_contexts: &[ServiceContext]) {
+    enc.write_len(service_contexts.len());
+    for sc in service_contexts {
+        enc.write_u32(sc.id);
+        enc.write_bytes(&sc.data);
+    }
+}
+
+fn read_contexts(dec: &mut CdrDecoder<'_>) -> Result<Vec<ServiceContext>, FrameError> {
+    // A context is at least its id and its count.
+    let n = dec.read_len(8)?;
+    let mut service_contexts = Vec::with_capacity(n);
+    for _ in 0..n {
+        service_contexts.push(ServiceContext {
+            id: dec.read_u32()?,
+            data: dec.read_octets()?.to_vec(),
+        });
+    }
+    Ok(service_contexts)
+}
+
 impl Message {
     /// Encode a `Request` frame whose parameters `args` marshals straight
     /// into the frame's body octets — aligned from the body's first byte,
@@ -223,18 +275,14 @@ impl Message {
         service_contexts: &[ServiceContext],
     ) -> Vec<u8> {
         // A context adds its id, count and padding to its data.
-        let contexts: usize = service_contexts.iter().map(|sc| 12 + sc.data.len()).sum();
+        let contexts = contexts_len(service_contexts);
         let mut enc = frame_encoder(MSG_REQUEST, operation.len() + BODY_GUESS + contexts);
         enc.write_u64(request_id);
         enc.write_bool(response_expected);
         object_key.write(&mut enc);
         enc.write_string(operation);
         enc.write_octets_with(|enc| args.write(enc));
-        enc.write_len(service_contexts.len());
-        for sc in service_contexts {
-            enc.write_u32(sc.id);
-            enc.write_bytes(&sc.data);
-        }
+        write_contexts(&mut enc, service_contexts);
         enc.into_bytes()
     }
 
@@ -279,12 +327,16 @@ impl Message {
                     service_contexts,
                 );
             }
-            Message::Reply { request_id, status } => {
+            Message::Reply {
+                request_id,
+                status,
+                service_contexts,
+            } => {
                 let result_len = match status {
                     ReplyBody::NoException(body) => body.len(),
                     _ => 0,
                 };
-                let mut enc = frame_encoder(MSG_REPLY, result_len);
+                let mut enc = frame_encoder(MSG_REPLY, result_len + contexts_len(service_contexts));
                 enc.write_u64(*request_id);
                 match status {
                     ReplyBody::NoException(body) => {
@@ -299,6 +351,9 @@ impl Message {
                         enc.write_u32(STATUS_SYSTEM_EXCEPTION);
                         s.write(&mut enc);
                     }
+                }
+                if !service_contexts.is_empty() {
+                    write_contexts(&mut enc, service_contexts);
                 }
                 enc
             }
@@ -374,15 +429,7 @@ impl Message {
                 let operation = dec.read_string()?;
                 let body = dec.read_octets()?;
                 range = just_read(&dec, body);
-                // A context is at least its id and its count.
-                let n = dec.read_len(8)?;
-                let mut service_contexts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    service_contexts.push(ServiceContext {
-                        id: dec.read_u32()?,
-                        data: dec.read_octets()?.to_vec(),
-                    });
-                }
+                let service_contexts = read_contexts(&mut dec)?;
                 Message::Request {
                     request_id,
                     response_expected,
@@ -408,7 +455,16 @@ impl Message {
                     }
                     other => return Err(FrameError::Cdr(cdr::CdrError::InvalidEnumTag(other))),
                 };
-                Message::Reply { request_id, status }
+                let service_contexts = if dec.remaining() > 0 {
+                    read_contexts(&mut dec)?
+                } else {
+                    Vec::new()
+                };
+                Message::Reply {
+                    request_id,
+                    status,
+                    service_contexts,
+                }
             }
             MSG_LOCATE_REQUEST => Message::LocateRequest {
                 request_id: dec.read_u64()?,
@@ -466,9 +522,28 @@ mod tests {
             let m = Message::Reply {
                 request_id: 12,
                 status,
+                service_contexts: vec![],
             };
             assert_eq!(Message::decode(&m.encode()).unwrap(), m);
         }
+    }
+
+    #[test]
+    fn reply_contexts_round_trip_and_an_empty_list_is_not_written() {
+        let sc = ServiceContext {
+            id: 7,
+            data: vec![1, 2, 3],
+        };
+        let reply = |service_contexts| Message::Reply {
+            request_id: 12,
+            status: ReplyBody::NoException(vec![9, 9]),
+            service_contexts,
+        };
+        let (with, plain) = (reply(vec![sc]), reply(vec![]).encode());
+        assert_eq!(Message::decode(&with.encode()).unwrap(), with);
+        // Header, request id, status, the body's count and its two bytes.
+        assert_eq!(plain.len(), 8 + 8 + 4 + 4 + 2);
+        assert_eq!(with.encode()[..plain.len()], plain[..]);
     }
 
     #[test]

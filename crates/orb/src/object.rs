@@ -63,6 +63,6 @@ impl ObjectRef {
         operation: &str,
         args: &A,
     ) -> SimResult<()> {
-        orb.invoke_oneway(ctx, &self.ior, operation, args)
+        orb.invoke_oneway(ctx, &self.ior, operation, args, &[])
     }
 }

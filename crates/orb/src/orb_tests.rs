@@ -14,6 +14,11 @@ use crate::{
     ReplyBody, Servant, ServiceContext, SysKind, SystemException, UserException,
 };
 
+/// Whether `e` is `COMM_FAILURE`.
+fn comm_failure(e: &crate::Exception) -> bool {
+    matches!(e, crate::Exception::System(s) if s.kind == crate::SysKind::CommFailure)
+}
+
 type Cell<T> = Arc<StdMutex<T>>;
 
 fn cell<T: Default>() -> Cell<T> {
@@ -211,7 +216,7 @@ fn dead_server_process_gives_fast_comm_failure() {
         let t0 = ctx.now();
         let r: Result<f64, _> = obj.call(&mut orb, ctx, "add", &(1.0, 1.0)).unwrap();
         let dt = ctx.now().since(t0).as_secs_f64();
-        *o.lock().unwrap() = Some((r.unwrap_err().is_comm_failure(), dt));
+        *o.lock().unwrap() = Some((comm_failure(&r.unwrap_err()), dt));
     });
     sim.run_until_exit(client);
     let (is_cf, dt) = out.lock().unwrap().unwrap();
@@ -237,7 +242,7 @@ fn crashed_host_gives_comm_failure_after_timeout() {
         let t0 = ctx.now();
         let r: Result<f64, _> = obj.call(&mut orb, ctx, "add", &(1.0, 1.0)).unwrap();
         let dt = ctx.now().since(t0).as_secs_f64();
-        *o.lock().unwrap() = Some((r.unwrap_err().is_comm_failure(), dt));
+        *o.lock().unwrap() = Some((comm_failure(&r.unwrap_err()), dt));
     });
     sim.run_until_exit(client);
     let (is_cf, dt) = out.lock().unwrap().unwrap();
@@ -268,8 +273,10 @@ fn dii_deferred_requests_run_in_parallel() {
         let t0 = ctx.now();
         // Each worker burns 2 CPU-seconds; deferred fan-out should cost
         // ~2s wall, not ~4s.
-        let mut r1 = DiiRequest::send_deferred(&mut orb, ctx, &w1.ior, "work", &2.0f64).unwrap();
-        let mut r2 = DiiRequest::send_deferred(&mut orb, ctx, &w2.ior, "work", &2.0f64).unwrap();
+        let mut r1 =
+            DiiRequest::send_deferred(&mut orb, ctx, &w1.ior, "work", &2.0f64, &[]).unwrap();
+        let mut r2 =
+            DiiRequest::send_deferred(&mut orb, ctx, &w2.ior, "work", &2.0f64, &[]).unwrap();
         let v1 = r1.get_response(&mut orb, ctx).unwrap().unwrap();
         let v2 = r2.get_response(&mut orb, ctx).unwrap().unwrap();
         let dt = ctx.now().since(t0).as_secs_f64();
@@ -301,7 +308,8 @@ fn dii_poll_response_is_nonblocking() {
         ctx.sleep(secs(0.01)).unwrap();
         let mut orb = Orb::init(ctx);
         let obj = resolve(&i);
-        let mut r = DiiRequest::send_deferred(&mut orb, ctx, &obj.ior, "work", &1.0f64).unwrap();
+        let mut r =
+            DiiRequest::send_deferred(&mut orb, ctx, &obj.ior, "work", &1.0f64, &[]).unwrap();
         // Immediately after sending: not done.
         o.lock()
             .unwrap()
@@ -483,18 +491,20 @@ fn a_request_carries_its_callers_span_and_is_served_under_it() {
             .call(&mut orb, ctx, "add", &(1.0, 2.0))
             .unwrap()
             .unwrap();
-        orb.invoke_oneway(ctx, &tap, "add", &(1.0, 2.0)).unwrap();
+        orb.invoke_oneway(ctx, &tap, "add", &(1.0, 2.0), &[])
+            .unwrap();
         po.end(ctx.now());
         // Requests 3 of the traced ORB, made under no span, and 1 of an
         // ORB whose handle has no sink, made inside a span it was asked
         // to open.
-        orb.invoke_oneway(ctx, &tap, "add", &(1.0, 2.0)).unwrap();
+        orb.invoke_oneway(ctx, &tap, "add", &(1.0, 2.0), &[])
+            .unwrap();
         let no_sink = obs::ProcessObs::from_sink(None, ctx);
         let mut unobserved = Orb::init(ctx);
         unobserved.set_obs(no_sink.clone());
         no_sink.begin(ctx.now(), "unrecorded");
         unobserved
-            .invoke_oneway(ctx, &tap, "add", &(1.0, 2.0))
+            .invoke_oneway(ctx, &tap, "add", &(1.0, 2.0), &[])
             .unwrap();
         no_sink.end(ctx.now());
         ctx.sleep(secs(0.01)).unwrap();
@@ -611,7 +621,7 @@ fn partition_mid_call_times_out_with_comm_failure() {
         let r: Result<f64, _> = obj.call(&mut orb, ctx, "add", &(1.0, 1.0)).unwrap();
         o.lock()
             .unwrap()
-            .push(format!("partitioned:{}", r.unwrap_err().is_comm_failure()));
+            .push(format!("partitioned:{}", comm_failure(&r.unwrap_err())));
         ctx.sleep(secs(0.5)).unwrap();
         let r: f64 = obj
             .call(&mut orb, ctx, "add", &(1.0, 1.0))
@@ -895,7 +905,7 @@ fn late_reply_is_dropped_and_counted() {
             .unwrap();
         let s = orb.stats();
         *o.lock().unwrap() = Some((
-            slow.unwrap_err().is_comm_failure(),
+            comm_failure(&slow.unwrap_err()),
             sum,
             orb.stashed_replies(),
             s.late_replies,
@@ -1057,6 +1067,7 @@ fn reply_bodies_that_lie_fail_the_call_not_the_client() {
                 Message::Reply {
                     request_id,
                     status: ReplyBody::NoException(body),
+                    service_contexts: vec![],
                 }
                 .encode()
             };
@@ -1081,7 +1092,7 @@ fn reply_bodies_that_lie_fail_the_call_not_the_client() {
         let mut seen = Vec::new();
         for _ in 0..3 {
             let r: Result<f64, _> = obj.call(&mut orb, ctx, "add", &(1.0, 1.0)).unwrap();
-            seen.push(format!("{:?}", r.map_err(|e| e.is_comm_failure())));
+            seen.push(format!("{:?}", r.map_err(|e| comm_failure(&e))));
         }
         let r: Result<Vec<f64>, _> = obj.call(&mut orb, ctx, "add", &(1.0, 1.0)).unwrap();
         seen.push(match r {

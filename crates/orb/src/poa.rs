@@ -13,11 +13,13 @@ use cdr::CdrWrite;
 use simnet::{Ctx, Pid};
 
 use crate::exceptions::Exception;
+use crate::giop::ServiceContext;
 use crate::ior::ObjectKey;
 
 /// The context handed to a servant for one dispatch: the simulation handle
 /// (to model CPU cost or sleep), the process's ORB (to make nested calls),
-/// the adapter (to activate further objects), and call metadata.
+/// the adapter (to activate further objects), call metadata, and the
+/// request's service contexts in and the reply's out.
 pub struct CallCtx<'a> {
     /// Simulation handle of the server process.
     pub ctx: &'a mut Ctx,
@@ -33,6 +35,10 @@ pub struct CallCtx<'a> {
     /// servant's `dispatch` is handed — for a servant that passes the
     /// request on unchanged (a store coordinator's fan-out).
     pub args: &'a [u8],
+    /// The request's service contexts as they arrived.
+    pub contexts: &'a [ServiceContext],
+    /// Service contexts the reply carries back; a successful reply only.
+    pub reply_contexts: Vec<ServiceContext>,
 }
 
 /// A CORBA servant: application code dispatching operations by name.

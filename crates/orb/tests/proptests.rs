@@ -18,6 +18,12 @@ fn ior_strategy() -> impl Strategy<Value = Ior> {
         .prop_map(|(tid, host, port, key)| Ior::new(tid, HostId(host), Port(port), ObjectKey(key)))
 }
 
+/// Up to two service contexts of up to 31 bytes each.
+fn contexts_strategy() -> impl Strategy<Value = Vec<ServiceContext>> {
+    let one = (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..32));
+    proptest::collection::vec(one.prop_map(|(id, data)| ServiceContext { id, data }), 0..3)
+}
+
 fn message_strategy() -> impl Strategy<Value = Message> {
     prop_oneof![
         (
@@ -26,32 +32,30 @@ fn message_strategy() -> impl Strategy<Value = Message> {
             any::<u64>(),
             "[a-z_]{1,24}",
             proptest::collection::vec(any::<u8>(), 0..256),
-            proptest::collection::vec(
-                (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..32)),
-                0..3
-            ),
+            contexts_strategy(),
         )
             .prop_map(
-                |(request_id, response_expected, key, operation, body, contexts)| {
+                |(request_id, response_expected, key, operation, body, service_contexts)| {
                     Message::Request {
                         request_id,
                         response_expected,
                         object_key: ObjectKey(key),
                         operation,
                         body,
-                        service_contexts: contexts
-                            .into_iter()
-                            .map(|(id, data)| ServiceContext { id, data })
-                            .collect(),
+                        service_contexts,
                     }
                 }
             ),
-        (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..256)).prop_map(
-            |(request_id, body)| Message::Reply {
+        (
+            any::<u64>(),
+            proptest::collection::vec(any::<u8>(), 0..256),
+            contexts_strategy(),
+        )
+            .prop_map(|(request_id, body, service_contexts)| Message::Reply {
                 request_id,
                 status: ReplyBody::NoException(body),
-            }
-        ),
+                service_contexts,
+            }),
         (any::<u64>(), "[A-Za-z:/._-]{0,40}", "\\PC{0,40}").prop_map(|(request_id, id, detail)| {
             Message::Reply {
                 request_id,
@@ -59,11 +63,13 @@ fn message_strategy() -> impl Strategy<Value = Message> {
                     id,
                     body: detail.into_bytes(),
                 }),
+                service_contexts: vec![],
             }
         }),
         (any::<u64>(), "\\PC{0,40}").prop_map(|(request_id, detail)| Message::Reply {
             request_id,
             status: ReplyBody::SystemException(SystemException::comm_failure(detail)),
+            service_contexts: vec![],
         }),
         (any::<u64>(), any::<u64>()).prop_map(|(request_id, key)| Message::LocateRequest {
             request_id,

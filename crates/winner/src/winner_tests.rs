@@ -179,7 +179,7 @@ fn dead_system_manager_yields_comm_failure() {
         let mut orb = orb::Orb::init(ctx);
         let client = client_from(&i);
         let r = client.select(&mut orb, ctx, &[]).unwrap();
-        *o.lock().unwrap() = Some(r.unwrap_err().is_comm_failure());
+        *o.lock().unwrap() = Some(matches!(r.unwrap_err(), orb::Exception::System(s) if s.kind == orb::SysKind::CommFailure));
     });
     sim.run_until_exit(driver);
     assert_eq!(*out.lock().unwrap(), Some(true));

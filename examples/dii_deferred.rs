@@ -82,7 +82,9 @@ fn main() {
         let t0 = ctx.now();
         let mut requests: Vec<DiiRequest> = targets
             .iter()
-            .map(|ior| DiiRequest::send_deferred(&mut orb, ctx, ior, "crunch", &2.0f64).unwrap())
+            .map(|ior| {
+                DiiRequest::send_deferred(&mut orb, ctx, ior, "crunch", &2.0f64, &[]).unwrap()
+            })
             .collect();
         // Poll while "doing other work" (sleeping here).
         let mut polls = 0;

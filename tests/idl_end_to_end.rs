@@ -264,6 +264,8 @@ fn skeletons_answer_hostile_bytes_with_system_exceptions() {
                     from,
                     key: orb::ObjectKey(1),
                     args,
+                    contexts: &[],
+                    reply_contexts: Vec::new(),
                 };
                 match servant.dispatch(&mut call, op, args) {
                     Err(orb::Exception::System(e)) => Ok(e.kind),
@@ -315,6 +317,8 @@ fn skeletons_answer_hostile_bytes_with_system_exceptions() {
                 from,
                 key: orb::ObjectKey(1),
                 args,
+                contexts: &[],
+                reply_contexts: Vec::new(),
             };
             servant.dispatch(&mut call, op, args)
         };
@@ -412,6 +416,7 @@ fn frames_whose_bodies_lie_fail_one_call_at_either_end() {
                 Message::Reply {
                     request_id,
                     status: ReplyBody::NoException(body),
+                    service_contexts: vec![],
                 }
                 .encode()
             };
@@ -447,6 +452,7 @@ fn frames_whose_bodies_lie_fail_one_call_at_either_end() {
             Some(Ok(Message::Reply {
                 request_id: 7,
                 status: ReplyBody::SystemException(e),
+                ..
             })) => format!("{:?}", e.kind),
             other => format!("{other:?}"),
         });
@@ -480,6 +486,125 @@ fn frames_whose_bodies_lie_fail_one_call_at_either_end() {
             "Marshal",
             "Ok([10.0, 20.0])",
             "protocol_errors:3",
+        ]
+    );
+}
+
+/// The FT protocol's two service contexts, lying: a frame cut inside a
+/// context and a context claiming 2^32 − 1 bytes are dropped; a duplicated
+/// context is `BAD_PARAM`; a restore whose state does not decode, or
+/// whose octets claim 2^32 − 1 bytes, is `MARSHAL`, and the call is not
+/// run. None panics the server or allocates what the count claims, and
+/// the well-formed request after them is served, restored and
+/// checkpointed.
+#[test]
+fn ft_contexts_answer_hostile_bytes_with_system_exceptions() {
+    use ftproxy::{FtServant, CHECKPOINT_CONTEXT_ID, RESTORE_CONTEXT_ID};
+    use orb::{Message, ReplyBody, ServiceContext};
+    use simnet::Addr;
+
+    let mut sim = Kernel::with_seed(34);
+    let hosts: Vec<_> = (0..2)
+        .map(|i| sim.add_host(HostConfig::new(format!("ws{i}"))))
+        .collect();
+    let published: Arc<Mutex<Option<orb::Ior>>> = Arc::new(Mutex::new(None));
+    let publish = published.clone();
+    sim.spawn(hosts[1], "calc-server", move |ctx| {
+        let mut orb = Orb::init(ctx);
+        orb.listen(ctx).unwrap();
+        let poa = Poa::new();
+        let calc = Rc::new(RefCell::new(CalculatorSkeleton(CalcImpl::default())));
+        let key = poa.activate(CalculatorStub::REPO_ID, FtServant::wrap(calc));
+        *publish.lock().unwrap() = Some(orb.ior(CalculatorStub::REPO_ID, key));
+        let _ = orb.serve_forever(ctx, &poa);
+    });
+
+    let out: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let o = out.clone();
+    let client = sim.spawn(hosts[0], "client", move |ctx| {
+        ctx.sleep(SimDuration::from_millis(10)).unwrap();
+        let calc = published.lock().unwrap().clone().expect("server up");
+        let at = Addr::Endpoint(calc.host, calc.port);
+        let restore = |data: Vec<u8>| ServiceContext {
+            id: RESTORE_CONTEXT_ID,
+            data,
+        };
+        let checkpoint = ServiceContext {
+            id: CHECKPOINT_CONTEXT_ID,
+            data: Vec::new(),
+        };
+        // Three ops done, precision 0.5, last result 9.
+        let state = cdr::to_bytes(&(3u32, 0.5f64, 9.0f64));
+        let good = restore(cdr::to_bytes(&(&state,)));
+        let add = |id: u64, contexts: &[ServiceContext]| {
+            let args = cdr::to_bytes(&(1.0f64, 2.0f64));
+            Message::encode_request(id, true, calc.key, "add", &args, contexts)
+        };
+        // The restore context last: its data ends the frame, its count
+        // the four bytes before.
+        let honest = add(1, std::slice::from_ref(&good));
+        let count_at = honest.len() - good.data.len() - 4;
+        let mut bomb = honest.clone();
+        bomb[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let cut = honest[..honest.len() - 3].to_vec();
+        let mut inner_bomb = cdr::to_bytes(&(&state,));
+        inner_bomb[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let frames = [
+            cut,
+            bomb,
+            add(2, &[good.clone(), good.clone()]),
+            add(3, &[checkpoint.clone(), checkpoint.clone()]),
+            add(4, &[restore(vec![0xff])]),
+            add(5, &[restore(inner_bomb)]),
+            add(6, &[restore(cdr::to_bytes(&(vec![1u8, 2],)))]),
+            add(7, &[good, checkpoint]),
+        ];
+        for frame in frames {
+            ctx.send(at, frame).unwrap();
+        }
+        // Frames of different sizes may arrive out of send order: take
+        // the six answers, then sort them by request id.
+        let mut said = o.lock().unwrap();
+        while said.len() < 6 {
+            let answer = ctx.recv().unwrap();
+            let Some(Ok(Message::Reply {
+                request_id,
+                status,
+                service_contexts,
+            })) = answer.data().map(Message::decode)
+            else {
+                said.push(format!("not a reply: {answer:?}"));
+                break;
+            };
+            said.push(match status {
+                ReplyBody::SystemException(e) => format!("{request_id}:{:?}", e.kind),
+                ReplyBody::NoException(body) => {
+                    let sum: f64 = cdr::from_bytes(&body).unwrap();
+                    let saved: Vec<u8> = service_contexts
+                        .iter()
+                        .find(|sc| sc.id == CHECKPOINT_CONTEXT_ID)
+                        .map(|sc| cdr::from_bytes(&sc.data).unwrap())
+                        .unwrap_or_default();
+                    let (ops, _, last): (u32, f64, f64) = cdr::from_bytes(&saved).unwrap();
+                    format!("{request_id}:{sum}:{ops}:{last}")
+                }
+                other => format!("{request_id}:{other:?}"),
+            });
+        }
+        said.sort();
+    });
+    sim.run_until_exit(client);
+    // The restored three ops plus this one, and no op of a refused
+    // request among them.
+    assert_eq!(
+        *out.lock().unwrap(),
+        vec![
+            "2:BadParam",
+            "3:BadParam",
+            "4:Marshal",
+            "5:Marshal",
+            "6:Marshal",
+            "7:3:4:3"
         ]
     );
 }

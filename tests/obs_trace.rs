@@ -129,18 +129,20 @@ fn recovery_episode_is_one_causal_span_tree() {
     let call = pos("ft.call:solve");
     let rec = pos("ft.recover");
     let create = pos("ft.factory_create");
+    let retried = pos("serve:solve");
     let restore = pos("ft.restore");
-    assert!(call < rec && rec < create && create < restore, "{names:?}");
+    assert!(
+        call < rec && rec < create && create < retried && retried < restore,
+        "{names:?}"
+    );
     // Recovery goes back through the naming service…
     assert!(
         names.iter().skip(rec).any(|&n| n == "serve:resolve"),
         "{names:?}"
     );
-    // …and ends with the retried dispatch on the freshly created replica.
-    assert!(
-        names.iter().skip(restore).any(|&n| n == "serve:solve"),
-        "{names:?}"
-    );
+    // …and ends with the retried dispatch on the freshly created replica,
+    // which restores the checkpoint the request carries before it solves.
+    assert_eq!(trace[restore].parent, Some(trace[retried].span_id));
     // The failing client call is the root of the episode's trace, and the
     // server-side spans joined it via the propagated GIOP service context.
     assert!(trace[call].parent.is_none(), "{:?}", trace[call]);
@@ -191,16 +193,16 @@ fn pinned_exports_of_the_crash_cell() {
     let got = [export_digests(7), export_digests(9)];
     let want = [
         [
-            0x7f62_040d_26b4_7273,
-            0xdf14_6c79_fc01_de6b,
-            0xf506_5dd6_b58d_ee14,
-            0x04ff_e41a_2447_ffd9,
+            0xed7e_e5b1_da2d_3392,
+            0x9e3a_d76e_905f_7407,
+            0x8ae4_d0fc_0b3a_4407,
+            0xfff6_4282_22ec_9443,
         ],
         [
-            0xc725_0bf6_d441_8242,
-            0x7bad_7027_f534_3509,
-            0x5dda_65ec_c68f_cbc9,
-            0xbe47_2077_eac5_9a0d,
+            0xeaf8_ec2e_f801_42a9,
+            0x7b15_ed6d_a413_c06d,
+            0x8ca7_ac26_a0a0_3dcb,
+            0x5b18_5ff9_b003_4b83,
         ],
     ];
     assert_eq!(got, want, "the crash cell's exports moved: {got:#018x?}");

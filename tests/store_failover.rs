@@ -10,6 +10,9 @@ use corba_runtime::{
 use optim::FtSettings;
 use simnet::SimDuration;
 
+/// When the primary store replica dies, counted from the manager's start.
+const STORE_CRASH: SimDuration = SimDuration::from_millis(500);
+
 /// The shared cell: Plain naming (deterministic placements and store
 /// resolution), bulk checkpoints after every call, a primary-store crash
 /// shortly after the manager starts, then a worker-host crash that forces
@@ -31,11 +34,11 @@ fn failover_spec(store_replicas: usize) -> ExperimentSpec {
     // Index 0 is the replica a plain group-resolve returns first: the one
     // every checkpoint client is initially bound to.
     spec.store_crash = Some(StoreCrashPlan {
-        after: SimDuration::from_millis(600),
+        after: STORE_CRASH,
         store_host_index: 0,
     });
     spec.crash = Some(CrashPlan {
-        after: SimDuration::from_millis(1500),
+        after: SimDuration::from_millis(550),
         now_host_index: 0,
         restart_after: None,
     });
@@ -104,7 +107,7 @@ fn single_replica_store_is_a_single_point_of_failure() {
     assert_eq!(r.checkpoints, r.worker_calls, "{r:?}");
     assert!(s.checkpoints < s.worker_calls, "{s:?}");
     // Every checkpoint attempted after the store's death failed.
-    let crash_ns = (single.started_at + SimDuration::from_millis(600)).as_nanos();
+    let crash_ns = (single.started_at + STORE_CRASH).as_nanos();
     let spans = single.obs.spans();
     let after: Vec<_> = spans
         .iter()
@@ -130,7 +133,7 @@ fn single_replica_store_is_a_single_point_of_failure() {
 fn failover_span_tree_shows_resolve_then_backup_restore() {
     let outcome = run_replicated_cell();
     let spans = outcome.obs.spans();
-    let crash_ns = (outcome.started_at + SimDuration::from_millis(600)).as_nanos();
+    let crash_ns = (outcome.started_at + STORE_CRASH).as_nanos();
 
     let retarget = spans
         .iter()

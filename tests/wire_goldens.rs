@@ -21,7 +21,7 @@ use ftproxy::{
     per_value, Checkpoint, CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, FtRequest,
     ProxyEnv,
 };
-use orb::{CallCtx, Exception, Ior, ObjectRef, Orb, Poa, Servant};
+use orb::{CallCtx, Exception, Ior, ObjectRef, Orb, Poa, Servant, ServiceContext};
 use simnet::{HostConfig, HostId, Kernel, Shared, SimDuration};
 
 /// `(op, request body, reply body)` in dispatch order.
@@ -44,6 +44,39 @@ impl Servant for Tap {
         self.log
             .lock()
             .push((op.to_string(), args.to_vec(), reply.clone()));
+        Ok(reply)
+    }
+}
+
+/// `(request contexts, reply contexts)` of each dispatch, as hex.
+type ContextLog = Shared<Vec<(String, String)>>;
+
+/// Records the service contexts in and out of the servant behind it.
+struct ContextTap {
+    inner: Rc<RefCell<dyn Servant>>,
+    log: ContextLog,
+}
+
+fn contexts_hex(contexts: &[ServiceContext]) -> String {
+    let each = contexts
+        .iter()
+        .map(|sc| format!("{:08x}:{}", sc.id, hex(&sc.data)));
+    each.collect::<Vec<_>>().join(" ")
+}
+
+impl Servant for ContextTap {
+    fn dispatch(
+        &mut self,
+        call: &mut CallCtx<'_>,
+        op: &str,
+        args: &[u8],
+    ) -> Result<Vec<u8>, Exception> {
+        let reply = self.inner.borrow_mut().dispatch(call, op, args)?;
+        let seen = (
+            contexts_hex(call.contexts),
+            contexts_hex(&call.reply_contexts),
+        );
+        self.log.lock().push(seen);
         Ok(reply)
     }
 }
@@ -93,9 +126,15 @@ struct Served {
     checkpoint_service: Ior,
     factory: Ior,
     worker: Ior,
+    ft_worker: Ior,
 }
 
-fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
+fn serve_all(
+    ctx: &mut simnet::Ctx,
+    log: Log,
+    contexts: ContextLog,
+    served: Shared<Option<Served>>,
+) {
     let mut orb = Orb::init(ctx);
     orb.listen(ctx).unwrap();
     let poa = Poa::new();
@@ -142,12 +181,23 @@ fn serve_all(ctx: &mut simnet::Ctx, log: Log, served: Shared<Option<Served>>) {
             optim::WorkerSkeleton(optim::WorkerServant::new()),
         )
         .0,
+        ft_worker: {
+            let worker = Rc::new(RefCell::new(optim::WorkerSkeleton(
+                optim::WorkerServant::new(),
+            )));
+            let tapped = ContextTap {
+                inner: ftproxy::FtServant::wrap(worker),
+                log: contexts,
+            };
+            let key = poa.activate(optim::WORKER_TYPE, Rc::new(RefCell::new(tapped)));
+            orb.ior(optim::WORKER_TYPE, key)
+        },
     };
     // Object keys count up per POA, and `create`'s golden carries the key
     // of the worker it creates mid-test. It was captured over eight
-    // servants and after `list` had created an iterator; five servants are
-    // left and nothing creates before it, so spend four keys.
-    for _ in 0..4 {
+    // servants and after `list` had created an iterator; six servants are
+    // left and nothing creates before it, so spend three keys.
+    for _ in 0..3 {
         let spare = Rc::new(RefCell::new(cosnaming::NamingContextSkeleton(
             cosnaming::NamingContext::new(LbMode::Plain),
         )));
@@ -202,8 +252,9 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
     sim.spawn(h0, "naming", move |ctx| {
         let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
-    let (l, s) = (log.clone(), served.clone());
-    sim.spawn(h0, "servants", move |ctx| serve_all(ctx, l, s));
+    let contexts: ContextLog = Shared::new(Vec::new());
+    let (l, c, s) = (log.clone(), contexts.clone(), served.clone());
+    sim.spawn(h0, "servants", move |ctx| serve_all(ctx, l, c, s));
     // Two replicas in the store group: whichever coordinates a write fans
     // it out to the other as a `repl_*` request.
     for i in 0..2 {
@@ -251,7 +302,7 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
         log.lock().clear();
         let hosts = (vec![3u32, 4],);
         let mut dii =
-            orb::DiiRequest::send_deferred(&mut orb, ctx, &s.system_manager, "select", &hosts)
+            orb::DiiRequest::send_deferred(&mut orb, ctx, &s.system_manager, "select", &hosts, &[])
                 .unwrap();
         dii.get_response(&mut orb, ctx).unwrap().unwrap();
         assert_golden(
@@ -332,6 +383,59 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
             "\
              bc816d8e973e25400200000000000000c06bbdedc97b85bf0228dcd90f7dc4bf\
              03000000000000000900000000000000",
+        );
+
+        // -- The FT protocol's two service contexts ---------------------
+        // A fresh proxy finds epoch 1 stored, so its first request carries
+        // that state to restore (`restore_checkpoint`'s argument body), and
+        // asks for the state after the call, which the reply carries back
+        // (`get_checkpoint`'s result body). The call's own bodies are the
+        // plain `solve`'s.
+        let ckpt = CheckpointClient::new(obj(&s.checkpoint_service));
+        let stored = Checkpoint {
+            object_id: "ft-worker".into(),
+            epoch: Epoch(1),
+            state: cdr::to_bytes(&(7u32, 0u32)), // seven solves, no population
+            stamp_ns: 0,
+        };
+        ckpt.store(&mut orb, ctx, &stored).unwrap().unwrap();
+        let group = Name::simple("FtWorkers");
+        NamingClient::root(h0)
+            .bind_group_member(&mut orb, ctx, &group, &s.ft_worker)
+            .unwrap()
+            .unwrap();
+        let mut cfg = FtProxyConfig::new(group, optim::WORKER_SERVICE_TYPE, "ft-worker");
+        cfg.mode = CheckpointMode::Bulk;
+        let mut proxy = FtProxy::new(cfg, NamingClient::root(h0), ckpt);
+        let mut env = ProxyEnv { orb: &mut orb, ctx };
+        let spec = optim::SolveSpec {
+            problem_id: 1,
+            dim: 1,
+            left: None,
+            right: None,
+            iters: 1,
+            seed: 11,
+            reset: true,
+        };
+        let _: optim::SolveResult = proxy
+            .call(&mut env, optim::WorkerStub::OP_SOLVE, &spec)
+            .unwrap()
+            .unwrap();
+        assert_eq!((proxy.stats.restores, proxy.stats.checkpoints), (1, 1));
+        let (request, reply) = contexts.lock().last().cloned().expect("a dispatch");
+        assert_eq!(
+            request, "4c444652:080000000700000000000000 4c444643:",
+            "the FT request contexts moved"
+        );
+        // The state after the call: `solve_count` 8, the restored seven
+        // plus this solve, and the population it left.
+        assert_eq!(
+            reply,
+            "4c444643:\
+             4800000008000000010000000100000002000000d2217ed65b0ff13f3cb47bce\
+             c811f13f02000000000000000000000000000000000000000000000001000000\
+             000000000b00000000000000",
+            "the FT reply context moved"
         );
 
         // -- Store::Replication: the coordinator's fan-out --------------
