@@ -40,11 +40,16 @@ impl Servant for Tap {
         op: &str,
         args: &[u8],
     ) -> Result<Vec<u8>, Exception> {
-        let reply = self.inner.borrow_mut().dispatch(call, op, args)?;
-        self.log
-            .lock()
-            .push((op.to_string(), args.to_vec(), reply.clone()));
-        Ok(reply)
+        let reply = self.inner.borrow_mut().dispatch(call, op, args);
+        // A user exception's reply body is its repository id, then its
+        // members.
+        let body = match &reply {
+            Ok(body) => body.clone(),
+            Err(Exception::User(u)) => cdr::to_bytes(u),
+            Err(Exception::System(_)) => return reply,
+        };
+        self.log.lock().push((op.to_string(), args.to_vec(), body));
+        reply
     }
 }
 
@@ -286,6 +291,61 @@ fn request_and_reply_bodies_match_the_committed_bytes() {
             "\
              1300000049444c3a536f6d652f5468696e673a312e30000000000000\
              070000000900000000000000",
+        );
+
+        // -- CosNaming's user exceptions --------------------------------
+        // Every recovery resolves a name nothing is bound to and reads the
+        // `NotFound` back, so these bytes are on the measured path.
+        let unbound = Name::simple("b");
+        ns.resolve(&mut orb, ctx, &unbound).unwrap().unwrap_err();
+        assert_golden(
+            &log,
+            "resolve",
+            "0100000002000000620000000100000000",
+            "\
+             2900000049444c3a436f734e616d696e672f4e616d696e67436f6e746578742f\
+             4e6f74466f756e643a312e300000000015000000000000000100000002000000\
+             620000000100000000",
+        );
+        ns.bind(&mut orb, ctx, &name, &some_ior)
+            .unwrap()
+            .unwrap_err();
+        assert_golden(
+            &log,
+            "bind",
+            "\
+             01000000020000006100000001000000000000001300000049444c3a536f6d65\
+             2f5468696e673a312e3000000000000007000000000000000900000000000000",
+            "\
+             2d00000049444c3a436f734e616d696e672f4e616d696e67436f6e746578742f\
+             416c7265616479426f756e643a312e300000000000000000",
+        );
+        ns.resolve(&mut orb, ctx, &Name(vec![]))
+            .unwrap()
+            .unwrap_err();
+        assert_golden(
+            &log,
+            "resolve",
+            "00000000",
+            "\
+             2c00000049444c3a436f734e616d696e672f4e616d696e67436f6e746578742f\
+             496e76616c69644e616d653a312e300000000000",
+        );
+        let group = Name::simple("g");
+        ns.bind_group_member(&mut orb, ctx, &group, &some_ior)
+            .unwrap()
+            .unwrap();
+        ns.unbind_group_member(&mut orb, ctx, &group, &some_ior)
+            .unwrap()
+            .unwrap();
+        ns.resolve(&mut orb, ctx, &group).unwrap().unwrap_err();
+        assert_golden(
+            &log,
+            "resolve",
+            "0100000002000000670000000100000000",
+            "\
+             3100000049444c3a436f734e616d696e672f4c6f616442616c616e636564436f\
+             6e746578742f456d70747947726f75703a312e300000000000000000",
         );
 
         // -- Winner::SystemManager: `select` with no host known ---------
