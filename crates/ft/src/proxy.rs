@@ -285,28 +285,6 @@ impl FtProxy {
         Ok(decode_reply(req.get_response(self, env)?))
     }
 
-    /// Invoke a `oneway` operation (what `idlc`'s `<I>FtProxy` emits for
-    /// one). No reply exists, so neither failure detection nor
-    /// checkpointing applies (the paper's proxies share this limitation:
-    /// only calls that raise `COMM_FAILURE` can recover). A pending
-    /// restore rides along, and stays pending: only a reply shows it
-    /// applied.
-    pub fn oneway<A: CdrWrite>(
-        &mut self,
-        env: &mut ProxyEnv<'_>,
-        op: &str,
-        args: &A,
-    ) -> SimResult<()> {
-        match self.ensure_target(env)? {
-            Ok(target) => {
-                let restore: Vec<ServiceContext> = self.restore_context().into_iter().collect();
-                env.orb
-                    .invoke_oneway(env.ctx, &target.ior, op, args, &restore)
-            }
-            Err(_) => Ok(()), // nowhere to send; oneway drops silently
-        }
-    }
-
     /// The FT contexts the next request to the target carries, and what
     /// they ask: the restore while one is pending, and the state after the
     /// call when a checkpoint is due.
@@ -380,7 +358,7 @@ impl FtProxy {
                 Ok(()) => obj,
                 Err(e) => return Ok(Err(e)),
             },
-            Err(e) if EmptyGroup::matches(&e) || NotFound::extract(&e).is_some() => {
+            Err(e) if EmptyGroup::extract(&e).is_some() || NotFound::extract(&e).is_some() => {
                 match self.create_via_factory(env)? {
                     Ok(ior) => ObjectRef::new(ior),
                     Err(e) => return Ok(Err(e)),

@@ -5,7 +5,8 @@ use std::fmt;
 /// Where a declaration starts: the index of its source within the
 /// compilation unit (see [`crate::parse_unit`]) and the 1-based line and
 /// column of its first token. Positions are not part of AST identity —
-/// every `Pos` compares equal — so `parse(pretty(ast)) == ast` holds.
+/// every `Pos` compares equal — so a spec printed and parsed again
+/// compares equal to the original.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Pos {
     /// Index of the source within the compilation unit.
@@ -86,8 +87,9 @@ pub struct Interface {
     pub base: Option<String>,
     /// Operations in declaration order.
     pub ops: Vec<Operation>,
-    /// Attributes in declaration order.
-    pub attrs: Vec<Attribute>,
+    /// Exceptions declared inside the interface, in declaration order
+    /// (`IDL:M/I/E:1.0`).
+    pub exceptions: Vec<ExceptionDef>,
 }
 
 /// An operation declaration.
@@ -98,7 +100,7 @@ pub struct Operation {
     /// Operation name.
     pub name: String,
     /// Whether declared `oneway` (no reply; must return void, have no
-    /// out/inout parameters, and raise nothing).
+    /// `out` parameters, and raise nothing).
     pub oneway: bool,
     /// Return type (`Type::Void` for void).
     pub ret: Type,
@@ -126,21 +128,6 @@ pub enum Direction {
     In,
     /// Server → client.
     Out,
-    /// Both ways.
-    InOut,
-}
-
-/// An `attribute` declaration (maps to `_get_x` / `_set_x` operations).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Attribute {
-    /// Where the declaration starts.
-    pub pos: Pos,
-    /// Whether `readonly` (no setter).
-    pub readonly: bool,
-    /// Attribute name.
-    pub name: String,
-    /// Attribute type.
-    pub ty: Type,
 }
 
 /// A struct declaration.
@@ -256,31 +243,4 @@ impl Type {
             Type::Named(n) => n.clone(),
         }
     }
-}
-
-/// The operations of an interface as they appear on the wire: declared
-/// ops plus the `_get_`/`_set_` operations its attributes imply (each at
-/// its attribute's position).
-pub fn wire_ops(ops: &[Operation], attrs: &[Attribute]) -> Vec<Operation> {
-    let mut all = ops.to_vec();
-    for a in attrs {
-        let op = |prefix: &str, ret: Type, params: Vec<Param>| Operation {
-            pos: a.pos,
-            name: format!("{prefix}{}", a.name),
-            oneway: false,
-            ret,
-            params,
-            raises: vec![],
-        };
-        all.push(op("_get_", a.ty.clone(), vec![]));
-        if !a.readonly {
-            let value = Param {
-                dir: Direction::In,
-                name: "value".into(),
-                ty: a.ty.clone(),
-            };
-            all.push(op("_set_", Type::Void, vec![value]));
-        }
-    }
-    all
 }

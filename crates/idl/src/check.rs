@@ -57,7 +57,9 @@ pub enum Item {
         /// The definition (type resolved).
         def: Typedef,
     },
-    /// An exception.
+    /// An exception. One declared inside an interface is emitted in the
+    /// interface's module, beside its trait, and keeps the interface in
+    /// its repository id.
     Exception {
         /// Enclosing module path.
         scope: Vec<String>,
@@ -76,8 +78,6 @@ pub enum Item {
         repo_id: String,
         /// Flattened operations: inherited first, own last.
         all_ops: Vec<Operation>,
-        /// Flattened attributes: inherited first, own last.
-        all_attrs: Vec<Attribute>,
     },
     /// A `native` type: opaque here, defined by the Rust side.
     Native {
@@ -178,7 +178,16 @@ fn collect(
                 scope.pop();
                 continue;
             }
-            Def::Interface(i) => (&i.name, i.pos, SymbolKind::Interface),
+            Def::Interface(i) => {
+                let iscope = [scope.as_slice(), std::slice::from_ref(&i.name)].concat();
+                for e in &i.exceptions {
+                    let abs = abs_name(&iscope, &e.name);
+                    if symbols.insert(abs.clone(), SymbolKind::Exception).is_some() {
+                        bail!(e.pos, "duplicate definition of `{abs}`");
+                    }
+                }
+                (&i.name, i.pos, SymbolKind::Interface)
+            }
             Def::Struct(s) => (&s.name, s.pos, SymbolKind::Struct),
             Def::Enum(e) => (&e.name, e.pos, SymbolKind::Enum),
             Def::Typedef(t) => (&t.name, t.pos, SymbolKind::Typedef),
@@ -251,8 +260,8 @@ fn resolve_type(
     })
 }
 
-/// Flattened per-interface info: (all ops, all attrs, base).
-type IfaceTable = HashMap<String, (Vec<Operation>, Vec<Attribute>, Option<String>)>;
+/// Flattened operations per interface, by absolute name.
+type IfaceTable = HashMap<String, Vec<Operation>>;
 
 fn resolve(
     defs: &[Def],
@@ -316,29 +325,44 @@ fn resolve(
                 });
             }
             Def::Exception(e) => {
-                let mut members = Vec::new();
-                for (mname, mty) in &e.members {
-                    let what = format!("exception `{}`", e.name);
-                    let ty = resolve_type(mty, scope, symbols, e.pos, &what)?;
-                    members.push((mname.clone(), ty));
-                }
+                let def = check_exception(e, scope, symbols)?;
                 model.items.push(Item::Exception {
                     scope: scope.clone(),
                     repo_id: repo_id(scope, &e.name),
-                    def: ExceptionDef {
-                        pos: e.pos,
-                        name: e.name.clone(),
-                        members,
-                    },
+                    def,
                 });
             }
             Def::Interface(i) => {
                 let resolved = check_interface(i, scope, symbols)?;
+                let iscope = [scope.as_slice(), std::slice::from_ref(&i.name)].concat();
+                for e in &resolved.exceptions {
+                    // Emitted beside the trait, so the module must not
+                    // declare the name again.
+                    let taken = symbols.contains_key(&abs_name(scope, &e.name))
+                        || model
+                            .items
+                            .iter()
+                            .any(|it| it.scope() == scope.as_slice() && it.name() == e.name);
+                    if taken {
+                        bail!(
+                            e.pos,
+                            "exception `{}` of interface `{}` clashes with a definition of \
+                             its module",
+                            e.name,
+                            i.name
+                        );
+                    }
+                    model.items.push(Item::Exception {
+                        scope: scope.clone(),
+                        repo_id: repo_id(&iscope, &e.name),
+                        def: e.clone(),
+                    });
+                }
                 // Flatten inheritance.
-                let (mut all_ops, mut all_attrs) = match &resolved.base {
-                    None => (Vec::new(), Vec::new()),
+                let mut all_ops = match &resolved.base {
+                    None => Vec::new(),
                     Some(base_abs) => {
-                        let Some((ops, attrs, _)) = iface_ops.get(base_abs) else {
+                        let Some(ops) = iface_ops.get(base_abs) else {
                             bail!(
                                 i.pos,
                                 "interface `{}` inherits `{base_abs}`, which is not \
@@ -346,7 +370,7 @@ fn resolve(
                                 i.name
                             );
                         };
-                        (ops.clone(), attrs.clone())
+                        ops.clone()
                     }
                 };
                 // Overriding is not allowed in IDL.
@@ -361,18 +385,12 @@ fn resolve(
                     }
                 }
                 all_ops.extend(resolved.ops.iter().cloned());
-                all_attrs.extend(resolved.attrs.iter().cloned());
-                let abs = abs_name(scope, &i.name);
-                iface_ops.insert(
-                    abs,
-                    (all_ops.clone(), all_attrs.clone(), resolved.base.clone()),
-                );
+                iface_ops.insert(abs_name(scope, &i.name), all_ops.clone());
                 model.items.push(Item::Interface {
                     scope: scope.clone(),
                     repo_id: repo_id(scope, &i.name),
                     def: resolved,
                     all_ops,
-                    all_attrs,
                 });
             }
             Def::Native(n) => model.items.push(Item::Native {
@@ -384,11 +402,32 @@ fn resolve(
     Ok(())
 }
 
+/// `e` with its member types resolved from within `scope`.
+fn check_exception(
+    e: &ExceptionDef,
+    scope: &[String],
+    symbols: &HashMap<String, SymbolKind>,
+) -> Result<ExceptionDef, CheckError> {
+    let what = format!("exception `{}`", e.name);
+    let mut members = Vec::new();
+    for (mname, mty) in &e.members {
+        let ty = resolve_type(mty, scope, symbols, e.pos, &what)?;
+        members.push((mname.clone(), ty));
+    }
+    Ok(ExceptionDef {
+        pos: e.pos,
+        name: e.name.clone(),
+        members,
+    })
+}
+
 fn check_interface(
     i: &Interface,
     scope: &[String],
     symbols: &HashMap<String, SymbolKind>,
 ) -> Result<Interface, CheckError> {
+    // Names inside the interface see its own exceptions first.
+    let iscope = [scope, std::slice::from_ref(&i.name)].concat();
     let base = match &i.base {
         None => None,
         Some(b) => {
@@ -437,7 +476,7 @@ fn check_interface(
             if op.ret != Type::Void {
                 bail!(op.pos, "{what}: oneway operations must return void");
             }
-            if params.iter().any(|p| p.dir != Direction::In) {
+            if params.iter().any(|p| p.dir == Direction::Out) {
                 bail!(
                     op.pos,
                     "{what}: oneway operations may only have `in` parameters"
@@ -449,7 +488,7 @@ fn check_interface(
         }
         let mut raises = Vec::new();
         for r in &op.raises {
-            let Some((abs, kind)) = lookup(symbols, scope, r) else {
+            let Some((abs, kind)) = lookup(symbols, &iscope, r) else {
                 bail!(op.pos, "{what}: unknown exception `{r}` in raises clause");
             };
             if kind != SymbolKind::Exception {
@@ -466,30 +505,17 @@ fn check_interface(
             raises,
         });
     }
-    let mut attrs = Vec::new();
-    for a in &i.attrs {
-        if !names.insert(a.name.clone()) {
-            bail!(
-                a.pos,
-                "interface `{}`: attribute `{}` clashes with an operation",
-                i.name,
-                a.name
-            );
-        }
-        let what = format!("attribute `{}::{}`", i.name, a.name);
-        attrs.push(Attribute {
-            pos: a.pos,
-            readonly: a.readonly,
-            name: a.name.clone(),
-            ty: resolve_type(&a.ty, scope, symbols, a.pos, &what)?,
-        });
-    }
+    let exceptions = i
+        .exceptions
+        .iter()
+        .map(|e| check_exception(e, &iscope, symbols))
+        .collect::<Result<_, _>>()?;
     Ok(Interface {
         pos: i.pos,
         name: i.name.clone(),
         base,
         ops,
-        attrs,
+        exceptions,
     })
 }
 
@@ -546,6 +572,28 @@ mod tests {
             panic!()
         };
         assert_eq!(repo_id, "IDL:A/B/I:1.0");
+    }
+
+    #[test]
+    fn interface_exceptions_sit_beside_the_trait_with_the_interface_in_their_id() {
+        let m = check_src(
+            "module A { interface I { exception E { string why; }; void f() raises (E); }; };",
+        )
+        .unwrap();
+        let Item::Exception { scope, repo_id, .. } = &m.items[0] else {
+            panic!()
+        };
+        assert_eq!(
+            (scope.as_slice(), repo_id.as_str()),
+            (&["A".to_string()][..], "IDL:A/I/E:1.0")
+        );
+        let Item::Interface { def, .. } = &m.items[1] else {
+            panic!()
+        };
+        assert_eq!(def.ops[0].raises, ["A::I::E"]);
+        let e = check_src("module A { struct E { double x; }; interface I { exception E {}; }; };")
+            .unwrap_err();
+        assert!(e.msg.contains("clashes"), "{e}");
     }
 
     #[test]

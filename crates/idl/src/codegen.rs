@@ -13,16 +13,19 @@
 //!    through `ftproxy::FtProxy` which adds checkpoint-after-call and
 //!    COMM_FAILURE recovery. The paper notes that writing these proxies by
 //!    hand "could be easily automated by parsing the class definition" —
-//!    this module is that automation.
+//!    this module is that automation. A `oneway` op has no proxy method:
+//!    no reply comes back to checkpoint or recover, so callers use the
+//!    stub.
 //!
 //! Structs, enums, typedefs and exceptions map to Rust types with CDR
-//! marshalling. IDL identifiers that are Rust keywords come out as raw
-//! identifiers (`r#type`).
+//! marshalling; an exception declared inside an interface comes out
+//! beside the interface's trait. IDL identifiers that are Rust keywords
+//! come out as raw identifiers (`r#type`).
 
 use std::borrow::Cow;
 use std::fmt::Write;
 
-use crate::ast::{wire_ops, Attribute, Direction, Interface, Operation, Type};
+use crate::ast::{Direction, Interface, Operation, Type};
 use crate::check::{Item, Model};
 
 /// Code generation options.
@@ -35,22 +38,8 @@ pub struct GenOptions {
     pub source_name: String,
 }
 
-impl Default for GenOptions {
-    fn default() -> Self {
-        GenOptions {
-            ft_proxies: true,
-            source_name: "<idl>".into(),
-        }
-    }
-}
-
-/// Generate Rust source for a checked model.
-pub fn generate(model: &Model, opts: &GenOptions) -> String {
-    generate_from(model, 0, opts)
-}
-
-/// [`generate`] for the declarations of sources `first_file..` of the
-/// compilation unit only (see [`crate::parse_unit`]). Earlier sources are
+/// Generate Rust source for the declarations of sources `first_file..`
+/// of the compilation unit only (see [`crate::parse_unit`]). Earlier sources are
 /// imports: what they declare may be named, but is compiled where it is
 /// owned, so a reference to `M::T` from an import comes out as
 /// `super::M::T` and the Rust code enclosing the generated module brings
@@ -162,26 +151,21 @@ fn arg_ty(ty: &Type, scope: &[String]) -> String {
     }
 }
 
-/// The Rust method name for a wire operation.
-fn method_name(op: &str) -> Cow<'_, str> {
-    ident(op.trim_start_matches('_'))
-}
-
 /// In-direction parameter list `(name, type)` (what goes on the wire in
-/// the request body): `in` and `inout` parameters.
+/// the request body).
 fn in_params(op: &Operation) -> Vec<(Cow<'_, str>, &Type)> {
     op.params
         .iter()
-        .filter(|p| p.dir != Direction::Out)
+        .filter(|p| p.dir == Direction::In)
         .map(|p| (ident(&p.name), &p.ty))
         .collect()
 }
 
 /// Result parts (what comes back in the reply body): the return value if
-/// non-void, then `out` and `inout` parameters in declaration order.
+/// non-void, then the `out` parameters in declaration order.
 fn result_parts(op: &Operation) -> Vec<&Type> {
     let ret = (op.ret != Type::Void).then_some(&op.ret);
-    let outs = op.params.iter().filter(|p| p.dir != Direction::In);
+    let outs = op.params.iter().filter(|p| p.dir == Direction::Out);
     ret.into_iter().chain(outs.map(|p| &p.ty)).collect()
 }
 
@@ -207,7 +191,7 @@ fn members(members: &[(String, Type)], scope: &[String]) -> String {
     members.join(", ")
 }
 
-/// What one `generate` call works from.
+/// What one `generate_from` call works from.
 struct Gen<'a> {
     model: &'a Model,
     opts: &'a GenOptions,
@@ -312,11 +296,14 @@ impl Gen<'_> {
             }
             Item::Exception { def, repo_id, .. } => {
                 let name = ident(&def.name);
+                let members = match members(&def.members, scope) {
+                    m if m.is_empty() => "{}".to_string(),
+                    m => format!("{{ {m} }}"),
+                };
                 indent(out, level);
                 let _ = writeln!(
                     out,
-                    "::cdr::cdr_struct!(#[allow(non_camel_case_types, non_snake_case)] {name} {{ {} }});",
-                    members(&def.members, scope)
+                    "::cdr::cdr_struct!(#[allow(non_camel_case_types, non_snake_case)] {name} {members});"
                 );
                 indent(out, level);
                 let _ = writeln!(out, "impl {name} {{");
@@ -342,10 +329,9 @@ impl Gen<'_> {
                 def,
                 repo_id,
                 all_ops,
-                all_attrs,
                 ..
             } => {
-                self.emit_interface(out, def, repo_id, all_ops, all_attrs, scope, level);
+                self.emit_interface(out, def, repo_id, all_ops, scope, level);
             }
             // Opaque to IDL: the Rust code enclosing the generated module
             // defines the type (at top level it is already in scope).
@@ -365,15 +351,12 @@ impl Gen<'_> {
         def: &Interface,
         repo_id: &str,
         all_ops: &[Operation],
-        all_attrs: &[Attribute],
         scope: &[String],
         level: usize,
     ) {
         // `<I>Skeleton` and friends are never keywords; the bare name may be.
         let name = &def.name;
         let trait_name = ident(name);
-        let own_wire = wire_ops(&def.ops, &def.attrs);
-        let all_wire = wire_ops(all_ops, all_attrs);
 
         // ---- trait -------------------------------------------------------
         indent(out, level);
@@ -384,7 +367,7 @@ impl Gen<'_> {
         let _ = writeln!(out, "#[allow(non_camel_case_types)]");
         indent(out, level);
         let _ = writeln!(out, "pub trait {trait_name}{supertrait} {{");
-        for op in &own_wire {
+        for op in &def.ops {
             let args: Vec<String> = in_params(op)
                 .iter()
                 .map(|(n, t)| format!(", {n}: {}", rust_ty(t, scope)))
@@ -393,7 +376,7 @@ impl Gen<'_> {
             let _ = writeln!(
                 out,
                 "fn {}(&mut self, call: &mut ::orb::CallCtx<'_>{}) -> Result<{}, ::orb::Exception>;",
-                method_name(&op.name),
+                ident(&op.name),
                 args.join(""),
                 result_ty(op, scope)
             );
@@ -425,7 +408,7 @@ impl Gen<'_> {
         );
         indent(out, level + 2);
         let _ = writeln!(out, "match op {{");
-        for op in &all_wire {
+        for op in all_ops {
             let ins = in_params(op);
             indent(out, level + 3);
             let _ = write!(out, "{:?} => {{ ", op.name);
@@ -450,7 +433,7 @@ impl Gen<'_> {
             let _ = writeln!(
                 out,
                 "let r = self.0.{}(call{})?; Ok(::cdr::to_bytes(&r)) }}",
-                method_name(&op.name),
+                ident(&op.name),
                 args.join("")
             );
         }
@@ -482,12 +465,12 @@ impl Gen<'_> {
         let _ = writeln!(out, "impl {name}Stub {{");
         indent(out, level + 1);
         let _ = writeln!(out, "pub const REPO_ID: &'static str = {repo_id:?};");
-        for op in &all_wire {
+        for op in all_ops {
             indent(out, level + 1);
             let _ = writeln!(
                 out,
                 "pub const OP_{}: &'static str = {:?};",
-                op.name.trim_start_matches('_').to_uppercase(),
+                op.name.to_uppercase(),
                 op.name
             );
         }
@@ -512,7 +495,7 @@ impl Gen<'_> {
             "pub fn with_deadline(mut self, deadline: Option<::simnet::SimDuration>) -> Self {{ \
              self.deadline = deadline; self }}"
         );
-        emit_client_methods(out, &all_wire, scope, level, "stub");
+        emit_client_methods(out, all_ops, scope, level, false);
         indent(out, level);
         let _ = writeln!(out, "}}");
 
@@ -534,22 +517,24 @@ impl Gen<'_> {
                 out,
                 "pub fn new(inner: ::ftproxy::FtProxy) -> Self {{ Self {{ inner }} }}"
             );
-            emit_client_methods(out, &all_wire, scope, level, "proxy");
+            emit_client_methods(out, all_ops, scope, level, true);
             indent(out, level);
             let _ = writeln!(out, "}}");
         }
     }
 }
 
+/// The typed methods of a stub, or of an FT proxy (`proxy`), which has
+/// none for a `oneway` op.
 fn emit_client_methods(
     out: &mut String,
-    all_wire: &[Operation],
+    all_ops: &[Operation],
     scope: &[String],
     level: usize,
-    flavor: &str,
+    proxy: bool,
 ) {
-    for op in all_wire {
-        let m = method_name(&op.name);
+    for op in all_ops.iter().filter(|op| !(proxy && op.oneway)) {
+        let m = ident(&op.name);
         let ins = in_params(op);
         let args: Vec<String> = ins
             .iter()
@@ -562,51 +547,36 @@ fn emit_client_methods(
             format!("&({},)", names.join(", "))
         };
         indent(out, level + 1);
-        match (flavor, op.oneway) {
-            ("stub", true) => {
-                let _ = writeln!(
-                    out,
-                    "pub fn {m}(&self, orb: &mut ::orb::Orb, ctx: &mut ::simnet::Ctx{}) \
-                     -> ::simnet::SimResult<()> {{ \
-                     self.obj.oneway(orb, ctx, {:?}, {arg_tuple}) }}",
-                    args.join(""),
-                    op.name
-                );
-            }
-            ("stub", false) => {
-                let _ = writeln!(
-                    out,
-                    "pub fn {m}(&self, orb: &mut ::orb::Orb, ctx: &mut ::simnet::Ctx{}) \
-                     -> ::simnet::SimResult<Result<{}, ::orb::Exception>> {{ \
-                     self.obj.call_with_timeout(orb, ctx, {:?}, {arg_tuple}, self.deadline) }}",
-                    args.join(""),
-                    result_ty(op, scope),
-                    op.name
-                );
-            }
-            ("proxy", true) => {
-                let _ = writeln!(
-                    out,
-                    "pub fn {m}(&mut self, env: &mut ::ftproxy::ProxyEnv<'_>{}) \
-                     -> ::simnet::SimResult<()> {{ \
-                     self.inner.oneway(env, {:?}, {arg_tuple}) }}",
-                    args.join(""),
-                    op.name
-                );
-            }
-            ("proxy", false) => {
-                let _ = writeln!(
-                    out,
-                    "pub fn {m}(&mut self, env: &mut ::ftproxy::ProxyEnv<'_>{}) \
-                     -> ::simnet::SimResult<Result<{}, ::orb::Exception>> {{ \
-                     self.inner.call(env, {:?}, {arg_tuple}) }}",
-                    args.join(""),
-                    result_ty(op, scope),
-                    op.name
-                );
-            }
-            _ => unreachable!("flavor is stub or proxy"),
-        }
+        let _ = if proxy {
+            writeln!(
+                out,
+                "pub fn {m}(&mut self, env: &mut ::ftproxy::ProxyEnv<'_>{}) \
+                 -> ::simnet::SimResult<Result<{}, ::orb::Exception>> {{ \
+                 self.inner.call(env, {:?}, {arg_tuple}) }}",
+                args.join(""),
+                result_ty(op, scope),
+                op.name
+            )
+        } else if op.oneway {
+            writeln!(
+                out,
+                "pub fn {m}(&self, orb: &mut ::orb::Orb, ctx: &mut ::simnet::Ctx{}) \
+                 -> ::simnet::SimResult<()> {{ \
+                 self.obj.oneway(orb, ctx, {:?}, {arg_tuple}) }}",
+                args.join(""),
+                op.name
+            )
+        } else {
+            writeln!(
+                out,
+                "pub fn {m}(&self, orb: &mut ::orb::Orb, ctx: &mut ::simnet::Ctx{}) \
+                 -> ::simnet::SimResult<Result<{}, ::orb::Exception>> {{ \
+                 self.obj.call_with_timeout(orb, ctx, {:?}, {arg_tuple}, self.deadline) }}",
+                args.join(""),
+                result_ty(op, scope),
+                op.name
+            )
+        };
     }
 }
 
@@ -616,9 +586,16 @@ mod tests {
     use crate::check::check;
     use crate::parser::parse;
 
+    fn opts() -> GenOptions {
+        GenOptions {
+            ft_proxies: true,
+            source_name: "<idl>".into(),
+        }
+    }
+
     fn gen(src: &str) -> String {
         let model = check(&parse(src).unwrap()).unwrap();
-        generate(&model, &GenOptions::default())
+        generate_from(&model, 0, &opts())
     }
 
     const WORKER_IDL: &str = r#"
@@ -627,9 +604,8 @@ mod tests {
             struct SubProblem { unsigned long id; DoubleSeq lower; DoubleSeq upper; };
             exception SolveFailed { string reason; };
             interface Worker {
-                readonly attribute unsigned long solve_count;
-                attribute double tolerance;
-                double solve(in SubProblem sub, in unsigned long iters) raises (SolveFailed);
+                exception Busy { unsigned long queued; };
+                double solve(in SubProblem sub, in unsigned long iters) raises (SolveFailed, Busy);
                 void state(out DoubleSeq snapshot);
                 oneway void log(in string msg);
             };
@@ -660,15 +636,14 @@ mod tests {
     }
 
     #[test]
-    fn attributes_become_get_set_operations() {
+    fn interface_exceptions_come_out_beside_the_trait() {
         let code = gen(WORKER_IDL);
-        assert!(code.contains("\"_get_solve_count\""));
-        assert!(code.contains("\"_get_tolerance\""));
-        assert!(code.contains("\"_set_tolerance\""));
-        assert!(!code.contains("\"_set_solve_count\""), "readonly attr");
-        // Trait methods use the bare name.
-        assert!(code.contains("fn get_solve_count(&mut self"));
-        assert!(code.contains("fn set_tolerance(&mut self"));
+        let busy = code
+            .find("non_snake_case)] Busy { queued: u32 }")
+            .expect("Busy");
+        assert!(busy < code.find("pub trait Worker {").unwrap(), "{code}");
+        assert!(code.contains("pub const REPO_ID: &'static str = \"IDL:Optim/Worker/Busy:1.0\";"));
+        assert!(code.contains("\"IDL:Optim/SolveFailed:1.0\""));
     }
 
     #[test]
@@ -687,7 +662,6 @@ mod tests {
         let stub = &code[code.find("pub struct WorkerStub").unwrap()..];
         assert!(stub.contains("pub deadline: Option<::simnet::SimDuration>"));
         assert!(stub.contains("pub const OP_SOLVE: &'static str = \"solve\";"));
-        assert!(stub.contains("pub const OP_GET_SOLVE_COUNT: &'static str = \"_get_solve_count\";"));
         assert!(stub.contains("pub fn with_deadline(mut self"));
         assert!(
             stub.contains(
@@ -713,7 +687,7 @@ mod tests {
     #[test]
     fn rust_keywords_become_raw_identifiers() {
         let code = gen("module M { struct S { long type; string self; };
-                        interface I { void move(in Object ref, in S loop); attribute long fn; }; };");
+                        interface I { void move(in Object ref, in S loop); }; };");
         for needle in [
             "S { r#type: i32, self_: String }",
             "fn r#move(&mut self, call: &mut ::orb::CallCtx<'_>, r#ref: ::orb::Ior, r#loop: S)",
@@ -721,9 +695,6 @@ mod tests {
             "self.0.r#move(call, r#ref, r#loop)",
             "pub const OP_MOVE: &'static str = \"move\";",
             "pub fn r#move(&self, orb: &mut ::orb::Orb, ctx: &mut ::simnet::Ctx, r#ref: &::orb::Ior, r#loop: &S)",
-            // Attribute ops drop the leading underscore, not the keyword.
-            "fn get_fn(&mut self",
-            "\"_get_fn\"",
         ] {
             assert!(code.contains(needle), "missing {needle:?} in:\n{code}");
         }
@@ -761,7 +732,7 @@ mod tests {
             "module B { interface I : A::Base { void g(in A::P p); }; };",
         ];
         let model = check(&crate::parser::parse_unit(unit).unwrap()).unwrap();
-        let code = generate_from(&model, 1, &GenOptions::default());
+        let code = generate_from(&model, 1, &opts());
         assert!(!code.contains("pub mod A"), "{code}");
         assert!(code.contains("pub trait I: super::A::Base {"), "{code}");
         assert!(code.contains("p: super::A::P"), "{code}");
@@ -770,16 +741,17 @@ mod tests {
             code.contains("\"f\" =>") && code.contains("\"g\" =>"),
             "{code}"
         );
-        assert_eq!(
-            generate_from(&model, 0, &GenOptions::default()),
-            generate(&model, &GenOptions::default())
-        );
+        assert!(generate_from(&model, 0, &opts()).contains("pub mod A"));
     }
 
     #[test]
-    fn oneway_maps_to_oneway_call() {
+    fn oneway_maps_to_a_oneway_stub_call_and_no_proxy_method() {
         let code = gen(WORKER_IDL);
         assert!(code.contains("self.obj.oneway(orb, ctx, \"log\""));
+        let proxy = &code[code.find("pub struct WorkerFtProxy").unwrap()..];
+        let proxy = &proxy[..proxy.find("pub trait FtWorker").unwrap()];
+        assert!(proxy.contains("self.inner.call(env, \"solve\""), "{proxy}");
+        assert!(!proxy.contains("fn log("), "{proxy}");
     }
 
     #[test]
@@ -812,8 +784,9 @@ mod tests {
     #[test]
     fn proxies_can_be_disabled() {
         let model = check(&parse(WORKER_IDL).unwrap()).unwrap();
-        let code = generate(
+        let code = generate_from(
             &model,
+            0,
             &GenOptions {
                 ft_proxies: false,
                 source_name: "x.idl".into(),
@@ -823,11 +796,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_inout_signature() {
-        let code = gen("interface I { double f(in long a, inout double b, out string c); };");
-        // args: a, b; results: (f64 ret, f64 b, String c)
+    fn mixed_in_out_signature() {
+        let code = gen("interface I { double f(in long a, out double b, in string c); };");
+        // args: a, c; results: (f64 ret, f64 b)
         assert!(
-            code.contains("fn f(&mut self, call: &mut ::orb::CallCtx<'_>, a: i32, b: f64) -> Result<(f64, f64, String), ::orb::Exception>;"),
+            code.contains("fn f(&mut self, call: &mut ::orb::CallCtx<'_>, a: i32, c: String) -> Result<(f64, f64), ::orb::Exception>;"),
             "{code}"
         );
     }

@@ -12,19 +12,21 @@
 //!   call through `ftproxy::FtProxy` (checkpoint-after-call plus
 //!   COMM_FAILURE recovery).
 //!
-//! Supported IDL: modules, interfaces with single inheritance, operations
-//! (in/out/inout, `oneway`, `raises`), attributes, structs, enums,
-//! typedefs, sequences, exceptions, the primitive types, `any`, `Object`
-//! references, and `native` (Rust-defined) types. Several files form one
-//! compilation unit through [`parse_unit`]; [`generate_from`] then emits
-//! the declarations of some of them, which is how each crate of this
-//! workspace compiles the contract it owns against the ones it names.
+//! Supported IDL — what the workspace's contracts use: modules,
+//! interfaces with single inheritance, operations (`in`/`out`
+//! parameters, `oneway`, `raises`), exceptions at module or interface
+//! scope, structs, enums, typedefs, sequences, the primitive types,
+//! `any`, `Object` references, and `native` (Rust-defined) types.
+//! Attributes and `inout` parameters are rejected where they stand.
+//! Several files form one compilation unit through [`parse_unit`];
+//! [`generate_from`] then emits the declarations of some of them, which
+//! is how each crate of this workspace compiles the contract it owns
+//! against the ones it names.
 //!
 //! ```
 //! let src = "module M { interface Hello { string greet(in string who); }; };";
-//! let spec = idlc::parse(src).unwrap();
-//! let model = idlc::check(&spec).unwrap();
-//! let rust = idlc::generate(&model, &idlc::GenOptions::default());
+//! let files = [("hello.idl".to_string(), src.to_string())];
+//! let rust = idlc::compile_files(&files, 0, true).unwrap();
 //! assert!(rust.contains("pub struct HelloStub"));
 //! ```
 
@@ -33,12 +35,10 @@ mod check;
 mod codegen;
 mod lexer;
 mod parser;
-mod pretty;
 
 pub use check::{check, CheckError, Item, Model};
-pub use codegen::{generate, generate_from, GenOptions};
-pub use parser::{parse, parse_unit, ParseError};
-pub use pretty::pretty;
+pub use codegen::{generate_from, GenOptions};
+pub use parser::{parse_unit, ParseError};
 
 /// Compile `(path, source)` files as one compilation unit, in the order
 /// given, and generate Rust for all but the first `imports` of them; the

@@ -6,8 +6,9 @@ use crate::lexer::{lex_file, TokKind, Token};
 /// A parse (or lexical) error, at the offending token.
 pub type ParseError = IdlError;
 
-/// Parse an IDL source file.
-pub fn parse(src: &str) -> Result<Spec, ParseError> {
+/// Parse one IDL source.
+#[cfg(test)]
+pub(crate) fn parse(src: &str) -> Result<Spec, ParseError> {
     parse_unit([src])
 }
 
@@ -137,12 +138,7 @@ impl Parser {
             self.expect(&TokKind::Semi)?;
             Ok(Def::Typedef(Typedef { pos, name, ty }))
         } else if self.keyword("exception") {
-            let name = self.ident()?;
-            self.expect(&TokKind::LBrace)?;
-            let members = self.members()?;
-            self.expect(&TokKind::RBrace)?;
-            self.expect(&TokKind::Semi)?;
-            Ok(Def::Exception(ExceptionDef { pos, name, members }))
+            self.exception(pos).map(Def::Exception)
         } else if self.keyword("native") {
             let name = self.ident()?;
             self.expect(&TokKind::Semi)?;
@@ -164,6 +160,16 @@ impl Parser {
         Ok(members)
     }
 
+    /// `exception E { members };`, after the keyword.
+    fn exception(&mut self, pos: Pos) -> Result<ExceptionDef, ParseError> {
+        let name = self.ident()?;
+        self.expect(&TokKind::LBrace)?;
+        let members = self.members()?;
+        self.expect(&TokKind::RBrace)?;
+        self.expect(&TokKind::Semi)?;
+        Ok(ExceptionDef { pos, name, members })
+    }
+
     fn interface(&mut self, pos: Pos) -> Result<Interface, ParseError> {
         let name = self.ident()?;
         let base = if self.peek().kind == TokKind::Colon {
@@ -174,32 +180,14 @@ impl Parser {
         };
         self.expect(&TokKind::LBrace)?;
         let mut ops = Vec::new();
-        let mut attrs = Vec::new();
+        let mut exceptions = Vec::new();
         while self.peek().kind != TokKind::RBrace {
             let pos = self.peek().pos;
-            if self.keyword("readonly") {
-                if !self.keyword("attribute") {
-                    return self.err("expected `attribute` after `readonly`");
-                }
-                let ty = self.ty()?;
-                let name = self.ident()?;
-                self.expect(&TokKind::Semi)?;
-                attrs.push(Attribute {
-                    pos,
-                    readonly: true,
-                    name,
-                    ty,
-                });
-            } else if self.keyword("attribute") {
-                let ty = self.ty()?;
-                let name = self.ident()?;
-                self.expect(&TokKind::Semi)?;
-                attrs.push(Attribute {
-                    pos,
-                    readonly: false,
-                    name,
-                    ty,
-                });
+            if self.keyword("exception") {
+                exceptions.push(self.exception(pos)?);
+            } else if matches!(&self.peek().kind, TokKind::Ident(s) if s == "attribute" || s == "readonly")
+            {
+                return self.err("attributes are not supported: declare the operations");
             } else {
                 ops.push(self.operation()?);
             }
@@ -211,7 +199,7 @@ impl Parser {
             name,
             base,
             ops,
-            attrs,
+            exceptions,
         })
     }
 
@@ -262,10 +250,10 @@ impl Parser {
             Direction::In
         } else if self.keyword("out") {
             Direction::Out
-        } else if self.keyword("inout") {
-            Direction::InOut
+        } else if matches!(&self.peek().kind, TokKind::Ident(s) if s == "inout") {
+            return self.err("`inout` is not supported: pass an `in` and an `out` parameter");
         } else {
-            return self.err("expected parameter direction (in/out/inout)");
+            return self.err("expected parameter direction (in/out)");
         };
         let ty = self.ty()?;
         let name = self.ident()?;
@@ -354,10 +342,9 @@ mod tests {
                 };
                 exception SolveFailed { string reason; };
                 interface Worker {
-                    readonly attribute unsigned long solve_count;
-                    attribute double tolerance;
+                    exception Busy { unsigned long queued; };
                     double solve(in SubProblem sub, in unsigned long iters)
-                        raises (SolveFailed);
+                        raises (SolveFailed, Busy);
                     void state(out DoubleSeq snapshot);
                     oneway void log(in string msg);
                 };
@@ -378,9 +365,8 @@ mod tests {
         };
         assert_eq!(w.name, "Worker");
         assert_eq!(w.ops.len(), 3);
-        assert_eq!(w.attrs.len(), 2);
-        assert!(w.attrs[0].readonly);
-        assert_eq!(w.ops[0].raises, vec!["SolveFailed"]);
+        assert_eq!(w.exceptions[0].name, "Busy");
+        assert_eq!(w.ops[0].raises, vec!["SolveFailed", "Busy"]);
         assert!(w.ops[2].oneway);
         let Def::Interface(fw) = &m.defs[5] else {
             panic!("expected interface");
@@ -435,6 +421,18 @@ mod tests {
     fn missing_direction_is_reported() {
         let err = parse("interface I { void f(double x); };").unwrap_err();
         assert!(err.msg.contains("direction"), "{err}");
+    }
+
+    #[test]
+    fn attributes_and_inout_are_rejected_where_they_stand() {
+        let err = parse("interface I {\n  readonly attribute long n;\n};").unwrap_err();
+        assert_eq!((err.pos.line, err.pos.col), (2, 3));
+        assert!(err.msg.contains("attributes"), "{err}");
+        let err = parse("interface I { attribute long n; };").unwrap_err();
+        assert_eq!((err.pos.line, err.pos.col), (1, 15));
+        let err = parse("interface I { void f(inout double d); };").unwrap_err();
+        assert_eq!((err.pos.line, err.pos.col), (1, 22));
+        assert!(err.msg.contains("`inout`"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Pretty-printer: renders an AST back to IDL source. Together with the
-//! parser this gives the round-trip property `parse(pretty(ast)) == ast`,
-//! which the property tests exercise.
+//! Pretty-printer for the property tests: renders an AST back to IDL
+//! source, so that parsing what it prints gives the AST back.
 
 use std::fmt::Write;
 
-use crate::ast::*;
+use idlc::ast::*;
 
 /// Render a spec as IDL source.
 pub fn pretty(spec: &Spec) -> String {
@@ -50,16 +49,7 @@ fn emit_def(out: &mut String, def: &Def, level: usize) {
             indent(out, level);
             let _ = writeln!(out, "typedef {} {};", ty(&t.ty), t.name);
         }
-        Def::Exception(e) => {
-            indent(out, level);
-            let _ = writeln!(out, "exception {} {{", e.name);
-            for (n, t) in &e.members {
-                indent(out, level + 1);
-                let _ = writeln!(out, "{} {n};", ty(t));
-            }
-            indent(out, level);
-            let _ = writeln!(out, "}};");
-        }
+        Def::Exception(e) => emit_exception(out, e, level),
         Def::Native(n) => {
             indent(out, level);
             let _ = writeln!(out, "native {};", n.name);
@@ -74,10 +64,8 @@ fn emit_def(out: &mut String, def: &Def, level: usize) {
                     let _ = writeln!(out, "interface {} {{", i.name);
                 }
             }
-            for a in &i.attrs {
-                indent(out, level + 1);
-                let ro = if a.readonly { "readonly " } else { "" };
-                let _ = writeln!(out, "{ro}attribute {} {};", ty(&a.ty), a.name);
+            for e in &i.exceptions {
+                emit_exception(out, e, level + 1);
             }
             for op in &i.ops {
                 indent(out, level + 1);
@@ -89,7 +77,6 @@ fn emit_def(out: &mut String, def: &Def, level: usize) {
                         let dir = match p.dir {
                             Direction::In => "in",
                             Direction::Out => "out",
-                            Direction::InOut => "inout",
                         };
                         format!("{dir} {} {}", ty(&p.ty), p.name)
                     })
@@ -109,6 +96,17 @@ fn emit_def(out: &mut String, def: &Def, level: usize) {
             let _ = writeln!(out, "}};");
         }
     }
+}
+
+fn emit_exception(out: &mut String, e: &ExceptionDef, level: usize) {
+    indent(out, level);
+    let _ = writeln!(out, "exception {} {{", e.name);
+    for (n, t) in &e.members {
+        indent(out, level + 1);
+        let _ = writeln!(out, "{} {n};", ty(t));
+    }
+    indent(out, level);
+    let _ = writeln!(out, "}};");
 }
 
 fn ty(t: &Type) -> String {
@@ -135,7 +133,10 @@ fn ty(t: &Type) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+
+    fn parse(src: &str) -> Spec {
+        idlc::parse_unit([src]).unwrap()
+    }
 
     #[test]
     fn round_trips_a_module() {
@@ -146,24 +147,24 @@ mod tests {
                 enum E { A, B };
                 exception Bad { string why; };
                 interface I {
-                    readonly attribute long n;
-                    double f(in S s, inout double d, out string msg) raises (Bad);
+                    exception Busy { long queued; };
+                    double f(in S s, in double d, out string msg) raises (Bad, Busy);
                     oneway void log(in string m);
                 };
                 interface J : I { void g(); };
             };
         "#;
-        let ast = parse(src).unwrap();
+        let ast = parse(src);
         let printed = pretty(&ast);
-        let reparsed = parse(&printed).unwrap();
+        let reparsed = parse(&printed);
         assert_eq!(ast, reparsed, "pretty output:\n{printed}");
     }
 
     #[test]
     fn fixpoint_after_one_round() {
         let src = "interface I { void f(in double a); };";
-        let once = pretty(&parse(src).unwrap());
-        let twice = pretty(&parse(&once).unwrap());
+        let once = pretty(&parse(src));
+        let twice = pretty(&parse(&once));
         assert_eq!(once, twice);
     }
 }

@@ -1,7 +1,11 @@
-//! Property test: for arbitrary well-formed ASTs, `parse(pretty(ast))`
-//! reproduces the AST exactly — the printer and parser are inverses.
+//! Property test: for arbitrary well-formed ASTs, parsing what
+//! [`pretty`] prints reproduces the AST exactly — the printer and parser
+//! are inverses.
+
+mod pretty;
 
 use idlc::ast::*;
+use pretty::pretty;
 use proptest::prelude::*;
 
 /// Generated ASTs have no source; positions compare equal anyway.
@@ -76,11 +80,7 @@ fn data_type() -> impl Strategy<Value = Type> {
 
 fn param() -> impl Strategy<Value = Param> {
     (
-        prop_oneof![
-            Just(Direction::In),
-            Just(Direction::Out),
-            Just(Direction::InOut)
-        ],
+        prop_oneof![Just(Direction::In), Just(Direction::Out)],
         ident(),
         data_type(),
     )
@@ -122,34 +122,40 @@ fn interface() -> impl Strategy<Value = Interface> {
     (
         ident(),
         proptest::collection::vec(operation(), 0..4),
-        proptest::collection::vec((any::<bool>(), ident(), data_type()), 0..3),
+        proptest::collection::vec(exception(), 0..2),
     )
-        .prop_map(|(name, mut ops, attrs)| {
-            // Operations and attributes share one namespace.
-            let mut names = unique(
-                ops.iter()
-                    .map(|op| op.name.clone())
-                    .chain(attrs.iter().map(|(_, name, _)| name.clone())),
-            )
-            .into_iter();
-            for op in &mut ops {
-                op.name = names.next().expect("one name per op");
+        .prop_map(|(name, mut ops, mut exceptions)| {
+            let names = unique(ops.iter().map(|op| op.name.clone()));
+            for (op, name) in ops.iter_mut().zip(names) {
+                op.name = name;
+            }
+            // Prefixed apart from every other name: they are emitted
+            // beside the interface, into its module.
+            for (i, e) in exceptions.iter_mut().enumerate() {
+                e.name = format!("{name}_{}_{i}", e.name);
             }
             Interface {
                 pos: P,
                 name,
                 base: None,
                 ops,
-                attrs: attrs
-                    .into_iter()
-                    .zip(names)
-                    .map(|((readonly, _, ty), name)| Attribute {
-                        pos: P,
-                        readonly,
-                        name,
-                        ty,
-                    })
-                    .collect(),
+                exceptions,
+            }
+        })
+}
+
+fn exception() -> impl Strategy<Value = ExceptionDef> {
+    (
+        ident(),
+        proptest::collection::vec((ident(), data_type()), 0..3),
+    )
+        .prop_map(|(name, members)| {
+            let (names, types): (Vec<_>, Vec<_>) = members.into_iter().unzip();
+            let members = unique(names).into_iter().zip(types).collect();
+            ExceptionDef {
+                pos: P,
+                name,
+                members,
             }
         })
 }
@@ -180,19 +186,7 @@ fn def() -> impl Strategy<Value = Def> {
         }),
         (ident(), data_type()).prop_map(|(name, ty)| Def::Typedef(Typedef { pos: P, name, ty })),
         ident().prop_map(|name| Def::Native(Native { pos: P, name })),
-        (
-            ident(),
-            proptest::collection::vec((ident(), data_type()), 0..3)
-        )
-            .prop_map(|(name, members)| {
-                let (names, types): (Vec<_>, Vec<_>) = members.into_iter().unzip();
-                let members = unique(names).into_iter().zip(types).collect();
-                Def::Exception(ExceptionDef {
-                    pos: P,
-                    name,
-                    members,
-                })
-            }),
+        exception().prop_map(Def::Exception),
     ]
 }
 
@@ -230,20 +224,18 @@ proptest! {
 
     #[test]
     fn parse_pretty_round_trip(ast in spec()) {
-        let printed = idlc::pretty(&ast);
-        let reparsed = idlc::parse(&printed)
+        let printed = pretty(&ast);
+        let reparsed = idlc::parse_unit([printed.as_str()])
             .unwrap_or_else(|e| panic!("reparse failed: {e}\nsource:\n{printed}"));
         prop_assert_eq!(ast, reparsed);
     }
 
     #[test]
     fn generated_code_is_produced_for_valid_specs(ast in spec()) {
-        let printed = idlc::pretty(&ast);
-        // Not all generated specs type-check (e.g. duplicate member names
-        // across attrs/ops are avoided by construction), but when they do,
-        // codegen must not panic.
-        if let Ok(model) = idlc::check(&idlc::parse(&printed).unwrap()) {
-            let code = idlc::generate(&model, &idlc::GenOptions::default());
+        let files = [("gen.idl".to_string(), pretty(&ast))];
+        // Not all generated specs type-check (a name may collide with a
+        // Rust-escaped one), but when they do, codegen must not panic.
+        if let Ok(code) = idlc::compile_files(&files, 0, true) {
             prop_assert!(code.contains("Generated by idlc"));
             // No IDL identifier reaches a Rust binding position as a bare
             // keyword: method, member/parameter, enumerator, item.

@@ -7,24 +7,24 @@
 //! [`idlc::Model`]. A unit `idlc` rejects is an error at the offending
 //! `file:line:col`, which fails the selfcheck `the_contracts_compile`.
 
-use idlc::ast::{wire_ops, Operation};
+use idlc::ast::Operation;
 use std::path::Path;
 
 /// One operation as it appears on the wire.
 #[derive(Debug)]
 pub struct IdlOp {
-    /// Wire name (`add`, `_get_op_count`, ...).
+    /// Wire name (`solve`, `group_view`, ...).
     pub name: String,
     /// 1-indexed line of the declaration in its IDL file.
     pub line: usize,
 }
 
-/// One `interface`, attributes already expanded to `_get_`/`_set_` ops.
+/// One `interface` and the operations it declares.
 #[derive(Debug)]
 pub struct IdlInterface {
     /// Contract file declaring it, as reported in diagnostics.
     pub file: String,
-    /// Interface name (`Calculator`).
+    /// Interface name (`Worker`).
     pub name: String,
     /// Own operations in declaration order (inherited ones belong to
     /// the base interface's entry).
@@ -62,14 +62,10 @@ impl Contracts {
                     name: op.name.clone(),
                     line: op.pos.line as usize,
                 };
-                let mut ops: Vec<IdlOp> = wire_ops(&def.ops, &def.attrs).iter().map(op).collect();
-                // `wire_ops` lists attribute ops last; restore
-                // declaration order.
-                ops.sort_by_key(|op| op.line);
                 c.interfaces.push(IdlInterface {
                     file: file(def.pos.file),
                     name: def.name.clone(),
-                    ops,
+                    ops: def.ops.iter().map(op).collect(),
                 });
             }
         }

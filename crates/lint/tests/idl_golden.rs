@@ -4,7 +4,6 @@
 //! from. If an IDL file gains or loses an operation, this test fails
 //! alongside the generated-code drift test — update both deliberately.
 
-use idlc::ast::wire_ops;
 use idlc::Item;
 use ldft_lint::Contracts;
 use std::path::Path;
@@ -17,13 +16,13 @@ fn loaded() -> Contracts {
     ldft_lint::contracts(root).expect("read idl/")
 }
 
-/// The model's interface `name` with its wire ops (attributes expanded).
-fn wire_ops_of(c: &Contracts, name: &str) -> Vec<idlc::ast::Operation> {
+/// The operations the model's interface `name` declares.
+fn ops_of<'c>(c: &'c Contracts, name: &str) -> &'c [idlc::ast::Operation] {
     c.model
         .items
         .iter()
         .find_map(|it| match it {
-            Item::Interface { def, .. } if def.name == name => Some(wire_ops(&def.ops, &def.attrs)),
+            Item::Interface { def, .. } if def.name == name => Some(def.ops.as_slice()),
             _ => None,
         })
         .expect("interface in the model")
@@ -32,11 +31,9 @@ fn wire_ops_of(c: &Contracts, name: &str) -> Vec<idlc::ast::Operation> {
 #[test]
 fn the_unit_checks_clean_and_has_the_expected_surface() {
     let c = loaded();
-    assert_eq!(c.sources.len(), 6);
-    // (file, interface, op count) — op counts include attribute
-    // pseudo-ops (`_get_x`/`_set_x`).
+    assert_eq!(c.sources.len(), 5);
+    // (file, interface, op count).
     let want: &[(&str, &str, usize)] = &[
-        ("idl/calculator.idl", "Calculator", 10),
         ("idl/ft.idl", "CheckpointService", 4),
         ("idl/ft.idl", "ServiceFactory", 1),
         ("idl/naming.idl", "NamingContext", 7),
@@ -51,7 +48,7 @@ fn the_unit_checks_clean_and_has_the_expected_surface() {
         .collect();
     assert_eq!(got, want);
     // Inherited operations count once, at the interface declaring them.
-    assert_eq!(c.ops().count(), 30);
+    assert_eq!(c.ops().count(), 20);
 }
 
 #[test]
@@ -61,7 +58,10 @@ fn enums_and_natives_are_the_expected_ones() {
         let picked = c.model.items.iter().filter(|it| pick(it));
         picked.map(Item::name).collect()
     };
-    assert!(named(|it| matches!(it, Item::Enum { .. })).is_empty());
+    assert_eq!(
+        named(|it| matches!(it, Item::Enum { .. })),
+        ["NotFoundReason"]
+    );
     // What the Rust side defines by hand: the epoch newtype, the name
     // newtype, and an `Option` shape.
     assert_eq!(
@@ -71,46 +71,55 @@ fn enums_and_natives_are_the_expected_ones() {
 }
 
 #[test]
-fn attributes_expand_to_wire_pseudo_ops() {
+fn naming_exceptions_carry_the_cos_naming_ids() {
+    // Each repository id as the scoped name it spells (`IDL:A/B:1.0` is
+    // `A::B`); `tests/wire_goldens.rs` pins the bytes.
     let c = loaded();
-    let calc = &c.interfaces[0];
-    // Declaration order is kept: `readonly attribute unsigned long
-    // op_count` → getter only; `attribute double precision` → getter +
-    // setter; then the operations.
-    let names: Vec<&str> = calc.ops.iter().map(|o| o.name.as_str()).collect();
+    let scoped: Vec<String> = c
+        .model
+        .items
+        .iter()
+        .filter_map(|it| match it {
+            Item::Exception { repo_id, .. } => {
+                let path = repo_id.strip_prefix("IDL:")?.strip_suffix(":1.0")?;
+                Some(path.replace('/', "::"))
+            }
+            _ => None,
+        })
+        .collect();
     assert_eq!(
-        names[..4],
-        ["_get_op_count", "_get_precision", "_set_precision", "add"]
+        scoped,
+        [
+            "CosNaming::LoadBalancedContext::EmptyGroup",
+            "CosNaming::NamingContext::NotFound",
+            "CosNaming::NamingContext::AlreadyBound",
+            "CosNaming::NamingContext::InvalidName",
+        ]
     );
-    let (get, set) = (&calc.ops[0], &calc.ops[2]);
-    let wire = wire_ops_of(&c, "Calculator");
-    let expanded = |name: &str| wire.iter().find(|o| o.name == name).unwrap();
-    assert!(expanded(&get.name).params.is_empty());
-    assert_eq!(expanded(&get.name).ret.rust(), "u32");
-    let setter = expanded(&set.name);
-    let params: Vec<String> = setter.params.iter().map(|p| p.ty.rust()).collect();
-    assert_eq!(
-        (params, setter.ret.rust()),
-        (vec!["f64".to_string()], "()".to_string())
-    );
+    // Every naming op raises what the flat context can raise.
+    for op in ops_of(&c, "NamingContext") {
+        assert!(
+            op.raises
+                .contains(&"CosNaming::NamingContext::InvalidName".to_string()),
+            "{}",
+            op.name
+        );
+    }
 }
 
 #[test]
 fn any_object_and_cross_file_names_resolve() {
     let c = loaded();
-    let op = |iface: &str, name: &str| {
-        let ops = wire_ops_of(&c, iface).into_iter();
-        ops.into_iter().find(|o| o.name == name).unwrap()
-    };
+    let op = |iface: &str, name: &str| ops_of(&c, iface).iter().find(|o| o.name == name).unwrap();
     let tys = |o: &idlc::ast::Operation| -> Vec<String> {
         o.params.iter().map(|p| p.ty.rust()).collect()
     };
     assert_eq!(
-        tys(&op("CheckpointService", "store_value")),
+        tys(op("CheckpointService", "store_value")),
         ["String", "String", "::cdr::Any"]
     );
     assert_eq!(
-        tys(&op("ServiceFactory", "create")),
+        tys(op("ServiceFactory", "create")),
         ["String", "::orb::Ior"]
     );
     // `Store::Replication` inherits `FT::CheckpointService` from another
@@ -159,9 +168,9 @@ fn oneway_ops_are_flagged() {
     let c = loaded();
     let mut oneway = Vec::new();
     for i in &c.interfaces {
-        for op in wire_ops_of(&c, &i.name).iter().filter(|o| o.oneway) {
+        for op in ops_of(&c, &i.name).iter().filter(|o| o.oneway) {
             oneway.push(format!("{}::{}", i.name, op.name));
         }
     }
-    assert_eq!(oneway, vec!["Calculator::log", "SystemManager::report"]);
+    assert_eq!(oneway, vec!["SystemManager::report"]);
 }

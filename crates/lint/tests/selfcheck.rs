@@ -210,7 +210,7 @@ fn the_contracts_compile() {
 
 #[test]
 fn every_contract_is_generated() {
-    // CI's "generated code is current" step and `idl_end_to_end` read only
+    // `idl_end_to_end` reads only
     // `idl/generated.txt`, so a contract it does not name is never
     // generated nor compared.
     let root = workspace_root();
@@ -441,12 +441,10 @@ fn assert_no_stale_allowance<T: std::fmt::Debug>(allowed: &[T], seen: &BTreeSet<
 fn every_idl_op_has_a_caller() {
     // No operation without a caller, and a test is not one. Each op is
     // named where product code (`product_reach`) exercises it: its
-    // generated stub method (`_get_x` → `get_x`) called with `orb, ctx` —
-    // or, through a typed FT proxy, `env` — plus the op's in-params, or
-    // its `OP_*` constant handed to a DII request or the FT proxy's
-    // config. A contract whose generated code lives under `tests/` (the
-    // generator's own `calculator.idl`) has no product to call it. An
-    // entry the check no longer flags fails it.
+    // generated stub method called with `orb, ctx` — or, through a typed
+    // FT proxy, `env` — plus the op's in-params, or its `OP_*` constant
+    // handed to a DII request or the FT proxy's config. An entry the
+    // check no longer flags fails it.
     const BY_NAME: &str =
         "the ft servant wrapper invokes it by name, locally (CHECKPOINT_OP, RESTORE_OP)";
     const ALLOWED: &[(&str, &str, &str)] = &[
@@ -470,19 +468,6 @@ fn every_idl_op_has_a_caller() {
             }
         }
     }
-    let list = std::fs::read_to_string(root.join("idl/generated.txt")).expect("read the list");
-    let product_contracts: BTreeSet<&str> = list
-        .lines()
-        .filter(|l| !l.starts_with('#'))
-        .map(str::split_whitespace)
-        .filter(|words| {
-            words
-                .clone()
-                .next()
-                .is_some_and(|out| !out.starts_with("tests/"))
-        })
-        .flat_map(|words| words.skip(1))
-        .collect();
     let idls = contracts(root).expect("read idl/");
     let mut dead = Vec::new();
     let mut allowed_seen = BTreeSet::new();
@@ -490,12 +475,9 @@ fn every_idl_op_has_a_caller() {
         let idlc::Item::Interface { def, .. } = item else {
             continue;
         };
-        if !product_contracts.contains(idls.sources[def.pos.file as usize].0.as_str()) {
-            continue;
-        }
-        for op in idlc::ast::wire_ops(&def.ops, &def.attrs) {
-            let stub = op.name.trim_start_matches('_');
-            let ins = op.params.iter().filter(|p| p.dir != Direction::Out);
+        for op in &def.ops {
+            let stub = op.name.as_str();
+            let ins = op.params.iter().filter(|p| p.dir == Direction::In);
             let ins = ins.count();
             let op_const = format!("OP_{}", stub.to_uppercase());
             let named = [(stub, ins + 2), (stub, ins + 1), (op_const.as_str(), 0)];
@@ -657,45 +639,99 @@ fn every_default_field_has_a_second_value() {
     assert_no_stale_allowance(ALLOWED, &allowed_seen);
 }
 
-#[test]
-fn every_public_item_has_a_caller() {
-    // No primitive without a caller, and a test is not one. Each `pub fn`,
-    // `struct`, `enum` and `trait` in library code under `crates/*/src`
-    // (`generated.rs` and the `crates/lint` test library exempt) must be
-    // named by a token product code reaches (`product_reach`). A
-    // definition is not a use, neither of its own item nor of another of
-    // the same name, and neither is the self type of an `impl … [for] X`
-    // header. Names only: a collision can hide a candidate but never flag
-    // one. An entry the check no longer flags fails it.
+/// The package a workspace file belongs to, by directory: `crates/<dir>`,
+/// `benchmark`, or `""` for the root package.
+fn package_of(path: &str) -> String {
+    match path.split('/').collect::<Vec<_>>()[..] {
+        ["crates", dir, _, ..] => format!("crates/{dir}"),
+        ["benchmark", _, ..] => "benchmark".to_string(),
+        _ => String::new(),
+    }
+}
+
+/// The entries of `package`'s manifest section `[section]`, by name: the
+/// workspace-relative directory of a `path` dependency, `None` for one
+/// the workspace table declares.
+fn manifest_section(package: &str, section: &str) -> BTreeMap<String, Option<String>> {
+    let path = workspace_root().join(package).join("Cargo.toml");
+    let manifest = std::fs::read_to_string(path).expect("read a manifest");
+    let mut entries = BTreeMap::new();
+    let mut inside = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            inside = line == format!("[{section}]");
+            continue;
+        }
+        let Some((name, value)) = line.split_once('=').filter(|_| inside) else {
+            continue;
+        };
+        let name = name.trim();
+        let dir = value.split_once("path = \"").and_then(|(_, rest)| {
+            let mut dir: Vec<&str> = package.split('/').filter(|s| !s.is_empty()).collect();
+            for seg in rest.split('"').next()?.split('/') {
+                match seg {
+                    ".." => drop(dir.pop()),
+                    seg => dir.push(seg),
+                }
+            }
+            Some(dir.join("/"))
+        });
+        entries.insert(name.trim_end_matches(".workspace").to_string(), dir);
+    }
+    entries
+}
+
+/// Package → the packages its `[dependencies]` name, from the manifests.
+fn dependencies(files: &[FileAnalysis]) -> BTreeMap<String, BTreeSet<String>> {
+    let workspace = manifest_section("", "workspace.dependencies");
+    let packages: BTreeSet<String> = files.iter().map(|fa| package_of(&fa.path)).collect();
+    let deps = |package: &String| -> BTreeSet<String> {
+        let entries = manifest_section(package, "dependencies").into_iter();
+        entries
+            .filter_map(|(name, dir)| dir.or_else(|| workspace.get(&name).cloned().flatten()))
+            .collect()
+    };
+    packages.iter().map(|p| (p.clone(), deps(p))).collect()
+}
+
+/// `file:line: `name` has no caller in product code` for each `pub fn`,
+/// `struct`, `enum` and `trait` in library code (`generated.rs` and
+/// `crates/lint` exempt) that no token product code reaches
+/// (`product_reach`) names from the item's own package or from a package
+/// that depends on it. A definition is not a use, neither of its own item
+/// nor of another of the same name, and neither is a `mod x;` line or the
+/// self type of an `impl … [for] X` header.
+fn callerless(
+    files: &[FileAnalysis],
+    deps: &BTreeMap<String, BTreeSet<String>>,
+) -> Vec<(String, String)> {
     const ITEMS: [&str; 4] = ["fn", "struct", "enum", "trait"];
-    const ALLOWED: &[(&str, &str, &str)] = &[(
-        "crates/simnet/src/kernel.rs",
-        "run_until_idle",
-        "the kernel's run-to-quiescence stop rule, which simnet's own \
-         tests run under",
-    )];
-    let files = ldft_lint::analyze_workspace(workspace_root()).expect("parse the workspace");
-    let reach = product_reach(&files);
-    let mut named: BTreeSet<&str> = BTreeSet::new();
+    let reach = product_reach(files);
+    // name → the packages whose reached code names it.
+    let mut named: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
     for (fi, fa) in files.iter().enumerate() {
         let toks = &fa.ast.toks;
-        // A definition names no other item, and an `impl` header does not
-        // use its own self type.
         let self_types: BTreeSet<usize> = fa.ast.impls.iter().map(|im| im.type_tok).collect();
         for (ti, t) in toks.iter().enumerate() {
-            let defines = ti > 0 && ITEMS.iter().any(|k| toks[ti - 1].is(k));
+            let defines = ti > 0 && ITEMS.iter().chain(&["mod"]).any(|k| toks[ti - 1].is(k));
             if t.kind == TokKind::Ident && reach[fi][ti] && !defines && !self_types.contains(&ti) {
-                named.insert(t.text.as_str());
+                named
+                    .entry(t.text.as_str())
+                    .or_default()
+                    .insert(package_of(&fa.path));
             }
         }
     }
     let mut offences = Vec::new();
-    let mut allowed_seen = BTreeSet::new();
-    for fa in &files {
+    for fa in files {
         let lint = fa.crate_dir.as_deref() == Some("lint");
         if !is_library(&fa.path) || is_generated(&fa.path) || lint {
             continue;
         }
+        let package = package_of(&fa.path);
+        let sees = |user: &String| {
+            *user == package || deps.get(user).is_some_and(|d| d.contains(&package))
+        };
         let toks = &fa.ast.toks;
         for i in 0..toks.len() {
             if !toks[i].is("pub") || fa.is_test_line(toks[i].line) {
@@ -713,25 +749,78 @@ fn every_public_item_has_a_caller() {
                 continue;
             }
             let name = toks[def].text.as_str();
-            if named.contains(name) {
-                continue;
+            if !named.get(name).is_some_and(|users| users.iter().any(sees)) {
+                let at = format!("{}:{}", fa.path, toks[def].line);
+                offences.push((at, name.to_string()));
             }
-            match ALLOWED
-                .iter()
-                .position(|a| (a.0, a.1) == (fa.path.as_str(), name))
-            {
-                Some(a) => {
-                    allowed_seen.insert(a);
-                }
-                None => offences.push(format!(
-                    "{}:{}: `{name}` has no caller in product code",
-                    fa.path, toks[def].line
-                )),
+        }
+    }
+    offences
+}
+
+#[test]
+fn every_public_item_has_a_caller() {
+    // No primitive without a caller, and a test is not one (`callerless`).
+    // Names only: a collision within a package or along a dependency can
+    // hide a candidate but never flag one. An entry the check no longer
+    // flags fails it.
+    const ALLOWED: &[(&str, &str, &str)] = &[(
+        "crates/simnet/src/kernel.rs",
+        "run_until_idle",
+        "the kernel's run-to-quiescence stop rule, which simnet's own \
+         tests run under",
+    )];
+    let files = ldft_lint::analyze_workspace(workspace_root()).expect("parse the workspace");
+    let mut offences = Vec::new();
+    let mut allowed_seen = BTreeSet::new();
+    for (at, name) in callerless(&files, &dependencies(&files)) {
+        let path = at.split(':').next().unwrap_or_default();
+        match ALLOWED
+            .iter()
+            .position(|a| (a.0, a.1) == (path, name.as_str()))
+        {
+            Some(a) => {
+                allowed_seen.insert(a);
             }
+            None => offences.push(format!("{at}: `{name}` has no caller in product code")),
         }
     }
     assert!(offences.is_empty(), "{}", offences.join("\n"));
     assert_no_stale_allowance(ALLOWED, &allowed_seen);
+}
+
+#[test]
+fn a_name_from_a_package_that_cannot_see_the_item_is_no_caller() {
+    // `benchmark/` calls a `pretty` of its own; it does not depend on
+    // `idlc`, so that call keeps idlc's `pretty` no more alive than the
+    // `mod pretty;` line does.
+    let files = [
+        FileAnalysis::new(
+            "crates/idl/src/lib.rs",
+            Some("idl"),
+            "mod pretty;\npub use pretty::pretty;\npub fn pretty() {}\n",
+        ),
+        FileAnalysis::new(
+            "benchmark/src/main.rs",
+            None,
+            "fn main() {\n    pretty();\n}\nfn pretty() {}\n",
+        ),
+    ];
+    let mut deps = BTreeMap::from([
+        ("crates/idl".to_string(), BTreeSet::new()),
+        ("benchmark".to_string(), BTreeSet::new()),
+    ]);
+    let flagged = callerless(&files, &deps);
+    assert_eq!(
+        flagged,
+        [("crates/idl/src/lib.rs:3".to_string(), "pretty".to_string())]
+    );
+    // Once the benchmark depends on idlc, its call may be idlc's.
+    deps.insert(
+        "benchmark".to_string(),
+        BTreeSet::from(["crates/idl".to_string()]),
+    );
+    assert!(callerless(&files, &deps).is_empty());
 }
 
 /// Token ranges that hold patterns: match arms, `let` up to its `=`, and

@@ -6,8 +6,8 @@ use orb::{Exception, Ior, ObjectRef, Orb};
 use simnet::{Ctx, HostId, SimDuration, SimResult};
 
 use crate::name::Name;
-use crate::protocol::CosNaming::NamingContextStub;
-use crate::protocol::{AlreadyBound, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY};
+use crate::protocol::CosNaming::{AlreadyBound, NamingContextStub};
+use crate::protocol::{NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY};
 
 /// Boot-registration retry budget for the `*_retry` helpers. At the
 /// [`REGISTER_BACKOFF`] pace this is a 60 s sim-time budget — orders of
@@ -105,7 +105,7 @@ impl NamingClient {
         loop {
             match self.stub.bind_group_member(orb, ctx, name, ior)? {
                 Ok(()) => return Ok(Ok(())),
-                Err(e) if AlreadyBound::matches(&e) => return Ok(Ok(())),
+                Err(e) if AlreadyBound::extract(&e).is_some() => return Ok(Ok(())),
                 Err(e) if attempts + 1 >= REGISTER_MAX_ATTEMPTS => return Ok(Err(e)),
                 Err(_naming_still_booting) => {
                     attempts += 1;

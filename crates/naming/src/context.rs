@@ -19,8 +19,8 @@ use simnet::{HostId, Port};
 use winner::SystemManagerClient;
 
 use crate::name::{Name, NameComponent};
-use crate::protocol::CosNaming;
-use crate::protocol::{AlreadyBound, EmptyGroup, InvalidName, NotFound, NotFoundReason};
+use crate::protocol::CosNaming::LoadBalancedContext::EmptyGroup;
+use crate::protocol::CosNaming::{self, AlreadyBound, InvalidName, NotFound, NotFoundReason};
 
 /// How group resolution picks a member.
 #[derive(Clone, Debug)]
@@ -57,10 +57,10 @@ pub struct NamingContext {
     mode: LbMode,
 }
 
-/// `NotFound(MissingNode)` for `name`.
+/// `NotFound(missing_node)` for `name`.
 fn missing(name: Name) -> Exception {
     NotFound {
-        why: NotFoundReason::MissingNode,
+        why: NotFoundReason::missing_node,
         rest_of_name: name,
     }
     .raise()
@@ -85,7 +85,7 @@ fn rank(members: &[Ior], member: &Ior) -> usize {
 fn component(name: Name) -> Result<NameComponent, Exception> {
     match <[NameComponent; 1]>::try_from(name.0) {
         Ok([comp]) => Ok(comp),
-        Err(comps) if comps.is_empty() => Err(InvalidName.raise()),
+        Err(comps) if comps.is_empty() => Err(InvalidName {}.raise()),
         Err(comps) => Err(missing(Name(comps))),
     }
 }
@@ -111,7 +111,7 @@ impl NamingContext {
             .obs()
             .observe("naming.group_size", members.len() as u64);
         if members.is_empty() {
-            return Err(EmptyGroup.raise());
+            return Err(EmptyGroup {}.raise());
         }
         if let LbMode::Winner { system_manager } = &self.mode {
             let mut hosts: Vec<u32> = members.iter().map(|m| m.host.0).collect();
@@ -175,7 +175,7 @@ impl CosNaming::NamingContext for NamingContext {
     fn bind(&mut self, _call: &mut CallCtx<'_>, n: Name, obj: Ior) -> Result<(), Exception> {
         let comp = component(n)?;
         if self.entries.contains_key(&comp) {
-            return Err(AlreadyBound.raise());
+            return Err(AlreadyBound {}.raise());
         }
         self.entries.insert(comp, Entry::Object(obj));
         Ok(())
@@ -219,7 +219,7 @@ impl CosNaming::NamingContext for NamingContext {
                 revision,
             }) => {
                 if members.contains(&member) {
-                    return Err(AlreadyBound.raise());
+                    return Err(AlreadyBound {}.raise());
                 }
                 // Membership changes keep the round-robin walk on the
                 // member it would pick next: one sorted before the cursor
@@ -231,7 +231,7 @@ impl CosNaming::NamingContext for NamingContext {
                 members.push(member);
                 *revision += 1;
             }
-            Some(Entry::Object(_)) => return Err(AlreadyBound.raise()),
+            Some(Entry::Object(_)) => return Err(AlreadyBound {}.raise()),
         }
         Ok(())
     }

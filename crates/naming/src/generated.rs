@@ -6,6 +6,25 @@ pub mod CosNaming {
     ::cdr::cdr_struct!(#[allow(non_camel_case_types, non_snake_case)] #[derive(Eq, PartialOrd, Ord, Hash)] NameComponent { id: String, kind: String });
     pub use super::Name;
     #[allow(non_camel_case_types)] pub type IorSeq = Vec<::orb::Ior>;
+    ::cdr::cdr_enum!(#[allow(non_camel_case_types)] #[derive(PartialOrd, Ord, Hash)] NotFoundReason { missing_node = 0 });
+    ::cdr::cdr_struct!(#[allow(non_camel_case_types, non_snake_case)] NotFound { why: NotFoundReason, rest_of_name: Name });
+    impl NotFound {
+        pub const REPO_ID: &'static str = "IDL:CosNaming/NamingContext/NotFound:1.0";
+        pub fn raise(self) -> ::orb::Exception { ::orb::Exception::User(::orb::UserException::new(Self::REPO_ID, &self)) }
+        pub fn extract(e: &::orb::Exception) -> Option<Self> { match e { ::orb::Exception::User(u) if u.id == Self::REPO_ID => u.members().ok(), _ => None } }
+    }
+    ::cdr::cdr_struct!(#[allow(non_camel_case_types, non_snake_case)] AlreadyBound {});
+    impl AlreadyBound {
+        pub const REPO_ID: &'static str = "IDL:CosNaming/NamingContext/AlreadyBound:1.0";
+        pub fn raise(self) -> ::orb::Exception { ::orb::Exception::User(::orb::UserException::new(Self::REPO_ID, &self)) }
+        pub fn extract(e: &::orb::Exception) -> Option<Self> { match e { ::orb::Exception::User(u) if u.id == Self::REPO_ID => u.members().ok(), _ => None } }
+    }
+    ::cdr::cdr_struct!(#[allow(non_camel_case_types, non_snake_case)] InvalidName {});
+    impl InvalidName {
+        pub const REPO_ID: &'static str = "IDL:CosNaming/NamingContext/InvalidName:1.0";
+        pub fn raise(self) -> ::orb::Exception { ::orb::Exception::User(::orb::UserException::new(Self::REPO_ID, &self)) }
+        pub fn extract(e: &::orb::Exception) -> Option<Self> { match e { ::orb::Exception::User(u) if u.id == Self::REPO_ID => u.members().ok(), _ => None } }
+    }
     #[allow(non_camel_case_types)]
     pub trait NamingContext {
         fn bind(&mut self, call: &mut ::orb::CallCtx<'_>, n: Name, obj: ::orb::Ior) -> Result<(), ::orb::Exception>;
@@ -58,5 +77,14 @@ pub mod CosNaming {
         pub fn unbind_group_member(&self, orb: &mut ::orb::Orb, ctx: &mut ::simnet::Ctx, group: &Name, member: &::orb::Ior) -> ::simnet::SimResult<Result<(), ::orb::Exception>> { self.obj.call_with_timeout(orb, ctx, "unbind_group_member", &(group, member,), self.deadline) }
         pub fn group_members(&self, orb: &mut ::orb::Orb, ctx: &mut ::simnet::Ctx, group: &Name) -> ::simnet::SimResult<Result<IorSeq, ::orb::Exception>> { self.obj.call_with_timeout(orb, ctx, "group_members", &(group,), self.deadline) }
         pub fn group_view(&self, orb: &mut ::orb::Orb, ctx: &mut ::simnet::Ctx, group: &Name) -> ::simnet::SimResult<Result<(u64, IorSeq), ::orb::Exception>> { self.obj.call_with_timeout(orb, ctx, "group_view", &(group,), self.deadline) }
+    }
+    #[allow(non_snake_case, non_camel_case_types, dead_code, clippy::let_unit_value, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+    pub mod LoadBalancedContext {
+        ::cdr::cdr_struct!(#[allow(non_camel_case_types, non_snake_case)] EmptyGroup {});
+        impl EmptyGroup {
+            pub const REPO_ID: &'static str = "IDL:CosNaming/LoadBalancedContext/EmptyGroup:1.0";
+            pub fn raise(self) -> ::orb::Exception { ::orb::Exception::User(::orb::UserException::new(Self::REPO_ID, &self)) }
+            pub fn extract(e: &::orb::Exception) -> Option<Self> { match e { ::orb::Exception::User(u) if u.id == Self::REPO_ID => u.members().ok(), _ => None } }
+        }
     }
 }

@@ -44,11 +44,11 @@ pub mod server;
 pub use client::{initial_naming_ior, NamingClient};
 pub use context::{LbMode, NamingContext};
 pub use name::{Name, NameComponent};
-pub use protocol::CosNaming::{NamingContextSkeleton, NamingContextStub};
-pub use protocol::{
-    AlreadyBound, CosNaming, EmptyGroup, InvalidName, NotFound, NotFoundReason,
-    NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY,
+pub use protocol::CosNaming::LoadBalancedContext::EmptyGroup;
+pub use protocol::CosNaming::{
+    AlreadyBound, InvalidName, NamingContextSkeleton, NamingContextStub, NotFound, NotFoundReason,
 };
+pub use protocol::{CosNaming, NAMING_CONTEXT_TYPE, NAMING_PORT, ROOT_CONTEXT_KEY};
 pub use server::run_naming_service_obs;
 
 #[cfg(test)]

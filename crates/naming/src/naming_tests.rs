@@ -10,8 +10,8 @@ use winner::BestPerformance;
 use crate::client::{NamingClient, REGISTER_BACKOFF, REGISTER_MAX_ATTEMPTS};
 use crate::context::LbMode;
 use crate::name::{Name, NameComponent};
-use crate::protocol::{AlreadyBound, EmptyGroup, NotFound};
 use crate::server::run_naming_service_obs;
+use crate::{AlreadyBound, EmptyGroup, NotFound};
 
 type Cell<T> = Arc<Mutex<T>>;
 
@@ -76,7 +76,7 @@ fn bind_resolve_round_trip() {
         let again = ns.bind(&mut orb, ctx, &name, &target).unwrap();
         o.lock().unwrap().push(format!(
             "already-bound:{}",
-            AlreadyBound::matches(&again.unwrap_err())
+            AlreadyBound::extract(&again.unwrap_err()).is_some()
         ));
         let unknown = ns.resolve(&mut orb, ctx, &Name::simple("Nope")).unwrap();
         o.lock().unwrap().push(format!(
@@ -101,7 +101,7 @@ fn apps_solver() -> Name {
 }
 
 /// The context is flat: a name of two components has nothing to follow,
-/// so every operation on it is `NotFound(MissingNode)` naming the whole
+/// so every operation on it is `NotFound(missing_node)` naming the whole
 /// name, even when its first component is bound.
 #[test]
 fn a_two_component_name_is_not_found() {
@@ -126,7 +126,7 @@ fn a_two_component_name_is_not_found() {
     });
     sim.run_until_exit(driver);
     let missing = NotFound {
-        why: crate::protocol::NotFoundReason::MissingNode,
+        why: crate::NotFoundReason::missing_node,
         rest_of_name: apps_solver(),
     };
     assert_eq!(*out.lock().unwrap(), vec![Some(missing); 3]);
@@ -149,7 +149,7 @@ fn bind_twice_raises_already_bound_and_rebind_replaces() {
         let again = ns.bind(&mut orb, ctx, &name, &b).unwrap();
         o.lock()
             .unwrap()
-            .push(AlreadyBound::matches(&again.unwrap_err()));
+            .push(AlreadyBound::extract(&again.unwrap_err()).is_some());
         ns.rebind(&mut orb, ctx, &name, &b).unwrap().unwrap();
         let got = ns.resolve(&mut orb, ctx, &name).unwrap().unwrap();
         o.lock().unwrap().push(got.ior == b);
@@ -260,9 +260,10 @@ fn group_member_management() {
             .unwrap();
         // Duplicate member registration is rejected.
         let dup = ns.bind_group_member(&mut orb, ctx, &name, &m1).unwrap();
-        o.lock()
-            .unwrap()
-            .push(format!("dup:{}", AlreadyBound::matches(&dup.unwrap_err())));
+        o.lock().unwrap().push(format!(
+            "dup:{}",
+            AlreadyBound::extract(&dup.unwrap_err()).is_some()
+        ));
         let members = ns.group_members(&mut orb, ctx, &name).unwrap().unwrap();
         o.lock().unwrap().push(format!("n:{}", members.len()));
         ns.unbind_group_member(&mut orb, ctx, &name, &m1)
@@ -275,9 +276,10 @@ fn group_member_management() {
             .unwrap()
             .unwrap();
         let r = ns.resolve(&mut orb, ctx, &name).unwrap();
-        o.lock()
-            .unwrap()
-            .push(format!("empty:{}", EmptyGroup::matches(&r.unwrap_err())));
+        o.lock().unwrap().push(format!(
+            "empty:{}",
+            EmptyGroup::extract(&r.unwrap_err()).is_some()
+        ));
     });
     sim.run_until_exit(driver);
     assert_eq!(

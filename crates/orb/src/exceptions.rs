@@ -150,14 +150,6 @@ impl UserException {
         }
     }
 
-    /// Build a user exception with no members.
-    pub fn tag(id: impl Into<String>) -> Self {
-        UserException {
-            id: id.into(),
-            body: Vec::new(),
-        }
-    }
-
     /// Decode the members, if the caller knows the declared type.
     pub fn members<T: CdrRead>(&self) -> CdrResult<T> {
         cdr::from_bytes(&self.body)
@@ -248,18 +240,18 @@ mod tests {
 
     #[test]
     fn user_exception_members_round_trip() {
-        cdr::cdr_struct!(NotFound {
+        cdr::cdr_struct!(Missing {
             why: u32,
             rest: String
         });
-        let members = NotFound {
+        let members = Missing {
             why: 2,
             rest: "a/b".into(),
         };
-        let ex = UserException::new("IDL:CosNaming/NamingContext/NotFound:1.0", &members);
+        let ex = UserException::new("IDL:X/Missing:1.0", &members);
         let back: UserException = cdr::from_bytes(&cdr::to_bytes(&ex)).unwrap();
         assert_eq!(ex, back);
-        assert_eq!(back.members::<NotFound>().unwrap(), members);
+        assert_eq!(back.members::<Missing>().unwrap(), members);
     }
 
     #[test]
@@ -268,7 +260,7 @@ mod tests {
         assert!(cf.is_recoverable());
         let bo: Exception = SystemException::bad_operation("solve").into();
         assert!(!bo.is_recoverable());
-        let ue: Exception = UserException::tag("IDL:X:1.0").into();
+        let ue: Exception = UserException::new("IDL:X:1.0", &()).into();
         assert!(!ue.is_recoverable());
     }
 
@@ -276,7 +268,7 @@ mod tests {
     fn display_formats() {
         let e = SystemException::comm_failure("timeout");
         assert!(format!("{e}").contains("CommFailure"));
-        let u = UserException::tag("IDL:X:1.0");
+        let u = UserException::new("IDL:X:1.0", &());
         assert!(format!("{u}").contains("IDL:X:1.0"));
     }
 }

@@ -515,7 +515,7 @@ mod tests {
     fn reply_variants_round_trip() {
         let cases = [
             ReplyBody::NoException(vec![9, 9]),
-            ReplyBody::UserException(UserException::tag("IDL:X/E:1.0")),
+            ReplyBody::UserException(UserException::new("IDL:X/E:1.0", &())),
             ReplyBody::SystemException(SystemException::comm_failure("down")),
         ];
         for status in cases {

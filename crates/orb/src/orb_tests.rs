@@ -52,7 +52,7 @@ impl Servant for Calc {
             "div" => {
                 let (a, b): (f64, f64) = cdr::from_bytes(args).map_err(SystemException::marshal)?;
                 if b == 0.0 {
-                    return Err(UserException::tag(DIV_BY_ZERO).into());
+                    return Err(UserException::new(DIV_BY_ZERO, &()).into());
                 }
                 reply(&(a / b))
             }

@@ -1,107 +1,50 @@
 //! End-to-end test of the IDL tool chain. Every checked-in generated file
-//! — `generated/calculator.rs` here and `crates/*/src/generated.rs`, each
-//! produced by `idlc` from the contract its crate owns — must stay in
-//! sync with the compiler's current output; every generated skeleton must
-//! answer hostile bytes with a system exception; and the calculator's
-//! must compile and actually work — trait, skeleton, stub and
-//! fault-tolerant proxy — against the live ORB on the simulated network.
-
-include!("generated/calculator.rs");
+//! — `crates/*/src/generated.rs`, each produced by `idlc` from the
+//! contract its crate owns — must stay in sync with the compiler's current
+//! output; every generated skeleton must answer hostile bytes with a
+//! system exception; and the generated code of the product contracts must
+//! actually work — skeleton, stub, user exceptions and fault-tolerant
+//! proxy — against the live ORB on the simulated network.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-use cosnaming::{LbMode, Name, NamingClient};
+use cosnaming::{AlreadyBound, EmptyGroup, InvalidName, LbMode, Name, NamingClient, NotFound};
 use ftproxy::{CheckpointClient, CheckpointMode, FtProxy, FtProxyConfig, ProxyEnv};
+use optim::{ComplexState, SolveSpec, WorkerFtProxy, WorkerServant, WorkerSkeleton, WorkerStub};
 use orb::{Orb, Poa};
 use simnet::{HostConfig, HostId, Kernel, SimDuration};
 
-use Demo::{Calculator, CalculatorFtProxy, CalculatorSkeleton, CalculatorStub, MathError};
+/// A worker's checkpoint: its solve count, then its cached populations.
+type WorkerState = (u32, Vec<(u32, ComplexState)>);
 
-/// The application's implementation of the generated `Calculator` trait.
-#[derive(Default)]
-struct CalcImpl {
-    op_count: u32,
-    precision: f64,
-    last: f64,
+fn worker_state(bytes: &[u8]) -> (u32, usize) {
+    let (solves, populations): WorkerState = cdr::from_bytes(bytes).expect("a worker state");
+    (solves, populations.len())
 }
 
-impl Calculator for CalcImpl {
-    fn add(&mut self, _c: &mut orb::CallCtx<'_>, a: f64, b: f64) -> Result<f64, orb::Exception> {
-        self.op_count += 1;
-        self.last = a + b;
-        Ok(self.last)
-    }
-
-    fn div(&mut self, _c: &mut orb::CallCtx<'_>, a: f64, b: f64) -> Result<f64, orb::Exception> {
-        if b == 0.0 {
-            return Err(MathError {
-                reason: "division by zero".into(),
-            }
-            .raise());
-        }
-        self.op_count += 1;
-        self.last = a / b;
-        Ok(self.last)
-    }
-
-    fn scale(
-        &mut self,
-        _c: &mut orb::CallCtx<'_>,
-        values: Vec<f64>,
-        factor: f64,
-    ) -> Result<Vec<f64>, orb::Exception> {
-        self.op_count += 1;
-        Ok(values.into_iter().map(|v| v * factor).collect())
-    }
-
-    fn stats(&mut self, _c: &mut orb::CallCtx<'_>) -> Result<(u32, f64), orb::Exception> {
-        Ok((self.op_count, self.last))
-    }
-
-    fn log(&mut self, _c: &mut orb::CallCtx<'_>, _message: String) -> Result<(), orb::Exception> {
-        Ok(())
-    }
-
-    fn get_op_count(&mut self, _c: &mut orb::CallCtx<'_>) -> Result<u32, orb::Exception> {
-        Ok(self.op_count)
-    }
-
-    fn get_precision(&mut self, _c: &mut orb::CallCtx<'_>) -> Result<f64, orb::Exception> {
-        Ok(self.precision)
-    }
-
-    fn set_precision(
-        &mut self,
-        _c: &mut orb::CallCtx<'_>,
-        value: f64,
-    ) -> Result<(), orb::Exception> {
-        self.precision = value;
-        Ok(())
-    }
-
-    fn get_checkpoint(&mut self, _c: &mut orb::CallCtx<'_>) -> Result<Vec<u8>, orb::Exception> {
-        Ok(cdr::to_bytes(&(self.op_count, self.precision, self.last)))
-    }
-
-    fn restore_checkpoint(
-        &mut self,
-        _c: &mut orb::CallCtx<'_>,
-        state: Vec<u8>,
-    ) -> Result<(), orb::Exception> {
-        let (op_count, precision, last) =
-            cdr::from_bytes(&state).map_err(orb::SystemException::marshal)?;
-        self.op_count = op_count;
-        self.precision = precision;
-        self.last = last;
-        Ok(())
+/// A small subproblem; `reset: false` warm-starts from the cached
+/// population.
+fn spec(reset: bool) -> SolveSpec {
+    SolveSpec {
+        problem_id: 1,
+        dim: 2,
+        left: None,
+        right: None,
+        iters: 20,
+        seed: 11,
+        reset,
     }
 }
 
-/// One line of `idl/generated.txt`, the list the "generated code is
-/// current" CI step runs: a checked-in file and the `idlc` arguments that
-/// produce it.
+/// A worker behind its generated skeleton, as an ORB servant.
+fn worker_servant() -> Rc<RefCell<WorkerSkeleton<WorkerServant>>> {
+    Rc::new(RefCell::new(WorkerSkeleton(WorkerServant::new())))
+}
+
+/// One line of `idl/generated.txt`: a checked-in file and the `idlc`
+/// arguments that produce it.
 struct Generated {
     out: String,
     args: String,
@@ -145,7 +88,7 @@ fn repo_file(path: &str) -> String {
 #[test]
 fn generated_files_are_in_sync_with_idlc() {
     let all = generated();
-    assert_eq!(all.len(), 6, "five crates and tests/generated");
+    assert_eq!(all.len(), 5, "one per contract-owning crate");
     for g in all {
         let files: Vec<(String, String)> = g
             .files
@@ -166,10 +109,6 @@ fn generated_files_are_in_sync_with_idlc() {
 /// One servant of every contract interface behind its generated skeleton.
 fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
     vec![
-        (
-            "Calculator",
-            Box::new(CalculatorSkeleton(CalcImpl::default())),
-        ),
         (
             "NamingContext",
             Box::new(cosnaming::NamingContextSkeleton(
@@ -200,10 +139,7 @@ fn skeletons() -> Vec<(&'static str, Box<dyn orb::Servant>)> {
                 HostId(0),
             ))),
         ),
-        (
-            "Worker",
-            Box::new(optim::WorkerSkeleton(optim::WorkerServant::new())),
-        ),
+        ("Worker", Box::new(WorkerSkeleton(WorkerServant::new()))),
     ]
 }
 
@@ -219,17 +155,11 @@ fn skeletons_answer_hostile_bytes_with_system_exceptions() {
     let mut ops: Vec<(String, String, bool)> = Vec::new();
     let mut declared = 0; // each op once, at the interface declaring it
     for item in &model.items {
-        if let idlc::Item::Interface {
-            def,
-            all_ops,
-            all_attrs,
-            ..
-        } = item
-        {
-            declared += idlc::ast::wire_ops(&def.ops, &def.attrs).len();
-            for op in idlc::ast::wire_ops(all_ops, all_attrs) {
-                let ins = op.params.iter().any(|p| p.dir != idlc::ast::Direction::Out);
-                ops.push((def.name.clone(), op.name, ins));
+        if let idlc::Item::Interface { def, all_ops, .. } = item {
+            declared += def.ops.len();
+            for op in all_ops {
+                let ins = op.params.iter().any(|p| p.dir == idlc::ast::Direction::In);
+                ops.push((def.name.clone(), op.name.clone(), ins));
             }
         }
     }
@@ -364,11 +294,11 @@ fn hostile_bodies(frame: &[u8]) -> Vec<Vec<u8>> {
     ]
 }
 
-/// The calculator's `scale` parameters with `values` claiming 2^32 − 1
-/// doubles (32 GiB): framed honestly, so only the skeleton or the stub
-/// can refuse them — and must, before allocating anything of that size.
-fn scale_bomb() -> Vec<u8> {
-    let mut args = cdr::to_bytes(&(vec![1.0f64, 2.0], 10.0f64));
+/// `restore_checkpoint`'s state claiming 2^32 − 1 octets (4 GiB): framed
+/// honestly, so only the skeleton or the stub can refuse it — and must,
+/// before allocating anything of that size.
+fn restore_bomb() -> Vec<u8> {
+    let mut args = cdr::to_bytes(&(vec![1u8, 2],));
     args[..4].copy_from_slice(&u32::MAX.to_le_bytes());
     args
 }
@@ -383,28 +313,25 @@ fn frames_whose_bodies_lie_fail_one_call_at_either_end() {
         .map(|i| sim.add_host(HostConfig::new(format!("ws{i}"))))
         .collect();
     let iors: Arc<Mutex<Vec<orb::Ior>>> = Arc::new(Mutex::new(Vec::new()));
-    // A live calculator behind its generated skeleton.
+    // A live worker behind its generated skeleton.
     let publish = iors.clone();
-    sim.spawn(hosts[1], "calc-server", move |ctx| {
+    sim.spawn(hosts[1], "worker-server", move |ctx| {
         let mut orb = Orb::init(ctx);
         orb.listen(ctx).unwrap();
         let poa = Poa::new();
-        let key = poa.activate(
-            CalculatorStub::REPO_ID,
-            Rc::new(RefCell::new(CalculatorSkeleton(CalcImpl::default()))),
-        );
+        let key = poa.activate(WorkerStub::REPO_ID, worker_servant());
         publish
             .lock()
             .unwrap()
-            .push(orb.ior(CalculatorStub::REPO_ID, key));
+            .push(orb.ior(WorkerStub::REPO_ID, key));
         let _ = orb.serve_forever(ctx, &poa);
     });
-    // A calculator whose first four replies lie: three about the result's
-    // length, one with a well-framed result claiming 2^32 − 1 doubles.
+    // A worker whose first four replies lie: three about the result's
+    // length, one with a well-framed state claiming 2^32 − 1 octets.
     let publish = iors.clone();
     sim.spawn(hosts[1], "liar", move |ctx| {
         let port = ctx.bind_port().unwrap();
-        let me = orb::Ior::new(CalculatorStub::REPO_ID, ctx.host(), port, orb::ObjectKey(1));
+        let me = orb::Ior::new(WorkerStub::REPO_ID, ctx.host(), port, orb::ObjectKey(1));
         publish.lock().unwrap().push(me);
         for answer in 0.. {
             let Ok(msg) = ctx.recv() else { return };
@@ -420,7 +347,7 @@ fn frames_whose_bodies_lie_fail_one_call_at_either_end() {
                 }
                 .encode()
             };
-            let honest = result(cdr::to_bytes(&vec![10.0f64, 20.0]));
+            let honest = result(cdr::to_bytes(&vec![10u8, 20]));
             let mut lies = hostile_bodies(&honest);
             let mut bomb = u32::MAX.to_le_bytes().to_vec();
             bomb.extend_from_slice(&[0; 12]);
@@ -434,15 +361,22 @@ fn frames_whose_bodies_lie_fail_one_call_at_either_end() {
     let o = out.clone();
     let client = sim.spawn(hosts[0], "client", move |ctx| {
         ctx.sleep(SimDuration::from_millis(10)).unwrap();
-        let (calc, liar) = match &iors.lock().unwrap()[..] {
-            [calc, liar] => (calc.clone(), liar.clone()),
+        let (worker, liar) = match &iors.lock().unwrap()[..] {
+            [worker, liar] => (worker.clone(), liar.clone()),
             other => panic!("servers not up: {other:?}"),
         };
         let say = |s: String| o.lock().unwrap().push(s);
         // The live server: three lying request frames are dropped, a bomb
         // inside an honest frame is MARSHAL, and a stub call is served.
-        let at = Addr::Endpoint(calc.host, calc.port);
-        let honest = Message::encode_request(7, true, calc.key, "scale", &scale_bomb(), &[]);
+        let at = Addr::Endpoint(worker.host, worker.port);
+        let honest = Message::encode_request(
+            7,
+            true,
+            worker.key,
+            WorkerStub::OP_RESTORE_CHECKPOINT,
+            &restore_bomb(),
+            &[],
+        );
         for frame in hostile_bodies(&honest) {
             ctx.send(at, frame).unwrap();
         }
@@ -457,20 +391,18 @@ fn frames_whose_bodies_lie_fail_one_call_at_either_end() {
             other => format!("{other:?}"),
         });
         let mut orb = Orb::init(ctx);
-        let stub = CalculatorStub::new(orb::ObjectRef::new(calc));
-        let scaled = stub.scale(&mut orb, ctx, &vec![1.0, 2.0], &10.0).unwrap();
-        say(format!("{scaled:?}"));
+        let stub = WorkerStub::new(orb::ObjectRef::new(worker));
+        let state = stub.get_checkpoint(&mut orb, ctx).unwrap();
+        say(format!("{:?}", state.map(|s| worker_state(&s))));
         // The live client: each lying reply fails its call with a system
         // exception, and the next call is served.
-        let mut stub = CalculatorStub::new(orb::ObjectRef::new(liar));
+        let mut stub = WorkerStub::new(orb::ObjectRef::new(liar));
         stub.deadline = Some(SimDuration::from_millis(100));
         for _ in 0..5 {
-            say(
-                match stub.scale(&mut orb, ctx, &vec![1.0, 2.0], &10.0).unwrap() {
-                    Err(orb::Exception::System(e)) => format!("{:?}", e.kind),
-                    other => format!("{other:?}"),
-                },
-            );
+            say(match stub.get_checkpoint(&mut orb, ctx).unwrap() {
+                Err(orb::Exception::System(e)) => format!("{:?}", e.kind),
+                other => format!("{other:?}"),
+            });
         }
         say(format!("protocol_errors:{}", orb.stats().protocol_errors));
     });
@@ -479,12 +411,12 @@ fn frames_whose_bodies_lie_fail_one_call_at_either_end() {
         *out.lock().unwrap(),
         vec![
             "Marshal",
-            "Ok([10.0, 20.0])",
+            "Ok((0, 0))",
             "CommFailure",
             "CommFailure",
             "CommFailure",
             "Marshal",
-            "Ok([10.0, 20.0])",
+            "Ok([10, 20])",
             "protocol_errors:3",
         ]
     );
@@ -509,13 +441,12 @@ fn ft_contexts_answer_hostile_bytes_with_system_exceptions() {
         .collect();
     let published: Arc<Mutex<Option<orb::Ior>>> = Arc::new(Mutex::new(None));
     let publish = published.clone();
-    sim.spawn(hosts[1], "calc-server", move |ctx| {
+    sim.spawn(hosts[1], "worker-server", move |ctx| {
         let mut orb = Orb::init(ctx);
         orb.listen(ctx).unwrap();
         let poa = Poa::new();
-        let calc = Rc::new(RefCell::new(CalculatorSkeleton(CalcImpl::default())));
-        let key = poa.activate(CalculatorStub::REPO_ID, FtServant::wrap(calc));
-        *publish.lock().unwrap() = Some(orb.ior(CalculatorStub::REPO_ID, key));
+        let key = poa.activate(WorkerStub::REPO_ID, FtServant::wrap(worker_servant()));
+        *publish.lock().unwrap() = Some(orb.ior(WorkerStub::REPO_ID, key));
         let _ = orb.serve_forever(ctx, &poa);
     });
 
@@ -523,8 +454,8 @@ fn ft_contexts_answer_hostile_bytes_with_system_exceptions() {
     let o = out.clone();
     let client = sim.spawn(hosts[0], "client", move |ctx| {
         ctx.sleep(SimDuration::from_millis(10)).unwrap();
-        let calc = published.lock().unwrap().clone().expect("server up");
-        let at = Addr::Endpoint(calc.host, calc.port);
+        let worker = published.lock().unwrap().clone().expect("server up");
+        let at = Addr::Endpoint(worker.host, worker.port);
         let restore = |data: Vec<u8>| ServiceContext {
             id: RESTORE_CONTEXT_ID,
             data,
@@ -533,16 +464,16 @@ fn ft_contexts_answer_hostile_bytes_with_system_exceptions() {
             id: CHECKPOINT_CONTEXT_ID,
             data: Vec::new(),
         };
-        // Three ops done, precision 0.5, last result 9.
-        let state = cdr::to_bytes(&(3u32, 0.5f64, 9.0f64));
+        // Three solves done, no population cached.
+        let state = cdr::to_bytes(&(3u32, Vec::<(u32, ComplexState)>::new()));
         let good = restore(cdr::to_bytes(&(&state,)));
-        let add = |id: u64, contexts: &[ServiceContext]| {
-            let args = cdr::to_bytes(&(1.0f64, 2.0f64));
-            Message::encode_request(id, true, calc.key, "add", &args, contexts)
+        let solve = |id: u64, contexts: &[ServiceContext]| {
+            let args = cdr::to_bytes(&spec(true));
+            Message::encode_request(id, true, worker.key, WorkerStub::OP_SOLVE, &args, contexts)
         };
         // The restore context last: its data ends the frame, its count
         // the four bytes before.
-        let honest = add(1, std::slice::from_ref(&good));
+        let honest = solve(1, std::slice::from_ref(&good));
         let count_at = honest.len() - good.data.len() - 4;
         let mut bomb = honest.clone();
         bomb[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -552,12 +483,12 @@ fn ft_contexts_answer_hostile_bytes_with_system_exceptions() {
         let frames = [
             cut,
             bomb,
-            add(2, &[good.clone(), good.clone()]),
-            add(3, &[checkpoint.clone(), checkpoint.clone()]),
-            add(4, &[restore(vec![0xff])]),
-            add(5, &[restore(inner_bomb)]),
-            add(6, &[restore(cdr::to_bytes(&(vec![1u8, 2],)))]),
-            add(7, &[good, checkpoint]),
+            solve(2, &[good.clone(), good.clone()]),
+            solve(3, &[checkpoint.clone(), checkpoint.clone()]),
+            solve(4, &[restore(vec![0xff])]),
+            solve(5, &[restore(inner_bomb)]),
+            solve(6, &[restore(cdr::to_bytes(&(vec![1u8, 2],)))]),
+            solve(7, &[good, checkpoint]),
         ];
         for frame in frames {
             ctx.send(at, frame).unwrap();
@@ -579,14 +510,17 @@ fn ft_contexts_answer_hostile_bytes_with_system_exceptions() {
             said.push(match status {
                 ReplyBody::SystemException(e) => format!("{request_id}:{:?}", e.kind),
                 ReplyBody::NoException(body) => {
-                    let sum: f64 = cdr::from_bytes(&body).unwrap();
+                    let result: optim::SolveResult = cdr::from_bytes(&body).unwrap();
                     let saved: Vec<u8> = service_contexts
                         .iter()
                         .find(|sc| sc.id == CHECKPOINT_CONTEXT_ID)
                         .map(|sc| cdr::from_bytes(&sc.data).unwrap())
                         .unwrap_or_default();
-                    let (ops, _, last): (u32, f64, f64) = cdr::from_bytes(&saved).unwrap();
-                    format!("{request_id}:{sum}:{ops}:{last}")
+                    let (solves, populations) = worker_state(&saved);
+                    format!(
+                        "{request_id}:{}:{solves}:{populations}",
+                        result.best_point.len()
+                    )
                 }
                 other => format!("{request_id}:{other:?}"),
             });
@@ -594,7 +528,7 @@ fn ft_contexts_answer_hostile_bytes_with_system_exceptions() {
         said.sort();
     });
     sim.run_until_exit(client);
-    // The restored three ops plus this one, and no op of a refused
+    // The restored three solves plus this one, and no solve of a refused
     // request among them.
     assert_eq!(
         *out.lock().unwrap(),
@@ -604,31 +538,9 @@ fn ft_contexts_answer_hostile_bytes_with_system_exceptions() {
             "4:Marshal",
             "5:Marshal",
             "6:Marshal",
-            "7:3:4:3"
+            "7:2:4:1"
         ]
     );
-}
-
-fn spawn_server(sim: &mut Kernel, host: HostId, naming_host: HostId) {
-    sim.spawn(host, "calc-server", move |ctx| {
-        let mut orb = Orb::init(ctx);
-        orb.listen(ctx).unwrap();
-        let poa = Poa::new();
-        let key = poa.activate(
-            CalculatorStub::REPO_ID,
-            Rc::new(RefCell::new(CalculatorSkeleton(CalcImpl::default()))),
-        );
-        let ior = orb.ior(CalculatorStub::REPO_ID, key);
-        let ns = NamingClient::root(naming_host);
-        loop {
-            match ns.bind_group_member(&mut orb, ctx, &Name::simple("Calcs"), &ior) {
-                Ok(Ok(())) => break,
-                Ok(Err(_)) => ctx.sleep(SimDuration::from_millis(50)).unwrap(),
-                Err(_) => return,
-            }
-        }
-        let _ = orb.serve_forever(ctx, &poa);
-    });
 }
 
 #[test]
@@ -641,53 +553,106 @@ fn generated_stub_and_skeleton_work_over_the_orb() {
     sim.spawn(h0, "naming", move |ctx| {
         let _ = cosnaming::run_naming_service_obs(ctx, LbMode::Plain, None);
     });
-    spawn_server(&mut sim, hosts[1], h0);
+    sim.spawn(hosts[1], "worker-server", move |ctx| {
+        let _ = optim::run_worker_server_obs(ctx, h0, None);
+    });
+    let manager: Arc<Mutex<Option<orb::Ior>>> = Arc::new(Mutex::new(None));
+    let publish = manager.clone();
+    sim.spawn(h0, "system-manager", move |ctx| {
+        let policy = Box::new(winner::BestPerformance);
+        let _ = winner::run_system_manager_obs(ctx, policy, None, |ior| {
+            *publish.lock().unwrap() = Some(ior)
+        });
+    });
 
     let out: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let o = out.clone();
     let client = sim.spawn(h0, "client", move |ctx| {
         ctx.sleep(SimDuration::from_millis(500)).unwrap();
+        let say = |s: String| o.lock().unwrap().push(s);
         let mut orb = Orb::init(ctx);
         let ns = NamingClient::root(h0);
-        let obj = ns
-            .resolve(&mut orb, ctx, &Name::simple("Calcs"))
-            .unwrap()
-            .unwrap();
-        let calc = CalculatorStub::new(obj);
+        let workers = optim::worker_group();
+        let obj = ns.resolve(&mut orb, ctx, &workers).unwrap().unwrap();
+        let worker = WorkerStub::new(obj);
 
-        // Plain operation.
-        let sum = calc.add(&mut orb, ctx, &2.0, &3.25).unwrap().unwrap();
-        o.lock().unwrap().push(format!("add:{sum}"));
-        // Sequence in/out.
-        let scaled = calc
-            .scale(&mut orb, ctx, &vec![1.0, 2.0], &10.0)
+        // Structs in and out.
+        let solved = worker.solve(&mut orb, ctx, &spec(true)).unwrap().unwrap();
+        say(format!(
+            "solve:{}:{}",
+            solved.iterations,
+            solved.best_point.len()
+        ));
+        // A sequence out, and in.
+        let state = worker.get_checkpoint(&mut orb, ctx).unwrap().unwrap();
+        say(format!("checkpoint:{:?}", worker_state(&state)));
+        let fresh = cdr::to_bytes(&(5u32, Vec::<(u32, ComplexState)>::new()));
+        worker
+            .restore_checkpoint(&mut orb, ctx, &fresh)
             .unwrap()
             .unwrap();
-        o.lock().unwrap().push(format!("scale:{scaled:?}"));
-        // User exception via the generated exception type.
-        let err = calc.div(&mut orb, ctx, &1.0, &0.0).unwrap().unwrap_err();
-        let math = MathError::extract(&err).expect("typed exception");
-        o.lock().unwrap().push(format!("div:{}", math.reason));
-        // Attributes (generated _get_/_set_ operations).
-        calc.set_precision(&mut orb, ctx, &0.01).unwrap().unwrap();
-        let p = calc.get_precision(&mut orb, ctx).unwrap().unwrap();
-        let n = calc.get_op_count(&mut orb, ctx).unwrap().unwrap();
-        o.lock().unwrap().push(format!("attrs:{p}:{n}"));
-        // Multiple out-parameters become a tuple.
-        let (ops, last) = calc.stats(&mut orb, ctx).unwrap().unwrap();
-        o.lock().unwrap().push(format!("stats:{ops}:{last}"));
-        // Oneway.
-        calc.log(&mut orb, ctx, "hello").unwrap();
+        let state = worker.get_checkpoint(&mut orb, ctx).unwrap().unwrap();
+        say(format!("restored:{:?}", worker_state(&state)));
+        // Two out-parameters become a tuple.
+        let (revision, members) = ns.group_view(&mut orb, ctx, &workers).unwrap().unwrap();
+        say(format!("view:{revision}:{}", members.len()));
+
+        // User exceptions, through the generated exception types.
+        let nobody = Name::simple("nobody");
+        let err = ns.resolve(&mut orb, ctx, &nobody).unwrap().unwrap_err();
+        let nf = NotFound::extract(&err).expect("NotFound");
+        say(format!(
+            "not_found:{:?}:{}",
+            nf.why, nf.rest_of_name.0[0].id
+        ));
+        let err = ns
+            .resolve(&mut orb, ctx, &Name(vec![]))
+            .unwrap()
+            .unwrap_err();
+        say(format!("invalid:{:?}", InvalidName::extract(&err)));
+        let some = members[0].clone();
+        let err = ns
+            .bind_group_member(&mut orb, ctx, &workers, &some)
+            .unwrap()
+            .unwrap_err();
+        say(format!("bound:{:?}", AlreadyBound::extract(&err)));
+        ns.unbind_group_member(&mut orb, ctx, &workers, &some)
+            .unwrap()
+            .unwrap();
+        let err = ns.resolve(&mut orb, ctx, &workers).unwrap().unwrap_err();
+        say(format!("empty:{:?}", EmptyGroup::extract(&err)));
+        assert!(NotFound::extract(&err).is_none());
+
+        // Oneway: the report lands before the snapshot that shows it.
+        let sm = manager.lock().unwrap().clone().expect("system manager up");
+        let sm = winner::SystemManagerClient::from_ior(sm);
+        let report = winner::LoadReport {
+            host: 1,
+            speed: 1.0,
+            runnable: 0,
+            load_avg: 0.0,
+            cpu_util: 0.0,
+            seq: 1,
+            stamp_ns: ctx.now().as_nanos() as i64,
+        };
+        sm.report(&mut orb, ctx, &report).unwrap();
+        let snapshot = sm.snapshot(&mut orb, ctx).unwrap().unwrap();
+        let hosts: Vec<u32> = snapshot.iter().map(|h| h.host).collect();
+        say(format!("snapshot:{hosts:?}"));
     });
     sim.run_until_exit(client);
     assert_eq!(
         *out.lock().unwrap(),
         vec![
-            "add:5.25",
-            "scale:[10.0, 20.0]",
-            "div:division by zero",
-            "attrs:0.01:2",
-            "stats:2:5.25",
+            "solve:20:2",
+            "checkpoint:(1, 1)",
+            "restored:(5, 0)",
+            "view:1:1",
+            "not_found:missing_node:nobody",
+            "invalid:Some(InvalidName)",
+            "bound:Some(AlreadyBound)",
+            "empty:Some(EmptyGroup)",
+            "snapshot:[1]",
         ]
     );
 }
@@ -706,19 +671,10 @@ fn generated_ft_proxy_recovers_from_a_crash() {
     sim.spawn(h0, "ckpt", move |ctx| {
         let _ = store::run_checkpoint_service(ctx, h0, None);
     });
-    // Factories on both worker hosts, able to build generated skeletons.
+    // Factories on both worker hosts, able to build workers.
     for &h in &hosts[1..] {
         sim.spawn(h, format!("factory-{h}"), move |ctx| {
-            let builder: ftproxy::ServantBuilder = Box::new(|_call, ty| {
-                (ty == "Calculator").then(|| {
-                    (
-                        Rc::new(RefCell::new(CalculatorSkeleton(CalcImpl::default())))
-                            as Rc<RefCell<dyn orb::Servant>>,
-                        CalculatorStub::REPO_ID.to_string(),
-                    )
-                })
-            });
-            let _ = ftproxy::run_factory_obs(ctx, h0, builder, None);
+            let _ = ftproxy::run_factory_obs(ctx, h0, optim::worker_builder(), None);
         });
     }
 
@@ -737,21 +693,25 @@ fn generated_ft_proxy_recovers_from_a_crash() {
                 Err(_) => ctx.sleep(SimDuration::from_millis(50)).unwrap(),
             }
         };
-        let mut cfg = FtProxyConfig::new(Name::simple("CalcGroup"), "Calculator", "calc-1");
+        let group = Name::simple("WorkerGroup");
+        let mut cfg = FtProxyConfig::new(group, optim::WORKER_SERVICE_TYPE, "worker-1");
         cfg.mode = CheckpointMode::Bulk;
-        let mut calc = CalculatorFtProxy::new(FtProxy::new(cfg, NamingClient::root(h0), ckpt));
+        let mut worker = WorkerFtProxy::new(FtProxy::new(cfg, NamingClient::root(h0), ckpt));
         let mut env = ProxyEnv { orb: &mut orb, ctx };
 
         // Build up state through the generated proxy.
-        let _ = calc.add(&mut env, &1.0, &1.0).unwrap().unwrap();
-        let _ = calc.add(&mut env, &2.0, &2.0).unwrap().unwrap();
-        // Crash the host the calculator lives on.
-        let victim = calc.inner.current_target().unwrap().ior.host;
+        worker.solve(&mut env, &spec(true)).unwrap().unwrap();
+        worker.solve(&mut env, &spec(false)).unwrap().unwrap();
+        // Crash the host the worker lives on.
+        let victim = worker.inner.current_target().unwrap().ior.host;
         env.ctx.crash_host(victim).unwrap();
-        // The next call recovers transparently; op_count was checkpointed.
-        let (ops, last) = calc.stats(&mut env).unwrap().unwrap();
-        o.lock().unwrap().push(format!("after-crash:{ops}:{last}"));
-        let s = calc.inner.stats;
+        // The next call recovers transparently; the solves and the
+        // population were checkpointed.
+        let state = worker.get_checkpoint(&mut env).unwrap().unwrap();
+        o.lock()
+            .unwrap()
+            .push(format!("after-crash:{:?}", worker_state(&state)));
+        let s = worker.inner.stats;
         o.lock().unwrap().push(format!(
             "recoveries:{} restores:{}",
             s.recoveries, s.restores
@@ -759,6 +719,6 @@ fn generated_ft_proxy_recovers_from_a_crash() {
     });
     sim.run_until_exit(client);
     let log = out.lock().unwrap().clone();
-    assert_eq!(log[0], "after-crash:2:4", "{log:?}");
+    assert_eq!(log[0], "after-crash:(2, 1)", "{log:?}");
     assert_eq!(log[1], "recoveries:1 restores:1", "{log:?}");
 }
