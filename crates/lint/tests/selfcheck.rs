@@ -113,8 +113,8 @@ fn sim_crates_deny_the_clippy_rules_at_their_roots() {
     }
     assert_eq!(roots, SIM_CRATES.len(), "one lib.rs per sim crate");
     // Pinned so a new waiver is a conscious diff: Kernel::reraise and
-    // Shared's lock-discipline check (P1), the thread pool and
-    // Shared (D4), Orb::ior (P1), and one type_complexity in the FT proxy.
+    // Shared's lock-discipline check (P1), Shared (D4), the fiber switch
+    // (unsafe_code), Orb::ior (P1), and one type_complexity in the FT proxy.
     assert_eq!(
         waivers.len(),
         6,

@@ -1,45 +1,45 @@
-//! The discrete-event kernel: virtual clock, event queue, and the baton
+//! The discrete-event kernel: virtual clock, event queue, and the
 //! scheduler that runs simulated processes one at a time.
 //!
 //! # Execution model
 //!
-//! All simulation state lives in one [`Core`] behind one mutex. Exactly one
-//! OS thread — the *baton holder* — touches it at any moment: the driver
-//! thread (the one inside `Kernel::run_*`, "main" below) or the thread of
-//! the one process that is currently executing. There is no kernel thread.
-//! Each process's body runs on a thread of the program-wide pool (`pool`),
-//! which another process, of this kernel or the next, gets once it ends.
-//! A process's syscall locks the core and runs `handle_syscall` on the
-//! caller's own thread; an immediate syscall just returns. A blocking one
-//! keeps stepping the scheduler loop (`Core::advance`: drain the runnable
-//! queue, check the stop rule, pop and handle the next event) right there
-//! until a process is due: if it is the caller itself it takes its resume
-//! and returns, otherwise it stores that process's resume, `unpark`s its
-//! thread and `park`s — the only OS thread switch the simulator makes.
-//! Two types carry the hand-over: `Resume`, what a syscall returns, and
-//! `Turn`, what the caller's thread does next (run on with a `Resume`, or
-//! wake another thread and wait). `handle_syscall` answers `Some(Resume)`
-//! or `None` (the caller blocked or is gone); `advance` answers the next
-//! process with its `Resume`, or `None` when the baton goes to main.
+//! The kernel owns all simulation state (`Core`) outright, and one loop
+//! works on it: the scheduler in `Kernel::run_*`, on the caller's thread
+//! ("the driver"). Each process body runs as a fiber (`fiber`) on that
+//! same thread, with a stack of its own from the thread's pool. The loop
+//! (`Core::advance`: drain the runnable queue, check the stop rule, pop and
+//! handle the next event) picks the process that is due and gives it its
+//! turn (`Core::turn`): it resumes the fiber with what its blocked syscall
+//! returns (`Resume`), and the body runs until its next syscall, which
+//! switches back with the `Syscall`. `handle_syscall` serves it: an
+//! immediate one answers `Some(Resume)` and the same fiber is resumed at
+//! once; a blocking one answers `None` and the loop goes on. A switch is a
+//! user-mode stack switch, about 16 ns each way; no OS thread is involved.
 //!
-//! Main gets the baton back when something only main may do is due: the
-//! run's stop rule is reached, a process panicked or `max_events` tripped
-//! (both are re-raised on the driver thread), or the baton holder itself
-//! died. The event hook lives in the core and runs under its lock on
-//! whichever thread holds the baton, so observing a run moves no step to
-//! main. The profile hook alone stays on main, because its
-//! one caller outside the tests (`benchmark/src/trace.rs`) keeps a non-`Send`
-//! `Rc<RefCell<_>>` sink: while it is installed main drives *every* step
-//! itself (each syscall is posted to it), which is what the
-//! `sched.handoff` marks measure.
+//! Kills are deterministic too. A killed process's fiber moves to
+//! `Core::reaped`, and the loop resumes it with `Err(Killed)` — to unwind
+//! on its own stack, running its destructors — before it resumes any other
+//! process: the caller of a killing syscall first, if it killed itself, so
+//! the guards it holds are gone before another body's destructors run. A
+//! killed process never switches again, and neither does a body that
+//! unwinds a panic (its syscalls return `Err(Killed)`), so std's
+//! per-thread panic count never spans two bodies. A body's panic is caught
+//! on its fiber and re-raised by the loop; so is a panic of the kernel's
+//! own code inside a syscall, and `max_events` tripping.
 //!
+//! The event hook and the profile hook both run in the loop, between
+//! turns: the hook sees `event.*` and `sys.*` marks around the kernel's own
+//! work and `sched.handoff` around each resume, and installing either
+//! changes nothing the loop decides.
+
 //! # Determinism
 //!
 //! Events are ordered by `(time, sequence-number)`, the sequence number
 //! being a monotone insertion counter, so ties break in insertion order.
-//! Exactly one process executes at any moment, and whichever thread holds
-//! the baton runs the same loop over the same data, so which OS thread that
-//! is cannot be observed from inside the simulation. Per-process RNGs are
+//! Exactly one process executes at any moment, and only between two of its
+//! syscalls; killed processes unwind at fixed points of the loop. Which
+//! stack a process runs on cannot be observed from inside the simulation.
+//! Per-process RNGs are
 //! seeded from the kernel seed and the deterministically-assigned pid. Two
 //! runs with the same seed and the same program therefore produce identical
 //! traces, with or without observers installed.
@@ -52,14 +52,16 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
-use std::thread::Thread;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::cpu::{HostConfig, HostState};
+use crate::fiber::{Fiber, Step};
 use crate::ids::{Addr, HostId, Pid, Port};
 use crate::msg::{Msg, Payload};
-use crate::pool::{self, Task};
-use crate::process::{boxed, Ctx, Killed, ProcessBody, ProcessExit, Resume, SimResult, Syscall};
-use crate::shared::Shared;
+use crate::process::{
+    boxed, Ctx, Killed, ProcFiber, ProcessBody, ProcessExit, Resume, SimResult, Syscall,
+    SUPPRESS_PANIC_REPORT,
+};
 use crate::time::{SimDuration, SimTime};
 
 /// One-way latency between processes on the same host. With the
@@ -126,11 +128,10 @@ pub struct KernelStats {
     /// Processes killed (by a `KillProcess` fault, host crash, or kernel
     /// shutdown).
     pub killed: u64,
-    /// OS threads started for this kernel's processes: zero when idle
-    /// threads of the program's pool ran them all. Unlike the counters
-    /// above it depends on what ran before in the program, and beside it,
-    /// not on the seed.
-    pub threads_started: u64,
+    /// Fiber stacks mapped for this kernel's processes: zero when idle
+    /// stacks of the thread's pool ran them all. Unlike the counters above
+    /// it depends on what ran before on the thread, not on the seed.
+    pub stacks_mapped: u64,
 }
 
 /// A fault-injection command, schedulable at an absolute virtual time.
@@ -239,7 +240,7 @@ enum Block {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Status {
-    /// Created; not yet handed to a thread.
+    /// Created; its fiber not yet made.
     NotStarted,
     /// Waiting in a blocking syscall.
     Blocked(Block),
@@ -256,10 +257,10 @@ struct Proc {
     host: HostId,
     status: Status,
     mailbox: VecDeque<Msg>,
-    /// The process's body on its pooled thread, from its start event until
-    /// it is killed (then the task moves to `Core::reaped`) or the kernel
-    /// is dropped.
-    task: Option<Task>,
+    /// The process's body on its fiber, from its start event until it
+    /// ends, is killed (then the fiber moves to `Core::reaped`) or the
+    /// kernel is dropped.
+    fiber: Option<ProcFiber>,
     body: Option<ProcessBody>,
     /// Invalidates in-flight timer events.
     timer_epoch: u64,
@@ -268,17 +269,15 @@ struct Proc {
 }
 
 /// The simulation kernel. See the module docs for the execution model.
+/// Not `Send`: its processes' fibers run on the thread that made them.
 pub struct Kernel {
-    core: Shared<Core>,
-    /// Not `Send`: it stays on the driver thread (module docs).
+    core: Core,
     profile_hook: Option<ProfileHook>,
 }
 
-/// Everything the simulation is made of, in a [`Shared`] cell held by the
-/// driver thread and every process thread; only the baton holder works on
-/// it. The lock is poison-transparent because a process thread may unwind
-/// through a held guard (a kill, a panic) and must not wedge the run.
-pub(crate) struct Core {
+/// Everything the simulation is made of; the scheduler loop alone works
+/// on it.
+struct Core {
     cfg: KernelConfig,
     now: SimTime,
     seq: u64,
@@ -309,45 +308,19 @@ pub(crate) struct Core {
     panicked: Option<(Pid, String)>,
     /// `max_events` tripped; `run_inner` raises it on the driver.
     runaway: bool,
-    /// Called by the baton holder at each `emit`.
+    /// Called by the scheduler at each `emit`.
     event_hook: Option<EventHook>,
     /// An armed send trigger: crash this host once it has sent this many
     /// more frames (`Kernel::crash_after_sends`).
     send_trigger: Option<(HostId, u64)>,
-    /// A profile hook is installed for this run: main runs every step and
-    /// each syscall is `posted` to it.
-    main_drives: bool,
-    posted: Option<Syscall>,
-    /// The process that is executing its body (or is about to: `resume`
-    /// then holds what its blocked syscall returns).
+    /// The process whose turn it is.
     running: Option<Pid>,
-    resume: Option<Resume>,
-    /// Who holds the baton: the one thread that may work on the core and
-    /// run simulation code. `None` is the driver thread.
-    holder: Option<Pid>,
-    /// The driver thread of the current run.
-    main: Option<Thread>,
-    /// Tasks of processes killed since the driver last waited for them.
-    reaped: Vec<Task>,
-    /// Set by `Kernel::drop`: every parked process thread gives up.
-    shutdown: bool,
-    thread_switches: u64,
-}
-
-/// Wake the thread the baton was just passed to — after the core guard is
-/// released, so it does not wake into a held lock.
-pub(crate) fn wake(next: Option<Thread>) {
-    if let Some(t) = next {
-        t.unpark();
-    }
-}
-
-/// Where a process thread stands after `Core::syscall`.
-pub(crate) enum Turn {
-    /// It runs on: this is what the syscall returns.
-    Go(Resume),
-    /// The baton went to this thread; wake it, then wait for `take_turn`.
-    Wait(Option<Thread>),
+    /// The process that had the last turn of this run (`None`: none yet).
+    last: Option<Pid>,
+    /// Fibers of killed processes, to unwind before the next turn; the
+    /// caller of the killing syscall first.
+    reaped: VecDeque<ProcFiber>,
+    process_switches: u64,
 }
 
 /// A structured process/host lifecycle or fault event. Each is emitted
@@ -441,8 +414,8 @@ impl std::fmt::Display for KernelEvent {
     }
 }
 
-/// A structured event callback: `(virtual time, event)`, called under the
-/// kernel's lock on the baton holder's thread: it must not call the kernel.
+/// A structured event callback: `(virtual time, event)`, called by the
+/// scheduler between process turns, as the event happens.
 pub type EventHook = Box<dyn FnMut(SimTime, &KernelEvent) + Send>;
 
 /// A profiling mark: the kernel is entering or leaving one unit of work.
@@ -466,8 +439,8 @@ pub enum ProfileMark {
 
 /// A profiling callback, invoked with paired [`ProfileMark`]s around every
 /// event dispatch (`event.*`), every process syscall (`sys.*`), and every
-/// scheduler handoff wait (`sched.handoff` — the driver parked until the
-/// process it passed the baton to posts its next syscall).
+/// resume of a process (`sched.handoff` — the process runs on its fiber
+/// until its next syscall switches back).
 pub type ProfileHook = Box<dyn FnMut(ProfileMark)>;
 
 /// Per-process virtual-time CPU attribution, one entry per process that
@@ -563,7 +536,7 @@ impl Kernel {
             // Domain-separated from the per-process RNG streams.
             rand::rngs::SmallRng::seed_from_u64(cfg.seed ^ 0x6E65_745F_6472_6F70)
         };
-        let core = Shared::new(Core {
+        let core = Core {
             cfg,
             now: SimTime::ZERO,
             seq: 0,
@@ -586,16 +559,11 @@ impl Kernel {
             runaway: false,
             event_hook: None,
             send_trigger: None,
-            main_drives: false,
-            posted: None,
             running: None,
-            resume: None,
-            holder: None,
-            main: None,
-            reaped: Vec::new(),
-            shutdown: false,
-            thread_switches: 0,
-        });
+            last: None,
+            reaped: VecDeque::new(),
+            process_switches: 0,
+        };
         Kernel {
             core,
             profile_hook: None,
@@ -613,7 +581,7 @@ impl Kernel {
     /// Register a simulated workstation. Hosts can only be added before or
     /// between runs.
     pub fn add_host(&mut self, cfg: HostConfig) -> HostId {
-        let mut core = self.core.lock_untracked();
+        let core = &mut self.core;
         let id = HostId(core.hosts.len() as u32);
         core.hosts.push(HostState::new(cfg, LOAD_EWMA_TAU));
         core.next_port.push(1024);
@@ -629,7 +597,7 @@ impl Kernel {
 
     /// All registered host ids.
     pub fn host_ids(&self) -> Vec<HostId> {
-        self.core.lock_untracked().host_ids()
+        self.core.host_ids()
     }
 
     /// Spawn a process on `host`, starting at the current virtual time.
@@ -651,31 +619,28 @@ impl Kernel {
         name: impl Into<String>,
         body: ProcessBody,
     ) -> Pid {
-        self.core
-            .lock_untracked()
-            .spawn_at(at, host, name.into(), body)
+        self.core.spawn_at(at, host, name.into(), body)
     }
 
     /// Schedule a fault-injection command at absolute time `at`.
     pub fn schedule_fault(&mut self, at: SimTime, fault: Fault) {
-        let mut core = self.core.lock_untracked();
-        let at = at.max(core.now);
-        core.push_event(at, EventKind::Fault(fault));
+        let at = at.max(self.core.now);
+        self.core.push_event(at, EventKind::Fault(fault));
     }
 
     /// Install a structured event callback invoked with `(time, event)` at
-    /// every lifecycle and fault point, as the event happens, on the thread
-    /// that holds the baton (see [`EventHook`]). At most one hook is
-    /// installed; a second call replaces the first.
+    /// every lifecycle and fault point, as the event happens (see
+    /// [`EventHook`]). At most one hook is installed; a second call
+    /// replaces the first.
     pub fn set_event_hook(&mut self, f: impl FnMut(SimTime, &KernelEvent) + Send + 'static) {
-        self.core.lock_untracked().event_hook = Some(Box::new(f));
+        self.core.event_hook = Some(Box::new(f));
     }
 
     /// Install a profiling callback fired with paired [`ProfileMark`]s
     /// around every event dispatch, syscall, and scheduler handoff. At most
     /// one hook is installed; a second call replaces the first. The hook
-    /// runs on the driver thread, which then drives every step of a run
-    /// (module docs), and must not call back into the kernel.
+    /// runs in the scheduler loop (module docs) and changes nothing it
+    /// decides.
     pub fn set_profile_hook(&mut self, f: impl FnMut(ProfileMark) + 'static) {
         self.profile_hook = Some(Box::new(f));
     }
@@ -687,13 +652,13 @@ impl Kernel {
     /// second call replaces the first, and a trigger that never fires
     /// changes nothing.
     pub fn crash_after_sends(&mut self, host: HostId, n: u64) {
-        self.core.lock_untracked().send_trigger = Some((host, n));
+        self.core.send_trigger = Some((host, n));
     }
 
     /// Snapshot the deterministic run profile: per-process virtual CPU
     /// attribution and the kernel queue-depth peaks seen so far.
     pub fn profile(&self) -> KernelProfile {
-        let core = self.core.lock_untracked();
+        let core = &self.core;
         let mut cpu_by_proc = Vec::new();
         for (hi, hs) in core.hosts.iter().enumerate() {
             for (&pid, &cpu_ns) in &hs.cpu_by_pid {
@@ -721,44 +686,41 @@ impl Kernel {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.lock_untracked().now
+        self.core.now
     }
 
     /// Run statistics so far.
     pub fn stats(&self) -> KernelStats {
-        self.core.lock_untracked().stats
+        self.core.stats
     }
 
-    /// How often the baton has passed from one OS thread to another (driver
-    /// → process, process → process, process → driver). This is the host
-    /// cost of a run in machine-independent units; it depends on whether a
-    /// profile hook is installed, so it is not part of [`KernelStats`].
-    pub fn thread_switches(&self) -> u64 {
-        self.core.lock_untracked().thread_switches
+    /// How often the CPU has passed from one party to another: from one
+    /// process to the next, from the driver to a run's first process and
+    /// from its last back. A process that blocks and is the next one due
+    /// runs on without a switch. Observers change nothing here.
+    pub fn process_switches(&self) -> u64 {
+        self.core.process_switches
     }
 
     /// Whether a process has exited or been killed.
     pub fn proc_dead(&self, pid: Pid) -> bool {
-        self.core.lock_untracked().proc_dead(pid)
+        self.core.proc_dead(pid)
     }
 
     /// Override the one-way latency between two hosts (symmetric). Used to
     /// model WAN links between LANs — the metacomputing scenario the paper
     /// lists as future work. Takes effect for messages sent after the call.
     pub fn set_link_latency(&mut self, a: HostId, b: HostId, latency: SimDuration) {
-        self.core
-            .lock_untracked()
-            .link_latency
-            .insert(pair(a, b), latency);
+        self.core.link_latency.insert(pair(a, b), latency);
     }
 
     /// Run until the event queue is exhausted and no process is runnable.
     /// Returns the final virtual time.
     ///
     /// Like every `run_*` call, this returns only after the processes killed
-    /// during the run have unwound on their own threads, so what they did on
-    /// the way out is the caller's to read. A body that swallows
-    /// `Err(Killed)` and never returns therefore hangs the run.
+    /// during the run have unwound, so what they did on the way out is the
+    /// caller's to read. A body that swallows `Err(Killed)` and never
+    /// returns therefore hangs the run.
     #[track_caller]
     pub fn run_until_idle(&mut self) -> SimTime {
         self.run_inner(None, None)
@@ -775,71 +737,31 @@ impl Kernel {
     #[track_caller]
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.run_inner(Some(deadline), None);
-        let mut core = self.core.lock_untracked();
-        core.now = core.now.max(deadline);
-        core.now
+        self.core.now = self.core.now.max(deadline);
+        self.core.now
     }
 
-    /// The driver's side of the baton: raise what must be raised on this
-    /// thread, serve a posted syscall, step the loop, pass the baton and
-    /// park — until the stop rule holds.
+    /// The scheduler loop: pick the process that is due, unwind what was
+    /// killed, give it its turn — until the stop rule holds. Re-raises a
+    /// process's panic and a runaway here, on the driver.
     #[track_caller]
     fn run_inner(&mut self, deadline: Option<SimTime>, exit_on: Option<Pid>) -> SimTime {
         let at = std::panic::Location::caller();
         crate::shared::assert_unheld(format_args!("Kernel::run_*"), at);
-        let shared = self.core.clone();
-        let mut core = shared.lock_untracked();
+        let (core, hook) = (&mut self.core, &mut self.profile_hook);
         (core.deadline, core.exit_on) = (deadline, exit_on);
-        core.main = Some(std::thread::current());
-        core.main_drives = self.profile_hook.is_some();
-        let hook = &mut self.profile_hook;
         loop {
-            core.reraise();
-            if let (Some(pid), Some(sc)) = (core.running, core.posted.take()) {
-                let op = syscall_op(&sc);
-                mark(hook, ProfileMark::OpBegin(op));
-                match core.handle_syscall(pid, sc) {
-                    Some(r) => core.resume = Some(r),
-                    None => core.running = None,
-                }
-                mark(hook, ProfileMark::OpEnd(op));
-                continue;
+            let next = core.advance(hook);
+            core.unwind_reaped();
+            match next {
+                Some((pid, resume)) => core.turn(pid, resume, hook),
+                None => break,
             }
-            let pid = match core.running {
-                Some(pid) => pid, // mid-body: main just served its syscall
-                None => match core.advance(&shared, None, hook) {
-                    Some((pid, resume)) => {
-                        core.resume = Some(resume);
-                        pid
-                    }
-                    None => {
-                        // On this thread the loop stops for a panic or a
-                        // runaway, or at the stop rule.
-                        core.reraise();
-                        break;
-                    }
-                },
-            };
-            mark(hook, ProfileMark::OpBegin("sched.handoff"));
-            let next = core.pass_to(pid);
-            drop(core);
-            wake(next);
-            core = loop {
-                std::thread::park();
-                let core = shared.lock_untracked();
-                if core.holder.is_none() {
-                    break core;
-                }
-            };
-            mark(hook, ProfileMark::OpEnd("sched.handoff"));
         }
-        // Killed processes unwind on their own threads, off the baton.
-        let (now, reaped) = (core.now, std::mem::take(&mut core.reaped));
-        drop(core);
-        for victim in reaped {
-            victim.wait();
-        }
-        now
+        // The CPU goes back to the driver.
+        core.process_switches += u64::from(core.last.take().is_some());
+        core.reraise();
+        core.now
     }
 }
 
@@ -862,7 +784,7 @@ impl Core {
             host,
             status: Status::NotStarted,
             mailbox: VecDeque::new(),
-            task: None,
+            fiber: None,
             body: Some(body),
             timer_epoch: 0,
             ports: Vec::new(),
@@ -882,7 +804,7 @@ impl Core {
     /// panic, or the `max_events` guard.
     #[expect(
         clippy::panic,
-        reason = "P1 waiver, by design: a sim-process panic is re-raised on the driver thread so a bug fails the run instead of vanishing with one thread, and the runaway-loop guard stops a truncated run from reporting results; a Result return would let callers ignore both; re-audited 2026-08, expiry 2027-06"
+        reason = "P1 waiver, by design: a sim-process panic is re-raised on the driver thread so a bug fails the run instead of vanishing with one fiber, and the runaway-loop guard stops a truncated run from reporting results; a Result return would let callers ignore both; re-audited 2026-08, expiry 2027-06"
     )]
     fn reraise(&mut self) {
         if let Some((pid, msg)) = self.panicked.take() {
@@ -904,25 +826,16 @@ impl Core {
     }
 
     // ------------------------------------------------------------------
-    // The scheduler loop and the baton
+    // The scheduler loop and the turns
     // ------------------------------------------------------------------
 
     /// Step the scheduler loop until a process is due: it is now
-    /// `running`, and the caller hands it the returned resume. `None` when
-    /// the baton goes to main instead — the run stops, a process panicked,
-    /// `max_events` tripped, or `me`, the process whose thread is stepping,
-    /// died. (`me` is `None` on the driver thread, which alone brings the
-    /// profile hook, if one is set.) Main re-enters here and decides the
-    /// same from the same state.
-    fn advance(
-        &mut self,
-        shared: &Shared<Core>,
-        me: Option<Pid>,
-        hook: &mut Option<ProfileHook>,
-    ) -> Option<(Pid, Resume)> {
+    /// `running`, and its turn starts with the returned resume. `None`
+    /// when the run stops: the stop rule holds, a process panicked or
+    /// `max_events` tripped.
+    fn advance(&mut self, hook: &mut Option<ProfileHook>) -> Option<(Pid, Resume)> {
         loop {
-            let i_died = me.is_some_and(|pid| self.proc_dead(pid));
-            if self.panicked.is_some() || i_died {
+            if self.panicked.is_some() {
                 return None;
             }
             if let Some(pid) = self.runnable.pop_front() {
@@ -948,23 +861,23 @@ impl Core {
             }
             let op = event_op(&ev.kind);
             mark(hook, ProfileMark::OpBegin(op));
-            self.handle_event(ev.kind, shared);
+            self.handle_event(ev.kind);
             mark(hook, ProfileMark::OpEnd(op));
         }
     }
 
-    /// Take `pid` off the runnable state: it becomes `running` and the
-    /// caller hands it the returned resume. `None` if it was killed while
+    /// Take `pid` off the runnable state: it becomes `running` and its
+    /// turn starts with the returned resume. `None` if it was killed while
     /// queued.
     fn begin_run(&mut self, pid: Pid) -> Option<Resume> {
         let p = &mut self.procs[pid.0 as usize];
         if p.status != Status::Runnable {
             return None; // killed while queued
         }
-        let resume = match (p.pending.take(), &p.task) {
+        let resume = match (p.pending.take(), &p.fiber) {
             (Some(resume), Some(_)) => resume,
             _ => {
-                // Runnable without a pending resume or without a thread is
+                // Runnable without a pending resume or without a fiber is
                 // a scheduler bookkeeping bug; reap the process instead of
                 // panicking the whole sim.
                 p.status = Status::Dead;
@@ -976,62 +889,58 @@ impl Core {
         Some(resume)
     }
 
-    /// Give the baton to `pid` (which must be `running`, with `resume`
-    /// filled in). Returns its thread for the caller to [`wake`].
-    fn pass_to(&mut self, pid: Pid) -> Option<Thread> {
-        self.thread_switches += 1;
-        self.holder = Some(pid);
-        let task = self.procs[pid.0 as usize].task.as_ref();
-        task.map(|t| t.thread().clone())
-    }
-
-    /// Give the baton to the driver thread.
-    fn pass_to_main(&mut self) -> Option<Thread> {
-        self.thread_switches += 1;
-        self.holder = None;
-        self.main.clone()
-    }
-
-    /// A syscall from `pid`, on `pid`'s own thread, which holds the baton.
-    pub(crate) fn syscall(&mut self, shared: &Shared<Core>, pid: Pid, sc: Syscall) -> Turn {
-        if self.main_drives {
-            self.posted = Some(sc);
-            return Turn::Wait(self.pass_to_main());
-        }
-        if let Some(r) = self.handle_syscall(pid, sc) {
-            return Turn::Go(r);
-        }
-        // Blocked or gone: step on here (a dead caller only passes to main).
-        self.running = None;
-        match self.advance(shared, Some(pid), &mut None) {
-            Some((next, resume)) if next == pid => Turn::Go(resume),
-            Some((next, resume)) => {
-                self.resume = Some(resume);
-                Turn::Wait(self.pass_to(next))
+    /// `pid`'s turn: resume its fiber with `resume`, serve each syscall it
+    /// switches back with, and resume it again with the answer of an
+    /// immediate one — until it blocks, ends or is gone.
+    fn turn(&mut self, pid: Pid, resume: Resume, hook: &mut Option<ProfileHook>) {
+        self.process_switches += u64::from(self.last != Some(pid));
+        self.last = Some(pid);
+        let mut input = Ok(resume);
+        loop {
+            mark(hook, ProfileMark::OpBegin("sched.handoff"));
+            let step = match self.procs[pid.0 as usize].fiber.as_mut() {
+                Some(fiber) => resume_fiber(fiber, input),
+                None => None,
+            };
+            mark(hook, ProfileMark::OpEnd("sched.handoff"));
+            let sc = match step {
+                Some(Step::Yielded(sc)) => sc,
+                Some(Step::Returned(sc)) => {
+                    // The body is over; its stack is back in the pool.
+                    self.procs[pid.0 as usize].fiber = None;
+                    crate::shared::debug_assert_none_held();
+                    sc
+                }
+                None => break,
+            };
+            let op = syscall_op(&sc);
+            mark(hook, ProfileMark::OpBegin(op));
+            let served = catch_unwind(AssertUnwindSafe(|| self.handle_syscall(pid, sc)));
+            mark(hook, ProfileMark::OpEnd(op));
+            match served {
+                Ok(Some(resume)) => input = Ok(resume),
+                Ok(None) => break,
+                Err(payload) => {
+                    // The kernel's own code panicked in the syscall (a bad
+                    // argument such as an unknown host, or a kernel bug):
+                    // the run fails like on a body panic, and the caller,
+                    // mid-syscall, is killed so that it unwinds.
+                    let msg = panic_text(payload.as_ref());
+                    self.panicked = Some((pid, format!("kernel fault in its syscall: {msg}")));
+                    self.do_kill(pid);
+                    break;
+                }
             }
-            None => Turn::Wait(self.pass_to_main()),
         }
+        self.running = None;
     }
 
-    /// The kernel's own code panicked on `pid`'s thread, inside its syscall
-    /// (a bad argument such as an unknown host, or a kernel bug). The core
-    /// may be half-updated, so nothing but the baton moves: the driver
-    /// re-raises the message like a body panic.
-    pub(crate) fn kernel_fault(&mut self, pid: Pid, msg: String) -> Option<Thread> {
-        self.panicked = Some((pid, format!("kernel fault in its syscall: {msg}")));
-        self.pass_to_main()
-    }
-
-    /// Called by `pid`'s thread after it woke: `Some` once the baton is
-    /// its own (with what its syscall returns) or it has been killed.
-    pub(crate) fn take_turn(&mut self, pid: Pid) -> Option<SimResult<Resume>> {
-        if self.shutdown || self.proc_dead(pid) {
-            return Some(Err(Killed));
+    /// Resume every killed process's fiber with `Err(Killed)` until its
+    /// body has unwound; its stack then goes back to the pool.
+    fn unwind_reaped(&mut self) {
+        while let Some(mut fiber) = self.reaped.pop_front() {
+            while let Some(Step::Yielded(_)) = resume_fiber(&mut fiber, Err(Killed)) {}
         }
-        if self.holder != Some(pid) {
-            return None;
-        }
-        self.resume.take().map(Ok)
     }
 
     // ------------------------------------------------------------------
@@ -1045,8 +954,8 @@ impl Core {
         self.peaks.event_queue = self.peaks.event_queue.max(self.events.len() as u64);
     }
 
-    /// The single emission point: the event hook gets the event here, on
-    /// the baton holder's thread, stamped with the current instant.
+    /// The single emission point: the event hook gets the event here,
+    /// stamped with the current instant.
     fn emit(&mut self, ev: KernelEvent) {
         if let Some(hook) = self.event_hook.as_mut() {
             hook(self.now, &ev);
@@ -1061,9 +970,9 @@ impl Core {
         }
     }
 
-    fn handle_event(&mut self, kind: EventKind, shared: &Shared<Core>) {
+    fn handle_event(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Start(pid) => self.start_process(pid, shared),
+            EventKind::Start(pid) => self.start_process(pid),
             EventKind::Timer { pid, epoch } => self.fire_timer(pid, epoch),
             EventKind::Deliver(msg) => self.deliver(msg),
             EventKind::Probe { from, host, port } => self.answer_probe(from, host, port),
@@ -1072,9 +981,8 @@ impl Core {
         }
     }
 
-    /// Hand `pid`'s body to a pooled thread (its `Ctx` holds `shared`) and
-    /// queue it.
-    fn start_process(&mut self, pid: Pid, shared: &Shared<Core>) {
+    /// Give `pid`'s body a fiber and queue it.
+    fn start_process(&mut self, pid: Pid) {
         let host;
         {
             let p = &mut self.procs[pid.0 as usize];
@@ -1097,31 +1005,34 @@ impl Core {
             p.status = Status::Dead;
             return;
         };
-        let mut ctx = Ctx::new(pid, host, self.cfg.seed, shared.clone());
-        let run = move || {
-            if ctx.wait_start().is_ok() {
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-                match result {
-                    Ok(()) => ctx.leave(Syscall::Exit),
-                    Err(payload) => ctx.report_panic(payload),
-                }
+        let seed = self.cfg.seed;
+        let run = move |first: SimResult<Resume>, fiber| {
+            let mut ctx = Ctx::new(pid, host, seed, fiber);
+            if ctx.start(first).is_err() {
+                return Syscall::Exit;
+            }
+            match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
+                Ok(()) => Syscall::Exit,
+                // The expected unwind after a kill (e.g. `.unwrap()` on a
+                // syscall result).
+                Err(_) if ctx.is_dead() => Syscall::Exit,
+                Err(payload) => Syscall::Panicked(panic_text(payload.as_ref())),
             }
         };
-        let (task, started) = match pool::start(&p.name, Box::new(run)) {
-            Ok(started) => started,
+        let (fiber, mapped) = match Fiber::new(&p.name, run) {
+            Ok(made) => made,
             Err(e) => {
-                // The OS refused to give us a thread; the process can never
+                // The OS refused to map a stack; the process can never
                 // run. Reap it rather than panicking the driver.
-                eprintln!("simnet: failed to start a thread for {pid}: {e}");
+                eprintln!("simnet: failed to map a stack for {pid}: {e}");
                 p.status = Status::Dead;
                 return;
             }
         };
-        p.task = Some(task);
+        p.fiber = Some(fiber);
         p.pending = Some(Resume::Start { now: self.now });
         p.status = Status::Runnable;
-        self.stats.threads_started += u64::from(started);
+        self.stats.stacks_mapped += u64::from(mapped);
         self.runnable.push_back(pid);
         self.peaks.runnable = self.peaks.runnable.max(self.runnable.len() as u64);
     }
@@ -1439,11 +1350,14 @@ impl Core {
         if self.hosts[host.0 as usize].remove_job(now, pid).is_some() {
             self.reschedule_cpu(host);
         }
-        // A parked victim wakes, finds itself dead (`take_turn`) and
-        // unwinds on its own thread; it never gets the baton.
-        if let Some(task) = self.procs[pid.0 as usize].task.take() {
-            task.thread().unpark();
-            self.reaped.push(task);
+        // The victim unwinds before any other process runs on; the caller
+        // of this syscall, if it is the victim, first of all.
+        if let Some(fiber) = self.procs[pid.0 as usize].fiber.take() {
+            if self.running == Some(pid) {
+                self.reaped.push_front(fiber);
+            } else {
+                self.reaped.push_back(fiber);
+            }
         }
         self.stats.killed += 1;
         self.emit_proc(pid, |pid, name, host| KernelEvent::ProcKill {
@@ -1630,7 +1544,7 @@ impl Core {
     }
 
     /// Clean exit of a process (body returned or panicked): release
-    /// resources; there is nothing to wake — the thread is finishing.
+    /// resources; its fiber has returned.
     fn finish_process(&mut self, pid: Pid) {
         let (host, ports);
         {
@@ -1661,27 +1575,27 @@ impl Core {
 }
 
 impl Drop for Kernel {
+    /// Unwind every process that is still in its body, in pid order after
+    /// those killed last. Not while this thread unwinds a panic: a body
+    /// must not run then (`Ctx::call`), so their fibers and stacks leak.
     fn drop(&mut self) {
-        // Tell every parked body to give up, then wake and wait for them
-        // (outside the lock: they need it to see the flag). A body that
-        // has ended is not woken: its thread may run another kernel's
-        // process by now.
-        let tasks: Vec<Task> = {
-            let mut core = self.core.lock_untracked();
-            core.shutdown = true;
-            let mut tasks = std::mem::take(&mut core.reaped);
-            tasks.extend(core.procs.iter_mut().filter_map(|p| p.task.take()));
-            tasks
-        };
-        for t in &tasks {
-            if !t.ended() {
-                t.thread().unpark();
-            }
-        }
-        for t in tasks {
-            t.wait();
+        let core = &mut self.core;
+        let live = core.procs.iter_mut().filter_map(|p| p.fiber.take());
+        core.reaped.extend(live);
+        if !std::thread::panicking() {
+            core.unwind_reaped();
         }
     }
+}
+
+/// Resume a process's fiber with `input`, its panic reports suppressed
+/// while it unwinds a kill. Inlined: see `fiber`'s module docs.
+#[inline(always)]
+fn resume_fiber(fiber: &mut ProcFiber, input: SimResult<Resume>) -> Option<Step<Syscall>> {
+    SUPPRESS_PANIC_REPORT.with(|s| s.set(input.is_err()));
+    let step = fiber.resume(input);
+    SUPPRESS_PANIC_REPORT.with(|s| s.set(false));
+    step
 }
 
 // ---------------------------------------------------------------------
@@ -1694,7 +1608,7 @@ fn install_quiet_kill_hook() {
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if crate::process::SUPPRESS_PANIC_REPORT.with(|s| s.get()) {
+            if SUPPRESS_PANIC_REPORT.with(|s| s.get()) {
                 return;
             }
             previous(info);
@@ -1702,22 +1616,13 @@ fn install_quiet_kill_hook() {
     });
 }
 
-impl Ctx {
-    /// Called by the thread wrapper when the body panicked. If this process
-    /// was killed, the panic is the expected unwind (e.g. `.unwrap()` on a
-    /// syscall result) and is swallowed; otherwise it is forwarded to the
-    /// kernel, which re-raises it on the main thread.
-    pub(crate) fn report_panic(&mut self, payload: Box<dyn std::any::Any + Send>) {
-        if self.is_dead() {
-            return; // expected unwind after a kill
-        }
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        self.leave(Syscall::Panicked(msg));
+/// The message a panic payload carries.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }

@@ -7,8 +7,8 @@ use crate::{
     Addr, Fault, HostConfig, Kernel, KernelConfig, Payload, Port, SimDuration, SimResult, SimTime,
 };
 
-/// Poison-transparent mutex with the `parking_lot` calling convention
-/// (`lock()` returns the guard directly); keeps the tests dependency-free.
+/// Poison-transparent mutex whose `lock()` returns the guard directly;
+/// keeps the tests dependency-free.
 struct Mutex<T>(std::sync::Mutex<T>);
 
 impl<T> Mutex<T> {
@@ -34,14 +34,22 @@ fn secs(s: f64) -> SimDuration {
     SimDuration::from_secs_f64(s)
 }
 
-/// The run's counters, rendered with `threads_started` zeroed: that one
-/// depends on the thread pool, which every test in this binary shares.
+/// The run's counters but `stacks_mapped`, which depends on what ran on
+/// this thread before, not on the seed.
 fn seeded_stats(sim: &Kernel) -> String {
-    let stats = crate::KernelStats {
-        threads_started: 0,
-        ..sim.stats()
-    };
-    format!("{stats:?}")
+    let crate::KernelStats {
+        events,
+        msgs_delivered,
+        msgs_dropped,
+        rsts,
+        spawned,
+        killed,
+        stacks_mapped: _,
+    } = sim.stats();
+    format!(
+        "KernelStats {{ events: {events}, msgs_delivered: {msgs_delivered}, \
+         msgs_dropped: {msgs_dropped}, rsts: {rsts}, spawned: {spawned}, killed: {killed} }}"
+    )
 }
 
 #[test]
@@ -384,8 +392,8 @@ fn process_bug_panics_propagate_to_the_driver() {
     sim.run_until_idle();
 }
 
-/// A kernel-side panic on a process's thread (its syscall runs there) is
-/// not mistaken for the body's and does not re-enter the core.
+/// A kernel-side panic inside a process's syscall is re-raised as the
+/// kernel's, not the body's.
 #[test]
 #[should_panic(expected = "kernel fault in its syscall: unknown host h9")]
 fn kernel_panics_in_a_syscall_propagate_to_the_driver() {
@@ -1110,7 +1118,7 @@ fn a_lone_compute_completes_where_the_heap_would_have_it() {
 }
 
 // ---------------------------------------------------------------------
-// The baton: thread switches, observer equivalence, dying baton holders
+// Turns: process switches, observer equivalence, dying processes
 // ---------------------------------------------------------------------
 
 /// A two-host echo pair, `n` round trips: the client runs `compute, send,
@@ -1155,27 +1163,25 @@ fn echo_pair(n: usize, observed: bool, profiled: bool) -> (Kernel, usize) {
 }
 
 #[test]
-fn a_round_trip_costs_two_thread_switches() {
+fn a_round_trip_costs_two_process_switches() {
     const N: u64 = 200;
-    // No observers: the baton changes threads when the request reaches the
-    // server and when the reply reaches the client, plus a handful of times
-    // around start-up and exit.
+    // No observers: the CPU passes from one process to the other when the
+    // request reaches the server and when the reply reaches the client,
+    // plus a handful of times around start-up and exit.
     let (bare, _) = echo_pair(N as usize, false, false);
-    let switches = bare.thread_switches();
+    let switches = bare.process_switches();
     assert!(
         (2 * N..=2 * N + 8).contains(&switches),
-        "{switches} thread switches for {N} round trips"
+        "{switches} process switches for {N} round trips"
     );
-    // The event hook runs on the baton holder's thread: installing it
-    // hands main no step.
+    // Both hooks run in the scheduler loop and change nothing it decides.
+    // The profile hook sees one `sched.handoff` per resume: one per
+    // syscall (8 per round trip + 2 exits).
     let (observed, _) = echo_pair(N as usize, true, false);
-    assert_eq!(observed.thread_switches(), switches);
-    // With a profile hook main drives every step: one `sched.handoff` per
-    // syscall (8 per round trip + 2 exits — the count at the commit before
-    // the baton), each a switch to the process and one back.
+    assert_eq!(observed.process_switches(), switches);
     let (hooked, handoffs) = echo_pair(N as usize, false, true);
     assert_eq!(handoffs as u64, 8 * N + 2);
-    assert_eq!(hooked.thread_switches(), 2 * handoffs as u64);
+    assert_eq!(hooked.process_switches(), switches);
     for run in [&observed, &hooked] {
         assert_eq!(bare.now(), run.now());
         assert_eq!(bare.profile(), run.profile());
@@ -1193,7 +1199,7 @@ type CellOutcome = (
 /// One seed-fixed cell with a kill, a spawn from inside a process, a
 /// `recv_timeout` that expires, a scheduled partition, a host crashed from
 /// another host — and one crashed by a process that lives on it while it
-/// holds the baton: four equal compute jobs on `h[3]` finish at the same
+/// is in its turn: four equal compute jobs on `h[3]` finish at the same
 /// CpuCheck, `w0` takes another turn on the CPU, `w1` crashes the host
 /// with `w0` blocked and `w2`, `w3` still in the runnable queue. `armed`
 /// arms a send trigger on `h[3]` that counts `w0`'s one frame and never
@@ -1243,8 +1249,7 @@ fn observed_cell(events: bool, profile: bool, armed: bool) -> CellOutcome {
     for i in 0..4u8 {
         let n = notes.clone();
         sim.spawn(h[3], format!("w{i}"), move |ctx| {
-            // A victim leaves at its first `Err(Killed)`, silently: it
-            // unwinds off the baton, so a note from there has no fixed place.
+            // A victim leaves at its first `Err(Killed)`, silently.
             let _ = (|| {
                 ctx.compute(0.05)?;
                 note(&n, ctx, &format!("w{i} computed"));
@@ -1275,9 +1280,8 @@ fn observers_do_not_change_the_run() {
     // the kernel ran on a thread of its own then.
     assert_eq!(*lines, GOLDEN_CELL_TRACE, "{lines:#?}");
     assert_eq!(run.0, GOLDEN_CELL_STATS);
-    // The hook called on whichever thread holds the baton vs. on main,
-    // which a profile hook makes drive every step: same lines, same
-    // timestamps, same order — with a trigger armed that never fires.
+    // With a profile hook too: same lines, same timestamps, same order —
+    // with a trigger armed that never fires.
     assert_eq!(traced, observed_cell(true, true, true));
     // And nothing but the recorded lines tells an observed run from a bare
     // one, nor an armed trigger that never fires from none.
@@ -1311,7 +1315,7 @@ const GOLDEN_CELL_TRACE: [&str; 20] = [
 /// One event more than at that commit: the spinner's kill is a scheduled
 /// fault now, an event of its own, where it was the boss's syscall.
 const GOLDEN_CELL_STATS: &str =
-    "KernelStats { events: 24, msgs_delivered: 2, msgs_dropped: 0, rsts: 0, spawned: 8, killed: 6, threads_started: 0 }";
+    "KernelStats { events: 24, msgs_delivered: 2, msgs_dropped: 0, rsts: 0, spawned: 8, killed: 6 }";
 
 #[test]
 fn events_reach_the_hook_before_the_emitting_process_runs_on() {
@@ -1371,7 +1375,7 @@ const INLINE_TRACE: [&str; 25] = [
     "0.101719 exit p11",
 ];
 const INLINE_STATS: &str =
-    "KernelStats { events: 40, msgs_delivered: 1, msgs_dropped: 0, rsts: 0, spawned: 12, killed: 1, threads_started: 0 }";
+    "KernelStats { events: 40, msgs_delivered: 1, msgs_dropped: 0, rsts: 0, spawned: 12, killed: 1 }";
 const INLINE_CPU: [&str; 10] = [
     "p0 lone 7812502",
     "p1 pair-a 7812500",
@@ -1496,34 +1500,83 @@ fn a_guard_held_across_an_immediate_syscall_is_allowed() {
     assert_eq!(cell.get(), 2);
 }
 
-#[test]
-fn a_killed_process_unwinding_under_a_guard_is_waited_for() {
-    // The victim takes the cell on its own thread as it unwinds, off the
-    // baton, racing the killer's own lock: whichever is second waits.
-    struct Unwinder(crate::Shared<u32>);
-    impl Drop for Unwinder {
-        fn drop(&mut self) {
-            let mut g = self.0.lock();
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            *g += 1;
-        }
+/// A log line a process's destructor writes as it unwinds.
+struct Unwinder(&'static str, crate::Shared<Vec<String>>);
+
+impl Drop for Unwinder {
+    fn drop(&mut self) {
+        self.1.with(|log| log.push(format!("{} unwound", self.0)));
     }
+}
+
+/// Two victims blocked on `h[1]` — one killed by a scheduled fault, the
+/// other by a host crash the killer makes from `h[0]` while it holds the
+/// log's guard — and what the log reads after the run.
+fn kill_and_log() -> Vec<String> {
+    let mut sim = Kernel::with_seed(1);
+    let h = sim.add_hosts(2);
+    let log = crate::Shared::new(Vec::new());
+    let mut victims = Vec::new();
+    for name in ["v0", "v1"] {
+        let unwinder = Unwinder(name, log.clone());
+        victims.push(sim.spawn(h[1], name, move |ctx| {
+            let _unwinder = unwinder;
+            let _ = ctx.recv();
+        }));
+    }
+    sim.schedule_fault(SimTime::ZERO + ms(1), Fault::KillProcess(victims[0]));
+    let l = log.clone();
+    sim.spawn(h[0], "killer", move |ctx| {
+        ctx.sleep(ms(2)).unwrap(); // past the fault
+        let mut held = l.lock();
+        held.push("killer crashes h1".to_string());
+        ctx.crash_host(h[1]).unwrap(); // an immediate syscall, under a guard
+        held.push("killer runs on".to_string());
+        drop(held);
+        ctx.sleep(SimDuration::from_nanos(1)).unwrap();
+        l.with(|log| log.push("killer's next turn".to_string()));
+    });
+    sim.run_until_idle();
+    log.get()
+}
+
+#[test]
+fn a_killed_process_unwinds_before_the_next_turn() {
+    // Each victim's destructors run at a fixed point: before any process
+    // takes its next turn, so never while the killer holds a guard.
+    let want = [
+        "v0 unwound",
+        "killer crashes h1",
+        "killer runs on",
+        "v1 unwound",
+        "killer's next turn",
+    ];
+    assert_eq!(kill_and_log(), want);
+    assert_eq!(kill_and_log(), want);
+}
+
+#[test]
+fn a_process_that_crashes_its_own_host_unwinds_first() {
+    // The caller holds a guard in its killing syscall; its fellow victims'
+    // destructors take the same cell, so they run after it has unwound.
     let mut sim = Kernel::with_seed(1);
     let h = sim.add_host(HostConfig::new("a"));
-    let cell = crate::Shared::new(0u32);
-    let unwinder = Unwinder(cell.clone());
-    let victim = sim.spawn(h, "victim", move |ctx| {
+    let log = crate::Shared::new(Vec::new());
+    let unwinder = Unwinder("blocked", log.clone());
+    sim.spawn(h, "blocked", move |ctx| {
         let _unwinder = unwinder;
         let _ = ctx.recv();
     });
-    sim.schedule_fault(SimTime::ZERO, Fault::KillProcess(victim));
-    let c = cell.clone();
-    sim.spawn(h, "killer", move |ctx| {
-        ctx.sleep(SimDuration::from_nanos(1)).unwrap(); // past the kill
-        c.with(|n| *n += 1);
+    let unwinder = Unwinder("crasher", log.clone());
+    let l = log.clone();
+    sim.spawn(h, "crasher", move |ctx| -> SimResult<()> {
+        let _unwinder = unwinder;
+        ctx.sleep(ms(1))?;
+        let _held = l.lock();
+        ctx.crash_host(ctx.host())
     });
     sim.run_until_idle();
-    assert_eq!(cell.get(), 2);
+    assert_eq!(log.get(), ["crasher unwound", "blocked unwound"]);
 }
 
 #[test]
@@ -1541,36 +1594,30 @@ fn the_driver_holding_a_guard_cannot_run_the_kernel() {
 }
 
 // ---------------------------------------------------------------------
-// Pooled threads: each body starts clean, and kernels share the pool
+// Pooled stacks: each body starts clean; kernels on threads of their own
 // ---------------------------------------------------------------------
 
 const HYGIENE: [&str; 3] = ["hygiene-panicked", "hygiene-exited", "hygiene-killed"];
 
-/// Three bodies end three ways, each on a thread of its own: one panics
-/// under a `Shared` guard (re-raised on the driver), one exits, and one is
-/// killed mid-`recv` (its `unwrap` panics as a quiet kill unwind). Returns
-/// the thread each ran on.
-fn end_three_ways() -> Vec<(&'static str, std::thread::ThreadId)> {
-    let ran_on = cell::<Vec<(&str, std::thread::ThreadId)>>();
+/// Three bodies end three ways: one panics under a `Shared` guard
+/// (re-raised on the driver), one exits, and one is killed mid-`recv`
+/// (its `unwrap` panics as a quiet kill unwind).
+fn end_three_ways() {
     let mut sim = Kernel::with_seed(1);
     let h = sim.add_host(HostConfig::new("a"));
     let shared = crate::Shared::new(0u32);
-    let (r, c) = (ran_on.clone(), shared.clone());
+    let c = shared.clone();
     sim.spawn(h, HYGIENE[0], move |ctx| -> SimResult<()> {
-        r.lock().push((HYGIENE[0], std::thread::current().id()));
         ctx.sleep(ms(1)).unwrap();
         let _held = c.lock();
         panic!("first panic");
     });
-    let (r, c) = (ran_on.clone(), shared.clone());
+    let c = shared.clone();
     sim.spawn(h, HYGIENE[1], move |ctx| {
-        r.lock().push((HYGIENE[1], std::thread::current().id()));
         ctx.sleep(ms(2)).unwrap();
         c.with(|n| *n += 1);
     });
-    let r = ran_on.clone();
     let victim = sim.spawn(h, HYGIENE[2], move |ctx| {
-        r.lock().push((HYGIENE[2], std::thread::current().id()));
         ctx.recv().unwrap();
     });
     sim.schedule_fault(SimTime::ZERO + ms(3), Fault::KillProcess(victim));
@@ -1584,55 +1631,82 @@ fn end_three_ways() -> Vec<(&'static str, std::thread::ThreadId)> {
     sim.run_until_idle();
     assert!(sim.proc_dead(victim));
     assert_eq!(shared.get(), 1);
-    let ran_on = ran_on.lock().clone();
-    ran_on
 }
 
 #[test]
-fn pooled_threads_run_each_next_process_clean() {
-    // The next processes of those names get those threads back. Each finds
+fn pooled_stacks_run_each_next_process_clean() {
+    // The next processes of those names run on those stacks. Each finds
     // its panics reported and no guard held (its `sleep` would fail the run
-    // under one), and a panic of one is re-raised as before. Every test in
-    // this binary shares the pool, so another test's kernel may take one
-    // of the parked threads first; then the round is run again.
-    for round in 1.. {
-        let first = end_three_ways();
-        let second = cell::<Vec<(&str, std::thread::ThreadId, bool)>>();
-        let mut sim = Kernel::with_seed(1);
-        let h = sim.add_host(HostConfig::new("a"));
-        for name in HYGIENE {
-            let s = second.clone();
-            sim.spawn(h, name, move |ctx| {
-                let quiet = crate::process::SUPPRESS_PANIC_REPORT.with(|q| q.get());
-                s.lock().push((name, std::thread::current().id(), quiet));
-                ctx.sleep(ms(1)).unwrap();
-                if name == HYGIENE[0] {
-                    panic!("second panic");
-                }
-            });
-        }
-        let msg = panic_message(|| {
-            sim.run_until_idle();
+    // under one), and a panic of one is re-raised as before.
+    end_three_ways();
+    let second = cell::<Vec<(&str, bool)>>();
+    let mut sim = Kernel::with_seed(1);
+    let h = sim.add_host(HostConfig::new("a"));
+    for name in HYGIENE {
+        let s = second.clone();
+        sim.spawn(h, name, move |ctx| {
+            let quiet = crate::process::SUPPRESS_PANIC_REPORT.with(|q| q.get());
+            s.lock().push((name, quiet));
+            ctx.sleep(ms(1)).unwrap();
+            if name == HYGIENE[0] {
+                panic!("second panic");
+            }
         });
-        assert!(
-            msg.contains("(hygiene-panicked) panicked: second panic"),
-            "{msg}"
-        );
-        let second = second.lock().clone();
-        assert_eq!(second.len(), 3, "{second:?}");
-        let mut reused = 0;
-        for (name, thread, quiet) in second {
-            assert!(!quiet, "{name} starts with its panics suppressed");
-            reused += usize::from(first.contains(&(name, thread)));
-        }
-        if reused == 3 {
-            return;
-        }
-        assert!(
-            round < 50,
-            "in {round} rounds, other tests always took a thread"
-        );
     }
+    let msg = panic_message(|| {
+        sim.run_until_idle();
+    });
+    assert!(
+        msg.contains("(hygiene-panicked) panicked: second panic"),
+        "{msg}"
+    );
+    assert_eq!(sim.stats().stacks_mapped, 0, "a stack was mapped");
+    let second = second.lock().clone();
+    assert_eq!(second.len(), 3, "{second:?}");
+    for (name, quiet) in second {
+        assert!(!quiet, "{name} starts with its panics suppressed");
+    }
+}
+
+#[test]
+fn a_body_has_the_stack_headroom_of_a_thread() {
+    // std gives a spawned thread 2 MiB; a body may touch 1 MiB and more.
+    fn touch(depth: usize) -> u64 {
+        let mut frame = [0u8; 64 << 10];
+        frame[depth % 7] = depth as u8;
+        let frame = std::hint::black_box(&mut frame);
+        let below = if depth == 0 { 0 } else { touch(depth - 1) };
+        below + u64::from(frame[depth % 7])
+    }
+    let mut sim = Kernel::with_seed(1);
+    let h = sim.add_host(HostConfig::new("a"));
+    let sum = cell::<u64>();
+    let s = sum.clone();
+    sim.spawn(h, "deep", move |_ctx| {
+        *s.lock() = touch(20); // 21 frames of 64 KiB: 1.3 MiB
+    });
+    sim.run_until_idle();
+    assert_eq!(*sum.lock(), (0..=20).sum::<u64>());
+}
+
+#[test]
+fn a_backtrace_in_a_body_ends_at_its_fiber() {
+    // The walk stops at the fiber's root frame: it sees the body, and
+    // nothing of the driver's stack below.
+    let mut sim = Kernel::with_seed(1);
+    let h = sim.add_host(HostConfig::new("a"));
+    let trace = cell::<String>();
+    let t = trace.clone();
+    sim.spawn(h, "tracer", move |_ctx| {
+        *t.lock() = std::backtrace::Backtrace::force_capture().to_string();
+    });
+    sim.run_until_idle();
+    let trace = trace.lock().clone();
+    assert!(
+        trace.contains("a_backtrace_in_a_body_ends_at_its_fiber"),
+        "{trace}"
+    );
+    assert!(!trace.contains("run_inner"), "{trace}");
 }
 
 /// One bit two OS threads raise for each other.
@@ -1642,9 +1716,9 @@ fn flag(set: bool) -> Flag {
     Arc::new(std::sync::atomic::AtomicBool::new(set))
 }
 
-/// A cell run to 50 ms and handed back with processes still parked in
+/// A cell run to 50 ms and handed back with processes still suspended in
 /// it: a server that answers forever, a client of three calls, a sleeper
-/// killed mid-sleep, and a holder that at 5 ms, holding the baton, raises
+/// killed mid-sleep, and a holder that at 5 ms, in its turn, raises
 /// `holding` and waits for `go` (the driver is inside `run_until` all that
 /// while), then spawns a second client. Returns the undropped kernel and
 /// what its event hook saw, then its counters.
@@ -1695,7 +1769,7 @@ fn two_kernels_on_two_threads_each_run_as_alone() {
     drop(kernel);
     assert!(solo.iter().any(|l| l.contains("late-client")), "{solo:#?}");
     // Each thread drops a kernel while the other's kernel is mid-run: its
-    // holder has the baton and waits for that drop.
+    // holder is in its turn and waits for that drop.
     let (one_holds, one_dropped) = (flag(false), flag(false));
     let (two_holds, two_dropped) = (flag(false), flag(false));
     let one = {

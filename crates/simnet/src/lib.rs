@@ -10,8 +10,9 @@
 //!   processor sharing — a worker co-located with a background load process
 //!   runs at half speed, which is exactly the physics behind the paper's
 //!   Figure 3.
-//! * **Processes** written in plain blocking style (each runs on a pooled
-//!   OS thread, resumed one at a time): `sleep`, `compute`, `send`, `recv`.
+//! * **Processes** written in plain blocking style (each runs as a fiber on
+//!   the driver's thread, resumed one at a time): `sleep`, `compute`,
+//!   `send`, `recv`. x86-64 Linux only: the fiber switch is hand-written.
 //! * **A LAN** with latency and bandwidth, port-addressed endpoints, RSTs
 //!   for connections to dead servers, keepalive probes answered by the
 //!   destination host's kernel ([`Ctx::probe`]), and partitions.
@@ -60,10 +61,10 @@
 )]
 
 mod cpu;
+mod fiber;
 mod ids;
 mod kernel;
 mod msg;
-mod pool;
 mod process;
 mod shared;
 mod time;

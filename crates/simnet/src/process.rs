@@ -1,12 +1,12 @@
 //! The process-side view of the simulation: the [`Ctx`] handle and the
 //! syscall/resume vocabulary between a process and the kernel core.
 //!
-//! Every simulated process runs on an OS thread of its own while it lives
-//! (a pooled one, see `pool`), but only the thread that holds the kernel's
-//! baton executes (see `kernel`'s module docs): a process runs from one
-//! blocking syscall to the next. This gives deterministic execution while
-//! letting application code (ORB server loops, optimization workers, ...)
-//! be written in ordinary direct style.
+//! Every simulated process runs on a fiber of its own while it lives (a
+//! stack of its own, see `fiber`), resumed by the kernel's scheduler on the
+//! driver's thread (see `kernel`'s module docs): each syscall switches to
+//! the scheduler and back. This gives deterministic execution while letting
+//! application code (ORB server loops, optimization workers, ...) be
+//! written in ordinary direct style.
 
 use std::fmt;
 
@@ -14,10 +14,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::cpu::HostSnapshot;
+use crate::fiber::{Fiber, Suspender};
 use crate::ids::{Addr, HostId, Pid, Port};
-use crate::kernel::{wake, Core, Turn};
 use crate::msg::Msg;
-use crate::shared::Shared;
 use crate::time::{SimDuration, SimTime};
 
 /// The body of a simulated process.
@@ -71,7 +70,7 @@ pub(crate) fn boxed<R: ProcessExit>(
 /// killed (or whose host has crashed, or whose kernel has shut down).
 ///
 /// Application code should propagate this upward with `?`; the process
-/// thread then unwinds cleanly and the kernel reaps it. This mirrors how a
+/// then unwinds cleanly and the kernel reaps it. This mirrors how a
 /// Unix process sees `EINTR`/`SIGKILL`-adjacent conditions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Killed;
@@ -86,6 +85,10 @@ impl std::error::Error for Killed {}
 
 /// Result of a simulation syscall.
 pub type SimResult<T> = Result<T, Killed>;
+
+/// A process's fiber: it hands the scheduler its syscalls and is resumed
+/// with what they return (`Err(Killed)` to unwind).
+pub(crate) type ProcFiber = Fiber<SimResult<Resume>, Syscall>;
 
 /// Requests a process makes to the kernel.
 pub(crate) enum Syscall {
@@ -118,7 +121,7 @@ pub(crate) enum Syscall {
     HostInfo(HostId),
     Exit,
     /// The process body panicked (a bug, not a kill): the kernel re-raises
-    /// this on the main thread to fail fast.
+    /// this on the driver to fail fast.
     Panicked(String),
 }
 
@@ -184,10 +187,10 @@ impl Resume {
 }
 
 thread_local! {
-    /// Set once this thread's process has been killed: the global panic hook
-    /// then suppresses the report for the expected kill-unwind panic
-    /// (e.g. `.unwrap()` on a syscall result). The pool clears it before
-    /// the thread runs its next process.
+    /// Set while the running fiber's process is killed: the global panic
+    /// hook then suppresses the report for the expected kill-unwind panic
+    /// (e.g. `.unwrap()` on a syscall result). The scheduler sets it for
+    /// each fiber it resumes and clears it when the fiber switches back.
     pub(crate) static SUPPRESS_PANIC_REPORT: std::cell::Cell<bool> =
         const { std::cell::Cell::new(false) };
 }
@@ -200,14 +203,17 @@ pub struct Ctx {
     host: HostId,
     now: SimTime,
     dead: bool,
-    /// Inside `Core::syscall`: a panic now is the kernel's, not the body's.
-    in_kernel: bool,
-    core: Shared<Core>,
+    fiber: Suspender<SimResult<Resume>, Syscall>,
     rng: SmallRng,
 }
 
 impl Ctx {
-    pub(crate) fn new(pid: Pid, host: HostId, seed: u64, core: Shared<Core>) -> Self {
+    pub(crate) fn new(
+        pid: Pid,
+        host: HostId,
+        seed: u64,
+        fiber: Suspender<SimResult<Resume>, Syscall>,
+    ) -> Self {
         // Derive a per-process RNG deterministically from the kernel seed
         // and the (deterministically assigned) pid.
         let mixed = seed
@@ -218,37 +224,23 @@ impl Ctx {
             host,
             now: SimTime::ZERO,
             dead: false,
-            in_kernel: false,
-            core,
+            fiber,
             rng: SmallRng::seed_from_u64(mixed),
         }
     }
 
-    /// Wait for the initial `Start` resume. Called by the thread wrapper
-    /// before the body runs.
-    pub(crate) fn wait_start(&mut self) -> SimResult<()> {
-        match self.wait_turn()? {
-            Resume::Start { now } => {
+    /// Take the fiber's first input, the `Start` resume — or learn that
+    /// the process was killed before it ran. Called by the body wrapper.
+    pub(crate) fn start(&mut self, first: SimResult<Resume>) -> SimResult<()> {
+        match first {
+            Ok(Resume::Start { now }) => {
                 self.now = now;
                 Ok(())
             }
-            other => Err(self.bad_resume("start", &other)),
-        }
-    }
-
-    /// Park until this process holds the baton, then take what its blocked
-    /// syscall returns — or learn that it was killed meanwhile (a kill, a
-    /// host crash and `Kernel::drop` unpark the thread too).
-    fn wait_turn(&mut self) -> SimResult<Resume> {
-        loop {
-            let turn = self.core.lock_untracked().take_turn(self.pid);
-            match turn {
-                Some(Ok(resume)) => return Ok(resume),
-                Some(Err(Killed)) => {
-                    self.mark_dead();
-                    return Err(Killed);
-                }
-                None => std::thread::park(),
+            Ok(other) => Err(self.bad_resume("start", &other)),
+            Err(Killed) => {
+                self.mark_dead();
+                Err(Killed)
             }
         }
     }
@@ -278,50 +270,31 @@ impl Ctx {
         self.dead
     }
 
-    /// Make syscall `sc`. One that can pass the baton panics under a live
-    /// `Shared` guard (`shared`'s module docs), naming the caller.
+    /// Make syscall `sc`: hand it to the scheduler and take what it
+    /// returns. A blocking one panics under a live `Shared` guard
+    /// (`shared`'s module docs), naming the caller. A killed process, and
+    /// one unwinding a panic, never switches: std's panic count is the
+    /// thread's, so it must not span two bodies. Inlined: see `fiber`'s
+    /// module docs.
     #[track_caller]
+    #[inline(always)]
     fn call(&mut self, sc: Syscall) -> SimResult<Resume> {
-        if self.dead {
+        if self.dead || std::thread::panicking() {
             return Err(Killed);
         }
         if let Syscall::Sleep(_) | Syscall::Compute(_) | Syscall::Recv { .. } = sc {
             let at = std::panic::Location::caller();
             crate::shared::assert_unheld(format_args!("blocking syscall {sc:?}"), at);
         }
-        let resume = match self.enter(sc) {
-            Turn::Go(resume) => resume,
-            Turn::Wait(next) => {
-                wake(next);
-                self.wait_turn()?
+        match self.fiber.suspend(sc) {
+            Some(Ok(resume)) => {
+                self.now = resume.now();
+                Ok(resume)
             }
-        };
-        self.now = resume.now();
-        Ok(resume)
-    }
-
-    fn enter(&mut self, sc: Syscall) -> Turn {
-        self.in_kernel = true;
-        let turn = self.core.lock_untracked().syscall(&self.core, self.pid, sc);
-        self.in_kernel = false;
-        turn
-    }
-
-    /// Tell the kernel that the body is over — it returned (`Exit`) or
-    /// panicked for real, not as a kill unwind (`Panicked`) — and give the
-    /// baton up for good. Called by the thread wrapper; waits for nothing.
-    pub(crate) fn leave(&mut self, sc: Syscall) {
-        if self.dead {
-            return;
-        }
-        let turn = match sc {
-            Syscall::Panicked(msg) if self.in_kernel => {
-                Turn::Wait(self.core.lock_untracked().kernel_fault(self.pid, msg))
+            Some(Err(Killed)) | None => {
+                self.mark_dead();
+                Err(Killed)
             }
-            sc => self.enter(sc),
-        };
-        if let Turn::Wait(next) = turn {
-            wake(next);
         }
     }
 

@@ -1,35 +1,31 @@
 //! Deterministic cross-process shared state, and the run-time check of
 //! its lock discipline.
 //!
-//! Sim processes run on OS threads, but only the one holding the kernel's
-//! baton runs (see `kernel`'s module docs), so access to state shared
-//! between processes is always serialized by the scheduler. A `Mutex` is
-//! still required for *soundness* (the `Send`/`Sync` bounds on process
-//! bodies), never for mutual exclusion, and locking order cannot affect
+//! Sim processes run as fibers on their kernel's driver thread, one at a
+//! time (see `kernel`'s module docs), so access to state shared between
+//! processes is always serialized by the scheduler. A `Mutex` is still
+//! required for *soundness* (the `Send`/`Sync` bounds on process bodies,
+//! and kernels on other threads that share a cell), never for mutual
+//! exclusion among one kernel's processes, and locking order cannot affect
 //! simulation outcomes.
 //!
 //! That guarantee is what makes two rules checkable exactly, here and in
 //! the kernel, instead of approximated by a static pass:
 //!
 //! - **No re-entry.** Every live guard records its cell and the line that
-//!   took it in a per-thread list. Locking a cell this thread already holds
+//!   took it in a per-thread list. Locking a cell the thread already holds
 //!   panics with "Shared re-entered at X; held since Y", where a
 //!   `std::sync::Mutex` would deadlock silently.
-//! - **No yield while holding.** A syscall that can pass the baton
-//!   (`sleep`, `compute`, `recv`, `recv_timeout`) panics when the calling
-//!   thread holds a guard, whether or not that call would have blocked, and
-//!   so do `Kernel::run_*` on the driver thread. An immediate syscall
-//!   (`send`, `probe`, `spawn`, …) under a guard is allowed.
+//! - **No yield while holding.** A syscall that can end the caller's turn
+//!   (`sleep`, `compute`, `recv`, `recv_timeout`) panics when a guard is
+//!   held, whether or not that call would have blocked, and so do
+//!   `Kernel::run_*` on the driver. An immediate syscall (`send`, `probe`,
+//!   `spawn`, …) under a guard is allowed: the same process runs on.
 //!
-//! So the running process never meets a cell held by another *live*
-//! process, and an acquisition-order inversion cannot deadlock. A cell
-//! held by another thread is waited for: that thread can only be a killed
-//! process unwinding off the baton. The one residual is such an unwinding
-//! process nesting two cells in the opposite order to the running one.
-//!
-//! The kernel's own state (`kernel::Core`) lives in a `Shared` cell too,
-//! locked through [`Shared::lock_untracked`]: it is the mechanism, and a
-//! process's syscalls run under it.
+//! So a process starts its turn with no guard held by anyone on its
+//! thread, and an acquisition-order inversion cannot deadlock. A killed
+//! process unwinds before the next turn starts — the caller of the killing
+//! syscall first — so its destructors never meet a live process's guard.
 //!
 //! `Shared<T>` packages the idiom so the rest of the workspace never
 //! touches `std::sync::Mutex` directly: the sim crates deny clippy's D4
@@ -114,17 +110,12 @@ impl<T> Shared<T> {
                 "Shared re-entered at {here}; held since {since}"
             ));
         }
-        let inner = self.lock_untracked();
+        let inner = self
+            .0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         HELD.with(|held| held.borrow_mut().push((cell, here)));
         SharedGuard { inner, cell }
-    }
-
-    /// Lock the cell without the bookkeeping of [`Shared::lock`]: for the
-    /// kernel's own core only (module docs).
-    pub(crate) fn lock_untracked(&self) -> MutexGuard<'_, T> {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Run `f` with exclusive access to the value.
@@ -163,7 +154,7 @@ impl<T> Shared<Option<T>> {
 }
 
 /// Panic if this thread holds a `Shared` guard: `what`, called at `at`,
-/// can pass the baton (module docs).
+/// can end the caller's turn (module docs).
 pub(crate) fn assert_unheld(what: std::fmt::Arguments, at: Site) {
     if let Some((_, since)) = HELD.with(|held| held.borrow().first().copied()) {
         violation(format_args!(
@@ -172,8 +163,8 @@ pub(crate) fn assert_unheld(what: std::fmt::Arguments, at: Site) {
     }
 }
 
-/// Debug-assert that this thread holds no `Shared` guard: a pooled thread
-/// between two processes' bodies (`pool`).
+/// Debug-assert that this thread holds no `Shared` guard: right after a
+/// process's body has ended.
 pub(crate) fn debug_assert_none_held() {
     if cfg!(debug_assertions) {
         if let Some((_, since)) = HELD.with(|held| held.borrow().first().copied()) {

@@ -1,15 +1,14 @@
-//! Simulated processes run on a program-wide pool of OS threads: a cell
-//! built a second time in the same program starts no thread, and runs as
-//! the first did, to the byte. A test binary of its own, so no concurrent
-//! test takes the idle threads.
+//! Simulated processes run as fibers on stacks from their thread's pool: a
+//! cell built a second time on the same thread maps no new stack, and runs
+//! as the first did, to the byte.
 
 use corba_runtime::{Cluster, ClusterConfig, NamingMode};
 use optim::{run_manager, FtSettings, ManagerConfig};
 use simnet::{SimDuration, SimTime};
 
 /// One Table-1-style cell — Winner naming, FT proxies, the checkpoint
-/// service — run to the manager's exit and dropped. Returns the OS threads
-/// its kernel started and its trace and metrics exports.
+/// service — run to the manager's exit and dropped. Returns the fiber
+/// stacks its kernel mapped and its trace and metrics exports.
 fn cell() -> (u64, String, String) {
     let mut cluster = Cluster::build(ClusterConfig {
         hosts: 5,
@@ -35,25 +34,22 @@ fn cell() -> (u64, String, String) {
         }),
     );
     cluster.kernel.run_until_exit(manager);
-    let started = cluster.kernel.stats().threads_started;
+    let mapped = cluster.kernel.stats().stacks_mapped;
     let spawned = cluster.kernel.stats().spawned;
-    assert!(
-        started <= spawned,
-        "{started} threads for {spawned} processes"
-    );
+    assert!(mapped <= spawned, "{mapped} stacks for {spawned} processes");
     (
-        started,
+        mapped,
         cluster.obs.chrome_trace_json(),
         cluster.obs.metrics_text(),
     )
 }
 
 #[test]
-fn a_second_cell_runs_on_the_first_cells_threads() {
+fn a_second_cell_runs_on_the_first_cells_stacks() {
     let (first, trace, metrics) = cell();
-    assert!(first > 0, "the first cell started no thread");
+    assert!(first > 0, "the first cell mapped no stack");
     let (second, trace_again, metrics_again) = cell();
-    assert_eq!(second, 0, "the second cell started {second} threads");
+    assert_eq!(second, 0, "the second cell mapped {second} stacks");
     assert!(trace.contains("manager.run"), "{trace}");
     assert_eq!(trace, trace_again);
     assert_eq!(metrics, metrics_again);
